@@ -75,8 +75,8 @@ func main() {
 		inlogAddr     = flag.String("inlog-addr", "", "ingestion-log listen address; enables the durable ingest pipeline (empty = off)")
 		inlogFsync    = flag.String("inlog-fsync", "batch", "ingest fsync policy: always | batch | manual")
 		inlogSegBytes = flag.Int64("inlog-segment-bytes", 1<<20, "ingest log segment roll threshold in bytes")
-		inlogBatchN   = flag.Int("inlog-batch-records", 64, "ingest batch fsync: sync after this many appends")
-		inlogBatchIvl = flag.Duration("inlog-batch-interval", 2*time.Millisecond, "ingest batch fsync: background flush cadence (0 = default, negative = off)")
+		inlogBatchN   = flag.Int("inlog-batch-records", 64, "ingest batch fsync: commit a group once this many appends are pending")
+		inlogBatchIvl = flag.Duration("inlog-batch-interval", 2*time.Millisecond, "ingest batch fsync: commit whatever is pending this often (0 = default, negative = off)")
 	)
 	flag.Parse()
 

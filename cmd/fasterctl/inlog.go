@@ -16,9 +16,9 @@ import (
 //	fasterctl inlog -dir /tmp/db
 //	fasterctl inlog -segments /tmp/db/inlog -checkpoints /tmp/db/checkpoints
 //
-// It lists every segment with its offset range, re-verifies each record's
-// CRC framing, and cross-references the commit watermarks so the apply and
-// trim frontiers are visible next to the physical layout. It never opens
+// It lists every segment with its offset range and group count, re-verifies
+// each group frame's CRC, and cross-references the commit watermarks so the
+// apply and trim frontiers are visible next to the physical layout. It never opens
 // the log for writing, so it is safe against a live directory. Exit code 1
 // on any corruption.
 func inlogCmd(args []string) int {
@@ -50,13 +50,25 @@ func inlogCmd(args []string) int {
 	}
 
 	fmt.Printf("%s: %d segment(s), offsets [%d, %d)\n", *segDir, len(rep.Segments), rep.Start, rep.End)
+	var groups, records int
+	var validBytes int64
 	for _, s := range rep.Segments {
 		status := "ok"
-		if s.Torn {
+		switch {
+		case s.OldFormat:
+			status = "OLD FORMAT: per-record ILR1 frames, written before group commit; this version refuses to open it"
+		case s.Torn:
 			status = fmt.Sprintf("torn tail (%d of %d bytes valid)", s.ValidBytes, s.Bytes)
 		}
-		fmt.Printf("  segment %016x: offsets [%d, %d)  %d records  %d bytes  %s\n",
-			s.Base, s.Base, s.End, s.Records, s.Bytes, status)
+		fmt.Printf("  segment %016x: offsets [%d, %d)  %d records in %d groups  %d bytes  %s\n",
+			s.Base, s.Base, s.End, s.Records, s.Groups, s.Bytes, status)
+		groups += s.Groups
+		records += s.Records
+		validBytes += s.ValidBytes
+	}
+	if records > 0 {
+		fmt.Printf("  %d group(s): %.1f records per group, %.1f bytes on the device per record\n",
+			groups, float64(records)/float64(groups), float64(validBytes)/float64(records))
 	}
 	for _, e := range rep.Errors {
 		fmt.Printf("  ERROR %s\n", e)

@@ -206,9 +206,7 @@ func (s *Store) finishRecovery(cands []string, report *RecoveryReport) {
 			s.commitSeq.Store(seq)
 		}
 	}
-	for _, sh := range s.shards {
-		sh.noteCommitted = s.noteCommitted
-	}
+	s.wireShards()
 	s.report = report
 	s.registerStoreGauges()
 	s.registerLagGauges()

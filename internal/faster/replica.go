@@ -61,9 +61,6 @@ func (s *Store) OnCommit(fn func(CommitResult)) {
 	s.hookMu.Lock()
 	s.commitHooks = append(s.commitHooks, fn)
 	s.hookMu.Unlock()
-	if len(s.shards) == 1 {
-		s.shards[0].onCommit = s.fireCommitHooks
-	}
 }
 
 // fireCommitHooks invokes the registered commit hooks.

@@ -414,12 +414,24 @@ func Open(cfg Config) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	for _, sh := range s.shards {
-		sh.noteCommitted = s.noteCommitted
-	}
+	s.wireShards()
 	s.registerStoreGauges()
 	s.registerLagGauges()
 	return s, nil
+}
+
+// wireShards points every shard's commit callbacks at the store, once,
+// before any commit can run: the checkpoint goroutine reads these fields
+// without a lock, so hooks registered later (OnCommit, OnCommitArtifact)
+// only ever change the hookMu-guarded lists behind them.
+func (s *Store) wireShards() {
+	for _, sh := range s.shards {
+		sh.noteCommitted = s.noteCommitted
+	}
+	if len(s.shards) == 1 {
+		s.shards[0].onCommit = s.fireCommitHooks
+		s.shards[0].commitAttach = s.writeCommitAttachments
+	}
 }
 
 // registerStoreGauges exposes store-wide aggregates. With one shard the
@@ -648,9 +660,6 @@ func (s *Store) OnCommitArtifact(fn func(CommitResult) (name string, payload []b
 	s.hookMu.Lock()
 	s.artifactHooks = append(s.artifactHooks, fn)
 	s.hookMu.Unlock()
-	if len(s.shards) == 1 {
-		s.shards[0].commitAttach = s.writeCommitAttachments
-	}
 }
 
 // writeCommitAttachments runs the registered attachment hooks for a commit

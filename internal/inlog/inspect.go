@@ -1,6 +1,7 @@
 package inlog
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/storage"
@@ -11,9 +12,11 @@ type SegmentReport struct {
 	Base       uint64 `json:"base"`
 	End        uint64 `json:"end"` // one past the last valid record
 	Records    int    `json:"records"`
+	Groups     int    `json:"groups"`      // group frames holding the records
 	Bytes      int64  `json:"bytes"`       // device extent
-	ValidBytes int64  `json:"valid_bytes"` // bytes covered by valid records
+	ValidBytes int64  `json:"valid_bytes"` // bytes covered by valid groups
 	Torn       bool   `json:"torn"`        // trailing bytes failed to parse
+	OldFormat  bool   `json:"old_format"`  // holds per-record ILR1 frames, which Open refuses
 }
 
 // InspectReport is the result of a full offline scan (fasterctl inlog).
@@ -23,14 +26,15 @@ type InspectReport struct {
 	End      uint64          `json:"end"`   // one past the newest valid record
 	// Corrupt flags damage that cannot be a torn tail: an invalid frame
 	// that is *followed* by more data (a later segment, or a continuity
-	// break between segments). A torn final record in the final segment is
-	// normal crash residue, not corruption.
+	// break between segments), or a segment in the old record format. A torn
+	// final group in the final segment is normal crash residue, not
+	// corruption.
 	Corrupt bool     `json:"corrupt"`
 	Errors  []string `json:"errors,omitempty"`
 }
 
 // Inspect scans every segment read-only — no truncation, no segment
-// creation, no removal — validating each record's CRC and offset chain.
+// creation, no removal — validating each group's CRC and offset chain.
 // Use it for offline verification of a log directory.
 func Inspect(store SegmentStore) (InspectReport, error) {
 	var rep InspectReport
@@ -76,18 +80,14 @@ func inspectSegment(store SegmentStore, base uint64) (SegmentReport, []string) {
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		return sr, []string{fmt.Sprintf("segment %d: read: %v", base, err)}
 	}
-	pos := 0
-	for pos < len(buf) {
-		_, n, err := parseRecord(buf[pos:], base+uint64(sr.Records))
-		if err != nil {
-			sr.Torn = true
-			break
-		}
-		sr.Records++
-		pos += n
+	index, end, valid, err := scanFrames(buf, base)
+	sr.Groups, sr.End, sr.ValidBytes = len(index), end, valid
+	sr.Records = int(end - base)
+	if errors.Is(err, ErrOldFormat) {
+		sr.OldFormat = true
+		return sr, []string{fmt.Sprintf("segment %d, byte %d: %v", base, valid, err)}
 	}
-	sr.ValidBytes = int64(pos)
-	sr.End = base + uint64(sr.Records)
+	sr.Torn = err != nil
 	return sr, nil
 }
 

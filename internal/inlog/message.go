@@ -29,7 +29,7 @@ func (op Op) String() string {
 }
 
 // Message is the payload of one ingestion record: a single store operation.
-// Wire form: op(1) | klen u32 LE(4) | key | value. Value is the RMW input
+// Wire form: op(1) | uvarint(klen) | key | value. Value is the RMW input
 // for OpRMW, the new value for OpUpsert, and empty for OpDelete.
 type Message struct {
 	Op    Op
@@ -39,17 +39,15 @@ type Message struct {
 
 // EncodeMessage appends m's wire form to dst and returns the extended slice.
 func EncodeMessage(dst []byte, m Message) []byte {
-	var hdr [5]byte
-	hdr[0] = byte(m.Op)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(m.Key)))
-	dst = append(dst, hdr[:]...)
+	dst = append(dst, byte(m.Op))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Key)))
 	dst = append(dst, m.Key...)
 	return append(dst, m.Value...)
 }
 
 // DecodeMessage parses one message. Key and Value alias buf.
 func DecodeMessage(buf []byte) (Message, error) {
-	if len(buf) < 5 {
+	if len(buf) < 2 {
 		return Message{}, fmt.Errorf("inlog: message too short (%d bytes)", len(buf))
 	}
 	op := Op(buf[0])
@@ -58,9 +56,13 @@ func DecodeMessage(buf []byte) (Message, error) {
 	default:
 		return Message{}, fmt.Errorf("inlog: unknown op %d", buf[0])
 	}
-	klen := int(binary.LittleEndian.Uint32(buf[1:5]))
-	if klen < 0 || 5+klen > len(buf) {
+	klen, w := binary.Uvarint(buf[1:])
+	if w <= 0 {
+		return Message{}, fmt.Errorf("inlog: malformed key length")
+	}
+	rest := buf[1+w:]
+	if klen > uint64(len(rest)) {
 		return Message{}, fmt.Errorf("inlog: key length %d exceeds message (%d bytes)", klen, len(buf))
 	}
-	return Message{Op: op, Key: buf[5 : 5+klen], Value: buf[5+klen:]}, nil
+	return Message{Op: op, Key: rest[:klen], Value: rest[klen:]}, nil
 }

@@ -53,6 +53,7 @@ type Pump struct {
 	sessID string
 	anchor Watermark // serial<->offset anchor (Token empty for the origin)
 	idle   time.Duration
+	buf    []byte // group read buffer, owned by the apply loop
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -72,6 +73,16 @@ type Pump struct {
 // applied asynchronously — WaitApplied(log.Durable()-1) blocks until the
 // store has caught up.
 func StartPump(cfg PumpConfig) (*Pump, error) {
+	p, err := newPump(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go p.loop()
+	return p, nil
+}
+
+// newPump is StartPump without the apply loop.
+func newPump(cfg PumpConfig) (*Pump, error) {
 	if cfg.Log == nil || cfg.Store == nil {
 		return nil, fmt.Errorf("inlog: PumpConfig.Log and Store are required")
 	}
@@ -134,7 +145,6 @@ func StartPump(cfg PumpConfig) (*Pump, error) {
 	})
 	cfg.Store.OnCommitArtifact(p.commitWatermark)
 	cfg.Store.OnCommit(p.trimCommitted)
-	go p.loop()
 	return p, nil
 }
 
@@ -213,19 +223,18 @@ func (p *Pump) trimCommitted(res faster.CommitResult) {
 	p.log.Trim(p.anchor.OffsetForSerial(serial))
 }
 
-// loop is the apply pump: drain durable records in offset order, refreshing
+// loop is the apply pump: drain durable groups in offset order, refreshing
 // the session while idle so commits keep advancing.
 func (p *Pump) loop() {
 	defer close(p.stopped)
 	for {
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
+		closed := p.closed
 		cursor := p.applied
 		p.mu.Unlock()
-
+		if closed {
+			return
+		}
 		d := p.log.Durable()
 		if d <= cursor {
 			p.sess.Refresh()
@@ -233,62 +242,72 @@ func (p *Pump) loop() {
 			time.Sleep(p.idle)
 			continue
 		}
-		n := uint64(0)
-		for cursor < d {
-			if err := p.applyOne(cursor); err != nil {
+		from := cursor
+		for cursor < d && !closed {
+			next, err := p.applyGroup(cursor)
+			if err != nil {
 				p.fail(err)
 				return
 			}
-			cursor++
-			n++
+			p.applies.Add(next - cursor)
+			cursor = next
 			p.mu.Lock()
 			p.applied = cursor
-			closed := p.closed
+			closed = p.closed
 			p.cond.Broadcast()
 			p.mu.Unlock()
-			if closed {
-				return
-			}
 		}
 		p.sess.CompletePending(false)
-		p.applies.Add(n)
-		p.flight.Emit(obs.FlightInlogApply, -1, 0, "", p.sessID, cursor, n)
+		p.flight.Emit(obs.FlightInlogApply, -1, 0, "", p.sessID, cursor, cursor-from)
 	}
 }
 
-// applyOne reads and applies the record at offset through the pump session.
-// Exactly one serial is consumed per record — including on a decode error,
-// which would otherwise silently shear the serial<->offset anchor.
+// applyGroup reads the durable group holding the record at offset with one
+// device read into the pump's buffer and applies its records from offset on
+// through the pump session, returning the offset after the group. Exactly
+// one serial is consumed per record; a record that fails to decode stops the
+// pump before it is given one, so the serial<->offset anchor never shears.
 //
 // Under an instant restore (faster.Config.InstantRestore) these session ops
 // self-gate per key: each blocks until its hash bucket is warm, so the pump
 // resumes from the converted watermark only as fast as its buckets come warm
 // and never applies a record over pre-prefix state. No pump-side coordination
 // is needed.
-func (p *Pump) applyOne(offset uint64) error {
-	payload, err := p.log.Read(offset)
+func (p *Pump) applyGroup(offset uint64) (uint64, error) {
+	g, buf, err := p.log.ReadGroup(offset, p.buf)
+	p.buf = buf
 	if err != nil {
-		return fmt.Errorf("inlog: pump read offset %d: %w", offset, err)
+		return offset, fmt.Errorf("inlog: pump read offset %d: %w", offset, err)
 	}
-	msg, err := DecodeMessage(payload)
-	if err != nil {
-		p.applyErr.Inc()
-		return fmt.Errorf("inlog: pump offset %d: %w", offset, err)
+	// One batch per group: one epoch refresh up front, and ops that complete
+	// synchronously recycle their records instead of allocating.
+	p.sess.BeginBatch()
+	defer p.sess.EndBatch()
+	for {
+		offset = g.Offset()
+		payload, ok := g.Next()
+		if !ok {
+			return offset, nil
+		}
+		msg, err := DecodeMessage(payload)
+		if err != nil {
+			p.applyErr.Inc()
+			return offset, fmt.Errorf("inlog: pump offset %d: %w", offset, err)
+		}
+		var st faster.Status
+		switch msg.Op {
+		case OpRMW:
+			st = p.sess.RMW(msg.Key, msg.Value)
+		case OpUpsert:
+			st = p.sess.Upsert(msg.Key, msg.Value)
+		case OpDelete:
+			st = p.sess.Delete(msg.Key)
+		}
+		if st == faster.Error {
+			p.applyErr.Inc()
+			return offset, fmt.Errorf("inlog: pump offset %d: %s failed", offset, msg.Op)
+		}
 	}
-	var st faster.Status
-	switch msg.Op {
-	case OpRMW:
-		st = p.sess.RMW(msg.Key, msg.Value)
-	case OpUpsert:
-		st = p.sess.Upsert(msg.Key, msg.Value)
-	case OpDelete:
-		st = p.sess.Delete(msg.Key)
-	}
-	if st == faster.Error {
-		p.applyErr.Inc()
-		return fmt.Errorf("inlog: pump offset %d: %s failed", offset, msg.Op)
-	}
-	return nil
 }
 
 func (p *Pump) fail(err error) {

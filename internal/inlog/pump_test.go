@@ -291,3 +291,203 @@ func TestIngestServerAcksAreDurable(t *testing.T) {
 		}
 	}
 }
+
+// TestPumpResumesMidGroup: a CPR commit point can fall anywhere inside a
+// group (the pump session crosses the version boundary between two records
+// of one frame), so the recovered pump must be able to start in the middle
+// of one. The crash image here holds the same 180 records as the live log,
+// grouped so that the commit's watermark (100) lands inside a group.
+func TestPumpResumesMidGroup(t *testing.T) {
+	const committed, total, keys = 100, 180, 10
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	dev := storage.NewMemDevice()
+	ckpts := storage.NewMemCheckpointStore()
+	s, err := faster.Open(storeConfig(dev, ckpts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := StartPump(PumpConfig{Log: l, Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < committed; i++ {
+		appendAdd(t, l, i, keys)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WaitApplied(committed - 1); err != nil {
+		t.Fatal(err)
+	}
+	token, err := s.Commit(faster.CommitOptions{WithIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.WaitForCommit(token); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	ckCrash, devCrash := ckpts.Clone(), dev.Clone()
+	p.Close()
+	s.Close()
+	l.Close()
+
+	segCrash := NewMemSegmentStore()
+	regrouped := mustOpen(t, Config{Segments: segCrash, Fsync: FsyncManual})
+	for i := 0; i < total; i++ {
+		appendAdd(t, regrouped, i, keys)
+		if i == 69 { // groups [0, 70) and [70, 180)
+			if err := regrouped.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	regrouped.Close()
+
+	r, err := faster.Recover(storeConfig(devCrash, ckCrash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rl := mustOpen(t, Config{Segments: segCrash, Fsync: FsyncManual})
+	defer rl.Close()
+	rp, err := StartPump(PumpConfig{Log: rl, Store: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if err := rp.WaitApplied(total - 1); err != nil {
+		t.Fatal(err)
+	}
+	check := r.StartSession()
+	defer check.StopSession()
+	for k := 0; k < keys; k++ {
+		if got, want := readCounter(t, check, counterKey(k)), expectedCount(k, keys, total); got != want {
+			t.Fatalf("key %d = %d after a mid-group resume, want %d (exactly-once violated)", k, got, want)
+		}
+	}
+}
+
+// TestStartPumpRacesNoCommit is the -race regression for Store.OnCommit /
+// OnCommitArtifact: registering the pump's hooks right after one commit
+// completed (its checkpoint goroutine is still past close(done)) and while
+// the next is in flight must not touch anything that goroutine reads
+// unlocked.
+func TestStartPumpRacesNoCommit(t *testing.T) {
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	defer l.Close()
+	s, err := faster.Open(storeConfig(storage.NewMemDevice(), storage.NewMemCheckpointStore()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit := func() string {
+		token, err := s.Commit(faster.CommitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return token
+	}
+	if res := s.WaitForCommit(commit()); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	inflight := commit()
+	p, err := StartPump(PumpConfig{Log: l, Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if res := s.WaitForCommit(inflight); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// The hooks registered mid-flight serve the next commit.
+	appendAdd(t, l, 0, 1)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WaitApplied(0); err != nil {
+		t.Fatal(err)
+	}
+	token := commit()
+	if res := s.WaitForCommit(token); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if w, ok, err := LoadWatermark(s.Checkpoints(), token); err != nil || !ok || w.Offset != 1 {
+		t.Fatalf("watermark of %s = (%+v, %v, %v), want offset 1", token, w, ok, err)
+	}
+}
+
+// TestIngestServerFlushesAcksBeforeWaiting: acks that one group commit
+// released must reach the client even when the connection's next offset is
+// still waiting for its own group — the ack loop may batch, never withhold.
+func TestIngestServerFlushesAcksBeforeWaiting(t *testing.T) {
+	gate := &gateDevice{entered: make(chan struct{}), release: make(chan struct{})}
+	l := mustOpen(t, Config{
+		Segments: NewMemSegmentStore(), Fsync: FsyncManual,
+		WrapDevice: func(d storage.Device) (storage.Device, error) {
+			gate.Device = d
+			return gate, nil
+		},
+	})
+	srv := NewIngestServer(l, nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+	defer srv.Close()
+	c, err := DialIngest(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(i int) {
+		t.Helper()
+		if err := c.Send(Message{Op: OpUpsert, Key: counterKey(i), Value: one}); err != nil {
+			t.Fatal(err)
+		}
+		for l.Tail() <= uint64(i) { // appended and queued for its ack
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	send(0)
+	send(1)
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-gate.entered // group [0, 2) is inside its fsync
+	send(2)        // queued behind 0 and 1, in the next group
+	gate.release <- struct{}{}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan uint64)
+	go func() {
+		for i := 0; i < 3; i++ {
+			off, err := c.Ack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got <- off
+		}
+	}()
+	for want := uint64(0); want < 2; want++ {
+		select {
+		case off := <-got:
+			if off != want {
+				t.Fatalf("ack = %d, want %d", off, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ack %d withheld while offset 2 waits for its group", want)
+		}
+	}
+	go func() { <-gate.entered; gate.release <- struct{}{} }()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if off := <-got; off != 2 {
+		t.Fatalf("last ack = %d, want 2", off)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

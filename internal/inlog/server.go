@@ -1,6 +1,7 @@
 package inlog
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,8 +18,8 @@ import (
 // the record's logical offset (u64 LE) once the record is fsync-durable.
 // The ack therefore IS the durability guarantee: a client that saw offset o
 // acked will find that record applied after any crash. Appends and acks are
-// pipelined per connection so a batched fsync policy amortizes across
-// in-flight requests.
+// pipelined per connection so one group commit covers its in-flight
+// requests.
 type IngestServer struct {
 	log    *Log
 	flight *obs.FlightRecorder
@@ -79,32 +80,55 @@ func (s *IngestServer) Close() {
 	}
 }
 
+// ackQueue is how many appended-but-unacked offsets one connection may have
+// in flight before its read loop stops reading: the bound on what a client
+// can make the log buffer ahead of the device.
+const ackQueue = 1024
+
 // serveConn pipelines one connection: the read loop appends records and
-// queues their offsets; the ack loop waits for durability in offset order
-// and writes each ack. A batch fsync policy makes many queued offsets
-// durable at once, so acks drain in bursts.
+// queues their offsets; the ack loop waits for durability in offset order.
+// One group commit makes many queued offsets durable at once, and the ack
+// loop writes all of them with one conn.Write.
 func (s *IngestServer) serveConn(conn net.Conn) {
 	defer conn.Close()
-	acks := make(chan uint64, 1024)
+	acks := make(chan uint64, ackQueue)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var buf [8]byte
-		for off := range acks {
-			if s.log.WaitDurable(off) != nil {
-				return
+		out := make([]byte, 0, 8*ackQueue)
+		flush := func() bool {
+			if len(out) == 0 {
+				return true
 			}
-			binary.LittleEndian.PutUint64(buf[:], off)
-			if _, err := conn.Write(buf[:]); err != nil {
-				return
+			_, err := conn.Write(out)
+			out = out[:0]
+			return err == nil
+		}
+		var durable uint64 // the log's durable frontier when last read
+		for off := range acks {
+			if off >= durable {
+				if durable = s.log.Durable(); off >= durable {
+					// Never sit on acks while waiting for the next group.
+					if !flush() || s.log.WaitDurable(off) != nil {
+						return
+					}
+					durable = s.log.Durable()
+				}
+			}
+			out = binary.LittleEndian.AppendUint64(out, off)
+			if len(acks) == 0 || len(out) == cap(out) {
+				if !flush() {
+					return
+				}
 			}
 		}
 	}()
 
+	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
 	var msgBuf []byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			break
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
@@ -115,7 +139,7 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 			msgBuf = make([]byte, n)
 		}
 		msgBuf = msgBuf[:n]
-		if _, err := io.ReadFull(conn, msgBuf); err != nil {
+		if _, err := io.ReadFull(br, msgBuf); err != nil {
 			break
 		}
 		if _, err := DecodeMessage(msgBuf); err != nil {
@@ -136,6 +160,7 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 // the next durable offset. It is a test/bench aid, not a production SDK.
 type IngestClient struct {
 	conn net.Conn
+	br   *bufio.Reader // the server writes many acks per conn.Write
 	wbuf []byte
 }
 
@@ -145,7 +170,7 @@ func DialIngest(addr string) (*IngestClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inlog: dial %s: %w", addr, err)
 	}
-	return &IngestClient{conn: conn}, nil
+	return &IngestClient{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // Send writes one message; the matching Ack arrives in order.
@@ -163,11 +188,13 @@ func (c *IngestClient) Send(m Message) error {
 
 // Ack blocks for the next ack and returns the acked record's offset.
 func (c *IngestClient) Ack() (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(c.conn, buf[:]); err != nil {
+	b, err := c.br.Peek(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	off := binary.LittleEndian.Uint64(b)
+	c.br.Discard(8) //nolint:errcheck // the 8 bytes were just peeked
+	return off, nil
 }
 
 // Close closes the connection.

@@ -1,7 +1,9 @@
 package inlog
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,8 +12,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Crash-torture: seeded crashes mid-append, mid-fsync, mid-commit and
-// mid-trim. Every crash image must recover to a state containing exactly
+// Crash-torture: seeded crashes at every stage of a group's life — buffered
+// but not written, written but not fsynced, torn mid-write — and mid-commit
+// and mid-trim. Every crash image must recover to a state containing exactly
 // the records the reopened log retains — each acked offset applied exactly
 // once, and nothing that the log lost (never-fsynced appends) surviving as
 // applied. The workload is self-describing: record o is "RMW key (o % keys)
@@ -32,7 +35,7 @@ type crashImage struct {
 }
 
 // rig wires the full stack: ingestion log over SyncBufferDevice(FaultDevice)
-// segments (so crashes drop unsynced appends and armed faults tear fsyncs),
+// segments (so crashes drop unsynced groups and armed faults tear fsyncs),
 // a FASTER store whose checkpoint artifacts flow through the same injector
 // (for named commit crash points), and the apply pump between them.
 type rig struct {
@@ -46,6 +49,24 @@ type rig struct {
 	pump  *Pump
 	acked atomic.Uint64
 	next  int // next record index to append
+	// beforeSync, when set, fires once at the next segment Sync: the group
+	// has been written (to the page-cache model) and not yet fsynced.
+	beforeSync func()
+}
+
+// syncHookDevice is the rig's top device layer: it gives tests the instant
+// between a commit step's WriteAt and its Sync.
+type syncHookDevice struct {
+	storage.Device
+	r *rig
+}
+
+func (d syncHookDevice) Sync() error {
+	if fn := d.r.beforeSync; fn != nil {
+		d.r.beforeSync = nil
+		fn()
+	}
+	return d.Device.Sync()
 }
 
 func newRig(t *testing.T, segmentBytes int64) *rig {
@@ -61,7 +82,8 @@ func newRig(t *testing.T, segmentBytes int64) *rig {
 	r.log, err = Open(Config{
 		Segments: r.segs, SegmentBytes: segmentBytes, Fsync: FsyncManual,
 		WrapDevice: func(d storage.Device) (storage.Device, error) {
-			return storage.NewSyncBufferDevice(storage.NewFaultDevice(d, r.inj))
+			buffered, err := storage.NewSyncBufferDevice(storage.NewFaultDevice(d, r.inj))
+			return syncHookDevice{buffered, r}, err
 		},
 	})
 	if err != nil {
@@ -90,8 +112,18 @@ func (r *rig) append(n int) {
 	}
 }
 
-// sync fsyncs the log and advances the client-visible ack frontier — the
-// moment after which those offsets count as acked for the crash contract.
+// appendGroups appends n records and syncs after every per of them, so the
+// log holds them as groups of (at most) per records.
+func (r *rig) appendGroups(n, per int) {
+	for ; n > 0; n -= per {
+		r.append(min(n, per))
+		r.sync()
+	}
+}
+
+// sync commits everything appended since the last sync as one group and
+// advances the client-visible ack frontier — the moment after which those
+// offsets count as acked for the crash contract.
 func (r *rig) sync() {
 	if err := r.log.Sync(); err != nil {
 		r.t.Fatal(err)
@@ -186,8 +218,8 @@ func verifyImage(t *testing.T, img crashImage) {
 	l.Close()
 }
 
-// TestTortureMidAppend: crash with a suffix of appends never fsynced —
-// they must vanish, everything acked must survive.
+// TestTortureMidAppend: crash with a group buffered but never written —
+// it must vanish, everything acked must survive.
 func TestTortureMidAppend(t *testing.T) {
 	for seed := 1; seed <= 3; seed++ {
 		r := newRig(t, 1<<20)
@@ -204,34 +236,59 @@ func TestTortureMidAppend(t *testing.T) {
 		if img.acked != 40 {
 			t.Fatalf("seed %d: acked = %d, want 40", seed, img.acked)
 		}
+		if tail := reopenedTail(t, img); tail != 40 {
+			t.Fatalf("seed %d: crash image tail = %d, want 40 (buffered group dropped)", seed, tail)
+		}
 	}
 }
 
-// TestTortureMidFsync: the crash tears the fsync flush itself — a prefix
-// of the dirty range reaches the medium mid-Sync. The reopened log must
-// truncate at the tear, losing only unacked records.
+// reopenedTail reopens (a copy of) the image's segments and returns the tail.
+func reopenedTail(t *testing.T, img crashImage) uint64 {
+	t.Helper()
+	l, err := Open(Config{Segments: img.segs.Clone(), Fsync: FsyncManual})
+	if err != nil {
+		t.Fatalf("%s: reopen log: %v", img.name, err)
+	}
+	defer l.Close()
+	return l.Tail()
+}
+
+// TestTortureMidFsync: the crash strikes inside a commit step. Either the
+// group is written but its fsync never ran — nothing of it is on the medium
+// — or the fsync's flush is torn and a prefix of the frame is. Both ways the
+// reopened log must end at the previous group, losing only unacked records,
+// and never a part of the group.
 func TestTortureMidFsync(t *testing.T) {
 	for seed := 1; seed <= 3; seed++ {
-		r := newRig(t, 1<<20) // single segment: each Sync is one flush write
-		r.append(25)
-		r.sync() // flush write #1
-		r.waitApplied()
-		r.commit()
-		r.append(10 + 3*seed)
-		var img crashImage
-		name := fmt.Sprintf("mid-fsync/seed%d", seed)
-		r.inj.ArmDeviceWrite(2, func() { img = r.snap(name) }) // tear flush write #2
-		r.sync()
-		if img.ck == nil {
-			t.Fatalf("seed %d: device-write crash point never fired", seed)
-		}
-		r.waitApplied()
-		r.close()
-		verifyImage(t, img)
-		// The tear hit after phase A was acked but before phase B's sync
-		// returned, so the image's ack frontier is still phase A.
-		if img.acked != 25 {
-			t.Fatalf("seed %d: acked = %d, want 25", seed, img.acked)
+		for _, stage := range []string{"written-not-synced", "torn-write"} {
+			r := newRig(t, 1<<20) // single segment: each commit step is one flush write
+			r.append(25)
+			r.sync() // flush write #1
+			r.waitApplied()
+			r.commit()
+			r.append(10 + 3*seed)
+			var img crashImage
+			name := fmt.Sprintf("mid-fsync/%s/seed%d", stage, seed)
+			if stage == "torn-write" {
+				r.inj.ArmDeviceWrite(2, func() { img = r.snap(name) }) // tear flush write #2
+			} else {
+				r.beforeSync = func() { img = r.snap(name) }
+			}
+			r.sync()
+			if img.ck == nil {
+				t.Fatalf("%s: crash point never fired", name)
+			}
+			r.waitApplied()
+			r.close()
+			verifyImage(t, img)
+			// The crash hit after group A was acked but before group B's sync
+			// returned, so the image's ack frontier — and its log — end at A.
+			if img.acked != 25 {
+				t.Fatalf("%s: acked = %d, want 25", name, img.acked)
+			}
+			if tail := reopenedTail(t, img); tail != 25 {
+				t.Fatalf("%s: crash image tail = %d, want 25 (no part of a torn group survives)", name, tail)
+			}
 		}
 	}
 }
@@ -253,13 +310,11 @@ func TestTortureMidCommit(t *testing.T) {
 	for _, point := range points {
 		point := point
 		t.Run(point, func(t *testing.T) {
-			r := newRig(t, 512)
-			r.append(30)
-			r.sync()
+			r := newRig(t, 512) // groups of 7 records: three to a segment
+			r.appendGroups(30, 7)
 			r.waitApplied()
 			r.commit() // ckpt-000001, with watermark
-			r.append(20)
-			r.sync()
+			r.appendGroups(20, 7)
 			r.waitApplied()
 			var img crashImage
 			r.inj.Arm(point, func() { img = r.snap(point) })
@@ -267,8 +322,7 @@ func TestTortureMidCommit(t *testing.T) {
 			if img.ck == nil {
 				t.Fatalf("crash point %s never fired", point)
 			}
-			r.append(12) // post-crash-point traffic: not in the image, live run must still work
-			r.sync()
+			r.appendGroups(12, 7) // post-crash-point traffic: not in the image, live run must still work
 			r.waitApplied()
 			r.close()
 			verifyImage(t, img)
@@ -281,11 +335,10 @@ func TestTortureMidCommit(t *testing.T) {
 // image. Recovery must replay from the watermark even though the log no
 // longer starts at offset zero.
 func TestTortureMidTrim(t *testing.T) {
-	r := newRig(t, 256)
-	r.append(40)
-	r.sync()
+	r := newRig(t, 256) // two 10-record groups fill a segment
+	r.appendGroups(40, 10)
 	r.waitApplied()
-	r.commit() // trims everything below offset 40 (async)
+	r.commit() // trims every segment below offset 40 but the active one (async)
 	waitTrim := func(min uint64) {
 		deadline := time.Now().Add(2 * time.Second)
 		for r.log.Start() < min && time.Now().Before(deadline) {
@@ -301,13 +354,11 @@ func TestTortureMidTrim(t *testing.T) {
 		t.Fatalf("segments below the trim watermark still on disk: %v (start %d)", bases, r.log.Start())
 	}
 
-	r.append(20)
-	r.sync()
+	r.appendGroups(20, 10)
 	r.waitApplied()
 	r.commit()
 	img := r.snap("mid-trim/racing") // trim for this commit races the clone
-	r.append(15)                     // uncommitted suffix above the watermark
-	r.sync()
+	r.appendGroups(15, 10)           // uncommitted suffix above the watermark
 	r.waitApplied()
 	imgSuffix := r.snap("mid-trim/suffix")
 	r.close()
@@ -326,5 +377,70 @@ func TestTortureMidTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 		verifyImage(t, partial)
+	}
+}
+
+// TestTortureAckedSurvivesAnyCrash runs the whole front door — ingest server,
+// background committer under FsyncBatch, page-cache model underneath — and
+// clones the medium at arbitrary instants while groups are being buffered,
+// written and fsynced. Every image must reopen with a tail at or above the
+// acks the client had read by then, and every record it holds must be the
+// message sent at that offset: a torn or unsynced group loses only records
+// that were never acked.
+func TestTortureAckedSurvivesAnyCrash(t *testing.T) {
+	segs := NewMemSegmentStore()
+	l := mustOpen(t, Config{
+		Segments: segs, SegmentBytes: 4 << 10, Fsync: FsyncBatch,
+		BatchRecords: 16, BatchInterval: time.Millisecond,
+		WrapDevice: func(d storage.Device) (storage.Device, error) {
+			return storage.NewSyncBufferDevice(d)
+		},
+	})
+	defer l.Close()
+	srv := NewIngestServer(l, nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+	defer srv.Close()
+	c, err := DialIngest(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n, window = 3000, 200
+	sent := 0
+	for acked := 0; acked < n; acked++ {
+		for ; sent < n && sent-acked < window; sent++ {
+			if err := c.Send(Message{Op: OpRMW, Key: counterKey(sent), Value: one}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		off, err := c.Ack()
+		if err != nil || off != uint64(acked) {
+			t.Fatalf("ack %d = (%d, %v)", acked, off, err)
+		}
+		if acked%37 != 0 {
+			continue
+		}
+		img, err := Open(Config{Segments: segs.Clone(), Fsync: FsyncManual})
+		if err != nil {
+			t.Fatalf("crash image after ack %d: %v", acked, err)
+		}
+		if img.Tail() <= uint64(acked) {
+			t.Fatalf("crash image after ack %d has tail %d: an acked record was lost", acked, img.Tail())
+		}
+		for o := img.Start(); o < img.Tail(); o++ {
+			p, err := img.Read(o)
+			if err != nil {
+				t.Fatalf("crash image after ack %d: offset %d: %v", acked, o, err)
+			}
+			if m, err := DecodeMessage(p); err != nil || !bytes.Equal(m.Key, counterKey(int(o))) {
+				t.Fatalf("crash image after ack %d: offset %d holds %+v (%v)", acked, o, m, err)
+			}
+		}
+		img.Close()
 	}
 }

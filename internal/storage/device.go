@@ -89,14 +89,24 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("storage: negative offset %d", off)
 	}
-	end := off + int64(len(p))
-	if end > int64(len(d.data)) {
-		grown := make([]byte, end)
-		copy(grown, d.data)
-		d.data = grown
+	if end := off + int64(len(p)); end > int64(len(d.data)) {
+		d.data = growZero(d.data, end)
 	}
 	copy(d.data[off:], p)
 	return len(p), nil
+}
+
+// growZero extends b to n bytes (n > len(b)), the new ones zero. When it must
+// reallocate it at least doubles the capacity, so a buffer grown by many small
+// appends is copied O(log n) times in all, not once per append. b must never
+// have been longer than it is now: the spare capacity is taken to be zero.
+func growZero(b []byte, n int64) []byte {
+	if n <= int64(cap(b)) {
+		return b[:n]
+	}
+	grown := make([]byte, n, max(n, 2*int64(cap(b))))
+	copy(grown, b)
+	return grown
 }
 
 // Sync implements Device; RAM is always "durable" for simulation purposes.

@@ -74,9 +74,7 @@ func (d *SyncBufferDevice) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(d.shadow)) {
-		grown := make([]byte, end)
-		copy(grown, d.shadow)
-		d.shadow = grown
+		d.shadow = growZero(d.shadow, end)
 	}
 	copy(d.shadow[off:], p)
 	d.markDirty(off, end)
