@@ -85,10 +85,14 @@ type StorePhase = faster.Phase
 // StoreRest is the rest (normal processing) phase of a Store.
 const StoreRest = faster.Rest
 
-// RMWOps defines read-modify-write semantics (see AddUint64).
+// RMWOps defines read-modify-write semantics (see AddUint64). Update receives
+// the current value as a private copy in a session-owned buffer: it may
+// overwrite that copy and return it, so an implementation has no need to
+// allocate; Initial may return its input. Neither may retain its arguments.
 type RMWOps = faster.RMWOps
 
-// AddUint64 is the paper's running-sum RMW over 8-byte counters.
+// AddUint64 is the paper's running-sum RMW over 8-byte counters; it adds in
+// place and allocates nothing.
 type AddUint64 = faster.AddUint64
 
 // OpenStore creates an empty Store.

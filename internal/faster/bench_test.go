@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/ycsb"
 )
 
@@ -98,6 +99,97 @@ func BenchmarkCommitLogOnly(b *testing.B) {
 			binary.LittleEndian.PutUint64(kb[:], uint64(k))
 			binary.LittleEndian.PutUint64(vb[:], uint64(i))
 			sess.Upsert(kb[:], vb[:])
+		}
+	}
+}
+
+// Layer benchmarks for the session operation path, one per log region an
+// operation can find its record in (ROADMAP item 2). Every one reports
+// allocs/op: the path owns and reuses its buffers, so an update should show 0
+// and a read 1 (the value the caller keeps).
+//
+//	mutable   in-place update / read in the mutable region
+//	readonly  the record is below the safe-read-only offset: updates go
+//	          through read-copy-update (the read-only offset is moved to the
+//	          tail once per pass over the keys, which is part of the time)
+//	disk      the record is on a file device: RMW and Read fetch it with one
+//	          async read and finish in CompletePending; Upsert is blind
+func benchRegions(b *testing.B, op func(sess *Session, k, v []byte)) {
+	const hot, cold = 1 << 10, 1 << 15
+	run := func(b *testing.B, s *Store, sess *Session, keys int, readonly bool) {
+		var kb, vb [8]byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if readonly && i%keys == 0 {
+				s.Log().ShiftReadOnlyTo(s.Log().Tail())
+				for s.Log().SafeReadOnly() < s.Log().ReadOnly() {
+					sess.Refresh()
+				}
+			}
+			binary.LittleEndian.PutUint64(kb[:], uint64(i%keys))
+			binary.LittleEndian.PutUint64(vb[:], 1)
+			op(sess, kb[:], vb[:])
+		}
+	}
+	b.Run("mutable", func(b *testing.B) {
+		s, sess := benchStore(b, hot)
+		run(b, s, sess, hot, false)
+	})
+	b.Run("readonly", func(b *testing.B) {
+		s, sess := benchStore(b, hot)
+		run(b, s, sess, hot, true)
+	})
+	b.Run("disk", func(b *testing.B) {
+		s, sess := coldStore(b, 2*cold)
+		run(b, s, sess, cold, false)
+	})
+}
+
+func BenchmarkSessionRead(b *testing.B) {
+	benchRegions(b, func(sess *Session, k, _ []byte) {
+		if _, st := sess.Read(k, nil); st == Pending {
+			sess.CompletePending(true)
+		}
+	})
+}
+
+func BenchmarkSessionUpsert(b *testing.B) {
+	benchRegions(b, func(sess *Session, k, v []byte) {
+		if st := sess.Upsert(k, v); st == Pending {
+			sess.CompletePending(true)
+		}
+	})
+}
+
+func BenchmarkSessionRMW(b *testing.B) {
+	benchRegions(b, func(sess *Session, k, v []byte) {
+		if st := sess.RMW(k, v); st == Pending {
+			sess.CompletePending(true)
+		}
+	})
+}
+
+// BenchmarkIndexImage is the index half of a WithIndex commit for a 1 M-key
+// store (2^19 buckets, the paper's keys/2): build the image inside its
+// envelope and hand it to an in-memory checkpoint store. B/op is what the
+// commit adds to the heap on top of the 32 MiB artifact the store keeps.
+func BenchmarkIndexImage(b *testing.B) {
+	idx, err := newIndex(1<<19, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(1); i <= 1<<20; i++ {
+		h := i * 0x9E3779B97F4A7C15
+		idx.findOrCreateSlot(h).Store(tagOf(h) | 64*i)
+	}
+	cs := storage.NewMemCheckpointStore()
+	b.SetBytes(int64(idx.imageSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := storage.WriteArtifactBuilt(cs, "index", idx.imageSize(), idx.appendImage, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
@@ -214,6 +213,9 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		Token: mc.token, Version: mc.version, Kind: kind,
 		Serials: serials, Bytes: bytes, Err: firstErr,
 	}
+	if firstErr == nil {
+		s.noteCommitted(mc.res) // watermarks first, as in waitFlush
+	}
 	s.ckptMu.Lock()
 	s.results[mc.token] = mc.res
 	s.multi = nil
@@ -223,7 +225,6 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		s.metrics.commitBytes.Add(uint64(bytes))
 		s.metrics.commitNs.Observe(time.Since(mc.started))
 		s.cfg.Flight.Emit(obs.FlightCommitDone, -1, uint64(mc.version), mc.token, "", uint64(bytes), 0)
-		s.noteCommitted(mc.res)
 	} else {
 		s.metrics.commitFailures.Inc()
 		s.cfg.Flight.Emit(obs.FlightCommitFail, -1, uint64(mc.version), mc.token, "", 0, 0)
@@ -464,14 +465,13 @@ func (ck *checkpointCtx) waitFlush() {
 	if ck.opts.WithIndex {
 		ck.lis = sh.log.Tail()
 		indexToken = ck.token
-		// Buffer the index image so it can be framed in the checksum
-		// envelope (and the write retried whole on a transient fault).
-		var ibuf bytes.Buffer
-		err = sh.index.writeTo(&ibuf)
-		if err == nil {
-			err = ck.writeArtifact("index-"+ck.token, ibuf.Bytes())
-			written += int64(ibuf.Len())
-		}
+		// The index knows its size: the image is built once, inside its
+		// checksum envelope (so the write can be retried whole on a transient
+		// fault), and handed to the checkpoint store as is.
+		var n int
+		n, err = writeBuiltFlight(sh.cfg.Checkpoints, "index-"+ck.token, sh.index.imageSize(),
+			sh.index.appendImage, sh.flight, sh.id, ck.version)
+		written += int64(n)
 		ck.lie = sh.log.Tail()
 	} else {
 		// Carry the most recent index checkpoint forward so log-only
@@ -571,6 +571,12 @@ func (ck *checkpointCtx) waitFlush() {
 		Token: ck.token, Version: ck.version, Kind: ck.kind,
 		Serials: serials, Bytes: written, Err: err,
 	}
+	// Advance the session watermarks before the result becomes visible, so
+	// whoever sees this commit done (TryResult, Phase() == Rest, done) also
+	// sees CommittedSerial/CommittedToken cover it.
+	if err == nil && !ck.coordinated && sh.noteCommitted != nil {
+		sh.noteCommitted(ck.res)
+	}
 	// Return to rest at version v+1 and detach the context.
 	sh.ckptMu.Lock()
 	sh.ckpt = nil
@@ -585,9 +591,6 @@ func (ck *checkpointCtx) waitFlush() {
 		sh.metrics.commitBytes.Add(uint64(written))
 		sh.metrics.commitNs.Observe(time.Since(ck.started))
 		sh.flight.Emit(obs.FlightCommitDone, sh.id, uint64(ck.version), ck.token, "", uint64(written), 0)
-		if sh.noteCommitted != nil {
-			sh.noteCommitted(ck.res)
-		}
 	}
 	if err != nil && !ck.coordinated {
 		sh.metrics.commitFailures.Inc()
@@ -617,11 +620,18 @@ func writeArtifact(cs storage.CheckpointStore, name string, data []byte) error {
 // (token = artifact name, so filtering by commit token matches every artifact
 // of that commit).
 func writeArtifactFlight(cs storage.CheckpointStore, name string, data []byte, fr *obs.FlightRecorder, shard int, version uint32) error {
-	err := storage.WriteArtifactCheckedObserved(cs, name, data, func(attempt int, _ error) {
+	_, err := writeBuiltFlight(cs, name, len(data), func(dst []byte) []byte { return append(dst, data...) }, fr, shard, version)
+	return err
+}
+
+// writeBuiltFlight is writeArtifactFlight for a payload build appends (see
+// storage.WriteArtifactBuilt); it returns the payload's length.
+func writeBuiltFlight(cs storage.CheckpointStore, name string, payloadCap int, build func(dst []byte) []byte, fr *obs.FlightRecorder, shard int, version uint32) (int, error) {
+	n, err := storage.WriteArtifactBuilt(cs, name, payloadCap, build, func(attempt int, _ error) {
 		fr.Emit(obs.FlightArtifactRetry, shard, uint64(version), name, "", uint64(attempt), 0)
 	})
 	if err == nil {
-		fr.Emit(obs.FlightArtifactWrite, shard, uint64(version), name, "", uint64(len(data)), 0)
+		fr.Emit(obs.FlightArtifactWrite, shard, uint64(version), name, "", uint64(n), 0)
 	}
-	return err
+	return n, err
 }

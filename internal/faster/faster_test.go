@@ -682,11 +682,9 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 		slot.Store(tagOf(h) | uint64(64+i*32))
 	}
 	store := storage.NewMemCheckpointStore()
-	w, _ := store.Create("idx")
-	if err := idx.writeTo(w); err != nil {
+	if err := storage.WriteArtifact(store, "idx", idx.appendImage(nil)); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	r, _ := store.Open("idx")
 	idx2, err := readIndex(r)
 	if err != nil {

@@ -290,66 +290,38 @@ func (idx *index) sharedCount(hash uint64) int {
 
 // --- fuzzy checkpoint (Sec. 6.3) ---
 
-// writeTo serializes the index with atomic word loads. Latch bits are
-// masked out; tentative entries are dropped (their inserters will redo).
-func (idx *index) writeTo(w io.Writer) error {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(idx.buckets)))
-	binary.LittleEndian.PutUint64(hdr[8:], 0) // reserved (was slab capacity)
-	binary.LittleEndian.PutUint64(hdr[16:], idx.overflowNext.Load())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var word [8]byte
-	dump := func(bs []bucket) error {
-		for i := range bs {
-			b := &bs[i]
-			for j := range b.entries {
-				e := b.entries[j].Load()
-				if e&entryTentative != 0 {
-					e = 0
-				}
-				binary.LittleEndian.PutUint64(word[:], e)
-				if _, err := w.Write(word[:]); err != nil {
-					return err
-				}
-			}
-			m := b.meta.Load() & metaOverflowMask // strip latches
-			binary.LittleEndian.PutUint64(word[:], m)
-			if _, err := w.Write(word[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dump(idx.buckets); err != nil {
-		return err
-	}
-	used := idx.overflowNext.Load() - 1
-	for n := uint64(1); n <= used; n++ {
-		if err := dumpOne(idx.overflowBucket(n), w); err != nil {
-			return err
-		}
-	}
-	return nil
+// imageSize is the exact size of the image appendImage produces right now (it
+// grows only when an overflow bucket is claimed in between).
+func (idx *index) imageSize() int {
+	return 24 + 8*(entriesPerBucket+1)*(len(idx.buckets)+int(idx.overflowNext.Load()-1))
 }
 
-// dumpOne serializes a single bucket with the same masking rules as writeTo.
-func dumpOne(b *bucket, w io.Writer) error {
-	var word [8]byte
+// appendImage appends the serialized index to dst with atomic word loads.
+// Latch bits are masked out; tentative entries are dropped (their inserters
+// will redo).
+func (idx *index) appendImage(dst []byte) []byte {
+	next := idx.overflowNext.Load()
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(idx.buckets)))
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // reserved (was slab capacity)
+	dst = binary.LittleEndian.AppendUint64(dst, next)
+	for i := range idx.buckets {
+		dst = appendBucket(dst, &idx.buckets[i])
+	}
+	for n := uint64(1); n < next; n++ {
+		dst = appendBucket(dst, idx.overflowBucket(n))
+	}
+	return dst
+}
+
+func appendBucket(dst []byte, b *bucket) []byte {
 	for j := range b.entries {
 		e := b.entries[j].Load()
 		if e&entryTentative != 0 {
 			e = 0
 		}
-		binary.LittleEndian.PutUint64(word[:], e)
-		if _, err := w.Write(word[:]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, e)
 	}
-	binary.LittleEndian.PutUint64(word[:], b.meta.Load()&metaOverflowMask)
-	_, err := w.Write(word[:])
-	return err
+	return binary.LittleEndian.AppendUint64(dst, b.meta.Load()&metaOverflowMask) // strip latches
 }
 
 // readIndex deserializes an index checkpoint.

@@ -43,7 +43,7 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 			sess.finish(op)
 			if op.kind == opRead && op.readCB != nil {
 				if st == Ok {
-					op.readCB(op.input, Ok)
+					op.readCB(op.val, Ok)
 				} else {
 					op.readCB(nil, st)
 				}
@@ -90,7 +90,9 @@ func (sess *shardSession) updatedValue(op *pendingOp, rec hlog.RecordRef) []byte
 	if rec.Tombstone() {
 		return sess.initialValue(op)
 	}
-	return sess.store.cfg.RMW.Update(rec.Value(nil), op.input)
+	own := sess.owner
+	own.scratch = rec.Value(own.scratch[:0])
+	return sess.store.cfg.RMW.Update(own.scratch, op.input)
 }
 
 // processNormal is the rest-phase path: in-place updates in the mutable
@@ -152,7 +154,7 @@ func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) (Status, bool)
 			return Error, false
 		}
 		rmw := sess.store.cfg.RMW
-		if r.rec.UpdateValue(func(cur []byte) []byte { return rmw.Update(cur, op.input) }) {
+		if r.rec.UpdateValue(&sess.owner.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) }) {
 			return Ok, true
 		}
 		return Error, false
@@ -407,7 +409,9 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 }
 
 // finishRead resolves a read against a find result, delivering the value via
-// op.input (and, for previously pending reads, the registered callback).
+// op.val (doOp passes it to the registered callback, run returns it). Outside
+// batch mode the value is a fresh buffer the caller keeps; in batch mode it is
+// the session's scratch buffer, overwritten by the next operation.
 func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	switch r.reg {
 	case regNone:
@@ -420,6 +424,11 @@ func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	if r.rec.Tombstone() {
 		return NotFound
 	}
-	op.input = r.rec.Value(op.input[:0])
+	if own := sess.owner; own.inBatch {
+		own.scratch = r.rec.Value(own.scratch[:0])
+		op.val = own.scratch
+	} else {
+		op.val = r.rec.Value(nil)
+	}
 	return Ok
 }

@@ -51,13 +51,15 @@ const (
 	opDelete
 )
 
-// pendingOp carries an in-flight operation: either awaiting async I/O for a
-// cold record or parked by the CPR protocol (fuzzy region, latch conflict,
-// version hand-off).
+// pendingOp carries an operation: executing, awaiting async I/O for a cold
+// record, or parked by the CPR protocol (fuzzy region, latch conflict, version
+// hand-off). Records are recycled through the session's freelist; key, input
+// and io keep their buffers across reuse.
 type pendingOp struct {
 	kind    opKind
 	key     []byte
 	input   []byte // upsert value or RMW input
+	val     []byte // a read's result (see finishRead for who owns it)
 	hash    uint64
 	version uint32 // CPR version this operation belongss to
 	serial  uint64
@@ -67,8 +69,12 @@ type pendingOp struct {
 
 	awaitingIO bool
 	ioAddr     uint64
-	ioRec      hlog.RecordRef
+	ioRec      hlog.RecordRef // a view over io's buffer
 	ioErr      error
+	// io is the op's cold-read state, created by its first issueIO; ioCtx is
+	// the shard context the outstanding read completes on.
+	io    *hlog.ColdRead
+	ioCtx *shardSession
 	// diskResume, when non-zero, is the next unexamined chain address on
 	// storage: everything above it on this key's chain has already been
 	// checked (the on-storage part of a chain is immutable, so the check
@@ -122,14 +128,14 @@ type Session struct {
 	opsSinceRefresh int
 	closed          bool
 
-	// inBatch/opFree implement the multi-op batch entry (BeginBatch): while a
-	// batch is open, synchronously-completed operations recycle their
-	// pendingOp records — including key/input buffer capacity — through a
-	// small per-session freelist, so the steady-state in-memory path issues
-	// ops without allocating. Session ops are single-goroutine by contract,
-	// so the freelist needs no locking.
+	// opFree recycles op records — with their key, input and cold-read
+	// buffers — so the steady-state path issues operations without allocating;
+	// scratch holds the current-value copy an RMW works on and, in batch mode,
+	// a read's value. Session ops are single-goroutine by contract, so neither
+	// needs locking. inBatch (BeginBatch) only changes who owns a read's value.
 	inBatch bool
 	opFree  []*pendingOp
+	scratch []byte
 }
 
 // opFreeMax bounds the freelist so a burst of pending-heavy batches cannot
@@ -154,6 +160,7 @@ type shardSession struct {
 	// sessions submitting new requests into a jammed pool.
 	compMu        sync.Mutex
 	completed     []*pendingOp
+	drained       []*pendingOp // completeOnce's side of the completed double buffer
 	outstandingIO atomic.Int64
 }
 
@@ -419,13 +426,12 @@ func (sess *Session) maybeRefresh() {
 // BeginBatch enters the session's batch mode for a run of pipelined
 // operations (the kvserver BATCH frame): one epoch refresh up front covers
 // the whole run — amortizing epoch protection across the batch instead of
-// paying the per-op bookkeeping — and completed operations recycle their op
-// records and buffers through the session freelist, making the in-memory hot
-// path allocation-free. The per-refreshInterval refresh still fires inside
-// very large batches so CPR commits never stall on a busy session.
+// paying the per-op bookkeeping. The per-refreshInterval refresh still fires
+// inside very large batches so CPR commits never stall on a busy session.
 //
-// While a batch is open, the value slice returned by Read is valid only
-// until the session's next operation (it aliases a recycled buffer); callers
+// While a batch is open, the value slice returned by Read (or passed to its
+// callback) is valid only until the session's next operation (it aliases a
+// session buffer, saving the one allocation a read otherwise makes); callers
 // must consume or copy it immediately. EndBatch restores the default
 // caller-owns-the-value semantics.
 func (sess *Session) BeginBatch() {
@@ -439,30 +445,27 @@ func (sess *Session) EndBatch() {
 	sess.inBatch = false
 }
 
-// newOp returns a pendingOp populated for a fresh operation. In batch mode it
-// reuses a retired record from the freelist, growing its key/input buffers in
-// place; otherwise it allocates, preserving the caller-owned-buffer semantics
-// of non-batch reads.
+// newOp returns an op record populated for a fresh operation: a retired one
+// from the freelist when there is one, its key/input buffers grown in place.
 func (sess *Session) newOp(kind opKind, key, input []byte, h uint64) *pendingOp {
-	if n := len(sess.opFree); sess.inBatch && n > 0 {
-		op := sess.opFree[n-1]
+	var op *pendingOp
+	if n := len(sess.opFree); n > 0 {
+		op = sess.opFree[n-1]
 		sess.opFree[n-1] = nil
 		sess.opFree = sess.opFree[:n-1]
-		k := append(op.key[:0], key...)
-		in := append(op.input[:0], input...)
-		*op = pendingOp{kind: kind, key: k, input: in, hash: h}
-		return op
+	} else {
+		op = new(pendingOp)
 	}
-	return &pendingOp{kind: kind, key: append([]byte(nil), key...),
-		input: append([]byte(nil), input...), hash: h}
+	*op = pendingOp{kind: kind, key: append(op.key[:0], key...),
+		input: append(op.input[:0], input...), hash: h, io: op.io}
+	return op
 }
 
-// recycle retires a synchronously-completed op to the freelist. Only called
-// in batch mode, and never for parked (Pending) ops — those own their buffers
-// until their callbacks have run, and are simply left to the GC.
+// recycle retires a finished op (its callback, if any, has run) to the
+// freelist.
 func (sess *Session) recycle(op *pendingOp) {
 	if len(sess.opFree) < opFreeMax {
-		op.readCB = nil
+		op.readCB, op.val = nil, nil
 		sess.opFree = append(sess.opFree, op)
 	}
 }
@@ -496,7 +499,8 @@ func (sess *Session) Upsert(key, value []byte) Status {
 	ctx := sess.ctx(h)
 	op := sess.newOp(opUpsert, key, value, h)
 	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	_, st := ctx.run(op)
+	return st
 }
 
 // RMW applies the store's RMWOps with input to key's value.
@@ -508,7 +512,8 @@ func (sess *Session) RMW(key, input []byte) Status {
 	ctx := sess.ctx(h)
 	op := sess.newOp(opRMW, key, input, h)
 	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	_, st := ctx.run(op)
+	return st
 }
 
 // Delete removes key (writes a tombstone).
@@ -520,13 +525,14 @@ func (sess *Session) Delete(key []byte) Status {
 	ctx := sess.ctx(h)
 	op := sess.newOp(opDelete, key, nil, h)
 	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	_, st := ctx.run(op)
+	return st
 }
 
 // Read returns the value for key. If the record is cold (on storage) the
 // read goes pending: the value is delivered to cb (which may be nil) during
-// a later CompletePending. In batch mode (BeginBatch) the returned slice is
-// valid only until the session's next operation.
+// a later CompletePending. The value is the caller's to keep, except in batch
+// mode (BeginBatch), where it is valid only until the session's next operation.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
 	sess.store.metrics.reads.Inc()
 	sess.maybeRefresh()
@@ -535,11 +541,7 @@ func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, S
 	ctx := sess.ctx(h)
 	op := sess.newOp(opRead, key, nil, h)
 	op.serial, op.version, op.readCB = serial, ctx.targetVersion(), cb
-	st := ctx.run(op)
-	if st == Ok {
-		return op.input, Ok // run stores the read value in op.input
-	}
-	return nil, st
+	return ctx.run(op)
 }
 
 // maxPendingSoft is the pending-list size beyond which run drains
@@ -547,10 +549,10 @@ func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, S
 // clients bound their in-flight buffers similarly, Sec. 7.3.4).
 const maxPendingSoft = 4096
 
-// run executes a fresh operation, parking it on the pending list if needed.
-// In batch mode, synchronously-completed ops go back to the session freelist
-// (their buffers stay valid until the next operation reuses them).
-func (sess *shardSession) run(op *pendingOp) Status {
+// run executes a fresh operation, parking it on the pending list if needed;
+// a finished op goes back to the session freelist. For a read that completed
+// Ok it also returns the value.
+func (sess *shardSession) run(op *pendingOp) ([]byte, Status) {
 	// Instant restore: a cold bucket must be warmed before any operation in
 	// it executes. One nil pointer load on the post-restore hot path; while
 	// restoring, one atomic bitmap load for warm buckets. The slow path
@@ -563,10 +565,8 @@ func (sess *shardSession) run(op *pendingOp) Status {
 			if op.readCB != nil {
 				op.readCB(nil, Error)
 			}
-			if sess.owner.inBatch {
-				sess.owner.recycle(op)
-			}
-			return Error
+			sess.owner.recycle(op)
+			return nil, Error
 		}
 	}
 	if len(sess.pending) >= maxPendingSoft {
@@ -576,10 +576,11 @@ func (sess *shardSession) run(op *pendingOp) Status {
 	if st == Pending {
 		sess.store.metrics.pendings.Inc()
 		sess.pending = append(sess.pending, op)
-	} else if sess.owner.inBatch {
-		sess.owner.recycle(op)
+		return nil, Pending
 	}
-	return st
+	val := op.val
+	sess.owner.recycle(op)
+	return val, st
 }
 
 // CompletePending drains async I/O completions and retries parked
@@ -603,14 +604,16 @@ func (sess *Session) CompletePending(wait bool) {
 // completeOnce performs one drain-and-retry pass over the shard context's
 // pending operations.
 func (sess *shardSession) completeOnce() {
-	// Drain I/O completions.
+	// Drain I/O completions, handing the pool workers the other buffer.
 	sess.compMu.Lock()
 	done := sess.completed
-	sess.completed = nil
+	sess.completed = sess.drained[:0]
 	sess.compMu.Unlock()
-	for _, op := range done {
+	for i, op := range done {
 		op.awaitingIO = false
+		done[i] = nil
 	}
+	sess.drained = done
 	sess.outstandingIO.Add(int64(-len(done)))
 	// Retry every parked op that is not awaiting I/O.
 	kept := sess.pending[:0]
@@ -621,9 +624,11 @@ func (sess *shardSession) completeOnce() {
 		}
 		if st := sess.doOp(op); st == Pending {
 			kept = append(kept, op)
+		} else {
+			sess.owner.recycle(op)
 		}
 	}
-	// Zero dropped slots so finished ops are collectable.
+	// Zero dropped slots so finished ops are not pinned here.
 	for i := len(kept); i < len(sess.pending); i++ {
 		sess.pending[i] = nil
 	}
@@ -739,18 +744,25 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 	return findResult{slot: slot, reg: regNone}
 }
 
-// issueIO starts an async read for the record at addr and parks the op.
+// issueIO starts an async read for the record at addr and parks the op. The
+// op's cold-read state is not touched again until completeOnce has drained
+// this read's completion.
 func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
 	sess.store.metrics.ioReads.Inc()
 	op.awaitingIO = true
 	op.ioAddr = addr
+	op.ioCtx = sess
 	sess.outstandingIO.Add(1)
-	sess.store.log.AsyncRead(addr, func(rec hlog.RecordRef, err error) {
-		op.ioRec, op.ioErr = rec, err
-		sess.compMu.Lock()
-		sess.completed = append(sess.completed, op)
-		sess.compMu.Unlock()
-	})
+	if op.io == nil {
+		op.io = &hlog.ColdRead{Done: func(rec hlog.RecordRef, err error) {
+			op.ioRec, op.ioErr = rec, err
+			ctx := op.ioCtx
+			ctx.compMu.Lock()
+			ctx.completed = append(ctx.completed, op)
+			ctx.compMu.Unlock()
+		}}
+	}
+	sess.store.log.AsyncRead(addr, op.io)
 	return Pending
 }
 

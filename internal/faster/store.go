@@ -90,12 +90,16 @@ func (v VersionTransfer) String() string {
 }
 
 // RMWOps defines read-modify-write semantics for a store (the paper's
-// running per-key "sum" is AddUint64).
+// running per-key "sum" is AddUint64). Both methods run on the operation path
+// and the store copies their result into the log at once, so they need not —
+// and, to keep the path allocation-free, should not — allocate it.
 type RMWOps interface {
-	// Initial returns the value for an RMW on a missing key.
+	// Initial returns the value for an RMW on a missing key. It may return
+	// input (or a prefix of it).
 	Initial(input []byte) []byte
-	// Update computes the new value from the current one. It must not retain
-	// cur or input.
+	// Update computes the new value from the current one. cur is a private
+	// copy in a session-owned buffer: Update may overwrite it and return it
+	// (or a slice of it, or append to it). It must not retain cur or input.
 	Update(cur, input []byte) []byte
 }
 
@@ -103,18 +107,20 @@ type RMWOps interface {
 // the paper's RMW workload (increment by an input array entry).
 type AddUint64 struct{}
 
-// Initial implements RMWOps.
+// Initial implements RMWOps: input as an 8-byte counter (zero-extended).
 func (AddUint64) Initial(input []byte) []byte {
-	out := make([]byte, 8)
-	copy(out, input)
-	return out
+	if len(input) >= 8 {
+		return input[:8]
+	}
+	var out [8]byte
+	copy(out[:], input)
+	return out[:]
 }
 
-// Update implements RMWOps.
+// Update implements RMWOps, adding input to cur in place.
 func (AddUint64) Update(cur, input []byte) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(cur)+binary.LittleEndian.Uint64(input))
-	return out
+	binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+binary.LittleEndian.Uint64(input))
+	return cur[:8]
 }
 
 // Config parameterizes a Store.

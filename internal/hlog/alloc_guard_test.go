@@ -1,0 +1,75 @@
+//go:build !race
+
+package hlog
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/epoch"
+	"repro/internal/storage"
+)
+
+// The guards below run without the race detector (it allocates); CI runs them
+// with the other AllocFree guards.
+
+// TestUpdateValueAllocFree: an in-place RMW copies the current value into the
+// caller's scratch buffer, so once that has grown it allocates nothing.
+func TestUpdateValueAllocFree(t *testing.T) {
+	em := epoch.New()
+	l, err := New(Config{PageBits: 16, MemPages: 8, Device: storage.NewMemDevice(), Epochs: em})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g := em.Acquire()
+	defer g.Release()
+	addr := l.Allocate(g, RecordSize(8, 24))
+	if err := l.WriteRecord(addr, 0, 1, key64(1), make([]byte, 24), 24); err != nil {
+		t.Fatal(err)
+	}
+	rec := l.Record(addr)
+	var scratch []byte
+	update := func() {
+		rec.UpdateValue(&scratch, func(cur []byte) []byte {
+			binary.LittleEndian.PutUint64(cur[16:], binary.LittleEndian.Uint64(cur[16:])+1)
+			return cur
+		})
+	}
+	update() // grows scratch
+	if allocs := testing.AllocsPerRun(200, update); allocs != 0 {
+		t.Fatalf("UpdateValue allocates %.1f times per call, want 0", allocs)
+	}
+	if got := binary.LittleEndian.Uint64(rec.Value(nil)[16:]); got != 202 {
+		t.Fatalf("counter = %d, want 202", got)
+	}
+}
+
+// TestAsyncReadAllocFree: a fetch through a ColdRead that has served one
+// record of the same size before allocates nothing — not in the log, not in
+// the I/O pool.
+func TestAsyncReadAllocFree(t *testing.T) {
+	sizes := make([]int, 64)
+	for i := range sizes {
+		sizes[i] = 8
+	}
+	l, dev, addrs := coldLog(t, sizes...)
+	done := make(chan error, 1)
+	cr := &ColdRead{Done: func(_ RecordRef, err error) { done <- err }}
+	i := 0
+	read := func() {
+		l.AsyncRead(addrs[i%len(addrs)], cr)
+		i++
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	before := dev.reads.Load()
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("AsyncRead allocates %.1f times per record, want 0", allocs)
+	}
+	if reads := dev.reads.Load() - before; reads != 201 {
+		t.Fatalf("%d device reads for 201 records, want one each", reads)
+	}
+}

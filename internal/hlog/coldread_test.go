@@ -1,0 +1,196 @@
+package hlog
+
+import (
+	"encoding/binary"
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/epoch"
+	"repro/internal/storage"
+)
+
+// readCountDevice counts ReadAt calls; with shortAt > 0 a read asking for more
+// than shortAt bytes returns only that many and an error, once per armed call.
+type readCountDevice struct {
+	storage.Device
+	reads   atomic.Int64
+	shortAt atomic.Int64
+}
+
+func (d *readCountDevice) ReadAt(p []byte, off int64) (int, error) {
+	d.reads.Add(1)
+	if n := d.shortAt.Swap(0); n > 0 && int64(len(p)) > n {
+		got, _ := d.Device.ReadAt(p[:n], off)
+		return got, errors.New("test: short read")
+	}
+	return d.Device.ReadAt(p, off)
+}
+
+// coldLog writes one record per value size, makes all of them durable and
+// returns their addresses.
+func coldLog(t testing.TB, valSizes ...int) (*Log, *readCountDevice, []uint64) {
+	t.Helper()
+	em := epoch.New()
+	dev := &readCountDevice{Device: storage.NewMemDevice()}
+	l, err := New(Config{PageBits: 16, MemPages: 8, Device: dev, Epochs: em})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	g := em.Acquire()
+	defer g.Release()
+	addrs := make([]uint64, len(valSizes))
+	for i, n := range valSizes {
+		val := make([]byte, n)
+		for j := range val {
+			val[j] = byte(i + j)
+		}
+		addrs[i] = l.Allocate(g, RecordSize(8, n))
+		if err := l.WriteRecord(addrs[i], 0, 1, key64(uint64(i)), val, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.ShiftReadOnlyTo(l.Tail())
+	g.Refresh()
+	l.WaitDurable(l.Tail())
+	return l, dev, addrs
+}
+
+// fetch runs one AsyncRead through cr and returns the record's key and value
+// and how many device reads it took.
+func fetch(t testing.TB, l *Log, dev *readCountDevice, cr *ColdRead, addr uint64) (key uint64, val []byte, reads int64) {
+	t.Helper()
+	type result struct {
+		rec RecordRef
+		err error
+	}
+	done := make(chan result, 1)
+	cr.Done = func(rec RecordRef, err error) { done <- result{rec, err} }
+	before := dev.reads.Load()
+	l.AsyncRead(addr, cr)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("AsyncRead(%d): %v", addr, r.err)
+	}
+	return binary.LittleEndian.Uint64(r.rec.Key(nil)), r.rec.Value(nil), dev.reads.Load() - before
+}
+
+func checkRecord(t *testing.T, i int, n int, key uint64, val []byte) {
+	t.Helper()
+	if key != uint64(i) || len(val) != n {
+		t.Fatalf("record %d: key %d, %d value bytes, want %d", i, key, len(val), n)
+	}
+	for j, b := range val {
+		if b != byte(i+j) {
+			t.Fatalf("record %d: value byte %d = %d", i, j, b)
+		}
+	}
+}
+
+// TestAsyncReadSizeHint: the log learns the record size it serves, so a record
+// no larger than the hint costs one device read; a larger one costs a second
+// read for exactly the missing bytes; the last record before the flushed
+// extent is served by a read clipped to it; a short hint read is completed by
+// an exact one. The same ColdRead serves every fetch.
+func TestAsyncReadSizeHint(t *testing.T) {
+	sizes := []int{8, 8, 1000, 8, 5000, 8}
+	l, dev, addrs := coldLog(t, sizes...)
+	cr := new(ColdRead)
+	steps := []struct {
+		name  string
+		i     int
+		reads int64
+		short int64
+	}{
+		{"first fetch reads the header, then the body", 0, 2, 0},
+		{"same size as the hint", 1, 1, 0},
+		{"larger than the hint", 2, 2, 0},
+		{"smaller than the hint", 3, 1, 0},
+		{"larger than the hint cap", 4, 2, 0},
+		{"hint cap not exceeded by a huge record", 2, 1, 0},
+		{"last record before the flushed extent", 5, 1, 0},
+		{"hint read comes back short of the record", 3, 2, 24},
+		{"hint read comes back short of the header", 1, 3, 8},
+	}
+	for _, s := range steps {
+		dev.shortAt.Store(s.short)
+		key, val, reads := fetch(t, l, dev, cr, addrs[s.i])
+		checkRecord(t, s.i, sizes[s.i], key, val)
+		if reads != s.reads {
+			t.Errorf("%s: %d device reads, want %d", s.name, reads, s.reads)
+		}
+	}
+	if end := addrs[5] + uint64(RecordSize(8, 8)); end != l.Durable() {
+		t.Fatalf("last record ends at %d, flushed extent is %d", end, l.Durable())
+	}
+	if got := l.readHint.Load(); got != RecordSize(8, 1000) {
+		t.Fatalf("learned hint = %d, want %d", got, RecordSize(8, 1000))
+	}
+}
+
+// TestAsyncReadFailure: a read that makes no progress reports the device's
+// error instead of retrying forever.
+func TestAsyncReadFailure(t *testing.T) {
+	l, _, addrs := coldLog(t, 8)
+	done := make(chan error, 1)
+	cr := &ColdRead{Done: func(_ RecordRef, err error) { done <- err }}
+	l.AsyncRead(addrs[0]+1<<20, cr) // far past the device's extent
+	if err := <-done; err == nil {
+		t.Fatal("AsyncRead past the device extent reported no error")
+	}
+}
+
+func BenchmarkUpdateValue(b *testing.B) {
+	em := epoch.New()
+	l, err := New(Config{PageBits: 16, MemPages: 8, Device: storage.NewMemDevice(), Epochs: em})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	g := em.Acquire()
+	defer g.Release()
+	addr := l.Allocate(g, RecordSize(8, 8))
+	if err := l.WriteRecord(addr, 0, 1, key64(1), key64(0), 8); err != nil {
+		b.Fatal(err)
+	}
+	rec := l.Record(addr)
+	one := key64(1)
+	var scratch []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.UpdateValue(&scratch, func(cur []byte) []byte {
+			binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+binary.LittleEndian.Uint64(one))
+			return cur
+		})
+	}
+	if got := rec.ValueUint64(); got != uint64(b.N) {
+		b.Fatalf("counter = %d after %d updates", got, b.N)
+	}
+}
+
+func BenchmarkAsyncRead(b *testing.B) {
+	sizes := make([]int, 1024)
+	for i := range sizes {
+		sizes[i] = 8
+	}
+	l, dev, addrs := coldLog(b, sizes...)
+	done := make(chan struct{}, 1)
+	var sum uint64
+	cr := &ColdRead{Done: func(rec RecordRef, err error) {
+		if err != nil {
+			b.Error(err)
+		}
+		sum += rec.ValueUint64()
+		done <- struct{}{}
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := dev.reads.Load()
+	for i := 0; i < b.N; i++ {
+		l.AsyncRead(addrs[i%len(addrs)], cr)
+		<-done
+	}
+	b.ReportMetric(float64(dev.reads.Load()-before)/float64(b.N), "devreads/op")
+}

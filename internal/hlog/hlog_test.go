@@ -126,8 +126,9 @@ func TestUpdateValueRMW(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := l.Record(addr)
+	var scratch []byte
 	for i := 0; i < 10; i++ {
-		ok := rec.UpdateValue(func(cur []byte) []byte {
+		ok := rec.UpdateValue(&scratch, func(cur []byte) []byte {
 			n := binary.LittleEndian.Uint64(cur)
 			var out [8]byte
 			binary.LittleEndian.PutUint64(out[:], n+5)
@@ -159,12 +160,11 @@ func TestConcurrentRMWCounter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := l.Record(addr)
+			var scratch []byte // per goroutine, as per session
 			for j := 0; j < perThread; j++ {
-				rec.UpdateValue(func(cur []byte) []byte {
-					n := binary.LittleEndian.Uint64(cur)
-					var out [8]byte
-					binary.LittleEndian.PutUint64(out[:], n+1)
-					return out[:]
+				rec.UpdateValue(&scratch, func(cur []byte) []byte {
+					binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+1)
+					return cur // the may-overwrite-cur contract
 				})
 			}
 		}()
@@ -248,12 +248,12 @@ func TestEvictionAndDiskRead(t *testing.T) {
 
 	// Async path too.
 	done := make(chan error, 1)
-	l.AsyncRead(first+uint64(size), func(r RecordRef, err error) {
+	l.AsyncRead(first+uint64(size), &ColdRead{Done: func(r RecordRef, err error) {
 		if err == nil && !r.KeyEquals(key64(1)) {
 			err = fmt.Errorf("key mismatch on async read")
 		}
 		done <- err
-	})
+	}})
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,8 @@ type Log struct {
 	head         atomic.Uint64 // published head: addresses below may be evicted
 	begin        atomic.Uint64 // first live address; advanced by compaction
 
-	pool *storage.Pool
+	pool     *storage.Pool
+	readHint atomic.Uint32 // largest record AsyncRead has served, up to maxReadHint
 
 	flushMu     sync.Mutex
 	flushIssued uint64
@@ -730,45 +731,88 @@ func (l *Log) serializeRange(from, to uint64) []byte {
 	return buf
 }
 
-// AsyncRead fetches the record at addr from the device and invokes done from
-// an I/O worker with a private copy of the record (or an error). It models
-// FASTER's asynchronous retrieval of cold records. With Config.VerifyReads
-// and a known checksum for the record's page, the whole page is read and
-// verified and the record served from the verified bytes, retrying on
-// mismatch — a flipped bit on the read path is healed instead of returned.
-func (l *Log) AsyncRead(addr uint64, done func(rec RecordRef, err error)) {
+// ColdRead is the reusable state of one cold-record fetch: its buffers and
+// I/O completion are allocated on first use and kept, so reading through the
+// same ColdRead again allocates nothing. Not reusable before Done was called.
+type ColdRead struct {
+	// Done is invoked from an I/O worker with the record (a view over the
+	// ColdRead's buffer, valid until its next AsyncRead) or an error.
+	Done func(rec RecordRef, err error)
+
+	log   *Log
+	addr  uint64
+	have  int                    // valid bytes in buf
+	buf   []byte                 // device bytes from addr on
+	words []uint64               // the record decoded from buf
+	onIO  func(n int, err error) // cr.step, bound once
+}
+
+// maxReadHint caps the learned cold-read size: a larger record takes the
+// second read rather than making every fetch that large.
+const maxReadHint = 4096
+
+// AsyncRead fetches the record at addr from the device through cr and invokes
+// cr.Done from an I/O worker, modelling FASTER's asynchronous retrieval of
+// cold records. It reads the largest record size served so far (clipped to the
+// flushed extent) and needs a second read only for a larger record. With
+// Config.VerifyReads and a known checksum for the record's page, the whole
+// page is read and verified and the record served from the verified bytes,
+// retrying on mismatch — a flipped bit on the read path is healed instead of
+// returned.
+func (l *Log) AsyncRead(addr uint64, cr *ColdRead) {
 	l.asyncReads.Inc()
 	if l.cfg.VerifyReads {
 		if start, stop, want, ok := l.pageCRCFor(addr); ok {
-			l.verifiedRead(addr, start, stop, want, done, 3)
+			l.verifiedRead(addr, start, stop, want, cr.Done, 3)
 			return
 		}
 	}
-	hdr := make([]byte, 16)
-	l.pool.Submit(storage.IORequest{
-		Dev: l.cfg.Device, Buf: hdr, Off: int64(addr),
-		Done: func(_ int, err error) {
-			if err != nil {
-				done(RecordRef{}, err)
-				return
-			}
-			lens := binary.LittleEndian.Uint64(hdr[8:])
-			k, _, c := splitLens(lens)
-			size := RecordSize(k, c)
-			buf := make([]byte, size)
-			copy(buf, hdr)
-			l.pool.Submit(storage.IORequest{
-				Dev: l.cfg.Device, Buf: buf[16:], Off: int64(addr) + 16,
-				Done: func(_ int, err error) {
-					if err != nil {
-						done(RecordRef{}, err)
-						return
-					}
-					done(bytesToRecord(buf), nil)
-				},
-			})
-		},
+	if cr.onIO == nil {
+		cr.onIO = cr.step
+	}
+	cr.log, cr.addr, cr.have = l, addr, 0
+	upto := uint64(l.readHint.Load())
+	if flushed := l.durable.Load() - addr; upto > flushed {
+		upto = flushed
+	}
+	cr.read(max(int(upto), 16))
+}
+
+// read submits a device read extending the valid bytes to upto.
+func (cr *ColdRead) read(upto int) {
+	if cap(cr.buf) < upto {
+		cr.buf = append(make([]byte, 0, upto), cr.buf[:cr.have]...)
+	}
+	cr.buf = cr.buf[:upto]
+	cr.log.pool.Submit(storage.IORequest{
+		Dev: cr.log.cfg.Device, Buf: cr.buf[cr.have:], Off: int64(cr.addr) + int64(cr.have),
+		Done: cr.onIO,
 	})
+}
+
+// step runs on an I/O worker after each read: deliver the record once all of
+// it is there, otherwise read exactly what is missing (the record is larger
+// than the hint, or the read came back short).
+func (cr *ColdRead) step(n int, err error) {
+	cr.have += n
+	need := 16
+	if cr.have >= need {
+		k, _, c := splitLens(binary.LittleEndian.Uint64(cr.buf[8:16]))
+		need = int(RecordSize(k, c))
+	}
+	switch {
+	case cr.have >= need:
+		if hint := &cr.log.readHint; need <= maxReadHint && uint32(need) > hint.Load() {
+			hint.Store(uint32(need)) // racing stores: any served size is a fair hint
+		}
+		rec := bytesToRecord(cr.buf[:need], cr.words)
+		cr.words = rec.words
+		cr.Done(rec, nil)
+	case err != nil && n == 0:
+		cr.Done(RecordRef{}, err)
+	default:
+		cr.read(need)
+	}
 }
 
 // ReadRecordSync synchronously reads a record from the device (recovery
@@ -788,7 +832,7 @@ func (l *Log) ReadRecordSync(addr uint64) (RecordRef, error) {
 			return RecordRef{}, err
 		}
 	}
-	return bytesToRecord(buf), nil
+	return bytesToRecord(buf, nil), nil
 }
 
 // pageCRCFor looks up addr's page checksum; ok is false when the page has no
@@ -839,13 +883,17 @@ func (l *Log) verifiedRead(addr, start, stop uint64, want uint32, done func(Reco
 				done(RecordRef{}, fmt.Errorf("hlog: record at %d overruns its verified page", addr))
 				return
 			}
-			done(bytesToRecord(buf[base:base+size]), nil)
+			done(bytesToRecord(buf[base:base+size], nil), nil)
 		},
 	})
 }
 
-func bytesToRecord(b []byte) RecordRef {
-	words := make([]uint64, len(b)/8)
+// bytesToRecord decodes b into words, or into a new array when b needs more.
+func bytesToRecord(b []byte, words []uint64) RecordRef {
+	if cap(words) < len(b)/8 {
+		words = make([]uint64, len(b)/8)
+	}
+	words = words[:len(b)/8]
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}

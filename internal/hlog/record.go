@@ -240,13 +240,15 @@ func (r RecordRef) SetValue(val []byte) bool {
 }
 
 // UpdateValue runs fn on a private copy of the value under the record latch
-// and stores the result in place. It returns false if the result exceeds the
-// value capacity (caller must then fall back to read-copy-update).
-func (r RecordRef) UpdateValue(fn func(cur []byte) []byte) bool {
+// and stores the result in place. The copy is made into *scratch (grown as
+// needed and kept there for the caller's next call), so fn may overwrite cur
+// and return it. It returns false if the result exceeds the value capacity
+// (caller must then fall back to read-copy-update).
+func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool {
 	r.Lock()
 	k, v, c := splitLens(r.lens())
-	cur := appendWordsAsBytes(nil, r.valueWords(), v)
-	next := fn(cur)
+	*scratch = appendWordsAsBytes((*scratch)[:0], r.valueWords(), v)
+	next := fn(*scratch)
 	if len(next) > c {
 		r.Unlock()
 		return false

@@ -39,9 +39,7 @@ func TestAppendAllocFree(t *testing.T) {
 
 // TestPumpApplyAllocFree: the pump's own work per group — one device read
 // into its buffer, CRC, record walk, message decode, session dispatch in
-// batch mode — allocates nothing. Upsert records show that exactly; an RMW
-// record still costs the store's two allocations (hlog's copy of the current
-// value and the slice RMWOps.Update returns), which are not the pump's.
+// batch mode — allocates nothing, for upsert records and for RMW records.
 func TestPumpApplyAllocFree(t *testing.T) {
 	const groups, per, keys = 600, 64, 16
 	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
@@ -85,7 +83,7 @@ func TestPumpApplyAllocFree(t *testing.T) {
 	for cursor < groups*per/2 {
 		apply()
 	}
-	if avg := testing.AllocsPerRun(200, apply); avg > 2*per {
-		t.Fatalf("applying a group of %d RMWs allocates %v times, want at most the store's 2 per RMW", per, avg)
+	if avg := testing.AllocsPerRun(200, apply); avg != 0 {
+		t.Fatalf("applying a group of %d RMWs allocates %v times, want 0", per, avg)
 	}
 }

@@ -17,12 +17,7 @@ import (
 // boundaries, one lock-free ring append; if someone adds locking, allocation
 // or formatting to Emit or its call sites, this test catches it.
 func TestFlightOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing guard is not meaningful under the race detector")
-	}
+	timingGuard(t)
 
 	const (
 		keys      = 128

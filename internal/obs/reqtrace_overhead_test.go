@@ -16,12 +16,7 @@ import (
 // tracer. The lifecycle is pooled and allocation-free; if someone adds
 // allocation, locking or formatting to the hot path, this catches it.
 func TestTracingOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing guard is not meaningful under the race detector")
-	}
+	timingGuard(t)
 
 	const (
 		keys   = 128

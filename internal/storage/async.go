@@ -32,7 +32,8 @@ type IORequest struct {
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []IORequest
+	queue  []IORequest // queue[head:] is waiting
+	head   int
 	closed bool
 
 	drained bool
@@ -77,7 +78,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("storage_io_queue_depth", func() int64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return int64(len(p.queue))
+		return int64(len(p.queue) - p.head)
 	})
 }
 
@@ -101,15 +102,18 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for p.head == len(p.queue) && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 && p.closed {
+		if p.head == len(p.queue) {
 			p.mu.Unlock()
 			return
 		}
-		req := p.queue[0]
-		p.queue = p.queue[1:]
+		req := p.queue[p.head]
+		p.queue[p.head] = IORequest{}
+		if p.head++; p.head == len(p.queue) {
+			p.queue, p.head = p.queue[:0], 0 // drained: reuse the array from its start
+		}
 		p.mu.Unlock()
 
 		var n int
@@ -174,6 +178,13 @@ func (p *Pool) Submit(req IORequest) {
 		return
 	}
 	p.inFlight.Add(1)
+	if len(p.queue) == cap(p.queue) && p.head > len(p.queue)/2 {
+		// Full, but mostly of served slots: slide the waiting requests down
+		// rather than grow without bound under a backlog that never drains.
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
 	p.queue = append(p.queue, req)
 	p.mu.Unlock()
 	p.cond.Signal()

@@ -52,11 +52,18 @@ func IsNotFound(err error) bool {
 
 // EncodeArtifact frames payload in the checksum envelope.
 func EncodeArtifact(payload []byte) []byte {
-	out := make([]byte, envelopeHeaderSize+len(payload))
+	return buildArtifact(len(payload), func(dst []byte) []byte { return append(dst, payload...) })
+}
+
+// buildArtifact frames the payload build appends to dst, which arrives with
+// the header reserved and room for payloadCap more bytes: a producer that
+// knows its size is framed and checksummed in the one allocation.
+func buildArtifact(payloadCap int, build func(dst []byte) []byte) []byte {
+	out := build(make([]byte, envelopeHeaderSize, envelopeHeaderSize+payloadCap))
+	payload := out[envelopeHeaderSize:]
 	copy(out[0:4], envelopeMagic[:])
 	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
-	copy(out[envelopeHeaderSize:], payload)
 	return out
 }
 
@@ -99,9 +106,18 @@ func WriteArtifactChecked(cs CheckpointStore, name string, payload []byte) error
 // retried (attempt counts failed tries from 1). The flight recorder uses it
 // to log artifact-retry events.
 func WriteArtifactCheckedObserved(cs CheckpointStore, name string, payload []byte, onRetry func(attempt int, err error)) error {
-	framed := EncodeArtifact(payload)
+	_, err := WriteArtifactBuilt(cs, name, len(payload),
+		func(dst []byte) []byte { return append(dst, payload...) }, onRetry)
+	return err
+}
+
+// WriteArtifactBuilt is WriteArtifactCheckedObserved for a payload the caller
+// produces by appending (see buildArtifact; payloadCap is a capacity hint). It
+// returns the payload's length.
+func WriteArtifactBuilt(cs CheckpointStore, name string, payloadCap int, build func(dst []byte) []byte, onRetry func(attempt int, err error)) (int, error) {
+	framed := buildArtifact(payloadCap, build)
 	attempt := 0
-	return DefaultRetry.Do(func() error {
+	return len(framed) - envelopeHeaderSize, DefaultRetry.Do(func() error {
 		attempt++
 		err := WriteArtifact(cs, name, framed)
 		if err != nil && onRetry != nil && IsTransient(err) && attempt < DefaultRetry.Attempts {

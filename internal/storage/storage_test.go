@@ -140,6 +140,77 @@ func TestPoolCloseDrains(t *testing.T) {
 	}
 }
 
+// tokenDevice serves one read per token, so a test controls the pool's pace.
+type tokenDevice struct {
+	Device
+	tokens chan struct{}
+}
+
+func (d tokenDevice) ReadAt(p []byte, off int64) (int, error) {
+	<-d.tokens
+	return d.Device.ReadAt(p, off)
+}
+
+// TestPoolQueueBoundedUnderBacklog: with a backlog that never drains the queue
+// keeps FIFO order and stays as large as the backlog, not as large as the
+// number of requests that ever passed through it.
+func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
+	const total, backlog = 5000, 8
+	d := tokenDevice{NewMemDevice(), make(chan struct{}, total)}
+	defer d.Close()
+	if _, err := d.WriteAt([]byte{0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(1, 0)
+	served := make(chan int, total)
+	var buf [1]byte
+	for i := 0; i < total; i++ {
+		i := i
+		p.Submit(IORequest{Dev: d, Buf: buf[:], Done: func(int, error) { served <- i }})
+		if i >= backlog { // let exactly one through: the backlog stays at 8
+			d.tokens <- struct{}{}
+			if got := <-served; got != i-backlog {
+				t.Fatalf("request %d served out of order (want %d)", got, i-backlog)
+			}
+		}
+	}
+	p.mu.Lock()
+	c := cap(p.queue)
+	p.mu.Unlock()
+	if c > 8*backlog {
+		t.Fatalf("queue array grew to %d slots under a backlog of %d", c, backlog)
+	}
+	for i := 0; i < backlog; i++ {
+		d.tokens <- struct{}{}
+	}
+	p.Close()
+}
+
+// TestMemStoreHoldsExactlyTheArtifact: WriteArtifact hands the in-memory store
+// a whole artifact in one Write, and bytes.Buffer sizes itself from that first
+// Write: the store's copy is the artifact plus allocator rounding, not the
+// doubled array a piecewise writer leaves behind.
+func TestMemStoreHoldsExactlyTheArtifact(t *testing.T) {
+	s := NewMemCheckpointStore()
+	data := make([]byte, 3<<20+17)
+	data[len(data)-1] = 9
+	if err := WriteArtifact(s, "big", data); err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 1 // the store copied: the caller may reuse its buffer
+	got := s.files["big"]
+	if len(got) != len(data) || cap(got) > len(data)+64<<10 || got[0] != 0 || got[len(got)-1] != 9 {
+		t.Fatalf("stored %d bytes in a %d-byte array, first %d last %d", len(got), cap(got), got[0], got[len(got)-1])
+	}
+	w, _ := s.Create("pieces")
+	w.Write([]byte("ab"))
+	w.Write([]byte("cde"))
+	w.Close()
+	if got, _ := ReadArtifact(s, "pieces"); string(got) != "abcde" {
+		t.Fatalf("two writes stored %q", got)
+	}
+}
+
 func testStoreRoundTrip(t *testing.T, s CheckpointStore) {
 	t.Helper()
 	w, err := s.Create("meta/info.json")
