@@ -280,7 +280,7 @@ func (sh *shard) commit(opts CommitOptions, token string) (string, error) {
 	coordinated := token != ""
 	sh.sessionMu.Lock()
 	sh.ckptMu.Lock()
-	if sh.restore.Load() != nil {
+	if sh.restoring() {
 		sh.ckptMu.Unlock()
 		sh.sessionMu.Unlock()
 		return "", ErrRestoring
@@ -577,14 +577,16 @@ func (ck *checkpointCtx) waitFlush() {
 	if err == nil && !ck.coordinated && sh.noteCommitted != nil {
 		sh.noteCommitted(ck.res)
 	}
-	// Return to rest at version v+1 and detach the context.
+	// Return to rest at version v+1 and detach the context. The transition is
+	// recorded first, for the same reason: whoever sees the commit done finds
+	// all five transitions on the timeline.
+	ck.emitPhase(WaitFlush, Rest)
+	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
 	sh.ckptMu.Lock()
 	sh.ckpt = nil
 	sh.results[ck.token] = ck.res
 	sh.state.Store(packState(Rest, ck.version+1))
 	sh.ckptMu.Unlock()
-	ck.emitPhase(WaitFlush, Rest)
-	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
 	ck.bumpTraced(Rest)
 	if err == nil && !ck.coordinated {
 		sh.metrics.commits.Inc()

@@ -36,7 +36,7 @@ func (sess *Session) CompactLog(until uint64) error {
 // compactLog compacts one shard's log prefix (see Session.CompactLog).
 func (sess *shardSession) compactLog(until uint64) error {
 	s := sess.store
-	if s.restore.Load() != nil {
+	if s.restoring() {
 		// Cold buckets still point into the prefix being compacted; copying
 		// records around them would race the warm-up replay.
 		return ErrRestoring

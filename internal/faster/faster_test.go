@@ -685,8 +685,11 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 	if err := storage.WriteArtifact(store, "idx", idx.appendImage(nil)); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := store.Open("idx")
-	idx2, err := readIndex(r)
+	image, err := storage.ReadArtifact(store, "idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx2, err := decodeIndex(image)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Hash-index entry layout (one 64-bit word):
@@ -49,6 +51,9 @@ type bucket struct {
 	entries [entriesPerBucket]atomic.Uint64
 	meta    atomic.Uint64
 }
+
+// decodeBucket views a bucket as its eight words and nothing else.
+var _ = [1]struct{}{}[unsafe.Sizeof(bucket{})-8*(entriesPerBucket+1)]
 
 // Overflow buckets live in lazily allocated fixed-size chunks so the slab
 // can grow without moving existing buckets (readers hold pointers into it).
@@ -289,86 +294,151 @@ func (idx *index) sharedCount(hash uint64) int {
 }
 
 // --- fuzzy checkpoint (Sec. 6.3) ---
+//
+// The image is sized by occupancy, not capacity (DESIGN.md, "Fuzzy index
+// checkpoint: the image"): a header — imageMagic, main bucket count,
+// overflowNext — then one group per bucket, main array first, overflow slab
+// after: a presence byte (bit j = entry j, bit 7 = overflow link) and the words
+// it names, little-endian, entries before the link.
 
-// imageSize is the exact size of the image appendImage produces right now (it
-// grows only when an overflow bucket is claimed in between).
+const (
+	imageMagic      = uint64('C') | 'P'<<8 | 'R'<<16 | 'I'<<24 | 'D'<<32 | 'X'<<40 | '2'<<48
+	imageHeaderSize = 24
+	imageLinkBit    = 1 << entriesPerBucket
+)
+
+// imageSize is a capacity hint for appendImage: the image's exact size if no
+// operation runs in between, from one counting pass over the index.
 func (idx *index) imageSize() int {
-	return 24 + 8*(entriesPerBucket+1)*(len(idx.buckets)+int(idx.overflowNext.Load()-1))
+	next := idx.overflowNext.Load()
+	n := imageHeaderSize
+	for i := range idx.buckets {
+		n += bucketImageSize(&idx.buckets[i], next)
+	}
+	for k := uint64(1); k < next; k++ {
+		n += bucketImageSize(idx.overflowBucket(k), next)
+	}
+	return n
+}
+
+func bucketImageSize(b *bucket, next uint64) int {
+	n := 1
+	for j := range b.entries {
+		if e := b.entries[j].Load(); e != 0 && e&entryTentative == 0 {
+			n += 8
+		}
+	}
+	if link := b.meta.Load() & metaOverflowMask; link != 0 && link < next {
+		n += 8
+	}
+	return n
 }
 
 // appendImage appends the serialized index to dst with atomic word loads.
 // Latch bits are masked out; tentative entries are dropped (their inserters
-// will redo).
+// will redo), and so is a link to an overflow bucket claimed after the capture
+// began: everything behind it was inserted after Lis and is replayed, and
+// carried along the link would outlive the recovered slab's reuse of its target.
 func (idx *index) appendImage(dst []byte) []byte {
 	next := idx.overflowNext.Load()
+	dst = binary.LittleEndian.AppendUint64(dst, imageMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(idx.buckets)))
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // reserved (was slab capacity)
 	dst = binary.LittleEndian.AppendUint64(dst, next)
 	for i := range idx.buckets {
-		dst = appendBucket(dst, &idx.buckets[i])
+		dst = appendBucket(dst, &idx.buckets[i], next)
 	}
-	for n := uint64(1); n < next; n++ {
-		dst = appendBucket(dst, idx.overflowBucket(n))
+	for k := uint64(1); k < next; k++ {
+		dst = appendBucket(dst, idx.overflowBucket(k), next)
 	}
 	return dst
 }
 
-func appendBucket(dst []byte, b *bucket) []byte {
+func appendBucket(dst []byte, b *bucket, next uint64) []byte {
+	at := len(dst)
+	dst = append(dst, 0)
+	var present byte
 	for j := range b.entries {
-		e := b.entries[j].Load()
-		if e&entryTentative != 0 {
-			e = 0
+		if e := b.entries[j].Load(); e != 0 && e&entryTentative == 0 {
+			present |= 1 << j
+			dst = binary.LittleEndian.AppendUint64(dst, e)
 		}
-		dst = binary.LittleEndian.AppendUint64(dst, e)
 	}
-	return binary.LittleEndian.AppendUint64(dst, b.meta.Load()&metaOverflowMask) // strip latches
+	if link := b.meta.Load() & metaOverflowMask; link != 0 && link < next {
+		present |= imageLinkBit
+		dst = binary.LittleEndian.AppendUint64(dst, link)
+	}
+	dst[at] = present
+	return dst
 }
 
-// readIndex deserializes an index checkpoint.
-func readIndex(r io.Reader) (*index, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("faster: index checkpoint header: %w", err)
+// decodeIndex rebuilds an index from an image. It trusts nothing: the header's
+// counts are checked against len(data) before any bucket is allocated (a bucket
+// costs the image at least its presence byte), and a word that appendImage
+// cannot have written — a zero or tentative entry, a link that does not point
+// forward into the slab — fails the decode.
+func decodeIndex(data []byte) (*index, error) {
+	if len(data) < imageHeaderSize || binary.LittleEndian.Uint64(data) != imageMagic {
+		return nil, fmt.Errorf("faster: index checkpoint: %d bytes without the sparse-image magic (a dense image from before that format?)", len(data))
 	}
-	nBuckets := binary.LittleEndian.Uint64(hdr[0:])
-	next := binary.LittleEndian.Uint64(hdr[16:])
+	nBuckets := binary.LittleEndian.Uint64(data[8:])
+	next := binary.LittleEndian.Uint64(data[16:])
+	room := uint64(len(data) - imageHeaderSize)
+	if next == 0 || next-1 > overflowMaxChunks*overflowChunkSize || nBuckets > room || next-1 > room-nBuckets {
+		return nil, fmt.Errorf("faster: index checkpoint: header claims %d+%d buckets, image is %d bytes",
+			nBuckets, next-1, len(data))
+	}
 	idx, err := newIndex(int(nBuckets), 0)
 	if err != nil {
 		return nil, err
 	}
 	idx.overflowNext.Store(next)
-	var word [8]byte
-	load := func(bs []bucket) error {
-		for i := range bs {
-			b := &bs[i]
-			for j := range b.entries {
-				if _, err := io.ReadFull(r, word[:]); err != nil {
-					return err
-				}
-				b.entries[j].Store(binary.LittleEndian.Uint64(word[:]))
-			}
-			if _, err := io.ReadFull(r, word[:]); err != nil {
-				return err
-			}
-			b.meta.Store(binary.LittleEndian.Uint64(word[:]))
+	p := data[imageHeaderSize:]
+	for i := range idx.buckets {
+		if p, err = decodeBucket(&idx.buckets[i], p, 0, next); err != nil {
+			return nil, fmt.Errorf("faster: index checkpoint bucket %d: %w", i, err)
 		}
-		return nil
 	}
-	if err := load(idx.buckets); err != nil {
-		return nil, fmt.Errorf("faster: index checkpoint buckets: %w", err)
+	for k := uint64(1); k < next; k++ {
+		if p, err = decodeBucket(idx.overflowBucket(k), p, k, next); err != nil {
+			return nil, fmt.Errorf("faster: index checkpoint overflow bucket %d: %w", k, err)
+		}
 	}
-	for n := uint64(1); n < next; n++ {
-		b := idx.overflowBucket(n)
-		for j := range b.entries {
-			if _, err := io.ReadFull(r, word[:]); err != nil {
-				return nil, fmt.Errorf("faster: index checkpoint overflow: %w", err)
-			}
-			b.entries[j].Store(binary.LittleEndian.Uint64(word[:]))
-		}
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			return nil, fmt.Errorf("faster: index checkpoint overflow: %w", err)
-		}
-		b.meta.Store(binary.LittleEndian.Uint64(word[:]))
+	if len(p) != 0 {
+		return nil, fmt.Errorf("faster: index checkpoint: %d bytes after the last bucket", len(p))
 	}
 	return idx, nil
+}
+
+// decodeBucket fills b (overflow id self, 0 for a main bucket) from the front
+// of p and returns the rest. b is a fresh bucket no other goroutine can see
+// yet, so its words are stored plainly: an atomic store is a full barrier, and
+// one per word would expose the cache miss of every bucket of the index in turn.
+func decodeBucket(b *bucket, p []byte, self, next uint64) ([]byte, error) {
+	into := (*[entriesPerBucket + 1]uint64)(unsafe.Pointer(b))
+	if len(p) == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	present := p[0]
+	n := 1 + 8*bits.OnesCount8(present)
+	if len(p) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	words := p[1:n]
+	for m := present &^ imageLinkBit; m != 0; m &= m - 1 { // one turn per entry present
+		j := bits.TrailingZeros8(m)
+		e := binary.LittleEndian.Uint64(words)
+		if e == 0 || e&entryTentative != 0 {
+			return nil, fmt.Errorf("entry %d is %#x", j, e)
+		}
+		into[j] = e
+		words = words[8:]
+	}
+	if present&imageLinkBit != 0 {
+		link := binary.LittleEndian.Uint64(words)
+		if link <= self || link >= next {
+			return nil, fmt.Errorf("overflow link %#x from bucket %d of %d", link, self, next-1)
+		}
+		into[entriesPerBucket] = link
+	}
+	return p[n:], nil
 }

@@ -1,10 +1,7 @@
 package faster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"hash/crc32"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -13,134 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
-
-// referenceIndexImage is the index encoder this repository shipped up to PR 12
-// (index.writeTo: one 8-byte Write per word), kept as the reference that
-// appendImage must match byte for byte.
-func referenceIndexImage(idx *index, w io.Writer) {
-	var word [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(word[:], v)
-		w.Write(word[:])
-	}
-	dump := func(b *bucket) {
-		for j := range b.entries {
-			e := b.entries[j].Load()
-			if e&entryTentative != 0 {
-				e = 0
-			}
-			put(e)
-		}
-		put(b.meta.Load() & metaOverflowMask)
-	}
-	put(uint64(len(idx.buckets)))
-	put(0)
-	put(idx.overflowNext.Load())
-	for i := range idx.buckets {
-		dump(&idx.buckets[i])
-	}
-	for n := uint64(1); n < idx.overflowNext.Load(); n++ {
-		dump(idx.overflowBucket(n))
-	}
-}
-
-// goldenIndex is a small index with overflow chains, a tentative entry and
-// latch bits set — everything the image encoder has to mask or follow.
-func goldenIndex(t *testing.T) *index {
-	idx, err := newIndex(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 200; i++ {
-		h := i * 0x9E3779B97F4A7C15
-		idx.findOrCreateSlot(h).Store(tagOf(h) | (64 + 8*i))
-	}
-	idx.buckets[3].entries[2].Store(idx.buckets[3].entries[2].Load() | entryTentative)
-	idx.trySharedLatch(5)
-	idx.tryExclusiveLatch(6)
-	return idx
-}
-
-// TestIndexImageGolden: the one-buffer encoder writes what writeTo wrote. The
-// checksum was taken from writeTo's output at the parent commit, before it was
-// deleted.
-func TestIndexImageGolden(t *testing.T) {
-	idx := goldenIndex(t)
-	if next := idx.overflowNext.Load(); next < 20 {
-		t.Fatalf("golden index has only %d overflow buckets", next-1)
-	}
-	image := idx.appendImage(nil)
-	var ref bytes.Buffer
-	referenceIndexImage(idx, &ref)
-	if !bytes.Equal(image, ref.Bytes()) {
-		t.Fatalf("image differs from the reference encoder's (%d vs %d bytes)", len(image), ref.Len())
-	}
-	if len(image) != 2072 || crc32.ChecksumIEEE(image) != 0xbb140455 {
-		t.Fatalf("image is %d bytes, crc %08x; the parent's encoder wrote 2072 bytes, crc bb140455",
-			len(image), crc32.ChecksumIEEE(image))
-	}
-	if len(image) != idx.imageSize() {
-		t.Fatalf("imageSize() = %d, image is %d bytes", idx.imageSize(), len(image))
-	}
-
-	// Round trip: every committed entry and overflow link survives; the
-	// tentative entry and the latch bits do not.
-	back, err := readIndex(bytes.NewReader(image))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := back.appendImage(nil); !bytes.Equal(again, image) {
-		t.Fatal("readIndex(image) does not re-encode to the same image")
-	}
-	if e := back.buckets[3].entries[2].Load(); e != 0 {
-		t.Fatalf("tentative entry survived the round trip: %x", e)
-	}
-	for _, b := range []int{5, 6} {
-		if m := back.buckets[b].meta.Load(); m&^metaOverflowMask != 0 {
-			t.Fatalf("bucket %d latch bits survived the round trip: %x", b, m)
-		}
-	}
-	for i := uint64(1); i <= 200; i++ {
-		h := i * 0x9E3779B97F4A7C15
-		if idx.findSlot(h) == nil {
-			continue // the entry made tentative above
-		}
-		if s := back.findSlot(h); s == nil || entryAddr(s.Load()) != 64+8*i {
-			t.Fatalf("key %d lost in the round trip", i)
-		}
-	}
-}
-
-// TestIndexArtifactBytes: the index artifact a WithIndex commit leaves on the
-// checkpoint store is the reference image inside the usual envelope.
-func TestIndexArtifactBytes(t *testing.T) {
-	cs := storage.NewMemCheckpointStore()
-	cfg := smallConfig()
-	cfg.Checkpoints = cs
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sess := s.StartSession()
-	for k := uint64(0); k < 3000; k++ {
-		if st := sess.Upsert(key(k), u64(k)); st == Pending {
-			sess.CompletePending(true)
-		}
-	}
-	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
-	sess.StopSession()
-	got, err := storage.ReadArtifact(cs, "index-"+res.Token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref bytes.Buffer
-	referenceIndexImage(s.shards[0].index, &ref) // quiescent: no session is running
-	if !bytes.Equal(got, storage.EncodeArtifact(ref.Bytes())) {
-		t.Fatalf("index artifact (%d bytes) is not the enveloped reference image of %d bytes",
-			len(got), ref.Len())
-	}
-}
 
 // coldStore opens a single-shard store over a file device whose log is much
 // larger than its 128 KiB of page frames, keys 0..n-1 holding u64(k).

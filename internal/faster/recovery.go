@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -356,7 +355,7 @@ func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, 
 			sh.close()
 			return nil, nil, fmt.Errorf("faster: recover index: %w", err)
 		}
-		idx, err := readIndex(bytes.NewReader(data))
+		idx, err := decodeIndex(data)
 		if err != nil {
 			sh.close()
 			return nil, nil, err

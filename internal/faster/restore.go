@@ -162,7 +162,7 @@ func (rs *restoreState) start() {
 	rs.started = true
 	m := sh.cfg.Metrics
 	m.GaugeFunc("faster_restore_active", func() int64 {
-		if sh.restore.Load() != nil {
+		if sh.restoring() {
 			return 1
 		}
 		return 0
@@ -573,10 +573,23 @@ func (sh *shard) restoreSnapshot() *RestoreShardStatus {
 	return sh.restoreStats.Load()
 }
 
+// restoring reports whether the shard is still warming. The restore pointer is
+// cleared a moment after the sweep is done — after WaitRestored has returned —
+// so this reads what WaitRestored waits for, under rs.mu, not the pointer.
+func (sh *shard) restoring() bool {
+	rs := sh.restore.Load()
+	if rs == nil {
+		return false
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return !rs.sweepDone
+}
+
 // Restoring reports whether an instant restore is still warming any shard.
 func (s *Store) Restoring() bool {
 	for _, sh := range s.shards {
-		if sh.restore.Load() != nil {
+		if sh.restoring() {
 			return true
 		}
 	}
@@ -592,7 +605,7 @@ func (s *Store) RestoreStatus() *RestoreStatus {
 	for _, sh := range s.shards {
 		if rs := sh.restore.Load(); rs != nil {
 			any = true
-			out.Restoring = true
+			out.Restoring = out.Restoring || sh.restoring()
 			out.Shards = append(out.Shards, *rs.snapshot())
 			continue
 		}

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/hashfn"
@@ -309,6 +310,53 @@ func TestInstantRestoreGatesCommitAndCompaction(t *testing.T) {
 
 	sh.restore.Store(nil)
 	driveCommit(t, s, []*Session{sess}, CommitOptions{})
+}
+
+// TestInstantRestoreStatusAfterWaitRestored is the regression test for status reads
+// that inferred "restoring" from the shard's restore pointer: the pointer is
+// cleared a moment after the sweep is done, which is what WaitRestored waits
+// for, so a caller could be told the restore was over and then read that it was
+// not. First the gap itself, held open by hand; then real restores, each asked
+// for its status the instant WaitRestored returns.
+func TestInstantRestoreStatusAfterWaitRestored(t *testing.T) {
+	settled := func(label string, s *Store) {
+		t.Helper()
+		if err := s.WaitRestored(); err != nil {
+			t.Fatalf("%s: WaitRestored: %v", label, err)
+		}
+		if st := s.RestoreStatus(); st == nil || st.Restoring {
+			t.Fatalf("%s: RestoreStatus after WaitRestored = %+v", label, st)
+		}
+		if s.Restoring() {
+			t.Fatalf("%s: Restoring() after WaitRestored", label)
+		}
+	}
+
+	s, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.StartSession()
+	sh := s.shards[0]
+	rs := newRestoreState(sh, "tok", 1, 0, 0)
+	rs.analyzed, rs.sweepDone = true, true // swept; run() has not detached yet
+	sh.restore.Store(rs)
+	settled("sweep done, pointer still set", s)
+	driveCommit(t, s, []*Session{sess}, CommitOptions{}) // not ErrRestoring
+	sess.StopSession()
+	s.Close()
+
+	dev, ckpts, _, _, _ := buildRestoreImage(t, 200, 300)
+	for i := 0; i < 25; i++ {
+		cfg := smallConfig()
+		cfg.Device, cfg.Checkpoints, cfg.InstantRestore = dev.Clone(), ckpts.Clone(), true
+		r, err := Recover(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled(fmt.Sprintf("restore %d", i), r)
+		r.Close()
+	}
 }
 
 // TestInstantRestoreMultiShard runs the instant path on a partitioned store:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -12,7 +13,9 @@ import (
 // progress absent between them. Stalls are never inferred from an idle
 // system — every check requires queued work (epoch lag, unsynced appends, a
 // non-Rest phase, cold buckets) before the missing progress counts against
-// the node.
+// the node. cpr-commit-stuck alone remembers more than one pair: how long a
+// commit has been in its phase is what separates a parked commit from a busy
+// commit loop caught in the same phase twice.
 //
 // Multi-shard stores register per-shard metrics under a "shard<i>_" prefix
 // on the shared registry, so the detectors scan by *suffix* and evaluate
@@ -84,9 +87,9 @@ func builtinDetectors() []Detector {
 		},
 		{
 			Name:        "cpr-commit-stuck",
-			Description: "A CPR commit is parked in one non-Rest phase with no commit completing or failing.",
+			Description: "A CPR commit has been in one non-Rest phase for many times the commit latency observed so far.",
 			Critical:    true,
-			Check:       checkCommitStuck,
+			Check:       newCommitStuckCheck(),
 		},
 		{
 			Name:        "inlog-fsync-stalled",
@@ -133,22 +136,51 @@ func checkEpochDrainStuck(prev, cur Sample) (bool, string) {
 	return false, ""
 }
 
-// checkCommitStuck: demand = the phase gauge parked on the same non-Rest
-// value in both samples; progress = any commit completing or failing.
-func checkCommitStuck(prev, cur Sample) (bool, string) {
-	for p, curPhase := range gaugesBySuffix(cur.Snap, "faster_phase") {
-		prevPhase, ok := prev.Snap.Gauges[p+"faster_phase"]
-		if !ok || curPhase == 0 || curPhase != prevPhase {
-			continue
+// A commit counts as stuck in its phase after commitStuckFactor times the p99
+// of faster_commit_ns (whole commits, all five phases), and never sooner than
+// commitStuckFloor: a healthy commit on a loaded two-core host has been seen
+// to sit in one phase for tens of milliseconds, and before the first commit
+// completes there is no latency to scale from.
+const (
+	commitStuckFactor = 8
+	commitStuckFloor  = int64(500 * time.Millisecond)
+)
+
+// newCommitStuckCheck builds the cpr-commit-stuck check: demand = a shard in a
+// non-Rest phase; progress = its (version, phase) changing — every commit runs
+// at its own version, so back-to-back commits sampled in the same phase are
+// progress. The check remembers when it first saw each shard's current
+// (version, phase) — at the previous sample, if that already showed it — and
+// reports bad once the time in that phase passes the latency-derived bound.
+func newCommitStuckCheck() func(prev, cur Sample) (bool, string) {
+	type parked struct{ version, phase, since int64 }
+	seen := map[string]parked{}
+	return func(prev, cur Sample) (bool, string) {
+		bad, detail := false, ""
+		// Commit latency is recorded store-wide, not per shard.
+		bound := max(commitStuckFloor, commitStuckFactor*int64(cur.Snap.Histograms["faster_commit_ns"].P99Nanos))
+		for p, phase := range gaugesBySuffix(cur.Snap, "faster_phase") {
+			if phase == 0 {
+				delete(seen, p)
+				continue
+			}
+			version := cur.Snap.Gauges[p+"faster_version"]
+			in, ok := seen[p]
+			if !ok || in.version != version || in.phase != phase {
+				in = parked{version, phase, cur.At}
+				if prevPhase, ok := prev.Snap.Gauges[p+"faster_phase"]; ok && prevPhase == phase &&
+					prev.Snap.Gauges[p+"faster_version"] == version {
+					in.since = prev.At
+				}
+				seen[p] = in
+			}
+			if inPhase := cur.At - in.since; inPhase >= bound {
+				bad, detail = true, fmt.Sprintf("%s: commit parked in %s (version %d) for %v, bound %v",
+					at(p), phaseName(phase), version, time.Duration(inPhase), time.Duration(bound))
+			}
 		}
-		commits := cur.Snap.Counters[p+"faster_commits_total"] - prev.Snap.Counters[p+"faster_commits_total"]
-		failures := cur.Snap.Counters[p+"faster_commit_failures_total"] - prev.Snap.Counters[p+"faster_commit_failures_total"]
-		if commits == 0 && failures == 0 {
-			return true, fmt.Sprintf("%s: commit parked in %s (version %d), no commit completed this window",
-				at(p), phaseName(curPhase), cur.Snap.Gauges[p+"faster_version"])
-		}
+		return bad, detail
 	}
-	return false, ""
 }
 
 // checkInlogFsyncStalled: demand = appends past the durable frontier in both

@@ -3,6 +3,7 @@ package health
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -69,47 +70,74 @@ func TestEpochDrainStuck(t *testing.T) {
 }
 
 func TestCommitStuck(t *testing.T) {
-	// Seeded stall: parked in PREPARE across the window, nothing completed.
-	bad, detail := pair(t, checkCommitStuck,
-		map[string]int64{"faster_phase": 1, "faster_version": 5},
-		map[string]int64{"faster_phase": 1, "faster_version": 5},
-		map[string]uint64{"faster_commits_total": 3},
-		map[string]uint64{"faster_commits_total": 3})
+	const ms = int64(time.Millisecond)
+	// at builds a sample of a store in (version, phase) at the given time;
+	// p99 > 0 adds a commit-latency history with that p99.
+	at := func(when, version, phase, p99 int64) Sample {
+		s := mkSample(when, map[string]int64{"faster_phase": phase, "faster_version": version}, nil)
+		if p99 > 0 {
+			s.Snap.Histograms = map[string]obs.HistogramSnapshot{"faster_commit_ns": {Count: 100, P99Nanos: uint64(p99)}}
+		}
+		return s
+	}
+
+	// Seeded stall: parked in PREPARE at version 5 across a one-second window,
+	// no commit latency observed yet.
+	bad, detail := newCommitStuckCheck()(at(0, 5, 1, 0), at(1000*ms, 5, 1, 0))
 	if !bad {
 		t.Fatal("commit parked in prepare not detected")
 	}
-	if !strings.Contains(detail, "prepare") {
-		t.Fatalf("detail %q does not name the phase", detail)
+	if !strings.Contains(detail, "prepare") || !strings.Contains(detail, "version 5") {
+		t.Fatalf("detail %q does not name the phase and version", detail)
 	}
 
 	// Healthy: at Rest.
-	if bad, _ := pair(t, checkCommitStuck,
-		map[string]int64{"faster_phase": 0},
-		map[string]int64{"faster_phase": 0}, nil, nil); bad {
+	if bad, _ := newCommitStuckCheck()(at(0, 5, 0, 0), at(1000*ms, 5, 0, 0)); bad {
 		t.Fatal("rest phase flagged as stuck")
 	}
 	// Healthy: phase advancing between samples.
-	if bad, _ := pair(t, checkCommitStuck,
-		map[string]int64{"faster_phase": 1},
-		map[string]int64{"faster_phase": 3}, nil, nil); bad {
+	if bad, _ := newCommitStuckCheck()(at(0, 5, 1, 0), at(1000*ms, 6, 3, 0)); bad {
 		t.Fatal("advancing phase flagged as stuck")
 	}
-	// Healthy: same phase observed but a commit completed in between (two
-	// back-to-back commits caught mid-flight).
-	if bad, _ := pair(t, checkCommitStuck,
-		map[string]int64{"faster_phase": 2},
-		map[string]int64{"faster_phase": 2},
-		map[string]uint64{"faster_commits_total": 3},
-		map[string]uint64{"faster_commits_total": 4}); bad {
-		t.Fatal("window with a completed commit flagged as stuck")
+	// Healthy: the same phase in both samples but of different commits (a
+	// busy commit loop caught mid-flight twice).
+	if bad, _ := newCommitStuckCheck()(at(0, 6, 2, 0), at(1000*ms, 7, 2, 0)); bad {
+		t.Fatal("back-to-back commits in the same phase flagged as stuck")
 	}
-	// Healthy: a commit failed — that is progress (the machine moved on).
-	if bad, _ := pair(t, checkCommitStuck,
-		map[string]int64{"faster_phase": 2},
-		map[string]int64{"faster_phase": 2},
-		map[string]uint64{"faster_commit_failures_total": 1},
-		map[string]uint64{"faster_commit_failures_total": 2}); bad {
-		t.Fatal("window with a failed commit flagged as stuck")
+
+	// Time in phase accumulates across samples: 5 ms apart, the same
+	// (version, phase) is bad only once it has lasted the floor...
+	check := newCommitStuckCheck()
+	for tick := int64(1); tick <= 120; tick++ {
+		bad, _ := check(at((tick-1)*5*ms, 9, 4, 0), at(tick*5*ms, 9, 4, 0))
+		if want := tick*5*ms >= commitStuckFloor; bad != want {
+			t.Fatalf("parked %d ms: bad = %v, want %v", tick*5, bad, want)
+		}
+	}
+	// ...and a new commit, or a visit to Rest, starts the clock again.
+	if bad, _ := check(at(600*ms, 9, 4, 0), at(605*ms, 10, 4, 0)); bad {
+		t.Fatal("the next commit inherited its predecessor's time in phase")
+	}
+	check(at(605*ms, 10, 4, 0), at(610*ms, 10, 0, 0))
+	if bad, _ := check(at(610*ms, 10, 0, 0), at(1700*ms, 10, 4, 0)); bad {
+		t.Fatal("a phase first seen in this sample counted as parked since the last")
+	}
+
+	// The bound scales with observed commit latency: with a p99 of 400 ms a
+	// commit two seconds into a phase is slow, not stuck; four seconds in, stuck.
+	check = newCommitStuckCheck()
+	if bad, _ := check(at(0, 3, 4, 400*ms), at(2000*ms, 3, 4, 400*ms)); bad {
+		t.Fatal("2 s in a phase flagged with a 400 ms commit p99")
+	}
+	if bad, _ := check(at(2000*ms, 3, 4, 400*ms), at(4000*ms, 3, 4, 400*ms)); !bad {
+		t.Fatal("4 s in a phase not flagged with a 400 ms commit p99")
+	}
+
+	// Shard-prefixed gauges are evaluated per shard: one parked shard fires.
+	prev := mkSample(0, map[string]int64{"shard0_faster_phase": 0, "shard1_faster_phase": 4, "shard1_faster_version": 2}, nil)
+	cur := mkSample(1000*ms, map[string]int64{"shard0_faster_phase": 0, "shard1_faster_phase": 4, "shard1_faster_version": 2}, nil)
+	if bad, detail := newCommitStuckCheck()(prev, cur); !bad || !strings.Contains(detail, "shard1") {
+		t.Fatalf("parked shard: bad = %v, detail %q", bad, detail)
 	}
 }
 

@@ -4,6 +4,7 @@ package hlog
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/epoch"
@@ -71,5 +72,24 @@ func TestAsyncReadAllocFree(t *testing.T) {
 	}
 	if reads := dev.reads.Load() - before; reads != 201 {
 		t.Fatalf("%d device reads for 201 records, want one each", reads)
+	}
+}
+
+// TestFlushPageAllocFree: flushing a page takes its buffer from the flush free
+// list, so in steady state a flushed page costs the heap a segment record and
+// an I/O request, not a copy of the page. Counted process-wide and per page (a
+// fraction of the page size), so the I/O workers are included.
+func TestFlushPageAllocFree(t *testing.T) {
+	l, g := flushLog(t)
+	appendPages(t, l, g, 2*len(l.frames)) // every frame and the free list in use
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const pages = 64
+	appendPages(t, l, g, pages)
+	runtime.ReadMemStats(&after)
+	perPage := (after.TotalAlloc - before.TotalAlloc) / pages
+	t.Logf("%d bytes in %d allocations per flushed %d-byte page", perPage, (after.Mallocs-before.Mallocs)/pages, l.pageSize)
+	if perPage > l.pageSize/8 {
+		t.Fatalf("a flushed page allocates %d bytes, want a small fraction of its %d", perPage, l.pageSize)
 	}
 }

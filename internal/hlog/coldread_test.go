@@ -194,3 +194,55 @@ func BenchmarkAsyncRead(b *testing.B) {
 	}
 	b.ReportMetric(float64(dev.reads.Load()-before)/float64(b.N), "devreads/op")
 }
+
+// discardDevice accepts writes and keeps nothing (a MemDevice growing under the
+// log would dominate what the flush path itself allocates).
+type discardDevice struct{ storage.Device }
+
+func (discardDevice) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardDevice) Sync() error                            { return nil }
+func (discardDevice) Close() error                           { return nil }
+
+// flushLog opens a log of 64 KiB pages for the flush guard and benchmark.
+func flushLog(tb testing.TB) (*Log, *epoch.Guard) {
+	em := epoch.New()
+	l, err := New(Config{PageBits: 16, MemPages: 8, Device: discardDevice{}, Epochs: em})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := em.Acquire()
+	tb.Cleanup(func() { g.Release(); l.Close() })
+	return l, g
+}
+
+// appendPages appends 1 KiB records until the tail is n pages further, folds
+// over at the tail and waits until everything is on the device: n pages were
+// flushed, as the read-only offset passed them or by the fold-over.
+func appendPages(tb testing.TB, l *Log, g *epoch.Guard, n int) {
+	val := make([]byte, 1000)
+	size := RecordSize(8, len(val))
+	for end := l.Tail() + uint64(n)*l.pageSize; l.Tail() < end; g.Refresh() {
+		addr := l.Allocate(g, size)
+		if err := l.WriteRecord(addr, 0, 1, key64(addr), val, len(val)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	target := l.Tail()
+	l.ShiftReadOnlyTo(target)
+	g.Refresh()
+	l.WaitDurable(target)
+	if err := l.FlushErr(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkFlushPage: one page appended and flushed per iteration. B/op is
+// what the flush path allocates per page on top of the records themselves.
+func BenchmarkFlushPage(b *testing.B) {
+	l, g := flushLog(b)
+	appendPages(b, l, g, 2*len(l.frames))
+	b.SetBytes(int64(l.pageSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	appendPages(b, l, g, b.N)
+}

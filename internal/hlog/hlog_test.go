@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -381,6 +383,76 @@ func TestConcurrentAllocation(t *testing.T) {
 	}
 	if len(seen) != threads*per {
 		t.Fatalf("allocated %d, want %d", len(seen), threads*per)
+	}
+}
+
+// TestFoldOverWhilePagesOpen is the regression test for a fold-over flush that
+// captured addresses reserved but not yet written: Allocate used to move the
+// tail onto a new page first and wait for the page's frame after — refreshing
+// its epoch, which let a concurrent ShiftReadOnlyTo(Tail()) flush the page's
+// first records as the frame's previous page (or as zeros) and call them
+// durable. Writers store each record's own address as its key while a
+// committer folds over at the tail; afterwards the device must hold, at every
+// address below Durable(), the record written there.
+func TestFoldOverWhilePagesOpen(t *testing.T) {
+	l, em := newTestLog(t, 12, 4) // 4 KiB pages, 4 frames: a page opens every 128 records
+	const writers, per = 3, 10000
+	size := RecordSize(8, 8)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := em.Acquire()
+			defer g.Release()
+			for j := 0; j < per; j++ {
+				addr := l.Allocate(g, size)
+				if err := l.WriteRecord(addr, 0, 1, key64(addr), key64(addr), 8); err != nil {
+					t.Error(err)
+					return
+				}
+				g.Refresh()
+			}
+		}()
+	}
+	committer := make(chan struct{})
+	go func() {
+		defer close(committer)
+		g := em.Acquire()
+		defer g.Release()
+		for last := false; !last; {
+			last = stop.Load() // one more fold-over once the writers are done
+			target := l.Tail()
+			l.ShiftReadOnlyTo(target)
+			for g.Refresh(); l.Durable() < target; g.Refresh() {
+				runtime.Gosched()
+			}
+		}
+	}()
+	wg.Wait()
+	stop.Store(true)
+	<-committer
+
+	end := l.Tail()
+	if l.Durable() != end {
+		t.Fatalf("durable %d, tail %d after the last fold-over", l.Durable(), end)
+	}
+	data := make([]byte, end)
+	if _, err := l.cfg.Device.ReadAt(data[FirstAddress:], FirstAddress); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for addr := uint64(FirstAddress); addr < end; addr += uint64(size) {
+		rec := bytesToRecord(data[addr:addr+uint64(size)], nil)
+		if !rec.KeyEquals(key64(addr)) {
+			t.Fatalf("device holds at %d (page offset %d) header %#x key %x, not the record written there",
+				addr, l.offset(addr), rec.Header(), rec.Key(nil))
+		}
+		n++
+	}
+	if n != writers*per {
+		t.Fatalf("%d records on the device, %d written", n, writers*per)
 	}
 }
 

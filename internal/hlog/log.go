@@ -91,6 +91,13 @@ type flushSegment struct {
 	buf      []byte    // written bytes, retained until absorbed into page CRCs
 }
 
+// flushBufKeep bounds the free list of flush buffers. Two serve a steady stream
+// of page flushes and a commit's tail segment without allocating; every buffer
+// kept is up to a page of memory the log holds for good (at four, a two-shard
+// store with 1 MiB pages showed 7 MiB more peak RSS than with none), so a
+// fold-over's burst of segments allocates what is beyond that.
+const flushBufKeep = 2
+
 // Log is a HybridLog instance. See the package comment for the region
 // structure. All public methods are safe for concurrent use; methods taking
 // an *epoch.Guard must be called under that goroutine's epoch protection.
@@ -103,6 +110,7 @@ type Log struct {
 
 	frames     [][]uint64
 	frameOwner []atomic.Uint64 // page number + 1; 0 = unowned
+	openMu     sync.Mutex      // serializes openPage's frame claims
 
 	tail         atomic.Uint64
 	readOnly     atomic.Uint64 // latest read-only offset
@@ -116,6 +124,7 @@ type Log struct {
 	flushMu     sync.Mutex
 	flushIssued uint64
 	segments    []*flushSegment
+	flushBufs   [][]byte // free flush buffers, at most flushBufKeep (guarded by durableMu)
 
 	durable     atomic.Uint64
 	durableMu   sync.Mutex
@@ -262,9 +271,10 @@ func (l *Log) frameFor(page uint64) []uint64 {
 }
 
 // Allocate reserves size bytes (8-aligned, must fit one page) and returns the
-// record's logical address. It never fails; when crossing a page boundary it
-// closes the current page (triggering read-only/head shifts and flushes) and
-// spins — refreshing g — until the next page's frame is reclaimable.
+// record's logical address. It never fails; an allocation that would be the
+// first on a page opens that page first (see openPage), so the tail only ever
+// moves onto a page whose frame is ready, and a thread never refreshes its
+// epoch between reserving an address and writing the record there.
 func (l *Log) Allocate(g *epoch.Guard, size uint32) uint64 {
 	if size == 0 || uint64(size) > l.pageSize {
 		panic(fmt.Sprintf("hlog: allocation size %d out of range (page %d)", size, l.pageSize))
@@ -274,57 +284,55 @@ func (l *Log) Allocate(g *epoch.Guard, size uint32) uint64 {
 	}
 	for {
 		old := l.tail.Load()
-		off := l.offset(old)
-		if off+uint64(size) <= l.pageSize {
-			if l.tail.CompareAndSwap(old, old+uint64(size)) {
-				if off == 0 {
-					// First allocation on this page: the previous page was
-					// sealed exactly at its boundary, so page setup falls to
-					// this thread.
-					l.onPageClosed(g, l.page(old)-1, old)
-				} else {
-					l.waitFrameReady(g, l.page(old))
-				}
-				return old
+		at := old
+		if off := l.offset(old); off == 0 || off+uint64(size) > l.pageSize {
+			// The page was sealed exactly at its boundary, or the record does
+			// not fit: it goes to the start of the next page.
+			if off != 0 {
+				at = (l.page(old) + 1) << l.cfg.PageBits
 			}
-			continue
+			l.openPage(g, l.page(at))
 		}
-		// Crossing: move tail to the start of the next page and take the
-		// first slot there. The winner of this CAS owns page setup.
-		next := (l.page(old) + 1) << l.cfg.PageBits
-		if l.tail.CompareAndSwap(old, next+uint64(size)) {
-			l.onPageClosed(g, l.page(old), next)
-			return next
+		if l.tail.CompareAndSwap(old, at+uint64(size)) {
+			return at
 		}
 	}
 }
 
-// waitFrameReady spins until page p's frame has been claimed by the thread
-// that sealed the previous page. Writing into the frame before the claim
-// would race with eviction's zeroing.
-func (l *Log) waitFrameReady(g *epoch.Guard, p uint64) {
+// openPage makes page p ready for allocation before the tail moves onto it: it
+// advances the read-only and head targets and claims the page's frame, evicting
+// the old occupant once flushed and epoch-safe. It waits — refreshing g, so the
+// shifts' epoch actions can fire — and therefore runs before the caller has
+// reserved anything: a thread that refreshed while holding an unwritten address
+// would let a fold-over commit's flush capture that address as it was (the
+// frame's previous page, or zeros) and call it durable. Any number of threads
+// may ask for the same page, and a thread may ask late (the tail has moved on):
+// frame owners only grow, so whoever finds p or a later page there is done.
+func (l *Log) openPage(g *epoch.Guard, p uint64) {
 	idx := p % uint64(len(l.frames))
-	for spins := 0; l.frameOwner[idx].Load() != p+1; spins++ {
+	if l.frameOwner[idx].Load() > p {
+		return
+	}
+	for spins := 0; !l.openMu.TryLock(); spins++ {
 		if g != nil {
-			g.Refresh()
+			g.Refresh() // the holder may be waiting for this thread's epoch
 		}
 		if spins%64 == 63 {
 			runtime.Gosched()
 		}
 	}
-}
-
-// onPageClosed runs on the thread that sealed page p and moved the tail into
-// page p+1: it advances the read-only and head targets and claims the new
-// page's frame, evicting the old occupant once flushed and epoch-safe.
-func (l *Log) onPageClosed(g *epoch.Guard, p, newTailStart uint64) {
-	if target := int64(newTailStart) - int64(l.roLag); target > int64(FirstAddress) {
+	defer l.openMu.Unlock()
+	if l.frameOwner[idx].Load() > p {
+		return
+	}
+	start := p << l.cfg.PageBits
+	if target := int64(start) - int64(l.roLag); target > int64(FirstAddress) {
 		l.ShiftReadOnlyTo(uint64(target))
 	}
-	if target := int64(newTailStart) - int64(l.headLag); target > int64(FirstAddress) {
+	if target := int64(start) - int64(l.headLag); target > int64(FirstAddress) {
 		l.shiftHeadTo(uint64(target))
 	}
-	l.ensureFrame(g, p+1)
+	l.ensureFrame(g, p)
 }
 
 // ShiftReadOnlyTo advances the read-only offset to target (monotonic; clamped
@@ -382,13 +390,11 @@ func (l *Log) shiftHeadTo(target uint64) {
 
 // ensureFrame claims the frame for page p, spinning (with epoch refreshes,
 // so pending shift actions can fire) until the previous occupant is evictable.
+// Called under openMu.
 func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
 	idx := p % uint64(len(l.frames))
 	for spins := 0; ; spins++ {
 		owner := l.frameOwner[idx].Load()
-		if owner == p+1 {
-			return
-		}
 		if owner == 0 {
 			// Allocate storage before publishing ownership: waiters write
 			// into the frame as soon as they observe the claim.
@@ -405,8 +411,7 @@ func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
 			// zeroing, so unprotected readers (snapshot capture) that
 			// validate the owner after copying detect the reuse and fall
 			// back to the device. Epoch-safety of the head shift guarantees
-			// no session thread still holds references. Only the thread that
-			// sealed page p-1 claims page p, so claimers do not race.
+			// no session thread still holds references.
 			if l.frameOwner[idx].CompareAndSwap(owner, 0) {
 				clear(l.frames[idx])
 				l.frameOwner[idx].Store(p + 1)
@@ -591,7 +596,37 @@ func (l *Log) absorbSegment(seg *flushSegment) {
 			l.crcTainted = false
 		}
 	}
+	l.putFlushBuf(seg.buf)
 	seg.buf = nil
+}
+
+// takeFlushBuf returns an n-byte buffer, a recycled one if any is large enough.
+func (l *Log) takeFlushBuf(n int) []byte {
+	l.durableMu.Lock()
+	defer l.durableMu.Unlock()
+	for i, b := range l.flushBufs {
+		if cap(b) >= n {
+			last := len(l.flushBufs) - 1
+			l.flushBufs[i], l.flushBufs = l.flushBufs[last], l.flushBufs[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// putFlushBuf recycles b; a full free list keeps its largest buffers, so it
+// converges on page-sized ones whatever partial pages commits flush in between.
+// Called under durableMu.
+func (l *Log) putFlushBuf(b []byte) {
+	if len(l.flushBufs) < flushBufKeep {
+		l.flushBufs = append(l.flushBufs, b)
+		return
+	}
+	for i, kept := range l.flushBufs {
+		if cap(kept) < cap(b) {
+			l.flushBufs[i], b = b, kept
+		}
+	}
 }
 
 // PageCRC is one page's checksum: CRC32-C over the page's flushed bytes
@@ -719,11 +754,13 @@ func (l *Log) WaitDurable(target uint64) {
 	l.durableMu.Unlock()
 }
 
-// serializeRange copies log words in [from, to) into a byte buffer using
-// atomic loads (the range is immutable but may share cache lines with live
-// headers being scanned).
+// serializeRange copies log words in [from, to), which lie within one page,
+// into a byte buffer using atomic loads (the range is immutable but may share
+// cache lines with live headers being scanned). The buffer comes from the
+// flush free list; absorbSegment puts it back once the write is durable and
+// its bytes are in the page checksum (a Device does not retain what it wrote).
 func (l *Log) serializeRange(from, to uint64) []byte {
-	buf := make([]byte, to-from)
+	buf := l.takeFlushBuf(int(to - from))
 	for addr := from; addr < to; addr += 8 {
 		w := atomic.LoadUint64(&l.frameFor(l.page(addr))[l.offset(addr)/8])
 		binary.LittleEndian.PutUint64(buf[addr-from:], w)
@@ -1113,13 +1150,9 @@ func (l *Log) snapshotPage(from, to uint64, out []byte) error {
 		}
 		return nil
 	}
-	// Not owned and not durable: this is the log's tail page before its
-	// frame claim completed. Only unpublished post-commit allocations can
-	// live here — none of them belong to the capture (recovery invalidates
-	// v+1 records and treats zero headers as end-of-page) — so zeros are a
-	// correct capture of this chunk.
-	clear(out)
-	return nil
+	// A page at or below the tail's is resident (its frame is claimed before
+	// the tail moves onto it) until it is evicted, and evicted only once durable.
+	return fmt.Errorf("hlog: snapshot of [%d,%d): page neither resident nor durable", from, to)
 }
 
 // RestoreRange writes raw log bytes at their logical offsets into the device
