@@ -43,9 +43,9 @@ type action struct {
 // The zero value is not usable; call New.
 type Manager struct {
 	current atomic.Uint64 // E
-	safe    atomic.Uint64 // E_s, largest known-safe epoch
 
 	table [MaxThreads]entry
+	used  atomic.Int32 // slots [0, used) have been acquired at some time; scans stop there
 
 	drainCount atomic.Int32 // fast-path check: non-zero iff drain may be non-empty
 	drainMu    sync.Mutex
@@ -55,6 +55,7 @@ type Manager struct {
 	// concurrent use; nil-safe).
 	bumps       *obs.Counter
 	drains      *obs.Counter
+	scans       *obs.Counter
 	drainNs     *obs.Histogram
 	flight      *obs.FlightRecorder
 	flightShard int
@@ -64,6 +65,8 @@ type Manager struct {
 //
 //	epoch_bumps_total   epoch increments
 //	epoch_drains_total  trigger actions fired
+//	epoch_scans_total   table scans looking for actions to fire (none while
+//	                    no action waits)
 //	epoch_drain_ns      latency from bump to the action firing (all threads
 //	                    refreshed past the bumped epoch)
 //	epoch_current/epoch_safe/epoch_registered  live table state
@@ -72,10 +75,11 @@ type Manager struct {
 func (m *Manager) Instrument(reg *obs.Registry) {
 	m.bumps = reg.Counter("epoch_bumps_total")
 	m.drains = reg.Counter("epoch_drains_total")
+	m.scans = reg.Counter("epoch_scans_total")
 	m.drainNs = reg.Histogram("epoch_drain_ns")
 	reg.GaugeFunc("epoch_current", func() int64 { return int64(m.current.Load()) })
 	reg.SetHelp("epoch_current", "Current (most recently bumped) epoch.")
-	reg.GaugeFunc("epoch_safe", func() int64 { return int64(m.safe.Load()) })
+	reg.GaugeFunc("epoch_safe", func() int64 { return int64(m.Safe()) })
 	reg.SetHelp("epoch_safe",
 		"Safe-to-reclaim epoch (every registered thread has refreshed past it).")
 	reg.GaugeFunc("epoch_registered", func() int64 { return int64(m.Registered()) })
@@ -116,32 +120,53 @@ func (m *Manager) Acquire() *Guard {
 	e := m.current.Load()
 	for i := range m.table {
 		if m.table[i].local.Load() == 0 && m.table[i].local.CompareAndSwap(0, e) {
+			for u := m.used.Load(); int(u) <= i; u = m.used.Load() {
+				m.used.CompareAndSwap(u, int32(i+1))
+			}
 			return &Guard{m: m, slot: i}
 		}
 	}
 	panic("epoch: table full; raise MaxThreads or release unused guards")
 }
 
-// Refresh copies the current epoch into the guard's table entry, recomputes
-// the maximal safe epoch, and runs any trigger actions that became ready.
+// Refresh copies the current epoch into the guard's table entry and, only
+// while trigger actions are waiting, scans the table and runs those that became
+// ready (LightEpoch's protect-and-drain). With nothing to drain it is one load
+// and one store: whoever registers an action scans after publishing it, so an
+// entry stored here before that scan is seen by it, and one stored after sees
+// the action's count.
 func (g *Guard) Refresh() {
 	g.m.table[g.slot].local.Store(g.m.current.Load())
-	g.m.computeSafeAndDrain()
+	if g.m.drainCount.Load() > 0 {
+		g.m.drainReady()
+	}
 }
 
 // Release removes the guard from the epoch table. Any actions that become
 // ready as a result are triggered. The guard must not be used afterwards.
 func (g *Guard) Release() {
 	g.m.table[g.slot].local.Store(0)
-	g.m.computeSafeAndDrain()
+	if g.m.drainCount.Load() > 0 {
+		g.m.drainReady()
+	}
 	g.m = nil
 }
 
 // Current returns the current global epoch E.
 func (m *Manager) Current() uint64 { return m.current.Load() }
 
-// Safe returns the most recently computed maximal safe epoch E_s.
-func (m *Manager) Safe() uint64 { return m.safe.Load() }
+// Safe computes the maximal safe epoch E_s — one below the smallest local
+// epoch in the table — scanning the slots ever acquired. A guard acquired
+// during a bump may enter one epoch behind, so the value is not monotonic.
+func (m *Manager) Safe() uint64 {
+	minLocal := m.current.Load()
+	for i := range m.table[:m.used.Load()] {
+		if v := m.table[i].local.Load(); v != 0 && v < minLocal {
+			minLocal = v
+		}
+	}
+	return minLocal - 1
+}
 
 // BumpEpoch increments the current epoch from e to e+1 and registers fn to
 // run after epoch e becomes safe — that is, after every registered thread has
@@ -170,40 +195,24 @@ func (m *Manager) BumpEpoch(fn func()) {
 	m.drain = append(m.drain, action{epoch: prev, fn: fn})
 	m.drainMu.Unlock()
 	m.drainCount.Add(1)
-	m.computeSafeAndDrain()
+	m.drainReady()
 }
 
 // Bump increments the current epoch without registering an action.
 func (m *Manager) Bump() { m.BumpEpoch(nil) }
 
-// computeSafeAndDrain recomputes E_s by scanning the table and fires every
-// drain-list action whose epoch is now safe. Actions are removed under the
-// lock (so each runs exactly once) but invoked outside it (so an action may
-// bump the epoch and register further actions).
-func (m *Manager) computeSafeAndDrain() {
-	cur := m.current.Load()
-	minLocal := cur
-	for i := range m.table {
-		if v := m.table[i].local.Load(); v != 0 && v < minLocal {
-			minLocal = v
-		}
-	}
-	safe := minLocal - 1
-	// Monotonically advance the published safe epoch.
-	for {
-		old := m.safe.Load()
-		if safe <= old || m.safe.CompareAndSwap(old, safe) {
-			break
-		}
-	}
-	if m.drainCount.Load() == 0 {
-		return
-	}
+// drainReady computes E_s and fires every drain-list action whose epoch is
+// now safe. Actions are removed under the lock (so each runs exactly once) but
+// invoked outside it (so an action may bump the epoch and register further
+// actions).
+func (m *Manager) drainReady() {
+	m.scans.Inc()
+	safe := m.Safe()
 	var ready []action
 	m.drainMu.Lock()
 	kept := m.drain[:0]
 	for _, a := range m.drain {
-		if a.epoch <= m.safe.Load() {
+		if a.epoch <= safe {
 			ready = append(ready, a)
 		} else {
 			kept = append(kept, a)
@@ -235,7 +244,7 @@ func (g *Guard) SpinUntil(cond func() bool) {
 // tests and diagnostics.
 func (m *Manager) Registered() int {
 	n := 0
-	for i := range m.table {
+	for i := range m.table[:m.used.Load()] {
 		if m.table[i].local.Load() != 0 {
 			n++
 		}

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestAcquireRefreshRelease(t *testing.T) {
@@ -157,7 +159,7 @@ func TestConcurrentRefreshAndBump(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// All guards released; any remaining actions must have drained.
-	m.computeSafeAndDrain()
+	m.drainReady()
 	if got := fired.Load(); got != actions {
 		t.Fatalf("fired %d actions, want %d", got, actions)
 	}
@@ -208,4 +210,136 @@ func TestGuardSlotReuse(t *testing.T) {
 		t.Fatalf("freed slot %d not reused, got %d", slot, g2.slot)
 	}
 	g2.Release()
+}
+
+// TestRefreshNoScanWhenIdle: with nothing on the drain list a Refresh is one
+// load and one store; only while an action waits does it walk the table.
+// Counted, not timed: epoch_scans_total stays put over idle refreshes and
+// moves once per refresh while an action is held back by a guard that never
+// refreshes.
+func TestRefreshNoScanWhenIdle(t *testing.T) {
+	m := New()
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+	scans := func() uint64 { return reg.Snapshot().Counters["epoch_scans_total"] }
+	g, lagging := m.Acquire(), m.Acquire()
+	const n = 1000
+	before := scans()
+	for i := 0; i < n; i++ {
+		g.Refresh()
+	}
+	if got := scans() - before; got != 0 {
+		t.Fatalf("%d table scans in %d idle refreshes, want none", got, n)
+	}
+	var fired atomic.Bool
+	m.BumpEpoch(func() { fired.Store(true) })
+	before = scans()
+	for i := 0; i < n; i++ {
+		g.Refresh()
+	}
+	if got := scans() - before; got != n {
+		t.Fatalf("%d table scans in %d refreshes with an action waiting, want one each", got, n)
+	}
+	if fired.Load() {
+		t.Fatal("action fired though one guard never refreshed")
+	}
+	lagging.Release()
+	if !fired.Load() {
+		t.Fatal("action did not fire once the lagging guard was released")
+	}
+	before = scans()
+	g.Refresh()
+	if got := scans() - before; got != 0 {
+		t.Fatalf("refresh after the drain scanned %d times, want none", got)
+	}
+	g.Release()
+}
+
+// TestDrainFiresAfterLazyRefresh: an action bumped while every guard is idle
+// (none refreshing, so none scanning) fires on the refresh that makes its
+// epoch safe, and the epoch_safe gauge — computed on demand now — advances
+// with it.
+func TestDrainFiresAfterLazyRefresh(t *testing.T) {
+	m := New()
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+	safe := func() int64 { return reg.Snapshot().Gauges["epoch_safe"] }
+	g1, g2, g3 := m.Acquire(), m.Acquire(), m.Acquire()
+	g3.Release() // a freed slot below the high-water mark is skipped, not read as epoch 0
+	for i := 0; i < 100; i++ {
+		g1.Refresh() // idle refreshes: nothing to drain
+		g2.Refresh()
+	}
+	before := safe()
+	var fired atomic.Int32
+	m.BumpEpoch(func() { fired.Add(1) })
+	if fired.Load() != 0 || safe() != before {
+		t.Fatalf("before any refresh: fired %d, epoch_safe %d -> %d", fired.Load(), before, safe())
+	}
+	g1.Refresh()
+	if fired.Load() != 0 {
+		t.Fatal("action fired with one guard still behind")
+	}
+	g2.Refresh()
+	if fired.Load() != 1 {
+		t.Fatalf("action fired %d times after every guard refreshed, want 1", fired.Load())
+	}
+	if got := safe(); got != before+1 {
+		t.Fatalf("epoch_safe %d -> %d, want one higher", before, got)
+	}
+	if n := reg.Snapshot().Gauges["epoch_pending_drains"]; n != 0 {
+		t.Fatalf("epoch_pending_drains = %d after the drain", n)
+	}
+	g1.Refresh() // back to the no-scan path
+	g1.Release()
+	g2.Release()
+}
+
+// BenchmarkRefresh: a guard's refresh with 64 guards registered, with nothing
+// to drain (the steady state of every session) and with an action held back
+// by a guard that does not refresh (the table is scanned every time).
+func BenchmarkRefresh(b *testing.B) {
+	for _, draining := range []bool{false, true} {
+		name := "idle"
+		if draining {
+			name = "draining"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := New()
+			guards := make([]*Guard, 64)
+			for i := range guards {
+				guards[i] = m.Acquire()
+			}
+			if draining {
+				m.BumpEpoch(func() {})
+			}
+			g := guards[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Refresh()
+			}
+		})
+	}
+}
+
+// BenchmarkBumpDrain: one BumpEpoch(fn) plus the refreshes of three guards
+// that let fn run — the cost a commit's phase publication puts on the epoch
+// framework.
+func BenchmarkBumpDrain(b *testing.B) {
+	m := New()
+	guards := []*Guard{m.Acquire(), m.Acquire(), m.Acquire()}
+	fired := 0
+	fn := func() { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.BumpEpoch(fn)
+		for _, g := range guards {
+			g.Refresh()
+		}
+	}
+	if fired != b.N {
+		b.Fatalf("%d actions fired in %d bumps", fired, b.N)
+	}
 }

@@ -105,8 +105,8 @@ func BenchmarkCommitLogOnly(b *testing.B) {
 
 // Layer benchmarks for the session operation path, one per log region an
 // operation can find its record in (ROADMAP item 2). Every one reports
-// allocs/op: the path owns and reuses its buffers, so an update should show 0
-// and a read 1 (the value the caller keeps).
+// allocs/op: the path owns and reuses its buffers, so every one should show 0
+// (a read's value is the session's buffer).
 //
 //	mutable   in-place update / read in the mutable region
 //	readonly  the record is below the safe-read-only offset: updates go
@@ -152,6 +152,33 @@ func BenchmarkSessionRead(b *testing.B) {
 			sess.CompletePending(true)
 		}
 	})
+}
+
+// BenchmarkColdReadBurst64 is the larger-than-memory client loop: 64 reads of
+// evicted records, all going pending, then one CompletePending(true). One op
+// is one burst; the reads reach the I/O pool in runs, not one by one.
+func BenchmarkColdReadBurst64(b *testing.B) {
+	const cold, burst = 1 << 15, 64
+	_, sess := coldStore(b, 2*cold)
+	var kb [8]byte
+	var sum uint64
+	cb := func(v []byte, st Status) {
+		if st == Ok {
+			sum += binary.LittleEndian.Uint64(v)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			binary.LittleEndian.PutUint64(kb[:], uint64((i*burst+j)%cold))
+			if _, st := sess.Read(kb[:], cb); st != Pending {
+				b.Fatalf("read of an evicted key: %v, want pending", st)
+			}
+		}
+		sess.CompletePending(true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/read")
 }
 
 func BenchmarkSessionUpsert(b *testing.B) {

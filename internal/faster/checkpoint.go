@@ -40,6 +40,30 @@ type CommitResult struct {
 	Err   error
 }
 
+// maxResults is how many completed commits stay retrievable by token.
+const maxResults = 64
+
+// commitResults retains the results of the newest maxResults commits by token
+// (each holds a per-session map, and an autocommitting server completes a
+// commit every few hundred milliseconds for as long as it runs). An older
+// token is an unknown commit. The zero value is ready to use.
+type commitResults struct {
+	byToken map[string]CommitResult
+	ring    [maxResults]string // tokens retained; slot n%maxResults is the oldest
+	n       int
+}
+
+func (r *commitResults) put(res CommitResult) {
+	if r.byToken == nil {
+		r.byToken = make(map[string]CommitResult, maxResults)
+	}
+	slot := &r.ring[r.n%maxResults]
+	delete(r.byToken, *slot)
+	*slot = res.Token
+	r.n++
+	r.byToken[res.Token] = res
+}
+
 // checkpointCtx tracks one in-flight CPR commit on a single shard.
 type checkpointCtx struct {
 	store   *shard
@@ -217,7 +241,7 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		s.noteCommitted(mc.res) // watermarks first, as in waitFlush
 	}
 	s.ckptMu.Lock()
-	s.results[mc.token] = mc.res
+	s.results.put(mc.res)
 	s.multi = nil
 	s.ckptMu.Unlock()
 	if firstErr == nil {
@@ -249,7 +273,7 @@ func (s *Store) WaitForCommit(token string) CommitResult {
 	s.ckptMu.Lock()
 	mc := s.multi
 	if mc == nil || mc.token != token {
-		res, ok := s.results[token]
+		res, ok := s.results.byToken[token]
 		s.ckptMu.Unlock()
 		if ok {
 			return res
@@ -269,7 +293,7 @@ func (s *Store) TryResult(token string) (CommitResult, bool) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	res, ok := s.results[token]
+	res, ok := s.results.byToken[token]
 	return res, ok
 }
 
@@ -338,7 +362,7 @@ func (sh *shard) waitForCommit(token string) CommitResult {
 	sh.ckptMu.Lock()
 	ck := sh.ckpt
 	if ck == nil || ck.token != token {
-		res, ok := sh.results[token]
+		res, ok := sh.results.byToken[token]
 		sh.ckptMu.Unlock()
 		if ok {
 			return res
@@ -354,7 +378,7 @@ func (sh *shard) waitForCommit(token string) CommitResult {
 func (sh *shard) tryResult(token string) (CommitResult, bool) {
 	sh.ckptMu.Lock()
 	defer sh.ckptMu.Unlock()
-	res, ok := sh.results[token]
+	res, ok := sh.results.byToken[token]
 	return res, ok
 }
 
@@ -584,7 +608,7 @@ func (ck *checkpointCtx) waitFlush() {
 	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
 	sh.ckptMu.Lock()
 	sh.ckpt = nil
-	sh.results[ck.token] = ck.res
+	sh.results.put(ck.res)
 	sh.state.Store(packState(Rest, ck.version+1))
 	sh.ckptMu.Unlock()
 	ck.bumpTraced(Rest)

@@ -9,11 +9,11 @@ import (
 )
 
 // The guards below pin the buffer-ownership rules of the operation path (see
-// DESIGN "Buffer ownership on the operation path") on a plain, non-batch
-// session: op records, key/input copies, the RMW scratch and the cold-read
-// buffers are all reused, so an update allocates nothing and a read allocates
-// only the value it hands to the caller. Like every AllocFree guard they run
-// without the race detector.
+// DESIGN "Buffer ownership on the operation path"): op records, key/input
+// copies, the scratch an RMW works on and a read's value is served from, and
+// the cold-read buffers are all reused, so no operation allocates — a read,
+// hot or cold, included. Like every AllocFree guard they run without the race
+// detector.
 
 // opAllocs runs op once per key and returns the heap allocations per call,
 // counted process-wide (so the I/O pool's workers are included) as a fraction:
@@ -67,8 +67,8 @@ func TestSessionOpsAllocFree(t *testing.T) {
 			if _, st := sess.Read(k, nil); st != Ok {
 				t.Fatalf("read: %v", st)
 			}
-		}); a > 1+slack {
-			t.Errorf("%s: Read allocates %.2f times per op, want at most 1 (the caller's value)", region, a)
+		}); a > slack {
+			t.Errorf("%s: Read allocates %.2f times per op, want 0", region, a)
 		}
 	}
 	upserts := func(region string) {
@@ -96,19 +96,12 @@ func TestSessionOpsAllocFree(t *testing.T) {
 	}
 	driveCommit(t, s, []*Session{sess}, CommitOptions{})
 	upserts("read-copy-update")
-
-	// Batch mode saves the read's one allocation too.
-	sess.BeginBatch()
-	defer sess.EndBatch()
-	if a := opAllocs(t, keys, func(k []byte) { sess.Read(k, nil) }); a > slack {
-		t.Errorf("batch mode: Read allocates %.2f times per op, want 0", a)
-	}
 }
 
 // TestColdReadAllocFree: a read of an evicted record over a file device — one
-// device read into the op record's own buffer, completion through the
-// session's double-buffered list — allocates only the value the callback
-// keeps.
+// device read into the op record's own buffer, handed to the pool from the
+// session's reused queue, completion through the session's double-buffered
+// list, the value served from the session's scratch — allocates nothing.
 func TestColdReadAllocFree(t *testing.T) {
 	const keys = 20000
 	s, sess := coldStore(t, keys)
@@ -129,8 +122,8 @@ func TestColdReadAllocFree(t *testing.T) {
 		}
 		sess.CompletePending(true)
 	})
-	if a > 1+slack {
-		t.Errorf("cold Read + CompletePending allocates %.2f times per op, want at most 1 (the caller's value)", a)
+	if a > slack {
+		t.Errorf("cold Read + CompletePending allocates %.2f times per op, want 0", a)
 	}
 	if got != runs+2 || sum != runs*(runs+1)/2 {
 		t.Fatalf("%d cold reads delivered, values sum to %d", got, sum)

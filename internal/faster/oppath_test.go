@@ -2,7 +2,9 @@ package faster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,62 +38,108 @@ func coldStore(t testing.TB, n uint64) (*Store, *Session) {
 	return s, sess
 }
 
-// TestReadValueIsCallerOwned: outside batch mode the value a read returns, or
-// hands to its callback, belongs to the caller — the session's next 100
-// operations (which reuse the op record and the session's buffers) leave it
-// alone. Checked for a hot read and for a cold one completed later.
-func TestReadValueIsCallerOwned(t *testing.T) {
-	_, sess := coldStore(t, 20000)
-	var kept [][]byte
-	var want []uint64
-	keep := func(k uint64) func([]byte, Status) {
-		return func(v []byte, st Status) {
-			if st != Ok {
-				t.Errorf("read %d: %v", k, st)
+// TestReadValueValidUntilNextOp pins the one value-lifetime rule: the value a
+// read returns, or hands to its callback, is the session's own buffer — right
+// when handed over and untouched until that session's next call (for a
+// callback: until it returns), whatever other sessions and the I/O workers do
+// meanwhile. Hot, read-only and cold records, on 1 and 4 shards; a second
+// session reads the same keys throughout, so under -race a buffer shared
+// across sessions or still written by a worker is a reported race.
+func TestReadValueValidUntilNextOp(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := Open(shardedConfig(shards))
+			if err != nil {
+				t.Fatal(err)
 			}
-			kept, want = append(kept, v), append(want, k)
-		}
-	}
-	if _, st := sess.Read(key(3), keep(3)); st != Pending { // cold: callback only
-		t.Fatalf("read of an evicted key: %v, want pending", st)
-	}
-	sess.CompletePending(true)
-	v, st := sess.Read(key(19999), keep(19999)) // hot: callback and return value
-	if st != Ok {
-		t.Fatalf("hot read: %v", st)
-	}
-	kept, want = append(kept, v), append(want, 19999)
-	if len(kept) != 3 {
-		t.Fatalf("%d values delivered, want 3", len(kept))
-	}
-	for i := uint64(0); i < 100; i++ {
-		k := 100 + 50*i // hot and cold keys
-		switch i % 3 {
-		case 0:
-			sess.Read(key(k), nil)
-		case 1:
-			sess.RMW(key(k), u64(7))
-		case 2:
-			sess.Upsert(key(k), u64(1<<40+i))
-		}
-		sess.CompletePending(true)
-	}
-	for i, v := range kept {
-		if len(v) != 8 || binary.LittleEndian.Uint64(v) != want[i] {
-			t.Fatalf("retained value %d overwritten: %x, want %d", i, v, want[i])
-		}
+			defer s.Close()
+			sess := s.StartSession()
+			defer sess.StopSession()
+			n := uint64(20000 * shards) // 128 KiB of frames per shard hold 4096 of these
+			for k := uint64(0); k < n; k++ {
+				if st := sess.Upsert(key(k), u64(k)); st == Pending {
+					sess.CompletePending(true)
+				}
+			}
+			driveCommit(t, s, []*Session{sess}, CommitOptions{}) // fold-over: what is in memory is read-only
+			hot := n
+			sess.Upsert(key(hot), u64(hot))
+
+			stop := make(chan struct{})
+			var other sync.WaitGroup
+			other.Add(1)
+			go func() {
+				defer other.Done()
+				o := s.StartSession()
+				defer o.StopSession()
+				for i := uint64(0); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					o.Read(key(hot-i%8), nil)
+					o.Read(key(i%512), nil)
+					if i%16 == 15 {
+						o.CompletePending(true)
+					}
+				}
+			}()
+			defer other.Wait()
+			defer close(stop)
+
+			check := func(what string, k uint64, v []byte) {
+				t.Helper()
+				if len(v) != 8 || binary.LittleEndian.Uint64(v) != k {
+					t.Errorf("%s, key %d: value %x", what, k, v)
+				}
+			}
+			for round := uint64(0); round < 200 && !t.Failed(); round++ {
+				for _, c := range []struct {
+					region string
+					k      uint64
+					cold   bool
+				}{{"hot", hot, false}, {"read-only", n - 1 - round, false}, {"cold", 3 + round, true}} {
+					delivered := 0
+					v, st := sess.Read(key(c.k), func(v []byte, st Status) {
+						delivered++
+						if st != Ok {
+							t.Errorf("%s read of key %d: callback status %v", c.region, c.k, st)
+						}
+						check(c.region+" callback value", c.k, v)
+						runtime.Gosched() // let the other session and the workers run
+						check(c.region+" callback value before returning", c.k, v)
+					})
+					if c.cold {
+						if st != Pending {
+							t.Fatalf("read of evicted key %d: %v, want pending", c.k, st)
+						}
+						sess.CompletePending(true)
+					} else {
+						if st != Ok {
+							t.Fatalf("%s read of key %d: %v", c.region, c.k, st)
+						}
+						check(c.region+" returned value", c.k, v)
+						runtime.Gosched()
+						check(c.region+" returned value before the next call", c.k, v)
+					}
+					if delivered != 1 {
+						t.Fatalf("%s read of key %d: callback ran %d times", c.region, c.k, delivered)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestBatchColdReadsInOneCompletePending: in batch mode a read's value aliases
-// the session's scratch buffer, also for cold reads that a single
-// CompletePending completes back to back. Each callback must be handed its own
-// key's value while it runs — kvserver and inlog copy it there.
-func TestBatchColdReadsInOneCompletePending(t *testing.T) {
+// TestColdReadsInOneCompletePending: a read's value aliases the session's
+// scratch buffer, also for cold reads that a single CompletePending completes
+// back to back (and that went to the I/O pool as one run). Each callback must
+// be handed its own key's value while it runs — kvserver and inlog copy it
+// there.
+func TestColdReadsInOneCompletePending(t *testing.T) {
 	_, sess := coldStore(t, 20000)
-	sess.BeginBatch()
-	defer sess.EndBatch()
-	const reads = 8
+	const reads = 40 // two full runs of storage.RunLen and a partial one
 	got := map[uint64]uint64{}
 	for k := uint64(1); k <= reads; k++ {
 		_, st := sess.Read(key(k), func(v []byte, st Status) {
@@ -99,11 +147,14 @@ func TestBatchColdReadsInOneCompletePending(t *testing.T) {
 				t.Errorf("read %d: %v, %d bytes", k, st, len(v))
 				return
 			}
-			got[k] = binary.LittleEndian.Uint64(append([]byte(nil), v...))
+			got[k] = binary.LittleEndian.Uint64(v)
 		})
 		if st != Pending {
 			t.Fatalf("read of evicted key %d: %v, want pending", k, st)
 		}
+	}
+	if q := len(sess.ctxs[0].ioQueue); q != reads%storage.RunLen {
+		t.Fatalf("%d cold reads still queued after %d issued, want %d (the rest went in runs of %d)", q, reads, reads%storage.RunLen, storage.RunLen)
 	}
 	sess.CompletePending(true)
 	for k := uint64(1); k <= reads; k++ {

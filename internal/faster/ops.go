@@ -409,9 +409,9 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 }
 
 // finishRead resolves a read against a find result, delivering the value via
-// op.val (doOp passes it to the registered callback, run returns it). Outside
-// batch mode the value is a fresh buffer the caller keeps; in batch mode it is
-// the session's scratch buffer, overwritten by the next operation.
+// op.val (doOp passes it to the registered callback, run returns it): a copy
+// in the session's scratch buffer, overwritten by the session's next read or
+// RMW.
 func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	switch r.reg {
 	case regNone:
@@ -424,11 +424,8 @@ func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	if r.rec.Tombstone() {
 		return NotFound
 	}
-	if own := sess.owner; own.inBatch {
-		own.scratch = r.rec.Value(own.scratch[:0])
-		op.val = own.scratch
-	} else {
-		op.val = r.rec.Value(nil)
-	}
+	own := sess.owner
+	own.scratch = r.rec.Value(own.scratch[:0])
+	op.val = own.scratch
 	return Ok
 }

@@ -33,8 +33,6 @@ func TestRestoreWarmHotPathAllocFree(t *testing.T) {
 	sh.restore.Store(rs)
 	defer sh.restore.Store(nil)
 
-	sess.BeginBatch()
-	defer sess.EndBatch()
 	// First touch warms the bucket (allocates the one-time bookkeeping).
 	if _, st := sess.Read(kb, func(v []byte, st Status) {
 		if st != Ok || !bytes.Equal(v, u64(77)) {

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // Status is the result of a session operation.
@@ -59,7 +61,7 @@ type pendingOp struct {
 	kind    opKind
 	key     []byte
 	input   []byte // upsert value or RMW input
-	val     []byte // a read's result (see finishRead for who owns it)
+	val     []byte // a read's result: the session's scratch buffer (see finishRead)
 	hash    uint64
 	version uint32 // CPR version this operation belongss to
 	serial  uint64
@@ -130,10 +132,9 @@ type Session struct {
 
 	// opFree recycles op records — with their key, input and cold-read
 	// buffers — so the steady-state path issues operations without allocating;
-	// scratch holds the current-value copy an RMW works on and, in batch mode,
-	// a read's value. Session ops are single-goroutine by contract, so neither
-	// needs locking. inBatch (BeginBatch) only changes who owns a read's value.
-	inBatch bool
+	// scratch holds the current-value copy an RMW works on and the value a read
+	// hands out. Session ops are single-goroutine by contract, so neither needs
+	// locking.
 	opFree  []*pendingOp
 	scratch []byte
 }
@@ -154,14 +155,20 @@ type shardSession struct {
 	version uint32 // local view of the shard's version
 
 	pending []*pendingOp
+	// ioQueue holds the first device reads of cold fetches issued but not yet
+	// handed to the I/O pool; flushIO hands them over as one run.
+	ioQueue []storage.IORequest
 	// compMu guards completed: async I/O completions are appended by pool
 	// workers and drained by CompletePending. A slice (not a channel) so a
 	// slow session can never block the shared I/O pool — that would deadlock
 	// sessions submitting new requests into a jammed pool.
-	compMu        sync.Mutex
-	completed     []*pendingOp
-	drained       []*pendingOp // completeOnce's side of the completed double buffer
-	outstandingIO atomic.Int64
+	compMu    sync.Mutex
+	completed []*pendingOp
+	drained   []*pendingOp // completeOnce's side of the completed double buffer
+	// ready is len(completed), readable without compMu: a session spinning in
+	// CompletePending does not take the lock the I/O workers deliver under
+	// until there is something to take.
+	ready atomic.Int32
 }
 
 // refreshInterval is how many operations a session performs between epoch
@@ -423,28 +430,6 @@ func (sess *Session) maybeRefresh() {
 	}
 }
 
-// BeginBatch enters the session's batch mode for a run of pipelined
-// operations (the kvserver BATCH frame): one epoch refresh up front covers
-// the whole run — amortizing epoch protection across the batch instead of
-// paying the per-op bookkeeping. The per-refreshInterval refresh still fires
-// inside very large batches so CPR commits never stall on a busy session.
-//
-// While a batch is open, the value slice returned by Read (or passed to its
-// callback) is valid only until the session's next operation (it aliases a
-// session buffer, saving the one allocation a read otherwise makes); callers
-// must consume or copy it immediately. EndBatch restores the default
-// caller-owns-the-value semantics.
-func (sess *Session) BeginBatch() {
-	sess.Refresh()
-	sess.inBatch = true
-}
-
-// EndBatch leaves batch mode. Pending (cold-read) operations, if any remain,
-// are still completed by CompletePending as usual.
-func (sess *Session) EndBatch() {
-	sess.inBatch = false
-}
-
 // newOp returns an op record populated for a fresh operation: a retired one
 // from the freelist when there is one, its key/input buffers grown in place.
 func (sess *Session) newOp(kind opKind, key, input []byte, h uint64) *pendingOp {
@@ -531,8 +516,11 @@ func (sess *Session) Delete(key []byte) Status {
 
 // Read returns the value for key. If the record is cold (on storage) the
 // read goes pending: the value is delivered to cb (which may be nil) during
-// a later CompletePending. The value is the caller's to keep, except in batch
-// mode (BeginBatch), where it is valid only until the session's next operation.
+// a later CompletePending. The value — returned or passed to cb — is the
+// session's own buffer, valid until the session's next call (for cb: until it
+// returns); a caller that keeps it copies it. FASTER fills the caller's output
+// the same way; a fresh slice per read was half the memory of a read-heavy
+// process.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
 	sess.store.metrics.reads.Inc()
 	sess.maybeRefresh()
@@ -586,8 +574,10 @@ func (sess *shardSession) run(op *pendingOp) ([]byte, Status) {
 // CompletePending drains async I/O completions and retries parked
 // operations on every shard. With wait=true it loops until no operation
 // remains pending (refreshing epochs while waiting so global progress
-// continues).
+// continues, and yielding the processor to the I/O workers after a pass that
+// completed nothing).
 func (sess *Session) CompletePending(wait bool) {
+	last := sess.PendingCount()
 	for {
 		remaining := 0
 		for _, ctx := range sess.ctxs {
@@ -597,24 +587,40 @@ func (sess *Session) CompletePending(wait bool) {
 		if !wait || remaining == 0 {
 			return
 		}
+		if remaining == last {
+			runtime.Gosched()
+		}
+		last = remaining
 		sess.Refresh()
 	}
 }
 
+// flushIO hands the queued cold reads to the I/O pool: one locked append and
+// one worker wake-up for the run.
+func (sess *shardSession) flushIO() {
+	sess.store.log.SubmitReads(sess.ioQueue)
+	clear(sess.ioQueue)
+	sess.ioQueue = sess.ioQueue[:0]
+}
+
 // completeOnce performs one drain-and-retry pass over the shard context's
-// pending operations.
+// pending operations. Cold reads queued before the pass are handed over on
+// entry, the ones its retries queue (the next record of a chain) on exit.
 func (sess *shardSession) completeOnce() {
+	sess.flushIO()
 	// Drain I/O completions, handing the pool workers the other buffer.
-	sess.compMu.Lock()
-	done := sess.completed
-	sess.completed = sess.drained[:0]
-	sess.compMu.Unlock()
-	for i, op := range done {
-		op.awaitingIO = false
-		done[i] = nil
+	if sess.ready.Load() > 0 {
+		sess.compMu.Lock()
+		done := sess.completed
+		sess.completed = sess.drained[:0]
+		sess.ready.Store(0)
+		sess.compMu.Unlock()
+		for i, op := range done {
+			op.awaitingIO = false
+			done[i] = nil
+		}
+		sess.drained = done
 	}
-	sess.drained = done
-	sess.outstandingIO.Add(int64(-len(done)))
 	// Retry every parked op that is not awaiting I/O.
 	kept := sess.pending[:0]
 	for _, op := range sess.pending {
@@ -633,6 +639,7 @@ func (sess *shardSession) completeOnce() {
 		sess.pending[i] = nil
 	}
 	sess.pending = kept
+	sess.flushIO()
 }
 
 // PendingCount reports the number of parked operations (diagnostics).
@@ -744,25 +751,29 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 	return findResult{slot: slot, reg: regNone}
 }
 
-// issueIO starts an async read for the record at addr and parks the op. The
-// op's cold-read state is not touched again until completeOnce has drained
-// this read's completion.
+// issueIO queues an async read for the record at addr and parks the op; the
+// queue goes to the I/O pool every storage.RunLen reads and whenever completeOnce
+// runs. The op's cold-read state is not touched again until completeOnce has
+// drained this read's completion.
 func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
 	sess.store.metrics.ioReads.Inc()
 	op.awaitingIO = true
 	op.ioAddr = addr
 	op.ioCtx = sess
-	sess.outstandingIO.Add(1)
 	if op.io == nil {
 		op.io = &hlog.ColdRead{Done: func(rec hlog.RecordRef, err error) {
 			op.ioRec, op.ioErr = rec, err
 			ctx := op.ioCtx
 			ctx.compMu.Lock()
 			ctx.completed = append(ctx.completed, op)
+			ctx.ready.Add(1)
 			ctx.compMu.Unlock()
 		}}
 	}
-	sess.store.log.AsyncRead(addr, op.io)
+	sess.ioQueue = sess.store.log.QueueRead(sess.ioQueue, addr, op.io)
+	if len(sess.ioQueue) >= storage.RunLen { // what one pool worker takes per wake-up
+		sess.flushIO()
+	}
 	return Pending
 }
 

@@ -12,10 +12,10 @@ func bkey(i int) []byte {
 	return b
 }
 
-// TestSessionBatchMode: a BeginBatch/EndBatch run produces the same results
-// as plain ops, serials keep advancing monotonically, and the op freelist
+// TestSessionRecyclesOpRecords: a long run of ops on one session produces the
+// right results, serials keep advancing monotonically, and the op freelist
 // actually recycles records instead of growing without bound.
-func TestSessionBatchMode(t *testing.T) {
+func TestSessionRecyclesOpRecords(t *testing.T) {
 	cfg := Config{IndexBuckets: 1 << 8, PageBits: 14, MemPages: 8}
 	store, err := Open(cfg)
 	if err != nil {
@@ -26,62 +26,58 @@ func TestSessionBatchMode(t *testing.T) {
 	defer sess.StopSession()
 
 	const n = 500
-	sess.BeginBatch()
 	var lastSerial uint64
 	for i := 0; i < n; i++ {
 		if st := sess.Upsert(bkey(i), []byte(fmt.Sprintf("val-%d", i))); st != Ok {
-			t.Fatalf("batched upsert %d: %v", i, st)
+			t.Fatalf("upsert %d: %v", i, st)
 		}
 		if s := sess.Serial(); s <= lastSerial {
-			t.Fatalf("serial went backwards in batch: %d after %d", s, lastSerial)
+			t.Fatalf("serial went backwards: %d after %d", s, lastSerial)
 		} else {
 			lastSerial = s
 		}
-		// Interleave reads: in batch mode the returned slice is only valid
-		// until the next op, so compare immediately.
+		// Interleave reads: the returned slice is only valid until the next
+		// op, so compare immediately.
 		if i%7 == 0 {
 			v, st := sess.Read(bkey(i), nil)
 			if st != Ok || string(v) != fmt.Sprintf("val-%d", i) {
-				t.Fatalf("batched read %d: %q %v", i, v, st)
+				t.Fatalf("interleaved read %d: %q %v", i, v, st)
 			}
 		}
 	}
-	sess.EndBatch()
 
 	if len(sess.opFree) == 0 {
-		t.Fatal("batch mode never recycled an op record into the freelist")
+		t.Fatal("no op record was ever recycled into the freelist")
 	}
 	if len(sess.opFree) > opFreeMax {
 		t.Fatalf("freelist grew past its cap: %d > %d", len(sess.opFree), opFreeMax)
 	}
 
-	// Everything written in batch mode reads back via plain ops.
+	// Everything written reads back.
 	for i := 0; i < n; i++ {
 		v, st := sess.Read(bkey(i), nil)
 		if st != Ok || string(v) != fmt.Sprintf("val-%d", i) {
-			t.Fatalf("post-batch read %d: %q %v", i, v, st)
+			t.Fatalf("read-back %d: %q %v", i, v, st)
 		}
 	}
 
-	// A second batch run reuses the warm freelist and stays correct even when
+	// A second run reuses the warm freelist and stays correct even when
 	// key/value sizes change shape between runs.
-	sess.BeginBatch()
 	for i := 0; i < 64; i++ {
 		big := make([]byte, 200+i)
 		for j := range big {
 			big[j] = byte(i)
 		}
 		if st := sess.Upsert(bkey(i), big); st != Ok {
-			t.Fatalf("second batch upsert %d: %v", i, st)
+			t.Fatalf("second run upsert %d: %v", i, st)
 		}
 		v, st := sess.Read(bkey(i), nil)
 		if st != Ok || len(v) != 200+i || v[0] != byte(i) {
-			t.Fatalf("second batch read %d: len=%d %v", i, len(v), st)
+			t.Fatalf("second run read %d: len=%d %v", i, len(v), st)
 		}
 	}
-	sess.EndBatch()
 
-	// Batched writes participate in CPR commits like any other op.
+	// Ops through recycled records participate in CPR commits like any other.
 	token, err := store.Commit(CommitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +97,9 @@ func TestSessionBatchMode(t *testing.T) {
 	}
 }
 
-// TestSessionBatchDeleteRecycle: deletes and not-found reads recycle through
-// the freelist too, and batch mode never aliases results across ops.
-func TestSessionBatchDeleteRecycle(t *testing.T) {
+// TestSessionDeleteRecycle: deletes and not-found reads recycle through the
+// freelist too, and a recycled record never carries a result across ops.
+func TestSessionDeleteRecycle(t *testing.T) {
 	cfg := Config{IndexBuckets: 1 << 8, PageBits: 14, MemPages: 8}
 	store, err := Open(cfg)
 	if err != nil {
@@ -113,13 +109,12 @@ func TestSessionBatchDeleteRecycle(t *testing.T) {
 	sess := store.StartSession()
 	defer sess.StopSession()
 
-	sess.BeginBatch()
 	for i := 0; i < 32; i++ {
 		sess.Upsert(bkey(i), bkey(i))
 	}
 	for i := 0; i < 32; i += 2 {
 		if st := sess.Delete(bkey(i)); st != Ok {
-			t.Fatalf("batched delete %d: %v", i, st)
+			t.Fatalf("delete %d: %v", i, st)
 		}
 	}
 	for i := 0; i < 32; i++ {
@@ -132,5 +127,4 @@ func TestSessionBatchDeleteRecycle(t *testing.T) {
 			t.Fatalf("read kept %d: %v", i, st)
 		}
 	}
-	sess.EndBatch()
 }

@@ -44,7 +44,7 @@ type shard struct {
 	lastLis, lastLie uint64
 
 	// results retains completed commit results by token (guarded by ckptMu).
-	results map[string]CommitResult
+	results commitResults
 
 	// onCommit, when set, fires after an uncoordinated commit completes with
 	// no error (the single-shard store's replication hook; coordinated
@@ -121,7 +121,6 @@ func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq
 		index:       idx,
 		sessions:    make(map[string]*shardSession),
 		seq:         seq,
-		results:     make(map[string]CommitResult),
 		metrics:     metrics,
 		tracer:      cfg.Tracer,
 		flight:      cfg.Flight,

@@ -307,7 +307,7 @@ type Store struct {
 
 	ckptMu    sync.Mutex
 	multi     *multiCommit // non-nil while a cross-shard commit is active
-	results   map[string]CommitResult
+	results   commitResults
 	commitSeq atomic.Uint64 // token counter, shared with the shards
 
 	// hookMu guards commitHooks (see OnCommit; fired after every completed
@@ -337,7 +337,6 @@ func newStore(cfg Config) *Store {
 		cfg:              cfg,
 		sessions:         make(map[string]*Session),
 		recoveredSerials: make(map[string]uint64),
-		results:          make(map[string]CommitResult),
 		metrics:          newStoreMetrics(cfg.Metrics),
 		tracer:           cfg.Tracer,
 	}

@@ -797,11 +797,20 @@ const maxReadHint = 4096
 // retrying on mismatch — a flipped bit on the read path is healed instead of
 // returned.
 func (l *Log) AsyncRead(addr uint64, cr *ColdRead) {
+	var one [1]storage.IORequest
+	l.SubmitReads(l.QueueRead(one[:0], addr, cr))
+}
+
+// QueueRead is AsyncRead with the hand-off to the I/O pool left to the caller:
+// the fetch's first device read is appended to q, and SubmitReads starts every
+// read queued so far with one pool hand-off. (A verified page read is started
+// at once; it is not on the path worth batching.)
+func (l *Log) QueueRead(q []storage.IORequest, addr uint64, cr *ColdRead) []storage.IORequest {
 	l.asyncReads.Inc()
 	if l.cfg.VerifyReads {
 		if start, stop, want, ok := l.pageCRCFor(addr); ok {
 			l.verifiedRead(addr, start, stop, want, cr.Done, 3)
-			return
+			return q
 		}
 	}
 	if cr.onIO == nil {
@@ -812,19 +821,27 @@ func (l *Log) AsyncRead(addr uint64, cr *ColdRead) {
 	if flushed := l.durable.Load() - addr; upto > flushed {
 		upto = flushed
 	}
-	cr.read(max(int(upto), 16))
+	return append(q, cr.request(max(int(upto), 16)))
 }
 
-// read submits a device read extending the valid bytes to upto.
-func (cr *ColdRead) read(upto int) {
+// SubmitReads hands the reads queued by QueueRead to the I/O pool. The pool
+// copies them; q may be reused once this returns.
+func (l *Log) SubmitReads(q []storage.IORequest) {
+	if len(q) > 0 {
+		l.pool.SubmitRun(q)
+	}
+}
+
+// request is the device read extending the valid bytes to upto.
+func (cr *ColdRead) request(upto int) storage.IORequest {
 	if cap(cr.buf) < upto {
 		cr.buf = append(make([]byte, 0, upto), cr.buf[:cr.have]...)
 	}
 	cr.buf = cr.buf[:upto]
-	cr.log.pool.Submit(storage.IORequest{
+	return storage.IORequest{
 		Dev: cr.log.cfg.Device, Buf: cr.buf[cr.have:], Off: int64(cr.addr) + int64(cr.have),
 		Done: cr.onIO,
-	})
+	}
 }
 
 // step runs on an I/O worker after each read: deliver the record once all of
@@ -848,7 +865,7 @@ func (cr *ColdRead) step(n int, err error) {
 	case err != nil && n == 0:
 		cr.Done(RecordRef{}, err)
 	default:
-		cr.read(need)
+		cr.log.pool.Submit(cr.request(need))
 	}
 }
 

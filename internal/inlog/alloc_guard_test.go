@@ -38,8 +38,8 @@ func TestAppendAllocFree(t *testing.T) {
 }
 
 // TestPumpApplyAllocFree: the pump's own work per group — one device read
-// into its buffer, CRC, record walk, message decode, session dispatch in
-// batch mode — allocates nothing, for upsert records and for RMW records.
+// into its buffer, CRC, record walk, message decode, session dispatch —
+// allocates nothing, for upsert records and for RMW records.
 func TestPumpApplyAllocFree(t *testing.T) {
 	const groups, per, keys = 600, 64, 16
 	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})

@@ -279,10 +279,7 @@ func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 	if err != nil {
 		return offset, fmt.Errorf("inlog: pump read offset %d: %w", offset, err)
 	}
-	// One batch per group: one epoch refresh up front, and ops that complete
-	// synchronously recycle their records instead of allocating.
-	p.sess.BeginBatch()
-	defer p.sess.EndBatch()
+	p.sess.Refresh() // once per group, so a commit never waits longer than one
 	for {
 		offset = g.Offset()
 		payload, ok := g.Next()

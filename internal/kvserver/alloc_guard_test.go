@@ -155,3 +155,55 @@ func TestServingLoopAllocFree(t *testing.T) {
 		t.Fatalf("steady-state serving loop: %.2f allocs/batch of %d GETs, want 0", allocs, depth)
 	}
 }
+
+// BenchmarkExecBatch64 is the server side of net-batch64 without the socket:
+// one BATCH frame of 64 ops (32 GETs, 32 SETs, 8-byte keys and values) read
+// from a buffer, dispatched through execBatch on an in-memory store, the
+// gathered reply written to a discarding connection. One op is one batch;
+// ns/batched-op is per op in it. The per-op clock reads are in the number.
+func BenchmarkExecBatch64(b *testing.B) {
+	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	srv := NewServer(store)
+	sess := store.StartSession()
+	defer sess.StopSession()
+
+	const depth = 64
+	payload := appendU32(nil, depth)
+	for i := 0; i < depth; i++ {
+		k := u64(uint64(i/2) * 0x9e3779b97f4a7c15)
+		if i%2 == 0 {
+			sess.Upsert(k, u64(uint64(i)))
+			payload = appendBatchOp(payload, OpSet, uint64(i+1), k, u64(uint64(i)))
+		} else {
+			payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
+		}
+	}
+	var fb bytes.Buffer
+	if err := writeFrame(&fb, OpBatch, payload); err != nil {
+		b.Fatal(err)
+	}
+	raw := fb.Bytes()
+	rd := bytes.NewReader(raw)
+	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
+	cs.br = bufio.NewReaderSize(rd, 32<<10)
+	var at obs.ActiveTrace
+	var tc obs.TraceContext
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(raw)
+		cs.br.Reset(rd)
+		op, _, body, err := readFrameBuf(cs.br, &cs.frame)
+		if err != nil || op != OpBatch {
+			b.Fatalf("frame: op %d, %v", op, err)
+		}
+		if err := srv.dispatch(cs, sess, op, tc, body, &at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/batched-op")
+}

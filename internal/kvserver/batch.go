@@ -134,9 +134,9 @@ func appendBatchSerialResult(dst []byte, seq uint64, status byte, serial uint64)
 // allocation per frame): u32 frame len | u8 OpBatch | u8 status | u32 count.
 const batchReplyHdr = 10
 
-// beginBatchReply resets frame to a reply frame's header placeholder; append
+// openBatchReply resets frame to a reply frame's header placeholder; append
 // entries after it and call finishBatchReply before writing it out.
-func beginBatchReply(frame []byte) []byte {
+func openBatchReply(frame []byte) []byte {
 	var zero [batchReplyHdr]byte
 	return append(frame[:0], zero[:]...)
 }

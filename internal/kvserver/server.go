@@ -26,8 +26,8 @@ import (
 // The serving loop is allocation-free in steady state: frames are read into
 // a per-connection reusable buffer, batch payloads are decoded arena-style
 // (keys and values as sub-slices of the frame buffer), the session recycles
-// op records through its freelist (faster.Session.BeginBatch), and replies
-// are gathered into a reusable buffer behind a coalescing writer.
+// op records through its freelist and serves read values from its own buffer,
+// and replies are gathered into a reusable buffer behind a coalescing writer.
 type Server struct {
 	ln net.Listener
 
@@ -497,16 +497,28 @@ func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.T
 // respond writes one response frame into the coalescing buffer, recording it
 // as a resp-write span.
 func (s *Server) respond(cs *connState, at *obs.ActiveTrace, op byte, resp []byte) error {
-	t0 := time.Now().UnixNano()
+	return s.respondFrom(cs, at, op, resp, time.Now().UnixNano())
+}
+
+// respondFrom is respond with the span's start stamp supplied by the caller.
+func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, op byte, resp []byte, t0 int64) error {
 	err := writeFrame(cs.bw, op, resp)
 	cs.unflushed++
 	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(resp)), 0, "")
 	return err
 }
 
+// respondExec closes a single op's exec span, opened at tDec, and writes its
+// response: one clock read is the end of exec and the start of resp-write.
+func (s *Server) respondExec(cs *connState, om opMetrics, at *obs.ActiveTrace, sess *faster.Session, op byte, resp []byte, tDec int64) error {
+	tExec := time.Now().UnixNano()
+	at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
+	om.execNs.ObserveValue(uint64(tExec - tDec))
+	return s.respondFrom(cs, at, op, resp, tExec)
+}
+
 func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
-	conn := cs.conn
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	cs.conn.SetWriteDeadline(time.Unix(0, tRecv).Add(30 * time.Second)) //nolint:errcheck
 	switch op {
 	case OpBatch:
 		return s.execBatch(cs, store, om, sess, payload, at, tRecv)
@@ -519,10 +531,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		tDec := time.Now().UnixNano()
 		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
 		out, status := s.readOne(cs, sess, key)
-		tExec := time.Now().UnixNano()
-		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, OpGet, appendValue([]byte{status}, out))
+		return s.respondExec(cs, om, at, sess, OpGet, appendValue([]byte{status}, out), tDec)
 
 	case OpSet, OpRMW:
 		key, rest, err := takeString(payload)
@@ -549,10 +558,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		if st != faster.Ok {
 			status = StatusError
 		}
-		tExec := time.Now().UnixNano()
-		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, op, appendU64([]byte{status}, sess.Serial()))
+		return s.respondExec(cs, om, at, sess, op, appendU64([]byte{status}, sess.Serial()), tDec)
 
 	case OpDelete:
 		key, _, err := takeString(payload)
@@ -572,10 +578,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		} else if st == faster.NotFound {
 			status = StatusNotFound
 		}
-		tExec := time.Now().UnixNano()
-		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, OpDelete, appendU64([]byte{status}, sess.Serial()))
+		return s.respondExec(cs, om, at, sess, OpDelete, appendU64([]byte{status}, sess.Serial()), tDec)
 
 	case OpCommit:
 		if len(payload) < 1 {
@@ -693,9 +696,10 @@ func (s *Server) readOne(cs *connState, sess *faster.Session, key []byte) ([]byt
 // execBatch serves one BATCH frame: ops are decoded arena-style from the
 // frame buffer, scattered to shards through the session's hash router in
 // issue order, and their replies gathered in the same order into the reused
-// reply buffer. The session runs in batch mode (one epoch refresh up front,
-// op records recycled), so the in-memory steady state allocates nothing per
-// op. A reply run exceeding the coalescing byte cap is emitted as its own
+// reply buffer. The session recycles its op records and serves read values
+// from its own buffer, so the in-memory steady state allocates nothing per
+// op, and the clock is read once per op: the end of one is the start of the
+// next. A reply run exceeding the coalescing byte cap is emitted as its own
 // self-contained frame, bounding buffered reply memory for huge batches.
 func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	r, err := newBatchReader(payload)
@@ -704,21 +708,20 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 	}
 	om.batches.Inc()
 	om.batchDepth.ObserveValue(uint64(r.count))
+	sess.Refresh() // one epoch refresh up front: a commit never waits a whole batch for this session
 	tBatch := time.Now().UnixNano()
 	at.Span(obs.SpanDecode, tRecv, tBatch, uint64(r.count), 0, "")
-	sess.BeginBatch()
-	defer sess.EndBatch()
 	byteCap := s.coalesceBytes()
-	reply := beginBatchReply(cs.reply)
+	reply := openBatchReply(cs.reply)
 	count := 0 // entries in the current reply run
 	sent := 0  // reply frames already emitted (split batches)
+	t0 := tBatch
 	for i := 0; i < r.count; i++ {
 		op, seq, key, val, err := r.next()
 		if err != nil {
 			cs.reply = reply[:0]
 			return err
 		}
-		t0 := time.Now().UnixNano()
 		switch op {
 		case OpGet:
 			v, status := s.readOne(cs, sess, key)
@@ -760,6 +763,7 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 			// window below summarizes the whole run regardless.
 			at.Span(obs.SpanExec, t0, t1, sess.Serial(), 0, "")
 		}
+		t0 = t1
 		count++
 		if len(reply) >= byteCap {
 			finishBatchReply(reply, count)
@@ -769,14 +773,13 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 			}
 			cs.unflushed += count
 			sent++
-			reply = beginBatchReply(reply)
+			reply = openBatchReply(reply)
 			count = 0
+			t0 = time.Now().UnixNano() // the write is not the next op's exec time
 		}
 	}
-	tEnd := time.Now().UnixNano()
-	at.Span(obs.SpanBatch, tBatch, tEnd, uint64(r.count), uint64(len(reply)), "")
+	at.Span(obs.SpanBatch, tBatch, t0, uint64(r.count), uint64(len(reply)), "")
 	if count > 0 || sent == 0 {
-		t0 := time.Now().UnixNano()
 		finishBatchReply(reply, count)
 		_, err := cs.bw.Write(reply)
 		cs.unflushed += count
@@ -985,7 +988,7 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 	if err != nil {
 		return err
 	}
-	frame := beginBatchReply(nil)
+	frame := openBatchReply(nil)
 	for i := 0; i < r.count; i++ {
 		_, seq, key, _, err := r.next()
 		if err != nil {

@@ -59,7 +59,8 @@ type Pool struct {
 //
 //	storage_io_reads_total / storage_io_writes_total    completed operations
 //	storage_io_read_bytes_total / storage_io_write_bytes_total
-//	storage_io_read_ns / storage_io_write_ns            device latency
+//	storage_io_read_ns / storage_io_write_ns            device latency (of the
+//	                                                    first request of each worker run)
 //	storage_io_inflight / storage_io_queue_depth        live queue state
 //
 // Call it before submitting work (hlog does so at construction).
@@ -98,8 +99,13 @@ func NewPool(workers, depth int) *Pool {
 	return p
 }
 
+// RunLen is the most requests a worker takes per lock hold, and so the most
+// one wake-up serves; a caller batching for SubmitRun gains nothing past it.
+const RunLen = 16
+
 func (p *Pool) worker() {
 	defer p.wg.Done()
+	var run [RunLen]IORequest
 	for {
 		p.mu.Lock()
 		for p.head == len(p.queue) && !p.closed {
@@ -109,83 +115,101 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		req := p.queue[p.head]
-		p.queue[p.head] = IORequest{}
-		if p.head++; p.head == len(p.queue) {
+		took := copy(run[:], p.queue[p.head:])
+		clear(p.queue[p.head : p.head+took])
+		if p.head += took; p.head == len(p.queue) {
 			p.queue, p.head = p.queue[:0], 0 // drained: reuse the array from its start
+		} else {
+			p.cond.Signal() // more than one run is waiting: share it
 		}
 		p.mu.Unlock()
 
-		var n int
-		var err error
-		var t0 time.Time
-		if p.timed {
-			t0 = time.Now()
-		}
-		retry := p.Retry
-		if retry.Attempts == 0 {
-			retry = DefaultRetry
-		}
-		first := true
-		if req.Write {
-			err = retry.Do(func() error {
-				if !first {
-					p.retries.Inc()
-				}
-				first = false
-				var e error
-				n, e = req.Dev.WriteAt(req.Buf, req.Off)
-				return e
-			})
-			p.writes.Inc()
-			p.writeBytes.Add(uint64(n))
-			if p.timed {
-				p.writeNs.Observe(time.Since(t0))
+		for i := range run[:took] {
+			req := &run[i]
+			// The latency histograms sample the first request of each run: on
+			// a 1 µs read the two clock reads cost a tenth of the read itself.
+			var t0 time.Time
+			if p.timed && i == 0 {
+				t0 = time.Now()
 			}
-		} else {
-			err = retry.Do(func() error {
-				if !first {
-					p.retries.Inc()
-				}
-				first = false
-				var e error
-				n, e = req.Dev.ReadAt(req.Buf, req.Off)
-				return e
-			})
-			p.reads.Inc()
-			p.readBytes.Add(uint64(n))
-			if p.timed {
-				p.readNs.Observe(time.Since(t0))
+			n, err := req.do()
+			if err != nil && IsTransient(err) {
+				n, err = p.retry(req, n, err)
 			}
+			ops, bytes, ns := p.reads, p.readBytes, p.readNs
+			if req.Write {
+				ops, bytes, ns = p.writes, p.writeBytes, p.writeNs
+			}
+			ops.Inc()
+			bytes.Add(uint64(n))
+			if !t0.IsZero() {
+				ns.Observe(time.Since(t0))
+			}
+			if req.Done != nil {
+				req.Done(n, err)
+			}
+			*req = IORequest{}
+			p.inFlight.Add(-1)
 		}
-		if req.Done != nil {
-			req.Done(n, err)
-		}
-		p.inFlight.Add(-1)
 	}
 }
 
-// Submit enqueues req without blocking. Chained submissions during Close's
-// drain are still serviced; submissions after the drain completes are
-// dropped with an error delivered to Done.
-func (p *Pool) Submit(req IORequest) {
+// do performs the request's device operation once.
+func (r *IORequest) do() (int, error) {
+	if r.Write {
+		return r.Dev.WriteAt(r.Buf, r.Off)
+	}
+	return r.Dev.ReadAt(r.Buf, r.Off)
+}
+
+// retry is the slow path of a request whose first attempt failed with a
+// transient error: the remaining attempts of the pool's policy, with backoff.
+// Do's first call is handed the failure already made, so attempts and sleeps
+// are those of a request that ran under Do from the start.
+func (p *Pool) retry(req *IORequest, n int, err error) (int, error) {
+	policy := p.Retry
+	if policy.Attempts == 0 {
+		policy = DefaultRetry
+	}
+	first := true
+	return n, policy.Do(func() error {
+		if first {
+			first = false
+			return err
+		}
+		p.retries.Inc()
+		n, err = req.do()
+		return err
+	})
+}
+
+// Submit enqueues req without blocking: a run of one.
+func (p *Pool) Submit(req IORequest) { p.SubmitRun([]IORequest{req}) }
+
+// SubmitRun enqueues reqs, in order, under one lock hold and with one worker
+// wake-up, without blocking; the pool keeps no reference to reqs. Chained
+// submissions during Close's drain are still serviced; submissions after the
+// drain completes are dropped with an error delivered to Done.
+func (p *Pool) SubmitRun(reqs []IORequest) {
 	p.mu.Lock()
 	if p.closed && p.drained {
 		p.mu.Unlock()
-		if req.Done != nil {
-			req.Done(0, ErrClosed)
+		for _, req := range reqs {
+			if req.Done != nil {
+				req.Done(0, ErrClosed)
+			}
 		}
 		return
 	}
-	p.inFlight.Add(1)
-	if len(p.queue) == cap(p.queue) && p.head > len(p.queue)/2 {
+	p.inFlight.Add(int64(len(reqs)))
+	if len(p.queue)+len(reqs) > cap(p.queue) && p.head > len(p.queue)/2 {
 		// Full, but mostly of served slots: slide the waiting requests down
 		// rather than grow without bound under a backlog that never drains.
 		n := copy(p.queue, p.queue[p.head:])
 		clear(p.queue[n:])
 		p.queue, p.head = p.queue[:n], 0
 	}
-	p.queue = append(p.queue, req)
+	p.queue = append(p.queue, reqs...)
 	p.mu.Unlock()
 	p.cond.Signal()
 }

@@ -155,7 +155,7 @@ func (d tokenDevice) ReadAt(p []byte, off int64) (int, error) {
 // keeps FIFO order and stays as large as the backlog, not as large as the
 // number of requests that ever passed through it.
 func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
-	const total, backlog = 5000, 8
+	const total, backlog = 5000, 40 // more than a worker takes in one run, so a backlog stands in the queue
 	d := tokenDevice{NewMemDevice(), make(chan struct{}, total)}
 	defer d.Close()
 	if _, err := d.WriteAt([]byte{0}, 0); err != nil {
@@ -167,7 +167,7 @@ func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
 	for i := 0; i < total; i++ {
 		i := i
 		p.Submit(IORequest{Dev: d, Buf: buf[:], Done: func(int, error) { served <- i }})
-		if i >= backlog { // let exactly one through: the backlog stays at 8
+		if i >= backlog { // let exactly one through: the backlog stays where it is
 			d.tokens <- struct{}{}
 			if got := <-served; got != i-backlog {
 				t.Fatalf("request %d served out of order (want %d)", got, i-backlog)
