@@ -363,8 +363,9 @@ func verifyCheckpoints(dir string) int {
 	}
 
 	// Verify every artifact's envelope, grouping verdicts by commit token.
-	// Artifact names look like "[shardN/]<kind>-<token>" plus the pointer
-	// artifacts "latest"/"cpr-latest" (token "-" groups pointers).
+	// Commit artifacts are named "[shardN/]<kind>-<token>"; everything else in
+	// the directory (commit attachments such as inlog-<token>, flight and
+	// incident dumps) is grouped under token "-".
 	badByToken := make(map[string][]string)
 	okCount, badCount := 0, 0
 	tokenOf := func(name string) string {
@@ -399,7 +400,7 @@ func verifyCheckpoints(dir string) int {
 	for _, tok := range sorted {
 		label := "commit " + tok
 		if tok == "-" {
-			label = "pointers"
+			label = "other artifacts"
 		}
 		if bad := badByToken[tok]; len(bad) > 0 {
 			corrupt++

@@ -66,19 +66,14 @@ func (r *commitResults) put(res CommitResult) {
 
 // checkpointCtx tracks one in-flight CPR commit on a single shard.
 type checkpointCtx struct {
-	store   *shard
-	version uint32
-	kind    CommitKind
-	opts    CommitOptions
-	token   string
+	store     *shard
+	version   uint32
+	kind      CommitKind
+	withIndex bool
+	token     string
 	// traceToken is token plus the shard's trace suffix, so the per-shard
-	// state machines of a coordinated commit stay distinguishable in the
-	// shared tracer.
+	// state machines of one commit stay distinguishable in the shared tracer.
 	traceToken string
-	// coordinated marks a shard-level leg of a cross-shard commit: the
-	// store-level coordinator owns the merged result, commit metrics and
-	// OnDone callback.
-	coordinated bool
 
 	// coord collects the per-session acknowledgments that drive the first
 	// two transitions of Fig. 9a and the sessions' CPR points.
@@ -86,12 +81,13 @@ type checkpointCtx struct {
 
 	pendingV atomic.Int64
 	flushing atomic.Bool
-	started  time.Time
 
 	lhs, lhe      uint64
 	lis, lie      uint64
 	snapshotStart uint64
 
+	// done is closed once this shard's artifacts are durable (or the leg
+	// failed) and the shard is back at rest; res is final from then on.
 	done chan struct{}
 	res  CommitResult
 }
@@ -111,11 +107,11 @@ type metadata struct {
 	Serials       map[string]uint64 `json:"serials"`
 }
 
-// manifest is the persisted descriptor of a cross-shard commit. It is
-// written only after every shard's checkpoint is durable, so its existence
-// under "cpr-latest" proves the version is recoverable on all shards; a
-// crash that leaves some shards committed and others not falls back to the
-// previous manifest.
+// manifest is the commit record: the one artifact whose presence means
+// "committed". It is written only after every shard's checkpoint is durable,
+// so it proves the version is recoverable on all of them; a crash anywhere
+// before it leaves the previous manifest as the newest commit, whatever
+// shard-level artifacts of the unfinished one reached the store.
 type manifest struct {
 	Token   string `json:"token"`
 	Version uint32 `json:"version"`
@@ -123,12 +119,15 @@ type manifest struct {
 	Kind    string `json:"kind"`
 }
 
-// multiCommit tracks one in-flight cross-shard commit at the store level.
-type multiCommit struct {
+// storeCommit tracks one in-flight commit at the store level: the token, one
+// leg per shard, and the merged result.
+type storeCommit struct {
 	token   string
 	version uint32
-	opts    CommitOptions
+	kind    CommitKind
+	onDone  func(CommitResult)
 	started time.Time
+	legs    []*checkpointCtx // in shard order
 	done    chan struct{}
 	res     CommitResult
 }
@@ -138,10 +137,10 @@ type multiCommit struct {
 var ErrCommitInProgress = fmt.Errorf("faster: a CPR commit is already in progress")
 
 // Commit starts an asynchronous CPR commit (Sec. 6.2) and returns its token
-// immediately. On a partitioned store one token and version cover every
-// shard: the coordinator starts all shard state machines concurrently and
-// the commit completes — manifest written, OnDone fired — only when every
-// shard is durable at that version. Use WaitForCommit to block.
+// immediately. One token and version cover every shard: all shard state
+// machines start concurrently and the commit completes — manifest written,
+// OnDone fired — only when every shard is durable at that version. Use
+// WaitForCommit to block.
 func (s *Store) Commit(opts CommitOptions) (string, error) {
 	// An instant restore must finish warming first: a checkpoint taken over
 	// cold buckets would capture an index missing their suffix records, and
@@ -149,117 +148,101 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 	if s.Restoring() {
 		return "", ErrRestoring
 	}
-	if len(s.shards) == 1 {
-		return s.shards[0].commit(opts, "")
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.ckptMu.Lock()
-	if s.multi != nil {
-		s.ckptMu.Unlock()
-		s.mu.Unlock()
+	defer s.ckptMu.Unlock()
+	// Shards return to rest before the manifest is written, so s.active — not
+	// the shard phases — is what says a commit is still running.
+	if s.active != nil {
 		return "", ErrCommitInProgress
 	}
-	for _, sh := range s.shards {
-		if p, _ := unpackState(sh.state.Load()); p != Rest {
-			s.ckptMu.Unlock()
-			s.mu.Unlock()
-			return "", ErrCommitInProgress
-		}
-	}
-	token := fmt.Sprintf("ckpt-%06d", s.commitSeq.Add(1))
-	mc := &multiCommit{
-		token:   token,
+	c := &storeCommit{
+		token:   fmt.Sprintf("ckpt-%06d", s.commitSeq.Add(1)),
 		version: s.shards[0].Version(),
-		opts:    opts,
+		kind:    s.cfg.Kind,
+		onDone:  opts.OnDone,
 		started: time.Now(),
 		done:    make(chan struct{}),
 	}
-	shOpts := opts
-	shOpts.OnDone = nil // the store-level coordinator fires the merged OnDone
-	for _, sh := range s.shards {
-		if _, err := sh.commit(shOpts, token); err != nil {
-			// Unreachable under the store-level serialization of commits;
-			// surface it rather than wedge (already-started shards complete
-			// on their own and the manifest is never written).
-			s.ckptMu.Unlock()
-			s.mu.Unlock()
-			return "", err
-		}
+	if opts.Kind != nil {
+		c.kind = *opts.Kind
 	}
-	s.multi = mc
-	s.ckptMu.Unlock()
-	s.mu.Unlock()
-	go s.finishMultiCommit(mc)
-	return token, nil
+	for _, sh := range s.shards {
+		c.legs = append(c.legs, sh.startCommit(c.token, c.kind, opts.WithIndex))
+	}
+	s.active = c
+	go s.finishCommit(c)
+	return c.token, nil
 }
 
-// finishMultiCommit waits for every shard's leg of the commit, merges the
-// per-shard results, and — only if all shards are durable — publishes the
-// cross-shard manifest that makes the commit recoverable.
-func (s *Store) finishMultiCommit(mc *multiCommit) {
-	var bytes int64
-	var firstErr error
-	var kind CommitKind
-	serials := make(map[string]uint64)
-	for _, sh := range s.shards {
-		r := sh.waitForCommit(mc.token)
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("faster: shard %d commit: %w", sh.id, r.Err)
+// finishCommit waits for every shard's leg, merges their results, and — only
+// if all shards are durable — writes the manifest that makes the commit
+// recoverable, then the commit attachments. Everything that announces a
+// commit happens here, once, in this order: session watermarks, metrics and
+// the commit-done flight event, then the result (TryResult, WaitForCommit,
+// Phase() == Rest) — so whoever sees the commit done also sees
+// CommittedSerial cover it and the whole timeline recorded — then OnDone and
+// the commit hooks.
+func (s *Store) finishCommit(c *storeCommit) {
+	res := CommitResult{Token: c.token, Version: c.version, Kind: c.kind, Serials: make(map[string]uint64)}
+	for i, ck := range c.legs {
+		<-ck.done
+		if ck.res.Err != nil && res.Err == nil {
+			res.Err = fmt.Errorf("faster: shard %d commit: %w", i, ck.res.Err)
 		}
-		bytes += r.Bytes
-		kind = r.Kind
-		for id, pt := range r.Serials {
-			if cur, ok := serials[id]; !ok || pt < cur {
-				serials[id] = pt
+		res.Bytes += ck.res.Bytes
+		// A session demarcates once per version, so its point is the same on
+		// every shard; min-merge all the same.
+		for id, pt := range ck.res.Serials {
+			if cur, ok := res.Serials[id]; !ok || pt < cur {
+				res.Serials[id] = pt
 			}
 		}
 	}
-	if firstErr == nil {
-		man := manifest{Token: mc.token, Version: mc.version, Shards: len(s.shards), Kind: kind.String()}
-		buf, err := json.Marshal(man)
-		if err == nil {
-			err = writeArtifactFlight(s.cfg.Checkpoints, "cpr-manifest-"+mc.token, buf, s.cfg.Flight, -1, mc.version)
-		}
-		if err == nil {
-			err = writeArtifactFlight(s.cfg.Checkpoints, "cpr-latest", []byte(mc.token), s.cfg.Flight, -1, mc.version)
-		}
-		if err == nil {
-			// The manifest and latest-pointer are durable: the commit is now
-			// recoverable on every shard.
-			s.cfg.Flight.Emit(obs.FlightManifestWrite, -1, uint64(mc.version), mc.token, "", 0, 0)
-			err = s.writeCommitAttachments(CommitResult{
-				Token: mc.token, Version: mc.version, Kind: kind, Serials: serials,
-			})
-		}
-		firstErr = err
+	if res.Err == nil {
+		res.Err = s.writeManifest(res)
 	}
-	mc.res = CommitResult{
-		Token: mc.token, Version: mc.version, Kind: kind,
-		Serials: serials, Bytes: bytes, Err: firstErr,
-	}
-	if firstErr == nil {
-		s.noteCommitted(mc.res) // watermarks first, as in waitFlush
-	}
-	s.ckptMu.Lock()
-	s.results.put(mc.res)
-	s.multi = nil
-	s.ckptMu.Unlock()
-	if firstErr == nil {
+	if res.Err == nil {
+		s.noteCommitted(res)
 		s.metrics.commits.Inc()
-		s.metrics.commitBytes.Add(uint64(bytes))
-		s.metrics.commitNs.Observe(time.Since(mc.started))
-		s.cfg.Flight.Emit(obs.FlightCommitDone, -1, uint64(mc.version), mc.token, "", uint64(bytes), 0)
+		s.metrics.commitBytes.Add(uint64(res.Bytes))
+		s.metrics.commitNs.Observe(time.Since(c.started))
+		s.cfg.Flight.Emit(obs.FlightCommitDone, -1, uint64(c.version), c.token, "", uint64(res.Bytes), 0)
 	} else {
 		s.metrics.commitFailures.Inc()
-		s.cfg.Flight.Emit(obs.FlightCommitFail, -1, uint64(mc.version), mc.token, "", 0, 0)
+		s.cfg.Flight.Emit(obs.FlightCommitFail, -1, uint64(c.version), c.token, "", 0, 0)
 	}
-	close(mc.done)
-	if mc.opts.OnDone != nil {
-		mc.opts.OnDone(mc.res)
+	c.res = res
+	s.ckptMu.Lock()
+	s.results.put(res)
+	if res.Err == nil {
+		s.latestToken = c.token
 	}
-	if firstErr == nil {
-		s.fireCommitHooks(mc.res)
+	s.active = nil
+	s.ckptMu.Unlock()
+	close(c.done)
+	if c.onDone != nil {
+		c.onDone(res)
 	}
+	if res.Err == nil {
+		s.fireCommitHooks(res)
+	}
+}
+
+// writeManifest persists the commit record of a commit whose every shard is
+// durable, then the commit attachments (Store.OnCommitArtifact), which ride
+// the same durability boundary: a failure of either fails the commit.
+func (s *Store) writeManifest(res CommitResult) error {
+	buf, err := json.Marshal(manifest{Token: res.Token, Version: res.Version, Shards: len(s.shards), Kind: res.Kind.String()})
+	if err != nil {
+		return err
+	}
+	if err := writeArtifactFlight(s.cfg.Checkpoints, "cpr-manifest-"+res.Token, buf, s.cfg.Flight, -1, res.Version); err != nil {
+		return err
+	}
+	s.cfg.Flight.Emit(obs.FlightManifestWrite, -1, uint64(res.Version), res.Token, "", 0, 0)
+	return s.writeCommitAttachments(res)
 }
 
 // WaitForCommit blocks until the commit identified by token completes and
@@ -267,12 +250,9 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 // unless other sessions keep refreshing (the commit needs every session to
 // acknowledge the version shift).
 func (s *Store) WaitForCommit(token string) CommitResult {
-	if len(s.shards) == 1 {
-		return s.shards[0].waitForCommit(token)
-	}
 	s.ckptMu.Lock()
-	mc := s.multi
-	if mc == nil || mc.token != token {
+	c := s.active
+	if c == nil || c.token != token {
 		res, ok := s.results.byToken[token]
 		s.ckptMu.Unlock()
 		if ok {
@@ -281,61 +261,34 @@ func (s *Store) WaitForCommit(token string) CommitResult {
 		return CommitResult{Token: token, Err: fmt.Errorf("faster: unknown commit %q", token)}
 	}
 	s.ckptMu.Unlock()
-	<-mc.done
-	return mc.res
+	<-c.done
+	return c.res
 }
 
 // TryResult returns the result of a completed commit without blocking. ok is
 // false while the commit is still in flight (or the token is unknown).
 func (s *Store) TryResult(token string) (CommitResult, bool) {
-	if len(s.shards) == 1 {
-		return s.shards[0].tryResult(token)
-	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	res, ok := s.results.byToken[token]
 	return res, ok
 }
 
-// commit starts this shard's CPR state machine. token == "" (an
-// uncoordinated, single-shard commit) allocates the next store token;
-// otherwise the shard joins the cross-shard commit under the given token.
-func (sh *shard) commit(opts CommitOptions, token string) (string, error) {
-	coordinated := token != ""
+// startCommit starts this shard's leg of a commit: its own run of Fig. 9a,
+// ending with the shard's artifacts durable and the shard back at rest. The
+// caller (Store.Commit) holds the store's commit admission locks and has
+// established that no commit is active.
+func (sh *shard) startCommit(token string, kind CommitKind, withIndex bool) *checkpointCtx {
 	sh.sessionMu.Lock()
 	sh.ckptMu.Lock()
-	if sh.restoring() {
-		sh.ckptMu.Unlock()
-		sh.sessionMu.Unlock()
-		return "", ErrRestoring
-	}
-	if sh.ckpt != nil {
-		sh.ckptMu.Unlock()
-		sh.sessionMu.Unlock()
-		return "", ErrCommitInProgress
-	}
-	if p, _ := unpackState(sh.state.Load()); p != Rest {
-		sh.ckptMu.Unlock()
-		sh.sessionMu.Unlock()
-		return "", ErrCommitInProgress
-	}
-	kind := sh.cfg.Kind
-	if opts.Kind != nil {
-		kind = *opts.Kind
-	}
-	if !coordinated {
-		token = fmt.Sprintf("ckpt-%06d", sh.seq.Add(1))
-	}
 	ck := &checkpointCtx{
-		store:       sh,
-		version:     sh.Version(),
-		kind:        kind,
-		opts:        opts,
-		token:       token,
-		traceToken:  token + sh.traceSuffix,
-		coordinated: coordinated,
-		started:     time.Now(),
-		done:        make(chan struct{}),
+		store:      sh,
+		version:    sh.Version(),
+		kind:       kind,
+		withIndex:  withIndex,
+		token:      token,
+		traceToken: token + sh.traceSuffix,
+		done:       make(chan struct{}),
 	}
 	ck.coord = core.NewCoordinator[*shardSession](ck.advanceToInProgress, ck.advanceToWaitPending)
 	for _, ss := range sh.sessions {
@@ -353,33 +306,7 @@ func (sh *shard) commit(opts CommitOptions, token string) (string, error) {
 	sh.sessionMu.Unlock()
 	// With zero participants the seal completes both transitions at once.
 	ck.coord.Seal()
-	return ck.token, nil
-}
-
-// waitForCommit blocks until the shard-level commit identified by token
-// completes and returns its result.
-func (sh *shard) waitForCommit(token string) CommitResult {
-	sh.ckptMu.Lock()
-	ck := sh.ckpt
-	if ck == nil || ck.token != token {
-		res, ok := sh.results.byToken[token]
-		sh.ckptMu.Unlock()
-		if ok {
-			return res
-		}
-		return CommitResult{Token: token, Err: fmt.Errorf("faster: unknown commit %q", token)}
-	}
-	sh.ckptMu.Unlock()
-	<-ck.done
-	return ck.res
-}
-
-// tryResult returns the result of a completed shard commit without blocking.
-func (sh *shard) tryResult(token string) (CommitResult, bool) {
-	sh.ckptMu.Lock()
-	defer sh.ckptMu.Unlock()
-	res, ok := sh.results.byToken[token]
-	return res, ok
+	return ck
 }
 
 // ackPrepare records that one participant finished its prepare-entry work;
@@ -473,7 +400,8 @@ func (ck *checkpointCtx) checkPendingDone() {
 // shifts the read-only offset to the tail and waits for the flush; snapshot
 // writes the volatile log region to a separate artifact. Then the metadata
 // (including per-session CPR points) is persisted and the shard returns to
-// rest at version v+1.
+// rest at version v+1. That ends the leg, not the commit: Store.finishCommit
+// writes the manifest once every leg is done.
 func (ck *checkpointCtx) waitFlush() {
 	sh := ck.store
 	var written int64
@@ -486,7 +414,7 @@ func (ck *checkpointCtx) waitFlush() {
 	// invalidated and chased back to their committed predecessors.
 	ck.lhe = sh.log.Tail()
 	indexToken := ""
-	if ck.opts.WithIndex {
+	if ck.withIndex {
 		ck.lis = sh.log.Tail()
 		indexToken = ck.token
 		// The index knows its size: the image is built once, inside its
@@ -503,7 +431,7 @@ func (ck *checkpointCtx) waitFlush() {
 		indexToken, ck.lis, ck.lie = sh.lastIndexToken, sh.lastLis, sh.lastLie
 	}
 	captureEnd := ck.lhe
-	if ck.opts.WithIndex && ck.lie > captureEnd {
+	if ck.withIndex && ck.lie > captureEnd {
 		captureEnd = ck.lie
 	}
 
@@ -559,7 +487,7 @@ func (ck *checkpointCtx) waitFlush() {
 			Token: ck.token, Version: ck.version, Kind: ck.kind.String(),
 			Lhs: ck.lhs, Lhe: ck.lhe, Lis: ck.lis, Lie: ck.lie,
 			SnapshotStart: ck.snapshotStart,
-			HasIndex:      ck.opts.WithIndex, IndexToken: indexToken,
+			HasIndex:      ck.withIndex, IndexToken: indexToken,
 			Serials: serials,
 		}
 		var buf []byte
@@ -567,25 +495,13 @@ func (ck *checkpointCtx) waitFlush() {
 		if err == nil {
 			err = ck.writeArtifact("meta-"+ck.token, buf)
 		}
-		if err == nil {
-			err = ck.writeArtifact("latest", []byte(ck.token))
-		}
-		if err == nil && ck.opts.WithIndex {
+		if err == nil && ck.withIndex {
 			sh.lastIndexToken, sh.lastLis, sh.lastLie = indexToken, ck.lis, ck.lie
-		}
-		// Commit attachments (Store.OnCommitArtifact) ride the same
-		// durability boundary: written after the checkpoint's own artifacts,
-		// and a failure fails the commit. Coordinated commits attach at the
-		// store level, after the cross-shard manifest.
-		if err == nil && !ck.coordinated && sh.commitAttach != nil {
-			err = sh.commitAttach(CommitResult{
-				Token: ck.token, Version: ck.version, Kind: ck.kind, Serials: serials,
-			})
 		}
 	}
 	if err == nil {
-		// This shard's checkpoint — log capture, page CRCs, metadata and
-		// latest-pointer — is fully durable.
+		// This shard's checkpoint — log capture, page CRCs and metadata — is
+		// fully durable.
 		sh.flight.Emit(obs.FlightPersistDone, sh.id, uint64(ck.version), ck.token, "", uint64(written), 0)
 	} else {
 		sh.flight.Emit(obs.FlightCommitFail, sh.id, uint64(ck.version), ck.token, "", 0, 0)
@@ -595,39 +511,17 @@ func (ck *checkpointCtx) waitFlush() {
 		Token: ck.token, Version: ck.version, Kind: ck.kind,
 		Serials: serials, Bytes: written, Err: err,
 	}
-	// Advance the session watermarks before the result becomes visible, so
-	// whoever sees this commit done (TryResult, Phase() == Rest, done) also
-	// sees CommittedSerial/CommittedToken cover it.
-	if err == nil && !ck.coordinated && sh.noteCommitted != nil {
-		sh.noteCommitted(ck.res)
-	}
 	// Return to rest at version v+1 and detach the context. The transition is
-	// recorded first, for the same reason: whoever sees the commit done finds
-	// all five transitions on the timeline.
+	// recorded first: whoever sees the commit done finds all five transitions
+	// on the timeline.
 	ck.emitPhase(WaitFlush, Rest)
 	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
 	sh.ckptMu.Lock()
 	sh.ckpt = nil
-	sh.results.put(ck.res)
 	sh.state.Store(packState(Rest, ck.version+1))
 	sh.ckptMu.Unlock()
 	ck.bumpTraced(Rest)
-	if err == nil && !ck.coordinated {
-		sh.metrics.commits.Inc()
-		sh.metrics.commitBytes.Add(uint64(written))
-		sh.metrics.commitNs.Observe(time.Since(ck.started))
-		sh.flight.Emit(obs.FlightCommitDone, sh.id, uint64(ck.version), ck.token, "", uint64(written), 0)
-	}
-	if err != nil && !ck.coordinated {
-		sh.metrics.commitFailures.Inc()
-	}
 	close(ck.done)
-	if ck.opts.OnDone != nil {
-		ck.opts.OnDone(ck.res)
-	}
-	if err == nil && !ck.coordinated && sh.onCommit != nil {
-		sh.onCommit(ck.res)
-	}
 }
 
 func (ck *checkpointCtx) writeArtifact(name string, data []byte) error {
@@ -635,14 +529,10 @@ func (ck *checkpointCtx) writeArtifact(name string, data []byte) error {
 		ck.store.flight, ck.store.id, ck.version)
 }
 
-// writeArtifact persists one named artifact inside the checksum envelope,
-// retrying transient store errors (see storage.WriteArtifactChecked).
-func writeArtifact(cs storage.CheckpointStore, name string, data []byte) error {
-	return storage.WriteArtifactChecked(cs, name, data)
-}
-
-// writeArtifactFlight is writeArtifact plus flight events: one artifact-retry
-// per transient failure that gets retried and one artifact-write on success
+// writeArtifactFlight persists one named artifact inside the checksum
+// envelope, retrying transient store errors (see storage.WriteArtifactChecked),
+// with flight events: one artifact-retry per transient failure that gets
+// retried and one artifact-write on success
 // (token = artifact name, so filtering by commit token matches every artifact
 // of that commit).
 func writeArtifactFlight(cs storage.CheckpointStore, name string, data []byte, fr *obs.FlightRecorder, shard int, version uint32) error {

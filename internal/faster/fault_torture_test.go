@@ -15,12 +15,14 @@ import (
 // The fault-torture harness: a concurrent YCSB-style workload runs over a
 // fault-injected device and checkpoint store while commits fire; named crash
 // points sweep the interesting instants of each commit's artifact sequence
-// (before the metadata, mid-metadata-write, after the metadata) and snapshot
-// the "disk" there. Every snapshot is then recovered and held to the CPR
-// contract: for each session, exactly the operations up to its recovered CPR
-// point are present. Snapshots whose newest commit is torn must demote to
-// the previous fully-verifiable commit — not error out — with the skip
-// recorded in the RecoveryReport.
+// (before, mid-write and after the shard's metadata, and the same three
+// around the manifest, the commit record) and snapshot the "disk" there. Every
+// snapshot is then recovered and held to the CPR contract: for each session,
+// exactly the operations up to its recovered CPR point are present. A
+// snapshot without the newest commit's manifest recovers the previous commit
+// and says nothing of the unfinished one; a snapshot whose newest manifest is
+// torn must demote to the previous fully-verifiable commit — not error out —
+// with the skip recorded in the RecoveryReport.
 //
 // The workload is the self-describing one from TestCrashAtRandomPoints:
 // session i's operation n upserts key (i, n%keysPer) = n, so the expected
@@ -37,10 +39,10 @@ type tortureSnapshot struct {
 	dev   *storage.MemDevice
 	ckpts *storage.MemCheckpointStore
 	// completed is how many commits had fully completed when the image was
-	// taken. When > 0 (or the image was taken after the commit's metadata
+	// taken. When > 0 (or the image was taken after the commit's manifest
 	// was durable), recovery MUST succeed.
 	completed int
-	// wantSkip: the image holds a torn newest metadata over >= 1 completed
+	// wantSkip: the image holds a torn newest manifest over >= 1 completed
 	// commit, so recovery must both succeed and report a skipped commit.
 	wantSkip bool
 }
@@ -167,7 +169,8 @@ func tortureSweep(t *testing.T, seed uint64) {
 	var completed atomic.Int64
 	// Crash order: checkpoint store first, then the device (metadata is only
 	// written after its log data is durable, so this order never captures
-	// metadata whose data is missing).
+	// metadata whose data is missing). The crash points fire on the commit's
+	// goroutines, one at a time: a leg's before the manifest's.
 	capture := func(label string, wantSkip bool) *tortureSnapshot {
 		return &tortureSnapshot{
 			label:     label,
@@ -183,17 +186,16 @@ func tortureSweep(t *testing.T, seed uint64) {
 		// Commit tokens are sequential, so the artifact names of commit c are
 		// known before it starts — arm this round's crash points now.
 		token := fmt.Sprintf("ckpt-%06d", c)
-		inj.Arm("before:meta-"+token, func() {
-			snaps = append(snaps, capture("before:meta-"+token, false))
-		})
-		inj.Arm("torn:meta-"+token, func() {
-			// A torn newest metadata over >= 1 completed commit must demote,
-			// and the demotion must be reported.
-			snaps = append(snaps, capture("torn:meta-"+token, completed.Load() > 0))
-		})
-		inj.Arm("after:meta-"+token, func() {
-			snaps = append(snaps, capture("after:meta-"+token, false))
-		})
+		for _, point := range []string{"before:meta-", "torn:meta-", "after:meta-",
+			"before:cpr-manifest-", "torn:cpr-manifest-", "after:cpr-manifest-"} {
+			label := point + token
+			inj.Arm(label, func() {
+				// A torn newest manifest over >= 1 completed commit must
+				// demote, and the demotion must be reported.
+				wantSkip := point == "torn:cpr-manifest-" && completed.Load() > 0
+				snaps = append(snaps, capture(label, wantSkip))
+			})
+		}
 		kind := FoldOver
 		tok, err := s.Commit(CommitOptions{WithIndex: rng.Intn(2) == 0, Kind: &kind})
 		if err != nil {
@@ -221,15 +223,15 @@ func tortureSweep(t *testing.T, seed uint64) {
 	stop()
 	s.Close()
 
-	if len(snaps) < 3*commits {
-		t.Fatalf("only %d crash images captured, expected at least %d", len(snaps), 3*commits)
+	if len(snaps) < 6*commits {
+		t.Fatalf("only %d crash images captured, expected at least %d", len(snaps), 6*commits)
 	}
 	recovered := 0
 	for _, snap := range snaps {
 		r, report, err := RecoverWithReport(Config{IndexBuckets: 1 << 8, PageBits: 13,
 			MemPages: 8, Device: snap.dev, Checkpoints: snap.ckpts})
 		if err != nil {
-			if snap.completed > 0 || snap.label == "after:meta-ckpt-000001" {
+			if snap.completed > 0 || snap.label == "after:cpr-manifest-ckpt-000001" {
 				t.Fatalf("%s: recovery failed despite a verifiable commit: %v", snap.label, err)
 			}
 			continue // no commit had completed; a fresh-store outcome is legal
@@ -339,9 +341,9 @@ func TestRecoveryFallbackOnCorruptNewest(t *testing.T) {
 	}
 }
 
-// TestRecoveryFallbackOnCorruptManifest is the partitioned variant: with the
-// newest cross-shard manifest corrupted, recovery demotes to the previous
-// manifest's commit on every shard.
+// TestRecoveryFallbackOnCorruptManifest is the partitioned variant, with the
+// damage in the commit record itself: the newest manifest corrupted, recovery
+// demotes to the previous manifest's commit on every shard.
 func TestRecoveryFallbackOnCorruptManifest(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
 	devs := make(map[int]*storage.MemDevice)

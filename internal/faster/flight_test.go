@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,12 +11,21 @@ import (
 	"repro/internal/storage"
 )
 
+// flightShardCounts are the shard counts the flight tests run at: the event
+// sequence of a commit is the same for one shard as for several.
+var flightShardCounts = []int{1, 4}
+
 // TestFlightCommitTimeline checks the recorder captures a commit's causal
-// chain end to end on a sharded store: commit-start, per-shard phase
-// transitions and persist-done on every shard, then manifest-write and
-// commit-done — in that causal order.
+// chain end to end: commit-start, per-shard phase transitions and persist-done
+// on every shard, then — at store level, shard -1 — manifest-write and
+// commit-done, in that causal order.
 func TestFlightCommitTimeline(t *testing.T) {
-	const shards = 4
+	for _, shards := range flightShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCommitTimeline(t, shards) })
+	}
+}
+
+func flightCommitTimeline(t *testing.T, shards int) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	s, err := Open(Config{Shards: shards, IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16, Flight: fr})
 	if err != nil {
@@ -55,6 +65,11 @@ func TestFlightCommitTimeline(t *testing.T) {
 	if !(manifest < done) {
 		t.Fatalf("commit-done (#%d) before manifest-write (#%d)", done, manifest)
 	}
+	for _, e := range evs {
+		if (e.Kind == obs.FlightManifestWrite || e.Kind == obs.FlightCommitDone) && e.Shard != -1 {
+			t.Fatalf("%v recorded at shard %d, want the store lane (-1)", e.Kind, e.Shard)
+		}
+	}
 	for sh := 0; sh < shards; sh++ {
 		pd := idx(obs.FlightPersistDone, sh)
 		if pd < 0 {
@@ -70,16 +85,21 @@ func TestFlightCommitTimeline(t *testing.T) {
 	}
 }
 
-// TestFlightCrashDump arms a crash point just before the cross-shard manifest
-// of the first commit is persisted, dumps the flight recorder from inside the
+// TestFlightCrashDump arms a crash point just before the manifest of the
+// first commit is persisted, dumps the flight recorder from inside the
 // callback (what a real crash handler does), and asserts causal consistency
 // from the decoded dump alone: every shard had reported persist-done, and the
 // commit had NOT been announced — no manifest-write, commit-done or
 // commit-announced event exists. If FLIGHT_DUMP_DIR is set, the framed dump
-// artifact is also written there for `fasterctl flight -dump` (the CI
-// crash-dump job decodes it and greps the ordering).
+// artifact of the last shard count is also written there for `fasterctl
+// flight -dump` (the CI crash-dump job decodes it and greps the ordering).
 func TestFlightCrashDump(t *testing.T) {
-	const shards = 4
+	for _, shards := range flightShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCrashDump(t, shards) })
+	}
+}
+
+func flightCrashDump(t *testing.T, shards int) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 7, Flight: fr})
 	ckpts := storage.NewFaultCheckpointStore(storage.NewMemCheckpointStore(), inj)

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"slices"
 	"sort"
-	"sync/atomic"
+	"strings"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -56,11 +56,11 @@ type RecoveryReport struct {
 // recent commit that verifies end to end (an older commit is still a valid
 // CPR prefix) and notes the skips in the store's RecoveryReport.
 //
-// A partitioned store (Shards > 1) recovers from the latest verifiable
-// cross-shard manifest: a commit counts only if every shard's checkpoint
-// became durable before the crash, so shards that finished a newer commit
-// individually roll back to the manifest's version and the recovered prefix
-// is consistent across shards. A session's recovered CPR point is the
+// The commit record is the manifest (cpr-manifest-<token>), for every shard
+// count: a commit counts only if every shard's checkpoint became durable and
+// the manifest was written before the crash, so shards that finished a newer
+// commit individually roll back to the manifest's version and the recovered
+// prefix is consistent across shards. A session's recovered CPR point is the
 // minimum of its per-shard points (they are equal when the commit completed
 // normally).
 func Recover(cfg Config) (*Store, error) {
@@ -77,69 +77,20 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	s := newStore(cfg)
 	s.shards = make([]*shard, cfg.Shards)
 
-	if len(s.shards) == 1 {
-		return s.recoverSingle()
-	}
-	return s.recoverMulti()
-}
-
-// recoverSingle recovers an unpartitioned store, walking commit candidates
-// newest-first until one verifies.
-func (s *Store) recoverSingle() (*Store, *RecoveryReport, error) {
-	sc, err := s.shardConfig(0)
+	names, err := cfg.Checkpoints.List()
 	if err != nil {
 		return nil, nil, err
 	}
-	cands, err := commitCandidates(sc.Checkpoints, "meta")
-	if err != nil {
-		return nil, nil, err
-	}
+	cands := manifestTokens(names)
 	if len(cands) == 0 {
-		// No single-shard commit — but a cross-shard manifest means the store
-		// was written partitioned; opening it unpartitioned would silently
-		// shadow that data.
-		if _, merr := storage.ReadArtifact(s.cfg.Checkpoints, "cpr-latest"); merr == nil {
-			return nil, nil, fmt.Errorf("faster: store was written partitioned (cross-shard manifest present); set Config.Shards to match")
+		// A top-level "latest" pointer without any manifest is what a
+		// single-shard store wrote before the manifest became its commit
+		// record. Its commits are real; reporting "no checkpoint" would let the
+		// caller start a fresh store over them.
+		if slices.Contains(names, "latest") {
+			return nil, nil, fmt.Errorf("faster: checkpoint store has the pre-manifest single-shard layout (a \"latest\" pointer, no cpr-manifest-*); this version cannot read it")
 		}
-		return nil, nil, fmt.Errorf("faster: %w: no commit metadata found", ErrNoCheckpoint)
-	}
-	report := &RecoveryReport{}
-	for _, tok := range cands {
-		sh, serials, rerr := recoverShard(sc, 0, s.traceSuffix(0), s.metrics, &s.commitSeq, tok)
-		if rerr != nil {
-			report.Skipped = append(report.Skipped, SkippedCommit{Token: tok, Reason: rerr.Error()})
-			s.metrics.recoverySkips.Inc()
-			s.cfg.Flight.Emit(obs.FlightRecoverFallback, 0, 0, tok, "", 0, 0)
-			continue
-		}
-		s.shards[0] = sh
-		for id, serial := range serials {
-			s.recoveredSerials[id] = serial
-		}
-		report.Token = tok
-		report.Version = sh.Version() - 1
-		s.finishRecovery(cands, report)
-		return s, report, nil
-	}
-	return nil, nil, fmt.Errorf("faster: no verifiable commit among %d candidate(s); newest (%s): %s",
-		len(cands), report.Skipped[0].Token, report.Skipped[0].Reason)
-}
-
-// recoverMulti recovers a partitioned store from the newest cross-shard
-// manifest whose every shard verifies.
-func (s *Store) recoverMulti() (*Store, *RecoveryReport, error) {
-	cands, err := commitCandidates(s.cfg.Checkpoints, "cpr-manifest")
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cands) == 0 {
-		// No cross-shard commit — but a shard-0-unprefixed "latest" means the
-		// store was written unpartitioned; recovering it as shard 0 of a
-		// partitioned store would scatter its keys across empty shards.
-		if _, lerr := storage.ReadArtifact(s.cfg.Checkpoints, "latest"); lerr == nil {
-			return nil, nil, fmt.Errorf("faster: store was written unpartitioned; set Config.Shards to 1")
-		}
-		return nil, nil, fmt.Errorf("faster: %w: no cross-shard manifest found", ErrNoCheckpoint)
+		return nil, nil, fmt.Errorf("faster: %w: no commit manifest found", ErrNoCheckpoint)
 	}
 	report := &RecoveryReport{}
 	skip := func(tok string, err error) {
@@ -149,14 +100,9 @@ func (s *Store) recoverMulti() (*Store, *RecoveryReport, error) {
 	}
 candidates:
 	for _, tok := range cands {
-		buf, merr := storage.ReadArtifactChecked(s.cfg.Checkpoints, "cpr-manifest-"+tok)
+		man, merr := loadManifest(s.cfg.Checkpoints, tok)
 		if merr != nil {
-			skip(tok, fmt.Errorf("cross-shard manifest: %w", merr))
-			continue
-		}
-		var man manifest
-		if err := json.Unmarshal(buf, &man); err != nil {
-			skip(tok, fmt.Errorf("cross-shard manifest: %w", err))
+			skip(tok, merr)
 			continue
 		}
 		if man.Shards != s.cfg.Shards {
@@ -166,12 +112,12 @@ candidates:
 		}
 		clear(s.recoveredSerials)
 		for i := range s.shards {
-			sc, err := s.shardConfig(i)
+			sc, trace, err := s.shardConfig(i)
 			if err != nil {
 				s.closeShards(i)
 				return nil, nil, err
 			}
-			sh, serials, rerr := recoverShard(sc, i, s.traceSuffix(i), s.metrics, &s.commitSeq, man.Token)
+			sh, serials, rerr := recoverShard(sc, i, trace, s.metrics, man.Token)
 			if rerr != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
@@ -189,23 +135,24 @@ candidates:
 		}
 		report.Token = man.Token
 		report.Version = man.Version
-		s.finishRecovery(cands, report)
+		s.finishRecovery(names, report)
 		return s, report, nil
 	}
-	return nil, nil, fmt.Errorf("faster: no verifiable cross-shard commit among %d candidate(s); newest (%s): %s",
+	return nil, nil, fmt.Errorf("faster: no verifiable commit among %d candidate(s); newest (%s): %s",
 		len(cands), report.Skipped[0].Token, report.Skipped[0].Reason)
 }
 
-// finishRecovery resumes the token sequence past every enumerated candidate
-// (so fresh commits never collide with a skipped-but-present newer token, nor
-// overwrite artifacts the live chain references) and publishes the report.
-func (s *Store) finishRecovery(cands []string, report *RecoveryReport) {
-	for _, tok := range cands {
-		if seq, ok := tokenSeq(tok); ok && seq > s.commitSeq.Load() {
-			s.commitSeq.Store(seq)
+// finishRecovery resumes the token sequence past every token an artifact in
+// the store carries — skipped commits and the shard-level leftovers of a
+// commit that crashed before its manifest included — so fresh commits never
+// reuse one, and publishes the report.
+func (s *Store) finishRecovery(names []string, report *RecoveryReport) {
+	for _, n := range names {
+		if i := strings.LastIndex(n, "ckpt-"); i >= 0 {
+			s.resumeTokensAfter(n[i:])
 		}
 	}
-	s.wireShards()
+	s.latestToken = report.Token
 	s.report = report
 	s.registerStoreGauges()
 	s.registerLagGauges()
@@ -224,26 +171,29 @@ func (s *Store) finishRecovery(cands []string, report *RecoveryReport) {
 		uint64(len(report.Skipped)), 0)
 }
 
-// commitCandidates enumerates commit tokens present in the store for the
-// given artifact kind ("meta" or "cpr-manifest"), newest first by token
-// sequence number. Enumerating artifacts — rather than trusting the "latest"
-// pointer — is what makes fallback possible when the pointer or the newest
-// commit is damaged.
-func commitCandidates(cs storage.CheckpointStore, kind string) ([]string, error) {
-	names, err := storage.ListPrefix(cs, kind+"-")
-	if err != nil {
-		return nil, err
+// resumeTokensAfter moves the token counter past token's sequence number.
+func (s *Store) resumeTokensAfter(token string) {
+	if seq, ok := tokenSeq(token); ok && seq > s.commitSeq.Load() {
+		s.commitSeq.Store(seq)
 	}
+}
+
+// manifestTokens picks the commit tokens that have a manifest out of a
+// listing of the checkpoint store, newest first by token sequence number.
+// Enumerating manifests is what makes fallback possible when the newest
+// commit is damaged.
+func manifestTokens(names []string) []string {
 	type cand struct {
 		token string
 		seq   uint64
 		hasN  bool
 	}
-	cands := make([]cand, 0, len(names))
+	var cands []cand
 	for _, n := range names {
-		tok := n[len(kind)+1:]
-		seq, ok := tokenSeq(tok)
-		cands = append(cands, cand{token: tok, seq: seq, hasN: ok})
+		if tok, ok := strings.CutPrefix(n, "cpr-manifest-"); ok {
+			seq, ok := tokenSeq(tok)
+			cands = append(cands, cand{token: tok, seq: seq, hasN: ok})
+		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].hasN != cands[j].hasN {
@@ -258,7 +208,21 @@ func commitCandidates(cs storage.CheckpointStore, kind string) ([]string, error)
 	for i, c := range cands {
 		out[i] = c.token
 	}
-	return out, nil
+	return out
+}
+
+// loadManifest reads and verifies the manifest of the commit identified by
+// token.
+func loadManifest(cs storage.CheckpointStore, token string) (*manifest, error) {
+	buf, err := storage.ReadArtifactChecked(cs, "cpr-manifest-"+token)
+	if err != nil {
+		return nil, fmt.Errorf("commit manifest: %w", err)
+	}
+	var man manifest
+	if err := json.Unmarshal(buf, &man); err != nil {
+		return nil, fmt.Errorf("commit manifest: %w", err)
+	}
+	return &man, nil
 }
 
 // closeShards closes the shards recovered so far ([0, n)).
@@ -284,12 +248,12 @@ func tokenSeq(token string) (uint64, bool) {
 // table covers. cfg must be the shard's private configuration, exactly as
 // for openShard. Any verification failure returns an error; the caller falls
 // back to an older commit.
-func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq *atomic.Uint64, token string) (*shard, map[string]uint64, error) {
+func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, token string) (*shard, map[string]uint64, error) {
 	meta, err := loadMetadata(cfg.Checkpoints, token)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh, err := openShard(cfg, id, traceSuffix, metrics, seq)
+	sh, err := openShard(cfg, id, traceSuffix, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -472,15 +436,4 @@ func loadMetadata(store storage.CheckpointStore, token string) (*metadata, error
 		return nil, fmt.Errorf("faster: commit metadata: %w", err)
 	}
 	return &meta, nil
-}
-
-func readArtifact(store interface {
-	Open(string) (io.ReadCloser, error)
-}, name string) ([]byte, error) {
-	r, err := store.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return io.ReadAll(r)
 }

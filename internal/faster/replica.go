@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/hashfn"
@@ -53,10 +52,10 @@ func (s *Store) RecoveredPoints() map[string]uint64 {
 	return out
 }
 
-// OnCommit registers fn to run (from the checkpoint goroutine) after every
-// successfully completed commit, in completion order. The replication server
-// uses this as its manifest-completion hook: when fn fires, every artifact of
-// the commit is durable in the checkpoint store.
+// OnCommit registers fn to run (from the commit's finishing goroutine) after
+// every successfully completed commit, in completion order. The replication
+// server uses this as its manifest-completion hook: when fn fires, every
+// artifact of the commit is durable in the checkpoint store.
 func (s *Store) OnCommit(fn func(CommitResult)) {
 	s.hookMu.Lock()
 	s.commitHooks = append(s.commitHooks, fn)
@@ -73,18 +72,13 @@ func (s *Store) fireCommitHooks(res CommitResult) {
 	}
 }
 
-// LatestCommitToken returns the token of the most recent completed commit
-// recorded in the checkpoint store, or ok=false when no commit exists yet.
+// LatestCommitToken returns the token of the newest commit this store
+// completed, recovered from or (on a replica) installed, or ok=false when
+// there is none yet.
 func (s *Store) LatestCommitToken() (string, bool) {
-	name := "latest"
-	if s.cfg.Shards > 1 {
-		name = "cpr-latest"
-	}
-	tok, err := storage.ReadArtifactChecked(s.cfg.Checkpoints, name)
-	if err != nil || len(tok) == 0 {
-		return "", false
-	}
-	return string(tok), true
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	return s.latestToken, s.latestToken != ""
 }
 
 // ShipInfo describes what a replica needs to install one completed commit:
@@ -95,9 +89,7 @@ type ShipInfo struct {
 	Version uint32
 	Kind    CommitKind
 	// Artifacts are checkpoint-store names (parent namespace) whose contents
-	// are immutable once the commit completed. Pointer artifacts ("latest",
-	// "cpr-latest") are deliberately excluded: a replica writes its own
-	// pointers at install time, so its local state is always recoverable.
+	// are immutable once the commit completed; the manifest is the last.
 	Artifacts []string
 	// ShardEnds is, per shard, the log address the install covers (the
 	// replica's log tail after installing).
@@ -112,16 +104,12 @@ type ShipInfo struct {
 // CommitShipInfo assembles the ShipInfo for a completed commit.
 func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 	info := &ShipInfo{Token: token}
-	multi := s.cfg.Shards > 1
 	for i, sh := range s.shards {
 		meta, err := loadMetadata(sh.cfg.Checkpoints, token)
 		if err != nil {
 			return nil, fmt.Errorf("faster: ship info shard %d: %w", i, err)
 		}
-		prefix := ""
-		if multi {
-			prefix = fmt.Sprintf("shard%d/", i)
-		}
+		prefix, _, _ := shardNames(len(s.shards), i)
 		info.Version = meta.Version
 		info.Artifacts = append(info.Artifacts, prefix+"meta-"+token)
 		if artifactExists(sh.cfg.Checkpoints, "pagecrc-"+token) {
@@ -145,9 +133,7 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 		info.ShardEnds = append(info.ShardEnds, end)
 		info.ShardFloors = append(info.ShardFloors, floor)
 	}
-	if multi {
-		info.Artifacts = append(info.Artifacts, "cpr-manifest-"+token)
-	}
+	info.Artifacts = append(info.Artifacts, "cpr-manifest-"+token)
 	return info, nil
 }
 
@@ -179,18 +165,12 @@ func (s *Store) ApplyCommitted(token string) error {
 	if !s.cfg.Replica {
 		return ErrNotReplica
 	}
-	if s.cfg.Shards > 1 {
-		buf, err := storage.ReadArtifactChecked(s.cfg.Checkpoints, "cpr-manifest-"+token)
-		if err != nil {
-			return fmt.Errorf("faster: install manifest: %w", err)
-		}
-		var man manifest
-		if err := json.Unmarshal(buf, &man); err != nil {
-			return fmt.Errorf("faster: install manifest: %w", err)
-		}
-		if man.Shards != s.cfg.Shards {
-			return fmt.Errorf("faster: manifest has %d shards, replica has %d", man.Shards, s.cfg.Shards)
-		}
+	man, err := loadManifest(s.cfg.Checkpoints, token)
+	if err != nil {
+		return fmt.Errorf("faster: install: %w", err)
+	}
+	if man.Shards != s.cfg.Shards {
+		return fmt.Errorf("faster: manifest has %d shards, replica has %d", man.Shards, s.cfg.Shards)
 	}
 	for i, sh := range s.shards {
 		meta, err := loadMetadata(sh.cfg.Checkpoints, token)
@@ -211,19 +191,10 @@ func (s *Store) ApplyCommitted(token string) error {
 		}
 		s.mu.Unlock()
 	}
-	// Persist the local pointer last: the replica's on-disk state only ever
-	// references fully installed commits, so a replica restart recovers at an
-	// all-shard-durable manifest by construction.
-	name := "latest"
-	if s.cfg.Shards > 1 {
-		name = "cpr-latest"
-	}
-	if err := storage.WriteArtifactChecked(s.cfg.Checkpoints, name, []byte(token)); err != nil {
-		return fmt.Errorf("faster: install pointer: %w", err)
-	}
-	if seq, ok := tokenSeq(token); ok && seq > s.commitSeq.Load() {
-		s.commitSeq.Store(seq)
-	}
+	s.ckptMu.Lock()
+	s.latestToken = token
+	s.ckptMu.Unlock()
+	s.resumeTokensAfter(token)
 	return nil
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // TestCommitResultsBounded is the regression test for the commit-result leak:
-// the store and every shard used to keep each CommitResult (token plus a
-// per-session map) for the life of the process. After 1000 commits only the
-// newest maxResults are held; those still resolve through TryResult and
+// the store used to keep each CommitResult (token plus a per-session map) for
+// the life of the process. After 1000 commits only the newest maxResults are
+// held, in the store's one ring; those still resolve through TryResult and
 // WaitForCommit, an older token is an unknown commit.
 func TestCommitResultsBounded(t *testing.T) {
 	for _, shards := range []int{1, testShardCount(2)} {
@@ -31,15 +31,9 @@ func TestCommitResultsBounded(t *testing.T) {
 				sess.Upsert(key(uint64(i)), u64(uint64(i)))
 				tokens[i] = driveCommit(t, s, []*Session{sess}, CommitOptions{}).Token
 			}
-			held := func(r *commitResults) int { return len(r.byToken) }
 			s.ckptMu.Lock()
-			n := held(&s.results)
+			n := len(s.results.byToken)
 			s.ckptMu.Unlock()
-			for _, sh := range s.shards {
-				sh.ckptMu.Lock()
-				n = max(n, held(&sh.results))
-				sh.ckptMu.Unlock()
-			}
 			if n > maxResults {
 				t.Fatalf("%d commit results retained after %d commits, want at most %d", n, commits, maxResults)
 			}

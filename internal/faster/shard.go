@@ -12,9 +12,9 @@ import (
 // shard is one CPR domain of a Store: the original single-store internals —
 // latch-free hash index, HybridLog, epoch manager, pending-I/O bookkeeping
 // and the five-phase checkpoint state machine — instantiated once per
-// partition. Each shard runs its own instance of Fig. 9a; the Store-level
-// coordinator drives all of them to a common version on Commit. A
-// single-shard store behaves exactly like the pre-partitioning code.
+// partition. Each shard runs its own instance of Fig. 9a and persists its own
+// artifacts; Store.Commit drives all of them to a common version and
+// Store.finishCommit completes the commit.
 type shard struct {
 	id          int
 	traceSuffix string // appended to trace tokens ("/s<i>"; empty when unsharded)
@@ -33,29 +33,11 @@ type shard struct {
 	sessionMu sync.Mutex
 	sessions  map[string]*shardSession
 
-	// seq is the store-wide commit token counter, shared across shards so a
-	// shard-local (uncoordinated) commit never collides with a store token.
-	seq *atomic.Uint64
-
 	// lastIndexToken/lastLis/lastLie identify the most recent fuzzy index
 	// checkpoint, carried into log-only commit metadata (Sec. 6.3). Written
 	// only from the single active checkpoint goroutine.
 	lastIndexToken   string
 	lastLis, lastLie uint64
-
-	// results retains completed commit results by token (guarded by ckptMu).
-	results commitResults
-
-	// onCommit, when set, fires after an uncoordinated commit completes with
-	// no error (the single-shard store's replication hook; coordinated
-	// commits fire at the store level instead).
-	onCommit func(CommitResult)
-
-	// commitAttach, when set, persists the store's commit-artifact
-	// attachments (Store.OnCommitArtifact) once this shard's uncoordinated
-	// checkpoint is durable; an error fails the commit. Coordinated commits
-	// attach at the store level after the manifest instead.
-	commitAttach func(CommitResult) error
 
 	// recoveredScanStart is the address from which this shard's own recovery
 	// (or promotion) rewrote log state on the device — see Store.ResyncFrom.
@@ -78,17 +60,12 @@ type shard struct {
 	metrics storeMetrics // shared across shards: store-wide operation counts
 	tracer  *obs.Tracer
 	flight  *obs.FlightRecorder // nil-safe; events tagged with sh.id
-
-	// noteCommitted, when set, records a successful commit's session points
-	// in the store's durability-lag metrics. Fired from the uncoordinated
-	// completion path only; coordinated commits record at the store level.
-	noteCommitted func(CommitResult)
 }
 
 // openShard creates one shard at version 1. cfg must already be the shard's
 // private configuration (own device, namespaced checkpoints, prefixed
 // metrics view — see Store.shardConfig).
-func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq *atomic.Uint64) (*shard, error) {
+func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics) (*shard, error) {
 	em := epoch.New()
 	em.Instrument(cfg.Metrics)
 	em.InstrumentFlight(cfg.Flight, id)
@@ -120,7 +97,6 @@ func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq
 		log:         l,
 		index:       idx,
 		sessions:    make(map[string]*shardSession),
-		seq:         seq,
 		metrics:     metrics,
 		tracer:      cfg.Tracer,
 		flight:      cfg.Flight,

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -136,17 +137,22 @@ func TestShardedCommitAndRecover(t *testing.T) {
 	rs.StopSession()
 }
 
-// TestShardedPartialCommitCrash is the coordinated-commit crash test: a
-// cross-shard commit "crashes" after k of N shards finished wait-flush (their
-// shard checkpoints are durable, the manifest is not). Recovery must land on
-// the last commit durable on ALL shards — rolling the k finished shards back
-// — and ContinueSession must return the minimum cross-shard prefix serial.
+// TestShardedPartialCommitCrash is the crash-before-the-manifest test, at
+// every shard count: a commit "crashes" after k of N shards finished
+// wait-flush (their shard checkpoints are durable, the manifest is not; at
+// N = 1 that is the one shard's meta without a manifest). Recovery must land
+// on the last commit that has a manifest — rolling the k finished shards back
+// — ContinueSession must return that commit's serial, the session's
+// watermark must never have covered the crashed commit, and the recovered
+// store must not hand the crashed commit's token out again.
 func TestShardedPartialCommitCrash(t *testing.T) {
-	n := testShardCount(4)
-	if n < 2 {
-		t.Skip("needs at least 2 shards")
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { partialCommitCrash(t, n) })
 	}
-	k := n / 2 // shards that finish the second commit before the crash
+}
+
+func partialCommitCrash(t *testing.T, n int) {
+	k := (n + 1) / 2 // shards that finish the second commit before the crash
 
 	devs := make([]*storage.MemDevice, n)
 	for i := range devs {
@@ -181,33 +187,44 @@ func TestShardedPartialCommitCrash(t *testing.T) {
 		}
 	}
 
-	// Second commit reaches wait-flush completion on only k shards: drive
-	// their shard-level state machines directly, never writing the manifest —
-	// exactly the on-disk state of a coordinator crash mid-commit.
-	token2 := "ckpt-crash-000002"
-	for i := 0; i < k; i++ {
-		if _, err := s.shards[i].commit(CommitOptions{}, token2); err != nil {
-			t.Fatal(err)
-		}
+	// Second commit, under the token the store would give it, completes its
+	// leg on only k shards: start those legs directly, so finishCommit never
+	// runs and no manifest is written — exactly the on-disk state of a crash
+	// between the last persist-done and the manifest.
+	token2 := fmt.Sprintf("ckpt-%06d", s.commitSeq.Load()+1)
+	legs := make([]*checkpointCtx, k)
+	for i := range legs {
+		legs[i] = s.shards[i].startCommit(token2, FoldOver, false)
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; ; j++ {
-			if res, ok := s.shards[i].tryResult(token2); ok {
-				if res.Err != nil {
-					t.Fatalf("shard %d commit failed: %v", i, res.Err)
-				}
-				break
+	for i, ck := range legs {
+		finished := func() bool {
+			select {
+			case <-ck.done:
+				return true
+			default:
+				return false
 			}
+		}
+		for j := 0; !finished(); j++ {
 			sess.Refresh()
 			sess.CompletePending(false)
 			if j > 1_000_000 {
 				t.Fatalf("shard %d commit stuck in phase %v", i, s.ShardPhase(i))
 			}
 		}
+		if ck.res.Err != nil {
+			t.Fatalf("shard %d commit failed: %v", i, ck.res.Err)
+		}
 		if s.ShardVersion(i) != res1.Version+2 {
 			t.Fatalf("shard %d version = %d after second commit, want %d",
 				i, s.ShardVersion(i), res1.Version+2)
 		}
+	}
+	if got := sess.CommittedSerial(); got != commit1 {
+		t.Fatalf("CommittedSerial = %d with no manifest for %s, want %d", got, token2, commit1)
+	}
+	if tok, _ := s.LatestCommitToken(); tok != res1.Token {
+		t.Fatalf("LatestCommitToken = %q with no manifest for %s, want %s", tok, token2, res1.Token)
 	}
 
 	// Crash: snapshot checkpoint store first, then the devices (matching
@@ -223,15 +240,19 @@ func TestShardedPartialCommitCrash(t *testing.T) {
 	rcfg := shardedConfig(n)
 	rcfg.Checkpoints = snapCkpts
 	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return snapDevs[i], nil }
-	r, err := Recover(rcfg)
+	r, report, err := RecoverWithReport(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	// The manifest for the partial commit was never written, so recovery must
-	// land on commit 1 — the last version durable on ALL shards — rolling the
-	// k finished shards back past their newer (orphaned) shard checkpoints.
+	// The manifest for the partial commit was never written, so it is not a
+	// commit at all — not even a skipped one — and recovery lands on commit 1,
+	// rolling the k finished shards back past their newer (orphaned) shard
+	// checkpoints.
+	if report.Token != res1.Token || len(report.Skipped) != 0 {
+		t.Fatalf("recovered %s with skips %v, want %s and none", report.Token, report.Skipped, res1.Token)
+	}
 	for i := 0; i < n; i++ {
 		if r.ShardVersion(i) != res1.Version+1 {
 			t.Fatalf("shard %d recovered at version %d, want %d (commit 1)",
@@ -243,6 +264,11 @@ func TestShardedPartialCommitCrash(t *testing.T) {
 		t.Fatalf("recovered commit point = %d, want min cross-shard prefix %d", point, commit1)
 	}
 	verifyPrefix(t, rs, commit1, total)
+	// The orphaned shard artifacts still carry token2; the next commit must
+	// not reuse it.
+	if res := driveCommit(t, r, []*Session{rs}, CommitOptions{}); res.Token <= token2 {
+		t.Fatalf("commit after recovery took token %s, colliding with the crashed commit %s", res.Token, token2)
+	}
 	rs.StopSession()
 }
 
@@ -276,8 +302,8 @@ func verifyPrefix(t *testing.T, sess *Session, present, absentMax uint64) {
 }
 
 // TestShardedConcurrentCommits runs concurrent sessions across shards with
-// repeated coordinated commits — the multi-shard analogue of the single-store
-// stress tests, primarily valuable under -race.
+// repeated commits — the multi-shard analogue of the single-store stress
+// tests, primarily valuable under -race.
 func TestShardedConcurrentCommits(t *testing.T) {
 	n := testShardCount(2)
 	cfg := shardedConfig(n)

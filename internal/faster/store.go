@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/epoch"
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
 	"repro/internal/obs"
@@ -127,9 +126,9 @@ func (AddUint64) Update(cur, input []byte) []byte {
 type Config struct {
 	// Shards partitions the store into independent CPR domains — each with
 	// its own hash index, HybridLog, epoch manager and checkpoint state
-	// machine — routed by key-hash high bits. The default (1) is the original
-	// unpartitioned store; commits on a multi-shard store are coordinated so
-	// every session still receives a single cross-shard commit point.
+	// machine — routed by key-hash high bits (default 1). A commit covers
+	// every shard under one token, so a session receives a single commit point
+	// whatever the shard count.
 	Shards int
 	// IndexBuckets is the number of main hash buckets (power of two), split
 	// across shards. The paper's default is #keys/2 with 7 entries per bucket.
@@ -147,8 +146,8 @@ type Config struct {
 	// exclusive with Device.
 	DeviceFactory func(shard int) (storage.Device, error)
 	// Checkpoints stores commit artifacts. Defaults to an in-memory store.
-	// A multi-shard store namespaces each shard under "shard<i>/" and keeps
-	// the cross-shard commit manifests at the top level.
+	// A multi-shard store namespaces each shard under "shard<i>/"; the commit
+	// manifests are at the top level for every shard count.
 	Checkpoints storage.CheckpointStore
 	// RMW supplies read-modify-write semantics. Defaults to AddUint64.
 	RMW RMWOps
@@ -217,9 +216,6 @@ func (c *Config) fill() error {
 	}
 	if c.IndexBuckets&(c.IndexBuckets-1) != 0 {
 		return fmt.Errorf("faster: IndexBuckets %d must be a power of two", c.IndexBuckets)
-	}
-	if c.Shards == 1 && c.Device == nil && c.DeviceFactory == nil {
-		c.Device = storage.NewMemDevice()
 	}
 	if c.Checkpoints == nil {
 		c.Checkpoints = storage.NewMemCheckpointStore()
@@ -290,9 +286,8 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 // Store is a FASTER instance with CPR durability, partitioned into one or
 // more shards. All operations happen through Sessions (Sec. 5.2), which
 // route by key hash; Commit triggers an asynchronous CPR checkpoint across
-// every shard; Recover rebuilds a store from its latest commit. With
-// Shards == 1 the store behaves exactly like the original unpartitioned
-// implementation, including its checkpoint format.
+// every shard; Recover rebuilds a store from its latest commit. The commit
+// protocol, its artifacts and recovery are the same for every shard count.
 type Store struct {
 	cfg        Config
 	shards     []*shard
@@ -305,10 +300,11 @@ type Store struct {
 	sessions         map[string]*Session
 	recoveredSerials map[string]uint64
 
-	ckptMu    sync.Mutex
-	multi     *multiCommit // non-nil while a cross-shard commit is active
-	results   commitResults
-	commitSeq atomic.Uint64 // token counter, shared with the shards
+	ckptMu      sync.Mutex
+	active      *storeCommit // non-nil from Commit until the commit's result is published
+	results     commitResults
+	latestToken string        // newest commit completed, recovered or installed here ("" if none)
+	commitSeq   atomic.Uint64 // token counter
 
 	// hookMu guards commitHooks (see OnCommit; fired after every completed
 	// commit, used by the replication shipper) and artifactHooks (see
@@ -340,65 +336,55 @@ func newStore(cfg Config) *Store {
 		metrics:          newStoreMetrics(cfg.Metrics),
 		tracer:           cfg.Tracer,
 	}
-	if n := cfg.Shards; n > 1 && n&(n-1) == 0 {
+	if n := cfg.Shards; n&(n-1) == 0 {
 		s.shardShift = 64 - uint(bits.Len(uint(n))-1)
 	}
 	return s
 }
 
-// shardConfig derives shard i's private configuration: its own device, a
-// namespaced view of the checkpoint store, a prefixed metrics view, and a
-// 1/N slice of the index and log-memory budgets. With Shards == 1 the
-// shard's configuration is the store's, untouched.
-func (s *Store) shardConfig(i int) (Config, error) {
+// shardNames is the one place that knows how shard i of an n-shard store is
+// named in the namespaces the shards share: the prefix of its checkpoint
+// artifacts, the prefix of its metrics, and the suffix that tells its
+// state machine apart in the tracer. The only shard of a single-shard store
+// uses the bare names.
+func shardNames(n, i int) (artifacts, metrics, trace string) {
+	if n == 1 {
+		return "", "", ""
+	}
+	return fmt.Sprintf("shard%d/", i), fmt.Sprintf("shard%d_", i), fmt.Sprintf("/s%d", i)
+}
+
+// shardConfig derives shard i's private configuration — its own device, its
+// view of the checkpoint store and of the metrics registry, and a 1/N share of
+// the index and log-memory budgets — and its trace suffix.
+func (s *Store) shardConfig(i int) (Config, string, error) {
 	sc := s.cfg
 	sc.DeviceFactory = nil
 	if s.cfg.DeviceFactory != nil {
 		d, err := s.cfg.DeviceFactory(i)
 		if err != nil {
-			return Config{}, fmt.Errorf("faster: shard %d device: %w", i, err)
+			return Config{}, "", fmt.Errorf("faster: shard %d device: %w", i, err)
 		}
 		sc.Device = d
-	}
-	if s.cfg.Shards == 1 {
-		return sc, nil
 	}
 	if sc.Device == nil {
 		sc.Device = storage.NewMemDevice()
 	}
-	sc.IndexBuckets = shardBuckets(s.cfg.IndexBuckets, s.cfg.Shards)
-	if s.cfg.MemPages > 0 {
-		sc.MemPages = s.cfg.MemPages / s.cfg.Shards
-		if sc.MemPages < hlog.MinMemPages {
-			sc.MemPages = hlog.MinMemPages
-		}
+	n := s.cfg.Shards
+	sc.IndexBuckets = shardShare(s.cfg.IndexBuckets, n, 64)
+	if sc.IndexBuckets&(sc.IndexBuckets-1) != 0 {
+		sc.IndexBuckets = 1 << bits.Len(uint(sc.IndexBuckets)) // non-power-of-two shard count: round up
 	}
-	sc.Checkpoints = storage.NewPrefixCheckpointStore(s.cfg.Checkpoints, fmt.Sprintf("shard%d/", i))
-	sc.Metrics = s.cfg.Metrics.WithPrefix(fmt.Sprintf("shard%d_", i))
-	return sc, nil
+	sc.MemPages = shardShare(s.cfg.MemPages, n, hlog.MinMemPages)
+	artifacts, metrics, trace := shardNames(n, i)
+	sc.Checkpoints = storage.NewPrefixCheckpointStore(s.cfg.Checkpoints, artifacts)
+	sc.Metrics = s.cfg.Metrics.WithPrefix(metrics)
+	return sc, trace, nil
 }
 
-// shardBuckets splits a power-of-two bucket budget across n shards, keeping
-// every shard's index a power of two with a sane floor.
-func shardBuckets(total, n int) int {
-	per := total / n
-	if per < 64 {
-		per = 64
-	}
-	if per&(per-1) != 0 {
-		per = 1 << bits.Len(uint(per)) // non-power-of-two shard count: round up
-	}
-	return per
-}
-
-// traceSuffix distinguishes per-shard checkpoint state machines in the
-// shared tracer; a single-shard store traces under the bare token.
-func (s *Store) traceSuffix(i int) string {
-	if s.cfg.Shards == 1 {
-		return ""
-	}
-	return fmt.Sprintf("/s%d", i)
-}
+// shardShare is one shard's share of a store-wide budget split n ways: never
+// below floor, unless the whole budget is.
+func shardShare(total, n, floor int) int { return max(total/n, min(total, floor)) }
 
 // Open creates a Store ready for use at version 1.
 func Open(cfg Config) (*Store, error) {
@@ -407,10 +393,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := newStore(cfg)
 	for i := 0; i < cfg.Shards; i++ {
-		sc, err := s.shardConfig(i)
+		sc, trace, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, s.traceSuffix(i), s.metrics, &s.commitSeq)
+			sh, err = openShard(sc, i, trace, s.metrics)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -419,33 +405,15 @@ func Open(cfg Config) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	s.wireShards()
 	s.registerStoreGauges()
 	s.registerLagGauges()
 	return s, nil
 }
 
-// wireShards points every shard's commit callbacks at the store, once,
-// before any commit can run: the checkpoint goroutine reads these fields
-// without a lock, so hooks registered later (OnCommit, OnCommitArtifact)
-// only ever change the hookMu-guarded lists behind them.
-func (s *Store) wireShards() {
-	for _, sh := range s.shards {
-		sh.noteCommitted = s.noteCommitted
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].onCommit = s.fireCommitHooks
-		s.shards[0].commitAttach = s.writeCommitAttachments
-	}
-}
-
-// registerStoreGauges exposes store-wide aggregates. With one shard the
-// shard itself registered the unprefixed gauges, preserving the original
-// metric set exactly.
+// registerStoreGauges exposes the store-wide aggregates, after the shards
+// registered their own under their metric prefix: where that prefix is empty
+// these replace them, so faster_phase always covers the manifest write.
 func (s *Store) registerStoreGauges() {
-	if s.cfg.Shards == 1 {
-		return
-	}
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
 	reg.GaugeFunc("faster_version", func() int64 { return int64(s.Version()) })
@@ -473,9 +441,9 @@ func (s *Store) shardOf(hash uint64) int {
 }
 
 // Phase returns the store-wide CPR phase: the most advanced phase across
-// shards. While a cross-shard commit is finalizing its manifest (all shards
-// back at rest, manifest not yet durable) it reports wait-flush, so polling
-// Phase() == Rest observes completed commits only.
+// shards. While a commit is finalizing its manifest (all shards back at rest,
+// manifest not yet durable) it reports wait-flush, so polling Phase() == Rest
+// observes completed commits only.
 func (s *Store) Phase() Phase {
 	p := s.shards[0].Phase()
 	for _, sh := range s.shards[1:] {
@@ -483,9 +451,9 @@ func (s *Store) Phase() Phase {
 			p = sp
 		}
 	}
-	if p == Rest && len(s.shards) > 1 {
+	if p == Rest {
 		s.ckptMu.Lock()
-		active := s.multi != nil
+		active := s.active != nil
 		s.ckptMu.Unlock()
 		if active {
 			return WaitFlush
@@ -530,10 +498,6 @@ func (s *Store) LogBytes() int64 {
 	}
 	return n
 }
-
-// Epochs exposes shard 0's epoch manager (shared with helper goroutines of
-// single-shard deployments).
-func (s *Store) Epochs() *epoch.Manager { return s.shards[0].epochs }
 
 // Metrics returns the store's metrics registry (never nil after Open, though
 // it may be the nop registry).
@@ -613,9 +577,8 @@ func (s *Store) maxSessionLag() (ops uint64, ns int64) {
 }
 
 // noteCommitted records a completed commit's session points in the
-// durability-lag metrics and advances each session's committed watermark.
-// Invoked on the commit-completion path of both the coordinated (multi-shard)
-// and uncoordinated (single-shard) protocols.
+// durability-lag metrics and advances each session's committed watermark
+// (finishCommit calls it before the result becomes visible).
 func (s *Store) noteCommitted(res CommitResult) {
 	now := nowNanos()
 	token := res.Token // one shared cell for every session's covering token
@@ -652,15 +615,14 @@ func (s *Store) registerLagGauges() {
 }
 
 // OnCommitArtifact registers fn as a commit attachment: at every commit,
-// after the checkpoint (and, on a partitioned store, the cross-shard
-// manifest) is durable but before the commit is announced as complete, fn is
-// invoked with the commit's result and returns an artifact name and payload
-// to persist alongside the commit's own artifacts — inside the checksum
-// envelope, with the usual retries. An empty name skips the write. An error
-// from fn or from the write fails the commit, so a completed commit always
-// carries its attachments (the ingestion log's inlog-<token> watermark
-// depends on this ordering). fn runs on the checkpoint goroutine and must
-// not block on session progress.
+// after the manifest is durable but before the commit is announced as
+// complete, fn is invoked with the commit's result and returns an artifact
+// name and payload to persist alongside the commit's own artifacts — inside
+// the checksum envelope, with the usual retries. An empty name skips the
+// write. An error from fn or from the write fails the commit, so a completed
+// commit always carries its attachments (the ingestion log's inlog-<token>
+// watermark depends on this ordering). fn runs on the commit's finishing
+// goroutine and must not block on session progress.
 func (s *Store) OnCommitArtifact(fn func(CommitResult) (name string, payload []byte, err error)) {
 	s.hookMu.Lock()
 	s.artifactHooks = append(s.artifactHooks, fn)

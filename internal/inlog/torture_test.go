@@ -294,17 +294,17 @@ func TestTortureMidFsync(t *testing.T) {
 }
 
 // TestTortureMidCommit: crashes at every interesting instant of the commit
-// pipeline — before/mid the metadata write, mid the latest-pointer write,
-// after the latest-pointer but before the watermark attachment, and mid the
-// watermark artifact itself. Recovery must land on a consistent commit
+// pipeline — before/mid the metadata write, mid the manifest write, after the
+// manifest (the commit record) but before the watermark attachment, and mid
+// the watermark artifact itself. Recovery must land on a consistent commit
 // (falling back as needed) and the anchor arithmetic must still produce an
 // exact replay offset.
 func TestTortureMidCommit(t *testing.T) {
 	points := []string{
 		"before:meta-ckpt-000002",
 		"torn:meta-ckpt-000002",
-		"torn:latest",
-		"after:latest",
+		"torn:cpr-manifest-ckpt-000002",
+		"after:cpr-manifest-ckpt-000002",
 		"torn:inlog-ckpt-000002",
 	}
 	for _, point := range points {

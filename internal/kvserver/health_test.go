@@ -12,6 +12,7 @@ func TestOpHealthRoundTrip(t *testing.T) {
 	srv, addr, store := startServer(t, smallCfg())
 	eng := health.New(health.Config{Registry: store.Metrics(), Interval: 5 * time.Millisecond})
 	srv.Health = eng.Verdict
+	eng.Tick() // the baseline sample: a verdict asked for before it lists no detectors
 	eng.Start()
 	defer eng.Stop()
 

@@ -54,8 +54,8 @@ const (
 	// FlightPersistDone: a shard's checkpoint (log capture + metadata) is
 	// fully durable. Arg1 is the bytes written.
 	FlightPersistDone
-	// FlightManifestWrite: the cross-shard manifest and latest-pointer are
-	// durable; the commit is now recoverable on every shard.
+	// FlightManifestWrite: the manifest — the commit record — is durable; the
+	// commit is now recoverable on every shard.
 	FlightManifestWrite
 	// FlightCommitDone: the commit completed successfully. Arg1 is the total
 	// bytes written.

@@ -477,8 +477,10 @@ func (r *Replica) applyArtifact(payload []byte, staging map[string]*artifactBuf)
 	}
 	delete(staging, name)
 	if name == "latest" || name == "cpr-latest" {
-		// Pointer artifacts are written locally at install time; a shipped
-		// one would make an uninstalled commit visible to local recovery.
+		// The pointer artifacts of older layouts. No current primary ships
+		// them and nothing reads one as a pointer, but the name is input from
+		// outside: a stored "latest" in a directory that has no manifest yet
+		// would make local recovery refuse it as a pre-manifest layout.
 		return nil
 	}
 	return storage.WriteArtifact(r.store.Checkpoints(), name, buf.data)
