@@ -9,6 +9,7 @@ package kvserver
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -89,42 +90,22 @@ func TestFrameDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestServingLoopAllocFree drives the real read -> dispatch -> respond path —
-// readFrameBuf into the pooled frame buffer, execBatch scattering GETs
-// through the session, replies gathered into the reused reply buffer behind
-// the coalescing writer — and requires zero allocations per batch in steady
-// state.
-func TestServingLoopAllocFree(t *testing.T) {
-	cfg := faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8}
-	store, err := faster.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	srv := NewServer(store)
-	sess := store.StartSession()
-	defer sess.StopSession()
+// replayConn is a connection whose peer sends the same frames over and over:
+// each pass rewinds the reader onto raw and drives the real read -> dispatch ->
+// respond path — readFrameBuf into the connection's frame buffer, the ops
+// through the session, replies built in place in the reply buffer behind the
+// coalescing writer, which discards them.
+type replayConn struct {
+	srv    *Server
+	sess   *faster.Session
+	cs     *connState
+	rd     *bytes.Reader
+	raw    []byte
+	frames int
+	at     obs.ActiveTrace
+}
 
-	const depth = 64
-	keys := make([][]byte, depth)
-	for i := range keys {
-		keys[i] = u64(uint64(i) * 0x9e3779b97f4a7c15)
-		if st := sess.Upsert(keys[i], u64(uint64(i))); st != faster.Ok {
-			t.Fatalf("preload %d: %v", i, st)
-		}
-	}
-
-	// One GET-only BATCH frame, re-served from the same bytes each run.
-	payload := appendU32(nil, depth)
-	for i, k := range keys {
-		payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
-	}
-	var fb bytes.Buffer
-	if err := writeFrame(&fb, OpBatch, payload); err != nil {
-		t.Fatal(err)
-	}
-	raw := fb.Bytes()
-
+func newReplayConn(srv *Server, sess *faster.Session, raw []byte, frames int) *replayConn {
 	rd := bytes.NewReader(raw)
 	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
 	cs.br = bufio.NewReaderSize(rd, 32<<10)
@@ -133,28 +114,195 @@ func TestServingLoopAllocFree(t *testing.T) {
 		cs.pendSt = st
 		cs.pendDone = true
 	}
-	var at obs.ActiveTrace
-	var tc obs.TraceContext
-	bad := false
-	allocs := testing.AllocsPerRun(300, func() {
-		rd.Reset(raw)
-		cs.br.Reset(rd)
-		op, _, body, err := readFrameBuf(cs.br, &cs.frame)
-		if err != nil || op != OpBatch {
-			bad = true
-			return
+	return &replayConn{srv: srv, sess: sess, cs: cs, rd: rd, raw: raw, frames: frames}
+}
+
+func (r *replayConn) pass() error {
+	r.rd.Reset(r.raw)
+	r.cs.br.Reset(r.rd)
+	for i := 0; i < r.frames; i++ {
+		op, tc, body, err := readFrameBuf(r.cs.br, &r.cs.frame)
+		if err == nil {
+			err = r.srv.dispatch(r.cs, r.sess, op, tc, body, &r.at)
 		}
-		if err := srv.dispatch(cs, sess, op, tc, body, &at); err != nil {
-			bad = true
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// guardServingLoop requires zero allocations per pass over the frames in raw
+// in steady state.
+func guardServingLoop(t *testing.T, srv *Server, sess *faster.Session, raw []byte, frames int) {
+	t.Helper()
+	r := newReplayConn(srv, sess, raw, frames)
+	var bad error
+	allocs := testing.AllocsPerRun(300, func() {
+		if err := r.pass(); err != nil {
+			bad = err
 		}
 	})
-	if bad {
-		t.Fatal("serving loop failed inside guard loop")
+	if bad != nil {
+		t.Fatalf("serving loop failed inside guard loop: %v", bad)
 	}
 	if allocs != 0 {
-		t.Fatalf("steady-state serving loop: %.2f allocs/batch of %d GETs, want 0", allocs, depth)
+		t.Fatalf("steady-state serving loop: %.2f allocs per %d frame(s), want 0", allocs, frames)
 	}
 }
+
+// servedStore opens an in-memory store with depth preloaded keys behind a
+// server that is not listening, plus a session to dispatch on.
+func servedStore(t testing.TB, depth int) (*Server, *faster.Session, [][]byte) {
+	t.Helper()
+	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := store.StartSession()
+	t.Cleanup(func() { sess.StopSession(); store.Close() })
+	keys := make([][]byte, depth)
+	for i := range keys {
+		keys[i] = u64(uint64(i) * 0x9e3779b97f4a7c15)
+		if st := sess.Upsert(keys[i], u64(uint64(i))); st != faster.Ok {
+			t.Fatalf("preload %d: %v", i, st)
+		}
+	}
+	return NewServer(store), sess, keys
+}
+
+// TestServingLoopAllocFree: one GET-only BATCH frame of 64, re-served from
+// the same bytes each run.
+func TestServingLoopAllocFree(t *testing.T) {
+	srv, sess, keys := servedStore(t, 64)
+	payload := appendU32(nil, uint32(len(keys)))
+	for i, k := range keys {
+		payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
+	}
+	var fb bytes.Buffer
+	if err := writeFrame(&fb, OpBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	guardServingLoop(t, srv, sess, fb.Bytes(), 1)
+}
+
+// TestSingleOpServingLoopAllocFree: the single-op arms — one traced GET frame
+// and one plain SET frame per pass, each answered in its own reply frame.
+func TestSingleOpServingLoopAllocFree(t *testing.T) {
+	srv, sess, keys := servedStore(t, 1)
+	var fb bytes.Buffer
+	tc := obs.TraceContext{TraceID: 9, ParentSpan: 1, IssuedUnixNanos: 1}
+	if err := writeFrameTr(&fb, OpGet, tc, appendString(nil, keys[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&fb, OpSet, appendValue(appendString(nil, keys[0]), u64(1))); err != nil {
+		t.Fatal(err)
+	}
+	guardServingLoop(t, srv, sess, fb.Bytes(), 2)
+}
+
+// wireFixture serves an in-memory store on loopback and dials one client to
+// it, with 64 keys preloaded through that client.
+func wireFixture(tb testing.TB) (*Client, [][]byte) {
+	tb.Helper()
+	_, addr, _ := startServer(tb, faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
+	c, err := Dial(addr, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = u64(uint64(i) * 0x9e3779b97f4a7c15)
+		if _, err := c.Set(keys[i], u64(uint64(i))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c, keys
+}
+
+// The three round trips of the wire path, shared by the allocation guard and
+// the layer benchmarks: one GET, one SET, one Pipeline of 64 (32 GETs, 32
+// SETs, 8-byte keys and values — the shape of the benchmark's net-batch64).
+func getRTT(c *Client, keys [][]byte) func(i int) error {
+	return func(i int) error {
+		if _, found, err := c.Get(keys[i%len(keys)]); err != nil || !found {
+			return fmt.Errorf("get: found=%v err=%v", found, err)
+		}
+		return nil
+	}
+}
+
+func setRTT(c *Client, keys [][]byte) func(i int) error {
+	val := u64(42)
+	return func(i int) error {
+		_, err := c.Set(keys[i%len(keys)], val)
+		return err
+	}
+}
+
+func flush64(c *Client, keys [][]byte) func(i int) error {
+	p, val := c.Pipeline(), u64(42)
+	return func(int) error {
+		for i, k := range keys {
+			if i%2 == 0 {
+				p.Get(k)
+			} else {
+				p.Set(k, val)
+			}
+		}
+		res, err := p.Flush()
+		if err == nil && len(res) != len(keys) {
+			err = fmt.Errorf("flush: %d results for %d ops", len(res), len(keys))
+		}
+		return err
+	}
+}
+
+// TestClientRoundTripAllocFree: a Get, a Set and a 64-op Pipeline.Flush
+// against an in-process server over loopback allocate nothing in steady state.
+// AllocsPerRun counts process-wide, so the guard covers the client and the
+// server's connection handler together.
+func TestClientRoundTripAllocFree(t *testing.T) {
+	c, keys := wireFixture(t)
+	for _, rt := range []struct {
+		name string
+		f    func(int) error
+	}{{"Get", getRTT(c, keys)}, {"Set", setRTT(c, keys)}, {"Flush64", flush64(c, keys)}} {
+		var bad error
+		i := 0
+		allocs := testing.AllocsPerRun(300, func() {
+			if err := rt.f(i); err != nil {
+				bad = err
+			}
+			i++
+		})
+		if bad != nil {
+			t.Fatalf("%s failed inside guard loop: %v", rt.name, bad)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: %.2f allocs per round trip, want 0", rt.name, allocs)
+		}
+	}
+}
+
+func benchRTT(b *testing.B, mk func(*Client, [][]byte) func(int) error) {
+	c, keys := wireFixture(b)
+	f := mk(c, keys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Layer benchmarks of the wire path over loopback: one op is one round trip
+// (for Flush64, one batch of 64), client and server in this process.
+func BenchmarkClientGetRTT(b *testing.B)    { benchRTT(b, getRTT) }
+func BenchmarkClientSetRTT(b *testing.B)    { benchRTT(b, setRTT) }
+func BenchmarkPipelineFlush64(b *testing.B) { benchRTT(b, flush64) }
 
 // BenchmarkExecBatch64 is the server side of net-batch64 without the socket:
 // one BATCH frame of 64 ops (32 GETs, 32 SETs, 8-byte keys and values) read
@@ -162,21 +310,11 @@ func TestServingLoopAllocFree(t *testing.T) {
 // gathered reply written to a discarding connection. One op is one batch;
 // ns/batched-op is per op in it. The per-op clock reads are in the number.
 func BenchmarkExecBatch64(b *testing.B) {
-	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	srv := NewServer(store)
-	sess := store.StartSession()
-	defer sess.StopSession()
-
 	const depth = 64
+	srv, sess, keys := servedStore(b, depth/2)
 	payload := appendU32(nil, depth)
 	for i := 0; i < depth; i++ {
-		k := u64(uint64(i/2) * 0x9e3779b97f4a7c15)
-		if i%2 == 0 {
-			sess.Upsert(k, u64(uint64(i)))
+		if k := keys[i/2]; i%2 == 0 {
 			payload = appendBatchOp(payload, OpSet, uint64(i+1), k, u64(uint64(i)))
 		} else {
 			payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
@@ -186,22 +324,11 @@ func BenchmarkExecBatch64(b *testing.B) {
 	if err := writeFrame(&fb, OpBatch, payload); err != nil {
 		b.Fatal(err)
 	}
-	raw := fb.Bytes()
-	rd := bytes.NewReader(raw)
-	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
-	cs.br = bufio.NewReaderSize(rd, 32<<10)
-	var at obs.ActiveTrace
-	var tc obs.TraceContext
+	r := newReplayConn(srv, sess, fb.Bytes(), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd.Reset(raw)
-		cs.br.Reset(rd)
-		op, _, body, err := readFrameBuf(cs.br, &cs.frame)
-		if err != nil || op != OpBatch {
-			b.Fatalf("frame: op %d, %v", op, err)
-		}
-		if err := srv.dispatch(cs, sess, op, tc, body, &at); err != nil {
+		if err := r.pass(); err != nil {
 			b.Fatal(err)
 		}
 	}

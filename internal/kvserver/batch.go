@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/obs"
 )
 
 // Batch codec (protocol v3). An OpBatch request carries N pipelined data ops
@@ -128,23 +130,15 @@ func appendBatchSerialResult(dst []byte, seq uint64, status byte, serial uint64)
 	return appendU64(dst, serial)
 }
 
-// batchReplyHdr is the fixed prefix of a batch reply frame, built in place in
-// the reply buffer so the whole frame goes out as one contiguous write (a
-// stack header array would escape through an io.Writer interface and cost an
-// allocation per frame): u32 frame len | u8 OpBatch | u8 status | u32 count.
-const batchReplyHdr = 10
-
-// openBatchReply resets frame to a reply frame's header placeholder; append
-// entries after it and call finishBatchReply before writing it out.
+// openBatchReply begins a batch reply frame in frame: the frame header, then
+// u8 StatusOK | u32 count placeholder. Append entries after it and call
+// sealBatchReply before writing it out.
 func openBatchReply(frame []byte) []byte {
-	var zero [batchReplyHdr]byte
-	return append(frame[:0], zero[:]...)
+	return appendU32(append(openFrame(frame, OpBatch, obs.TraceContext{}), StatusOK), 0)
 }
 
-// finishBatchReply patches the in-place header for count entries.
-func finishBatchReply(frame []byte, count int) {
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	frame[4] = OpBatch
-	frame[5] = StatusOK
-	binary.LittleEndian.PutUint32(frame[6:], uint32(count))
+// sealBatchReply patches the entry count and the frame length.
+func sealBatchReply(frame []byte, count int) []byte {
+	binary.LittleEndian.PutUint32(frame[frameHdr+1:], uint32(count))
+	return sealFrame(frame)
 }

@@ -1,7 +1,9 @@
 package kvserver
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -27,8 +29,23 @@ func (e *RedirectError) Error() string {
 // Client is a synchronous client for one server session. It is not safe for
 // concurrent use (a session is a single logical thread); open one Client per
 // goroutine, as the paper opens one session per thread.
+//
+// The connection owns one grow-only buffer per direction: a request frame is
+// built in place in wbuf and leaves in one Write, a reply is read through br
+// into rbuf, and reply bodies (Get's value among them) alias rbuf until the
+// next call — so a steady-state round trip allocates nothing.
 type Client struct {
-	conn     net.Conn
+	conn net.Conn
+	br   *bufio.Reader
+	wbuf []byte
+	rbuf []byte
+	tc   obs.TraceContext // the request in flight (zero when untraced)
+	pipe *Pipeline        // GetN/SetN's pipeline, made on first use
+	// err is sticky: after a timeout or a protocol error the late reply may
+	// still arrive, and the next call would take it for its own. Every call
+	// fails with err until Reconnect.
+	err error
+
 	addr     string
 	id       string
 	cprPoint uint64
@@ -55,25 +72,21 @@ func Dial(addr, clientID string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, addr: addr, Timeout: DefaultCallTimeout}
-	conn.SetDeadline(time.Now().Add(DefaultCallTimeout)) //nolint:errcheck
-	defer conn.SetDeadline(time.Time{})                  //nolint:errcheck
+	// A reply frame is normally at most the server's coalescing cap, so a
+	// reader that size takes it in one read.
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, DefaultCoalesceBytes),
+		addr: addr, proto: ProtoV1, Timeout: DefaultCallTimeout}
 	// Offer ProtoV3 via the trailing proto byte; a v1 server's Hello parser
 	// stops at the client-ID string and its response carries no proto byte,
 	// which downgrades this client to v1 (plain frames, no trace field). A v2
 	// server echoes ProtoV2 — min(offered, supported) — which keeps traces but
 	// disables BATCH frames (Pipeline falls back to sequential calls).
-	payload := append(appendString(nil, []byte(clientID)), ProtoV3)
-	if err := writeFrame(conn, OpHello, payload); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	op, resp, err := readFrame(conn)
-	if err != nil || op != OpHello || len(resp) < 1 || resp[0] != StatusOK {
+	status, resp, err := c.call(append(appendString(c.open(OpHello), []byte(clientID)), ProtoV3))
+	if err != nil || status != StatusOK {
 		conn.Close()
 		return nil, fmt.Errorf("kvserver: handshake failed: %v", err)
 	}
-	point, rest, err := takeU64(resp[1:])
+	point, rest, err := takeU64(resp)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -83,7 +96,6 @@ func Dial(addr, clientID string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	c.proto = ProtoV1
 	if len(rest) > 0 {
 		// The echoed version is already min(offered, server max); clamp it to
 		// what this client speaks in case a future server misbehaves.
@@ -137,52 +149,98 @@ func (c *Client) Reconnect(addr string) error {
 	return nil
 }
 
-func (c *Client) call(op byte, payload []byte) (byte, []byte, error) {
-	if c.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
-		defer c.conn.SetDeadline(time.Time{})         //nolint:errcheck
-	}
-	var tc obs.TraceContext
-	t0 := time.Now().UnixNano()
+// open begins op's request frame in the client's write buffer, choosing the
+// trace context of the exchange; the caller appends the payload and hands the
+// frame to call.
+func (c *Client) open(op byte) []byte {
+	c.tc = obs.TraceContext{}
 	if c.proto >= ProtoV2 {
 		// ParentSpan 1 is the ID Begin assigns to this client's own root span
-		// (below), so the server's tree nests under the client-observed call.
-		tc = obs.TraceContext{TraceID: obs.NewTraceID(), ParentSpan: 1, IssuedUnixNanos: t0}
+		// (see traced), so the server's tree nests under the client-observed call.
+		c.tc = obs.TraceContext{TraceID: obs.NewTraceID(), ParentSpan: 1, IssuedUnixNanos: time.Now().UnixNano()}
 	}
-	if err := writeFrameTr(c.conn, op, tc, payload); err != nil {
-		return 0, nil, err
-	}
-	rop, resp, err := readFrame(c.conn)
-	if c.Tracer != nil && tc.TraceID != 0 {
-		// Root-only client trace: span 1 is the client-observed call window
-		// [issue, response-read]; the server's spans (IDs from 2) nest under
-		// it. No child spans here — their IDs would collide with the server's.
-		var at obs.ActiveTrace
-		c.Tracer.Begin(&at, obs.TraceContext{TraceID: tc.TraceID}, opName(op), c.id)
-		c.Tracer.Finish(&at, t0, time.Now().UnixNano())
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	if rop != op {
-		return 0, nil, fmt.Errorf("kvserver: response opcode %d for request %d", rop, op)
-	}
-	if len(resp) < 1 {
-		return 0, nil, fmt.Errorf("kvserver: empty response")
-	}
-	if resp[0] == StatusRedirect {
-		primary, _, perr := takeString(resp[1:])
-		if perr != nil {
-			primary = nil
-		}
-		return 0, nil, &RedirectError{Addr: string(primary)}
-	}
-	return resp[0], resp[1:], nil
+	return openFrame(c.wbuf, op, c.tc)
 }
 
-// Get reads key. found is false when the key does not exist.
+// send seals a request frame and writes it in one call. d bounds the whole
+// exchange, reply included (zero: unbounded): every exchange sets the
+// connection's deadline anew, so none needs clearing afterwards.
+func (c *Client) send(frame []byte, d time.Duration) error {
+	if c.err != nil {
+		return c.err
+	}
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	c.conn.SetDeadline(deadline) //nolint:errcheck
+	if _, err := c.conn.Write(sealFrame(frame)); err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// fail makes err sticky (see Client.err), unless it is a redirect: that is a
+// whole reply, and leaves the stream in step.
+func (c *Client) fail(err error) error {
+	var redirect *RedirectError
+	if !errors.As(err, &redirect) {
+		c.err = fmt.Errorf("kvserver: connection out of step after a failed call, Reconnect to resume: %w", err)
+	}
+	return err
+}
+
+// recv reads one reply frame for op into the client's frame buffer and splits
+// off its status.
+func (c *Client) recv(op byte) (byte, []byte, error) {
+	rop, _, resp, err := readFrameBuf(c.br, &c.rbuf)
+	switch {
+	case err != nil:
+	case rop != op:
+		err = fmt.Errorf("kvserver: response opcode %d for request %d", rop, op)
+	case len(resp) < 1:
+		err = fmt.Errorf("kvserver: empty response")
+	case resp[0] == StatusRedirect:
+		primary, _, _ := takeString(resp[1:]) //nolint:errcheck // an unreadable address is an unknown one
+		return 0, nil, &RedirectError{Addr: string(primary)}
+	default:
+		return resp[0], resp[1:], nil
+	}
+	return 0, nil, err
+}
+
+// traced records the finished exchange as a root-only client trace: span 1 is
+// the client-observed window [issue, reply read]; the server's spans (IDs from
+// 2) nest under it. No child spans here — their IDs would collide with the
+// server's.
+func (c *Client) traced(op byte) {
+	if c.Tracer != nil && c.tc.TraceID != 0 {
+		var at obs.ActiveTrace
+		c.Tracer.Begin(&at, obs.TraceContext{TraceID: c.tc.TraceID}, opName(op), c.id)
+		c.Tracer.Finish(&at, c.tc.IssuedUnixNanos, time.Now().UnixNano())
+	}
+}
+
+// call sends the request frame begun with open and returns the reply's status
+// and body; the body aliases the client's frame buffer until the next call.
+func (c *Client) call(frame []byte) (byte, []byte, error) {
+	c.wbuf = frame[:0]
+	op := frame[frameHdr-1] &^ frameFlagTrace // the header's last byte
+	if err := c.send(frame, c.Timeout); err != nil {
+		return 0, nil, err
+	}
+	status, resp, err := c.recv(op)
+	c.traced(op)
+	if err != nil {
+		return 0, nil, c.fail(err)
+	}
+	return status, resp, nil
+}
+
+// Get reads key. found is false when the key does not exist. val is the
+// client's buffer, valid until this client's next call: copy it to keep it.
 func (c *Client) Get(key []byte) (val []byte, found bool, err error) {
-	status, resp, err := c.call(OpGet, appendString(nil, key))
+	status, resp, err := c.call(appendString(c.open(OpGet), key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -190,11 +248,8 @@ func (c *Client) Get(key []byte) (val []byte, found bool, err error) {
 	case StatusNotFound:
 		return nil, false, nil
 	case StatusOK:
-		v, _, err := takeValue(resp)
-		if err != nil {
-			return nil, false, err
-		}
-		return append([]byte(nil), v...), true, nil
+		val, _, err = takeValue(resp)
+		return val, err == nil, err
 	}
 	return nil, false, fmt.Errorf("kvserver: get failed")
 }
@@ -210,8 +265,7 @@ func (c *Client) RMW(key, input []byte) (uint64, error) {
 }
 
 func (c *Client) mutate(op byte, key, val []byte) (uint64, error) {
-	payload := appendValue(appendString(nil, key), val)
-	status, resp, err := c.call(op, payload)
+	status, resp, err := c.call(appendValue(appendString(c.open(op), key), val))
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +278,7 @@ func (c *Client) mutate(op byte, key, val []byte) (uint64, error) {
 
 // Delete removes key. found is false when the key did not exist.
 func (c *Client) Delete(key []byte) (found bool, err error) {
-	status, _, err := c.call(OpDelete, appendString(nil, key))
+	status, _, err := c.call(appendString(c.open(OpDelete), key))
 	if err != nil {
 		return false, err
 	}
@@ -241,11 +295,11 @@ func (c *Client) Delete(key []byte) (found bool, err error) {
 // blocks until it is durable, returning this session's CPR point: all of
 // this client's operations with serial <= point survived.
 func (c *Client) Commit(withIndex bool) (uint64, error) {
-	flags := []byte{0}
+	var flags byte
 	if withIndex {
-		flags[0] = 1
+		flags = 1
 	}
-	status, resp, err := c.call(OpCommit, flags)
+	status, resp, err := c.call(append(c.open(OpCommit), flags))
 	if err != nil {
 		return 0, err
 	}
@@ -262,7 +316,7 @@ func (c *Client) Commit(withIndex bool) (uint64, error) {
 // commit's token — the cross-link into flight-recorder events and trace
 // durwait spans. On a replica it returns a RedirectError.
 func (c *Client) WaitDurable() (uint64, string, error) {
-	status, resp, err := c.call(OpWaitDurable, nil)
+	status, resp, err := c.call(c.open(OpWaitDurable))
 	if err != nil {
 		return 0, "", err
 	}
@@ -280,55 +334,51 @@ func (c *Client) WaitDurable() (uint64, string, error) {
 	return serial, string(token), nil
 }
 
+// callJSON runs an introspection call: the reply is a u32-prefixed JSON
+// document, decoded into v, or on an error status the server's reason.
+func (c *Client) callJSON(frame []byte, what string, v any) error {
+	status, resp, err := c.call(frame)
+	if err != nil {
+		return err
+	}
+	doc, _, verr := takeValue(resp)
+	if status != StatusOK {
+		if verr == nil && len(doc) > 0 {
+			return fmt.Errorf("kvserver: %s failed: %s", what, doc)
+		}
+		return fmt.Errorf("kvserver: %s failed", what)
+	}
+	if verr != nil {
+		return verr
+	}
+	if err := json.Unmarshal(doc, v); err != nil {
+		return fmt.Errorf("kvserver: %s payload: %w", what, err)
+	}
+	return nil
+}
+
 // Trace fetches the server's retained slow-request span trees (at most n;
 // n <= 0 means server default). Returns an error when the server runs without
 // a request tracer.
 func (c *Client) Trace(n int) (obs.TraceDump, error) {
 	var dump obs.TraceDump
-	var payload []byte
+	frame := c.open(OpTrace)
 	if n > 0 {
 		if n > 0xffff {
 			n = 0xffff
 		}
-		payload = []byte{byte(n), byte(n >> 8)} // u16 LE
+		frame = append(frame, byte(n), byte(n>>8)) // u16 LE
 	}
-	status, resp, err := c.call(OpTrace, payload)
-	if err != nil {
-		return dump, err
-	}
-	v, _, verr := takeValue(resp)
-	if status != StatusOK {
-		if verr == nil && len(v) > 0 {
-			return dump, fmt.Errorf("kvserver: trace failed: %s", v)
-		}
-		return dump, fmt.Errorf("kvserver: trace failed")
-	}
-	if verr != nil {
-		return dump, verr
-	}
-	if err := json.Unmarshal(v, &dump); err != nil {
-		return dump, fmt.Errorf("kvserver: trace payload: %w", err)
-	}
-	return dump, nil
+	err := c.callJSON(frame, "trace", &dump)
+	return dump, err
 }
 
 // Stats fetches the server's introspection snapshot: store state, HybridLog
 // offsets, and the full metrics registry.
 func (c *Client) Stats() (StatsSnapshot, error) {
 	var snap StatsSnapshot
-	status, resp, err := c.call(OpStats, nil)
-	if err != nil {
+	if err := c.callJSON(c.open(OpStats), "stats", &snap); err != nil {
 		return snap, err
-	}
-	if status != StatusOK {
-		return snap, fmt.Errorf("kvserver: stats failed")
-	}
-	v, _, err := takeValue(resp)
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(v, &snap); err != nil {
-		return snap, fmt.Errorf("kvserver: stats payload: %w", err)
 	}
 	if snap.V != StatsVersion {
 		return snap, fmt.Errorf("kvserver: stats schema v%d, want v%d", snap.V, StatsVersion)
@@ -342,46 +392,16 @@ func (c *Client) Stats() (StatsSnapshot, error) {
 // server runs without a flight recorder.
 func (c *Client) Flight(token string) (obs.FlightDump, error) {
 	var dump obs.FlightDump
-	status, resp, err := c.call(OpFlight, appendString(nil, []byte(token)))
-	if err != nil {
-		return dump, err
-	}
-	v, _, verr := takeValue(resp)
-	if status != StatusOK {
-		if verr == nil && len(v) > 0 {
-			return dump, fmt.Errorf("kvserver: flight failed: %s", v)
-		}
-		return dump, fmt.Errorf("kvserver: flight failed")
-	}
-	if verr != nil {
-		return dump, verr
-	}
-	if err := json.Unmarshal(v, &dump); err != nil {
-		return dump, fmt.Errorf("kvserver: flight payload: %w", err)
-	}
-	return dump, nil
+	err := c.callJSON(appendString(c.open(OpFlight), []byte(token)), "flight", &dump)
+	return dump, err
 }
 
 // Health fetches the server's health verdict. Returns an error when the
 // server runs without a health engine.
 func (c *Client) Health() (*health.Verdict, error) {
-	status, resp, err := c.call(OpHealth, nil)
-	if err != nil {
-		return nil, err
-	}
-	v, _, verr := takeValue(resp)
-	if status != StatusOK {
-		if verr == nil && len(v) > 0 {
-			return nil, fmt.Errorf("kvserver: health failed: %s", v)
-		}
-		return nil, fmt.Errorf("kvserver: health failed")
-	}
-	if verr != nil {
-		return nil, verr
-	}
 	var verdict health.Verdict
-	if err := json.Unmarshal(v, &verdict); err != nil {
-		return nil, fmt.Errorf("kvserver: health payload: %w", err)
+	if err := c.callJSON(c.open(OpHealth), "health", &verdict); err != nil {
+		return nil, err
 	}
 	return &verdict, nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/storage"
 )
 
-func startServer(t *testing.T, cfg faster.Config) (*Server, string, *faster.Store) {
+func startServer(t testing.TB, cfg faster.Config) (*Server, string, *faster.Store) {
 	t.Helper()
 	store, err := faster.Open(cfg)
 	if err != nil {

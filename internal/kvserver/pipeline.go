@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // BatchResult is one op's outcome from a flushed Pipeline, in issue order.
@@ -26,7 +24,9 @@ type BatchResult struct {
 //
 // A Pipeline is reusable: Flush resets it for the next run, retaining its
 // buffers. It is bound to its Client and shares its single-logical-thread
-// rule. Results (including Value slices) are valid until the next Flush.
+// rule. Results are valid until the next Flush: Value slices point into an
+// arena the pipeline refills per Flush (not into the client's frame buffer —
+// one batch's replies may arrive split over several frames).
 type Pipeline struct {
 	c *Client
 
@@ -34,10 +34,19 @@ type Pipeline struct {
 	// frame (the per-batch deadline). Zero falls back to c.Timeout.
 	Timeout time.Duration
 
-	buf     []byte // u32 count placeholder, then the encoded ops
+	// buf is the BATCH frame under construction: pipeHdrRoom bytes the frame
+	// header is written into at Flush (right-aligned: the trace field is
+	// optional), the u32 count, then the encoded ops.
+	buf     []byte
 	meta    []pipeMeta
 	results []BatchResult
+	arena   []byte
 }
+
+const (
+	pipeHdrRoom = frameHdr + traceFieldLen
+	pipeBody    = pipeHdrRoom + 4
+)
 
 // pipeMeta remembers, per queued op, where its encoding lives in buf — the
 // bytes from start+9 (past opcode and seq) to end are exactly the single-op
@@ -50,9 +59,7 @@ type pipeMeta struct {
 
 // Pipeline returns a new empty pipeline on this client.
 func (c *Client) Pipeline() *Pipeline {
-	p := &Pipeline{c: c}
-	p.buf = make([]byte, 4, 256) // count header patched at Flush
-	return p
+	return &Pipeline{c: c, buf: make([]byte, pipeBody, 256)}
 }
 
 // Len returns the number of ops queued since the last Flush.
@@ -81,7 +88,7 @@ func (p *Pipeline) Delete(key []byte) uint64 { return p.add(OpDelete, key, nil) 
 
 // Reset drops queued ops without sending them, retaining buffers.
 func (p *Pipeline) Reset() {
-	p.buf = p.buf[:4]
+	p.buf = p.buf[:pipeBody]
 	p.meta = p.meta[:0]
 }
 
@@ -95,149 +102,131 @@ func (p *Pipeline) Flush() ([]BatchResult, error) {
 	if len(p.meta) == 0 {
 		return nil, nil
 	}
+	defer p.Reset()
 	if len(p.meta) > maxBatchOps {
-		p.Reset()
 		return nil, fmt.Errorf("kvserver: pipeline of %d ops exceeds max %d", len(p.meta), maxBatchOps)
 	}
-	defer p.Reset()
+	p.results, p.arena = p.results[:0], p.arena[:0]
+	var err error
 	if p.c.proto < ProtoV3 {
-		return p.flushSequential()
+		err = p.flushSequential()
+	} else {
+		err = p.flushBatch()
 	}
-	return p.flushBatch()
-}
-
-func (p *Pipeline) timeout() time.Duration {
-	if p.Timeout > 0 {
-		return p.Timeout
-	}
-	return p.c.Timeout
-}
-
-func (p *Pipeline) flushBatch() ([]BatchResult, error) {
-	c := p.c
-	if d := p.timeout(); d > 0 {
-		c.conn.SetDeadline(time.Now().Add(d)) //nolint:errcheck
-		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	}
-	binary.LittleEndian.PutUint32(p.buf[:4], uint32(len(p.meta)))
-	var tc obs.TraceContext
-	t0 := time.Now().UnixNano()
-	if c.proto >= ProtoV2 {
-		// One trace context covers the whole batch; the server records per-op
-		// exec spans plus a batch-window span under it.
-		tc = obs.TraceContext{TraceID: obs.NewTraceID(), ParentSpan: 1, IssuedUnixNanos: t0}
-	}
-	if err := writeFrameTr(c.conn, OpBatch, tc, p.buf); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	results := p.results[:0]
-	i := 0
-	for i < len(p.meta) {
-		rop, resp, err := readFrame(c.conn)
+	return p.results, nil
+}
+
+// result decodes op m's reply from body — a value for a GET that found its
+// key, a serial for everything else — appends it to the results and returns
+// the rest of body.
+func (p *Pipeline) result(m pipeMeta, status byte, body []byte) (rest []byte, err error) {
+	res := BatchResult{Seq: m.seq, Op: m.op, Status: status}
+	if m.op != OpGet {
+		res.Serial, body, err = takeU64(body)
+	} else if status == StatusOK {
+		var v []byte
+		v, body, err = takeValue(body)
+		off := len(p.arena)
+		p.arena = append(p.arena, v...)
+		// Full slice expression: appending to one Value cannot reach the next.
+		// A grown arena leaves earlier Values on the old array, still intact.
+		res.Value = p.arena[off:len(p.arena):len(p.arena)]
+	}
+	p.results = append(p.results, res)
+	return body, err
+}
+
+// flushBatch sends the queued ops as one BATCH frame and reads reply frames
+// until every op is answered. An error part-way leaves replies unread, so it
+// sticks to the client like any failed call.
+func (p *Pipeline) flushBatch() error {
+	c := p.c
+	binary.LittleEndian.PutUint32(p.buf[pipeHdrRoom:], uint32(len(p.meta)))
+	// One trace context covers the whole batch; the server records per-op
+	// exec spans plus a batch-window span under it.
+	hdr := c.open(OpBatch)
+	c.wbuf = hdr[:0]
+	frame := p.buf[pipeHdrRoom-len(hdr):]
+	copy(frame, hdr)
+	d := p.Timeout
+	if d <= 0 {
+		d = c.Timeout
+	}
+	if err := c.send(frame, d); err != nil {
+		return err
+	}
+	if err := p.readBatch(); err != nil {
+		return c.fail(err)
+	}
+	c.traced(OpBatch)
+	return nil
+}
+
+// readBatch reads BATCH reply frames until every queued op has its result.
+func (p *Pipeline) readBatch() error {
+	for len(p.results) < len(p.meta) {
+		status, body, err := p.c.recv(OpBatch)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rop != OpBatch {
-			return nil, fmt.Errorf("kvserver: response opcode %d for batch", rop)
+		if status != StatusOK {
+			return fmt.Errorf("kvserver: batch failed (status %d)", status)
 		}
-		if len(resp) < 1 {
-			return nil, fmt.Errorf("kvserver: empty batch response")
-		}
-		if resp[0] == StatusRedirect {
-			primary, _, perr := takeString(resp[1:])
-			if perr != nil {
-				primary = nil
-			}
-			return nil, &RedirectError{Addr: string(primary)}
-		}
-		if resp[0] != StatusOK {
-			return nil, fmt.Errorf("kvserver: batch failed (status %d)", resp[0])
-		}
-		n, body, err := takeU32(resp[1:])
+		n, body, err := takeU32(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for j := 0; j < int(n); j++ {
-			if i >= len(p.meta) {
-				return nil, fmt.Errorf("kvserver: batch reply has extra entries")
+		for ; n > 0; n-- {
+			if len(p.results) >= len(p.meta) {
+				return fmt.Errorf("kvserver: batch reply has extra entries")
 			}
-			m := p.meta[i]
+			m := p.meta[len(p.results)]
 			if len(body) < 9 {
-				return nil, fmt.Errorf("kvserver: truncated batch reply entry")
+				return fmt.Errorf("kvserver: truncated batch reply entry")
 			}
-			seq := binary.LittleEndian.Uint64(body)
-			status := body[8]
-			body = body[9:]
-			if seq != m.seq {
-				return nil, fmt.Errorf("kvserver: batch reply out of order: seq %d, want %d", seq, m.seq)
+			if seq := binary.LittleEndian.Uint64(body); seq != m.seq {
+				return fmt.Errorf("kvserver: batch reply out of order: seq %d, want %d", seq, m.seq)
 			}
-			res := BatchResult{Seq: seq, Op: m.op, Status: status}
-			if m.op == OpGet {
-				if status == StatusOK {
-					v, rest, err := takeValue(body)
-					if err != nil {
-						return nil, err
-					}
-					res.Value = append([]byte(nil), v...)
-					body = rest
-				}
-			} else {
-				serial, rest, err := takeU64(body)
-				if err != nil {
-					return nil, err
-				}
-				res.Serial = serial
-				body = rest
+			if body, err = p.result(m, body[8], body[9:]); err != nil {
+				return err
 			}
-			results = append(results, res)
-			i++
 		}
 	}
-	if c.Tracer != nil && tc.TraceID != 0 {
-		var at obs.ActiveTrace
-		c.Tracer.Begin(&at, obs.TraceContext{TraceID: tc.TraceID}, opName(OpBatch), c.id)
-		c.Tracer.Finish(&at, t0, time.Now().UnixNano())
-	}
-	p.results = results
-	return results, nil
+	return nil
 }
 
 // flushSequential replays the queued ops one call at a time against a peer
 // that predates BATCH frames, reusing each op's already-encoded payload.
-func (p *Pipeline) flushSequential() ([]BatchResult, error) {
-	results := p.results[:0]
+func (p *Pipeline) flushSequential() error {
 	for _, m := range p.meta {
-		payload := p.buf[m.start+9 : m.end]
-		status, resp, err := p.c.call(m.op, payload)
+		c := p.c
+		status, resp, err := c.call(append(c.open(m.op), p.buf[m.start+9:m.end]...))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res := BatchResult{Seq: m.seq, Op: m.op, Status: status}
-		if m.op == OpGet {
-			if status == StatusOK {
-				v, _, err := takeValue(resp)
-				if err != nil {
-					return nil, err
-				}
-				res.Value = append([]byte(nil), v...)
-			}
-		} else {
-			serial, _, err := takeU64(resp)
-			if err != nil {
-				return nil, err
-			}
-			res.Serial = serial
+		if _, err := p.result(m, status, resp); err != nil {
+			return err
 		}
-		results = append(results, res)
 	}
-	p.results = results
-	return results, nil
+	return nil
+}
+
+// batch returns the client's own pipeline, the one GetN and SetN reuse.
+func (c *Client) batch() *Pipeline {
+	if c.pipe == nil {
+		c.pipe = c.Pipeline()
+	}
+	return c.pipe
 }
 
 // GetN reads keys in one pipelined batch. found[i] reports whether keys[i]
-// existed; vals[i] is nil when it did not.
+// existed; vals[i] is nil when it did not. The values are the caller's: they
+// survive later calls on the client.
 func (c *Client) GetN(keys [][]byte) (vals [][]byte, found []bool, err error) {
-	p := c.Pipeline()
+	p := c.batch()
 	for _, k := range keys {
 		p.Get(k)
 	}
@@ -247,10 +236,13 @@ func (c *Client) GetN(keys [][]byte) (vals [][]byte, found []bool, err error) {
 	}
 	vals = make([][]byte, len(res))
 	found = make([]bool, len(res))
+	// One copy for every value handed out: they sit in the arena in order.
+	keep := append([]byte(nil), p.arena...)
 	for i, r := range res {
 		switch r.Status {
 		case StatusOK:
-			vals[i], found[i] = r.Value, true
+			n := len(r.Value)
+			vals[i], found[i], keep = keep[:n:n], true, keep[n:]
 		case StatusNotFound:
 		default:
 			return nil, nil, fmt.Errorf("kvserver: get %d in batch failed (status %d)", i, r.Status)
@@ -265,7 +257,7 @@ func (c *Client) SetN(keys, vals [][]byte) ([]uint64, error) {
 	if len(keys) != len(vals) {
 		return nil, fmt.Errorf("kvserver: SetN: %d keys, %d vals", len(keys), len(vals))
 	}
-	p := c.Pipeline()
+	p := c.batch()
 	for i := range keys {
 		p.Set(keys[i], vals[i])
 	}

@@ -166,56 +166,45 @@ var ErrFrameTooLarge = errors.New("kvserver: frame exceeds maximum size")
 // with errors.Is.
 var ErrBadFrame = errors.New("kvserver: malformed frame")
 
-// writeFrame sends opcode+payload as one v1 frame (no trace field).
-func writeFrame(w io.Writer, opcode byte, payload []byte) error {
-	return writeFrameTr(w, opcode, obs.TraceContext{}, payload)
-}
+// frameHdr is a frame's fixed prefix: u32 length | u8 opcode.
+const frameHdr = 5
 
-// writeFrameTr sends one frame, attaching the 24-byte trace field when tc
-// carries a trace (TraceID != 0). Callers must only pass a trace on
-// connections that negotiated ProtoV2.
-func writeFrameTr(w io.Writer, opcode byte, tc obs.TraceContext, payload []byte) error {
-	var hdr [5 + traceFieldLen]byte
-	n := 5
+// Every frame — client request, single-op reply, batch reply — is built in
+// place in a buffer its connection owns (one per direction, grow-only) and
+// leaves in one Write: openFrame resets buf to a header placeholder, with the
+// 24-byte trace field behind it when tc carries a trace (TraceID != 0; only on
+// connections that negotiated ProtoV2), the caller appends the payload, and
+// sealFrame patches the length. A header on the stack would escape through the
+// io.Writer interface and cost an allocation and a second write per frame.
+func openFrame(buf []byte, opcode byte, tc obs.TraceContext) []byte {
+	buf = append(buf[:0], 0, 0, 0, 0, opcode)
 	if tc.TraceID != 0 {
-		hdr[4] = opcode | frameFlagTrace
-		binary.LittleEndian.PutUint64(hdr[5:], tc.TraceID)
-		binary.LittleEndian.PutUint64(hdr[13:], tc.ParentSpan)
-		binary.LittleEndian.PutUint64(hdr[21:], uint64(tc.IssuedUnixNanos))
-		n += traceFieldLen
-	} else {
-		hdr[4] = opcode
+		buf[4] |= frameFlagTrace
+		buf = appendU64(appendU64(appendU64(buf, tc.TraceID), tc.ParentSpan), uint64(tc.IssuedUnixNanos))
 	}
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(n-4+len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf
 }
 
-// readFrame reads one frame, returning its opcode and payload. A trace field,
-// if present, is decoded and dropped — use readFrameTr to keep it.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	op, _, payload, err := readFrameTr(r)
-	return op, payload, err
+// sealFrame patches the length of a frame begun with openFrame and returns it
+// ready to write.
+func sealFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
-// readFrameTr reads one frame, returning its opcode (trace flag cleared), the
-// trace context (zero when the frame carries none), and the payload.
-func readFrameTr(r io.Reader) (byte, obs.TraceContext, []byte, error) {
-	var buf []byte
-	return readFrameBuf(r, &buf)
+// writeFrame sends opcode+payload as one untraced frame built in a fresh
+// buffer: for the handshake and the JSON introspection replies, which have no
+// steady state to keep allocation-free.
+func writeFrame(w io.Writer, opcode byte, payload []byte) error {
+	_, err := w.Write(sealFrame(append(openFrame(nil, opcode, obs.TraceContext{}), payload...)))
+	return err
 }
 
-// readFrameBuf is readFrameTr on a caller-owned reusable buffer: the frame
-// body is read into *buf (grown only when a frame exceeds its capacity), so a
-// steady-state serving loop reads frames without allocating. The returned
-// payload aliases *buf and is valid until the next call.
+// readFrameBuf reads one frame into the caller-owned *buf (grown only when a
+// frame exceeds its capacity, so a steady-state loop reads without allocating)
+// and returns its opcode (trace flag cleared), the trace context (zero when
+// the frame carries none) and the payload, which aliases *buf and is valid
+// until the next call.
 func readFrameBuf(r io.Reader, buf *[]byte) (byte, obs.TraceContext, []byte, error) {
 	var tc obs.TraceContext
 	// The length header is read into *buf too: a stack array here would

@@ -151,6 +151,37 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("traced round-trip mismatch: op %d/%d tc %+v/%+v", op, plain, tc, want)
 		}
 
+		// The in-place builder on a dirty, reused buffer: a traced and a plain
+		// frame must come out byte for byte as the reference layout (u32 len |
+		// opcode[|0x80] [| 24-byte trace field] | payload), and read back to
+		// back through one reused frame buffer, neither may leak into the other.
+		ref := func(tc obs.TraceContext) []byte {
+			b := []byte{plain}
+			if tc.TraceID != 0 {
+				b[0] |= frameFlagTrace
+				for _, v := range []uint64{tc.TraceID, tc.ParentSpan, uint64(tc.IssuedUnixNanos)} {
+					b = binary.LittleEndian.AppendUint64(b, v)
+				}
+			}
+			return append(append(lenPrefix(uint32(len(b)+len(payload))), b...), payload...)
+		}
+		wbuf := bytes.Repeat([]byte{0x5A}, 7)
+		var stream []byte
+		for _, tc := range []obs.TraceContext{want, {}} {
+			wbuf = sealFrame(append(openFrame(wbuf, plain, tc), payload...))
+			if !bytes.Equal(wbuf, ref(tc)) {
+				t.Fatalf("in-place frame (traced=%v) differs from the reference layout", tc.TraceID != 0)
+			}
+			stream = append(stream, wbuf...)
+		}
+		rd, rbuf := bytes.NewReader(stream), bytes.Repeat([]byte{0xA5}, 9)
+		for _, tc := range []obs.TraceContext{want, {}} {
+			op, got, body, err := readFrameBuf(rd, &rbuf)
+			if err != nil || op != plain || got != tc || !bytes.Equal(body, payload) {
+				t.Fatalf("in-place round-trip (traced=%v): op %d/%d tc %+v err %v", tc.TraceID != 0, op, plain, got, err)
+			}
+		}
+
 		// The same bytes interpreted as a raw stream (header included) must
 		// decode identically; arbitrary prefixes must fail cleanly.
 		raw := append([]byte{plain}, payload...)
@@ -207,4 +238,22 @@ func lenPrefix(n uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], n)
 	return b[:]
+}
+
+// Test-side frame helpers: a hand-rolled peer sends and reads one frame at a
+// time on throw-away buffers, through the same builder and reader the
+// connections use.
+func writeFrameTr(w io.Writer, opcode byte, tc obs.TraceContext, payload []byte) error {
+	_, err := w.Write(sealFrame(append(openFrame(nil, opcode, tc), payload...)))
+	return err
+}
+
+func readFrameTr(r io.Reader) (byte, obs.TraceContext, []byte, error) {
+	var buf []byte
+	return readFrameBuf(r, &buf)
+}
+
+func readFrame(r io.Reader) (byte, []byte, error) {
+	op, _, payload, err := readFrameTr(r)
+	return op, payload, err
 }

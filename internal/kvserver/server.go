@@ -289,8 +289,8 @@ type connState struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	frame []byte // reusable frame read buffer (readFrameBuf)
-	reply []byte // reusable batch reply build buffer
+	frame []byte // request frames are read into it (readFrameBuf)
+	reply []byte // reply frames are built in place in it (openFrame)
 
 	// unflushed counts per-op replies written into bw since the last flush
 	// (the op-count half of the coalescing cap; batch frames count each
@@ -494,27 +494,34 @@ func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.T
 	return err
 }
 
-// respond writes one response frame into the coalescing buffer, recording it
-// as a resp-write span.
-func (s *Server) respond(cs *connState, at *obs.ActiveTrace, op byte, resp []byte) error {
-	return s.respondFrom(cs, at, op, resp, time.Now().UnixNano())
+// openReply begins op's reply frame in the connection's reply buffer, status
+// byte included; the caller appends the body and hands the frame to respond.
+func (cs *connState) openReply(op, status byte) []byte {
+	return append(openFrame(cs.reply, op, obs.TraceContext{}), status)
+}
+
+// respond seals a reply frame and writes it into the coalescing buffer,
+// recording it as a resp-write span.
+func (s *Server) respond(cs *connState, at *obs.ActiveTrace, frame []byte) error {
+	return s.respondFrom(cs, at, frame, time.Now().UnixNano())
 }
 
 // respondFrom is respond with the span's start stamp supplied by the caller.
-func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, op byte, resp []byte, t0 int64) error {
-	err := writeFrame(cs.bw, op, resp)
+func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, frame []byte, t0 int64) error {
+	cs.reply = frame[:0]
+	_, err := cs.bw.Write(sealFrame(frame))
 	cs.unflushed++
-	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(resp)), 0, "")
+	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(frame)-frameHdr), 0, "")
 	return err
 }
 
 // respondExec closes a single op's exec span, opened at tDec, and writes its
 // response: one clock read is the end of exec and the start of resp-write.
-func (s *Server) respondExec(cs *connState, om opMetrics, at *obs.ActiveTrace, sess *faster.Session, op byte, resp []byte, tDec int64) error {
+func (s *Server) respondExec(cs *connState, om opMetrics, at *obs.ActiveTrace, sess *faster.Session, frame []byte, tDec int64) error {
 	tExec := time.Now().UnixNano()
 	at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
 	om.execNs.ObserveValue(uint64(tExec - tDec))
-	return s.respondFrom(cs, at, op, resp, tExec)
+	return s.respondFrom(cs, at, frame, tExec)
 }
 
 func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
@@ -531,7 +538,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		tDec := time.Now().UnixNano()
 		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
 		out, status := s.readOne(cs, sess, key)
-		return s.respondExec(cs, om, at, sess, OpGet, appendValue([]byte{status}, out), tDec)
+		return s.respondExec(cs, om, at, sess, appendValue(cs.openReply(OpGet, status), out), tDec)
 
 	case OpSet, OpRMW:
 		key, rest, err := takeString(payload)
@@ -558,7 +565,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		if st != faster.Ok {
 			status = StatusError
 		}
-		return s.respondExec(cs, om, at, sess, op, appendU64([]byte{status}, sess.Serial()), tDec)
+		return s.respondExec(cs, om, at, sess, appendU64(cs.openReply(op, status), sess.Serial()), tDec)
 
 	case OpDelete:
 		key, _, err := takeString(payload)
@@ -578,7 +585,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		} else if st == faster.NotFound {
 			status = StatusNotFound
 		}
-		return s.respondExec(cs, om, at, sess, OpDelete, appendU64([]byte{status}, sess.Serial()), tDec)
+		return s.respondExec(cs, om, at, sess, appendU64(cs.openReply(OpDelete, status), sess.Serial()), tDec)
 
 	case OpCommit:
 		if len(payload) < 1 {
@@ -594,7 +601,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 			// Piggyback on the commit already in flight.
 			token = ""
 		} else if err != nil {
-			return s.respond(cs, at, OpCommit, appendU64([]byte{StatusError}, 0))
+			return s.respond(cs, at, appendU64(cs.openReply(OpCommit, StatusError), 0))
 		}
 		// Drive until some commit completes and this session is at rest.
 		tWait := time.Now().UnixNano()
@@ -623,7 +630,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		}
 		at.Span(obs.SpanDurWait, tWait, tDone, point, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		return s.respond(cs, at, OpCommit, appendU64([]byte{status}, point))
+		return s.respond(cs, at, appendU64(cs.openReply(OpCommit, status), point))
 
 	case OpWaitDurable:
 		// Block until the session's committed point t_i covers everything this
@@ -641,8 +648,8 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 				// Timed out — or the server is shutting down and the covering
 				// commit may never arrive. Either way the client gets a
 				// complete, well-formed error frame, never a torn one.
-				return s.respond(cs, at, OpWaitDurable,
-					appendString(appendU64([]byte{StatusError}, sess.CommittedSerial()), nil))
+				return s.respond(cs, at,
+					appendString(appendU64(cs.openReply(OpWaitDurable, StatusError), sess.CommittedSerial()), nil))
 			}
 			sess.Refresh()
 			sess.CompletePending(false)
@@ -652,9 +659,8 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		token := sess.CommittedToken()
 		at.Span(obs.SpanDurWait, tWait, tDone, target, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		resp := appendU64([]byte{StatusOK}, sess.CommittedSerial())
-		resp = appendString(resp, []byte(token))
-		return s.respond(cs, at, OpWaitDurable, resp)
+		resp := appendU64(cs.openReply(OpWaitDurable, StatusOK), sess.CommittedSerial())
+		return s.respond(cs, at, appendString(resp, []byte(token)))
 
 	case OpTrace:
 		return s.writeTraceDump(cs.bw, store, payload)
@@ -766,8 +772,7 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 		t0 = t1
 		count++
 		if len(reply) >= byteCap {
-			finishBatchReply(reply, count)
-			if _, err := cs.bw.Write(reply); err != nil {
+			if _, err := cs.bw.Write(sealBatchReply(reply, count)); err != nil {
 				cs.reply = reply[:0]
 				return err
 			}
@@ -780,8 +785,7 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 	}
 	at.Span(obs.SpanBatch, tBatch, t0, uint64(r.count), uint64(len(reply)), "")
 	if count > 0 || sent == 0 {
-		finishBatchReply(reply, count)
-		_, err := cs.bw.Write(reply)
+		_, err := cs.bw.Write(sealBatchReply(reply, count))
 		cs.unflushed += count
 		at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(reply)), 0, "")
 		cs.reply = reply[:0]
@@ -1003,7 +1007,6 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 		}
 		frame = appendBatchValueResult(frame, seq, status, val)
 	}
-	finishBatchReply(frame, r.count)
-	_, err = conn.Write(frame)
+	_, err = conn.Write(sealBatchReply(frame, r.count))
 	return err
 }
