@@ -15,11 +15,11 @@ import (
 // crash image on a device with a fixed per-I/O latency (an SSD-ish cost
 // model; the build phase runs latency-free so only recovery pays it).
 //
-// The asymmetry under test: full replay walks the committed suffix with two
-// random device reads per record before serving anything, while instant
-// restore's analysis pass materializes each suffix page with one sequential
-// read, then serves immediately — the first op blocks only on analysis plus
-// its own bucket's warm-up, and the sweeper finishes the rest in background.
+// The asymmetry under test: full replay verifies every page of the log and
+// replays the whole suffix before serving anything, while instant restore
+// serves once the index is loaded — the first op blocks only on the suffix
+// scan (the same page-at-a-time scan, verifying as it reads) plus its own
+// bucket's warm-up, and the sweeper finishes the rest in background.
 // TTFO is measured to the completion of a read of a suffix-overwritten key,
 // so the instant number includes an on-demand bucket warm, not just Recover
 // returning.

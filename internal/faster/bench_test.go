@@ -2,8 +2,12 @@ package faster
 
 import (
 	"encoding/binary"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/hlog"
 	"repro/internal/storage"
 	"repro/internal/ycsb"
 )
@@ -246,4 +250,128 @@ func BenchmarkDecodeIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// replayBenchShard is the recovered shard the replay benchmarks run on: a
+// file-backed store of 64 KiB pages, an index commit over 32 Ki keys, a suffix
+// of 64 Ki records (2 MiB) under a log-only commit, recovered in full with
+// memPages frames — 64 keep the whole suffix resident, 4 leave nearly all of
+// it on the device. It returns the suffix's bounds and the commit's version.
+func replayBenchShard(b *testing.B, memPages int) (sh *shard, start, end uint64, v uint32) {
+	const suffix = 1 << 16
+	path := filepath.Join(b.TempDir(), "log.dat")
+	ckpts := storage.NewMemCheckpointStore()
+	open := func(memPages int, recover bool) *Store {
+		dev, err := storage.OpenFileDevice(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := Config{IndexBuckets: 1 << 15, PageBits: 16, MemPages: memPages, Device: dev, Checkpoints: ckpts}
+		s, err := Open(cfg)
+		if recover {
+			s, err = Recover(cfg)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close(); dev.Close() })
+		return s
+	}
+	s := open(16, false)
+	sess := s.StartSession()
+	commit := func(opts CommitOptions) {
+		token, err := s.Commit(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if res, ok := s.TryResult(token); ok {
+				if res.Err != nil {
+					b.Fatal(res.Err)
+				}
+				return
+			}
+			sess.Refresh()
+		}
+	}
+	for pass, keys := range []uint64{suffix / 2, suffix} {
+		for k := uint64(0); k < keys; k++ {
+			if st := sess.Upsert(key(k), u64(k)); st == Pending {
+				sess.CompletePending(true)
+			}
+		}
+		commit(CommitOptions{WithIndex: pass == 0})
+	}
+	sess.StopSession()
+	s.Close()
+
+	sh = open(memPages, true).shards[0]
+	start, end, v = sh.recoveredScanStart, sh.log.Tail(), sh.Version()-1
+	if records := (end - start) / uint64(hlog.RecordSize(8, 8)); records != suffix {
+		b.Fatalf("the suffix holds %d records, want %d", records, suffix)
+	}
+	return sh, start, end, v
+}
+
+// perRecord reports a benchmark's time and heap allocations per log record.
+func perRecord(b *testing.B, records int, run func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+}
+
+// BenchmarkReplaySuffix is Alg. 3 over that suffix as full recovery and a
+// replica's install run it (every committed record re-points its index slot),
+// with the suffix resident and with it on the device: one op is one replay.
+func BenchmarkReplaySuffix(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		memPages int
+	}{{"resident", 64}, {"device", 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			sh, start, end, v := replayBenchShard(b, c.memPages)
+			records := 0
+			perRecord(b, 1<<16, func() {
+				records = 0
+				_, err := sh.replaySuffix(start, end, v, func(h, addr uint64) bool {
+					sh.relink(h, addr)
+					records++
+					return true
+				})
+				if err != nil || records != 1<<16 {
+					b.Fatalf("replayed %d records: %v", records, err)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkWarmBucket is the other half of an instant restore's replay, with
+// the suffix on the device: the directory the scan filed is relinked bucket by
+// bucket. One op warms every bucket once.
+func BenchmarkWarmBucket(b *testing.B) {
+	sh, start, end, v := replayBenchShard(b, 4)
+	rs := newRestoreState(sh, "bench", v, start, end)
+	if _, err := sh.replaySuffix(start, end, v, rs.file); err != nil {
+		b.Fatal(err)
+	}
+	records, dirBytes := int(rs.suffixRecords.Load()), 0
+	for _, recs := range rs.pending {
+		dirBytes += cap(recs) * int(unsafe.Sizeof(suffixRecord{}))
+	}
+	perRecord(b, records, func() {
+		for _, recs := range rs.pending {
+			rs.replayBucket(recs)
+		}
+	})
+	// What the directory holds until its buckets warm (the map itself apart).
+	b.ReportMetric(float64(dirBytes)/float64(records), "dir-B/record")
 }

@@ -107,6 +107,17 @@ type metadata struct {
 	Serials       map[string]uint64 `json:"serials"`
 }
 
+// logEnd is the address the commit's log reaches, where recovery and a
+// replica's install cut the log. The checkpoint extended the log capture over
+// the fuzzy index window, so max(Lie, Lhe) is on the device when this commit
+// took the index; a carried-forward index lies below Lhe entirely.
+func (m *metadata) logEnd() uint64 {
+	if m.HasIndex && m.Lie > m.Lhe {
+		return m.Lie
+	}
+	return m.Lhe
+}
+
 // manifest is the commit record: the one artifact whose presence means
 // "committed". It is written only after every shard's checkpoint is durable,
 // so it proves the version is recoverable on all of them; a crash anywhere

@@ -257,136 +257,124 @@ func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, 
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Snapshot commits keep the captured volatile region in a separate
-	// artifact; slot it back into the log's address space first (App. D).
-	if meta.Kind == Snapshot.String() {
-		data, err := storage.ReadArtifactChecked(cfg.Checkpoints, "snapshot-"+meta.Token)
-		if err != nil {
-			sh.close()
-			return nil, nil, fmt.Errorf("faster: recover snapshot: %w", err)
-		}
-		if err := sh.log.RestoreRange(meta.SnapshotStart, data); err != nil {
-			sh.close()
-			return nil, nil, err
-		}
-	}
-
-	// The checkpoint extended the log capture to cover the fuzzy index
-	// window, so max(Lie, Lhe) is always on the device when the index was
-	// taken by this commit; carried-forward indexes lie below Lhe entirely.
-	end := meta.Lhe
-	if meta.HasIndex && meta.Lie > end {
-		end = meta.Lie
-	}
-	if err := sh.log.RecoverTo(end); err != nil {
-		sh.close()
-		return nil, nil, err
-	}
-
-	// Verify the device's log pages against the commit's per-page checksums
-	// (seeding the recovered log's checksum table with the pages that pass).
-	// Commits predating page checksums carry no table and skip this. Instant
-	// restore only seeds the table here: pages are verified lazily as the
-	// analysis pass reads them, so startup cost stays independent of the
-	// suffix size — the trade-off is that a corrupt log page discovered
-	// during analysis can no longer fall back to an older commit (the store
-	// is already serving this one); the restore fails and operations error.
-	instant := cfg.InstantRestore && !cfg.Replica
-	if crcBuf, cerr := storage.ReadArtifactChecked(cfg.Checkpoints, "pagecrc-"+meta.Token); cerr == nil {
-		var crcs []hlog.PageCRC
-		if err := json.Unmarshal(crcBuf, &crcs); err != nil {
-			sh.close()
-			return nil, nil, fmt.Errorf("faster: page checksums: %w", err)
-		}
-		if instant {
-			sh.log.SeedPageCRCs(crcs, end)
-		} else if err := sh.log.VerifyPages(crcs, end); err != nil {
-			sh.close()
-			return nil, nil, fmt.Errorf("faster: log page verification: %w", err)
-		}
-	} else if !storage.IsNotFound(cerr) {
-		sh.close()
-		return nil, nil, fmt.Errorf("faster: page checksums: %w", cerr)
-	}
-
 	// Load the most recent fuzzy index checkpoint, or start empty and
 	// replay the whole log.
-	scanStart := uint64(hlog.FirstAddress)
+	start := uint64(hlog.FirstAddress)
 	if meta.IndexToken != "" {
-		data, err := storage.ReadArtifactChecked(cfg.Checkpoints, "index-"+meta.IndexToken)
-		if err != nil {
-			sh.close()
-			return nil, nil, fmt.Errorf("faster: recover index: %w", err)
+		var data []byte
+		if data, err = storage.ReadArtifactChecked(cfg.Checkpoints, "index-"+meta.IndexToken); err != nil {
+			err = fmt.Errorf("faster: recover index: %w", err)
+		} else {
+			sh.index, err = decodeIndex(data)
 		}
-		idx, err := decodeIndex(data)
-		if err != nil {
-			sh.close()
-			return nil, nil, err
-		}
-		sh.index = idx
-		scanStart = meta.Lis
-		if meta.Lhs < scanStart {
-			scanStart = meta.Lhs
-		}
+		start = min(meta.Lis, meta.Lhs)
 	}
-
-	if cfg.Replica {
-		// A replica must not rewrite shipped log bytes: records ahead of the
-		// recovered commit become live at the next installed commit.
-		err = sh.replayReplica(scanStart, end, meta.Version)
-	} else if instant {
-		// Defer the suffix replay: the shard serves on the recovered index
-		// with every bucket cold. The analysis + warm machinery (started by
-		// finishRecovery) reproduces replayLog's effects incrementally.
-		sh.restore.Store(newRestoreState(sh, token, meta.Version, scanStart, end))
-		sh.recoveredScanStart = scanStart
-	} else {
-		err = sh.replayLog(scanStart, end, meta.Version)
-		sh.recoveredScanStart = scanStart
+	// Recovery trusts nothing on the device before the commit's page checksums
+	// have covered it.
+	var crcs []hlog.PageCRC
+	if err == nil {
+		crcs, err = loadPageCRCs(cfg.Checkpoints, token)
+	}
+	if err == nil {
+		neutralise := func(dead []uint64) error { return sh.persistInvalid(token, meta.Version, dead) }
+		switch {
+		case cfg.Replica:
+			// A replica must not rewrite shipped log bytes: records ahead of the
+			// recovered commit go live at the next installed one.
+			neutralise = sh.markReplicaDead
+		case cfg.InstantRestore:
+			neutralise = nil
+		}
+		err = sh.install(meta, start, crcs, neutralise)
 	}
 	if err != nil {
 		sh.close()
 		return nil, nil, err
 	}
-
-	// Clamp any index entry still pointing at or beyond the recovered end
-	// (fuzzy capture of addresses whose records were lost in the crash).
-	// Instant restore clamps after its analysis pass instead: the v+1 unwind
-	// conditions must be evaluated against the unclamped index, exactly as
-	// the interleaved full replay evaluates them.
-	if !instant {
-		sh.clampIndex(end)
+	if !cfg.Replica {
+		sh.recoveredScanStart = start // the device is rewritten from here on
 	}
-
-	sh.state.Store(packState(Rest, meta.Version+1))
-	sh.lastIndexToken, sh.lastLis, sh.lastLie = meta.IndexToken, meta.Lis, meta.Lie
 	return sh, meta.Serials, nil
 }
 
-// replayLog implements Alg. 3: records of version <= v re-point their index
-// slots; records of version v+1 are invalidated, and any slot referencing
-// them (or a later address) is unwound to their predecessor.
-func (sh *shard) replayLog(start, end uint64, v uint32) error {
+// install moves the shard's log and index to the commit meta describes and
+// leaves the shard at rest in version v+1 — what a recovery does once and a
+// replica at every commit the primary announces. The snapshot capture, if
+// the commit has one, slots back into the log's address space (App. D); the
+// log reloads up to the commit's end; every page crcs covers is checked on the
+// device, so that a damaged one sends the caller to an older commit (nil on a
+// replica's install: the log's own table still covers what the replica's last
+// restart verified and no shipped bytes have overwritten since); Alg. 3 replays
+// [start, end) and neutralise gets the v+1 records it found.
+//
+// A nil neutralise is instant restore: the replay is left to the restore
+// goroutine (finishRecovery starts it; restoreState.run neutralises and clamps
+// as here) and the shard serves meanwhile on the recovered index with every
+// bucket cold. The reading of the suffix pages goes with the replay, so crcs is
+// only seeded and that scan checks each page as it reads it: the startup cost
+// stays independent of the log's size, and the price is that a damaged page is
+// found when the store is already serving this commit — the restore fails and
+// operations return Error.
+func (sh *shard) install(meta *metadata, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
+	end := meta.logEnd()
+	if meta.Kind == Snapshot.String() {
+		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, "snapshot-"+meta.Token)
+		if err != nil {
+			return fmt.Errorf("faster: snapshot: %w", err)
+		}
+		if err := sh.log.RestoreRange(meta.SnapshotStart, data); err != nil {
+			return err
+		}
+	}
+	if err := sh.log.RecoverTo(end); err != nil {
+		return err
+	}
+	if neutralise == nil {
+		sh.log.SeedPageCRCs(crcs, end)
+		sh.restore.Store(newRestoreState(sh, meta.Token, meta.Version, start, end))
+	} else {
+		if err := sh.log.VerifyPages(crcs, end); err != nil {
+			return fmt.Errorf("faster: log page verification: %w", err)
+		}
+		dead, err := sh.replaySuffix(start, end, meta.Version, func(h, addr uint64) bool {
+			sh.relink(h, addr)
+			return true
+		})
+		if err == nil {
+			err = neutralise(dead)
+		}
+		if err != nil {
+			return err
+		}
+		// The v+1 unwind conditions are evaluated against the unclamped index.
+		sh.clampIndex(end)
+	}
+	sh.state.Store(packState(Rest, meta.Version+1))
+	sh.lastIndexToken, sh.lastLis, sh.lastLie = meta.IndexToken, meta.Lis, meta.Lie
+	return nil
+}
+
+// replaySuffix is Alg. 3 (Sec. 6.4), the one copy of it: a single scan of
+// [start, end) in log order. A record of version <= v belongs to the commit
+// and goes to committed with its key's hash: full recovery and a replica
+// install re-point the key's index slot there and then (relink); instant
+// restore files the pair under its bucket and relinks when the bucket warms.
+// committed returning false stops the scan. A record of version v+1 is past
+// the CPR point: if the index reaches it — the key's slot holds its address or
+// a later one — the slot is unwound to the record's predecessor, and its
+// address is returned in dead, in log order, for the caller to neutralise
+// (persistInvalid; markReplicaDead on a replica).
+func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, addr uint64) bool) (dead []uint64, err error) {
 	var keyBuf []byte
-	var replayErr error
-	err := sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
+	err = sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
 		keyBuf = rec.Key(keyBuf[:0])
 		h := hashfn.Hash64(keyBuf)
-		slot := sh.index.findOrCreateSlot(h)
 		if !isFutureVersion(rec.Version(), v) {
-			slot.Store(tagOf(h) | addr)
-			return true
+			return committed(h, addr)
 		}
-		if err := sh.log.PersistInvalid(addr); err != nil {
-			// Recovery is single-threaded; surface the first error by
-			// stopping the scan (the caller fails this commit candidate).
-			replayErr = fmt.Errorf("faster: invalidate %d: %w", addr, err)
-			return false
-		}
-		if entryAddr(slot.Load()) >= addr {
-			prev := rec.Prev()
-			if prev >= hlog.FirstAddress {
+		dead = append(dead, addr)
+		if slot := sh.index.findSlot(h); slot != nil && entryAddr(slot.Load()) >= addr {
+			if prev := rec.Prev(); prev >= hlog.FirstAddress {
 				slot.Store(tagOf(h) | prev)
 			} else {
 				slot.Store(0)
@@ -394,10 +382,70 @@ func (sh *shard) replayLog(start, end uint64, v uint32) error {
 		}
 		return true
 	})
+	return dead, err
+}
+
+// relink points the index slot of the key hashing to h at the committed record
+// at addr. Nothing else runs in the key's bucket yet — recovery is
+// single-threaded, and operations on a cold bucket wait for its warm-up — so a
+// plain store cannot race a compare-and-swap.
+func (sh *shard) relink(h, addr uint64) {
+	sh.index.findOrCreateSlot(h).Store(tagOf(h) | addr)
+}
+
+// persistInvalid neutralises the v+1 records at dead for good: the invalid
+// bit, in memory and on the device, so they stay dead across later evictions
+// and recoveries. The bits change pages that the recovered commit's own page
+// checksums may cover, so the commit's pagecrc artifact is first rewritten
+// without those pages — atomically, as every artifact — and only then are the
+// bits written. A crash in between leaves pages no checksum covers; the other
+// order would leave an acknowledged commit that fails its own verification and
+// sends the next recovery back to an older one.
+func (sh *shard) persistInvalid(token string, version uint32, dead []uint64) error {
+	if len(dead) == 0 {
+		return nil
+	}
+	crcs, err := loadPageCRCs(sh.cfg.Checkpoints, token)
 	if err != nil {
 		return err
 	}
-	return replayErr
+	touched := make(map[uint64]bool, len(dead))
+	for _, addr := range dead {
+		touched[addr/sh.log.PageSize()] = true
+	}
+	kept := slices.DeleteFunc(crcs, func(pc hlog.PageCRC) bool { return touched[pc.Page] })
+	if len(kept) < len(crcs) {
+		buf, err := json.Marshal(kept)
+		if err == nil {
+			err = writeArtifactFlight(sh.cfg.Checkpoints, "pagecrc-"+token, buf, sh.flight, sh.id, version)
+		}
+		if err != nil {
+			return fmt.Errorf("faster: rewrite page checksums of %s: %w", token, err)
+		}
+	}
+	for _, addr := range dead {
+		if err := sh.log.PersistInvalid(addr); err != nil {
+			return fmt.Errorf("faster: invalidate %d: %w", addr, err)
+		}
+	}
+	return nil
+}
+
+// loadPageCRCs reads the page checksum table of the commit identified by
+// token: nil for a commit that predates page checksums.
+func loadPageCRCs(cs storage.CheckpointStore, token string) ([]hlog.PageCRC, error) {
+	buf, err := storage.ReadArtifactChecked(cs, "pagecrc-"+token)
+	if storage.IsNotFound(err) {
+		return nil, nil
+	}
+	var crcs []hlog.PageCRC
+	if err == nil {
+		err = json.Unmarshal(buf, &crcs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("faster: page checksums: %w", err)
+	}
+	return crcs, nil
 }
 
 // clampIndex clears index entries that reference addresses at or beyond the

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -88,8 +89,13 @@ type ShipInfo struct {
 	Token   string
 	Version uint32
 	Kind    CommitKind
-	// Artifacts are checkpoint-store names (parent namespace) whose contents
-	// are immutable once the commit completed; the manifest is the last.
+	// Artifacts are checkpoint-store names (parent namespace); the manifest is
+	// the last. Their contents do not change once the commit completed, but
+	// for pagecrc-<token>: a recovery of the commit, or a Promote at it, drops
+	// the pages it then writes invalid bits into (persistInvalid). A shipper
+	// therefore sends the newest commit's artifacts again on every new
+	// connection, after the range ResyncFrom names, and the replica's copy
+	// follows its device.
 	Artifacts []string
 	// ShardEnds is, per shard, the log address the install covers (the
 	// replica's log tail after installing).
@@ -120,10 +126,7 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 		if meta.IndexToken != "" {
 			info.Artifacts = append(info.Artifacts, prefix+"index-"+meta.IndexToken)
 		}
-		end := meta.Lhe
-		if meta.HasIndex && meta.Lie > end {
-			end = meta.Lie
-		}
+		end := meta.logEnd()
 		floor := end
 		if meta.Kind == Snapshot.String() {
 			info.Kind = Snapshot
@@ -198,88 +201,39 @@ func (s *Store) ApplyCommitted(token string) error {
 	return nil
 }
 
-// applyCommitted installs one commit on one shard: slot the snapshot capture
-// back (if any), extend the log to the commit's end, and replay the fresh
-// range — plus any previously skipped future records, now committed — into
-// the index.
+// applyCommitted installs one commit on one shard (see shard.install): the
+// replay covers the log past the previous install, and with it the records
+// that install left dead — this commit covers them, or they are still of
+// version v+1 where they stand.
 func (sh *shard) applyCommitted(meta *metadata) error {
 	if v := sh.Version(); meta.Version < v {
 		return nil // stale announcement (already past this commit)
 	}
-	end := meta.Lhe
-	if meta.HasIndex && meta.Lie > end {
-		end = meta.Lie
-	}
-	if meta.Kind == Snapshot.String() {
-		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, "snapshot-"+meta.Token)
-		if err != nil {
-			return fmt.Errorf("install snapshot: %w", err)
-		}
-		if err := sh.log.RestoreRange(meta.SnapshotStart, data); err != nil {
-			return err
-		}
-	}
-	prevEnd := sh.log.Tail()
-	start := prevEnd
-	// Records skipped as future at the previous install are committed by this
-	// one (or still future at their original address): re-replay from the
-	// lowest of them.
+	start := sh.log.Tail()
 	for addr := range sh.replicaDead {
-		if addr < start {
-			start = addr
-		}
+		start = min(start, addr)
 	}
-	if err := sh.log.RecoverTo(end); err != nil {
-		return err
-	}
-	sh.replicaDead = nil
-	if err := sh.replayReplica(start, end, meta.Version); err != nil {
-		return err
-	}
-	sh.clampIndex(end)
-	sh.state.Store(packState(Rest, meta.Version+1))
-	sh.lastIndexToken, sh.lastLis, sh.lastLie = meta.IndexToken, meta.Lis, meta.Lie
-	return nil
+	return sh.install(meta, start, nil, sh.markReplicaDead)
 }
 
-// replayReplica is the non-destructive variant of replayLog (Alg. 3) used on
-// replicas: records of version v+1 — shipped ahead of their commit — are
-// neutralized without touching the device (in-memory invalid bit when
-// resident, dead-address set otherwise), because the next installed commit
-// revives them simply by reloading frames from the device and re-replaying.
-func (sh *shard) replayReplica(start, end uint64, v uint32) error {
-	var keyBuf []byte
+// markReplicaDead is how a replica neutralises the v+1 records a replay
+// found: without touching the device — the in-memory invalid bit when the
+// record is resident, the dead-address set for ReadCommitted otherwise —
+// because they were shipped ahead of their commit and the next install
+// revives them simply by reloading the frames from the device and replaying
+// over them. dead replaces the set: every replay starts at or below the
+// lowest address in it. Nothing is written, so it cannot fail; the error is
+// install's neutraliser signature.
+func (sh *shard) markReplicaDead(dead []uint64) error {
+	sh.replicaDead = make(map[uint64]bool, len(dead))
 	head := sh.log.Head()
-	return sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
-		keyBuf = rec.Key(keyBuf[:0])
-		h := hashfn.Hash64(keyBuf)
-		slot := sh.index.findOrCreateSlot(h)
-		if isFutureVersion(rec.Version(), v) {
-			if sh.replicaDead == nil {
-				sh.replicaDead = make(map[uint64]bool)
-			}
-			sh.replicaDead[addr] = true
-			if addr >= head {
-				// Resident: the in-memory invalid bit hides it from chain
-				// walks; the device copy stays pristine for later installs.
-				sh.log.Record(addr).SetInvalid()
-			}
-			if entryAddr(slot.Load()) >= addr {
-				prev := rec.Prev()
-				if prev >= hlog.FirstAddress {
-					slot.Store(tagOf(h) | prev)
-				} else {
-					slot.Store(0)
-				}
-			}
-			return true
+	for _, addr := range dead {
+		sh.replicaDead[addr] = true
+		if addr >= head {
+			sh.log.Record(addr).SetInvalid()
 		}
-		// Committed records — including ones the primary's own recovery
-		// invalidated (the read path skips them but the chain stays walkable)
-		// — re-point their slots, exactly as in replayLog.
-		slot.Store(tagOf(h) | addr)
-		return true
-	})
+	}
+	return nil
 }
 
 // Promote finalizes a replica store for read-write service after failover:
@@ -292,20 +246,19 @@ func (s *Store) Promote() error {
 	if !s.cfg.Replica {
 		return ErrNotReplica
 	}
+	token, _ := s.LatestCommitToken()
 	for _, sh := range s.shards {
-		var minDead uint64
+		dead := make([]uint64, 0, len(sh.replicaDead))
 		for addr := range sh.replicaDead {
-			if err := sh.log.PersistInvalid(addr); err != nil {
-				return fmt.Errorf("faster: promote shard %d: invalidate %d: %w", sh.id, addr, err)
-			}
-			if minDead == 0 || addr < minDead {
-				minDead = addr
-			}
+			dead = append(dead, addr)
 		}
-		if minDead != 0 {
+		if err := sh.persistInvalid(token, sh.Version()-1, dead); err != nil {
+			return fmt.Errorf("faster: promote shard %d: %w", sh.id, err)
+		}
+		if len(dead) > 0 {
 			// Promotion rewrote device state from here on; replicas of this
 			// newly promoted primary must re-stream the range (ResyncFrom).
-			sh.recoveredScanStart = minDead
+			sh.recoveredScanStart = slices.Min(dead)
 		}
 		sh.replicaDead = nil
 		sh.cfg.Replica = false

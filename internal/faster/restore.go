@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hashfn"
-	"repro/internal/hlog"
 	"repro/internal/obs"
 )
 
@@ -34,12 +32,12 @@ type RestoreShardStatus struct {
 	TotalBuckets uint64 `json:"total_buckets"`
 	WarmBuckets  uint64 `json:"warm_buckets"`
 	ColdBuckets  uint64 `json:"cold_buckets"`
-	// SuffixRecords is the committed-version record count the analysis pass
+	// SuffixRecords is the committed-version record count the replay scan
 	// found in the log suffix; PendingRecords of them are not yet re-linked.
 	SuffixRecords  uint64 `json:"suffix_records"`
 	PendingRecords uint64 `json:"pending_records"`
 	// ReplayedRecords counts suffix records re-linked into warm buckets;
-	// InvalidatedRecords counts post-prefix (v+1) records the analysis pass
+	// InvalidatedRecords counts post-prefix (v+1) records the replay scan
 	// invalidated on the device.
 	ReplayedRecords    uint64 `json:"replayed_records"`
 	InvalidatedRecords uint64 `json:"invalidated_records"`
@@ -80,13 +78,14 @@ func (rs *RestoreStatus) ColdBuckets() (n uint64) {
 
 // restoreState is one shard's instant-restore machinery. Recovery brings the
 // shard up on the recovered commit's fuzzy index without scanning the log
-// suffix; every hash bucket starts cold. A background analysis pass reads the
-// suffix once, page-granular: committed records are filed per-bucket in a
-// directory, post-prefix (v+1) records are invalidated and their slots
-// unwound exactly as a full replay would (the order is equivalent — see
-// DESIGN "Instant restore"). A bucket warms by replaying its directory entry
-// in log order; operations on a cold bucket block until their bucket is warm
-// (a bounded one-time cost), and a sweeper warms the rest, densest first.
+// suffix; every hash bucket starts cold. The restore goroutine then runs the
+// same replay as a full recovery (shard.replaySuffix) with a different sink:
+// a committed record is not linked into the index but filed, with its hash,
+// under its bucket; post-prefix (v+1) records are unwound and invalidated
+// exactly as a full replay does (the order is equivalent — see DESIGN
+// "Instant restore"). A bucket warms by relinking what was filed under it, in
+// log order; operations on a cold bucket block until their bucket is warm (a
+// bounded one-time cost), and a sweeper warms the rest, densest first.
 type restoreState struct {
 	sh             *shard
 	token          string // recovered commit token (flight correlation)
@@ -100,14 +99,14 @@ type restoreState struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// analyzed flips once the analysis pass has examined the whole suffix;
-	// no bucket can be proven warm before that, so ensureWarm waits on it.
+	// analyzed flips once the replay has examined the whole suffix; no bucket
+	// can be proven warm before that, so ensureWarm waits on it.
 	analyzed bool
 	failed   error
-	// pending is the analysis directory: bucket -> suffix record addresses
-	// in log order. warming guards per-bucket exclusivity between on-demand
-	// warms and the sweeper.
-	pending map[uint32][]uint64
+	// pending is the directory the replay fills: bucket -> its committed
+	// suffix records in log order. warming guards per-bucket exclusivity
+	// between on-demand warms and the sweeper.
+	pending map[uint32][]suffixRecord
 	warming map[uint32]bool
 	// sweepOrder is the bucket warm priority: densest directory entries
 	// first, so background progress re-links the most records earliest.
@@ -131,8 +130,13 @@ type restoreState struct {
 	blockedOps      atomic.Uint64
 }
 
+// suffixRecord is one committed record of the log suffix, as the replay files
+// it: the hash it computed from the key, so that relinking the record later
+// reads nothing, and the record's address.
+type suffixRecord struct{ hash, addr uint64 }
+
 // newRestoreState prepares (but does not start) a shard's instant restore.
-// Called from recoverShard after the index is loaded; the analysis goroutine
+// Called from shard.install once the index is loaded; the restore goroutine
 // starts from finishRecovery once the whole candidate commit is accepted.
 func newRestoreState(sh *shard, token string, version uint32, scanStart, end uint64) *restoreState {
 	n := uint64(len(sh.index.buckets))
@@ -144,12 +148,11 @@ func newRestoreState(sh *shard, token string, version uint32, scanStart, end uin
 		end:       end,
 		warmBits:  make([]atomic.Uint64, (n+63)/64),
 		nBuckets:  n,
-		pending:   make(map[uint32][]uint64),
+		pending:   make(map[uint32][]suffixRecord),
 		warming:   make(map[uint32]bool),
 		finished:  make(chan struct{}),
 	}
 	rs.cond = sync.NewCond(&rs.mu)
-	rs.pendingRecords.Store(0)
 	return rs
 }
 
@@ -190,18 +193,32 @@ func (rs *restoreState) start() {
 	go rs.run()
 }
 
-// run is the restore goroutine: analyze the suffix once, then sweep the
-// remaining cold buckets warm.
+// run is the restore goroutine: replay the suffix once into the directory,
+// then sweep the remaining cold buckets warm.
 func (rs *restoreState) run() {
 	defer close(rs.finished)
 	sh := rs.sh
 
-	err := rs.analyze()
+	t0 := nowNanos()
+	dead, err := sh.replaySuffix(rs.scanStart, rs.end, rs.version, rs.file)
+	if err == nil && rs.aborted.Load() {
+		err = errRestoreAborted
+	}
 	if err == nil {
+		// Now, not lazily: a commit taken after the restore, followed by a
+		// crash, must not find resurrectable v+1 records on the device.
+		err = sh.persistInvalid(rs.token, rs.version, dead)
+	}
+	rs.analysisNanos.Store(nowNanos() - t0)
+	if err == nil {
+		rs.invalidated.Store(uint64(len(dead)))
+		sh.metrics.restoreInvalidated.Add(uint64(len(dead)))
 		// Clamp fuzzy index entries at/past the recovered end only now: the
-		// analysis pass evaluated its v+1 unwind conditions against the
-		// unclamped index, exactly as the interleaved full replay does.
+		// replay evaluated its v+1 unwind conditions against the unclamped
+		// index, exactly as the interleaved full replay does.
 		sh.clampIndex(rs.end)
+	} else if err != errRestoreAborted {
+		err = fmt.Errorf("faster: restore analysis: %w", err)
 	}
 
 	rs.mu.Lock()
@@ -226,13 +243,12 @@ func (rs *restoreState) run() {
 	failed := rs.failed
 	rs.cond.Broadcast()
 	rs.mu.Unlock()
+	sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "", rs.coldRemaining(), uint64(rs.pendingRecords.Load()))
 	if failed != nil {
 		// The restore cannot fall back (the store is already serving this
 		// commit); leave the pointer set so operations surface the failure.
-		sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "", rs.coldRemaining(), uint64(rs.pendingRecords.Load()))
 		return
 	}
-	sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "", rs.coldRemaining(), uint64(rs.pendingRecords.Load()))
 
 	rs.sweep()
 
@@ -255,53 +271,14 @@ func (rs *restoreState) run() {
 	sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "", 0, 0)
 }
 
-// analyze reads the log suffix [scanStart, end) once, page-granular: records
-// of version <= v are filed in the per-bucket directory (in log order);
-// records of version v+1 are invalidated on the device and their index slots
-// unwound, exactly as replayLog does. Invalidation must happen now, not
-// lazily: a commit taken after restore, followed by a crash, must not find
-// resurrectable v+1 records on the device.
-func (rs *restoreState) analyze() error {
-	sh := rs.sh
-	t0 := nowNanos()
-	var keyBuf []byte
-	var replayErr error
-	err := sh.log.ScanPages(rs.scanStart, rs.end, func(addr uint64, rec hlog.RecordRef) bool {
-		if rs.aborted.Load() {
-			replayErr = errRestoreAborted
-			return false
-		}
-		keyBuf = rec.Key(keyBuf[:0])
-		h := hashfn.Hash64(keyBuf)
-		if !isFutureVersion(rec.Version(), rs.version) {
-			b := uint32(h & sh.index.mask)
-			rs.pending[b] = append(rs.pending[b], addr)
-			rs.suffixRecords.Add(1)
-			rs.pendingRecords.Add(1)
-			return true
-		}
-		slot := sh.index.findOrCreateSlot(h)
-		if err := sh.log.PersistInvalid(addr); err != nil {
-			replayErr = fmt.Errorf("faster: restore invalidate %d: %w", addr, err)
-			return false
-		}
-		rs.invalidated.Add(1)
-		sh.metrics.restoreInvalidated.Inc()
-		if entryAddr(slot.Load()) >= addr {
-			prev := rec.Prev()
-			if prev >= hlog.FirstAddress {
-				slot.Store(tagOf(h) | prev)
-			} else {
-				slot.Store(0)
-			}
-		}
-		return true
-	})
-	rs.analysisNanos.Store(nowNanos() - t0)
-	if err != nil {
-		return fmt.Errorf("faster: restore analysis: %w", err)
-	}
-	return replayErr
+// file is the replay's sink for a committed suffix record: into the directory,
+// under its bucket. It stops the scan once the restore is aborted.
+func (rs *restoreState) file(h, addr uint64) bool {
+	b := uint32(h & rs.sh.index.mask)
+	rs.pending[b] = append(rs.pending[b], suffixRecord{h, addr})
+	rs.suffixRecords.Add(1)
+	rs.pendingRecords.Add(1)
+	return !rs.aborted.Load()
 }
 
 // isWarm reports the bucket's warm bit (lock-free).
@@ -327,73 +304,45 @@ func (rs *restoreState) warmSlow(b uint32) error {
 	rs.sh.metrics.restoreBlockedOps.Inc()
 	rs.blockedOps.Add(1)
 	rs.mu.Lock()
-	for !rs.analyzed && rs.failed == nil {
-		rs.cond.Wait()
-	}
-	for {
-		if rs.failed != nil {
-			err := rs.failed
-			rs.mu.Unlock()
-			return err
+	defer rs.mu.Unlock()
+	for !rs.isWarm(b) {
+		switch {
+		case rs.failed != nil:
+			return rs.failed
+		case !rs.analyzed || rs.warming[b]:
+			rs.cond.Wait()
+		default:
+			rs.warmLocked(b, false)
 		}
-		if rs.isWarm(b) {
-			rs.mu.Unlock()
-			return nil
-		}
-		if !rs.warming[b] {
-			break
-		}
-		rs.cond.Wait()
 	}
-	addrs, ok := rs.pending[b]
-	if !ok {
-		// No suffix records route here: the recovered index entry is already
-		// complete. Mark warm without leaving the lock.
-		rs.markWarmLocked(b, 0, false)
-		rs.mu.Unlock()
-		rs.cond.Broadcast()
-		return nil
-	}
-	rs.warming[b] = true
-	rs.mu.Unlock()
-
-	err := rs.replayBucket(addrs)
-
-	rs.mu.Lock()
-	delete(rs.warming, b)
-	if err != nil {
-		if rs.failed == nil {
-			rs.failed = err
-		}
-		err = rs.failed
-		rs.mu.Unlock()
-		rs.cond.Broadcast()
-		return err
-	}
-	rs.markWarmLocked(b, len(addrs), false)
-	rs.mu.Unlock()
-	rs.cond.Broadcast()
 	return nil
 }
 
-// replayBucket re-links one bucket's suffix records in log order. Called
-// without the mutex held; per-bucket exclusivity comes from the warming map,
-// and no operation can run inside this bucket yet (they are all blocked in
-// ensureWarm), so the plain slot stores cannot race a CAS.
-func (rs *restoreState) replayBucket(addrs []uint64) error {
-	sh := rs.sh
-	var keyBuf []byte
-	for _, addr := range addrs {
-		rec, err := sh.log.ReadRecordCopy(addr)
-		if err != nil {
-			return fmt.Errorf("faster: restore warm read %d: %w", addr, err)
-		}
-		keyBuf = rec.Key(keyBuf[:0])
-		h := hashfn.Hash64(keyBuf)
-		slot := sh.index.findOrCreateSlot(h)
-		slot.Store(tagOf(h) | addr)
+// warmLocked warms cold bucket b, which nobody else is warming: claim it,
+// relink the records filed under it in log order, publish it warm. The caller
+// holds rs.mu; it is released around the relinking — per-bucket exclusivity
+// comes from the warming map, and no operation can run inside this bucket yet
+// (they are all blocked in ensureWarm). A bucket no suffix record routes to
+// needs no relinking: the recovered index entry is already complete.
+func (rs *restoreState) warmLocked(b uint32, bySweep bool) {
+	recs := rs.pending[b]
+	if len(recs) > 0 {
+		rs.warming[b] = true
+		rs.mu.Unlock()
+		rs.replayBucket(recs)
+		rs.mu.Lock()
+		delete(rs.warming, b)
 	}
-	return nil
+	rs.markWarmLocked(b, len(recs), bySweep)
+	rs.cond.Broadcast()
+}
+
+// replayBucket relinks one bucket's filed records in log order: slot stores,
+// no device read and nothing that can fail.
+func (rs *restoreState) replayBucket(recs []suffixRecord) {
+	for _, r := range recs {
+		rs.sh.relink(r.hash, r.addr)
+	}
 }
 
 // markWarmLocked publishes bucket b as warm: directory entry dropped, warm
@@ -428,54 +377,25 @@ func (rs *restoreState) markWarmLocked(b uint32, records int, bySweep bool) {
 const sweepFlightEvery = 256
 
 // sweep warms every remaining cold bucket, densest directory entries first,
-// then marks the untouched (record-free) buckets warm in bulk.
+// then marks the untouched (record-free) buckets warm in bulk. It returns
+// early, with rs.failed set, when the restore is aborted.
 func (rs *restoreState) sweep() {
 	sh := rs.sh
 	sinceEmit := 0
 	for _, b := range rs.sweepOrder {
-		if rs.aborted.Load() {
-			rs.mu.Lock()
-			if rs.failed == nil {
-				rs.failed = errRestoreAborted
-			}
-			rs.mu.Unlock()
-			rs.cond.Broadcast()
-			return
-		}
 		rs.mu.Lock()
 		if rs.failed != nil {
 			rs.mu.Unlock()
 			return
 		}
-		if rs.isWarm(b) || rs.warming[b] {
-			rs.mu.Unlock()
+		swept := !rs.isWarm(b) && !rs.warming[b]
+		if swept {
+			rs.warmLocked(b, true)
+		}
+		rs.mu.Unlock()
+		if !swept {
 			continue
 		}
-		addrs, ok := rs.pending[b]
-		if !ok {
-			rs.markWarmLocked(b, 0, true)
-			rs.mu.Unlock()
-			rs.cond.Broadcast()
-			continue
-		}
-		rs.warming[b] = true
-		rs.mu.Unlock()
-
-		err := rs.replayBucket(addrs)
-
-		rs.mu.Lock()
-		delete(rs.warming, b)
-		if err != nil {
-			if rs.failed == nil {
-				rs.failed = err
-			}
-			rs.mu.Unlock()
-			rs.cond.Broadcast()
-			return
-		}
-		rs.markWarmLocked(b, len(addrs), true)
-		rs.mu.Unlock()
-		rs.cond.Broadcast()
 		if sinceEmit++; sinceEmit >= sweepFlightEvery {
 			sinceEmit = 0
 			sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "",
@@ -513,8 +433,8 @@ func (rs *restoreState) coldRemaining() uint64 {
 }
 
 // abort cancels the restore (Store.Close). Blocked operations wake with an
-// error; the goroutine exits at its next check or when the closing log fails
-// its reads.
+// error; the goroutine exits at the replay's next committed record or the
+// sweep's next bucket.
 func (rs *restoreState) abort() {
 	rs.aborted.Store(true)
 	rs.mu.Lock()

@@ -211,57 +211,6 @@ func TestInstantRestoreFlightProvesPrefix(t *testing.T) {
 	s2.StopSession()
 }
 
-// TestInstantRestoreMatchesFullRecovery recovers the same crash image twice —
-// full replay and instant restore — and requires identical serving state:
-// every key's value, every tombstone, and the recovered CPR point.
-func TestInstantRestoreMatchesFullRecovery(t *testing.T) {
-	dev, ckpts, want, gone, id := buildRestoreImage(t, 200, 2000)
-
-	full := smallConfig()
-	full.Device, full.Checkpoints = dev.Clone(), ckpts.Clone()
-	fr, freport, err := RecoverWithReport(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	if freport.Instant {
-		t.Fatal("full recovery flagged Instant")
-	}
-	if fr.RestoreStatus() != nil {
-		t.Fatal("full recovery exposes a RestoreStatus")
-	}
-
-	inst := smallConfig()
-	inst.Device, inst.Checkpoints = dev.Clone(), ckpts.Clone()
-	inst.InstantRestore = true
-	ir, ireport, err := RecoverWithReport(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ir.Close()
-	if !ireport.Instant {
-		t.Fatal("instant recovery not flagged Instant")
-	}
-	if ireport.Token != freport.Token || ireport.Version != freport.Version {
-		t.Fatalf("recovered different commits: instant %s/v%d vs full %s/v%d",
-			ireport.Token, ireport.Version, freport.Token, freport.Version)
-	}
-	if err := ir.WaitRestored(); err != nil {
-		t.Fatal(err)
-	}
-
-	checkImage(t, "full", fr, want, gone)
-	checkImage(t, "instant", ir, want, gone)
-
-	fs, fpoint := fr.ContinueSession(id)
-	is, ipoint := ir.ContinueSession(id)
-	if fpoint != ipoint {
-		t.Fatalf("CPR points diverge: full %d, instant %d", fpoint, ipoint)
-	}
-	fs.StopSession()
-	is.StopSession()
-}
-
 // TestInstantRestoreGatesCommitAndCompaction pins the maintenance gates
 // deterministically with a hand-built restore state: Commit and CompactLog
 // refuse with ErrRestoring while the shard is cold, operations warm their

@@ -46,7 +46,7 @@ type shard struct {
 	recoveredScanStart uint64
 
 	// replicaDead tracks records shipped ahead of their commit (replica mode
-	// only; see replayReplica). The replication applier serializes every
+	// only; see markReplicaDead). The replication applier serializes every
 	// access externally.
 	replicaDead map[uint64]bool
 

@@ -93,3 +93,26 @@ func TestFlushPageAllocFree(t *testing.T) {
 		t.Fatalf("a flushed page allocates %d bytes, want a small fraction of its %d", perPage, l.pageSize)
 	}
 }
+
+// TestScanAllocFree: a scan reads the log by the page into one buffer and hands
+// out views of it, so what it allocates does not grow with the records scanned
+// — resident pages or evicted ones.
+func TestScanAllocFree(t *testing.T) {
+	l, _, addrs := scanLog(t, 4, 4000, 8)
+	pages := float64(l.Tail() / l.PageSize())
+	n := 0
+	scan := func() {
+		n = 0
+		if err := l.Scan(FirstAddress, l.Tail(), func(uint64, RecordRef) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, scan)
+	t.Logf("%.1f allocations for %d records on %.0f pages", allocs, n, pages)
+	if n != len(addrs) {
+		t.Fatalf("scanned %d records of %d", n, len(addrs))
+	}
+	if allocs > pages/4 {
+		t.Fatalf("a scan of %d records on %.0f pages allocates %.1f times, want a handful", n, pages, allocs)
+	}
+}

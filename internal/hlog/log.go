@@ -664,52 +664,11 @@ func (l *Log) invalidatePageCRCs(from, to uint64) {
 	l.durableMu.Unlock()
 }
 
-// VerifyPages checks the device contents of every page in crcs that lies
-// fully below end against its recorded checksum, seeding the log's checksum
-// table with the pages that verify. Transient read errors and bit flips on
-// the verification read itself are absorbed by retrying; a page that still
-// mismatches after retries fails recovery of this commit (the caller falls
-// back to an older one).
-func (l *Log) VerifyPages(crcs []PageCRC, end uint64) error {
-	for _, pc := range crcs {
-		start := pc.Page << l.cfg.PageBits
-		if start < FirstAddress {
-			start = FirstAddress
-		}
-		stop := (pc.Page + 1) << l.cfg.PageBits
-		if stop > end {
-			continue // page extends past the recovered prefix
-		}
-		buf := make([]byte, stop-start)
-		var lastErr error
-		ok := false
-		for attempt := 0; attempt < 3 && !ok; attempt++ {
-			if _, err := storage.ReadAtRetry(l.cfg.Device, buf, int64(start)); err != nil {
-				lastErr = err
-				continue
-			}
-			if got := crc32.Checksum(buf, crcTable); got != pc.CRC {
-				l.verifyFails.Inc()
-				lastErr = fmt.Errorf("hlog: page %d checksum mismatch (stored %08x, device %08x)", pc.Page, pc.CRC, got)
-				continue
-			}
-			ok = true
-		}
-		if !ok {
-			return lastErr
-		}
-		l.durableMu.Lock()
-		l.pageCRCs[pc.Page] = pc.CRC
-		l.durableMu.Unlock()
-	}
-	return nil
-}
-
 // SeedPageCRCs loads recorded page checksums into the log's checksum table
-// without touching the device, for every page that lies fully below end.
-// Instant restore uses this instead of VerifyPages: the device bytes are
-// verified lazily, page by page, as the background analysis pass reads them
-// (see ScanPages), so startup cost is independent of the log-suffix size.
+// without touching the device, for every page that lies fully below end. A
+// seeded page is verified whenever it is read from the device: instant
+// restore stops here, so its startup cost is independent of the log's size and
+// the suffix pages are checked lazily, as the replay scan reads them.
 func (l *Log) SeedPageCRCs(crcs []PageCRC, end uint64) {
 	l.durableMu.Lock()
 	for _, pc := range crcs {
@@ -719,6 +678,25 @@ func (l *Log) SeedPageCRCs(crcs []PageCRC, end uint64) {
 		l.pageCRCs[pc.Page] = pc.CRC
 	}
 	l.durableMu.Unlock()
+}
+
+// VerifyPages seeds the checksum table like SeedPageCRCs and then checks the
+// device contents of every seeded page, eagerly: a page that still mismatches
+// after readDevicePage's retries fails recovery of this commit (the caller falls
+// back to an older one).
+func (l *Log) VerifyPages(crcs []PageCRC, end uint64) error {
+	l.SeedPageCRCs(crcs, end)
+	buf := make([]byte, l.pageSize)
+	for _, pc := range crcs {
+		start, stop, _, ok := l.pageCRCFor(pc.Page << l.cfg.PageBits)
+		if !ok {
+			continue
+		}
+		if err := l.readDevicePage(start, stop, buf[:stop-start]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OnDurable registers fn to be called (from an I/O completion goroutine)
@@ -954,103 +932,66 @@ func bytesToRecord(b []byte, words []uint64) RecordRef {
 	return RecordRef{words: words}
 }
 
-// Scan iterates records in [from, to) in address order, calling fn with each
-// record's address and a private copy of its contents. Copies from resident
-// frames are validated against the frame owner (as in snapshot capture) with
-// a device fallback, so scanning is safe against concurrent eviction — the
-// range must be immutable (below the safe-read-only offset) or the log
-// offline, as for recovery. fn returning false stops the scan.
+// Scan delivers every record that starts in [from, to), whole and in address
+// order, to fn; fn returning false stops the scan. It reads the log a page at a
+// time (see readPage) and walks the records inside that copy, so rec is a view
+// over a buffer the scan reuses — valid only for the duration of the call — and
+// scanning is safe against concurrent eviction. A page with a recorded checksum
+// is read from its start, so that a device read of it can be verified; any
+// other from where the scan stands to the page's end or the tail. The range
+// must be immutable (below the safe-read-only offset) or the log offline, as
+// for recovery.
 func (l *Log) Scan(from, to uint64, fn func(addr uint64, rec RecordRef) bool) error {
-	addr := from
-	for addr < to {
-		if l.offset(addr)+16 > l.pageSize {
-			addr = (l.page(addr) + 1) << l.cfg.PageBits
-			continue
-		}
-		rec, err := l.readRecordCopy(addr)
-		if err != nil {
-			return fmt.Errorf("hlog: scan read at %d: %w", addr, err)
-		}
-		if rec.Header() == 0 {
-			addr = (l.page(addr) + 1) << l.cfg.PageBits
-			continue
-		}
-		if !fn(addr, rec) {
-			return nil
-		}
-		addr += uint64(rec.Size())
-	}
-	return nil
-}
-
-// ScanPages iterates records in [from, to) in address order like Scan, but
-// materializes each covered page once — from its resident frame when owned,
-// otherwise with a single device read — and walks records inside that buffer.
-// When the log has a recorded checksum for a page lying fully below to, the
-// device bytes are verified against it (with bounded retries, healing
-// transient read faults like VerifyPages does). This is the instant-restore
-// analysis primitive: one sequential device read per page instead of two
-// random reads per record. The RecordRef passed to fn aliases a reused
-// buffer and is only valid for the duration of the call.
-func (l *Log) ScanPages(from, to uint64, fn func(addr uint64, rec RecordRef) bool) error {
-	pageBuf := make([]byte, 0, l.pageSize)
+	var buf []byte
 	var words []uint64
-	addr := from
-	for addr < to {
-		pageStart := addr
+	for addr := from; addr < to; {
 		pageEnd := (l.page(addr) + 1) << l.cfg.PageBits
-		if pageEnd > to {
-			pageEnd = to
+		start, stop := addr, min(pageEnd, l.tail.Load())
+		if s, _, _, ok := l.pageCRCFor(addr); ok {
+			start = s
 		}
-		pageBuf = pageBuf[:pageEnd-pageStart]
-		if err := l.analysisPage(pageStart, pageEnd, pageBuf); err != nil {
-			return err
+		if stop <= addr {
+			return nil // the log ends here
 		}
-		// Walk records within the materialized page.
-		for addr < pageEnd {
-			if l.offset(addr)+16 > l.pageSize {
-				break // record headers never straddle a page boundary
-			}
-			base := addr - pageStart
-			if uint64(len(pageBuf))-base < 16 {
+		if n := int(stop - start); cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:stop-start]
+		if err := l.readPage(start, stop, buf); err != nil {
+			return fmt.Errorf("hlog: scan: %w", err)
+		}
+		// Stop at the page's padding: 16 bytes hold no record, a zero header
+		// means the rest of the page was never written.
+		for addr < to && addr+16 <= stop {
+			rec := buf[addr-start:]
+			if binary.LittleEndian.Uint64(rec) == 0 {
 				break
 			}
-			hdr := binary.LittleEndian.Uint64(pageBuf[base:])
-			if hdr == 0 {
-				break // rest of page unused
-			}
-			lens := binary.LittleEndian.Uint64(pageBuf[base+8:])
-			k, _, c := splitLens(lens)
+			k, _, c := splitLens(binary.LittleEndian.Uint64(rec[8:]))
 			size := uint64(RecordSize(k, c))
-			if base+size > uint64(len(pageBuf)) {
-				return fmt.Errorf("hlog: record at %d overruns its page during analysis", addr)
+			if size > uint64(len(rec)) {
+				return fmt.Errorf("hlog: scan: record at %d (%d bytes) runs past %d, the end of its page or of the log", addr, size, stop)
 			}
-			if cap(words) < int(size/8) {
-				words = make([]uint64, size/8)
-			}
-			words = words[:size/8]
-			for i := range words {
-				words[i] = binary.LittleEndian.Uint64(pageBuf[base+uint64(i)*8:])
-			}
-			if !fn(addr, RecordRef{words: words}) {
+			ref := bytesToRecord(rec[:size], words)
+			words = ref.words
+			if !fn(addr, ref) {
 				return nil
 			}
 			addr += size
 		}
-		addr = (l.page(pageStart) + 1) << l.cfg.PageBits
+		addr = pageEnd
 	}
 	return nil
 }
 
-// analysisPage materializes the page span [from, to) into out: from the
-// resident frame when owned (owner-checked before and after, as in snapshot
-// capture), otherwise from the device — verifying against the recorded page
-// checksum when one covers the full span, with up to 3 attempts absorbing
-// transient faults.
-func (l *Log) analysisPage(from, to uint64, out []byte) error {
+// readPage materializes [from, to), which lies within one page, into out. The
+// page's frame serves it, provided it is the page's before the copy and still
+// after it — the caller holds no epoch protection, so the frame may be
+// reclaimed meanwhile, and a reclaimed page is durable by construction.
+// Otherwise the device does (readDevicePage).
+func (l *Log) readPage(from, to uint64, out []byte) error {
 	page := l.page(from)
-	idx := page % uint64(len(l.frames))
-	if l.frameOwner[idx].Load() == page+1 {
+	if idx := page % uint64(len(l.frames)); l.frameOwner[idx].Load() == page+1 {
 		frame := l.frames[idx]
 		for a := from; a < to; a += 8 {
 			binary.LittleEndian.PutUint64(out[a-from:], atomic.LoadUint64(&frame[l.offset(a)/8]))
@@ -1059,123 +1000,61 @@ func (l *Log) analysisPage(from, to uint64, out []byte) error {
 			return nil
 		}
 	}
+	// A page at or below the tail's is resident (its frame is claimed before
+	// the tail moves onto it) until it is evicted, and evicted only once durable.
+	if to > l.durable.Load() {
+		return fmt.Errorf("hlog: page %d: [%d,%d) is neither resident nor durable", page, from, to)
+	}
+	return l.readDevicePage(from, to, out)
+}
+
+// readDevicePage reads [from, to), which lies within one page, from the device
+// into out; when the span is the whole of a page with a recorded checksum the
+// bytes are checked against it. A failed read or check is retried, three
+// attempts in all, which absorbs transient faults and bit flips on the read
+// path.
+func (l *Log) readDevicePage(from, to uint64, out []byte) error {
 	start, stop, want, verify := l.pageCRCFor(from)
-	verify = verify && start == from && stop == to // CRC covers exactly this span
-	var lastErr error
+	verify = verify && start == from && stop == to
+	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := storage.ReadAtRetry(l.cfg.Device, out, int64(from)); err != nil {
-			lastErr = err
+		if _, err = storage.ReadAtRetry(l.cfg.Device, out, int64(from)); err != nil {
 			continue
 		}
-		if verify {
-			if got := crc32.Checksum(out, crcTable); got != want {
-				l.verifyFails.Inc()
-				lastErr = fmt.Errorf("hlog: page %d checksum mismatch during analysis (stored %08x, device %08x)", page, want, got)
-				continue
-			}
+		if !verify {
+			return nil
 		}
-		return nil
+		got := crc32.Checksum(out, crcTable)
+		if got == want {
+			return nil
+		}
+		l.verifyFails.Inc()
+		err = fmt.Errorf("hlog: page %d checksum mismatch (stored %08x, device %08x)", l.page(from), want, got)
 	}
-	return lastErr
-}
-
-// ReadRecordCopy returns a private copy of the record at addr, from the
-// resident frame or the device. It is the per-record read used by instant
-// restore's bucket warm-up (the addresses come from the analysis directory,
-// so the range is immutable).
-func (l *Log) ReadRecordCopy(addr uint64) (RecordRef, error) {
-	return l.readRecordCopy(addr)
-}
-
-// readRecordCopy returns a private copy of the record at addr: from its page
-// frame when resident (validated against the frame owner before and after
-// the copy), otherwise from the device (an evicted page is durable by
-// construction).
-func (l *Log) readRecordCopy(addr uint64) (RecordRef, error) {
-	page := l.page(addr)
-	idx := page % uint64(len(l.frames))
-	for spins := 0; ; spins++ {
-		if l.frameOwner[idx].Load() == page+1 {
-			frame := l.frames[idx]
-			base := l.offset(addr) / 8
-			hdr := atomic.LoadUint64(&frame[base])
-			lens := atomic.LoadUint64(&frame[base+1])
-			var words []uint64
-			if hdr == 0 {
-				words = []uint64{0, 0}
-			} else {
-				k, _, c := splitLens(lens)
-				size := RecordSize(k, c)
-				words = make([]uint64, size/8)
-				for i := range words {
-					words[i] = atomic.LoadUint64(&frame[base+uint64(i)])
-				}
-			}
-			if l.frameOwner[idx].Load() == page+1 {
-				return RecordRef{words: words}, nil
-			}
-			continue // reclaimed mid-copy; fall through to the device
-		}
-		if addr < l.durable.Load() {
-			return l.ReadRecordSync(addr)
-		}
-		// The page's frame is mid-transition (claim in progress); retry.
-		if spins%64 == 63 {
-			runtime.Gosched()
-		}
-	}
+	return err
 }
 
 // SnapshotRange copies raw log words in [from, to) into a byte slice (the
 // snapshot-commit capture primitive, App. D). Unlike flushing, the caller is
-// not epoch-protected, so pages may be evicted mid-copy: each page is read
-// from its frame with an owner check before and after the copy, falling back
-// to the device when the frame was reclaimed (an evicted page is durable by
-// construction).
+// not epoch-protected, so each page goes through readPage.
 func (l *Log) SnapshotRange(from, to uint64) ([]byte, error) {
 	buf := make([]byte, to-from)
 	for addr := from; addr < to; {
-		end := (l.page(addr) + 1) << l.cfg.PageBits
-		if end > to {
-			end = to
-		}
-		if err := l.snapshotPage(addr, end, buf[addr-from:end-from]); err != nil {
-			return nil, err
+		end := min((l.page(addr)+1)<<l.cfg.PageBits, to)
+		if err := l.readPage(addr, end, buf[addr-from:end-from]); err != nil {
+			return nil, fmt.Errorf("hlog: snapshot: %w", err)
 		}
 		addr = end
 	}
 	return buf, nil
 }
 
-// snapshotPage copies [from, to) (within one page) into out.
-func (l *Log) snapshotPage(from, to uint64, out []byte) error {
-	page := l.page(from)
-	idx := page % uint64(len(l.frames))
-	if l.frameOwner[idx].Load() == page+1 {
-		frame := l.frames[idx]
-		for a := from; a < to; a += 8 {
-			binary.LittleEndian.PutUint64(out[a-from:], atomic.LoadUint64(&frame[l.offset(a)/8]))
-		}
-		if l.frameOwner[idx].Load() == page+1 {
-			return nil // frame stayed owned throughout the copy
-		}
-	}
-	// Evicted (or reclaimed mid-copy): the page is durable on the device.
-	if to <= l.durable.Load() {
-		if _, err := storage.ReadAtRetry(l.cfg.Device, out, int64(from)); err != nil {
-			return fmt.Errorf("hlog: snapshot read [%d,%d) from device: %w", from, to, err)
-		}
-		return nil
-	}
-	// A page at or below the tail's is resident (its frame is claimed before
-	// the tail moves onto it) until it is evicted, and evicted only once durable.
-	return fmt.Errorf("hlog: snapshot of [%d,%d): page neither resident nor durable", from, to)
-}
-
-// RestoreRange writes raw log bytes at their logical offsets into the device
-// (used when recovering a snapshot commit: the snapshot file's contents slot
-// back into the main log address space). Checksum entries for the touched
-// pages are dropped: the rewrite happened outside flush order.
+// RestoreRange writes raw log bytes at their logical offsets into the device:
+// a snapshot commit's capture slotting back into the main log address space
+// at recovery, and the bytes a primary ships to a replica. Everything that
+// writes the device outside flush order goes through here, because checksum
+// entries for the touched pages have to go: they describe the bytes that were
+// there, and every later device read of the page is checked against them.
 func (l *Log) RestoreRange(from uint64, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -1199,28 +1078,22 @@ func (l *Log) RecoverTo(end uint64) error {
 	if endPage+1 > uint64(len(l.frames)-1) {
 		head = (endPage + 1 - uint64(len(l.frames)-1)) << l.cfg.PageBits
 	}
+	buf := make([]byte, l.pageSize)
 	for p := l.page(head); p <= endPage; p++ {
 		idx := p % uint64(len(l.frames))
 		l.frames[idx] = make([]uint64, l.pageSize/8)
 		l.frameOwner[idx].Store(p + 1)
-		start := p << l.cfg.PageBits
-		if start < FirstAddress {
-			start = FirstAddress
-		}
-		stop := (p + 1) << l.cfg.PageBits
-		if stop > end {
-			stop = end
-		}
+		start := max(p<<l.cfg.PageBits, FirstAddress)
+		stop := min((p+1)<<l.cfg.PageBits, end)
 		if stop <= start {
 			continue
 		}
-		buf := make([]byte, stop-start)
-		if _, err := storage.ReadAtRetry(l.cfg.Device, buf, int64(start)); err != nil {
-			return fmt.Errorf("hlog: recover page %d: %w", p, err)
+		if err := l.readDevicePage(start, stop, buf[:stop-start]); err != nil {
+			return fmt.Errorf("hlog: recover: %w", err)
 		}
-		frame := l.frames[idx]
-		for i := uint64(0); i < uint64(len(buf)); i += 8 {
-			frame[(l.offset(start)+i)/8] = binary.LittleEndian.Uint64(buf[i:])
+		frame := l.frames[idx][l.offset(start)/8:]
+		for i := uint64(0); i < stop-start; i += 8 {
+			frame[i/8] = binary.LittleEndian.Uint64(buf[i:])
 		}
 	}
 	l.tail.Store(end)

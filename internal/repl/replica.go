@@ -47,7 +47,6 @@ type Replica struct {
 	// mutates the index and log offsets, so readers hold RLock.
 	mu sync.RWMutex
 
-	devices []storage.Device
 	// have[i] is shard i's staged-coverage watermark: every device byte
 	// below it has been received. Guarded by mu (written only by the
 	// applier goroutine; read by ReplStats).
@@ -88,32 +87,22 @@ func NewReplica(cfg Config) (*Replica, error) {
 		return nil, fmt.Errorf("repl: Shards > 1 needs DeviceFactory, not Device")
 	}
 	r := &Replica{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	// Resolve the per-shard devices once and retain the handles: the applier
-	// writes shipped bytes straight to the same device objects the store's
-	// log reads from.
-	shards := sc.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	r.devices = make([]storage.Device, shards)
-	if sc.Device != nil {
-		r.devices[0] = sc.Device
-	} else {
-		factory := sc.DeviceFactory
-		for i := 0; i < shards; i++ {
-			if factory != nil {
-				dev, err := factory(i)
-				if err != nil {
-					return nil, err
-				}
-				r.devices[i] = dev
-			} else {
-				r.devices[i] = storage.NewMemDevice()
+	// Resolve the per-shard devices once: Recover may open a shard per
+	// candidate commit, and Open after it, and all must see one device.
+	if sc.Device == nil {
+		devices := make([]storage.Device, max(sc.Shards, 1))
+		for i := range devices {
+			if sc.DeviceFactory == nil {
+				devices[i] = storage.NewMemDevice()
+				continue
 			}
+			dev, err := sc.DeviceFactory(i)
+			if err != nil {
+				return nil, err
+			}
+			devices[i] = dev
 		}
-		fixed := r.devices
-		sc.Device = nil
-		sc.DeviceFactory = func(i int) (storage.Device, error) { return fixed[i], nil }
+		sc.DeviceFactory = func(i int) (storage.Device, error) { return devices[i], nil }
 	}
 	store, err := faster.Recover(sc)
 	if errors.Is(err, faster.ErrNoCheckpoint) {
@@ -402,10 +391,12 @@ func (r *Replica) applyWelcome(payload []byte) error {
 	return nil
 }
 
-// applyChunk writes shipped log bytes to the shard's device. Below the
-// visible tail this overlaps state the store may read concurrently — that
-// only happens on the resync path after a primary recovery, where the
-// re-shipped range differs — so those writes take the install lock.
+// applyChunk writes shipped log bytes to the shard's device, through the log:
+// it keeps checksums of pages it has verified, and a page written here is no
+// longer the page it checked. Below the visible tail this overlaps state the
+// store may read concurrently — that only happens on the resync path after a
+// primary recovery, where the re-shipped range differs — so those writes take
+// the install lock.
 func (r *Replica) applyChunk(payload []byte) error {
 	shard32, rest, err := takeU32(payload)
 	if err != nil {
@@ -416,17 +407,18 @@ func (r *Replica) applyChunk(payload []byte) error {
 		return err
 	}
 	i := int(shard32)
-	if i < 0 || i >= len(r.devices) {
-		return fmt.Errorf("chunk for shard %d of %d", i, len(r.devices))
+	if i < 0 || i >= r.store.NumShards() {
+		return fmt.Errorf("chunk for shard %d of %d", i, r.store.NumShards())
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	locked := off < r.store.ShardLog(i).Tail()
+	lg := r.store.ShardLog(i)
+	locked := off < lg.Tail()
 	if locked {
 		r.mu.Lock()
 	}
-	_, werr := r.devices[i].WriteAt(data, int64(off))
+	werr := lg.RestoreRange(off, data)
 	if locked {
 		r.mu.Unlock()
 	}
