@@ -2,7 +2,6 @@ package faster
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -51,58 +50,47 @@ func (sess *shardSession) compactLog(until uint64) error {
 	if until <= begin {
 		return nil
 	}
-	g := sess.guard
 	_, version := unpackState(s.state.Load())
 
 	var keyBuf, valBuf []byte
 	count := 0
 	err := s.log.Scan(begin, until, func(addr uint64, rec hlog.RecordRef) bool {
 		if count++; count%64 == 0 {
-			g.Refresh()
+			sess.guard.Refresh()
 		}
 		if rec.Invalid() {
 			return true
 		}
 		keyBuf = rec.Key(keyBuf[:0])
-		h := hashfn.Hash64(keyBuf)
+		slot := s.index.findSlot(hashfn.Hash64(keyBuf))
+		if slot == nil {
+			return true // key no longer indexed
+		}
 		for {
-			slot := s.index.findSlot(h)
-			if slot == nil {
-				return true // key no longer indexed
-			}
-			liveAddr, ok := s.chainFirstMatch(slot, keyBuf)
-			if !ok || liveAddr != addr {
+			// One observation of the slot decides liveness and is what the
+			// slot must still hold when the result is published.
+			entry := slot.Load()
+			if liveAddr, ok := s.chainFirstMatch(entry, keyBuf); !ok || liveAddr != addr {
 				return true // a newer version supersedes this record
 			}
 			if rec.Tombstone() {
-				// A live tombstone at the chain position: if it is the chain
-				// head, the key can be dropped from the index entirely;
-				// otherwise leave it (the walk ends at begin afterwards).
-				if entryAddr(slot.Load()) == addr {
-					old := slot.Load()
-					slot.CompareAndSwap(old, 0) //nolint:errcheck
+				// A live tombstone: if it is the chain head, the key can be
+				// dropped from the index entirely (whatever shared its chain
+				// lies below it and has been scanned); otherwise leave it, the
+				// walk ends at begin afterwards. A head installed meanwhile
+				// keeps the slot.
+				if entryAddr(entry) == addr {
+					slot.CompareAndSwap(entry, 0)
 				}
 				return true
 			}
-			// Copy the live record to the tail, linked ahead of the chain.
+			// Copy the live record to the tail, linked ahead of the chain. A
+			// concurrent update that moved the chain head fails the install;
+			// re-check liveness (the update may have superseded this record).
 			valBuf = rec.Value(valBuf[:0])
-			valCap := len(valBuf)
-			if valCap < 8 {
-				valCap = 8
-			}
-			size := hlog.RecordSize(len(keyBuf), valCap)
-			newAddr := s.log.Allocate(g, size)
-			oldEntry := slot.Load()
-			if err := s.log.WriteRecord(newAddr, entryAddr(oldEntry),
-				recVersion(version), keyBuf, valBuf, valCap); err != nil {
-				panic(fmt.Sprintf("faster: compact write: %v", err))
-			}
-			if slot.CompareAndSwap(oldEntry, oldEntry&^entryAddrMask|newAddr) {
+			if sess.install(slot, entry, version, keyBuf, valBuf, false) {
 				return true
 			}
-			// A concurrent update moved the chain head; orphan our copy and
-			// re-check liveness (the update may have superseded this record).
-			s.log.Record(newAddr).SetInvalid()
 		}
 	})
 	if err != nil {
@@ -112,11 +100,11 @@ func (sess *shardSession) compactLog(until uint64) error {
 	return nil
 }
 
-// chainFirstMatch walks a slot's chain and returns the address of the first
-// record matching key. Cold records are read synchronously (compaction is a
-// maintenance path).
-func (s *shard) chainFirstMatch(slot *atomic.Uint64, key []byte) (uint64, bool) {
-	addr := entryAddr(slot.Load())
+// chainFirstMatch walks the chain behind the slot word entry and returns the
+// address of the first record matching key. Cold records are read
+// synchronously (compaction is a maintenance path).
+func (s *shard) chainFirstMatch(entry uint64, key []byte) (uint64, bool) {
+	addr := entryAddr(entry)
 	head := s.log.Head()
 	begin := s.log.Begin()
 	for addr >= begin && addr >= hlog.FirstAddress {

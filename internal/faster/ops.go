@@ -21,6 +21,11 @@ import "repro/internal/hlog"
 //   - v-completions: pending version-v operations (async I/O, fuzzy-region
 //                  parks) complete as version v during later phases, holding
 //                  their shared latches until done.
+//
+// The paths differ in what they check before the update and in what they do
+// with a Pending after it; the update itself — the switch on the HybridLog
+// region of the key's record — is one routine, update, and a record it writes
+// reaches the index through one routine, install (session.go).
 
 // statusRetry is an internal sentinel: re-run the dispatch loop.
 const statusRetry Status = 255
@@ -53,6 +58,14 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 	}
 }
 
+// dispatch routes op by the session's view of the shard's phase and the op's
+// version. The default route is a current-version operation outside the
+// prepare gate: at rest, or a version-v operation completing once the commit
+// is past prepare (a counted op retried during prepare included; wait-pending
+// semantics, Sec. 6.2.3). The two differ in one thing: past rest the walk
+// skips v+1 records — they are not part of this op's commit. A completing
+// op's shared latch (fine-grained) is released by finish() when it leaves the
+// pending list.
 func (sess *shardSession) dispatch(op *pendingOp) Status {
 	if op.version < sess.version {
 		// The commit this op belonged to has fully completed (its pending
@@ -60,18 +73,16 @@ func (sess *shardSession) dispatch(op *pendingOp) Status {
 		op.version = sess.version
 	}
 	switch {
-	case sess.phase == Rest || op.version > sess.version:
-		if op.version > sess.version {
-			return sess.processFuture(op)
-		}
-		return sess.processNormal(op)
+	case op.version > sess.version:
+		return sess.processFuture(op)
 	case sess.phase == Prepare && !op.counted:
 		return sess.processPrepare(op)
-	default:
-		// A version-v operation completing while the commit is past prepare
-		// (or a counted pending op retried during prepare).
-		return sess.processVCompletion(op)
 	}
+	r := sess.find(op, op.kind != opRead, sess.phase != Rest)
+	if op.kind == opRead {
+		return sess.finishRead(op, r)
+	}
+	return sess.update(op, r)
 }
 
 // initialValue computes the value a missing-key update writes.
@@ -95,43 +106,34 @@ func (sess *shardSession) updatedValue(op *pendingOp, rec hlog.RecordRef) []byte
 	return sess.store.cfg.RMW.Update(own.scratch, op.input)
 }
 
-// processNormal is the rest-phase path: in-place updates in the mutable
-// region, read-copy-update below the safe-read-only offset, pending parks in
-// the fuzzy region, async I/O below the head offset (Sec. 5.1).
-func (sess *shardSession) processNormal(op *pendingOp) Status {
-	r := sess.find(op, op.kind != opRead, false)
-	if op.kind == opRead {
-		return sess.finishRead(op, r)
-	}
+// update is the one FASTER update (Sec. 5.1) every CPR path ends in, switched
+// on the region the key's record was found in: nothing to update — write the
+// initial value; mutable — in place; below the safe-read-only offset —
+// read-copy-update; in the fuzzy region between — park; on storage — fetch it,
+// unless the copy is in hand or the update is blind. New records carry the
+// op's version. A version-v op completing past prepare may still update in
+// place: fine-grained, its shared latch excludes v+1 copies on the bucket;
+// coarse-grained, v+1 copies happen only below the safe-read-only offset and a
+// mutable record is above it.
+func (sess *shardSession) update(op *pendingOp, r findResult) Status {
 	switch r.reg {
 	case regNone:
 		if op.kind == opDelete {
 			return NotFound
 		}
-		if !sess.rcu(op, r.slot, op.version, sess.initialValue(op), false) {
-			return statusRetry
-		}
-		return Ok
 	case regMutable:
 		if st, ok := sess.tryInPlace(op, r); ok {
 			return st
 		}
-		fallthrough // capacity exceeded or tombstoned: read-copy-update
-	case regSafeRO:
-		return sess.rcuFrom(op, r, op.version)
+		// Capacity exceeded or tombstoned: read-copy-update.
 	case regFuzzy:
 		return Pending
 	case regDisk:
-		if r.rec.Valid() {
-			return sess.rcuFrom(op, r, op.version)
+		if !r.rec.Valid() && op.kind == opRMW {
+			return sess.issueIO(op, r.addr)
 		}
-		if op.kind == opUpsert || op.kind == opDelete {
-			// Blind update: no need to fetch the old record.
-			return sess.rcuFrom(op, r, op.version)
-		}
-		return sess.issueIO(op, r.addr)
 	}
-	return statusRetry
+	return sess.rcu(op, r)
 }
 
 // tryInPlace performs an in-place mutable-region update; ok=false means the
@@ -162,20 +164,21 @@ func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) (Status, bool)
 	return Error, false
 }
 
-// rcuFrom performs a read-copy-update: the new record's value derives from
-// the found record (or the initial value for tombstones/blind paths).
-func (sess *shardSession) rcuFrom(op *pendingOp, r findResult, version uint32) Status {
+// rcu performs a read-copy-update: a new record at the tail whose value derives
+// from the found record (the initial value for a tombstone, a blind update or a
+// missing key), installed against the slot word find walked from — so a record
+// another session published since fails the install and the op re-runs.
+func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 	var val []byte
 	tombstone := op.kind == opDelete
 	switch {
 	case tombstone:
-		val = nil
 	case r.rec.Valid():
 		val = sess.updatedValue(op, r.rec)
 	default:
 		val = sess.initialValue(op)
 	}
-	if !sess.rcu(op, r.slot, version, val, tombstone) {
+	if !sess.install(r.slot, r.entry, op.version, op.key, val, tombstone) {
 		return statusRetry
 	}
 	return Ok
@@ -210,40 +213,16 @@ func (sess *shardSession) processPrepare(op *pendingOp) Status {
 	if !demarcated && r.rec.Valid() && isFutureVersion(r.rec.Version(), sess.version) {
 		return sess.shiftDetected(op)
 	}
+	var s Status
 	if op.kind == opRead {
-		s := sess.finishRead(op, r)
-		if s == Pending {
-			sess.markCounted(op)
-		}
-		return s
+		s = sess.finishRead(op, r)
+	} else {
+		s = sess.update(op, r)
 	}
-	switch r.reg {
-	case regNone:
-		if op.kind == opDelete {
-			return NotFound
-		}
-		if !sess.rcu(op, r.slot, op.version, sess.initialValue(op), false) {
-			return statusRetry
-		}
-		return Ok
-	case regMutable:
-		if s, ok := sess.tryInPlace(op, r); ok {
-			return s
-		}
-		fallthrough
-	case regSafeRO:
-		return sess.rcuFrom(op, r, op.version)
-	case regFuzzy:
+	if s == Pending {
 		sess.markCounted(op)
-		return Pending
-	case regDisk:
-		if r.rec.Valid() || op.kind == opUpsert || op.kind == opDelete {
-			return sess.rcuFrom(op, r, op.version)
-		}
-		sess.markCounted(op)
-		return sess.issueIO(op, r.addr)
 	}
-	return statusRetry
+	return s
 }
 
 // markCounted registers op in the active commit's pending-v tally; such
@@ -282,47 +261,6 @@ func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 	return statusRetry
 }
 
-// processVCompletion completes a version-v operation during or after the
-// version shift (wait-pending semantics, Sec. 6.2.3). The walk skips v+1
-// records — they are not part of this op's commit — and new records are
-// written with version v. The op's shared latch (fine-grained) is released
-// by finish() when the op leaves the pending list.
-func (sess *shardSession) processVCompletion(op *pendingOp) Status {
-	r := sess.find(op, op.kind != opRead, true)
-	if op.kind == opRead {
-		return sess.finishRead(op, r)
-	}
-	switch r.reg {
-	case regNone:
-		if op.kind == opDelete {
-			return NotFound
-		}
-		if !sess.rcu(op, r.slot, op.version, sess.initialValue(op), false) {
-			return statusRetry
-		}
-		return Ok
-	case regMutable:
-		// Still version-v work: the in-place update is part of the commit.
-		// Fine-grained: our shared latch excludes v+1 copies on this bucket.
-		// Coarse-grained: a shadowing v+1 record cannot exist (v+1 copies
-		// happen only below the safe-read-only offset; this record is above).
-		if s, ok := sess.tryInPlace(op, r); ok {
-			return s
-		}
-		fallthrough
-	case regSafeRO:
-		return sess.rcuFrom(op, r, op.version)
-	case regFuzzy:
-		return Pending
-	case regDisk:
-		if r.rec.Valid() || op.kind == opUpsert || op.kind == opDelete {
-			return sess.rcuFrom(op, r, op.version)
-		}
-		return sess.issueIO(op, r.addr)
-	}
-	return statusRetry
-}
-
 // processFuture handles a v+1 operation during in-progress, wait-pending, or
 // wait-flush (Alg. 5). Updates to version-≤v records are handed off via
 // read-copy-update, guarded by the exclusive bucket latch (fine-grained) or
@@ -334,28 +272,9 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
-	if r.reg == regNone {
-		if op.kind == opDelete {
-			return NotFound
-		}
-		if !sess.rcu(op, r.slot, op.version, sess.initialValue(op), false) {
-			return statusRetry
-		}
-		return Ok
-	}
-	if r.rec.Valid() && isFutureVersion(r.rec.Version(), sess.version) {
-		// Already a v+1 record: process by region, as in rest.
-		switch r.reg {
-		case regMutable:
-			if s, ok := sess.tryInPlace(op, r); ok {
-				return s
-			}
-			return sess.rcuFrom(op, r, op.version)
-		case regFuzzy:
-			return Pending
-		default: // safe read-only or disk copy in hand
-			return sess.rcuFrom(op, r, op.version)
-		}
+	if r.reg == regNone || r.rec.Valid() && isFutureVersion(r.rec.Version(), sess.version) {
+		// No record, or already a v+1 record: nothing to hand off.
+		return sess.update(op, r)
 	}
 	// Version-≤v record (or cold record of unknown version): hand-off.
 	// On a partitioned store a demarcated session can issue v+1 operations
@@ -367,12 +286,9 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 	if sess.phase < InProgress {
 		return Pending
 	}
-	if r.reg == regDisk && !r.rec.Valid() {
-		if op.kind == opRMW {
-			return sess.issueIO(op, r.addr)
-		}
-		// Blind updates still respect the hand-off gates below, with no
-		// record value needed.
+	if r.reg == regDisk && !r.rec.Valid() && op.kind == opRMW {
+		// Blind updates need no record value; they still respect the gates.
+		return sess.issueIO(op, r.addr)
 	}
 	if st.cfg.Transfer == FineGrained {
 		switch sess.phase {
@@ -380,36 +296,29 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 			if !st.index.tryExclusiveLatch(op.hash) {
 				return Pending
 			}
-			s := sess.rcuFrom(op, r, op.version)
+			s := sess.rcu(op, r)
 			st.index.releaseExclusiveLatch(op.hash)
 			return s
 		case WaitPending:
 			if st.index.sharedCount(op.hash) != 0 {
 				return Pending
 			}
-			return sess.rcuFrom(op, r, op.version)
-		default: // WaitFlush or stale view after commit completion
-			return sess.rcuFrom(op, r, op.version)
 		}
+		// WaitFlush, or a stale view after the commit completed.
+		return sess.rcu(op, r)
 	}
 	// Coarse-grained (App. C): copy only records already below the
 	// safe-read-only marker; for cold records, wait until no pending v
-	// operation can exist (wait-flush or later).
-	switch r.reg {
-	case regSafeRO:
-		return sess.rcuFrom(op, r, op.version)
-	case regDisk:
-		if sess.phase >= WaitFlush {
-			return sess.rcuFrom(op, r, op.version)
-		}
-		return Pending
-	default: // mutable or fuzzy v record
-		return Pending
+	// operation can exist (wait-flush or later). A mutable or fuzzy v record
+	// waits.
+	if r.reg == regSafeRO || r.reg == regDisk && sess.phase >= WaitFlush {
+		return sess.rcu(op, r)
 	}
+	return Pending
 }
 
 // finishRead resolves a read against a find result, delivering the value via
-// op.val (doOp passes it to the registered callback, run returns it): a copy
+// op.val (doOp passes it to the registered callback, issue returns it): a copy
 // in the session's scratch buffer, overwritten by the session's next read or
 // RMW.
 func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {

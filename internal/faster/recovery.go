@@ -386,9 +386,11 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, add
 }
 
 // relink points the index slot of the key hashing to h at the committed record
-// at addr. Nothing else runs in the key's bucket yet — recovery is
-// single-threaded, and operations on a cold bucket wait for its warm-up — so a
-// plain store cannot race a compare-and-swap.
+// at addr. It is the one writer of a slot that does not go through
+// shardSession.install's compare-and-swap, and needs none: nothing else runs in
+// the key's bucket yet — recovery is single-threaded, and operations on a cold
+// bucket wait for its warm-up — so there is no observation for a plain store to
+// invalidate.
 func (sh *shard) relink(h, addr uint64) {
 	sh.index.findOrCreateSlot(h).Store(tagOf(h) | addr)
 }

@@ -305,10 +305,7 @@ func (sess *Session) StopSession() {
 		sh.sessionMu.Lock()
 		delete(sh.sessions, sess.id)
 		sh.sessionMu.Unlock()
-		sh.ckptMu.Lock()
-		ck := sh.ckpt
-		sh.ckptMu.Unlock()
-		if ck != nil {
+		if ck := ctx.currentCkpt(); ck != nil {
 			ck.dropParticipant(ctx)
 		}
 		ctx.guard.Release()
@@ -356,9 +353,7 @@ func (sess *shardSession) refresh() {
 // (fine-grained transfer) and is counted toward the commit's pending tally.
 func (sess *shardSession) enterPrepare() {
 	sh := sess.store
-	sh.ckptMu.Lock()
-	ck := sh.ckpt
-	sh.ckptMu.Unlock()
+	ck := sess.currentCkpt()
 	if ck == nil || ck.version != sess.version {
 		sess.phase = Prepare
 		return
@@ -391,9 +386,7 @@ func (sess *shardSession) enterPrepare() {
 // (cprPoint), so every shard demarcates the same prefix.
 func (sess *shardSession) enterInProgress() {
 	sh := sess.store
-	sh.ckptMu.Lock()
-	ck := sh.ckpt
-	sh.ckptMu.Unlock()
+	ck := sess.currentCkpt()
 	sess.phase = InProgress
 	if ck == nil || ck.version != sess.version {
 		return
@@ -475,42 +468,68 @@ func (sess *Session) ctx(hash uint64) *shardSession {
 
 // --- public operations ---
 
+// maxPendingSoft is the pending-list size beyond which issue drains
+// completions before running new work, bounding in-flight state (the paper's
+// clients bound their in-flight buffers similarly, Sec. 7.3.4).
+const maxPendingSoft = 4096
+
+// issue gives a fresh operation (from newOp) the session's next serial, routes
+// it to its key's shard context at the version new work there belongs to, and
+// runs it, parking it on the context's pending list if needed; a finished op
+// goes back to the session freelist. For a read that completed Ok it also
+// returns the value.
+func (sess *Session) issue(op *pendingOp) ([]byte, Status) {
+	sess.maybeRefresh()
+	ctx := sess.ctx(op.hash)
+	op.serial, op.version = sess.serial.Add(1), ctx.targetVersion()
+	// Instant restore: a cold bucket must be warmed before any operation in
+	// it executes. One nil pointer load on the post-restore hot path; while
+	// restoring, one atomic bitmap load for warm buckets. The slow path
+	// BLOCKS the session goroutine (never parks the op as Pending): a later
+	// same-session op completing first would break session ordering. Parked
+	// ops retried by completeOnce bypass this gate safely — they passed it
+	// when first issued, and warm is sticky.
+	if rs := ctx.store.restore.Load(); rs != nil {
+		if err := rs.ensureWarm(op.hash); err != nil {
+			if op.readCB != nil {
+				op.readCB(nil, Error)
+			}
+			sess.recycle(op)
+			return nil, Error
+		}
+	}
+	if len(ctx.pending) >= maxPendingSoft {
+		ctx.completeOnce()
+	}
+	st := ctx.doOp(op)
+	if st == Pending {
+		sess.store.metrics.pendings.Inc()
+		ctx.pending = append(ctx.pending, op)
+		return nil, Pending
+	}
+	val := op.val
+	sess.recycle(op)
+	return val, st
+}
+
 // Upsert blindly writes value for key.
 func (sess *Session) Upsert(key, value []byte) Status {
 	sess.store.metrics.upserts.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opUpsert, key, value, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	_, st := ctx.run(op)
+	_, st := sess.issue(sess.newOp(opUpsert, key, value, hashfn.Hash64(key)))
 	return st
 }
 
 // RMW applies the store's RMWOps with input to key's value.
 func (sess *Session) RMW(key, input []byte) Status {
 	sess.store.metrics.rmws.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opRMW, key, input, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	_, st := ctx.run(op)
+	_, st := sess.issue(sess.newOp(opRMW, key, input, hashfn.Hash64(key)))
 	return st
 }
 
 // Delete removes key (writes a tombstone).
 func (sess *Session) Delete(key []byte) Status {
 	sess.store.metrics.deletes.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opDelete, key, nil, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	_, st := ctx.run(op)
+	_, st := sess.issue(sess.newOp(opDelete, key, nil, hashfn.Hash64(key)))
 	return st
 }
 
@@ -523,52 +542,9 @@ func (sess *Session) Delete(key []byte) Status {
 // process.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
 	sess.store.metrics.reads.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opRead, key, nil, h)
-	op.serial, op.version, op.readCB = serial, ctx.targetVersion(), cb
-	return ctx.run(op)
-}
-
-// maxPendingSoft is the pending-list size beyond which run drains
-// completions before issuing new work, bounding in-flight state (the paper's
-// clients bound their in-flight buffers similarly, Sec. 7.3.4).
-const maxPendingSoft = 4096
-
-// run executes a fresh operation, parking it on the pending list if needed;
-// a finished op goes back to the session freelist. For a read that completed
-// Ok it also returns the value.
-func (sess *shardSession) run(op *pendingOp) ([]byte, Status) {
-	// Instant restore: a cold bucket must be warmed before any operation in
-	// it executes. One nil pointer load on the post-restore hot path; while
-	// restoring, one atomic bitmap load for warm buckets. The slow path
-	// BLOCKS the session goroutine (never parks the op as Pending): a later
-	// same-session op completing first would break session ordering. Parked
-	// ops retried by completeOnce bypass this gate safely — they passed it
-	// when first issued, and warm is sticky.
-	if rs := sess.store.restore.Load(); rs != nil {
-		if err := rs.ensureWarm(op.hash); err != nil {
-			if op.readCB != nil {
-				op.readCB(nil, Error)
-			}
-			sess.owner.recycle(op)
-			return nil, Error
-		}
-	}
-	if len(sess.pending) >= maxPendingSoft {
-		sess.completeOnce()
-	}
-	st := sess.doOp(op)
-	if st == Pending {
-		sess.store.metrics.pendings.Inc()
-		sess.pending = append(sess.pending, op)
-		return nil, Pending
-	}
-	val := op.val
-	sess.owner.recycle(op)
-	return val, st
+	op := sess.newOp(opRead, key, nil, hashfn.Hash64(key))
+	op.readCB = cb
+	return sess.issue(op)
 }
 
 // CompletePending drains async I/O completions and retries parked
@@ -660,13 +636,8 @@ func (sess *shardSession) finish(op *pendingOp) {
 	}
 	if op.counted {
 		op.counted = false
-		sh.ckptMu.Lock()
-		ck := sh.ckpt
-		sh.ckptMu.Unlock()
-		if ck != nil {
-			if ck.pendingV.Add(-1) == 0 {
-				ck.checkPendingDone()
-			}
+		if ck := sess.currentCkpt(); ck != nil && ck.pendingV.Add(-1) == 0 {
+			ck.checkPendingDone()
 		}
 	}
 }
@@ -682,12 +653,15 @@ const (
 	regDisk
 )
 
-// findResult is the outcome of a hash-chain traversal.
+// findResult is the outcome of a hash-chain traversal: entry is the slot word
+// the walk started from, and so what an install decided on this result must
+// expect to find in the slot still.
 type findResult struct {
-	slot *atomic.Uint64
-	rec  hlog.RecordRef
-	addr uint64
-	reg  region
+	slot  *atomic.Uint64
+	entry uint64
+	rec   hlog.RecordRef
+	addr  uint64
+	reg   region
 }
 
 // find walks the hash chain for op's key. With skipFuture set, records of
@@ -711,7 +685,8 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 	ro := sh.log.ReadOnly()
 	sro := sh.log.SafeReadOnly()
 	begin := sh.log.Begin()
-	addr := entryAddr(slot.Load())
+	entry := slot.Load()
+	addr := entryAddr(entry)
 	for addr >= begin && addr >= hlog.FirstAddress {
 		if addr < head {
 			if op.ioRec.Valid() && op.ioAddr == addr {
@@ -719,7 +694,7 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 				if !rec.Invalid() &&
 					!(skipFuture && isFutureVersion(rec.Version(), op.version)) &&
 					rec.KeyEquals(op.key) {
-					return findResult{slot: slot, rec: rec, addr: addr, reg: regDisk}
+					return findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: regDisk}
 				}
 				addr = rec.Prev()
 				op.ioRec = hlog.RecordRef{}
@@ -731,7 +706,7 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 				addr = op.diskResume
 				continue
 			}
-			return findResult{slot: slot, addr: addr, reg: regDisk}
+			return findResult{slot: slot, entry: entry, addr: addr, reg: regDisk}
 		}
 		rec := sh.log.Record(addr)
 		if !rec.Invalid() &&
@@ -744,11 +719,11 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 			case addr >= sro:
 				reg = regFuzzy
 			}
-			return findResult{slot: slot, rec: rec, addr: addr, reg: reg}
+			return findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: reg}
 		}
 		addr = rec.Prev()
 	}
-	return findResult{slot: slot, reg: regNone}
+	return findResult{slot: slot, entry: entry, reg: regNone}
 }
 
 // issueIO queues an async read for the record at addr and parks the op; the
@@ -777,33 +752,29 @@ func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
 	return Pending
 }
 
-// rcu installs a new record for op at the log tail with the given version,
-// linking the entire previous chain behind it. It retries the slot CAS until
-// it wins or the caller's view is stale (returns false, caller re-runs).
-func (sess *shardSession) rcu(op *pendingOp, slot *atomic.Uint64, version uint32, value []byte, tombstone bool) bool {
-	sh := sess.store
+// install is the one way a record reaches the index: append it at the log tail
+// with the chain behind expected as its Prev, then swing slot from expected to
+// it. expected is the slot word the caller's decision — the value, that the
+// record is still live — was made on; the slot is never re-read, so a record
+// published since that observation fails the compare-and-swap: the new record
+// is orphaned (invalid) and the caller decides again.
+func (sess *shardSession) install(slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
+	log := sess.store.log
 	valCap := len(value)
 	if valCap < 8 {
 		valCap = 8 // keep small values in-place updatable
 	}
-	size := hlog.RecordSize(len(op.key), valCap)
-	addr := sh.log.Allocate(sess.guard, size)
-	oldEntry := slot.Load()
-	if err := sh.log.WriteRecord(addr, entryAddr(oldEntry), recVersion(version), op.key, value, valCap); err != nil {
+	addr := log.Allocate(sess.guard, hlog.RecordSize(len(key), valCap))
+	if err := log.WriteRecord(addr, entryAddr(expected), recVersion(version), key, value, valCap); err != nil {
 		panic(fmt.Sprintf("faster: write record: %v", err))
 	}
-	rec := sh.log.Record(addr)
+	rec := log.Record(addr)
 	if tombstone {
 		rec.SetTombstone()
 	}
-	newEntry := oldEntry&^entryAddrMask | addr
-	if newEntry == 0 {
-		newEntry = tagOf(op.hash) | addr
-	}
-	if slot.CompareAndSwap(oldEntry, newEntry) {
+	if slot.CompareAndSwap(expected, expected&^entryAddrMask|addr) {
 		return true
 	}
-	// Lost the race: orphan the record and let the caller retry.
 	rec.SetInvalid()
 	return false
 }
