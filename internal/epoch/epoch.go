@@ -12,7 +12,6 @@
 package epoch
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,18 +223,6 @@ func (m *Manager) drainReady() {
 		m.drainCount.Add(int32(-len(ready)))
 		for _, a := range ready {
 			a.fn()
-		}
-	}
-}
-
-// SpinUntil refreshes the guard and yields until cond returns true. It is
-// used by threads that must wait for a global transition (e.g. a page frame
-// becoming available) without stalling epoch progress.
-func (g *Guard) SpinUntil(cond func() bool) {
-	for i := 0; !cond(); i++ {
-		g.Refresh()
-		if i%64 == 63 {
-			runtime.Gosched()
 		}
 	}
 }

@@ -165,18 +165,6 @@ func TestConcurrentRefreshAndBump(t *testing.T) {
 	}
 }
 
-func TestSpinUntil(t *testing.T) {
-	m := New()
-	g := m.Acquire()
-	defer g.Release()
-	var flag atomic.Bool
-	go func() { flag.Store(true) }()
-	g.SpinUntil(flag.Load)
-	if !flag.Load() {
-		t.Fatal("SpinUntil returned before condition held")
-	}
-}
-
 func TestQuickSafeNeverExceedsCurrent(t *testing.T) {
 	// Property: under any interleaving of bumps and refreshes, Safe < Current.
 	f := func(ops []bool) bool {

@@ -449,24 +449,17 @@ func (ck *checkpointCtx) waitFlush() {
 	if err == nil {
 		switch ck.kind {
 		case FoldOver:
+			// The last session to refresh past the shift issues the flush; the
+			// I/O completion that stores durable >= captureEnd wakes this leg.
+			// So does a permanent flush failure (transient errors are retried
+			// inside the I/O pool), which aborts the commit cleanly: the
+			// metadata is never written, the commit is never announced, and the
+			// store keeps serving at v+1 so the next commit attempt proceeds.
 			sh.log.ShiftReadOnlyTo(captureEnd)
-			// Drive epoch progress ourselves so the shift's trigger action
-			// and flush run even if every session is momentarily idle. A
-			// permanent flush failure (transient errors are retried inside
-			// the I/O pool) aborts the commit cleanly: the metadata is never
-			// written, the commit is never announced, and the store keeps
-			// serving at v+1 so the next commit attempt proceeds.
-			g := sh.epochs.Acquire()
-			for sh.log.Durable() < captureEnd {
-				if ferr := sh.log.FlushErr(); ferr != nil {
-					err = fmt.Errorf("faster: commit %s: %w", ck.token, ferr)
-					break
-				}
-				g.Refresh()
-				time.Sleep(50 * time.Microsecond)
-			}
-			g.Release()
-			if err == nil {
+			sh.log.WaitDurable(captureEnd)
+			if ferr := sh.log.FlushErr(); ferr != nil && sh.log.Durable() < captureEnd {
+				err = fmt.Errorf("faster: commit %s: %w", ck.token, ferr)
+			} else {
 				written += int64(captureEnd - ck.lhs)
 			}
 		case Snapshot:

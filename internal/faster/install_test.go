@@ -116,16 +116,18 @@ func sharedKeyRMWUnderCommits(t *testing.T, transfer VersionTransfer, kind Commi
 // round, each with a larger value than before, while another compacts the
 // read-only prefix in a loop. Compaction copies a record it found live to the
 // tail; if the writer installs a newer value in between, the copy must lose —
-// not land ahead of it and bring the overwritten value back. One shard whatever
-// FASTER_TEST_SHARDS says: compaction is per shard, and two sessions turning
-// pages this fast on several shards can each wait in hlog.ensureFrame on one
-// shard for the other to refresh its guard there (ROADMAP item 2).
+// not land ahead of it and bring the overwritten value back. On several shards
+// (FASTER_TEST_SHARDS) it is also the regression test for two sessions turning
+// pages on all of them at once: each used to wait in hlog.ensureFrame on one
+// shard, refreshing only its guard there, for the other to refresh its guard on
+// that shard — within seconds, for good.
 func TestCompactLogRacesWriter(t *testing.T) {
 	const (
 		keys   = 4096
 		runFor = 1500 * time.Millisecond
 	)
-	s, err := Open(Config{IndexBuckets: 1 << 8, PageBits: 12, MemPages: 6})
+	n := testShardCount(1)
+	s, err := Open(Config{Shards: n, IndexBuckets: 1 << 8, PageBits: 12, MemPages: 6 * n})
 	if err != nil {
 		t.Fatal(err)
 	}

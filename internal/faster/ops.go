@@ -1,6 +1,6 @@
 package faster
 
-import "repro/internal/hlog"
+import "runtime"
 
 // This file implements the per-operation CPR logic of Algs. 4 and 5 (App. B)
 // plus the coarse-grained variant of App. C, executed against one shard via
@@ -27,8 +27,12 @@ import "repro/internal/hlog"
 // region of the key's record — is one routine, update, and a record it writes
 // reaches the index through one routine, install (session.go).
 
-// statusRetry is an internal sentinel: re-run the dispatch loop.
-const statusRetry Status = 255
+// statusRetry is an internal sentinel: re-run the dispatch loop; statusRefresh:
+// refresh the session first (by then the op holds no exclusive latch).
+const (
+	statusRetry   Status = 255
+	statusRefresh Status = 254
+)
 
 // doOp drives one operation to a terminal status or Pending.
 func (sess *shardSession) doOp(op *pendingOp) Status {
@@ -41,6 +45,11 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 	}
 	for {
 		st := sess.dispatch(op)
+		if st == statusRefresh {
+			sess.owner.Refresh()
+			runtime.Gosched() // what it waits for is another session's refresh
+			continue
+		}
 		if st == statusRetry {
 			continue
 		}
@@ -93,17 +102,40 @@ func (sess *shardSession) initialValue(op *pendingOp) []byte {
 	return op.input
 }
 
-// updatedValue computes the RCU value from an existing record.
-func (sess *shardSession) updatedValue(op *pendingOp, rec hlog.RecordRef) []byte {
-	if op.kind == opUpsert {
-		return op.input
-	}
-	if rec.Tombstone() {
-		return sess.initialValue(op)
-	}
+// value copies the found record's value into the session's scratch buffer. The
+// record latch is a store to the header, and a page below the safe-read-only
+// offset is flushed from its frame: mutable, a multi-word value is read under
+// the latch (the offset cannot turn safe past the record before this thread
+// refreshes); below safe-read-only, or a private copy, nothing changes and none
+// is taken; fuzzy, a lagging thread may still update in place and the flush may
+// begin at any moment, so only a one-word value can be read — else ok is false
+// and the caller returns statusRefresh (DESIGN "Pages are flushed from their
+// frames").
+func (sess *shardSession) value(r findResult) (val []byte, ok bool) {
 	own := sess.owner
-	own.scratch = rec.Value(own.scratch[:0])
-	return sess.store.cfg.RMW.Update(own.scratch, op.input)
+	switch r.reg {
+	case regMutable:
+		own.scratch, ok = r.rec.Value(own.scratch[:0]), true
+	case regFuzzy:
+		own.scratch, ok = r.rec.AtomicValue(own.scratch[:0])
+	default:
+		own.scratch, ok = r.rec.StableValue(own.scratch[:0]), true
+	}
+	return own.scratch, ok
+}
+
+// updatedValue computes the RCU value from an existing record; ok as for value.
+func (sess *shardSession) updatedValue(op *pendingOp, r findResult) (val []byte, ok bool) {
+	if op.kind == opUpsert {
+		return op.input, true
+	}
+	if r.rec.Tombstone() {
+		return sess.initialValue(op), true
+	}
+	if val, ok = sess.value(r); ok {
+		val = sess.store.cfg.RMW.Update(val, op.input)
+	}
+	return val, ok
 }
 
 // update is the one FASTER update (Sec. 5.1) every CPR path ends in, switched
@@ -174,7 +206,10 @@ func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 	switch {
 	case tombstone:
 	case r.rec.Valid():
-		val = sess.updatedValue(op, r.rec)
+		var ok bool
+		if val, ok = sess.updatedValue(op, r); !ok {
+			return statusRefresh
+		}
 	default:
 		val = sess.initialValue(op)
 	}
@@ -333,8 +368,9 @@ func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	if r.rec.Tombstone() {
 		return NotFound
 	}
-	own := sess.owner
-	own.scratch = r.rec.Value(own.scratch[:0])
-	op.val = own.scratch
+	var ok bool
+	if op.val, ok = sess.value(r); !ok {
+		return statusRefresh
+	}
 	return Ok
 }

@@ -416,6 +416,20 @@ func (sess *Session) cprPoint(v uint32) uint64 {
 	return cpr
 }
 
+// sessionEpochs is what a session refreshes while it waits inside one shard's
+// log (hlog.Refresher): its epoch entry on every shard, no CPR step. A guard
+// left stale on another shard holds up that shard's shifts, and two sessions
+// waiting so on two shards deadlock; the session keeps no reference into the
+// other shards' logs meanwhile, so refreshing there gives nothing up.
+type sessionEpochs Session
+
+// Refresh implements hlog.Refresher.
+func (e *sessionEpochs) Refresh() {
+	for _, ctx := range e.ctxs {
+		ctx.guard.Refresh()
+	}
+}
+
 func (sess *Session) maybeRefresh() {
 	sess.opsSinceRefresh++
 	if sess.opsSinceRefresh >= refreshInterval {
@@ -764,7 +778,7 @@ func (sess *shardSession) install(slot *atomic.Uint64, expected uint64, version 
 	if valCap < 8 {
 		valCap = 8 // keep small values in-place updatable
 	}
-	addr := log.Allocate(sess.guard, hlog.RecordSize(len(key), valCap))
+	addr := log.Allocate((*sessionEpochs)(sess.owner), hlog.RecordSize(len(key), valCap))
 	if err := log.WriteRecord(addr, entryAddr(expected), recVersion(version), key, value, valCap); err != nil {
 		panic(fmt.Sprintf("faster: write record: %v", err))
 	}

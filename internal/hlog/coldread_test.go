@@ -3,6 +3,7 @@ package hlog
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -203,27 +204,32 @@ func (discardDevice) WriteAt(p []byte, _ int64) (int, error) { return len(p), ni
 func (discardDevice) Sync() error                            { return nil }
 func (discardDevice) Close() error                           { return nil }
 
-// flushLog opens a log of 64 KiB pages for the flush guard and benchmark.
-func flushLog(tb testing.TB) (*Log, *epoch.Guard) {
+// flushLog opens a log for the flush guard and benchmark, every frame allocated.
+func flushLog(tb testing.TB, pageBits uint) (*Log, *epoch.Guard) {
 	em := epoch.New()
-	l, err := New(Config{PageBits: 16, MemPages: 8, Device: discardDevice{}, Epochs: em})
+	l, err := New(Config{PageBits: pageBits, MemPages: 8, Device: discardDevice{}, Epochs: em})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	g := em.Acquire()
 	tb.Cleanup(func() { g.Release(); l.Close() })
+	appendPages(tb, l, g, len(l.frames))
 	return l, g
 }
 
+var flushVal = make([]byte, 1000)
+
 // appendPages appends 1 KiB records until the tail is n pages further, folds
 // over at the tail and waits until everything is on the device: n pages were
-// flushed, as the read-only offset passed them or by the fold-over.
+// flushed, as the read-only offset passed them or — several at once — by the
+// fold-over. The loop itself allocates nothing.
 func appendPages(tb testing.TB, l *Log, g *epoch.Guard, n int) {
-	val := make([]byte, 1000)
-	size := RecordSize(8, len(val))
+	size := RecordSize(8, len(flushVal))
+	var key [8]byte
 	for end := l.Tail() + uint64(n)*l.pageSize; l.Tail() < end; g.Refresh() {
 		addr := l.Allocate(g, size)
-		if err := l.WriteRecord(addr, 0, 1, key64(addr), val, len(val)); err != nil {
+		binary.LittleEndian.PutUint64(key[:], addr)
+		if err := l.WriteRecord(addr, 0, 1, key[:], flushVal, len(flushVal)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -239,10 +245,13 @@ func appendPages(tb testing.TB, l *Log, g *epoch.Guard, n int) {
 // BenchmarkFlushPage: one page appended and flushed per iteration. B/op is
 // what the flush path allocates per page on top of the records themselves.
 func BenchmarkFlushPage(b *testing.B) {
-	l, g := flushLog(b)
-	appendPages(b, l, g, 2*len(l.frames))
-	b.SetBytes(int64(l.pageSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-	appendPages(b, l, g, b.N)
+	for _, pageBits := range []uint{16, 20} {
+		b.Run(fmt.Sprintf("%dKiB", 1<<pageBits>>10), func(b *testing.B) {
+			l, g := flushLog(b, pageBits)
+			b.SetBytes(int64(l.pageSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			appendPages(b, l, g, b.N)
+		})
+	}
 }

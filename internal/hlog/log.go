@@ -88,19 +88,16 @@ type flushSegment struct {
 	from, to uint64
 	done     bool
 	issued   time.Time // when the write was submitted (flush-latency metric)
-	buf      []byte    // written bytes, retained until absorbed into page CRCs
 }
 
-// flushBufKeep bounds the free list of flush buffers. Two serve a steady stream
-// of page flushes and a commit's tail segment without allocating; every buffer
-// kept is up to a page of memory the log holds for good (at four, a two-shard
-// store with 1 MiB pages showed 7 MiB more peak RSS than with none), so a
-// fold-over's burst of segments allocates what is beyond that.
-const flushBufKeep = 2
+// Refresher is what a thread waiting inside Allocate keeps refreshing so the
+// shifts it waits for can drain: its *epoch.Guard, or — registered with several
+// logs, each with its own epoch manager — its guards on all of them.
+type Refresher interface{ Refresh() }
 
 // Log is a HybridLog instance. See the package comment for the region
 // structure. All public methods are safe for concurrent use; methods taking
-// an *epoch.Guard must be called under that goroutine's epoch protection.
+// a Refresher must be called under that goroutine's epoch protection.
 type Log struct {
 	cfg      Config
 	pageSize uint64
@@ -124,13 +121,11 @@ type Log struct {
 	flushMu     sync.Mutex
 	flushIssued uint64
 	segments    []*flushSegment
-	flushBufs   [][]byte // free flush buffers, at most flushBufKeep (guarded by durableMu)
 
 	durable     atomic.Uint64
 	durableMu   sync.Mutex
 	durableCond *sync.Cond
-	durableSubs []func(uint64) // durable-watermark hooks (guarded by durableMu)
-	flushErr    error          // first permanent flush failure (guarded by durableMu)
+	flushErr    error // first permanent flush failure (guarded by durableMu)
 
 	// Per-page checksums of flushed data (guarded by durableMu). pageCRCs
 	// holds CRC32-C over each fully-flushed page's bytes ([FirstAddress,
@@ -270,12 +265,18 @@ func (l *Log) frameFor(page uint64) []uint64 {
 	return l.frames[page%uint64(len(l.frames))]
 }
 
+// frameRange is the byte view of [from, to), which lies within one resident
+// page: the frame's own memory, not a copy.
+func (l *Log) frameRange(from, to uint64) []byte {
+	return frameBytes(l.frameFor(l.page(from)))[l.offset(from):][:to-from]
+}
+
 // Allocate reserves size bytes (8-aligned, must fit one page) and returns the
 // record's logical address. It never fails; an allocation that would be the
 // first on a page opens that page first (see openPage), so the tail only ever
 // moves onto a page whose frame is ready, and a thread never refreshes its
 // epoch between reserving an address and writing the record there.
-func (l *Log) Allocate(g *epoch.Guard, size uint32) uint64 {
+func (l *Log) Allocate(g Refresher, size uint32) uint64 {
 	if size == 0 || uint64(size) > l.pageSize {
 		panic(fmt.Sprintf("hlog: allocation size %d out of range (page %d)", size, l.pageSize))
 	}
@@ -308,15 +309,13 @@ func (l *Log) Allocate(g *epoch.Guard, size uint32) uint64 {
 // frame's previous page, or zeros) and call it durable. Any number of threads
 // may ask for the same page, and a thread may ask late (the tail has moved on):
 // frame owners only grow, so whoever finds p or a later page there is done.
-func (l *Log) openPage(g *epoch.Guard, p uint64) {
+func (l *Log) openPage(g Refresher, p uint64) {
 	idx := p % uint64(len(l.frames))
 	if l.frameOwner[idx].Load() > p {
 		return
 	}
 	for spins := 0; !l.openMu.TryLock(); spins++ {
-		if g != nil {
-			g.Refresh() // the holder may be waiting for this thread's epoch
-		}
+		g.Refresh() // the holder may be waiting for this thread's epoch
 		if spins%64 == 63 {
 			runtime.Gosched()
 		}
@@ -391,7 +390,7 @@ func (l *Log) shiftHeadTo(target uint64) {
 // ensureFrame claims the frame for page p, spinning (with epoch refreshes,
 // so pending shift actions can fire) until the previous occupant is evictable.
 // Called under openMu.
-func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
+func (l *Log) ensureFrame(g Refresher, p uint64) {
 	idx := p % uint64(len(l.frames))
 	for spins := 0; ; spins++ {
 		owner := l.frameOwner[idx].Load()
@@ -419,9 +418,7 @@ func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
 			}
 			continue
 		}
-		if g != nil {
-			g.Refresh()
-		}
+		g.Refresh()
 		if spins%64 == 63 {
 			runtime.Gosched()
 		}
@@ -451,19 +448,10 @@ func (l *Log) Record(addr uint64) RecordRef {
 	return RecordRef{words: frame[off:]}
 }
 
-// recordAt bounds a RecordRef to the record's own words (used by scans).
-func (l *Log) recordAt(addr uint64) (RecordRef, uint32) {
-	r := l.Record(addr)
-	if atomic.LoadUint64(r.hdr()) == 0 {
-		return RecordRef{}, 0
-	}
-	size := r.Size()
-	return RecordRef{words: r.words[:size/8]}, size
-}
-
 // issueFlushUntil writes log data in [flushIssued, target) to the device as
-// one request per page chunk. Must only be called with target <=
-// safeReadOnly (the region must be immutable).
+// one request per page chunk, each straight from its frame: target <=
+// safeReadOnly, so nothing stores into the region any more (DESIGN "Pages are
+// flushed from their frames").
 func (l *Log) issueFlushUntil(target uint64) {
 	l.flushMu.Lock()
 	from := l.flushIssued
@@ -488,10 +476,8 @@ func (l *Log) issueFlushUntil(target uint64) {
 
 	for _, seg := range segs {
 		seg := seg
-		buf := l.serializeRange(seg.from, seg.to)
-		seg.buf = buf
 		l.pool.Submit(storage.IORequest{
-			Dev: l.cfg.Device, Buf: buf, Off: int64(seg.from), Write: true,
+			Dev: l.cfg.Device, Buf: l.frameRange(seg.from, seg.to), Off: int64(seg.from), Write: true,
 			Done: func(_ int, err error) {
 				if err != nil {
 					// The pool already retried transient errors; what reaches
@@ -550,23 +536,16 @@ func (l *Log) completeSegment(seg *flushSegment) {
 		l.segments = l.segments[1:]
 		advanced = true
 	}
-	var subs []func(uint64)
-	if advanced {
-		subs = l.durableSubs
-	}
 	l.durableMu.Unlock()
 	if advanced {
 		l.durableCond.Broadcast()
-		watermark := l.durable.Load()
-		for _, fn := range subs {
-			fn(watermark)
-		}
 	}
 }
 
-// absorbSegment feeds a completed flush segment's bytes into the running
-// per-page CRC accumulator, recording a page's checksum when its last byte
-// becomes durable. Called under durableMu, in address order.
+// absorbSegment feeds a completed flush segment's bytes — the frame's, which
+// stays the page's until durable has passed it — into the running per-page CRC
+// accumulator, recording a page's checksum when its last byte becomes durable.
+// Called under durableMu, in address order.
 func (l *Log) absorbSegment(seg *flushSegment) {
 	if seg.from != l.crcNext {
 		// Accumulation gap (should not happen — segments advance contiguously
@@ -576,7 +555,7 @@ func (l *Log) absorbSegment(seg *flushSegment) {
 		l.crcTainted = l.offset(seg.from) != 0
 		l.crcNext = seg.from
 	}
-	data := seg.buf
+	data := l.frameRange(seg.from, seg.to)
 	for len(data) > 0 {
 		pageEnd := (l.page(l.crcNext) + 1) << l.cfg.PageBits
 		n := pageEnd - l.crcNext
@@ -594,37 +573,6 @@ func (l *Log) absorbSegment(seg *flushSegment) {
 			}
 			l.crcRun = 0
 			l.crcTainted = false
-		}
-	}
-	l.putFlushBuf(seg.buf)
-	seg.buf = nil
-}
-
-// takeFlushBuf returns an n-byte buffer, a recycled one if any is large enough.
-func (l *Log) takeFlushBuf(n int) []byte {
-	l.durableMu.Lock()
-	defer l.durableMu.Unlock()
-	for i, b := range l.flushBufs {
-		if cap(b) >= n {
-			last := len(l.flushBufs) - 1
-			l.flushBufs[i], l.flushBufs = l.flushBufs[last], l.flushBufs[:last]
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// putFlushBuf recycles b; a full free list keeps its largest buffers, so it
-// converges on page-sized ones whatever partial pages commits flush in between.
-// Called under durableMu.
-func (l *Log) putFlushBuf(b []byte) {
-	if len(l.flushBufs) < flushBufKeep {
-		l.flushBufs = append(l.flushBufs, b)
-		return
-	}
-	for i, kept := range l.flushBufs {
-		if cap(kept) < cap(b) {
-			l.flushBufs[i], b = b, kept
 		}
 	}
 }
@@ -699,16 +647,6 @@ func (l *Log) VerifyPages(crcs []PageCRC, end uint64) error {
 	return nil
 }
 
-// OnDurable registers fn to be called (from an I/O completion goroutine)
-// whenever the durable watermark advances, with the new watermark. Hooks must
-// be fast and must not block: they gate flush completion. The replication
-// shipper uses this to wake as soon as fresh log tail becomes durable.
-func (l *Log) OnDurable(fn func(durable uint64)) {
-	l.durableMu.Lock()
-	l.durableSubs = append(l.durableSubs, fn)
-	l.durableMu.Unlock()
-}
-
 // ReadRaw copies raw log bytes at logical offset off from the device into p.
 // The range [off, off+len(p)) must be durable (below Durable()); this is the
 // replication shipper's read primitive for the immutable log prefix.
@@ -730,20 +668,6 @@ func (l *Log) WaitDurable(target uint64) {
 		l.durableCond.Wait()
 	}
 	l.durableMu.Unlock()
-}
-
-// serializeRange copies log words in [from, to), which lie within one page,
-// into a byte buffer using atomic loads (the range is immutable but may share
-// cache lines with live headers being scanned). The buffer comes from the
-// flush free list; absorbSegment puts it back once the write is durable and
-// its bytes are in the page checksum (a Device does not retain what it wrote).
-func (l *Log) serializeRange(from, to uint64) []byte {
-	buf := l.takeFlushBuf(int(to - from))
-	for addr := from; addr < to; addr += 8 {
-		w := atomic.LoadUint64(&l.frameFor(l.page(addr))[l.offset(addr)/8])
-		binary.LittleEndian.PutUint64(buf[addr-from:], w)
-	}
-	return buf
 }
 
 // ColdRead is the reusable state of one cold-record fetch: its buffers and
@@ -1078,7 +1002,7 @@ func (l *Log) RecoverTo(end uint64) error {
 	if endPage+1 > uint64(len(l.frames)-1) {
 		head = (endPage + 1 - uint64(len(l.frames)-1)) << l.cfg.PageBits
 	}
-	buf := make([]byte, l.pageSize)
+	l.frameOwner[0].Store(0) // New's claim for an empty page 0, which readPage would serve
 	for p := l.page(head); p <= endPage; p++ {
 		idx := p % uint64(len(l.frames))
 		l.frames[idx] = make([]uint64, l.pageSize/8)
@@ -1088,12 +1012,8 @@ func (l *Log) RecoverTo(end uint64) error {
 		if stop <= start {
 			continue
 		}
-		if err := l.readDevicePage(start, stop, buf[:stop-start]); err != nil {
+		if err := l.readDevicePage(start, stop, l.frameRange(start, stop)); err != nil {
 			return fmt.Errorf("hlog: recover: %w", err)
-		}
-		frame := l.frames[idx][l.offset(start)/8:]
-		for i := uint64(0); i < stop-start; i += 8 {
-			frame[i/8] = binary.LittleEndian.Uint64(buf[i:])
 		}
 	}
 	l.tail.Store(end)
@@ -1111,10 +1031,6 @@ func (l *Log) RecoverTo(end uint64) error {
 	l.durableMu.Unlock()
 	return nil
 }
-
-// FlushedSize reports the device footprint of the log (for the log-growth
-// experiments, Fig. 12d/18d).
-func (l *Log) FlushedSize() int64 { return l.cfg.Device.Size() }
 
 // PersistInvalid sets the invalid bit on the record at addr both in memory
 // (when resident) and on the device, so post-CPR-point records stay dead

@@ -8,9 +8,11 @@
 // Addresses are byte offsets into the logical log, always 8-byte aligned.
 // Address values below FirstAddress are invalid (zero means "no record").
 //
-// All record memory is accessed through atomic word operations, making the
-// log race-free under the Go memory model: the paper's C++ implementation
-// performs racy in-place updates, which Go forbids (see DESIGN.md).
+// Record memory that can still change is accessed through atomic word
+// operations, making the log race-free under the Go memory model: the paper's
+// C++ implementation performs racy in-place updates, which Go forbids (see
+// DESIGN.md). Nothing stores below the safe-read-only offset, so there the tax
+// ends: a flush hands the device the frame's own bytes, without a copy.
 package hlog
 
 import (
@@ -157,9 +159,6 @@ func (r RecordRef) KeyLen() int { k, _, _ := splitLens(r.lens()); return k }
 // ValueLen returns the current value length in bytes.
 func (r RecordRef) ValueLen() int { _, v, _ := splitLens(r.lens()); return v }
 
-// ValueCap returns the value capacity in bytes.
-func (r RecordRef) ValueCap() int { _, _, c := splitLens(r.lens()); return c }
-
 // Size returns the record's total footprint in bytes.
 func (r RecordRef) Size() uint32 {
 	k, _, c := splitLens(r.lens())
@@ -193,30 +192,39 @@ func (r RecordRef) Key(dst []byte) []byte {
 
 // Value appends the record's current value to dst and returns the result.
 // For values longer than 8 bytes the read is performed under the record
-// latch so it is never torn.
+// latch so it is never torn. The latch is a store to the header: not for a
+// record below the safe-read-only offset, whose page is flushed from its frame
+// (StableValue reads there).
 func (r RecordRef) Value(dst []byte) []byte {
-	_, v, _ := splitLens(r.lens())
-	if v == 0 {
-		return dst
-	}
-	if v <= 8 && r.ValueCap() >= 1 {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], atomic.LoadUint64(&r.valueWords()[0]))
-		return append(dst, w[:v]...)
+	if out, ok := r.AtomicValue(dst); ok {
+		return out
 	}
 	r.Lock()
-	_, v, _ = splitLens(r.lens())
-	dst = appendWordsAsBytes(dst, r.valueWords(), v)
+	dst = r.StableValue(dst)
 	r.Unlock()
 	return dst
+}
+
+// AtomicValue appends the value if it is at most one word long — one atomic
+// load, never torn, no store to the record — and reports whether it was.
+func (r RecordRef) AtomicValue(dst []byte) ([]byte, bool) {
+	_, v, _ := splitLens(r.lens())
+	if v > 8 {
+		return dst, false
+	}
+	return appendWordsAsBytes(dst, r.valueWords(), v), true
+}
+
+// StableValue is Value for a record nothing updates in place (below the
+// safe-read-only offset, or a private copy): no latch, no store.
+func (r RecordRef) StableValue(dst []byte) []byte {
+	_, v, _ := splitLens(r.lens())
+	return appendWordsAsBytes(dst, r.valueWords(), v)
 }
 
 // ValueUint64 atomically reads an 8-byte value's word. It is only meaningful
 // for records whose value is exactly 8 bytes.
 func (r RecordRef) ValueUint64() uint64 { return atomic.LoadUint64(&r.valueWords()[0]) }
-
-// SetValueUint64 atomically stores an 8-byte value.
-func (r RecordRef) SetValueUint64(v uint64) { atomic.StoreUint64(&r.valueWords()[0], v) }
 
 // SetValue performs an in-place value update. It returns false when val does
 // not fit the record's value capacity. Updates longer than 8 bytes happen

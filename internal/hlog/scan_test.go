@@ -245,3 +245,25 @@ func TestScanWhileFramesAreReclaimed(t *testing.T) {
 	}
 	t.Logf("%d records scanned while %d pages went through %d frames", records, l.Tail()/l.pageSize, len(l.frames))
 }
+
+// TestRecoverToLeavesPageZeroToTheDevice: New claims frame 0 for an empty page
+// 0. A log recovered to an end on its last frame's page (page MemPages-1) keeps
+// pages 1.. resident and loads nothing into frame 0 — whose claim used to
+// survive, so a scan served page 0 from the empty frame and found no records
+// on it.
+func TestRecoverToLeavesPageZeroToTheDevice(t *testing.T) {
+	const memPages = 4
+	l, dev, addrs := scanLog(t, memPages, 260, 25) // 56-byte records, 73 to a page: the tail is on page 3
+	if got := l.page(l.Tail()); got != memPages-1 {
+		t.Fatalf("tail on page %d, want %d", got, memPages-1)
+	}
+	r, err := New(Config{PageBits: 12, MemPages: memPages, Device: dev, Epochs: epoch.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.RecoverTo(l.Tail()); err != nil {
+		t.Fatal(err)
+	}
+	scanned(t, r, addrs, FirstAddress, r.Tail(), 0)
+}

@@ -18,10 +18,11 @@ import (
 )
 
 // Device is a random-access block device. Implementations must support
-// concurrent ReadAt/WriteAt on disjoint ranges. WriteAt must not retain p: once
-// it returns, the bytes are the device's own copy and the caller may reuse the
-// buffer (the HybridLog recycles its flush buffers). MemDevice, FileDevice,
-// FaultDevice and SyncBufferDevice all copy or write through.
+// concurrent ReadAt/WriteAt on disjoint ranges. WriteAt must not retain p, nor
+// store into it: once it returns, the bytes are the device's own copy and the
+// caller's memory is the caller's again (the HybridLog hands it its page
+// frames, and reuses them). MemDevice, FileDevice, FaultDevice and
+// SyncBufferDevice all copy or write through.
 type Device interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
