@@ -87,7 +87,7 @@ func (sess *shardSession) compactLog(until uint64) error {
 			// Copy the live record to the tail, linked ahead of the chain. A
 			// concurrent update that moved the chain head fails the install;
 			// re-check liveness (the update may have superseded this record).
-			valBuf = rec.StableValue(valBuf[:0])
+			valBuf = rec.Value(valBuf[:0])
 			if sess.install(slot, entry, version, keyBuf, valBuf, false) {
 				return true
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -237,8 +238,9 @@ func TestLongValueReadsWhilePagesFlush(t *testing.T) {
 // TestReadByRegion: how a read takes its value, by the region the record is in
 // and by whether the value fits a word. Only a multi-word value in the fuzzy
 // region cannot be read where it stands (latching it could store into a page
-// already on its way to the device): dispatch says statusRefresh, and Read
-// returns the value as soon as the session holding the shift back has refreshed.
+// already on its way to the device): the read parks like an update there — Read
+// returns Pending at once, whatever the other sessions do — and completes once
+// the session holding the shift back has refreshed.
 func TestReadByRegion(t *testing.T) {
 	for _, region := range []int{regionMutable, regionFuzzy, regionSafeRO} {
 		for _, val := range [][]byte{u64(40), longValue(40)} {
@@ -270,28 +272,104 @@ func TestReadByRegion(t *testing.T) {
 				}
 				want := Ok
 				if region == regionFuzzy && len(val) > 8 {
-					want = statusRefresh
+					want = Pending
 				}
 				if st := ctx.dispatch(op); st != want || want == Ok && !bytes.Equal(op.val, val) {
 					t.Fatalf("dispatch: %v with value %x, want %v", st, op.val, want)
 				}
-				got := make(chan []byte)
-				go func() {
-					v, _ := a.Read(k, nil)
-					got <- append([]byte(nil), v...)
-				}()
-				if want == statusRefresh {
-					select {
-					case v := <-got:
-						t.Fatalf("read %x while its record was in the fuzzy region", v)
-					case <-time.After(20 * time.Millisecond):
+				var got []byte
+				v, st := a.Read(k, func(v []byte, st Status) { got = append(got, v...) })
+				if st != want {
+					t.Fatalf("read: %v, want %v", st, want)
+				}
+				if st == Pending {
+					if a.CompletePending(false); got != nil {
+						t.Fatalf("read %x while its record was in the fuzzy region", got)
 					}
 					hold.Refresh()
+					a.CompletePending(true)
+					v = got
 				}
-				if v := <-got; !bytes.Equal(v, val) {
+				if !bytes.Equal(v, val) {
 					t.Fatalf("read %x, want %x", v, val)
 				}
 			})
+		}
+	}
+}
+
+// TestEnterPrepareRefreshesWhileLatched: a session entering prepare takes a
+// shared latch on the bucket of each of its parked operations, and a bucket can
+// still be latched exclusively — by a session whose view is a commit behind: it
+// took the latch in in-progress and is inside the log waiting for a page, that
+// is, for every guard to refresh, this session's included. So the wait for the
+// latch must keep the epoch moving. Reads that park in the fuzzy region made
+// the meeting common: TestLongValueReadsWhilePagesFlush hung one run in seven.
+func TestEnterPrepareRefreshesWhileLatched(t *testing.T) {
+	s, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, hold := s.StartSession(), s.StartSession()
+	defer a.StopSession()
+	defer hold.StopSession()
+	k := key(7)
+	if st := a.Upsert(k, longValue(1)); st != Ok {
+		t.Fatalf("seed upsert: %v", st)
+	}
+	s.Log().ShiftReadOnlyTo(s.Log().Tail())
+	a.Refresh() // hold has not refreshed: the record is in the fuzzy region
+	if st := a.Upsert(k, longValue(2)); st != Pending {
+		t.Fatalf("upsert of a record in the fuzzy region: %v, want Pending", st)
+	}
+	sh, h := a.ctxs[0].store, hashfn.Hash64(k)
+	if !sh.index.tryExclusiveLatch(h) { // the lagging session's latch
+		t.Fatal("bucket already latched")
+	}
+	token, err := s.Commit(CommitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	go func() {
+		a.Refresh()
+		close(entered)
+	}()
+	// The lagging session's wait: an action that runs once every guard has refreshed.
+	drained := make(chan struct{})
+	sh.epochs.BumpEpoch(func() { close(drained) })
+	for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+		hold.Refresh()
+		select {
+		case <-drained:
+		default:
+			if time.Now().Before(deadline) {
+				continue
+			}
+			sh.index.releaseExclusiveLatch(h)
+			<-entered
+			t.Fatal("a session waiting for a bucket latch on its way into prepare stopped refreshing its epoch")
+		}
+		break
+	}
+	select {
+	case <-entered:
+		t.Fatal("entered prepare past an exclusive latch")
+	default:
+	}
+	sh.index.releaseExclusiveLatch(h)
+	<-entered
+	for {
+		if res, ok := s.TryResult(token); ok {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			return
+		}
+		for _, sess := range []*Session{a, hold} {
+			sess.Refresh()
+			sess.CompletePending(false)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package faster
 
-import "runtime"
-
 // This file implements the per-operation CPR logic of Algs. 4 and 5 (App. B)
 // plus the coarse-grained variant of App. C, executed against one shard via
 // the session's per-shard context:
@@ -27,12 +25,8 @@ import "runtime"
 // region of the key's record — is one routine, update, and a record it writes
 // reaches the index through one routine, install (session.go).
 
-// statusRetry is an internal sentinel: re-run the dispatch loop; statusRefresh:
-// refresh the session first (by then the op holds no exclusive latch).
-const (
-	statusRetry   Status = 255
-	statusRefresh Status = 254
-)
+// statusRetry is an internal sentinel: re-run the dispatch loop.
+const statusRetry Status = 255
 
 // doOp drives one operation to a terminal status or Pending.
 func (sess *shardSession) doOp(op *pendingOp) Status {
@@ -45,11 +39,6 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 	}
 	for {
 		st := sess.dispatch(op)
-		if st == statusRefresh {
-			sess.owner.Refresh()
-			runtime.Gosched() // what it waits for is another session's refresh
-			continue
-		}
 		if st == statusRetry {
 			continue
 		}
@@ -109,19 +98,19 @@ func (sess *shardSession) initialValue(op *pendingOp) []byte {
 // refreshes); below safe-read-only, or a private copy, nothing changes and none
 // is taken; fuzzy, a lagging thread may still update in place and the flush may
 // begin at any moment, so only a one-word value can be read — else ok is false
-// and the caller returns statusRefresh (DESIGN "Pages are flushed from their
-// frames").
+// and the op parks (Pending), as an update in that region does (DESIGN "Pages
+// are flushed from their frames").
 func (sess *shardSession) value(r findResult) (val []byte, ok bool) {
 	own := sess.owner
-	switch r.reg {
-	case regMutable:
-		own.scratch, ok = r.rec.Value(own.scratch[:0]), true
-	case regFuzzy:
-		own.scratch, ok = r.rec.AtomicValue(own.scratch[:0])
-	default:
-		own.scratch, ok = r.rec.StableValue(own.scratch[:0]), true
+	if r.reg == regMutable {
+		own.scratch = r.rec.LatchedValue(own.scratch[:0])
+		return own.scratch, true
 	}
-	return own.scratch, ok
+	own.scratch = r.rec.Value(own.scratch[:0])
+	if r.reg == regFuzzy && len(own.scratch) > 8 {
+		return nil, false // several loads, possibly torn
+	}
+	return own.scratch, true
 }
 
 // updatedValue computes the RCU value from an existing record; ok as for value.
@@ -208,7 +197,7 @@ func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 	case r.rec.Valid():
 		var ok bool
 		if val, ok = sess.updatedValue(op, r); !ok {
-			return statusRefresh
+			return Pending
 		}
 	default:
 		val = sess.initialValue(op)
@@ -370,7 +359,7 @@ func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
 	}
 	var ok bool
 	if op.val, ok = sess.value(r); !ok {
-		return statusRefresh
+		return Pending
 	}
 	return Ok
 }

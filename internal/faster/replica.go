@@ -305,7 +305,7 @@ func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 			if rec.Tombstone() {
 				return nil, false, nil
 			}
-			return rec.StableValue(nil), true, nil
+			return rec.Value(nil), true, nil
 		}
 		addr = rec.Prev()
 	}

@@ -363,10 +363,14 @@ func (sess *shardSession) enterPrepare() {
 			continue
 		}
 		if sh.cfg.Transfer == FineGrained && !op.latched {
-			// No exclusive latches can exist yet (they appear only in
-			// in-progress, which requires every session to have passed
-			// prepare), so this acquisition succeeds.
+			// No exclusive latch of this commit can exist yet (they appear
+			// only in in-progress, which requires every session to have
+			// passed prepare), but one of the previous commit can: its
+			// holder's view lags, and it may be waiting inside the log for
+			// a page — for this session's epoch among others. So refresh
+			// while waiting (a parked op holds no reference into the log).
 			for !sh.index.trySharedLatch(op.hash) {
+				sess.guard.Refresh()
 			}
 			op.latched = true
 		}
@@ -547,7 +551,8 @@ func (sess *Session) Delete(key []byte) Status {
 	return st
 }
 
-// Read returns the value for key. If the record is cold (on storage) the
+// Read returns the value for key. If the record is cold (on storage), or its
+// value is longer than 8 bytes and the record is in the fuzzy region, the
 // read goes pending: the value is delivered to cb (which may be nil) during
 // a later CompletePending. The value — returned or passed to cb — is the
 // session's own buffer, valid until the session's next call (for cb: until it

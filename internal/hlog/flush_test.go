@@ -112,9 +112,9 @@ func flushFromFrames(t *testing.T, pageBits uint, per int) {
 			mu.Lock()
 			gen, ok := final[addr]
 			mu.Unlock()
-			if !ok || !rec.KeyEquals(key64(addr)) || !bytes.Equal(rec.StableValue(nil), flushValue(addr, gen)) {
+			if !ok || !rec.KeyEquals(key64(addr)) || !bytes.Equal(rec.Value(nil), flushValue(addr, gen)) {
 				t.Errorf("record at %d reads key %x value %x from the device; written: %v, %d updates in place",
-					addr, rec.Key(nil), rec.StableValue(nil), ok, gen)
+					addr, rec.Key(nil), rec.Value(nil), ok, gen)
 				return false
 			}
 			records++

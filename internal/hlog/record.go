@@ -190,36 +190,28 @@ func (r RecordRef) Key(dst []byte) []byte {
 	return appendWordsAsBytes(dst, r.keyWords(), k)
 }
 
-// Value appends the record's current value to dst and returns the result.
-// For values longer than 8 bytes the read is performed under the record
-// latch so it is never torn. The latch is a store to the header: not for a
-// record below the safe-read-only offset, whose page is flushed from its frame
-// (StableValue reads there).
+// Value appends the record's value to dst and returns the result. It takes no
+// latch and stores nothing, so it is the reader for a record nothing updates in
+// place: below the safe-read-only offset, whose page is flushed from its frame,
+// or in a private copy. Elsewhere only a result of at most 8 bytes is whole (one
+// length load, one word load); a longer one may be torn.
 func (r RecordRef) Value(dst []byte) []byte {
-	if out, ok := r.AtomicValue(dst); ok {
-		return out
-	}
-	r.Lock()
-	dst = r.StableValue(dst)
-	r.Unlock()
-	return dst
-}
-
-// AtomicValue appends the value if it is at most one word long — one atomic
-// load, never torn, no store to the record — and reports whether it was.
-func (r RecordRef) AtomicValue(dst []byte) ([]byte, bool) {
-	_, v, _ := splitLens(r.lens())
-	if v > 8 {
-		return dst, false
-	}
-	return appendWordsAsBytes(dst, r.valueWords(), v), true
-}
-
-// StableValue is Value for a record nothing updates in place (below the
-// safe-read-only offset, or a private copy): no latch, no store.
-func (r RecordRef) StableValue(dst []byte) []byte {
 	_, v, _ := splitLens(r.lens())
 	return appendWordsAsBytes(dst, r.valueWords(), v)
+}
+
+// LatchedValue is Value for a record in the mutable region: a value longer
+// than 8 bytes is read under the record latch so it is never torn. The latch is
+// a store to the header — never below the safe-read-only offset.
+func (r RecordRef) LatchedValue(dst []byte) []byte {
+	_, v, _ := splitLens(r.lens())
+	if v <= 8 {
+		return appendWordsAsBytes(dst, r.valueWords(), v)
+	}
+	r.Lock()
+	dst = r.Value(dst)
+	r.Unlock()
+	return dst
 }
 
 // ValueUint64 atomically reads an 8-byte value's word. It is only meaningful

@@ -25,19 +25,15 @@ type IORequest struct {
 // FASTER's background async I/O: the requesting thread continues processing
 // while the operation completes.
 //
-// The queues are unbounded: Submit never blocks. This is load-bearing for
+// The queue is unbounded: Submit never blocks. This is load-bearing for
 // deadlock freedom — completion callbacks run on pool workers and may chain
 // further Submits; a bounded queue would let workers block on themselves.
 // Callers bound their own in-flight work (sessions cap their pending lists).
-//
-// A worker takes a write before any read, and one write per lock hold: a write
-// is a page a commit waits for, so a fold-over's handful is spread over the idle
-// workers and never waits behind cold reads. Reads go a run at a time (RunLen).
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	writeQ ioQueue
-	readQ  ioQueue
+	queue  []IORequest // queue[head:] is waiting
+	head   int
 	closed bool
 
 	drained bool
@@ -83,7 +79,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("storage_io_queue_depth", func() int64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return int64(p.writeQ.len() + p.readQ.len())
+		return int64(len(p.queue) - p.head)
 	})
 }
 
@@ -103,57 +99,28 @@ func NewPool(workers, depth int) *Pool {
 	return p
 }
 
-// RunLen is the most reads a worker takes per lock hold, and so the most one
-// wake-up serves; a caller batching for SubmitRun gains nothing past it.
+// RunLen is the most requests a worker takes per lock hold, and so the most
+// one wake-up serves; a caller batching for SubmitRun gains nothing past it.
 const RunLen = 16
-
-// ioQueue is a first-in-first-out queue of requests: reqs[head:] is waiting.
-type ioQueue struct {
-	reqs []IORequest
-	head int
-}
-
-func (q *ioQueue) len() int { return len(q.reqs) - q.head }
-
-func (q *ioQueue) push(req IORequest) {
-	if len(q.reqs) == cap(q.reqs) && q.head > len(q.reqs)/2 {
-		// Full, but mostly of served slots: slide the waiting requests down
-		// rather than grow without bound under a backlog that never drains.
-		n := copy(q.reqs, q.reqs[q.head:])
-		clear(q.reqs[n:])
-		q.reqs, q.head = q.reqs[:n], 0
-	}
-	q.reqs = append(q.reqs, req)
-}
-
-// take moves up to len(run) waiting requests into run and returns how many.
-func (q *ioQueue) take(run []IORequest) int {
-	took := copy(run, q.reqs[q.head:])
-	clear(q.reqs[q.head : q.head+took])
-	if q.head += took; q.head == len(q.reqs) {
-		q.reqs, q.head = q.reqs[:0], 0 // drained: reuse the array from its start
-	}
-	return took
-}
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	var run [RunLen]IORequest
 	for {
 		p.mu.Lock()
-		for p.writeQ.len()+p.readQ.len() == 0 && !p.closed {
+		for p.head == len(p.queue) && !p.closed {
 			p.cond.Wait()
 		}
-		took := p.writeQ.take(run[:1])
-		if took == 0 {
-			took = p.readQ.take(run[:])
-		}
-		if took == 0 {
+		if p.head == len(p.queue) {
 			p.mu.Unlock()
 			return
 		}
-		if p.writeQ.len()+p.readQ.len() > 0 {
-			p.cond.Signal() // more is waiting than this worker took: share it
+		took := copy(run[:], p.queue[p.head:])
+		clear(p.queue[p.head : p.head+took])
+		if p.head += took; p.head == len(p.queue) {
+			p.queue, p.head = p.queue[:0], 0 // drained: reuse the array from its start
+		} else {
+			p.cond.Signal() // more than one run is waiting: share it
 		}
 		p.mu.Unlock()
 
@@ -235,13 +202,14 @@ func (p *Pool) SubmitRun(reqs []IORequest) {
 		return
 	}
 	p.inFlight.Add(int64(len(reqs)))
-	for _, req := range reqs {
-		if req.Write {
-			p.writeQ.push(req)
-		} else {
-			p.readQ.push(req)
-		}
+	if len(p.queue)+len(reqs) > cap(p.queue) && p.head > len(p.queue)/2 {
+		// Full, but mostly of served slots: slide the waiting requests down
+		// rather than grow without bound under a backlog that never drains.
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
 	}
+	p.queue = append(p.queue, reqs...)
 	p.mu.Unlock()
 	p.cond.Signal()
 }

@@ -162,102 +162,6 @@ func TestPoolRetryExhausted(t *testing.T) {
 	}
 }
 
-// writeFirstDevice tells the test in what order a pool starts what it was
-// handed. A read at offset 0 is a blocker: it reports on started and occupies
-// its worker until hold closes. Any other read waits until every one of the
-// writes has started, a write until two writes are in progress at once — which
-// one worker running them back to back never are. A wait that does not end
-// fails the request.
-type writeFirstDevice struct {
-	*MemDevice
-	started    chan struct{}
-	hold       chan struct{}
-	writes     int32
-	begun      atomic.Int32
-	active     atomic.Int32
-	allBegun   chan struct{}
-	twoAtOnce  chan struct{}
-	closeTwice sync.Once
-}
-
-func (d *writeFirstDevice) await(c chan struct{}, what string) error {
-	select {
-	case <-c:
-		return nil
-	case <-time.After(2 * time.Second):
-		return errors.New(what)
-	}
-}
-
-func (d *writeFirstDevice) ReadAt(p []byte, off int64) (int, error) {
-	if off == 0 {
-		d.started <- struct{}{}
-		<-d.hold
-	} else if err := d.await(d.allBegun, "a queued read started while writes were still waiting"); err != nil {
-		return 0, err
-	}
-	return d.MemDevice.ReadAt(p, off)
-}
-
-func (d *writeFirstDevice) WriteAt(p []byte, off int64) (int, error) {
-	if d.active.Add(1) >= 2 {
-		d.closeTwice.Do(func() { close(d.twoAtOnce) })
-	}
-	if d.begun.Add(1) == d.writes {
-		close(d.allBegun)
-	}
-	err := d.await(d.twoAtOnce, "no second worker took a write while this one was in progress")
-	d.active.Add(-1)
-	if err != nil {
-		return 0, err
-	}
-	return d.MemDevice.WriteAt(p, off)
-}
-
-// TestPoolWritesFirst: four writes queued behind 64 reads — four runs of them —
-// are handed out before any of the reads, one per lock hold, so two workers
-// share them: a commit's page writes wait neither for a backlog of cold reads
-// nor for each other.
-func TestPoolWritesFirst(t *testing.T) {
-	const workers, reads, writes = 2, 64, 4
-	d := &writeFirstDevice{MemDevice: NewMemDevice(), started: make(chan struct{}), hold: make(chan struct{}),
-		writes: writes, allBegun: make(chan struct{}), twoAtOnce: make(chan struct{})}
-	if _, err := d.MemDevice.WriteAt(make([]byte, reads+1), 0); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(workers, 0)
-	var mu sync.Mutex
-	var errs []error
-	done := func(_ int, err error) {
-		if err != nil {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
-	}
-	bufs := make([][1]byte, workers+reads+writes)
-	for i := 0; i < workers; i++ { // one blocker per worker: what follows queues up
-		p.Submit(IORequest{Dev: d, Buf: bufs[i][:], Done: done})
-		<-d.started
-	}
-	run := make([]IORequest, reads)
-	for i := range run {
-		run[i] = IORequest{Dev: d, Buf: bufs[workers+i][:], Off: int64(1 + i), Done: done}
-	}
-	p.SubmitRun(run)
-	for i := 0; i < writes; i++ {
-		p.Submit(IORequest{Dev: d, Buf: bufs[workers+reads+i][:], Off: int64(i), Write: true, Done: done})
-	}
-	close(d.hold)
-	p.Close()
-	for _, err := range errs {
-		t.Error(err)
-	}
-	if got := d.begun.Load(); got != writes {
-		t.Errorf("%d of %d writes reached the device", got, writes)
-	}
-}
-
 // BenchmarkPoolRead: the hand-off cost of one 64-byte read of a MemDevice —
 // submit, worker wake-up, device call, completion — when reads go to the pool
 // one at a time, each awaited, and in runs of 16 awaited together (ns/op is

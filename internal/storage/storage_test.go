@@ -175,7 +175,7 @@ func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
 		}
 	}
 	p.mu.Lock()
-	c := cap(p.readQ.reqs)
+	c := cap(p.queue)
 	p.mu.Unlock()
 	if c > 8*backlog {
 		t.Fatalf("queue array grew to %d slots under a backlog of %d", c, backlog)
