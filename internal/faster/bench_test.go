@@ -345,7 +345,11 @@ func replayBenchShard(b *testing.B, memPages int) (sh *shard, start, end uint64,
 
 	sh = open(memPages, true).shards[0]
 	start, end, v = sh.recoveredScanStart, sh.log.Tail(), sh.Version()-1
-	if records := (end - start) / uint64(hlog.RecordSize(8, 8)); records != suffix {
+	records := 0
+	if err := sh.log.Scan(start, end, func(uint64, hlog.RecordRef) bool { records++; return true }); err != nil {
+		b.Fatal(err)
+	}
+	if records != suffix {
 		b.Fatalf("the suffix holds %d records, want %d", records, suffix)
 	}
 	return sh, start, end, v

@@ -217,8 +217,8 @@ func TestChainInvariant(t *testing.T) {
 				if prev != 0 && prev >= addr {
 					t.Fatalf("chain not decreasing: %d -> %d", addr, prev)
 				}
-				if rec.KeyLen() == 0 || rec.KeyLen() > 8 {
-					t.Fatalf("record at %d has key length %d", addr, rec.KeyLen())
+				if n := len(rec.Key(nil)); n == 0 || n > 8 {
+					t.Fatalf("record at %d has key length %d", addr, n)
 				}
 				addr = prev
 				if steps++; steps > 10000 {

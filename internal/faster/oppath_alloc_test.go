@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+
+	"repro/internal/hlog"
 )
 
 // The guards below pin the buffer-ownership rules of the operation path (see
@@ -91,7 +93,7 @@ func TestSessionOpsAllocFree(t *testing.T) {
 	driveCommit(t, s, []*Session{sess}, CommitOptions{})
 	tail := s.Log().Tail()
 	check("read-copy-update")
-	if grew := s.Log().Tail() - tail; grew < keys*32 {
+	if grew := s.Log().Tail() - tail; grew < keys*uint64(hlog.RecordSize(8, 8)) {
 		t.Fatalf("log grew by %d bytes: the RMWs after the commit did not copy", grew)
 	}
 	driveCommit(t, s, []*Session{sess}, CommitOptions{})

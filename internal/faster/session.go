@@ -783,8 +783,8 @@ func (sess *shardSession) install(slot *atomic.Uint64, expected uint64, version 
 	if valCap < 8 {
 		valCap = 8 // keep small values in-place updatable
 	}
-	addr := log.Allocate((*sessionEpochs)(sess.owner), hlog.RecordSize(len(key), valCap))
-	if err := log.WriteRecord(addr, entryAddr(expected), recVersion(version), key, value, valCap); err != nil {
+	addr, err := log.Append((*sessionEpochs)(sess.owner), entryAddr(expected), recVersion(version), key, value, valCap)
+	if err != nil {
 		panic(fmt.Sprintf("faster: write record: %v", err))
 	}
 	rec := log.Record(addr)

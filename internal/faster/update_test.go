@@ -232,7 +232,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 				if !rec.Tombstone() {
 					t.Fatal("in-place delete left no tombstone")
 				}
-			} else if got := rec.ValueUint64(); got != wantVal {
+			} else if got := binary.LittleEndian.Uint64(rec.Value(nil)); got != wantVal {
 				t.Fatalf("in-place value %d, want %d", got, wantVal)
 			}
 		}

@@ -95,7 +95,7 @@ func checkRecord(t *testing.T, i int, n int, key uint64, val []byte) {
 // extent is served by a read clipped to it; a short hint read is completed by
 // an exact one. The same ColdRead serves every fetch.
 func TestAsyncReadSizeHint(t *testing.T) {
-	sizes := []int{8, 8, 1000, 8, 5000, 8}
+	sizes := []int{8, 8, 1000, 8, 5000, 5, 8} // 5 bytes: the one small record with a lens word
 	l, dev, addrs := coldLog(t, sizes...)
 	cr := new(ColdRead)
 	steps := []struct {
@@ -110,9 +110,10 @@ func TestAsyncReadSizeHint(t *testing.T) {
 		{"smaller than the hint", 3, 1, 0},
 		{"larger than the hint cap", 4, 2, 0},
 		{"hint cap not exceeded by a huge record", 2, 1, 0},
-		{"last record before the flushed extent", 5, 1, 0},
-		{"hint read comes back short of the record", 3, 2, 24},
-		{"hint read comes back short of the header", 1, 3, 8},
+		{"last record before the flushed extent", 6, 1, 0},
+		{"hint read comes back short of the record", 3, 2, int64(RecordSize(8, 8)) - 8},
+		{"hint read comes back with the header word alone, which holds a short-form record's size", 1, 2, 8},
+		{"... and says that a long-form record's is in the next word", 5, 3, 8},
 	}
 	for _, s := range steps {
 		dev.shortAt.Store(s.short)
@@ -122,7 +123,7 @@ func TestAsyncReadSizeHint(t *testing.T) {
 			t.Errorf("%s: %d device reads, want %d", s.name, reads, s.reads)
 		}
 	}
-	if end := addrs[5] + uint64(RecordSize(8, 8)); end != l.Durable() {
+	if end := addrs[6] + uint64(RecordSize(8, 8)); end != l.Durable() {
 		t.Fatalf("last record ends at %d, flushed extent is %d", end, l.Durable())
 	}
 	if got := l.readHint.Load(); got != RecordSize(8, 1000) {
@@ -166,7 +167,7 @@ func BenchmarkUpdateValue(b *testing.B) {
 			return cur
 		})
 	}
-	if got := rec.ValueUint64(); got != uint64(b.N) {
+	if got := valueUint64(rec); got != uint64(b.N) {
 		b.Fatalf("counter = %d after %d updates", got, b.N)
 	}
 }
@@ -179,11 +180,13 @@ func BenchmarkAsyncRead(b *testing.B) {
 	l, dev, addrs := coldLog(b, sizes...)
 	done := make(chan struct{}, 1)
 	var sum uint64
+	var val []byte
 	cr := &ColdRead{Done: func(rec RecordRef, err error) {
 		if err != nil {
 			b.Error(err)
 		}
-		sum += rec.ValueUint64()
+		val = rec.Value(val[:0])
+		sum += binary.LittleEndian.Uint64(val)
 		done <- struct{}{}
 	}}
 	b.ReportAllocs()

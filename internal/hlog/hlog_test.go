@@ -28,23 +28,46 @@ func newTestLog(t *testing.T, pageBits uint, memPages int) (*Log, *epoch.Manager
 	return l, em
 }
 
+// fit is where a record of size bytes lands when the tail stands at addr: there,
+// or at the start of the next page when what is left of this one is too short.
+func fit(l *Log, addr uint64, size uint32) uint64 {
+	if l.offset(addr)+uint64(size) > l.pageSize {
+		return (l.page(addr) + 1) << l.cfg.PageBits
+	}
+	return addr
+}
+
 func key64(k uint64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], k)
 	return b[:]
 }
 
+// valueUint64 reads an 8-byte value.
+func valueUint64(r RecordRef) uint64 { return binary.LittleEndian.Uint64(r.Value(nil)) }
+
 func TestHeaderPacking(t *testing.T) {
-	h := MakeHeader(0xABCDEF012345, 777)
-	r := RecordRef{words: []uint64{h, makeLens(8, 8, 8), 0, 0}}
-	if r.Prev() != 0xABCDEF012345 {
-		t.Fatalf("prev = %x", r.Prev())
-	}
-	if r.Version() != 777 {
-		t.Fatalf("version = %d", r.Version())
-	}
-	if r.Tombstone() || r.Invalid() {
-		t.Fatal("fresh header has flag bits set")
+	// An address is 8-byte aligned: its low three bits belong to vw, and an
+	// unaligned prev loses them rather than spilling into the field.
+	for vw := 0; vw <= 7; vw++ {
+		h := makeHeader(0xABCDEF012345, 777, vw)
+		r := RecordRef{words: []uint64{h, makeLens(8, 8, 8), 0, 0, 0, 0, 0, 0, 0}}
+		if r.Prev() != 0xABCDEF012340 {
+			t.Fatalf("vw %d: prev = %x", vw, r.Prev())
+		}
+		if r.Version() != 777 {
+			t.Fatalf("vw %d: version = %d", vw, r.Version())
+		}
+		if r.Tombstone() || r.Invalid() {
+			t.Fatalf("vw %d: fresh header has flag bits set", vw)
+		}
+		want := RecordSize(8, 8*vw) // header + key + vw value words
+		if vw == 0 {
+			want = RecordSize(8, 8) + 8 // ... or what the lens word says, after the lens word
+		}
+		if r.Size() != want {
+			t.Fatalf("vw %d: size = %d, want %d", vw, r.Size(), want)
+		}
 	}
 }
 
@@ -53,8 +76,12 @@ func TestRecordSizeAlignment(t *testing.T) {
 		k, v int
 		want uint32
 	}{
-		{8, 8, 32},
+		{8, 8, 24}, // short form: header + key + value
+		{8, 56, 72},
+		{8, 64, 88}, // eight value words: the lens word is back
+		{8, 5, 32},
 		{1, 1, 32},
+		{7, 8, 32},
 		{9, 8, 40},
 		{8, 100, 128},
 	}
@@ -101,8 +128,11 @@ func TestInPlaceUpdate(t *testing.T) {
 	defer g.Release()
 
 	key := key64(7)
-	addr := l.Allocate(g, RecordSize(8, 16))
-	if err := l.WriteRecord(addr, 0, 1, key, []byte("short"), 16); err != nil {
+	if err := l.WriteRecord(l.Allocate(g, RecordSize(8, 16)), 0, 1, key, []byte("short"), 16); err == nil {
+		t.Fatal("WriteRecord took a value shorter than its capacity into a short-form allocation")
+	}
+	addr, err := l.Append(g, 0, 1, key, []byte("short"), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rec := l.Record(addr)
@@ -140,7 +170,7 @@ func TestUpdateValueRMW(t *testing.T) {
 			t.Fatal("UpdateValue failed")
 		}
 	}
-	if got := rec.ValueUint64(); got != 50 {
+	if got := valueUint64(rec); got != 50 {
 		t.Fatalf("value = %d, want 50", got)
 	}
 }
@@ -172,7 +202,7 @@ func TestConcurrentRMWCounter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := l.Record(addr).ValueUint64(); got != threads*perThread {
+	if got := valueUint64(l.Record(addr)); got != threads*perThread {
 		t.Fatalf("counter = %d, want %d", got, threads*perThread)
 	}
 }
@@ -182,7 +212,7 @@ func TestPageCrossingAndOffsets(t *testing.T) {
 	g := em.Acquire()
 	defer g.Release()
 
-	size := RecordSize(8, 8) // 32 bytes
+	size := RecordSize(8, 8)
 	var addrs []uint64
 	for i := 0; i < 1000; i++ {
 		addr := l.Allocate(g, size)
@@ -244,7 +274,7 @@ func TestEvictionAndDiskRead(t *testing.T) {
 	if !rec.KeyEquals(key64(0)) {
 		t.Fatal("evicted record key mismatch")
 	}
-	if got := rec.ValueUint64(); got != 0 {
+	if got := valueUint64(rec); got != 0 {
 		t.Fatalf("evicted record value = %d", got)
 	}
 
@@ -330,8 +360,8 @@ func TestSnapshotAndRestore(t *testing.T) {
 		if !rec.KeyEquals(key64(uint64(n))) {
 			t.Fatalf("record %d key mismatch", n)
 		}
-		if rec.ValueUint64() != uint64(n)+100 {
-			t.Fatalf("record %d value = %d", n, rec.ValueUint64())
+		if valueUint64(rec) != uint64(n)+100 {
+			t.Fatalf("record %d value = %d", n, valueUint64(rec))
 		}
 		n++
 		return true
@@ -395,7 +425,7 @@ func TestConcurrentAllocation(t *testing.T) {
 // committer folds over at the tail; afterwards the device must hold, at every
 // address below Durable(), the record written there.
 func TestFoldOverWhilePagesOpen(t *testing.T) {
-	l, em := newTestLog(t, 12, 4) // 4 KiB pages, 4 frames: a page opens every 128 records
+	l, em := newTestLog(t, 12, 4) // 4 KiB pages, 4 frames: a page opens every 170 records
 	const writers, per = 3, 10000
 	size := RecordSize(8, 8)
 	var wg sync.WaitGroup
@@ -443,7 +473,7 @@ func TestFoldOverWhilePagesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	for addr := uint64(FirstAddress); addr < end; addr += uint64(size) {
+	for addr := uint64(FirstAddress); addr < end; addr = fit(l, addr+uint64(size), size) {
 		rec := bytesToRecord(data[addr:addr+uint64(size)], nil)
 		if !rec.KeyEquals(key64(addr)) {
 			t.Fatalf("device holds at %d (page offset %d) header %#x key %x, not the record written there",
@@ -485,8 +515,9 @@ func TestQuickLensRoundTrip(t *testing.T) {
 		kl := int(k)
 		vl := int(v % (1 << 24))
 		cl := int(c % (1 << 24))
-		gk, gv, gc := splitLens(makeLens(kl, vl, cl))
-		return gk == kl && gv == vl && gc == cl
+		lens := makeLens(kl, vl, cl)
+		hw, gk, gv, gc := shape(0, &lens)
+		return hw == 2 && gk == kl && gv == vl && gc == cl
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -427,17 +427,30 @@ func (l *Log) ensureFrame(g Refresher, p uint64) {
 
 // WriteRecord fills a freshly allocated region at addr with a record. The
 // caller must have obtained addr from Allocate with RecordSize(len(key),
-// valCap) bytes and must not have published addr yet.
+// valCap) bytes and must not have published addr yet. A value shorter than
+// valCap may need more than that (its record keeps the lens word): Append.
 func (l *Log) WriteRecord(addr uint64, prev uint64, version uint16, key, value []byte, valCap int) error {
-	if valCap < len(value) {
-		valCap = len(value)
-	}
+	valCap = max(valCap, len(value))
 	if err := validateKV(key, value, valCap); err != nil {
 		return err
 	}
-	rec := l.Record(addr)
-	initRecord(rec.words, prev, version, key, value, valCap)
+	if exactSize(len(key), len(value), valCap) != RecordSize(len(key), valCap) {
+		return fmt.Errorf("hlog: WriteRecord of a %d-byte value in capacity %d: use Append", len(value), valCap)
+	}
+	initRecord(l.Record(addr).words, prev, version, key, value, valCap)
 	return nil
+}
+
+// Append allocates the record's exact size at the tail and writes it there,
+// unpublished: the one call that needs no size from its caller.
+func (l *Log) Append(g Refresher, prev uint64, version uint16, key, value []byte, valCap int) (uint64, error) {
+	valCap = max(valCap, len(value))
+	if err := validateKV(key, value, valCap); err != nil {
+		return 0, err
+	}
+	addr := l.Allocate(g, exactSize(len(key), len(value), valCap))
+	initRecord(l.Record(addr).words, prev, version, key, value, valCap)
+	return addr, nil
 }
 
 // Record returns a view over the in-memory record at addr. The caller must
@@ -751,10 +764,9 @@ func (cr *ColdRead) request(upto int) storage.IORequest {
 // than the hint, or the read came back short).
 func (cr *ColdRead) step(n int, err error) {
 	cr.have += n
-	need := 16
+	need := 8
 	if cr.have >= need {
-		k, _, c := splitLens(binary.LittleEndian.Uint64(cr.buf[8:16]))
-		need = int(RecordSize(k, c))
+		need = sizeFromBytes(cr.buf[:cr.have])
 	}
 	switch {
 	case cr.have >= need:
@@ -774,16 +786,12 @@ func (cr *ColdRead) step(n int, err error) {
 // ReadRecordSync synchronously reads a record from the device (recovery
 // path). Transient device errors are retried.
 func (l *Log) ReadRecordSync(addr uint64) (RecordRef, error) {
-	hdr := make([]byte, 16)
+	hdr := make([]byte, 16) // no record is shorter
 	if _, err := storage.ReadAtRetry(l.cfg.Device, hdr, int64(addr)); err != nil {
 		return RecordRef{}, err
 	}
-	lens := binary.LittleEndian.Uint64(hdr[8:])
-	k, _, c := splitLens(lens)
-	size := RecordSize(k, c)
-	buf := make([]byte, size)
-	copy(buf, hdr)
-	if size > 16 {
+	buf := append(hdr, make([]byte, sizeFromBytes(hdr)-16)...)
+	if len(buf) > 16 {
 		if _, err := storage.ReadAtRetry(l.cfg.Device, buf[16:], int64(addr)+16); err != nil {
 			return RecordRef{}, err
 		}
@@ -831,15 +839,13 @@ func (l *Log) verifiedRead(addr, start, stop uint64, want uint32, done func(Reco
 				return
 			}
 			l.verifiedReads.Inc()
-			base := addr - start
-			lens := binary.LittleEndian.Uint64(buf[base+8:])
-			k, _, c := splitLens(lens)
-			size := uint64(RecordSize(k, c))
-			if base+size > uint64(len(buf)) {
+			rec := buf[addr-start:]
+			size := sizeFromBytes(rec)
+			if size > len(rec) {
 				done(RecordRef{}, fmt.Errorf("hlog: record at %d overruns its verified page", addr))
 				return
 			}
-			done(bytesToRecord(buf[base:base+size], nil), nil)
+			done(bytesToRecord(rec[:size], nil), nil)
 		},
 	})
 }
@@ -884,15 +890,14 @@ func (l *Log) Scan(from, to uint64, fn func(addr uint64, rec RecordRef) bool) er
 		if err := l.readPage(start, stop, buf); err != nil {
 			return fmt.Errorf("hlog: scan: %w", err)
 		}
-		// Stop at the page's padding: 16 bytes hold no record, a zero header
-		// means the rest of the page was never written.
-		for addr < to && addr+16 <= stop {
+		// Stop at the page's padding: a zero header means the rest of the page
+		// was never written.
+		for addr < to && addr < stop {
 			rec := buf[addr-start:]
 			if binary.LittleEndian.Uint64(rec) == 0 {
 				break
 			}
-			k, _, c := splitLens(binary.LittleEndian.Uint64(rec[8:]))
-			size := uint64(RecordSize(k, c))
+			size := uint64(sizeFromBytes(rec))
 			if size > uint64(len(rec)) {
 				return fmt.Errorf("hlog: scan: record at %d (%d bytes) runs past %d, the end of its page or of the log", addr, size, stop)
 			}

@@ -25,15 +25,21 @@ import (
 // (in particular 0) denote "invalid / no record".
 const FirstAddress = 64
 
-// Header bit layout (word 0 of every record):
+// A record is a header word, a lens word unless the header does without it, the
+// key and the value's capacity, each padded to whole words (DESIGN.md "Record
+// layout"). Header bit layout (word 0 of every record):
 //
-//	bits  0..47  previous address in this hash chain (48 bits, as in FASTER)
+//	bits  0..2   vw: 0 = a lens word follows; 1..7 = none: the key is 8 bytes,
+//	             the value vw whole words, its capacity the same (short form)
+//	bits  3..47  previous address in this hash chain (48 bits, as in FASTER;
+//	             addresses are 8-byte aligned, which frees bits 0..2)
 //	bits 48..60  record version (13 bits, as in Sec. 6.2)
 //	bit  61      tombstone
 //	bit  62      invalid (set during recovery for post-CPR-point records)
 //	bit  63      lock (in-place value update latch; Go race-freedom tax)
 const (
-	prevMask     = (uint64(1) << 48) - 1
+	vwMask       = uint64(7)
+	prevMask     = (uint64(1)<<48 - 1) &^ vwMask
 	versionShift = 48
 	versionBits  = 13
 	versionMask  = (uint64(1)<<versionBits - 1) << versionShift
@@ -45,7 +51,7 @@ const (
 // MaxVersion is the largest representable record version (13 bits).
 const MaxVersion = 1<<versionBits - 1
 
-// Lens word layout (word 1 of every record):
+// Lens word layout (word 1 of a long-form record):
 //
 //	bits  0..15  key length in bytes
 //	bits 16..39  value length in bytes
@@ -57,28 +63,63 @@ const (
 	maxValLen  = 1<<valLenBits - 1
 )
 
-// MakeHeader packs a record header word.
-func MakeHeader(prev uint64, version uint16) uint64 {
-	return (prev & prevMask) | (uint64(version) << versionShift & versionMask)
+func makeHeader(prev uint64, version uint16, vw int) uint64 {
+	return prev&prevMask | uint64(vw) | uint64(version)<<versionShift&versionMask
 }
 
 func makeLens(keyLen, valLen, valCap int) uint64 {
 	return uint64(keyLen) | uint64(valLen)<<keyLenBits | uint64(valCap)<<(keyLenBits+valLenBits)
 }
 
-func splitLens(w uint64) (keyLen, valLen, valCap int) {
-	keyLen = int(w & maxKeyLen)
-	valLen = int(w >> keyLenBits & maxValLen)
-	valCap = int(w >> (keyLenBits + valLenBits) & maxValLen)
-	return
+// shape is the one decoder of a record's layout: from the header word, how
+// many words precede the key (1; 2 when a lens word follows, which is loaded
+// from lens only then), and the key's length, the value's and the value's
+// capacity in bytes.
+func shape(hdr uint64, lens *uint64) (hw, keyLen, valLen, valCap int) {
+	if vw := int(hdr & vwMask); vw != 0 {
+		return 1, 8, 8 * vw, 8 * vw
+	}
+	w := atomic.LoadUint64(lens)
+	return 2, int(w & maxKeyLen), int(w >> keyLenBits & maxValLen), int(w >> (keyLenBits + valLenBits) & maxValLen)
+}
+
+// chooseShape is the encoder's side of shape: a record does without its lens
+// word (hw 1, vw > 0) when its key is 8 bytes and its value 1..7 whole words
+// that fill the capacity.
+func chooseShape(keyLen, valLen, valCap int) (hw, vw int) {
+	if keyLen == 8 && valLen == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 8*int(vwMask) {
+		return 1, valCap / 8
+	}
+	return 2, 0
 }
 
 func wordsFor(n int) int { return (n + 7) / 8 }
 
+// recordBytes is a record's footprint given its header words.
+func recordBytes(hw, keyLen, valCap int) int { return 8 * (hw + wordsFor(keyLen) + wordsFor(valCap)) }
+
+// exactSize is the footprint of the record initRecord writes for these lengths.
+func exactSize(keyLen, valLen, valCap int) uint32 {
+	hw, _ := chooseShape(keyLen, valLen, valCap)
+	return uint32(recordBytes(hw, keyLen, valCap))
+}
+
 // RecordSize returns the total record footprint in bytes for a key of keyLen
-// bytes and a value capacity of valCap bytes.
-func RecordSize(keyLen, valCap int) uint32 {
-	return uint32(8 * (2 + wordsFor(keyLen) + wordsFor(valCap)))
+// bytes and a value that fills its capacity of valCap bytes: what WriteRecord
+// needs from Allocate. (A value shorter than its capacity goes through Append,
+// which sizes the record itself.)
+func RecordSize(keyLen, valCap int) uint32 { return exactSize(keyLen, valCap, valCap) }
+
+// sizeFromBytes is the footprint of the record whose first bytes are b, at
+// least the header word; when the header announces a lens word that b does not
+// reach, it is the 16 bytes it takes to tell.
+func sizeFromBytes(b []byte) int {
+	var lens uint64
+	if len(b) >= 16 {
+		lens = binary.LittleEndian.Uint64(b[8:])
+	}
+	hw, k, _, c := shape(binary.LittleEndian.Uint64(b), &lens)
+	return recordBytes(hw, k, c)
 }
 
 // RecordRef is a view over one record's words, either inside a live page
@@ -110,25 +151,21 @@ func (r RecordRef) Tombstone() bool { return r.Header()&tombstoneBit != 0 }
 // Invalid reports whether recovery marked the record invalid.
 func (r RecordRef) Invalid() bool { return r.Header()&invalidBit != 0 }
 
-// SetTombstone marks the record as a deletion marker.
-func (r RecordRef) SetTombstone() {
+// updateHeader sets and clears header bits in one atomic step.
+func (r RecordRef) updateHeader(set, clear uint64) {
 	for {
 		h := atomic.LoadUint64(r.hdr())
-		if atomic.CompareAndSwapUint64(r.hdr(), h, h|tombstoneBit) {
+		if atomic.CompareAndSwapUint64(r.hdr(), h, h&^clear|set) {
 			return
 		}
 	}
 }
 
+// SetTombstone marks the record as a deletion marker.
+func (r RecordRef) SetTombstone() { r.updateHeader(tombstoneBit, 0) }
+
 // SetInvalid marks the record invalid (used by recovery, Alg. 3).
-func (r RecordRef) SetInvalid() {
-	for {
-		h := atomic.LoadUint64(r.hdr())
-		if atomic.CompareAndSwapUint64(r.hdr(), h, h|invalidBit) {
-			return
-		}
-	}
-}
+func (r RecordRef) SetInvalid() { r.updateHeader(invalidBit, 0) }
 
 // Lock acquires the record's in-place-update latch by spinning on the
 // header's lock bit.
@@ -142,52 +179,33 @@ func (r RecordRef) Lock() {
 }
 
 // Unlock releases the latch taken by Lock.
-func (r RecordRef) Unlock() {
-	for {
-		h := atomic.LoadUint64(r.hdr())
-		if atomic.CompareAndSwapUint64(r.hdr(), h, h&^lockBit) {
-			return
-		}
-	}
+func (r RecordRef) Unlock() { r.updateHeader(0, lockBit) }
+
+// keyWords and valueWords are the key's words and the words of the value's
+// capacity in a record of the given shape.
+func (r RecordRef) keyWords(hw, keyLen int) []uint64 { return r.words[hw : hw+wordsFor(keyLen)] }
+
+func (r RecordRef) valueWords(hw, keyLen, valCap int) []uint64 {
+	start := hw + wordsFor(keyLen)
+	return r.words[start : start+wordsFor(valCap)]
 }
-
-func (r RecordRef) lens() uint64 { return atomic.LoadUint64(&r.words[1]) }
-
-// KeyLen returns the key length in bytes.
-func (r RecordRef) KeyLen() int { k, _, _ := splitLens(r.lens()); return k }
-
-// ValueLen returns the current value length in bytes.
-func (r RecordRef) ValueLen() int { _, v, _ := splitLens(r.lens()); return v }
 
 // Size returns the record's total footprint in bytes.
 func (r RecordRef) Size() uint32 {
-	k, _, c := splitLens(r.lens())
-	return RecordSize(k, c)
-}
-
-func (r RecordRef) keyWords() []uint64 {
-	k, _, _ := splitLens(r.lens())
-	return r.words[2 : 2+wordsFor(k)]
-}
-
-func (r RecordRef) valueWords() []uint64 {
-	k, _, c := splitLens(r.lens())
-	start := 2 + wordsFor(k)
-	return r.words[start : start+wordsFor(c)]
+	hw, k, _, c := shape(r.Header(), &r.words[1])
+	return uint32(recordBytes(hw, k, c))
 }
 
 // KeyEquals compares the record's key to key without allocating.
 func (r RecordRef) KeyEquals(key []byte) bool {
-	if r.KeyLen() != len(key) {
-		return false
-	}
-	return wordsEqualBytes(r.keyWords(), key)
+	hw, k, _, _ := shape(r.Header(), &r.words[1])
+	return k == len(key) && wordsEqualBytes(r.keyWords(hw, k), key)
 }
 
 // Key appends the record's key to dst and returns the result.
 func (r RecordRef) Key(dst []byte) []byte {
-	k, _, _ := splitLens(r.lens())
-	return appendWordsAsBytes(dst, r.keyWords(), k)
+	hw, k, _, _ := shape(r.Header(), &r.words[1])
+	return appendWordsAsBytes(dst, r.keyWords(hw, k), k)
 }
 
 // Value appends the record's value to dst and returns the result. It takes no
@@ -196,17 +214,16 @@ func (r RecordRef) Key(dst []byte) []byte {
 // or in a private copy. Elsewhere only a result of at most 8 bytes is whole (one
 // length load, one word load); a longer one may be torn.
 func (r RecordRef) Value(dst []byte) []byte {
-	_, v, _ := splitLens(r.lens())
-	return appendWordsAsBytes(dst, r.valueWords(), v)
+	hw, k, v, c := shape(r.Header(), &r.words[1])
+	return appendWordsAsBytes(dst, r.valueWords(hw, k, c), v)
 }
 
 // LatchedValue is Value for a record in the mutable region: a value longer
 // than 8 bytes is read under the record latch so it is never torn. The latch is
 // a store to the header — never below the safe-read-only offset.
 func (r RecordRef) LatchedValue(dst []byte) []byte {
-	_, v, _ := splitLens(r.lens())
-	if v <= 8 {
-		return appendWordsAsBytes(dst, r.valueWords(), v)
+	if hw, k, v, c := shape(r.Header(), &r.words[1]); v <= 8 {
+		return appendWordsAsBytes(dst, r.valueWords(hw, k, c), v)
 	}
 	r.Lock()
 	dst = r.Value(dst)
@@ -214,27 +231,28 @@ func (r RecordRef) LatchedValue(dst []byte) []byte {
 	return dst
 }
 
-// ValueUint64 atomically reads an 8-byte value's word. It is only meaningful
-// for records whose value is exactly 8 bytes.
-func (r RecordRef) ValueUint64() uint64 { return atomic.LoadUint64(&r.valueWords()[0]) }
-
 // SetValue performs an in-place value update. It returns false when val does
-// not fit the record's value capacity. Updates longer than 8 bytes happen
+// not fit the record's value capacity, or the record is short-form and val has
+// another length than its value (there is no lens word to keep it in): the
+// caller's read-copy-update takes over. Updates longer than 8 bytes happen
 // under the record latch.
 func (r RecordRef) SetValue(val []byte) bool {
-	k, v, c := splitLens(r.lens())
-	if len(val) > c {
+	hw, k, v, c := shape(r.Header(), &r.words[1])
+	if len(val) > c || hw == 1 && len(val) != v {
 		return false
 	}
+	vw := r.valueWords(hw, k, c)
 	if c == 8 && v == 8 && len(val) == 8 {
 		// Fast path: the stored length already matches, so a single atomic
 		// word store suffices.
-		atomic.StoreUint64(&r.valueWords()[0], binary.LittleEndian.Uint64(val))
+		atomic.StoreUint64(&vw[0], binary.LittleEndian.Uint64(val))
 		return true
 	}
 	r.Lock()
-	storeBytesAsWords(r.valueWords(), val)
-	atomic.StoreUint64(&r.words[1], makeLens(k, len(val), c))
+	storeBytesAsWords(vw, val)
+	if hw == 2 {
+		atomic.StoreUint64(&r.words[1], makeLens(k, len(val), c))
+	}
 	r.Unlock()
 	return true
 }
@@ -242,19 +260,23 @@ func (r RecordRef) SetValue(val []byte) bool {
 // UpdateValue runs fn on a private copy of the value under the record latch
 // and stores the result in place. The copy is made into *scratch (grown as
 // needed and kept there for the caller's next call), so fn may overwrite cur
-// and return it. It returns false if the result exceeds the value capacity
-// (caller must then fall back to read-copy-update).
+// and return it. It returns false if the result exceeds the value capacity or,
+// on a short-form record, has another length (caller must then fall back to
+// read-copy-update).
 func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool {
 	r.Lock()
-	k, v, c := splitLens(r.lens())
-	*scratch = appendWordsAsBytes((*scratch)[:0], r.valueWords(), v)
+	hw, k, v, c := shape(r.Header(), &r.words[1])
+	vw := r.valueWords(hw, k, c)
+	*scratch = appendWordsAsBytes((*scratch)[:0], vw, v)
 	next := fn(*scratch)
-	if len(next) > c {
+	if len(next) > c || hw == 1 && len(next) != v {
 		r.Unlock()
 		return false
 	}
-	storeBytesAsWords(r.valueWords(), next)
-	atomic.StoreUint64(&r.words[1], makeLens(k, len(next), c))
+	storeBytesAsWords(vw, next)
+	if hw == 2 {
+		atomic.StoreUint64(&r.words[1], makeLens(k, len(next), c))
+	}
 	r.Unlock()
 	return true
 }
@@ -264,15 +286,15 @@ func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool
 // we still use atomic stores to keep the race detector and the epoch-based
 // flush argument airtight.
 func initRecord(words []uint64, prev uint64, version uint16, key, value []byte, valCap int) {
-	if valCap < len(value) {
-		valCap = len(value)
+	hw, vw := chooseShape(len(key), len(value), valCap)
+	if hw == 2 {
+		atomic.StoreUint64(&words[1], makeLens(len(key), len(value), valCap))
 	}
-	atomic.StoreUint64(&words[1], makeLens(len(key), len(value), valCap))
-	kw := wordsFor(len(key))
-	storeBytesAsWords(words[2:2+kw], key)
-	storeBytesAsWords(words[2+kw:2+kw+wordsFor(valCap)], value)
+	kw := hw + wordsFor(len(key))
+	storeBytesAsWords(words[hw:kw], key)
+	storeBytesAsWords(words[kw:kw+wordsFor(valCap)], value)
 	// Header last: a concurrent scanner treats header==0 as "empty space".
-	atomic.StoreUint64(&words[0], MakeHeader(prev, version))
+	atomic.StoreUint64(&words[0], makeHeader(prev, version, vw))
 }
 
 // validateKV bounds-checks key/value sizes against the record format.
@@ -314,18 +336,16 @@ func appendWordsAsBytes(dst []byte, words []uint64, n int) []byte {
 }
 
 func wordsEqualBytes(words []uint64, b []byte) bool {
-	var w [8]byte
-	for i := 0; i < len(b); i += 8 {
-		binary.LittleEndian.PutUint64(w[:], atomic.LoadUint64(&words[i/8]))
-		take := len(b) - i
-		if take > 8 {
-			take = 8
-		}
-		for j := 0; j < take; j++ {
-			if w[j] != b[i+j] {
-				return false
-			}
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if atomic.LoadUint64(&words[i/8]) != binary.LittleEndian.Uint64(b[i:]) {
+			return false
 		}
 	}
-	return true
+	if i == len(b) {
+		return true
+	}
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], atomic.LoadUint64(&words[i/8]))
+	return string(w[:len(b)-i]) == string(b[i:])
 }

@@ -321,7 +321,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.next = offset + 1
 	l.appends.Inc()
 	l.appendBytes.Add(uint64(len(payload)))
-	l.flight.Emit(obs.FlightInlogAppend, -1, 0, "", "", offset, uint64(len(payload)))
 	// Wake the committer on the append that makes a commit due; it re-checks
 	// under mu after every step, so later appends need not repeat the signal.
 	if (l.cfg.Fsync == FsyncAlways && g.count == 1) ||
@@ -434,6 +433,7 @@ func (l *Log) commitLocked() error {
 	l.writeBytes.Add(uint64(len(g.frame)))
 	l.fsyncs.Inc()
 	l.fsyncNs.Observe(d)
+	l.flight.Emit(obs.FlightInlogAppend, -1, 0, "", "", g.base, uint64(g.count))
 	l.flight.Emit(obs.FlightInlogFsync, -1, 0, "", "", l.durable, uint64(d.Nanoseconds()))
 	g.count = 0
 	return nil

@@ -3,7 +3,6 @@ package inlog
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -178,9 +177,6 @@ func (c *IngestClient) Send(m Message) error {
 	c.wbuf = c.wbuf[:0]
 	c.wbuf = append(c.wbuf, 0, 0, 0, 0)
 	c.wbuf = EncodeMessage(c.wbuf, m)
-	if len(c.wbuf)-4 == 0 {
-		return errors.New("inlog: empty message")
-	}
 	binary.LittleEndian.PutUint32(c.wbuf[0:4], uint32(len(c.wbuf)-4))
 	_, err := c.conn.Write(c.wbuf)
 	return err

@@ -95,9 +95,10 @@ const (
 	// FlightRecoverFallback: recovery rejected a commit candidate as
 	// unverifiable and fell back to an older one.
 	FlightRecoverFallback
-	// FlightInlogAppend: one ingestion-log append call persisted records to
-	// the active segment. Arg1 is the first offset appended, Arg2 the payload
-	// bytes.
+	// FlightInlogAppend: one commit step of the ingestion log wrote a group of
+	// appended records to the active segment — one event per group, not per
+	// record, so ingest traffic does not wipe the rings. Arg1 is the group's
+	// first offset, Arg2 its record count.
 	FlightInlogAppend
 	// FlightInlogFsync: the ingestion log fsynced its active segment,
 	// advancing the durable (ackable) frontier. Arg1 is the durable offset

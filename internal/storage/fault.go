@@ -234,9 +234,6 @@ func NewFaultDevice(inner Device, inj *Injector) *FaultDevice {
 	return &FaultDevice{inner: inner, inj: inj}
 }
 
-// Inner returns the wrapped device (tests clone it for crash images).
-func (d *FaultDevice) Inner() Device { return d.inner }
-
 // ReadAt implements Device: may stall, fail transiently, or flip one bit of
 // the returned data.
 func (d *FaultDevice) ReadAt(p []byte, off int64) (int, error) {
@@ -323,9 +320,6 @@ type FaultCheckpointStore struct {
 func NewFaultCheckpointStore(inner CheckpointStore, inj *Injector) *FaultCheckpointStore {
 	return &FaultCheckpointStore{inner: inner, inj: inj}
 }
-
-// Inner returns the wrapped store (tests clone it for crash images).
-func (s *FaultCheckpointStore) Inner() CheckpointStore { return s.inner }
 
 type faultWriter struct {
 	buf    bytes.Buffer

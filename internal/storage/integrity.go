@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"strings"
 )
 
 // Checkpoint artifacts are framed in a checksum envelope so that recovery can
@@ -154,14 +153,4 @@ func ReadArtifactChecked(cs CheckpointStore, name string) ([]byte, error) {
 func VerifyArtifact(cs CheckpointStore, name string) error {
 	_, err := ReadArtifactChecked(cs, name)
 	return err
-}
-
-// tokenFromArtifact extracts the commit token from an artifact name of the
-// form "<kind>-<token>" for the given kind prefix (e.g. kind "meta" matches
-// "meta-ckpt-000007"). The bool reports whether name has that form.
-func tokenFromArtifact(name, kind string) (string, bool) {
-	if strings.HasPrefix(name, kind+"-") {
-		return name[len(kind)+1:], true
-	}
-	return "", false
 }

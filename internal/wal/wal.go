@@ -105,17 +105,6 @@ func (l *Log) AppendMeasured(recs []Record) (lsn uint64, lockWaitNs, copyNs int6
 	return lsn, t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
 }
 
-// AppendRaw appends pre-encoded bytes (benchmark fast path measuring only
-// the tail-contention and copy costs).
-func (l *Log) AppendRaw(data []byte) uint64 {
-	l.mu.Lock()
-	lsn := l.lsn
-	l.lsn += uint64(len(data))
-	l.buf = append(l.buf, data...)
-	l.mu.Unlock()
-	return lsn
-}
-
 // LSN returns the next LSN to be allocated.
 func (l *Log) LSN() uint64 {
 	l.mu.Lock()
