@@ -268,10 +268,9 @@ func main() {
 	}
 }
 
-// pipeloadCmd drives a pipelined write load at a running cprserver (protocol
-// v3 BATCH frames; sequential calls against an older server) and reports the
-// achieved throughput plus the server's pipelining metrics, so the effect of
-// a chosen -depth is visible end to end.
+// pipeloadCmd drives a pipelined write load at a running cprserver (BATCH
+// frames) and reports the achieved throughput plus the server's pipelining
+// metrics, so the effect of a chosen -depth is visible end to end.
 func pipeloadCmd(args []string) {
 	fs := flag.NewFlagSet("pipeload", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "server address")
@@ -286,9 +285,6 @@ func pipeloadCmd(args []string) {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	if c.Proto() < kvserver.ProtoV3 {
-		log.Printf("server negotiated proto v%d (< v3): pipelining degrades to sequential calls", c.Proto())
-	}
 	p := c.Pipeline()
 	var kb, vb [8]byte
 	rng := uint64(1)
@@ -318,9 +314,8 @@ func pipeloadCmd(args []string) {
 		sent += batch
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("pipelined %d sets at depth %d in %v (%.0f ops/sec, proto v%d)\n",
-		*n, *depth, elapsed.Round(time.Millisecond),
-		float64(*n)/elapsed.Seconds(), c.Proto())
+	fmt.Printf("pipelined %d sets at depth %d in %v (%.0f ops/sec)\n",
+		*n, *depth, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds())
 	snap, err := c.Stats()
 	if err != nil {
 		return // older server without OpStats support for this view

@@ -39,7 +39,13 @@ type Message struct {
 
 // EncodeMessage appends m's wire form to dst and returns the extended slice.
 func EncodeMessage(dst []byte, m Message) []byte {
-	dst = append(dst, byte(m.Op))
+	return appendMessageBody(append(dst, byte(m.Op)), m)
+}
+
+// appendMessageBody appends what follows the op byte. On the ingest wire the
+// op byte is the frame's opcode, so a sender opens the frame with it and adds
+// the body.
+func appendMessageBody(dst []byte, m Message) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.Key)))
 	dst = append(dst, m.Key...)
 	return append(dst, m.Value...)

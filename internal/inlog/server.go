@@ -4,17 +4,18 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // IngestServer accepts TCP connections speaking the ingest wire protocol:
-// the client sends length-prefixed messages (u32 LE length, then a Message
-// wire form — see EncodeMessage), and for each one the server replies with
-// the record's logical offset (u64 LE) once the record is fsync-durable.
+// the client sends one internal/wire frame per message — the frame's opcode
+// is the message's op byte, so length prefix stripped a frame is the Message
+// wire form (see EncodeMessage) — and for each one the server replies with
+// the record's logical offset (a bare u64 LE) once the record is fsync-durable.
 // The ack therefore IS the durability guarantee: a client that saw offset o
 // acked will find that record applied after any crash. Appends and acks are
 // pipelined per connection so one group commit covers its in-flight
@@ -124,27 +125,19 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var lenBuf [4]byte
-	var msgBuf []byte
+	var frame []byte
 	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		_, body, err := wire.Read(br, &frame)
+		if err != nil {
 			break
 		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n == 0 || n > 16<<20 {
-			break
-		}
-		if int(n) > cap(msgBuf) {
-			msgBuf = make([]byte, n)
-		}
-		msgBuf = msgBuf[:n]
-		if _, err := io.ReadFull(br, msgBuf); err != nil {
-			break
-		}
-		if _, err := DecodeMessage(msgBuf); err != nil {
+		// wire.Read leaves the opcode in frame right before the payload, and on
+		// this wire it is the message's op: the two together are the message.
+		msg := frame[:1+len(body)]
+		if _, err := DecodeMessage(msg); err != nil {
 			break // malformed payloads are rejected before they reach the log
 		}
-		off, err := s.log.Append(msgBuf)
+		off, err := s.log.Append(msg)
 		if err != nil {
 			break
 		}
@@ -174,11 +167,8 @@ func DialIngest(addr string) (*IngestClient, error) {
 
 // Send writes one message; the matching Ack arrives in order.
 func (c *IngestClient) Send(m Message) error {
-	c.wbuf = c.wbuf[:0]
-	c.wbuf = append(c.wbuf, 0, 0, 0, 0)
-	c.wbuf = EncodeMessage(c.wbuf, m)
-	binary.LittleEndian.PutUint32(c.wbuf[0:4], uint32(len(c.wbuf)-4))
-	_, err := c.conn.Write(c.wbuf)
+	c.wbuf = appendMessageBody(wire.Open(c.wbuf, byte(m.Op)), m)
+	_, err := c.conn.Write(wire.Seal(c.wbuf))
 	return err
 }
 

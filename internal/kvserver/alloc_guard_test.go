@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/faster"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // nopConn satisfies net.Conn for driving the dispatch path without a socket.
@@ -38,7 +39,7 @@ func TestBatchEncodeAllocFree(t *testing.T) {
 	val := []byte("alloc-val")
 	var payload []byte
 	allocs := testing.AllocsPerRun(200, func() {
-		payload = appendU32(payload[:0], 2)
+		payload = wire.AppendU32(payload[:0], 2)
 		payload = appendBatchOp(payload, OpSet, 1, key, val)
 		payload = appendBatchOp(payload, OpGet, 2, key, nil)
 	})
@@ -50,7 +51,7 @@ func TestBatchEncodeAllocFree(t *testing.T) {
 // TestFrameDecodeAllocFree: readFrameBuf plus the arena-style batch decode
 // allocate nothing once the caller-owned frame buffer is warm.
 func TestFrameDecodeAllocFree(t *testing.T) {
-	payload := appendU32(nil, 2)
+	payload := wire.AppendU32(nil, 2)
 	payload = appendBatchOp(payload, OpSet, 1, []byte("k1"), []byte("v1"))
 	payload = appendBatchOp(payload, OpGet, 2, []byte("k2"), nil)
 	var fb bytes.Buffer
@@ -175,7 +176,7 @@ func servedStore(t testing.TB, depth int) (*Server, *faster.Session, [][]byte) {
 // the same bytes each run.
 func TestServingLoopAllocFree(t *testing.T) {
 	srv, sess, keys := servedStore(t, 64)
-	payload := appendU32(nil, uint32(len(keys)))
+	payload := wire.AppendU32(nil, uint32(len(keys)))
 	for i, k := range keys {
 		payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
 	}
@@ -192,10 +193,10 @@ func TestSingleOpServingLoopAllocFree(t *testing.T) {
 	srv, sess, keys := servedStore(t, 1)
 	var fb bytes.Buffer
 	tc := obs.TraceContext{TraceID: 9, ParentSpan: 1, IssuedUnixNanos: 1}
-	if err := writeFrameTr(&fb, OpGet, tc, appendString(nil, keys[0])); err != nil {
+	if err := writeFrameTr(&fb, OpGet, tc, wire.AppendString(nil, keys[0])); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&fb, OpSet, appendValue(appendString(nil, keys[0]), u64(1))); err != nil {
+	if err := writeFrame(&fb, OpSet, wire.AppendValue(wire.AppendString(nil, keys[0]), u64(1))); err != nil {
 		t.Fatal(err)
 	}
 	guardServingLoop(t, srv, sess, fb.Bytes(), 2)
@@ -312,7 +313,7 @@ func BenchmarkPipelineFlush64(b *testing.B) { benchRTT(b, flush64) }
 func BenchmarkExecBatch64(b *testing.B) {
 	const depth = 64
 	srv, sess, keys := servedStore(b, depth/2)
-	payload := appendU32(nil, depth)
+	payload := wire.AppendU32(nil, depth)
 	for i := 0; i < depth; i++ {
 		if k := keys[i/2]; i%2 == 0 {
 			payload = appendBatchOp(payload, OpSet, uint64(i+1), k, u64(uint64(i)))

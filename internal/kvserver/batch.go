@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Batch codec (protocol v3). An OpBatch request carries N pipelined data ops
@@ -26,7 +27,7 @@ import (
 
 // maxBatchOps bounds the op count a single BATCH frame may claim, so a
 // malicious count cannot drive a huge reply allocation. The frame length
-// itself is already bounded by maxFrame.
+// itself is already bounded by wire.MaxFrame.
 const maxBatchOps = 1 << 16
 
 // ErrBadBatch is returned (wrapped) for structurally invalid batch payloads.
@@ -41,27 +42,12 @@ const batchOpBytes = 1 + 8 + 2
 // u32 count). val is ignored for opcodes that carry no value.
 func appendBatchOp(dst []byte, op byte, seq uint64, key, val []byte) []byte {
 	dst = append(dst, op)
-	dst = appendU64(dst, seq)
-	dst = appendString(dst, key)
+	dst = wire.AppendU64(dst, seq)
+	dst = wire.AppendString(dst, key)
 	if op == OpSet || op == OpRMW {
-		dst = appendValue(dst, val)
+		dst = wire.AppendValue(dst, val)
 	}
 	return dst
-}
-
-// appendU32 appends a little-endian u32.
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-// takeU32 consumes a little-endian u32.
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("%w: truncated u32", ErrBadBatch)
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
 }
 
 // batchReader iterates a batch request payload. Keys and values are
@@ -74,9 +60,9 @@ type batchReader struct {
 
 // newBatchReader validates the count header against the payload size.
 func newBatchReader(payload []byte) (batchReader, error) {
-	n, body, err := takeU32(payload)
+	n, body, err := wire.TakeU32(payload)
 	if err != nil {
-		return batchReader{}, err
+		return batchReader{}, fmt.Errorf("%w: %v", ErrBadBatch, err)
 	}
 	if n > maxBatchOps {
 		return batchReader{}, fmt.Errorf("%w: %d ops (max %d)", ErrBadBatch, n, maxBatchOps)
@@ -94,13 +80,13 @@ func (r *batchReader) next() (op byte, seq uint64, key, val []byte, err error) {
 	}
 	op = r.body[0]
 	seq = binary.LittleEndian.Uint64(r.body[1:])
-	key, rest, err := takeString(r.body[9:])
+	key, rest, err := wire.TakeString(r.body[9:])
 	if err != nil {
 		return 0, 0, nil, nil, fmt.Errorf("%w: %v", ErrBadBatch, err)
 	}
 	switch op {
 	case OpSet, OpRMW:
-		val, rest, err = takeValue(rest)
+		val, rest, err = wire.TakeValue(rest)
 		if err != nil {
 			return 0, 0, nil, nil, fmt.Errorf("%w: %v", ErrBadBatch, err)
 		}
@@ -115,30 +101,30 @@ func (r *batchReader) next() (op byte, seq uint64, key, val []byte, err error) {
 // appendBatchValueResult encodes a GET reply entry: the value is present only
 // on StatusOK.
 func appendBatchValueResult(dst []byte, seq uint64, status byte, val []byte) []byte {
-	dst = appendU64(dst, seq)
+	dst = wire.AppendU64(dst, seq)
 	dst = append(dst, status)
 	if status == StatusOK {
-		dst = appendValue(dst, val)
+		dst = wire.AppendValue(dst, val)
 	}
 	return dst
 }
 
 // appendBatchSerialResult encodes a SET/RMW/DELETE reply entry.
 func appendBatchSerialResult(dst []byte, seq uint64, status byte, serial uint64) []byte {
-	dst = appendU64(dst, seq)
+	dst = wire.AppendU64(dst, seq)
 	dst = append(dst, status)
-	return appendU64(dst, serial)
+	return wire.AppendU64(dst, serial)
 }
 
 // openBatchReply begins a batch reply frame in frame: the frame header, then
 // u8 StatusOK | u32 count placeholder. Append entries after it and call
 // sealBatchReply before writing it out.
 func openBatchReply(frame []byte) []byte {
-	return appendU32(append(openFrame(frame, OpBatch, obs.TraceContext{}), StatusOK), 0)
+	return wire.AppendU32(append(openFrame(frame, OpBatch, obs.TraceContext{}), StatusOK), 0)
 }
 
 // sealBatchReply patches the entry count and the frame length.
 func sealBatchReply(frame []byte, count int) []byte {
-	binary.LittleEndian.PutUint32(frame[frameHdr+1:], uint32(count))
-	return sealFrame(frame)
+	binary.LittleEndian.PutUint32(frame[wire.Hdr+1:], uint32(count))
+	return wire.Seal(frame)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faster"
+	"repro/internal/wire"
 )
 
 // startServerTuned mirrors startServer but lets the test tune the server
@@ -187,7 +188,7 @@ func TestBatchMalformedFailsConnection(t *testing.T) {
 	defer c.Close()
 
 	// Hand-roll a batch frame whose single op has a non-batchable opcode.
-	payload := appendU32(nil, 1)
+	payload := wire.AppendU32(nil, 1)
 	payload = appendBatchOp(payload, OpCommit, 1, []byte("k"), nil)
 	if err := writeFrame(c.conn, OpBatch, payload); err != nil {
 		t.Fatal(err)
@@ -198,20 +199,12 @@ func TestBatchMalformedFailsConnection(t *testing.T) {
 	}
 }
 
-// TestFrameErrorsTyped: oversized and structurally broken frames surface the
-// typed sentinels so callers can distinguish them with errors.Is.
+// TestFrameErrorsTyped: what this package adds to a frame fails with typed
+// sentinels too (the frame's own are tested in internal/wire), so callers can
+// distinguish them with errors.Is.
 func TestFrameErrorsTyped(t *testing.T) {
-	over := lenPrefix(maxFrame + 1)
-	over = append(over, OpGet)
-	if _, _, _, err := readFrameTr(bytes.NewReader(over)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame: err=%v, want ErrFrameTooLarge", err)
-	}
-	if _, _, _, err := readFrameTr(bytes.NewReader(lenPrefix(0))); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("zero-length frame: err=%v, want ErrBadFrame", err)
-	}
-	short := lenPrefix(2)
-	short = append(short, OpGet|frameFlagTrace, 7)
-	if _, _, _, err := readFrameTr(bytes.NewReader(short)); !errors.Is(err, ErrBadFrame) {
+	short := append(lenPrefix(2), OpGet|frameFlagTrace, 7)
+	if _, _, _, err := readFrameTr(bytes.NewReader(short)); !errors.Is(err, wire.ErrBadFrame) {
 		t.Fatalf("short traced frame: err=%v, want ErrBadFrame", err)
 	}
 	if _, err := newBatchReader([]byte{1}); !errors.Is(err, ErrBadBatch) {

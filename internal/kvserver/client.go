@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // DefaultCallTimeout bounds each client call's network I/O unless the caller
@@ -49,7 +50,6 @@ type Client struct {
 	addr     string
 	id       string
 	cprPoint uint64
-	proto    byte
 	nextSeq  uint64 // last batch sequence number issued (Pipeline)
 	// Timeout bounds each call's network I/O (request write + response
 	// read), so a dead server surfaces as an error instead of hanging the
@@ -57,8 +57,7 @@ type Client struct {
 	Timeout time.Duration
 	// Tracer, when set, records a client-side root span per call, so the
 	// server's span tree (sharing the same trace ID) nests under the
-	// client-observed request latency. Requires a ProtoV2 server; on a v1
-	// server calls are untraced and Tracer is ignored.
+	// client-observed request latency.
 	Tracer *obs.RequestTracer
 }
 
@@ -75,41 +74,40 @@ func Dial(addr, clientID string) (*Client, error) {
 	// A reply frame is normally at most the server's coalescing cap, so a
 	// reader that size takes it in one read.
 	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, DefaultCoalesceBytes),
-		addr: addr, proto: ProtoV1, Timeout: DefaultCallTimeout}
-	// Offer ProtoV3 via the trailing proto byte; a v1 server's Hello parser
-	// stops at the client-ID string and its response carries no proto byte,
-	// which downgrades this client to v1 (plain frames, no trace field). A v2
-	// server echoes ProtoV2 — min(offered, supported) — which keeps traces but
-	// disables BATCH frames (Pipeline falls back to sequential calls).
-	status, resp, err := c.call(append(appendString(c.open(OpHello), []byte(clientID)), ProtoV3))
-	if err != nil || status != StatusOK {
-		conn.Close()
-		return nil, fmt.Errorf("kvserver: handshake failed: %v", err)
-	}
-	point, rest, err := takeU64(resp)
+		addr: addr, Timeout: DefaultCallTimeout}
+	c.id, c.cprPoint, err = c.hello(clientID)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	id, rest, err := takeString(rest)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if len(rest) > 0 {
-		// The echoed version is already min(offered, server max); clamp it to
-		// what this client speaks in case a future server misbehaves.
-		c.proto = rest[0]
-		if c.proto > ProtoV3 {
-			c.proto = ProtoV3
-		}
-		if c.proto < ProtoV1 {
-			c.proto = ProtoV1
-		}
-	}
-	c.id = string(id)
-	c.cprPoint = point
 	return c, nil
+}
+
+// hello runs the handshake: the client ID and the version byte go out in an
+// untraced frame; the reply is the session's CPR point, its ID and the version
+// byte again, or an error status with the server's reason for refusing.
+func (c *Client) hello(clientID string) (id string, point uint64, err error) {
+	frame := append(wire.AppendString(wire.Open(c.wbuf, OpHello), []byte(clientID)), ProtoV3)
+	status, resp, err := c.call(frame)
+	if err != nil {
+		return "", 0, fmt.Errorf("kvserver: handshake failed: %w", err)
+	}
+	if status != StatusOK {
+		reason, _, _ := wire.TakeString(resp) //nolint:errcheck // an unreadable reason is an empty one
+		return "", 0, fmt.Errorf("kvserver: handshake refused: %s", reason)
+	}
+	point, rest, err := wire.TakeU64(resp)
+	if err != nil {
+		return "", 0, err
+	}
+	sid, rest, err := wire.TakeString(rest)
+	if err != nil {
+		return "", 0, err
+	}
+	if len(rest) != 1 || rest[0] != ProtoV3 {
+		return "", 0, fmt.Errorf("%w (its hello reply ends in % x)", ErrProtoVersion, rest)
+	}
+	return string(sid), point, nil
 }
 
 // ID returns the session ID (use it to resume after reconnecting).
@@ -120,11 +118,6 @@ func (c *Client) ID() string { return c.id }
 // After Reconnect it reflects the new server's recovered state — the offset
 // from which to replay input.
 func (c *Client) CPRPoint() uint64 { return c.cprPoint }
-
-// Proto returns the wire protocol version negotiated at the last handshake
-// (ProtoV1 against an old server, ProtoV2 when both sides speak traces,
-// ProtoV3 when both also speak pipelined BATCH frames).
-func (c *Client) Proto() byte { return c.proto }
 
 // Close closes the connection (the server stops the session).
 func (c *Client) Close() error { return c.conn.Close() }
@@ -149,17 +142,17 @@ func (c *Client) Reconnect(addr string) error {
 	return nil
 }
 
-// open begins op's request frame in the client's write buffer, choosing the
-// trace context of the exchange; the caller appends the payload and hands the
-// frame to call.
-func (c *Client) open(op byte) []byte {
-	c.tc = obs.TraceContext{}
-	if c.proto >= ProtoV2 {
-		// ParentSpan 1 is the ID Begin assigns to this client's own root span
-		// (see traced), so the server's tree nests under the client-observed call.
-		c.tc = obs.TraceContext{TraceID: obs.NewTraceID(), ParentSpan: 1, IssuedUnixNanos: time.Now().UnixNano()}
-	}
-	return openFrame(c.wbuf, op, c.tc)
+// open begins op's request frame in the client's write buffer, under a fresh
+// trace context; the caller appends the payload and hands the frame to call.
+func (c *Client) open(op byte) []byte { return openFrame(c.wbuf, op, c.trace()) }
+
+// trace starts the trace context of the next exchange: every frame a client
+// sends after the handshake carries one. ParentSpan 1 is the ID Begin assigns
+// to this client's own root span (see traced), so the server's tree nests under
+// the client-observed call.
+func (c *Client) trace() obs.TraceContext {
+	c.tc = obs.TraceContext{TraceID: obs.NewTraceID(), ParentSpan: 1, IssuedUnixNanos: time.Now().UnixNano()}
+	return c.tc
 }
 
 // send seals a request frame and writes it in one call. d bounds the whole
@@ -174,7 +167,7 @@ func (c *Client) send(frame []byte, d time.Duration) error {
 		deadline = time.Now().Add(d)
 	}
 	c.conn.SetDeadline(deadline) //nolint:errcheck
-	if _, err := c.conn.Write(sealFrame(frame)); err != nil {
+	if _, err := c.conn.Write(wire.Seal(frame)); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -201,7 +194,7 @@ func (c *Client) recv(op byte) (byte, []byte, error) {
 	case len(resp) < 1:
 		err = fmt.Errorf("kvserver: empty response")
 	case resp[0] == StatusRedirect:
-		primary, _, _ := takeString(resp[1:]) //nolint:errcheck // an unreadable address is an unknown one
+		primary, _, _ := wire.TakeString(resp[1:]) //nolint:errcheck // an unreadable address is an unknown one
 		return 0, nil, &RedirectError{Addr: string(primary)}
 	default:
 		return resp[0], resp[1:], nil
@@ -225,7 +218,7 @@ func (c *Client) traced(op byte) {
 // and body; the body aliases the client's frame buffer until the next call.
 func (c *Client) call(frame []byte) (byte, []byte, error) {
 	c.wbuf = frame[:0]
-	op := frame[frameHdr-1] &^ frameFlagTrace // the header's last byte
+	op := frame[wire.Hdr-1] &^ frameFlagTrace // the header's last byte
 	if err := c.send(frame, c.Timeout); err != nil {
 		return 0, nil, err
 	}
@@ -240,7 +233,7 @@ func (c *Client) call(frame []byte) (byte, []byte, error) {
 // Get reads key. found is false when the key does not exist. val is the
 // client's buffer, valid until this client's next call: copy it to keep it.
 func (c *Client) Get(key []byte) (val []byte, found bool, err error) {
-	status, resp, err := c.call(appendString(c.open(OpGet), key))
+	status, resp, err := c.call(wire.AppendString(c.open(OpGet), key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -248,7 +241,7 @@ func (c *Client) Get(key []byte) (val []byte, found bool, err error) {
 	case StatusNotFound:
 		return nil, false, nil
 	case StatusOK:
-		val, _, err = takeValue(resp)
+		val, _, err = wire.TakeValue(resp)
 		return val, err == nil, err
 	}
 	return nil, false, fmt.Errorf("kvserver: get failed")
@@ -265,20 +258,20 @@ func (c *Client) RMW(key, input []byte) (uint64, error) {
 }
 
 func (c *Client) mutate(op byte, key, val []byte) (uint64, error) {
-	status, resp, err := c.call(appendValue(appendString(c.open(op), key), val))
+	status, resp, err := c.call(wire.AppendValue(wire.AppendString(c.open(op), key), val))
 	if err != nil {
 		return 0, err
 	}
 	if status != StatusOK {
 		return 0, fmt.Errorf("kvserver: op %d failed (status %d)", op, status)
 	}
-	serial, _, err := takeU64(resp)
+	serial, _, err := wire.TakeU64(resp)
 	return serial, err
 }
 
 // Delete removes key. found is false when the key did not exist.
 func (c *Client) Delete(key []byte) (found bool, err error) {
-	status, _, err := c.call(appendString(c.open(OpDelete), key))
+	status, _, err := c.call(wire.AppendString(c.open(OpDelete), key))
 	if err != nil {
 		return false, err
 	}
@@ -306,7 +299,7 @@ func (c *Client) Commit(withIndex bool) (uint64, error) {
 	if status != StatusOK {
 		return 0, fmt.Errorf("kvserver: commit failed")
 	}
-	point, _, err := takeU64(resp)
+	point, _, err := wire.TakeU64(resp)
 	return point, err
 }
 
@@ -320,11 +313,11 @@ func (c *Client) WaitDurable() (uint64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	serial, rest, err := takeU64(resp)
+	serial, rest, err := wire.TakeU64(resp)
 	if err != nil {
 		return 0, "", err
 	}
-	token, _, err := takeString(rest)
+	token, _, err := wire.TakeString(rest)
 	if err != nil {
 		return 0, "", err
 	}
@@ -341,7 +334,7 @@ func (c *Client) callJSON(frame []byte, what string, v any) error {
 	if err != nil {
 		return err
 	}
-	doc, _, verr := takeValue(resp)
+	doc, _, verr := wire.TakeValue(resp)
 	if status != StatusOK {
 		if verr == nil && len(doc) > 0 {
 			return fmt.Errorf("kvserver: %s failed: %s", what, doc)
@@ -392,7 +385,7 @@ func (c *Client) Stats() (StatsSnapshot, error) {
 // server runs without a flight recorder.
 func (c *Client) Flight(token string) (obs.FlightDump, error) {
 	var dump obs.FlightDump
-	err := c.callJSON(appendString(c.open(OpFlight), []byte(token)), "flight", &dump)
+	err := c.callJSON(wire.AppendString(c.open(OpFlight), []byte(token)), "flight", &dump)
 	return dump, err
 }
 

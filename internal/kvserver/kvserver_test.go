@@ -1,7 +1,6 @@
 package kvserver
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"strconv"
@@ -314,45 +313,5 @@ func TestStats(t *testing.T) {
 		}
 	} else if len(stats.Shards) != 0 {
 		t.Fatalf("unsharded snapshot carries %d shard entries", len(stats.Shards))
-	}
-}
-
-func TestProtocolRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := appendValue(appendString(nil, []byte("key")), []byte("value"))
-	if err := writeFrame(&buf, OpSet, payload); err != nil {
-		t.Fatal(err)
-	}
-	op, got, err := readFrame(&buf)
-	if err != nil || op != OpSet {
-		t.Fatalf("op=%d err=%v", op, err)
-	}
-	k, rest, err := takeString(got)
-	if err != nil || string(k) != "key" {
-		t.Fatalf("key=%q err=%v", k, err)
-	}
-	v, _, err := takeValue(rest)
-	if err != nil || string(v) != "value" {
-		t.Fatalf("val=%q err=%v", v, err)
-	}
-}
-
-func TestProtocolTruncation(t *testing.T) {
-	if _, _, err := takeString([]byte{5}); err == nil {
-		t.Fatal("short string header accepted")
-	}
-	if _, _, err := takeString([]byte{5, 0, 'a'}); err == nil {
-		t.Fatal("truncated string body accepted")
-	}
-	if _, _, err := takeValue([]byte{1, 2}); err == nil {
-		t.Fatal("short value header accepted")
-	}
-	if _, _, err := takeU64([]byte{1}); err == nil {
-		t.Fatal("short u64 accepted")
-	}
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // zero-length frame
-	if _, _, err := readFrame(&buf); err == nil {
-		t.Fatal("zero-length frame accepted")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // BatchResult is one op's outcome from a flushed Pipeline, in issue order.
@@ -18,9 +20,7 @@ type BatchResult struct {
 // Pipeline accumulates data ops and sends them as one BATCH frame (protocol
 // v3), amortizing the network round-trip — and, server-side, the epoch
 // protection — across the whole run. Replies come back per op, matched in
-// issue order by sequence number. Against a v1/v2 server Flush transparently
-// degrades to sequential single-op calls, so callers need not care what the
-// peer speaks.
+// issue order by sequence number.
 //
 // A Pipeline is reusable: Flush resets it for the next run, retaining its
 // buffers. It is bound to its Client and shares its single-logical-thread
@@ -35,8 +35,8 @@ type Pipeline struct {
 	Timeout time.Duration
 
 	// buf is the BATCH frame under construction: pipeHdrRoom bytes the frame
-	// header is written into at Flush (right-aligned: the trace field is
-	// optional), the u32 count, then the encoded ops.
+	// header (trace field included) is written into at Flush, the u32 count,
+	// then the encoded ops.
 	buf     []byte
 	meta    []pipeMeta
 	results []BatchResult
@@ -44,17 +44,14 @@ type Pipeline struct {
 }
 
 const (
-	pipeHdrRoom = frameHdr + traceFieldLen
+	pipeHdrRoom = wire.Hdr + traceFieldLen
 	pipeBody    = pipeHdrRoom + 4
 )
 
-// pipeMeta remembers, per queued op, where its encoding lives in buf — the
-// bytes from start+9 (past opcode and seq) to end are exactly the single-op
-// request payload, which is what the v1/v2 sequential fallback replays.
+// pipeMeta remembers, per queued op, what its reply entry must answer.
 type pipeMeta struct {
-	op         byte
-	seq        uint64
-	start, end int
+	op  byte
+	seq uint64
 }
 
 // Pipeline returns a new empty pipeline on this client.
@@ -68,9 +65,8 @@ func (p *Pipeline) Len() int { return len(p.meta) }
 func (p *Pipeline) add(op byte, key, val []byte) uint64 {
 	p.c.nextSeq++
 	seq := p.c.nextSeq
-	start := len(p.buf)
 	p.buf = appendBatchOp(p.buf, op, seq, key, val)
-	p.meta = append(p.meta, pipeMeta{op: op, seq: seq, start: start, end: len(p.buf)})
+	p.meta = append(p.meta, pipeMeta{op: op, seq: seq})
 	return seq
 }
 
@@ -93,11 +89,11 @@ func (p *Pipeline) Reset() {
 }
 
 // Flush sends the queued ops and returns one result per op, in issue order.
-// On a v3 connection everything travels in a single BATCH frame (the server
-// may split the reply across several; Flush reads until every op is
-// answered). On older connections ops are replayed as sequential single-op
-// calls. Flushing an empty pipeline returns (nil, nil). After Flush — error
-// or not — the pipeline is reset; results are valid until the next Flush.
+// Everything travels in a single BATCH frame (the server may split the reply
+// across several; Flush reads until every op is answered). Flushing an empty
+// pipeline returns (nil, nil). After Flush — error or not — the pipeline is
+// reset; results are valid until the next Flush. An error part-way leaves
+// replies unread, so it sticks to the client like any failed call.
 func (p *Pipeline) Flush() ([]BatchResult, error) {
 	if len(p.meta) == 0 {
 		return nil, nil
@@ -107,15 +103,23 @@ func (p *Pipeline) Flush() ([]BatchResult, error) {
 		return nil, fmt.Errorf("kvserver: pipeline of %d ops exceeds max %d", len(p.meta), maxBatchOps)
 	}
 	p.results, p.arena = p.results[:0], p.arena[:0]
-	var err error
-	if p.c.proto < ProtoV3 {
-		err = p.flushSequential()
-	} else {
-		err = p.flushBatch()
+	c := p.c
+	binary.LittleEndian.PutUint32(p.buf[pipeHdrRoom:], uint32(len(p.meta)))
+	// One trace context covers the whole batch; the server records per-op
+	// exec spans plus a batch-window span under it. The header fills the room
+	// left for it, so the frame is buf itself.
+	openFrame(p.buf[:0], OpBatch, c.trace())
+	d := p.Timeout
+	if d <= 0 {
+		d = c.Timeout
 	}
-	if err != nil {
+	if err := c.send(p.buf, d); err != nil {
 		return nil, err
 	}
+	if err := p.readBatch(); err != nil {
+		return nil, c.fail(err)
+	}
+	c.traced(OpBatch)
 	return p.results, nil
 }
 
@@ -125,10 +129,10 @@ func (p *Pipeline) Flush() ([]BatchResult, error) {
 func (p *Pipeline) result(m pipeMeta, status byte, body []byte) (rest []byte, err error) {
 	res := BatchResult{Seq: m.seq, Op: m.op, Status: status}
 	if m.op != OpGet {
-		res.Serial, body, err = takeU64(body)
+		res.Serial, body, err = wire.TakeU64(body)
 	} else if status == StatusOK {
 		var v []byte
-		v, body, err = takeValue(body)
+		v, body, err = wire.TakeValue(body)
 		off := len(p.arena)
 		p.arena = append(p.arena, v...)
 		// Full slice expression: appending to one Value cannot reach the next.
@@ -137,32 +141,6 @@ func (p *Pipeline) result(m pipeMeta, status byte, body []byte) (rest []byte, er
 	}
 	p.results = append(p.results, res)
 	return body, err
-}
-
-// flushBatch sends the queued ops as one BATCH frame and reads reply frames
-// until every op is answered. An error part-way leaves replies unread, so it
-// sticks to the client like any failed call.
-func (p *Pipeline) flushBatch() error {
-	c := p.c
-	binary.LittleEndian.PutUint32(p.buf[pipeHdrRoom:], uint32(len(p.meta)))
-	// One trace context covers the whole batch; the server records per-op
-	// exec spans plus a batch-window span under it.
-	hdr := c.open(OpBatch)
-	c.wbuf = hdr[:0]
-	frame := p.buf[pipeHdrRoom-len(hdr):]
-	copy(frame, hdr)
-	d := p.Timeout
-	if d <= 0 {
-		d = c.Timeout
-	}
-	if err := c.send(frame, d); err != nil {
-		return err
-	}
-	if err := p.readBatch(); err != nil {
-		return c.fail(err)
-	}
-	c.traced(OpBatch)
-	return nil
 }
 
 // readBatch reads BATCH reply frames until every queued op has its result.
@@ -175,7 +153,7 @@ func (p *Pipeline) readBatch() error {
 		if status != StatusOK {
 			return fmt.Errorf("kvserver: batch failed (status %d)", status)
 		}
-		n, body, err := takeU32(body)
+		n, body, err := wire.TakeU32(body)
 		if err != nil {
 			return err
 		}
@@ -193,22 +171,6 @@ func (p *Pipeline) readBatch() error {
 			if body, err = p.result(m, body[8], body[9:]); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// flushSequential replays the queued ops one call at a time against a peer
-// that predates BATCH frames, reusing each op's already-encoded payload.
-func (p *Pipeline) flushSequential() error {
-	for _, m := range p.meta {
-		c := p.c
-		status, resp, err := c.call(append(c.open(m.op), p.buf[m.start+9:m.end]...))
-		if err != nil {
-			return err
-		}
-		if _, err := p.result(m, status, resp); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -3,42 +3,120 @@ package kvserver
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
-// TestOversizedFrameRejected: a frame claiming more than maxFrame bytes is
-// rejected before any allocation, both by readFrame directly and by a live
-// server (which closes the connection).
-func TestOversizedFrameRejected(t *testing.T) {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], maxFrame+1)
-	hdr[4] = OpGet
-	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-
-	_, addr, _ := startServer(t, smallCfg())
+// rawHello dials addr and sends a Hello whose payload is the empty client ID
+// followed by tail — ProtoV3 for a well-formed one.
+func rawHello(t *testing.T, addr string, tail ...byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// Valid hello first, then the bomb.
-	if err := writeFrame(conn, OpHello, appendString(nil, nil)); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	if err := writeFrame(conn, OpHello, append(wire.AppendString(nil, nil), tail...)); err != nil {
 		t.Fatal(err)
 	}
+	return conn
+}
+
+// TestOldHelloRefused: one version is spoken. A Hello without the version
+// byte (what a v1 client sent), or offering 1, 2 or 4, gets an error frame
+// that says why and a closed connection, and never a session — from a primary
+// and from a replica alike.
+func TestOldHelloRefused(t *testing.T) {
+	_, addr, store := startServer(t, smallCfg())
+	replica := NewReplicaServer(&fakeReplica{store: store})
+	go replica.Serve("127.0.0.1:0") //nolint:errcheck // returns nil on Close
+	defer replica.Close()
+	for replica.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	for _, addr := range []string{addr, replica.Addr().String()} {
+		for _, tail := range [][]byte{nil, {1}, {2}, {4}, {ProtoV3, 0}} {
+			before := store.SessionCount()
+			conn := rawHello(t, addr, tail...)
+			op, resp, err := readFrame(conn)
+			if err != nil || op != OpHello || len(resp) < 1 || resp[0] != StatusError {
+				t.Fatalf("hello ending in % x: op=%d resp=% x err=%v, want an error frame", tail, op, resp, err)
+			}
+			if reason, _, err := wire.TakeString(resp[1:]); err != nil || !strings.Contains(string(reason), "v3") {
+				t.Fatalf("hello ending in % x: reason %q err=%v, want one naming the version spoken", tail, reason, err)
+			}
+			if _, _, err := readFrame(conn); err == nil {
+				t.Fatalf("hello ending in % x: the connection stayed open", tail)
+			}
+			if got := store.SessionCount(); got != before {
+				t.Fatalf("hello ending in % x: %d sessions, %d before it", tail, got, before)
+			}
+		}
+	}
+}
+
+// helloPeer accepts one connection, reads its Hello and answers with reply.
+func helloPeer(t *testing.T, reply []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if op, _, err := readFrame(conn); err == nil && op == OpHello {
+			writeFrame(conn, OpHello, reply) //nolint:errcheck // Dial's read fails the test
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestDialReportsRefusal: a Hello answered with an error status fails Dial
+// with the server's reason (it used to read "handshake failed: <nil>").
+func TestDialReportsRefusal(t *testing.T) {
+	addr := helloPeer(t, wire.AppendString([]byte{StatusError}, []byte("no room at the inn")))
+	_, err := Dial(addr, "")
+	if err == nil || !strings.Contains(err.Error(), "no room at the inn") || errors.Is(err, ErrProtoVersion) {
+		t.Fatalf("Dial against a refusing server: %v, want its reason", err)
+	}
+}
+
+// TestDialRejectsOtherVersion: a reply that echoes no version byte (a v1
+// server), or another one, is ErrProtoVersion.
+func TestDialRejectsOtherVersion(t *testing.T) {
+	ok := wire.AppendString(wire.AppendU64([]byte{StatusOK}, 0), []byte("sess"))
+	for _, tail := range [][]byte{nil, {2}, {4}} {
+		_, err := Dial(helloPeer(t, append(ok[:len(ok):len(ok)], tail...)), "")
+		if !errors.Is(err, ErrProtoVersion) {
+			t.Fatalf("hello reply ending in % x: Dial returned %v, want ErrProtoVersion", tail, err)
+		}
+	}
+}
+
+// TestOversizedFrameRejected: a live server hangs up on a frame claiming more
+// than wire.MaxFrame bytes instead of allocating for it.
+func TestOversizedFrameRejected(t *testing.T) {
+	_, addr, _ := startServer(t, smallCfg())
+	conn := rawHello(t, addr, ProtoV3)
 	if _, _, err := readFrame(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if _, err := conn.Write(append(lenPrefix(wire.MaxFrame+1), OpGet)); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 	buf := make([]byte, 16)
 	if _, err := conn.Read(buf); err == nil {
 		if _, err = conn.Read(buf); err == nil {
@@ -51,36 +129,15 @@ func TestOversizedFrameRejected(t *testing.T) {
 // handshake terminates the connection instead of wedging the session.
 func TestUnknownOpcodeClosesConnection(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, OpHello, appendString(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
+	conn := rawHello(t, addr, ProtoV3)
 	if _, _, err := readFrame(conn); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(conn, 0x6E, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 	if _, _, err := readFrame(conn); err == nil {
 		t.Fatal("server answered an unknown opcode")
-	}
-}
-
-// TestTruncatedFrameMidPayload: a frame header promising more bytes than the
-// peer ever sends must error out, not hang past the read deadline or return
-// a short frame.
-func TestTruncatedFrameMidPayload(t *testing.T) {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], 100)
-	hdr[4] = OpGet
-	r := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader([]byte("only ten b")))
-	if _, _, err := readFrame(r); err == nil {
-		t.Fatal("truncated payload accepted")
 	}
 }
 
@@ -95,66 +152,36 @@ func TestTraceFlaggedFrameTooShort(t *testing.T) {
 	}
 }
 
-// FuzzFrame round-trips arbitrary opcode/payload pairs through the codec —
-// both plain v1 frames and v2 frames carrying the optional trace field — and
-// feeds arbitrary raw bytes to readFrame, which must never panic and must
-// never return a frame larger than maxFrame.
-func FuzzFrame(f *testing.F) {
+// FuzzTraceAndBatch covers what this package layers on internal/wire's frame
+// (whose own layout, length checks and builder are fuzzed there, as FuzzFrame):
+// the optional trace field must survive a round trip without leaking into the
+// payload, a traced and a plain frame built in place in one dirty buffer must
+// match the reference layout byte for byte and read back through one reused
+// buffer, and an arbitrary payload taken as a BATCH body must decode within
+// its bounds or fail cleanly.
+func FuzzTraceAndBatch(f *testing.F) {
 	f.Add(byte(OpSet), []byte("hello"))
 	f.Add(byte(0), []byte{})
 	f.Add(byte(255), bytes.Repeat([]byte{0xAA}, 1024))
 	// Batch codec seeds: a well-formed two-op batch, a count overclaiming its
 	// body, and a batch whose op list is truncated mid-entry.
-	wellFormed := appendU32(nil, 2)
+	wellFormed := wire.AppendU32(nil, 2)
 	wellFormed = appendBatchOp(wellFormed, OpSet, 1, []byte("bk"), []byte("bv"))
 	wellFormed = appendBatchOp(wellFormed, OpGet, 2, []byte("bk"), nil)
 	f.Add(byte(OpBatch), wellFormed)
-	f.Add(byte(OpBatch), appendU32(nil, 1000))
+	f.Add(byte(OpBatch), wire.AppendU32(nil, 1000))
 	f.Add(byte(OpBatch), wellFormed[:len(wellFormed)-3])
 	f.Fuzz(func(t *testing.T, opcode byte, payload []byte) {
-		if len(payload) >= maxFrame-traceFieldLen-1 {
+		if len(payload) >= wire.MaxFrame-traceFieldLen-1 {
 			t.Skip()
 		}
 		// Opcodes live below 0x80 — the high bit is the trace flag.
 		plain := opcode &^ frameFlagTrace
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, plain, payload); err != nil {
-			t.Fatal(err)
-		}
-		op, tc, got, err := readFrameTr(&buf)
-		if err != nil {
-			t.Fatalf("round-trip: %v", err)
-		}
-		if op != plain || !bytes.Equal(got, payload) {
-			t.Fatalf("round-trip mismatch: op %d/%d, %d/%d bytes", op, plain, len(got), len(payload))
-		}
-		if tc != (obs.TraceContext{}) {
-			t.Fatalf("plain frame decoded a trace context %+v", tc)
-		}
-
-		// Traced round-trip: the trace field must survive unchanged and must
-		// not leak into the payload.
 		want := obs.TraceContext{
 			TraceID:         1 + uint64(opcode), // never zero, or the field is omitted
 			ParentSpan:      uint64(len(payload)),
 			IssuedUnixNanos: int64(opcode) * 1e9,
 		}
-		buf.Reset()
-		if err := writeFrameTr(&buf, plain, want, payload); err != nil {
-			t.Fatal(err)
-		}
-		op, tc, got, err = readFrameTr(&buf)
-		if err != nil {
-			t.Fatalf("traced round-trip: %v", err)
-		}
-		if op != plain || tc != want || !bytes.Equal(got, payload) {
-			t.Fatalf("traced round-trip mismatch: op %d/%d tc %+v/%+v", op, plain, tc, want)
-		}
-
-		// The in-place builder on a dirty, reused buffer: a traced and a plain
-		// frame must come out byte for byte as the reference layout (u32 len |
-		// opcode[|0x80] [| 24-byte trace field] | payload), and read back to
-		// back through one reused frame buffer, neither may leak into the other.
 		ref := func(tc obs.TraceContext) []byte {
 			b := []byte{plain}
 			if tc.TraceID != 0 {
@@ -168,7 +195,7 @@ func FuzzFrame(f *testing.F) {
 		wbuf := bytes.Repeat([]byte{0x5A}, 7)
 		var stream []byte
 		for _, tc := range []obs.TraceContext{want, {}} {
-			wbuf = sealFrame(append(openFrame(wbuf, plain, tc), payload...))
+			wbuf = wire.Seal(append(openFrame(wbuf, plain, tc), payload...))
 			if !bytes.Equal(wbuf, ref(tc)) {
 				t.Fatalf("in-place frame (traced=%v) differs from the reference layout", tc.TraceID != 0)
 			}
@@ -179,19 +206,6 @@ func FuzzFrame(f *testing.F) {
 			op, got, body, err := readFrameBuf(rd, &rbuf)
 			if err != nil || op != plain || got != tc || !bytes.Equal(body, payload) {
 				t.Fatalf("in-place round-trip (traced=%v): op %d/%d tc %+v err %v", tc.TraceID != 0, op, plain, got, err)
-			}
-		}
-
-		// The same bytes interpreted as a raw stream (header included) must
-		// decode identically; arbitrary prefixes must fail cleanly.
-		raw := append([]byte{plain}, payload...)
-		if op2, got2, err := readFrame(bytes.NewReader(append(lenPrefix(uint32(len(raw))), raw...))); err != nil || op2 != plain || !bytes.Equal(got2, payload) {
-			t.Fatalf("re-decode: op=%d err=%v", op2, err)
-		}
-		if _, _, err := readFrame(bytes.NewReader(payload)); err == nil && len(payload) > 0 {
-			n := binary.LittleEndian.Uint32(payload)
-			if int(n) > len(payload)-4 {
-				t.Fatalf("readFrame fabricated a frame from %d stray bytes", len(payload))
 			}
 		}
 
@@ -220,7 +234,7 @@ func FuzzFrame(f *testing.F) {
 			}
 			// A well-formed decode must re-encode to the identical bytes.
 			if decoded == br.count {
-				re := appendU32(nil, uint32(br.count))
+				re := wire.AppendU32(nil, uint32(br.count))
 				rr, _ := newBatchReader(payload)
 				for i := 0; i < rr.count; i++ {
 					op, seq, key, val, _ := rr.next()
@@ -244,7 +258,7 @@ func lenPrefix(n uint32) []byte {
 // time on throw-away buffers, through the same builder and reader the
 // connections use.
 func writeFrameTr(w io.Writer, opcode byte, tc obs.TraceContext, payload []byte) error {
-	_, err := w.Write(sealFrame(append(openFrame(nil, opcode, tc), payload...)))
+	_, err := w.Write(wire.Seal(append(openFrame(nil, opcode, tc), payload...)))
 	return err
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faster"
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Server serves a CPR-enabled FASTER store over TCP. Each accepted
@@ -386,29 +387,21 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil || op != OpHello {
 		return
 	}
-	clientID, rest, err := takeString(payload)
+	clientID, rest, err := wire.TakeString(payload)
 	if err != nil {
 		return
 	}
-	// Version negotiation: a v2+ client appends its highest supported proto
-	// byte after its client ID; a v1 client's payload ends at the string, so
-	// rest is empty. The server takes min(offered, ProtoV3) and echoes it at
-	// the end of the response (which a v1 client never looks at), landing
-	// both sides on the highest protocol they share. Only after this
-	// exchange may either side send trace-flagged or BATCH frames.
-	proto := ProtoV1
-	if len(rest) > 0 {
-		proto = rest[0]
-		if proto > ProtoV3 {
-			proto = ProtoV3
-		}
-		if proto < ProtoV1 {
-			proto = ProtoV1
-		}
+	// One version is spoken; the byte is an input check, not a negotiation. A
+	// peer that omits it or offers another learns why and is hung up on before
+	// any session exists.
+	if len(rest) != 1 || rest[0] != ProtoV3 {
+		why := fmt.Sprintf("this server speaks protocol v%d only; the hello offered % x", ProtoV3, rest)
+		writeFrame(conn, OpHello, wire.AppendString([]byte{StatusError}, []byte(why))) //nolint:errcheck // hanging up either way
+		return
 	}
 	id := string(clientID) // copy: payload aliases the reused frame buffer
 	if rb := s.replicaBackend(); rb != nil {
-		s.handleReplica(cs, rb, id, proto, len(rest) > 0)
+		s.handleReplica(cs, rb, id)
 		return
 	}
 	var sess *faster.Session
@@ -419,12 +412,7 @@ func (s *Server) handle(conn net.Conn) {
 		sess = s.getStore().StartSession()
 	}
 	defer sess.StopSession()
-	resp := appendU64([]byte{StatusOK}, cprPoint)
-	resp = appendString(resp, []byte(sess.ID()))
-	if len(rest) > 0 {
-		resp = append(resp, proto)
-	}
-	if err := writeFrame(cs.bw, OpHello, resp); err != nil {
+	if err := writeFrame(cs.bw, OpHello, helloReply(cprPoint, sess.ID())); err != nil {
 		return
 	}
 	if err := s.flushConn(cs, s.opMetrics()); err != nil {
@@ -471,6 +459,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// helloReply is the payload of an accepted Hello's reply.
+func helloReply(cprPoint uint64, sessionID string) []byte {
+	return append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, cprPoint), []byte(sessionID)), ProtoV3)
+}
+
 // dispatch wraps one request in a trace: the root span opens at frame receipt
 // and closes after the response write, with queue/decode/exec/durwait/resp
 // child spans recorded along the way. With no tracer configured the scratch
@@ -509,9 +502,9 @@ func (s *Server) respond(cs *connState, at *obs.ActiveTrace, frame []byte) error
 // respondFrom is respond with the span's start stamp supplied by the caller.
 func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, frame []byte, t0 int64) error {
 	cs.reply = frame[:0]
-	_, err := cs.bw.Write(sealFrame(frame))
+	_, err := cs.bw.Write(wire.Seal(frame))
 	cs.unflushed++
-	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(frame)-frameHdr), 0, "")
+	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(frame)-wire.Hdr), 0, "")
 	return err
 }
 
@@ -530,62 +523,27 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 	case OpBatch:
 		return s.execBatch(cs, store, om, sess, payload, at, tRecv)
 
-	case OpGet:
-		key, _, err := takeString(payload)
+	case OpGet, OpSet, OpRMW, OpDelete:
+		key, rest, err := wire.TakeString(payload)
 		if err != nil {
 			return err
+		}
+		var val []byte
+		if op == OpSet || op == OpRMW {
+			if val, _, err = wire.TakeValue(rest); err != nil {
+				return err
+			}
 		}
 		tDec := time.Now().UnixNano()
 		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		out, status := s.readOne(cs, sess, key)
-		return s.respondExec(cs, om, at, sess, appendValue(cs.openReply(OpGet, status), out), tDec)
-
-	case OpSet, OpRMW:
-		key, rest, err := takeString(payload)
-		if err != nil {
-			return err
-		}
-		val, _, err := takeValue(rest)
-		if err != nil {
-			return err
-		}
-		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		var st faster.Status
-		if op == OpSet {
-			st = sess.Upsert(key, val)
+		out, status := s.execData(cs, sess, op, key, val)
+		frame := cs.openReply(op, status)
+		if op == OpGet {
+			frame = wire.AppendValue(frame, out)
 		} else {
-			st = sess.RMW(key, val)
+			frame = wire.AppendU64(frame, sess.Serial())
 		}
-		if st == faster.Pending {
-			sess.CompletePending(true)
-			st = faster.Ok
-		}
-		status := StatusOK
-		if st != faster.Ok {
-			status = StatusError
-		}
-		return s.respondExec(cs, om, at, sess, appendU64(cs.openReply(op, status), sess.Serial()), tDec)
-
-	case OpDelete:
-		key, _, err := takeString(payload)
-		if err != nil {
-			return err
-		}
-		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		st := sess.Delete(key)
-		if st == faster.Pending {
-			sess.CompletePending(true)
-			st = faster.Ok
-		}
-		status := StatusOK
-		if st == faster.Error {
-			status = StatusError
-		} else if st == faster.NotFound {
-			status = StatusNotFound
-		}
-		return s.respondExec(cs, om, at, sess, appendU64(cs.openReply(OpDelete, status), sess.Serial()), tDec)
+		return s.respondExec(cs, om, at, sess, frame, tDec)
 
 	case OpCommit:
 		if len(payload) < 1 {
@@ -601,7 +559,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 			// Piggyback on the commit already in flight.
 			token = ""
 		} else if err != nil {
-			return s.respond(cs, at, appendU64(cs.openReply(OpCommit, StatusError), 0))
+			return s.respond(cs, at, wire.AppendU64(cs.openReply(OpCommit, StatusError), 0))
 		}
 		// Drive until some commit completes and this session is at rest.
 		tWait := time.Now().UnixNano()
@@ -630,7 +588,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		}
 		at.Span(obs.SpanDurWait, tWait, tDone, point, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		return s.respond(cs, at, appendU64(cs.openReply(OpCommit, status), point))
+		return s.respond(cs, at, wire.AppendU64(cs.openReply(OpCommit, status), point))
 
 	case OpWaitDurable:
 		// Block until the session's committed point t_i covers everything this
@@ -649,7 +607,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 				// commit may never arrive. Either way the client gets a
 				// complete, well-formed error frame, never a torn one.
 				return s.respond(cs, at,
-					appendString(appendU64(cs.openReply(OpWaitDurable, StatusError), sess.CommittedSerial()), nil))
+					wire.AppendString(wire.AppendU64(cs.openReply(OpWaitDurable, StatusError), sess.CommittedSerial()), nil))
 			}
 			sess.Refresh()
 			sess.CompletePending(false)
@@ -659,8 +617,8 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		token := sess.CommittedToken()
 		at.Span(obs.SpanDurWait, tWait, tDone, target, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		resp := appendU64(cs.openReply(OpWaitDurable, StatusOK), sess.CommittedSerial())
-		return s.respond(cs, at, appendString(resp, []byte(token)))
+		resp := wire.AppendU64(cs.openReply(OpWaitDurable, StatusOK), sess.CommittedSerial())
+		return s.respond(cs, at, wire.AppendString(resp, []byte(token)))
 
 	case OpTrace:
 		return s.writeTraceDump(cs.bw, store, payload)
@@ -677,22 +635,38 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 	return fmt.Errorf("unknown opcode %d", op)
 }
 
-// readOne serves one GET on the connection's session, delivering cold-read
-// completions through the connection's persistent callback scratch so the
-// steady-state path allocates nothing.
-func (s *Server) readOne(cs *connState, sess *faster.Session, key []byte) ([]byte, byte) {
-	cs.pendDone = false
-	val, st := sess.Read(key, cs.readCB)
+// execData runs one data op on the connection's session and maps what the
+// store said to a wire status, for the single-op and the batch path alike. A
+// Pending op is driven to completion first; a cold read's value arrives
+// through the connection's persistent callback scratch, so the steady-state
+// path allocates nothing. out is the value a GET found (nil otherwise), valid
+// until the session's next op.
+func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val []byte) (out []byte, status byte) {
+	var st faster.Status
+	switch op {
+	case OpGet:
+		cs.pendDone = false
+		out, st = sess.Read(key, cs.readCB)
+	case OpSet:
+		st = sess.Upsert(key, val)
+	case OpRMW:
+		st = sess.RMW(key, val)
+	case OpDelete:
+		st = sess.Delete(key)
+	}
 	if st == faster.Pending {
 		sess.CompletePending(true)
-		if !cs.pendDone {
-			return nil, StatusError
+		st = faster.Ok
+		if op == OpGet {
+			if !cs.pendDone {
+				return nil, StatusError
+			}
+			out, st = cs.pendVal, cs.pendSt
 		}
-		val, st = cs.pendVal, cs.pendSt
 	}
 	switch st {
 	case faster.Ok:
-		return val, StatusOK
+		return out, StatusOK
 	case faster.NotFound:
 		return nil, StatusNotFound
 	}
@@ -728,38 +702,10 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 			cs.reply = reply[:0]
 			return err
 		}
-		switch op {
-		case OpGet:
-			v, status := s.readOne(cs, sess, key)
-			reply = appendBatchValueResult(reply, seq, status, v)
-		case OpSet, OpRMW:
-			var st faster.Status
-			if op == OpSet {
-				st = sess.Upsert(key, val)
-			} else {
-				st = sess.RMW(key, val)
-			}
-			if st == faster.Pending {
-				sess.CompletePending(true)
-				st = faster.Ok
-			}
-			status := StatusOK
-			if st != faster.Ok {
-				status = StatusError
-			}
-			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
-		case OpDelete:
-			st := sess.Delete(key)
-			if st == faster.Pending {
-				sess.CompletePending(true)
-				st = faster.Ok
-			}
-			status := StatusOK
-			if st == faster.Error {
-				status = StatusError
-			} else if st == faster.NotFound {
-				status = StatusNotFound
-			}
+		out, status := s.execData(cs, sess, op, key, val)
+		if op == OpGet {
+			reply = appendBatchValueResult(reply, seq, status, out)
+		} else {
 			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
 		}
 		t1 := time.Now().UnixNano()
@@ -795,6 +741,21 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 	return nil
 }
 
+// replyJSON is the tail of every introspection reply: doc as a u32-prefixed
+// JSON document under StatusOK, or — when unavailable names why there is no
+// document, or doc does not marshal — StatusError with the reason.
+func replyJSON(w io.Writer, op byte, doc any, unavailable string) error {
+	status, body := StatusOK, []byte(unavailable)
+	if unavailable != "" {
+		status = StatusError
+	} else if buf, err := json.Marshal(doc); err != nil {
+		status = StatusError
+	} else {
+		body = buf
+	}
+	return writeFrame(w, op, wire.AppendValue([]byte{status}, body))
+}
+
 // writeTraceDump sends the OpTrace response: the request tracer's retained
 // slow-request span trees plus global replication spans as JSON.
 func (s *Server) writeTraceDump(w io.Writer, store *faster.Store, payload []byte) error {
@@ -804,14 +765,9 @@ func (s *Server) writeTraceDump(w io.Writer, store *faster.Store, payload []byte
 	}
 	rt := store.RequestTracer()
 	if rt == nil {
-		return writeFrame(w, OpTrace, appendValue([]byte{StatusError},
-			[]byte("request tracer disabled")))
+		return replyJSON(w, OpTrace, nil, "request tracer disabled")
 	}
-	buf, err := json.Marshal(rt.Dump(n))
-	if err != nil {
-		return writeFrame(w, OpTrace, appendValue([]byte{StatusError}, nil))
-	}
-	return writeFrame(w, OpTrace, appendValue([]byte{StatusOK}, buf))
+	return replyJSON(w, OpTrace, rt.Dump(n), "")
 }
 
 // writeFlight sends the OpFlight response: the store's flight-recorder
@@ -820,7 +776,7 @@ func (s *Server) writeTraceDump(w io.Writer, store *faster.Store, payload []byte
 func (s *Server) writeFlight(w io.Writer, store *faster.Store, payload []byte) error {
 	var token string
 	if len(payload) > 0 {
-		tok, _, err := takeString(payload)
+		tok, _, err := wire.TakeString(payload)
 		if err != nil {
 			return err
 		}
@@ -828,33 +784,22 @@ func (s *Server) writeFlight(w io.Writer, store *faster.Store, payload []byte) e
 	}
 	fr := store.Flight()
 	if fr == nil {
-		return writeFrame(w, OpFlight, appendValue([]byte{StatusError},
-			[]byte("flight recorder disabled")))
+		return replyJSON(w, OpFlight, nil, "flight recorder disabled")
 	}
 	events, dropped := fr.Events()
 	if token != "" {
 		events = obs.FilterFlightEvents(events, token)
 	}
-	dump := obs.FlightDump{WallStartNanos: fr.WallStart(), Dropped: dropped, Events: events}
-	buf, err := json.Marshal(dump)
-	if err != nil {
-		return writeFrame(w, OpFlight, appendValue([]byte{StatusError}, nil))
-	}
-	return writeFrame(w, OpFlight, appendValue([]byte{StatusOK}, buf))
+	return replyJSON(w, OpFlight, obs.FlightDump{WallStartNanos: fr.WallStart(), Dropped: dropped, Events: events}, "")
 }
 
 // writeHealth serves the health engine's verdict as JSON, or an error frame
 // when no engine is wired.
 func (s *Server) writeHealth(w io.Writer) error {
 	if s.Health == nil {
-		return writeFrame(w, OpHealth, appendValue([]byte{StatusError},
-			[]byte("health engine disabled")))
+		return replyJSON(w, OpHealth, nil, "health engine disabled")
 	}
-	buf, err := json.Marshal(s.Health())
-	if err != nil {
-		return writeFrame(w, OpHealth, appendValue([]byte{StatusError}, nil))
-	}
-	return writeFrame(w, OpHealth, appendValue([]byte{StatusOK}, buf))
+	return replyJSON(w, OpHealth, s.Health(), "")
 }
 
 // writeStats marshals and sends the OpStats response for store.
@@ -891,11 +836,7 @@ func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
 	}
 	snap.SessionLags = store.SessionLags()
 	snap.Restore = store.RestoreStatus()
-	buf, err := json.Marshal(snap)
-	if err != nil {
-		return writeFrame(w, OpStats, appendValue([]byte{StatusError}, nil))
-	}
-	return writeFrame(w, OpStats, appendValue([]byte{StatusOK}, buf))
+	return replyJSON(w, OpStats, snap, "")
 }
 
 // handleReplica runs a connection against the replica backend: reads are
@@ -905,14 +846,9 @@ func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
 // written straight through (no coalescing): replica read traffic is not
 // pipelined by the fallback client, and promotion must not strand buffered
 // replies.
-func (s *Server) handleReplica(cs *connState, rb ReplicaBackend, clientID string, proto byte, sentProto bool) {
+func (s *Server) handleReplica(cs *connState, rb ReplicaBackend, clientID string) {
 	conn := cs.conn
-	resp := appendU64([]byte{StatusOK}, rb.RecoveredPoint(clientID))
-	resp = appendString(resp, []byte(clientID))
-	if sentProto {
-		resp = append(resp, proto)
-	}
-	if err := writeFrame(conn, OpHello, resp); err != nil {
+	if err := writeFrame(conn, OpHello, helloReply(rb.RecoveredPoint(clientID), clientID)); err != nil {
 		return
 	}
 	promoted := func() bool { return s.replicaBackend() == nil }
@@ -939,24 +875,18 @@ func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payl
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	switch op {
 	case OpGet:
-		key, _, err := takeString(payload)
+		key, _, err := wire.TakeString(payload)
 		if err != nil {
 			return err
 		}
-		val, found, err := rb.Read(key)
-		status := StatusOK
-		if err != nil {
-			status, val = StatusError, nil
-		} else if !found {
-			status, val = StatusNotFound, nil
-		}
-		return writeFrame(conn, OpGet, appendValue([]byte{status}, val))
+		val, status := replicaRead(rb, key)
+		return writeFrame(conn, OpGet, wire.AppendValue([]byte{status}, val))
 	case OpBatch:
 		return s.replicaBatch(conn, rb, payload)
 	case OpSet, OpRMW, OpDelete, OpCommit, OpWaitDurable:
 		// Writes (and durability waits on them) belong on the primary; tell
 		// the client where to go.
-		return writeFrame(conn, op, appendString([]byte{StatusRedirect}, []byte(rb.Upstream())))
+		return writeFrame(conn, op, wire.AppendString([]byte{StatusRedirect}, []byte(rb.Upstream())))
 	case OpStats:
 		return s.writeStats(conn, rb.Store())
 	case OpFlight:
@@ -967,6 +897,17 @@ func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payl
 		return s.writeHealth(conn)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
+}
+
+// replicaRead serves one GET from the replica's installed prefix.
+func replicaRead(rb ReplicaBackend, key []byte) ([]byte, byte) {
+	val, found, err := rb.Read(key)
+	if err != nil {
+		return nil, StatusError
+	} else if !found {
+		return nil, StatusNotFound
+	}
+	return val, StatusOK
 }
 
 // replicaBatch serves a BATCH frame in replica mode: a read-only batch is
@@ -985,7 +926,7 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 		}
 		if op != OpGet {
 			return writeFrame(conn, OpBatch,
-				appendString([]byte{StatusRedirect}, []byte(rb.Upstream())))
+				wire.AppendString([]byte{StatusRedirect}, []byte(rb.Upstream())))
 		}
 	}
 	r, err := newBatchReader(payload)
@@ -998,13 +939,7 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 		if err != nil {
 			return err
 		}
-		val, found, rerr := rb.Read(key)
-		status := StatusOK
-		if rerr != nil {
-			status, val = StatusError, nil
-		} else if !found {
-			status, val = StatusNotFound, nil
-		}
+		val, status := replicaRead(rb, key)
 		frame = appendBatchValueResult(frame, seq, status, val)
 	}
 	_, err = conn.Write(sealBatchReply(frame, r.count))

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // lateServer is a hand-rolled v3 peer that answers GETs (single or batched)
@@ -50,7 +52,7 @@ func (s *lateServer) serve(conn net.Conn, hold bool) error {
 	if err != nil || op != OpHello {
 		return fmt.Errorf("hello: op=%d err=%v", op, err)
 	}
-	hello := append(appendString(appendU64([]byte{StatusOK}, 0), []byte("late-sess")), ProtoV3)
+	hello := append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, 0), []byte("late-sess")), ProtoV3)
 	if err := writeFrame(conn, OpHello, hello); err != nil {
 		return err
 	}
@@ -62,12 +64,12 @@ func (s *lateServer) serve(conn net.Conn, hold bool) error {
 		var reply []byte
 		switch op {
 		case OpGet:
-			key, _, err := takeString(payload)
+			key, _, err := wire.TakeString(payload)
 			if err != nil {
 				return err
 			}
 			var fb bytes.Buffer
-			writeFrame(&fb, OpGet, appendValue([]byte{StatusOK}, append([]byte("v-"), key...))) //nolint:errcheck // a bytes.Buffer
+			writeFrame(&fb, OpGet, wire.AppendValue([]byte{StatusOK}, append([]byte("v-"), key...))) //nolint:errcheck // a bytes.Buffer
 			reply = fb.Bytes()
 		case OpBatch:
 			r, err := newBatchReader(payload)

@@ -6,21 +6,13 @@
 // primary (the paper's single-node recovery contract, stretched across two
 // machines).
 //
-// Wire format (same length-prefixed style as internal/kvserver):
-//
-//	frame  := u32 length | u8 opcode | payload
-//	string := u16 len | bytes
+// Wire format: internal/wire's frames (u32 length | u8 opcode | payload) and
+// scalars (string := u16 len | bytes), little-endian.
 //
 // The replica speaks first (opHello), the primary answers with opWelcome and
 // from then on the stream is one-directional: log chunks and artifacts are
 // staging data, opCommit makes a prefix visible, opTail carries lag info.
 package repl
-
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-)
 
 // Opcodes.
 const (
@@ -50,88 +42,8 @@ const (
 	opError byte = 7
 )
 
-// maxFrame bounds one replication frame; chunk sizes stay far below it.
-const maxFrame = 8 << 20
-
 // chunkSize is how much of the log tail one opChunk carries.
 const chunkSize = 256 << 10
 
 // artifactChunk is how much of an artifact one opArtifact carries.
 const artifactChunk = 1 << 20
-
-// writeFrame sends opcode+payload as one frame.
-func writeFrame(w io.Writer, opcode byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = opcode
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame reads one frame, rejecting oversized or empty lengths before
-// allocating.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("repl: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func takeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("repl: truncated u64")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("repl: truncated u32")
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-func appendString(dst []byte, s []byte) []byte {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	return append(append(dst, l[:]...), s...)
-}
-
-func takeString(b []byte) ([]byte, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, fmt.Errorf("repl: truncated string")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+n {
-		return nil, nil, fmt.Errorf("repl: truncated string body")
-	}
-	return b[2 : 2+n], b[2+n:], nil
-}

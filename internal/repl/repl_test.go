@@ -13,6 +13,7 @@ import (
 	"repro/internal/faster"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // testShards honors FASTER_TEST_SHARDS like the faster package's tests, so CI
@@ -578,20 +579,21 @@ func TestServerShardMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := appendU32(nil, 0)
-	hello = appendU32(hello, 1) // wrong shard count
-	hello = appendU64(hello, 64)
-	if err := writeFrame(conn, opHello, hello); err != nil {
+	hello := wire.AppendU32(wire.Open(nil, opHello), 0)
+	hello = wire.AppendU32(hello, 1) // wrong shard count
+	hello = wire.AppendU64(hello, 64)
+	if _, err := conn.Write(wire.Seal(hello)); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := readFrame(conn)
+	var rbuf []byte
+	op, payload, err := wire.Read(conn, &rbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if op != opError {
 		t.Fatalf("opcode %d, want opError", op)
 	}
-	msg, _, _ := takeString(payload)
+	msg, _, _ := wire.TakeString(payload)
 	if len(msg) == 0 {
 		t.Fatal("empty error message")
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kvserver"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Replica.
@@ -282,23 +283,26 @@ func (r *Replica) pull() error {
 	}()
 
 	n := r.store.NumShards()
-	hello := appendU32(nil, r.applied.Load())
-	hello = appendU32(hello, uint32(n))
+	hello := wire.AppendU32(wire.Open(nil, opHello), r.applied.Load())
+	hello = wire.AppendU32(hello, uint32(n))
 	r.mu.RLock()
 	for i := 0; i < n; i++ {
-		hello = appendU64(hello, r.have[i])
+		hello = wire.AppendU64(hello, r.have[i])
 	}
 	r.mu.RUnlock()
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if err := writeFrame(conn, opHello, hello); err != nil {
+	if _, err := conn.Write(wire.Seal(hello)); err != nil {
 		return err
 	}
-	op, payload, err := readFrame(conn)
+	// Every frame of the connection is read into rbuf; a payload is valid
+	// until the next read, and what outlives it is copied out by its handler.
+	var rbuf []byte
+	op, payload, err := wire.Read(conn, &rbuf)
 	if err != nil {
 		return err
 	}
 	if op == opError {
-		msg, _, _ := takeString(payload)
+		msg, _, _ := wire.TakeString(payload)
 		return fmt.Errorf("primary rejected: %s", msg)
 	}
 	if op != opWelcome {
@@ -311,11 +315,7 @@ func (r *Replica) pull() error {
 
 	staging := make(map[string]*artifactBuf)
 	for {
-		// The primary heartbeats every ~100ms; a minute of silence means the
-		// connection is dead even if TCP has not noticed.
-		conn.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck
-		op, payload, err := readFrame(conn)
-		if err != nil {
+		if err := r.applyNext(conn, &rbuf, staging); err != nil {
 			select {
 			case <-r.stop:
 				return nil
@@ -323,43 +323,50 @@ func (r *Replica) pull() error {
 			}
 			return err
 		}
-		switch op {
-		case opChunk:
-			err = r.applyChunk(payload)
-		case opArtifact:
-			err = r.applyArtifact(payload, staging)
-		case opCommit:
-			err = r.applyCommit(payload)
-		case opTail:
-			err = r.applyTailInfo(payload)
-		case opError:
-			msg, _, _ := takeString(payload)
-			return fmt.Errorf("primary error: %s", msg)
-		default:
-			return fmt.Errorf("unknown opcode %d", op)
-		}
-		if err != nil {
-			return err
-		}
 	}
+}
+
+// applyNext reads the stream's next frame into *rbuf and applies it.
+func (r *Replica) applyNext(conn net.Conn, rbuf *[]byte, staging map[string]*artifactBuf) error {
+	// The primary heartbeats every ~100ms; a minute of silence means the
+	// connection is dead even if TCP has not noticed.
+	conn.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck
+	op, payload, err := wire.Read(conn, rbuf)
+	if err != nil {
+		return err
+	}
+	switch op {
+	case opChunk:
+		return r.applyChunk(payload)
+	case opArtifact:
+		return r.applyArtifact(payload, staging)
+	case opCommit:
+		return r.applyCommit(payload)
+	case opTail:
+		return r.applyTailInfo(payload)
+	case opError:
+		msg, _, _ := wire.TakeString(payload)
+		return fmt.Errorf("primary error: %s", msg)
+	}
+	return fmt.Errorf("unknown opcode %d", op)
 }
 
 // applyWelcome records the primary's client address and rewinds watermarks
 // to the primary's chosen stream starts (a primary that itself recovered
 // re-ships the range its recovery rewrote).
 func (r *Replica) applyWelcome(payload []byte) error {
-	addrB, rest, err := takeString(payload)
+	addrB, rest, err := wire.TakeString(payload)
 	if err != nil {
 		return err
 	}
 	addr := string(addrB)
 	r.upstreamClient.Store(&addr)
-	latest, rest, err := takeU32(rest)
+	latest, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
 	r.primaryVersion.Store(latest)
-	shards, rest, err := takeU32(rest)
+	shards, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
@@ -370,13 +377,13 @@ func (r *Replica) applyWelcome(payload []byte) error {
 	defer r.mu.Unlock()
 	for i := 0; i < int(shards); i++ {
 		var begin, start, durable uint64
-		if begin, rest, err = takeU64(rest); err != nil {
+		if begin, rest, err = wire.TakeU64(rest); err != nil {
 			return err
 		}
-		if start, rest, err = takeU64(rest); err != nil {
+		if start, rest, err = wire.TakeU64(rest); err != nil {
 			return err
 		}
-		if durable, rest, err = takeU64(rest); err != nil {
+		if durable, rest, err = wire.TakeU64(rest); err != nil {
 			return err
 		}
 		if start < r.have[i] {
@@ -398,11 +405,11 @@ func (r *Replica) applyWelcome(payload []byte) error {
 // primary recovery, where the re-shipped range differs — so those writes take
 // the install lock.
 func (r *Replica) applyChunk(payload []byte) error {
-	shard32, rest, err := takeU32(payload)
+	shard32, rest, err := wire.TakeU32(payload)
 	if err != nil {
 		return err
 	}
-	off, data, err := takeU64(rest)
+	off, data, err := wire.TakeU64(rest)
 	if err != nil {
 		return err
 	}
@@ -441,16 +448,16 @@ type artifactBuf struct {
 
 // applyArtifact assembles a chunked artifact and persists it when complete.
 func (r *Replica) applyArtifact(payload []byte, staging map[string]*artifactBuf) error {
-	nameB, rest, err := takeString(payload)
+	nameB, rest, err := wire.TakeString(payload)
 	if err != nil {
 		return err
 	}
 	name := string(nameB)
-	total, rest, err := takeU32(rest)
+	total, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
-	off, data, err := takeU32(rest)
+	off, data, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
@@ -480,12 +487,12 @@ func (r *Replica) applyArtifact(payload []byte, staging map[string]*artifactBuf)
 
 // applyCommit installs a fully-shipped commit, making its prefix visible.
 func (r *Replica) applyCommit(payload []byte) error {
-	tokenB, rest, err := takeString(payload)
+	tokenB, rest, err := wire.TakeString(payload)
 	if err != nil {
 		return err
 	}
 	token := string(tokenB)
-	version, rest, err := takeU32(rest)
+	version, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
@@ -493,7 +500,7 @@ func (r *Replica) applyCommit(payload []byte) error {
 		return fmt.Errorf("commit %s: truncated kind", token)
 	}
 	rest = rest[1:] // kind: informational here
-	shards, rest, err := takeU32(rest)
+	shards, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
@@ -504,10 +511,10 @@ func (r *Replica) applyCommit(payload []byte) error {
 	r.mu.RLock()
 	for i := range ends {
 		var floor uint64
-		if ends[i], rest, err = takeU64(rest); err != nil {
+		if ends[i], rest, err = wire.TakeU64(rest); err != nil {
 			break
 		}
-		if floor, rest, err = takeU64(rest); err != nil {
+		if floor, rest, err = wire.TakeU64(rest); err != nil {
 			break
 		}
 		if err == nil && r.have[i] < floor {
@@ -549,14 +556,14 @@ func (r *Replica) applyCommit(payload []byte) error {
 
 // applyTailInfo updates lag accounting from a heartbeat.
 func (r *Replica) applyTailInfo(payload []byte) error {
-	latest, rest, err := takeU32(payload)
+	latest, rest, err := wire.TakeU32(payload)
 	if err != nil {
 		return err
 	}
 	if latest > r.primaryVersion.Load() {
 		r.primaryVersion.Store(latest)
 	}
-	shards, rest, err := takeU32(rest)
+	shards, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
@@ -565,7 +572,7 @@ func (r *Replica) applyTailInfo(payload []byte) error {
 	}
 	for i := 0; i < int(shards); i++ {
 		var d uint64
-		if d, rest, err = takeU64(rest); err != nil {
+		if d, rest, err = wire.TakeU64(rest); err != nil {
 			return err
 		}
 		r.primaryDurable[i].Store(d)

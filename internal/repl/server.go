@@ -5,6 +5,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/kvserver"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Server is the primary-side replication endpoint: it accepts replica
@@ -175,32 +177,54 @@ func (s *Server) handle(conn net.Conn, notify chan string) {
 	}
 }
 
-func (s *Server) stream(conn net.Conn, notify chan string) error {
+// shipConn is the write side of one replica connection. Every frame is built
+// in place in buf, which only grows, and leaves in one Write: the stream's
+// safety rests on frame order (every log byte and artifact a commit needs
+// precedes its opCommit), so there is one way onto it.
+type shipConn struct {
+	net.Conn
+	buf []byte
+}
+
+// open begins a frame in the connection's buffer; the caller appends the
+// payload and hands the frame to send.
+func (c *shipConn) open(opcode byte) []byte { return wire.Open(c.buf, opcode) }
+
+func (c *shipConn) send(frame []byte) error {
+	c.buf = frame[:0]
+	c.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	_, err := c.Write(wire.Seal(frame))
+	return err
+}
+
+func (s *Server) stream(nc net.Conn, notify chan string) error {
+	conn := &shipConn{Conn: nc}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	op, payload, err := readFrame(conn)
+	var hello []byte
+	op, payload, err := wire.Read(conn, &hello)
 	if err != nil || op != opHello {
 		return fmt.Errorf("bad hello: %v", err)
 	}
-	_, rest, err := takeU32(payload) // appliedVersion (informational)
+	_, rest, err := wire.TakeU32(payload) // appliedVersion (informational)
 	if err != nil {
 		return err
 	}
-	shards, rest, err := takeU32(rest)
+	shards, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
 	}
 	if int(shards) != s.store.NumShards() {
-		writeFrame(conn, opError, appendString(nil, //nolint:errcheck
-			[]byte(fmt.Sprintf("shard count mismatch: replica %d, primary %d", shards, s.store.NumShards()))))
-		return fmt.Errorf("shard count mismatch (replica %d, primary %d)", shards, s.store.NumShards())
+		err := fmt.Errorf("shard count mismatch: replica %d, primary %d", shards, s.store.NumShards())
+		conn.send(wire.AppendString(conn.open(opError), []byte(err.Error()))) //nolint:errcheck // hanging up either way
+		return err
 	}
 	n := s.store.NumShards()
 	sent := make([]uint64, n)
-	welcome := appendString(nil, []byte(s.ClientAddr))
-	welcome = appendU32(welcome, s.latestVersion())
-	welcome = appendU32(welcome, uint32(n))
+	welcome := wire.AppendString(conn.open(opWelcome), []byte(s.ClientAddr))
+	welcome = wire.AppendU32(welcome, s.latestVersion())
+	welcome = wire.AppendU32(welcome, uint32(n))
 	for i := 0; i < n; i++ {
-		have, r2, err := takeU64(rest)
+		have, r2, err := wire.TakeU64(rest)
 		if err != nil {
 			return err
 		}
@@ -223,12 +247,11 @@ func (s *Server) stream(conn net.Conn, notify chan string) error {
 			start = hlog.FirstAddress
 		}
 		sent[i] = start
-		welcome = appendU64(welcome, lg.Begin())
-		welcome = appendU64(welcome, start)
-		welcome = appendU64(welcome, lg.Durable())
+		welcome = wire.AppendU64(welcome, lg.Begin())
+		welcome = wire.AppendU64(welcome, start)
+		welcome = wire.AppendU64(welcome, lg.Durable())
 	}
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	if err := writeFrame(conn, opWelcome, welcome); err != nil {
+	if err := conn.send(welcome); err != nil {
 		return err
 	}
 
@@ -309,7 +332,7 @@ func (s *Server) latestVersion() uint32 {
 
 // shipTail streams every shard's durable log bytes past the sent watermarks,
 // up to upTo when nonzero (else everything durable).
-func (s *Server) shipTail(conn net.Conn, sent []uint64, upTo uint64) (bool, error) {
+func (s *Server) shipTail(conn *shipConn, sent []uint64, upTo uint64) (bool, error) {
 	progress := false
 	for i := range sent {
 		lg := s.store.ShardLog(i)
@@ -318,19 +341,15 @@ func (s *Server) shipTail(conn net.Conn, sent []uint64, upTo uint64) (bool, erro
 			limit = upTo
 		}
 		for sent[i] < limit {
-			n := limit - sent[i]
-			if n > chunkSize {
-				n = chunkSize
-			}
-			buf := make([]byte, n)
-			if err := lg.ReadRaw(sent[i], buf); err != nil {
+			n := min(limit-sent[i], chunkSize)
+			// The log's bytes are read straight into the frame, behind its header.
+			frame := wire.AppendU64(wire.AppendU32(conn.open(opChunk), uint32(i)), sent[i])
+			body := len(frame)
+			frame = slices.Grow(frame, int(n))[:body+int(n)]
+			if err := lg.ReadRaw(sent[i], frame[body:]); err != nil {
 				return progress, fmt.Errorf("read log shard %d @%d: %w", i, sent[i], err)
 			}
-			payload := appendU32(nil, uint32(i))
-			payload = appendU64(payload, sent[i])
-			payload = append(payload, buf...)
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-			if err := writeFrame(conn, opChunk, payload); err != nil {
+			if err := conn.send(frame); err != nil {
 				return progress, err
 			}
 			sent[i] += n
@@ -343,7 +362,7 @@ func (s *Server) shipTail(conn net.Conn, sent []uint64, upTo uint64) (bool, erro
 
 // shipCommit ships everything commit token depends on — log coverage to each
 // shard's end, then the commit's artifacts — and finally announces it.
-func (s *Server) shipCommit(conn net.Conn, token string, sent []uint64, shipped map[string]bool) error {
+func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped map[string]bool) error {
 	tShip0 := time.Now().UnixNano()
 	info, err := s.store.CommitShipInfo(token)
 	if err != nil {
@@ -390,12 +409,9 @@ func (s *Server) shipCommit(conn net.Conn, token string, sent []uint64, shipped 
 			if end > len(data) {
 				end = len(data)
 			}
-			payload := appendString(nil, []byte(name))
-			payload = appendU32(payload, uint32(len(data)))
-			payload = appendU32(payload, uint32(off))
-			payload = append(payload, data[off:end]...)
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-			if err := writeFrame(conn, opArtifact, payload); err != nil {
+			frame := wire.AppendString(conn.open(opArtifact), []byte(name))
+			frame = wire.AppendU32(wire.AppendU32(frame, uint32(len(data))), uint32(off))
+			if err := conn.send(append(frame, data[off:end]...)); err != nil {
 				return err
 			}
 		}
@@ -410,16 +426,15 @@ func (s *Server) shipCommit(conn net.Conn, token string, sent []uint64, shipped 
 	// share the commit token, which is the cross-link fasterctl trace uses.
 	s.store.RequestTracer().EmitGlobal(obs.SpanReplShip, token, tShip0, tShipped,
 		artifactBytes, uint64(info.Version))
-	ann := appendString(nil, []byte(token))
-	ann = appendU32(ann, info.Version)
+	ann := wire.AppendString(conn.open(opCommit), []byte(token))
+	ann = wire.AppendU32(ann, info.Version)
 	ann = append(ann, byte(info.Kind))
-	ann = appendU32(ann, uint32(len(info.ShardEnds)))
+	ann = wire.AppendU32(ann, uint32(len(info.ShardEnds)))
 	for i := range info.ShardEnds {
-		ann = appendU64(ann, info.ShardEnds[i])
-		ann = appendU64(ann, info.ShardFloors[i])
+		ann = wire.AppendU64(ann, info.ShardEnds[i])
+		ann = wire.AppendU64(ann, info.ShardFloors[i])
 	}
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	if err := writeFrame(conn, opCommit, ann); err != nil {
+	if err := conn.send(ann); err != nil {
 		return err
 	}
 	s.announced.Inc()
@@ -432,13 +447,12 @@ func (s *Server) shipCommit(conn net.Conn, token string, sent []uint64, shipped 
 }
 
 // sendTail sends the heartbeat/lag frame.
-func (s *Server) sendTail(conn net.Conn) error {
+func (s *Server) sendTail(conn *shipConn) error {
 	n := s.store.NumShards()
-	payload := appendU32(nil, s.latestVersion())
-	payload = appendU32(payload, uint32(n))
+	frame := wire.AppendU32(conn.open(opTail), s.latestVersion())
+	frame = wire.AppendU32(frame, uint32(n))
 	for i := 0; i < n; i++ {
-		payload = appendU64(payload, s.store.ShardLog(i).Durable())
+		frame = wire.AppendU64(frame, s.store.ShardLog(i).Durable())
 	}
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	return writeFrame(conn, opTail, payload)
+	return conn.send(frame)
 }
