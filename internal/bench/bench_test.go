@@ -32,7 +32,6 @@ func TestRegistryComplete(t *testing.T) {
 		"shardscale",
 		"repllag",
 		"faulttolerance",
-		"durabilitylag",
 		"tailtrace",
 		"netscale",
 		"ingest",

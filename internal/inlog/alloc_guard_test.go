@@ -87,3 +87,25 @@ func TestPumpApplyAllocFree(t *testing.T) {
 		t.Fatalf("applying a group of %d RMWs allocates %v times, want 0", per, avg)
 	}
 }
+
+// TestIngestSendAllocFree: Send builds its frame in the client's buffer and
+// appends it to the pending run, the writer swaps that run with its spare:
+// once the three buffers have grown, neither goroutine allocates.
+func TestIngestSendAllocFree(t *testing.T) {
+	c := newIngestClient(&stubConn{})
+	defer c.Close()
+	msg := Message{Op: OpRMW, Key: counterKey(7), Value: one}
+	window := func() {
+		for i := 0; i < 512; i++ {
+			if err := c.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		window()
+	}
+	if avg := testing.AllocsPerRun(512, window); avg != 0 {
+		t.Fatalf("512 sends allocate %v times, want 0", avg)
+	}
+}

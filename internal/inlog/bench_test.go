@@ -1,6 +1,9 @@
 package inlog
 
 import (
+	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faster"
@@ -102,4 +105,69 @@ func BenchmarkPumpDrain(b *testing.B) {
 	}
 	b.StopTimer()
 	p.Close()
+}
+
+// countConn counts the writes that reach the connection it wraps.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// BenchmarkIngestSendAck measures the ingest hop end to end over loopback —
+// Send, the server's append, the batch policy's group commit (64 records /
+// 2 ms, cprserver's default) on file-backed segments, Ack — with 1 and with
+// 512 messages in flight. At window 1 every message waits out its own group commit, so
+// ns/op is the fsync cadence; at 512 it is the hop. writes/msg is the client's
+// conn.Write calls per message.
+func BenchmarkIngestSendAck(b *testing.B) {
+	for _, window := range []int{1, 512} {
+		window := window
+		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
+			segs, err := NewDirSegmentStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, err := Open(Config{Segments: segs, SegmentBytes: 8 << 20, Fsync: FsyncBatch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			srv := NewIngestServer(l, nil, nil)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+			defer srv.Close()
+			raw, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			conn := &countConn{Conn: raw}
+			c := newIngestClient(conn)
+			defer c.Close()
+
+			msg := Message{Op: OpRMW, Key: counterKey(12345), Value: one}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent, acked := 0, 0; acked < b.N; acked++ {
+				for ; sent < b.N && sent-acked < window; sent++ {
+					if err := c.Send(msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if off, err := c.Ack(); err != nil || off != uint64(acked) {
+					b.Fatalf("ack = %d err=%v, want %d", off, err, acked)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+			b.ReportMetric(float64(conn.writes.Load())/float64(b.N), "writes/msg")
+		})
+	}
 }

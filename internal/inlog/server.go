@@ -19,7 +19,8 @@ import (
 // The ack therefore IS the durability guarantee: a client that saw offset o
 // acked will find that record applied after any crash. Appends and acks are
 // pipelined per connection so one group commit covers its in-flight
-// requests.
+// requests. How frames are cut into TCP writes is the sender's business (see
+// IngestClient): the read loop takes them from a buffered reader.
 type IngestServer struct {
 	log    *Log
 	flight *obs.FlightRecorder
@@ -148,12 +149,27 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 	<-done
 }
 
+// sendBound is how many bytes Send may queue ahead of the socket: the server's
+// read buffer, so the client never holds more than one server read's worth.
+const sendBound = 64 << 10
+
 // IngestClient is the matching client: Send pipelines a message, Ack reads
-// the next durable offset. It is a test/bench aid, not a production SDK.
+// the next durable offset. Send does no I/O: it appends the frame to a pending
+// run, and one writer goroutine keeps one conn.Write in flight — whatever Send
+// accumulated during a write is the next write. A message never waits for
+// another Send, an Ack or a timer. One goroutine may call Send while another
+// calls Ack. It is a test/bench aid, not a production SDK.
 type IngestClient struct {
 	conn net.Conn
 	br   *bufio.Reader // the server writes many acks per conn.Write
-	wbuf []byte
+	wbuf []byte        // the frame Send is building
+
+	mu      sync.Mutex
+	cond    *sync.Cond    // pending gained or lost bytes, err or closing was set
+	pending []byte        // sealed frames no write has taken yet
+	err     error         // the first write error; every later Send returns it
+	closing bool          // Close was called: the writer exits once pending is empty
+	done    chan struct{} // closed when the writer has exited
 }
 
 // DialIngest connects to an IngestServer.
@@ -162,14 +178,66 @@ func DialIngest(addr string) (*IngestClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inlog: dial %s: %w", addr, err)
 	}
-	return &IngestClient{conn: conn, br: bufio.NewReader(conn)}, nil
+	return newIngestClient(conn), nil
 }
 
-// Send writes one message; the matching Ack arrives in order.
+func newIngestClient(conn net.Conn) *IngestClient {
+	c := &IngestClient{conn: conn, br: bufio.NewReader(conn), done: make(chan struct{})}
+	c.cond = sync.NewCond(&c.mu)
+	go c.writeLoop()
+	return c
+}
+
+// writeLoop swaps the pending run with its spare buffer, writes it, and
+// repeats while anything is pending. A run is as long as the previous write
+// took: a lone message leaves at once, a pipelined sender fills a run per
+// syscall.
+func (c *IngestClient) writeLoop() {
+	defer close(c.done)
+	var spare []byte
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil {
+		for len(c.pending) == 0 && !c.closing {
+			c.cond.Wait()
+		}
+		if len(c.pending) == 0 {
+			return
+		}
+		run := c.pending
+		c.pending = spare[:0]
+		c.cond.Broadcast() // a Send waiting at sendBound has room
+		c.mu.Unlock()
+		_, err := c.conn.Write(run)
+		c.mu.Lock()
+		spare = run
+		if err != nil {
+			c.err = fmt.Errorf("inlog: ingest write: %w", err)
+			c.cond.Broadcast()
+		}
+	}
+}
+
+// Send queues one message for the writer; the matching Ack arrives in order.
+// It blocks only while sendBound bytes are already pending, and returns the
+// first write error once there has been one.
 func (c *IngestClient) Send(m Message) error {
 	c.wbuf = appendMessageBody(wire.Open(c.wbuf, byte(m.Op)), m)
-	_, err := c.conn.Write(wire.Seal(c.wbuf))
-	return err
+	frame := wire.Seal(c.wbuf)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.pending) > 0 && len(c.pending)+len(frame) > sendBound && c.err == nil && !c.closing {
+		c.cond.Wait()
+	}
+	if c.err != nil {
+		return c.err
+	}
+	if c.closing {
+		return ErrClosed
+	}
+	c.pending = append(c.pending, frame...)
+	c.cond.Broadcast()
+	return nil
 }
 
 // Ack blocks for the next ack and returns the acked record's offset.
@@ -183,5 +251,13 @@ func (c *IngestClient) Ack() (uint64, error) {
 	return off, nil
 }
 
-// Close closes the connection.
-func (c *IngestClient) Close() error { return c.conn.Close() }
+// Close hands everything Send accepted to the socket — so it waits for a peer
+// that has stopped reading — then closes the connection.
+func (c *IngestClient) Close() error {
+	c.mu.Lock()
+	c.closing = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	<-c.done
+	return c.conn.Close()
+}
