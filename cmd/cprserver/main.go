@@ -209,18 +209,7 @@ func main() {
 		defer eng.Stop()
 	}
 
-	if *debugAddr != "" {
-		mux := obs.NewDebugMux(store.Metrics(), store.Tracer(), store.Flight(), store.RequestTracer())
-		if eng != nil {
-			mux.Handle("/health", eng.Handler())
-		}
-		go func() {
-			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,health,debug/pprof}", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
+	serveDebug(*debugAddr, store, eng)
 
 	srv := kvserver.NewServer(store)
 	if eng != nil {
@@ -260,6 +249,25 @@ func main() {
 // runs the stall/SLO detector suite, and captures incident bundles through
 // the store's checkpoint store when a detector fires. Returns nil when
 // disabled (interval 0).
+// serveDebug serves the store's introspection endpoints on addr ("" = none).
+// /timeline and /trace's global spans are computed from the flight recorder,
+// so -flightrec 0 leaves them empty.
+func serveDebug(addr string, store *faster.Store, eng *health.Engine) {
+	if addr == "" {
+		return
+	}
+	mux := obs.NewDebugMux(store.Metrics(), store.Tracer(), store.Flight(), store.RequestTracer())
+	if eng != nil {
+		mux.Handle("/health", eng.Handler())
+	}
+	go func() {
+		log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,trace,health,debug/pprof}", addr)
+		if err := http.ListenAndServe(addr, mux); err != nil {
+			log.Printf("debug listener: %v", err)
+		}
+	}()
+}
+
 func startHealth(store *faster.Store, interval, sloDurLag time.Duration) *health.Engine {
 	if interval <= 0 {
 		return nil
@@ -312,18 +320,7 @@ func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit t
 		defer eng.Stop()
 	}
 
-	if debugAddr != "" {
-		mux := obs.NewDebugMux(rep.Store().Metrics(), rep.Store().Tracer(), rep.Store().Flight(), rep.Store().RequestTracer())
-		if eng != nil {
-			mux.Handle("/health", eng.Handler())
-		}
-		go func() {
-			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,health,debug/pprof}", debugAddr)
-			if err := http.ListenAndServe(debugAddr, mux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
+	serveDebug(debugAddr, rep.Store(), eng)
 
 	srv := kvserver.NewReplicaServer(rep)
 	if eng != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -48,9 +49,8 @@ func flightCmd(args []string) {
 		if derr != nil {
 			payload = raw
 		}
-		dump, err = obs.DecodeFlightDump(payload)
-		if err != nil {
-			log.Fatal(err)
+		if err := json.Unmarshal(payload, &dump); err != nil {
+			log.Fatalf("not a flight dump: %v", err)
 		}
 		dump.Events = obs.FilterFlightEvents(dump.Events, token)
 	case *addr != "":

@@ -38,6 +38,7 @@ import (
 
 	cpr "repro"
 	"repro/internal/kvserver"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -109,7 +110,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints}
+	// The recorder is what `metrics` reads its phase timeline from.
+	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints,
+		Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
 	if *shards > 1 {
 		base := *dir
 		cfg.DeviceFactory = func(i int) (cpr.Device, error) {

@@ -173,10 +173,12 @@ type MetricsRegistry = obs.Registry
 // subtract (Sub) to scope counters to an interval.
 type MetricsSnapshot = obs.Snapshot
 
-// PhaseTracer records CPR checkpoint state-machine activity.
+// PhaseTracer is the CPR phase timeline of a Store or DB (Tracer()): a view
+// computed from its FlightRecorder, empty without one.
 type PhaseTracer = obs.Tracer
 
-// PhaseTimeline is a tracer export: raw events plus per-phase spans.
+// PhaseTimeline is what a PhaseTracer exports: the state-machine events plus
+// per-machine phase spans.
 type PhaseTimeline = obs.Timeline
 
 // NewMetricsRegistry returns an empty, enabled registry.
@@ -185,17 +187,18 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NopMetrics returns a registry whose metrics are no-op sinks.
 func NopMetrics() *MetricsRegistry { return obs.NewNop() }
 
-// FlightRecorder is the always-on black box: lock-free per-core rings of
-// binary commit-lifecycle events (StoreConfig.Flight; nil disables). One
-// commit's causal timeline filters out by its token; Store.DumpFlight
-// persists the rings as a CRC-framed crash-dump artifact.
+// FlightRecorder is the always-on black box and the one place a
+// commit-lifecycle event is written: lock-free rings of binary events
+// (StoreConfig.Flight; nil disables). One commit's causal timeline filters out
+// by its token; Store.DumpFlight persists the rings as a CRC-framed crash-dump
+// artifact.
 type FlightRecorder = obs.FlightRecorder
 
 // FlightEvent is one decoded flight-recorder event.
 type FlightEvent = obs.FlightEvent
 
-// NewFlightRecorder returns a recorder holding capacity events per ring
-// (rounded up to a power of two, minimum 64).
+// NewFlightRecorder returns a recorder holding capacity events per per-core
+// ring (rounded up to a power of two, minimum 64).
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	return obs.NewFlightRecorder(capacity)
 }

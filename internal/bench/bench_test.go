@@ -124,6 +124,12 @@ func TestRunFasterBasics(t *testing.T) {
 	if len(sum.Series) == 0 {
 		t.Fatal("no time series")
 	}
+	// The runner's store has a flight recorder, so the commit's phases are timed.
+	for _, phase := range []string{"prepare", "in-progress", "wait-flush"} {
+		if sum.PhaseNanos[phase] <= 0 {
+			t.Fatalf("PhaseNanos = %v, want time in %s", sum.PhaseNanos, phase)
+		}
+	}
 }
 
 func TestRunFasterRMWAndTransfers(t *testing.T) {

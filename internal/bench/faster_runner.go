@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +63,7 @@ type FasterSummary struct {
 	CommitIntervalSec float64
 	// Metrics is the store's registry delta over the run.
 	Metrics obs.Snapshot
-	// PhaseNanos sums, per CPR phase, the tracer's span durations for the
+	// PhaseNanos sums, per CPR phase, the timeline's span durations for the
 	// commits this run issued (where does checkpoint time go?).
 	PhaseNanos map[string]int64
 }
@@ -105,6 +104,8 @@ func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
 		MemPages:     memPages,
 		Kind:         p.Kind,
 		Transfer:     p.Transfer,
+		// The phase timeline (PhaseNanos) is read from the flight recorder.
+		Flight: obs.NewFlightRecorder(obs.DefaultFlightCapacity),
 	})
 	if err != nil {
 		return nil, err
@@ -305,10 +306,10 @@ func RunFaster(p FasterParams) (FasterSummary, error) {
 	return sum, nil
 }
 
-// phaseNanos sums the tracer's closed phase spans, per phase, for the given
+// phaseNanos sums the timeline's closed phase spans, per phase, for the given
 // commits' tokens.
 func phaseNanos(tr *obs.Tracer, commits []faster.CommitResult) map[string]int64 {
-	if tr == nil || len(commits) == 0 {
+	if len(commits) == 0 {
 		return nil
 	}
 	tokens := make(map[string]bool, len(commits))
@@ -317,18 +318,9 @@ func phaseNanos(tr *obs.Tracer, commits []faster.CommitResult) map[string]int64 
 	}
 	out := make(map[string]int64)
 	for _, sp := range tr.Timeline().Spans {
-		if sp.Open {
-			continue
+		if !sp.Open && tokens[sp.Token] {
+			out[sp.Phase] += sp.DurationNanos
 		}
-		// A partitioned store traces each shard's machine as token/s<i>.
-		tok := sp.Token
-		if i := strings.LastIndex(tok, "/s"); i >= 0 {
-			tok = tok[:i]
-		}
-		if !tokens[tok] {
-			continue
-		}
-		out[sp.Phase] += sp.DurationNanos
 	}
 	return out
 }

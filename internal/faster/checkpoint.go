@@ -71,9 +71,6 @@ type checkpointCtx struct {
 	kind      CommitKind
 	withIndex bool
 	token     string
-	// traceToken is token plus the shard's trace suffix, so the per-shard
-	// state machines of one commit stay distinguishable in the shared tracer.
-	traceToken string
 
 	// coord collects the per-session acknowledgments that drive the first
 	// two transitions of Fig. 9a and the sessions' CPR points.
@@ -293,13 +290,12 @@ func (sh *shard) startCommit(token string, kind CommitKind, withIndex bool) *che
 	sh.sessionMu.Lock()
 	sh.ckptMu.Lock()
 	ck := &checkpointCtx{
-		store:      sh,
-		version:    sh.Version(),
-		kind:       kind,
-		withIndex:  withIndex,
-		token:      token,
-		traceToken: token + sh.traceSuffix,
-		done:       make(chan struct{}),
+		store:     sh,
+		version:   sh.Version(),
+		kind:      kind,
+		withIndex: withIndex,
+		token:     token,
+		done:      make(chan struct{}),
 	}
 	ck.coord = core.NewCoordinator[*shardSession](ck.advanceToInProgress, ck.advanceToWaitPending)
 	for _, ss := range sh.sessions {
@@ -311,8 +307,7 @@ func (sh *shard) startCommit(token string, kind CommitKind, withIndex bool) *che
 	sh.state.Store(packState(Prepare, ck.version))
 	sh.flight.Emit(obs.FlightCommitStart, sh.id, uint64(ck.version), ck.token, "", 0, 0)
 	ck.emitPhase(Rest, Prepare)
-	sh.tracer.Phase(ck.traceToken, uint64(ck.version), Rest.String(), Prepare.String())
-	ck.bumpTraced(Prepare)
+	ck.bumpEpoch()
 	sh.ckptMu.Unlock()
 	sh.sessionMu.Unlock()
 	// With zero participants the seal completes both transitions at once.
@@ -327,17 +322,6 @@ func (ck *checkpointCtx) ackPrepare(sess *shardSession) {
 	ck.coord.AckPrepare(sess)
 }
 
-// bumpTraced bumps the epoch for a phase publication, recording the drain
-// latency (how long until every registered thread observed the phase) in the
-// store's tracer.
-func (ck *checkpointCtx) bumpTraced(published Phase) {
-	sh := ck.store
-	t0 := time.Now()
-	sh.epochs.BumpEpoch(func() {
-		sh.tracer.Drain(ck.traceToken, published.String(), uint64(ck.version), time.Since(t0))
-	})
-}
-
 // emitPhase records a state-machine transition in the flight recorder (phase
 // codes match the Phase constants; obs.FlightPhaseName renders them).
 func (ck *checkpointCtx) emitPhase(from, to Phase) {
@@ -345,11 +329,16 @@ func (ck *checkpointCtx) emitPhase(from, to Phase) {
 		uint64(from), uint64(to))
 }
 
+// bumpEpoch bumps the shard's epoch after a publication. Nothing waits on the
+// drain (the sessions' acknowledgments drive the machine): the action is empty,
+// and there so that the epoch manager measures and records how long the
+// publication took to reach every registered thread.
+func (ck *checkpointCtx) bumpEpoch() { ck.store.epochs.BumpEpoch(func() {}) }
+
 func (ck *checkpointCtx) advanceToInProgress() {
 	ck.store.state.Store(packState(InProgress, ck.version))
 	ck.emitPhase(Prepare, InProgress)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), Prepare.String(), InProgress.String())
-	ck.bumpTraced(InProgress)
+	ck.bumpEpoch()
 }
 
 // ackInProgress records a session's CPR point (transition 3 of Fig. 9a).
@@ -360,7 +349,6 @@ func (ck *checkpointCtx) ackInProgress(sess *shardSession, cprSerial uint64) {
 func (ck *checkpointCtx) advanceToWaitPending() {
 	ck.store.state.Store(packState(WaitPending, ck.version))
 	ck.emitPhase(InProgress, WaitPending)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), InProgress.String(), WaitPending.String())
 	ck.checkPendingDone()
 }
 
@@ -371,7 +359,6 @@ func (ck *checkpointCtx) dropParticipant(sess *shardSession) {
 	sameVersion := sess.version == ck.version
 	ck.store.flight.Emit(obs.FlightDrop, ck.store.id, uint64(ck.version), ck.token,
 		sess.owner.id, sess.owner.Serial(), 0)
-	ck.store.tracer.Session(ck.traceToken, sess.owner.id, "drop", uint64(ck.version), sess.owner.Serial())
 	ck.coord.Drop(sess,
 		sameVersion && sess.phase >= Prepare,
 		sameVersion && sess.phase >= InProgress,
@@ -403,7 +390,6 @@ func (ck *checkpointCtx) checkPendingDone() {
 	}
 	ck.store.state.Store(packState(WaitFlush, ck.version))
 	ck.emitPhase(WaitPending, WaitFlush)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), WaitPending.String(), WaitFlush.String())
 	go ck.waitFlush()
 }
 
@@ -519,12 +505,11 @@ func (ck *checkpointCtx) waitFlush() {
 	// recorded first: whoever sees the commit done finds all five transitions
 	// on the timeline.
 	ck.emitPhase(WaitFlush, Rest)
-	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
 	sh.ckptMu.Lock()
 	sh.ckpt = nil
 	sh.state.Store(packState(Rest, ck.version+1))
 	sh.ckptMu.Unlock()
-	ck.bumpTraced(Rest)
+	ck.bumpEpoch()
 	close(ck.done)
 }
 

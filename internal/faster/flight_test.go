@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -146,8 +147,8 @@ func flightCrashDump(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := obs.DecodeFlightDump(payload)
-	if err != nil {
+	var dump obs.FlightDump
+	if err := json.Unmarshal(payload, &dump); err != nil {
 		t.Fatal(err)
 	}
 	evs := obs.FilterFlightEvents(dump.Events, token)

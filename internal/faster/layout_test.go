@@ -124,7 +124,7 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 		for p := 0; (p+1)*pageSize <= len(log); p++ {
 			crcs = append(crcs, hlog.PageCRC{Page: uint64(p), CRC: crc32.Checksum(log[max(p*pageSize, hlog.FirstAddress):(p+1)*pageSize], castagnoli)})
 		}
-		prefix, _, _ := shardNames(shards, i)
+		prefix, _ := shardNames(shards, i)
 		artifact(prefix+"pagecrc-ckpt-000001", crcs)
 		artifact(prefix+"meta-ckpt-000001", metadata{Token: "ckpt-000001", Version: 1, Kind: FoldOver.String(),
 			Lhs: hlog.FirstAddress, Lhe: uint64(len(log)), Serials: map[string]uint64{oldLayoutSession: 4242}})

@@ -112,12 +112,12 @@ candidates:
 		}
 		clear(s.recoveredSerials)
 		for i := range s.shards {
-			sc, trace, err := s.shardConfig(i)
+			sc, err := s.shardConfig(i)
 			if err != nil {
 				s.closeShards(i)
 				return nil, nil, err
 			}
-			sh, serials, rerr := recoverShard(sc, i, trace, s.metrics, man.Token)
+			sh, serials, rerr := recoverShard(sc, i, s.metrics, man.Token)
 			if rerr != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
@@ -248,12 +248,12 @@ func tokenSeq(token string) (uint64, bool) {
 // table covers. cfg must be the shard's private configuration, exactly as
 // for openShard. Any verification failure returns an error; the caller falls
 // back to an older commit.
-func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, token string) (*shard, map[string]uint64, error) {
+func recoverShard(cfg Config, id int, metrics storeMetrics, token string) (*shard, map[string]uint64, error) {
 	meta, err := loadMetadata(cfg.Checkpoints, token)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh, err := openShard(cfg, id, traceSuffix, metrics)
+	sh, err := openShard(cfg, id, metrics)
 	if err != nil {
 		return nil, nil, err
 	}

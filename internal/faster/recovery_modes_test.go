@@ -165,7 +165,7 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 // how many records of the commit itself.
 func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered, committed int) {
 	t.Helper()
-	prefix, _, _ := shardNames(img.shards, i)
+	prefix, _ := shardNames(img.shards, i)
 	cs := storage.NewPrefixCheckpointStore(img.ckpts, prefix)
 	meta, err := loadMetadata(cs, img.token)
 	if err != nil {
@@ -223,7 +223,7 @@ func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recovered
 			t.Fatal(err)
 		}
 		st.devices = append(st.devices, dev)
-		prefix, _, _ := shardNames(img.shards, i)
+		prefix, _ := shardNames(img.shards, i)
 		crc, err := storage.ReadArtifact(cfg.Checkpoints, prefix+"pagecrc-"+img.token)
 		if err != nil {
 			t.Fatal(err)

@@ -115,7 +115,7 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faster: ship info shard %d: %w", i, err)
 		}
-		prefix, _, _ := shardNames(len(s.shards), i)
+		prefix, _ := shardNames(len(s.shards), i)
 		info.Version = meta.Version
 		info.Artifacts = append(info.Artifacts, prefix+"meta-"+token)
 		if artifactExists(sh.cfg.Checkpoints, "pagecrc-"+token) {

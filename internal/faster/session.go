@@ -380,7 +380,6 @@ func (sess *shardSession) enterPrepare() {
 	sess.phase = Prepare
 	serial := sess.owner.serial.Load()
 	sh.flight.Emit(obs.FlightAckPrepare, sh.id, uint64(ck.version), ck.token, sess.owner.id, serial, 0)
-	sh.tracer.Session(ck.traceToken, sess.owner.id, "ack-prepare", uint64(ck.version), serial)
 	ck.ackPrepare(sess)
 }
 
@@ -397,7 +396,6 @@ func (sess *shardSession) enterInProgress() {
 	}
 	cpr := sess.owner.cprPoint(sess.version)
 	sh.flight.Emit(obs.FlightDemarcate, sh.id, uint64(ck.version), ck.token, sess.owner.id, cpr, 0)
-	sh.tracer.Session(ck.traceToken, sess.owner.id, "demarcate", uint64(ck.version), cpr)
 	ck.ackInProgress(sess, cpr)
 }
 

@@ -16,8 +16,7 @@ import (
 // artifacts; Store.Commit drives all of them to a common version and
 // Store.finishCommit completes the commit.
 type shard struct {
-	id          int
-	traceSuffix string // appended to trace tokens ("/s<i>"; empty when unsharded)
+	id int
 
 	cfg    Config
 	epochs *epoch.Manager
@@ -57,15 +56,14 @@ type shard struct {
 	restore      atomic.Pointer[restoreState]
 	restoreStats atomic.Pointer[RestoreShardStatus]
 
-	metrics storeMetrics // shared across shards: store-wide operation counts
-	tracer  *obs.Tracer
+	metrics storeMetrics        // shared across shards: store-wide operation counts
 	flight  *obs.FlightRecorder // nil-safe; events tagged with sh.id
 }
 
 // openShard creates one shard at version 1. cfg must already be the shard's
 // private configuration (own device, namespaced checkpoints, prefixed
 // metrics view — see Store.shardConfig).
-func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics) (*shard, error) {
+func openShard(cfg Config, id int, metrics storeMetrics) (*shard, error) {
 	em := epoch.New()
 	em.Instrument(cfg.Metrics)
 	em.InstrumentFlight(cfg.Flight, id)
@@ -90,16 +88,14 @@ func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics) (*s
 		return nil, err
 	}
 	sh := &shard{
-		id:          id,
-		traceSuffix: traceSuffix,
-		cfg:         cfg,
-		epochs:      em,
-		log:         l,
-		index:       idx,
-		sessions:    make(map[string]*shardSession),
-		metrics:     metrics,
-		tracer:      cfg.Tracer,
-		flight:      cfg.Flight,
+		id:       id,
+		cfg:      cfg,
+		epochs:   em,
+		log:      l,
+		index:    idx,
+		sessions: make(map[string]*shardSession),
+		metrics:  metrics,
+		flight:   cfg.Flight,
 	}
 	cfg.Metrics.GaugeFunc("faster_version", func() int64 { return int64(sh.Version()) })
 	cfg.Metrics.GaugeFunc("faster_phase", func() int64 { return int64(sh.Phase()) })

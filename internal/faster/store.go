@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -166,12 +167,10 @@ type Config struct {
 	// obs.NewNop() to disable collection. Multi-shard stores expose per-shard
 	// infrastructure metrics under a "shard<i>_" prefix.
 	Metrics *obs.Registry
-	// Tracer records checkpoint state-machine activity. Defaults to a fresh
-	// tracer with obs.DefaultTracerCapacity events.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, records the causal commit-lifecycle event stream
 	// (epoch bumps, phase transitions, artifact writes, log flushes, ...) for
-	// every shard. Nil disables the flight recorder at zero hot-path cost.
+	// every shard. Nil disables the flight recorder at zero hot-path cost; the
+	// phase timeline (Store.Tracer) is computed from it and is then empty.
 	Flight *obs.FlightRecorder
 	// ReqTrace, when non-nil, is the request tracer shared by the layers
 	// serving this store (kvserver request hops, repl ship/announce spans).
@@ -225,9 +224,6 @@ func (c *Config) fill() error {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
 	}
 	return nil
 }
@@ -314,7 +310,6 @@ type Store struct {
 	artifactHooks []func(CommitResult) (string, []byte, error)
 
 	metrics storeMetrics
-	tracer  *obs.Tracer
 
 	// report describes how the store was recovered (nil when opened fresh).
 	report *RecoveryReport
@@ -334,7 +329,6 @@ func newStore(cfg Config) *Store {
 		sessions:         make(map[string]*Session),
 		recoveredSerials: make(map[string]uint64),
 		metrics:          newStoreMetrics(cfg.Metrics),
-		tracer:           cfg.Tracer,
 	}
 	if n := cfg.Shards; n&(n-1) == 0 {
 		s.shardShift = 64 - uint(bits.Len(uint(n))-1)
@@ -344,26 +338,25 @@ func newStore(cfg Config) *Store {
 
 // shardNames is the one place that knows how shard i of an n-shard store is
 // named in the namespaces the shards share: the prefix of its checkpoint
-// artifacts, the prefix of its metrics, and the suffix that tells its
-// state machine apart in the tracer. The only shard of a single-shard store
-// uses the bare names.
-func shardNames(n, i int) (artifacts, metrics, trace string) {
+// artifacts and the prefix of its metrics. The only shard of a single-shard
+// store uses the bare names.
+func shardNames(n, i int) (artifacts, metrics string) {
 	if n == 1 {
-		return "", "", ""
+		return "", ""
 	}
-	return fmt.Sprintf("shard%d/", i), fmt.Sprintf("shard%d_", i), fmt.Sprintf("/s%d", i)
+	return fmt.Sprintf("shard%d/", i), fmt.Sprintf("shard%d_", i)
 }
 
 // shardConfig derives shard i's private configuration — its own device, its
 // view of the checkpoint store and of the metrics registry, and a 1/N share of
-// the index and log-memory budgets — and its trace suffix.
-func (s *Store) shardConfig(i int) (Config, string, error) {
+// the index and log-memory budgets.
+func (s *Store) shardConfig(i int) (Config, error) {
 	sc := s.cfg
 	sc.DeviceFactory = nil
 	if s.cfg.DeviceFactory != nil {
 		d, err := s.cfg.DeviceFactory(i)
 		if err != nil {
-			return Config{}, "", fmt.Errorf("faster: shard %d device: %w", i, err)
+			return Config{}, fmt.Errorf("faster: shard %d device: %w", i, err)
 		}
 		sc.Device = d
 	}
@@ -376,10 +369,10 @@ func (s *Store) shardConfig(i int) (Config, string, error) {
 		sc.IndexBuckets = 1 << bits.Len(uint(sc.IndexBuckets)) // non-power-of-two shard count: round up
 	}
 	sc.MemPages = shardShare(s.cfg.MemPages, n, hlog.MinMemPages)
-	artifacts, metrics, trace := shardNames(n, i)
+	artifacts, metrics := shardNames(n, i)
 	sc.Checkpoints = storage.NewPrefixCheckpointStore(s.cfg.Checkpoints, artifacts)
 	sc.Metrics = s.cfg.Metrics.WithPrefix(metrics)
-	return sc, trace, nil
+	return sc, nil
 }
 
 // shardShare is one shard's share of a store-wide budget split n ways: never
@@ -393,10 +386,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := newStore(cfg)
 	for i := 0; i < cfg.Shards; i++ {
-		sc, trace, err := s.shardConfig(i)
+		sc, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, trace, s.metrics)
+			sh, err = openShard(sc, i, s.metrics)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -503,8 +496,9 @@ func (s *Store) LogBytes() int64 {
 // it may be the nop registry).
 func (s *Store) Metrics() *obs.Registry { return s.cfg.Metrics }
 
-// Tracer returns the store's CPR phase tracer.
-func (s *Store) Tracer() *obs.Tracer { return s.tracer }
+// Tracer returns the store's CPR phase timeline: a view of its flight
+// recorder, empty when the store has none.
+func (s *Store) Tracer() *obs.Tracer { return s.cfg.Flight.Tracer(s.cfg.Shards > 1) }
 
 // Flight returns the store's flight recorder (nil when not configured).
 func (s *Store) Flight() *obs.FlightRecorder { return s.cfg.Flight }
@@ -517,16 +511,20 @@ func (s *Store) RequestTracer() *obs.RequestTracer { return s.cfg.ReqTrace }
 // re-deriving the hash split.
 func (s *Store) ShardOfKey(key []byte) int { return s.shardOf(hashfn.Hash64(key)) }
 
-// DumpFlight snapshots the flight recorder and writes it as a CRC-framed
-// artifact named "flight-<reason>" in the checkpoint store, overwriting any
-// earlier dump with the same reason. Call it from a panic handler or a crash
-// point; decode with `fasterctl flight -dump` (or obs.DecodeFlightDump after
-// storage.ReadArtifactChecked). A nil recorder is a no-op.
+// DumpFlight snapshots the flight recorder and writes it — the JSON
+// obs.FlightDump, CRC-framed — as the artifact "flight-<reason>" in the
+// checkpoint store, overwriting any earlier dump with the same reason. Call it
+// from a panic handler or a crash point; read it with `fasterctl flight -dump`
+// (or storage.ReadArtifactChecked). A nil recorder is a no-op.
 func (s *Store) DumpFlight(reason string) error {
 	if s.cfg.Flight == nil {
 		return nil
 	}
-	return storage.WriteArtifactChecked(s.cfg.Checkpoints, "flight-"+reason, s.cfg.Flight.EncodeDump())
+	buf, err := json.Marshal(s.cfg.Flight.Dump())
+	if err != nil {
+		return err
+	}
+	return storage.WriteArtifactChecked(s.cfg.Checkpoints, "flight-"+reason, buf)
 }
 
 // SessionLag is one live session's durability lag: how far its issued

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -17,106 +18,193 @@ var wantTransitions = [][2]string{
 	{"wait-flush", "rest"},
 }
 
+// timelineStore opens a store whose timeline can be read — it has a flight
+// recorder, sized as cprserver and benchmark/env.go size theirs — with one
+// session that has written a hundred keys.
+func timelineStore(t *testing.T, shards int) (*Store, *Session) {
+	t.Helper()
+	s, err := Open(Config{Shards: shards, IndexBuckets: 1 << 10, Metrics: obs.NewRegistry(),
+		Flight: obs.NewFlightRecorder(obs.DefaultFlightCapacity)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.StartSession()
+	for i := 0; i < 100; i++ {
+		if st := sess.Upsert([]byte(fmt.Sprintf("key-%03d", i)), []byte("v")); st != Ok {
+			t.Fatalf("upsert: %v", st)
+		}
+	}
+	t.Cleanup(func() { sess.StopSession(); s.Close() })
+	return s, sess
+}
+
+// machineToken is the token shard i's state machine carries on the timeline.
+func machineToken(token string, shards, i int) string {
+	if shards == 1 {
+		return token
+	}
+	return fmt.Sprintf("%s/s%d", token, i)
+}
+
 // TestCheckpointPhaseTimeline drives one fold-over and one snapshot commit on
-// a live store and asserts the tracer recorded every state-machine transition
-// exactly once, in order, with non-decreasing timestamps, plus the session's
-// thread-crossing events.
+// a live store and asserts the timeline — a view of the flight recorder — holds
+// every state-machine transition of every shard exactly once, in order, with
+// non-decreasing timestamps, plus the session's thread-crossing events and the
+// epoch drains; and nothing once the store has no recorder.
 func TestCheckpointPhaseTimeline(t *testing.T) {
 	for _, kind := range []CommitKind{FoldOver, Snapshot} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			s, err := Open(Config{IndexBuckets: 1 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			sess := s.StartSession()
-			defer sess.StopSession()
-			for i := 0; i < 100; i++ {
-				k := []byte(fmt.Sprintf("key-%03d", i))
-				if st := sess.Upsert(k, []byte("v")); st != Ok {
-					t.Fatalf("upsert: %v", st)
-				}
-			}
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/shards=%d", kind, shards), func(t *testing.T) {
+				s, sess := timelineStore(t, shards)
+				token := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true, Kind: &kind}).Token
 
-			token, err := s.Commit(CommitOptions{WithIndex: true, Kind: &kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				res, done := s.TryResult(token)
-				if done {
-					if res.Err != nil {
-						t.Fatal(res.Err)
+				tl := s.Tracer().Timeline()
+				if tl.Dropped != 0 {
+					t.Fatalf("recorder dropped %d events", tl.Dropped)
+				}
+				for i := 1; i < len(tl.Events); i++ {
+					if tl.Events[i].AtNanos < tl.Events[i-1].AtNanos {
+						t.Fatalf("timestamp regression at event %d: %d < %d",
+							i, tl.Events[i].AtNanos, tl.Events[i-1].AtNanos)
 					}
-					break
 				}
-				sess.Refresh()
-			}
+				for sh := 0; sh < shards; sh++ {
+					var got [][2]string
+					sessionEvents := map[string]int{}
+					drains := 0
+					for _, e := range tl.Events {
+						if e.Token != machineToken(token, shards, sh) {
+							continue
+						}
+						switch e.Kind {
+						case obs.KindPhase:
+							got = append(got, [2]string{e.From, e.Phase})
+						case obs.KindSession:
+							if !strings.HasPrefix(sess.ID(), e.Session) || e.Session == "" {
+								t.Fatalf("session event of %q, want a prefix of %q", e.Session, sess.ID())
+							}
+							sessionEvents[e.Event]++
+						case obs.KindDrain:
+							drains++
+						}
+					}
+					if fmt.Sprint(got) != fmt.Sprint(wantTransitions) {
+						t.Fatalf("shard %d recorded transitions %v, want %v", sh, got, wantTransitions)
+					}
+					if sessionEvents["ack-prepare"] != 1 || sessionEvents["demarcate"] != 1 {
+						t.Fatalf("shard %d session events %v, want one ack-prepare and one demarcate", sh, sessionEvents)
+					}
+					if drains == 0 {
+						t.Fatalf("shard %d has no epoch-drain events", sh)
+					}
+				}
+			})
+		}
+	}
 
-			events, dropped := s.Tracer().Events()
-			if dropped != 0 {
-				t.Fatalf("tracer dropped %d events", dropped)
-			}
+	s, err := Open(Config{IndexBuckets: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	driveCommit(t, s, nil, CommitOptions{})
+	if tl := s.Tracer().Timeline(); len(tl.Events) != 0 || len(tl.Spans) != 0 {
+		t.Fatalf("a store without a flight recorder has a timeline: %+v", tl)
+	}
+}
 
-			// Timestamps never decrease across the whole trace.
-			for i := 1; i < len(events); i++ {
-				if events[i].AtNanos < events[i-1].AtNanos {
-					t.Fatalf("timestamp regression at event %d: %d < %d",
-						i, events[i].AtNanos, events[i-1].AtNanos)
+// TestTimelineSpansPerMachine: after one commit every shard's machine has the
+// closed spans prepare, in-progress, wait-pending and wait-flush, contiguous,
+// each ending at that machine's own next transition — not at whichever shard
+// moved next — and an open rest span.
+func TestTimelineSpansPerMachine(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, sess := timelineStore(t, shards)
+			driveCommit(t, s, []*Session{sess}, CommitOptions{})
+
+			tl := s.Tracer().Timeline()
+			transitions := map[string][]obs.Event{} // by machine
+			for _, e := range tl.Events {
+				if e.Kind == obs.KindPhase {
+					transitions[e.Token] = append(transitions[e.Token], e)
 				}
 			}
+			if len(transitions) != shards {
+				t.Fatalf("%d machines on the timeline, want %d", len(transitions), shards)
+			}
+			spanFrom := func(e obs.Event) obs.PhaseSpan {
+				for _, sp := range tl.Spans {
+					if sp.Phase == e.Phase && sp.StartNanos == e.AtNanos {
+						return sp
+					}
+				}
+				t.Fatalf("no %s span starts at %d", e.Phase, e.AtNanos)
+				panic("unreachable")
+			}
+			for machine, evs := range transitions {
+				if len(evs) != len(wantTransitions) {
+					t.Fatalf("%s has %d transitions, want %d", machine, len(evs), len(wantTransitions))
+				}
+				for i, e := range evs {
+					sp := spanFrom(e)
+					if i == len(evs)-1 {
+						if e.Phase != "rest" || !sp.Open {
+							t.Fatalf("%s ends in %+v, want an open rest span", machine, sp)
+						}
+						continue
+					}
+					if next := evs[i+1].AtNanos; sp.Open || sp.EndNanos != next || sp.DurationNanos != next-e.AtNanos {
+						t.Fatalf("%s: %s span %+v, want it closed at the machine's next transition, %d",
+							machine, e.Phase, sp, next)
+					}
+				}
+			}
+			if want := len(wantTransitions) * shards; len(tl.Spans) != want {
+				t.Fatalf("%d spans, want %d", len(tl.Spans), want)
+			}
+		})
+	}
+}
 
-			// This commit's phase transitions, in trace order.
-			var got [][2]string
-			sessionEvents := map[string]int{}
-			drains := 0
-			for _, e := range events {
-				if e.Token != token {
+// TestTimelineFeedsBenchmark pins what benchmark/layers.go phaseDurations
+// reads, which no file outside benchmark/ otherwise spells out: on a store
+// configured as benchmark/env.go configures it, Store.Tracer().Timeline().Events
+// has, for every commit and shard, the five obs.KindPhase entries whose Token
+// cut at "/" is the commit token, whose Phase is one of the five names, and
+// whose AtNanos does not decrease along one Token.
+func TestTimelineFeedsBenchmark(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, sess := timelineStore(t, shards)
+			commits := map[string]bool{}
+			for i := 0; i < 3; i++ {
+				commits[driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: i == 0}).Token] = true
+			}
+			names := map[string]bool{"prepare": true, "in-progress": true, "wait-pending": true, "wait-flush": true, "rest": true}
+			last := map[string]int64{}
+			perCommit := map[string]int{}
+			for _, e := range s.Tracer().Timeline().Events {
+				if e.Kind != obs.KindPhase {
 					continue
 				}
-				switch e.Kind {
-				case obs.KindPhase:
-					got = append(got, [2]string{e.From, e.Phase})
-				case obs.KindSession:
-					sessionEvents[e.Event]++
-				case obs.KindDrain:
-					drains++
+				token, _, _ := strings.Cut(e.Token, "/")
+				if !commits[token] || !names[e.Phase] {
+					t.Fatalf("phase event %+v: token of no commit, or phase of no name", e)
 				}
-			}
-			if len(got) != len(wantTransitions) {
-				t.Fatalf("recorded %d transitions %v, want %d %v",
-					len(got), got, len(wantTransitions), wantTransitions)
-			}
-			for i, want := range wantTransitions {
-				if got[i] != want {
-					t.Fatalf("transition %d = %v, want %v (full: %v)", i, got[i], want, got)
+				if e.AtNanos < last[e.Token] {
+					t.Fatalf("%s: AtNanos %d after %d", e.Token, e.AtNanos, last[e.Token])
 				}
+				last[e.Token] = e.AtNanos
+				perCommit[token]++
 			}
-			if sessionEvents["ack-prepare"] != 1 {
-				t.Fatalf("ack-prepare events = %d, want 1 (%v)", sessionEvents["ack-prepare"], sessionEvents)
+			if len(last) != len(commits)*shards {
+				t.Fatalf("%d tokens on the timeline, want one per commit and shard, %d", len(last), len(commits)*shards)
 			}
-			if sessionEvents["demarcate"] != 1 {
-				t.Fatalf("demarcate events = %d, want 1 (%v)", sessionEvents["demarcate"], sessionEvents)
-			}
-			if drains == 0 {
-				t.Fatal("no epoch-drain events recorded")
-			}
-
-			// The derived timeline must close every span except the trailing
-			// rest span.
-			tl := s.Tracer().Timeline()
-			if len(tl.Spans) == 0 {
-				t.Fatal("timeline has no spans")
-			}
-			for i, sp := range tl.Spans[:len(tl.Spans)-1] {
-				if sp.Open {
-					t.Fatalf("span %d (%s) marked open", i, sp.Phase)
+			for token := range commits {
+				if perCommit[token] != len(wantTransitions)*shards {
+					t.Fatalf("%s has %d phase events, want %d", token, perCommit[token], len(wantTransitions)*shards)
 				}
-			}
-			last := tl.Spans[len(tl.Spans)-1]
-			if !last.Open || last.Phase != "rest" {
-				t.Fatalf("trailing span = %+v, want open rest span", last)
 			}
 		})
 	}

@@ -56,15 +56,11 @@ func (e *Engine) buildBundle(ds *detState, cur Sample, seq uint64) *Bundle {
 		Metrics:           cur.Snap,
 	}
 	if e.cfg.Flight != nil {
-		events, dropped := e.cfg.Flight.Events()
-		b.Flight = &obs.FlightDump{
-			WallStartNanos: e.cfg.Flight.WallStart(),
-			Dropped:        dropped,
-			Events:         events,
-		}
+		fd := e.cfg.Flight.Dump()
+		b.Flight = &fd
 	}
 	if e.cfg.Traces != nil {
-		td := e.cfg.Traces.Dump(bundleTraceCount)
+		td := e.cfg.Traces.Dump(bundleTraceCount, e.cfg.Flight)
 		b.Traces = &td
 	}
 	b.GoroutineProfile = pprofText("goroutine")

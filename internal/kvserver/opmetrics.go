@@ -31,7 +31,7 @@ type opMetrics struct {
 // in reg so every family is present in /metrics.prom even before first use.
 func resolveOpMetrics(reg *obs.Registry) opMetrics {
 	reg.SetHelp("faster_op_queue_ns",
-		"Per-request client-issue to server-decode latency (network + accept queueing; requires a v2 traced client).")
+		"Per-request client-issue to server-decode latency (network + accept queueing; requires a traced client).")
 	reg.SetHelp("faster_op_exec_ns",
 		"Per-request FASTER operation execution latency, including pending completion.")
 	reg.SetHelp("faster_op_durwait_ns",

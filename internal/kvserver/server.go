@@ -767,7 +767,7 @@ func (s *Server) writeTraceDump(w io.Writer, store *faster.Store, payload []byte
 	if rt == nil {
 		return replyJSON(w, OpTrace, nil, "request tracer disabled")
 	}
-	return replyJSON(w, OpTrace, rt.Dump(n), "")
+	return replyJSON(w, OpTrace, rt.Dump(n, store.Flight()), "")
 }
 
 // writeFlight sends the OpFlight response: the store's flight-recorder
@@ -786,11 +786,9 @@ func (s *Server) writeFlight(w io.Writer, store *faster.Store, payload []byte) e
 	if fr == nil {
 		return replyJSON(w, OpFlight, nil, "flight recorder disabled")
 	}
-	events, dropped := fr.Events()
-	if token != "" {
-		events = obs.FilterFlightEvents(events, token)
-	}
-	return replyJSON(w, OpFlight, obs.FlightDump{WallStartNanos: fr.WallStart(), Dropped: dropped, Events: events}, "")
+	dump := fr.Dump()
+	dump.Events = obs.FilterFlightEvents(dump.Events, token)
+	return replyJSON(w, OpFlight, dump, "")
 }
 
 // writeHealth serves the health engine's verdict as JSON, or an error frame

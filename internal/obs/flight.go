@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -11,13 +10,15 @@ import (
 )
 
 // The flight recorder is the causal counterpart to the metrics registry: a
-// lock-free, fixed-size set of per-core ring buffers of structured binary
-// events covering the full lifecycle of a CPR commit — epoch bumps, per-shard
-// phase transitions, HybridLog flushes and page-CRC records, artifact writes
-// and retries, fault injections, replication ship/install/promote, recovery
+// lock-free, fixed-size set of ring buffers of structured binary events
+// covering the full lifecycle of a CPR commit — epoch bumps, per-shard phase
+// transitions, HybridLog flushes and page-CRC records, artifact writes and
+// retries, fault injections, replication ship/install/promote, recovery
 // verdicts. Every event is stamped with the commit token, CPR version, shard
 // and session it belongs to, so one commit's end-to-end timeline can be
-// reassembled across all layers (`fasterctl flight <token>`).
+// reassembled across all layers (`fasterctl flight <token>`). It is the only
+// place such an event is written: the phase timeline (tracer.go) and the
+// replication spans of a trace dump (reqtrace.go) are computed from it.
 //
 // Emit is allocation-free and nil-receiver-safe, like Counter.Add: the hot
 // path is one clock read, one atomic ticket fetch-add and a dozen atomic word
@@ -84,7 +85,7 @@ const (
 	// point name (possibly truncated).
 	FlightCrashPoint
 	// FlightReplShip: the primary finished shipping a commit's artifacts to a
-	// replica. Arg1 is the bytes shipped.
+	// replica. Arg1 is the bytes shipped, Arg2 how long the shipping took (ns).
 	FlightReplShip
 	// FlightReplInstall: a replica atomically installed a shipped commit.
 	FlightReplInstall
@@ -275,28 +276,49 @@ type flightSlot struct {
 	w   [flightDataWords]atomic.Uint64
 }
 
-// flightRing is one per-core ring: pos is the monotonically increasing ticket
-// counter; slot (ticket-1) & mask holds the event.
+// flightRing is one ring: pos is the monotonically increasing ticket counter;
+// slot (ticket-1) & (len(slots)-1) holds the event.
 type flightRing struct {
 	pos   atomic.Uint64
 	_     [cacheLine - 8]byte
 	slots []flightSlot
 }
 
-// DefaultFlightCapacity is the per-ring slot count used when a component
-// creates its own recorder: with numShards rings this retains the most recent
-// few hundred thousand bytes of events — hours of steady-state commit traffic.
+// flightLifecycleKinds is the set of kinds emitted per commit, per session
+// crossing or more rarely still (a recovery, a promotion, a detector firing).
+// They share one ring of flightLifecycleSlots that the other kinds — emitted
+// per epoch bump, page, fsync group, pump drain, bucket or injected fault —
+// cannot evict; and since causally ordered lifecycle events then carry tickets
+// of one ring, those with equal timestamps merge in causal order. A commit of
+// an ingest server with one shard and one session leaves 17 events there (a
+// further shard about ten more, a further session two per shard), so the ring
+// holds its last 240 commits, whatever else the process records.
+const (
+	flightLifecycleKinds = uint64(1)<<FlightPhase | 1<<FlightAckPrepare | 1<<FlightDemarcate | 1<<FlightDrop |
+		1<<FlightCommitStart | 1<<FlightPersistDone | 1<<FlightManifestWrite | 1<<FlightCommitDone |
+		1<<FlightCommitFail | 1<<FlightCommitAnnounced | 1<<FlightArtifactWrite | 1<<FlightArtifactRetry |
+		1<<FlightCrashPoint | 1<<FlightReplShip | 1<<FlightReplInstall | 1<<FlightReplPromote |
+		1<<FlightRecoverVerdict | 1<<FlightRecoverFallback | 1<<FlightInlogWatermark | 1<<FlightInlogTrim |
+		1<<FlightInlogReplay | 1<<FlightHealthFire | 1<<FlightHealthClear
+	flightLifecycleSlots = 4096
+)
+
+// DefaultFlightCapacity is the slot count of each per-core ring, which hold
+// the kinds outside flightLifecycleKinds. Their rate follows the traffic, not
+// the commits: an ingest server emits two events per fsync group and one per
+// pump drain, thousands a second, so these rings hold the last fraction of a
+// second of a busy process and minutes of an idle one. What a commit, a
+// recovery or a detector did is in the lifecycle ring and outlives them.
 const DefaultFlightCapacity = 1024
 
-// FlightRecorder records flight events into per-core rings. The nil
-// FlightRecorder is a valid no-op: Emit on nil returns immediately, so
-// instrumented code never branches on configuration.
+// FlightRecorder records flight events into one lifecycle ring and a set of
+// per-core rings. The nil FlightRecorder is a valid no-op: Emit on nil returns
+// immediately, so instrumented code never branches on configuration.
 type FlightRecorder struct {
 	start     time.Time
 	wallStart int64 // wall clock at creation (UnixNano); AtNanos is relative
 	ringMask  uint64
-	slotMask  uint64
-	rings     []flightRing
+	rings     []flightRing // numShards per-core rings, then the lifecycle ring
 }
 
 // NewFlightRecorder returns a recorder with perRing slots in each of its
@@ -315,12 +337,12 @@ func NewFlightRecorder(perRing int) *FlightRecorder {
 		start:     now,
 		wallStart: now.UnixNano(),
 		ringMask:  uint64(numShards - 1),
-		slotMask:  uint64(c - 1),
-		rings:     make([]flightRing, numShards),
+		rings:     make([]flightRing, numShards+1),
 	}
-	for i := range f.rings {
+	for i := range f.rings[:numShards] {
 		f.rings[i].slots = make([]flightSlot, c)
 	}
+	f.rings[numShards].slots = make([]flightSlot, flightLifecycleSlots)
 	return f
 }
 
@@ -336,12 +358,6 @@ func (f *FlightRecorder) WallStart() int64 {
 // packFlightMeta packs kind, shard and the string lengths into one word.
 // Shard is stored +1 in 16 bits so shard -1 (store-level events) round-trips.
 func packFlightMeta(kind FlightKind, shard, tlen, slen int) uint64 {
-	if tlen > FlightTokenBytes {
-		tlen = FlightTokenBytes
-	}
-	if slen > FlightSessionBytes {
-		slen = FlightSessionBytes
-	}
 	return uint64(kind) | uint64(uint16(shard+1))<<8 | uint64(tlen)<<24 | uint64(slen)<<32
 }
 
@@ -351,15 +367,25 @@ func packFlightMeta(kind FlightKind, shard, tlen, slen int) uint64 {
 //
 // The timestamp is read before the ticket is claimed, so events ordered by
 // happens-before carry non-decreasing timestamps; the reader's merge sort by
-// (AtNanos, ring, ticket) therefore respects causality across goroutines.
+// (AtNanos, ring, ticket) therefore respects causality across goroutines, and
+// between two events of one ring also when the clock did not advance.
 func (f *FlightRecorder) Emit(kind FlightKind, shard int, version uint64, token, session string, arg1, arg2 uint64) {
 	if f == nil {
 		return
 	}
 	at := uint64(time.Since(f.start).Nanoseconds())
-	r := &f.rings[shardHint()&f.ringMask]
+	if len(token) > FlightTokenBytes {
+		token = token[:FlightTokenBytes]
+	}
+	if len(session) > FlightSessionBytes {
+		session = session[:FlightSessionBytes]
+	}
+	r := &f.rings[numShards]
+	if flightLifecycleKinds>>kind&1 == 0 {
+		r = &f.rings[shardHint()&f.ringMask]
+	}
 	ticket := r.pos.Add(1)
-	s := &r.slots[(ticket-1)&f.slotMask]
+	s := &r.slots[(ticket-1)&uint64(len(r.slots)-1)]
 	// Claim the slot: CAS even->odd. Contention here requires another writer
 	// to be mid-write on this very slot, which needs ring-capacity tickets
 	// claimed within its ~100ns write window — effectively never; the spin is
@@ -376,12 +402,6 @@ func (f *FlightRecorder) Emit(kind FlightKind, shard int, version uint64, token,
 	s.w[3].Store(version)
 	s.w[4].Store(arg1)
 	s.w[5].Store(arg2)
-	if len(token) > FlightTokenBytes {
-		token = token[:FlightTokenBytes]
-	}
-	if len(session) > FlightSessionBytes {
-		session = session[:FlightSessionBytes]
-	}
 	for i := 0; i < flightTokenWords; i++ {
 		s.w[6+i].Store(packFlightBytes(token, i*8))
 	}
@@ -545,117 +565,12 @@ type FlightDump struct {
 	Events         []FlightEvent `json:"events"`
 }
 
-// Dump format: an 8-byte magic (which includes the format version), the
-// recorder's wall start, the dropped count, the event count, then fixed
-// 104-byte event records. The CRC framing that protects a crash dump on disk
-// is applied by the storage layer's artifact envelope (storage.EncodeArtifact
-// / WriteArtifactChecked) — obs cannot depend on storage, which already
-// depends on obs.
-const (
-	flightDumpMagic   = "CPRFLT01"
-	flightDumpHdrSize = 8 + 8 + 8 + 4 + 4
-	flightRecSize     = 104
-)
-
-// EncodeDump snapshots the recorder and encodes the dump payload. Frame it in
-// the storage artifact envelope before writing it to disk.
-func (f *FlightRecorder) EncodeDump() []byte {
+// Dump snapshots the recorder. Its JSON is the one encoding a dump has: the
+// /flight endpoint, the kvserver FLIGHT op, incident bundles and — inside the
+// storage layer's checksum envelope — the crash-dump artifact all carry it.
+func (f *FlightRecorder) Dump() FlightDump {
 	evs, dropped := f.Events()
-	return EncodeFlightDump(FlightDump{WallStartNanos: f.WallStart(), Dropped: dropped, Events: evs})
-}
-
-// EncodeFlightDump encodes a dump payload.
-func EncodeFlightDump(d FlightDump) []byte {
-	buf := make([]byte, 0, flightDumpHdrSize+len(d.Events)*flightRecSize)
-	buf = append(buf, flightDumpMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.WallStartNanos))
-	buf = binary.LittleEndian.AppendUint64(buf, d.Dropped)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Events)))
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved
-	for _, e := range d.Events {
-		buf = appendFlightEvent(buf, e)
-	}
-	return buf
-}
-
-// DecodeFlightDump decodes a dump payload produced by EncodeFlightDump (after
-// the storage envelope, if any, has been stripped).
-func DecodeFlightDump(data []byte) (FlightDump, error) {
-	var d FlightDump
-	if len(data) < flightDumpHdrSize {
-		return d, fmt.Errorf("obs: flight dump truncated (%d bytes)", len(data))
-	}
-	if string(data[:8]) != flightDumpMagic {
-		return d, fmt.Errorf("obs: not a flight dump (magic %q)", data[:8])
-	}
-	d.WallStartNanos = int64(binary.LittleEndian.Uint64(data[8:]))
-	d.Dropped = binary.LittleEndian.Uint64(data[16:])
-	count := int(binary.LittleEndian.Uint32(data[24:]))
-	body := data[flightDumpHdrSize:]
-	if len(body) != count*flightRecSize {
-		return d, fmt.Errorf("obs: flight dump body is %d bytes, want %d for %d events",
-			len(body), count*flightRecSize, count)
-	}
-	d.Events = make([]FlightEvent, 0, count)
-	for i := 0; i < count; i++ {
-		e, err := decodeFlightEvent(body[i*flightRecSize:])
-		if err != nil {
-			return d, fmt.Errorf("obs: flight dump event %d: %w", i, err)
-		}
-		d.Events = append(d.Events, e)
-	}
-	return d, nil
-}
-
-// appendFlightEvent encodes one fixed-size event record.
-func appendFlightEvent(buf []byte, e FlightEvent) []byte {
-	var rec [flightRecSize]byte
-	binary.LittleEndian.PutUint32(rec[0:], uint32(e.Ring))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(int32(e.Shard)))
-	binary.LittleEndian.PutUint64(rec[8:], e.Seq)
-	binary.LittleEndian.PutUint64(rec[16:], uint64(e.AtNanos))
-	binary.LittleEndian.PutUint64(rec[24:], e.Version)
-	binary.LittleEndian.PutUint64(rec[32:], e.Arg1)
-	binary.LittleEndian.PutUint64(rec[40:], e.Arg2)
-	rec[48] = byte(e.Kind)
-	tok, sess := e.Token, e.Session
-	if len(tok) > FlightTokenBytes {
-		tok = tok[:FlightTokenBytes]
-	}
-	if len(sess) > FlightSessionBytes {
-		sess = sess[:FlightSessionBytes]
-	}
-	rec[49] = byte(len(tok))
-	rec[50] = byte(len(sess))
-	copy(rec[52:], tok)
-	copy(rec[84:], sess)
-	return append(buf, rec[:]...)
-}
-
-// decodeFlightEvent decodes one fixed-size event record.
-func decodeFlightEvent(b []byte) (FlightEvent, error) {
-	var e FlightEvent
-	if len(b) < flightRecSize {
-		return e, fmt.Errorf("truncated record (%d bytes)", len(b))
-	}
-	tlen, slen := int(b[49]), int(b[50])
-	if tlen > FlightTokenBytes {
-		return e, fmt.Errorf("token length %d exceeds %d", tlen, FlightTokenBytes)
-	}
-	if slen > FlightSessionBytes {
-		return e, fmt.Errorf("session length %d exceeds %d", slen, FlightSessionBytes)
-	}
-	e.Ring = int(binary.LittleEndian.Uint32(b[0:]))
-	e.Shard = int(int32(binary.LittleEndian.Uint32(b[4:])))
-	e.Seq = binary.LittleEndian.Uint64(b[8:])
-	e.AtNanos = int64(binary.LittleEndian.Uint64(b[16:]))
-	e.Version = binary.LittleEndian.Uint64(b[24:])
-	e.Arg1 = binary.LittleEndian.Uint64(b[32:])
-	e.Arg2 = binary.LittleEndian.Uint64(b[40:])
-	e.Kind = FlightKind(b[48])
-	e.Token = string(b[52 : 52+tlen])
-	e.Session = string(b[84 : 84+slen])
-	return e, nil
+	return FlightDump{WallStartNanos: f.WallStart(), Dropped: dropped, Events: evs}
 }
 
 // Describe renders an event's payload for human consumption (one line,
@@ -672,8 +587,10 @@ func (e FlightEvent) Describe() string {
 		fmt.Fprintf(&b, " epoch=%d drain=%s", e.Arg1, time.Duration(e.Arg2))
 	case FlightAckPrepare, FlightDemarcate, FlightDrop:
 		fmt.Fprintf(&b, " serial=%d", e.Arg1)
-	case FlightPersistDone, FlightCommitDone, FlightArtifactWrite, FlightReplShip:
+	case FlightPersistDone, FlightCommitDone, FlightArtifactWrite:
 		fmt.Fprintf(&b, " bytes=%d", e.Arg1)
+	case FlightReplShip:
+		fmt.Fprintf(&b, " bytes=%d took=%s", e.Arg1, time.Duration(e.Arg2))
 	case FlightArtifactRetry:
 		fmt.Fprintf(&b, " attempt=%d", e.Arg1)
 	case FlightFlush:

@@ -1,7 +1,11 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -69,8 +73,15 @@ func TestFlightEmitAllocFree(t *testing.T) {
 // things: wraparound drops the oldest events (the retained+dropped totals
 // add back up to everything emitted), and no surviving event is torn — each
 // event's fields are cross-correlated, so a mixed-up slot is detectable.
-// Run under -race to also exercise the seqlock protocol.
+// Run under -race to also exercise the seqlock protocol. Once with a kind of
+// the per-core rings, once with one of the lifecycle ring all writers share.
 func TestFlightWraparoundNeverTorn(t *testing.T) {
+	for _, kind := range []obs.FlightKind{obs.FlightFlush, obs.FlightArtifactWrite} {
+		t.Run(kind.String(), func(t *testing.T) { flightWraparoundNeverTorn(t, kind) })
+	}
+}
+
+func flightWraparoundNeverTorn(t *testing.T, kind obs.FlightKind) {
 	const (
 		writers   = 8
 		perWriter = 30_000
@@ -89,7 +100,7 @@ func TestFlightWraparoundNeverTorn(t *testing.T) {
 				x := uint64(w)<<32 | uint64(i)
 				// arg2 is a deterministic function of arg1; version echoes
 				// the writer. A torn slot breaks at least one relation.
-				f.Emit(obs.FlightFlush, w, uint64(w)+1, token, session, x, x^0x5bd1e995)
+				f.Emit(kind, w, uint64(w)+1, token, session, x, x^0x5bd1e995)
 			}
 		}()
 	}
@@ -119,51 +130,97 @@ func TestFlightWraparoundNeverTorn(t *testing.T) {
 	}
 }
 
+// TestFlightDumpRoundTrip: a dump survives its one encoding, JSON — kinds as
+// their stable names, the 31-byte crash-point token unclipped.
 func TestFlightDumpRoundTrip(t *testing.T) {
 	f := obs.NewFlightRecorder(64)
 	f.Emit(obs.FlightCommitStart, -1, 9, "ckpt-000009", "", 0, 0)
 	f.Emit(obs.FlightArtifactWrite, 1, 9, "shard1/meta-ckpt-000009", "", 2048, 0)
 	f.Emit(obs.FlightCrashPoint, -1, 0, "before:cpr-manifest-ckpt-000009", "", 0, 0)
+	f.Emit(obs.FlightPageCRC, 1, 0, "", "", 3, 0xdeadbeef)
 
-	buf := f.EncodeDump()
-	d, err := obs.DecodeFlightDump(buf)
+	want := f.Dump()
+	buf, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.WallStartNanos != f.WallStart() {
-		t.Fatalf("wall start %d != %d", d.WallStartNanos, f.WallStart())
+	if !bytes.Contains(buf, []byte(`"crash-point"`)) {
+		t.Fatalf("kinds not encoded by name: %s", buf)
 	}
-	want, _ := f.Events()
-	if len(d.Events) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(d.Events), len(want))
+	var got obs.FlightDump
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if d.Events[i] != want[i] {
-			t.Fatalf("event %d: decoded %+v, want %+v", i, d.Events[i], want[i])
-		}
+	if got.WallStartNanos != f.WallStart() || len(want.Events) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
-	// The 31-byte crash-point token must survive unclipped.
-	found := false
-	for _, e := range d.Events {
-		if e.Kind == obs.FlightCrashPoint && e.Token == "before:cpr-manifest-ckpt-000009" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("crash-point token clipped or lost in round trip")
-	}
+}
 
-	// Corruption checks.
-	if _, err := obs.DecodeFlightDump(buf[:10]); err == nil {
-		t.Fatal("truncated dump decoded without error")
+// TestFlightLifecycleSurvivesIngest: the events of 64 commits, emitted while
+// four goroutines emit 20 000 events of the kinds an ingest server produces by
+// the thousand, are all still there afterwards — every transition is on the
+// timeline — and what was dropped was dropped from the other rings.
+func TestFlightLifecycleSurvivesIngest(t *testing.T) {
+	const commits, noisy, perNoisy = 64, 4, 5000
+	f := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	var wg sync.WaitGroup
+	for g := 0; g < noisy; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < perNoisy; i++ {
+				kind := [...]obs.FlightKind{obs.FlightInlogFsync, obs.FlightPageCRC, obs.FlightEpochBump}[i%3]
+				f.Emit(kind, 0, 0, "", "", i, i)
+			}
+		}()
 	}
-	bad := append([]byte(nil), buf...)
-	bad[0] ^= 0xff
-	if _, err := obs.DecodeFlightDump(bad); err == nil {
-		t.Fatal("bad magic decoded without error")
+	lifecycle := 0
+	for c := 1; c <= commits; c++ {
+		token := fmt.Sprintf("ckpt-%06d", c)
+		emit := func(kind obs.FlightKind, shard int, session string, arg1, arg2 uint64) {
+			f.Emit(kind, shard, uint64(c), token, session, arg1, arg2)
+			lifecycle++
+		}
+		emit(obs.FlightCommitStart, 0, "", 0, 0)
+		for p := uint64(0); p < 5; p++ {
+			emit(obs.FlightPhase, 0, "", p, (p+1)%5)
+			if p < 2 {
+				emit(obs.FlightAckPrepare+obs.FlightKind(p), 0, "sess-a", uint64(c), 0)
+			}
+		}
+		emit(obs.FlightPersistDone, 0, "", 4096, 0)
+		emit(obs.FlightArtifactWrite, -1, "", 64, 0)
+		emit(obs.FlightManifestWrite, -1, "", 0, 0)
+		emit(obs.FlightCommitDone, -1, "", 4096, 0)
+		emit(obs.FlightInlogWatermark, -1, "inlog-pump", uint64(c), uint64(c))
+		emit(obs.FlightInlogTrim, -1, "", uint64(c), 1<<20)
+		runtime.Gosched()
 	}
-	if _, err := obs.DecodeFlightDump(buf[:len(buf)-13]); err == nil {
-		t.Fatal("torn dump body decoded without error")
+	wg.Wait()
+
+	evs, dropped := f.Events()
+	kept := 0
+	for _, e := range evs {
+		if e.Token != "" {
+			kept++
+		}
+	}
+	if kept != lifecycle {
+		t.Fatalf("%d of %d lifecycle events retained", kept, lifecycle)
+	}
+	if dropped == 0 || uint64(len(evs))+dropped != uint64(lifecycle+noisy*perNoisy) {
+		t.Fatalf("retained %d + dropped %d, emitted %d lifecycle + %d others", len(evs), dropped, lifecycle, noisy*perNoisy)
+	}
+	phases := map[string]int{}
+	for _, e := range f.Tracer(false).Timeline().Events {
+		if e.Kind == obs.KindPhase {
+			phases[e.Token]++
+		}
+	}
+	for c := 1; c <= commits; c++ {
+		if token := fmt.Sprintf("ckpt-%06d", c); phases[token] != 5 {
+			t.Fatalf("%s has %d transitions on the timeline, want 5", token, phases[token])
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// TimelineHandler serves the tracer's phase timeline as JSON.
+// TimelineHandler serves the phase timeline as JSON.
 func TimelineHandler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, t.Timeline())
@@ -34,16 +34,16 @@ func TimelineHandler(t *Tracer) http.Handler {
 // events (token containment, so artifact names match too).
 func FlightHandler(f *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		evs, dropped := f.Events()
-		evs = FilterFlightEvents(evs, req.URL.Query().Get("token"))
-		writeJSON(w, FlightDump{WallStartNanos: f.WallStart(), Dropped: dropped, Events: evs})
+		d := f.Dump()
+		d.Events = FilterFlightEvents(d.Events, req.URL.Query().Get("token"))
+		writeJSON(w, d)
 	})
 }
 
 // TraceHandler serves the request tracer's retained slow-request span trees
 // as a JSON TraceDump. An optional ?n=<count> query bounds the trace count
-// (default 16, 0 = everything retained).
-func TraceHandler(rt *RequestTracer) http.Handler {
+// (default 16, 0 = everything retained). Its global spans are read from fr.
+func TraceHandler(rt *RequestTracer, fr *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		n := 16
 		if q := req.URL.Query().Get("n"); q != "" {
@@ -51,7 +51,7 @@ func TraceHandler(rt *RequestTracer) http.Handler {
 				n = v
 			}
 		}
-		writeJSON(w, rt.Dump(n))
+		writeJSON(w, rt.Dump(n, fr))
 	})
 }
 
@@ -60,7 +60,7 @@ func TraceHandler(rt *RequestTracer) http.Handler {
 //
 //	/metrics        registry snapshot (expvar-style JSON)
 //	/metrics.prom   the same registry in Prometheus text exposition format
-//	/timeline       CPR phase timeline (events + spans)
+//	/timeline       CPR phase timeline (events + spans), computed from the flight recorder
 //	/flight         flight-recorder timeline (?token=<commit> filters)
 //	/trace          slow-request span trees (?n=<count> bounds)
 //	/debug/pprof/*  the standard Go profiler endpoints
@@ -74,7 +74,7 @@ func NewDebugMux(reg *Registry, tr *Tracer, fr *FlightRecorder, rt *RequestTrace
 	mux.Handle("/metrics.prom", PrometheusHandler(reg))
 	mux.Handle("/timeline", TimelineHandler(tr))
 	mux.Handle("/flight", FlightHandler(fr))
-	mux.Handle("/trace", TraceHandler(rt))
+	mux.Handle("/trace", TraceHandler(rt, fr))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,6 +1,8 @@
 // Package obs is the repository's unified observability layer: a
-// dependency-free (stdlib-only) metrics registry plus a CPR phase tracer
-// (tracer.go) and an HTTP introspection mux (http.go).
+// dependency-free (stdlib-only) metrics registry, the flight recorder that is
+// the one writer of commit-lifecycle events (flight.go) with the CPR phase
+// timeline computed from it (tracer.go), the request tracer's tail-sampled
+// span trees (reqtrace.go) and an HTTP introspection mux (http.go).
 //
 // The registry is designed for the CPR hot path: a counter increment is one
 // atomic add to a per-core-style shard (no locks, no map lookups — call sites

@@ -16,8 +16,8 @@ import (
 // latency into the hops of its life — client issue, frame decode/queue, shard
 // dispatch, FASTER execute, durability wait, replication wait, response
 // write. Spans carry a trace ID propagated over the kvserver wire protocol
-// (v2 frames), so the client's round-trip and the server's hop decomposition
-// join into one tree.
+// (a frame's optional trace field), so the client's round-trip and the
+// server's hop decomposition join into one tree.
 //
 // Like the flight recorder, the nil *RequestTracer is a valid no-op — every
 // method costs one pointer test — and the hot path never allocates: active
@@ -37,8 +37,9 @@ import (
 type SpanKind uint8
 
 // Span kinds. Request-scoped kinds decompose one operation; global kinds
-// (repl-ship, repl-announce) are token-keyed commit-lifecycle spans emitted
-// outside any single request and merged into trace output by commit token.
+// (repl-ship, repl-announce) are token-keyed commit-lifecycle spans, computed
+// from the flight recorder's events (ReplSpans) and merged into trace output
+// by commit token.
 const (
 	SpanNone SpanKind = iota
 	// SpanRequest is the root: the server handling one request frame.
@@ -47,7 +48,7 @@ const (
 	SpanClientIssue
 	// SpanQueue covers client issue to server frame decode: network transit
 	// plus server accept/read queueing. Requires the client's issue timestamp
-	// from the v2 trace field.
+	// from the frame's trace field.
 	SpanQueue
 	// SpanDecode covers payload decode plus shard-route computation. Arg1 is
 	// the target shard.
@@ -271,8 +272,6 @@ const (
 	// per-request — every slow request is caught, only the threshold
 	// estimate is sampled.
 	latSampleEvery = 8
-	// globalSpanRing is the retained global (token-keyed) span count.
-	globalSpanRing = 256
 )
 
 // RequestTracer is the request-scoped tracing engine: it arms caller-owned
@@ -293,9 +292,6 @@ type RequestTracer struct {
 	retained atomic.Uint64
 
 	spanDrops atomic.Uint64
-
-	gslots []atomic.Pointer[Span]
-	gpos   atomic.Uint64
 }
 
 // NewRequestTracer returns a tracer retaining up to reservoir slow traces
@@ -312,7 +308,6 @@ func NewRequestTracer(reservoir int) *RequestTracer {
 	return &RequestTracer{
 		slotMask: uint64(c - 1),
 		slots:    make([]atomic.Pointer[RequestTrace], c),
-		gslots:   make([]atomic.Pointer[Span], globalSpanRing),
 	}
 }
 
@@ -450,33 +445,27 @@ func (t *RequestTracer) Finished() uint64 {
 	return t.finished.Load()
 }
 
-// EmitGlobal records a token-keyed span that belongs to no single request —
-// replication shipping, commit-announce waits. Retained in a fixed
-// newest-wins ring; merged into trace output by commit token.
-func (t *RequestTracer) EmitGlobal(kind SpanKind, token string, startUnix, endUnix int64, arg1, arg2 uint64) {
-	if t == nil {
-		return
-	}
-	sp := &Span{
-		Kind: kind, Token: token,
-		StartUnixNanos: startUnix, EndUnixNanos: endUnix,
-		Arg1: arg1, Arg2: arg2,
-	}
-	t.gslots[(t.gpos.Add(1)-1)%uint64(len(t.gslots))].Store(sp)
-}
-
-// GlobalSpans snapshots the retained global spans, ordered by start time.
-func (t *RequestTracer) GlobalSpans() []Span {
-	if t == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(t.gslots))
-	for i := range t.gslots {
-		if sp := t.gslots[i].Load(); sp != nil {
-			out = append(out, *sp)
+// ReplSpans computes the global spans from a flight dump: a repl-ship event is
+// a span ending at the event and as long as its Arg2; a commit-announced event
+// is a repl-announce span from the latest shipping of the same token to the
+// event.
+func ReplSpans(d FlightDump) []Span {
+	var out []Span
+	shipped := make(map[string]int64)
+	for _, e := range d.Events {
+		at := d.WallStartNanos + e.AtNanos
+		switch e.Kind {
+		case FlightReplShip:
+			shipped[e.Token] = at
+			out = append(out, Span{Kind: SpanReplShip, Token: e.Token,
+				StartUnixNanos: at - int64(e.Arg2), EndUnixNanos: at, Arg1: e.Arg1, Arg2: e.Version})
+		case FlightCommitAnnounced:
+			if from, ok := shipped[e.Token]; ok {
+				out = append(out, Span{Kind: SpanReplAnnounce, Token: e.Token,
+					StartUnixNanos: from, EndUnixNanos: at, Arg1: e.Version})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNanos < out[j].StartUnixNanos })
 	return out
 }
 
@@ -512,9 +501,10 @@ type TraceDump struct {
 	Global         []Span         `json:"global,omitempty"`
 }
 
-// Dump snapshots the tracer for surfacing (the TRACE kvserver op and the
-// /trace debug endpoint). n bounds the trace count as in Slowest.
-func (t *RequestTracer) Dump(n int) TraceDump {
+// Dump snapshots the tracer for surfacing (the TRACE kvserver op, the /trace
+// debug endpoint, incident bundles). n bounds the trace count as in Slowest;
+// the global spans are read from fr (none if nil).
+func (t *RequestTracer) Dump(n int, fr *FlightRecorder) TraceDump {
 	if t == nil {
 		return TraceDump{}
 	}
@@ -524,6 +514,6 @@ func (t *RequestTracer) Dump(n int) TraceDump {
 		Retained:       t.retained.Load(),
 		SpanDrops:      t.spanDrops.Load(),
 		Traces:         t.Slowest(n),
-		Global:         t.GlobalSpans(),
+		Global:         ReplSpans(fr.Dump()),
 	}
 }

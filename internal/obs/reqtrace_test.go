@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -17,14 +18,10 @@ func TestNilRequestTracerIsNoop(t *testing.T) {
 	var nilAt *ActiveTrace
 	tr.Begin(nilAt, TraceContext{}, "SET", "")
 	nilAt.Span(SpanExec, 1, 2, 0, 0, "")
-	tr.EmitGlobal(SpanReplShip, "tok", 1, 2, 0, 0)
 	if got := tr.Slowest(5); got != nil {
 		t.Fatalf("nil tracer retained traces: %v", got)
 	}
-	if got := tr.GlobalSpans(); got != nil {
-		t.Fatalf("nil tracer retained global spans: %v", got)
-	}
-	if d := tr.Dump(5); len(d.Traces) != 0 || d.Finished != 0 {
+	if d := tr.Dump(5, nil); len(d.Traces) != 0 || d.Finished != 0 {
 		t.Fatalf("nil tracer dump not empty: %+v", d)
 	}
 	if tr.ThresholdNanos() != 0 || tr.Finished() != 0 {
@@ -143,7 +140,7 @@ func TestSpanOverflowDropsNotGrows(t *testing.T) {
 		at.Span(SpanExec, int64(i), int64(i+1), 0, 0, "")
 	}
 	tr.Finish(&at, 0, 100)
-	if d := tr.Dump(1); d.SpanDrops != 5 {
+	if d := tr.Dump(1, nil); d.SpanDrops != 5 {
 		t.Fatalf("span drops = %d, want 5", d.SpanDrops)
 	}
 	rt := tr.Slowest(1)[0]
@@ -152,21 +149,23 @@ func TestSpanOverflowDropsNotGrows(t *testing.T) {
 	}
 }
 
-// TestGlobalSpanRing: token-keyed global spans are retained newest-wins and
-// returned in start order.
-func TestGlobalSpanRing(t *testing.T) {
-	tr := NewRequestTracer(16)
-	tr.EmitGlobal(SpanReplShip, "tok-b", 200, 300, 4096, 0)
-	tr.EmitGlobal(SpanReplAnnounce, "tok-a", 100, 150, 0, 0)
-	got := tr.GlobalSpans()
-	if len(got) != 2 {
-		t.Fatalf("got %d global spans, want 2", len(got))
+// TestReplSpans: the global spans are a function of the repl-ship and
+// commit-announced flight events — a ship span as long as the event says, ending
+// at it; an announce span from the token's shipping to its announcement.
+func TestReplSpans(t *testing.T) {
+	const wall = 1_000_000
+	dump := FlightDump{WallStartNanos: wall, Events: []FlightEvent{
+		{AtNanos: 50, Kind: FlightCommitAnnounced, Shard: -1, Version: 1, Token: "tok-0"}, // its shipping is gone
+		{AtNanos: 300, Kind: FlightReplShip, Shard: -1, Version: 2, Token: "tok-a", Arg1: 4096, Arg2: 100},
+		{AtNanos: 310, Kind: FlightCommitDone, Shard: -1, Version: 3, Token: "tok-b"},
+		{AtNanos: 350, Kind: FlightCommitAnnounced, Shard: -1, Version: 2, Token: "tok-a"},
+	}}
+	want := []Span{
+		{Kind: SpanReplShip, Token: "tok-a", StartUnixNanos: wall + 200, EndUnixNanos: wall + 300, Arg1: 4096, Arg2: 2},
+		{Kind: SpanReplAnnounce, Token: "tok-a", StartUnixNanos: wall + 300, EndUnixNanos: wall + 350, Arg1: 2},
 	}
-	if got[0].Token != "tok-a" || got[1].Token != "tok-b" {
-		t.Fatalf("global spans not in start order: %+v", got)
-	}
-	if got[1].Kind != SpanReplShip || got[1].Arg1 != 4096 {
-		t.Fatalf("ship span wrong: %+v", got[1])
+	if got := ReplSpans(dump); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -178,9 +177,10 @@ func TestTraceDumpJSONRoundTrip(t *testing.T) {
 	tr.Begin(&at, TraceContext{TraceID: 9}, "RMW", "s")
 	at.Span(SpanDurWait, 10, 20, 3, 3, "ckpt-0002")
 	tr.Finish(&at, 10, 25)
-	tr.EmitGlobal(SpanReplShip, "ckpt-0002", 12, 18, 64, 0)
+	fr := NewFlightRecorder(64)
+	fr.Emit(FlightReplShip, -1, 2, "ckpt-0002", "", 64, 6)
 
-	raw, err := json.Marshal(tr.Dump(5))
+	raw, err := json.Marshal(tr.Dump(5, fr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +203,8 @@ func TestTraceDumpJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestTracerConcurrent exercises the lock-free reservoir and global
-// ring from many goroutines; run under -race in CI.
+// TestRequestTracerConcurrent exercises the lock-free reservoir from many
+// goroutines; run under -race in CI.
 func TestRequestTracerConcurrent(t *testing.T) {
 	tr := NewRequestTracer(DefaultTraceReservoir)
 	var wg sync.WaitGroup
@@ -218,9 +218,7 @@ func TestRequestTracerConcurrent(t *testing.T) {
 				at.Span(SpanExec, int64(i), int64(i)+100, 0, 0, "")
 				tr.Finish(&at, int64(i), int64(i)+200)
 				if i%64 == 0 {
-					tr.EmitGlobal(SpanReplShip, "tok", int64(i), int64(i)+10, 0, 0)
 					tr.Slowest(4)
-					tr.GlobalSpans()
 				}
 			}
 		}(g)

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"sync"
+	"strconv"
 	"time"
 )
 
-// Event kinds recorded by the Tracer.
+// Event kinds of a Timeline.
 const (
 	// KindPhase is a checkpoint state-machine transition (From -> Phase).
 	KindPhase = "phase"
@@ -18,19 +18,23 @@ const (
 	KindDrain = "drain"
 )
 
-// Event is one tracer record. AtNanos is monotonic time since the tracer was
-// created, so event deltas are exact even across wall-clock adjustments.
+// Event is one timeline record. AtNanos is monotonic time since the flight
+// recorder was created, so event deltas are exact even across wall-clock
+// adjustments.
 type Event struct {
 	Seq     uint64 `json:"seq"`
 	AtNanos int64  `json:"at_ns"`
 	Kind    string `json:"kind"`
+	// Token names the state machine: the commit token, plus "/s<shard>" on a
+	// store of more than one shard.
 	Token   string `json:"token,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 	// Phase transitions: From -> Phase. Drain events set Phase to the phase
 	// whose publication was drained.
 	Phase string `json:"phase,omitempty"`
 	From  string `json:"from,omitempty"`
-	// Session events.
+	// Session events. Session is the recorder's FlightSessionBytes-long
+	// prefix of the session ID.
 	Session string `json:"session,omitempty"`
 	Event   string `json:"event,omitempty"`
 	Serial  uint64 `json:"serial,omitempty"`
@@ -38,135 +42,129 @@ type Event struct {
 	DurationNanos int64 `json:"duration_ns,omitempty"`
 }
 
-// PhaseSpan is one computed phase occupancy interval of the timeline.
+// PhaseSpan is one computed phase occupancy interval of one state machine:
+// from the transition into Phase to that machine's next transition.
 type PhaseSpan struct {
-	Phase         string `json:"phase"`
+	Phase string `json:"phase"`
+	// Token is the commit token, bare; Shard the machine's CPR domain (-1
+	// where the whole database is one).
 	Token         string `json:"token,omitempty"`
+	Shard         int    `json:"shard"`
 	Version       uint64 `json:"version,omitempty"`
 	StartNanos    int64  `json:"start_ns"`
 	EndNanos      int64  `json:"end_ns"`
 	DurationNanos int64  `json:"duration_ns"`
-	// Open marks the most recent phase, still running at snapshot time;
-	// EndNanos is then the snapshot instant.
+	// Open marks a machine's most recent phase, still running at snapshot
+	// time; EndNanos is then the snapshot instant.
 	Open bool `json:"open,omitempty"`
 }
 
-// Timeline is the exportable trace: raw events plus per-phase spans derived
-// from the phase-transition events.
+// Timeline is the exportable trace: the state-machine events plus per-phase
+// spans derived from the phase-transition events.
 type Timeline struct {
 	Events []Event     `json:"events"`
 	Spans  []PhaseSpan `json:"spans"`
-	// Dropped counts events lost to ring-buffer overflow (oldest first).
+	// Dropped counts the events the recorder's rings lost to wraparound.
 	Dropped uint64 `json:"dropped,omitempty"`
 }
 
-// DefaultTracerCapacity is the event ring size used when a component creates
-// its own tracer.
-const DefaultTracerCapacity = 4096
-
-// Tracer records checkpoint state-machine activity into a bounded ring.
-// Recording takes a short mutex — transitions and session crossings are rare
-// relative to data operations, so this is far off the hot path. The nil
-// Tracer is a valid no-op.
+// Tracer is the phase-timeline view of a flight recorder: it records nothing
+// and holds nothing but the recorder. With no recorder (nil Tracer included)
+// the timeline is empty.
 type Tracer struct {
-	mu      sync.Mutex
-	start   time.Time
-	seq     uint64
-	buf     []Event
-	head    int // index of oldest event
-	n       int // live events in buf
-	dropped uint64
+	flight  *FlightRecorder
+	sharded bool
 }
 
-// NewTracer returns a tracer retaining up to capacity events (oldest events
-// are dropped, and counted, once the ring is full).
-func NewTracer(capacity int) *Tracer {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Tracer{start: time.Now(), buf: make([]Event, capacity)}
+// Tracer returns the phase-timeline view of f. sharded says the store has
+// more than one shard, which puts the shard into the events' tokens.
+func (f *FlightRecorder) Tracer(sharded bool) *Tracer {
+	return &Tracer{flight: f, sharded: sharded}
 }
 
-func (t *Tracer) record(e Event) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	e.Seq = t.seq
-	t.seq++
-	// Timestamped under the lock: buffer order == timestamp order.
-	e.AtNanos = time.Since(t.start).Nanoseconds()
-	if t.n == len(t.buf) {
-		t.buf[t.head] = e
-		t.head = (t.head + 1) % len(t.buf)
-		t.dropped++
-	} else {
-		t.buf[(t.head+t.n)%len(t.buf)] = e
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// Phase records a state-machine transition from -> to for the given commit.
-func (t *Tracer) Phase(token string, version uint64, from, to string) {
-	t.record(Event{Kind: KindPhase, Token: token, Version: version, From: from, Phase: to})
-}
-
-// Session records a participant thread-crossing event ("ack-prepare",
-// "demarcate", "drop") with the participant's serial/sequence at the crossing.
-func (t *Tracer) Session(token, session, event string, version, serial uint64) {
-	t.record(Event{Kind: KindSession, Token: token, Session: session, Event: event,
-		Version: version, Serial: serial})
-}
-
-// Drain records that the phase published for token became visible to every
-// registered thread d after publication (the epoch-drain latency).
-func (t *Tracer) Drain(token, phase string, version uint64, d time.Duration) {
-	t.record(Event{Kind: KindDrain, Token: token, Phase: phase, Version: version,
-		DurationNanos: d.Nanoseconds()})
-}
-
-// Events returns the retained events, oldest first, plus the dropped count.
-func (t *Tracer) Events() ([]Event, uint64) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.head+i)%len(t.buf)]
-	}
-	return out, t.dropped
-}
-
-// Timeline exports the retained events and computes phase spans: each phase
-// transition opens a span that the next transition closes. The last span is
-// marked Open and closed at the snapshot instant.
+// Timeline is BuildTimeline over the recorder's current events.
 func (t *Tracer) Timeline() Timeline {
-	if t == nil {
+	if t == nil || t.flight == nil {
 		return Timeline{}
 	}
-	events, dropped := t.Events()
-	now := time.Since(t.start).Nanoseconds()
-	tl := Timeline{Events: events, Dropped: dropped}
-	var cur *PhaseSpan
-	for _, e := range events {
-		if e.Kind != KindPhase {
+	evs, dropped := t.flight.Events()
+	tl := BuildTimeline(evs, t.sharded, time.Since(t.flight.start).Nanoseconds())
+	tl.Dropped = dropped
+	return tl
+}
+
+// BuildTimeline computes the phase timeline from flight events in Events
+// order. Phase, ack-prepare/demarcate/drop and epoch-drain events become
+// timeline events, everything else is skipped. A state machine is a shard: each
+// of its phase events closes the span its previous one opened, and the span
+// left open is closed at now and marked Open.
+//
+// An epoch-drain event carries its shard, not a transition: the log bumps the
+// same epochs for its own shifts. But any epoch of the shard bumped after a
+// transition was recorded shows, once drained, that every registered thread
+// has observed the transition — and the machine bumps right after most. So a
+// drain whose bump (AtNanos - Arg2) follows a phase event of its shard that has
+// no drain yet is that transition's drain; the others are left out.
+func BuildTimeline(evs []FlightEvent, sharded bool, now int64) Timeline {
+	type machine struct {
+		span      PhaseSpan
+		undrained []int // its phase events still without a drain, as indexes into tl.Events
+	}
+	var tl Timeline
+	var machines []*machine // in order of first appearance
+	byShard := make(map[int]*machine)
+	token := func(fe FlightEvent) string {
+		if sharded && fe.Shard >= 0 {
+			return fe.Token + "/s" + strconv.Itoa(fe.Shard)
+		}
+		return fe.Token
+	}
+	for _, fe := range evs {
+		e := Event{Seq: uint64(len(tl.Events)), AtNanos: fe.AtNanos, Version: fe.Version}
+		m := byShard[fe.Shard]
+		switch fe.Kind {
+		case FlightPhase:
+			e.Kind, e.Token, e.From, e.Phase = KindPhase, token(fe), FlightPhaseName(fe.Arg1), FlightPhaseName(fe.Arg2)
+			if m == nil {
+				m = &machine{}
+				machines, byShard[fe.Shard] = append(machines, m), m
+			} else {
+				tl.Spans = append(tl.Spans, m.span.closedAt(fe.AtNanos))
+			}
+			m.span = PhaseSpan{Phase: e.Phase, Token: fe.Token, Shard: fe.Shard, Version: fe.Version, StartNanos: fe.AtNanos}
+			m.undrained = append(m.undrained, len(tl.Events))
+		case FlightAckPrepare, FlightDemarcate, FlightDrop:
+			e.Kind, e.Token, e.Event, e.Session, e.Serial = KindSession, token(fe), fe.Kind.String(), fe.Session, fe.Arg1
+		case FlightEpochDrain:
+			if m == nil {
+				continue
+			}
+			bumped := fe.AtNanos - int64(fe.Arg2)
+			i := len(m.undrained) - 1
+			for i >= 0 && tl.Events[m.undrained[i]].AtNanos > bumped {
+				i--
+			}
+			if i < 0 {
+				continue
+			}
+			p := tl.Events[m.undrained[i]]
+			m.undrained = m.undrained[i+1:] // epochs drain in order: an older transition's drain is gone
+			e.Kind, e.Token, e.Version, e.Phase, e.DurationNanos = KindDrain, p.Token, p.Version, p.Phase, int64(fe.Arg2)
+		default:
 			continue
 		}
-		if cur != nil {
-			cur.EndNanos = e.AtNanos
-			cur.DurationNanos = cur.EndNanos - cur.StartNanos
-			tl.Spans = append(tl.Spans, *cur)
-		}
-		cur = &PhaseSpan{Phase: e.Phase, Token: e.Token, Version: e.Version, StartNanos: e.AtNanos}
+		tl.Events = append(tl.Events, e)
 	}
-	if cur != nil {
-		cur.EndNanos = now
-		cur.DurationNanos = now - cur.StartNanos
-		cur.Open = true
-		tl.Spans = append(tl.Spans, *cur)
+	for _, m := range machines {
+		sp := m.span.closedAt(now)
+		sp.Open = true
+		tl.Spans = append(tl.Spans, sp)
 	}
 	return tl
+}
+
+func (sp PhaseSpan) closedAt(at int64) PhaseSpan {
+	sp.EndNanos = at
+	sp.DurationNanos = at - sp.StartNanos
+	return sp
 }

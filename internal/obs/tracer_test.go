@@ -1,102 +1,116 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
-	"time"
 )
 
-func TestTracerOrderingAndTimestamps(t *testing.T) {
-	tr := NewTracer(64)
-	tr.Phase("tok", 1, "rest", "prepare")
-	tr.Session("tok", "s1", "ack-prepare", 1, 10)
-	tr.Phase("tok", 1, "prepare", "in-progress")
-	tr.Session("tok", "s1", "demarcate", 1, 12)
-	tr.Drain("tok", "prepare", 1, 3*time.Microsecond)
-	events, dropped := tr.Events()
-	if dropped != 0 {
-		t.Fatalf("dropped = %d, want 0", dropped)
+// phaseEv is a hand-built phase event of the lifecycle ring.
+func phaseEv(seq uint64, at int64, shard int, token string, from, to uint64) FlightEvent {
+	return FlightEvent{Ring: numShards, Seq: seq, AtNanos: at, Kind: FlightPhase, Shard: shard,
+		Version: 3, Token: token, Arg1: from, Arg2: to}
+}
+
+// TestBuildTimelineEvents: phase, session-crossing and epoch-drain flight
+// events become timeline events in order; everything else is skipped; a drain
+// is the drain of the latest transition recorded before its epoch was bumped.
+func TestBuildTimelineEvents(t *testing.T) {
+	evs := []FlightEvent{
+		{AtNanos: 5, Kind: FlightEpochDrain, Shard: -1, Arg1: 1, Arg2: 2}, // before any transition: nobody's
+		{AtNanos: 10, Kind: FlightCommitStart, Shard: -1, Version: 3, Token: "tok"},
+		phaseEv(1, 10, -1, "tok", 0, 1),
+		{AtNanos: 11, Kind: FlightEpochBump, Shard: -1, Arg1: 7},
+		{AtNanos: 20, Kind: FlightAckPrepare, Shard: -1, Version: 3, Token: "tok", Session: "s1", Arg1: 10},
+		phaseEv(2, 21, -1, "tok", 1, 2),
+		{AtNanos: 25, Kind: FlightEpochDrain, Shard: -1, Arg1: 7, Arg2: 14}, // bumped at 11: prepare's
+		{AtNanos: 26, Kind: FlightEpochDrain, Shard: -1, Arg1: 8, Arg2: 4},  // bumped at 22: in-progress's
+		{AtNanos: 27, Kind: FlightEpochDrain, Shard: -1, Arg1: 9, Arg2: 1},  // in-progress has its drain
+		{AtNanos: 28, Kind: FlightEpochDrain, Shard: 0, Arg1: 9, Arg2: 1},   // another machine's epochs
+		{AtNanos: 30, Kind: FlightDemarcate, Shard: -1, Version: 3, Token: "tok", Session: "s1", Arg1: 12},
+		{AtNanos: 31, Kind: FlightDrop, Shard: -1, Version: 3, Token: "tok", Session: "s2", Arg1: 4},
+		{AtNanos: 40, Kind: FlightPersistDone, Shard: -1, Version: 3, Token: "tok", Arg1: 4096},
 	}
-	if len(events) != 5 {
-		t.Fatalf("events = %d, want 5", len(events))
+	want := []Event{
+		{Seq: 0, AtNanos: 10, Kind: KindPhase, Token: "tok", Version: 3, From: "rest", Phase: "prepare"},
+		{Seq: 1, AtNanos: 20, Kind: KindSession, Token: "tok", Version: 3, Session: "s1", Event: "ack-prepare", Serial: 10},
+		{Seq: 2, AtNanos: 21, Kind: KindPhase, Token: "tok", Version: 3, From: "prepare", Phase: "in-progress"},
+		{Seq: 3, AtNanos: 25, Kind: KindDrain, Token: "tok", Version: 3, Phase: "prepare", DurationNanos: 14},
+		{Seq: 4, AtNanos: 26, Kind: KindDrain, Token: "tok", Version: 3, Phase: "in-progress", DurationNanos: 4},
+		{Seq: 5, AtNanos: 30, Kind: KindSession, Token: "tok", Version: 3, Session: "s1", Event: "demarcate", Serial: 12},
+		{Seq: 6, AtNanos: 31, Kind: KindSession, Token: "tok", Version: 3, Session: "s2", Event: "drop", Serial: 4},
 	}
-	for i, e := range events {
-		if e.Seq != uint64(i) {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-		if i > 0 && e.AtNanos < events[i-1].AtNanos {
-			t.Fatalf("timestamps decrease at %d: %d < %d", i, e.AtNanos, events[i-1].AtNanos)
-		}
-	}
-	if events[0].Kind != KindPhase || events[0].Phase != "prepare" || events[0].From != "rest" {
-		t.Fatalf("bad phase event: %+v", events[0])
-	}
-	if events[1].Kind != KindSession || events[1].Serial != 10 {
-		t.Fatalf("bad session event: %+v", events[1])
-	}
-	if events[4].Kind != KindDrain || events[4].DurationNanos != 3000 {
-		t.Fatalf("bad drain event: %+v", events[4])
+	if got := BuildTimeline(evs, false, 50).Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("events:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-func TestTracerRingOverflow(t *testing.T) {
-	tr := NewTracer(16)
-	for i := 0; i < 40; i++ {
-		tr.Phase("tok", uint64(i), "a", "b")
+// TestBuildTimelineSpans: spans are paired per machine — two shards walking
+// one commit interleaved, two transitions of one machine at the same instant —
+// and only a machine's last span is open. Tokens carry the shard only when the
+// store is sharded, and never for the shard -1 of a database.
+func TestBuildTimelineSpans(t *testing.T) {
+	evs := []FlightEvent{
+		phaseEv(1, 100, 0, "tok", 0, 1),
+		phaseEv(2, 110, 1, "tok", 0, 1),
+		phaseEv(3, 150, 0, "tok", 1, 2),
+		phaseEv(4, 150, 0, "tok", 2, 3), // same instant, later ticket
+		phaseEv(5, 400, 1, "tok", 1, 2),
+		phaseEv(6, 900, 0, "tok", 3, 0),
+		phaseEv(7, 950, 0, "tok2", 0, 1), // the rest span ends where the next commit starts
 	}
-	events, dropped := tr.Events()
-	if len(events) != 16 {
-		t.Fatalf("retained = %d, want 16", len(events))
+	tl := BuildTimeline(evs, true, 1000)
+	span := func(phase, token string, shard int, start, end int64, open bool) PhaseSpan {
+		return PhaseSpan{Phase: phase, Token: token, Shard: shard, Version: 3,
+			StartNanos: start, EndNanos: end, DurationNanos: end - start, Open: open}
 	}
-	if dropped != 24 {
-		t.Fatalf("dropped = %d, want 24", dropped)
+	want := []PhaseSpan{
+		span("prepare", "tok", 0, 100, 150, false),
+		span("in-progress", "tok", 0, 150, 150, false),
+		span("prepare", "tok", 1, 110, 400, false),
+		span("wait-pending", "tok", 0, 150, 900, false),
+		span("rest", "tok", 0, 900, 950, false),
+		span("prepare", "tok2", 0, 950, 1000, true),
+		span("in-progress", "tok", 1, 400, 1000, true),
 	}
-	// Oldest retained event is number 24 (0-based): the ring keeps the tail.
-	if events[0].Version != 24 || events[15].Version != 39 {
-		t.Fatalf("retained range [%d, %d], want [24, 39]", events[0].Version, events[15].Version)
+	if !reflect.DeepEqual(tl.Spans, want) {
+		t.Fatalf("spans:\n got %+v\nwant %+v", tl.Spans, want)
 	}
-	if tl := tr.Timeline(); tl.Dropped != 24 {
-		t.Fatalf("timeline dropped = %d, want 24", tl.Dropped)
+	for i, e := range tl.Events {
+		if wantTok := evs[i].Token + map[int]string{0: "/s0", 1: "/s1"}[evs[i].Shard]; e.Token != wantTok {
+			t.Fatalf("event %d token %q, want %q", i, e.Token, wantTok)
+		}
+	}
+	if tok := BuildTimeline(evs, false, 1000).Events[0].Token; tok != "tok" {
+		t.Fatalf("unsharded token %q, want the bare one", tok)
+	}
+	if tok := BuildTimeline([]FlightEvent{phaseEv(1, 1, -1, "tok", 0, 1)}, true, 2).Events[0].Token; tok != "tok" {
+		t.Fatalf("database token %q, want the bare one", tok)
 	}
 }
 
-func TestTimelineSpans(t *testing.T) {
-	tr := NewTracer(64)
-	tr.Phase("tok", 1, "rest", "prepare")
-	tr.Phase("tok", 1, "prepare", "in-progress")
-	tr.Phase("tok", 1, "in-progress", "rest")
-	tl := tr.Timeline()
-	if len(tl.Spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(tl.Spans))
+// TestTracerView: the view reads the recorder it was made from, reports its
+// drops, and is empty without one.
+func TestTracerView(t *testing.T) {
+	f := NewFlightRecorder(64)
+	for i := uint64(0); i < flightLifecycleSlots+24; i++ {
+		f.Emit(FlightPhase, 0, i, "tok", "", 0, 1)
 	}
-	for i, want := range []string{"prepare", "in-progress", "rest"} {
-		sp := tl.Spans[i]
-		if sp.Phase != want {
-			t.Fatalf("span %d phase = %q, want %q", i, sp.Phase, want)
+	tl := f.Tracer(false).Timeline()
+	if len(tl.Events) != flightLifecycleSlots || tl.Dropped != 24 {
+		t.Fatalf("%d events, %d dropped; want %d and 24", len(tl.Events), tl.Dropped, flightLifecycleSlots)
+	}
+	// The ring keeps the tail, in order.
+	if first, last := tl.Events[0], tl.Events[len(tl.Events)-1]; first.Version != 24 || last.Version != flightLifecycleSlots+23 {
+		t.Fatalf("retained versions [%d, %d]", first.Version, last.Version)
+	}
+	if last := tl.Spans[len(tl.Spans)-1]; !last.Open || last.EndNanos < last.StartNanos {
+		t.Fatalf("trailing span %+v, want an open one", last)
+	}
+	var none *FlightRecorder
+	var nilView *Tracer
+	for _, v := range []*Tracer{none.Tracer(true), nilView} {
+		if tl := v.Timeline(); len(tl.Events) != 0 || len(tl.Spans) != 0 {
+			t.Fatal("a view of no recorder returned a timeline")
 		}
-		if sp.DurationNanos != sp.EndNanos-sp.StartNanos || sp.DurationNanos < 0 {
-			t.Fatalf("span %d inconsistent: %+v", i, sp)
-		}
-		if i > 0 && sp.StartNanos != tl.Spans[i-1].EndNanos {
-			t.Fatalf("span %d not contiguous with predecessor", i)
-		}
-	}
-	if tl.Spans[0].Open || tl.Spans[1].Open {
-		t.Fatal("closed span marked open")
-	}
-	if !tl.Spans[2].Open {
-		t.Fatal("last span not marked open")
-	}
-}
-
-func TestNilTracer(t *testing.T) {
-	var tr *Tracer
-	tr.Phase("t", 1, "a", "b")
-	tr.Session("t", "s", "e", 1, 1)
-	tr.Drain("t", "p", 1, time.Second)
-	if events, dropped := tr.Events(); events != nil || dropped != 0 {
-		t.Fatal("nil tracer returned events")
-	}
-	if tl := tr.Timeline(); len(tl.Events) != 0 || len(tl.Spans) != 0 {
-		t.Fatal("nil tracer returned a timeline")
 	}
 }

@@ -599,12 +599,14 @@ func TestServerShardMismatch(t *testing.T) {
 	}
 }
 
-// TestReplShipGlobalSpans: with a request tracer on the primary, every
-// shipped commit leaves repl-ship and repl-announce global spans keyed by the
-// commit token, and the replwait decomposition histogram fills in.
+// TestReplShipGlobalSpans: every shipped commit leaves repl-ship and
+// commit-announced events in the primary's flight recorder, which a trace dump
+// shows as repl-ship and repl-announce global spans keyed by the commit token;
+// and the replwait decomposition histogram fills in.
 func TestReplShipGlobalSpans(t *testing.T) {
 	cfg := testConfig(testShards())
 	cfg.ReqTrace = obs.NewRequestTracer(16)
+	cfg.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	primary, err := faster.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -631,7 +633,7 @@ func TestReplShipGlobalSpans(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		spans := primary.RequestTracer().GlobalSpans()
+		spans := primary.RequestTracer().Dump(0, primary.Flight()).Global
 		var ship, ann bool
 		for _, sp := range spans {
 			if sp.Token != res.Token {
@@ -643,8 +645,8 @@ func TestReplShipGlobalSpans(t *testing.T) {
 			case obs.SpanReplAnnounce:
 				ann = true
 			}
-			if sp.EndUnixNanos < sp.StartUnixNanos {
-				t.Fatalf("inverted span %+v", sp)
+			if sp.EndUnixNanos < sp.StartUnixNanos || sp.StartUnixNanos < primary.Flight().WallStart() {
+				t.Fatalf("span %+v inverted, or from before the recorder started", sp)
 			}
 		}
 		if ship && ann {

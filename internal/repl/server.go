@@ -420,12 +420,11 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 		artifactBytes += uint64(len(data))
 	}
 	tShipped := time.Now().UnixNano()
+	// The ship and announce events are also a trace dump's global spans
+	// (obs.ReplSpans): a slow request's durwait span and these share the commit
+	// token, which is the cross-link fasterctl trace uses.
 	s.store.Flight().Emit(obs.FlightReplShip, -1, uint64(info.Version), token, "",
-		artifactBytes, uint64(len(info.Artifacts)))
-	// Global (not per-request) spans: a slow request's durwait span and these
-	// share the commit token, which is the cross-link fasterctl trace uses.
-	s.store.RequestTracer().EmitGlobal(obs.SpanReplShip, token, tShip0, tShipped,
-		artifactBytes, uint64(info.Version))
+		artifactBytes, uint64(tShipped-tShip0))
 	ann := wire.AppendString(conn.open(opCommit), []byte(token))
 	ann = wire.AppendU32(ann, info.Version)
 	ann = append(ann, byte(info.Kind))
@@ -440,8 +439,6 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 	s.announced.Inc()
 	tAnn := time.Now().UnixNano()
 	s.store.Flight().Emit(obs.FlightCommitAnnounced, -1, uint64(info.Version), token, "", 0, 0)
-	s.store.RequestTracer().EmitGlobal(obs.SpanReplAnnounce, token, tShipped, tAnn,
-		uint64(info.Version), 0)
 	s.replwaitNs.ObserveValue(uint64(tAnn - tShip0))
 	return nil
 }

@@ -110,8 +110,7 @@ func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
 	db.state.Store(packState(Prepare, ck.version))
 	db.cfg.Flight.Emit(obs.FlightCommitStart, -1, ck.version, ck.token, "", 0, 0)
 	ck.emitPhase(Rest, Prepare)
-	db.tracer.Phase(ck.token, ck.version, Rest.String(), Prepare.String())
-	ck.bumpTraced(Prepare)
+	ck.bumpEpoch()
 	db.ckptMu.Unlock()
 	db.workerMu.Unlock()
 	ck.coord.Seal()
@@ -157,21 +156,16 @@ func (ck *commitCtx) emitPhase(from, to Phase) {
 		uint64(from), uint64(to))
 }
 
-// bumpTraced bumps the epoch for a phase publication, recording the drain
-// latency (time until every registered thread observed the phase).
-func (ck *commitCtx) bumpTraced(published Phase) {
-	db := ck.db
-	t0 := time.Now()
-	db.epochs.BumpEpoch(func() {
-		db.tracer.Drain(ck.token, published.String(), ck.version, time.Since(t0))
-	})
-}
+// bumpEpoch bumps the epoch after a publication. Nothing waits on the drain
+// (the workers' acknowledgments drive the machine): the action is empty, and
+// there so that the epoch manager measures and records how long the
+// publication took to reach every registered thread.
+func (ck *commitCtx) bumpEpoch() { ck.db.epochs.BumpEpoch(func() {}) }
 
 func (ck *commitCtx) advanceToInProgress() {
 	ck.db.state.Store(packState(InProgress, ck.version))
 	ck.emitPhase(Prepare, InProgress)
-	ck.db.tracer.Phase(ck.token, ck.version, Prepare.String(), InProgress.String())
-	ck.bumpTraced(InProgress)
+	ck.bumpEpoch()
 }
 
 func (ck *commitCtx) ackInProgress(w *Worker, seq uint64) {
@@ -189,7 +183,6 @@ func (ck *commitCtx) maybeStartWaitFlush() {
 	}
 	ck.db.state.Store(packState(WaitFlush, ck.version))
 	ck.emitPhase(InProgress, WaitFlush)
-	ck.db.tracer.Phase(ck.token, ck.version, InProgress.String(), WaitFlush.String())
 	go ck.waitFlush()
 }
 
@@ -197,7 +190,6 @@ func (ck *commitCtx) dropParticipant(w *Worker) {
 	sameVersion := w.version == ck.version
 	ck.db.cfg.Flight.Emit(obs.FlightDrop, -1, ck.version, ck.token,
 		fmt.Sprintf("worker-%p", w), w.seq, 0)
-	ck.db.tracer.Session(ck.token, fmt.Sprintf("worker-%p", w), "drop", ck.version, w.seq)
 	ck.coord.Drop(w,
 		sameVersion && w.phase >= Prepare,
 		sameVersion && w.phase >= InProgress,
@@ -240,14 +232,15 @@ func (ck *commitCtx) waitFlush() {
 
 	ck.res = CommitResult{Token: ck.token, Version: ck.version, Seqs: ck.coord.Points(),
 		Bytes: int64(len(buf)), Delta: delta, Err: err}
+	// The transition is recorded first: whoever sees the commit done finds all
+	// four transitions on the timeline.
+	ck.emitPhase(WaitFlush, Rest)
 	db.ckptMu.Lock()
 	db.ckpt = nil
 	db.results[ck.token] = ck.res
 	db.state.Store(packState(Rest, ck.version+1))
 	db.ckptMu.Unlock()
-	ck.emitPhase(WaitFlush, Rest)
-	db.tracer.Phase(ck.token, ck.version, WaitFlush.String(), Rest.String())
-	ck.bumpTraced(Rest)
+	ck.bumpEpoch()
 	if err != nil {
 		db.cfg.Flight.Emit(obs.FlightCommitFail, -1, ck.version, ck.token, "", 0, 0)
 	}

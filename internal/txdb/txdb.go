@@ -60,6 +60,7 @@ const (
 	Rest Phase = iota
 	Prepare
 	InProgress
+	_ // wait-pending is FASTER's alone; the codes are the flight recorder's (obs.FlightPhaseName)
 	WaitFlush
 )
 
@@ -146,11 +147,9 @@ type Config struct {
 	// manager's). Defaults to a fresh enabled registry; pass obs.NewNop() to
 	// disable collection.
 	Metrics *obs.Registry
-	// Tracer records commit state-machine activity. Defaults to a fresh
-	// tracer with obs.DefaultTracerCapacity events.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, receives commit-lifecycle flight events (shard -1:
-	// the database is a single CPR domain). Nil disables recording.
+	// the database is a single CPR domain). Nil disables recording, and the
+	// phase timeline (DB.Tracer), which is computed from it, is then empty.
 	Flight *obs.FlightRecorder
 }
 
@@ -175,9 +174,6 @@ func (c *Config) fill() error {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
 	}
 	return nil
 }
@@ -246,7 +242,6 @@ type DB struct {
 	lastCommitToken string
 
 	metrics dbMetrics
-	tracer  *obs.Tracer
 }
 
 func packState(p Phase, v uint64) uint64   { return uint64(p)<<56 | v }
@@ -264,7 +259,6 @@ func Open(cfg Config) (*DB, error) {
 		workers: make(map[*Worker]bool),
 		results: make(map[string]CommitResult),
 		metrics: newDBMetrics(cfg.Metrics),
-		tracer:  cfg.Tracer,
 	}
 	db.epochs.Instrument(cfg.Metrics)
 	db.epochs.InstrumentFlight(cfg.Flight, -1)
@@ -318,8 +312,9 @@ func (db *DB) Engine() EngineKind { return db.cfg.Engine }
 // Metrics returns the database's metrics registry (never nil after Open).
 func (db *DB) Metrics() *obs.Registry { return db.cfg.Metrics }
 
-// Tracer returns the database's commit phase tracer.
-func (db *DB) Tracer() *obs.Tracer { return db.tracer }
+// Tracer returns the database's commit phase timeline: a view of its flight
+// recorder, empty when the database has none.
+func (db *DB) Tracer() *obs.Tracer { return db.cfg.Flight.Tracer(false) }
 
 // Stats materializes the database-wide transaction counters from the
 // registry. Workers flush their local tallies on refresh and close, so the

@@ -2,9 +2,11 @@ package txdb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -117,6 +119,55 @@ func TestMultiKeyTxnLockOrdering(t *testing.T) {
 	}
 	if binary.LittleEndian.Uint64(db.ReadValue(2, nil)) != 0 {
 		t.Fatal("read op wrote")
+	}
+}
+
+// TestCommitTimeline: the database's phase timeline is read back from its
+// flight recorder — the four transitions of Alg. 2 under their names (the
+// phase codes are the recorder's, so wait-flush is not rendered wait-pending),
+// the worker's two crossings, bare tokens, one machine — and is empty without a
+// recorder.
+func TestCommitTimeline(t *testing.T) {
+	db, err := Open(Config{Records: 16, Flight: obs.NewFlightRecorder(obs.DefaultFlightCapacity)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := db.NewWorker()
+	w.Execute(write1(1, 2))
+	res := driveCommit(t, db, []*Worker{w})
+
+	tl := db.Tracer().Timeline()
+	var got [][2]string
+	crossings := map[string]int{}
+	for _, e := range tl.Events {
+		if e.Token != res.Token {
+			t.Fatalf("event %+v, want token %s", e, res.Token)
+		}
+		switch e.Kind {
+		case obs.KindPhase:
+			got = append(got, [2]string{e.From, e.Phase})
+		case obs.KindSession:
+			crossings[e.Event]++
+		}
+	}
+	want := [][2]string{{"rest", "prepare"}, {"prepare", "in-progress"}, {"in-progress", "wait-flush"}, {"wait-flush", "rest"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("transitions %v, want %v", got, want)
+	}
+	if crossings["ack-prepare"] != 1 || crossings["demarcate"] != 1 {
+		t.Fatalf("crossings %v, want one ack-prepare and one demarcate", crossings)
+	}
+	if n := len(tl.Spans); n != 4 || !tl.Spans[3].Open || tl.Spans[2].Phase != "wait-flush" || tl.Spans[2].Shard != -1 {
+		t.Fatalf("spans %+v, want prepare, in-progress, wait-flush and an open rest of shard -1", tl.Spans)
+	}
+
+	plain, err := Open(Config{Records: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveCommit(t, plain, nil)
+	if tl := plain.Tracer().Timeline(); len(tl.Events) != 0 {
+		t.Fatalf("a database without a flight recorder has a timeline: %+v", tl)
 	}
 }
 
