@@ -8,7 +8,9 @@
 // Output prints the same rows/series the paper reports, at laptop scale;
 // EXPERIMENTS.md records a reference run against the paper's numbers. Each
 // experiment additionally writes a machine-readable BENCH_<id>.json artifact
-// (schema v1: experiment, params, rows, elapsed) to -outdir.
+// (schema v1: experiment, params, rows, elapsed, shape) to -outdir. Where an
+// experiment has a shape predicate (DESIGN.md's "what must hold" column) it is
+// evaluated after the run, and cprbench exits 1 if one does not hold.
 package main
 
 import (
@@ -29,9 +31,8 @@ func main() {
 		seconds = flag.Float64("seconds", 1.0, "measured seconds per data point")
 		scale   = flag.Float64("scale", 1.0, "key-space scale factor")
 		tp      = flag.Float64("timepoints", 1.0, "time-series compression (1.0 = 4s runs)")
-		shards  = flag.Int("shards", 1, "store partitions for FASTER experiments (shardscale sweeps its own)")
+		shards  = flag.Int("shards", 1, "store partitions for FASTER experiments")
 		outdir  = flag.String("outdir", ".", "directory for BENCH_<id>.json artifacts ('' disables)")
-		srvAddr = flag.String("addr", "", "drive a running cprserver at this address (tailtrace, netscale)")
 	)
 	flag.Parse()
 
@@ -46,7 +47,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Threads: *threads, Seconds: *seconds, Scale: *scale, TimePoints: *tp, Shards: *shards, Addr: *srvAddr}
+	cfg := bench.Config{Threads: *threads, Seconds: *seconds, Scale: *scale, TimePoints: *tp, Shards: *shards}
 	var ids []string
 	if *exp == "all" {
 		for _, e := range bench.All() {
@@ -55,6 +56,7 @@ func main() {
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
+	shapesHold := true
 	for _, id := range ids {
 		e, ok := bench.Lookup(strings.TrimSpace(id))
 		if !ok {
@@ -62,17 +64,23 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
-		if *outdir != "" {
-			cfg.Rec = bench.NewRecorder(e, cfg)
-		}
+		cfg.Rec = bench.NewRecorder(e, cfg)
 		start := time.Now()
 		if err := e.Run(cfg, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		elapsed := time.Since(start).Seconds()
-		if cfg.Rec != nil {
-			cfg.Rec.SetElapsed(elapsed)
+		cfg.Rec.SetElapsed(elapsed)
+		// The verdict goes into the artifact before the exit code reports it,
+		// and the remaining experiments still run.
+		if err := cfg.Rec.CheckShape(e); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: shape does not hold: %v\n", e.ID, err)
+			shapesHold = false
+		} else if e.Shape != nil {
+			fmt.Printf("-- shape: ok --\n")
+		}
+		if *outdir != "" {
 			path, err := cfg.Rec.WriteFile(*outdir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s: artifact: %v\n", e.ID, err)
@@ -81,5 +89,8 @@ func main() {
 			fmt.Printf("-- artifact: %s --\n", path)
 		}
 		fmt.Printf("-- %s done in %.1fs --\n\n", e.ID, elapsed)
+	}
+	if !shapesHold {
+		os.Exit(1)
 	}
 }

@@ -14,7 +14,6 @@
 //	fasterctl inlog -dir /tmp/db
 //	fasterctl health -addr localhost:7070
 //	fasterctl incident -dir /tmp/db/checkpoints
-//	fasterctl benchdiff results/BENCH_tput.json /tmp/BENCH_tput.json
 //
 // Every mutating invocation recovers the store from -dir (if a commit
 // exists), applies the operation, and takes a fresh CPR commit before
@@ -74,9 +73,6 @@ func main() {
 	if flag.NArg() >= 1 && flag.Arg(0) == "incident" {
 		os.Exit(incidentCmd(flag.Args()[1:]))
 	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "benchdiff" {
-		os.Exit(benchdiffCmd(flag.Args()[1:]))
-	}
 	if flag.NArg() >= 1 && flag.Arg(0) == "verify" {
 		// Offline integrity walk — never opens the store, so it is safe to
 		// run against a directory another process is serving from.
@@ -100,7 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "       fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")
 		fmt.Fprintln(os.Stderr, "       fasterctl health -addr <server-addr> [-json]")
 		fmt.Fprintln(os.Stderr, "       fasterctl incident [-dump <file> | -dir <checkpoint-dir> [name]]")
-		fmt.Fprintln(os.Stderr, "       fasterctl benchdiff [-threshold pct] <old.json> <new.json>")
 		os.Exit(2)
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {

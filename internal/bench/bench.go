@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -26,14 +25,11 @@ type Config struct {
 	// minute becomes this many seconds (default 1.0).
 	TimePoints float64
 	// Shards partitions the store in every FASTER experiment (default 1 =
-	// the unpartitioned store; the shardscale experiment sweeps its own).
+	// the unpartitioned store).
 	Shards int
 	// Rec, when non-nil, collects the experiment's structured rows for the
 	// BENCH_<exp>.json artifact (see record.go). Nil drops them.
 	Rec *Recorder
-	// Addr, when set, points client-driven experiments (tailtrace) at an
-	// already-running cprserver instead of an in-process one.
-	Addr string
 }
 
 func (c *Config) fill() {
@@ -60,13 +56,28 @@ type Experiment struct {
 	Title string
 	Paper string // which figure/table of the paper this regenerates
 	Run   func(cfg Config, w io.Writer) error
+	// Shape, when set, is the "what must hold" cell of DESIGN.md's experiment
+	// index as a predicate over the run's recorded rows: nil if the figure has
+	// the paper's shape, the reason if not. The rows arrive as JSON decodes
+	// them (every number a float64, a series a []any), so one predicate reads
+	// a live run and a committed artifact. It is set only where the ordering
+	// is one of bytes or time with a wide margin on any host; shapes that need
+	// cores to show (thread scaling, dips) are left nil. See Recorder.CheckShape.
+	Shape func(rows []Row) error
 }
 
 var registry = map[string]Experiment{}
 
+// register adds e to the registry. Config's defaults are applied here, once,
+// so no runner sees a zero thread count or duration.
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("bench: duplicate experiment " + e.ID)
+	}
+	run := e.Run
+	e.Run = func(cfg Config, w io.Writer) error {
+		cfg.fill()
+		return run(cfg, w)
 	}
 	registry[e.ID] = e
 }
@@ -94,12 +105,6 @@ func threadSweep(max int) []int {
 		out = append(out, t)
 	}
 	return append(out, max)
-}
-
-// header prints an experiment banner.
-func header(w io.Writer, e Experiment, cfg Config) {
-	fmt.Fprintf(w, "== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
-	fmt.Fprintf(w, "   threads<=%d seconds=%.2g scale=%.2g\n", cfg.Threads, cfg.Seconds, cfg.Scale)
 }
 
 func scaled(base int, scale float64) int {

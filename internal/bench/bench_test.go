@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -17,33 +18,60 @@ func tinyCfg() Config {
 	return Config{Threads: 2, Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
 }
 
-func TestRegistryComplete(t *testing.T) {
-	// Every figure of the paper's evaluation must be registered.
-	want := []string{
-		"fig2",
-		"fig10a", "fig10b", "fig10c", "fig10d", "fig10e",
-		"fig11a", "fig11b", "fig11c", "fig11d", "fig11e",
-		"fig12a", "fig12b", "fig12c", "fig12d",
-		"fig13", "fig14", "fig15",
-		"fig16a", "fig16b", "fig16c", "fig16d", "fig16e",
-		"fig17a", "fig17b", "fig17c", "fig17d", "fig17e",
-		"fig18a", "fig18b", "fig18c", "fig18d",
-		"ablate-incr", "ablate-flush", "ablate-recovery",
-		"shardscale",
-		"repllag",
-		"faulttolerance",
-		"tailtrace",
-		"netscale",
-		"ingest",
-		"recoveryttfo",
+// designIndexIDs parses the ID column of DESIGN.md's "Experiment index" table,
+// expanding a range cell such as fig16a–e into fig16a ... fig16e.
+func designIndexIDs(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range want {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("experiment %s not registered", id)
+	_, section, ok := strings.Cut(string(raw), "\n## Experiment index")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Experiment index" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var ids []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		id := strings.TrimSpace(cells[1])
+		if id == "ID" || strings.HasPrefix(id, "---") {
+			continue
+		}
+		first, last, isRange := strings.Cut(id, "–")
+		if !isRange {
+			ids = append(ids, id)
+			continue
+		}
+		stem, from := first[:len(first)-1], first[len(first)-1]
+		for c := from; c <= last[0]; c++ {
+			ids = append(ids, stem+string(c))
 		}
 	}
-	if len(All()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
+	return ids
+}
+
+// TestRegistryMatchesDesignIndex holds the one list of experiments to one
+// place: a row of DESIGN.md's index without a runner fails, and so does a
+// runner without a row.
+func TestRegistryMatchesDesignIndex(t *testing.T) {
+	indexed := map[string]bool{}
+	for _, id := range designIndexIDs(t) {
+		if indexed[id] {
+			t.Errorf("DESIGN.md's index lists %s twice", id)
+		}
+		indexed[id] = true
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("DESIGN.md's index lists %s, which no runner registers", id)
+		}
+	}
+	for _, e := range All() {
+		if !indexed[e.ID] {
+			t.Errorf("experiment %s is registered but has no row in DESIGN.md's index", e.ID)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/txdb"
 	"repro/internal/ycsb"
@@ -20,6 +21,7 @@ func init() {
 		ID:    "ablate-incr",
 		Title: "Ablation: full vs incremental checkpoint size (txdb)",
 		Paper: "Sec. 4.1 extension",
+		Shape: incrShape,
 		Run: func(cfg Config, w io.Writer) error {
 			records := scaled(100_000, cfg.Scale*4)
 			fmt.Fprintf(w, "%-14s %-12s %14s %14s   (commit artifact bytes; %d records, sparse zipf updates)\n",
@@ -66,7 +68,7 @@ func init() {
 					if incremental {
 						mode = "incremental"
 					}
-					cfg.Record(Row{"mode": mode, "commit": c, "bytes": res.Bytes,
+					cfg.Record(Row{"mode": mode, "commit": c, "bytes": res.Bytes, "delta": res.Delta,
 						"vs_full_pct": 100 * float64(res.Bytes) / float64(full)})
 					fmt.Fprintf(w, "%-14s %-12d %14d %13.1f%%\n",
 						mode, c, res.Bytes, 100*float64(res.Bytes)/float64(full))
@@ -76,4 +78,23 @@ func init() {
 			}
 			return nil
 		}})
+}
+
+// incrShape: every delta commit's artifact is smaller than a full capture.
+func incrShape(rows []Row) error {
+	full, delta := math.Inf(1), math.Inf(-1) // smallest full capture, largest delta
+	for _, r := range rows {
+		if b := r["bytes"].(float64); r["delta"] == true {
+			delta = max(delta, b)
+		} else {
+			full = min(full, b)
+		}
+	}
+	if math.IsInf(delta, -1) {
+		return fmt.Errorf("no delta commit among %d rows", len(rows))
+	}
+	if delta >= full {
+		return fmt.Errorf("a delta commit wrote %.0f bytes, a full capture %.0f", delta, full)
+	}
+	return nil
 }

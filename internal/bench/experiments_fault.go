@@ -26,14 +26,7 @@ func init() {
 		Paper: "robustness (no paper counterpart)",
 		Run: func(cfg Config, w io.Writer) error {
 			keys := uint64(scaled(20_000, cfg.Scale*4))
-			threads := cfg.Threads
-			if threads < 1 {
-				threads = 1
-			}
-			secs := cfg.Seconds
-			if secs <= 0 {
-				secs = 1.0
-			}
+			threads, secs := cfg.Threads, cfg.Seconds
 			fmt.Fprintf(w, "%-12s %10s %12s %10s %10s %10s %10s   (%d keys, %d threads, %.1fs/point)\n",
 				"fault-rate", "Mops", "commit(ms)", "commits", "failed", "retries", "injected",
 				keys, threads, secs)

@@ -20,11 +20,16 @@ func init() {
 		ID:    "ablate-flush",
 		Title: "Ablation: commit latency vs device write bandwidth",
 		Paper: "Sec. 7.3.1 flush plateau",
+		Shape: flushShape,
 		Run: func(cfg Config, w io.Writer) error {
 			keys := uint64(scaled(50_000, cfg.Scale*4))
 			fmt.Fprintf(w, "%-16s %12s %14s %14s   (%d keys, full fold-over commit)\n",
 				"bandwidth", "bytes", "commit(ms)", "expected(ms)", keys)
-			for _, mbps := range []int64{0, 512, 128, 32} {
+			// The steps are wide on purpose: an unthrottled commit of this size
+			// takes 15-40 ms on a small host and jitters by as much, so adjacent
+			// points are 4x apart and the first throttled one already costs
+			// more than that jitter (flushShape compares neighbours).
+			for _, mbps := range []int64{0, 64, 16, 4} {
 				dev := storage.NewMemDevice()
 				dev.WriteBandwidth = mbps << 20
 				s, err := faster.Open(faster.Config{
@@ -74,4 +79,20 @@ func init() {
 			}
 			return nil
 		}})
+}
+
+// flushShape: the rows come in order of shrinking bandwidth, and commit
+// latency never drops from one to the next.
+func flushShape(rows []Row) error {
+	for i := 1; i < len(rows); i++ {
+		prev, cur := rows[i-1]["commit_ms"].(float64), rows[i]["commit_ms"].(float64)
+		if cur < prev {
+			return fmt.Errorf("commit took %.0f ms at %v MiB/s (0 = unlimited), %.0f ms at the next lower bandwidth %v MiB/s",
+				prev, rows[i-1]["bandwidth_mbps"], cur, rows[i]["bandwidth_mbps"])
+		}
+	}
+	if len(rows) < 2 {
+		return fmt.Errorf("%d bandwidth points, need at least 2", len(rows))
+	}
+	return nil
 }

@@ -20,6 +20,7 @@ func init() {
 		ID:    "ablate-recovery",
 		Title: "Ablation: recovery time with vs without index checkpoint",
 		Paper: "Sec. 6.3 motivation",
+		Shape: recoveryShape,
 		Run: func(cfg Config, w io.Writer) error {
 			keys := uint64(scaled(50_000, cfg.Scale*4))
 			fmt.Fprintf(w, "%-24s %14s %14s   (%d keys, %d update rounds)\n",
@@ -90,4 +91,22 @@ func init() {
 			}
 			return nil
 		}})
+}
+
+// recoveryShape: recovery from a fresh index checkpoint is faster than from
+// log-only commits on an old one.
+func recoveryShape(rows []Row) error {
+	ms := map[any]float64{}
+	for _, r := range rows {
+		ms[r["with_index"]] = r["recover_ms"].(float64)
+	}
+	fresh, okF := ms[true]
+	old, okO := ms[false]
+	if !okF || !okO {
+		return fmt.Errorf("need a with_index and a log-only row, have %d rows", len(rows))
+	}
+	if fresh >= old {
+		return fmt.Errorf("recovery took %.1f ms with a fresh index checkpoint, %.1f ms log-only", fresh, old)
+	}
+	return nil
 }

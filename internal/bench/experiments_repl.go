@@ -31,7 +31,6 @@ func init() {
 }
 
 func runReplLag(cfg Config, w io.Writer) error {
-	cfg.fill()
 	keys := uint64(scaled(100_000, cfg.Scale))
 	threads := cfg.Threads
 	if threads > 4 {

@@ -36,12 +36,6 @@ type FasterParams struct {
 	WithIndex bool
 	// SampleEvery sets the time-series sampling interval (default 100ms).
 	SampleEvery time.Duration
-
-	// HybridLog sizing; zero values pick defaults fitting Keys in memory.
-	PageBits, MemPages int
-
-	// Store reuses a pre-loaded store; nil opens and loads a fresh one.
-	Store *faster.Store
 }
 
 // FasterSample is one time-series point.
@@ -72,17 +66,10 @@ type FasterSummary struct {
 // paper does before each experiment ("Threads first load the key-value store
 // with data").
 func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
-	pageBits := p.PageBits
-	memPages := p.MemPages
-	if pageBits == 0 {
-		pageBits = 18 // 256 KiB pages
-	}
-	if memPages == 0 {
-		// Size memory to ~2x the loaded data set.
-		recBytes := uint64(hlog.RecordSize(8, p.ValueSize))
-		need := 2 * p.Keys * recBytes
-		memPages = int(need>>uint(pageBits)) + 4
-	}
+	const pageBits = 18 // 256 KiB pages
+	// Size memory to ~2x the loaded data set.
+	recBytes := uint64(hlog.RecordSize(8, p.ValueSize))
+	memPages := int(2*p.Keys*recBytes>>pageBits) + 4
 	buckets := 1
 	for uint64(buckets) < p.Keys/2 {
 		buckets <<= 1
@@ -100,7 +87,7 @@ func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
 	s, err := faster.Open(faster.Config{
 		Shards:       shards,
 		IndexBuckets: buckets,
-		PageBits:     uint(pageBits),
+		PageBits:     pageBits,
 		MemPages:     memPages,
 		Kind:         p.Kind,
 		Transfer:     p.Transfer,
@@ -146,15 +133,11 @@ func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
 
 // RunFaster drives the YCSB-style key-value workload over a store.
 func RunFaster(p FasterParams) (FasterSummary, error) {
-	s := p.Store
-	if s == nil {
-		var err error
-		s, err = OpenLoadedStore(p)
-		if err != nil {
-			return FasterSummary{}, err
-		}
-		defer s.Close()
+	s, err := OpenLoadedStore(p)
+	if err != nil {
+		return FasterSummary{}, err
 	}
+	defer s.Close()
 	theta := 0.0
 	if p.Zipf {
 		theta = 0.99

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -30,6 +29,9 @@ type Artifact struct {
 	Params     map[string]any `json:"params"`
 	Rows       []Row          `json:"rows"`
 	ElapsedSec float64        `json:"elapsed_sec"`
+	// Shape is "ok" or the reason the experiment's shape predicate gave;
+	// absent when the experiment has none (Experiment.Shape).
+	Shape string `json:"shape,omitempty"`
 }
 
 // Recorder accumulates an experiment's structured output. A nil *Recorder is
@@ -41,6 +43,7 @@ type Recorder struct {
 
 // NewRecorder starts an artifact for one experiment.
 func NewRecorder(e Experiment, cfg Config) *Recorder {
+	cfg.fill() // the params record what the run uses, not the zero values
 	return &Recorder{art: Artifact{
 		V:          ArtifactSchemaV,
 		Experiment: e.ID,
@@ -74,6 +77,30 @@ func (r *Recorder) SetElapsed(sec float64) {
 	r.mu.Lock()
 	r.art.ElapsedSec = sec
 	r.mu.Unlock()
+}
+
+// CheckShape evaluates e's shape predicate over the rows recorded so far and
+// stamps the artifact with the verdict. An experiment without one passes and
+// leaves no stamp.
+func (r *Recorder) CheckShape(e Experiment) error {
+	if e.Shape == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var rows []Row
+	buf, err := json.Marshal(r.art.Rows)
+	if err == nil {
+		err = json.Unmarshal(buf, &rows)
+	}
+	if err == nil {
+		err = e.Shape(rows)
+	}
+	r.art.Shape = "ok"
+	if err != nil {
+		r.art.Shape = err.Error()
+	}
+	return err
 }
 
 // WriteFile writes BENCH_<experiment>.json under dir and returns its path.
@@ -166,22 +193,4 @@ func seriesRow(series []FasterSample) Row {
 		logMiB[i] = float64(sm.LogBytes) / (1 << 20)
 	}
 	return Row{"t_sec": t, "mops": mops, "latency_us": latUs, "log_mib": logMiB}
-}
-
-// pctile returns the p-th percentile (0..1] of ns by nearest-rank, after
-// sorting a copy. Returns 0 on an empty slice.
-func pctile(ns []int64, p float64) int64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p*float64(len(sorted))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
