@@ -124,7 +124,7 @@ func main() {
 	if *dir != "" {
 		if *shards > 1 {
 			// One log file per shard; checkpoints share the directory store
-			// (the store namespaces each shard under shard<i>/).
+			// (a blob's name carries its shard).
 			base := *dir
 			cfg.DeviceFactory = func(i int) (cpr.Device, error) {
 				d, err := cpr.OpenFileDevice(filepath.Join(base, fmt.Sprintf("hybridlog-shard%d.dat", i)))

@@ -74,12 +74,13 @@ func inlogCmd(args []string) int {
 		fmt.Printf("  ERROR %s\n", e)
 	}
 
-	// Watermarks: one per commit that covered the pump session. The newest
-	// readable one is the apply anchor; its offset is the trim frontier any
-	// retained segment below which is reclaimable. It is also independent
-	// evidence against the log: a committed offset the log no longer
-	// reaches means a "torn tail" is really lost data, not a benign
-	// crash-truncated final record.
+	// Watermarks: one in the record of every commit that covered the pump
+	// session; an autocommitting server leaves many and only the newest few
+	// matter for operators. The newest readable one is the apply anchor; its
+	// offset is the trim frontier any retained segment below which is
+	// reclaimable. It is also independent evidence against the log: a
+	// committed offset the log no longer reaches means a "torn tail" is really
+	// lost data, not a benign crash-truncated final record.
 	corrupt := rep.Corrupt
 	if *ckDir != "" {
 		if st, err := os.Stat(*ckDir); err == nil && st.IsDir() {
@@ -88,7 +89,7 @@ func inlogCmd(args []string) int {
 				log.Print(err)
 				return 1
 			}
-			ws, err := inlog.ListWatermarks(cs)
+			ws, err := inlog.Watermarks(cs, 5)
 			if err != nil {
 				log.Print(err)
 				return 1
@@ -96,20 +97,14 @@ func inlogCmd(args []string) int {
 			if len(ws) == 0 {
 				fmt.Println("watermarks: none (no commit has covered the pump session)")
 			}
-			// An autocommitting server leaves one watermark per commit; only
-			// the newest few matter for operators.
-			if skip := len(ws) - 5; skip > 0 {
-				fmt.Printf("  (%d older watermark(s) elided)\n", skip)
-				ws = ws[skip:]
-			}
 			for i, w := range ws {
 				marker := " "
-				if i == len(ws)-1 {
+				if i == 0 {
 					marker = "*" // newest: the live apply/trim anchor
 				}
 				fmt.Printf("%s watermark %s: session %q serial %d -> offset %d\n",
 					marker, w.Token, w.Session, w.Serial, w.Offset)
-				if i == len(ws)-1 {
+				if i == 0 {
 					if w.Offset > rep.End {
 						corrupt = true
 						fmt.Printf("  ERROR commit %s covers offset %d but the log ends at %d: committed records are missing\n",

@@ -30,12 +30,12 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	cpr "repro"
+	"repro/internal/faster"
 	"repro/internal/kvserver"
 	"repro/internal/obs"
 )
@@ -335,78 +335,42 @@ func need(args []string, n int) {
 	}
 }
 
-// verifyCheckpoints walks every artifact in a checkpoint directory offline,
-// checking each checksum envelope, and prints a per-commit verdict. Returns
-// the process exit code: 0 when every commit verifies, 1 when any artifact
-// is corrupt or a commit references a missing artifact.
+// verifyCheckpoints prints faster.VerifyCommits' verdict on a checkpoint
+// directory, commit by commit. Returns the process exit code: 0 when every
+// commit verifies, 1 when a commit's record is corrupt or it references a
+// missing or corrupt artifact.
 func verifyCheckpoints(dir string) int {
 	cs, err := cpr.NewDirCheckpointStore(dir)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	names, err := cs.List()
+	commits, orphans, err := faster.VerifyCommits(cs)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	if len(names) == 0 {
+	if len(commits)+len(orphans) == 0 {
 		fmt.Printf("%s: no artifacts\n", dir)
 		return 0
 	}
-
-	// Verify every artifact's envelope, grouping verdicts by commit token.
-	// Commit artifacts are named "[shardN/]<kind>-<token>"; everything else in
-	// the directory (commit attachments such as inlog-<token>, flight and
-	// incident dumps) is grouped under token "-".
-	badByToken := make(map[string][]string)
-	okCount, badCount := 0, 0
-	tokenOf := func(name string) string {
-		base := name
-		if i := strings.LastIndex(base, "/"); i >= 0 {
-			base = base[i+1:]
-		}
-		for _, kind := range []string{"meta-", "index-", "snapshot-", "pagecrc-", "cpr-manifest-"} {
-			if strings.HasPrefix(base, kind) {
-				return base[len(kind):]
-			}
-		}
-		return "-"
-	}
-	tokens := make(map[string]bool)
-	for _, name := range names {
-		tokens[tokenOf(name)] = true
-		if err := cpr.VerifyArtifact(cs, name); err != nil {
-			badCount++
-			badByToken[tokenOf(name)] = append(badByToken[tokenOf(name)], fmt.Sprintf("%s: %v", name, err))
-		} else {
-			okCount++
-		}
-	}
-
-	sorted := make([]string, 0, len(tokens))
-	for tok := range tokens {
-		sorted = append(sorted, tok)
-	}
-	sort.Strings(sorted)
 	corrupt := 0
-	for _, tok := range sorted {
-		label := "commit " + tok
-		if tok == "-" {
-			label = "other artifacts"
+	for _, c := range commits {
+		if len(c.Problems) == 0 {
+			fmt.Printf("%-22s OK\n", "commit "+c.Token)
+			continue
 		}
-		if bad := badByToken[tok]; len(bad) > 0 {
-			corrupt++
-			fmt.Printf("%-22s CORRUPT\n", label)
-			for _, line := range bad {
-				fmt.Printf("    %s\n", line)
-			}
-		} else {
-			fmt.Printf("%-22s OK\n", label)
+		corrupt++
+		fmt.Printf("%-22s CORRUPT\n", "commit "+c.Token)
+		for _, line := range c.Problems {
+			fmt.Printf("    %s\n", line)
 		}
 	}
-	fmt.Printf("%d artifacts verified, %d corrupt, %d commit(s) affected\n",
-		okCount, badCount, corrupt)
+	if len(orphans) > 0 {
+		// Blobs of a commit that never completed, flight and incident dumps.
+		fmt.Printf("other artifacts (named by no commit): %s\n", strings.Join(orphans, " "))
+	}
+	fmt.Printf("%d commit(s) checked, %d corrupt\n", len(commits), corrupt)
 	if corrupt > 0 {
 		return 1
 	}

@@ -260,9 +260,3 @@ func NewFaultCheckpointStore(inner CheckpointStore, inj *FaultInjector) *storage
 // ErrCorruptArtifact is wrapped by artifact reads whose checksum envelope
 // fails verification (errors.Is).
 var ErrCorruptArtifact = storage.ErrCorruptArtifact
-
-// VerifyArtifact checks the named artifact's checksum envelope without
-// returning its payload.
-func VerifyArtifact(cs CheckpointStore, name string) error {
-	return storage.VerifyArtifact(cs, name)
-}

@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -79,52 +78,12 @@ type checkpointCtx struct {
 	pendingV atomic.Int64
 	flushing atomic.Bool
 
-	lhs, lhe      uint64
-	lis, lie      uint64
-	snapshotStart uint64
-
-	// done is closed once this shard's artifacts are durable (or the leg
-	// failed) and the shard is back at rest; res is final from then on.
-	done chan struct{}
-	res  CommitResult
-}
-
-// metadata is the persisted commit descriptor (one per shard).
-type metadata struct {
-	Token         string            `json:"token"`
-	Version       uint32            `json:"version"`
-	Kind          string            `json:"kind"`
-	Lhs           uint64            `json:"log_start"`
-	Lhe           uint64            `json:"log_end"`
-	Lis           uint64            `json:"index_start"`
-	Lie           uint64            `json:"index_end"`
-	SnapshotStart uint64            `json:"snapshot_start"`
-	HasIndex      bool              `json:"has_index"`
-	IndexToken    string            `json:"index_token"`
-	Serials       map[string]uint64 `json:"serials"`
-}
-
-// logEnd is the address the commit's log reaches, where recovery and a
-// replica's install cut the log. The checkpoint extended the log capture over
-// the fuzzy index window, so max(Lie, Lhe) is on the device when this commit
-// took the index; a carried-forward index lies below Lhe entirely.
-func (m *metadata) logEnd() uint64 {
-	if m.HasIndex && m.Lie > m.Lhe {
-		return m.Lie
-	}
-	return m.Lhe
-}
-
-// manifest is the commit record: the one artifact whose presence means
-// "committed". It is written only after every shard's checkpoint is durable,
-// so it proves the version is recoverable on all of them; a crash anywhere
-// before it leaves the previous manifest as the newest commit, whatever
-// shard-level artifacts of the unfinished one reached the store.
-type manifest struct {
-	Token   string `json:"token"`
-	Version uint32 `json:"version"`
-	Shards  int    `json:"shards"`
-	Kind    string `json:"kind"`
+	// done is closed once this shard's capture is durable (or the leg failed)
+	// and the shard is back at rest; res and section — the shard's part of the
+	// commit record — are final from then on.
+	done    chan struct{}
+	res     CommitResult
+	section shardSection
 }
 
 // storeCommit tracks one in-flight commit at the store level: the token, one
@@ -146,7 +105,7 @@ var ErrCommitInProgress = fmt.Errorf("faster: a CPR commit is already in progres
 
 // Commit starts an asynchronous CPR commit (Sec. 6.2) and returns its token
 // immediately. One token and version cover every shard: all shard state
-// machines start concurrently and the commit completes — manifest written,
+// machines start concurrently and the commit completes — record written,
 // OnDone fired — only when every shard is durable at that version. Use
 // WaitForCommit to block.
 func (s *Store) Commit(opts CommitOptions) (string, error) {
@@ -160,7 +119,7 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 	defer s.mu.Unlock()
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	// Shards return to rest before the manifest is written, so s.active — not
+	// Shards return to rest before the record is written, so s.active — not
 	// the shard phases — is what says a commit is still running.
 	if s.active != nil {
 		return "", ErrCommitInProgress
@@ -185,21 +144,23 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 }
 
 // finishCommit waits for every shard's leg, merges their results, and — only
-// if all shards are durable — writes the manifest that makes the commit
-// recoverable, then the commit attachments. Everything that announces a
-// commit happens here, once, in this order: session watermarks, metrics and
-// the commit-done flight event, then the result (TryResult, WaitForCommit,
-// Phase() == Rest) — so whoever sees the commit done also sees
-// CommittedSerial cover it and the whole timeline recorded — then OnDone and
-// the commit hooks.
+// if all shards are durable and every attachment hook answered — writes the
+// commit record, the one artifact that makes the commit recoverable.
+// Everything that announces a commit happens here, once, in this order: session
+// watermarks, metrics and the commit-done flight event, then the result
+// (TryResult, WaitForCommit, Phase() == Rest) — so whoever sees the commit done
+// also sees CommittedSerial cover it and the whole timeline recorded — then
+// OnDone and the commit hooks.
 func (s *Store) finishCommit(c *storeCommit) {
 	res := CommitResult{Token: c.token, Version: c.version, Kind: c.kind, Serials: make(map[string]uint64)}
+	rec := commitRecord{Format: recordFormat, Token: c.token, Version: c.version, Kind: c.kind.String(), Serials: res.Serials}
 	for i, ck := range c.legs {
 		<-ck.done
 		if ck.res.Err != nil && res.Err == nil {
 			res.Err = fmt.Errorf("faster: shard %d commit: %w", i, ck.res.Err)
 		}
 		res.Bytes += ck.res.Bytes
+		rec.Shards = append(rec.Shards, ck.section)
 		// A session demarcates once per version, so its point is the same on
 		// every shard; min-merge all the same.
 		for id, pt := range ck.res.Serials {
@@ -209,7 +170,12 @@ func (s *Store) finishCommit(c *storeCommit) {
 		}
 	}
 	if res.Err == nil {
-		res.Err = s.writeManifest(res)
+		rec.Attachments, res.Err = s.commitAttachments(res)
+	}
+	if res.Err == nil {
+		var n int
+		n, res.Err = writeRecord(s.cfg.Checkpoints, &rec, s.cfg.Flight)
+		res.Bytes += int64(n)
 	}
 	if res.Err == nil {
 		s.noteCommitted(res)
@@ -225,7 +191,7 @@ func (s *Store) finishCommit(c *storeCommit) {
 	s.ckptMu.Lock()
 	s.results.put(res)
 	if res.Err == nil {
-		s.latestToken = c.token
+		s.latestToken, s.latestVer = c.token, c.version
 	}
 	s.active = nil
 	s.ckptMu.Unlock()
@@ -236,21 +202,6 @@ func (s *Store) finishCommit(c *storeCommit) {
 	if res.Err == nil {
 		s.fireCommitHooks(res)
 	}
-}
-
-// writeManifest persists the commit record of a commit whose every shard is
-// durable, then the commit attachments (Store.OnCommitArtifact), which ride
-// the same durability boundary: a failure of either fails the commit.
-func (s *Store) writeManifest(res CommitResult) error {
-	buf, err := json.Marshal(manifest{Token: res.Token, Version: res.Version, Shards: len(s.shards), Kind: res.Kind.String()})
-	if err != nil {
-		return err
-	}
-	if err := writeArtifactFlight(s.cfg.Checkpoints, "cpr-manifest-"+res.Token, buf, s.cfg.Flight, -1, res.Version); err != nil {
-		return err
-	}
-	s.cfg.Flight.Emit(obs.FlightManifestWrite, -1, uint64(res.Version), res.Token, "", 0, 0)
-	return s.writeCommitAttachments(res)
 }
 
 // WaitForCommit blocks until the commit identified by token completes and
@@ -301,7 +252,7 @@ func (sh *shard) startCommit(token string, kind CommitKind, withIndex bool) *che
 	for _, ss := range sh.sessions {
 		ck.coord.Add(ss)
 	}
-	ck.lhs = sh.log.Tail()
+	ck.section.Lhs = sh.log.Tail()
 	sh.ckpt = ck
 	// Publish the prepare phase; sessions observe it on refresh.
 	sh.state.Store(packState(Prepare, ck.version))
@@ -366,7 +317,7 @@ func (ck *checkpointCtx) dropParticipant(sess *shardSession) {
 }
 
 // serialsByID converts the coordinator's per-session commit points to the
-// session-ID keyed map persisted in commit metadata.
+// session-ID keyed map the commit record persists.
 func (ck *checkpointCtx) serialsByID() map[string]uint64 {
 	points := ck.coord.Points()
 	out := make(map[string]uint64, len(points))
@@ -395,12 +346,14 @@ func (ck *checkpointCtx) checkPendingDone() {
 
 // waitFlush captures version v durably (transition 5 of Fig. 9a): fold-over
 // shifts the read-only offset to the tail and waits for the flush; snapshot
-// writes the volatile log region to a separate artifact. Then the metadata
-// (including per-session CPR points) is persisted and the shard returns to
-// rest at version v+1. That ends the leg, not the commit: Store.finishCommit
-// writes the manifest once every leg is done.
+// writes the volatile log region to a separate artifact. Then the shard returns
+// to rest at version v+1 and hands its section of the commit record — offsets,
+// blob names, page checksums — and its sessions' CPR points back. That ends the
+// leg, not the commit: Store.finishCommit writes the record once every leg is
+// done, and nothing the leg wrote counts until then.
 func (ck *checkpointCtx) waitFlush() {
 	sh := ck.store
+	sec := &ck.section
 	var written int64
 	var err error
 
@@ -409,28 +362,24 @@ func (ck *checkpointCtx) waitFlush() {
 	// [Lhe, Lie) so that recovery's Alg. 3 scan range max(Lie, Lhe) is fully
 	// on the device and v+1 records referenced by fuzzy index entries can be
 	// invalidated and chased back to their committed predecessors.
-	ck.lhe = sh.log.Tail()
-	indexToken := ""
+	sec.Lhe = sh.log.Tail()
 	if ck.withIndex {
-		ck.lis = sh.log.Tail()
-		indexToken = ck.token
+		sec.Lis = sh.log.Tail()
+		sec.Index = blobName("index", ck.token, sh.id)
 		// The index knows its size: the image is built once, inside its
 		// checksum envelope (so the write can be retried whole on a transient
 		// fault), and handed to the checkpoint store as is.
 		var n int
-		n, err = writeBuiltFlight(sh.cfg.Checkpoints, "index-"+ck.token, sh.index.imageSize(),
+		n, err = writeBuiltFlight(sh.cfg.Checkpoints, sec.Index, sh.index.imageSize(),
 			sh.index.appendImage, sh.flight, sh.id, ck.version)
 		written += int64(n)
-		ck.lie = sh.log.Tail()
+		sec.Lie = sh.log.Tail()
 	} else {
 		// Carry the most recent index checkpoint forward so log-only
 		// commits can recover by replaying from it (Sec. 6.3).
-		indexToken, ck.lis, ck.lie = sh.lastIndexToken, sh.lastLis, sh.lastLie
+		sec.Index, sec.Lis, sec.Lie = sh.lastIndex, sh.lastLis, sh.lastLie
 	}
-	captureEnd := ck.lhe
-	if ck.withIndex && ck.lie > captureEnd {
-		captureEnd = ck.lie
-	}
+	captureEnd := sec.logEnd()
 
 	if err == nil {
 		switch ck.kind {
@@ -439,68 +388,41 @@ func (ck *checkpointCtx) waitFlush() {
 			// I/O completion that stores durable >= captureEnd wakes this leg.
 			// So does a permanent flush failure (transient errors are retried
 			// inside the I/O pool), which aborts the commit cleanly: the
-			// metadata is never written, the commit is never announced, and the
+			// record is never written, the commit is never announced, and the
 			// store keeps serving at v+1 so the next commit attempt proceeds.
 			sh.log.ShiftReadOnlyTo(captureEnd)
 			sh.log.WaitDurable(captureEnd)
 			if ferr := sh.log.FlushErr(); ferr != nil && sh.log.Durable() < captureEnd {
 				err = fmt.Errorf("faster: commit %s: %w", ck.token, ferr)
 			} else {
-				written += int64(captureEnd - ck.lhs)
+				written += int64(captureEnd - sec.Lhs)
 			}
 		case Snapshot:
-			ck.snapshotStart = sh.log.Durable()
+			sec.SnapshotStart = sh.log.Durable()
+			sec.Snapshot = blobName("snapshot", ck.token, sh.id)
 			var data []byte
-			data, err = sh.log.SnapshotRange(ck.snapshotStart, captureEnd)
+			data, err = sh.log.SnapshotRange(sec.SnapshotStart, captureEnd)
 			if err == nil {
-				err = ck.writeArtifact("snapshot-"+ck.token, data)
+				err = writeArtifactFlight(sh.cfg.Checkpoints, sec.Snapshot, data, sh.flight, sh.id, ck.version)
 				written += int64(len(data))
 			}
 		}
 	}
 
-	// Persist the log's per-page checksum table so recovery can verify the
-	// device written it is about to trust (covers every page fully flushed
-	// under this Log's watch; see hlog.PageChecksums).
 	if err == nil {
-		var crcBuf []byte
-		crcBuf, err = json.Marshal(sh.log.PageChecksums())
-		if err == nil {
-			err = ck.writeArtifact("pagecrc-"+ck.token, crcBuf)
-			written += int64(len(crcBuf))
+		// The log's per-page checksum table lets recovery verify the device it
+		// is about to trust (covers every page fully flushed under this Log's
+		// watch; see hlog.PageChecksums).
+		sec.PageCRCs = sh.log.PageChecksums()
+		if ck.withIndex {
+			sh.lastIndex, sh.lastLis, sh.lastLie = sec.Index, sec.Lis, sec.Lie
 		}
-	}
-
-	serials := ck.serialsByID()
-	if err == nil {
-		meta := metadata{
-			Token: ck.token, Version: ck.version, Kind: ck.kind.String(),
-			Lhs: ck.lhs, Lhe: ck.lhe, Lis: ck.lis, Lie: ck.lie,
-			SnapshotStart: ck.snapshotStart,
-			HasIndex:      ck.withIndex, IndexToken: indexToken,
-			Serials: serials,
-		}
-		var buf []byte
-		buf, err = json.Marshal(meta)
-		if err == nil {
-			err = ck.writeArtifact("meta-"+ck.token, buf)
-		}
-		if err == nil && ck.withIndex {
-			sh.lastIndexToken, sh.lastLis, sh.lastLie = indexToken, ck.lis, ck.lie
-		}
-	}
-	if err == nil {
-		// This shard's checkpoint — log capture, page CRCs and metadata — is
-		// fully durable.
 		sh.flight.Emit(obs.FlightPersistDone, sh.id, uint64(ck.version), ck.token, "", uint64(written), 0)
 	} else {
 		sh.flight.Emit(obs.FlightCommitFail, sh.id, uint64(ck.version), ck.token, "", 0, 0)
 	}
 
-	ck.res = CommitResult{
-		Token: ck.token, Version: ck.version, Kind: ck.kind,
-		Serials: serials, Bytes: written, Err: err,
-	}
+	ck.res = CommitResult{Serials: ck.serialsByID(), Bytes: written, Err: err}
 	// Return to rest at version v+1 and detach the context. The transition is
 	// recorded first: whoever sees the commit done finds all five transitions
 	// on the timeline.
@@ -511,11 +433,6 @@ func (ck *checkpointCtx) waitFlush() {
 	sh.ckptMu.Unlock()
 	ck.bumpEpoch()
 	close(ck.done)
-}
-
-func (ck *checkpointCtx) writeArtifact(name string, data []byte) error {
-	return writeArtifactFlight(ck.store.cfg.Checkpoints, name, data,
-		ck.store.flight, ck.store.id, ck.version)
 }
 
 // writeArtifactFlight persists one named artifact inside the checksum

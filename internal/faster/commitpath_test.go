@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hlog"
 	"repro/internal/storage"
 )
 
@@ -61,28 +63,40 @@ func commitPathStore(t *testing.T, n int, ckpts storage.CheckpointStore) (*Store
 	return s, sess, devs
 }
 
-// TestArtifactsPerCommit pins what a log-only commit writes: per shard its
-// page checksums and metadata, plus the one manifest — and no pointer
-// artifact at any shard count.
+// TestArtifactsPerCommit pins what a commit writes, at every shard count: a
+// log-only commit its record and nothing else, attachment or not; a commit
+// with the index one blob per shard besides; a snapshot commit one more per
+// shard. The record is the last artifact of every commit, and no pointer
+// artifact is written.
 func TestArtifactsPerCommit(t *testing.T) {
-	for n, want := range map[int]int{1: 3, 2: 5} {
+	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			cs := &countingStore{CheckpointStore: storage.NewMemCheckpointStore()}
 			s, sess, _ := commitPathStore(t, n, cs)
 			defer s.Close()
 			defer sess.StopSession()
-			driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
-			cs.take()
-			for c := 0; c < 3; c++ {
-				sess.Upsert(key(uint64(c)), u64(7))
-				res := driveCommit(t, s, []*Session{sess}, CommitOptions{})
+			snapshot := Snapshot
+			commit := func(what string, opts CommitOptions, want int) {
+				t.Helper()
+				sess.Upsert(key(7), u64(7))
+				res := driveCommit(t, s, []*Session{sess}, opts)
 				got := cs.take()
 				if len(got) != want {
-					t.Fatalf("log-only commit %s wrote %d artifacts %v, want %d", res.Token, len(got), got, want)
+					t.Fatalf("%s commit %s wrote %d artifacts %v, want %d", what, res.Token, len(got), got, want)
 				}
 				if last := got[len(got)-1]; last != "cpr-manifest-"+res.Token {
-					t.Fatalf("last artifact of %s is %s, want the manifest", res.Token, last)
+					t.Fatalf("last artifact of %s is %s, want the record", res.Token, last)
 				}
+			}
+			commit("with-index", CommitOptions{WithIndex: true}, 1+n)
+			commit("log-only", CommitOptions{}, 1)
+			commit("snapshot", CommitOptions{Kind: &snapshot}, 1+n)
+			commit("snapshot with-index", CommitOptions{Kind: &snapshot, WithIndex: true}, 1+2*n)
+			s.OnCommitArtifact(func(res CommitResult) (string, []byte, error) {
+				return "note", []byte(res.Token), nil
+			})
+			for c := 0; c < 3; c++ {
+				commit("log-only with an attachment", CommitOptions{}, 1)
 			}
 			names, err := cs.List()
 			if err != nil {
@@ -199,61 +213,94 @@ func latestCommitToken(t *testing.T, n int) {
 }
 
 // TestAttachmentFailureFailsCommit: a commit attachment that returns an error
-// fails the commit — after the manifest — so the commit is never announced:
-// no session watermark moves, no commit hook fires, LatestCommitToken stays.
-// The next commit, with the attachment healthy again, goes through.
+// fails the commit before its record is written, so the commit is neither
+// announced — no session watermark moves, no commit hook fires,
+// LatestCommitToken stays — nor on disk: a recovery of the store as it stands
+// lands on the previous commit, or finds none. The next commit, with the
+// attachment healthy again, goes through and carries it.
 func TestAttachmentFailureFailsCommit(t *testing.T) {
 	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ckpts := storage.NewMemCheckpointStore()
-			s, sess, _ := commitPathStore(t, n, ckpts)
-			defer s.Close()
-			defer sess.StopSession()
-			boom := errors.New("attachment unavailable")
-			failing := true
-			s.OnCommitArtifact(func(res CommitResult) (string, []byte, error) {
-				if failing {
-					return "", nil, boom
-				}
-				return "note-" + res.Token, []byte("ok"), nil
+		for _, earlier := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d earlier=%v", n, earlier), func(t *testing.T) {
+				attachmentFailure(t, n, earlier)
 			})
-			hooked := make(chan string, 2) // hooks fire after the result is visible
-			s.OnCommit(func(res CommitResult) { hooked <- res.Token })
+		}
+	}
+}
 
-			token, err := s.Commit(CommitOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var res CommitResult
-			for ok := false; !ok; res, ok = s.TryResult(token) {
-				sess.Refresh()
-				sess.CompletePending(false)
-			}
-			if !errors.Is(res.Err, boom) {
-				t.Fatalf("commit %s: err = %v, want the attachment's", token, res.Err)
-			}
-			if _, err := storage.ReadArtifactChecked(ckpts, "cpr-manifest-"+token); err != nil {
-				t.Fatalf("attachments run after the manifest, which is missing: %v", err)
-			}
-			if got := sess.CommittedSerial(); got != 0 {
-				t.Fatalf("CommittedSerial = %d after a failed commit, want 0", got)
-			}
-			if tok, ok := s.LatestCommitToken(); ok {
-				t.Fatalf("LatestCommitToken = %s after a failed commit", tok)
-			}
+func attachmentFailure(t *testing.T, n int, earlier bool) {
+	ckpts := storage.NewMemCheckpointStore()
+	s, sess, devs := commitPathStore(t, n, ckpts)
+	defer s.Close()
+	defer sess.StopSession()
+	var before CommitResult
+	if earlier {
+		before = driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+		sess.Upsert(key(101), u64(101))
+	}
+	boom := errors.New("attachment unavailable")
+	failing := true
+	s.OnCommitArtifact(func(res CommitResult) (string, []byte, error) {
+		if failing {
+			return "", nil, boom
+		}
+		return "note", []byte("ok"), nil
+	})
+	hooked := make(chan string, 2) // hooks fire after the result is visible
+	s.OnCommit(func(res CommitResult) { hooked <- res.Token })
 
-			failing = false
-			res = driveCommit(t, s, []*Session{sess}, CommitOptions{})
-			if got := sess.CommittedSerial(); got != 100 {
-				t.Fatalf("CommittedSerial = %d after the retry, want 100", got)
-			}
-			if first := <-hooked; first != res.Token {
-				t.Fatalf("first commit hook fired for %s, want only for %s", first, res.Token)
-			}
-			if _, err := storage.ReadArtifactChecked(ckpts, "note-"+res.Token); err != nil {
-				t.Fatalf("attachment of %s: %v", res.Token, err)
-			}
-		})
+	token, err := s.Commit(CommitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res CommitResult
+	for ok := false; !ok; res, ok = s.TryResult(token) {
+		sess.Refresh()
+		sess.CompletePending(false)
+	}
+	if !errors.Is(res.Err, boom) {
+		t.Fatalf("commit %s: err = %v, want the attachment's", token, res.Err)
+	}
+	if _, err := storage.ReadArtifact(ckpts, "cpr-manifest-"+token); !storage.IsNotFound(err) {
+		t.Fatalf("the failed commit %s left a record behind (read: %v)", token, err)
+	}
+	if got := sess.CommittedSerial(); got != before.Serials[sess.ID()] {
+		t.Fatalf("CommittedSerial = %d after a failed commit, want %d", got, before.Serials[sess.ID()])
+	}
+	if tok, _ := s.LatestCommitToken(); tok != before.Token {
+		t.Fatalf("LatestCommitToken = %q after a failed commit, want %q", tok, before.Token)
+	}
+	// A crash right here: the commit reported failed is not the one recovery
+	// chooses.
+	rcfg := shardedConfig(n)
+	rcfg.Checkpoints = ckpts.Clone()
+	rdevs := cloneDevs(devs)
+	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return rdevs[i], nil }
+	r, report, err := RecoverWithReport(rcfg)
+	switch {
+	case !earlier:
+		if !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("recovery after a failed first commit = %v, want ErrNoCheckpoint", err)
+		}
+	case err != nil:
+		t.Fatal(err)
+	default:
+		if report.Token != before.Token || len(report.Skipped) != 0 {
+			t.Fatalf("recovered %s skipping %v, want %s and nothing skipped", report.Token, report.Skipped, before.Token)
+		}
+		r.Close()
+	}
+
+	failing = false
+	res = driveCommit(t, s, []*Session{sess}, CommitOptions{})
+	if got := sess.CommittedSerial(); got != res.Serials[sess.ID()] || got < 100 {
+		t.Fatalf("CommittedSerial = %d after the retry, want %d", got, res.Serials[sess.ID()])
+	}
+	if first := <-hooked; first != res.Token {
+		t.Fatalf("first commit hook fired for %s, want only for %s", first, res.Token)
+	}
+	if note, ok, err := Attachment(ckpts, res.Token, "note"); err != nil || !ok || string(note) != "ok" {
+		t.Fatalf("attachment of %s = (%q, %v, %v)", res.Token, note, ok, err)
 	}
 }
 
@@ -280,9 +327,9 @@ func TestRecoverShardCountMismatch(t *testing.T) {
 	}
 }
 
-// TestRecoverWithoutManifest tells the two manifest-less stores apart. Stray
-// shard artifacts alone are a crash inside the very first commit: nothing was
-// ever committed, ErrNoCheckpoint. A top-level "latest" pointer is a store
+// TestRecoverWithoutManifest tells the two record-less stores apart. Stray
+// blobs alone are a crash inside the very first commit: nothing was ever
+// committed, ErrNoCheckpoint. A top-level "latest" pointer is a store
 // written before the manifest was the single-shard commit record: it holds
 // commits this version cannot read, and saying "no checkpoint" would let the
 // caller start a fresh store over them.
@@ -299,7 +346,7 @@ func TestRecoverWithoutManifest(t *testing.T) {
 	cfg.Checkpoints = ckpts
 	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
 	if _, err := Recover(cfg); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("stray meta, no manifest, no pointer: Recover = %v, want ErrNoCheckpoint", err)
+		t.Fatalf("stray index blob, no record, no pointer: Recover = %v, want ErrNoCheckpoint", err)
 	}
 	if err := storage.WriteArtifactChecked(ckpts, "latest", []byte(res.Token)); err != nil {
 		t.Fatal(err)
@@ -310,5 +357,102 @@ func TestRecoverWithoutManifest(t *testing.T) {
 		if err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "pre-manifest") {
 			t.Fatalf("pre-manifest layout opened with %d shards: Recover = %v, want a hard error naming it", n, err)
 		}
+	}
+}
+
+// TestRecoverParentLayout: a checkpoint store written before the commit record
+// — per shard a meta-<token> and a pagecrc-<token> (under shard<i>/ past one
+// shard), and a manifest that holds only the token, version, shard count and
+// kind — holds commits this version cannot read. Recover says so, naming the
+// layout: never ErrNoCheckpoint, on which callers start a fresh store over
+// them, and never a fall-back to whatever older record does read.
+func TestRecoverParentLayout(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			ckpts := storage.NewMemCheckpointStore()
+			s, sess, devs := commitPathStore(t, n, ckpts)
+			res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+			sess.StopSession()
+			s.Close()
+
+			artifact := func(name string, v any) {
+				buf, err := json.Marshal(v)
+				if err == nil {
+					err = storage.WriteArtifactChecked(ckpts, name, buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			const token = "ckpt-000002" // newer than the commit that does read
+			for i := 0; i < n; i++ {
+				prefix := ""
+				if n > 1 {
+					prefix = fmt.Sprintf("shard%d/", i)
+				}
+				artifact(prefix+"pagecrc-"+token, []hlog.PageCRC{})
+				artifact(prefix+"meta-"+token, map[string]any{"token": token, "version": 2, "kind": "fold-over",
+					"log_start": 64, "log_end": 4096, "has_index": false, "index_token": "", "serials": map[string]uint64{"s": 1}})
+			}
+			artifact("cpr-manifest-"+token, map[string]any{"token": token, "version": 2, "shards": n, "kind": "fold-over"})
+
+			cfg := shardedConfig(n)
+			cfg.Checkpoints = ckpts
+			cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+			_, err := Recover(cfg)
+			if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, errParentLayout) ||
+				!strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), token) {
+				t.Fatalf("Recover over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
+			}
+		})
+	}
+}
+
+// TestVerifyCommits: the offline walk follows what each record names. With the
+// index blob of a with-index commit gone, that commit and every later log-only
+// commit that carries the index forward are reported, the commits before and
+// after (which took their own index) are not, and what no record names is an
+// orphan, not a failure.
+func TestVerifyCommits(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			ckpts := storage.NewMemCheckpointStore()
+			s, sess, _ := commitPathStore(t, n, ckpts)
+			defer s.Close()
+			defer sess.StopSession()
+			var tokens []string
+			for _, withIndex := range []bool{true, true, false, false, true, false} {
+				sess.Upsert(key(7), u64(7))
+				tokens = append(tokens, driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: withIndex}).Token)
+			}
+			if err := storage.WriteArtifactChecked(ckpts, "flight-probe", []byte("{}")); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, bad ...string) {
+				t.Helper()
+				commits, orphans, err := VerifyCommits(ckpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gotTokens, gotBad []string
+				for _, c := range commits {
+					gotTokens = append(gotTokens, c.Token)
+					if len(c.Problems) > 0 {
+						gotBad = append(gotBad, c.Token)
+					}
+				}
+				if fmt.Sprint(gotTokens) != fmt.Sprint(tokens) || fmt.Sprint(gotBad) != fmt.Sprint(bad) {
+					t.Fatalf("%s: commits %v, bad %v; want %v, bad %v (%+v)", what, gotTokens, gotBad, tokens, bad, commits)
+				}
+				if fmt.Sprint(orphans) != "[flight-probe]" {
+					t.Fatalf("%s: orphans %v, want the flight dump alone", what, orphans)
+				}
+			}
+			check("intact")
+			if err := ckpts.Remove(blobName("index", tokens[1], n-1)); err != nil {
+				t.Fatal(err)
+			}
+			check("index blob of commit 2 removed", tokens[1], tokens[2], tokens[3])
+		})
 	}
 }

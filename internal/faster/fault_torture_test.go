@@ -15,13 +15,13 @@ import (
 // The fault-torture harness: a concurrent YCSB-style workload runs over a
 // fault-injected device and checkpoint store while commits fire; named crash
 // points sweep the interesting instants of each commit's artifact sequence
-// (before, mid-write and after the shard's metadata, and the same three
-// around the manifest, the commit record) and snapshot the "disk" there. Every
-// snapshot is then recovered and held to the CPR contract: for each session,
-// exactly the operations up to its recovered CPR point are present. A
-// snapshot without the newest commit's manifest recovers the previous commit
-// and says nothing of the unfinished one; a snapshot whose newest manifest is
-// torn must demote to the previous fully-verifiable commit — not error out —
+// (before, mid-write and after the commit record, and mid-write and after the
+// index and snapshot blobs of a commit that writes them) and snapshot the
+// "disk" there. Every snapshot is then recovered and held to the CPR contract:
+// for each session, exactly the operations up to its recovered CPR point are
+// present. A snapshot without the newest commit's record recovers the previous
+// commit and says nothing of the unfinished one; a snapshot whose newest record
+// is torn must demote to the previous fully-verifiable commit — not error out —
 // with the skip recorded in the RecoveryReport.
 //
 // The workload is the self-describing one from TestCrashAtRandomPoints:
@@ -36,13 +36,13 @@ const (
 // tortureSnapshot is one captured crash image plus what must hold for it.
 type tortureSnapshot struct {
 	label string
-	dev   *storage.MemDevice
+	devs  []*storage.MemDevice
 	ckpts *storage.MemCheckpointStore
 	// completed is how many commits had fully completed when the image was
-	// taken. When > 0 (or the image was taken after the commit's manifest
+	// taken. When > 0 (or the image was taken after the commit's record
 	// was durable), recovery MUST succeed.
 	completed int
-	// wantSkip: the image holds a torn newest manifest over >= 1 completed
+	// wantSkip: the image holds a torn newest record over >= 1 completed
 	// commit, so recovery must both succeed and report a skipped commit.
 	wantSkip bool
 }
@@ -131,20 +131,27 @@ func assertPrefix(t *testing.T, label string, r *Store, ids []string) {
 // TestFaultTortureSweep arms crash points at every interesting instant of a
 // sequence of commits — running the workload over transiently-faulty storage
 // the whole time — and verifies each crash image recovers to a valid CPR
-// prefix.
+// prefix: at one shard and at four, under fold-over and snapshot commits,
+// log-only and with the index as the seed has it.
 func TestFaultTortureSweep(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tortureSweep(t, seed)
-		})
+		for _, shards := range []int{1, 4} {
+			for _, kind := range []CommitKind{FoldOver, Snapshot} {
+				t.Run(fmt.Sprintf("seed=%d/shards=%d/%v", seed, shards, kind), func(t *testing.T) {
+					tortureSweep(t, seed, shards, kind)
+				})
+			}
+		}
 	}
 }
 
-func tortureSweep(t *testing.T, seed uint64) {
+func tortureSweep(t *testing.T, seed uint64, shards int, kind CommitKind) {
 	const commits = 4
 
-	memDev := storage.NewMemDevice()
+	memDevs := make([]*storage.MemDevice, shards)
+	for i := range memDevs {
+		memDevs[i] = storage.NewMemDevice()
+	}
 	memCk := storage.NewMemCheckpointStore()
 	// Low transient pressure keeps the workload and commits succeeding via
 	// retries while still exercising the self-healing paths.
@@ -154,28 +161,29 @@ func tortureSweep(t *testing.T, seed uint64) {
 		WriteErrorRate: 0.002,
 		TornWriteRate:  0.001,
 	})
-	dev := storage.NewFaultDevice(memDev, inj)
-	ckpts := storage.NewFaultCheckpointStore(memCk, inj)
-
-	cfg := Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 8,
-		Device: dev, Checkpoints: ckpts}
-	s, err := Open(cfg)
+	config := func(ckpts storage.CheckpointStore, device func(i int) storage.Device) Config {
+		return Config{Shards: shards, IndexBuckets: shards << 8, PageBits: 13, MemPages: 8 * shards, Checkpoints: ckpts,
+			DeviceFactory: func(i int) (storage.Device, error) { return device(i), nil }}
+	}
+	s, err := Open(config(storage.NewFaultCheckpointStore(memCk, inj),
+		func(i int) storage.Device { return storage.NewFaultDevice(memDevs[i], inj) }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids, stop := tortureWorkload(t, s)
 
+	var snapMu sync.Mutex // the legs' crash points fire on the legs' goroutines
 	var snaps []*tortureSnapshot
 	var completed atomic.Int64
-	// Crash order: checkpoint store first, then the device (metadata is only
-	// written after its log data is durable, so this order never captures
-	// metadata whose data is missing). The crash points fire on the commit's
-	// goroutines, one at a time: a leg's before the manifest's.
+	// Crash order: checkpoint store first, then the devices (the record is only
+	// written after its log data is durable, so this order never captures a
+	// record whose data is missing). The crash points fire on the commit's
+	// goroutines; the record's after every leg's.
 	capture := func(label string, wantSkip bool) *tortureSnapshot {
 		return &tortureSnapshot{
 			label:     label,
 			ckpts:     memCk.Clone(),
-			dev:       memDev.Clone(),
+			devs:      cloneDevs(memDevs),
 			completed: int(completed.Load()),
 			wantSkip:  wantSkip,
 		}
@@ -186,17 +194,19 @@ func tortureSweep(t *testing.T, seed uint64) {
 		// Commit tokens are sequential, so the artifact names of commit c are
 		// known before it starts — arm this round's crash points now.
 		token := fmt.Sprintf("ckpt-%06d", c)
-		for _, point := range []string{"before:meta-", "torn:meta-", "after:meta-",
-			"before:cpr-manifest-", "torn:cpr-manifest-", "after:cpr-manifest-"} {
-			label := point + token
+		for _, label := range []string{
+			"torn:" + blobName("index", token, 0), "after:" + blobName("index", token, shards-1),
+			"torn:" + blobName("snapshot", token, shards-1), "after:" + blobName("snapshot", token, 0),
+			"before:" + recordName(token), "torn:" + recordName(token), "after:" + recordName(token)} {
 			inj.Arm(label, func() {
-				// A torn newest manifest over >= 1 completed commit must
+				// A torn newest record over >= 1 completed commit must
 				// demote, and the demotion must be reported.
-				wantSkip := point == "torn:cpr-manifest-" && completed.Load() > 0
+				wantSkip := label == "torn:"+recordName(token) && completed.Load() > 0
+				snapMu.Lock()
 				snaps = append(snaps, capture(label, wantSkip))
+				snapMu.Unlock()
 			})
 		}
-		kind := FoldOver
 		tok, err := s.Commit(CommitOptions{WithIndex: rng.Intn(2) == 0, Kind: &kind})
 		if err != nil {
 			t.Fatal(err)
@@ -218,18 +228,19 @@ func tortureSweep(t *testing.T, seed uint64) {
 		completed.Add(1)
 		// One more image mid-workload, after the commit fully completed.
 		time.Sleep(time.Duration(1+rng.Intn(4)) * time.Millisecond)
+		snapMu.Lock()
 		snaps = append(snaps, capture(fmt.Sprintf("steady-after-%s", tok), false))
+		snapMu.Unlock()
 	}
 	stop()
 	s.Close()
 
-	if len(snaps) < 6*commits {
-		t.Fatalf("only %d crash images captured, expected at least %d", len(snaps), 6*commits)
+	if len(snaps) < 4*commits { // three around each record, one steady
+		t.Fatalf("only %d crash images captured, expected at least %d", len(snaps), 4*commits)
 	}
 	recovered := 0
 	for _, snap := range snaps {
-		r, report, err := RecoverWithReport(Config{IndexBuckets: 1 << 8, PageBits: 13,
-			MemPages: 8, Device: snap.dev, Checkpoints: snap.ckpts})
+		r, report, err := RecoverWithReport(config(snap.ckpts, func(i int) storage.Device { return snap.devs[i] }))
 		if err != nil {
 			if snap.completed > 0 || snap.label == "after:cpr-manifest-ckpt-000001" {
 				t.Fatalf("%s: recovery failed despite a verifiable commit: %v", snap.label, err)
@@ -254,8 +265,9 @@ func tortureSweep(t *testing.T, seed uint64) {
 	}
 }
 
-// TestRecoveryFallbackOnCorruptNewest corrupts the newest commit's metadata
-// in place after a clean shutdown: recovery must land on the previous commit
+// TestRecoveryFallbackOnCorruptNewest corrupts a blob the newest commit's
+// record names, its index image, in place after a clean shutdown: the record
+// reads, the commit does not verify, and recovery must land on the previous commit
 // with a non-empty report, not fail — and a fresh commit afterwards must not
 // reuse the skipped token.
 func TestRecoveryFallbackOnCorruptNewest(t *testing.T) {
@@ -288,13 +300,13 @@ func TestRecoveryFallbackOnCorruptNewest(t *testing.T) {
 	stop()
 	s.Close()
 
-	// Flip one byte of the newest commit's metadata envelope.
-	raw, err := storage.ReadArtifact(ckpts, "meta-"+tokens[1])
+	// Flip one byte of the newest commit's index blob.
+	raw, err := storage.ReadArtifact(ckpts, blobName("index", tokens[1], 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x10
-	if err := storage.WriteArtifact(ckpts, "meta-"+tokens[1], raw); err != nil {
+	if err := storage.WriteArtifact(ckpts, blobName("index", tokens[1], 0), raw); err != nil {
 		t.Fatal(err)
 	}
 

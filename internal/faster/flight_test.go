@@ -18,8 +18,8 @@ var flightShardCounts = []int{1, 4}
 
 // TestFlightCommitTimeline checks the recorder captures a commit's causal
 // chain end to end: commit-start, per-shard phase transitions and persist-done
-// on every shard, then — at store level, shard -1 — manifest-write and
-// commit-done, in that causal order.
+// on every shard, then — at store level, shard -1 — the one artifact-write of
+// a log-only commit, its record, and commit-done, in that causal order.
 func TestFlightCommitTimeline(t *testing.T) {
 	for _, shards := range flightShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCommitTimeline(t, shards) })
@@ -57,19 +57,25 @@ func flightCommitTimeline(t *testing.T, shards int) {
 		return -1
 	}
 	start := idx(obs.FlightCommitStart, -2)
-	manifest := idx(obs.FlightManifestWrite, -1)
+	manifest := idx(obs.FlightArtifactWrite, -2)
 	done := idx(obs.FlightCommitDone, -1)
 	if start < 0 || manifest < 0 || done < 0 {
-		t.Fatalf("missing lifecycle events (start=%d manifest=%d done=%d) in %d events",
+		t.Fatalf("missing lifecycle events (start=%d record=%d done=%d) in %d events",
 			start, manifest, done, len(evs))
 	}
 	if !(manifest < done) {
-		t.Fatalf("commit-done (#%d) before manifest-write (#%d)", done, manifest)
+		t.Fatalf("commit-done (#%d) before the record's artifact-write (#%d)", done, manifest)
 	}
 	for _, e := range evs {
-		if (e.Kind == obs.FlightManifestWrite || e.Kind == obs.FlightCommitDone) && e.Shard != -1 {
+		if e.Kind == obs.FlightArtifactWrite && (e.Token != "cpr-manifest-"+res.Token || e.Shard != -1) {
+			t.Fatalf("artifact-write of %s at shard %d: a log-only commit writes its record, on the store lane", e.Token, e.Shard)
+		}
+		if e.Kind == obs.FlightCommitDone && e.Shard != -1 {
 			t.Fatalf("%v recorded at shard %d, want the store lane (-1)", e.Kind, e.Shard)
 		}
+	}
+	if n := len(obs.FilterFlightEvents(evs, "cpr-manifest-")); n != 1 {
+		t.Fatalf("%d artifact events for one commit record, want 1", n)
 	}
 	for sh := 0; sh < shards; sh++ {
 		pd := idx(obs.FlightPersistDone, sh)
@@ -77,7 +83,7 @@ func flightCommitTimeline(t *testing.T, shards int) {
 			t.Fatalf("shard %d has no persist-done event", sh)
 		}
 		if pd > manifest {
-			t.Fatalf("shard %d persist-done (#%d) after manifest-write (#%d): causality violated",
+			t.Fatalf("shard %d persist-done (#%d) after the record's artifact-write (#%d): causality violated",
 				sh, pd, manifest)
 		}
 		if idx(obs.FlightPhase, sh) < 0 {
@@ -86,14 +92,15 @@ func flightCommitTimeline(t *testing.T, shards int) {
 	}
 }
 
-// TestFlightCrashDump arms a crash point just before the manifest of the
-// first commit is persisted, dumps the flight recorder from inside the
-// callback (what a real crash handler does), and asserts causal consistency
-// from the decoded dump alone: every shard had reported persist-done, and the
-// commit had NOT been announced — no manifest-write, commit-done or
-// commit-announced event exists. If FLIGHT_DUMP_DIR is set, the framed dump
-// artifact of the last shard count is also written there for `fasterctl
-// flight -dump` (the CI crash-dump job decodes it and greps the ordering).
+// TestFlightCrashDump arms a crash point just before the record of the first
+// commit is persisted, dumps the flight recorder from inside the callback
+// (what a real crash handler does), and asserts causal consistency from the
+// decoded dump alone: every shard had reported persist-done, and the commit
+// had NOT been announced — no artifact-write (a log-only commit's only one is
+// its record), commit-done or commit-announced event exists. If
+// FLIGHT_DUMP_DIR is set, the framed dump artifact of the last shard count is
+// also written there for `fasterctl flight -dump` (the CI crash-dump job
+// decodes it and greps the ordering).
 func TestFlightCrashDump(t *testing.T) {
 	for _, shards := range flightShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCrashDump(t, shards) })
@@ -161,10 +168,10 @@ func flightCrashDump(t *testing.T, shards int) {
 		switch e.Kind {
 		case obs.FlightPersistDone:
 			persisted[e.Shard] = true
-		case obs.FlightManifestWrite, obs.FlightCommitDone, obs.FlightCommitAnnounced:
-			// The dump was taken before the manifest became durable: the
+		case obs.FlightArtifactWrite, obs.FlightCommitDone, obs.FlightCommitAnnounced:
+			// The dump was taken before the record became durable: the
 			// commit must not look complete (or announced) in the dump.
-			t.Fatalf("dump taken before manifest durability contains %v", e.Kind)
+			t.Fatalf("dump taken before the record was durable contains %v", e.Kind)
 		}
 	}
 	for sh := 0; sh < shards; sh++ {

@@ -225,7 +225,7 @@ func TestIndexArtifactBytes(t *testing.T) {
 	}
 	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 	sess.StopSession()
-	got, err := storage.ReadArtifact(cs, "index-"+res.Token)
+	got, err := storage.ReadArtifact(cs, blobName("index", res.Token, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestRecoveryFallbackOnUndecodableIndex(t *testing.T) {
 			}
 			stop()
 			s.Close()
-			if err := storage.WriteArtifact(ckpts, "index-"+tokens[1], storage.EncodeArtifact(bad)); err != nil {
+			if err := storage.WriteArtifact(ckpts, blobName("index", tokens[1], 0), storage.EncodeArtifact(bad)); err != nil {
 				t.Fatal(err)
 			}
 			r, report, err := RecoverWithReport(cfg)

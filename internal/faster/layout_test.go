@@ -3,7 +3,6 @@ package faster
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"testing"
 
@@ -102,15 +101,8 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 	}
 
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	artifact := func(name string, v any) {
-		buf, err := json.Marshal(v)
-		if err == nil {
-			err = storage.WriteArtifactChecked(img.ckpts, name, buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	rec := commitRecord{Format: recordFormat, Token: "ckpt-000001", Version: 1, Kind: FoldOver.String(),
+		Serials: map[string]uint64{oldLayoutSession: 4242}}
 	for i, log := range logs {
 		if len(log) < 2*pageSize {
 			t.Fatalf("shard %d: the old-layout log is %d bytes, want whole pages under checksums", i, len(log))
@@ -120,16 +112,15 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 			t.Fatal(err)
 		}
 		img.devs = append(img.devs, dev)
-		var crcs []hlog.PageCRC
+		sec := shardSection{Lhs: hlog.FirstAddress, Lhe: uint64(len(log))}
 		for p := 0; (p+1)*pageSize <= len(log); p++ {
-			crcs = append(crcs, hlog.PageCRC{Page: uint64(p), CRC: crc32.Checksum(log[max(p*pageSize, hlog.FirstAddress):(p+1)*pageSize], castagnoli)})
+			sec.PageCRCs = append(sec.PageCRCs, hlog.PageCRC{Page: uint64(p), CRC: crc32.Checksum(log[max(p*pageSize, hlog.FirstAddress):(p+1)*pageSize], castagnoli)})
 		}
-		prefix, _ := shardNames(shards, i)
-		artifact(prefix+"pagecrc-ckpt-000001", crcs)
-		artifact(prefix+"meta-ckpt-000001", metadata{Token: "ckpt-000001", Version: 1, Kind: FoldOver.String(),
-			Lhs: hlog.FirstAddress, Lhe: uint64(len(log)), Serials: map[string]uint64{oldLayoutSession: 4242}})
+		rec.Shards = append(rec.Shards, sec)
 	}
-	artifact("cpr-manifest-ckpt-000001", manifest{Token: "ckpt-000001", Version: 1, Shards: shards, Kind: FoldOver.String()})
+	if _, err := writeRecord(img.ckpts, &rec, nil); err != nil {
+		t.Fatal(err)
+	}
 	return img
 }
 

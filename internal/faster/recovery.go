@@ -1,12 +1,12 @@
 package faster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -51,18 +51,18 @@ type RecoveryReport struct {
 //
 // Every artifact read during recovery is verified against its checksum
 // envelope, and log pages are verified against the commit's per-page
-// checksums. If the newest commit fails verification — a torn manifest, a
+// checksums. If the newest commit fails verification — a torn record, a
 // corrupt snapshot, a damaged log page — recovery falls back to the most
 // recent commit that verifies end to end (an older commit is still a valid
 // CPR prefix) and notes the skips in the store's RecoveryReport.
 //
-// The commit record is the manifest (cpr-manifest-<token>), for every shard
-// count: a commit counts only if every shard's checkpoint became durable and
-// the manifest was written before the crash, so shards that finished a newer
-// commit individually roll back to the manifest's version and the recovered
-// prefix is consistent across shards. A session's recovered CPR point is the
-// minimum of its per-shard points (they are equal when the commit completed
-// normally).
+// A commit is its record (cpr-manifest-<token>), for every shard count: it
+// counts only if every shard's capture became durable and the record was
+// written before the crash, so shards that finished a newer commit
+// individually roll back to the record's version and the recovered prefix —
+// the sessions' CPR points, each shard's offsets and page checksums, the
+// attachments — comes from one artifact. A candidate is accepted or skipped
+// after one record read plus the blobs it names.
 func Recover(cfg Config) (*Store, error) {
 	s, _, err := RecoverWithReport(cfg)
 	return s, err
@@ -81,16 +81,16 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cands := manifestTokens(names)
+	cands := recordTokens(names)
 	if len(cands) == 0 {
-		// A top-level "latest" pointer without any manifest is what a
+		// A top-level "latest" pointer without any record is what a
 		// single-shard store wrote before the manifest became its commit
 		// record. Its commits are real; reporting "no checkpoint" would let the
 		// caller start a fresh store over them.
 		if slices.Contains(names, "latest") {
 			return nil, nil, fmt.Errorf("faster: checkpoint store has the pre-manifest single-shard layout (a \"latest\" pointer, no cpr-manifest-*); this version cannot read it")
 		}
-		return nil, nil, fmt.Errorf("faster: %w: no commit manifest found", ErrNoCheckpoint)
+		return nil, nil, fmt.Errorf("faster: %w: no commit record found", ErrNoCheckpoint)
 	}
 	report := &RecoveryReport{}
 	skip := func(tok string, err error) {
@@ -100,24 +100,27 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	}
 candidates:
 	for _, tok := range cands {
-		man, merr := loadManifest(s.cfg.Checkpoints, tok)
-		if merr != nil {
-			skip(tok, merr)
+		rec, rerr := loadRecord(s.cfg.Checkpoints, tok)
+		if errors.Is(rerr, errParentLayout) {
+			// Its commits are real too, and no older record can stand in for them.
+			return nil, nil, fmt.Errorf("faster: %w", rerr)
+		}
+		if rerr != nil {
+			skip(tok, rerr)
 			continue
 		}
-		if man.Shards != s.cfg.Shards {
-			// Configuration error, not corruption: no older manifest can fix a
+		if len(rec.Shards) != s.cfg.Shards {
+			// Configuration error, not corruption: no older record can fix a
 			// store opened with the wrong shard count.
-			return nil, nil, fmt.Errorf("faster: manifest has %d shards, config has %d", man.Shards, s.cfg.Shards)
+			return nil, nil, fmt.Errorf("faster: manifest has %d shards, config has %d", len(rec.Shards), s.cfg.Shards)
 		}
-		clear(s.recoveredSerials)
 		for i := range s.shards {
 			sc, err := s.shardConfig(i)
 			if err != nil {
 				s.closeShards(i)
 				return nil, nil, err
 			}
-			sh, serials, rerr := recoverShard(sc, i, s.metrics, man.Token)
+			sh, rerr := recoverShard(sc, i, s.metrics, &s.recordMu, rec)
 			if rerr != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
@@ -125,16 +128,10 @@ candidates:
 				continue candidates
 			}
 			s.shards[i] = sh
-			// Min-merge: the recovered prefix for a session is bounded by the
-			// weakest shard (equal across shards for a completed commit).
-			for id, serial := range serials {
-				if cur, ok := s.recoveredSerials[id]; !ok || serial < cur {
-					s.recoveredSerials[id] = serial
-				}
-			}
 		}
-		report.Token = man.Token
-		report.Version = man.Version
+		maps.Copy(s.recoveredSerials, rec.Serials)
+		report.Token = rec.Token
+		report.Version = rec.Version
 		s.finishRecovery(names, report)
 		return s, report, nil
 	}
@@ -143,16 +140,16 @@ candidates:
 }
 
 // finishRecovery resumes the token sequence past every token an artifact in
-// the store carries — skipped commits and the shard-level leftovers of a
-// commit that crashed before its manifest included — so fresh commits never
-// reuse one, and publishes the report.
+// the store carries — skipped commits and the blobs of a commit that crashed
+// before its record included — so fresh commits never reuse one, and
+// publishes the report.
 func (s *Store) finishRecovery(names []string, report *RecoveryReport) {
 	for _, n := range names {
 		if i := strings.LastIndex(n, "ckpt-"); i >= 0 {
 			s.resumeTokensAfter(n[i:])
 		}
 	}
-	s.latestToken = report.Token
+	s.latestToken, s.latestVer = report.Token, report.Version
 	s.report = report
 	s.registerStoreGauges()
 	s.registerLagGauges()
@@ -178,53 +175,6 @@ func (s *Store) resumeTokensAfter(token string) {
 	}
 }
 
-// manifestTokens picks the commit tokens that have a manifest out of a
-// listing of the checkpoint store, newest first by token sequence number.
-// Enumerating manifests is what makes fallback possible when the newest
-// commit is damaged.
-func manifestTokens(names []string) []string {
-	type cand struct {
-		token string
-		seq   uint64
-		hasN  bool
-	}
-	var cands []cand
-	for _, n := range names {
-		if tok, ok := strings.CutPrefix(n, "cpr-manifest-"); ok {
-			seq, ok := tokenSeq(tok)
-			cands = append(cands, cand{token: tok, seq: seq, hasN: ok})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].hasN != cands[j].hasN {
-			return cands[i].hasN // parseable tokens first (ordered), foreign tokens last
-		}
-		if cands[i].hasN {
-			return cands[i].seq > cands[j].seq
-		}
-		return cands[i].token > cands[j].token
-	})
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.token
-	}
-	return out
-}
-
-// loadManifest reads and verifies the manifest of the commit identified by
-// token.
-func loadManifest(cs storage.CheckpointStore, token string) (*manifest, error) {
-	buf, err := storage.ReadArtifactChecked(cs, "cpr-manifest-"+token)
-	if err != nil {
-		return nil, fmt.Errorf("commit manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("commit manifest: %w", err)
-	}
-	return &man, nil
-}
-
 // closeShards closes the shards recovered so far ([0, n)).
 func (s *Store) closeShards(n int) {
 	for j := 0; j < n; j++ {
@@ -234,49 +184,29 @@ func (s *Store) closeShards(n int) {
 	}
 }
 
-// tokenSeq extracts the sequence number from a store-generated commit token.
-func tokenSeq(token string) (uint64, bool) {
-	var seq uint64
-	if _, err := fmt.Sscanf(token, "ckpt-%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// recoverShard rebuilds one shard from the commit identified by token,
-// verifying every artifact it reads and the log pages the commit's checksum
-// table covers. cfg must be the shard's private configuration, exactly as
-// for openShard. Any verification failure returns an error; the caller falls
-// back to an older commit.
-func recoverShard(cfg Config, id int, metrics storeMetrics, token string) (*shard, map[string]uint64, error) {
-	meta, err := loadMetadata(cfg.Checkpoints, token)
+// recoverShard rebuilds shard id from its section of the commit record rec,
+// verifying every blob it reads and the log pages the section's checksum table
+// covers. cfg must be the shard's private configuration, exactly as for
+// openShard. Any verification failure returns an error; the caller falls back
+// to an older commit.
+func recoverShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex, rec *commitRecord) (*shard, error) {
+	sh, err := openShard(cfg, id, metrics, recordMu)
 	if err != nil {
-		return nil, nil, err
-	}
-	sh, err := openShard(cfg, id, metrics)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Load the most recent fuzzy index checkpoint, or start empty and
 	// replay the whole log.
-	start := uint64(hlog.FirstAddress)
-	if meta.IndexToken != "" {
+	sec := &rec.Shards[id]
+	if sec.Index != "" {
 		var data []byte
-		if data, err = storage.ReadArtifactChecked(cfg.Checkpoints, "index-"+meta.IndexToken); err != nil {
+		if data, err = storage.ReadArtifactChecked(cfg.Checkpoints, sec.Index); err != nil {
 			err = fmt.Errorf("faster: recover index: %w", err)
 		} else {
 			sh.index, err = decodeIndex(data)
 		}
-		start = min(meta.Lis, meta.Lhs)
-	}
-	// Recovery trusts nothing on the device before the commit's page checksums
-	// have covered it.
-	var crcs []hlog.PageCRC
-	if err == nil {
-		crcs, err = loadPageCRCs(cfg.Checkpoints, token)
 	}
 	if err == nil {
-		neutralise := func(dead []uint64) error { return sh.persistInvalid(token, meta.Version, dead) }
+		neutralise := func(dead []uint64) error { return sh.persistInvalid(rec.Token, dead) }
 		switch {
 		case cfg.Replica:
 			// A replica must not rewrite shipped log bytes: records ahead of the
@@ -285,19 +215,21 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, token string) (*shar
 		case cfg.InstantRestore:
 			neutralise = nil
 		}
-		err = sh.install(meta, start, crcs, neutralise)
+		// Recovery trusts nothing on the device before the commit's page
+		// checksums have covered it.
+		err = sh.install(rec, sec.scanStart(), sec.PageCRCs, neutralise)
 	}
 	if err != nil {
 		sh.close()
-		return nil, nil, err
+		return nil, err
 	}
 	if !cfg.Replica {
-		sh.recoveredScanStart = start // the device is rewritten from here on
+		sh.recoveredScanStart = sec.scanStart() // the device is rewritten from here on
 	}
-	return sh, meta.Serials, nil
+	return sh, nil
 }
 
-// install moves the shard's log and index to the commit meta describes and
+// install moves the shard's log and index to the commit rec describes and
 // leaves the shard at rest in version v+1 — what a recovery does once and a
 // replica at every commit the primary announces. The snapshot capture, if
 // the commit has one, slots back into the log's address space (App. D); the
@@ -315,14 +247,15 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, token string) (*shar
 // stays independent of the log's size, and the price is that a damaged page is
 // found when the store is already serving this commit — the restore fails and
 // operations return Error.
-func (sh *shard) install(meta *metadata, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
-	end := meta.logEnd()
-	if meta.Kind == Snapshot.String() {
-		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, "snapshot-"+meta.Token)
+func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
+	sec := &rec.Shards[sh.id]
+	end := sec.logEnd()
+	if sec.Snapshot != "" {
+		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, sec.Snapshot)
 		if err != nil {
 			return fmt.Errorf("faster: snapshot: %w", err)
 		}
-		if err := sh.log.RestoreRange(meta.SnapshotStart, data); err != nil {
+		if err := sh.log.RestoreRange(sec.SnapshotStart, data); err != nil {
 			return err
 		}
 	}
@@ -331,12 +264,12 @@ func (sh *shard) install(meta *metadata, start uint64, crcs []hlog.PageCRC, neut
 	}
 	if neutralise == nil {
 		sh.log.SeedPageCRCs(crcs, end)
-		sh.restore.Store(newRestoreState(sh, meta.Token, meta.Version, start, end))
+		sh.restore.Store(newRestoreState(sh, rec.Token, rec.Version, start, end))
 	} else {
 		if err := sh.log.VerifyPages(crcs, end); err != nil {
 			return fmt.Errorf("faster: log page verification: %w", err)
 		}
-		dead, err := sh.replaySuffix(start, end, meta.Version, func(h, addr uint64) bool {
+		dead, err := sh.replaySuffix(start, end, rec.Version, func(h, addr uint64) bool {
 			sh.relink(h, addr)
 			return true
 		})
@@ -349,8 +282,8 @@ func (sh *shard) install(meta *metadata, start uint64, crcs []hlog.PageCRC, neut
 		// The v+1 unwind conditions are evaluated against the unclamped index.
 		sh.clampIndex(end)
 	}
-	sh.state.Store(packState(Rest, meta.Version+1))
-	sh.lastIndexToken, sh.lastLis, sh.lastLie = meta.IndexToken, meta.Lis, meta.Lie
+	sh.state.Store(packState(Rest, rec.Version+1))
+	sh.lastIndex, sh.lastLis, sh.lastLie = sec.Index, sec.Lis, sec.Lie
 	return nil
 }
 
@@ -398,32 +331,21 @@ func (sh *shard) relink(h, addr uint64) {
 // persistInvalid neutralises the v+1 records at dead for good: the invalid
 // bit, in memory and on the device, so they stay dead across later evictions
 // and recoveries. The bits change pages that the recovered commit's own page
-// checksums may cover, so the commit's pagecrc artifact is first rewritten
-// without those pages — atomically, as every artifact — and only then are the
-// bits written. A crash in between leaves pages no checksum covers; the other
-// order would leave an acknowledged commit that fails its own verification and
-// sends the next recovery back to an older one.
-func (sh *shard) persistInvalid(token string, version uint32, dead []uint64) error {
+// checksums may cover, so the commit's record is first rewritten without those
+// pages — atomically, as every artifact — and only then are the bits written.
+// A crash in between leaves pages no checksum covers; the other order would
+// leave an acknowledged commit that fails its own verification and sends the
+// next recovery back to an older one.
+func (sh *shard) persistInvalid(token string, dead []uint64) error {
 	if len(dead) == 0 {
 		return nil
-	}
-	crcs, err := loadPageCRCs(sh.cfg.Checkpoints, token)
-	if err != nil {
-		return err
 	}
 	touched := make(map[uint64]bool, len(dead))
 	for _, addr := range dead {
 		touched[addr/sh.log.PageSize()] = true
 	}
-	kept := slices.DeleteFunc(crcs, func(pc hlog.PageCRC) bool { return touched[pc.Page] })
-	if len(kept) < len(crcs) {
-		buf, err := json.Marshal(kept)
-		if err == nil {
-			err = writeArtifactFlight(sh.cfg.Checkpoints, "pagecrc-"+token, buf, sh.flight, sh.id, version)
-		}
-		if err != nil {
-			return fmt.Errorf("faster: rewrite page checksums of %s: %w", token, err)
-		}
+	if err := sh.amendRecord(token, touched); err != nil {
+		return fmt.Errorf("faster: rewrite page checksums of %s: %w", token, err)
 	}
 	for _, addr := range dead {
 		if err := sh.log.PersistInvalid(addr); err != nil {
@@ -431,23 +353,6 @@ func (sh *shard) persistInvalid(token string, version uint32, dead []uint64) err
 		}
 	}
 	return nil
-}
-
-// loadPageCRCs reads the page checksum table of the commit identified by
-// token: nil for a commit that predates page checksums.
-func loadPageCRCs(cs storage.CheckpointStore, token string) ([]hlog.PageCRC, error) {
-	buf, err := storage.ReadArtifactChecked(cs, "pagecrc-"+token)
-	if storage.IsNotFound(err) {
-		return nil, nil
-	}
-	var crcs []hlog.PageCRC
-	if err == nil {
-		err = json.Unmarshal(buf, &crcs)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("faster: page checksums: %w", err)
-	}
-	return crcs, nil
 }
 
 // clampIndex clears index entries that reference addresses at or beyond the
@@ -474,16 +379,4 @@ func (sh *shard) clampIndex(end uint64) {
 			}
 		}
 	}
-}
-
-func loadMetadata(store storage.CheckpointStore, token string) (*metadata, error) {
-	buf, err := storage.ReadArtifactChecked(store, "meta-"+token)
-	if err != nil {
-		return nil, fmt.Errorf("faster: commit metadata: %w", err)
-	}
-	var meta metadata
-	if err := json.Unmarshal(buf, &meta); err != nil {
-		return nil, fmt.Errorf("faster: commit metadata: %w", err)
-	}
-	return &meta, nil
 }

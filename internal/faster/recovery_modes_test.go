@@ -3,7 +3,10 @@ package faster
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/hashfn"
@@ -161,22 +164,17 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 
 // fuzzyOnCoveredPages reads shard i's part of an image without recovering it:
 // how many records of version v+1 the newest commit's log holds from its scan
-// start on, how many of them on pages the commit's page checksums cover, and
-// how many records of the commit itself.
-func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered, committed int) {
+// start on, how many of them on pages the commit's page checksums cover (and
+// which pages those are), and how many records of the commit itself.
+func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered, committed int, touched map[uint64]bool) {
 	t.Helper()
-	prefix, _ := shardNames(img.shards, i)
-	cs := storage.NewPrefixCheckpointStore(img.ckpts, prefix)
-	meta, err := loadMetadata(cs, img.token)
+	rec, err := loadRecord(img.ckpts, img.token)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crcs, err := loadPageCRCs(cs, img.token)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta := &rec.Shards[i]
 	onPage := map[uint64]bool{}
-	for _, pc := range crcs {
+	for _, pc := range meta.PageCRCs {
 		onPage[pc.Page] = true
 	}
 	l, err := hlog.New(hlog.Config{PageBits: 12, MemPages: 8, Device: img.devs[i].Clone(), Epochs: epoch.New()})
@@ -187,12 +185,14 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered,
 	if err := l.RecoverTo(meta.logEnd()); err != nil {
 		t.Fatal(err)
 	}
-	err = l.Scan(min(meta.Lis, meta.Lhs), meta.logEnd(), func(addr uint64, rec hlog.RecordRef) bool {
+	touched = map[uint64]bool{}
+	err = l.Scan(meta.scanStart(), meta.logEnd(), func(addr uint64, r hlog.RecordRef) bool {
 		switch {
-		case !isFutureVersion(rec.Version(), meta.Version):
+		case !isFutureVersion(r.Version(), rec.Version):
 			committed++
 		case onPage[addr>>12]:
 			covered++
+			touched[addr>>12] = true
 			fallthrough
 		default:
 			fuzzy++
@@ -202,33 +202,31 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fuzzy, covered, committed
+	return fuzzy, covered, committed, touched
 }
 
 // recoveredState is everything two recoveries of one image must agree on.
 type recoveredState struct {
 	indexes [][]byte // per shard, the index image
 	devices [][]byte // per shard, the device's bytes
-	crcs    [][]byte // per shard, the commit's page checksum artifact
+	record  []byte   // the commit's record, page checksums and all
 	points  map[string]uint64
 }
 
 func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recoveredState {
 	t.Helper()
 	st := recoveredState{points: s.RecoveredPoints()}
-	for i, sh := range s.shards {
+	var err error
+	if st.record, err = storage.ReadArtifact(cfg.Checkpoints, recordName(img.token)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range s.shards {
 		st.indexes = append(st.indexes, sh.index.appendImage(nil))
 		dev := make([]byte, sh.cfg.Device.Size())
 		if _, err := sh.cfg.Device.ReadAt(dev, 0); err != nil {
 			t.Fatal(err)
 		}
 		st.devices = append(st.devices, dev)
-		prefix, _ := shardNames(img.shards, i)
-		crc, err := storage.ReadArtifact(cfg.Checkpoints, prefix+"pagecrc-"+img.token)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.crcs = append(st.crcs, crc)
 	}
 	return st
 }
@@ -242,9 +240,9 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 		if !bytes.Equal(st.devices[i], other.devices[i]) {
 			t.Fatalf("%s: shard %d device contents differ (%d and %d bytes)", label, i, len(st.devices[i]), len(other.devices[i]))
 		}
-		if !bytes.Equal(st.crcs[i], other.crcs[i]) {
-			t.Fatalf("%s: shard %d page checksum artifacts differ:\n%s\n%s", label, i, st.crcs[i], other.crcs[i])
-		}
+	}
+	if !bytes.Equal(st.record, other.record) {
+		t.Fatalf("%s: commit records differ:\n%s\n%s", label, st.record, other.record)
 	}
 	if fmt.Sprint(st.points) != fmt.Sprint(other.points) {
 		t.Fatalf("%s: recovered points differ: %v and %v", label, st.points, other.points)
@@ -254,7 +252,7 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 // TestRecoveryModesEquivalent: full replay, instant restore once warm, and a
 // replica's install followed by Promote run one Alg. 3 with different sinks, so
 // on one image they must leave byte-identical index images, device contents
-// and page checksum artifacts, the same recovered points and the same serving
+// and commit records, the same recovered points and the same serving
 // state — and instant restore's counters must say what the image holds.
 func TestRecoveryModesEquivalent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -263,7 +261,7 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 			committed := make([]int, shards)
 			for i := range committed {
 				var fuzzy, covered int
-				fuzzy, covered, committed[i] = img.fuzzyOnCoveredPages(t, i)
+				fuzzy, covered, committed[i], _ = img.fuzzyOnCoveredPages(t, i)
 				if fuzzy != img.fuzzy[i] || covered == 0 {
 					t.Fatalf("shard %d: %d v+1 records in the commit's log, %d on checksummed pages; %d were written",
 						i, fuzzy, covered, img.fuzzy[i])
@@ -358,7 +356,7 @@ func checkFuzzyImage(t *testing.T, label string, s *Store, img *fuzzyImage) {
 
 // TestSecondCrashKeepsCommit is the regression test for a recovery that broke
 // the page checksums of the commit it recovered: the invalid bits it writes
-// into the v+1 records change pages the commit's pagecrc artifact covers, so a
+// into the v+1 records change pages the commit's page checksums cover, so a
 // second crash before the next commit sent a full recovery back to an older
 // commit than clients had been told was durable ("page N checksum mismatch").
 // Recover, close without committing, recover again: same commit, nothing
@@ -367,7 +365,7 @@ func TestSecondCrashKeepsCommit(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		img := buildFuzzyImage(t, shards)
 		for i := 0; i < shards; i++ {
-			if _, covered, _ := img.fuzzyOnCoveredPages(t, i); covered == 0 {
+			if _, covered, _, _ := img.fuzzyOnCoveredPages(t, i); covered == 0 {
 				t.Fatalf("shards=%d: no v+1 record of shard %d lies on a page the commit's checksums cover", shards, i)
 			}
 		}
@@ -402,4 +400,70 @@ func recoverSame(t *testing.T, label string, img *fuzzyImage, devs []*storage.Me
 		t.Fatalf("%s: recovered %s skipping %+v, want %s and nothing skipped", label, report.Token, report.Skipped, img.token)
 	}
 	return r
+}
+
+// lingeringStore holds every reader of a commit record for a moment between its
+// read and its return, so that read-modify-writes of one record overlap unless
+// something serialises them.
+type lingeringStore struct{ *storage.MemCheckpointStore }
+
+func (s lingeringStore) Open(name string) (io.ReadCloser, error) {
+	r, err := s.MemCheckpointStore.Open(name)
+	if strings.HasPrefix(name, recordPrefix) {
+		time.Sleep(time.Millisecond)
+	}
+	return r, err
+}
+
+// TestRestoreAmendsOneRecord: the restore goroutines of a four-shard instant
+// restore each find v+1 records on checksummed pages and amend the commit's one
+// record at the same time. Once warm, the record has lost exactly those pages'
+// checksums, on every shard, and nothing else; and a second recovery of the
+// same devices and checkpoint store takes the same commit with nothing
+// skipped.
+func TestRestoreAmendsOneRecord(t *testing.T) {
+	const shards = 4
+	img := buildFuzzyImage(t, shards)
+	before, err := loadRecord(img.ckpts, img.token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs, ckpts := cloneDevs(img.devs), img.ckpts.Clone()
+	cfg := configOver(shards, devs, ckpts)
+	cfg.Checkpoints = lingeringStore{ckpts}
+	cfg.InstantRestore = true
+	first, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.WaitRestored(); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	after, err := loadRecord(ckpts, img.token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		_, _, _, touched := img.fuzzyOnCoveredPages(t, i)
+		if len(touched) == 0 {
+			t.Fatalf("shard %d: no v+1 record on a checksummed page", i)
+		}
+		var want []hlog.PageCRC
+		for _, pc := range before.Shards[i].PageCRCs {
+			if !touched[pc.Page] {
+				want = append(want, pc)
+			}
+		}
+		if got := after.Shards[i].PageCRCs; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("shard %d: page checksums after the restore %v, want %v (touched %v)", i, got, want, touched)
+		}
+		after.Shards[i].PageCRCs = before.Shards[i].PageCRCs
+	}
+	if a, b := fmt.Sprintf("%+v", *after), fmt.Sprintf("%+v", *before); a != b {
+		t.Fatalf("the amend changed more than page checksums:\n%s\n%s", a, b)
+	}
+	r := recoverSame(t, "second (full)", img, devs, ckpts, false)
+	checkFuzzyImage(t, "second (full)", r, img)
+	r.Close()
 }

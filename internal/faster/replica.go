@@ -2,6 +2,7 @@ package faster
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/hashfn"
@@ -55,8 +56,8 @@ func (s *Store) RecoveredPoints() map[string]uint64 {
 
 // OnCommit registers fn to run (from the commit's finishing goroutine) after
 // every successfully completed commit, in completion order. The replication
-// server uses this as its manifest-completion hook: when fn fires, every
-// artifact of the commit is durable in the checkpoint store.
+// server uses this as its commit-completion hook: when fn fires, the commit's
+// record and every blob it names are durable in the checkpoint store.
 func (s *Store) OnCommit(fn func(CommitResult)) {
 	s.hookMu.Lock()
 	s.commitHooks = append(s.commitHooks, fn)
@@ -82,6 +83,13 @@ func (s *Store) LatestCommitToken() (string, bool) {
 	return s.latestToken, s.latestToken != ""
 }
 
+// LatestCommitVersion returns that commit's version, 0 when there is none.
+func (s *Store) LatestCommitVersion() uint32 {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	return s.latestVer
+}
+
 // ShipInfo describes what a replica needs to install one completed commit:
 // the artifact names to copy and, per shard, how much of the log must be on
 // the replica's device first.
@@ -89,12 +97,12 @@ type ShipInfo struct {
 	Token   string
 	Version uint32
 	Kind    CommitKind
-	// Artifacts are checkpoint-store names (parent namespace); the manifest is
-	// the last. Their contents do not change once the commit completed, but
-	// for pagecrc-<token>: a recovery of the commit, or a Promote at it, drops
-	// the pages it then writes invalid bits into (persistInvalid). A shipper
-	// therefore sends the newest commit's artifacts again on every new
-	// connection, after the range ResyncFrom names, and the replica's copy
+	// Artifacts are checkpoint-store names: the blobs the commit record names,
+	// then the record, last. A blob's contents do not change once written; the
+	// record's do — a recovery of the commit, or a Promote at it, drops the
+	// checksums of the pages it then writes invalid bits into (persistInvalid).
+	// A shipper therefore sends the newest commit's artifacts again on every
+	// new connection, after the range ResyncFrom names, and the replica's copy
 	// follows its device.
 	Artifacts []string
 	// ShardEnds is, per shard, the log address the install covers (the
@@ -107,47 +115,24 @@ type ShipInfo struct {
 	ShardFloors []uint64
 }
 
-// CommitShipInfo assembles the ShipInfo for a completed commit.
+// CommitShipInfo assembles the ShipInfo for a completed commit from its
+// record.
 func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
-	info := &ShipInfo{Token: token}
-	for i, sh := range s.shards {
-		meta, err := loadMetadata(sh.cfg.Checkpoints, token)
-		if err != nil {
-			return nil, fmt.Errorf("faster: ship info shard %d: %w", i, err)
+	rec, err := loadRecord(s.cfg.Checkpoints, token)
+	if err != nil {
+		return nil, fmt.Errorf("faster: ship info: %w", err)
+	}
+	info := &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), recordName(token))}
+	for i := range rec.Shards {
+		sec := &rec.Shards[i]
+		floor := sec.logEnd()
+		if sec.Snapshot != "" {
+			info.Kind, floor = Snapshot, sec.SnapshotStart
 		}
-		prefix, _ := shardNames(len(s.shards), i)
-		info.Version = meta.Version
-		info.Artifacts = append(info.Artifacts, prefix+"meta-"+token)
-		if artifactExists(sh.cfg.Checkpoints, "pagecrc-"+token) {
-			// Page checksums ride along so the replica can verify its own
-			// artifacts on restart. Absent only for pre-integrity commits.
-			info.Artifacts = append(info.Artifacts, prefix+"pagecrc-"+token)
-		}
-		if meta.IndexToken != "" {
-			info.Artifacts = append(info.Artifacts, prefix+"index-"+meta.IndexToken)
-		}
-		end := meta.logEnd()
-		floor := end
-		if meta.Kind == Snapshot.String() {
-			info.Kind = Snapshot
-			info.Artifacts = append(info.Artifacts, prefix+"snapshot-"+token)
-			floor = meta.SnapshotStart
-		}
-		info.ShardEnds = append(info.ShardEnds, end)
+		info.ShardEnds = append(info.ShardEnds, sec.logEnd())
 		info.ShardFloors = append(info.ShardFloors, floor)
 	}
-	info.Artifacts = append(info.Artifacts, "cpr-manifest-"+token)
 	return info, nil
-}
-
-// artifactExists reports whether the named artifact can be opened.
-func artifactExists(cs storage.CheckpointStore, name string) bool {
-	r, err := cs.Open(name)
-	if err != nil {
-		return false
-	}
-	r.Close()
-	return true
 }
 
 // ResyncFrom reports, per shard, the address from which this store's own
@@ -168,34 +153,23 @@ func (s *Store) ApplyCommitted(token string) error {
 	if !s.cfg.Replica {
 		return ErrNotReplica
 	}
-	man, err := loadManifest(s.cfg.Checkpoints, token)
+	rec, err := loadRecord(s.cfg.Checkpoints, token)
 	if err != nil {
 		return fmt.Errorf("faster: install: %w", err)
 	}
-	if man.Shards != s.cfg.Shards {
-		return fmt.Errorf("faster: manifest has %d shards, replica has %d", man.Shards, s.cfg.Shards)
+	if len(rec.Shards) != s.cfg.Shards {
+		return fmt.Errorf("faster: manifest has %d shards, replica has %d", len(rec.Shards), s.cfg.Shards)
 	}
 	for i, sh := range s.shards {
-		meta, err := loadMetadata(sh.cfg.Checkpoints, token)
-		if err != nil {
+		if err := sh.applyCommitted(rec); err != nil {
 			return fmt.Errorf("faster: install shard %d: %w", i, err)
 		}
-		if err := sh.applyCommitted(meta); err != nil {
-			return fmt.Errorf("faster: install shard %d: %w", i, err)
-		}
-		s.mu.Lock()
-		for id, serial := range meta.Serials {
-			if i == 0 {
-				s.recoveredSerials[id] = serial
-			} else if cur, ok := s.recoveredSerials[id]; !ok || serial < cur {
-				// Min-merge across shards (equal for a completed commit).
-				s.recoveredSerials[id] = serial
-			}
-		}
-		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	maps.Copy(s.recoveredSerials, rec.Serials)
+	s.mu.Unlock()
 	s.ckptMu.Lock()
-	s.latestToken = token
+	s.latestToken, s.latestVer = token, rec.Version
 	s.ckptMu.Unlock()
 	s.resumeTokensAfter(token)
 	return nil
@@ -205,15 +179,15 @@ func (s *Store) ApplyCommitted(token string) error {
 // replay covers the log past the previous install, and with it the records
 // that install left dead — this commit covers them, or they are still of
 // version v+1 where they stand.
-func (sh *shard) applyCommitted(meta *metadata) error {
-	if v := sh.Version(); meta.Version < v {
+func (sh *shard) applyCommitted(rec *commitRecord) error {
+	if v := sh.Version(); rec.Version < v {
 		return nil // stale announcement (already past this commit)
 	}
 	start := sh.log.Tail()
 	for addr := range sh.replicaDead {
 		start = min(start, addr)
 	}
-	return sh.install(meta, start, nil, sh.markReplicaDead)
+	return sh.install(rec, start, nil, sh.markReplicaDead)
 }
 
 // markReplicaDead is how a replica neutralises the v+1 records a replay
@@ -252,7 +226,7 @@ func (s *Store) Promote() error {
 		for addr := range sh.replicaDead {
 			dead = append(dead, addr)
 		}
-		if err := sh.persistInvalid(token, sh.Version()-1, dead); err != nil {
+		if err := sh.persistInvalid(token, dead); err != nil {
 			return fmt.Errorf("faster: promote shard %d: %w", sh.id, err)
 		}
 		if len(dead) > 0 {

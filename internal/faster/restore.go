@@ -207,7 +207,7 @@ func (rs *restoreState) run() {
 	if err == nil {
 		// Now, not lazily: a commit taken after the restore, followed by a
 		// crash, must not find resurrectable v+1 records on the device.
-		err = sh.persistInvalid(rs.token, rs.version, dead)
+		err = sh.persistInvalid(rs.token, dead)
 	}
 	rs.analysisNanos.Store(nowNanos() - t0)
 	if err == nil {

@@ -12,9 +12,9 @@ import (
 // shard is one CPR domain of a Store: the original single-store internals —
 // latch-free hash index, HybridLog, epoch manager, pending-I/O bookkeeping
 // and the five-phase checkpoint state machine — instantiated once per
-// partition. Each shard runs its own instance of Fig. 9a and persists its own
-// artifacts; Store.Commit drives all of them to a common version and
-// Store.finishCommit completes the commit.
+// partition. Each shard runs its own instance of Fig. 9a and makes its own
+// capture durable; Store.Commit drives all of them to a common version and
+// Store.finishCommit writes the one commit record.
 type shard struct {
 	id int
 
@@ -32,11 +32,15 @@ type shard struct {
 	sessionMu sync.Mutex
 	sessions  map[string]*shardSession
 
-	// lastIndexToken/lastLis/lastLie identify the most recent fuzzy index
-	// checkpoint, carried into log-only commit metadata (Sec. 6.3). Written
-	// only from the single active checkpoint goroutine.
-	lastIndexToken   string
+	// lastIndex/lastLis/lastLie identify the most recent fuzzy index
+	// checkpoint (its blob's name), carried into a log-only commit's section
+	// of the record (Sec. 6.3). Written only from the single active checkpoint
+	// goroutine.
+	lastIndex        string
 	lastLis, lastLie uint64
+
+	// recordMu is the store's lock around amending a commit record.
+	recordMu *sync.Mutex
 
 	// recoveredScanStart is the address from which this shard's own recovery
 	// (or promotion) rewrote log state on the device — see Store.ResyncFrom.
@@ -61,9 +65,9 @@ type shard struct {
 }
 
 // openShard creates one shard at version 1. cfg must already be the shard's
-// private configuration (own device, namespaced checkpoints, prefixed
-// metrics view — see Store.shardConfig).
-func openShard(cfg Config, id int, metrics storeMetrics) (*shard, error) {
+// private configuration (own device, prefixed metrics view — see
+// Store.shardConfig).
+func openShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex) (*shard, error) {
 	em := epoch.New()
 	em.Instrument(cfg.Metrics)
 	em.InstrumentFlight(cfg.Flight, id)
@@ -96,6 +100,7 @@ func openShard(cfg Config, id int, metrics storeMetrics) (*shard, error) {
 		sessions: make(map[string]*shardSession),
 		metrics:  metrics,
 		flight:   cfg.Flight,
+		recordMu: recordMu,
 	}
 	cfg.Metrics.GaugeFunc("faster_version", func() int64 { return int64(sh.Version()) })
 	cfg.Metrics.GaugeFunc("faster_phase", func() int64 { return int64(sh.Phase()) })

@@ -137,14 +137,13 @@ func TestShardedCommitAndRecover(t *testing.T) {
 	rs.StopSession()
 }
 
-// TestShardedPartialCommitCrash is the crash-before-the-manifest test, at
+// TestShardedPartialCommitCrash is the crash-before-the-record test, at
 // every shard count: a commit "crashes" after k of N shards finished
-// wait-flush (their shard checkpoints are durable, the manifest is not; at
-// N = 1 that is the one shard's meta without a manifest). Recovery must land
-// on the last commit that has a manifest — rolling the k finished shards back
-// — ContinueSession must return that commit's serial, the session's
-// watermark must never have covered the crashed commit, and the recovered
-// store must not hand the crashed commit's token out again.
+// wait-flush (their captures and index blobs are durable, the record is not).
+// Recovery must land on the last commit that has a record — rolling the k
+// finished shards back — ContinueSession must return that commit's serial,
+// the session's watermark must never have covered the crashed commit, and the
+// recovered store must not hand the crashed commit's token out again.
 func TestShardedPartialCommitCrash(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { partialCommitCrash(t, n) })
@@ -189,12 +188,13 @@ func partialCommitCrash(t *testing.T, n int) {
 
 	// Second commit, under the token the store would give it, completes its
 	// leg on only k shards: start those legs directly, so finishCommit never
-	// runs and no manifest is written — exactly the on-disk state of a crash
-	// between the last persist-done and the manifest.
+	// runs and no record is written — exactly the on-disk state of a crash
+	// between the last persist-done and the record. The legs take the index
+	// too, so that they leave blobs behind.
 	token2 := fmt.Sprintf("ckpt-%06d", s.commitSeq.Load()+1)
 	legs := make([]*checkpointCtx, k)
 	for i := range legs {
-		legs[i] = s.shards[i].startCommit(token2, FoldOver, false)
+		legs[i] = s.shards[i].startCommit(token2, FoldOver, true)
 	}
 	for i, ck := range legs {
 		finished := func() bool {
@@ -221,10 +221,10 @@ func partialCommitCrash(t *testing.T, n int) {
 		}
 	}
 	if got := sess.CommittedSerial(); got != commit1 {
-		t.Fatalf("CommittedSerial = %d with no manifest for %s, want %d", got, token2, commit1)
+		t.Fatalf("CommittedSerial = %d with no record for %s, want %d", got, token2, commit1)
 	}
 	if tok, _ := s.LatestCommitToken(); tok != res1.Token {
-		t.Fatalf("LatestCommitToken = %q with no manifest for %s, want %s", tok, token2, res1.Token)
+		t.Fatalf("LatestCommitToken = %q with no record for %s, want %s", tok, token2, res1.Token)
 	}
 
 	// Crash: snapshot checkpoint store first, then the devices (matching
@@ -246,10 +246,9 @@ func partialCommitCrash(t *testing.T, n int) {
 	}
 	defer r.Close()
 
-	// The manifest for the partial commit was never written, so it is not a
+	// The record for the partial commit was never written, so it is not a
 	// commit at all — not even a skipped one — and recovery lands on commit 1,
-	// rolling the k finished shards back past their newer (orphaned) shard
-	// checkpoints.
+	// rolling the k finished shards back past their newer (orphaned) captures.
 	if report.Token != res1.Token || len(report.Skipped) != 0 {
 		t.Fatalf("recovered %s with skips %v, want %s and none", report.Token, report.Skipped, res1.Token)
 	}
@@ -264,8 +263,8 @@ func partialCommitCrash(t *testing.T, n int) {
 		t.Fatalf("recovered commit point = %d, want min cross-shard prefix %d", point, commit1)
 	}
 	verifyPrefix(t, rs, commit1, total)
-	// The orphaned shard artifacts still carry token2; the next commit must
-	// not reuse it.
+	// The orphaned index blobs still carry token2; the next commit must not
+	// reuse it.
 	if res := driveCommit(t, r, []*Session{rs}, CommitOptions{}); res.Token <= token2 {
 		t.Fatalf("commit after recovery took token %s, colliding with the crashed commit %s", res.Token, token2)
 	}

@@ -146,9 +146,8 @@ type Config struct {
 	// store should not default to per-shard in-memory devices). Mutually
 	// exclusive with Device.
 	DeviceFactory func(shard int) (storage.Device, error)
-	// Checkpoints stores commit artifacts. Defaults to an in-memory store.
-	// A multi-shard store namespaces each shard under "shard<i>/"; the commit
-	// manifests are at the top level for every shard count.
+	// Checkpoints stores commit artifacts: one commit record per commit and
+	// the index and snapshot blobs it names. Defaults to an in-memory store.
 	Checkpoints storage.CheckpointStore
 	// RMW supplies read-modify-write semantics. Defaults to AddUint64.
 	RMW RMWOps
@@ -300,11 +299,16 @@ type Store struct {
 	active      *storeCommit // non-nil from Commit until the commit's result is published
 	results     commitResults
 	latestToken string        // newest commit completed, recovered or installed here ("" if none)
+	latestVer   uint32        // and its version
 	commitSeq   atomic.Uint64 // token counter
+
+	// recordMu serialises the read-modify-write of a commit record after the
+	// commit (shard.amendRecord); every shard holds a pointer to it.
+	recordMu sync.Mutex
 
 	// hookMu guards commitHooks (see OnCommit; fired after every completed
 	// commit, used by the replication shipper) and artifactHooks (see
-	// OnCommitArtifact; produce extra artifacts persisted with each commit).
+	// OnCommitArtifact; produce sections of each commit's record).
 	hookMu        sync.Mutex
 	commitHooks   []func(CommitResult)
 	artifactHooks []func(CommitResult) (string, []byte, error)
@@ -336,20 +340,10 @@ func newStore(cfg Config) *Store {
 	return s
 }
 
-// shardNames is the one place that knows how shard i of an n-shard store is
-// named in the namespaces the shards share: the prefix of its checkpoint
-// artifacts and the prefix of its metrics. The only shard of a single-shard
-// store uses the bare names.
-func shardNames(n, i int) (artifacts, metrics string) {
-	if n == 1 {
-		return "", ""
-	}
-	return fmt.Sprintf("shard%d/", i), fmt.Sprintf("shard%d_", i)
-}
-
 // shardConfig derives shard i's private configuration — its own device, its
-// view of the checkpoint store and of the metrics registry, and a 1/N share of
-// the index and log-memory budgets.
+// view of the metrics registry (the only shard of a single-shard store uses the
+// bare names) and a 1/N share of the index and log-memory budgets. The
+// checkpoint store is shared: blobName puts the shard in a blob's name.
 func (s *Store) shardConfig(i int) (Config, error) {
 	sc := s.cfg
 	sc.DeviceFactory = nil
@@ -369,9 +363,9 @@ func (s *Store) shardConfig(i int) (Config, error) {
 		sc.IndexBuckets = 1 << bits.Len(uint(sc.IndexBuckets)) // non-power-of-two shard count: round up
 	}
 	sc.MemPages = shardShare(s.cfg.MemPages, n, hlog.MinMemPages)
-	artifacts, metrics := shardNames(n, i)
-	sc.Checkpoints = storage.NewPrefixCheckpointStore(s.cfg.Checkpoints, artifacts)
-	sc.Metrics = s.cfg.Metrics.WithPrefix(metrics)
+	if n > 1 {
+		sc.Metrics = s.cfg.Metrics.WithPrefix(fmt.Sprintf("shard%d_", i))
+	}
 	return sc, nil
 }
 
@@ -389,7 +383,7 @@ func Open(cfg Config) (*Store, error) {
 		sc, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, s.metrics)
+			sh, err = openShard(sc, i, s.metrics, &s.recordMu)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -405,7 +399,7 @@ func Open(cfg Config) (*Store, error) {
 
 // registerStoreGauges exposes the store-wide aggregates, after the shards
 // registered their own under their metric prefix: where that prefix is empty
-// these replace them, so faster_phase always covers the manifest write.
+// these replace them, so faster_phase always covers the record write.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
@@ -434,8 +428,8 @@ func (s *Store) shardOf(hash uint64) int {
 }
 
 // Phase returns the store-wide CPR phase: the most advanced phase across
-// shards. While a commit is finalizing its manifest (all shards back at rest,
-// manifest not yet durable) it reports wait-flush, so polling Phase() == Rest
+// shards. While a commit is writing its record (all shards back at rest,
+// record not yet durable) it reports wait-flush, so polling Phase() == Rest
 // observes completed commits only.
 func (s *Store) Phase() Phase {
 	p := s.shards[0].Phase()
@@ -612,41 +606,37 @@ func (s *Store) registerLagGauges() {
 	})
 }
 
-// OnCommitArtifact registers fn as a commit attachment: at every commit,
-// after the manifest is durable but before the commit is announced as
-// complete, fn is invoked with the commit's result and returns an artifact
-// name and payload to persist alongside the commit's own artifacts — inside
-// the checksum envelope, with the usual retries. An empty name skips the
-// write. An error from fn or from the write fails the commit, so a completed
-// commit always carries its attachments (the ingestion log's inlog-<token>
-// watermark depends on this ordering). fn runs on the commit's finishing
-// goroutine and must not block on session progress.
+// OnCommitArtifact registers fn as a commit attachment: at every commit, once
+// every shard is durable and before the commit record is written, fn is
+// invoked with the commit's result and returns a name and a payload, which
+// become a section of the record (Attachment reads it back). An empty name
+// attaches nothing. An error from fn fails the commit with nothing on disk
+// that recovery would take for it, so a commit that exists carries its
+// attachments (the ingestion log's watermark depends on this). fn runs on the
+// commit's finishing goroutine and must not block on session progress.
 func (s *Store) OnCommitArtifact(fn func(CommitResult) (name string, payload []byte, err error)) {
 	s.hookMu.Lock()
 	s.artifactHooks = append(s.artifactHooks, fn)
 	s.hookMu.Unlock()
 }
 
-// writeCommitAttachments runs the registered attachment hooks for a commit
-// that has just become durable, persisting each returned artifact in the
-// store's top-level checkpoint namespace.
-func (s *Store) writeCommitAttachments(res CommitResult) error {
+// commitAttachments runs the registered attachment hooks for a commit whose
+// every shard is durable and collects what they return.
+func (s *Store) commitAttachments(res CommitResult) (map[string][]byte, error) {
 	s.hookMu.Lock()
 	hooks := s.artifactHooks
 	s.hookMu.Unlock()
+	out := make(map[string][]byte, len(hooks))
 	for _, fn := range hooks {
 		name, payload, err := fn(res)
 		if err != nil {
-			return fmt.Errorf("faster: commit %s attachment: %w", res.Token, err)
+			return nil, fmt.Errorf("faster: commit %s attachment: %w", res.Token, err)
 		}
-		if name == "" {
-			continue
-		}
-		if err := writeArtifactFlight(s.cfg.Checkpoints, name, payload, s.cfg.Flight, -1, res.Version); err != nil {
-			return fmt.Errorf("faster: commit %s attachment %q: %w", res.Token, name, err)
+		if name != "" {
+			out[name] = payload
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // SessionCount reports the number of live sessions.

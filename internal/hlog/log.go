@@ -598,8 +598,8 @@ type PageCRC struct {
 }
 
 // PageChecksums returns the checksums of every fully-flushed page this Log
-// has observed, sorted by page number. Commits persist them as the
-// "pagecrc-<token>" artifact; recovery verifies the device against them.
+// has observed, sorted by page number. A commit persists them in its shard's
+// section of the commit record; recovery verifies the device against them.
 func (l *Log) PageChecksums() []PageCRC {
 	l.durableMu.Lock()
 	out := make([]PageCRC, 0, len(l.pageCRCs))

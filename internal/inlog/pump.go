@@ -41,7 +41,7 @@ type PumpConfig struct {
 //     lost — the committed prefix is always a durable-log prefix.
 //   - Each record consumes exactly one session serial, making serial and
 //     offset interconvertible by a linear anchor (see Watermark). At every
-//     commit the pump attaches the inlog-<token> watermark via
+//     commit the pump hands its watermark to the commit record via
 //     Store.OnCommitArtifact, and trims committed-out segments afterwards.
 //   - On restart it continues the session, converts the recovered CPR point
 //     back to an offset through the newest readable anchor, and resumes
@@ -190,8 +190,8 @@ func (p *Pump) OffsetForSerial(serial uint64) uint64 {
 }
 
 // commitWatermark is the Store.OnCommitArtifact hook: it pins the commit's
-// pump-session CPR point to its log offset, persisted as inlog-<token>
-// beside the commit's own artifacts. A write failure fails the commit.
+// pump-session CPR point to its log offset, as a section of the commit's
+// record.
 func (p *Pump) commitWatermark(res faster.CommitResult) (string, []byte, error) {
 	serial, ok := res.Serials[p.sessID]
 	if !ok {
@@ -208,7 +208,7 @@ func (p *Pump) commitWatermark(res faster.CommitResult) (string, []byte, error) 
 		return "", nil, err
 	}
 	p.flight.Emit(obs.FlightInlogWatermark, -1, uint64(res.Version), res.Token, p.sessID, w.Offset, serial)
-	return WatermarkName(res.Token), buf, nil
+	return watermarkSection, buf, nil
 }
 
 // trimCommitted is the Store.OnCommit hook: once a commit (and therefore

@@ -2,8 +2,8 @@
 // clients append operation records, an fsync policy makes them durable, and
 // acks carry the record's logical offset. An apply pump drains durable
 // records into a dedicated FASTER session and, at every CPR commit, persists
-// the highest log offset contained in the committed prefix as an
-// inlog-<token> watermark artifact next to the commit's own artifacts.
+// the highest log offset contained in the committed prefix as the watermark
+// section of that commit's record.
 // Segments wholly below the watermark are truncated after the commit; after
 // a crash, recovery restores the store to its last verified commit and
 // replays only the log suffix above the recovered watermark — each acked

@@ -176,7 +176,7 @@ func verifyImage(t *testing.T, img crashImage) {
 	t.Helper()
 	cfg := faster.Config{IndexBuckets: 1 << 8, PageBits: 12, MemPages: 8,
 		Device: img.dev, Checkpoints: img.ck, RMW: faster.AddUint64{}}
-	s, err := faster.Recover(cfg)
+	s, report, err := faster.RecoverWithReport(cfg)
 	if err != nil {
 		// No commit had completed in this image: recovery is a fresh store
 		// fed by a full log replay.
@@ -185,6 +185,10 @@ func verifyImage(t *testing.T, img crashImage) {
 		if s, err = faster.Open(cfg); err != nil {
 			t.Fatalf("%s: %v", img.name, err)
 		}
+	} else if w, ok, err := LoadWatermark(img.ck, report.Token); err != nil || !ok || w.Token != report.Token {
+		// Every commit of the rig is taken with the pump registered, and a
+		// commit is one record: the one recovery chose carries its watermark.
+		t.Fatalf("%s: recovered %s, its watermark = (%+v, %v, %v)", img.name, report.Token, w, ok, err)
 	}
 	l, err := Open(Config{Segments: img.segs, Fsync: FsyncManual})
 	if err != nil {
@@ -294,18 +298,18 @@ func TestTortureMidFsync(t *testing.T) {
 }
 
 // TestTortureMidCommit: crashes at every interesting instant of the commit
-// pipeline — before/mid the metadata write, mid the manifest write, after the
-// manifest (the commit record) but before the watermark attachment, and mid
-// the watermark artifact itself. Recovery must land on a consistent commit
-// (falling back as needed) and the anchor arithmetic must still produce an
-// exact replay offset.
+// pipeline — mid and after the index blob's write, and before, mid and after
+// the write of the commit record, which carries the watermark. Recovery must
+// land on the previous commit or on this one whole (verifyImage: whichever
+// commit it takes has its watermark in its own record) and the anchor
+// arithmetic must produce an exact replay offset.
 func TestTortureMidCommit(t *testing.T) {
 	points := []string{
-		"before:meta-ckpt-000002",
-		"torn:meta-ckpt-000002",
+		"torn:index-ckpt-000002-s0",
+		"after:index-ckpt-000002-s0",
+		"before:cpr-manifest-ckpt-000002",
 		"torn:cpr-manifest-ckpt-000002",
 		"after:cpr-manifest-ckpt-000002",
-		"torn:inlog-ckpt-000002",
 	}
 	for _, point := range points {
 		point := point

@@ -3,22 +3,21 @@ package inlog
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
+	"repro/internal/faster"
 	"repro/internal/storage"
 )
 
-// Watermark is the inlog-<token> commit attachment: for CPR commit Token,
+// Watermark is the pump's section of a commit record: for CPR commit Token,
 // the pump session's committed serial and the corresponding log offset —
-// every record with offset < Offset is inside the committed prefix.
+// every record with offset < Offset is inside the committed prefix. It is
+// written with the commit itself (faster.Store.OnCommitArtifact), so a commit
+// taken with the pump registered never exists without it.
 //
 // A watermark is also a serial<->offset *anchor*: the pump applies exactly
 // one record per serial, so serial - offset is constant for the life of the
 // pump session and any watermark (however old) converts a recovered CPR
-// point to its exact replay offset by linear arithmetic. That is what makes
-// a crash between a commit's manifest and its watermark artifact harmless:
-// recovery falls back to an older anchor and still lands on the same byte.
+// point to its exact replay offset by linear arithmetic.
 type Watermark struct {
 	Token   string `json:"token"`
 	Session string `json:"session"`
@@ -26,11 +25,9 @@ type Watermark struct {
 	Offset  uint64 `json:"offset"`
 }
 
-// WatermarkName returns the artifact name carrying the watermark for a
-// commit token.
-func WatermarkName(token string) string { return "inlog-" + token }
-
-const watermarkPrefix = "inlog-"
+// watermarkSection is the attachment name the pump's watermark has in a
+// commit record.
+const watermarkSection = "inlog"
 
 // OffsetForSerial converts a session serial to its log offset using this
 // watermark as the anchor (signed-safe in both directions).
@@ -38,62 +35,43 @@ func (w Watermark) OffsetForSerial(serial uint64) uint64 {
 	return uint64(int64(w.Offset) + (int64(serial) - int64(w.Serial)))
 }
 
-// LoadWatermark reads the watermark attached to one commit token.
-// ok is false when the commit has no watermark artifact.
-func LoadWatermark(cs storage.CheckpointStore, token string) (Watermark, bool, error) {
-	return readWatermark(cs, WatermarkName(token))
+// LoadWatermark reads the watermark of one commit. ok is false when the
+// commit was taken without the pump registered.
+func LoadWatermark(cs storage.CheckpointStore, token string) (w Watermark, ok bool, err error) {
+	buf, ok, err := faster.Attachment(cs, token, watermarkSection)
+	if err == nil && ok {
+		err = json.Unmarshal(buf, &w)
+	}
+	if err != nil {
+		return Watermark{}, false, fmt.Errorf("inlog: watermark of %s: %w", token, err)
+	}
+	return w, ok, nil
 }
 
-// LatestWatermark returns the newest watermark artifact in the checkpoint
-// store (tokens sort chronologically), or ok=false when none exists yet.
+// LatestWatermark returns the watermark of the newest commit record that has
+// one — the pump's anchor — or ok=false when no commit has covered the pump.
 func LatestWatermark(cs storage.CheckpointStore) (Watermark, bool, error) {
-	names, err := storage.ListPrefix(cs, watermarkPrefix)
-	if err != nil {
-		return Watermark{}, false, fmt.Errorf("inlog: list watermarks: %w", err)
+	ws, err := Watermarks(cs, 1)
+	if len(ws) == 0 {
+		return Watermark{}, false, err
 	}
-	sort.Strings(names)
-	// Walk newest-first so a single corrupt (torn) watermark artifact falls
-	// back to the previous anchor instead of failing recovery.
-	for i := len(names) - 1; i >= 0; i-- {
-		w, ok, err := readWatermark(cs, names[i])
-		if err == nil && ok {
-			return w, true, nil
-		}
-	}
-	return Watermark{}, false, nil
+	return ws[0], true, nil
 }
 
-// ListWatermarks returns every readable watermark, oldest first (fasterctl
-// inlog).
-func ListWatermarks(cs storage.CheckpointStore) ([]Watermark, error) {
-	names, err := storage.ListPrefix(cs, watermarkPrefix)
+// Watermarks walks the commit records newest first and collects the
+// watermarks of those that read and have one, up to limit (0: all).
+func Watermarks(cs storage.CheckpointStore, limit int) ([]Watermark, error) {
+	tokens, err := faster.Commits(cs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("inlog: list commits: %w", err)
 	}
-	sort.Strings(names)
 	var out []Watermark
-	for _, name := range names {
-		if w, ok, err := readWatermark(cs, name); err == nil && ok {
-			out = append(out, w)
+	for _, tok := range tokens {
+		if w, ok, err := LoadWatermark(cs, tok); err == nil && ok {
+			if out = append(out, w); len(out) == limit {
+				break
+			}
 		}
 	}
 	return out, nil
-}
-
-func readWatermark(cs storage.CheckpointStore, name string) (Watermark, bool, error) {
-	if !strings.HasPrefix(name, watermarkPrefix) {
-		return Watermark{}, false, fmt.Errorf("inlog: %q is not a watermark artifact", name)
-	}
-	buf, err := storage.ReadArtifactChecked(cs, name)
-	if err != nil {
-		if storage.IsNotFound(err) {
-			return Watermark{}, false, nil
-		}
-		return Watermark{}, false, fmt.Errorf("inlog: read %s: %w", name, err)
-	}
-	var w Watermark
-	if err := json.Unmarshal(buf, &w); err != nil {
-		return Watermark{}, false, fmt.Errorf("inlog: decode %s: %w", name, err)
-	}
-	return w, true, nil
 }

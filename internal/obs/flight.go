@@ -52,12 +52,11 @@ const (
 	FlightDrop
 	// FlightCommitStart: a shard's commit state machine left rest.
 	FlightCommitStart
-	// FlightPersistDone: a shard's checkpoint (log capture + metadata) is
-	// fully durable. Arg1 is the bytes written.
+	// FlightPersistDone: this shard's capture (log, index and snapshot blobs)
+	// is durable; the commit is not — that is the artifact-write of its
+	// record, cpr-manifest-<token>, on the store lane. Arg1 is the bytes
+	// written.
 	FlightPersistDone
-	// FlightManifestWrite: the manifest — the commit record — is durable; the
-	// commit is now recoverable on every shard.
-	FlightManifestWrite
 	// FlightCommitDone: the commit completed successfully. Arg1 is the total
 	// bytes written.
 	FlightCommitDone
@@ -109,9 +108,9 @@ const (
 	// FASTER session. Arg1 is the next-to-apply offset after the drain, Arg2
 	// the records applied in this drain.
 	FlightInlogApply
-	// FlightInlogWatermark: a commit persisted the inlog-<token> watermark
-	// artifact. Token is the commit token, Arg1 the watermark offset, Arg2
-	// the session serial it anchors.
+	// FlightInlogWatermark: the pump handed a commit its watermark, a section
+	// of the commit record. Token is the commit token, Arg1 the watermark
+	// offset, Arg2 the session serial it anchors.
 	FlightInlogWatermark
 	// FlightInlogTrim: segments wholly below the commit watermark were
 	// physically deleted. Arg1 is the trim offset, Arg2 the bytes removed.
@@ -152,7 +151,6 @@ var flightKindNames = [numFlightKinds]string{
 	FlightDrop:            "drop",
 	FlightCommitStart:     "commit-start",
 	FlightPersistDone:     "persist-done",
-	FlightManifestWrite:   "manifest-write",
 	FlightCommitDone:      "commit-done",
 	FlightCommitFail:      "commit-fail",
 	FlightCommitAnnounced: "commit-announced",
@@ -290,12 +288,12 @@ type flightRing struct {
 // per epoch bump, page, fsync group, pump drain, bucket or injected fault —
 // cannot evict; and since causally ordered lifecycle events then carry tickets
 // of one ring, those with equal timestamps merge in causal order. A commit of
-// an ingest server with one shard and one session leaves 17 events there (a
-// further shard about ten more, a further session two per shard), so the ring
-// holds its last 240 commits, whatever else the process records.
+// an ingest server with one shard and one session leaves 13 events there (a
+// further shard nine more, a further session two per shard), so the ring
+// holds its last 315 commits, whatever else the process records.
 const (
 	flightLifecycleKinds = uint64(1)<<FlightPhase | 1<<FlightAckPrepare | 1<<FlightDemarcate | 1<<FlightDrop |
-		1<<FlightCommitStart | 1<<FlightPersistDone | 1<<FlightManifestWrite | 1<<FlightCommitDone |
+		1<<FlightCommitStart | 1<<FlightPersistDone | 1<<FlightCommitDone |
 		1<<FlightCommitFail | 1<<FlightCommitAnnounced | 1<<FlightArtifactWrite | 1<<FlightArtifactRetry |
 		1<<FlightCrashPoint | 1<<FlightReplShip | 1<<FlightReplInstall | 1<<FlightReplPromote |
 		1<<FlightRecoverVerdict | 1<<FlightRecoverFallback | 1<<FlightInlogWatermark | 1<<FlightInlogTrim |
@@ -540,7 +538,7 @@ func (f *FlightRecorder) Events() ([]FlightEvent, uint64) {
 
 // FilterFlightEvents keeps the events belonging to one commit: those whose
 // token equals or contains token (artifact-write events carry artifact names
-// like "meta-<token>", which contain the commit token). An empty token keeps
+// like "cpr-manifest-<token>", which contain the commit token). An empty token keeps
 // everything.
 func FilterFlightEvents(evs []FlightEvent, token string) []FlightEvent {
 	if token == "" {
@@ -587,7 +585,9 @@ func (e FlightEvent) Describe() string {
 		fmt.Fprintf(&b, " epoch=%d drain=%s", e.Arg1, time.Duration(e.Arg2))
 	case FlightAckPrepare, FlightDemarcate, FlightDrop:
 		fmt.Fprintf(&b, " serial=%d", e.Arg1)
-	case FlightPersistDone, FlightCommitDone, FlightArtifactWrite:
+	case FlightPersistDone:
+		fmt.Fprintf(&b, " shard capture durable, bytes=%d", e.Arg1)
+	case FlightCommitDone, FlightArtifactWrite:
 		fmt.Fprintf(&b, " bytes=%d", e.Arg1)
 	case FlightReplShip:
 		fmt.Fprintf(&b, " bytes=%d took=%s", e.Arg1, time.Duration(e.Arg2))

@@ -190,7 +190,6 @@ func TestFlightLifecycleSurvivesIngest(t *testing.T) {
 		}
 		emit(obs.FlightPersistDone, 0, "", 4096, 0)
 		emit(obs.FlightArtifactWrite, -1, "", 64, 0)
-		emit(obs.FlightManifestWrite, -1, "", 0, 0)
 		emit(obs.FlightCommitDone, -1, "", 4096, 0)
 		emit(obs.FlightInlogWatermark, -1, "inlog-pump", uint64(c), uint64(c))
 		emit(obs.FlightInlogTrim, -1, "", uint64(c), 1<<20)
@@ -227,7 +226,7 @@ func TestFlightLifecycleSurvivesIngest(t *testing.T) {
 func TestFlightFilterByToken(t *testing.T) {
 	f := obs.NewFlightRecorder(64)
 	f.Emit(obs.FlightCommitStart, -1, 1, "ckpt-000001", "", 0, 0)
-	f.Emit(obs.FlightArtifactWrite, 0, 1, "meta-ckpt-000001", "", 100, 0)
+	f.Emit(obs.FlightArtifactWrite, 0, 1, "cpr-manifest-ckpt-000001", "", 100, 0)
 	f.Emit(obs.FlightCommitStart, -1, 2, "ckpt-000002", "", 0, 0)
 	f.Emit(obs.FlightEpochBump, 0, 0, "", "", 3, 0)
 	evs, _ := f.Events()
@@ -237,7 +236,7 @@ func TestFlightFilterByToken(t *testing.T) {
 		t.Fatalf("filter kept %d events, want 2 (commit-start + containing artifact name)", len(got))
 	}
 	for _, e := range got {
-		if e.Token != "ckpt-000001" && e.Token != "meta-ckpt-000001" {
+		if e.Token != "ckpt-000001" && e.Token != "cpr-manifest-ckpt-000001" {
 			t.Fatalf("filter kept unrelated event %+v", e)
 		}
 	}

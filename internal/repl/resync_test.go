@@ -12,25 +12,29 @@ import (
 	"repro/internal/storage"
 )
 
-// pageCRCs decodes the page checksum artifact of a one-shard commit.
+// pageCRCs decodes the page checksums in the record of a one-shard commit.
 func pageCRCs(t *testing.T, cs storage.CheckpointStore, token string) []hlog.PageCRC {
 	t.Helper()
-	buf, err := storage.ReadArtifactChecked(cs, "pagecrc-"+token)
+	buf, err := storage.ReadArtifactChecked(cs, "cpr-manifest-"+token)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var crcs []hlog.PageCRC
-	if err := json.Unmarshal(buf, &crcs); err != nil {
-		t.Fatal(err)
+	var rec struct {
+		Shards []struct {
+			PageCRCs []hlog.PageCRC `json:"page_crcs"`
+		} `json:"shards"`
 	}
-	return crcs
+	if err := json.Unmarshal(buf, &rec); err != nil || len(rec.Shards) != 1 {
+		t.Fatalf("record of %s: %d shard sections, %v", token, len(rec.Shards), err)
+	}
+	return rec.Shards[0].PageCRCs
 }
 
 // TestReplicaResyncAfterPrimaryRecovery: a replica that restarted holds page
 // checksums of what it verified on its device. The primary then crashes and
 // recovers the same commit, which writes invalid bits into pages those
 // checksums cover, and the replica re-receives the range. Its copy of the
-// pages, its checksum table and its pagecrc artifact must all follow, or the
+// pages, its checksum table and its copy of the commit record must all follow, or the
 // next install — and the restart after it — fail their own verification.
 func TestReplicaResyncAfterPrimaryRecovery(t *testing.T) {
 	over := func(dev storage.Device, cps storage.CheckpointStore) faster.Config {
@@ -145,11 +149,11 @@ func TestReplicaResyncAfterPrimaryRecovery(t *testing.T) {
 	defer srv.Close()
 
 	// The new connection re-ships the rewritten range and then the commit's
-	// artifacts. Once the shrunken pagecrc has arrived, a crash of the replica
+	// artifacts. Once the amended record has arrived, a crash of the replica
 	// must recover the same commit again, from the bytes it re-received.
 	for deadline := time.Now().Add(30 * time.Second); len(pageCRCs(t, rcps, token)) != len(after); {
 		if time.Now().After(deadline) {
-			t.Fatal("replica never received the rewritten pagecrc artifact")
+			t.Fatal("replica never received the amended commit record")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -139,7 +139,7 @@ func (s *Server) ReplStats() *kvserver.ReplStats {
 	return &kvserver.ReplStats{
 		Role:           "primary",
 		Replicas:       s.Replicas(),
-		AppliedVersion: s.latestVersion(),
+		AppliedVersion: s.store.LatestCommitVersion(),
 	}
 }
 
@@ -221,7 +221,7 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 	n := s.store.NumShards()
 	sent := make([]uint64, n)
 	welcome := wire.AppendString(conn.open(opWelcome), []byte(s.ClientAddr))
-	welcome = wire.AppendU32(welcome, s.latestVersion())
+	welcome = wire.AppendU32(welcome, s.store.LatestCommitVersion())
 	welcome = wire.AppendU32(welcome, uint32(n))
 	for i := 0; i < n; i++ {
 		have, r2, err := wire.TakeU64(rest)
@@ -315,19 +315,6 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 			}
 		}
 	}
-}
-
-// latestVersion is the version of the newest completed commit (0 when none).
-func (s *Server) latestVersion() uint32 {
-	tok, ok := s.store.LatestCommitToken()
-	if !ok {
-		return 0
-	}
-	info, err := s.store.CommitShipInfo(tok)
-	if err != nil {
-		return 0
-	}
-	return info.Version
 }
 
 // shipTail streams every shard's durable log bytes past the sent watermarks,
@@ -446,7 +433,7 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 // sendTail sends the heartbeat/lag frame.
 func (s *Server) sendTail(conn *shipConn) error {
 	n := s.store.NumShards()
-	frame := wire.AppendU32(conn.open(opTail), s.latestVersion())
+	frame := wire.AppendU32(conn.open(opTail), s.store.LatestCommitVersion())
 	frame = wire.AppendU32(frame, uint32(n))
 	for i := 0; i < n; i++ {
 		frame = wire.AppendU64(frame, s.store.ShardLog(i).Durable())

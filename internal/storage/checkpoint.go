@@ -49,22 +49,6 @@ func WriteArtifact(cs CheckpointStore, name string, data []byte) error {
 	return w.Close()
 }
 
-// ListPrefix enumerates the artifacts whose names start with prefix (sorted,
-// prefix retained). It is the replication shipper's enumeration primitive.
-func ListPrefix(cs CheckpointStore, prefix string) ([]string, error) {
-	all, err := cs.List()
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, n := range all {
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-		}
-	}
-	return names, nil
-}
-
 // MemCheckpointStore keeps artifacts in process memory. It is the default
 // store for benchmarks (the paper's checkpoints-to-SSD become
 // checkpoints-to-RAM; shape of results is unaffected, see DESIGN.md).
@@ -154,53 +138,6 @@ func (s *MemCheckpointStore) Size() int64 {
 		n += int64(len(b))
 	}
 	return n
-}
-
-// PrefixCheckpointStore is a view of a parent CheckpointStore with every
-// artifact name prepended by a fixed prefix. The shards of a partitioned
-// store each write their commit artifacts through such a view (prefix
-// "shard<i>/"), so one parent store holds every shard's checkpoints plus the
-// cross-shard commit manifests, and per-shard recovery addresses exactly its
-// own namespace.
-type PrefixCheckpointStore struct {
-	parent CheckpointStore
-	prefix string
-}
-
-// NewPrefixCheckpointStore wraps parent so all artifact names gain prefix.
-func NewPrefixCheckpointStore(parent CheckpointStore, prefix string) *PrefixCheckpointStore {
-	return &PrefixCheckpointStore{parent: parent, prefix: prefix}
-}
-
-// Create implements CheckpointStore.
-func (s *PrefixCheckpointStore) Create(name string) (io.WriteCloser, error) {
-	return s.parent.Create(s.prefix + name)
-}
-
-// Open implements CheckpointStore.
-func (s *PrefixCheckpointStore) Open(name string) (io.ReadCloser, error) {
-	return s.parent.Open(s.prefix + name)
-}
-
-// List implements CheckpointStore, returning only artifacts under the prefix
-// with the prefix stripped.
-func (s *PrefixCheckpointStore) List() ([]string, error) {
-	all, err := s.parent.List()
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, n := range all {
-		if len(n) > len(s.prefix) && n[:len(s.prefix)] == s.prefix {
-			names = append(names, n[len(s.prefix):])
-		}
-	}
-	return names, nil
-}
-
-// Remove implements CheckpointStore.
-func (s *PrefixCheckpointStore) Remove(name string) error {
-	return s.parent.Remove(s.prefix + name)
 }
 
 // DirCheckpointStore persists artifacts as files under a directory. Artifact

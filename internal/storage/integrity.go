@@ -146,11 +146,3 @@ func ReadArtifactChecked(cs CheckpointStore, name string) ([]byte, error) {
 	}
 	return payload, nil
 }
-
-// VerifyArtifact checks the named artifact's envelope without returning its
-// payload. It reports nil for a verifiable artifact, an ErrCorruptArtifact-
-// wrapping error for a damaged one, and an IsNotFound error if absent.
-func VerifyArtifact(cs CheckpointStore, name string) error {
-	_, err := ReadArtifactChecked(cs, name)
-	return err
-}
