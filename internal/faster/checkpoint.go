@@ -135,6 +135,11 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 	if opts.Kind != nil {
 		c.kind = *opts.Kind
 	}
+	// Every log_start first: a session demarcated on one shard may write v+1
+	// records on another before that shard's leg starts (shard.isFuture).
+	for _, sh := range s.shards {
+		sh.futureFrom[c.version&1].Store(sh.log.Tail())
+	}
 	for _, sh := range s.shards {
 		c.legs = append(c.legs, sh.startCommit(c.token, c.kind, opts.WithIndex))
 	}
@@ -252,7 +257,7 @@ func (sh *shard) startCommit(token string, kind CommitKind, withIndex bool) *che
 	for _, ss := range sh.sessions {
 		ck.coord.Add(ss)
 	}
-	ck.section.Lhs = sh.log.Tail()
+	ck.section.Lhs = sh.futureFrom[ck.version&1].Load()
 	sh.ckpt = ck
 	// Publish the prepare phase; sessions observe it on refresh.
 	sh.state.Store(packState(Prepare, ck.version))

@@ -408,6 +408,33 @@ func TestRecoverParentLayout(t *testing.T) {
 	}
 }
 
+// TestRecoverRecordFormat1: a record of format 1 names CPRIDX2 index images and
+// a log_start that bounds no v+1 record; Recover refuses it by name rather than
+// fall back past it to an older commit.
+func TestRecoverRecordFormat1(t *testing.T) {
+	ckpts := storage.NewMemCheckpointStore()
+	s, sess, devs := commitPathStore(t, 1, ckpts)
+	driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+	sess.Upsert(key(1), u64(1))
+	res := driveCommit(t, s, []*Session{sess}, CommitOptions{})
+	sess.StopSession()
+	s.Close()
+	rec, err := loadRecord(ckpts, res.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Format = 1
+	if _, err := writeRecord(ckpts, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg := shardedConfig(1)
+	cfg.Checkpoints, cfg.Device = ckpts, devs[0]
+	if _, err := Recover(cfg); err == nil || !errors.Is(err, errParentLayout) ||
+		!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), res.Token) {
+		t.Fatalf("Recover over a format-1 record = %v, want a hard error naming the format and %s", err, res.Token)
+	}
+}
+
 // TestVerifyCommits: the offline walk follows what each record names. With the
 // index blob of a with-index commit gone, that commit and every later log-only
 // commit that carries the index forward are reported, the commits before and

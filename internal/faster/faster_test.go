@@ -722,15 +722,25 @@ func TestPhaseStrings(t *testing.T) {
 }
 
 func TestVersionHelpers(t *testing.T) {
-	if !isFutureVersion(recVersion(2), 1) {
-		t.Fatal("version 2 should be future of commit 1")
-	}
-	if isFutureVersion(recVersion(1), 1) {
-		t.Fatal("version 1 is not future of commit 1")
-	}
-	// Wraparound: version 8191+1 wraps to 0 in 13 bits.
-	if !isFutureVersion(recVersion(8192), 8191) {
-		t.Fatal("wrapped future version not detected")
+	sh := new(shard)
+	sh.futureFrom[1].Store(4096) // commit 1's log_start
+	sh.futureFrom[0].Store(8192) // commit 8192's
+	for _, c := range []struct {
+		recVer uint16
+		addr   uint64
+		v      uint32
+		want   bool
+	}{
+		{recVersion(2), 4096, 1, true},
+		{recVersion(1), 4096, 1, false},
+		{recVersion(2), 4088, 1, false},      // below log_start: 8192·k commits older
+		{recVersion(8192), 8192, 8191, true}, // 8191+1 wraps to 0 in 13 bits (bound: slot 1)
+		{recVersion(8193), 8192, 8192, true}, // 8192+1 to 1 (bound: slot 0)
+		{recVersion(1), 8184, 8192, false},   // a version-1 record below commit 8192's log_start
+	} {
+		if got := sh.isFuture(c.recVer, c.addr, c.v); got != c.want {
+			t.Errorf("isFuture(version %d at %d, commit %d) = %v, want %v", c.recVer, c.addr, c.v, got, c.want)
+		}
 	}
 }
 

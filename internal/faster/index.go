@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/hlog"
 )
 
 // Hash-index entry layout (one 64-bit word):
@@ -167,14 +169,7 @@ func (idx *index) findOrCreateSlot(hash uint64) *atomic.Uint64 {
 			continue
 		}
 		// Commit the entry.
-		for {
-			e := slot.Load()
-			if e&entryTentative == 0 {
-				break
-			}
-			if slot.CompareAndSwap(e, e&^entryTentative) {
-				break
-			}
+		for e := slot.Load(); e&entryTentative != 0 && !slot.CompareAndSwap(e, e&^entryTentative); e = slot.Load() {
 		}
 		return slot
 	}
@@ -293,44 +288,40 @@ func (idx *index) sharedCount(hash uint64) int {
 	return int(idx.mainBucket(hash).meta.Load() & metaSharedMask >> metaSharedShift)
 }
 
+// eachBucket calls fn on every bucket in image order: the main array, then the
+// overflow slab below next.
+func (idx *index) eachBucket(next uint64, fn func(b *bucket)) {
+	for i := range idx.buckets {
+		fn(&idx.buckets[i])
+	}
+	for k := uint64(1); k < next; k++ {
+		fn(idx.overflowBucket(k))
+	}
+}
+
 // --- fuzzy checkpoint (Sec. 6.3) ---
 //
 // The image is sized by occupancy, not capacity (DESIGN.md, "Fuzzy index
 // checkpoint: the image"): a header — imageMagic, main bucket count,
-// overflowNext — then one group per bucket, main array first, overflow slab
-// after: a presence byte (bit j = entry j, bit 7 = overflow link) and the words
-// it names, little-endian, entries before the link.
+// overflowNext, little-endian words — then one group per bucket in image order:
+// a presence byte (bit j = entry j, bit 7 = overflow link) and what it names,
+// entries before the link, each one minimal uvarint — an entry's address>>3
+// above its 14-bit tag, a link's overflow bucket id.
 
 const (
-	imageMagic      = uint64('C') | 'P'<<8 | 'R'<<16 | 'I'<<24 | 'D'<<32 | 'X'<<40 | '2'<<48
+	imageMagic      = uint64('C') | 'P'<<8 | 'R'<<16 | 'I'<<24 | 'D'<<32 | 'X'<<40 | '3'<<48
+	imageMagicFixed = imageMagic&^(0xFF<<48) | '2'<<48 // the image of 8-byte words this one replaced
 	imageHeaderSize = 24
 	imageLinkBit    = 1 << entriesPerBucket
+	imageTagMask    = 1<<entryTagBits - 1
 )
 
 // imageSize is a capacity hint for appendImage: the image's exact size if no
-// operation runs in between, from one counting pass over the index.
+// operation runs in between, from the encoder's own walk.
 func (idx *index) imageSize() int {
-	next := idx.overflowNext.Load()
-	n := imageHeaderSize
-	for i := range idx.buckets {
-		n += bucketImageSize(&idx.buckets[i], next)
-	}
-	for k := uint64(1); k < next; k++ {
-		n += bucketImageSize(idx.overflowBucket(k), next)
-	}
-	return n
-}
-
-func bucketImageSize(b *bucket, next uint64) int {
-	n := 1
-	for j := range b.entries {
-		if e := b.entries[j].Load(); e != 0 && e&entryTentative == 0 {
-			n += 8
-		}
-	}
-	if link := b.meta.Load() & metaOverflowMask; link != 0 && link < next {
-		n += 8
-	}
+	var g imageGroup
+	next, n := idx.overflowNext.Load(), imageHeaderSize
+	idx.eachBucket(next, func(b *bucket) { n += g.encode(b, next) })
 	return n
 }
 
@@ -340,45 +331,47 @@ func bucketImageSize(b *bucket, next uint64) int {
 // began: everything behind it was inserted after Lis and is replayed, and
 // carried along the link would outlive the recovered slab's reuse of its target.
 func (idx *index) appendImage(dst []byte) []byte {
+	var g imageGroup
 	next := idx.overflowNext.Load()
 	dst = binary.LittleEndian.AppendUint64(dst, imageMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(idx.buckets)))
 	dst = binary.LittleEndian.AppendUint64(dst, next)
-	for i := range idx.buckets {
-		dst = appendBucket(dst, &idx.buckets[i], next)
-	}
-	for k := uint64(1); k < next; k++ {
-		dst = appendBucket(dst, idx.overflowBucket(k), next)
-	}
+	idx.eachBucket(next, func(b *bucket) { dst = append(dst, g[:g.encode(b, next)]...) })
 	return dst
 }
 
-func appendBucket(dst []byte, b *bucket, next uint64) []byte {
-	at := len(dst)
-	dst = append(dst, 0)
-	var present byte
+// imageGroup holds one bucket's group of the image.
+type imageGroup [1 + (entriesPerBucket+1)*binary.MaxVarintLen64]byte
+
+// encode writes b's group into g and returns its length.
+func (g *imageGroup) encode(b *bucket, next uint64) int {
+	g[0] = 0
+	n := 1
 	for j := range b.entries {
 		if e := b.entries[j].Load(); e != 0 && e&entryTentative == 0 {
-			present |= 1 << j
-			dst = binary.LittleEndian.AppendUint64(dst, e)
+			g[0] |= 1 << j
+			n += binary.PutUvarint(g[n:], entryAddr(e)>>3<<entryTagBits|e>>entryTagShift&imageTagMask)
 		}
 	}
 	if link := b.meta.Load() & metaOverflowMask; link != 0 && link < next {
-		present |= imageLinkBit
-		dst = binary.LittleEndian.AppendUint64(dst, link)
+		g[0] |= imageLinkBit
+		n += binary.PutUvarint(g[n:], link)
 	}
-	dst[at] = present
-	return dst
+	return n
 }
 
 // decodeIndex rebuilds an index from an image. It trusts nothing: the header's
 // counts are checked against len(data) before any bucket is allocated (a bucket
-// costs the image at least its presence byte), and a word that appendImage
-// cannot have written — a zero or tentative entry, a link that does not point
-// forward into the slab — fails the decode.
+// costs the image at least its presence byte), and what appendImage cannot
+// have written — a uvarint that is not minimal, an entry of tag 0 or with an
+// address past hlog.MaxAddress, a link that does not point forward into the
+// slab — fails the decode.
 func decodeIndex(data []byte) (*index, error) {
+	if len(data) >= imageHeaderSize && binary.LittleEndian.Uint64(data) == imageMagicFixed {
+		return nil, fmt.Errorf("faster: index checkpoint: a CPRIDX2 image (8-byte words, from before the varint image); this version cannot read it")
+	}
 	if len(data) < imageHeaderSize || binary.LittleEndian.Uint64(data) != imageMagic {
-		return nil, fmt.Errorf("faster: index checkpoint: %d bytes without the sparse-image magic (a dense image from before that format?)", len(data))
+		return nil, fmt.Errorf("faster: index checkpoint: %d bytes without the CPRIDX3 magic (a dense image from before the sparse format?)", len(data))
 	}
 	nBuckets := binary.LittleEndian.Uint64(data[8:])
 	next := binary.LittleEndian.Uint64(data[16:])
@@ -418,27 +411,23 @@ func decodeBucket(b *bucket, p []byte, self, next uint64) ([]byte, error) {
 	if len(p) == 0 {
 		return nil, io.ErrUnexpectedEOF
 	}
-	present := p[0]
-	n := 1 + 8*bits.OnesCount8(present)
-	if len(p) < n {
-		return nil, io.ErrUnexpectedEOF
-	}
-	words := p[1:n]
-	for m := present &^ imageLinkBit; m != 0; m &= m - 1 { // one turn per entry present
+	present, p := p[0], p[1:]
+	for m := present; m != 0; m &= m - 1 { // one turn per word present, the link last
 		j := bits.TrailingZeros8(m)
-		e := binary.LittleEndian.Uint64(words)
-		if e == 0 || e&entryTentative != 0 {
-			return nil, fmt.Errorf("entry %d is %#x", j, e)
+		x, n := binary.Uvarint(p)
+		switch {
+		case n <= 0 || n > 1 && p[n-1] == 0:
+			return nil, fmt.Errorf("word %d: not a minimal uvarint (%d)", j, n)
+		case j == entriesPerBucket && (x <= self || x >= next):
+			return nil, fmt.Errorf("overflow link %#x from bucket %d of %d", x, self, next-1)
+		case j == entriesPerBucket:
+			into[j] = x
+		case x&imageTagMask == 0 || x>>entryTagBits >= hlog.MaxAddress>>3:
+			return nil, fmt.Errorf("entry %d is %#x", j, x)
+		default:
+			into[j] = x>>entryTagBits<<3 | x&imageTagMask<<entryTagShift
 		}
-		into[j] = e
-		words = words[8:]
+		p = p[n:]
 	}
-	if present&imageLinkBit != 0 {
-		link := binary.LittleEndian.Uint64(words)
-		if link <= self || link >= next {
-			return nil, fmt.Errorf("overflow link %#x from bucket %d of %d", link, self, next-1)
-		}
-		into[entriesPerBucket] = link
-	}
-	return p[n:], nil
+	return p, nil
 }

@@ -234,7 +234,7 @@ func (sess *shardSession) processPrepare(op *pendingOp) Status {
 		op.latched = true
 	}
 	r := sess.find(op, op.kind != opRead, demarcated)
-	if !demarcated && r.rec.Valid() && isFutureVersion(r.rec.Version(), sess.version) {
+	if !demarcated && r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
 		return sess.shiftDetected(op)
 	}
 	var s Status
@@ -296,7 +296,7 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
-	if r.reg == regNone || r.rec.Valid() && isFutureVersion(r.rec.Version(), sess.version) {
+	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
 		// No record, or already a v+1 record: nothing to hand off.
 		return sess.update(op, r)
 	}

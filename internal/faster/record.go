@@ -57,11 +57,13 @@ type shardSection struct {
 }
 
 // recordFormat is the Format of the records this version writes and reads.
-const recordFormat = 1
+// Format 1 named CPRIDX2 index images and read each log_start as its shard's
+// leg began, not before the first one did (shard.isFuture needs the latter).
+const recordFormat = 2
 
-// errParentLayout marks a manifest from before the commit record: recovery
-// must neither read it as a commit nor pass over it to an older one.
-var errParentLayout = errors.New(`checkpoint store has the per-shard layout (a cpr-manifest without "format"/"shards" sections, beside meta-<token> and pagecrc-<token> per shard); this version cannot read it`)
+// errParentLayout marks a record of an older layout: recovery must neither
+// read it as a commit nor pass over it to an older one.
+var errParentLayout = errors.New("this version cannot read it")
 
 const recordPrefix = "cpr-manifest-"
 
@@ -102,7 +104,7 @@ func (rec *commitRecord) blobs() []string {
 }
 
 // loadRecord reads and verifies the record of the commit identified by token:
-// the one loader. A parent-layout manifest is errParentLayout.
+// the one loader. A record of an older layout is errParentLayout.
 func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error) {
 	buf, err := storage.ReadArtifactChecked(cs, recordName(token))
 	if err != nil {
@@ -110,12 +112,14 @@ func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error)
 	}
 	rec := new(commitRecord)
 	err = json.Unmarshal(buf, rec)
-	if rec.Format == 0 && json.Valid(buf) {
-		// The parent's manifest: no format, and a shard count where the
-		// sections are (which is what err, if any, complains about).
-		return nil, fmt.Errorf("commit record %s: %w", token, errParentLayout)
-	}
-	if err != nil {
+	switch {
+	case rec.Format == 0 && json.Valid(buf):
+		// The manifest before the commit record: no format, and a shard count
+		// where the sections are (which is what err, if any, complains about).
+		return nil, fmt.Errorf(`commit record %s: checkpoint store has the per-shard layout (a cpr-manifest without "format"/"shards" sections, beside meta-<token> and pagecrc-<token> per shard); %w`, token, errParentLayout)
+	case rec.Format == 1 && err == nil:
+		return nil, fmt.Errorf("commit record %s: checkpoint store has commit record format 1 (CPRIDX2 index images); %w", token, errParentLayout)
+	case err != nil:
 		return nil, fmt.Errorf("commit record %s: %w", token, err)
 	}
 	if rec.Format != recordFormat || rec.Token != token {

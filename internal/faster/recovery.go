@@ -250,6 +250,7 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex
 func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
 	sec := &rec.Shards[sh.id]
 	end := sec.logEnd()
+	sh.futureFrom[rec.Version&1].Store(sec.Lhs)
 	if sec.Snapshot != "" {
 		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, sec.Snapshot)
 		if err != nil {
@@ -292,17 +293,18 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 // and goes to committed with its key's hash: full recovery and a replica
 // install re-point the key's index slot there and then (relink); instant
 // restore files the pair under its bucket and relinks when the bucket warms.
-// committed returning false stops the scan. A record of version v+1 is past
-// the CPR point: if the index reaches it — the key's slot holds its address or
-// a later one — the slot is unwound to the record's predecessor, and its
-// address is returned in dead, in log order, for the caller to neutralise
-// (persistInvalid; markReplicaDead on a replica).
+// committed returning false stops the scan. A record of version v+1 (isFuture,
+// against the log_start install set) is past the CPR point: if the index
+// reaches it — the key's slot holds its address or a later one — the slot is
+// unwound to the record's predecessor, and its address is returned in dead, in
+// log order, for the caller to neutralise (persistInvalid; markReplicaDead on a
+// replica).
 func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, addr uint64) bool) (dead []uint64, err error) {
 	var keyBuf []byte
 	err = sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
 		keyBuf = rec.Key(keyBuf[:0])
 		h := hashfn.Hash64(keyBuf)
-		if !isFutureVersion(rec.Version(), v) {
+		if !sh.isFuture(rec.Version(), addr, v) {
 			return committed(h, addr)
 		}
 		dead = append(dead, addr)
@@ -358,25 +360,11 @@ func (sh *shard) persistInvalid(token string, dead []uint64) error {
 // clampIndex clears index entries that reference addresses at or beyond the
 // recovered log end (unreachable records lost in the crash).
 func (sh *shard) clampIndex(end uint64) {
-	clampBuckets := func(bs []bucket) {
-		for i := range bs {
-			for j := range bs[i].entries {
-				e := bs[i].entries[j].Load()
-				if e != 0 && entryAddr(e) >= end {
-					bs[i].entries[j].Store(0)
-				}
-			}
-		}
-	}
-	clampBuckets(sh.index.buckets)
-	used := sh.index.overflowNext.Load() - 1
-	for n := uint64(1); n <= used; n++ {
-		b := sh.index.overflowBucket(n)
+	sh.index.eachBucket(sh.index.overflowNext.Load(), func(b *bucket) {
 		for j := range b.entries {
-			e := b.entries[j].Load()
-			if e != 0 && entryAddr(e) >= end {
+			if e := b.entries[j].Load(); e != 0 && entryAddr(e) >= end {
 				b.entries[j].Store(0)
 			}
 		}
-	}
+	})
 }

@@ -186,9 +186,11 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered,
 		t.Fatal(err)
 	}
 	touched = map[uint64]bool{}
+	bound := new(shard)
+	bound.futureFrom[rec.Version&1].Store(meta.Lhs)
 	err = l.Scan(meta.scanStart(), meta.logEnd(), func(addr uint64, r hlog.RecordRef) bool {
 		switch {
-		case !isFutureVersion(r.Version(), rec.Version):
+		case !bound.isFuture(r.Version(), addr, rec.Version):
 			committed++
 		case onPage[addr>>12]:
 			covered++

@@ -709,7 +709,7 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 			if op.ioRec.Valid() && op.ioAddr == addr {
 				rec := op.ioRec
 				if !rec.Invalid() &&
-					!(skipFuture && isFutureVersion(rec.Version(), op.version)) &&
+					!(skipFuture && sh.isFuture(rec.Version(), addr, op.version)) &&
 					rec.KeyEquals(op.key) {
 					return findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: regDisk}
 				}
@@ -727,7 +727,7 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 		}
 		rec := sh.log.Record(addr)
 		if !rec.Invalid() &&
-			!(skipFuture && isFutureVersion(rec.Version(), op.version)) &&
+			!(skipFuture && sh.isFuture(rec.Version(), addr, op.version)) &&
 			rec.KeyEquals(op.key) {
 			reg := regSafeRO
 			switch {

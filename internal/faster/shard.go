@@ -25,6 +25,9 @@ type shard struct {
 
 	// state packs the shard's phase (high 8 bits) and version (low 32 bits).
 	state atomic.Uint64
+	// futureFrom[v&1] is commit v's log_start: the tail before v published
+	// prepare on any shard (see isFuture).
+	futureFrom [2]atomic.Uint64
 
 	ckptMu sync.Mutex
 	ckpt   *checkpointCtx // non-nil while a commit is active on this shard
@@ -129,6 +132,14 @@ func (sh *shard) Phase() Phase { p, _ := unpackState(sh.state.Load()); return p 
 
 // Version returns the shard's current CPR version.
 func (sh *shard) Version() uint32 { _, v := unpackState(sh.state.Load()); return v }
+
+// isFuture reports whether a record of on-record version recVer at addr belongs
+// to v+1 relative to commit v. The 13-bit version alone says so of a record
+// written 8192·k commits earlier too; but a v+1 record is written only after
+// commit v began, so it lies at or above the commit's log_start.
+func (sh *shard) isFuture(recVer uint16, addr uint64, v uint32) bool {
+	return recVer == recVersion(v+1) && addr >= sh.futureFrom[v&1].Load()
+}
 
 func (sh *shard) sessionCount() int {
 	sh.sessionMu.Lock()

@@ -656,10 +656,3 @@ func (s *Store) waitForRest() {
 
 // recVersion returns the 13-bit on-record version for store version v.
 func recVersion(v uint32) uint16 { return uint16(v) & hlog.MaxVersion }
-
-// isFutureVersion reports whether a record version corresponds to v+1
-// relative to commit version v (wraparound-safe: during a checkpoint only
-// versions v and earlier, plus v+1, can appear).
-func isFutureVersion(recVer uint16, v uint32) bool {
-	return recVer == recVersion(v+1)
-}

@@ -47,13 +47,17 @@ func key64(k uint64) []byte {
 func valueUint64(r RecordRef) uint64 { return binary.LittleEndian.Uint64(r.Value(nil)) }
 
 func TestHeaderPacking(t *testing.T) {
-	// An address is 8-byte aligned: its low three bits belong to vw, and an
-	// unaligned prev loses them rather than spilling into the field.
-	for vw := 0; vw <= 7; vw++ {
+	// An address is 8-byte aligned and below MaxAddress: its low three bits and
+	// bit 47 belong to vw, and a prev with any of them set loses them rather
+	// than spilling into vw.
+	for vw := 0; vw <= 15; vw++ {
 		h := makeHeader(0xABCDEF012345, 777, vw)
-		r := RecordRef{words: []uint64{h, makeLens(8, 8, 8), 0, 0, 0, 0, 0, 0, 0}}
-		if r.Prev() != 0xABCDEF012340 {
+		r := RecordRef{words: append([]uint64{h, makeLens(8, 8, 8)}, make([]uint64, 16)...)}
+		if r.Prev() != 0x2BCDEF012340 {
 			t.Fatalf("vw %d: prev = %x", vw, r.Prev())
+		}
+		if got := headerVW(h); got != vw {
+			t.Fatalf("vw %d: header %#x carries vw %d", vw, h, got)
 		}
 		if r.Version() != 777 {
 			t.Fatalf("vw %d: version = %d", vw, r.Version())
@@ -78,7 +82,9 @@ func TestRecordSizeAlignment(t *testing.T) {
 	}{
 		{8, 8, 24}, // short form: header + key + value
 		{8, 56, 72},
-		{8, 64, 88}, // eight value words: the lens word is back
+		{8, 64, 80},
+		{8, 120, 136},
+		{8, 128, 152}, // sixteen value words: the lens word is back
 		{8, 5, 32},
 		{1, 1, 32},
 		{7, 8, 32},
@@ -119,6 +125,32 @@ func TestAllocateWriteRead(t *testing.T) {
 	}
 	if rec.Prev() != 0 {
 		t.Fatalf("prev = %d", rec.Prev())
+	}
+}
+
+// TestAllocateRefusesPastMaxAddress: no record is placed at or past 2^47, where
+// a header's bit 47 would stop being vw's — whether the tail stands on the
+// boundary or a record would have to spill onto the page that starts there.
+func TestAllocateRefusesPastMaxAddress(t *testing.T) {
+	l, em := newTestLog(t, 12, 4)
+	g := em.Acquire()
+	defer g.Release()
+	for _, c := range []struct {
+		tail uint64
+		size uint32
+	}{{MaxAddress, 24}, {MaxAddress - 16, 24}, {MaxAddress - 8, 4096}, {MaxAddress + 4096, 8}} {
+		l.tail.Store(c.tail)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("tail %#x: Allocate of %d bytes did not refuse", c.tail, c.size)
+				}
+			}()
+			l.Allocate(g, c.size)
+		}()
+		if l.Tail() != c.tail {
+			t.Fatalf("a refused allocation moved the tail from %#x to %#x", c.tail, l.Tail())
+		}
 	}
 }
 

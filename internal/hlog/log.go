@@ -272,10 +272,11 @@ func (l *Log) frameRange(from, to uint64) []byte {
 }
 
 // Allocate reserves size bytes (8-aligned, must fit one page) and returns the
-// record's logical address. It never fails; an allocation that would be the
-// first on a page opens that page first (see openPage), so the tail only ever
-// moves onto a page whose frame is ready, and a thread never refreshes its
-// epoch between reserving an address and writing the record there.
+// record's logical address. It fails — panics — only on a bad size or when the
+// record would lie past MaxAddress. An allocation that would be the first on a
+// page opens that page first (see openPage), so the tail only ever moves onto a
+// page whose frame is ready, and a thread never refreshes its epoch between
+// reserving an address and writing the record there.
 func (l *Log) Allocate(g Refresher, size uint32) uint64 {
 	if size == 0 || uint64(size) > l.pageSize {
 		panic(fmt.Sprintf("hlog: allocation size %d out of range (page %d)", size, l.pageSize))
@@ -291,6 +292,9 @@ func (l *Log) Allocate(g Refresher, size uint32) uint64 {
 			// not fit: it goes to the start of the next page.
 			if off != 0 {
 				at = (l.page(old) + 1) << l.cfg.PageBits
+			}
+			if at >= MaxAddress { // page-aligned: a record below it ends at or below it
+				panic(fmt.Sprintf("hlog: log full: a record at %d is past MaxAddress", at))
 			}
 			l.openPage(g, l.page(at))
 		}

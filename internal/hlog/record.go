@@ -25,21 +25,26 @@ import (
 // (in particular 0) denote "invalid / no record".
 const FirstAddress = 64
 
+// MaxAddress bounds the log (128 TiB): Allocate places no record at or past it,
+// so an address needs 47 bits and a header's bit 47 is free for vw.
+const MaxAddress = 1 << 47
+
 // A record is a header word, a lens word unless the header does without it, the
 // key and the value's capacity, each padded to whole words (DESIGN.md "Record
 // layout"). Header bit layout (word 0 of every record):
 //
-//	bits  0..2   vw: 0 = a lens word follows; 1..7 = none: the key is 8 bytes,
-//	             the value vw whole words, its capacity the same (short form)
-//	bits  3..47  previous address in this hash chain (48 bits, as in FASTER;
-//	             addresses are 8-byte aligned, which frees bits 0..2)
+//	bits  0..2   vw's low bits, bit 47 its high bit: 0 = a lens word follows;
+//	             1..15 = none: the key is 8 bytes, the value vw whole words, its
+//	             capacity the same (short form)
+//	bits  3..46  previous address in this hash chain (below MaxAddress and
+//	             8-byte aligned, which frees bits 0..2 and 47)
 //	bits 48..60  record version (13 bits, as in Sec. 6.2)
 //	bit  61      tombstone
 //	bit  62      invalid (set during recovery for post-CPR-point records)
 //	bit  63      lock (in-place value update latch; Go race-freedom tax)
 const (
-	vwMask       = uint64(7)
-	prevMask     = (uint64(1)<<48 - 1) &^ vwMask
+	vwMask       = uint64(7) | 1<<47
+	prevMask     = (MaxAddress - 1) &^ uint64(7)
 	versionShift = 48
 	versionBits  = 13
 	versionMask  = (uint64(1)<<versionBits - 1) << versionShift
@@ -64,7 +69,7 @@ const (
 )
 
 func makeHeader(prev uint64, version uint16, vw int) uint64 {
-	return prev&prevMask | uint64(vw) | uint64(version)<<versionShift&versionMask
+	return prev&prevMask | uint64(vw)&7 | uint64(vw)>>3<<47 | uint64(version)<<versionShift&versionMask
 }
 
 func makeLens(keyLen, valLen, valCap int) uint64 {
@@ -76,7 +81,7 @@ func makeLens(keyLen, valLen, valCap int) uint64 {
 // from lens only then), and the key's length, the value's and the value's
 // capacity in bytes.
 func shape(hdr uint64, lens *uint64) (hw, keyLen, valLen, valCap int) {
-	if vw := int(hdr & vwMask); vw != 0 {
+	if vw := int(hdr&vwMask>>44 | hdr&7); vw != 0 {
 		return 1, 8, 8 * vw, 8 * vw
 	}
 	w := atomic.LoadUint64(lens)
@@ -84,10 +89,10 @@ func shape(hdr uint64, lens *uint64) (hw, keyLen, valLen, valCap int) {
 }
 
 // chooseShape is the encoder's side of shape: a record does without its lens
-// word (hw 1, vw > 0) when its key is 8 bytes and its value 1..7 whole words
+// word (hw 1, vw > 0) when its key is 8 bytes and its value 1..15 whole words
 // that fill the capacity.
 func chooseShape(keyLen, valLen, valCap int) (hw, vw int) {
-	if keyLen == 8 && valLen == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 8*int(vwMask) {
+	if keyLen == 8 && valLen == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 8*15 {
 		return 1, valCap / 8
 	}
 	return 2, 0

@@ -16,6 +16,9 @@ import (
 // a log from before the short form existed reads and updates as it did, and the
 // page tails a 24-byte record leaves.
 
+// headerVW is the vw a header carries: bits 0..2, and bit 47 as its fourth.
+func headerVW(h uint64) int { return int(h&vwMask>>44 | h&7) }
+
 // wordsToBytes is a record's words as they lie on the device.
 func wordsToBytes(words []uint64) []byte {
 	b := make([]byte, 8*len(words))
@@ -33,7 +36,8 @@ func FuzzRecordShape(f *testing.F) {
 	for _, s := range []struct {
 		k, v int
 		grow uint8
-	}{{8, 8, 0}, {8, 56, 0}, {8, 64, 0}, {8, 5, 3}, {8, 8, 8}, {8, 0, 0}, {8, 0, 8}, {7, 8, 0}, {9, 16, 0}, {64, 128, 31}, {1, 1, 0}, {8, 24, 0}, {8, 12, 0}} {
+	}{{8, 8, 0}, {8, 56, 0}, {8, 64, 0}, {8, 5, 3}, {8, 8, 8}, {8, 0, 0}, {8, 0, 8}, {7, 8, 0}, {9, 16, 0}, {64, 128, 31}, {1, 1, 0}, {8, 24, 0}, {8, 12, 0},
+		{8, 120, 0}, {8, 128, 0}, {8, 112, 8}, {8, 100, 20}} {
 		f.Add(bytes.Repeat([]byte{0xA5}, s.k), bytes.Repeat([]byte{0x5A}, s.v), s.grow, uint32(s.k*1000+s.v), uint16(s.v*61+s.k), uint8(s.k+s.v))
 	}
 	em := epoch.New()
@@ -59,15 +63,15 @@ func FuzzRecordShape(f *testing.F) {
 		asked := l.Tail() - addr // nothing else appends: the tail is this record's end
 		rec := l.Record(addr)
 
-		short := rec.Header()&7 != 0
-		eligible := len(key) == 8 && len(val) == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 56
+		short := headerVW(rec.Header()) != 0
+		eligible := len(key) == 8 && len(val) == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 120
 		if short != eligible {
 			t.Fatalf("key %d, value %d in capacity %d: short form %v, eligible %v", len(key), len(val), valCap, short, eligible)
 		}
 		want := 8 * (2 + (len(key)+7)/8 + (valCap+7)/8)
 		if short {
 			want -= 8
-			if vw := int(rec.Header() & 7); vw != valCap/8 {
+			if vw := headerVW(rec.Header()); vw != valCap/8 {
 				t.Fatalf("vw = %d for a value of %d bytes", vw, valCap)
 			}
 		}
@@ -144,7 +148,9 @@ func TestInPlaceRule(t *testing.T) {
 		{"short 8", 8, 8, true, map[int]bool{8: true, 0: false, 5: false, 7: false, 9: false, 16: false}},
 		{"short 16", 16, 16, true, map[int]bool{16: true, 8: false, 15: false, 17: false, 24: false}},
 		{"short 56", 56, 56, true, map[int]bool{56: true, 48: false, 64: false}},
-		{"long: 64 bytes would need vw = 8", 64, 64, false, map[int]bool{64: true, 8: true, 0: true, 65: false}},
+		{"short 64: vw 8, bit 47 set", 64, 64, true, map[int]bool{64: true, 56: false, 8: false, 72: false}},
+		{"short 120", 120, 120, true, map[int]bool{120: true, 112: false, 119: false, 128: false}},
+		{"long: 128 bytes would need vw = 16", 128, 128, false, map[int]bool{128: true, 8: true, 0: true, 129: false}},
 		{"long: 5 bytes in 8", 5, 8, false, map[int]bool{8: true, 5: true, 0: true, 9: false}},
 		{"long: 8 bytes in 16", 8, 16, false, map[int]bool{16: true, 8: true, 3: true, 17: false}},
 		{"long: 12 bytes in 12", 12, 12, false, map[int]bool{12: true, 8: true, 13: false}},
@@ -152,7 +158,7 @@ func TestInPlaceRule(t *testing.T) {
 		for n, accepted := range c.sets {
 			for _, via := range []string{"SetValue", "UpdateValue"} {
 				rec := mustAppend(t, l, g, 1, fill(c.val, 0x11), c.valCap)
-				if short := rec.Header()&7 != 0; short != c.short {
+				if short := headerVW(rec.Header()) != 0; short != c.short {
 					t.Fatalf("%s: short form %v", c.name, short)
 				}
 				size, next := rec.Size(), fill(n, 0x22)
@@ -224,12 +230,26 @@ type oldRec struct {
 	tombstone  bool
 	key, val   []byte
 	valCap     int
+	short      bool   // no lens word
+	raw        []byte // the bytes written, while nothing updated the record
 }
 
-// oldImage is a log of 4 KiB pages in the old layout, from FirstAddress on:
-// page 0 is 126 records of 8 + 8 (32 bytes each: it fills exactly), page 1
-// holds a chain of updates to key 0, a 100-byte value, a 5-byte value in an
-// 8-byte capacity, a 13-byte key and a tombstone, and the log ends there.
+// size is the record's footprint: header, lens word unless short, key, capacity.
+func (r oldRec) size() int {
+	n := 16 + (len(r.key)+7)/8*8 + (r.valCap+7)/8*8
+	if r.short {
+		n -= 8
+	}
+	return n
+}
+
+// oldImage is a log of 4 KiB pages from FirstAddress on. Pages 0 and 1 are in
+// the layout from before the short form: page 0 is 126 records of 8 + 8 (32
+// bytes each: it fills exactly), page 1 holds a chain of updates to key 0, a
+// 100-byte value, a 5-byte value in an 8-byte capacity, a 13-byte key and a
+// tombstone. Page 2 is in the layout the short form had before vw took bit 47:
+// a record of seven value words without a lens word and a 64-byte value with
+// one. The log ends there.
 func oldImage(t *testing.T) (image []byte, recs []oldRec) {
 	// The first record, byte by byte: no previous address, version 1, key
 	// length 8, value length 8, capacity 8, key 0, value 1000.
@@ -242,7 +262,7 @@ func oldImage(t *testing.T) (image []byte, recs []oldRec) {
 	if !bytes.Equal(image, oldRecord(0, 1, false, key64(0), key64(1000), 8)) {
 		t.Fatal("oldRecord does not spell the literal record")
 	}
-	recs = append(recs, oldRec{FirstAddress, 0, 1, false, key64(0), key64(1000), 8})
+	recs = append(recs, oldRec{FirstAddress, 0, 1, false, key64(0), key64(1000), 8, false, bytes.Clone(image)})
 	add := func(prev uint64, version uint16, tombstone bool, key, val []byte, valCap int) uint64 {
 		addr := FirstAddress + uint64(len(image))
 		b := oldRecord(prev, version, tombstone, key, val, valCap)
@@ -250,7 +270,7 @@ func oldImage(t *testing.T) (image []byte, recs []oldRec) {
 			t.Fatalf("old image: record at %d straddles a page", addr)
 		}
 		image = append(image, b...)
-		recs = append(recs, oldRec{addr, prev, version, tombstone, key, val, valCap})
+		recs = append(recs, oldRec{addr, prev, version, tombstone, key, val, valCap, false, b})
 		return addr
 	}
 	for k := uint64(1); k < 126; k++ {
@@ -265,22 +285,42 @@ func oldImage(t *testing.T) (image []byte, recs []oldRec) {
 	add(0, 2, false, key64(201), []byte("short"), 8)
 	add(0, 3, false, []byte("thirteen bytes"[:13]), key64(7), 8)
 	add(FirstAddress+32, 3, true, key64(1), nil, 8)
-	return image, recs
+
+	// Page 2, byte by byte, as the short form wrote it with vw in bits 0..2
+	// alone (bit 47, an address bit then, always zero).
+	image = append(image, make([]byte, 2<<12-FirstAddress-len(image))...)
+	short := append([]byte{
+		0x07, 0, 0, 0, 0, 0, 0x04, 0x00, // header: vw 7, prev 0, version 4 << 48
+		0xC8, 0, 0, 0, 0, 0, 0, 0, // key 200
+	}, bytes.Repeat([]byte{0x77}, 56)...) // value: seven words
+	long := append([]byte{
+		0x00, 0x20, 0, 0, 0, 0, 0x05, 0x00, // header: vw 0, prev 8192 (the record before), version 5 << 48
+		8, 0, 64, 0, 0, 64, 0, 0, // lens: key 8 | value 64 << 16 | capacity 64 << 40
+		0xC8, 0, 0, 0, 0, 0, 0, 0, // key 200
+	}, bytes.Repeat([]byte{0x64}, 64)...) // value: eight words, which vw 7 could not say
+	if binary.LittleEndian.Uint64(short) != makeHeader(0, 4, 7) {
+		t.Fatal("a vw-7 header is not spelled as it was")
+	}
+	recs = append(recs,
+		oldRec{2 << 12, 0, 4, false, key64(200), bytes.Repeat([]byte{0x77}, 56), 56, true, short},
+		oldRec{2<<12 + 72, 2 << 12, 5, false, key64(200), bytes.Repeat([]byte{0x64}, 64), 64, false, long})
+	return append(append(image, short...), long...), recs
 }
 
 func (r oldRec) check(t *testing.T, how string, rec RecordRef) {
 	t.Helper()
 	if !rec.KeyEquals(r.key) || !bytes.Equal(rec.Value(nil), r.val) || rec.Prev() != r.prev ||
 		rec.Version() != r.version || rec.Tombstone() != r.tombstone || rec.Invalid() ||
-		int(rec.Size()) != 16+(len(r.key)+7)/8*8+(r.valCap+7)/8*8 {
+		int(rec.Size()) != r.size() || r.raw != nil && !bytes.Equal(wordsToBytes(rec.words[:r.size()/8]), r.raw) {
 		t.Fatalf("%s: record at %d reads key %x value %x prev %d version %d tombstone %v size %d, written %+v",
 			how, r.addr, rec.Key(nil), rec.Value(nil), rec.Prev(), rec.Version(), rec.Tombstone(), rec.Size(), r)
 	}
 }
 
-// TestOldLayoutStillReads: a device holding the old layout — every record with
-// its lens word, alignment bits zero — is loaded, scanned, read cold and
-// synchronously, updated in place and appended to.
+// TestOldLayoutStillReads: a device holding the old layouts — every record with
+// its lens word, alignment bits zero; the short form with vw in bits 0..2 alone
+// — is loaded, scanned, read cold and synchronously, byte for byte the records
+// written, updated in place and appended to.
 func TestOldLayoutStillReads(t *testing.T) {
 	image, recs := oldImage(t)
 	end := FirstAddress + uint64(len(image))
@@ -330,8 +370,8 @@ func TestOldLayoutStillReads(t *testing.T) {
 		r.check(t, "AsyncRead", rec)
 	}
 
-	// In place, as before: any length up to the capacity, the record's size
-	// and neighbours untouched.
+	// In place, as before: any length up to the capacity — a short-form record
+	// only its own — the record's size and neighbours untouched.
 	g := em.Acquire()
 	defer g.Release()
 	for i, r := range recs {
@@ -339,7 +379,13 @@ func TestOldLayoutStillReads(t *testing.T) {
 			continue
 		}
 		rec := l.Record(r.addr)
-		next := bytes.Repeat([]byte{byte(i)}, r.valCap-i%2) // full, and a byte short of it
+		n := r.valCap
+		if !r.short {
+			n -= i % 2 // full, and a byte short of it
+		} else if rec.SetValue(make([]byte, n-1)) {
+			t.Fatalf("a short-form record took a value of %d bytes for its %d", n-1, n)
+		}
+		next := bytes.Repeat([]byte{byte(i)}, n)
 		if i%3 == 0 {
 			var scratch []byte
 			if !rec.UpdateValue(&scratch, func([]byte) []byte { return next }) {
@@ -351,14 +397,14 @@ func TestOldLayoutStillReads(t *testing.T) {
 		if rec.SetValue(make([]byte, r.valCap+1)) {
 			t.Fatalf("SetValue past the capacity %d accepted", r.valCap)
 		}
-		recs[i].val = next
+		recs[i].val, recs[i].raw = next, nil
 	}
 	scan("updated in place", end)
 
 	// New records go on behind the old ones, in the form their lengths allow.
 	for k := uint64(300); k < 600; k++ {
 		rec := mustAppend(t, l, g, k, key64(k), 8)
-		recs = append(recs, oldRec{addr: l.Tail() - uint64(rec.Size()), version: 1, key: key64(k), val: key64(k), valCap: 8})
+		recs = append(recs, oldRec{addr: l.Tail() - uint64(rec.Size()), version: 1, key: key64(k), val: key64(k), valCap: 8, short: true})
 	}
 	i := 0
 	if err := l.Scan(FirstAddress, l.Tail(), func(addr uint64, rec RecordRef) bool {
@@ -366,7 +412,7 @@ func TestOldLayoutStillReads(t *testing.T) {
 		if addr != r.addr || !rec.KeyEquals(r.key) || !bytes.Equal(rec.Value(nil), r.val) {
 			t.Fatalf("old and new: scan delivered #%d at %d (key %x), want the record at %d", i, addr, rec.Key(nil), r.addr)
 		}
-		if wantShort := addr >= end; wantShort != (rec.Header()&7 != 0) || wantShort && rec.Size() != RecordSize(8, 8) {
+		if r.short != (headerVW(rec.Header()) != 0) || int(rec.Size()) != r.size() {
 			t.Fatalf("old and new: record at %d (log in the old layout ends at %d) has header %#x, size %d", addr, end, rec.Header(), rec.Size())
 		}
 		i++
