@@ -197,8 +197,8 @@ type FlightRecorder = obs.FlightRecorder
 // FlightEvent is one decoded flight-recorder event.
 type FlightEvent = obs.FlightEvent
 
-// NewFlightRecorder returns a recorder holding capacity events per per-core
-// ring (rounded up to a power of two, minimum 64).
+// NewFlightRecorder returns a recorder holding capacity events in its event
+// ring (rounded up to a power of two, minimum 64) beside the lifecycle ring.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	return obs.NewFlightRecorder(capacity)
 }

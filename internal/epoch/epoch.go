@@ -141,6 +141,15 @@ func (g *Guard) Refresh() {
 	}
 }
 
+// Suspend declares that the guard's thread holds no references until its next
+// Refresh (LightEpoch's Suspend): it keeps its slot but holds back no epoch.
+func (g *Guard) Suspend() {
+	g.m.table[g.slot].local.Store(^uint64(0)) // above every epoch: Safe skips it
+	if g.m.drainCount.Load() > 0 {
+		g.m.drainReady()
+	}
+}
+
 // Release removes the guard from the epoch table. Any actions that become
 // ready as a result are triggered. The guard must not be used afterwards.
 func (g *Guard) Release() {

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -178,9 +179,9 @@ func (s *Store) finishCommit(c *storeCommit) {
 		rec.Attachments, res.Err = s.commitAttachments(res)
 	}
 	if res.Err == nil {
-		var n int
+		var n int64
 		n, res.Err = writeRecord(s.cfg.Checkpoints, &rec, s.cfg.Flight)
-		res.Bytes += int64(n)
+		res.Bytes += n
 	}
 	if res.Err == nil {
 		s.noteCommitted(res)
@@ -371,13 +372,7 @@ func (ck *checkpointCtx) waitFlush() {
 	if ck.withIndex {
 		sec.Lis = sh.log.Tail()
 		sec.Index = blobName("index", ck.token, sh.id)
-		// The index knows its size: the image is built once, inside its
-		// checksum envelope (so the write can be retried whole on a transient
-		// fault), and handed to the checkpoint store as is.
-		var n int
-		n, err = writeBuiltFlight(sh.cfg.Checkpoints, sec.Index, sh.index.imageSize(),
-			sh.index.appendImage, sh.flight, sh.id, ck.version)
-		written += int64(n)
+		written, err = storage.WriteArtifactStream(sh.cfg.Checkpoints, sec.Index, sh.index.writeImage, sh.flight, sh.id, uint64(ck.version))
 		sec.Lie = sh.log.Tail()
 	} else {
 		// Carry the most recent index checkpoint forward so log-only
@@ -405,12 +400,15 @@ func (ck *checkpointCtx) waitFlush() {
 		case Snapshot:
 			sec.SnapshotStart = sh.log.Durable()
 			sec.Snapshot = blobName("snapshot", ck.token, sh.id)
-			var data []byte
-			data, err = sh.log.SnapshotRange(sec.SnapshotStart, captureEnd)
-			if err == nil {
-				err = writeArtifactFlight(sh.cfg.Checkpoints, sec.Snapshot, data, sh.flight, sh.id, ck.version)
-				written += int64(len(data))
-			}
+			// Once every session has refreshed, the records below captureEnd are
+			// whole: a v+1 one half written would end its page, hiding v records.
+			drained := make(chan struct{})
+			sh.epochs.BumpEpoch(func() { close(drained) })
+			<-drained
+			_, err = storage.WriteArtifactStream(sh.cfg.Checkpoints, sec.Snapshot, func(w io.Writer) error {
+				return sh.log.WriteRange(w, sec.SnapshotStart, captureEnd)
+			}, sh.flight, sh.id, uint64(ck.version))
+			written += int64(captureEnd - sec.SnapshotStart)
 		}
 	}
 
@@ -438,27 +436,4 @@ func (ck *checkpointCtx) waitFlush() {
 	sh.ckptMu.Unlock()
 	ck.bumpEpoch()
 	close(ck.done)
-}
-
-// writeArtifactFlight persists one named artifact inside the checksum
-// envelope, retrying transient store errors (see storage.WriteArtifactChecked),
-// with flight events: one artifact-retry per transient failure that gets
-// retried and one artifact-write on success
-// (token = artifact name, so filtering by commit token matches every artifact
-// of that commit).
-func writeArtifactFlight(cs storage.CheckpointStore, name string, data []byte, fr *obs.FlightRecorder, shard int, version uint32) error {
-	_, err := writeBuiltFlight(cs, name, len(data), func(dst []byte) []byte { return append(dst, data...) }, fr, shard, version)
-	return err
-}
-
-// writeBuiltFlight is writeArtifactFlight for a payload build appends (see
-// storage.WriteArtifactBuilt); it returns the payload's length.
-func writeBuiltFlight(cs storage.CheckpointStore, name string, payloadCap int, build func(dst []byte) []byte, fr *obs.FlightRecorder, shard int, version uint32) (int, error) {
-	n, err := storage.WriteArtifactBuilt(cs, name, payloadCap, build, func(attempt int, _ error) {
-		fr.Emit(obs.FlightArtifactRetry, shard, uint64(version), name, "", uint64(attempt), 0)
-	})
-	if err == nil {
-		fr.Emit(obs.FlightArtifactWrite, shard, uint64(version), name, "", uint64(n), 0)
-	}
-	return n, err
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -481,5 +483,95 @@ func TestVerifyCommits(t *testing.T) {
 			}
 			check("index blob of commit 2 removed", tokens[1], tokens[2], tokens[3])
 		})
+	}
+}
+
+// TestSnapshotCommitMemory: a snapshot commit of a volatile region of more
+// than 64 MiB allocates less than 2 MiB of heap, and so does the recovery that
+// slots the capture back — beyond the frames it loads and the index it
+// decodes: the capture goes page by page from the frames to the artifact, and
+// back, verified first, page by page to the device.
+func TestSnapshotCommitMemory(t *testing.T) {
+	const (
+		pageBits = 16
+		memPages = 1152 // 72 MiB of frames; the mutable nine tenths are the volatile region
+		budget   = 2 << 20
+	)
+	dir := t.TempDir()
+	open := func() Config {
+		dev, err := storage.OpenFileDevice(filepath.Join(dir, "log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Close() })
+		cs, err := storage.NewDirCheckpointStore(filepath.Join(dir, "checkpoints"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{IndexBuckets: 1 << 14, PageBits: pageBits, MemPages: memPages, Device: dev, Checkpoints: cs}
+	}
+	heap := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cfg := open()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.StartSession()
+	val := make([]byte, 1000)
+	var keys uint64
+	for ; s.Log().Tail()-s.Log().Durable() < 64<<20; keys++ {
+		if st := sess.Upsert(key(keys), val); st == Pending {
+			sess.CompletePending(true)
+		}
+	}
+	snapshot := Snapshot
+	var res CommitResult
+	commitHeap := heap(func() {
+		token, err := s.Commit(CommitOptions{Kind: &snapshot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ok := false; !ok; res, ok = s.TryResult(token) {
+			sess.Refresh() // the capture waits for every session to refresh
+			runtime.Gosched()
+		}
+	})
+	if res.Err != nil || commitHeap > budget {
+		t.Errorf("a snapshot commit of %d MiB allocated %d KiB (%v)", res.Bytes>>20, commitHeap>>10, res.Err)
+	}
+	sess.StopSession()
+	s.Close()
+
+	cfg = open()
+	var r *Store
+	grew := heap(func() {
+		if r, err = Recover(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer r.Close()
+	idx, lg := r.shards[0].index, r.Log()
+	frames := (lg.Tail()-1)>>pageBits - lg.Head()>>pageBits + 2 // the resident pages and New's page 0
+	held := frames<<pageBits + uint64(64*len(idx.buckets))
+	for i := range idx.overflowChunks {
+		if idx.overflowChunks[i].Load() != nil {
+			held += 64 * overflowChunkSize
+		}
+	}
+	t.Logf("a %d MiB snapshot: the commit allocated %d KiB, its recovery %d KiB (frames and index: %d KiB)",
+		res.Bytes>>20, commitHeap>>10, grew>>10, held>>10)
+	if grew > held+budget {
+		t.Errorf("recovering a %d MiB snapshot allocated %d KiB, more than %d KiB of frames and index and %d KiB",
+			res.Bytes>>20, grew>>10, held>>10, budget>>10)
+	}
+	if v, ok := readVal(t, r.StartSession(), keys-1); !ok || len(v) != len(val) {
+		t.Fatalf("the last key of the capture reads %d bytes (found %v)", len(v), ok)
 	}
 }

@@ -3,6 +3,7 @@ package faster
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -682,15 +683,14 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 		slot.Store(tagOf(h) | uint64(64+i*32))
 	}
 	store := storage.NewMemCheckpointStore()
-	if err := storage.WriteArtifact(store, "idx", idx.appendImage(nil)); err != nil {
+	if _, err := storage.WriteArtifactStream(store, "idx", idx.writeImage, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	image, err := storage.ReadArtifact(store, "idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2, err := decodeIndex(image)
-	if err != nil {
+	var idx2 *index
+	if err := storage.ReadArtifactStream(store, "idx", func(r io.Reader, n int64) (err error) {
+		idx2, err = decodeIndex(r, n)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {

@@ -6,7 +6,10 @@
 package faster
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -316,28 +319,32 @@ const (
 	imageTagMask    = 1<<entryTagBits - 1
 )
 
-// imageSize is a capacity hint for appendImage: the image's exact size if no
-// operation runs in between, from the encoder's own walk.
-func (idx *index) imageSize() int {
-	var g imageGroup
-	next, n := idx.overflowNext.Load(), imageHeaderSize
-	idx.eachBucket(next, func(b *bucket) { n += g.encode(b, next) })
-	return n
-}
+// imageBatch is how much image writeImage and decodeIndex hold at a time.
+const imageBatch = 64 << 10
 
-// appendImage appends the serialized index to dst with atomic word loads.
-// Latch bits are masked out; tentative entries are dropped (their inserters
-// will redo), and so is a link to an overflow bucket claimed after the capture
-// began: everything behind it was inserted after Lis and is replayed, and
-// carried along the link would outlive the recovered slab's reuse of its target.
-func (idx *index) appendImage(dst []byte) []byte {
+// writeImage streams the serialized index to w a batch of bucket groups at a
+// time. Latch bits are masked out; tentative entries are dropped (their
+// inserters will redo), and so is a link to an overflow bucket claimed after the
+// capture began: everything behind it was inserted after Lis and is replayed,
+// and carried along the link would outlive the recovered slab's reuse of it.
+func (idx *index) writeImage(w io.Writer) error {
 	var g imageGroup
 	next := idx.overflowNext.Load()
-	dst = binary.LittleEndian.AppendUint64(dst, imageMagic)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(idx.buckets)))
-	dst = binary.LittleEndian.AppendUint64(dst, next)
-	idx.eachBucket(next, func(b *bucket) { dst = append(dst, g[:g.encode(b, next)]...) })
-	return dst
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, imageBatch), imageMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(idx.buckets)))
+	buf = binary.LittleEndian.AppendUint64(buf, next)
+	var err error
+	idx.eachBucket(next, func(b *bucket) {
+		if len(buf)+len(g) > cap(buf) && err == nil {
+			_, err = w.Write(buf)
+			buf = buf[:0]
+		}
+		buf = append(buf, g[:g.encode(b, next)]...)
+	})
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
 }
 
 // imageGroup holds one bucket's group of the image.
@@ -360,44 +367,55 @@ func (g *imageGroup) encode(b *bucket, next uint64) int {
 	return n
 }
 
-// decodeIndex rebuilds an index from an image. It trusts nothing: the header's
-// counts are checked against len(data) before any bucket is allocated (a bucket
-// costs the image at least its presence byte), and what appendImage cannot
-// have written — a uvarint that is not minimal, an entry of tag 0 or with an
-// address past hlog.MaxAddress, a link that does not point forward into the
-// slab — fails the decode.
-func decodeIndex(data []byte) (*index, error) {
-	if len(data) >= imageHeaderSize && binary.LittleEndian.Uint64(data) == imageMagicFixed {
+// decodeIndex rebuilds an index from the n-byte image r reads, in one pass and
+// privately: r's io.EOF comes once the artifact verified. It trusts nothing: the
+// header's counts are checked against n before any bucket is allocated (a
+// bucket costs the image at least its presence byte), and what writeImage
+// cannot have written — a uvarint that is not minimal, an entry of tag 0 or
+// past hlog.MaxAddress, a link not forward into the slab, a byte past the last
+// bucket — fails the decode.
+func decodeIndex(r io.Reader, n int64) (*index, error) {
+	var hdr [imageHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:min(n, imageHeaderSize)]); err != nil {
+		return nil, fmt.Errorf("faster: index checkpoint header: %w", err)
+	}
+	if n >= imageHeaderSize && binary.LittleEndian.Uint64(hdr[:]) == imageMagicFixed {
 		return nil, fmt.Errorf("faster: index checkpoint: a CPRIDX2 image (8-byte words, from before the varint image); this version cannot read it")
 	}
-	if len(data) < imageHeaderSize || binary.LittleEndian.Uint64(data) != imageMagic {
-		return nil, fmt.Errorf("faster: index checkpoint: %d bytes without the CPRIDX3 magic (a dense image from before the sparse format?)", len(data))
+	if n < imageHeaderSize || binary.LittleEndian.Uint64(hdr[:]) != imageMagic {
+		return nil, fmt.Errorf("faster: index checkpoint: %d bytes without the CPRIDX3 magic (a dense image from before the sparse format?)", n)
 	}
-	nBuckets := binary.LittleEndian.Uint64(data[8:])
-	next := binary.LittleEndian.Uint64(data[16:])
-	room := uint64(len(data) - imageHeaderSize)
+	nBuckets := binary.LittleEndian.Uint64(hdr[8:])
+	next := binary.LittleEndian.Uint64(hdr[16:])
+	room := uint64(n - imageHeaderSize)
 	if next == 0 || next-1 > overflowMaxChunks*overflowChunkSize || nBuckets > room || next-1 > room-nBuckets {
 		return nil, fmt.Errorf("faster: index checkpoint: header claims %d+%d buckets, image is %d bytes",
-			nBuckets, next-1, len(data))
+			nBuckets, next-1, n)
 	}
 	idx, err := newIndex(int(nBuckets), 0)
 	if err != nil {
 		return nil, err
 	}
 	idx.overflowNext.Store(next)
-	p := data[imageHeaderSize:]
-	for i := range idx.buckets {
-		if p, err = decodeBucket(&idx.buckets[i], p, 0, next); err != nil {
-			return nil, fmt.Errorf("faster: index checkpoint bucket %d: %w", i, err)
+	br := bufio.NewReaderSize(r, imageBatch)
+	var window, p []byte // what br holds, and the part of it not yet decoded
+	for k := uint64(0); k < nBuckets+next-1; k++ {
+		if len(p) < len(imageGroup{}) { // short at the end: decodeBucket finds a truncation
+			br.Discard(len(window) - len(p))
+			window, _ = br.Peek(imageBatch)
+			p = window
+		}
+		self, b := max(k+1, nBuckets)-nBuckets, &idx.buckets[k&idx.mask] // the main array, then the slab
+		if self > 0 {
+			b = idx.overflowBucket(self)
+		}
+		if p, err = decodeBucket(b, p, self, next); err != nil {
+			return nil, fmt.Errorf("faster: index checkpoint bucket %d: %w", k, err)
 		}
 	}
-	for k := uint64(1); k < next; k++ {
-		if p, err = decodeBucket(idx.overflowBucket(k), p, k, next); err != nil {
-			return nil, fmt.Errorf("faster: index checkpoint overflow bucket %d: %w", k, err)
-		}
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("faster: index checkpoint: %d bytes after the last bucket", len(p))
+	br.Discard(len(window) - len(p))
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, cmp.Or(err, errors.New("faster: index checkpoint: bytes after the last bucket"))
 	}
 	return idx, nil
 }

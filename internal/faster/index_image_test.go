@@ -75,18 +75,30 @@ func imageBytes(nBuckets int, words []imageWord) int {
 	return n
 }
 
+// imageOf is the image writeImage streams for idx.
+func imageOf(idx *index) []byte {
+	var b bytes.Buffer
+	idx.writeImage(&b) //nolint:errcheck // a bytes.Buffer does not fail
+	return b.Bytes()
+}
+
+// decodeImage is decodeIndex of an image held whole.
+func decodeImage(image []byte) (*index, error) {
+	return decodeIndex(bytes.NewReader(image), int64(len(image)))
+}
+
 // checkRoundTrip encodes a quiescent idx, decodes the image and holds both to
 // the format's contract.
 func checkRoundTrip(t *testing.T, idx *index) []byte {
 	t.Helper()
 	want := indexWords(idx, true)
-	image := idx.appendImage(nil)
+	image := imageOf(idx)
 	nBuckets := len(idx.buckets) + int(idx.overflowNext.Load()) - 1
-	if size := imageBytes(nBuckets, want); len(image) != size || idx.imageSize() != size {
-		t.Fatalf("image is %d bytes, imageSize() %d; %d buckets holding %d words make %d",
-			len(image), idx.imageSize(), nBuckets, len(want), size)
+	if size := imageBytes(nBuckets, want); len(image) != size {
+		t.Fatalf("image is %d bytes; %d buckets holding %d words make %d",
+			len(image), nBuckets, len(want), size)
 	}
-	back, err := decodeIndex(image)
+	back, err := decodeImage(image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +111,7 @@ func checkRoundTrip(t *testing.T, idx *index) []byte {
 		t.Fatalf("decoded index holds %d words, the original %d non-tentative entries and links (or they differ)",
 			len(got), len(want))
 	}
-	if again := back.appendImage(nil); !bytes.Equal(again, image) {
+	if again := imageOf(back); !bytes.Equal(again, image) {
 		t.Fatal("decodeIndex(image) does not re-encode to the same image")
 	}
 	return image
@@ -190,7 +202,7 @@ func TestIndexImageRoundTrip(t *testing.T) {
 		t.Fatalf("golden index has only %d overflow buckets", next-1)
 	}
 	image := checkRoundTrip(t, idx)
-	back, err := decodeIndex(image)
+	back, err := decodeImage(image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +228,7 @@ func TestIndexImageRoundTrip(t *testing.T) {
 // TestIndexImageProperty: for random indexes — empty to heavily chained, with
 // holes, leaked overflow buckets, tentative entries (set on live entries and
 // left behind in free slots) and shared and exclusive latches held —
-// decodeIndex(appendImage(idx)) holds every non-tentative entry and every
+// decodeIndex(writeImage(idx)) holds every non-tentative entry and every
 // overflow link of idx, in place, and nothing else.
 func TestIndexImageProperty(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
@@ -302,7 +314,7 @@ func TestIndexArtifactBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeIndex(payload)
+	back, err := decodeImage(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +325,7 @@ func TestIndexArtifactBytes(t *testing.T) {
 
 // badImages are images decodeIndex must refuse, each derived from idx.
 func badImages(idx *index) map[string][]byte {
-	image := idx.appendImage(nil)
+	image := imageOf(idx)
 	overclaim := bytes.Clone(image)
 	binary.LittleEndian.PutUint64(overclaim[8:], 1<<40) // 64 TiB of buckets in a 2 KiB image
 	slab := bytes.Clone(image)
@@ -335,14 +347,14 @@ func badImages(idx *index) map[string][]byte {
 func TestDecodeIndexRejects(t *testing.T) {
 	idx := goldenIndex(t)
 	for name, image := range badImages(idx) {
-		if _, err := decodeIndex(image); err == nil {
+		if _, err := decodeImage(image); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	if _, err := decodeIndex(fixedImage(idx)); err == nil || !strings.Contains(err.Error(), "CPRIDX2") {
+	if _, err := decodeImage(fixedImage(idx)); err == nil || !strings.Contains(err.Error(), "CPRIDX2") {
 		t.Errorf("a CPRIDX2 image: %v, want a refusal naming the format", err)
 	}
-	image := idx.appendImage(nil)
+	image := imageOf(idx)
 	link := bits.OnesCount8(image[imageHeaderSize] &^ imageLinkBit) // bucket 0's link is its word #link
 	if image[imageHeaderSize]&imageLinkBit == 0 {
 		t.Fatal("golden bucket 0 has no overflow link")
@@ -364,7 +376,7 @@ func TestDecodeIndexRejects(t *testing.T) {
 		if strings.HasPrefix(name, "entry") {
 			at = 0
 		}
-		if _, err := decodeIndex(respell(image, at, word)); err == nil {
+		if _, err := decodeImage(respell(image, at, word)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -508,11 +520,11 @@ func TestIndexImageConcurrentWriters(t *testing.T) {
 
 // FuzzDecodeIndex: decodeIndex on arbitrary bytes never panics and never
 // allocates more than the image can account for — a bucket costs the image at
-// least one byte and the heap 64, plus the slab's chunk rounding — and what it
-// accepts re-encodes to the same bytes.
+// least one byte and the heap 64, plus the slab's chunk rounding and the
+// reader's buffer — and what it accepts re-encodes to the same bytes.
 func FuzzDecodeIndex(f *testing.F) {
 	idx := goldenIndex(f)
-	image := idx.appendImage(nil)
+	image := imageOf(idx)
 	f.Add(image)
 	for _, bad := range badImages(idx) {
 		f.Add(bad)
@@ -525,16 +537,16 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		back, err := decodeIndex(data)
+		back, err := decodeImage(data)
 		runtime.ReadMemStats(&after)
 		const chunkBytes = overflowChunkSize * 64
-		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+2*chunkBytes+1<<16); grew > bound {
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+2*chunkBytes+imageBatch+1<<16); grew > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), grew, bound)
 		}
 		if err != nil {
 			return
 		}
-		if again := back.appendImage(nil); !bytes.Equal(again, data) {
+		if again := imageOf(back); !bytes.Equal(again, data) {
 			t.Fatalf("accepted a %d-byte image that re-encodes to %d different bytes", len(data), len(again))
 		}
 	})

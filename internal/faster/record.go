@@ -130,12 +130,12 @@ func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error)
 
 // writeRecord persists rec — inside the checksum envelope, retried and
 // recorded like every artifact — and returns the payload's length.
-func writeRecord(cs storage.CheckpointStore, rec *commitRecord, fr *obs.FlightRecorder) (int, error) {
+func writeRecord(cs storage.CheckpointStore, rec *commitRecord, fr *obs.FlightRecorder) (int64, error) {
 	buf, err := json.Marshal(rec)
 	if err != nil {
 		return 0, err
 	}
-	return len(buf), writeArtifactFlight(cs, recordName(rec.Token), buf, fr, -1, rec.Version)
+	return storage.WriteArtifactStream(cs, recordName(rec.Token), storage.Payload(buf), fr, -1, uint64(rec.Version))
 }
 
 // amendRecord drops the page checksums of shard i's touched pages from the
@@ -236,7 +236,7 @@ func VerifyCommits(cs storage.CheckpointStore) (commits []CommitVerdict, orphans
 		} else {
 			for _, name := range rec.blobs() {
 				if _, seen := blobErr[name]; !seen {
-					_, blobErr[name] = storage.ReadArtifactChecked(cs, name)
+					blobErr[name] = storage.ReadArtifactStream(cs, name, nil)
 				}
 				if err := blobErr[name]; err != nil {
 					v.Problems = append(v.Problems, err.Error())

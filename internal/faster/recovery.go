@@ -3,6 +3,7 @@ package faster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"strings"
@@ -198,11 +199,12 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex
 	// replay the whole log.
 	sec := &rec.Shards[id]
 	if sec.Index != "" {
-		var data []byte
-		if data, err = storage.ReadArtifactChecked(cfg.Checkpoints, sec.Index); err != nil {
-			err = fmt.Errorf("faster: recover index: %w", err)
-		} else {
-			sh.index, err = decodeIndex(data)
+		var idx *index
+		if err = storage.ReadArtifactStream(cfg.Checkpoints, sec.Index, func(r io.Reader, n int64) (err error) {
+			idx, err = decodeIndex(r, n)
+			return err
+		}); err == nil {
+			sh.index = idx
 		}
 	}
 	if err == nil {
@@ -252,12 +254,27 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 	end := sec.logEnd()
 	sh.futureFrom[rec.Version&1].Store(sec.Lhs)
 	if sec.Snapshot != "" {
-		data, err := storage.ReadArtifactChecked(sh.cfg.Checkpoints, sec.Snapshot)
+		// One pass verifies the artifact, the next writes it to the device a
+		// page at a time: nothing of a capture that does not verify gets there.
+		cs := sh.cfg.Checkpoints
+		err := storage.ReadArtifactStream(cs, sec.Snapshot, nil)
+		if err == nil {
+			err = storage.ReadArtifactStream(cs, sec.Snapshot, func(r io.Reader, n int64) error {
+				buf := make([]byte, min(sh.log.PageSize(), uint64(n)))
+				for at, end := sec.SnapshotStart, sec.SnapshotStart+uint64(n); at < end; at += uint64(len(buf)) {
+					buf = buf[:min(uint64(len(buf)), end-at)]
+					if _, err := io.ReadFull(r, buf); err != nil {
+						return err
+					}
+					if err := sh.log.RestoreRange(at, buf); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
 		if err != nil {
 			return fmt.Errorf("faster: snapshot: %w", err)
-		}
-		if err := sh.log.RestoreRange(sec.SnapshotStart, data); err != nil {
-			return err
 		}
 	}
 	if err := sh.log.RecoverTo(end); err != nil {

@@ -223,7 +223,7 @@ func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recovered
 		t.Fatal(err)
 	}
 	for _, sh := range s.shards {
-		st.indexes = append(st.indexes, sh.index.appendImage(nil))
+		st.indexes = append(st.indexes, imageOf(sh.index))
 		dev := make([]byte, sh.cfg.Device.Size())
 		if _, err := sh.cfg.Device.ReadAt(dev, 0); err != nil {
 			t.Fatal(err)

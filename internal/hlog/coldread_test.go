@@ -258,3 +258,34 @@ func BenchmarkFlushPage(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAppend is Allocate + WriteRecord of an 8-byte key and a value of 8
+// or 64 bytes over 16 one-MiB frames, so the log also flushes and evicts as it
+// grows: what the benchmark's hlog.alloc_write_ns probe runs.
+func BenchmarkAppend(b *testing.B) {
+	for _, n := range []int{8, 64} {
+		b.Run(fmt.Sprintf("v%d", n), func(b *testing.B) {
+			em := epoch.New()
+			l, err := New(Config{PageBits: 20, MemPages: 16, Device: discardDevice{}, Epochs: em})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			g := em.Acquire()
+			defer g.Release()
+			val, size := make([]byte, n), RecordSize(8, n)
+			var key [8]byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				binary.LittleEndian.PutUint64(key[:], uint64(i))
+				if err := l.WriteRecord(l.Allocate(g, size), 0, 1, key[:], val, n); err != nil {
+					b.Fatal(err)
+				}
+				if i%64 == 0 {
+					g.Refresh()
+				}
+			}
+		})
+	}
+}

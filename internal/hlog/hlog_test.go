@@ -363,11 +363,11 @@ func TestSnapshotAndRestore(t *testing.T) {
 		}
 	}
 	end := l.Tail()
-	snap, err := l.SnapshotRange(FirstAddress, end)
-	if err != nil {
+	g.Release()
+	var snap bytes.Buffer
+	if err := l.WriteRange(&snap, FirstAddress, end); err != nil {
 		t.Fatal(err)
 	}
-	g.Release()
 	l.Close()
 
 	// Fresh log + device; restore the snapshot into the address space.
@@ -378,7 +378,7 @@ func TestSnapshotAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.RestoreRange(FirstAddress, snap); err != nil {
+	if err := l2.RestoreRange(FirstAddress, snap.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.RecoverTo(end); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -103,16 +104,16 @@ type Log struct {
 	pageSize uint64
 	pageMask uint64
 	roLag    uint64 // readOnly trails tail by this many bytes
-	headLag  uint64 // head trails tail-page start by this many bytes
 
-	frames     [][]uint64
-	frameOwner []atomic.Uint64 // page number + 1; 0 = unowned
-	openMu     sync.Mutex      // serializes openPage's frame claims
+	frames [][]uint64    // page p's is frames[p%MemPages]
+	opened atomic.Uint64 // the last page whose frame is ready; pages open in order
+	openMu sync.Mutex    // serializes openPage
 
 	tail         atomic.Uint64
 	readOnly     atomic.Uint64 // latest read-only offset
 	safeReadOnly atomic.Uint64 // read-only offset seen by all threads
-	head         atomic.Uint64 // published head: addresses below may be evicted
+	head         atomic.Uint64 // addresses below are read from the device; never past durable
+	safeHead     atomic.Uint64 // head seen by all threads: frames below may be reused
 	begin        atomic.Uint64 // first live address; advanced by compaction
 
 	pool     *storage.Pool
@@ -169,15 +170,13 @@ func New(cfg Config) (*Log, error) {
 		mutablePages = cfg.MemPages - 2
 	}
 	l.roLag = uint64(mutablePages) * l.pageSize
-	l.headLag = uint64(cfg.MemPages-1) * l.pageSize
 	l.frames = make([][]uint64, cfg.MemPages)
-	l.frameOwner = make([]atomic.Uint64, cfg.MemPages)
-	l.frames[0] = make([]uint64, l.pageSize/8)
-	l.frameOwner[0].Store(1) // page 0 claimed
+	l.frames[0] = make([]uint64, l.pageSize/8) // page 0 opened
 	l.tail.Store(FirstAddress)
 	l.readOnly.Store(FirstAddress)
 	l.safeReadOnly.Store(FirstAddress)
 	l.head.Store(FirstAddress)
+	l.safeHead.Store(FirstAddress)
 	l.flushIssued = FirstAddress
 	l.durable.Store(FirstAddress)
 	l.durableCond = sync.NewCond(&l.durableMu)
@@ -243,11 +242,17 @@ func (l *Log) Begin() uint64 { return l.begin.Load() }
 // ShiftBegin advances the begin address after compaction copied every live
 // record below target to the tail. Physical space reclamation (truncating
 // the device prefix) is then possible out of band.
-func (l *Log) ShiftBegin(target uint64) {
+func (l *Log) ShiftBegin(target uint64) { raise(&l.begin, target) }
+
+// raise moves a to target if that is forward and reports whether it did.
+func raise(a *atomic.Uint64, target uint64) bool {
 	for {
-		old := l.begin.Load()
-		if target <= old || l.begin.CompareAndSwap(old, target) {
-			return
+		old := a.Load()
+		if target <= old {
+			return false
+		}
+		if a.CompareAndSwap(old, target) {
+			return true
 		}
 	}
 }
@@ -305,17 +310,15 @@ func (l *Log) Allocate(g Refresher, size uint32) uint64 {
 }
 
 // openPage makes page p ready for allocation before the tail moves onto it: it
-// advances the read-only and head targets and claims the page's frame, evicting
-// the old occupant once flushed and epoch-safe. It waits — refreshing g, so the
-// shifts' epoch actions can fire — and therefore runs before the caller has
-// reserved anything: a thread that refreshed while holding an unwritten address
-// would let a fold-over commit's flush capture that address as it was (the
-// frame's previous page, or zeros) and call it durable. Any number of threads
-// may ask for the same page, and a thread may ask late (the tail has moved on):
-// frame owners only grow, so whoever finds p or a later page there is done.
+// advances the read-only offset and readies the page's frame (ensureFrame). It
+// waits — refreshing g, so the shifts' epoch actions can fire — and therefore
+// runs before the caller has reserved anything: a thread that refreshed while
+// holding an unwritten address would let a fold-over commit's flush capture
+// that address as it was (the frame's previous page, or zeros) and call it
+// durable. Any number of threads may ask for the same page, and a thread may
+// ask late (the tail has moved on): whoever finds p opened is done.
 func (l *Log) openPage(g Refresher, p uint64) {
-	idx := p % uint64(len(l.frames))
-	if l.frameOwner[idx].Load() > p {
+	if l.opened.Load() >= p {
 		return
 	}
 	for spins := 0; !l.openMu.TryLock(); spins++ {
@@ -325,17 +328,14 @@ func (l *Log) openPage(g Refresher, p uint64) {
 		}
 	}
 	defer l.openMu.Unlock()
-	if l.frameOwner[idx].Load() > p {
+	if l.opened.Load() >= p {
 		return
 	}
-	start := p << l.cfg.PageBits
-	if target := int64(start) - int64(l.roLag); target > int64(FirstAddress) {
+	if target := int64(p<<l.cfg.PageBits) - int64(l.roLag); target > int64(FirstAddress) {
 		l.ShiftReadOnlyTo(uint64(target))
 	}
-	if target := int64(start) - int64(l.headLag); target > int64(FirstAddress) {
-		l.shiftHeadTo(uint64(target))
-	}
 	l.ensureFrame(g, p)
+	l.opened.Store(p)
 }
 
 // ShiftReadOnlyTo advances the read-only offset to target (monotonic; clamped
@@ -347,86 +347,44 @@ func (l *Log) ShiftReadOnlyTo(target uint64) {
 	if t := l.tail.Load(); target > t {
 		target = t
 	}
-	for {
-		old := l.readOnly.Load()
-		if target <= old {
-			return
-		}
-		if l.readOnly.CompareAndSwap(old, target) {
-			break
-		}
+	if !raise(&l.readOnly, target) {
+		return
 	}
 	l.cfg.Epochs.BumpEpoch(func() {
-		for {
-			old := l.safeReadOnly.Load()
-			if target <= old {
-				return
-			}
-			if l.safeReadOnly.CompareAndSwap(old, target) {
-				break
-			}
-		}
-		l.issueFlushUntil(target)
-	})
-}
-
-// shiftHeadTo publishes a new head after epoch-safety; frames below it become
-// evictable once their data is durable.
-func (l *Log) shiftHeadTo(target uint64) {
-	// Never evict unflushed data: head may not pass the read-only target
-	// (flushes are issued only below safe-read-only).
-	if ro := l.readOnly.Load(); target > ro {
-		target = ro
-	}
-	l.cfg.Epochs.BumpEpoch(func() {
-		for {
-			old := l.head.Load()
-			if target <= old {
-				return
-			}
-			if l.head.CompareAndSwap(old, target) {
-				return
-			}
+		if raise(&l.safeReadOnly, target) {
+			l.issueFlushUntil(target)
 		}
 	})
 }
 
-// ensureFrame claims the frame for page p, spinning (with epoch refreshes,
-// so pending shift actions can fire) until the previous occupant is evictable.
-// Called under openMu.
+// shiftHead moves the head toward target, but not past durable (below the head
+// pages are read from the device), and once every thread has refreshed past the
+// move lets ensureFrame reuse the frames below it: a thread that loaded the old
+// head may still read one (FASTER's order: head, epoch bump, frames).
+func (l *Log) shiftHead(target uint64) {
+	target = min(target, l.durable.Load())
+	if raise(&l.head, target) {
+		l.cfg.Epochs.BumpEpoch(func() { raise(&l.safeHead, target) })
+	}
+}
+
+// ensureFrame readies page p's frame under openMu: a new one, or page
+// p-MemPages's once the head has passed it (shifted on every turn, as its flush
+// lands) and every thread has refreshed since; it spins refreshing g.
 func (l *Log) ensureFrame(g Refresher, p uint64) {
-	idx := p % uint64(len(l.frames))
-	for spins := 0; ; spins++ {
-		owner := l.frameOwner[idx].Load()
-		if owner == 0 {
-			// Allocate storage before publishing ownership: waiters write
-			// into the frame as soon as they observe the claim.
-			l.frames[idx] = make([]uint64, l.pageSize/8)
-			if l.frameOwner[idx].CompareAndSwap(0, p+1) {
-				return
-			}
-			continue
-		}
-		oldPage := owner - 1
-		evictEnd := (oldPage + 1) << l.cfg.PageBits
-		if l.head.Load() >= evictEnd && l.durable.Load() >= evictEnd {
-			// Reclaim in two steps: publish "in transition" (owner 0) before
-			// zeroing, so unprotected readers (snapshot capture) that
-			// validate the owner after copying detect the reuse and fall
-			// back to the device. Epoch-safety of the head shift guarantees
-			// no session thread still holds references.
-			if l.frameOwner[idx].CompareAndSwap(owner, 0) {
-				clear(l.frames[idx])
-				l.frameOwner[idx].Store(p + 1)
-				return
-			}
-			continue
-		}
+	idx, n := p%uint64(len(l.frames)), uint64(len(l.frames))
+	if l.frames[idx] == nil {
+		l.frames[idx] = make([]uint64, l.pageSize/8)
+		return
+	}
+	for spins, evictEnd := 0, (max(p+1, n)-n)<<l.cfg.PageBits; l.safeHead.Load() < evictEnd; spins++ {
+		l.shiftHead(evictEnd)
 		g.Refresh()
 		if spins%64 == 63 {
 			runtime.Gosched()
 		}
 	}
+	clear(l.frames[idx])
 }
 
 // WriteRecord fills a freshly allocated region at addr with a record. The
@@ -728,7 +686,7 @@ func (l *Log) QueueRead(q []storage.IORequest, addr uint64, cr *ColdRead) []stor
 	l.asyncReads.Inc()
 	if l.cfg.VerifyReads {
 		if start, stop, want, ok := l.pageCRCFor(addr); ok {
-			l.verifiedRead(addr, start, stop, want, cr.Done, 3)
+			l.verifiedRead(addr, start, stop, want, cr.Done)
 			return q
 		}
 	}
@@ -821,35 +779,28 @@ func (l *Log) pageCRCFor(addr uint64) (start, stop uint64, crc uint32, ok bool) 
 }
 
 // verifiedRead serves the record at addr from a checksum-verified read of its
-// whole page, retrying (fresh read) on mismatch up to attempts times.
-func (l *Log) verifiedRead(addr, start, stop uint64, want uint32, done func(RecordRef, error), attempts int) {
+// whole page: a pool read, and readDevicePage's verified retries if it fails.
+func (l *Log) verifiedRead(addr, start, stop uint64, want uint32, done func(RecordRef, error)) {
 	buf := make([]byte, stop-start)
 	l.pool.Submit(storage.IORequest{
 		Dev: l.cfg.Device, Buf: buf, Off: int64(start),
 		Done: func(_ int, err error) {
-			if err == nil {
-				if got := crc32.Checksum(buf, crcTable); got != want {
-					l.verifyFails.Inc()
-					err = fmt.Errorf("hlog: page %d checksum mismatch on read-back (stored %08x, device %08x)",
-						l.page(addr), want, got)
-				}
+			if err == nil && crc32.Checksum(buf, crcTable) != want {
+				l.verifyFails.Inc()
+				err = l.readDevicePage(start, stop, buf)
+			} else if err != nil {
+				err = l.readDevicePage(start, stop, buf)
 			}
-			if err != nil {
-				if attempts > 1 {
-					l.verifiedRead(addr, start, stop, want, done, attempts-1)
-					return
-				}
-				done(RecordRef{}, err)
-				return
-			}
-			l.verifiedReads.Inc()
 			rec := buf[addr-start:]
-			size := sizeFromBytes(rec)
-			if size > len(rec) {
+			switch size := sizeFromBytes(rec); {
+			case err != nil:
+				done(RecordRef{}, err)
+			case size > len(rec):
 				done(RecordRef{}, fmt.Errorf("hlog: record at %d overruns its verified page", addr))
-				return
+			default:
+				l.verifiedReads.Inc()
+				done(bytesToRecord(rec[:size], nil), nil)
 			}
-			done(bytesToRecord(rec[:size], nil), nil)
 		},
 	})
 }
@@ -872,15 +823,17 @@ func bytesToRecord(b []byte, words []uint64) RecordRef {
 // over a buffer the scan reuses — valid only for the duration of the call — and
 // scanning is safe against concurrent eviction. A page with a recorded checksum
 // is read from its start, so that a device read of it can be verified; any
-// other from where the scan stands to the page's end or the tail. The range
-// must be immutable (below the safe-read-only offset) or the log offline, as
-// for recovery.
+// other from where the scan stands to the page's end, the tail, or past to only
+// up to safe-read-only (sessions may write above it). The range must be
+// immutable (below safe-read-only) or the log offline, as for recovery.
 func (l *Log) Scan(from, to uint64, fn func(addr uint64, rec RecordRef) bool) error {
 	var buf []byte
 	var words []uint64
+	g := l.cfg.Epochs.Acquire()
+	defer g.Release()
 	for addr := from; addr < to; {
 		pageEnd := (l.page(addr) + 1) << l.cfg.PageBits
-		start, stop := addr, min(pageEnd, l.tail.Load())
+		start, stop := addr, min(pageEnd, l.tail.Load(), max(to, l.safeReadOnly.Load()))
 		if s, _, _, ok := l.pageCRCFor(addr); ok {
 			start = s
 		}
@@ -891,7 +844,7 @@ func (l *Log) Scan(from, to uint64, fn func(addr uint64, rec RecordRef) bool) er
 			buf = make([]byte, n)
 		}
 		buf = buf[:stop-start]
-		if err := l.readPage(start, stop, buf); err != nil {
+		if err := l.readPage(g, start, stop, buf); err != nil {
 			return fmt.Errorf("hlog: scan: %w", err)
 		}
 		// Stop at the page's padding: a zero header means the rest of the page
@@ -917,28 +870,22 @@ func (l *Log) Scan(from, to uint64, fn func(addr uint64, rec RecordRef) bool) er
 	return nil
 }
 
-// readPage materializes [from, to), which lies within one page, into out. The
-// page's frame serves it, provided it is the page's before the copy and still
-// after it — the caller holds no epoch protection, so the frame may be
-// reclaimed meanwhile, and a reclaimed page is durable by construction.
-// Otherwise the device does (readDevicePage).
-func (l *Log) readPage(from, to uint64, out []byte) error {
-	page := l.page(from)
-	if idx := page % uint64(len(l.frames)); l.frameOwner[idx].Load() == page+1 {
-		frame := l.frames[idx]
-		for a := from; a < to; a += 8 {
-			binary.LittleEndian.PutUint64(out[a-from:], atomic.LoadUint64(&frame[l.offset(a)/8]))
-		}
-		if l.frameOwner[idx].Load() == page+1 {
-			return nil
-		}
+// readPage materializes [from, to), within one page, into out: from the frame
+// at or above the head, copied under g's protection so it is not reused
+// meanwhile; from the device below (readDevicePage). g is suspended on return,
+// so the caller's I/O holds back no epoch.
+func (l *Log) readPage(g *epoch.Guard, from, to uint64, out []byte) error {
+	g.Refresh()
+	if from < l.head.Load() {
+		g.Suspend()
+		return l.readDevicePage(from, to, out)
 	}
-	// A page at or below the tail's is resident (its frame is claimed before
-	// the tail moves onto it) until it is evicted, and evicted only once durable.
-	if to > l.durable.Load() {
-		return fmt.Errorf("hlog: page %d: [%d,%d) is neither resident nor durable", page, from, to)
+	frame := l.frameFor(l.page(from))
+	for a := from; a < to; a += 8 {
+		binary.LittleEndian.PutUint64(out[a-from:], atomic.LoadUint64(&frame[l.offset(a)/8]))
 	}
-	return l.readDevicePage(from, to, out)
+	g.Suspend()
+	return nil
 }
 
 // readDevicePage reads [from, to), which lies within one page, from the device
@@ -967,19 +914,23 @@ func (l *Log) readDevicePage(from, to uint64, out []byte) error {
 	return err
 }
 
-// SnapshotRange copies raw log words in [from, to) into a byte slice (the
-// snapshot-commit capture primitive, App. D). Unlike flushing, the caller is
-// not epoch-protected, so each page goes through readPage.
-func (l *Log) SnapshotRange(from, to uint64) ([]byte, error) {
-	buf := make([]byte, to-from)
-	for addr := from; addr < to; {
-		end := min((l.page(addr)+1)<<l.cfg.PageBits, to)
-		if err := l.readPage(addr, end, buf[addr-from:end-from]); err != nil {
-			return nil, fmt.Errorf("hlog: snapshot: %w", err)
+// WriteRange writes the log's bytes in [from, to) to w a page at a time through
+// readPage: the snapshot capture (App. D), a page of memory however large. The
+// caller waits out an epoch after reading to, so every record below is whole.
+func (l *Log) WriteRange(w io.Writer, from, to uint64) error {
+	g := l.cfg.Epochs.Acquire()
+	defer g.Release()
+	buf := make([]byte, min(l.pageSize, to-from))
+	for addr, end := from, from; addr < to; addr = end {
+		end = min((l.page(addr)+1)<<l.cfg.PageBits, to)
+		if err := l.readPage(g, addr, end, buf[:end-addr]); err != nil {
+			return fmt.Errorf("hlog: snapshot: %w", err)
 		}
-		addr = end
+		if _, err := w.Write(buf[:end-addr]); err != nil {
+			return err
+		}
 	}
-	return buf, nil
+	return nil
 }
 
 // RestoreRange writes raw log bytes at their logical offsets into the device:
@@ -1011,11 +962,8 @@ func (l *Log) RecoverTo(end uint64) error {
 	if endPage+1 > uint64(len(l.frames)-1) {
 		head = (endPage + 1 - uint64(len(l.frames)-1)) << l.cfg.PageBits
 	}
-	l.frameOwner[0].Store(0) // New's claim for an empty page 0, which readPage would serve
 	for p := l.page(head); p <= endPage; p++ {
-		idx := p % uint64(len(l.frames))
-		l.frames[idx] = make([]uint64, l.pageSize/8)
-		l.frameOwner[idx].Store(p + 1)
+		l.frames[p%uint64(len(l.frames))] = make([]uint64, l.pageSize/8)
 		start := max(p<<l.cfg.PageBits, FirstAddress)
 		stop := min((p+1)<<l.cfg.PageBits, end)
 		if stop <= start {
@@ -1028,7 +976,9 @@ func (l *Log) RecoverTo(end uint64) error {
 	l.tail.Store(end)
 	l.readOnly.Store(end)
 	l.safeReadOnly.Store(end)
+	l.opened.Store(endPage)
 	l.head.Store(head)
+	l.safeHead.Store(head)
 	l.flushMu.Lock()
 	l.flushIssued = end
 	l.flushMu.Unlock()

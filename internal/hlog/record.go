@@ -286,18 +286,18 @@ func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool
 	return true
 }
 
-// initRecord fills a freshly allocated record region. The region is not yet
-// published (no index entry points at it), so plain stores are safe here;
-// we still use atomic stores to keep the race detector and the epoch-based
-// flush argument airtight.
+// initRecord fills a freshly allocated record region, which is zero. Nothing
+// reads the body before the header: no index entry points here yet, and frames
+// are copied only below where every thread has written (an epoch later). So the
+// body is copied plainly, and published by the header's one atomic store.
 func initRecord(words []uint64, prev uint64, version uint16, key, value []byte, valCap int) {
 	hw, vw := chooseShape(len(key), len(value), valCap)
 	if hw == 2 {
-		atomic.StoreUint64(&words[1], makeLens(len(key), len(value), valCap))
+		words[1] = makeLens(len(key), len(value), valCap)
 	}
 	kw := hw + wordsFor(len(key))
-	storeBytesAsWords(words[hw:kw], key)
-	storeBytesAsWords(words[kw:kw+wordsFor(valCap)], value)
+	copy(frameBytes(words[hw:kw]), key)
+	copy(frameBytes(words[kw:kw+wordsFor(valCap)]), value)
 	// Header last: a concurrent scanner treats header==0 as "empty space".
 	atomic.StoreUint64(&words[0], makeHeader(prev, version, vw))
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -278,7 +279,6 @@ type flightSlot struct {
 // slot (ticket-1) & (len(slots)-1) holds the event.
 type flightRing struct {
 	pos   atomic.Uint64
-	_     [cacheLine - 8]byte
 	slots []flightSlot
 }
 
@@ -301,46 +301,31 @@ const (
 	flightLifecycleSlots = 4096
 )
 
-// DefaultFlightCapacity is the slot count of each per-core ring, which hold
-// the kinds outside flightLifecycleKinds. Their rate follows the traffic, not
+// DefaultFlightCapacity is the slot count of the event ring, which holds the
+// kinds outside flightLifecycleKinds. Their rate follows the traffic, not
 // the commits: an ingest server emits two events per fsync group and one per
-// pump drain, thousands a second, so these rings hold the last fraction of a
+// pump drain, thousands a second, so the ring holds the last fraction of a
 // second of a busy process and minutes of an idle one. What a commit, a
 // recovery or a detector did is in the lifecycle ring and outlives them.
 const DefaultFlightCapacity = 1024
 
-// FlightRecorder records flight events into one lifecycle ring and a set of
-// per-core rings. The nil FlightRecorder is a valid no-op: Emit on nil returns
-// immediately, so instrumented code never branches on configuration.
+// FlightRecorder records flight events into two rings, the event ring (index 0)
+// and the lifecycle ring (1). The nil FlightRecorder is a valid no-op: Emit on
+// nil returns at once, so instrumented code never branches on configuration.
 type FlightRecorder struct {
 	start     time.Time
 	wallStart int64 // wall clock at creation (UnixNano); AtNanos is relative
-	ringMask  uint64
-	rings     []flightRing // numShards per-core rings, then the lifecycle ring
+	rings     [2]flightRing
 }
 
-// NewFlightRecorder returns a recorder with perRing slots in each of its
-// per-core rings (rounded up to a power of two, floor 64). Pass
-// DefaultFlightCapacity unless profiling says otherwise.
-func NewFlightRecorder(perRing int) *FlightRecorder {
-	if perRing < 64 {
-		perRing = 64
-	}
-	c := 1
-	for c < perRing {
-		c <<= 1
-	}
-	now := time.Now()
-	f := &FlightRecorder{
-		start:     now,
-		wallStart: now.UnixNano(),
-		ringMask:  uint64(numShards - 1),
-		rings:     make([]flightRing, numShards+1),
-	}
-	for i := range f.rings[:numShards] {
-		f.rings[i].slots = make([]flightSlot, c)
-	}
-	f.rings[numShards].slots = make([]flightSlot, flightLifecycleSlots)
+// NewFlightRecorder returns a recorder with capacity slots in its event ring
+// (rounded up to a power of two, floor 64). Pass DefaultFlightCapacity unless
+// profiling says otherwise.
+func NewFlightRecorder(capacity int) *FlightRecorder {
+	c, now := max(64, 1<<bits.Len(uint(capacity-1))), time.Now()
+	f := &FlightRecorder{start: now, wallStart: now.UnixNano()}
+	f.rings[0].slots = make([]flightSlot, c)
+	f.rings[1].slots = make([]flightSlot, flightLifecycleSlots)
 	return f
 }
 
@@ -378,10 +363,7 @@ func (f *FlightRecorder) Emit(kind FlightKind, shard int, version uint64, token,
 	if len(session) > FlightSessionBytes {
 		session = session[:FlightSessionBytes]
 	}
-	r := &f.rings[numShards]
-	if flightLifecycleKinds>>kind&1 == 0 {
-		r = &f.rings[shardHint()&f.ringMask]
-	}
+	r := &f.rings[flightLifecycleKinds>>kind&1]
 	ticket := r.pos.Add(1)
 	s := &r.slots[(ticket-1)&uint64(len(r.slots)-1)]
 	// Claim the slot: CAS even->odd. Contention here requires another writer

@@ -74,7 +74,7 @@ func TestFlightEmitAllocFree(t *testing.T) {
 // add back up to everything emitted), and no surviving event is torn — each
 // event's fields are cross-correlated, so a mixed-up slot is detectable.
 // Run under -race to also exercise the seqlock protocol. Once with a kind of
-// the per-core rings, once with one of the lifecycle ring all writers share.
+// the event ring, once with one of the lifecycle ring.
 func TestFlightWraparoundNeverTorn(t *testing.T) {
 	for _, kind := range []obs.FlightKind{obs.FlightFlush, obs.FlightArtifactWrite} {
 		t.Run(kind.String(), func(t *testing.T) { flightWraparoundNeverTorn(t, kind) })

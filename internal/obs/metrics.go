@@ -5,7 +5,7 @@
 // span trees (reqtrace.go) and an HTTP introspection mux (http.go).
 //
 // The registry is designed for the CPR hot path: a counter increment is one
-// atomic add to a per-core-style shard (no locks, no map lookups — call sites
+// atomic add to the counter's one word (no locks, no map lookups — call sites
 // hold *Counter pointers resolved at registration time). Disabling metrics
 // does not change the shape of the hot path: a nil *Counter (returned by a
 // nil or nop Registry) is a safe no-op, so instrumented code never branches
@@ -17,78 +17,36 @@ package obs
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-const cacheLine = 64
-
-// counterShard is one padded slot of a sharded counter.
-type counterShard struct {
-	n atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
-// numShards is the per-counter shard count: the next power of two covering
-// the machine's CPUs, capped so idle counters stay small.
-var numShards = func() int {
-	n := 1
-	for n < runtime.NumCPU() {
-		n <<= 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}()
-
-// shardHint returns a cheap goroutine-affine shard index. Distinct goroutines
-// have distinct stacks, so the address of a stack variable (coarsened to 1
-// KiB so call-depth differences within one goroutine mostly collapse) spreads
-// concurrent writers across shards. Collisions only cost cache-line sharing,
-// never correctness.
-func shardHint() uint64 {
-	var b byte
-	return uint64(uintptr(unsafe.Pointer(&b)) >> 10)
-}
-
-// Counter is a monotonically increasing, per-core-sharded counter. The nil
-// Counter is a valid no-op sink: every method is nil-receiver-safe, so
+// Counter is a monotonically increasing counter, one word added to atomically.
+// The nil Counter is a valid no-op sink: every method is nil-receiver-safe, so
 // uninstrumented components pay only a predictable branch.
 type Counter struct {
-	name   string
-	mask   uint64
-	shards []counterShard
+	name string
+	n    atomic.Uint64
 }
 
-func newCounter(name string) *Counter {
-	return &Counter{name: name, mask: uint64(numShards - 1), shards: make([]counterShard, numShards)}
-}
-
-// Add adds n: one atomic add on a goroutine-affine shard.
+// Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardHint()&c.mask].n.Add(n)
+	c.n.Add(n)
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums all shards.
+// Value returns the count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range c.shards {
-		sum += c.shards[i].n.Load()
-	}
-	return sum
+	return c.n.Load()
 }
 
 // Gauge is a settable instantaneous value. The nil Gauge is a no-op.
@@ -319,7 +277,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer b.mu.Unlock()
 	c, ok := b.counters[name]
 	if !ok {
-		c = newCounter(name)
+		c = &Counter{name: name}
 		b.counters[name] = c
 	}
 	return c

@@ -7,7 +7,7 @@ import (
 
 // phaseEv is a hand-built phase event of the lifecycle ring.
 func phaseEv(seq uint64, at int64, shard int, token string, from, to uint64) FlightEvent {
-	return FlightEvent{Ring: numShards, Seq: seq, AtNanos: at, Kind: FlightPhase, Shard: shard,
+	return FlightEvent{Ring: 1, Seq: seq, AtNanos: at, Kind: FlightPhase, Shard: shard,
 		Version: 3, Token: token, Arg1: from, Arg2: to}
 }
 

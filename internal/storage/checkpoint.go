@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,25 +55,29 @@ func WriteArtifact(cs CheckpointStore, name string, data []byte) error {
 // checkpoints-to-RAM; shape of results is unaffected, see DESIGN.md).
 type MemCheckpointStore struct {
 	mu    sync.RWMutex
-	files map[string][]byte
+	files map[string][][]byte // an artifact is the copies of its writes, in order
 }
 
 // NewMemCheckpointStore returns an empty in-memory store.
 func NewMemCheckpointStore() *MemCheckpointStore {
-	return &MemCheckpointStore{files: make(map[string][]byte)}
+	return &MemCheckpointStore{files: make(map[string][][]byte)}
 }
 
+// memWriter keeps a copy of each write: nothing is regrown or copied twice.
 type memWriter struct {
-	buf   bytes.Buffer
-	store *MemCheckpointStore
-	name  string
+	chunks [][]byte
+	store  *MemCheckpointStore
+	name   string
 }
 
-func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+func (w *memWriter) Write(p []byte) (int, error) {
+	w.chunks = append(w.chunks, bytes.Clone(p))
+	return len(p), nil
+}
 
 func (w *memWriter) Close() error {
 	w.store.mu.Lock()
-	w.store.files[w.name] = w.buf.Bytes()
+	w.store.files[w.name] = w.chunks
 	w.store.mu.Unlock()
 	return nil
 }
@@ -85,13 +90,31 @@ func (s *MemCheckpointStore) Create(name string) (io.WriteCloser, error) {
 // Open implements CheckpointStore.
 func (s *MemCheckpointStore) Open(name string) (io.ReadCloser, error) {
 	s.mu.RLock()
-	data, ok := s.files[name]
+	chunks, ok := s.files[name]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return newChunkReader(chunks...), nil
 }
+
+// chunkReader reads an artifact held in chunks, and knows its size.
+type chunkReader struct {
+	io.Reader
+	size int64
+}
+
+func newChunkReader(chunks ...[]byte) chunkReader {
+	rs := make([]io.Reader, len(chunks))
+	var size int64
+	for i, c := range chunks {
+		rs[i], size = bytes.NewReader(c), size+int64(len(c))
+	}
+	return chunkReader{io.MultiReader(rs...), size}
+}
+
+func (r chunkReader) Size() int64  { return r.size }
+func (r chunkReader) Close() error { return nil }
 
 // List implements CheckpointStore.
 func (s *MemCheckpointStore) List() ([]string, error) {
@@ -118,26 +141,12 @@ func (s *MemCheckpointStore) Remove(name string) error {
 
 // Clone returns an independent copy of the store's current artifacts (see
 // MemDevice.Clone; clone the checkpoint store BEFORE the device so cloned
-// metadata never references log data missing from the cloned device).
+// metadata never references log data missing from the cloned device). A
+// stored artifact is never written again, only replaced, so the two share it.
 func (s *MemCheckpointStore) Clone() *MemCheckpointStore {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := NewMemCheckpointStore()
-	for name, data := range s.files {
-		c.files[name] = append([]byte(nil), data...)
-	}
-	return c
-}
-
-// Size returns the total bytes held by the store (diagnostics).
-func (s *MemCheckpointStore) Size() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, b := range s.files {
-		n += int64(len(b))
-	}
-	return n
+	return &MemCheckpointStore{files: maps.Clone(s.files)}
 }
 
 // DirCheckpointStore persists artifacts as files under a directory. Artifact

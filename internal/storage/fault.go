@@ -419,7 +419,7 @@ func (s *FaultCheckpointStore) Open(name string) (io.ReadCloser, error) {
 		in.flips.Inc()
 		in.emitFault(faultClassBitFlip, name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return newChunkReader(data), nil
 }
 
 // List implements CheckpointStore.

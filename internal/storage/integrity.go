@@ -1,34 +1,35 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
+
+	"repro/internal/obs"
 )
 
-// Checkpoint artifacts are framed in a checksum envelope so that recovery can
-// distinguish a fully-written artifact from a torn write or bit rot before
-// deserializing a single byte of it:
+// Checkpoint artifacts are framed in a checksum envelope, written and read as a
+// stream so that neither side holds a blob whole:
 //
 //	offset  size  field
-//	0       4     magic "CPR1"
-//	4       4     CRC32-C (Castagnoli) of payload, little-endian
-//	8       8     payload length, little-endian
-//	16      n     payload
+//	0       4     magic "CPR2"
+//	4       n     payload
+//	4+n     4     CRC32-C (Castagnoli) of the payload, little-endian
+//	8+n     8     payload length n, little-endian
 //
-// Decoding is strict: wrong magic, a length that disagrees with the actual
-// artifact size (truncation / trailing garbage), or a checksum mismatch all
-// yield ErrCorruptArtifact. The envelope is what WriteArtifactChecked /
-// ReadArtifactChecked speak; faster and txdb persist every commit artifact —
-// manifests included — through them.
+// The checksum and length trail the payload: a streamed writer knows them last.
+// A reader takes n from the artifact's size and reports io.EOF only once the
+// trailer agrees, so nothing acts on a payload that did not verify. Wrong magic,
+// a disagreeing trailer (truncation, trailing garbage) or a checksum mismatch is
+// ErrCorruptArtifact; "CPR1", the envelope this one replaced, is refused by name.
 
-// envelopeMagic marks a checksum-framed artifact.
-var envelopeMagic = [4]byte{'C', 'P', 'R', '1'}
+var envelopeMagic = [4]byte{'C', 'P', 'R', '2'}
 
-// envelopeHeaderSize is the framing overhead per artifact.
-const envelopeHeaderSize = 16
+const envelopeOverhead = 4 + 12 // the magic, the trailer
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -51,98 +52,207 @@ func IsNotFound(err error) bool {
 
 // EncodeArtifact frames payload in the checksum envelope.
 func EncodeArtifact(payload []byte) []byte {
-	return buildArtifact(len(payload), func(dst []byte) []byte { return append(dst, payload...) })
-}
-
-// buildArtifact frames the payload build appends to dst, which arrives with
-// the header reserved and room for payloadCap more bytes: a producer that
-// knows its size is framed and checksummed in the one allocation.
-func buildArtifact(payloadCap int, build func(dst []byte) []byte) []byte {
-	out := build(make([]byte, envelopeHeaderSize, envelopeHeaderSize+payloadCap))
-	payload := out[envelopeHeaderSize:]
-	copy(out[0:4], envelopeMagic[:])
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
-	return out
+	out := append(append(make([]byte, 0, len(payload)+envelopeOverhead), envelopeMagic[:]...), payload...)
+	return appendTrailer(out, crc32.Checksum(payload, castagnoli), int64(len(payload)))
 }
 
 // DecodeArtifact strips and verifies the checksum envelope, returning the
 // payload. The returned slice aliases data. Any framing or checksum violation
 // returns an error wrapping ErrCorruptArtifact.
 func DecodeArtifact(data []byte) ([]byte, error) {
-	if len(data) < envelopeHeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes, shorter than the %d-byte envelope header",
-			ErrCorruptArtifact, len(data), envelopeHeaderSize)
+	if err := checkHead(data, int64(len(data))); err != nil {
+		return nil, err
 	}
-	if [4]byte(data[0:4]) != envelopeMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptArtifact, string(data[0:4]))
+	payload, trailer := data[4:len(data)-12], data[len(data)-12:]
+	return payload, checkTrailer(trailer, crc32.Checksum(payload, castagnoli), int64(len(payload)))
+}
+
+// checkHead checks the first bytes of an artifact of size bytes.
+func checkHead(head []byte, size int64) error {
+	switch {
+	case len(head) >= 4 && string(head[:4]) == "CPR1":
+		return errors.New("storage: a CPR1 envelope, from before the streamed one; this version cannot read it")
+	case size < envelopeOverhead:
+		return fmt.Errorf("%w: %d bytes, shorter than the %d-byte envelope", ErrCorruptArtifact, size, envelopeOverhead)
+	case [4]byte(head) != envelopeMagic:
+		return fmt.Errorf("%w: bad magic %q", ErrCorruptArtifact, head[:4])
 	}
-	wantCRC := binary.LittleEndian.Uint32(data[4:8])
-	wantLen := binary.LittleEndian.Uint64(data[8:16])
-	payload := data[envelopeHeaderSize:]
-	if uint64(len(payload)) != wantLen {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header says %d (torn write?)",
-			ErrCorruptArtifact, len(payload), wantLen)
+	return nil
+}
+
+func appendTrailer(dst []byte, crc uint32, n int64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(dst, crc), uint64(n))
+}
+
+// checkTrailer checks trailer t against the n payload bytes of checksum crc.
+func checkTrailer(t []byte, crc uint32, n int64) error {
+	if got := binary.LittleEndian.Uint64(t[4:]); got != uint64(n) {
+		return fmt.Errorf("%w: payload is %d bytes, trailer says %d (torn write?)", ErrCorruptArtifact, n, got)
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, fmt.Errorf("%w: CRC32C mismatch (stored %08x, computed %08x)",
-			ErrCorruptArtifact, wantCRC, got)
+	if want := binary.LittleEndian.Uint32(t); want != crc {
+		return fmt.Errorf("%w: CRC32C mismatch (stored %08x, computed %08x)", ErrCorruptArtifact, want, crc)
 	}
-	return payload, nil
+	return nil
 }
 
 // WriteArtifactChecked persists payload under name inside the checksum
-// envelope, retrying transient store errors with DefaultRetry. A torn write
-// that does manage to persist a prefix is repaired by the retry (the artifact
-// is rewritten whole); an exhausted or permanent error is returned so the
-// caller can abort its commit cleanly.
+// envelope: WriteArtifactStream without flight events.
 func WriteArtifactChecked(cs CheckpointStore, name string, payload []byte) error {
-	return WriteArtifactCheckedObserved(cs, name, payload, nil)
-}
-
-// WriteArtifactCheckedObserved is WriteArtifactChecked with a retry hook:
-// onRetry(attempt, err) fires after each transient failure that will be
-// retried (attempt counts failed tries from 1). The flight recorder uses it
-// to log artifact-retry events.
-func WriteArtifactCheckedObserved(cs CheckpointStore, name string, payload []byte, onRetry func(attempt int, err error)) error {
-	_, err := WriteArtifactBuilt(cs, name, len(payload),
-		func(dst []byte) []byte { return append(dst, payload...) }, onRetry)
+	_, err := WriteArtifactStream(cs, name, Payload(payload), nil, -1, 0)
 	return err
 }
 
-// WriteArtifactBuilt is WriteArtifactCheckedObserved for a payload the caller
-// produces by appending (see buildArtifact; payloadCap is a capacity hint). It
-// returns the payload's length.
-func WriteArtifactBuilt(cs CheckpointStore, name string, payloadCap int, build func(dst []byte) []byte, onRetry func(attempt int, err error)) (int, error) {
-	framed := buildArtifact(payloadCap, build)
-	attempt := 0
-	return len(framed) - envelopeHeaderSize, DefaultRetry.Do(func() error {
-		attempt++
-		err := WriteArtifact(cs, name, framed)
-		if err != nil && onRetry != nil && IsTransient(err) && attempt < DefaultRetry.Attempts {
-			onRetry(attempt, err)
-		}
+// Payload is WriteArtifactStream's produce for a payload at hand.
+func Payload(p []byte) func(w io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(p)
 		return err
-	})
+	}
 }
 
-// ReadArtifactChecked reads the named artifact, verifies its envelope, and
-// returns the payload. Transient read errors are retried with DefaultRetry;
-// corruption is not retried at this level (the bytes at rest are wrong — the
-// caller decides whether a fallback commit exists). Not-found errors satisfy
-// IsNotFound.
-func ReadArtifactChecked(cs CheckpointStore, name string) ([]byte, error) {
-	var payload []byte
+// WriteArtifactStream persists under name, in the checksum envelope, what
+// produce writes: each write goes to the store as it comes (so produce writes
+// large pieces), and the payload is never whole in memory. Transient store
+// errors rewrite the artifact whole, produce included; others are returned, for
+// the caller to abort its commit. fr gets an artifact-retry event per retried
+// failure and an artifact-write on success, named by the artifact (so a
+// commit's token matches its artifacts). It returns the payload's length.
+func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writer) error, fr *obs.FlightRecorder, shard int, version uint64) (int64, error) {
+	a := &artifactWriter{}
+	attempt := 0
 	err := DefaultRetry.Do(func() error {
-		data, err := ReadArtifact(cs, name)
+		attempt++
+		f, err := cs.Create(name)
 		if err != nil {
 			return err
 		}
-		payload, err = DecodeArtifact(data)
+		*a = artifactWriter{w: f}
+		if _, err = f.Write(envelopeMagic[:]); err == nil {
+			err = produce(a)
+		}
+		if err == nil {
+			_, err = f.Write(appendTrailer(nil, a.crc, a.n))
+		}
+		if err = cmp.Or(err, f.Close()); IsTransient(err) && attempt < DefaultRetry.Attempts {
+			fr.Emit(obs.FlightArtifactRetry, shard, version, name, "", uint64(attempt), 0)
+		}
 		return err
 	})
-	if err != nil {
-		return nil, fmt.Errorf("storage: artifact %q: %w", name, err)
+	if err == nil {
+		fr.Emit(obs.FlightArtifactWrite, shard, version, name, "", uint64(a.n), 0)
 	}
-	return payload, nil
+	return a.n, err
 }
+
+// artifactWriter checksums and counts the payload on its way to the store.
+type artifactWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (a *artifactWriter) Write(p []byte) (int, error) {
+	n, err := a.w.Write(p)
+	a.crc = crc32.Update(a.crc, castagnoli, p[:n])
+	a.n += int64(n)
+	return n, err
+}
+
+// ReadArtifactChecked reads the named artifact, verifies its envelope, and
+// returns the payload (see ReadArtifactStream).
+func ReadArtifactChecked(cs CheckpointStore, name string) (payload []byte, err error) {
+	err = ReadArtifactStream(cs, name, func(r io.Reader, n int64) error {
+		payload = make([]byte, n)
+		_, err := io.ReadFull(r, payload)
+		return err
+	})
+	return payload, err
+}
+
+// ReadArtifactStream hands read the named artifact's payload as a stream, with
+// its length, and verifies the envelope (a nil read only verifies). Keep what
+// read builds only if it returns nil: a failed envelope is its error, whatever
+// read made of the bytes. Transient errors retry the whole read; corruption
+// does not (the caller decides whether a fallback commit exists). Not-found
+// errors satisfy IsNotFound.
+func ReadArtifactStream(cs CheckpointStore, name string, read func(r io.Reader, n int64) error) error {
+	err := DefaultRetry.Do(func() error {
+		f, err := cs.Open(name)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		var head [4]byte
+		size, err := artifactSize(f)
+		if err == nil {
+			_, err = io.ReadFull(f, head[:min(size, 4)])
+		}
+		if err = cmp.Or(err, checkHead(head[:], size)); err != nil {
+			return err
+		}
+		a := &artifactReader{r: f, n: size - envelopeOverhead, left: size - envelopeOverhead}
+		if read != nil {
+			err = read(a, a.n)
+		}
+		_, cerr := io.Copy(io.Discard, a) // the rest, and the trailer
+		return cmp.Or(cerr, err)
+	})
+	if err != nil {
+		return fmt.Errorf("storage: artifact %q: %w", name, err)
+	}
+	return nil
+}
+
+// artifactSize is the length of the artifact f reads (where its payload ends):
+// every store here opens a file or an in-memory reader, and both know it.
+func artifactSize(f io.Reader) (int64, error) {
+	if f, ok := f.(interface{ Size() int64 }); ok {
+		return f.Size(), nil
+	}
+	if f, ok := f.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		fi, err := f.Stat()
+		if err != nil {
+			return 0, err
+		}
+		return fi.Size(), nil
+	}
+	return 0, fmt.Errorf("storage: a %T does not tell the artifact's size", f)
+}
+
+// artifactReader hands out the n payload bytes of an artifact as it reads them
+// and checks the trailer behind them: io.EOF means the envelope verified.
+type artifactReader struct {
+	r       io.Reader
+	n, left int64
+	crc     uint32
+	err     error // sticky
+}
+
+func (a *artifactReader) Read(p []byte) (n int, err error) {
+	if a.err != nil {
+		return 0, a.err
+	}
+	if a.left > 0 {
+		n, err = a.r.Read(p[:min(int64(len(p)), a.left)])
+		a.crc = crc32.Update(a.crc, castagnoli, p[:n])
+		if a.left -= int64(n); err == io.EOF && n > 0 {
+			err = nil
+		}
+	} else {
+		var t [12]byte
+		if _, err = io.ReadFull(a.r, t[:]); err == nil {
+			err = cmp.Or(checkTrailer(t[:], a.crc, a.n), errVerified)
+		}
+	}
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF: // before the trailer's end
+		a.err = fmt.Errorf("%w: the artifact ends early (torn write?)", ErrCorruptArtifact)
+	case errVerified:
+		a.err = io.EOF
+	default:
+		a.err = err
+	}
+	return n, a.err
+}
+
+var errVerified = errors.New("verified")

@@ -2,7 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +95,39 @@ func TestWriteReadArtifactChecked(t *testing.T) {
 	}
 }
 
+// streamed reads an artifact held as data through the stream reader, the way
+// recovery reads a blob: the consumer (if the envelope's head lets it start)
+// reads to the end and reports what its own reader said, and
+// ReadArtifactStream what it says of the envelope.
+func streamed(data []byte) (got []byte, consumerErr, err error) {
+	cs := NewMemCheckpointStore()
+	if err := WriteArtifact(cs, "a", data); err != nil {
+		return nil, nil, err
+	}
+	consumerErr = errors.New("never started")
+	err = ReadArtifactStream(cs, "a", func(r io.Reader, n int64) error {
+		got, consumerErr = io.ReadAll(r)
+		if consumerErr == nil && int64(len(got)) != n {
+			consumerErr = fmt.Errorf("read %d payload bytes, told %d", len(got), n)
+		}
+		return consumerErr
+	})
+	return got, consumerErr, err
+}
+
+// cpr1 is payload in the envelope this one replaced: magic "CPR1", then the
+// checksum and the length, then the payload.
+func cpr1(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte("CPR1"), crc32.Checksum(payload, castagnoli))
+	return append(binary.LittleEndian.AppendUint64(out, uint64(len(payload))), payload...)
+}
+
+// FuzzArtifactEnvelope: whole and streamed, an encoded payload round-trips;
+// a flipped bit, a truncation and a torn tail (the end of the artifact never
+// written: zeros) fail both decoders as ErrCorruptArtifact — the streamed
+// consumer sees the failure in place of io.EOF, so it never acts on bytes that
+// did not verify — and the parent's CPR1 envelope is refused by name. Neither
+// decoder panics on arbitrary bytes.
 func FuzzArtifactEnvelope(f *testing.F) {
 	f.Add([]byte(nil), uint16(0))
 	f.Add([]byte("payload"), uint16(3))
@@ -103,14 +141,32 @@ func FuzzArtifactEnvelope(f *testing.F) {
 		if !bytes.Equal(got, payload) {
 			t.Fatal("round-trip mismatch")
 		}
-		// Any single-bit flip anywhere in the envelope must be rejected.
-		mut := append([]byte(nil), enc...)
-		i := int(mutPos) % len(mut)
-		mut[i] ^= 1 << (mutPos % 8)
-		if _, err := DecodeArtifact(mut); err == nil {
-			t.Fatalf("bit flip at byte %d undetected", i)
+		if got, _, err := streamed(enc); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("streamed read of a fresh artifact: %d bytes, %v", len(got), err)
 		}
-		// Decoding arbitrary bytes must never panic (error is fine).
-		DecodeArtifact(payload) //nolint:errcheck
+		i := int(mutPos) % len(enc)
+		flipped := bytes.Clone(enc)
+		flipped[i] ^= 1 << (mutPos % 8)
+		torn := append(bytes.Clone(enc[:i]), make([]byte, len(enc)-i)...)
+		for name, bad := range map[string][]byte{"bit flip": flipped, "truncation": enc[:i], "torn tail": torn} {
+			if bytes.Equal(bad, enc) {
+				continue // the tail was zero already
+			}
+			if _, err := DecodeArtifact(bad); !errors.Is(err, ErrCorruptArtifact) {
+				t.Fatalf("%s at byte %d: DecodeArtifact says %v", name, i, err)
+			}
+			_, consumerErr, err := streamed(bad)
+			if !errors.Is(err, ErrCorruptArtifact) || consumerErr == nil {
+				t.Fatalf("%s at byte %d: streamed read says %v, its consumer %v", name, i, err, consumerErr)
+			}
+		}
+		if _, _, err := streamed(cpr1(payload)); err == nil || !strings.Contains(err.Error(), "CPR1") {
+			t.Fatalf("a CPR1 artifact: %v, want a refusal naming it", err)
+		}
+		if _, err := DecodeArtifact(cpr1(payload)); err == nil || !strings.Contains(err.Error(), "CPR1") {
+			t.Fatalf("a CPR1 artifact: %v, want a refusal naming it", err)
+		}
+		DecodeArtifact(payload) //nolint:errcheck // must not panic
+		streamed(payload)       //nolint:errcheck
 	})
 }

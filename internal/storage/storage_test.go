@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"io"
 	"path/filepath"
 	"sync"
@@ -186,10 +187,11 @@ func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
 	p.Close()
 }
 
-// TestMemStoreHoldsExactlyTheArtifact: WriteArtifact hands the in-memory store
-// a whole artifact in one Write, and bytes.Buffer sizes itself from that first
-// Write: the store's copy is the artifact plus allocator rounding, not the
-// doubled array a piecewise writer leaves behind.
+// TestMemStoreHoldsExactlyTheArtifact: the in-memory store keeps a copy of each
+// write. An artifact handed over in one Write (WriteArtifact) is one exact copy;
+// a streamed one (WriteArtifactStream) is its chunks: the store's copy is the
+// artifact plus allocator rounding, not the doubled array a regrown buffer
+// leaves behind.
 func TestMemStoreHoldsExactlyTheArtifact(t *testing.T) {
 	s := NewMemCheckpointStore()
 	data := make([]byte, 3<<20+17)
@@ -198,9 +200,29 @@ func TestMemStoreHoldsExactlyTheArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 1 // the store copied: the caller may reuse its buffer
-	got := s.files["big"]
-	if len(got) != len(data) || cap(got) > len(data)+64<<10 || got[0] != 0 || got[len(got)-1] != 9 {
-		t.Fatalf("stored %d bytes in a %d-byte array, first %d last %d", len(got), cap(got), got[0], got[len(got)-1])
+	if got := s.files["big"]; len(got) != 1 || len(got[0]) != len(data) || cap(got[0]) > len(data)+64<<10 || got[0][0] != 0 || got[0][len(data)-1] != 9 {
+		t.Fatalf("stored %d chunks for one write", len(got))
+	}
+	n, err := WriteArtifactStream(s, "streamed", func(w io.Writer) error {
+		for i := 0; i < len(data); i += 64 << 10 { // the index image's and a snapshot's pieces
+			if _, err := w.Write(data[i:min(i+64<<10, len(data))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil, -1, 0)
+	if err != nil || n != int64(len(data)) {
+		t.Fatalf("streamed %d bytes: %v", n, err)
+	}
+	var held int
+	for _, c := range s.files["streamed"] {
+		held += cap(c)
+	}
+	if want := len(data) + envelopeOverhead; held > want+1<<10 {
+		t.Fatalf("a %d-byte streamed artifact holds %d bytes", want, held)
+	}
+	if got, err := ReadArtifactChecked(s, "streamed"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("streamed artifact reads back %d bytes: %v", len(got), err)
 	}
 	w, _ := s.Create("pieces")
 	w.Write([]byte("ab"))

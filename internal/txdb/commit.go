@@ -269,36 +269,16 @@ func (ck *commitCtx) persist(values []byte, delta bool) error {
 	if err != nil {
 		return err
 	}
-	fr := db.cfg.Flight
-	if err := writeArtifactFlight(db.cfg.Checkpoints, "data-"+ck.token, values, fr, ck.version); err != nil {
-		return err
-	}
-	if err := writeArtifactFlight(db.cfg.Checkpoints, "meta-"+ck.token, mbuf, fr, ck.version); err != nil {
-		return err
-	}
-	if err := writeArtifactFlight(db.cfg.Checkpoints, "latest", []byte(ck.token), fr, ck.version); err != nil {
-		return err
+	for _, a := range []struct {
+		name    string
+		payload []byte
+	}{{"data-" + ck.token, values}, {"meta-" + ck.token, mbuf}, {"latest", []byte(ck.token)}} {
+		if _, err := storage.WriteArtifactStream(db.cfg.Checkpoints, a.name, storage.Payload(a.payload), db.cfg.Flight, -1, ck.version); err != nil {
+			return err
+		}
 	}
 	db.lastCommitToken = ck.token
 	return nil
-}
-
-// writeArtifact persists one checkpoint artifact in the checksum envelope,
-// retrying transient device faults (storage.DefaultRetry).
-func writeArtifact(store storage.CheckpointStore, name string, data []byte) error {
-	return storage.WriteArtifactChecked(store, name, data)
-}
-
-// writeArtifactFlight is writeArtifact with flight-recorder visibility into
-// retries and the completed write.
-func writeArtifactFlight(store storage.CheckpointStore, name string, data []byte, fr *obs.FlightRecorder, version uint64) error {
-	err := storage.WriteArtifactCheckedObserved(store, name, data, func(attempt int, _ error) {
-		fr.Emit(obs.FlightArtifactRetry, -1, version, name, "", uint64(attempt), 0)
-	})
-	if err == nil {
-		fr.Emit(obs.FlightArtifactWrite, -1, version, name, "", uint64(len(data)), 0)
-	}
-	return err
 }
 
 // Recover loads a database from its most recent checkpoint (Sec. 4.4: no
@@ -311,11 +291,11 @@ func Recover(cfg Config) (*DB, error) {
 	if cfg.Engine == EngineWAL {
 		return recoverWAL(cfg)
 	}
-	tok, err := readArtifactFrom(cfg.Checkpoints, "latest")
+	tok, err := storage.ReadArtifactChecked(cfg.Checkpoints, "latest")
 	if err != nil {
 		return nil, fmt.Errorf("txdb: no checkpoint to recover from: %w", err)
 	}
-	mbuf, err := readArtifactFrom(cfg.Checkpoints, "meta-"+string(tok))
+	mbuf, err := storage.ReadArtifactChecked(cfg.Checkpoints, "meta-"+string(tok))
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +314,7 @@ func Recover(cfg Config) (*DB, error) {
 		if prevTok == "" {
 			return nil, fmt.Errorf("txdb: delta commit %s has no predecessor", chain[len(chain)-1].Token)
 		}
-		pbuf, err := readArtifactFrom(cfg.Checkpoints, "meta-"+prevTok)
+		pbuf, err := storage.ReadArtifactChecked(cfg.Checkpoints, "meta-"+prevTok)
 		if err != nil {
 			return nil, fmt.Errorf("txdb: delta chain: %w", err)
 		}
@@ -350,7 +330,7 @@ func Recover(cfg Config) (*DB, error) {
 	}
 	// Load the full base, then apply deltas oldest-first.
 	base := chain[len(chain)-1]
-	data, err := readArtifactFrom(cfg.Checkpoints, "data-"+base.Token)
+	data, err := storage.ReadArtifactChecked(cfg.Checkpoints, "data-"+base.Token)
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -360,7 +340,7 @@ func Recover(cfg Config) (*DB, error) {
 		copy(db.records[i].live, data[i*per:(i+1)*per])
 	}
 	for i := len(chain) - 2; i >= 0; i-- {
-		delta, err := readArtifactFrom(cfg.Checkpoints, "data-"+chain[i].Token)
+		delta, err := storage.ReadArtifactChecked(cfg.Checkpoints, "data-"+chain[i].Token)
 		if err != nil {
 			db.Close()
 			return nil, err

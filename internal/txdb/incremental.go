@@ -3,8 +3,6 @@ package txdb
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/storage"
 )
 
 // Incremental checkpoints are the orthogonal optimization noted in Sec. 4.1:
@@ -76,10 +74,4 @@ func (db *DB) applyDelta(data []byte) error {
 		pos += per
 	}
 	return nil
-}
-
-// readArtifactFrom reads a whole named artifact, verifying its checksum
-// envelope and retrying transient device faults.
-func readArtifactFrom(store storage.CheckpointStore, name string) ([]byte, error) {
-	return storage.ReadArtifactChecked(store, name)
 }
