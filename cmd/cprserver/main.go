@@ -63,7 +63,7 @@ func main() {
 		faultSeed    = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 		faultLatency = flag.Duration("fault-latency", 0, "injected latency spike duration; applied at -fault-rate (testing)")
 
-		flightCap = flag.Int("flightrec", obs.DefaultFlightCapacity, "flight-recorder ring capacity per CPU (events; 0 = off)")
+		flightCap = flag.Int("flightrec", obs.DefaultFlightCapacity, "flight-recorder event ring capacity (one ring; events; 0 = off)")
 		traceCap  = flag.Int("reqtrace", 64, "slow-request trace retention (span trees; 0 = off)")
 
 		healthIvl = flag.Duration("health-interval", time.Second, "health engine sampling interval; detectors fire after ~3 bad samples (0 = off)")
@@ -244,11 +244,6 @@ func main() {
 	}
 }
 
-// startHealth builds and starts the health engine over a store's
-// observability surfaces: it samples the metrics registry every interval,
-// runs the stall/SLO detector suite, and captures incident bundles through
-// the store's checkpoint store when a detector fires. Returns nil when
-// disabled (interval 0).
 // serveDebug serves the store's introspection endpoints on addr ("" = none).
 // /timeline and /trace's global spans are computed from the flight recorder,
 // so -flightrec 0 leaves them empty.
@@ -268,6 +263,11 @@ func serveDebug(addr string, store *faster.Store, eng *health.Engine) {
 	}()
 }
 
+// startHealth builds and starts the health engine over a store's
+// observability surfaces: it samples the metrics registry every interval,
+// runs the stall/SLO detector suite, and captures incident bundles through
+// the store's checkpoint store when a detector fires. Returns nil when
+// disabled (interval 0).
 func startHealth(store *faster.Store, interval, sloDurLag time.Duration) *health.Engine {
 	if interval <= 0 {
 		return nil

@@ -158,8 +158,8 @@ const (
 // OpenDB creates a zeroed database.
 func OpenDB(cfg DBConfig) (*DB, error) { return txdb.Open(cfg) }
 
-// RecoverDB loads a database from its most recent checkpoint (or, for
-// EngineWAL, replays the durable log prefix).
+// RecoverDB loads a database from its most recent commit that verifies (or,
+// for EngineWAL, replays the durable log prefix).
 func RecoverDB(cfg DBConfig) (*DB, error) { return txdb.Recover(cfg) }
 
 // ---- Observability (internal/obs) ----

@@ -126,7 +126,7 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 		return "", ErrCommitInProgress
 	}
 	c := &storeCommit{
-		token:   fmt.Sprintf("ckpt-%06d", s.commitSeq.Add(1)),
+		token:   storage.NextToken(&s.commitSeq),
 		version: s.shards[0].Version(),
 		kind:    s.cfg.Kind,
 		onDone:  opts.OnDone,
@@ -180,7 +180,7 @@ func (s *Store) finishCommit(c *storeCommit) {
 	}
 	if res.Err == nil {
 		var n int64
-		n, res.Err = writeRecord(s.cfg.Checkpoints, &rec, s.cfg.Flight)
+		n, res.Err = storage.WriteRecord(s.cfg.Checkpoints, c.token, uint64(c.version), &rec, s.cfg.Flight)
 		res.Bytes += n
 	}
 	if res.Err == nil {

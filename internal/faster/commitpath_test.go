@@ -402,7 +402,7 @@ func TestRecoverParentLayout(t *testing.T) {
 			cfg.Checkpoints = ckpts
 			cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
 			_, err := Recover(cfg)
-			if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, errParentLayout) ||
+			if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, storage.ErrForeignLayout) ||
 				!strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), token) {
 				t.Fatalf("Recover over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
 			}
@@ -426,12 +426,12 @@ func TestRecoverRecordFormat1(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Format = 1
-	if _, err := writeRecord(ckpts, rec, nil); err != nil {
+	if _, err := storage.WriteRecord(ckpts, rec.Token, uint64(rec.Version), rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg := shardedConfig(1)
 	cfg.Checkpoints, cfg.Device = ckpts, devs[0]
-	if _, err := Recover(cfg); err == nil || !errors.Is(err, errParentLayout) ||
+	if _, err := Recover(cfg); err == nil || !errors.Is(err, storage.ErrForeignLayout) ||
 		!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), res.Token) {
 		t.Fatalf("Recover over a format-1 record = %v, want a hard error naming the format and %s", err, res.Token)
 	}

@@ -197,11 +197,11 @@ func tortureSweep(t *testing.T, seed uint64, shards int, kind CommitKind) {
 		for _, label := range []string{
 			"torn:" + blobName("index", token, 0), "after:" + blobName("index", token, shards-1),
 			"torn:" + blobName("snapshot", token, shards-1), "after:" + blobName("snapshot", token, 0),
-			"before:" + recordName(token), "torn:" + recordName(token), "after:" + recordName(token)} {
+			"before:" + storage.RecordName(token), "torn:" + storage.RecordName(token), "after:" + storage.RecordName(token)} {
 			inj.Arm(label, func() {
 				// A torn newest record over >= 1 completed commit must
 				// demote, and the demotion must be reported.
-				wantSkip := label == "torn:"+recordName(token) && completed.Load() > 0
+				wantSkip := label == "torn:"+storage.RecordName(token) && completed.Load() > 0
 				snapMu.Lock()
 				snaps = append(snaps, capture(label, wantSkip))
 				snapMu.Unlock()

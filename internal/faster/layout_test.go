@@ -118,7 +118,7 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 		}
 		rec.Shards = append(rec.Shards, sec)
 	}
-	if _, err := writeRecord(img.ckpts, &rec, nil); err != nil {
+	if _, err := storage.WriteRecord(img.ckpts, rec.Token, uint64(rec.Version), &rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	return img

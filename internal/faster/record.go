@@ -1,29 +1,24 @@
 package faster
 
 import (
-	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/hlog"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
-// This file owns the on-disk layout of a commit: the commit record, the names
-// of the blobs it refers to, the one loader, the one amend and the offline
-// walk (VerifyCommits). Nothing else in the tree spells an artifact name.
+// This file owns what FASTER's commit record says: its type, the names of the
+// blobs it refers to, the one loader, the one amend and the offline walk
+// (VerifyCommits). The record's name, the token order and its write and
+// verified read are storage's (record.go there), shared with txdb.
 
 // commitRecord is the commit record, the artifact cpr-manifest-<token>: the
 // one write whose presence means "committed" and everything recovery, a
 // replica's install and the shipper need to know about the commit. It is
 // written once every shard's capture is durable and every attachment hook has
-// answered, so a crash or a failure anywhere before it leaves the previous
-// record as the newest commit, whatever blobs of the unfinished one reached
-// the store. The only other artifacts a commit owns are the blobs the record
+// answered. The only other artifacts a commit owns are the blobs the record
 // names.
 type commitRecord struct {
 	Format  int    `json:"format"`
@@ -36,6 +31,8 @@ type commitRecord struct {
 	// Attachments are the payloads of the Store.OnCommitArtifact hooks, by
 	// the name each hook gave.
 	Attachments map[string][]byte `json:"attachments,omitempty"`
+	// Engine is set only in another engine's record (txdb's): FASTER refuses it.
+	Engine string `json:"engine,omitempty"`
 }
 
 // shardSection is one shard's part of a commit record.
@@ -60,14 +57,6 @@ type shardSection struct {
 // Format 1 named CPRIDX2 index images and read each log_start as its shard's
 // leg began, not before the first one did (shard.isFuture needs the latter).
 const recordFormat = 2
-
-// errParentLayout marks a record of an older layout: recovery must neither
-// read it as a commit nor pass over it to an older one.
-var errParentLayout = errors.New("this version cannot read it")
-
-const recordPrefix = "cpr-manifest-"
-
-func recordName(token string) string { return recordPrefix + token }
 
 // blobName names a blob of shard i's leg of commit token ("index" or
 // "snapshot"); the shard is in the name at every shard count.
@@ -104,21 +93,24 @@ func (rec *commitRecord) blobs() []string {
 }
 
 // loadRecord reads and verifies the record of the commit identified by token:
-// the one loader. A record of an older layout is errParentLayout.
+// the one loader. A record of an older layout or of the other engine is
+// storage.ErrForeignLayout.
 func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error) {
-	buf, err := storage.ReadArtifactChecked(cs, recordName(token))
+	buf, err := storage.ReadRecord(cs, token)
 	if err != nil {
-		return nil, fmt.Errorf("commit record: %w", err)
+		return nil, err
 	}
 	rec := new(commitRecord)
 	err = json.Unmarshal(buf, rec)
 	switch {
+	case rec.Engine != "":
+		return nil, fmt.Errorf("commit record %s: checkpoint store holds %s commit records, not FASTER's; %w", token, rec.Engine, storage.ErrForeignLayout)
 	case rec.Format == 0 && json.Valid(buf):
 		// The manifest before the commit record: no format, and a shard count
 		// where the sections are (which is what err, if any, complains about).
-		return nil, fmt.Errorf(`commit record %s: checkpoint store has the per-shard layout (a cpr-manifest without "format"/"shards" sections, beside meta-<token> and pagecrc-<token> per shard); %w`, token, errParentLayout)
+		return nil, fmt.Errorf(`commit record %s: checkpoint store has the per-shard layout (a cpr-manifest without "format"/"shards" sections, beside meta-<token> and pagecrc-<token> per shard); %w`, token, storage.ErrForeignLayout)
 	case rec.Format == 1 && err == nil:
-		return nil, fmt.Errorf("commit record %s: checkpoint store has commit record format 1 (CPRIDX2 index images); %w", token, errParentLayout)
+		return nil, fmt.Errorf("commit record %s: checkpoint store has commit record format 1 (CPRIDX2 index images); %w", token, storage.ErrForeignLayout)
 	case err != nil:
 		return nil, fmt.Errorf("commit record %s: %w", token, err)
 	}
@@ -126,16 +118,6 @@ func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error)
 		return nil, fmt.Errorf("commit record %s: format %d, token %q", token, rec.Format, rec.Token)
 	}
 	return rec, nil
-}
-
-// writeRecord persists rec — inside the checksum envelope, retried and
-// recorded like every artifact — and returns the payload's length.
-func writeRecord(cs storage.CheckpointStore, rec *commitRecord, fr *obs.FlightRecorder) (int64, error) {
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	return storage.WriteArtifactStream(cs, recordName(rec.Token), storage.Payload(buf), fr, -1, uint64(rec.Version))
 }
 
 // amendRecord drops the page checksums of shard i's touched pages from the
@@ -156,42 +138,8 @@ func (sh *shard) amendRecord(token string, touched map[uint64]bool) error {
 		return nil
 	}
 	sec.PageCRCs = kept
-	_, err = writeRecord(sh.cfg.Checkpoints, rec, sh.flight)
+	_, err = storage.WriteRecord(sh.cfg.Checkpoints, token, uint64(rec.Version), rec, sh.flight)
 	return err
-}
-
-// Commits lists the tokens of the commit records in cs, newest first by token
-// sequence number. Enumerating records is what makes fallback possible when
-// the newest commit is damaged.
-func Commits(cs storage.CheckpointStore) ([]string, error) {
-	names, err := cs.List()
-	if err != nil {
-		return nil, err
-	}
-	return recordTokens(names), nil
-}
-
-func recordTokens(names []string) []string {
-	var tokens []string
-	for _, n := range names {
-		if tok, ok := strings.CutPrefix(n, recordPrefix); ok {
-			tokens = append(tokens, tok)
-		}
-	}
-	// Store-generated tokens by sequence number; foreign ones (sequence 0) last.
-	slices.SortFunc(tokens, func(a, b string) int {
-		sa, _ := tokenSeq(a)
-		sb, _ := tokenSeq(b)
-		return cmp.Or(cmp.Compare(sb, sa), cmp.Compare(b, a))
-	})
-	return tokens
-}
-
-// tokenSeq extracts the sequence number from a store-generated commit token.
-func tokenSeq(token string) (uint64, bool) {
-	var seq uint64
-	_, err := fmt.Sscanf(token, "ckpt-%d", &seq)
-	return seq, err == nil
 }
 
 // Attachment returns the payload a Store.OnCommitArtifact hook attached to
@@ -225,10 +173,14 @@ func VerifyCommits(cs storage.CheckpointStore) (commits []CommitVerdict, orphans
 	if err != nil {
 		return nil, nil, err
 	}
-	tokens := recordTokens(names)
+	tokens, err := storage.RecordTokens(names)
+	if err != nil {
+		return nil, nil, err
+	}
 	slices.Reverse(tokens)
 	blobErr := map[string]error{} // verified once, however many records name it
 	for _, tok := range tokens {
+		blobErr[storage.RecordName(tok)] = nil // not an orphan
 		v := CommitVerdict{Token: tok}
 		rec, err := loadRecord(cs, tok)
 		if err != nil {
@@ -246,7 +198,7 @@ func VerifyCommits(cs storage.CheckpointStore) (commits []CommitVerdict, orphans
 		commits = append(commits, v)
 	}
 	for _, n := range names {
-		if _, named := blobErr[n]; !named && !strings.HasPrefix(n, recordPrefix) {
+		if _, named := blobErr[n]; !named {
 			orphans = append(orphans, n)
 		}
 	}

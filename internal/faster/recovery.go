@@ -1,12 +1,9 @@
 package faster
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"maps"
-	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/hashfn"
@@ -20,13 +17,10 @@ import (
 // error (errors.Is) still fail hard on real recovery problems — a corrupt
 // store with no surviving commit or a shard-count mismatch must never
 // silently discard data.
-var ErrNoCheckpoint = errors.New("no checkpoint to recover from")
+var ErrNoCheckpoint = storage.ErrNoCheckpoint
 
 // SkippedCommit records one commit that recovery examined and rejected.
-type SkippedCommit struct {
-	Token  string `json:"token"`
-	Reason string `json:"reason"`
-}
+type SkippedCommit = storage.SkippedCommit
 
 // RecoveryReport describes what Recover did: which commit it landed on and
 // which newer commits it had to skip because an artifact was torn, corrupt,
@@ -78,78 +72,44 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	s := newStore(cfg)
 	s.shards = make([]*shard, cfg.Shards)
 
-	names, err := cfg.Checkpoints.List()
-	if err != nil {
-		return nil, nil, err
-	}
-	cands := recordTokens(names)
-	if len(cands) == 0 {
-		// A top-level "latest" pointer without any record is what a
-		// single-shard store wrote before the manifest became its commit
-		// record. Its commits are real; reporting "no checkpoint" would let the
-		// caller start a fresh store over them.
-		if slices.Contains(names, "latest") {
-			return nil, nil, fmt.Errorf("faster: checkpoint store has the pre-manifest single-shard layout (a \"latest\" pointer, no cpr-manifest-*); this version cannot read it")
-		}
-		return nil, nil, fmt.Errorf("faster: %w: no commit record found", ErrNoCheckpoint)
-	}
 	report := &RecoveryReport{}
-	skip := func(tok string, err error) {
-		report.Skipped = append(report.Skipped, SkippedCommit{Token: tok, Reason: err.Error()})
-		s.metrics.recoverySkips.Inc()
-		s.cfg.Flight.Emit(obs.FlightRecoverFallback, -1, 0, tok, "", 0, 0)
-	}
-candidates:
-	for _, tok := range cands {
-		rec, rerr := loadRecord(s.cfg.Checkpoints, tok)
-		if errors.Is(rerr, errParentLayout) {
-			// Its commits are real too, and no older record can stand in for them.
-			return nil, nil, fmt.Errorf("faster: %w", rerr)
+	skipped, err := storage.RecoverNewest(cfg.Checkpoints, &s.commitSeq, cfg.Flight, func(tok string) error {
+		rec, err := loadRecord(cfg.Checkpoints, tok)
+		if err != nil {
+			return err
 		}
-		if rerr != nil {
-			skip(tok, rerr)
-			continue
-		}
-		if len(rec.Shards) != s.cfg.Shards {
+		if len(rec.Shards) != cfg.Shards {
 			// Configuration error, not corruption: no older record can fix a
 			// store opened with the wrong shard count.
-			return nil, nil, fmt.Errorf("faster: manifest has %d shards, config has %d", len(rec.Shards), s.cfg.Shards)
+			return storage.Refuse(fmt.Errorf("manifest has %d shards, config has %d", len(rec.Shards), cfg.Shards))
 		}
 		for i := range s.shards {
 			sc, err := s.shardConfig(i)
 			if err != nil {
 				s.closeShards(i)
-				return nil, nil, err
+				return storage.Refuse(err)
 			}
-			sh, rerr := recoverShard(sc, i, s.metrics, &s.recordMu, rec)
-			if rerr != nil {
+			if s.shards[i], err = recoverShard(sc, i, s.metrics, &s.recordMu, rec); err != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
-				skip(tok, fmt.Errorf("shard %d: %w", i, rerr))
-				continue candidates
+				return fmt.Errorf("shard %d: %w", i, err)
 			}
-			s.shards[i] = sh
 		}
 		maps.Copy(s.recoveredSerials, rec.Serials)
-		report.Token = rec.Token
-		report.Version = rec.Version
-		s.finishRecovery(names, report)
-		return s, report, nil
+		report.Token, report.Version = rec.Token, rec.Version
+		return nil
+	})
+	report.Skipped = skipped
+	s.metrics.recoverySkips.Add(uint64(len(skipped)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("faster: %w", err)
 	}
-	return nil, nil, fmt.Errorf("faster: no verifiable commit among %d candidate(s); newest (%s): %s",
-		len(cands), report.Skipped[0].Token, report.Skipped[0].Reason)
+	s.finishRecovery(report)
+	return s, report, nil
 }
 
-// finishRecovery resumes the token sequence past every token an artifact in
-// the store carries — skipped commits and the blobs of a commit that crashed
-// before its record included — so fresh commits never reuse one, and
-// publishes the report.
-func (s *Store) finishRecovery(names []string, report *RecoveryReport) {
-	for _, n := range names {
-		if i := strings.LastIndex(n, "ckpt-"); i >= 0 {
-			s.resumeTokensAfter(n[i:])
-		}
-	}
+// finishRecovery publishes the report and starts what the recovered store runs.
+func (s *Store) finishRecovery(report *RecoveryReport) {
 	s.latestToken, s.latestVer = report.Token, report.Version
 	s.report = report
 	s.registerStoreGauges()
@@ -167,13 +127,6 @@ func (s *Store) finishRecovery(names []string, report *RecoveryReport) {
 	// disk verified end to end.
 	s.cfg.Flight.Emit(obs.FlightRecoverVerdict, -1, uint64(report.Version), report.Token, "",
 		uint64(len(report.Skipped)), 0)
-}
-
-// resumeTokensAfter moves the token counter past token's sequence number.
-func (s *Store) resumeTokensAfter(token string) {
-	if seq, ok := tokenSeq(token); ok && seq > s.commitSeq.Load() {
-		s.commitSeq.Store(seq)
-	}
 }
 
 // closeShards closes the shards recovered so far ([0, n)).

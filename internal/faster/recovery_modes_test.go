@@ -219,7 +219,7 @@ func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recovered
 	t.Helper()
 	st := recoveredState{points: s.RecoveredPoints()}
 	var err error
-	if st.record, err = storage.ReadArtifact(cfg.Checkpoints, recordName(img.token)); err != nil {
+	if st.record, err = storage.ReadArtifact(cfg.Checkpoints, storage.RecordName(img.token)); err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range s.shards {
@@ -411,7 +411,7 @@ type lingeringStore struct{ *storage.MemCheckpointStore }
 
 func (s lingeringStore) Open(name string) (io.ReadCloser, error) {
 	r, err := s.MemCheckpointStore.Open(name)
-	if strings.HasPrefix(name, recordPrefix) {
+	if strings.HasPrefix(name, "cpr-manifest-") {
 		time.Sleep(time.Millisecond)
 	}
 	return r, err

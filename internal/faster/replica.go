@@ -122,7 +122,7 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faster: ship info: %w", err)
 	}
-	info := &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), recordName(token))}
+	info := &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), storage.RecordName(token))}
 	for i := range rec.Shards {
 		sec := &rec.Shards[i]
 		floor := sec.logEnd()
@@ -171,7 +171,7 @@ func (s *Store) ApplyCommitted(token string) error {
 	s.ckptMu.Lock()
 	s.latestToken, s.latestVer = token, rec.Version
 	s.ckptMu.Unlock()
-	s.resumeTokensAfter(token)
+	storage.ResumeTokens(&s.commitSeq, token)
 	return nil
 }
 

@@ -61,7 +61,11 @@ func LatestWatermark(cs storage.CheckpointStore) (Watermark, bool, error) {
 // Watermarks walks the commit records newest first and collects the
 // watermarks of those that read and have one, up to limit (0: all).
 func Watermarks(cs storage.CheckpointStore, limit int) ([]Watermark, error) {
-	tokens, err := faster.Commits(cs)
+	names, err := cs.List()
+	if err != nil {
+		return nil, fmt.Errorf("inlog: list commits: %w", err)
+	}
+	tokens, err := storage.RecordTokens(names)
 	if err != nil {
 		return nil, fmt.Errorf("inlog: list commits: %w", err)
 	}

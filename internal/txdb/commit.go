@@ -3,6 +3,7 @@ package txdb
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -19,10 +20,10 @@ type CommitResult struct {
 	// Seqs maps each participating worker's CPR point: all transactions
 	// with sequence <= Seqs[w] are in the commit, none after.
 	Seqs map[*Worker]uint64
-	// Bytes is the checkpoint artifact size (deltas are much smaller than
-	// full captures under sparse updates; see the ablation experiment).
+	// Bytes is the capture's size (deltas are much smaller than full
+	// captures under sparse updates; see the ablation experiment).
 	Bytes int64
-	// Delta reports whether this commit captured a delta artifact.
+	// Delta reports whether this commit captured a delta.
 	Delta bool
 	Err   error
 }
@@ -46,16 +47,20 @@ type commitCtx struct {
 	onDone func(CommitResult)
 }
 
-// dbMetadata is the persisted checkpoint descriptor.
-type dbMetadata struct {
-	Token     string `json:"token"`
-	Version   uint64 `json:"version"`
-	Records   int    `json:"records"`
-	ValueSize int    `json:"value_size"`
-	// Delta marks an incremental commit; Prev names the commit it chains to.
-	Delta bool   `json:"delta"`
-	Prev  string `json:"prev,omitempty"`
+// dbRecord is a CPR/CALC commit's record (storage.RecordName): written after
+// the capture it names, so a commit is its capture blob plus this one artifact.
+// Captures is the chain recovery loads — the full base first, then the deltas
+// in order, the last this commit's own — so no other record is read.
+type dbRecord struct {
+	Engine    string   `json:"engine"` // "txdb": FASTER refuses it by this
+	Token     string   `json:"token"`
+	Version   uint64   `json:"version"`
+	Records   int      `json:"records"`
+	ValueSize int      `json:"value_size"`
+	Captures  []string `json:"captures"`
 }
+
+const engineName = "txdb"
 
 // ErrCommitInProgress mirrors faster.ErrCommitInProgress for the database.
 var ErrCommitInProgress = fmt.Errorf("txdb: a commit is already in progress")
@@ -97,7 +102,7 @@ func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
 	ck := &commitCtx{
 		db:      db,
 		version: db.Version(),
-		token:   fmt.Sprintf("ckpt-%06d", db.commitSeq.Add(1)),
+		token:   storage.NextToken(&db.commitSeq),
 		started: time.Now(),
 		done:    make(chan struct{}),
 		onDone:  onDone,
@@ -201,35 +206,9 @@ func (ck *commitCtx) dropParticipant(w *Worker) {
 // and return to rest at v+1.
 func (ck *commitCtx) waitFlush() {
 	db := ck.db
-	delta := db.cfg.Incremental && db.lastFullToken != "" &&
-		int(ck.version-db.lastFullVersion) < db.cfg.FullEvery
-	var buf []byte
-	if delta {
-		buf = ck.buildDelta()
-	} else {
-		buf = make([]byte, 0, db.cfg.Records*db.cfg.ValueSize)
-		for i := range db.records {
-			r := &db.records[i]
-			// Brief shared latch: consistent (version, value) observation.
-			for !r.tryLock(false) {
-			}
-			if r.version == ck.version+1 {
-				buf = append(buf, r.stable...)
-			} else {
-				buf = append(buf, r.live...)
-			}
-			r.unlock(false)
-		}
-	}
+	delta := db.cfg.Incremental && len(db.chain) > 0 && len(db.chain) < db.cfg.FullEvery
+	buf := ck.capture(delta)
 	err := ck.persist(buf, delta)
-	if err == nil {
-		db.cfg.Flight.Emit(obs.FlightPersistDone, -1, ck.version, ck.token, "",
-			uint64(len(buf)), 0)
-		if !delta {
-			db.lastFullToken, db.lastFullVersion = ck.token, ck.version
-		}
-	}
-
 	ck.res = CommitResult{Token: ck.token, Version: ck.version, Seqs: ck.coord.Points(),
 		Bytes: int64(len(buf)), Delta: delta, Err: err}
 	// The transition is recorded first: whoever sees the commit done finds all
@@ -243,8 +222,7 @@ func (ck *commitCtx) waitFlush() {
 	ck.bumpEpoch()
 	if err != nil {
 		db.cfg.Flight.Emit(obs.FlightCommitFail, -1, ck.version, ck.token, "", 0, 0)
-	}
-	if err == nil {
+	} else {
 		db.cfg.Flight.Emit(obs.FlightCommitDone, -1, ck.version, ck.token, "",
 			uint64(len(buf)), 0)
 		db.metrics.commits.Inc()
@@ -260,119 +238,97 @@ func (ck *commitCtx) waitFlush() {
 	}
 }
 
-func (ck *commitCtx) persist(values []byte, delta bool) error {
-	db := ck.db
-	meta := dbMetadata{Token: ck.token, Version: ck.version,
-		Records: db.cfg.Records, ValueSize: db.cfg.ValueSize,
-		Delta: delta, Prev: db.lastCommitToken}
-	mbuf, err := json.Marshal(meta)
-	if err != nil {
+// persist writes the commit: its capture, then its record. A failed commit
+// leaves its version's writes in no capture, so the next commit is a full one.
+func (ck *commitCtx) persist(capture []byte, delta bool) error {
+	db, name := ck.db, "data-"+ck.token
+	cs, fr := db.cfg.Checkpoints, db.cfg.Flight
+	chain := []string{name}
+	if delta {
+		chain = append(slices.Clip(db.chain), name)
+	}
+	db.chain = nil
+	if _, err := storage.WriteArtifactStream(cs, name, storage.Payload(capture), fr, -1, ck.version); err != nil {
 		return err
 	}
-	for _, a := range []struct {
-		name    string
-		payload []byte
-	}{{"data-" + ck.token, values}, {"meta-" + ck.token, mbuf}, {"latest", []byte(ck.token)}} {
-		if _, err := storage.WriteArtifactStream(db.cfg.Checkpoints, a.name, storage.Payload(a.payload), db.cfg.Flight, -1, ck.version); err != nil {
-			return err
-		}
+	fr.Emit(obs.FlightPersistDone, -1, ck.version, ck.token, "", uint64(len(capture)), 0)
+	rec := dbRecord{Engine: engineName, Token: ck.token, Version: ck.version,
+		Records: db.cfg.Records, ValueSize: db.cfg.ValueSize, Captures: chain}
+	if _, err := storage.WriteRecord(cs, ck.token, ck.version, rec, fr); err != nil {
+		return err
 	}
-	db.lastCommitToken = ck.token
+	db.chain = chain
 	return nil
 }
 
-// Recover loads a database from its most recent checkpoint (Sec. 4.4: no
-// UNDO processing needed — captured values are transactionally consistent).
-// For EngineWAL it instead replays the durable prefix of the log.
+// Recover loads a database from its most recent commit that verifies (Sec.
+// 4.4: no UNDO processing needed — captured values are transactionally
+// consistent), by FASTER's rule (storage.RecoverNewest): records newest first,
+// falling back past one whose record or capture does not verify; a record of
+// another shape, FASTER's records or an older layout are a hard error. For
+// EngineWAL it instead replays the durable prefix of the log.
 func Recover(cfg Config) (*DB, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	if cfg.Engine == EngineWAL {
-		return recoverWAL(cfg)
-	}
-	tok, err := storage.ReadArtifactChecked(cfg.Checkpoints, "latest")
-	if err != nil {
-		return nil, fmt.Errorf("txdb: no checkpoint to recover from: %w", err)
-	}
-	mbuf, err := storage.ReadArtifactChecked(cfg.Checkpoints, "meta-"+string(tok))
-	if err != nil {
-		return nil, err
-	}
-	var meta dbMetadata
-	if err := json.Unmarshal(mbuf, &meta); err != nil {
-		return nil, err
-	}
-	if meta.Records != cfg.Records || meta.ValueSize != cfg.ValueSize {
-		return nil, fmt.Errorf("txdb: checkpoint shape %dx%d != config %dx%d",
-			meta.Records, meta.ValueSize, cfg.Records, cfg.ValueSize)
-	}
-	// Walk the delta chain back to the most recent full capture.
-	chain := []dbMetadata{meta}
-	for chain[len(chain)-1].Delta {
-		prevTok := chain[len(chain)-1].Prev
-		if prevTok == "" {
-			return nil, fmt.Errorf("txdb: delta commit %s has no predecessor", chain[len(chain)-1].Token)
-		}
-		pbuf, err := storage.ReadArtifactChecked(cfg.Checkpoints, "meta-"+prevTok)
-		if err != nil {
-			return nil, fmt.Errorf("txdb: delta chain: %w", err)
-		}
-		var pm dbMetadata
-		if err := json.Unmarshal(pbuf, &pm); err != nil {
-			return nil, err
-		}
-		chain = append(chain, pm)
-	}
 	db, err := Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Load the full base, then apply deltas oldest-first.
-	base := chain[len(chain)-1]
-	data, err := storage.ReadArtifactChecked(cfg.Checkpoints, "data-"+base.Token)
+	if cfg = db.cfg; cfg.Engine == EngineWAL {
+		err = wal.Replay(cfg.WALDevice, uint64(cfg.WALDevice.Size()), func(rec wal.Record) {
+			if rec.Key < uint64(cfg.Records) {
+				copy(db.records[rec.Key].live, rec.Value)
+			}
+		})
+	} else {
+		_, err = storage.RecoverNewest(cfg.Checkpoints, &db.commitSeq, cfg.Flight, db.recoverCommit)
+	}
 	if err != nil {
 		db.Close()
-		return nil, err
+		return nil, fmt.Errorf("txdb: %w", err)
 	}
-	per := cfg.ValueSize
-	for i := range db.records {
-		copy(db.records[i].live, data[i*per:(i+1)*per])
-	}
-	for i := len(chain) - 2; i >= 0; i-- {
-		delta, err := storage.ReadArtifactChecked(cfg.Checkpoints, "data-"+chain[i].Token)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if err := db.applyDelta(delta); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	db.state.Store(packState(Rest, meta.Version+1))
-	db.lastCommitToken = meta.Token
-	db.lastFullToken, db.lastFullVersion = base.Token, base.Version
 	return db, nil
 }
 
-// recoverWAL rebuilds the database by redoing the durable log prefix.
-func recoverWAL(cfg Config) (*DB, error) {
-	db, err := Open(cfg)
-	if err != nil {
-		return nil, err
+// recoverCommit loads commit token: its record, then the capture chain the
+// record names into the live values, the full base first, then each delta in
+// order. A chain that fails part-way leaves values that the next candidate's
+// full base overwrites whole.
+func (db *DB) recoverCommit(token string) error {
+	var rec dbRecord
+	buf, err := storage.ReadRecord(db.cfg.Checkpoints, token)
+	if err == nil {
+		err = json.Unmarshal(buf, &rec)
 	}
-	durable := uint64(cfg.WALDevice.Size())
-	err = wal.Replay(cfg.WALDevice, durable, func(rec wal.Record) {
-		if rec.Key < uint64(cfg.Records) {
-			copy(db.records[rec.Key].live, rec.Value)
+	per := db.cfg.ValueSize
+	switch {
+	case err != nil:
+		return err
+	case rec.Engine != engineName:
+		return fmt.Errorf("commit record %s: checkpoint store holds FASTER commit records, not txdb's; %w", token, storage.ErrForeignLayout)
+	case rec.Records != len(db.records) || rec.ValueSize != per:
+		return storage.Refuse(fmt.Errorf("checkpoint shape %dx%d != config %dx%d", rec.Records, rec.ValueSize, len(db.records), per))
+	case rec.Token != token || len(rec.Captures) == 0:
+		return fmt.Errorf("commit record %s: token %q, %d captures", token, rec.Token, len(rec.Captures))
+	}
+	for i, name := range rec.Captures {
+		data, err := storage.ReadArtifactChecked(db.cfg.Checkpoints, name)
+		switch {
+		case err != nil:
+		case i > 0:
+			err = db.applyDelta(data)
+		case len(data) != len(db.records)*per:
+			err = fmt.Errorf("full capture %s is %d bytes, want %d", name, len(data), len(db.records)*per)
+		default:
+			for k := range db.records {
+				copy(db.records[k].live, data[k*per:(k+1)*per])
+			}
 		}
-	})
-	if err != nil {
-		db.Close()
-		return nil, err
+		if err != nil {
+			return err
+		}
 	}
-	return db, nil
+	db.state.Store(packState(Rest, rec.Version+1))
+	db.chain = rec.Captures
+	return nil
 }
 
 // CalcLogLen reports how many entries the CALC commit log has absorbed

@@ -235,11 +235,10 @@ type DB struct {
 	commitSeq atomic.Uint64
 	results   map[string]CommitResult
 
-	// Incremental-checkpoint chain state, written only by the single active
-	// checkpoint goroutine.
-	lastFullToken   string
-	lastFullVersion uint64
-	lastCommitToken string
+	// chain names the captures the latest commit's record names (dbRecord),
+	// which the next delta commit extends; written only by the single active
+	// checkpoint goroutine and by Recover.
+	chain []string
 
 	metrics dbMetrics
 }

@@ -53,20 +53,7 @@ func New(dev storage.Device, flushEvery time.Duration) *Log {
 // transaction's LSN. Read-only transactions (no records) must not call
 // Append; they generate no log traffic (Sec. 7.2.1).
 func (l *Log) Append(recs []Record) uint64 {
-	need := 4
-	for _, r := range recs {
-		need += 12 + len(r.Value)
-	}
-	scratch := make([]byte, 0, need) // encode outside the lock
-	var tmp [12]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(recs)))
-	scratch = append(scratch, tmp[:4]...)
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(tmp[:8], r.Key)
-		binary.LittleEndian.PutUint32(tmp[8:12], uint32(len(r.Value)))
-		scratch = append(scratch, tmp[:12]...)
-		scratch = append(scratch, r.Value...)
-	}
+	scratch := encode(recs) // outside the lock
 	l.mu.Lock()
 	lsn := l.lsn
 	l.lsn += uint64(len(scratch))
@@ -80,20 +67,7 @@ func (l *Log) Append(recs []Record) uint64 {
 // the "tail contention" of Fig. 10e) and the time spent copying the record
 // into the buffer ("log write").
 func (l *Log) AppendMeasured(recs []Record) (lsn uint64, lockWaitNs, copyNs int64) {
-	need := 4
-	for _, r := range recs {
-		need += 12 + len(r.Value)
-	}
-	scratch := make([]byte, 0, need)
-	var tmp [12]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(recs)))
-	scratch = append(scratch, tmp[:4]...)
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(tmp[:8], r.Key)
-		binary.LittleEndian.PutUint32(tmp[8:12], uint32(len(r.Value)))
-		scratch = append(scratch, tmp[:12]...)
-		scratch = append(scratch, r.Value...)
-	}
+	scratch := encode(recs)
 	t0 := time.Now()
 	l.mu.Lock()
 	t1 := time.Now()
@@ -103,6 +77,22 @@ func (l *Log) AppendMeasured(recs []Record) (lsn uint64, lockWaitNs, copyNs int6
 	l.mu.Unlock()
 	t2 := time.Now()
 	return lsn, t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
+}
+
+// encode lays out a transaction's redo records as the log stores them:
+// u32 count | count × (u64 key | u32 value length | value).
+func encode(recs []Record) []byte {
+	need := 4
+	for _, r := range recs {
+		need += 12 + len(r.Value)
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, need), uint32(len(recs)))
+	for _, r := range recs {
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Value)))
+		buf = append(buf, r.Value...)
+	}
+	return buf
 }
 
 // LSN returns the next LSN to be allocated.
