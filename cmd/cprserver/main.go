@@ -54,7 +54,7 @@ func main() {
 		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
 		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (see fasterctl restore-status)")
 		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
-		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics, /timeline and /debug/pprof (empty = off)")
+		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics, /metrics.prom, /timeline, /flight, /trace, /health and /debug/pprof (empty = off)")
 		replAddr   = flag.String("repl", "", "replication listen address; replicas connect here (empty = off)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary replication address")
 

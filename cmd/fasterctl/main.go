@@ -3,13 +3,17 @@
 //
 //	fasterctl -dir /tmp/db set mykey myvalue
 //	fasterctl -dir /tmp/db get mykey
+//	fasterctl -dir /tmp/db del mykey
+//	fasterctl -dir /tmp/db rmw counter 5
 //	fasterctl -dir /tmp/db bulkload 100000
 //	fasterctl -dir /tmp/db stats
 //	fasterctl -dir /tmp/db metrics
+//	fasterctl -dir /tmp/db verify
 //	fasterctl repl-status localhost:7070
 //	fasterctl restore-status localhost:7070
 //	fasterctl flight -addr localhost:7070 ckpt-000042
 //	fasterctl flight -dump /tmp/db/checkpoints/flight-panic
+//	fasterctl trace -addr localhost:7070 -slowest 5
 //	fasterctl pipeload -addr localhost:7070 -n 100000 -depth 64
 //	fasterctl inlog -dir /tmp/db
 //	fasterctl health -addr localhost:7070
@@ -199,9 +203,8 @@ func main() {
 			fmt.Printf("shards:        %d\n", n)
 			for i := 0; i < n; i++ {
 				lg := store.ShardLog(i)
-				fmt.Printf("shard %d: version %d phase %v tail %d durable %d in-memory [%d, %d)\n",
-					i, store.ShardVersion(i), store.ShardPhase(i),
-					lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
+				fmt.Printf("shard %d: tail %d durable %d in-memory [%d, %d)\n",
+					i, lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
 			}
 		} else {
 			lg := store.Log()
@@ -316,7 +319,7 @@ func pipeloadCmd(args []string) {
 		*n, *depth, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds())
 	snap, err := c.Stats()
 	if err != nil {
-		return // older server without OpStats support for this view
+		log.Fatal(err)
 	}
 	if h, ok := snap.Metrics.Histograms["faster_batch_depth"]; ok && h.Count > 0 {
 		fmt.Printf("server batch depth: p50 %d p99 %d ops over %d batches\n",

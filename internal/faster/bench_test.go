@@ -358,8 +358,9 @@ func replayBenchShard(b *testing.B, memPages int) (sh *shard, start, end uint64,
 	sess.StopSession()
 	s.Close()
 
-	sh = open(memPages, true).shards[0]
-	start, end, v = sh.recoveredScanStart, sh.log.Tail(), sh.Version()-1
+	r := open(memPages, true)
+	sh = r.shards[0]
+	start, end, v = sh.recoveredScanStart, sh.log.Tail(), r.Version()-1
 	records := 0
 	if err := sh.log.Scan(start, end, func(uint64, hlog.RecordRef) bool { records++; return true }); err != nil {
 		b.Fatal(err)

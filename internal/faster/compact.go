@@ -24,8 +24,17 @@ import (
 // epoch entry: the scan refreshes it continuously, keeping global progress
 // (offset shifts, flushes) alive even when this is the only session.
 func (sess *Session) CompactLog(until uint64) error {
+	if sess.store.Restoring() {
+		// Cold buckets still point into the prefix being compacted; copying
+		// records around them would race the warm-up replay.
+		return ErrRestoring
+	}
+	phase, version := unpackState(sess.store.state.Load())
+	if phase != Rest {
+		return ErrCommitInProgress
+	}
 	for _, ctx := range sess.ctxs {
-		if err := ctx.compactLog(until); err != nil {
+		if err := ctx.compactLog(until, version); err != nil {
 			return err
 		}
 	}
@@ -33,16 +42,8 @@ func (sess *Session) CompactLog(until uint64) error {
 }
 
 // compactLog compacts one shard's log prefix (see Session.CompactLog).
-func (sess *shardSession) compactLog(until uint64) error {
+func (sess *shardSession) compactLog(until uint64, version uint32) error {
 	s := sess.store
-	if s.restoring() {
-		// Cold buckets still point into the prefix being compacted; copying
-		// records around them would race the warm-up replay.
-		return ErrRestoring
-	}
-	if p, _ := unpackState(s.state.Load()); p != Rest {
-		return ErrCommitInProgress
-	}
 	if sro := s.log.SafeReadOnly(); until > sro {
 		until = sro
 	}
@@ -50,13 +51,12 @@ func (sess *shardSession) compactLog(until uint64) error {
 	if until <= begin {
 		return nil
 	}
-	_, version := unpackState(s.state.Load())
 
 	var keyBuf, valBuf []byte
 	count := 0
 	err := s.log.Scan(begin, until, func(addr uint64, rec hlog.RecordRef) bool {
 		if count++; count%64 == 0 {
-			(*sessionEpochs)(sess.owner).Refresh()
+			sess.owner.guard.Refresh()
 		}
 		if rec.Invalid() {
 			return true

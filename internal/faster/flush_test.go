@@ -266,7 +266,7 @@ func TestReadByRegion(t *testing.T) {
 				}
 				ctx := a.ctxs[0]
 				op := a.newOp(opRead, k, nil, hashfn.Hash64(k))
-				op.serial, op.version = a.serial.Add(1), ctx.version
+				op.serial, op.version = a.serial.Add(1), a.version
 				if r := ctx.find(op, false, false); int(r.reg) != region {
 					t.Fatalf("record found in region %d, want %d", r.reg, region)
 				}
@@ -338,7 +338,7 @@ func TestEnterPrepareRefreshesWhileLatched(t *testing.T) {
 	}()
 	// The lagging session's wait: an action that runs once every guard has refreshed.
 	drained := make(chan struct{})
-	sh.epochs.BumpEpoch(func() { close(drained) })
+	s.epochs.BumpEpoch(func() { close(drained) })
 	for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
 		hold.Refresh()
 		select {

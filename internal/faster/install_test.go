@@ -117,10 +117,11 @@ func sharedKeyRMWUnderCommits(t *testing.T, transfer VersionTransfer, kind Commi
 // read-only prefix in a loop. Compaction copies a record it found live to the
 // tail; if the writer installs a newer value in between, the copy must lose —
 // not land ahead of it and bring the overwritten value back. On several shards
-// (FASTER_TEST_SHARDS) it is also the regression test for two sessions turning
-// pages on all of them at once: each used to wait in hlog.ensureFrame on one
-// shard, refreshing only its guard there, for the other to refresh its guard on
-// that shard — within seconds, for good.
+// (FASTER_TEST_SHARDS) the two sessions also turn pages on all of them at once,
+// which deadlocked while every shard had its own epoch table: a session waiting
+// in hlog.ensureFrame on one shard refreshed only its entry there. A store has
+// one table now and a waiting session refreshes the only entry it holds, so
+// the class is gone by construction; the test keeps it that way.
 func TestCompactLogRacesWriter(t *testing.T) {
 	const (
 		keys   = 4096

@@ -1,0 +1,113 @@
+package faster
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestOneMachinePerStore pins that a store runs one CPR state machine however
+// many shards partition it: a commit walks the five phases once, every session
+// acknowledges prepare once and demarcates once, each session holds one entry
+// in one epoch table, and the point a commit reports for a session is the
+// serial the session demarcated at.
+func TestOneMachinePerStore(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { oneMachinePerStore(t, n) })
+	}
+}
+
+func oneMachinePerStore(t *testing.T, n int) {
+	const sessions = 3
+	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	cfg := shardedConfig(n)
+	cfg.Flight, cfg.Metrics = fr, obs.NewRegistry()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var ss []*Session
+	for i := 0; i < sessions; i++ {
+		ss = append(ss, s.StartSession())
+	}
+	defer func() {
+		for _, sess := range ss {
+			sess.StopSession()
+		}
+	}()
+	// Every session writes to every shard.
+	touched := make([][]bool, sessions)
+	for i, sess := range ss {
+		touched[i] = make([]bool, n)
+		for k := uint64(i) << 32; !all(touched[i]); k++ {
+			touched[i][s.ShardOfKey(key(k))] = true
+			if st := sess.Upsert(key(k), u64(k)); st == Pending {
+				sess.CompletePending(true)
+			}
+		}
+	}
+
+	registered := func() (sum int64) {
+		for name, v := range s.Metrics().Snapshot().Gauges {
+			if strings.HasSuffix(name, "epoch_registered") {
+				sum += v
+			}
+		}
+		return sum
+	}
+	if got := registered(); got != sessions {
+		t.Errorf("epoch tables hold %d entries for %d sessions", got, sessions)
+	}
+
+	for _, opts := range []CommitOptions{{}, {WithIndex: true}} {
+		res := driveCommit(t, s, ss, opts)
+		evs, _ := fr.Events()
+		var phases int
+		acks, demarcs := map[string]int{}, map[string]int{}
+		points := map[string]uint64{}
+		for _, e := range evs {
+			if e.Token != res.Token {
+				continue
+			}
+			switch e.Kind {
+			case obs.FlightPhase:
+				phases++
+			case obs.FlightAckPrepare:
+				acks[e.Session]++
+			case obs.FlightDemarcate:
+				demarcs[e.Session]++
+				points[e.Session] = e.Arg1
+			}
+		}
+		if phases != len(wantTransitions) {
+			t.Fatalf("commit %s (with index %v): %d phase transitions, want %d", res.Token, opts.WithIndex, phases, len(wantTransitions))
+		}
+		for _, sess := range ss {
+			prefix := sess.ID()[:obs.FlightSessionBytes]
+			if acks[prefix] != 1 || demarcs[prefix] != 1 {
+				t.Fatalf("commit %s: session %s acknowledged prepare %d times and demarcated %d times, want once each",
+					res.Token, prefix, acks[prefix], demarcs[prefix])
+			}
+			if got := res.Serials[sess.ID()]; got != points[prefix] || got != sess.Serial() {
+				t.Fatalf("commit %s: session %s reported at %d, demarcated at %d, issued %d",
+					res.Token, prefix, got, points[prefix], sess.Serial())
+			}
+		}
+		if got := registered(); got != sessions {
+			t.Fatalf("after commit %s epoch tables hold %d entries for %d sessions", res.Token, got, sessions)
+		}
+	}
+}
+
+func all(bs []bool) bool {
+	for _, b := range bs {
+		if !b {
+			return false
+		}
+	}
+	return true
+}

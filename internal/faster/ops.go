@@ -8,10 +8,7 @@ package faster
 //   - prepare:     operations belong to commit version v; encountering a
 //                  v+1 record or a failed shared-latch acquisition means the
 //                  CPR shift has begun (the op aborts to v+1 and the session
-//                  refreshes immediately) — unless the session has already
-//                  demarcated version v on another shard, in which case the
-//                  op must stay at v and completes with wait-pending
-//                  semantics instead.
+//                  refreshes immediately).
 //   - in-progress / wait-pending / wait-flush: fresh operations belong to
 //                  v+1 and must never update a version-≤v record in place;
 //                  the hand-off is guarded by bucket latches (fine-grained)
@@ -56,7 +53,7 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 	}
 }
 
-// dispatch routes op by the session's view of the shard's phase and the op's
+// dispatch routes op by the session's view of the phase and the op's
 // version. The default route is a current-version operation outside the
 // prepare gate: at rest, or a version-v operation completing once the commit
 // is past prepare (a counted op retried during prepare included; wait-pending
@@ -65,18 +62,19 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 // op's shared latch (fine-grained) is released by finish() when it leaves the
 // pending list.
 func (sess *shardSession) dispatch(op *pendingOp) Status {
-	if op.version < sess.version {
+	own := sess.owner
+	if op.version < own.version {
 		// The commit this op belonged to has fully completed (its pending
 		// work drained before wait-flush); treat it as current-version work.
-		op.version = sess.version
+		op.version = own.version
 	}
 	switch {
-	case op.version > sess.version:
+	case op.version > own.version:
 		return sess.processFuture(op)
-	case sess.phase == Prepare && !op.counted:
+	case own.phase == Prepare && !op.counted:
 		return sess.processPrepare(op)
 	}
-	r := sess.find(op, op.kind != opRead, sess.phase != Rest)
+	r := sess.find(op, op.kind != opRead, own.phase != Rest)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
@@ -212,29 +210,16 @@ func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 // (Alg. 4). Fine-grained transfer takes a shared bucket latch around the
 // whole operation; detecting the shift (latch failure or a v+1 record)
 // aborts the op to v+1 and refreshes immediately.
-//
-// On a partitioned store the session may already have demarcated version v
-// via another shard's in-progress entry. Such an op must NOT abort to v+1
-// (its serial is at or below the session's CPR point, so it belongs to the
-// committing prefix): shift signals are ignored and the op completes as
-// version v with wait-pending semantics, exactly like a counted pending op.
-// A single-shard store never takes this path — the session cannot demarcate
-// before its only context leaves prepare.
 func (sess *shardSession) processPrepare(op *pendingOp) Status {
 	st := sess.store
-	demarcated := sess.owner.demarcVersion == sess.version
-	fine := st.cfg.Transfer == FineGrained
-	if fine && !op.latched {
+	if st.cfg.Transfer == FineGrained && !op.latched {
 		if !st.index.trySharedLatch(op.hash) {
-			if demarcated {
-				return Pending
-			}
 			return sess.shiftDetected(op)
 		}
 		op.latched = true
 	}
-	r := sess.find(op, op.kind != opRead, demarcated)
-	if !demarcated && r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
+	r := sess.find(op, op.kind != opRead, false)
+	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.owner.version) {
 		return sess.shiftDetected(op)
 	}
 	var s Status
@@ -255,20 +240,12 @@ func (sess *shardSession) markCounted(op *pendingOp) {
 	if op.counted {
 		return
 	}
-	ck := sess.currentCkpt()
+	ck := sess.owner.store.active.Load()
 	if ck == nil || ck.version != op.version {
 		return
 	}
 	op.counted = true
 	ck.pendingV.Add(1)
-}
-
-func (sess *shardSession) currentCkpt() *checkpointCtx {
-	sh := sess.store
-	sh.ckptMu.Lock()
-	ck := sh.ckpt
-	sh.ckptMu.Unlock()
-	return ck
 }
 
 // shiftDetected implements the CPR_SHIFT_DETECTED path of Alg. 4: release
@@ -281,7 +258,7 @@ func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 	}
 	sess.owner.abortedSerial = op.serial
 	sess.owner.Refresh()
-	op.version = sess.targetVersion()
+	op.version = sess.owner.targetVersion()
 	return statusRetry
 }
 
@@ -291,31 +268,22 @@ func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 // the safe-read-only marker (coarse-grained) so no v+1 record is installed
 // while a pending v operation on the bucket could still complete.
 func (sess *shardSession) processFuture(op *pendingOp) Status {
-	st := sess.store
+	st, phase := sess.store, sess.owner.phase
 	r := sess.find(op, op.kind != opRead, false)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
-	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
+	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.owner.version) {
 		// No record, or already a v+1 record: nothing to hand off.
 		return sess.update(op, r)
 	}
 	// Version-≤v record (or cold record of unknown version): hand-off.
-	// On a partitioned store a demarcated session can issue v+1 operations
-	// while THIS shard is still in rest or prepare; park them until the
-	// shard's own state machine reaches in-progress (the hand-off gates
-	// below assume the version shift has been published here). Unreachable
-	// on a single-shard store: op.version > sess.version implies the shard
-	// entered in-progress, and processFuture runs only for such ops.
-	if sess.phase < InProgress {
-		return Pending
-	}
 	if r.reg == regDisk && !r.rec.Valid() && op.kind == opRMW {
 		// Blind updates need no record value; they still respect the gates.
 		return sess.issueIO(op, r.addr)
 	}
 	if st.cfg.Transfer == FineGrained {
-		switch sess.phase {
+		switch phase {
 		case InProgress:
 			if !st.index.tryExclusiveLatch(op.hash) {
 				return Pending
@@ -335,7 +303,7 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 	// safe-read-only marker; for cold records, wait until no pending v
 	// operation can exist (wait-flush or later). A mutable or fuzzy v record
 	// waits.
-	if r.reg == regSafeRO || r.reg == regDisk && sess.phase >= WaitFlush {
+	if r.reg == regSafeRO || r.reg == regDisk && phase >= WaitFlush {
 		return sess.rcu(op, r)
 	}
 	return Pending

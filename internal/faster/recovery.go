@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"sync"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -89,13 +88,14 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 				s.closeShards(i)
 				return storage.Refuse(err)
 			}
-			if s.shards[i], err = recoverShard(sc, i, s.metrics, &s.recordMu, rec); err != nil {
+			if s.shards[i], err = recoverShard(sc, i, s, rec); err != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
 		}
 		maps.Copy(s.recoveredSerials, rec.Serials)
+		s.state.Store(packState(Rest, rec.Version+1))
 		report.Token, report.Version = rec.Token, rec.Version
 		return nil
 	})
@@ -143,8 +143,8 @@ func (s *Store) closeShards(n int) {
 // covers. cfg must be the shard's private configuration, exactly as for
 // openShard. Any verification failure returns an error; the caller falls back
 // to an older commit.
-func recoverShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex, rec *commitRecord) (*shard, error) {
-	sh, err := openShard(cfg, id, metrics, recordMu)
+func recoverShard(cfg Config, id int, s *Store, rec *commitRecord) (*shard, error) {
+	sh, err := openShard(cfg, id, s.epochs, s.metrics, &s.recordMu)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +184,9 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, recordMu *sync.Mutex
 	return sh, nil
 }
 
-// install moves the shard's log and index to the commit rec describes and
-// leaves the shard at rest in version v+1 — what a recovery does once and a
-// replica at every commit the primary announces. The snapshot capture, if
+// install moves the shard's log and index to the commit rec describes — what
+// a recovery does once and a replica at every commit the primary announces;
+// the caller then puts the store at rest in version v+1. The snapshot capture, if
 // the commit has one, slots back into the log's address space (App. D); the
 // log reloads up to the commit's end; every page crcs covers is checked on the
 // device, so that a damaged one sends the caller to an older commit (nil on a
@@ -253,7 +253,6 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 		// The v+1 unwind conditions are evaluated against the unclamped index.
 		sh.clampIndex(end)
 	}
-	sh.state.Store(packState(Rest, rec.Version+1))
 	sh.lastIndex, sh.lastLis, sh.lastLie = sec.Index, sec.Lis, sec.Lie
 	return nil
 }

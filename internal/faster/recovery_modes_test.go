@@ -119,19 +119,17 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 	if img.token, err = s.Commit(CommitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range s.shards {
-		// A shard moves to in-progress inside a refresh (the epoch drains
-		// there), so right after the call that moved it nobody has seen it yet.
-		for turn := 0; sh.Phase() != InProgress; turn++ {
-			if turn > 1000 {
-				t.Fatalf("shard %d stuck in %v", i, sh.Phase())
-			}
-			[]*Session{a, b}[turn%2].ctxs[i].refresh()
+	// The store moves to in-progress inside a refresh (the epoch drains
+	// there), so right after the call that moved it nobody has seen it yet.
+	for turn := 0; s.Phase() != InProgress; turn++ {
+		if turn > 1000 {
+			t.Fatalf("commit stuck in %v", s.Phase())
 		}
-		a.ctxs[i].refresh() // A crosses to v+1; B stays behind and holds the phase
-		if a.ctxs[i].phase != InProgress || b.ctxs[i].phase != Prepare || sh.Phase() != InProgress {
-			t.Fatalf("shard %d: A in %v, B in %v, shard in %v", i, a.ctxs[i].phase, b.ctxs[i].phase, sh.Phase())
-		}
+		[]*Session{a, b}[turn%2].Refresh()
+	}
+	a.Refresh() // A crosses to v+1; B stays behind and holds the phase
+	if a.phase != InProgress || b.phase != Prepare || s.Phase() != InProgress {
+		t.Fatalf("A in %v, B in %v, store in %v", a.phase, b.phase, s.Phase())
 	}
 	for i := uint64(0); i < uint64(160*shards); i++ {
 		k := i * 3 % (2 * nBase) // live keys, deleted keys and keys that never existed

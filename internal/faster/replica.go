@@ -160,10 +160,13 @@ func (s *Store) ApplyCommitted(token string) error {
 	if len(rec.Shards) != s.cfg.Shards {
 		return fmt.Errorf("faster: manifest has %d shards, replica has %d", len(rec.Shards), s.cfg.Shards)
 	}
-	for i, sh := range s.shards {
-		if err := sh.applyCommitted(rec); err != nil {
-			return fmt.Errorf("faster: install shard %d: %w", i, err)
+	if rec.Version >= s.Version() { // else a stale announcement: already past this commit
+		for i, sh := range s.shards {
+			if err := sh.applyCommitted(rec); err != nil {
+				return fmt.Errorf("faster: install shard %d: %w", i, err)
+			}
 		}
+		s.state.Store(packState(Rest, rec.Version+1))
 	}
 	s.mu.Lock()
 	maps.Copy(s.recoveredSerials, rec.Serials)
@@ -180,9 +183,6 @@ func (s *Store) ApplyCommitted(token string) error {
 // that install left dead — this commit covers them, or they are still of
 // version v+1 where they stand.
 func (sh *shard) applyCommitted(rec *commitRecord) error {
-	if v := sh.Version(); rec.Version < v {
-		return nil // stale announcement (already past this commit)
-	}
 	start := sh.log.Tail()
 	for addr := range sh.replicaDead {
 		start = min(start, addr)
@@ -252,7 +252,7 @@ func (s *Store) IsReplica() bool { return s.cfg.Replica }
 func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 	h := hashfn.Hash64(key)
 	sh := s.shards[s.shardOf(h)]
-	g := sh.epochs.Acquire()
+	g := s.epochs.Acquire()
 	defer g.Release()
 	slot := sh.index.findSlot(h)
 	if slot == nil {

@@ -87,14 +87,17 @@ type pendingOp struct {
 }
 
 // Session is a client session (Sec. 5.2): a single-goroutine handle issuing
-// operations with strictly increasing serial numbers. On a partitioned store
-// the session holds one lightweight context per shard and routes each
-// operation by key hash; the serial number stays global to the session, so
-// CPR commits still announce a single per-session prefix and
-// ContinueSession semantics are unchanged.
+// operations with strictly increasing serial numbers. It is one participant of
+// the store's CPR protocol — one epoch entry, one view of the state machine,
+// one commit point per commit — and holds one context per shard for the
+// operations it routes there by key hash.
 type Session struct {
 	store *Store
 	id    string
+	guard *epoch.Guard
+
+	phase   Phase  // local view of the store's phase
+	version uint32 // local view of the store's version
 
 	// serial is the serial of the most recently issued operation. Atomic so
 	// the durability-lag scans (Store.SessionLags, commit completion) can read
@@ -116,15 +119,9 @@ type Session struct {
 	// written by Store.noteCommitted, read from serving goroutines.
 	committedToken atomic.Pointer[string]
 
-	// demarcVersion/demarcSerial cache the session's CPR point for commit
-	// version demarcVersion: the first shard context to enter in-progress
-	// computes it and every other context reuses it, so all shards demarcate
-	// the same prefix for this session.
-	demarcVersion uint32
-	demarcSerial  uint64
 	// abortedSerial, when non-zero, is the serial of an operation that
 	// detected the CPR shift mid-execution and therefore belongs to v+1.
-	// Consumed by cprPoint.
+	// Consumed by enterInProgress.
 	abortedSerial uint64
 
 	opsSinceRefresh int
@@ -143,16 +140,12 @@ type Session struct {
 // pin an unbounded set of retired op buffers.
 const opFreeMax = 64
 
-// shardSession is a session's per-shard context: its epoch guard on that
-// shard, its local view of the shard's CPR state machine, and the pending
-// operations routed to that shard.
+// shardSession is a session's context on one shard: the pending operations
+// routed there, their cold reads queued for the shard's I/O pool and the
+// completions the pool delivers.
 type shardSession struct {
 	store *shard
 	owner *Session
-	guard *epoch.Guard
-
-	phase   Phase  // local view of the shard's phase
-	version uint32 // local view of the shard's version
 
 	pending []*pendingOp
 	// ioQueue holds the first device reads of cold fetches issued but not yet
@@ -192,9 +185,7 @@ func (s *Store) StartSession() *Session {
 
 // ContinueSession re-establishes a session after failure (Sec. 5.2). It
 // returns the session and the serial number of its recovered CPR point: all
-// operations up to that serial are durable; the client replays the rest. On
-// a partitioned store the recovered point is the minimum across shards — the
-// largest prefix durable everywhere.
+// operations up to that serial are durable; the client replays the rest.
 func (s *Store) ContinueSession(id string) (*Session, uint64) {
 	s.mu.Lock()
 	serial := s.recoveredSerials[id]
@@ -213,43 +204,25 @@ func (s *Store) startSession(id string, serial uint64) *Session {
 	}
 }
 
-// tryStartSession registers the session on every shard, or on none: all
-// shard locks are held together (in shard order) so a commit can never
-// snapshot a participant set containing a half-registered session.
+// tryStartSession registers the session while the store is at rest. Commit
+// admission holds s.mu too, so a commit's participant set is the registry as
+// it was.
 func (s *Store) tryStartSession(id string, serial uint64) (*Session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.sessionMu.Lock()
-		sh.ckptMu.Lock()
+	phase, version := unpackState(s.state.Load())
+	if phase != Rest {
+		return nil, false
 	}
-	defer func() {
-		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].ckptMu.Unlock()
-			s.shards[i].sessionMu.Unlock()
-		}
-	}()
-	for _, sh := range s.shards {
-		if sh.ckpt != nil {
-			return nil, false
-		}
-	}
-	sess := &Session{
-		store: s,
-		id:    id,
-		ctxs:  make([]*shardSession, len(s.shards)),
-	}
+	sess := &Session{store: s, id: id, guard: s.epochs.Acquire(), phase: phase, version: version,
+		ctxs: make([]*shardSession, len(s.shards))}
 	sess.serial.Store(serial)
 	// Everything issued so far (the recovered prefix) is durable by
 	// definition; the lag clock starts now.
 	sess.committedSerial.Store(serial)
 	sess.committedAtNanos.Store(nowNanos())
 	for i, sh := range s.shards {
-		ctx := &shardSession{store: sh, owner: sess}
-		ctx.guard = sh.epochs.Acquire()
-		ctx.phase, ctx.version = unpackState(sh.state.Load())
-		sh.sessions[id] = ctx
-		sess.ctxs[i] = ctx
+		sess.ctxs[i] = &shardSession{store: sh, owner: sess}
 	}
 	s.sessions[id] = sess
 	return sess, true
@@ -300,34 +273,19 @@ func (sess *Session) StopSession() {
 	st.mu.Lock()
 	delete(st.sessions, sess.id)
 	st.mu.Unlock()
-	for _, ctx := range sess.ctxs {
-		sh := ctx.store
-		sh.sessionMu.Lock()
-		delete(sh.sessions, sess.id)
-		sh.sessionMu.Unlock()
-		if ck := ctx.currentCkpt(); ck != nil {
-			ck.dropParticipant(ctx)
-		}
-		ctx.guard.Release()
+	if ck := st.active.Load(); ck != nil {
+		ck.dropParticipant(sess)
 	}
+	sess.guard.Release()
 	sess.closed = true
 }
 
-// Refresh updates the session's epoch entries and synchronizes its local
-// views of every shard's CPR state machine, performing phase-entry work
-// (Sec. 6.2): latching pending requests on prepare entry and demarcating the
-// CPR point on in-progress entry.
+// Refresh updates the session's epoch entry and synchronizes its view of the
+// store's CPR state machine, performing phase-entry work (Sec. 6.2): latching
+// pending requests on prepare entry and demarcating the CPR point on
+// in-progress entry.
 func (sess *Session) Refresh() {
-	for _, ctx := range sess.ctxs {
-		ctx.refresh()
-	}
-	sess.opsSinceRefresh = 0
-}
-
-// refresh synchronizes one shard context with its shard's state machine.
-func (sess *shardSession) refresh() {
-	sh := sess.store
-	gp, gv := unpackState(sh.state.Load())
+	gp, gv := unpackState(sess.store.state.Load())
 	if gv != sess.version {
 		// The previous commit completed since our last refresh (and a new
 		// one may already be active): reset to rest of the new version, then
@@ -346,66 +304,53 @@ func (sess *shardSession) refresh() {
 		sess.phase = gp
 	}
 	sess.guard.Refresh()
+	sess.opsSinceRefresh = 0
 }
 
 // enterPrepare performs prepare-entry work: every outstanding pending
-// request of the commit version acquires a shared latch on its bucket
-// (fine-grained transfer) and is counted toward the commit's pending tally.
-func (sess *shardSession) enterPrepare() {
-	sh := sess.store
-	ck := sess.currentCkpt()
+// request of the commit version, on every shard, acquires a shared latch on
+// its bucket (fine-grained transfer) and is counted toward the commit's
+// pending tally.
+func (sess *Session) enterPrepare() {
+	ck := sess.store.active.Load()
 	if ck == nil || ck.version != sess.version {
 		sess.phase = Prepare
 		return
 	}
-	for _, op := range sess.pending {
-		if op.version != sess.version || op.counted {
-			continue
-		}
-		if sh.cfg.Transfer == FineGrained && !op.latched {
-			// No exclusive latch of this commit can exist yet (they appear
-			// only in in-progress, which requires every session to have
-			// passed prepare), but one of the previous commit can: its
-			// holder's view lags, and it may be waiting inside the log for
-			// a page — for this session's epoch among others. So refresh
-			// while waiting (a parked op holds no reference into the log).
-			for !sh.index.trySharedLatch(op.hash) {
-				sess.guard.Refresh()
+	fine := sess.store.cfg.Transfer == FineGrained
+	for _, ctx := range sess.ctxs {
+		for _, op := range ctx.pending {
+			if op.version != sess.version || op.counted {
+				continue
 			}
-			op.latched = true
+			if fine && !op.latched {
+				// No exclusive latch of this commit can exist yet (they appear
+				// only in in-progress, which requires every session to have
+				// passed prepare), but one of the previous commit can: its
+				// holder's view lags, and it may be waiting inside the log for
+				// a page — for this session's epoch among others. So refresh
+				// while waiting (a parked op holds no reference into the log).
+				for !ctx.store.index.trySharedLatch(op.hash) {
+					sess.guard.Refresh()
+				}
+				op.latched = true
+			}
+			op.counted = true
+			ck.pendingV.Add(1)
 		}
-		op.counted = true
-		ck.pendingV.Add(1)
 	}
 	sess.phase = Prepare
-	serial := sess.owner.serial.Load()
-	sh.flight.Emit(obs.FlightAckPrepare, sh.id, uint64(ck.version), ck.token, sess.owner.id, serial, 0)
-	ck.ackPrepare(sess)
+	sess.store.cfg.Flight.Emit(obs.FlightAckPrepare, -1, uint64(ck.version), ck.token, sess.id, sess.serial.Load(), 0)
+	ck.coord.AckPrepare(sess)
 }
 
-// enterInProgress demarcates the session's CPR point on this shard: all
-// operations with serial <= the recorded value are part of the commit, none
-// after. The point itself is computed once per version at the session level
-// (cprPoint), so every shard demarcates the same prefix.
-func (sess *shardSession) enterInProgress() {
-	sh := sess.store
-	ck := sess.currentCkpt()
+// enterInProgress demarcates the session's CPR point: all operations with
+// serial <= the recorded value are part of the commit, none after.
+func (sess *Session) enterInProgress() {
+	ck := sess.store.active.Load()
 	sess.phase = InProgress
 	if ck == nil || ck.version != sess.version {
 		return
-	}
-	cpr := sess.owner.cprPoint(sess.version)
-	sh.flight.Emit(obs.FlightDemarcate, sh.id, uint64(ck.version), ck.token, sess.owner.id, cpr, 0)
-	ck.ackInProgress(sess, cpr)
-}
-
-// cprPoint returns the session's commit point for version v, computing it on
-// first use — by whichever shard context first enters in-progress — and
-// reusing the cached value for every other shard, so the cross-shard commit
-// demarcates a single consistent prefix.
-func (sess *Session) cprPoint(v uint32) uint64 {
-	if sess.demarcVersion == v {
-		return sess.demarcSerial
 	}
 	cpr := sess.serial.Load()
 	if sess.abortedSerial != 0 && sess.abortedSerial <= cpr {
@@ -413,23 +358,9 @@ func (sess *Session) cprPoint(v uint32) uint64 {
 		cpr = sess.abortedSerial - 1
 	}
 	sess.abortedSerial = 0
-	sess.demarcVersion, sess.demarcSerial = v, cpr
 	sess.demarcAtNanos.Store(nowNanos())
-	return cpr
-}
-
-// sessionEpochs is what a session refreshes while it waits inside one shard's
-// log (hlog.Refresher): its epoch entry on every shard, no CPR step. A guard
-// left stale on another shard holds up that shard's shifts, and two sessions
-// waiting so on two shards deadlock; the session keeps no reference into the
-// other shards' logs meanwhile, so refreshing there gives nothing up.
-type sessionEpochs Session
-
-// Refresh implements hlog.Refresher.
-func (e *sessionEpochs) Refresh() {
-	for _, ctx := range e.ctxs {
-		ctx.guard.Refresh()
-	}
+	sess.store.cfg.Flight.Emit(obs.FlightDemarcate, -1, uint64(ck.version), ck.token, sess.id, cpr, 0)
+	ck.coord.Demarcate(sess, cpr)
 }
 
 func (sess *Session) maybeRefresh() {
@@ -464,13 +395,10 @@ func (sess *Session) recycle(op *pendingOp) {
 	}
 }
 
-// targetVersion returns the CPR version new work on this shard belongs to.
-// Once the session has demarcated its commit point for the shard's current
-// version (via any shard), fresh work is v+1 even if this shard's local
-// shift has not completed — otherwise an operation past the commit point
-// could slip into the commit and break the prefix guarantee.
-func (sess *shardSession) targetVersion() uint32 {
-	if sess.phase >= InProgress || sess.owner.demarcVersion == sess.version {
+// targetVersion returns the CPR version new work belongs to: v+1 once the
+// session has demarcated its commit point for v.
+func (sess *Session) targetVersion() uint32 {
+	if sess.phase >= InProgress {
 		return sess.version + 1
 	}
 	return sess.version
@@ -489,15 +417,15 @@ func (sess *Session) ctx(hash uint64) *shardSession {
 // clients bound their in-flight buffers similarly, Sec. 7.3.4).
 const maxPendingSoft = 4096
 
-// issue gives a fresh operation (from newOp) the session's next serial, routes
-// it to its key's shard context at the version new work there belongs to, and
+// issue gives a fresh operation (from newOp) the session's next serial and the
+// version new work belongs to, routes it to its key's shard context, and
 // runs it, parking it on the context's pending list if needed; a finished op
 // goes back to the session freelist. For a read that completed Ok it also
 // returns the value.
 func (sess *Session) issue(op *pendingOp) ([]byte, Status) {
 	sess.maybeRefresh()
 	ctx := sess.ctx(op.hash)
-	op.serial, op.version = sess.serial.Add(1), ctx.targetVersion()
+	op.serial, op.version = sess.serial.Add(1), sess.targetVersion()
 	// Instant restore: a cold bucket must be warmed before any operation in
 	// it executes. One nil pointer load on the post-restore hot path; while
 	// restoring, one atomic bitmap load for warm buckets. The slow path
@@ -653,7 +581,7 @@ func (sess *shardSession) finish(op *pendingOp) {
 	}
 	if op.counted {
 		op.counted = false
-		if ck := sess.currentCkpt(); ck != nil && ck.pendingV.Add(-1) == 0 {
+		if ck := sess.owner.store.active.Load(); ck != nil && ck.pendingV.Add(-1) == 0 {
 			ck.checkPendingDone()
 		}
 	}
@@ -781,7 +709,7 @@ func (sess *shardSession) install(slot *atomic.Uint64, expected uint64, version 
 	if valCap < 8 {
 		valCap = 8 // keep small values in-place updatable
 	}
-	addr, err := log.Append((*sessionEpochs)(sess.owner), entryAddr(expected), recVersion(version), key, value, valCap)
+	addr, err := log.Append(sess.owner.guard, entryAddr(expected), recVersion(version), key, value, valCap)
 	if err != nil {
 		panic(fmt.Sprintf("faster: write record: %v", err))
 	}

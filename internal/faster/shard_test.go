@@ -124,10 +124,8 @@ func TestShardedCommitAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for i := 0; i < n; i++ {
-		if r.ShardVersion(i) != res.Version+1 {
-			t.Fatalf("shard %d recovered at version %d, want %d", i, r.ShardVersion(i), res.Version+1)
-		}
+	if r.Version() != res.Version+1 {
+		t.Fatalf("recovered at version %d, want %d", r.Version(), res.Version+1)
 	}
 	rs, point := r.ContinueSession(id)
 	if point != committed {
@@ -138,12 +136,12 @@ func TestShardedCommitAndRecover(t *testing.T) {
 }
 
 // TestShardedPartialCommitCrash is the crash-before-the-record test, at
-// every shard count: a commit "crashes" after k of N shards finished
-// wait-flush (their captures and index blobs are durable, the record is not).
-// Recovery must land on the last commit that has a record — rolling the k
-// finished shards back — ContinueSession must return that commit's serial,
-// the session's watermark must never have covered the crashed commit, and the
-// recovered store must not hand the crashed commit's token out again.
+// every shard count: the real Store.Commit "crashes" once k of N shards'
+// captures are durable — their snapshot blobs written, every index blob too —
+// and before its record is. Recovery must land on the last commit that has a
+// record, ContinueSession must return that commit's serial, the session's
+// watermark and LatestCommitToken must never have covered the crashed commit,
+// and the recovered store must not hand the crashed commit's token out again.
 func TestShardedPartialCommitCrash(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { partialCommitCrash(t, n) })
@@ -151,15 +149,16 @@ func TestShardedPartialCommitCrash(t *testing.T) {
 }
 
 func partialCommitCrash(t *testing.T, n int) {
-	k := (n + 1) / 2 // shards that finish the second commit before the crash
+	k := (n + 1) / 2 // shards whose capture of the second commit is durable at the crash
 
 	devs := make([]*storage.MemDevice, n)
 	for i := range devs {
 		devs[i] = storage.NewMemDevice()
 	}
 	ckpts := storage.NewMemCheckpointStore()
+	inj := storage.NewInjector(storage.FaultConfig{Seed: 1})
 	cfg := shardedConfig(n)
-	cfg.Checkpoints = ckpts
+	cfg.Checkpoints = storage.NewFaultCheckpointStore(ckpts, inj)
 	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
 	s, err := Open(cfg)
 	if err != nil {
@@ -186,53 +185,40 @@ func partialCommitCrash(t *testing.T, n int) {
 		}
 	}
 
-	// Second commit, under the token the store would give it, completes its
-	// leg on only k shards: start those legs directly, so finishCommit never
-	// runs and no record is written — exactly the on-disk state of a crash
-	// between the last persist-done and the record. The legs take the index
-	// too, so that they leave blobs behind.
+	// The second commit is a snapshot commit with the index: its captures are
+	// one blob per shard, written one after another, so the crash point is
+	// the write of shard k's blob — or of the record, when k is every shard.
+	// The crash image is the checkpoint store first, then the devices
+	// (matching write ordering — metadata follows its data).
 	token2 := fmt.Sprintf("ckpt-%06d", s.commitSeq.Load()+1)
-	legs := make([]*checkpointCtx, k)
-	for i := range legs {
-		legs[i] = s.shards[i].startCommit(token2, FoldOver, true)
+	point := "before:" + blobName("snapshot", token2, k)
+	if k == n {
+		point = "before:" + storage.RecordName(token2)
 	}
-	for i, ck := range legs {
-		finished := func() bool {
-			select {
-			case <-ck.done:
-				return true
-			default:
-				return false
-			}
-		}
-		for j := 0; !finished(); j++ {
-			sess.Refresh()
-			sess.CompletePending(false)
-			if j > 1_000_000 {
-				t.Fatalf("shard %d commit stuck in phase %v", i, s.ShardPhase(i))
-			}
-		}
-		if ck.res.Err != nil {
-			t.Fatalf("shard %d commit failed: %v", i, ck.res.Err)
-		}
-		if s.ShardVersion(i) != res1.Version+2 {
-			t.Fatalf("shard %d version = %d after second commit, want %d",
-				i, s.ShardVersion(i), res1.Version+2)
-		}
-	}
-	if got := sess.CommittedSerial(); got != commit1 {
-		t.Fatalf("CommittedSerial = %d with no record for %s, want %d", got, token2, commit1)
-	}
-	if tok, _ := s.LatestCommitToken(); tok != res1.Token {
-		t.Fatalf("LatestCommitToken = %q with no record for %s, want %s", tok, token2, res1.Token)
-	}
-
-	// Crash: snapshot checkpoint store first, then the devices (matching
-	// write ordering — metadata follows its data).
-	snapCkpts := ckpts.Clone()
+	var snapCkpts *storage.MemCheckpointStore
 	snapDevs := make([]*storage.MemDevice, n)
-	for i := range devs {
-		snapDevs[i] = devs[i].Clone()
+	var crashSerial uint64
+	var crashToken string
+	var crashDone bool
+	inj.Arm(point, func() {
+		snapCkpts = ckpts.Clone()
+		for i := range devs {
+			snapDevs[i] = devs[i].Clone()
+		}
+		crashSerial = sess.CommittedSerial()
+		crashToken, _ = s.LatestCommitToken()
+		_, crashDone = s.TryResult(token2)
+	})
+	snapshot := Snapshot
+	if res2 := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true, Kind: &snapshot}); res2.Token != token2 {
+		t.Fatalf("second commit took token %s, want %s", res2.Token, token2)
+	}
+	if snapCkpts == nil {
+		t.Fatalf("crash point %s never fired", point)
+	}
+	if crashSerial != commit1 || crashToken != res1.Token || crashDone {
+		t.Fatalf("at the crash: CommittedSerial %d, LatestCommitToken %q, %s done %v; want %d, %s and not done",
+			crashSerial, crashToken, token2, crashDone, commit1, res1.Token)
 	}
 	sess.StopSession()
 	s.Close()
@@ -248,23 +234,19 @@ func partialCommitCrash(t *testing.T, n int) {
 
 	// The record for the partial commit was never written, so it is not a
 	// commit at all — not even a skipped one — and recovery lands on commit 1,
-	// rolling the k finished shards back past their newer (orphaned) captures.
+	// past the k durable captures of the crashed one.
 	if report.Token != res1.Token || len(report.Skipped) != 0 {
 		t.Fatalf("recovered %s with skips %v, want %s and none", report.Token, report.Skipped, res1.Token)
 	}
-	for i := 0; i < n; i++ {
-		if r.ShardVersion(i) != res1.Version+1 {
-			t.Fatalf("shard %d recovered at version %d, want %d (commit 1)",
-				i, r.ShardVersion(i), res1.Version+1)
-		}
+	if r.Version() != res1.Version+1 {
+		t.Fatalf("recovered at version %d, want %d (commit 1)", r.Version(), res1.Version+1)
 	}
-	rs, point := r.ContinueSession(id)
-	if point != commit1 {
-		t.Fatalf("recovered commit point = %d, want min cross-shard prefix %d", point, commit1)
+	rs, point1 := r.ContinueSession(id)
+	if point1 != commit1 {
+		t.Fatalf("recovered commit point = %d, want %d", point1, commit1)
 	}
 	verifyPrefix(t, rs, commit1, total)
-	// The orphaned index blobs still carry token2; the next commit must not
-	// reuse it.
+	// The orphaned blobs still carry token2; the next commit must not reuse it.
 	if res := driveCommit(t, r, []*Session{rs}, CommitOptions{}); res.Token <= token2 {
 		t.Fatalf("commit after recovery took token %s, colliding with the crashed commit %s", res.Token, token2)
 	}

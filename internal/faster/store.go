@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/epoch"
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
 	"repro/internal/obs"
@@ -125,11 +126,11 @@ func (AddUint64) Update(cur, input []byte) []byte {
 
 // Config parameterizes a Store.
 type Config struct {
-	// Shards partitions the store into independent CPR domains — each with
-	// its own hash index, HybridLog, epoch manager and checkpoint state
-	// machine — routed by key-hash high bits (default 1). A commit covers
-	// every shard under one token, so a session receives a single commit point
-	// whatever the shard count.
+	// Shards partitions the store's data — each shard with its own hash
+	// index, HybridLog, device and I/O pool — routed by key-hash high bits
+	// (default 1). The CPR protocol is not partitioned: one epoch manager and
+	// one state machine commit every shard under one token, so a session
+	// demarcates a single commit point whatever the shard count.
 	Shards int
 	// IndexBuckets is the number of main hash buckets (power of two), split
 	// across shards. The paper's default is #keys/2 with 7 entries per bucket.
@@ -278,25 +279,32 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	}
 }
 
-// Store is a FASTER instance with CPR durability, partitioned into one or
-// more shards. All operations happen through Sessions (Sec. 5.2), which
-// route by key hash; Commit triggers an asynchronous CPR checkpoint across
-// every shard; Recover rebuilds a store from its latest commit. The commit
-// protocol, its artifacts and recovery are the same for every shard count.
+// Store is a FASTER instance with CPR durability, its data partitioned into
+// one or more shards. All operations happen through Sessions (Sec. 5.2), which
+// route by key hash; Commit triggers an asynchronous CPR checkpoint of every
+// shard; Recover rebuilds a store from its latest commit. One epoch framework
+// and one five-phase state machine drive the protocol for every shard count.
 type Store struct {
 	cfg        Config
 	shards     []*shard
 	shardShift uint // 64 - log2(Shards) when Shards is a power of two
 
+	// epochs is the store's epoch table: one entry per session, bumped by the
+	// state machine and by every shard's log.
+	epochs *epoch.Manager
+	// state packs the CPR phase (bits 32 and up) and version (low 32 bits).
+	state atomic.Uint64
+
 	// mu guards the session registry and serializes session registration
-	// against commit admission (lock order: mu, then ckptMu, then per-shard
-	// locks in shard order).
+	// against commit admission (lock order: mu, then ckptMu).
 	mu               sync.Mutex
 	sessions         map[string]*Session
 	recoveredSerials map[string]uint64
 
+	// active is the running commit, from Commit until its result is
+	// published; ckptMu orders its clearing with the results.
+	active      atomic.Pointer[checkpointCtx]
 	ckptMu      sync.Mutex
-	active      *storeCommit // non-nil from Commit until the commit's result is published
 	results     commitResults
 	latestToken string        // newest commit completed, recovered or installed here ("" if none)
 	latestVer   uint32        // and its version
@@ -330,10 +338,14 @@ func unpackState(s uint64) (Phase, uint32) { return Phase(s >> 32), uint32(s) }
 func newStore(cfg Config) *Store {
 	s := &Store{
 		cfg:              cfg,
+		epochs:           epoch.New(),
 		sessions:         make(map[string]*Session),
 		recoveredSerials: make(map[string]uint64),
 		metrics:          newStoreMetrics(cfg.Metrics),
 	}
+	s.epochs.Instrument(cfg.Metrics)
+	s.epochs.InstrumentFlight(cfg.Flight, -1)
+	s.state.Store(packState(Rest, 1))
 	if n := cfg.Shards; n&(n-1) == 0 {
 		s.shardShift = 64 - uint(bits.Len(uint(n))-1)
 	}
@@ -383,7 +395,7 @@ func Open(cfg Config) (*Store, error) {
 		sc, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, s.metrics, &s.recordMu)
+			sh, err = openShard(sc, i, s.epochs, s.metrics, &s.recordMu)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -397,9 +409,7 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// registerStoreGauges exposes the store-wide aggregates, after the shards
-// registered their own under their metric prefix: where that prefix is empty
-// these replace them, so faster_phase always covers the record write.
+// registerStoreGauges exposes the state machine and the session count.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
@@ -427,39 +437,19 @@ func (s *Store) shardOf(hash uint64) int {
 	return int((hash >> 32) % uint64(len(s.shards)))
 }
 
-// Phase returns the store-wide CPR phase: the most advanced phase across
-// shards. While a commit is writing its record (all shards back at rest,
-// record not yet durable) it reports wait-flush, so polling Phase() == Rest
-// observes completed commits only.
+// Phase returns the CPR phase. While a commit is writing its record (the
+// machine back at rest in v+1, the record not yet durable) it reports
+// wait-flush, so polling Phase() == Rest observes completed commits only.
 func (s *Store) Phase() Phase {
-	p := s.shards[0].Phase()
-	for _, sh := range s.shards[1:] {
-		if sp := sh.Phase(); sp > p {
-			p = sp
-		}
-	}
-	if p == Rest {
-		s.ckptMu.Lock()
-		active := s.active != nil
-		s.ckptMu.Unlock()
-		if active {
-			return WaitFlush
-		}
+	p, v := unpackState(s.state.Load())
+	if ck := s.active.Load(); p == Rest && ck != nil && ck.version != v {
+		return WaitFlush
 	}
 	return p
 }
 
-// Version returns the current CPR version (the minimum across shards while a
-// commit is completing).
-func (s *Store) Version() uint32 {
-	v := s.shards[0].Version()
-	for _, sh := range s.shards[1:] {
-		if sv := sh.Version(); sv < v {
-			v = sv
-		}
-	}
-	return v
-}
+// Version returns the current CPR version.
+func (s *Store) Version() uint32 { _, v := unpackState(s.state.Load()); return v }
 
 // NumShards reports the store's shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
@@ -470,12 +460,6 @@ func (s *Store) Log() *hlog.Log { return s.shards[0].log }
 
 // ShardLog exposes shard i's HybridLog.
 func (s *Store) ShardLog(i int) *hlog.Log { return s.shards[i].log }
-
-// ShardPhase returns shard i's CPR phase.
-func (s *Store) ShardPhase(i int) Phase { return s.shards[i].Phase() }
-
-// ShardVersion returns shard i's CPR version.
-func (s *Store) ShardVersion(i int) uint32 { return s.shards[i].Version() }
 
 // LogBytes reports the total live log volume ([Begin, Tail)) across shards.
 func (s *Store) LogBytes() int64 {
@@ -492,7 +476,7 @@ func (s *Store) Metrics() *obs.Registry { return s.cfg.Metrics }
 
 // Tracer returns the store's CPR phase timeline: a view of its flight
 // recorder, empty when the store has none.
-func (s *Store) Tracer() *obs.Tracer { return s.cfg.Flight.Tracer(s.cfg.Shards > 1) }
+func (s *Store) Tracer() *obs.Tracer { return s.cfg.Flight.Tracer() }
 
 // Flight returns the store's flight recorder (nil when not configured).
 func (s *Store) Flight() *obs.FlightRecorder { return s.cfg.Flight }
@@ -607,7 +591,7 @@ func (s *Store) registerLagGauges() {
 }
 
 // OnCommitArtifact registers fn as a commit attachment: at every commit, once
-// every shard is durable and before the commit record is written, fn is
+// every shard's capture is durable and before the commit record is written, fn is
 // invoked with the commit's result and returns a name and a payload, which
 // become a section of the record (Attachment reads it back). An empty name
 // attaches nothing. An error from fn fails the commit with nothing on disk
@@ -621,7 +605,7 @@ func (s *Store) OnCommitArtifact(fn func(CommitResult) (name string, payload []b
 }
 
 // commitAttachments runs the registered attachment hooks for a commit whose
-// every shard is durable and collects what they return.
+// every shard's capture is durable and collects what they return.
 func (s *Store) commitAttachments(res CommitResult) (map[string][]byte, error) {
 	s.hookMu.Lock()
 	hooks := s.artifactHooks
@@ -646,11 +630,16 @@ func (s *Store) SessionCount() int {
 	return len(s.sessions)
 }
 
-// waitForRest spins until every shard is at rest, driving epoch progress so
-// in-flight commits can advance even when all sessions are idle.
+// waitForRest spins until the store is at rest, driving epoch progress so an
+// in-flight commit can advance even when all sessions are idle.
 func (s *Store) waitForRest() {
-	for _, sh := range s.shards {
-		sh.waitForRest()
+	for {
+		if p, _ := unpackState(s.state.Load()); p == Rest {
+			return
+		}
+		g := s.epochs.Acquire()
+		g.Refresh()
+		g.Release()
 	}
 }
 

@@ -38,19 +38,11 @@ func timelineStore(t *testing.T, shards int) (*Store, *Session) {
 	return s, sess
 }
 
-// machineToken is the token shard i's state machine carries on the timeline.
-func machineToken(token string, shards, i int) string {
-	if shards == 1 {
-		return token
-	}
-	return fmt.Sprintf("%s/s%d", token, i)
-}
-
 // TestCheckpointPhaseTimeline drives one fold-over and one snapshot commit on
 // a live store and asserts the timeline — a view of the flight recorder — holds
-// every state-machine transition of every shard exactly once, in order, with
-// non-decreasing timestamps, plus the session's thread-crossing events and the
-// epoch drains; and nothing once the store has no recorder.
+// every transition of the store's one state machine exactly once, in order,
+// with non-decreasing timestamps, plus the session's thread-crossing events and
+// the epoch drains; and nothing once the store has no recorder.
 func TestCheckpointPhaseTimeline(t *testing.T) {
 	for _, kind := range []CommitKind{FoldOver, Snapshot} {
 		for _, shards := range []int{1, 2} {
@@ -68,35 +60,33 @@ func TestCheckpointPhaseTimeline(t *testing.T) {
 							i, tl.Events[i].AtNanos, tl.Events[i-1].AtNanos)
 					}
 				}
-				for sh := 0; sh < shards; sh++ {
-					var got [][2]string
-					sessionEvents := map[string]int{}
-					drains := 0
-					for _, e := range tl.Events {
-						if e.Token != machineToken(token, shards, sh) {
-							continue
+				var got [][2]string
+				sessionEvents := map[string]int{}
+				drains := 0
+				for _, e := range tl.Events {
+					if e.Token != token {
+						continue
+					}
+					switch e.Kind {
+					case obs.KindPhase:
+						got = append(got, [2]string{e.From, e.Phase})
+					case obs.KindSession:
+						if !strings.HasPrefix(sess.ID(), e.Session) || e.Session == "" {
+							t.Fatalf("session event of %q, want a prefix of %q", e.Session, sess.ID())
 						}
-						switch e.Kind {
-						case obs.KindPhase:
-							got = append(got, [2]string{e.From, e.Phase})
-						case obs.KindSession:
-							if !strings.HasPrefix(sess.ID(), e.Session) || e.Session == "" {
-								t.Fatalf("session event of %q, want a prefix of %q", e.Session, sess.ID())
-							}
-							sessionEvents[e.Event]++
-						case obs.KindDrain:
-							drains++
-						}
+						sessionEvents[e.Event]++
+					case obs.KindDrain:
+						drains++
 					}
-					if fmt.Sprint(got) != fmt.Sprint(wantTransitions) {
-						t.Fatalf("shard %d recorded transitions %v, want %v", sh, got, wantTransitions)
-					}
-					if sessionEvents["ack-prepare"] != 1 || sessionEvents["demarcate"] != 1 {
-						t.Fatalf("shard %d session events %v, want one ack-prepare and one demarcate", sh, sessionEvents)
-					}
-					if drains == 0 {
-						t.Fatalf("shard %d has no epoch-drain events", sh)
-					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(wantTransitions) {
+					t.Fatalf("recorded transitions %v, want %v", got, wantTransitions)
+				}
+				if sessionEvents["ack-prepare"] != 1 || sessionEvents["demarcate"] != 1 {
+					t.Fatalf("session events %v, want one ack-prepare and one demarcate", sessionEvents)
+				}
+				if drains == 0 {
+					t.Fatal("no epoch-drain events")
 				}
 			})
 		}
@@ -113,10 +103,10 @@ func TestCheckpointPhaseTimeline(t *testing.T) {
 	}
 }
 
-// TestTimelineSpansPerMachine: after one commit every shard's machine has the
-// closed spans prepare, in-progress, wait-pending and wait-flush, contiguous,
-// each ending at that machine's own next transition — not at whichever shard
-// moved next — and an open rest span.
+// TestTimelineSpansPerMachine: after one commit the store's one machine, at
+// every shard count, has the closed spans prepare, in-progress, wait-pending
+// and wait-flush, contiguous, each ending at its next transition, and an open
+// rest span.
 func TestTimelineSpansPerMachine(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -130,8 +120,8 @@ func TestTimelineSpansPerMachine(t *testing.T) {
 					transitions[e.Token] = append(transitions[e.Token], e)
 				}
 			}
-			if len(transitions) != shards {
-				t.Fatalf("%d machines on the timeline, want %d", len(transitions), shards)
+			if len(transitions) != 1 {
+				t.Fatalf("%d machines on the timeline, want 1", len(transitions))
 			}
 			spanFrom := func(e obs.Event) obs.PhaseSpan {
 				for _, sp := range tl.Spans {
@@ -160,7 +150,7 @@ func TestTimelineSpansPerMachine(t *testing.T) {
 					}
 				}
 			}
-			if want := len(wantTransitions) * shards; len(tl.Spans) != want {
+			if want := len(wantTransitions); len(tl.Spans) != want {
 				t.Fatalf("%d spans, want %d", len(tl.Spans), want)
 			}
 		})
@@ -170,9 +160,9 @@ func TestTimelineSpansPerMachine(t *testing.T) {
 // TestTimelineFeedsBenchmark pins what benchmark/layers.go phaseDurations
 // reads, which no file outside benchmark/ otherwise spells out: on a store
 // configured as benchmark/env.go configures it, Store.Tracer().Timeline().Events
-// has, for every commit and shard, the five obs.KindPhase entries whose Token
-// cut at "/" is the commit token, whose Phase is one of the five names, and
-// whose AtNanos does not decrease along one Token.
+// has, for every commit, the five obs.KindPhase entries whose Token cut at "/"
+// is the commit token, whose Phase is one of the five names, and whose AtNanos
+// does not decrease along one Token — at every shard count.
 func TestTimelineFeedsBenchmark(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -198,12 +188,12 @@ func TestTimelineFeedsBenchmark(t *testing.T) {
 				last[e.Token] = e.AtNanos
 				perCommit[token]++
 			}
-			if len(last) != len(commits)*shards {
-				t.Fatalf("%d tokens on the timeline, want one per commit and shard, %d", len(last), len(commits)*shards)
+			if len(last) != len(commits) {
+				t.Fatalf("%d tokens on the timeline, want one per commit, %d", len(last), len(commits))
 			}
 			for token := range commits {
-				if perCommit[token] != len(wantTransitions)*shards {
-					t.Fatalf("%s has %d phase events, want %d", token, perCommit[token], len(wantTransitions)*shards)
+				if perCommit[token] != len(wantTransitions) {
+					t.Fatalf("%s has %d phase events, want %d", token, perCommit[token], len(wantTransitions))
 				}
 			}
 		})

@@ -140,7 +140,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		op.input = append(op.input, u64(input)...)
 	}
 	op.serial = a.serial.Add(1)
-	op.version = ctx.version
+	op.version = a.version
 	if region == regionDiskCopy {
 		rec, err := sh.log.ReadRecordSync(addr)
 		if err != nil {
@@ -151,16 +151,14 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	var ck *checkpointCtx
 	switch path {
 	case "prepare":
-		ck = &checkpointCtx{store: sh, version: ctx.version}
-		sh.ckptMu.Lock()
-		sh.ckpt = ck
-		sh.ckptMu.Unlock()
-		ctx.phase = Prepare
+		ck = &checkpointCtx{store: s, version: a.version}
+		s.active.Store(ck)
+		a.phase = Prepare
 	case "v-completion":
-		ctx.phase = InProgress
+		a.phase = InProgress
 	case "future":
-		ctx.phase = InProgress
-		ctx.version-- // what the store holds is now one version ahead of the view
+		a.phase = InProgress
+		a.version-- // what the store holds is now one version ahead of the view
 	}
 
 	var before uint64
@@ -177,11 +175,9 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		sh.index.releaseSharedLatch(h)
 	}
 	if ck != nil {
-		sh.ckptMu.Lock()
-		sh.ckpt = nil
-		sh.ckptMu.Unlock()
+		s.active.Store(nil)
 	}
-	ctx.phase, ctx.version = unpackState(sh.state.Load())
+	a.phase, a.version = unpackState(s.state.Load())
 	if op.awaitingIO {
 		ctx.flushIO()
 		for ctx.ready.Load() == 0 { // the read was queued: its completion arrives

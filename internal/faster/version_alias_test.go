@@ -13,12 +13,10 @@ import (
 // lies: a v+1 record is written after commit v began, at or above its
 // log_start (shard.isFuture).
 
-// skipVersions moves every shard of a store with no commit running n versions
-// on, as n commits that capture nothing would, without running them.
+// skipVersions moves a store with no commit running n versions on, as n
+// commits that capture nothing would, without running them.
 func skipVersions(s *Store, n uint32) {
-	for _, sh := range s.shards {
-		sh.state.Store(packState(Rest, sh.Version()+n))
-	}
+	s.state.Store(packState(Rest, s.Version()+n))
 }
 
 func newDevs(n int) []*storage.MemDevice {

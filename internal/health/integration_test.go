@@ -20,11 +20,13 @@ import (
 type gatedStore struct {
 	storage.CheckpointStore
 	gated   atomic.Bool
+	parked  atomic.Bool // a write is waiting at the gate
 	release chan struct{}
 }
 
 func (g *gatedStore) Create(name string) (io.WriteCloser, error) {
 	if g.gated.Load() {
+		g.parked.Store(true)
 		<-g.release
 	}
 	return g.CheckpointStore.Create(name)
@@ -102,14 +104,15 @@ func TestIntegrationCommitStuckIncident(t *testing.T) {
 		return DetectorStatus{}
 	}
 
-	// Gate the store and start a commit: it must park in WaitFlush.
+	// Gate the store and start a commit: it must park in WaitFlush, at the
+	// write of its record — until then its phase and version still move.
 	gate.gated.Store(true)
 	token, err := s.Commit(faster.CommitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Phase() != faster.WaitFlush {
+	for s.Phase() != faster.WaitFlush || !gate.parked.Load() {
 		pump(sess, 16)
 		if time.Now().After(deadline) {
 			t.Fatalf("commit never reached WaitFlush; phase %v", s.Phase())

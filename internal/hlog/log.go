@@ -35,7 +35,7 @@ type Config struct {
 	MutableFraction float64
 	// Device stores flushed/evicted pages. Required.
 	Device storage.Device
-	// Epochs is the shared epoch manager. Required.
+	// Epochs is the epoch manager, shared by every log of a store. Required.
 	Epochs *epoch.Manager
 	// IOWorkers sizes the async I/O pool (default 4).
 	IOWorkers int
@@ -47,7 +47,7 @@ type Config struct {
 	// mismatch, instead of trusting the raw record bytes.
 	VerifyReads bool
 	// Flight, when non-nil, receives flush and page-CRC flight events tagged
-	// with FlightShard (the owning CPR domain).
+	// with FlightShard (the store partition the log belongs to).
 	Flight      *obs.FlightRecorder
 	FlightShard int
 }
@@ -91,14 +91,10 @@ type flushSegment struct {
 	issued   time.Time // when the write was submitted (flush-latency metric)
 }
 
-// Refresher is what a thread waiting inside Allocate keeps refreshing so the
-// shifts it waits for can drain: its *epoch.Guard, or — registered with several
-// logs, each with its own epoch manager — its guards on all of them.
-type Refresher interface{ Refresh() }
-
 // Log is a HybridLog instance. See the package comment for the region
 // structure. All public methods are safe for concurrent use; methods taking
-// a Refresher must be called under that goroutine's epoch protection.
+// an *epoch.Guard must be called under that guard's protection, which they
+// refresh while they wait so the shifts they wait for can drain.
 type Log struct {
 	cfg      Config
 	pageSize uint64
@@ -282,7 +278,7 @@ func (l *Log) frameRange(from, to uint64) []byte {
 // page opens that page first (see openPage), so the tail only ever moves onto a
 // page whose frame is ready, and a thread never refreshes its epoch between
 // reserving an address and writing the record there.
-func (l *Log) Allocate(g Refresher, size uint32) uint64 {
+func (l *Log) Allocate(g *epoch.Guard, size uint32) uint64 {
 	if size == 0 || uint64(size) > l.pageSize {
 		panic(fmt.Sprintf("hlog: allocation size %d out of range (page %d)", size, l.pageSize))
 	}
@@ -317,7 +313,7 @@ func (l *Log) Allocate(g Refresher, size uint32) uint64 {
 // that address as it was (the frame's previous page, or zeros) and call it
 // durable. Any number of threads may ask for the same page, and a thread may
 // ask late (the tail has moved on): whoever finds p opened is done.
-func (l *Log) openPage(g Refresher, p uint64) {
+func (l *Log) openPage(g *epoch.Guard, p uint64) {
 	if l.opened.Load() >= p {
 		return
 	}
@@ -371,7 +367,7 @@ func (l *Log) shiftHead(target uint64) {
 // ensureFrame readies page p's frame under openMu: a new one, or page
 // p-MemPages's once the head has passed it (shifted on every turn, as its flush
 // lands) and every thread has refreshed since; it spins refreshing g.
-func (l *Log) ensureFrame(g Refresher, p uint64) {
+func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
 	idx, n := p%uint64(len(l.frames)), uint64(len(l.frames))
 	if l.frames[idx] == nil {
 		l.frames[idx] = make([]uint64, l.pageSize/8)
@@ -405,7 +401,7 @@ func (l *Log) WriteRecord(addr uint64, prev uint64, version uint16, key, value [
 
 // Append allocates the record's exact size at the tail and writes it there,
 // unpublished: the one call that needs no size from its caller.
-func (l *Log) Append(g Refresher, prev uint64, version uint16, key, value []byte, valCap int) (uint64, error) {
+func (l *Log) Append(g *epoch.Guard, prev uint64, version uint16, key, value []byte, valCap int) (uint64, error) {
 	valCap = max(valCap, len(value))
 	if err := validateKV(key, value, valCap); err != nil {
 		return 0, err

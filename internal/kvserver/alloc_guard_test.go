@@ -110,6 +110,7 @@ func newReplayConn(srv *Server, sess *faster.Session, raw []byte, frames int) *r
 	rd := bytes.NewReader(raw)
 	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
 	cs.br = bufio.NewReaderSize(rd, 32<<10)
+	cs.store, cs.om, _ = srv.backend() // what a Hello binds
 	cs.readCB = func(v []byte, st faster.Status) {
 		cs.pendVal = append(cs.pendVal[:0], v...)
 		cs.pendSt = st

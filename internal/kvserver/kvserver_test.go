@@ -307,8 +307,8 @@ func TestStats(t *testing.T) {
 			t.Fatalf("snapshot has %d shard entries, want %d", len(stats.Shards), n)
 		}
 		for i, ss := range stats.Shards {
-			if ss.Phase != "rest" || ss.Version != 1 {
-				t.Fatalf("shard %d: version=%d phase=%q, want 1/rest", i, ss.Version, ss.Phase)
+			if lg := store.ShardLog(i); ss.LogTail != lg.Tail() || ss.LogHead != lg.Head() {
+				t.Fatalf("shard %d: log tail %d head %d, want %d %d", i, ss.LogTail, ss.LogHead, lg.Tail(), lg.Head())
 			}
 		}
 	} else if len(stats.Shards) != 0 {

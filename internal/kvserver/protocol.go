@@ -75,7 +75,9 @@ const (
 
 // StatsVersion is the current StatsSnapshot schema version; bump on any
 // incompatible change so clients can reject snapshots they do not understand.
-const StatsVersion = 1
+// Version 2 dropped ShardStats' version and phase: a store has one state
+// machine, so they always equal the top-level ones.
+const StatsVersion = 2
 
 // StatsSnapshot is the OpStats response payload: a versioned JSON document
 // carrying store state, HybridLog offsets, and the full metrics registry.
@@ -88,25 +90,25 @@ type StatsSnapshot struct {
 	LogHead    uint64       `json:"log_head"`
 	Sessions   int          `json:"sessions"`
 	Metrics    obs.Snapshot `json:"metrics"`
-	// Shards carries per-shard state on a partitioned store (absent when the
-	// store is unsharded — an additive field, so StatsVersion stays 1). The
-	// top-level log offsets then refer to shard 0.
+	// Shards carries per-shard log offsets on a partitioned store (absent
+	// when the store is unsharded). The top-level log offsets then refer to
+	// shard 0.
 	Shards []ShardStats `json:"shards,omitempty"`
 	// Repl carries replication state when the server participates in
-	// replication (absent otherwise — additive, StatsVersion stays 1).
+	// replication (absent otherwise).
 	Repl *ReplStats `json:"repl,omitempty"`
 	// SessionLags reports per-session durability lag — how far each session's
 	// issued serial runs ahead of its committed CPR point t_i, and for how
-	// long (absent when no sessions exist — additive, StatsVersion stays 1).
+	// long (absent when no sessions exist).
 	SessionLags []faster.SessionLag `json:"session_lags,omitempty"`
 	// Restore carries instant-restore progress after a Config.InstantRestore
 	// recovery: warm/cold bucket counts, sweeper progress and per-shard
-	// time-to-warm. Absent when the store was never instant-restored —
-	// additive, StatsVersion stays 1. Final statistics remain available after
-	// the store is fully warm (Restoring=false).
+	// time-to-warm. Absent when the store was never instant-restored. Final
+	// statistics remain available after the store is fully warm
+	// (Restoring=false).
 	Restore *faster.RestoreStatus `json:"restore,omitempty"`
 	// Health carries the health engine's verdict when one is wired (absent
-	// otherwise — additive, StatsVersion stays 1).
+	// otherwise).
 	Health *health.Verdict `json:"health,omitempty"`
 }
 
@@ -127,10 +129,8 @@ type ReplStats struct {
 	BytesBehind uint64 `json:"bytes_behind"`
 }
 
-// ShardStats is one shard's slice of a StatsSnapshot.
+// ShardStats is one shard's slice of a StatsSnapshot: its log offsets.
 type ShardStats struct {
-	Version    uint32 `json:"version"`
-	Phase      string `json:"phase"`
 	LogTail    uint64 `json:"log_tail"`
 	LogDurable uint64 `json:"log_durable"`
 	LogHead    uint64 `json:"log_head"`

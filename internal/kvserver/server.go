@@ -40,7 +40,8 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	// om holds the per-op latency-decomposition histogram handles, resolved
-	// from the served store's registry (re-resolved on Promote).
+	// from the served store's registry (re-resolved on Promote). A connection
+	// binds store, om and replica once, at its Hello (see backend).
 	om opMetrics
 
 	// AutoCommit, when positive, triggers a log-only commit at this cadence.
@@ -159,26 +160,13 @@ func (s *Server) Promote(store *faster.Store) {
 	}
 }
 
-// getStore returns the currently served store (swapped by Promote).
-func (s *Server) getStore() *faster.Store {
+// backend returns what is served now: the store, its op metrics and, in
+// replica mode, the replica backend. Promote swaps them and closes every open
+// connection, so a connection keeps for its lifetime what it got at Hello.
+func (s *Server) backend() (*faster.Store, opMetrics, ReplicaBackend) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.store
-}
-
-// opMetrics returns the decomposition histogram handles for the currently
-// served store (swapped by Promote).
-func (s *Server) opMetrics() opMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.om
-}
-
-// replicaBackend returns the replica backend, or nil in primary mode.
-func (s *Server) replicaBackend() ReplicaBackend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replica
+	return s.store, s.om, s.replica
 }
 
 func (s *Server) isClosed() bool {
@@ -268,7 +256,8 @@ func (s *Server) autoCommitter() {
 		case <-t.C:
 			// Log-only fold-over commits at the configured cadence; skipped
 			// while another commit is still in flight.
-			s.getStore().Commit(faster.CommitOptions{}) //nolint:errcheck
+			store, _, _ := s.backend()
+			store.Commit(faster.CommitOptions{}) //nolint:errcheck
 		}
 	}
 }
@@ -281,11 +270,15 @@ const idlePoll = 20 * time.Millisecond
 // Hello; without it a dialed-but-mute client would pin a handler forever.
 const helloTimeout = 30 * time.Second
 
-// connState is a connection's reusable serving state: buffered reader,
-// coalescing writer, the frame/reply scratch buffers the zero-allocation
-// loop reuses across requests, and the pending-read completion scratch the
-// persistent readCB closure delivers into.
+// connState is a connection's reusable serving state: the store and op
+// metrics it bound at Hello, buffered reader, coalescing writer, the
+// frame/reply scratch buffers the zero-allocation loop reuses across requests,
+// and the pending-read completion scratch the persistent readCB closure
+// delivers into.
 type connState struct {
+	store *faster.Store
+	om    opMetrics
+
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
@@ -309,7 +302,7 @@ type connState struct {
 
 // flushConn pushes coalesced replies to the socket and records the flush in
 // the coalescing counters.
-func (s *Server) flushConn(cs *connState, om opMetrics) error {
+func (s *Server) flushConn(cs *connState) error {
 	if cs.bw.Buffered() == 0 {
 		cs.unflushed = 0
 		return nil
@@ -318,8 +311,8 @@ func (s *Server) flushConn(cs *connState, om opMetrics) error {
 	if err := cs.bw.Flush(); err != nil {
 		return err
 	}
-	om.coalescedFlushes.Inc()
-	om.coalescedReplies.Add(uint64(cs.unflushed))
+	cs.om.coalescedFlushes.Inc()
+	cs.om.coalescedReplies.Add(uint64(cs.unflushed))
 	cs.unflushed = 0
 	return nil
 }
@@ -400,22 +393,23 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	id := string(clientID) // copy: payload aliases the reused frame buffer
-	if rb := s.replicaBackend(); rb != nil {
+	var rb ReplicaBackend
+	if cs.store, cs.om, rb = s.backend(); rb != nil {
 		s.handleReplica(cs, rb, id)
 		return
 	}
 	var sess *faster.Session
 	var cprPoint uint64
 	if len(id) > 0 {
-		sess, cprPoint = s.getStore().ContinueSession(id)
+		sess, cprPoint = cs.store.ContinueSession(id)
 	} else {
-		sess = s.getStore().StartSession()
+		sess = cs.store.StartSession()
 	}
 	defer sess.StopSession()
 	if err := writeFrame(cs.bw, OpHello, helloReply(cprPoint, sess.ID())); err != nil {
 		return
 	}
-	if err := s.flushConn(cs, s.opMetrics()); err != nil {
+	if err := s.flushConn(cs); err != nil {
 		return
 	}
 
@@ -426,7 +420,7 @@ func (s *Server) handle(conn net.Conn) {
 		// already buffered (a pipelining client), and never lag past a quiet
 		// boundary — the buffer is always flushed before blocking for input.
 		if cs.br.Buffered() == 0 {
-			if err := s.flushConn(cs, s.opMetrics()); err != nil {
+			if err := s.flushConn(cs); err != nil {
 				return
 			}
 			if err := s.waitReadable(cs, sess, s.IdleTimeout, nil); err != nil {
@@ -436,14 +430,14 @@ func (s *Server) handle(conn net.Conn) {
 					// close + StopSession release the socket and the session's
 					// epoch entry; the client's session state survives for a
 					// reconnecting Hello.
-					s.opMetrics().idleReaps.Inc()
+					cs.om.idleReaps.Inc()
 					s.Logger.Printf("conn %v: reaped after %v idle (session %s released)",
 						conn.RemoteAddr(), s.IdleTimeout, sess.ID())
 				}
 				return
 			}
 		} else if cs.unflushed >= s.coalesceOps() || cs.bw.Buffered() >= s.coalesceBytes() {
-			if err := s.flushConn(cs, s.opMetrics()); err != nil {
+			if err := s.flushConn(cs); err != nil {
 				return
 			}
 		}
@@ -469,9 +463,7 @@ func helloReply(cprPoint uint64, sessionID string) []byte {
 // child spans recorded along the way. With no tracer configured the scratch
 // stays disarmed and every span call is a single pointer test.
 func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.TraceContext, payload []byte, at *obs.ActiveTrace) error {
-	store := s.getStore()
-	rt := store.RequestTracer()
-	om := s.opMetrics()
+	rt := cs.store.RequestTracer()
 	tRecv := time.Now().UnixNano()
 	rt.Begin(at, tc, opName(op), sess.ID())
 	if tc.IssuedUnixNanos > 0 {
@@ -480,9 +472,9 @@ func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.T
 			iss = tRecv // client/server clock skew: clamp to zero length
 		}
 		at.Span(obs.SpanQueue, iss, tRecv, 0, 0, "")
-		om.queueNs.ObserveValue(uint64(tRecv - iss))
+		cs.om.queueNs.ObserveValue(uint64(tRecv - iss))
 	}
-	err := s.dispatchOp(cs, store, om, sess, op, payload, at, tRecv)
+	err := s.dispatchOp(cs, sess, op, payload, at, tRecv)
 	rt.Finish(at, tRecv, time.Now().UnixNano())
 	return err
 }
@@ -510,18 +502,19 @@ func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, frame []byte, t
 
 // respondExec closes a single op's exec span, opened at tDec, and writes its
 // response: one clock read is the end of exec and the start of resp-write.
-func (s *Server) respondExec(cs *connState, om opMetrics, at *obs.ActiveTrace, sess *faster.Session, frame []byte, tDec int64) error {
+func (s *Server) respondExec(cs *connState, at *obs.ActiveTrace, sess *faster.Session, frame []byte, tDec int64) error {
 	tExec := time.Now().UnixNano()
 	at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-	om.execNs.ObserveValue(uint64(tExec - tDec))
+	cs.om.execNs.ObserveValue(uint64(tExec - tDec))
 	return s.respondFrom(cs, at, frame, tExec)
 }
 
-func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
+func (s *Server) dispatchOp(cs *connState, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	cs.conn.SetWriteDeadline(time.Unix(0, tRecv).Add(30 * time.Second)) //nolint:errcheck
+	store, om := cs.store, &cs.om
 	switch op {
 	case OpBatch:
-		return s.execBatch(cs, store, om, sess, payload, at, tRecv)
+		return s.execBatch(cs, sess, payload, at, tRecv)
 
 	case OpGet, OpSet, OpRMW, OpDelete:
 		key, rest, err := wire.TakeString(payload)
@@ -543,14 +536,14 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		} else {
 			frame = wire.AppendU64(frame, sess.Serial())
 		}
-		return s.respondExec(cs, om, at, sess, frame, tDec)
+		return s.respondExec(cs, at, sess, frame, tDec)
 
 	case OpCommit:
 		if len(payload) < 1 {
 			return fmt.Errorf("commit: missing flags")
 		}
 		// Push earlier pipelined replies out before a potentially long wait.
-		if err := s.flushConn(cs, om); err != nil {
+		if err := s.flushConn(cs); err != nil {
 			return err
 		}
 		withIndex := payload[0] != 0
@@ -595,7 +588,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		// connection has issued, riding whatever commit (auto-committer or a
 		// peer's explicit commit) gets there first. This is the durability
 		// handshake a traced client uses to expose durwait as a distinct hop.
-		if err := s.flushConn(cs, om); err != nil {
+		if err := s.flushConn(cs); err != nil {
 			return err
 		}
 		target := sess.Serial()
@@ -681,11 +674,12 @@ func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val
 // op, and the clock is read once per op: the end of one is the start of the
 // next. A reply run exceeding the coalescing byte cap is emitted as its own
 // self-contained frame, bounding buffered reply memory for huge batches.
-func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
+func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	r, err := newBatchReader(payload)
 	if err != nil {
 		return err
 	}
+	om := &cs.om
 	om.batches.Inc()
 	om.batchDepth.ObserveValue(uint64(r.count))
 	sess.Refresh() // one epoch refresh up front: a commit never waits a whole batch for this session
@@ -818,8 +812,6 @@ func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
 		for i := 0; i < n; i++ {
 			sl := store.ShardLog(i)
 			snap.Shards[i] = ShardStats{
-				Version:    store.ShardVersion(i),
-				Phase:      store.ShardPhase(i).String(),
 				LogTail:    sl.Tail(),
 				LogDurable: sl.Durable(),
 				LogHead:    sl.Head(),
@@ -849,7 +841,7 @@ func (s *Server) handleReplica(cs *connState, rb ReplicaBackend, clientID string
 	if err := writeFrame(conn, OpHello, helloReply(rb.RecoveredPoint(clientID), clientID)); err != nil {
 		return
 	}
-	promoted := func() bool { return s.replicaBackend() == nil }
+	promoted := func() bool { _, _, rb := s.backend(); return rb == nil }
 	for {
 		if err := s.waitReadable(cs, nil, 0, promoted); err != nil {
 			return

@@ -211,7 +211,7 @@ func TestFlightLifecycleSurvivesIngest(t *testing.T) {
 		t.Fatalf("retained %d + dropped %d, emitted %d lifecycle + %d others", len(evs), dropped, lifecycle, noisy*perNoisy)
 	}
 	phases := map[string]int{}
-	for _, e := range f.Tracer(false).Timeline().Events {
+	for _, e := range f.Tracer().Timeline().Events {
 		if e.Kind == obs.KindPhase {
 			phases[e.Token]++
 		}

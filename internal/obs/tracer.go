@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"time"
-)
+import "time"
 
 // Event kinds of a Timeline.
 const (
@@ -25,8 +22,7 @@ type Event struct {
 	Seq     uint64 `json:"seq"`
 	AtNanos int64  `json:"at_ns"`
 	Kind    string `json:"kind"`
-	// Token names the state machine: the commit token, plus "/s<shard>" on a
-	// store of more than one shard.
+	// Token is the commit token.
 	Token   string `json:"token,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 	// Phase transitions: From -> Phase. Drain events set Phase to the phase
@@ -46,8 +42,8 @@ type Event struct {
 // from the transition into Phase to that machine's next transition.
 type PhaseSpan struct {
 	Phase string `json:"phase"`
-	// Token is the commit token, bare; Shard the machine's CPR domain (-1
-	// where the whole database is one).
+	// Token is the commit token; Shard the lane the machine's events carry
+	// (-1, the store lane, for FASTER's and txdb's machines).
 	Token         string `json:"token,omitempty"`
 	Shard         int    `json:"shard"`
 	Version       uint64 `json:"version,omitempty"`
@@ -71,16 +67,10 @@ type Timeline struct {
 // Tracer is the phase-timeline view of a flight recorder: it records nothing
 // and holds nothing but the recorder. With no recorder (nil Tracer included)
 // the timeline is empty.
-type Tracer struct {
-	flight  *FlightRecorder
-	sharded bool
-}
+type Tracer struct{ flight *FlightRecorder }
 
-// Tracer returns the phase-timeline view of f. sharded says the store has
-// more than one shard, which puts the shard into the events' tokens.
-func (f *FlightRecorder) Tracer(sharded bool) *Tracer {
-	return &Tracer{flight: f, sharded: sharded}
-}
+// Tracer returns the phase-timeline view of f.
+func (f *FlightRecorder) Tracer() *Tracer { return &Tracer{flight: f} }
 
 // Timeline is BuildTimeline over the recorder's current events.
 func (t *Tracer) Timeline() Timeline {
@@ -88,24 +78,25 @@ func (t *Tracer) Timeline() Timeline {
 		return Timeline{}
 	}
 	evs, dropped := t.flight.Events()
-	tl := BuildTimeline(evs, t.sharded, time.Since(t.flight.start).Nanoseconds())
+	tl := BuildTimeline(evs, time.Since(t.flight.start).Nanoseconds())
 	tl.Dropped = dropped
 	return tl
 }
 
 // BuildTimeline computes the phase timeline from flight events in Events
 // order. Phase, ack-prepare/demarcate/drop and epoch-drain events become
-// timeline events, everything else is skipped. A state machine is a shard: each
-// of its phase events closes the span its previous one opened, and the span
-// left open is closed at now and marked Open.
+// timeline events, everything else is skipped. A state machine is the lane its
+// events carry (the store lane, -1, for a store's one machine): each of its
+// phase events closes the span its previous one opened, and the span left open
+// is closed at now and marked Open.
 //
-// An epoch-drain event carries its shard, not a transition: the log bumps the
-// same epochs for its own shifts. But any epoch of the shard bumped after a
+// An epoch-drain event carries its lane, not a transition: the logs bump the
+// same epochs for their own shifts. But any epoch of the lane bumped after a
 // transition was recorded shows, once drained, that every registered thread
 // has observed the transition — and the machine bumps right after most. So a
-// drain whose bump (AtNanos - Arg2) follows a phase event of its shard that has
+// drain whose bump (AtNanos - Arg2) follows a phase event of its lane that has
 // no drain yet is that transition's drain; the others are left out.
-func BuildTimeline(evs []FlightEvent, sharded bool, now int64) Timeline {
+func BuildTimeline(evs []FlightEvent, now int64) Timeline {
 	type machine struct {
 		span      PhaseSpan
 		undrained []int // its phase events still without a drain, as indexes into tl.Events
@@ -113,18 +104,12 @@ func BuildTimeline(evs []FlightEvent, sharded bool, now int64) Timeline {
 	var tl Timeline
 	var machines []*machine // in order of first appearance
 	byShard := make(map[int]*machine)
-	token := func(fe FlightEvent) string {
-		if sharded && fe.Shard >= 0 {
-			return fe.Token + "/s" + strconv.Itoa(fe.Shard)
-		}
-		return fe.Token
-	}
 	for _, fe := range evs {
 		e := Event{Seq: uint64(len(tl.Events)), AtNanos: fe.AtNanos, Version: fe.Version}
 		m := byShard[fe.Shard]
 		switch fe.Kind {
 		case FlightPhase:
-			e.Kind, e.Token, e.From, e.Phase = KindPhase, token(fe), FlightPhaseName(fe.Arg1), FlightPhaseName(fe.Arg2)
+			e.Kind, e.Token, e.From, e.Phase = KindPhase, fe.Token, FlightPhaseName(fe.Arg1), FlightPhaseName(fe.Arg2)
 			if m == nil {
 				m = &machine{}
 				machines, byShard[fe.Shard] = append(machines, m), m
@@ -134,7 +119,7 @@ func BuildTimeline(evs []FlightEvent, sharded bool, now int64) Timeline {
 			m.span = PhaseSpan{Phase: e.Phase, Token: fe.Token, Shard: fe.Shard, Version: fe.Version, StartNanos: fe.AtNanos}
 			m.undrained = append(m.undrained, len(tl.Events))
 		case FlightAckPrepare, FlightDemarcate, FlightDrop:
-			e.Kind, e.Token, e.Event, e.Session, e.Serial = KindSession, token(fe), fe.Kind.String(), fe.Session, fe.Arg1
+			e.Kind, e.Token, e.Event, e.Session, e.Serial = KindSession, fe.Token, fe.Kind.String(), fe.Session, fe.Arg1
 		case FlightEpochDrain:
 			if m == nil {
 				continue

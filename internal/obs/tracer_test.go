@@ -39,15 +39,14 @@ func TestBuildTimelineEvents(t *testing.T) {
 		{Seq: 5, AtNanos: 30, Kind: KindSession, Token: "tok", Version: 3, Session: "s1", Event: "demarcate", Serial: 12},
 		{Seq: 6, AtNanos: 31, Kind: KindSession, Token: "tok", Version: 3, Session: "s2", Event: "drop", Serial: 4},
 	}
-	if got := BuildTimeline(evs, false, 50).Events; !reflect.DeepEqual(got, want) {
+	if got := BuildTimeline(evs, 50).Events; !reflect.DeepEqual(got, want) {
 		t.Fatalf("events:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestBuildTimelineSpans: spans are paired per machine — two shards walking
+// TestBuildTimelineSpans: spans are paired per machine — two lanes walking
 // one commit interleaved, two transitions of one machine at the same instant —
-// and only a machine's last span is open. Tokens carry the shard only when the
-// store is sharded, and never for the shard -1 of a database.
+// and only a machine's last span is open. Tokens are the bare commit token.
 func TestBuildTimelineSpans(t *testing.T) {
 	evs := []FlightEvent{
 		phaseEv(1, 100, 0, "tok", 0, 1),
@@ -58,7 +57,7 @@ func TestBuildTimelineSpans(t *testing.T) {
 		phaseEv(6, 900, 0, "tok", 3, 0),
 		phaseEv(7, 950, 0, "tok2", 0, 1), // the rest span ends where the next commit starts
 	}
-	tl := BuildTimeline(evs, true, 1000)
+	tl := BuildTimeline(evs, 1000)
 	span := func(phase, token string, shard int, start, end int64, open bool) PhaseSpan {
 		return PhaseSpan{Phase: phase, Token: token, Shard: shard, Version: 3,
 			StartNanos: start, EndNanos: end, DurationNanos: end - start, Open: open}
@@ -76,15 +75,9 @@ func TestBuildTimelineSpans(t *testing.T) {
 		t.Fatalf("spans:\n got %+v\nwant %+v", tl.Spans, want)
 	}
 	for i, e := range tl.Events {
-		if wantTok := evs[i].Token + map[int]string{0: "/s0", 1: "/s1"}[evs[i].Shard]; e.Token != wantTok {
-			t.Fatalf("event %d token %q, want %q", i, e.Token, wantTok)
+		if e.Token != evs[i].Token {
+			t.Fatalf("event %d token %q, want %q", i, e.Token, evs[i].Token)
 		}
-	}
-	if tok := BuildTimeline(evs, false, 1000).Events[0].Token; tok != "tok" {
-		t.Fatalf("unsharded token %q, want the bare one", tok)
-	}
-	if tok := BuildTimeline([]FlightEvent{phaseEv(1, 1, -1, "tok", 0, 1)}, true, 2).Events[0].Token; tok != "tok" {
-		t.Fatalf("database token %q, want the bare one", tok)
 	}
 }
 
@@ -95,7 +88,7 @@ func TestTracerView(t *testing.T) {
 	for i := uint64(0); i < flightLifecycleSlots+24; i++ {
 		f.Emit(FlightPhase, 0, i, "tok", "", 0, 1)
 	}
-	tl := f.Tracer(false).Timeline()
+	tl := f.Tracer().Timeline()
 	if len(tl.Events) != flightLifecycleSlots || tl.Dropped != 24 {
 		t.Fatalf("%d events, %d dropped; want %d and 24", len(tl.Events), tl.Dropped, flightLifecycleSlots)
 	}
@@ -108,7 +101,7 @@ func TestTracerView(t *testing.T) {
 	}
 	var none *FlightRecorder
 	var nilView *Tracer
-	for _, v := range []*Tracer{none.Tracer(true), nilView} {
+	for _, v := range []*Tracer{none.Tracer(), nilView} {
 		if tl := v.Timeline(); len(tl.Events) != 0 || len(tl.Spans) != 0 {
 			t.Fatal("a view of no recorder returned a timeline")
 		}

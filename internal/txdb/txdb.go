@@ -313,7 +313,7 @@ func (db *DB) Metrics() *obs.Registry { return db.cfg.Metrics }
 
 // Tracer returns the database's commit phase timeline: a view of its flight
 // recorder, empty when the database has none.
-func (db *DB) Tracer() *obs.Tracer { return db.cfg.Flight.Tracer(false) }
+func (db *DB) Tracer() *obs.Tracer { return db.cfg.Flight.Tracer() }
 
 // Stats materializes the database-wide transaction counters from the
 // registry. Workers flush their local tallies on refresh and close, so the
