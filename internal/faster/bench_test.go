@@ -241,6 +241,44 @@ func BenchmarkSessionRMW(b *testing.B) {
 	})
 }
 
+// BenchmarkSessionInsert is the end-to-end benchmark's load: upserts of fresh
+// keys into the store shape of its mem-zipf-rmw workload (2^19 buckets, 1 MiB
+// pages, 512 frames). Every 2^20 keys the store is replaced by an empty one,
+// outside the timer, so every key is new and memory stays bounded.
+func BenchmarkSessionInsert(b *testing.B) {
+	const perStore = 1 << 20
+	var s *Store
+	var sess *Session
+	open := func() {
+		if s != nil {
+			sess.StopSession()
+			s.Close()
+		}
+		var err error
+		if s, err = Open(Config{IndexBuckets: 1 << 19, PageBits: 20, MemPages: 512}); err != nil {
+			b.Fatal(err)
+		}
+		sess = s.StartSession()
+	}
+	open()
+	b.Cleanup(func() { sess.StopSession(); s.Close() })
+	var kb, vb [8]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%perStore == 0 {
+			b.StopTimer()
+			open()
+			b.StartTimer()
+		}
+		binary.LittleEndian.PutUint64(kb[:], uint64(i%perStore))
+		binary.LittleEndian.PutUint64(vb[:], uint64(i))
+		if st := sess.Upsert(kb[:], vb[:]); st != Ok {
+			b.Fatalf("insert of key %d: %v", i%perStore, st)
+		}
+	}
+}
+
 // benchIndex is the index of a 1 M-key store at the paper's sizing (2^19
 // buckets, keys/2), and the size of the dense image (64 bytes per bucket) it
 // was checkpointed as before the sparse format.

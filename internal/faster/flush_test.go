@@ -265,7 +265,7 @@ func TestReadByRegion(t *testing.T) {
 					}
 				}
 				ctx := a.ctxs[0]
-				op := a.newOp(opRead, k, nil, hashfn.Hash64(k))
+				op := &pendingOp{kind: opRead, key: k, hash: hashfn.Hash64(k)}
 				op.serial, op.version = a.serial.Add(1), a.version
 				if r := ctx.find(op, false, false); int(r.reg) != region {
 					t.Fatalf("record found in region %d, want %d", r.reg, region)

@@ -25,32 +25,25 @@ package faster
 // statusRetry is an internal sentinel: re-run the dispatch loop.
 const statusRetry Status = 255
 
-// doOp drives one operation to a terminal status or Pending.
+// doOp drives one operation to a terminal status or Pending. A terminal one
+// releases its CPR resources and hands a read's result to its callback.
 func (sess *shardSession) doOp(op *pendingOp) Status {
-	if op.ioErr != nil {
-		sess.finish(op)
-		if op.readCB != nil {
-			op.readCB(nil, Error)
+	st := Error // its cold read failed
+	if op.ioErr == nil {
+		for st = sess.dispatch(op); st == statusRetry; st = sess.dispatch(op) {
 		}
-		return Error
+		if st == Pending {
+			return Pending
+		}
 	}
-	for {
-		st := sess.dispatch(op)
-		if st == statusRetry {
-			continue
+	sess.finish(op)
+	if op.readCB != nil {
+		if st != Ok {
+			op.val = nil
 		}
-		if st != Pending {
-			sess.finish(op)
-			if op.kind == opRead && op.readCB != nil {
-				if st == Ok {
-					op.readCB(op.val, Ok)
-				} else {
-					op.readCB(nil, st)
-				}
-			}
-		}
-		return st
+		op.readCB(op.val, st)
 	}
+	return st
 }
 
 // dispatch routes op by the session's view of the phase and the op's
@@ -141,8 +134,8 @@ func (sess *shardSession) update(op *pendingOp, r findResult) Status {
 			return NotFound
 		}
 	case regMutable:
-		if st, ok := sess.tryInPlace(op, r); ok {
-			return st
+		if sess.tryInPlace(op, r) {
+			return Ok
 		}
 		// Capacity exceeded or tombstoned: read-copy-update.
 	case regFuzzy:
@@ -155,32 +148,20 @@ func (sess *shardSession) update(op *pendingOp, r findResult) Status {
 	return sess.rcu(op, r)
 }
 
-// tryInPlace performs an in-place mutable-region update; ok=false means the
-// caller must fall back to read-copy-update.
-func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) (Status, bool) {
-	switch op.kind {
-	case opDelete:
+// tryInPlace performs an in-place mutable-region update; false means the caller
+// must fall back to read-copy-update.
+func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) bool {
+	switch {
+	case op.kind == opDelete:
 		r.rec.SetTombstone()
-		return Ok, true
-	case opUpsert:
-		if r.rec.Tombstone() {
-			return Error, false
-		}
-		if r.rec.SetValue(op.input) {
-			return Ok, true
-		}
-		return Error, false
-	case opRMW:
-		if r.rec.Tombstone() {
-			return Error, false
-		}
-		rmw := sess.store.cfg.RMW
-		if r.rec.UpdateValue(&sess.owner.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) }) {
-			return Ok, true
-		}
-		return Error, false
+		return true
+	case r.rec.Tombstone():
+		return false
+	case op.kind == opUpsert:
+		return r.rec.SetValue(op.input)
 	}
-	return Error, false
+	rmw := sess.store.cfg.RMW
+	return r.rec.UpdateValue(&sess.owner.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) })
 }
 
 // rcu performs a read-copy-update: a new record at the tail whose value derives

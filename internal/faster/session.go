@@ -53,17 +53,17 @@ const (
 	opDelete
 )
 
-// pendingOp carries an operation: executing, awaiting async I/O for a cold
-// record, or parked by the CPR protocol (fuzzy region, latch conflict, version
-// hand-off). Records are recycled through the session's freelist; key, input
-// and io keep their buffers across reuse.
+// pendingOp carries an operation: issued, in the session's working record, or
+// parked, in a freelist record whose key, input and io keep their buffers
+// across reuse — awaiting async I/O for a cold record, or held back by the CPR
+// protocol (fuzzy region, latch conflict, version hand-off).
 type pendingOp struct {
 	kind    opKind
 	key     []byte
 	input   []byte // upsert value or RMW input
 	val     []byte // a read's result: the session's scratch buffer (see finishRead)
 	hash    uint64
-	version uint32 // CPR version this operation belongss to
+	version uint32 // CPR version this operation belongs to
 	serial  uint64
 
 	latched bool // holds a shared latch on the key's bucket (fine-grained)
@@ -73,10 +73,9 @@ type pendingOp struct {
 	ioAddr     uint64
 	ioRec      hlog.RecordRef // a view over io's buffer
 	ioErr      error
-	// io is the op's cold-read state, created by its first issueIO; ioCtx is
-	// the shard context the outstanding read completes on.
-	io    *hlog.ColdRead
-	ioCtx *shardSession
+	// io is the record's cold-read state, created by its first queueRead; its
+	// completion goes to the context the record is parked on.
+	io *hlog.ColdRead
 	// diskResume, when non-zero, is the next unexamined chain address on
 	// storage: everything above it on this key's chain has already been
 	// checked (the on-storage part of a chain is immutable, so the check
@@ -127,13 +126,15 @@ type Session struct {
 	opsSinceRefresh int
 	closed          bool
 
-	// opFree recycles op records — with their key, input and cold-read
-	// buffers — so the steady-state path issues operations without allocating;
-	// scratch holds the current-value copy an RMW works on and the value a read
-	// hands out. Session ops are single-goroutine by contract, so neither needs
-	// locking.
+	// cur is the operation being issued and opFree recycles parked ones, so
+	// neither allocates; scratch holds the current-value copy an RMW works on
+	// and the value a read hands out; failed counts parked ops that ended in
+	// Error until CompletePending reports them. Session ops are
+	// single-goroutine by contract, so none of these needs locking.
+	cur     pendingOp
 	opFree  []*pendingOp
 	scratch []byte
+	failed  int
 }
 
 // opFreeMax bounds the freelist so a burst of pending-heavy batches cannot
@@ -370,29 +371,24 @@ func (sess *Session) maybeRefresh() {
 	}
 }
 
-// newOp returns an op record populated for a fresh operation: a retired one
-// from the freelist when there is one, its key/input buffers grown in place.
-func (sess *Session) newOp(kind opKind, key, input []byte, h uint64) *pendingOp {
-	var op *pendingOp
-	if n := len(sess.opFree); n > 0 {
-		op = sess.opFree[n-1]
-		sess.opFree[n-1] = nil
-		sess.opFree = sess.opFree[:n-1]
+// park moves the operation in the session's working record, left Pending, to a
+// freelist record that owns copies of its key and input, so the caller may
+// reuse its buffers once the call returns, and queues its cold read, if any.
+func (sess *shardSession) park(op *pendingOp) {
+	own := sess.owner
+	var p *pendingOp
+	if n := len(own.opFree); n > 0 {
+		p, own.opFree[n-1], own.opFree = own.opFree[n-1], nil, own.opFree[:n-1]
 	} else {
-		op = new(pendingOp)
+		p = new(pendingOp)
 	}
-	*op = pendingOp{kind: kind, key: append(op.key[:0], key...),
-		input: append(op.input[:0], input...), hash: h, io: op.io}
-	return op
-}
-
-// recycle retires a finished op (its callback, if any, has run) to the
-// freelist.
-func (sess *Session) recycle(op *pendingOp) {
-	if len(sess.opFree) < opFreeMax {
-		op.readCB, op.val = nil, nil
-		sess.opFree = append(sess.opFree, op)
+	key, input, io := p.key, p.input, p.io
+	*p = *op
+	p.key, p.input, p.io = append(key[:0], op.key...), append(input[:0], op.input...), io
+	if p.awaitingIO {
+		sess.queueRead(p)
 	}
+	sess.pending = append(sess.pending, p)
 }
 
 // targetVersion returns the CPR version new work belongs to: v+1 once the
@@ -417,13 +413,14 @@ func (sess *Session) ctx(hash uint64) *shardSession {
 // clients bound their in-flight buffers similarly, Sec. 7.3.4).
 const maxPendingSoft = 4096
 
-// issue gives a fresh operation (from newOp) the session's next serial and the
-// version new work belongs to, routes it to its key's shard context, and
-// runs it, parking it on the context's pending list if needed; a finished op
-// goes back to the session freelist. For a read that completed Ok it also
-// returns the value.
-func (sess *Session) issue(op *pendingOp) ([]byte, Status) {
+// issue runs a fresh operation in the session's working record (fields reset
+// one by one, key and input aliasing the caller's) under the next serial, on
+// its key's shard context, parking it if needed; a read's value comes back.
+func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Status)) ([]byte, Status) {
 	sess.maybeRefresh()
+	op := &sess.cur
+	op.kind, op.key, op.input, op.hash, op.readCB, op.val = kind, key, input, hashfn.Hash64(key), cb, nil
+	op.latched, op.counted, op.awaitingIO = false, false, false
 	ctx := sess.ctx(op.hash)
 	op.serial, op.version = sess.serial.Add(1), sess.targetVersion()
 	// Instant restore: a cold bucket must be warmed before any operation in
@@ -433,14 +430,11 @@ func (sess *Session) issue(op *pendingOp) ([]byte, Status) {
 	// same-session op completing first would break session ordering. Parked
 	// ops retried by completeOnce bypass this gate safely — they passed it
 	// when first issued, and warm is sticky.
-	if rs := ctx.store.restore.Load(); rs != nil {
-		if err := rs.ensureWarm(op.hash); err != nil {
-			if op.readCB != nil {
-				op.readCB(nil, Error)
-			}
-			sess.recycle(op)
-			return nil, Error
+	if rs := ctx.store.restore.Load(); rs != nil && rs.ensureWarm(op.hash) != nil {
+		if cb != nil {
+			cb(nil, Error)
 		}
+		return nil, Error
 	}
 	if len(ctx.pending) >= maxPendingSoft {
 		ctx.completeOnce()
@@ -448,32 +442,30 @@ func (sess *Session) issue(op *pendingOp) ([]byte, Status) {
 	st := ctx.doOp(op)
 	if st == Pending {
 		sess.store.metrics.pendings.Inc()
-		ctx.pending = append(ctx.pending, op)
+		ctx.park(op)
 		return nil, Pending
 	}
-	val := op.val
-	sess.recycle(op)
-	return val, st
+	return op.val, st
 }
 
 // Upsert blindly writes value for key.
 func (sess *Session) Upsert(key, value []byte) Status {
 	sess.store.metrics.upserts.Inc()
-	_, st := sess.issue(sess.newOp(opUpsert, key, value, hashfn.Hash64(key)))
+	_, st := sess.issue(opUpsert, key, value, nil)
 	return st
 }
 
 // RMW applies the store's RMWOps with input to key's value.
 func (sess *Session) RMW(key, input []byte) Status {
 	sess.store.metrics.rmws.Inc()
-	_, st := sess.issue(sess.newOp(opRMW, key, input, hashfn.Hash64(key)))
+	_, st := sess.issue(opRMW, key, input, nil)
 	return st
 }
 
 // Delete removes key (writes a tombstone).
 func (sess *Session) Delete(key []byte) Status {
 	sess.store.metrics.deletes.Inc()
-	_, st := sess.issue(sess.newOp(opDelete, key, nil, hashfn.Hash64(key)))
+	_, st := sess.issue(opDelete, key, nil, nil)
 	return st
 }
 
@@ -487,17 +479,16 @@ func (sess *Session) Delete(key []byte) Status {
 // process.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
 	sess.store.metrics.reads.Inc()
-	op := sess.newOp(opRead, key, nil, hashfn.Hash64(key))
-	op.readCB = cb
-	return sess.issue(op)
+	return sess.issue(opRead, key, nil, cb)
 }
 
 // CompletePending drains async I/O completions and retries parked
 // operations on every shard. With wait=true it loops until no operation
 // remains pending (refreshing epochs while waiting so global progress
 // continues, and yielding the processor to the I/O workers after a pass that
-// completed nothing).
-func (sess *Session) CompletePending(wait bool) {
+// completed nothing). It returns how many parked operations have ended in
+// Error since the previous call: a failed write has no callback to say so.
+func (sess *Session) CompletePending(wait bool) int {
 	last := sess.PendingCount()
 	for {
 		remaining := 0
@@ -506,7 +497,9 @@ func (sess *Session) CompletePending(wait bool) {
 			remaining += len(ctx.pending)
 		}
 		if !wait || remaining == 0 {
-			return
+			failed := sess.failed
+			sess.failed = 0
+			return failed
 		}
 		if remaining == last {
 			runtime.Gosched()
@@ -542,17 +535,25 @@ func (sess *shardSession) completeOnce() {
 		}
 		sess.drained = done
 	}
-	// Retry every parked op that is not awaiting I/O.
-	kept := sess.pending[:0]
+	// Retry every parked op that is not awaiting I/O; a finished one (its
+	// callback, if any, has run) is retired to the freelist.
+	own, kept := sess.owner, sess.pending[:0]
 	for _, op := range sess.pending {
 		if op.awaitingIO {
 			kept = append(kept, op)
 			continue
 		}
-		if st := sess.doOp(op); st == Pending {
+		st := sess.doOp(op)
+		if st == Pending {
 			kept = append(kept, op)
-		} else {
-			sess.owner.recycle(op)
+			continue
+		}
+		if st == Error {
+			own.failed++
+		}
+		if len(own.opFree) < opFreeMax {
+			op.readCB, op.val = nil, nil
+			own.opFree = append(own.opFree, op)
 		}
 	}
 	// Zero dropped slots so finished ops are not pinned here.
@@ -671,30 +672,38 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 	return findResult{slot: slot, entry: entry, reg: regNone}
 }
 
-// issueIO queues an async read for the record at addr and parks the op; the
-// queue goes to the I/O pool every storage.RunLen reads and whenever completeOnce
-// runs. The op's cold-read state is not touched again until completeOnce has
-// drained this read's completion.
+// issueIO asks for an async read of the record at addr and goes Pending. The
+// read is queued from a parked record — at once for a retry, by park for the
+// op being issued — so its completion lands there.
 func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
 	sess.store.metrics.ioReads.Inc()
-	op.awaitingIO = true
-	op.ioAddr = addr
-	op.ioCtx = sess
+	op.awaitingIO, op.ioAddr = true, addr
+	if op != &sess.owner.cur {
+		sess.queueRead(op)
+	}
+	return Pending
+}
+
+// queueRead queues the read a parked op asked for; the queue goes to the I/O
+// pool every storage.RunLen reads and whenever completeOnce runs. The op's
+// cold-read state is not touched again until completeOnce has drained this
+// read's completion.
+func (sess *shardSession) queueRead(op *pendingOp) {
 	if op.io == nil {
+		own := sess.owner
 		op.io = &hlog.ColdRead{Done: func(rec hlog.RecordRef, err error) {
 			op.ioRec, op.ioErr = rec, err
-			ctx := op.ioCtx
+			ctx := own.ctx(op.hash)
 			ctx.compMu.Lock()
 			ctx.completed = append(ctx.completed, op)
 			ctx.ready.Add(1)
 			ctx.compMu.Unlock()
 		}}
 	}
-	sess.ioQueue = sess.store.log.QueueRead(sess.ioQueue, addr, op.io)
+	sess.ioQueue = sess.store.log.QueueRead(sess.ioQueue, op.ioAddr, op.io)
 	if len(sess.ioQueue) >= storage.RunLen { // what one pool worker takes per wake-up
 		sess.flushIO()
 	}
-	return Pending
 }
 
 // install is the one way a record reaches the index: append it at the log tail

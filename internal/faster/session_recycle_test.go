@@ -13,8 +13,9 @@ func bkey(i int) []byte {
 }
 
 // TestSessionRecyclesOpRecords: a long run of ops on one session produces the
-// right results, serials keep advancing monotonically, and the op freelist
-// actually recycles records instead of growing without bound.
+// right results, serials keep advancing monotonically, synchronous ops never
+// touch the op freelist, and parked ops recycle its records instead of growing
+// it without bound.
 func TestSessionRecyclesOpRecords(t *testing.T) {
 	cfg := Config{IndexBuckets: 1 << 8, PageBits: 14, MemPages: 8}
 	store, err := Open(cfg)
@@ -46,12 +47,36 @@ func TestSessionRecyclesOpRecords(t *testing.T) {
 		}
 	}
 
-	if len(sess.opFree) == 0 {
-		t.Fatal("no op record was ever recycled into the freelist")
+	if len(sess.opFree) != 0 {
+		t.Fatalf("%d op records on the freelist after synchronous ops only", len(sess.opFree))
 	}
-	if len(sess.opFree) > opFreeMax {
-		t.Fatalf("freelist grew past its cap: %d > %d", len(sess.opFree), opFreeMax)
+
+	// Ops parked in the fuzzy region — a session that has not refreshed holds
+	// the read-only shift back — take records from the freelist, and
+	// CompletePending returns them there, up to its cap; the second round
+	// reuses them.
+	hold := store.StartSession()
+	for round := 0; round < 2; round++ {
+		const parked = 2 * opFreeMax
+		for i := 0; i < parked; i++ {
+			sess.Upsert(bkey(i), []byte(fmt.Sprintf("val-%d", i)))
+		}
+		store.Log().ShiftReadOnlyTo(store.Log().Tail())
+		sess.Refresh()
+		for i := 0; i < parked; i++ {
+			if st := sess.Upsert(bkey(i), []byte(fmt.Sprintf("val-%d", i))); st != Pending {
+				t.Fatalf("round %d: upsert %d in the fuzzy region: %v, want pending", round, i, st)
+			}
+		}
+		hold.Refresh()
+		if failed := sess.CompletePending(true); failed != 0 {
+			t.Fatalf("round %d: %d parked upserts failed", round, failed)
+		}
+		if len(sess.opFree) != opFreeMax {
+			t.Fatalf("round %d: freelist holds %d records after %d parked ops, want its cap %d", round, len(sess.opFree), parked, opFreeMax)
+		}
 	}
+	hold.StopSession()
 
 	// Everything written reads back.
 	for i := 0; i < n; i++ {

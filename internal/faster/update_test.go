@@ -135,7 +135,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		}
 	}
 
-	op := a.newOp(kind, k, nil, h)
+	op := &pendingOp{kind: kind, key: k, hash: h}
 	if kind != opDelete {
 		op.input = append(op.input, u64(input)...)
 	}

@@ -238,7 +238,6 @@ func (p *Pump) loop() {
 		d := p.log.Durable()
 		if d <= cursor {
 			p.sess.Refresh()
-			p.sess.CompletePending(false)
 			time.Sleep(p.idle)
 			continue
 		}
@@ -257,7 +256,6 @@ func (p *Pump) loop() {
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		}
-		p.sess.CompletePending(false)
 		p.flight.Emit(obs.FlightInlogApply, -1, 0, "", p.sessID, cursor, cursor-from)
 	}
 }
@@ -267,6 +265,8 @@ func (p *Pump) loop() {
 // through the pump session, returning the offset after the group. Exactly
 // one serial is consumed per record; a record that fails to decode stops the
 // pump before it is given one, so the serial<->offset anchor never shears.
+// The group's parked operations complete before it returns, so it is published
+// as applied only if every record of it is; a failed one stops the pump.
 //
 // Under an instant restore (faster.Config.InstantRestore) these session ops
 // self-gate per key: each blocks until its hash bucket is warm, so the pump
@@ -284,6 +284,10 @@ func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 		offset = g.Offset()
 		payload, ok := g.Next()
 		if !ok {
+			if failed := p.sess.CompletePending(true); failed > 0 {
+				p.applyErr.Add(uint64(failed))
+				return offset, fmt.Errorf("inlog: pump group ending at offset %d: %d parked operations failed", offset, failed)
+			}
 			return offset, nil
 		}
 		msg, err := DecodeMessage(payload)
@@ -326,6 +330,5 @@ func (p *Pump) Close() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	<-p.stopped
-	p.sess.CompletePending(true)
 	p.sess.StopSession()
 }

@@ -252,6 +252,50 @@ func TestPumpFreshStoreFromExistingLog(t *testing.T) {
 	re.Close()
 }
 
+// TestPumpStopsOnFailedParkedOp: a record whose operation parks on a cold
+// record and fails there — the device refuses the read — stops the pump before
+// its group is published as applied, so no commit's watermark can cover the
+// lost message.
+func TestPumpStopsOnFailedParkedOp(t *testing.T) {
+	const keys = 4000 // 32 KiB of frames hold 1365 of these records
+	inj := storage.NewInjector(storage.FaultConfig{Seed: 1})
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	defer l.Close()
+	s, err := faster.Open(storeConfig(storage.NewFaultDevice(storage.NewMemDevice(), inj), storage.NewMemCheckpointStore()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, err := StartPump(PumpConfig{Log: l, Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < keys; i++ {
+		appendAdd(t, l, i, keys)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WaitApplied(keys - 1); err != nil {
+		t.Fatal(err)
+	}
+	s.Log().WaitDurable(s.Log().SafeReadOnly()) // no flush in flight when the device dies
+
+	inj.FailPermanently()
+	defer inj.Heal()
+	appendAdd(t, l, keys, keys) // key 0 again: its record left memory long ago
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WaitApplied(keys); err == nil {
+		t.Fatal("the pump published a record whose operation failed as applied")
+	}
+	if got := p.Applied(); got != keys {
+		t.Fatalf("applied offset %d, want %d: the failed record's group is not applied", got, keys)
+	}
+}
+
 // TestIngestServerAcksAreDurable drives the TCP front door: every acked
 // offset must already be durable in the log.
 func TestIngestServerAcksAreDurable(t *testing.T) {

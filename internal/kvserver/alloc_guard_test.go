@@ -10,27 +10,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
-	"net"
 	"testing"
-	"time"
 
 	"repro/internal/faster"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
-
-// nopConn satisfies net.Conn for driving the dispatch path without a socket.
-type nopConn struct{}
-
-func (nopConn) Read(p []byte) (int, error)         { return 0, io.EOF }
-func (nopConn) Write(p []byte) (int, error)        { return len(p), nil }
-func (nopConn) Close() error                       { return nil }
-func (nopConn) LocalAddr() net.Addr                { return nil }
-func (nopConn) RemoteAddr() net.Addr               { return nil }
-func (nopConn) SetDeadline(time.Time) error        { return nil }
-func (nopConn) SetReadDeadline(t time.Time) error  { return nil }
-func (nopConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestBatchEncodeAllocFree: building a batch request over a reused buffer
 // allocates nothing once the buffer is warm.
@@ -91,49 +76,6 @@ func TestFrameDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// replayConn is a connection whose peer sends the same frames over and over:
-// each pass rewinds the reader onto raw and drives the real read -> dispatch ->
-// respond path — readFrameBuf into the connection's frame buffer, the ops
-// through the session, replies built in place in the reply buffer behind the
-// coalescing writer, which discards them.
-type replayConn struct {
-	srv    *Server
-	sess   *faster.Session
-	cs     *connState
-	rd     *bytes.Reader
-	raw    []byte
-	frames int
-	at     obs.ActiveTrace
-}
-
-func newReplayConn(srv *Server, sess *faster.Session, raw []byte, frames int) *replayConn {
-	rd := bytes.NewReader(raw)
-	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
-	cs.br = bufio.NewReaderSize(rd, 32<<10)
-	cs.store, cs.om, _ = srv.backend() // what a Hello binds
-	cs.readCB = func(v []byte, st faster.Status) {
-		cs.pendVal = append(cs.pendVal[:0], v...)
-		cs.pendSt = st
-		cs.pendDone = true
-	}
-	return &replayConn{srv: srv, sess: sess, cs: cs, rd: rd, raw: raw, frames: frames}
-}
-
-func (r *replayConn) pass() error {
-	r.rd.Reset(r.raw)
-	r.cs.br.Reset(r.rd)
-	for i := 0; i < r.frames; i++ {
-		op, tc, body, err := readFrameBuf(r.cs.br, &r.cs.frame)
-		if err == nil {
-			err = r.srv.dispatch(r.cs, r.sess, op, tc, body, &r.at)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // guardServingLoop requires zero allocations per pass over the frames in raw
 // in steady state.
 func guardServingLoop(t *testing.T, srv *Server, sess *faster.Session, raw []byte, frames int) {
@@ -153,30 +95,10 @@ func guardServingLoop(t *testing.T, srv *Server, sess *faster.Session, raw []byt
 	}
 }
 
-// servedStore opens an in-memory store with depth preloaded keys behind a
-// server that is not listening, plus a session to dispatch on.
-func servedStore(t testing.TB, depth int) (*Server, *faster.Session, [][]byte) {
-	t.Helper()
-	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := store.StartSession()
-	t.Cleanup(func() { sess.StopSession(); store.Close() })
-	keys := make([][]byte, depth)
-	for i := range keys {
-		keys[i] = u64(uint64(i) * 0x9e3779b97f4a7c15)
-		if st := sess.Upsert(keys[i], u64(uint64(i))); st != faster.Ok {
-			t.Fatalf("preload %d: %v", i, st)
-		}
-	}
-	return NewServer(store), sess, keys
-}
-
 // TestServingLoopAllocFree: one GET-only BATCH frame of 64, re-served from
 // the same bytes each run.
 func TestServingLoopAllocFree(t *testing.T) {
-	srv, sess, keys := servedStore(t, 64)
+	srv, sess, keys := servedStore(t, 64, nil)
 	payload := wire.AppendU32(nil, uint32(len(keys)))
 	for i, k := range keys {
 		payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
@@ -191,7 +113,7 @@ func TestServingLoopAllocFree(t *testing.T) {
 // TestSingleOpServingLoopAllocFree: the single-op arms — one traced GET frame
 // and one plain SET frame per pass, each answered in its own reply frame.
 func TestSingleOpServingLoopAllocFree(t *testing.T) {
-	srv, sess, keys := servedStore(t, 1)
+	srv, sess, keys := servedStore(t, 1, nil)
 	var fb bytes.Buffer
 	tc := obs.TraceContext{TraceID: 9, ParentSpan: 1, IssuedUnixNanos: 1}
 	if err := writeFrameTr(&fb, OpGet, tc, wire.AppendString(nil, keys[0])); err != nil {
@@ -310,23 +232,10 @@ func BenchmarkPipelineFlush64(b *testing.B) { benchRTT(b, flush64) }
 // one BATCH frame of 64 ops (32 GETs, 32 SETs, 8-byte keys and values) read
 // from a buffer, dispatched through execBatch on an in-memory store, the
 // gathered reply written to a discarding connection. One op is one batch;
-// ns/batched-op is per op in it. The per-op clock reads are in the number.
+// ns/batched-op is per op in it.
 func BenchmarkExecBatch64(b *testing.B) {
-	const depth = 64
-	srv, sess, keys := servedStore(b, depth/2)
-	payload := wire.AppendU32(nil, depth)
-	for i := 0; i < depth; i++ {
-		if k := keys[i/2]; i%2 == 0 {
-			payload = appendBatchOp(payload, OpSet, uint64(i+1), k, u64(uint64(i)))
-		} else {
-			payload = appendBatchOp(payload, OpGet, uint64(i+1), k, nil)
-		}
-	}
-	var fb bytes.Buffer
-	if err := writeFrame(&fb, OpBatch, payload); err != nil {
-		b.Fatal(err)
-	}
-	r := newReplayConn(srv, sess, fb.Bytes(), 1)
+	srv, sess, keys := servedStore(b, 32, nil)
+	r := newReplayConn(srv, sess, batch64(b, keys, obs.TraceContext{}), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -334,5 +243,5 @@ func BenchmarkExecBatch64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/batched-op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/batched-op")
 }

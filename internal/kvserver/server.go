@@ -26,8 +26,8 @@ import (
 //
 // The serving loop is allocation-free in steady state: frames are read into
 // a per-connection reusable buffer, batch payloads are decoded arena-style
-// (keys and values as sub-slices of the frame buffer), the session recycles
-// op records through its freelist and serves read values from its own buffer,
+// (keys and values as sub-slices of the frame buffer), the session runs each op
+// in its own working record and serves read values from its own buffer,
 // and replies are gathered into a reusable buffer behind a coalescing writer.
 type Server struct {
 	ln net.Listener
@@ -632,8 +632,8 @@ func (s *Server) dispatchOp(cs *connState, sess *faster.Session, op byte, payloa
 // store said to a wire status, for the single-op and the batch path alike. A
 // Pending op is driven to completion first; a cold read's value arrives
 // through the connection's persistent callback scratch, so the steady-state
-// path allocates nothing. out is the value a GET found (nil otherwise), valid
-// until the session's next op.
+// path allocates nothing; CompletePending counts a write that fails there. out
+// is the value a GET found (nil otherwise), valid until the session's next op.
 func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val []byte) (out []byte, status byte) {
 	var st faster.Status
 	switch op {
@@ -648,8 +648,10 @@ func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val
 		st = sess.Delete(key)
 	}
 	if st == faster.Pending {
-		sess.CompletePending(true)
 		st = faster.Ok
+		if sess.CompletePending(true) > 0 {
+			st = faster.Error
+		}
 		if op == OpGet {
 			if !cs.pendDone {
 				return nil, StatusError
@@ -669,11 +671,12 @@ func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val
 // execBatch serves one BATCH frame: ops are decoded arena-style from the
 // frame buffer, scattered to shards through the session's hash router in
 // issue order, and their replies gathered in the same order into the reused
-// reply buffer. The session recycles its op records and serves read values
-// from its own buffer, so the in-memory steady state allocates nothing per
-// op, and the clock is read once per op: the end of one is the start of the
-// next. A reply run exceeding the coalescing byte cap is emitted as its own
-// self-contained frame, bounding buffered reply memory for huge batches.
+// reply buffer; the in-memory steady state allocates nothing per op. The clock
+// is read once before the ops and once after them (faster_op_exec_ns takes the
+// ops at their mean in one update), between them only for exec spans while the
+// trace has room; a read after the first is one vDSO call (time.Since), not
+// two. A reply run past the coalescing byte cap leaves as its own frame (inside
+// the timed window), bounding buffered reply memory for huge batches.
 func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	r, err := newBatchReader(payload)
 	if err != nil {
@@ -683,7 +686,8 @@ func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, 
 	om.batches.Inc()
 	om.batchDepth.ObserveValue(uint64(r.count))
 	sess.Refresh() // one epoch refresh up front: a commit never waits a whole batch for this session
-	tBatch := time.Now().UnixNano()
+	start := time.Now()
+	tBatch := start.UnixNano()
 	at.Span(obs.SpanDecode, tRecv, tBatch, uint64(r.count), 0, "")
 	byteCap := s.coalesceBytes()
 	reply := openBatchReply(cs.reply)
@@ -702,14 +706,11 @@ func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, 
 		} else {
 			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
 		}
-		t1 := time.Now().UnixNano()
-		om.execNs.ObserveValue(uint64(t1 - t0))
 		if at.Remaining() > 1 {
-			// Per-op exec spans while the trace has room; the SpanBatch
-			// window below summarizes the whole run regardless.
+			t1 := tBatch + int64(time.Since(start))
 			at.Span(obs.SpanExec, t0, t1, sess.Serial(), 0, "")
+			t0 = t1
 		}
-		t0 = t1
 		count++
 		if len(reply) >= byteCap {
 			if _, err := cs.bw.Write(sealBatchReply(reply, count)); err != nil {
@@ -720,14 +721,15 @@ func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, 
 			sent++
 			reply = openBatchReply(reply)
 			count = 0
-			t0 = time.Now().UnixNano() // the write is not the next op's exec time
 		}
 	}
-	at.Span(obs.SpanBatch, tBatch, t0, uint64(r.count), uint64(len(reply)), "")
+	tEnd := tBatch + int64(time.Since(start))
+	om.execNs.ObserveN(uint64(tEnd-tBatch)/uint64(max(r.count, 1)), uint64(r.count))
+	at.Span(obs.SpanBatch, tBatch, tEnd, uint64(r.count), uint64(len(reply)), "")
 	if count > 0 || sent == 0 {
 		_, err := cs.bw.Write(sealBatchReply(reply, count))
 		cs.unflushed += count
-		at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(reply)), 0, "")
+		at.Span(obs.SpanRespWrite, tEnd, tBatch+int64(time.Since(start)), uint64(len(reply)), 0, "")
 		cs.reply = reply[:0]
 		return err
 	}

@@ -103,20 +103,24 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveValue records one raw value. The "nanos" in snapshot field names is
 // then just a unit label — the histogram works for any non-negative quantity
 // (e.g. a durability lag in operations).
-func (h *Histogram) ObserveValue(n uint64) {
-	if h == nil {
+func (h *Histogram) ObserveValue(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v in one update — count and bucket grow by
+// n, the sum by v*n — so n items timed as one span count as n at their mean.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
-	b := bits.Len64(n)
+	b := bits.Len64(v)
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-	h.sum.Add(n)
+	h.buckets[b].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	for {
 		old := h.max.Load()
-		if n <= old || h.max.CompareAndSwap(old, n) {
+		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/bits"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -93,6 +95,33 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if s.MeanNanos < float64(time.Microsecond.Nanoseconds()) {
 		t.Fatalf("mean = %v, implausibly small", s.MeanNanos)
+	}
+}
+
+// TestHistogramObserveN: n observations of one value in one update land where
+// n single observations would — count, sum, bucket and max — and ObserveValue
+// is ObserveN of one.
+func TestHistogramObserveN(t *testing.T) {
+	reg := NewRegistry()
+	batched, single := reg.Histogram("batched"), reg.Histogram("single")
+	batched.ObserveN(300, 64)
+	batched.ObserveN(5000, 2)
+	batched.ObserveN(7, 0) // nothing
+	for i := 0; i < 64; i++ {
+		single.ObserveValue(300)
+	}
+	single.ObserveValue(5000)
+	single.ObserveValue(5000)
+	snap := reg.Snapshot()
+	b, s := snap.Histograms["batched"], snap.Histograms["single"]
+	if b.Count != 66 || b.SumNanos != 64*300+2*5000 || b.MaxNanos != 5000 {
+		t.Fatalf("count %d sum %d max %d, want 66, %d, 5000", b.Count, b.SumNanos, b.MaxNanos, 64*300+2*5000)
+	}
+	if b.Buckets[bits.Len64(300)] != 64 || b.Buckets[bits.Len64(5000)] != 2 {
+		t.Fatalf("buckets %v: want 64 in %d and 2 in %d", b.Buckets, bits.Len64(300), bits.Len64(5000))
+	}
+	if !reflect.DeepEqual(b, s) {
+		t.Fatalf("ObserveN %+v differs from as many ObserveValue calls %+v", b, s)
 	}
 }
 
