@@ -52,9 +52,9 @@ func main() {
 		dir        = flag.String("dir", "", "database directory (empty = in-memory)")
 		shards     = flag.Int("shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
 		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
-		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (see fasterctl restore-status)")
+		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (fasterctl why shows warm-up progress)")
 		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
-		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics, /metrics.prom, /timeline, /flight, /trace, /health and /debug/pprof (empty = off)")
+		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics.prom and /debug/pprof (empty = off; everything else is on the wire: fasterctl why)")
 		replAddr   = flag.String("repl", "", "replication listen address; replicas connect here (empty = off)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary replication address")
 
@@ -184,7 +184,7 @@ func main() {
 		log.Printf("recovered store at version %d (commit %s): %s, time-to-serving %v",
 			store.Version(), report.Token, mode, time.Since(t0))
 		if rst := store.RestoreStatus(); rst != nil && rst.Restoring {
-			log.Printf("instant restore warming %d cold buckets in the background (fasterctl restore-status tracks progress)",
+			log.Printf("instant restore warming %d cold buckets in the background (fasterctl why tracks progress)",
 				rst.ColdBuckets())
 		}
 	}
@@ -209,7 +209,7 @@ func main() {
 		defer eng.Stop()
 	}
 
-	serveDebug(*debugAddr, store, eng)
+	serveDebug(*debugAddr, store.Metrics())
 
 	srv := kvserver.NewServer(store)
 	if eng != nil {
@@ -244,19 +244,15 @@ func main() {
 	}
 }
 
-// serveDebug serves the store's introspection endpoints on addr ("" = none).
-// /timeline and /trace's global spans are computed from the flight recorder,
-// so -flightrec 0 leaves them empty.
-func serveDebug(addr string, store *faster.Store, eng *health.Engine) {
+// serveDebug serves what the kvserver wire does not carry — the Prometheus
+// exposition of reg and pprof — on addr ("" = none).
+func serveDebug(addr string, reg *obs.Registry) {
 	if addr == "" {
 		return
 	}
-	mux := obs.NewDebugMux(store.Metrics(), store.Tracer(), store.Flight(), store.RequestTracer())
-	if eng != nil {
-		mux.Handle("/health", eng.Handler())
-	}
+	mux := obs.NewDebugMux(reg)
 	go func() {
-		log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,trace,health,debug/pprof}", addr)
+		log.Printf("debug endpoints on http://%s/{metrics.prom,debug/pprof}", addr)
 		if err := http.ListenAndServe(addr, mux); err != nil {
 			log.Printf("debug listener: %v", err)
 		}
@@ -320,7 +316,7 @@ func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit t
 		defer eng.Stop()
 	}
 
-	serveDebug(debugAddr, rep.Store(), eng)
+	serveDebug(debugAddr, rep.Store().Metrics())
 
 	srv := kvserver.NewReplicaServer(rep)
 	if eng != nil {

@@ -1,5 +1,6 @@
 // Command fasterctl operates a CPR-enabled FASTER store persisted on real
-// files, demonstrating durability across process restarts:
+// files, demonstrating durability across process restarts, and reads a live
+// cprserver and the artifacts one leaves behind:
 //
 //	fasterctl -dir /tmp/db set mykey myvalue
 //	fasterctl -dir /tmp/db get mykey
@@ -7,22 +8,19 @@
 //	fasterctl -dir /tmp/db rmw counter 5
 //	fasterctl -dir /tmp/db bulkload 100000
 //	fasterctl -dir /tmp/db stats
-//	fasterctl -dir /tmp/db metrics
+//	fasterctl -dir /tmp/db metrics [hist]
 //	fasterctl -dir /tmp/db verify
-//	fasterctl repl-status localhost:7070
-//	fasterctl restore-status localhost:7070
-//	fasterctl flight -addr localhost:7070 ckpt-000042
-//	fasterctl flight -dump /tmp/db/checkpoints/flight-panic
-//	fasterctl trace -addr localhost:7070 -slowest 5
+//	fasterctl why -addr localhost:7070 [-json]
 //	fasterctl pipeload -addr localhost:7070 -n 100000 -depth 64
+//	fasterctl flight -dump /tmp/db/checkpoints/flight-panic [token]
+//	fasterctl incident -dir /tmp/db/checkpoints [name]
 //	fasterctl inlog -dir /tmp/db
-//	fasterctl health -addr localhost:7070
-//	fasterctl incident -dir /tmp/db/checkpoints
 //
 // Every mutating invocation recovers the store from -dir (if a commit
 // exists), applies the operation, and takes a fresh CPR commit before
-// exiting. repl-status instead dials a running cprserver and reports its
-// replication role and lag.
+// exiting. why is the one live view: health, the commit in flight, durability
+// lag, log offsets, replication, instant restore and the slowest requests of a
+// running server, over one connection.
 package main
 
 import (
@@ -31,9 +29,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -48,224 +48,224 @@ func main() {
 	dir := flag.String("dir", "", "database directory (required)")
 	shards := flag.Int("shards", 1, "store partitions; must match the directory's existing layout")
 	flag.Parse()
-	if flag.NArg() >= 1 && flag.Arg(0) == "repl-status" {
-		replStatus(flag.Args())
+	args := flag.Args()
+	if len(args) == 0 {
+		args = []string{""}
+	}
+	switch args[0] {
+	case "why":
+		os.Exit(whyCmd(args[1:], os.Stdout))
+	case "pipeload":
+		pipeloadCmd(args[1:])
 		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "restore-status" {
-		restoreStatusCmd(flag.Args())
-		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "flight" {
-		flightCmd(flag.Args()[1:])
-		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "trace" {
-		traceCmd(flag.Args()[1:])
-		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "pipeload" {
-		pipeloadCmd(flag.Args()[1:])
-		return
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "inlog" {
-		os.Exit(inlogCmd(flag.Args()[1:]))
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "health" {
-		os.Exit(healthCmd(flag.Args()[1:]))
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "incident" {
-		os.Exit(incidentCmd(flag.Args()[1:]))
-	}
-	if flag.NArg() >= 1 && flag.Arg(0) == "verify" {
+	case "flight":
+		os.Exit(flightCmd(args[1:]))
+	case "incident":
+		os.Exit(incidentCmd(args[1:]))
+	case "inlog":
+		os.Exit(inlogCmd(args[1:]))
+	case "verify":
 		// Offline integrity walk — never opens the store, so it is safe to
 		// run against a directory another process is serving from.
-		ckDir := filepath.Join(*dir, "checkpoints")
-		if flag.NArg() >= 2 {
-			ckDir = flag.Arg(1)
-		} else if *dir == "" {
-			fmt.Fprintln(os.Stderr, "usage: fasterctl -dir <dir> verify | fasterctl verify <checkpoint-dir>")
-			os.Exit(2)
+		if len(args) >= 2 {
+			os.Exit(verifyCheckpoints(args[1]))
+		} else if *dir != "" {
+			os.Exit(verifyCheckpoints(filepath.Join(*dir, "checkpoints")))
 		}
-		os.Exit(verifyCheckpoints(ckDir))
 	}
-	if *dir == "" || flag.NArg() < 1 {
+	if *dir == "" || args[0] == "" || args[0] == "verify" {
 		fmt.Fprintln(os.Stderr, "usage: fasterctl -dir <dir> [-shards n] <set|get|del|rmw|bulkload|stats|metrics [hist]|verify> [args]")
-		fmt.Fprintln(os.Stderr, "       fasterctl repl-status <server-addr>")
-		fmt.Fprintln(os.Stderr, "       fasterctl restore-status <server-addr>")
 		fmt.Fprintln(os.Stderr, "       fasterctl verify <checkpoint-dir>")
-		fmt.Fprintln(os.Stderr, "       fasterctl flight [-addr <server-addr> | -dump <file>] [token]")
-		fmt.Fprintln(os.Stderr, "       fasterctl trace -addr <server-addr> [-slowest N] [-json]")
+		fmt.Fprintln(os.Stderr, "       fasterctl why -addr <server-addr> [-json]")
 		fmt.Fprintln(os.Stderr, "       fasterctl pipeload -addr <server-addr> [-n ops] [-depth d]")
-		fmt.Fprintln(os.Stderr, "       fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")
-		fmt.Fprintln(os.Stderr, "       fasterctl health -addr <server-addr> [-json]")
+		fmt.Fprintln(os.Stderr, "       fasterctl flight -dump <file> [token]")
 		fmt.Fprintln(os.Stderr, "       fasterctl incident [-dump <file> | -dir <checkpoint-dir> [name]]")
+		fmt.Fprintln(os.Stderr, "       fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
+	if err := storeCmd(*dir, *shards, args, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	checkpoints, err := cpr.NewDirCheckpointStore(filepath.Join(*dir, "checkpoints"))
+}
+
+// storeCmd runs one store command against the file-backed store in dir:
+// recover (or open fresh), apply, and commit what it changed.
+func storeCmd(dir string, shards int, args []string, w io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	checkpoints, err := cpr.NewDirCheckpointStore(filepath.Join(dir, "checkpoints"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The recorder is what `metrics` reads its phase timeline from.
-	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints,
+	cfg := cpr.StoreConfig{Shards: shards, Checkpoints: checkpoints,
 		Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
-	if *shards > 1 {
-		base := *dir
+	if shards > 1 {
 		cfg.DeviceFactory = func(i int) (cpr.Device, error) {
-			return cpr.OpenFileDevice(filepath.Join(base, fmt.Sprintf("hybridlog-shard%d.dat", i)))
+			return cpr.OpenFileDevice(filepath.Join(dir, fmt.Sprintf("hybridlog-shard%d.dat", i)))
 		}
-	} else {
-		device, err := cpr.OpenFileDevice(filepath.Join(*dir, "hybridlog.dat"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Device = device
+	} else if cfg.Device, err = cpr.OpenFileDevice(filepath.Join(dir, "hybridlog.dat")); err != nil {
+		return err
 	}
 
 	store, err := cpr.RecoverStore(cfg)
+	if errors.Is(err, cpr.ErrNoCheckpoint) {
+		store, err = cpr.OpenStore(cfg) // no commit yet: fresh store
+	}
 	if err != nil {
-		if !errors.Is(err, cpr.ErrNoCheckpoint) {
-			// Shard-count mismatch, corrupt artifact, ...: starting fresh
-			// would shadow the existing data.
-			log.Fatal(err)
-		}
-		// No commit yet: fresh store.
-		store, err = cpr.OpenStore(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+		// Shard-count mismatch, corrupt artifact, ...: starting fresh would
+		// shadow the existing data.
+		return err
 	}
 	defer store.Close()
 	sess := store.StartSession()
 	defer sess.StopSession()
 
-	args := flag.Args()
-	mutated := false
+	if len(args) < map[string]int{"set": 3, "get": 2, "del": 2, "rmw": 3, "bulkload": 2}[args[0]] {
+		return fmt.Errorf("%s: too few arguments", args[0])
+	}
 	switch args[0] {
 	case "set":
-		need(args, 3)
-		if st := sess.Upsert([]byte(args[1]), []byte(args[2])); st != cpr.Ok {
-			log.Fatalf("set: %v", st)
-		}
-		mutated = true
+		err = write(sess, sess.Upsert([]byte(args[1]), []byte(args[2])))
 	case "get":
-		need(args, 2)
-		val, st := sess.Read([]byte(args[1]), nil)
-		if st == cpr.Pending {
+		// A cold record goes Pending: its value arrives through the callback
+		// during CompletePending (a second Read would only go Pending again).
+		var val []byte
+		st := cpr.Pending
+		v, rst := sess.Read([]byte(args[1]), func(v []byte, s cpr.Status) { val, st = append(val, v...), s })
+		if rst == cpr.Pending {
 			sess.CompletePending(true)
-			val, st = sess.Read([]byte(args[1]), nil)
-		}
-		if st != cpr.Ok {
-			fmt.Println("(not found)")
-			return
-		}
-		fmt.Printf("%s\n", val)
-	case "del":
-		need(args, 2)
-		sess.Delete([]byte(args[1]))
-		mutated = true
-	case "rmw":
-		need(args, 3)
-		n, err := strconv.ParseUint(args[2], 10, 64)
-		if err != nil {
-			log.Fatalf("rmw delta: %v", err)
-		}
-		var d [8]byte
-		for i := 0; i < 8; i++ {
-			d[i] = byte(n >> (8 * i))
-		}
-		if st := sess.RMW([]byte(args[1]), d[:]); st == cpr.Pending {
-			sess.CompletePending(true)
-		}
-		mutated = true
-	case "bulkload":
-		need(args, 2)
-		n, err := strconv.Atoi(args[1])
-		if err != nil {
-			log.Fatalf("bulkload count: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			k := []byte(fmt.Sprintf("key-%08d", i))
-			v := []byte(fmt.Sprintf("val-%08d", i))
-			if st := sess.Upsert(k, v); st == cpr.Pending {
-				sess.CompletePending(true)
-			}
-		}
-		fmt.Printf("loaded %d keys\n", n)
-		mutated = true
-	case "stats":
-		fmt.Printf("version:       %d\n", store.Version())
-		fmt.Printf("phase:         %v\n", store.Phase())
-		if n := store.NumShards(); n > 1 {
-			fmt.Printf("shards:        %d\n", n)
-			for i := 0; i < n; i++ {
-				lg := store.ShardLog(i)
-				fmt.Printf("shard %d: tail %d durable %d in-memory [%d, %d)\n",
-					i, lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
-			}
 		} else {
-			lg := store.Log()
-			fmt.Printf("log tail:      %d bytes\n", lg.Tail())
-			fmt.Printf("log durable:   %d bytes\n", lg.Durable())
-			fmt.Printf("log in-memory: [%d, %d)\n", lg.Head(), lg.Tail())
+			val, st = v, rst
 		}
+		switch st {
+		case cpr.Ok:
+			fmt.Fprintf(w, "%s\n", val)
+		case cpr.NotFound:
+			fmt.Fprintln(w, "(not found)")
+		default:
+			return fmt.Errorf("get: %v", st)
+		}
+		return nil
+	case "del":
+		err = write(sess, sess.Delete([]byte(args[1])))
+	case "rmw":
+		n, perr := strconv.ParseUint(args[2], 10, 64)
+		if perr != nil {
+			return fmt.Errorf("rmw delta: %w", perr)
+		}
+		err = write(sess, sess.RMW([]byte(args[1]), binary.LittleEndian.AppendUint64(nil, n)))
+	case "bulkload":
+		n, perr := strconv.Atoi(args[1])
+		if perr != nil {
+			return fmt.Errorf("bulkload count: %w", perr)
+		}
+		failed := 0
+		for i := 0; i < n; i++ {
+			if write(sess, sess.Upsert([]byte(fmt.Sprintf("key-%08d", i)), []byte(fmt.Sprintf("val-%08d", i)))) != nil {
+				failed++
+			}
+		}
+		if failed > 0 {
+			err = fmt.Errorf("bulkload: %d of %d upserts failed", failed, n)
+		} else {
+			fmt.Fprintf(w, "loaded %d keys\n", n)
+		}
+	case "stats":
+		fmt.Fprintf(w, "version:       %d\n", store.Version())
+		fmt.Fprintf(w, "phase:         %v\n", store.Phase())
+		fmt.Fprintf(w, "shards:        %d\n", store.NumShards())
+		for i := 0; i < store.NumShards(); i++ {
+			lg := store.ShardLog(i)
+			fmt.Fprintf(w, "shard %d: tail %d durable %d in-memory [%d, %d)\n",
+				i, lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
+		}
+		return nil
 	case "metrics":
 		// Drive one log-only commit so the output includes a live phase
 		// timeline for this store, then dump the registry and the timeline.
-		token, err := store.Commit(cpr.CommitOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for {
-			if res, ok := store.TryResult(token); ok {
-				if res.Err != nil {
-					log.Fatal(res.Err)
-				}
-				break
-			}
-			sess.Refresh()
+		if _, err := commit(store, sess, cpr.CommitOptions{}); err != nil {
+			return err
 		}
 		snap := store.Metrics().Snapshot()
 		if len(args) >= 2 && args[1] == "hist" {
-			// Human-readable tail view: one row per histogram with
-			// percentile columns, instead of the JSON dump.
-			printHistTable(snap)
-			return
+			printHistTable(w, snap)
+			return nil
 		}
-		out := struct {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(struct {
 			Metrics  cpr.MetricsSnapshot `json:"metrics"`
 			Timeline cpr.PhaseTimeline   `json:"timeline"`
-		}{
-			Metrics:  snap,
-			Timeline: store.Tracer().Timeline(),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
+		}{snap, store.Tracer().Timeline()})
 	default:
-		log.Fatalf("unknown command %q", args[0])
+		return fmt.Errorf("unknown command %q", args[0])
 	}
+	if err != nil {
+		return fmt.Errorf("%s: %w; nothing committed", args[0], err)
+	}
+	res, err := commit(store, sess, cpr.CommitOptions{WithIndex: true})
+	if err == nil {
+		fmt.Fprintf(w, "committed (%s), session CPR point %d\n", res.Token, res.Serials[sess.ID()])
+	}
+	return err
+}
 
-	if mutated {
-		token, err := store.Commit(cpr.CommitOptions{WithIndex: true})
-		if err != nil {
-			log.Fatal(err)
+// write drives one write to its end — one that went Pending completes in
+// CompletePending, which counts it if it failed — and reports a failure.
+func write(sess *cpr.Session, st cpr.Status) error {
+	if st == cpr.Pending && sess.CompletePending(true) == 0 {
+		st = cpr.Ok
+	}
+	if st != cpr.Ok && st != cpr.NotFound {
+		return errors.New("write failed")
+	}
+	return nil
+}
+
+// commit runs one commit to its result, refreshing sess while it runs.
+func commit(store *cpr.Store, sess *cpr.Session, opts cpr.CommitOptions) (cpr.CommitResult, error) {
+	token, err := store.Commit(opts)
+	if err != nil {
+		return cpr.CommitResult{}, err
+	}
+	for {
+		if res, ok := store.TryResult(token); ok {
+			return res, res.Err
 		}
-		for {
-			if res, ok := store.TryResult(token); ok {
-				if res.Err != nil {
-					log.Fatal(res.Err)
-				}
-				fmt.Printf("committed (%s), session CPR point %d\n", token, res.Serials[sess.ID()])
-				return
-			}
-			sess.Refresh()
+		sess.Refresh()
+	}
+}
+
+// printHistTable renders `fasterctl metrics hist`: every histogram in the
+// registry as one row with tail-percentile columns.
+func printHistTable(w io.Writer, snap obs.Snapshot) {
+	if len(snap.Histograms) == 0 {
+		fmt.Fprintln(w, "(no histograms)")
+		return
+	}
+	names := make([]string, 0, len(snap.Histograms))
+	width := len("histogram")
+	for name := range snap.Histograms {
+		names = append(names, name)
+		width = max(width, len(name))
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-*s %10s %9s %9s %9s %9s %9s %9s\n",
+		width, "histogram", "count", "mean", "p50", "p90", "p99", "p999", "max")
+	for _, name := range names {
+		h := snap.Histograms[name]
+		// Histograms named *_ns hold durations; anything else (e.g. *_ops)
+		// holds raw counts.
+		cell := func(v int64) string { return fmt.Sprintf("%d", v) }
+		if strings.HasSuffix(name, "_ns") {
+			cell = ns
 		}
+		fmt.Fprintf(w, "%-*s %10d %9s %9s %9s %9s %9s %9s\n",
+			width, name, h.Count, cell(int64(h.MeanNanos)), cell(int64(h.P50Nanos)),
+			cell(int64(h.P90Nanos)), cell(int64(h.P99Nanos)), cell(int64(h.P999Nanos)),
+			cell(int64(h.MaxNanos)))
 	}
 }
 
@@ -332,12 +332,6 @@ func pipeloadCmd(args []string) {
 	}
 }
 
-func need(args []string, n int) {
-	if len(args) < n {
-		log.Fatalf("%s: expected %d arguments", args[0], n-1)
-	}
-}
-
 // verifyCheckpoints prints faster.VerifyCommits' verdict on a checkpoint
 // directory, commit by commit. Returns the process exit code: 0 when every
 // commit verifies, 1 when a commit's record is corrupt or it references a
@@ -378,35 +372,4 @@ func verifyCheckpoints(dir string) int {
 		return 1
 	}
 	return 0
-}
-
-// replStatus dials a running server and reports its replication role and,
-// on a replica, how far it trails the primary.
-func replStatus(args []string) {
-	need(args, 2)
-	client, err := kvserver.Dial(args[1], "")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	snap, err := client.Stats()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if snap.Repl == nil {
-		fmt.Println("role:            standalone (replication not configured)")
-		fmt.Printf("version:         %d\n", snap.Version)
-		return
-	}
-	r := snap.Repl
-	fmt.Printf("role:            %s\n", r.Role)
-	if r.Upstream != "" {
-		fmt.Printf("upstream:        %s\n", r.Upstream)
-	}
-	if r.Role == "primary" || r.Replicas > 0 {
-		fmt.Printf("replicas:        %d\n", r.Replicas)
-	}
-	fmt.Printf("applied version: %d\n", r.AppliedVersion)
-	fmt.Printf("versions behind: %d\n", r.VersionsBehind)
-	fmt.Printf("bytes behind:    %d\n", r.BytesBehind)
 }

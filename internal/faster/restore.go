@@ -156,40 +156,12 @@ func newRestoreState(sh *shard, token string, version uint32, scanStart, end uin
 	return rs
 }
 
-// start registers the shard's restore gauges and launches the analysis +
-// sweep goroutine. Only called for shards of an accepted commit candidate
-// (rejected candidates' shards are closed without ever starting).
+// start launches the analysis + sweep goroutine. Only called for shards of an
+// accepted commit candidate (rejected candidates' shards are closed without
+// ever starting).
 func (rs *restoreState) start() {
-	sh := rs.sh
 	rs.startNanos = nowNanos()
 	rs.started = true
-	m := sh.cfg.Metrics
-	m.GaugeFunc("faster_restore_active", func() int64 {
-		if sh.restoring() {
-			return 1
-		}
-		return 0
-	})
-	m.GaugeFunc("faster_restore_cold_buckets", func() int64 {
-		if st := sh.restoreSnapshot(); st != nil {
-			return int64(st.ColdBuckets)
-		}
-		return 0
-	})
-	m.SetHelp("faster_restore_cold_buckets",
-		"Hash buckets still cold during instant restore; cold buckets with no warms progressing is the health engine's restore-sweeper-stalled signal.")
-	m.GaugeFunc("faster_restore_pending_records", func() int64 {
-		if st := sh.restoreSnapshot(); st != nil {
-			return int64(st.PendingRecords)
-		}
-		return 0
-	})
-	m.GaugeFunc("faster_restore_time_to_warm_ns", func() int64 {
-		if st := sh.restoreSnapshot(); st != nil {
-			return st.TimeToWarmNanos
-		}
-		return 0
-	})
 	go rs.run()
 }
 
@@ -520,21 +492,13 @@ func (s *Store) Restoring() bool {
 // instant-restored; after the store is fully warm it keeps returning the
 // final per-shard statistics (time-to-warm, warm split) with Restoring=false.
 func (s *Store) RestoreStatus() *RestoreStatus {
-	out := &RestoreStatus{Mode: "instant"}
-	any := false
+	out := &RestoreStatus{Mode: "instant", Restoring: s.Restoring()}
 	for _, sh := range s.shards {
-		if rs := sh.restore.Load(); rs != nil {
-			any = true
-			out.Restoring = out.Restoring || sh.restoring()
-			out.Shards = append(out.Shards, *rs.snapshot())
-			continue
-		}
-		if st := sh.restoreStats.Load(); st != nil {
-			any = true
+		if st := sh.restoreSnapshot(); st != nil {
 			out.Shards = append(out.Shards, *st)
 		}
 	}
-	if !any {
+	if len(out.Shards) == 0 {
 		return nil
 	}
 	return out

@@ -365,9 +365,18 @@ func TestInstantRestoreMultiShard(t *testing.T) {
 	if st == nil || len(st.Shards) != 2 {
 		t.Fatalf("RestoreStatus shards = %+v", st)
 	}
+	var warm int64
 	for _, sh := range st.Shards {
 		if sh.ColdBuckets != 0 || sh.ReplayedRecords != sh.SuffixRecords {
 			t.Fatalf("shard %d not cleanly warm: %+v", sh.Shard, sh)
 		}
+		warm = max(warm, sh.TimeToWarmNanos)
+	}
+	// The store-level gauges aggregate the same status: nothing active, cold
+	// or pending, and the slowest shard's time to warm.
+	g := r.Metrics().Snapshot().Gauges
+	if g["faster_restore_active"] != 0 || g["faster_restore_cold_buckets"] != 0 ||
+		g["faster_restore_pending_records"] != 0 || g["faster_restore_time_to_warm_ns"] != warm || warm == 0 {
+		t.Fatalf("restore gauges %v, slowest time to warm %d", g, warm)
 	}
 }

@@ -49,7 +49,7 @@ type shard struct {
 	// restore is non-nil while an instant restore is warming this shard's
 	// buckets (Config.InstantRestore); the operation path checks it with a
 	// single pointer load. restoreStats keeps the final restore statistics
-	// after the shard is fully warm (restore-status survives completion).
+	// after the shard is fully warm (RestoreStatus survives completion).
 	restore      atomic.Pointer[restoreState]
 	restoreStats atomic.Pointer[RestoreShardStatus]
 

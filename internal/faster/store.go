@@ -164,8 +164,9 @@ type Config struct {
 	VerifyReads bool
 	// Metrics receives the store's instrumentation (and the log's, epoch
 	// manager's and I/O pool's). Defaults to a fresh enabled registry; pass
-	// obs.NewNop() to disable collection. Multi-shard stores expose per-shard
-	// infrastructure metrics under a "shard<i>_" prefix.
+	// obs.NewNop() to disable collection. Every name is registered once at any
+	// shard count: the shards' logs and I/O pools count into the same counters
+	// and histograms, and each gauge is the store's (summed over the shards).
 	Metrics *obs.Registry
 	// Flight, when non-nil, records the causal commit-lifecycle event stream
 	// (epoch bumps, phase transitions, artifact writes, log flushes, ...) for
@@ -352,10 +353,9 @@ func newStore(cfg Config) *Store {
 	return s
 }
 
-// shardConfig derives shard i's private configuration — its own device, its
-// view of the metrics registry (the only shard of a single-shard store uses the
-// bare names) and a 1/N share of the index and log-memory budgets. The
-// checkpoint store is shared: blobName puts the shard in a blob's name.
+// shardConfig derives shard i's private configuration — its own device and a
+// 1/N share of the index and log-memory budgets. The metrics registry and the
+// checkpoint store are shared: blobName puts the shard in a blob's name.
 func (s *Store) shardConfig(i int) (Config, error) {
 	sc := s.cfg
 	sc.DeviceFactory = nil
@@ -375,9 +375,6 @@ func (s *Store) shardConfig(i int) (Config, error) {
 		sc.IndexBuckets = 1 << bits.Len(uint(sc.IndexBuckets)) // non-power-of-two shard count: round up
 	}
 	sc.MemPages = shardShare(s.cfg.MemPages, n, hlog.MinMemPages)
-	if n > 1 {
-		sc.Metrics = s.cfg.Metrics.WithPrefix(fmt.Sprintf("shard%d_", i))
-	}
 	return sc, nil
 }
 
@@ -409,13 +406,57 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// registerStoreGauges exposes the state machine and the session count.
+// registerStoreGauges exposes the state machine, the session count, the
+// shards' I/O queues and instant-restore progress, each once per store.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
 	reg.GaugeFunc("faster_version", func() int64 { return int64(s.Version()) })
 	reg.GaugeFunc("faster_phase", func() int64 { return int64(s.Phase()) })
 	reg.GaugeFunc("faster_sessions", func() int64 { return int64(s.SessionCount()) })
+	sum := func(f func(*shard) int64) func() int64 {
+		return func() (n int64) {
+			for _, sh := range s.shards {
+				n += f(sh)
+			}
+			return n
+		}
+	}
+	reg.GaugeFunc("storage_io_inflight", sum(func(sh *shard) int64 { return sh.log.IOPool().InFlight() }))
+	reg.GaugeFunc("storage_io_queue_depth", sum(func(sh *shard) int64 { return sh.log.IOPool().QueueDepth() }))
+
+	// Instant restore over every shard: 1 while any shard warms, the cold
+	// buckets and pending suffix records summed, the slowest shard's time to
+	// warm; 0 on a store that never instant-restored.
+	restore := func(f func(*RestoreStatus) int64) func() int64 {
+		return func() int64 {
+			if st := s.RestoreStatus(); st != nil {
+				return f(st)
+			}
+			return 0
+		}
+	}
+	reg.GaugeFunc("faster_restore_active", restore(func(st *RestoreStatus) int64 {
+		if st.Restoring {
+			return 1
+		}
+		return 0
+	}))
+	reg.GaugeFunc("faster_restore_cold_buckets", restore(func(st *RestoreStatus) int64 { return int64(st.ColdBuckets()) }))
+	reg.SetHelp("faster_restore_cold_buckets",
+		"Hash buckets still cold during instant restore; cold buckets with no warms progressing is the health engine's restore-sweeper-stalled signal.")
+	reg.GaugeFunc("faster_restore_pending_records", restore(func(st *RestoreStatus) (n int64) {
+		for _, sh := range st.Shards {
+			n += int64(sh.PendingRecords)
+		}
+		return n
+	}))
+	reg.GaugeFunc("faster_restore_time_to_warm_ns", restore(func(st *RestoreStatus) (n int64) {
+		for _, sh := range st.Shards {
+			n = max(n, sh.TimeToWarmNanos)
+		}
+		return n
+	}))
 }
 
 // Close shuts down background I/O. Outstanding sessions become invalid.

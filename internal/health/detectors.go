@@ -2,11 +2,8 @@ package health
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // The built-in detectors share one shape: demand present in both samples,
@@ -17,52 +14,9 @@ import (
 // commit has been in its phase is what separates a parked commit from a busy
 // commit loop caught in the same phase twice.
 //
-// Multi-shard stores register per-shard metrics under a "shard<i>_" prefix
-// on the shared registry, so the detectors scan by *suffix* and evaluate
-// each matching prefix independently — one stuck shard is enough to fire.
-
-// gaugesBySuffix returns prefix → value for every gauge whose name ends in
-// suffix ("" is the unprefixed store-level metric's prefix).
-func gaugesBySuffix(s obs.Snapshot, suffix string) map[string]int64 {
-	out := map[string]int64{}
-	for n, v := range s.Gauges {
-		if strings.HasSuffix(n, suffix) {
-			out[n[:len(n)-len(suffix)]] = v
-		}
-	}
-	return out
-}
-
-// counterBySuffixSum sums every counter whose name ends in suffix.
-func counterBySuffixSum(s obs.Snapshot, suffix string) uint64 {
-	var sum uint64
-	for n, v := range s.Counters {
-		if strings.HasSuffix(n, suffix) {
-			sum += v
-		}
-	}
-	return sum
-}
-
-// histsBySuffix returns prefix → snapshot for every histogram whose name
-// ends in suffix.
-func histsBySuffix(s obs.Snapshot, suffix string) map[string]obs.HistogramSnapshot {
-	out := map[string]obs.HistogramSnapshot{}
-	for n, v := range s.Histograms {
-		if strings.HasSuffix(n, suffix) {
-			out[n[:len(n)-len(suffix)]] = v
-		}
-	}
-	return out
-}
-
-// at names a prefix for humans: "shard3_" as-is, "" as "store".
-func at(prefix string) string {
-	if prefix == "" {
-		return "store"
-	}
-	return strings.TrimSuffix(prefix, "_")
-}
+// Each detector reads its inputs by name. A store registers every name once
+// at any shard count — one epoch table, one state machine, and store-level
+// gauges summed over the shards — so one name is one signal.
 
 // cprPhaseNames mirrors the faster package's phase encoding for detail
 // strings (health must not import faster: faster is free to import health's
@@ -120,20 +74,17 @@ func builtinDetectors() []Detector {
 // the epoch gap alone is not demand); progress = the safe frontier advancing
 // or a drain action firing.
 func checkEpochDrainStuck(prev, cur Sample) (bool, string) {
-	for p, pending := range gaugesBySuffix(cur.Snap, "epoch_pending_drains") {
-		prevPending, ok := prev.Snap.Gauges[p+"epoch_pending_drains"]
-		if !ok || pending <= 0 || prevPending <= 0 {
-			continue
-		}
-		curSafe := cur.Snap.Gauges[p+"epoch_safe"]
-		prevSafe := prev.Snap.Gauges[p+"epoch_safe"]
-		drained := cur.Snap.Counters[p+"epoch_drains_total"] - prev.Snap.Counters[p+"epoch_drains_total"]
-		if curSafe == prevSafe && drained == 0 {
-			return true, fmt.Sprintf("%s: %d drain action(s) queued, epoch current=%d safe=%d, no drain this window",
-				at(p), pending, cur.Snap.Gauges[p+"epoch_current"], curSafe)
-		}
+	pending, prevPending := cur.Snap.Gauges["epoch_pending_drains"], prev.Snap.Gauges["epoch_pending_drains"]
+	if pending <= 0 || prevPending <= 0 {
+		return false, ""
 	}
-	return false, ""
+	safe := cur.Snap.Gauges["epoch_safe"]
+	drained := cur.Snap.Counters["epoch_drains_total"] - prev.Snap.Counters["epoch_drains_total"]
+	if safe != prev.Snap.Gauges["epoch_safe"] || drained != 0 {
+		return false, ""
+	}
+	return true, fmt.Sprintf("%d drain action(s) queued, epoch current=%d safe=%d, no drain this window",
+		pending, cur.Snap.Gauges["epoch_current"], safe)
 }
 
 // A commit counts as stuck in its phase after commitStuckFactor times the p99
@@ -146,111 +97,89 @@ const (
 	commitStuckFloor  = int64(500 * time.Millisecond)
 )
 
-// newCommitStuckCheck builds the cpr-commit-stuck check: demand = a shard in a
-// non-Rest phase; progress = its (version, phase) changing — every commit runs
-// at its own version, so back-to-back commits sampled in the same phase are
-// progress. The check remembers when it first saw each shard's current
-// (version, phase) — at the previous sample, if that already showed it — and
-// reports bad once the time in that phase passes the latency-derived bound.
+// newCommitStuckCheck builds the cpr-commit-stuck check: demand = the store in
+// a non-Rest phase; progress = its (version, phase) changing — every commit
+// runs at its own version, so back-to-back commits sampled in the same phase
+// are progress. The check remembers when it first saw the current (version,
+// phase) — at the previous sample, if that already showed it — and reports bad
+// once the time in that phase passes the latency-derived bound.
 func newCommitStuckCheck() func(prev, cur Sample) (bool, string) {
-	type parked struct{ version, phase, since int64 }
-	seen := map[string]parked{}
+	var parked bool // the store was out of Rest at the last sample
+	var version, phase, since int64
 	return func(prev, cur Sample) (bool, string) {
-		bad, detail := false, ""
-		// Commit latency is recorded store-wide, not per shard.
-		bound := max(commitStuckFloor, commitStuckFactor*int64(cur.Snap.Histograms["faster_commit_ns"].P99Nanos))
-		for p, phase := range gaugesBySuffix(cur.Snap, "faster_phase") {
-			if phase == 0 {
-				delete(seen, p)
-				continue
-			}
-			version := cur.Snap.Gauges[p+"faster_version"]
-			in, ok := seen[p]
-			if !ok || in.version != version || in.phase != phase {
-				in = parked{version, phase, cur.At}
-				if prevPhase, ok := prev.Snap.Gauges[p+"faster_phase"]; ok && prevPhase == phase &&
-					prev.Snap.Gauges[p+"faster_version"] == version {
-					in.since = prev.At
-				}
-				seen[p] = in
-			}
-			if inPhase := cur.At - in.since; inPhase >= bound {
-				bad, detail = true, fmt.Sprintf("%s: commit parked in %s (version %d) for %v, bound %v",
-					at(p), phaseName(phase), version, time.Duration(inPhase), time.Duration(bound))
+		g, pg := cur.Snap.Gauges, prev.Snap.Gauges
+		wasParked := parked
+		if parked = g["faster_phase"] != 0; !parked {
+			return false, ""
+		}
+		if !wasParked || version != g["faster_version"] || phase != g["faster_phase"] {
+			version, phase, since = g["faster_version"], g["faster_phase"], cur.At
+			if pg["faster_phase"] == phase && pg["faster_version"] == version {
+				since = prev.At
 			}
 		}
-		return bad, detail
+		bound := max(commitStuckFloor, commitStuckFactor*int64(cur.Snap.Histograms["faster_commit_ns"].P99Nanos))
+		if inPhase := cur.At - since; inPhase >= bound {
+			return true, fmt.Sprintf("commit parked in %s (version %d) for %v, bound %v",
+				phaseName(phase), version, time.Duration(inPhase), time.Duration(bound))
+		}
+		return false, ""
 	}
 }
 
 // checkInlogFsyncStalled: demand = appends past the durable frontier in both
 // samples; progress = the durable frontier advancing.
 func checkInlogFsyncStalled(prev, cur Sample) (bool, string) {
-	for p, curDurable := range gaugesBySuffix(cur.Snap, "inlog_durable") {
-		prevDurable, ok := prev.Snap.Gauges[p+"inlog_durable"]
-		if !ok {
-			continue
-		}
-		curTail := cur.Snap.Gauges[p+"inlog_tail"]
-		prevTail := prev.Snap.Gauges[p+"inlog_tail"]
-		if curTail > curDurable && prevTail > prevDurable && curDurable == prevDurable {
-			return true, fmt.Sprintf("%s: inlog tail=%d durable=%d, frontier stuck while appends queue",
-				at(p), curTail, curDurable)
-		}
+	g, pg := cur.Snap.Gauges, prev.Snap.Gauges
+	durable := g["inlog_durable"]
+	if g["inlog_tail"] <= durable || pg["inlog_tail"] <= pg["inlog_durable"] || durable != pg["inlog_durable"] {
+		return false, ""
 	}
-	return false, ""
+	return true, fmt.Sprintf("inlog tail=%d durable=%d, frontier stuck while appends queue", g["inlog_tail"], durable)
 }
 
 // checkReplLagGrowing: on a replica, bytes-behind or versions-behind
 // strictly growing; on a primary with replicas attached, commits completing
 // without any commit announcement shipped.
 func checkReplLagGrowing(prev, cur Sample) (bool, string) {
-	for p, curBehind := range gaugesBySuffix(cur.Snap, "repl_bytes_behind") {
-		prevBehind, ok := prev.Snap.Gauges[p+"repl_bytes_behind"]
-		if ok && curBehind > prevBehind && curBehind > 0 {
-			return true, fmt.Sprintf("%s: replica %d bytes behind primary and growing (+%d this window)",
-				at(p), curBehind, curBehind-prevBehind)
-		}
+	if behind, before, ok := rising(prev, cur, "repl_bytes_behind"); ok {
+		return true, fmt.Sprintf("replica %d bytes behind primary and growing (+%d this window)", behind, behind-before)
 	}
-	for p, curBehind := range gaugesBySuffix(cur.Snap, "repl_versions_behind") {
-		prevBehind, ok := prev.Snap.Gauges[p+"repl_versions_behind"]
-		if ok && curBehind > prevBehind && curBehind > 0 {
-			return true, fmt.Sprintf("%s: replica %d committed versions behind primary and growing", at(p), curBehind)
-		}
+	if behind, _, ok := rising(prev, cur, "repl_versions_behind"); ok {
+		return true, fmt.Sprintf("replica %d committed versions behind primary and growing", behind)
 	}
-	for p, replicas := range gaugesBySuffix(cur.Snap, "repl_replicas") {
-		if replicas <= 0 {
-			continue
-		}
-		commits := cur.Snap.Counters[p+"faster_commits_total"] - prev.Snap.Counters[p+"faster_commits_total"]
-		announced := cur.Snap.Counters[p+"repl_commits_announced_total"] - prev.Snap.Counters[p+"repl_commits_announced_total"]
-		if commits > 0 && announced == 0 {
-			return true, fmt.Sprintf("%s: %d commit(s) this window, none announced to %d replica(s)",
-				at(p), commits, replicas)
+	if replicas := cur.Snap.Gauges["repl_replicas"]; replicas > 0 {
+		c, pc := cur.Snap.Counters, prev.Snap.Counters
+		commits := c["faster_commits_total"] - pc["faster_commits_total"]
+		if commits > 0 && c["repl_commits_announced_total"] == pc["repl_commits_announced_total"] {
+			return true, fmt.Sprintf("%d commit(s) this window, none announced to %d replica(s)", commits, replicas)
 		}
 	}
 	return false, ""
+}
+
+// rising reports a gauge present in both samples that grew to a positive
+// value.
+func rising(prev, cur Sample, name string) (now, before int64, ok bool) {
+	before, had := prev.Snap.Gauges[name]
+	now = cur.Snap.Gauges[name]
+	return now, before, had && now > before && now > 0
 }
 
 // checkRestoreSweeperStalled: demand = restore active with cold buckets
 // remaining, unchanged across the window; progress = any bucket warmed
 // (on-demand or by the sweeper).
 func checkRestoreSweeperStalled(prev, cur Sample) (bool, string) {
-	warmed := (counterBySuffixSum(cur.Snap, "faster_restore_ondemand_warms_total") -
-		counterBySuffixSum(prev.Snap, "faster_restore_ondemand_warms_total")) +
-		(counterBySuffixSum(cur.Snap, "faster_restore_sweep_warms_total") -
-			counterBySuffixSum(prev.Snap, "faster_restore_sweep_warms_total"))
-	for p, active := range gaugesBySuffix(cur.Snap, "faster_restore_active") {
-		if active != 1 || prev.Snap.Gauges[p+"faster_restore_active"] != 1 {
-			continue
-		}
-		curCold := cur.Snap.Gauges[p+"faster_restore_cold_buckets"]
-		prevCold := prev.Snap.Gauges[p+"faster_restore_cold_buckets"]
-		if curCold > 0 && curCold == prevCold && warmed == 0 {
-			return true, fmt.Sprintf("%s: restore active, %d cold bucket(s) and none warmed this window", at(p), curCold)
-		}
+	g, pg := cur.Snap.Gauges, prev.Snap.Gauges
+	c, pc := cur.Snap.Counters, prev.Snap.Counters
+	warmed := c["faster_restore_ondemand_warms_total"] - pc["faster_restore_ondemand_warms_total"] +
+		c["faster_restore_sweep_warms_total"] - pc["faster_restore_sweep_warms_total"]
+	cold := g["faster_restore_cold_buckets"]
+	if g["faster_restore_active"] != 1 || pg["faster_restore_active"] != 1 || cold == 0 ||
+		cold != pg["faster_restore_cold_buckets"] || warmed != 0 {
+		return false, ""
 	}
-	return false, ""
+	return true, fmt.Sprintf("restore active, %d cold bucket(s) and none warmed this window", cold)
 }
 
 // checkFlushStarvation: demand = operations executed this window; progress =
@@ -258,18 +187,15 @@ func checkRestoreSweeperStalled(prev, cur Sample) (bool, string) {
 // syscall after coalescing, so a served op without any flush means replies
 // are accumulating unsent).
 func checkFlushStarvation(prev, cur Sample) (bool, string) {
-	for p, curExec := range histsBySuffix(cur.Snap, "faster_op_exec_ns") {
-		if _, ok := cur.Snap.Counters[p+"faster_net_coalesced_flushes_total"]; !ok {
-			continue
-		}
-		executed := curExec.Count - prev.Snap.Histograms[p+"faster_op_exec_ns"].Count
-		flushes := cur.Snap.Counters[p+"faster_net_coalesced_flushes_total"] -
-			prev.Snap.Counters[p+"faster_net_coalesced_flushes_total"]
-		if executed > 0 && flushes == 0 {
-			return true, fmt.Sprintf("%s: %d op(s) executed this window with zero reply flushes", at(p), executed)
-		}
+	flushes, ok := cur.Snap.Counters["faster_net_coalesced_flushes_total"]
+	if !ok {
+		return false, ""
 	}
-	return false, ""
+	executed := cur.Snap.Histograms["faster_op_exec_ns"].Count - prev.Snap.Histograms["faster_op_exec_ns"].Count
+	if executed == 0 || flushes != prev.Snap.Counters["faster_net_coalesced_flushes_total"] {
+		return false, ""
+	}
+	return true, fmt.Sprintf("%d op(s) executed this window with zero reply flushes", executed)
 }
 
 // sloState is the slo-durlag-burn detector's shared standing, published via
@@ -300,68 +226,23 @@ func (s *sloState) status() *SLOStatus {
 	return &SLOStatus{ObjectiveNanos: s.objective, WindowP99Nanos: s.p99Nanos, WindowObservations: s.windowN}
 }
 
-// windowedP99 computes the p99 over the bucket-count deltas of two
-// histogram snapshots — the distribution of only this window's
-// observations, immune to the all-time histogram's averaging-out. Quantiles
-// use the same log2-bucket midpoint rule as obs.HistogramSnapshot.
-func windowedP99(prev, cur obs.HistogramSnapshot) (p99, n uint64) {
-	if len(cur.Buckets) == 0 {
-		return 0, 0
-	}
-	counts := make([]uint64, len(cur.Buckets))
-	for i, c := range cur.Buckets {
-		if i < len(prev.Buckets) {
-			c -= prev.Buckets[i]
-		}
-		counts[i] = c
-		n += c
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	target := uint64(0.99 * float64(n))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i, c := range counts {
-		seen += c
-		if seen >= target {
-			if i == 0 {
-				return 0, n
-			}
-			lo := uint64(1) << uint(i-1)
-			hi := uint64(1)<<uint(i) - 1
-			return lo + (hi-lo)/2, n
-		}
-	}
-	return 0, n
-}
-
-// newSLODetector builds the slo-durlag-burn detector: bad when the windowed
-// p99 of faster_session_lag_ns (worst shard) exceeds the objective. Windows
-// with no lag observations are neutral — an idle node cannot burn its SLO.
+// newSLODetector builds the slo-durlag-burn detector: bad when the p99 of
+// this window's faster_session_lag_ns observations (cur.Sub(prev)) exceeds
+// the objective. Windows with no lag observations are neutral — an idle node
+// cannot burn its SLO.
 func newSLODetector(st *sloState) Detector {
 	return Detector{
 		Name: "slo-durlag-burn",
 		Description: fmt.Sprintf("Windowed p99 session durability lag exceeds the %dns objective.",
 			st.objective),
 		Check: func(prev, cur Sample) (bool, string) {
-			var worst, total uint64
-			var worstAt string
-			for p, curH := range histsBySuffix(cur.Snap, "faster_session_lag_ns") {
-				p99, n := windowedP99(prev.Snap.Histograms[p+"faster_session_lag_ns"], curH)
-				total += n
-				if n > 0 && p99 >= worst {
-					worst, worstAt = p99, at(p)
-				}
-			}
-			st.set(worst, total)
-			if total == 0 || worst <= st.objective {
+			win := cur.Snap.Sub(prev.Snap).Histograms["faster_session_lag_ns"]
+			st.set(win.P99Nanos, win.Count)
+			if win.Count == 0 || win.P99Nanos <= st.objective {
 				return false, ""
 			}
-			return true, fmt.Sprintf("%s: window p99 durability lag %dns > objective %dns (%d obs)",
-				worstAt, worst, st.objective, total)
+			return true, fmt.Sprintf("window p99 durability lag %dns > objective %dns (%d obs)",
+				win.P99Nanos, st.objective, win.Count)
 		},
 	}
 }

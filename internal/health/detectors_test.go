@@ -60,12 +60,13 @@ func TestEpochDrainStuck(t *testing.T) {
 		nil, nil); bad {
 		t.Fatal("quiescent epoch table flagged as stuck")
 	}
-	// Shard-prefixed metrics are scanned too.
+	// The epoch table is the store's, whatever its shard count: a 4-shard
+	// store's stall reads the same names.
 	if bad, _ := pair(t, checkEpochDrainStuck,
-		map[string]int64{"shard2_epoch_pending_drains": 1, "shard2_epoch_current": 9, "shard2_epoch_safe": 3},
-		map[string]int64{"shard2_epoch_pending_drains": 1, "shard2_epoch_current": 9, "shard2_epoch_safe": 3},
+		map[string]int64{"faster_shards": 4, "epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
+		map[string]int64{"faster_shards": 4, "epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
 		nil, nil); !bad {
-		t.Fatal("shard-prefixed stall not detected")
+		t.Fatal("stall of a sharded store not detected")
 	}
 }
 
@@ -133,11 +134,12 @@ func TestCommitStuck(t *testing.T) {
 		t.Fatal("4 s in a phase not flagged with a 400 ms commit p99")
 	}
 
-	// Shard-prefixed gauges are evaluated per shard: one parked shard fires.
-	prev := mkSample(0, map[string]int64{"shard0_faster_phase": 0, "shard1_faster_phase": 4, "shard1_faster_version": 2}, nil)
-	cur := mkSample(1000*ms, map[string]int64{"shard0_faster_phase": 0, "shard1_faster_phase": 4, "shard1_faster_version": 2}, nil)
-	if bad, detail := newCommitStuckCheck()(prev, cur); !bad || !strings.Contains(detail, "shard1") {
-		t.Fatalf("parked shard: bad = %v, detail %q", bad, detail)
+	// A partitioned store commits every shard under one state machine: one
+	// faster_phase gauge, parked as a whole.
+	prev := mkSample(0, map[string]int64{"faster_shards": 2, "faster_phase": 4, "faster_version": 2}, nil)
+	cur := mkSample(1000*ms, map[string]int64{"faster_shards": 2, "faster_phase": 4, "faster_version": 2}, nil)
+	if bad, detail := newCommitStuckCheck()(prev, cur); !bad || !strings.Contains(detail, "wait-flush") {
+		t.Fatalf("parked 2-shard store: bad = %v, detail %q", bad, detail)
 	}
 }
 
@@ -294,33 +296,31 @@ func TestFlushStarvation(t *testing.T) {
 	}
 }
 
+// TestWindowedP99: the SLO reads the p99 of this window's observations
+// alone — 100 fast lags before the window do not hide 50 slow ones in it.
 func TestWindowedP99(t *testing.T) {
-	mk := func(buckets map[int]uint64) obs.HistogramSnapshot {
-		b := make([]uint64, 48)
-		for i, c := range buckets {
-			b[i] = c
-		}
-		return obs.HistogramSnapshot{Buckets: b}
+	reg := obs.NewRegistry()
+	h := reg.Histogram("faster_session_lag_ns")
+	for i := 0; i < 100; i++ {
+		h.ObserveValue(1 << 9)
 	}
-	// 100 observations in bucket 10 historically; this window adds 50 in
-	// bucket 20. The windowed p99 must reflect only bucket 20.
-	prev := mk(map[int]uint64{10: 100})
-	cur := mk(map[int]uint64{10: 100, 20: 50})
-	p99, n := windowedP99(prev, cur)
-	if n != 50 {
-		t.Fatalf("window count = %d, want 50", n)
+	st := &sloState{objective: 1 << 12}
+	det := newSLODetector(st)
+	prev := Sample{Snap: reg.Snapshot()}
+	for i := 0; i < 50; i++ {
+		h.ObserveValue(1 << 19)
 	}
-	lo, hi := uint64(1)<<19, uint64(1)<<20-1
-	if p99 < lo || p99 > hi {
-		t.Fatalf("windowed p99 %d outside bucket 20's range [%d, %d]", p99, lo, hi)
+	if bad, _ := det.Check(prev, Sample{At: 1, Snap: reg.Snapshot()}); !bad {
+		t.Fatal("a window of slow lags behind a fast history did not burn the objective")
 	}
-	// Empty window.
-	if _, n := windowedP99(cur, cur); n != 0 {
-		t.Fatalf("empty window reported %d observations", n)
+	s := st.status()
+	if lo, hi := uint64(1)<<19, uint64(1)<<20-1; s.WindowObservations != 50 || s.WindowP99Nanos < lo || s.WindowP99Nanos > hi {
+		t.Fatalf("window p99 %d over %d observations, want 50 in [%d, %d]", s.WindowP99Nanos, s.WindowObservations, lo, hi)
 	}
-	// No buckets at all (histogram never snapshotted with buckets).
-	if _, n := windowedP99(obs.HistogramSnapshot{}, obs.HistogramSnapshot{}); n != 0 {
-		t.Fatal("bucket-less snapshots reported observations")
+	// An empty window has no p99.
+	cur := Sample{At: 2, Snap: reg.Snapshot()}
+	if bad, _ := det.Check(cur, cur); bad || st.status().WindowObservations != 0 {
+		t.Fatalf("empty window: bad = %v, status %+v", bad, st.status())
 	}
 }
 
@@ -331,7 +331,7 @@ func TestSLODetector(t *testing.T) {
 		b := make([]uint64, 48)
 		b[bucket] = count
 		return obs.Snapshot{Histograms: map[string]obs.HistogramSnapshot{
-			"faster_session_lag_ns": {Buckets: b, Count: count},
+			"faster_session_lag_ns": {Buckets: b, Count: count, MaxNanos: 1<<bucket - 1},
 		}}
 	}
 	// Window of 100 lags around 2^30 ns (~1s): far past the 1ms objective.

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -148,15 +147,11 @@ func TestHysteresisFireAndClear(t *testing.T) {
 	}
 }
 
-func TestCriticalDetectorUnhealthyAndHandler(t *testing.T) {
+func TestCriticalDetectorUnhealthy(t *testing.T) {
 	te := newTestEngine(t, nil)
 	te.tick()
-
-	// Healthy: handler serves 200.
-	rr := httptest.NewRecorder()
-	te.e.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/health", nil))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), `"state": "healthy"`) {
-		t.Fatalf("healthy handler: code=%d body=%s", rr.Code, rr.Body.String())
+	if v := te.e.Verdict(); !v.Healthy() {
+		t.Fatalf("state = %q before any detector fired", v.State)
 	}
 
 	te.badCrt.Store(true)
@@ -170,13 +165,6 @@ func TestCriticalDetectorUnhealthyAndHandler(t *testing.T) {
 	}
 	if v.Healthy() {
 		t.Fatal("unhealthy verdict reported Healthy()")
-	}
-
-	// Unhealthy: handler serves 503.
-	rr = httptest.NewRecorder()
-	te.e.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/health", nil))
-	if rr.Code != 503 {
-		t.Fatalf("unhealthy handler code = %d, want 503", rr.Code)
 	}
 
 	// Gauges follow the verdict.

@@ -17,7 +17,6 @@ package health
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -106,7 +105,7 @@ type DetectorStatus struct {
 type SLOStatus struct {
 	ObjectiveNanos uint64 `json:"objective_ns"`
 	// WindowP99Nanos is the p99 of faster_session_lag_ns over the last
-	// sampling window (log2-bucket midpoint, worst shard).
+	// sampling window (obs.Snapshot.Sub's quantile of the window).
 	WindowP99Nanos uint64 `json:"window_p99_ns"`
 	// WindowObservations is how many lag observations the window held.
 	WindowObservations uint64 `json:"window_observations"`
@@ -384,21 +383,6 @@ func (e *Engine) Verdict() *Verdict {
 	v := e.verdict
 	v.Detectors = append([]DetectorStatus(nil), e.verdict.Detectors...)
 	return &v
-}
-
-// Handler serves the verdict as JSON: HTTP 200 while healthy or degraded,
-// 503 while unhealthy — load-balancer-friendly without hiding degradation.
-func (e *Engine) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		v := e.Verdict()
-		w.Header().Set("Content-Type", "application/json")
-		if strings.HasPrefix(v.State, "unhealthy") {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(v) //nolint:errcheck // best-effort: the client went away
-	})
 }
 
 // captureLocked writes an incident bundle for a just-fired detector, subject

@@ -184,10 +184,8 @@ func New(cfg Config) (*Log, error) {
 }
 
 // instrument registers the log's metrics with reg (a nil registry leaves every
-// metric a no-op):
+// metric a no-op; logs sharing reg count into the same metrics):
 //
-//	hlog_tail_bytes / hlog_read_only_bytes / hlog_safe_read_only_bytes /
-//	hlog_head_bytes / hlog_begin_bytes / hlog_durable_bytes   region offsets
 //	hlog_flush_bytes_total / hlog_flush_segments_total        flush volume
 //	hlog_flush_ns                                             submit-to-durable latency
 //	hlog_async_reads_total                                    cold-record fetches
@@ -198,14 +196,12 @@ func (l *Log) instrument(reg *obs.Registry) {
 	l.asyncReads = reg.Counter("hlog_async_reads_total")
 	l.verifiedReads = reg.Counter("hlog_verified_reads_total")
 	l.verifyFails = reg.Counter("hlog_page_verify_failures_total")
-	reg.GaugeFunc("hlog_tail_bytes", func() int64 { return int64(l.tail.Load()) })
-	reg.GaugeFunc("hlog_read_only_bytes", func() int64 { return int64(l.readOnly.Load()) })
-	reg.GaugeFunc("hlog_safe_read_only_bytes", func() int64 { return int64(l.safeReadOnly.Load()) })
-	reg.GaugeFunc("hlog_head_bytes", func() int64 { return int64(l.head.Load()) })
-	reg.GaugeFunc("hlog_begin_bytes", func() int64 { return int64(l.begin.Load()) })
-	reg.GaugeFunc("hlog_durable_bytes", func() int64 { return int64(l.durable.Load()) })
 	l.pool.Instrument(reg)
 }
+
+// IOPool returns the log's I/O pool (its live queue state feeds the owner's
+// storage_io_* gauges).
+func (l *Log) IOPool() *storage.Pool { return l.pool }
 
 // Close drains outstanding I/O. The log must not be used afterwards.
 func (l *Log) Close() {

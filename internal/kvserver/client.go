@@ -8,7 +8,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -366,8 +365,9 @@ func (c *Client) Trace(n int) (obs.TraceDump, error) {
 	return dump, err
 }
 
-// Stats fetches the server's introspection snapshot: store state, HybridLog
-// offsets, and the full metrics registry.
+// Stats fetches the server's introspection snapshot: store state, each
+// shard's HybridLog offsets, the full metrics registry and, when the server
+// runs a health engine, its verdict.
 func (c *Client) Stats() (StatsSnapshot, error) {
 	var snap StatsSnapshot
 	if err := c.callJSON(c.open(OpStats), "stats", &snap); err != nil {
@@ -387,14 +387,4 @@ func (c *Client) Flight(token string) (obs.FlightDump, error) {
 	var dump obs.FlightDump
 	err := c.callJSON(wire.AppendString(c.open(OpFlight), []byte(token)), "flight", &dump)
 	return dump, err
-}
-
-// Health fetches the server's health verdict. Returns an error when the
-// server runs without a health engine.
-func (c *Client) Health() (*health.Verdict, error) {
-	var verdict health.Verdict
-	if err := c.callJSON(c.open(OpHealth), "health", &verdict); err != nil {
-		return nil, err
-	}
-	return &verdict, nil
 }

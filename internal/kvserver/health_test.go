@@ -1,14 +1,15 @@
 package kvserver
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/health"
 )
 
-func TestOpHealthRoundTrip(t *testing.T) {
+// TestStatsCarriesHealthVerdict: a server with a health engine puts the
+// engine's verdict, every built-in detector listed, in each STATS reply.
+func TestStatsCarriesHealthVerdict(t *testing.T) {
 	srv, addr, store := startServer(t, smallCfg())
 	eng := health.New(health.Config{Registry: store.Metrics(), Interval: 5 * time.Millisecond})
 	srv.Health = eng.Verdict
@@ -21,13 +22,13 @@ func TestOpHealthRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	v, err := c.Health()
+	stats, err := c.Stats()
 	if err != nil {
-		t.Fatalf("health op: %v", err)
+		t.Fatal(err)
 	}
-	if v.State != "healthy" {
-		t.Fatalf("verdict state = %q, want healthy", v.State)
+	v := stats.Health
+	if v == nil || v.State != "healthy" {
+		t.Fatalf("stats.Health = %+v, want a healthy verdict", v)
 	}
 	names := map[string]bool{}
 	for _, d := range v.Detectors {
@@ -38,30 +39,17 @@ func TestOpHealthRoundTrip(t *testing.T) {
 			t.Errorf("verdict missing built-in detector %s: %v", want, names)
 		}
 	}
-
-	// The stats snapshot carries the same verdict when the hook is wired.
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Health == nil || stats.Health.State != "healthy" {
-		t.Fatalf("stats.Health = %+v, want healthy verdict", stats.Health)
-	}
 }
 
-func TestOpHealthDisabled(t *testing.T) {
+// TestStatsWithoutHealthEngine: without an engine STATS still answers, with
+// no health block.
+func TestStatsWithoutHealthEngine(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
 	c, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	if _, err := c.Health(); err == nil || !strings.Contains(err.Error(), "health engine disabled") {
-		t.Fatalf("health on a server without an engine: err = %v, want disabled error", err)
-	}
-
-	// Stats still works, just without the health block.
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -296,22 +296,26 @@ func TestStats(t *testing.T) {
 	if stats.Sessions != 1 {
 		t.Fatalf("sessions = %d, want 1", stats.Sessions)
 	}
-	if stats.LogTail == 0 {
-		t.Fatal("log tail missing from snapshot")
-	}
 	if got := stats.Metrics.Counters["faster_upserts_total"]; got != 1 {
 		t.Fatalf("faster_upserts_total = %d, want 1", got)
 	}
-	if n := store.NumShards(); n > 1 {
-		if len(stats.Shards) != n {
-			t.Fatalf("snapshot has %d shard entries, want %d", len(stats.Shards), n)
+	// One entry per shard at every shard count, each the offsets of its log
+	// in region order.
+	if len(stats.Shards) != store.NumShards() {
+		t.Fatalf("snapshot has %d shard entries, want %d", len(stats.Shards), store.NumShards())
+	}
+	var tails uint64
+	for i, ss := range stats.Shards {
+		lg := store.ShardLog(i)
+		if ss.Tail != lg.Tail() || ss.Head != lg.Head() || ss.Begin != lg.Begin() {
+			t.Fatalf("shard %d: %+v, want tail %d head %d begin %d", i, ss, lg.Tail(), lg.Head(), lg.Begin())
 		}
-		for i, ss := range stats.Shards {
-			if lg := store.ShardLog(i); ss.LogTail != lg.Tail() || ss.LogHead != lg.Head() {
-				t.Fatalf("shard %d: log tail %d head %d, want %d %d", i, ss.LogTail, ss.LogHead, lg.Tail(), lg.Head())
-			}
+		if !(ss.Begin <= ss.Head && ss.Head <= ss.SafeReadOnly && ss.SafeReadOnly <= ss.ReadOnly && ss.ReadOnly <= ss.Tail) {
+			t.Fatalf("shard %d offsets out of region order: %+v", i, ss)
 		}
-	} else if len(stats.Shards) != 0 {
-		t.Fatalf("unsharded snapshot carries %d shard entries", len(stats.Shards))
+		tails += ss.Tail - ss.Begin
+	}
+	if tails == 0 {
+		t.Fatal("no shard's log holds the write")
 	}
 }

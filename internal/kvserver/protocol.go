@@ -49,9 +49,6 @@ const (
 	// across several OpBatch frames (each self-contained with its own count);
 	// the client reads frames until every seq is answered, in issue order.
 	OpBatch byte = 11
-	// OpHealth fetches the server's health verdict — the health engine's
-	// detector-by-detector state. Errors when no engine is wired.
-	OpHealth byte = 12 // payload: none -> resp: health.Verdict JSON
 )
 
 // ProtoV3 is the one protocol version: single-op frames with the optional
@@ -76,24 +73,23 @@ const (
 // StatsVersion is the current StatsSnapshot schema version; bump on any
 // incompatible change so clients can reject snapshots they do not understand.
 // Version 2 dropped ShardStats' version and phase: a store has one state
-// machine, so they always equal the top-level ones.
-const StatsVersion = 2
+// machine, so they always equal the top-level ones. Version 3 carries log
+// offsets only in Shards, one entry per shard at every shard count, with all
+// six of a HybridLog's offsets.
+const StatsVersion = 3
 
 // StatsSnapshot is the OpStats response payload: a versioned JSON document
-// carrying store state, HybridLog offsets, and the full metrics registry.
+// carrying store state, each shard's HybridLog offsets, and the full metrics
+// registry — with FLIGHT and TRACE, everything `fasterctl why` shows.
 type StatsSnapshot struct {
-	V          uint32       `json:"v"`
-	Version    uint32       `json:"version"` // CPR version
-	Phase      string       `json:"phase"`
-	LogTail    uint64       `json:"log_tail"`
-	LogDurable uint64       `json:"log_durable"`
-	LogHead    uint64       `json:"log_head"`
-	Sessions   int          `json:"sessions"`
-	Metrics    obs.Snapshot `json:"metrics"`
-	// Shards carries per-shard log offsets on a partitioned store (absent
-	// when the store is unsharded). The top-level log offsets then refer to
-	// shard 0.
-	Shards []ShardStats `json:"shards,omitempty"`
+	V        uint32       `json:"v"`
+	Version  uint32       `json:"version"` // CPR version
+	Phase    string       `json:"phase"`
+	Sessions int          `json:"sessions"`
+	Metrics  obs.Snapshot `json:"metrics"`
+	// Shards carries each shard's log offsets, in shard order (one entry on
+	// an unsharded store).
+	Shards []ShardStats `json:"shards"`
 	// Repl carries replication state when the server participates in
 	// replication (absent otherwise).
 	Repl *ReplStats `json:"repl,omitempty"`
@@ -129,11 +125,16 @@ type ReplStats struct {
 	BytesBehind uint64 `json:"bytes_behind"`
 }
 
-// ShardStats is one shard's slice of a StatsSnapshot: its log offsets.
+// ShardStats is one shard's slice of a StatsSnapshot: its HybridLog's
+// offsets, from the log's begin to its tail (Sec. 5.1's regions: on the
+// device below head, read-only up to read_only, mutable above it).
 type ShardStats struct {
-	LogTail    uint64 `json:"log_tail"`
-	LogDurable uint64 `json:"log_durable"`
-	LogHead    uint64 `json:"log_head"`
+	Begin        uint64 `json:"begin"`
+	Head         uint64 `json:"head"`
+	SafeReadOnly uint64 `json:"safe_read_only"`
+	ReadOnly     uint64 `json:"read_only"`
+	Durable      uint64 `json:"durable"`
+	Tail         uint64 `json:"tail"`
 }
 
 // Response status bytes.

@@ -58,9 +58,9 @@ type Server struct {
 	// (the replication server's progress on a primary; set automatically by
 	// NewReplicaServer on a replica).
 	ReplStats func() *ReplStats
-	// Health, when set, serves the health engine's verdict for OpHealth and
-	// attaches it to OpStats responses (wired to health.Engine.Verdict by
-	// cprserver when -health-interval is on). Set before Serve.
+	// Health, when set, attaches the health engine's verdict to OpStats
+	// responses (wired to health.Engine.Verdict by cprserver when
+	// -health-interval is on). Set before Serve.
 	Health func() *health.Verdict
 
 	// CoalesceBytes / CoalesceOps bound per-connection write coalescing (the
@@ -621,9 +621,6 @@ func (s *Server) dispatchOp(cs *connState, sess *faster.Session, op byte, payloa
 
 	case OpFlight:
 		return s.writeFlight(cs.bw, store, payload)
-
-	case OpHealth:
-		return s.writeHealth(cs.bw)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
 }
@@ -706,7 +703,7 @@ func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, 
 		} else {
 			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
 		}
-		if at.Remaining() > 1 {
+		if at.Remaining() > 2 { // the batch and resp-write spans take the last two slots
 			t1 := tBatch + int64(time.Since(start))
 			at.Span(obs.SpanExec, t0, t1, sess.Serial(), 0, "")
 			t0 = t1
@@ -787,38 +784,20 @@ func (s *Server) writeFlight(w io.Writer, store *faster.Store, payload []byte) e
 	return replyJSON(w, OpFlight, dump, "")
 }
 
-// writeHealth serves the health engine's verdict as JSON, or an error frame
-// when no engine is wired.
-func (s *Server) writeHealth(w io.Writer) error {
-	if s.Health == nil {
-		return replyJSON(w, OpHealth, nil, "health engine disabled")
-	}
-	return replyJSON(w, OpHealth, s.Health(), "")
-}
-
 // writeStats marshals and sends the OpStats response for store.
 func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
-	lg := store.Log()
 	snap := StatsSnapshot{
-		V:          StatsVersion,
-		Version:    store.Version(),
-		Phase:      store.Phase().String(),
-		LogTail:    lg.Tail(),
-		LogDurable: lg.Durable(),
-		LogHead:    lg.Head(),
-		Sessions:   store.SessionCount(),
-		Metrics:    store.Metrics().Snapshot(),
+		V:        StatsVersion,
+		Version:  store.Version(),
+		Phase:    store.Phase().String(),
+		Sessions: store.SessionCount(),
+		Metrics:  store.Metrics().Snapshot(),
+		Shards:   make([]ShardStats, store.NumShards()),
 	}
-	if n := store.NumShards(); n > 1 {
-		snap.Shards = make([]ShardStats, n)
-		for i := 0; i < n; i++ {
-			sl := store.ShardLog(i)
-			snap.Shards[i] = ShardStats{
-				LogTail:    sl.Tail(),
-				LogDurable: sl.Durable(),
-				LogHead:    sl.Head(),
-			}
-		}
+	for i := range snap.Shards {
+		lg := store.ShardLog(i)
+		snap.Shards[i] = ShardStats{Begin: lg.Begin(), Head: lg.Head(), SafeReadOnly: lg.SafeReadOnly(),
+			ReadOnly: lg.ReadOnly(), Durable: lg.Durable(), Tail: lg.Tail()}
 	}
 	if s.ReplStats != nil {
 		snap.Repl = s.ReplStats()
@@ -885,8 +864,6 @@ func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payl
 		return s.writeFlight(conn, rb.Store(), payload)
 	case OpTrace:
 		return s.writeTraceDump(conn, rb.Store(), payload)
-	case OpHealth:
-		return s.writeHealth(conn)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
 }

@@ -14,12 +14,6 @@ func TestInfoMetric(t *testing.T) {
 		t.Fatalf("info labels = %v", labels)
 	}
 
-	// Info follows the registry's prefix like every other metric kind.
-	r.WithPrefix("shard0_").Info("thing_info", map[string]string{"a": "b"})
-	if _, ok := r.Snapshot().Infos["shard0_thing_info"]; !ok {
-		t.Fatal("prefixed info not registered under the prefixed name")
-	}
-
 	// The snapshot holds a copy: mutating the caller's map later is invisible.
 	m := map[string]string{"k": "v1"}
 	r.Info("mut_info", m)

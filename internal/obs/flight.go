@@ -546,7 +546,7 @@ type FlightDump struct {
 }
 
 // Dump snapshots the recorder. Its JSON is the one encoding a dump has: the
-// /flight endpoint, the kvserver FLIGHT op, incident bundles and — inside the
+// kvserver FLIGHT op, incident bundles and — inside the
 // storage layer's checksum envelope — the crash-dump artifact all carry it.
 func (f *FlightRecorder) Dump() FlightDump {
 	evs, dropped := f.Events()

@@ -1,8 +1,11 @@
 // Package obs is the repository's unified observability layer: a
-// dependency-free (stdlib-only) metrics registry, the flight recorder that is
-// the one writer of commit-lifecycle events (flight.go) with the CPR phase
-// timeline computed from it (tracer.go), the request tracer's tail-sampled
-// span trees (reqtrace.go) and an HTTP introspection mux (http.go).
+// dependency-free (stdlib-only) metrics registry with one flat namespace (a
+// store registers each name once, whatever its shard count), the flight
+// recorder that is the one writer of commit-lifecycle events (flight.go) with
+// the CPR phase timeline computed from it (tracer.go), the request tracer's
+// tail-sampled span trees (reqtrace.go) and the Prometheus exposition with
+// the debug mux that serves it beside pprof (prom.go). A live process is read
+// through the kvserver wire (STATS, FLIGHT, TRACE), not through this package.
 //
 // The registry is designed for the CPR hot path: a counter increment is one
 // atomic add to the counter's one word (no locks, no map lookups — call sites
@@ -16,6 +19,7 @@
 package obs
 
 import (
+	"maps"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -140,25 +144,34 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	if h == nil {
 		return s
 	}
-	var counts [histBuckets]uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		s.Count += counts[i]
+	s.Buckets = make([]uint64, histBuckets)
+	for i := range s.Buckets {
+		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	s.SumNanos = h.sum.Load()
 	s.MaxNanos = h.max.Load()
-	s.Buckets = counts[:]
+	s.summarize()
+	return s
+}
+
+// summarize derives Mean and the quantiles from Count, SumNanos, MaxNanos and
+// Buckets — the one quantile rule, for a histogram's snapshot and for the
+// window between two (Snapshot.Sub). Without buckets (a snapshot decoded from
+// JSON) the quantiles are zero.
+func (s *HistogramSnapshot) summarize() {
+	s.MeanNanos, s.P50Nanos, s.P90Nanos, s.P95Nanos, s.P99Nanos, s.P999Nanos = 0, 0, 0, 0, 0, 0
 	if s.Count == 0 {
-		return s
+		return
 	}
 	s.MeanNanos = float64(s.SumNanos) / float64(s.Count)
+	if len(s.Buckets) == 0 {
+		return
+	}
 	quantile := func(q float64) uint64 {
-		target := uint64(q * float64(s.Count))
-		if target == 0 {
-			target = 1
-		}
+		target := max(uint64(q*float64(s.Count)), 1)
 		var seen uint64
-		for i, c := range counts {
+		for i, c := range s.Buckets {
 			seen += c
 			if seen >= target {
 				// Midpoint of bucket i, which covers [2^(i-1), 2^i) ns
@@ -169,11 +182,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 				}
 				lo := uint64(1) << uint(i-1)
 				hi := uint64(1)<<uint(i) - 1
-				mid := lo + (hi-lo)/2
-				if mid > s.MaxNanos {
-					mid = s.MaxNanos
-				}
-				return mid
+				return min(lo+(hi-lo)/2, s.MaxNanos)
 			}
 		}
 		return s.MaxNanos
@@ -183,7 +192,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	s.P95Nanos = quantile(0.95)
 	s.P99Nanos = quantile(0.99)
 	s.P999Nanos = quantile(0.999)
-	return s
 }
 
 // HistogramSnapshot is a point-in-time distribution summary. Quantiles are
@@ -216,13 +224,6 @@ type HistogramSnapshot struct {
 type Registry struct {
 	nop bool
 
-	// prefix is prepended to every metric name registered through this
-	// handle; root points at the registry owning the maps (nil = self).
-	// Prefixed views share the root's storage, so a single Snapshot of the
-	// root sees every subsystem's metrics. See WithPrefix.
-	prefix string
-	root   *Registry
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -248,43 +249,13 @@ func NewRegistry() *Registry {
 // returns nil pointers and Snapshot is empty. Use it to disable collection.
 func NewNop() *Registry { return &Registry{nop: true} }
 
-// base returns the registry owning the metric storage (self unless this is a
-// WithPrefix view).
-func (r *Registry) base() *Registry {
-	if r.root != nil {
-		return r.root
-	}
-	return r
-}
-
-// WithPrefix returns a view of the registry that prepends prefix to every
-// metric name registered through it. The view shares the parent's storage —
-// Snapshot on the parent includes all prefixed metrics — so per-instance
-// subsystems (e.g. the shards of a partitioned store) can register their
-// fixed metric names without colliding. Prefixes compose: a view of a view
-// concatenates. A nil or nop registry returns itself.
-func (r *Registry) WithPrefix(prefix string) *Registry {
-	if r == nil || r.nop || prefix == "" {
-		return r
-	}
-	return &Registry{prefix: r.prefix + prefix, root: r.base()}
-}
-
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use: every caller
+// of one name shares one counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil || r.nop {
 		return nil
 	}
-	name = r.prefix + name
-	b := r.base()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		b.counters[name] = c
-	}
-	return c
+	return lookup(&r.mu, r.counters, name, func() *Counter { return &Counter{name: name} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -292,16 +263,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil || r.nop {
 		return nil
 	}
-	name = r.prefix + name
-	b := r.base()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g, ok := b.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		b.gauges[name] = g
-	}
-	return g
+	return lookup(&r.mu, r.gauges, name, func() *Gauge { return &Gauge{name: name} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -309,31 +271,31 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil || r.nop {
 		return nil
 	}
-	name = r.prefix + name
-	b := r.base()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	h, ok := b.hists[name]
-	if !ok {
-		h = &Histogram{name: name}
-		b.hists[name] = h
-	}
-	return h
+	return lookup(&r.mu, r.hists, name, func() *Histogram { return &Histogram{name: name} })
 }
 
-// SetHelp attaches a human-readable description to the named metric
-// (prefixed like registration). The text surfaces as a `# HELP` line in the
-// Prometheus exposition; special characters are escaped at render time, so
-// free text is fine here.
+// lookup returns m[name] under mu, made by mk on first use.
+func lookup[T any](mu *sync.Mutex, m map[string]*T, name string, mk func() *T) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
+// SetHelp attaches a human-readable description to the named metric. The
+// text surfaces as a `# HELP` line in the Prometheus exposition; special
+// characters are escaped at render time, so free text is fine here.
 func (r *Registry) SetHelp(name, text string) {
 	if r == nil || r.nop {
 		return
 	}
-	name = r.prefix + name
-	b := r.base()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.help[name] = text
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.help[name] = text
 }
 
 // Info registers a constant info metric (the Prometheus build-info idiom): a
@@ -345,15 +307,10 @@ func (r *Registry) Info(name string, labels map[string]string) {
 	if r == nil || r.nop {
 		return
 	}
-	name = r.prefix + name
-	b := r.base()
-	cp := make(map[string]string, len(labels))
-	for k, v := range labels {
-		cp[k] = v
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.infos[name] = cp
+	cp := maps.Clone(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.infos[name] = cp
 }
 
 // GaugeFunc registers a callback evaluated at snapshot time — the natural fit
@@ -364,11 +321,9 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || r.nop {
 		return
 	}
-	name = r.prefix + name
-	b := r.base()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.gaugeFns[name] = fn
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFns[name] = fn
 }
 
 // Snapshot captures every registered metric. The result marshals to stable
@@ -383,19 +338,17 @@ type Snapshot struct {
 	Infos map[string]map[string]string `json:"infos,omitempty"`
 
 	// Help carries metric descriptions for the Prometheus exposition.
-	// Excluded from JSON so the /metrics document and bench metric deltas
-	// stay value-only.
+	// Excluded from JSON so STATS documents and bench metric deltas stay
+	// value-only.
 	Help map[string]string `json:"-"`
 }
 
-// Snapshot evaluates all metrics, including gauge callbacks. Snapshotting a
-// WithPrefix view captures the whole underlying registry.
+// Snapshot evaluates all metrics, including gauge callbacks.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil || r.nop {
 		return s
 	}
-	r = r.base()
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))
 	for _, c := range r.counters {
@@ -444,9 +397,11 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Sub returns the delta s - prev: counters and histogram count/sum subtract
-// (missing keys in prev count as zero); gauges and histogram quantiles keep
-// s's point-in-time values. Use it to scope metrics to one experiment run.
+// Sub returns the window s - prev: counters and histogram counts, sums and
+// buckets subtract (missing keys in prev count as zero) and each histogram's
+// mean and quantiles are those of the window's own observations; gauges and
+// histogram maxima keep s's point-in-time values. Use it to scope metrics to
+// one experiment run or one sampling interval.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters:   make(map[string]uint64, len(s.Counters)),
@@ -465,11 +420,11 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		p := prev.Histograms[k]
 		v.Count -= p.Count
 		v.SumNanos -= p.SumNanos
-		if v.Count > 0 {
-			v.MeanNanos = float64(v.SumNanos) / float64(v.Count)
-		} else {
-			v.MeanNanos = 0
+		v.Buckets = append([]uint64(nil), v.Buckets...)
+		for i := range min(len(v.Buckets), len(p.Buckets)) {
+			v.Buckets[i] -= p.Buckets[i]
 		}
+		v.summarize()
 		out.Histograms[k] = v
 	}
 	return out

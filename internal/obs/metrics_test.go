@@ -144,6 +144,42 @@ func TestSnapshotSub(t *testing.T) {
 	}
 }
 
+// TestSnapshotSubQuantiles: a window's quantiles are those of its own
+// observations, by the rule a histogram's snapshot uses — 100 slow
+// observations before the window do not move its p99, and an empty window
+// reports none.
+func TestSnapshotSubQuantiles(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat")
+	for i := 0; i < 100; i++ {
+		h.ObserveValue(1 << 20)
+	}
+	before := reg.Snapshot()
+	for i := 0; i < 50; i++ {
+		h.ObserveValue(1000)
+	}
+	cur := reg.Snapshot()
+	win := cur.Sub(before).Histograms["lat"]
+	if win.Count != 50 || win.MeanNanos != 1000 {
+		t.Fatalf("window count %d mean %v, want 50 and 1000", win.Count, win.MeanNanos)
+	}
+	alone := NewRegistry()
+	for i := 0; i < 50; i++ {
+		alone.Histogram("lat").ObserveValue(1000)
+	}
+	want := alone.Snapshot().Histograms["lat"]
+	if win.P50Nanos != want.P50Nanos || win.P99Nanos != want.P99Nanos || win.P999Nanos != want.P999Nanos {
+		t.Fatalf("window quantiles p50 %d p99 %d p999 %d, want those of the window alone: %d %d %d",
+			win.P50Nanos, win.P99Nanos, win.P999Nanos, want.P50Nanos, want.P99Nanos, want.P999Nanos)
+	}
+	if empty := reg.Snapshot().Sub(reg.Snapshot()).Histograms["lat"]; empty.Count != 0 || empty.P99Nanos != 0 {
+		t.Fatalf("empty window: count %d p99 %d", empty.Count, empty.P99Nanos)
+	}
+	if cur.Histograms["lat"].Buckets[bits.Len64(1<<20)] != 100 {
+		t.Fatal("Sub wrote into the snapshot it was called on")
+	}
+}
+
 func TestNilAndNopSafety(t *testing.T) {
 	// All of these must be no-ops, not panics.
 	var nilReg *Registry

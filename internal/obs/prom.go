@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,10 +171,30 @@ func writePromHistogram(w io.Writer, pn string, h HistogramSnapshot) error {
 }
 
 // PrometheusHandler serves the registry in the Prometheus text exposition
-// format (the scrape-friendly sibling of the JSON MetricsHandler).
+// format.
 func PrometheusHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, r.Snapshot()) //nolint:errcheck // best-effort: the client went away
 	})
+}
+
+// NewDebugMux returns the mux a server mounts on its debug listener: what the
+// kvserver wire does not carry.
+//
+//	/metrics.prom   the registry in Prometheus text exposition format
+//	/debug/pprof/*  the standard Go profiler endpoints
+//
+// Everything else — the registry snapshot, the health verdict, the flight
+// recorder, the retained traces — is one STATS, FLIGHT and TRACE exchange
+// away (fasterctl why).
+func NewDebugMux(reg *Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics.prom", PrometheusHandler(reg))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

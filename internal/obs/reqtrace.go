@@ -33,7 +33,7 @@ import (
 // a slow request to the flight recorder's commit timeline.
 
 // SpanKind identifies the hop a span covers. The names (see String) are a
-// stable interface: `fasterctl trace` and the bench decomposition report them.
+// stable interface: `fasterctl why` and the bench decomposition report them.
 type SpanKind uint8
 
 // Span kinds. Request-scoped kinds decompose one operation; global kinds
@@ -490,7 +490,7 @@ func (t *RequestTracer) Slowest(n int) []RequestTrace {
 	return out
 }
 
-// TraceDump is the wire/HTTP form of a tracer snapshot: the slowest retained
+// TraceDump is the wire form of a tracer snapshot: the slowest retained
 // traces plus the global token-keyed spans and sampler state.
 type TraceDump struct {
 	ThresholdNanos uint64         `json:"threshold_ns"`
@@ -501,9 +501,9 @@ type TraceDump struct {
 	Global         []Span         `json:"global,omitempty"`
 }
 
-// Dump snapshots the tracer for surfacing (the TRACE kvserver op, the /trace
-// debug endpoint, incident bundles). n bounds the trace count as in Slowest;
-// the global spans are read from fr (none if nil).
+// Dump snapshots the tracer for surfacing (the TRACE kvserver op, incident
+// bundles). n bounds the trace count as in Slowest; the global spans are read
+// from fr (none if nil).
 func (t *RequestTracer) Dump(n int, fr *FlightRecorder) TraceDump {
 	if t == nil {
 		return TraceDump{}

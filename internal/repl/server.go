@@ -409,7 +409,7 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 	tShipped := time.Now().UnixNano()
 	// The ship and announce events are also a trace dump's global spans
 	// (obs.ReplSpans): a slow request's durwait span and these share the commit
-	// token, which is the cross-link fasterctl trace uses.
+	// token, which is the cross-link fasterctl why uses.
 	s.store.Flight().Emit(obs.FlightReplShip, -1, uint64(info.Version), token, "",
 		artifactBytes, uint64(tShipped-tShip0))
 	ann := wire.AppendString(conn.open(opCommit), []byte(token))

@@ -61,9 +61,11 @@ type Pool struct {
 //	storage_io_read_bytes_total / storage_io_write_bytes_total
 //	storage_io_read_ns / storage_io_write_ns            device latency (of the
 //	                                                    first request of each worker run)
-//	storage_io_inflight / storage_io_queue_depth        live queue state
 //
-// Call it before submitting work (hlog does so at construction).
+// Pools that share reg (a store's shards) count into the same metrics. The
+// live queue state is InFlight and QueueDepth, which the pool's owner sums
+// into its gauges. Call it before submitting work (hlog does so at
+// construction).
 func (p *Pool) Instrument(reg *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -75,12 +77,13 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	p.writeNs = reg.Histogram("storage_io_write_ns")
 	p.retries = reg.Counter("storage_io_retries_total")
 	p.timed = p.readNs != nil
-	reg.GaugeFunc("storage_io_inflight", func() int64 { return p.inFlight.Load() })
-	reg.GaugeFunc("storage_io_queue_depth", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(len(p.queue) - p.head)
-	})
+}
+
+// QueueDepth reports the requests still waiting for a worker.
+func (p *Pool) QueueDepth() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return int64(len(p.queue) - p.head)
 }
 
 // NewPool starts a pool with the given number of workers (minimum 1). The
