@@ -242,40 +242,72 @@ func BenchmarkSessionRMW(b *testing.B) {
 }
 
 // BenchmarkSessionInsert is the end-to-end benchmark's load: upserts of fresh
-// keys into the store shape of its mem-zipf-rmw workload (2^19 buckets, 1 MiB
-// pages, 512 frames). Every 2^20 keys the store is replaced by an empty one,
-// outside the timer, so every key is new and memory stays bounded.
+// 8-byte keys, one session, into the store shape of a workload —
+//
+//	mem   mem-zipf-rmw: 2^19 buckets, 1 MiB pages, 512 frames, 8-byte values
+//	disk  disk-uniform-read: 2^19 buckets, 256 KiB pages, 84 frames (a quarter
+//	      of the load), a file device, 64-byte values — the load flushes and
+//	      evicts pages as it goes
+//
+// Every 2^20 keys the store is replaced by an empty one, outside the timer, so
+// every key is new and memory stays bounded.
 func BenchmarkSessionInsert(b *testing.B) {
-	const perStore = 1 << 20
-	var s *Store
-	var sess *Session
-	open := func() {
-		if s != nil {
-			sess.StopSession()
-			s.Close()
-		}
-		var err error
-		if s, err = Open(Config{IndexBuckets: 1 << 19, PageBits: 20, MemPages: 512}); err != nil {
-			b.Fatal(err)
-		}
-		sess = s.StartSession()
-	}
-	open()
-	b.Cleanup(func() { sess.StopSession(); s.Close() })
-	var kb, vb [8]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%perStore == 0 {
-			b.StopTimer()
+	for _, bc := range []struct {
+		name     string
+		cfg      Config
+		file     bool
+		valueLen int
+	}{
+		{"mem", Config{IndexBuckets: 1 << 19, PageBits: 20, MemPages: 512}, false, 8},
+		{"disk", Config{IndexBuckets: 1 << 19, PageBits: 18, MemPages: 84}, true, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const perStore = 1 << 20
+			var s *Store
+			var sess *Session
+			var dev storage.Device
+			closeStore := func() {
+				sess.StopSession()
+				s.Close()
+				if dev != nil {
+					dev.Close()
+				}
+			}
+			open := func() {
+				cfg := bc.cfg
+				if bc.file {
+					d, err := storage.OpenFileDevice(filepath.Join(b.TempDir(), "log.dat"))
+					if err != nil {
+						b.Fatal(err)
+					}
+					dev, cfg.Device = d, d
+				}
+				var err error
+				if s, err = Open(cfg); err != nil {
+					b.Fatal(err)
+				}
+				sess = s.StartSession()
+			}
 			open()
-			b.StartTimer()
-		}
-		binary.LittleEndian.PutUint64(kb[:], uint64(i%perStore))
-		binary.LittleEndian.PutUint64(vb[:], uint64(i))
-		if st := sess.Upsert(kb[:], vb[:]); st != Ok {
-			b.Fatalf("insert of key %d: %v", i%perStore, st)
-		}
+			b.Cleanup(func() { closeStore() })
+			var kb [8]byte
+			vb := make([]byte, bc.valueLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%perStore == 0 {
+					b.StopTimer()
+					closeStore()
+					open()
+					b.StartTimer()
+				}
+				binary.LittleEndian.PutUint64(kb[:], uint64(i%perStore))
+				binary.LittleEndian.PutUint64(vb, uint64(i))
+				if st := sess.Upsert(kb[:], vb); st != Ok {
+					b.Fatalf("insert of key %d: %v", i%perStore, st)
+				}
+			}
+		})
 	}
 }
 
@@ -283,13 +315,13 @@ func BenchmarkSessionInsert(b *testing.B) {
 // buckets, keys/2), and the size of the dense image (64 bytes per bucket) it
 // was checkpointed as before the sparse format.
 func benchIndex(b *testing.B) (idx *index, denseBytes int) {
-	idx, err := newIndex(1<<19, 0)
+	idx, err := newIndex(1 << 19)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := uint64(1); i <= 1<<20; i++ {
 		h := i * 0x9E3779B97F4A7C15
-		idx.findOrCreateSlot(h).Store(tagOf(h) | 64*i)
+		idx.probe(h, tagOf(h)|64*i)
 	}
 	return idx, 24 + 64*(len(idx.buckets)+int(idx.overflowNext.Load())-1)
 }

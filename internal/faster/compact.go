@@ -62,14 +62,11 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 			return true
 		}
 		keyBuf = rec.Key(keyBuf[:0])
-		slot := s.index.findSlot(hashfn.Hash64(keyBuf))
-		if slot == nil {
-			return true // key no longer indexed
-		}
-		for {
-			// One observation of the slot decides liveness and is what the
-			// slot must still hold when the result is published.
-			entry := slot.Load()
+		h := hashfn.Hash64(keyBuf)
+		// One observation of the slot decides liveness and is what the slot
+		// must still hold when the result is published; a retry observes
+		// afresh.
+		for slot, entry := s.index.probe(h, 0); entry != 0; slot, entry = s.index.probe(h, 0) {
 			if liveAddr, ok := s.chainFirstMatch(entry, keyBuf); !ok || liveAddr != addr {
 				return true // a newer version supersedes this record
 			}
@@ -88,10 +85,11 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 			// concurrent update that moved the chain head fails the install;
 			// re-check liveness (the update may have superseded this record).
 			valBuf = rec.Value(valBuf[:0])
-			if sess.install(slot, entry, version, keyBuf, valBuf, false) {
+			if sess.install(h, slot, entry, version, keyBuf, valBuf, false) {
 				return true
 			}
 		}
+		return true // key no longer indexed
 	})
 	if err != nil {
 		return fmt.Errorf("faster: compact scan: %w", err)

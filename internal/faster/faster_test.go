@@ -604,7 +604,7 @@ func TestSessionSerialsMonotonic(t *testing.T) {
 }
 
 func TestIndexFindOrCreateConcurrent(t *testing.T) {
-	idx, err := newIndex(1<<4, 0)
+	idx, err := newIndex(1 << 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestIndexFindOrCreateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
 				h := uint64(i)*2654435761 + 12345
-				s := idx.findOrCreateSlot(h)
+				s, _ := idx.probe(h, tagOf(h)|uint64(64+8*i))
 				if s == nil {
 					t.Errorf("nil slot for %d", i)
 					return
@@ -633,14 +633,14 @@ func TestIndexFindOrCreateConcurrent(t *testing.T) {
 	// Every hash must resolve to exactly one slot now.
 	for i := 0; i < keys; i++ {
 		h := uint64(i)*2654435761 + 12345
-		if idx.findSlot(h) == nil {
+		if _, e := idx.probe(h, 0); e == 0 {
 			t.Fatalf("hash %d has no slot after concurrent inserts", i)
 		}
 	}
 }
 
 func TestBucketLatches(t *testing.T) {
-	idx, err := newIndex(1<<4, 0)
+	idx, err := newIndex(1 << 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,14 +673,13 @@ func TestBucketLatches(t *testing.T) {
 }
 
 func TestIndexCheckpointRoundTrip(t *testing.T) {
-	idx, err := newIndex(1<<4, 0)
+	idx, err := newIndex(1 << 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
 		h := uint64(i) * 0x9E3779B97F4A7C15
-		slot := idx.findOrCreateSlot(h)
-		slot.Store(tagOf(h) | uint64(64+i*32))
+		idx.probe(h, tagOf(h)|uint64(64+i*32))
 	}
 	store := storage.NewMemCheckpointStore()
 	if _, err := storage.WriteArtifactStream(store, "idx", idx.writeImage, nil, -1, 0); err != nil {
@@ -695,12 +694,13 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		h := uint64(i) * 0x9E3779B97F4A7C15
-		s1, s2 := idx.findSlot(h), idx2.findSlot(h)
-		if s1 == nil || s2 == nil {
+		_, e1 := idx.probe(h, 0)
+		_, e2 := idx2.probe(h, 0)
+		if e1 == 0 || e2 == 0 {
 			t.Fatalf("key %d missing after round trip", i)
 		}
-		if entryAddr(s1.Load()) != entryAddr(s2.Load()) {
-			t.Fatalf("key %d addr %d != %d", i, entryAddr(s1.Load()), entryAddr(s2.Load()))
+		if entryAddr(e1) != entryAddr(e2) {
+			t.Fatalf("key %d addr %d != %d", i, entryAddr(e1), entryAddr(e2))
 		}
 	}
 }

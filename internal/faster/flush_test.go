@@ -267,7 +267,7 @@ func TestReadByRegion(t *testing.T) {
 				ctx := a.ctxs[0]
 				op := &pendingOp{kind: opRead, key: k, hash: hashfn.Hash64(k)}
 				op.serial, op.version = a.serial.Add(1), a.version
-				if r := ctx.find(op, false, false); int(r.reg) != region {
+				if r := ctx.find(op, false); int(r.reg) != region {
 					t.Fatalf("record found in region %d, want %d", r.reg, region)
 				}
 				want := Ok

@@ -83,7 +83,7 @@ type index struct {
 	growMu         sync.Mutex
 }
 
-func newIndex(nBuckets int, _ int) (*index, error) {
+func newIndex(nBuckets int) (*index, error) {
 	if nBuckets <= 0 || nBuckets&(nBuckets-1) != 0 {
 		return nil, fmt.Errorf("faster: index buckets %d must be a power of two", nBuckets)
 	}
@@ -131,103 +131,80 @@ func tagOf(hash uint64) uint64 {
 
 func entryAddr(e uint64) uint64 { return e & entryAddrMask }
 
-// findSlot walks the bucket chain looking for a non-tentative entry with the
-// given tag. It returns the slot word or nil.
-func (idx *index) findSlot(hash uint64) *atomic.Uint64 {
-	tag := tagOf(hash)
-	b := idx.mainBucket(hash)
-	for {
-		for i := range b.entries {
-			e := b.entries[i].Load()
-			if e != 0 && e&entryTagMask == tag && e&entryTentative == 0 {
-				return &b.entries[i]
-			}
-		}
-		next := b.meta.Load() & metaOverflowMask
-		if next == 0 {
-			return nil
-		}
-		b = idx.overflowBucket(next)
-	}
-}
-
-// findOrCreateSlot returns the slot for hash, inserting a fresh (tentative →
-// committed) entry with address 0 if none exists. The two-phase tentative
-// protocol prevents two threads from installing duplicate tags concurrently.
-func (idx *index) findOrCreateSlot(hash uint64) *atomic.Uint64 {
+// probe walks hash's bucket chain once. It returns the slot of the committed
+// entry with hash's tag and that entry as it loaded it — the word a decision
+// made on the chain behind it is installed against (DESIGN "The operation
+// path"). A tentative entry is an insert still checking for duplicates and
+// counts as absent. Without a committed entry probe returns the first free
+// slot it passed (nil if none) and 0: where claim may create the entry. With
+// create, an entry of hash's tag, it creates it there instead — in a new
+// overflow bucket when the chain has no free slot — and returns it, or the
+// committed entry of the tag that appeared meanwhile.
+func (idx *index) probe(hash, create uint64) (*atomic.Uint64, uint64) {
 	tag := tagOf(hash)
 	for {
-		if s := idx.findSlot(hash); s != nil {
-			return s
-		}
-		// Claim a free slot in the chain, extending it if necessary.
-		slot := idx.claimFreeSlot(hash, tag)
-		if slot == nil {
-			continue // chain changed under us; rescan
-		}
-		// Two-phase: entry is tentative; check for a duplicate tag inserted
-		// concurrently elsewhere in the chain.
-		if idx.duplicateTag(hash, tag, slot) {
-			slot.Store(0) // back off; retry the scan
-			continue
-		}
-		// Commit the entry.
-		for e := slot.Load(); e&entryTentative != 0 && !slot.CompareAndSwap(e, e&^entryTentative); e = slot.Load() {
-		}
-		return slot
-	}
-}
-
-func (idx *index) claimFreeSlot(hash, tag uint64) *atomic.Uint64 {
-	b := idx.mainBucket(hash)
-	for {
-		for i := range b.entries {
-			if b.entries[i].Load() == 0 &&
-				b.entries[i].CompareAndSwap(0, tag|entryTentative) {
-				return &b.entries[i]
-			}
-		}
-		meta := b.meta.Load()
-		next := meta & metaOverflowMask
-		if next == 0 {
-			n := idx.overflowNext.Add(1) - 1
-			idx.overflowBucket(n) // ensure the chunk exists before linking
-			if !b.meta.CompareAndSwap(meta, meta&^metaOverflowMask|n) {
-				// Lost the race; give back nothing (slab slot n leaks, which
-				// is bounded by thread count) and follow the installed link.
-				meta = b.meta.Load()
-				next = meta & metaOverflowMask
-				if next == 0 {
-					continue
+		var free *atomic.Uint64
+		b := idx.mainBucket(hash)
+		for {
+			for i := range b.entries {
+				e := b.entries[i].Load()
+				if e&(entryTagMask|entryTentative) == tag {
+					return &b.entries[i], e
 				}
-			} else {
-				next = n
+				if e == 0 && free == nil {
+					free = &b.entries[i]
+				}
 			}
-		}
-		b = idx.overflowBucket(next)
-	}
-}
-
-// duplicateTag reports whether another non-tentative or tentative entry with
-// the same tag exists in the chain besides self.
-func (idx *index) duplicateTag(hash, tag uint64, self *atomic.Uint64) bool {
-	b := idx.mainBucket(hash)
-	for {
-		for i := range b.entries {
-			p := &b.entries[i]
-			if p == self {
+			meta := b.meta.Load()
+			if next := meta & metaOverflowMask; next != 0 {
+				b = idx.overflowBucket(next)
 				continue
 			}
-			if e := p.Load(); e != 0 && e&entryTagMask == tag {
-				return true
+			if create == 0 {
+				return free, 0
+			}
+			if free == nil {
+				// Extend the chain. A lost race (the link, or a latch count,
+				// changed the meta word) leaks slab slot n, bounded by the
+				// thread count, and walks b again.
+				n := idx.overflowNext.Add(1) - 1
+				nb := idx.overflowBucket(n)
+				if !b.meta.CompareAndSwap(meta, meta&^metaOverflowMask|n) {
+					continue
+				}
+				free = &nb.entries[0]
+			}
+			break
+		}
+		if idx.claim(hash, free, create) {
+			return free, create
+		}
+	}
+}
+
+// claim creates entry, of hash's tag, in the free slot: tentative, then
+// committed once no other entry of the tag, tentative or not, is in the chain.
+// It fails if the slot was taken meanwhile or another entry of the tag is there
+// (two inserts of one tag may both fail; neither commits a duplicate).
+func (idx *index) claim(hash uint64, free *atomic.Uint64, entry uint64) bool {
+	if !free.CompareAndSwap(0, entry|entryTentative) {
+		return false
+	}
+	for b := idx.mainBucket(hash); ; {
+		for i := range b.entries {
+			if e := b.entries[i].Load(); e&entryTagMask == entry&entryTagMask && &b.entries[i] != free {
+				free.Store(0)
+				return false
 			}
 		}
 		next := b.meta.Load() & metaOverflowMask
 		if next == 0 {
-			return false
+			break
 		}
 		b = idx.overflowBucket(next)
 	}
+	free.Store(entry) // nothing but this goroutine writes a tentative entry
+	return true
 }
 
 // --- CPR bucket latches (fine-grained version transfer, Sec. 6.2) ---
@@ -392,7 +369,7 @@ func decodeIndex(r io.Reader, n int64) (*index, error) {
 		return nil, fmt.Errorf("faster: index checkpoint: header claims %d+%d buckets, image is %d bytes",
 			nBuckets, next-1, n)
 	}
-	idx, err := newIndex(int(nBuckets), 0)
+	idx, err := newIndex(int(nBuckets))
 	if err != nil {
 		return nil, err
 	}

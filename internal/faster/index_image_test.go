@@ -120,13 +120,13 @@ func checkRoundTrip(t *testing.T, idx *index) []byte {
 // goldenIndex is a small index with overflow chains, a tentative entry and
 // latch bits set — everything the image encoder has to mask or follow.
 func goldenIndex(t testing.TB) *index {
-	idx, err := newIndex(8, 0)
+	idx, err := newIndex(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 200; i++ {
 		h := i * 0x9E3779B97F4A7C15
-		idx.findOrCreateSlot(h).Store(tagOf(h) | (64 + 8*i))
+		idx.probe(h, tagOf(h)|(64+8*i))
 	}
 	idx.buckets[3].entries[2].Store(idx.buckets[3].entries[2].Load() | entryTentative)
 	idx.trySharedLatch(5)
@@ -216,10 +216,10 @@ func TestIndexImageRoundTrip(t *testing.T) {
 	}
 	for i := uint64(1); i <= 200; i++ {
 		h := i * 0x9E3779B97F4A7C15
-		if idx.findSlot(h) == nil {
+		if _, e := idx.probe(h, 0); e == 0 {
 			continue // the entry made tentative above
 		}
-		if s := back.findSlot(h); s == nil || entryAddr(s.Load()) != 64+8*i {
+		if _, e := back.probe(h, 0); entryAddr(e) != 64+8*i {
 			t.Fatalf("key %d lost in the round trip", i)
 		}
 	}
@@ -234,14 +234,14 @@ func TestIndexImageProperty(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nBuckets := 1 << rng.Intn(7)
-		idx, err := newIndex(nBuckets, 0)
+		idx, err := newIndex(nBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var slots []*atomic.Uint64
 		for n := rng.Intn(nBuckets*20 + 1); n > 0; n-- {
 			h := rng.Uint64()
-			slot := idx.findOrCreateSlot(h)
+			slot, _ := idx.probe(h, tagOf(h))
 			if rng.Intn(8) != 0 { // else: an entry still at address 0
 				slot.Store(tagOf(h) | rng.Uint64()&(hlog.MaxAddress-1)&^7) // any address a record can have
 			}
@@ -256,7 +256,7 @@ func TestIndexImageProperty(t *testing.T) {
 			}
 		}
 		// Only now the half-done inserts: a tentative entry makes a later
-		// findOrCreateSlot of its tag wait for an inserter that is not there.
+		// creating probe of its tag wait for an inserter that is not there.
 		for _, slot := range slots {
 			switch rng.Intn(10) {
 			case 0:
@@ -264,7 +264,7 @@ func TestIndexImageProperty(t *testing.T) {
 			case 1:
 				slot.Store(slot.Load() | entryTentative)
 			case 2:
-				idx.claimFreeSlot(rng.Uint64(), tagOf(rng.Uint64()))
+				slot.Store(tagOf(rng.Uint64()) | entryTentative) // freed, then claimed by an insert that stopped
 			}
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkRoundTrip(t, idx) })

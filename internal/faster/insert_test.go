@@ -1,0 +1,315 @@
+package faster
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/hashfn"
+	"repro/internal/hlog"
+)
+
+// The tests in this file pin the fresh-key path: one probe of the index, one
+// append, one publish — and what the path must refuse or leave alone.
+
+// TestKeyOutOfRangeIsAnError: a key of 0 or over 65 535 bytes, or a value no
+// page holds, is the caller's error, answered with Error by the operation. It
+// used to panic inside the store ("hlog: key length 0 out of range"), which a
+// server turned into a dead process.
+func TestKeyOutOfRangeIsAnError(t *testing.T) {
+	s, err := Open(Config{IndexBuckets: 1 << 10, PageBits: 17, MemPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	long := make([]byte, 1<<16)
+	for name, st := range map[string]Status{
+		"upsert of an empty key":        sess.Upsert(nil, u64(1)),
+		"RMW of an empty key":           sess.RMW([]byte{}, u64(1)),
+		"delete of an empty key":        sess.Delete(nil),
+		"upsert of a 65 536-byte key":   sess.Upsert(long, u64(1)),
+		"upsert of a value over a page": sess.Upsert(key(1), make([]byte, 1<<17)),
+	} {
+		if st != Error {
+			t.Errorf("%s: %v, want error", name, st)
+		}
+	}
+	var cbSt Status = Ok
+	if _, st := sess.Read(nil, func(_ []byte, st Status) { cbSt = st }); st != Error || cbSt != Error {
+		t.Errorf("read of an empty key: %v (callback %v), want error", st, cbSt)
+	}
+	if st := sess.Upsert(long[:hlog.MaxKeyLen], u64(7)); st != Ok {
+		t.Fatalf("upsert of a 65 535-byte key: %v", st)
+	}
+	if v, st := sess.Read(long[:hlog.MaxKeyLen], nil); st != Ok || binary.LittleEndian.Uint64(v) != 7 {
+		t.Fatalf("read of the 65 535-byte key: %v %v", v, st)
+	}
+}
+
+// TestDeleteOfMissingKeyLeavesNoEntry: deleting a key that was never written
+// finds nothing and changes nothing. It used to create the key's index entry
+// (with no address) on the way, so a stream of such deletes filled the main
+// buckets and grew overflow buckets without writing a record.
+func TestDeleteOfMissingKeyLeavesNoEntry(t *testing.T) {
+	s, err := Open(Config{IndexBuckets: 1 << 10, PageBits: 14, MemPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	sh := s.shards[0]
+	tail := sh.log.Tail()
+	for k := uint64(0); k < 100_000; k++ {
+		if st := sess.Delete(key(k)); st != NotFound {
+			t.Fatalf("delete of missing key %d: %v", k, st)
+		}
+	}
+	entries := 0
+	sh.index.eachBucket(sh.index.overflowNext.Load(), func(b *bucket) {
+		for i := range b.entries {
+			if b.entries[i].Load() != 0 {
+				entries++
+			}
+		}
+	})
+	if entries != 0 || sh.index.overflowNext.Load() != 1 || sh.log.Tail() != tail {
+		t.Fatalf("100 000 deletes of missing keys left %d index entries, %d overflow buckets and %d log bytes",
+			entries, sh.index.overflowNext.Load()-1, sh.log.Tail()-tail)
+	}
+}
+
+// TestInstallFailsOnReusedSlot: the slot word find walked from is what the
+// install expects. Between the two, the matched slot is freed and reclaimed
+// for another tag of the same bucket — compaction dropping a deleted key, then
+// another insert. The install must fail its compare-and-swap, and the retried
+// op must land under its own tag, not at the head of the other tag's chain.
+func TestInstallFailsOnReusedSlot(t *testing.T) {
+	s, err := Open(Config{IndexBuckets: 1 << 10, PageBits: 14, MemPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	ctx := sess.ctxs[0]
+	idx := ctx.store.index
+
+	a := key(1)
+	ha := hashfn.Hash64(a)
+	var b []byte // a key of a's bucket with another tag
+	for k := uint64(2); b == nil; k++ {
+		if h := hashfn.Hash64(key(k)); h&idx.mask == ha&idx.mask && tagOf(h) != tagOf(ha) {
+			b = key(k)
+		}
+	}
+	if st := sess.Upsert(a, u64(10)); st != Ok {
+		t.Fatal(st)
+	}
+	op := &pendingOp{kind: opUpsert, key: a, input: u64(11), hash: ha, version: sess.version}
+	r := ctx.find(op, false)
+	if r.entry&entryTagMask != tagOf(ha) || r.reg != regMutable {
+		t.Fatalf("find of a: slot %p, entry %#x, region %d", r.slot, r.entry, r.reg)
+	}
+
+	r.slot.Store(0) // freed ...
+	if st := sess.Upsert(b, u64(20)); st != Ok {
+		t.Fatal(st)
+	}
+	if got := r.slot.Load(); got&entryTagMask != tagOf(hashfn.Hash64(b)) {
+		t.Fatalf("b's insert did not take the freed slot: %#x", got)
+	}
+	bEntry := r.slot.Load() // ... and reclaimed for b
+
+	if st := ctx.rcu(op, r); st != statusRetry {
+		t.Fatalf("install against the reclaimed slot: %v, want a retry", st)
+	}
+	if got := r.slot.Load(); got != bEntry {
+		t.Fatalf("b's slot went %#x -> %#x", bEntry, got)
+	}
+	if st := ctx.doOp(op); st != Ok {
+		t.Fatalf("retried upsert: %v", st)
+	}
+	slot, entry := idx.probe(ha, 0)
+	if entry == 0 || slot == r.slot || entry&entryTagMask != tagOf(ha) {
+		t.Fatalf("a's entry after the retry: slot %p (b's is %p), entry %#x", slot, r.slot, entry)
+	}
+	if rec := ctx.store.log.Record(entryAddr(entry)); !rec.KeyEquals(a) || rec.Prev() != 0 {
+		t.Fatalf("a's chain head is key %x with prev %d", rec.Key(nil), rec.Prev())
+	}
+	for k, want := range map[string]uint64{string(a): 11, string(b): 20} {
+		if v, st := sess.Read([]byte(k), nil); st != Ok || binary.LittleEndian.Uint64(v) != want {
+			t.Fatalf("read of %x: %v %v, want %d", k, v, st, want)
+		}
+	}
+}
+
+// TestSameTagInsertRace: keys that share a bucket and a tag share one index
+// entry, and two sessions inserting such keys at once race to create it. Four
+// sessions upsert, RMW and delete keys of such groups — each key owned by one
+// session, each group spread over two — from a fresh store in every round,
+// while fold-over commits run. Afterwards no chain holds two committed entries
+// of one tag, no entry is still tentative, and every key reads what its owner
+// last had acknowledged. FASTER_TEST_SHARDS sets the shard count.
+func TestSameTagInsertRace(t *testing.T) {
+	const (
+		buckets  = 1 << 10
+		groups   = 48
+		sessions = 4
+		rounds   = 6
+		runFor   = 60 * time.Millisecond
+	)
+	// Colliding pairs by the birthday bound: 2^16 keys over 2^24 (bucket, tag)
+	// cells give some 128.
+	cells := map[uint64][]uint64{}
+	var order []uint64
+	for k := uint64(0); k < 1<<16; k++ {
+		h := hashfn.Hash64(key(k))
+		c := h&(buckets-1) | tagOf(h)
+		if cells[c] = append(cells[c], k); len(cells[c]) == 2 {
+			order = append(order, c)
+		}
+	}
+	if len(order) < groups {
+		t.Fatalf("%d colliding groups, want %d", len(order), groups)
+	}
+	owned := make([][]uint64, sessions)
+	for g, c := range order[:groups] {
+		for j, k := range cells[c] {
+			owned[(g+j)%sessions] = append(owned[(g+j)%sessions], k)
+		}
+	}
+
+	for _, transfer := range []VersionTransfer{FineGrained, CoarseGrained} {
+		t.Run(fmt.Sprint(transfer), func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				sameTagRound(t, Config{Shards: testShardCount(1), IndexBuckets: buckets, PageBits: 12,
+					MemPages: 16 * testShardCount(1), Transfer: transfer}, owned, int64(round), runFor)
+			}
+		})
+	}
+}
+
+func sameTagRound(t *testing.T, cfg Config, owned [][]uint64, seed int64, runFor time.Duration) {
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// want[k] is key k's last acknowledged value; absent after a delete.
+	want := make([]map[uint64]uint64, len(owned))
+	start := make(chan struct{})
+	var stop atomic.Bool
+	var workers sync.WaitGroup
+	for w := range owned {
+		sess := s.StartSession()
+		want[w] = map[uint64]uint64{}
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			defer sess.StopSession()
+			rng := rand.New(rand.NewSource(seed*int64(len(owned)) + int64(w)))
+			<-start
+			for n := 0; n == 0 || !stop.Load(); n++ {
+				// Every key first by an upsert, all sessions at once: the
+				// inserts race for the group's entry.
+				k := owned[w][n%len(owned[w])]
+				var st Status
+				switch op := rng.Intn(4); {
+				case n < len(owned[w]) || op == 0:
+					v := rng.Uint64()
+					if st = sess.Upsert(key(k), u64(v)); st != Error {
+						want[w][k] = v
+					}
+				case op == 1:
+					if st = sess.Delete(key(k)); st != Error {
+						delete(want[w], k)
+					}
+				default:
+					if st = sess.RMW(key(k), u64(1)); st != Error {
+						want[w][k]++
+					}
+				}
+				if st == Pending && sess.CompletePending(true) > 0 || st == Error {
+					t.Errorf("op on key %d failed", k)
+					return
+				}
+			}
+		}(w)
+	}
+
+	stopCommits := make(chan struct{})
+	commitsDone := make(chan struct{})
+	go func() {
+		defer close(commitsDone)
+		for {
+			select {
+			case <-stopCommits:
+				return
+			case <-time.After(3 * time.Millisecond):
+			}
+			token, err := s.Commit(CommitOptions{})
+			if err != nil {
+				t.Errorf("commit: %v", err)
+				return
+			}
+			if res := s.WaitForCommit(token); res.Err != nil {
+				t.Errorf("commit %s: %v", token, res.Err)
+				return
+			}
+		}
+	}()
+	close(start)
+	time.Sleep(runFor)
+	close(stopCommits)
+	<-commitsDone
+	stop.Store(true)
+	workers.Wait()
+
+	for i, sh := range s.shards {
+		checkEntries(t, i, sh.index)
+	}
+	reader := s.StartSession()
+	defer reader.StopSession()
+	for w, keys := range owned {
+		for _, k := range keys {
+			v, found := readVal(t, reader, k)
+			if wv, ok := want[w][k]; found != ok || found && binary.LittleEndian.Uint64(v) != wv {
+				t.Fatalf("key %d reads %x (found %v), its last acknowledged value is %d (present %v)", k, v, found, wv, ok)
+			}
+		}
+	}
+}
+
+// checkEntries fails t if a chain of idx holds two committed entries of one
+// tag or any tentative entry.
+func checkEntries(t *testing.T, shard int, idx *index) {
+	t.Helper()
+	for m := range idx.buckets {
+		seen := map[uint64]bool{}
+		for b := &idx.buckets[m]; ; {
+			for i := range b.entries {
+				switch e := b.entries[i].Load(); {
+				case e&entryTentative != 0:
+					t.Fatalf("shard %d bucket %d: tentative entry %#x after quiescence", shard, m, e)
+				case e != 0 && seen[e&entryTagMask]:
+					t.Fatalf("shard %d bucket %d: two committed entries of tag %#x", shard, m, e&entryTagMask>>entryTagShift)
+				case e != 0:
+					seen[e&entryTagMask] = true
+				}
+			}
+			next := b.meta.Load() & metaOverflowMask
+			if next == 0 {
+				break
+			}
+			b = idx.overflowBucket(next)
+		}
+	}
+}

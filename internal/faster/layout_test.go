@@ -75,8 +75,8 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 	put := func(k uint64, version uint16, tombstone bool, val []byte) {
 		i := router.ShardOfKey(key(k))
 		h := hashfn.Hash64(key(k))
-		slot := chains[i].findOrCreateSlot(h)
-		rec := oldLayoutRecord(entryAddr(slot.Load()), version, tombstone, key(k), val, 8)
+		slot, entry := chains[i].probe(h, tagOf(h))
+		rec := oldLayoutRecord(entryAddr(entry), version, tombstone, key(k), val, 8)
 		if room := pageSize - len(logs[i])%pageSize; room < len(rec) {
 			logs[i] = append(logs[i], make([]byte, room)...)
 		}

@@ -36,7 +36,9 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 			return Pending
 		}
 	}
-	sess.finish(op)
+	if op.latched || op.counted {
+		sess.finish(op)
+	}
 	if op.readCB != nil {
 		if st != Ok {
 			op.val = nil
@@ -67,7 +69,7 @@ func (sess *shardSession) dispatch(op *pendingOp) Status {
 	case own.phase == Prepare && !op.counted:
 		return sess.processPrepare(op)
 	}
-	r := sess.find(op, op.kind != opRead, own.phase != Rest)
+	r := sess.find(op, own.phase != Rest)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
@@ -181,7 +183,10 @@ func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 	default:
 		val = sess.initialValue(op)
 	}
-	if !sess.install(r.slot, r.entry, op.version, op.key, val, tombstone) {
+	if op.kind == opRMW && !sess.store.log.Fits(len(op.key), max(len(val), 8)) {
+		return Error // issue checked every other value
+	}
+	if !sess.install(op.hash, r.slot, r.entry, op.version, op.key, val, tombstone) {
 		return statusRetry
 	}
 	return Ok
@@ -199,7 +204,7 @@ func (sess *shardSession) processPrepare(op *pendingOp) Status {
 		}
 		op.latched = true
 	}
-	r := sess.find(op, op.kind != opRead, false)
+	r := sess.find(op, false)
 	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.owner.version) {
 		return sess.shiftDetected(op)
 	}
@@ -250,7 +255,7 @@ func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 // while a pending v operation on the bucket could still complete.
 func (sess *shardSession) processFuture(op *pendingOp) Status {
 	st, phase := sess.store, sess.owner.phase
-	r := sess.find(op, op.kind != opRead, false)
+	r := sess.find(op, false)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}

@@ -126,7 +126,8 @@ func parkFuzzy(t *testing.T, shards int) {
 	for k := uint64(1); k <= 3; k++ {
 		h := hashfn.Hash64(key(k))
 		sh := s.shards[s.shardOf(h)]
-		addr := entryAddr(sh.index.findSlot(h).Load())
+		_, entry := sh.index.probe(h, 0)
+		addr := entryAddr(entry)
 		for sh.log.ReadOnly() <= addr {
 			if time.Now().After(deadline) {
 				t.Fatalf("the commit never shifted the read-only offset past key %d", k)

@@ -277,7 +277,7 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, add
 			return committed(h, addr)
 		}
 		dead = append(dead, addr)
-		if slot := sh.index.findSlot(h); slot != nil && entryAddr(slot.Load()) >= addr {
+		if slot, entry := sh.index.probe(h, 0); entryAddr(entry) >= addr {
 			if prev := rec.Prev(); prev >= hlog.FirstAddress {
 				slot.Store(tagOf(h) | prev)
 			} else {
@@ -296,7 +296,10 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, add
 // bucket wait for its warm-up — so there is no observation for a plain store to
 // invalidate.
 func (sh *shard) relink(h, addr uint64) {
-	sh.index.findOrCreateSlot(h).Store(tagOf(h) | addr)
+	entry := tagOf(h) | addr
+	if slot, e := sh.index.probe(h, entry); e != entry {
+		slot.Store(entry)
+	}
 }
 
 // persistInvalid neutralises the v+1 records at dead for good: the invalid

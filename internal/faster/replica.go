@@ -254,13 +254,13 @@ func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 	sh := s.shards[s.shardOf(h)]
 	g := s.epochs.Acquire()
 	defer g.Release()
-	slot := sh.index.findSlot(h)
-	if slot == nil {
+	_, entry := sh.index.probe(h, 0)
+	if entry == 0 {
 		return nil, false, nil
 	}
 	begin := sh.log.Begin()
 	head := sh.log.Head()
-	addr := entryAddr(slot.Load())
+	addr := entryAddr(entry)
 	for addr >= begin && addr >= hlog.FirstAddress {
 		var rec hlog.RecordRef
 		if addr >= head {

@@ -423,6 +423,13 @@ func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Statu
 	op.latched, op.counted, op.awaitingIO = false, false, false
 	ctx := sess.ctx(op.hash)
 	op.serial, op.version = sess.serial.Add(1), sess.targetVersion()
+	if !ctx.store.log.Fits(len(key), max(len(input), 8)) {
+		// A key of 0 or over 65 535 bytes, or a value no page holds.
+		if cb != nil {
+			cb(nil, Error)
+		}
+		return nil, Error
+	}
 	// Instant restore: a cold bucket must be warmed before any operation in
 	// it executes. One nil pointer load on the post-restore hot path; while
 	// restoring, one atomic bitmap load for warm buckets. The slow path
@@ -573,7 +580,7 @@ func (sess *Session) PendingCount() int {
 	return n
 }
 
-// finish releases CPR resources held by a completed pending op.
+// finish releases the CPR resources (latch, tally) a completed op holds.
 func (sess *shardSession) finish(op *pendingOp) {
 	sh := sess.store
 	if op.latched {
@@ -601,7 +608,8 @@ const (
 
 // findResult is the outcome of a hash-chain traversal: entry is the slot word
 // the walk started from, and so what an install decided on this result must
-// expect to find in the slot still.
+// expect to find in the slot still — 0 when the key's tag has no entry, slot
+// then being the free slot the probe passed (nil if none).
 type findResult struct {
 	slot  *atomic.Uint64
 	entry uint64
@@ -610,29 +618,25 @@ type findResult struct {
 	reg   region
 }
 
-// find walks the hash chain for op's key. With skipFuture set, records of
-// version op.version+1 are skipped: a version-v operation completing during
-// the shift must not observe v+1 state (Sec. 6.2.3). When the walk reaches
-// storage, the result region is regDisk: if the op already fetched that
-// exact address, its private copy is attached; otherwise the caller must
-// issue I/O for result.addr.
-func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResult {
+// find walks the hash chain for op's key from the word the index probe
+// returned. With skipFuture set, records of version op.version+1 are skipped: a
+// version-v operation completing during the shift must not observe v+1 state
+// (Sec. 6.2.3). When the walk reaches storage, the result region is regDisk:
+// if the op already fetched that exact address, its private copy is attached;
+// otherwise the caller must issue I/O for result.addr. An entry without an
+// address — no entry at all, for a fresh key — is regNone before any log
+// offset is loaded.
+func (sess *shardSession) find(op *pendingOp, skipFuture bool) findResult {
 	sh := sess.store
-	var slot *atomic.Uint64
-	if create {
-		slot = sh.index.findOrCreateSlot(op.hash)
-	} else {
-		slot = sh.index.findSlot(op.hash)
-		if slot == nil {
-			return findResult{reg: regNone}
-		}
+	slot, entry := sh.index.probe(op.hash, 0)
+	addr := entryAddr(entry)
+	if addr < hlog.FirstAddress {
+		return findResult{slot: slot, entry: entry, reg: regNone}
 	}
 	head := sh.log.Head()
 	ro := sh.log.ReadOnly()
 	sro := sh.log.SafeReadOnly()
 	begin := sh.log.Begin()
-	entry := slot.Load()
-	addr := entryAddr(entry)
 	for addr >= begin && addr >= hlog.FirstAddress {
 		if addr < head {
 			if op.ioRec.Valid() && op.ioAddr == addr {
@@ -711,24 +715,29 @@ func (sess *shardSession) queueRead(op *pendingOp) {
 // it. expected is the slot word the caller's decision — the value, that the
 // record is still live — was made on; the slot is never re-read, so a record
 // published since that observation fails the compare-and-swap: the new record
-// is orphaned (invalid) and the caller decides again.
-func (sess *shardSession) install(slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
-	log := sess.store.log
-	valCap := len(value)
-	if valCap < 8 {
-		valCap = 8 // keep small values in-place updatable
-	}
-	addr, err := log.Append(sess.owner.guard, entryAddr(expected), recVersion(version), key, value, valCap)
-	if err != nil {
-		panic(fmt.Sprintf("faster: write record: %v", err))
-	}
-	rec := log.Record(addr)
+// is orphaned (invalid) and the caller decides again. When the probe found no
+// entry of the key's tag (expected 0, slot the free slot it passed, if any),
+// the appended record's entry is created there: an entry of the tag created
+// meanwhile fails it the same way.
+func (sess *shardSession) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
+	index := sess.store.index
+	addr, rec := sess.store.log.Append(sess.owner.guard, entryAddr(expected), recVersion(version), key, value,
+		max(len(value), 8)) // keep small values in-place updatable
 	if tombstone {
 		rec.SetTombstone()
 	}
-	if slot.CompareAndSwap(expected, expected&^entryAddrMask|addr) {
-		return true
+	var ok bool
+	switch entry := tagOf(hash) | addr; {
+	case expected != 0:
+		ok = slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
+	case slot != nil:
+		ok = index.claim(hash, slot, entry)
+	default: // no free slot in the chain: extend it
+		_, e := index.probe(hash, entry)
+		ok = e == entry
 	}
-	rec.SetInvalid()
-	return false
+	if !ok {
+		rec.SetInvalid()
+	}
+	return ok
 }

@@ -76,7 +76,7 @@ func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics, reco
 	if err != nil {
 		return nil, err
 	}
-	idx, err := newIndex(cfg.IndexBuckets, 0)
+	idx, err := newIndex(cfg.IndexBuckets)
 	if err != nil {
 		l.Close()
 		return nil, err

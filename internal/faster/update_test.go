@@ -108,7 +108,8 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		if st := a.Upsert(k, u64(oldVal)); st != Ok {
 			t.Fatalf("seed upsert: %v", st)
 		}
-		addr = entryAddr(sh.index.findSlot(h).Load())
+		_, entry := sh.index.probe(h, 0)
+		addr = entryAddr(entry)
 	}
 	switch region {
 	case regionFuzzy:
@@ -161,10 +162,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		a.version-- // what the store holds is now one version ahead of the view
 	}
 
-	var before uint64
-	if slot := sh.index.findSlot(h); slot != nil {
-		before = slot.Load()
-	}
+	_, before := sh.index.probe(h, 0)
 	tail := sh.log.Tail()
 	st := ctx.dispatch(op)
 
@@ -214,13 +212,13 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	if kind == opRMW && region != regionNone {
 		wantVal = oldVal + input
 	}
-	slot := sh.index.findSlot(h)
+	_, after := sh.index.probe(h, 0)
 	if !want.appended {
 		if sh.log.Tail() != tail {
 			t.Fatalf("tail moved %d -> %d", tail, sh.log.Tail())
 		}
-		if slot != nil && entryAddr(slot.Load()) != entryAddr(before) {
-			t.Fatalf("slot %#x -> %#x without a record", before, slot.Load())
+		if entryAddr(after) != entryAddr(before) {
+			t.Fatalf("slot %#x -> %#x without a record", before, after)
 		}
 		if outcome == "ok" { // in place
 			rec := sh.log.Record(addr)
@@ -234,7 +232,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		}
 		return
 	}
-	newAddr := entryAddr(slot.Load())
+	newAddr := entryAddr(after)
 	if newAddr < tail || newAddr == entryAddr(before) {
 		t.Fatalf("slot points at %d, appended records start at %d", newAddr, tail)
 	}

@@ -163,11 +163,7 @@ func TestInPlaceUpdate(t *testing.T) {
 	if err := l.WriteRecord(l.Allocate(g, RecordSize(8, 16)), 0, 1, key, []byte("short"), 16); err == nil {
 		t.Fatal("WriteRecord took a value shorter than its capacity into a short-form allocation")
 	}
-	addr, err := l.Append(g, 0, 1, key, []byte("short"), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := l.Record(addr)
+	_, rec := l.Append(g, 0, 1, key, []byte("short"), 16)
 	if !rec.SetValue([]byte("a longer value!!")) { // 16 bytes, fits cap
 		t.Fatal("SetValue rejected fitting value")
 	}

@@ -385,26 +385,36 @@ func (l *Log) ensureFrame(g *epoch.Guard, p uint64) {
 // valCap may need more than that (its record keeps the lens word): Append.
 func (l *Log) WriteRecord(addr uint64, prev uint64, version uint16, key, value []byte, valCap int) error {
 	valCap = max(valCap, len(value))
-	if err := validateKV(key, value, valCap); err != nil {
-		return err
+	if !l.Fits(len(key), valCap) {
+		return fmt.Errorf("hlog: a %d-byte key and a %d-byte value capacity do not fit a record", len(key), valCap)
 	}
-	if exactSize(len(key), len(value), valCap) != RecordSize(len(key), valCap) {
+	hw, vw := chooseShape(len(key), len(value), valCap)
+	if uint32(recordBytes(hw, len(key), valCap)) != RecordSize(len(key), valCap) {
 		return fmt.Errorf("hlog: WriteRecord of a %d-byte value in capacity %d: use Append", len(value), valCap)
 	}
-	initRecord(l.Record(addr).words, prev, version, key, value, valCap)
+	initRecord(l.Record(addr).words, hw, vw, prev, version, key, value, valCap)
 	return nil
 }
 
-// Append allocates the record's exact size at the tail and writes it there,
-// unpublished: the one call that needs no size from its caller.
-func (l *Log) Append(g *epoch.Guard, prev uint64, version uint16, key, value []byte, valCap int) (uint64, error) {
+// Fits reports whether Append takes a record of a keyLen-byte key and a value
+// of capacity valCap: a key of 1..65535 bytes, a capacity below 16 MiB, and a
+// record no larger than a page.
+func (l *Log) Fits(keyLen, valCap int) bool {
+	return uint(keyLen-1) < MaxKeyLen && uint(valCap) <= maxValLen &&
+		uint64(recordBytes(2, keyLen, valCap)) <= l.pageSize
+}
+
+// Append allocates the record's exact size at the tail, writes it there,
+// unpublished, and returns its address and the view it wrote through: the one
+// call that needs no size from its caller. The caller has checked that the
+// record Fits.
+func (l *Log) Append(g *epoch.Guard, prev uint64, version uint16, key, value []byte, valCap int) (uint64, RecordRef) {
 	valCap = max(valCap, len(value))
-	if err := validateKV(key, value, valCap); err != nil {
-		return 0, err
-	}
-	addr := l.Allocate(g, exactSize(len(key), len(value), valCap))
-	initRecord(l.Record(addr).words, prev, version, key, value, valCap)
-	return addr, nil
+	hw, vw := chooseShape(len(key), len(value), valCap)
+	addr := l.Allocate(g, uint32(recordBytes(hw, len(key), valCap)))
+	rec := l.Record(addr)
+	initRecord(rec.words, hw, vw, prev, version, key, value, valCap)
+	return addr, rec
 }
 
 // Record returns a view over the in-memory record at addr. The caller must

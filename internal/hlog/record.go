@@ -17,7 +17,6 @@ package hlog
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -64,9 +63,11 @@ const MaxVersion = 1<<versionBits - 1
 const (
 	keyLenBits = 16
 	valLenBits = 24
-	maxKeyLen  = 1<<keyLenBits - 1
 	maxValLen  = 1<<valLenBits - 1
 )
+
+// MaxKeyLen is the longest key a record holds; the shortest is one byte.
+const MaxKeyLen = 1<<keyLenBits - 1
 
 func makeHeader(prev uint64, version uint16, vw int) uint64 {
 	return prev&prevMask | uint64(vw)&7 | uint64(vw)>>3<<47 | uint64(version)<<versionShift&versionMask
@@ -85,7 +86,7 @@ func shape(hdr uint64, lens *uint64) (hw, keyLen, valLen, valCap int) {
 		return 1, 8, 8 * vw, 8 * vw
 	}
 	w := atomic.LoadUint64(lens)
-	return 2, int(w & maxKeyLen), int(w >> keyLenBits & maxValLen), int(w >> (keyLenBits + valLenBits) & maxValLen)
+	return 2, int(w & MaxKeyLen), int(w >> keyLenBits & maxValLen), int(w >> (keyLenBits + valLenBits) & maxValLen)
 }
 
 // chooseShape is the encoder's side of shape: a record does without its lens
@@ -103,17 +104,14 @@ func wordsFor(n int) int { return (n + 7) / 8 }
 // recordBytes is a record's footprint given its header words.
 func recordBytes(hw, keyLen, valCap int) int { return 8 * (hw + wordsFor(keyLen) + wordsFor(valCap)) }
 
-// exactSize is the footprint of the record initRecord writes for these lengths.
-func exactSize(keyLen, valLen, valCap int) uint32 {
-	hw, _ := chooseShape(keyLen, valLen, valCap)
-	return uint32(recordBytes(hw, keyLen, valCap))
-}
-
 // RecordSize returns the total record footprint in bytes for a key of keyLen
 // bytes and a value that fills its capacity of valCap bytes: what WriteRecord
 // needs from Allocate. (A value shorter than its capacity goes through Append,
 // which sizes the record itself.)
-func RecordSize(keyLen, valCap int) uint32 { return exactSize(keyLen, valCap, valCap) }
+func RecordSize(keyLen, valCap int) uint32 {
+	hw, _ := chooseShape(keyLen, valCap, valCap)
+	return uint32(recordBytes(hw, keyLen, valCap))
+}
 
 // sizeFromBytes is the footprint of the record whose first bytes are b, at
 // least the header word; when the header announces a lens word that b does not
@@ -286,31 +284,19 @@ func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool
 	return true
 }
 
-// initRecord fills a freshly allocated record region, which is zero. Nothing
-// reads the body before the header: no index entry points here yet, and frames
-// are copied only below where every thread has written (an epoch later). So the
-// body is copied plainly, and published by the header's one atomic store.
-func initRecord(words []uint64, prev uint64, version uint16, key, value []byte, valCap int) {
-	hw, vw := chooseShape(len(key), len(value), valCap)
+// initRecord fills a freshly allocated record region, which is zero, in the
+// shape chooseShape gave (hw, vw). Nothing reads a record before its address is
+// published by a synchronizing operation — an index compare-and-swap, or the
+// epoch every scanner and flush waits out (DESIGN "The operation path") — so
+// the header, too, is a plain store.
+func initRecord(words []uint64, hw, vw int, prev uint64, version uint16, key, value []byte, valCap int) {
 	if hw == 2 {
 		words[1] = makeLens(len(key), len(value), valCap)
 	}
 	kw := hw + wordsFor(len(key))
 	copy(frameBytes(words[hw:kw]), key)
 	copy(frameBytes(words[kw:kw+wordsFor(valCap)]), value)
-	// Header last: a concurrent scanner treats header==0 as "empty space".
-	atomic.StoreUint64(&words[0], makeHeader(prev, version, vw))
-}
-
-// validateKV bounds-checks key/value sizes against the record format.
-func validateKV(key, value []byte, valCap int) error {
-	if len(key) == 0 || len(key) > maxKeyLen {
-		return fmt.Errorf("hlog: key length %d out of range [1,%d]", len(key), maxKeyLen)
-	}
-	if len(value) > maxValLen || valCap > maxValLen {
-		return fmt.Errorf("hlog: value length %d/cap %d exceeds %d", len(value), valCap, maxValLen)
-	}
-	return nil
+	words[0] = makeHeader(prev, version, vw)
 }
 
 // --- word <-> byte packing helpers (little-endian) ---

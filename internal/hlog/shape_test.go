@@ -56,12 +56,8 @@ func FuzzRecordShape(f *testing.F) {
 		prev := FirstAddress + 8*uint64(prevWords)
 		version &= MaxVersion
 		g.Refresh()
-		addr, err := l.Append(g, prev, version, key, val, valCap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		addr, rec := l.Append(g, prev, version, key, val, valCap)
 		asked := l.Tail() - addr // nothing else appends: the tail is this record's end
-		rec := l.Record(addr)
 
 		short := headerVW(rec.Header()) != 0
 		eligible := len(key) == 8 && len(val) == valCap && valCap%8 == 0 && valCap >= 8 && valCap <= 120
@@ -123,11 +119,8 @@ func FuzzRecordShape(f *testing.F) {
 // mustAppend appends a record of an 8-byte key.
 func mustAppend(t *testing.T, l *Log, g *epoch.Guard, k uint64, val []byte, valCap int) RecordRef {
 	t.Helper()
-	addr, err := l.Append(g, 0, 1, key64(k), val, valCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l.Record(addr)
+	_, rec := l.Append(g, 0, 1, key64(k), val, valCap)
+	return rec
 }
 
 // TestInPlaceRule: a long-form record takes any value up to its capacity in

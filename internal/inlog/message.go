@@ -3,6 +3,8 @@ package inlog
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/hlog"
 )
 
 // Op identifies the store operation an ingested record carries.
@@ -51,7 +53,9 @@ func appendMessageBody(dst []byte, m Message) []byte {
 	return append(dst, m.Value...)
 }
 
-// DecodeMessage parses one message. Key and Value alias buf.
+// DecodeMessage parses one message. Key and Value alias buf. A key the store
+// cannot hold is malformed: the server refuses such a message before it is
+// logged, so no replay reaches it.
 func DecodeMessage(buf []byte) (Message, error) {
 	if len(buf) < 2 {
 		return Message{}, fmt.Errorf("inlog: message too short (%d bytes)", len(buf))
@@ -69,6 +73,9 @@ func DecodeMessage(buf []byte) (Message, error) {
 	rest := buf[1+w:]
 	if klen > uint64(len(rest)) {
 		return Message{}, fmt.Errorf("inlog: key length %d exceeds message (%d bytes)", klen, len(buf))
+	}
+	if klen == 0 || klen > hlog.MaxKeyLen {
+		return Message{}, fmt.Errorf("inlog: key length %d out of the store's range [1,%d]", klen, hlog.MaxKeyLen)
 	}
 	return Message{Op: op, Key: rest[:klen], Value: rest[klen:]}, nil
 }

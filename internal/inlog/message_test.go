@@ -12,7 +12,6 @@ func TestMessageCodec(t *testing.T) {
 		{Op: OpUpsert, Key: []byte("k"), Value: []byte("value")},
 		{Op: OpUpsert, Key: []byte("k"), Value: nil},
 		{Op: OpDelete, Key: []byte("gone"), Value: nil},
-		{Op: OpUpsert, Key: nil, Value: []byte("keyless")},
 		{Op: OpRMW, Key: long[:127], Value: long},
 		{Op: OpRMW, Key: long[:128], Value: long},
 		{Op: OpRMW, Key: long, Value: nil},
@@ -48,6 +47,8 @@ func TestMessageCodec(t *testing.T) {
 		"unterminated key length":  {byte(OpRMW), 0x80},
 		"key length overflows u64": append([]byte{byte(OpRMW)}, bytes.Repeat([]byte{0xFF}, 10)...),
 		"huge key length":          {byte(OpRMW), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 'k'},
+		"empty key":                EncodeMessage(nil, Message{Op: OpUpsert, Key: nil, Value: []byte("keyless")}),
+		"key longer than a record": EncodeMessage(nil, Message{Op: OpUpsert, Key: make([]byte, 1<<16), Value: []byte("v")}),
 	}
 	for name, buf := range malformed {
 		if m, err := DecodeMessage(buf); err == nil {

@@ -336,6 +336,47 @@ func TestIngestServerAcksAreDurable(t *testing.T) {
 	}
 }
 
+// TestIngestServerRefusesKeyTheStoreCannotHold: a message whose key the store
+// cannot hold (empty, or longer than 65 535 bytes) is malformed. The server
+// closes the connection without logging or acking it; before, it logged and
+// acked it, and the pump's Upsert panicked on it then and on every replay.
+func TestIngestServerRefusesKeyTheStoreCannotHold(t *testing.T) {
+	for name, key := range map[string][]byte{"empty": nil, "65536 bytes": make([]byte, 1<<16)} {
+		t.Run(name, func(t *testing.T) {
+			l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncBatch, BatchRecords: 8,
+				BatchInterval: time.Millisecond})
+			defer l.Close()
+			srv := NewIngestServer(l, nil, nil)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+			defer srv.Close()
+			c, err := DialIngest(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Send(Message{Op: OpUpsert, Key: counterKey(1), Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Ack(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(Message{Op: OpUpsert, Key: key, Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+			if off, err := c.Ack(); err == nil {
+				t.Fatalf("the message was acked at offset %d", off)
+			}
+			if tail := l.Tail(); tail != 1 {
+				t.Fatalf("log tail %d after the refused message, want 1", tail)
+			}
+		})
+	}
+}
+
 // TestPumpResumesMidGroup: a CPR commit point can fall anywhere inside a
 // group (the pump session crosses the version boundary between two records
 // of one frame), so the recovered pump must be able to start in the middle

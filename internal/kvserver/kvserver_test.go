@@ -97,6 +97,31 @@ func TestSetGetDelete(t *testing.T) {
 	}
 }
 
+// TestEmptyKeyIsAnErrorReply: the wire takes a zero-length key, and the store
+// cannot hold one. A SET or RMW of it gets StatusError and the connection
+// stays up; before, the store panicked inside the handler and took the server
+// process down.
+func TestEmptyKeyIsAnErrorReply(t *testing.T) {
+	_, addr, _ := startServer(t, smallCfg())
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Set(nil, []byte("v")); err == nil {
+		t.Fatal("SET of an empty key succeeded")
+	}
+	if _, err := c.RMW([]byte{}, u64(1)); err == nil {
+		t.Fatal("RMW of an empty key succeeded")
+	}
+	if _, err := c.Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("SET after the refused ones: %v", err)
+	}
+	if val, found, err := c.Get([]byte("k")); err != nil || !found || string(val) != "v" {
+		t.Fatalf("GET after the refused ones: %q %v %v", val, found, err)
+	}
+}
+
 func TestRMWOverNetwork(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
 	c, err := Dial(addr, "")
