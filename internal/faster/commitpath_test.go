@@ -65,6 +65,21 @@ func commitPathStore(t *testing.T, n int, ckpts storage.CheckpointStore) (*Store
 	return s, sess, devs
 }
 
+// putRaw stores data under name as it is: a copied or a damaged artifact.
+func putRaw(t *testing.T, cs storage.CheckpointStore, name string, data []byte) {
+	t.Helper()
+	w, err := cs.Create(name)
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArtifactsPerCommit pins what a commit writes, at every shard count: a
 // log-only commit its record and nothing else, attachment or not; a commit
 // with the index one blob per shard besides; a snapshot commit one more per
@@ -108,6 +123,95 @@ func TestArtifactsPerCommit(t *testing.T) {
 				if name == "latest" || name == "cpr-latest" {
 					t.Fatalf("pointer artifact %q written; store holds %v", name, names)
 				}
+			}
+		})
+	}
+}
+
+// TestReplicationRefusesSnapshotCommits: a replica is only ever at a fold-over
+// commit. CommitShipInfo refuses a snapshot commit, so a shipper skips it, and
+// so does ApplyCommitted, since the record it installs came from the peer.
+func TestReplicationRefusesSnapshotCommits(t *testing.T) {
+	ckpts := storage.NewMemCheckpointStore()
+	s, sess, devs := commitPathStore(t, 2, ckpts)
+	defer s.Close()
+	defer sess.StopSession()
+	snapshot := Snapshot
+	res := driveCommit(t, s, []*Session{sess}, CommitOptions{Kind: &snapshot})
+	if _, err := s.CommitShipInfo(res.Token); !errors.Is(err, ErrSnapshotCommit) {
+		t.Fatalf("ship info of a snapshot commit: err = %v, want ErrSnapshotCommit", err)
+	}
+	rcfg := shardedConfig(2)
+	rcfg.Replica = true
+	rcfg.Checkpoints = ckpts.Clone()
+	rdevs := cloneDevs(devs)
+	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return rdevs[i], nil }
+	rep, err := Open(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := rep.ApplyCommitted(res.Token); !errors.Is(err, ErrSnapshotCommit) {
+		t.Fatalf("install of a snapshot commit: err = %v, want ErrSnapshotCommit", err)
+	}
+	if tok, ok := rep.LatestCommitToken(); ok {
+		t.Fatalf("the replica reports %s installed", tok)
+	}
+}
+
+// failingCapture is a checkpoint store whose writes of a snapshot capture fail
+// after the envelope's magic, as a capture that cannot be read or stored does.
+type failingCapture struct{ storage.CheckpointStore }
+
+func (s failingCapture) Create(name string) (io.WriteCloser, error) {
+	w, err := s.CheckpointStore.Create(name)
+	if err != nil || !strings.HasPrefix(name, "snapshot-") {
+		return w, err
+	}
+	return &failingWriter{WriteCloser: w}, nil
+}
+
+type failingWriter struct {
+	io.WriteCloser
+	writes int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		return 0, errors.New("the capture failed")
+	}
+	return w.WriteCloser.Write(p)
+}
+
+func (w *failingWriter) CloseWithError(err error) error {
+	return w.WriteCloser.(interface{ CloseWithError(error) error }).CloseWithError(err)
+}
+
+// TestFailedSnapshotCaptureLeavesNoBlob: a snapshot commit whose capture fails
+// midway fails, and leaves nothing in the store, at one shard and at two: no
+// record, and no torn blob under the capture's name.
+func TestFailedSnapshotCaptureLeavesNoBlob(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			mem := storage.NewMemCheckpointStore()
+			s, sess, _ := commitPathStore(t, n, failingCapture{mem})
+			defer s.Close()
+			defer sess.StopSession()
+			snapshot := Snapshot
+			token, err := s.Commit(CommitOptions{Kind: &snapshot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res CommitResult
+			for ok := false; !ok; res, ok = s.TryResult(token) {
+				sess.Refresh()
+				sess.CompletePending(false)
+			}
+			if res.Err == nil {
+				t.Fatal("a snapshot commit whose capture failed succeeded")
+			}
+			if names, _ := mem.List(); len(names) != 0 {
+				t.Fatalf("a failed snapshot commit left %v", names)
 			}
 		})
 	}
@@ -166,9 +270,7 @@ func latestCommitToken(t *testing.T, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := storage.WriteArtifact(rcfg.Checkpoints, name, raw); err != nil {
-			t.Fatal(err)
-		}
+		putRaw(t, rcfg.Checkpoints, name, raw)
 	}
 	if err := rep.ApplyCommitted(res2.Token); err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Fatalf("install without the manifest: err = %v, want a manifest error", err)
@@ -178,9 +280,7 @@ func latestCommitToken(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteArtifact(rcfg.Checkpoints, "cpr-manifest-"+res2.Token, raw); err != nil {
-		t.Fatal(err)
-	}
+	putRaw(t, rcfg.Checkpoints, "cpr-manifest-"+res2.Token, raw)
 	if err := rep.ApplyCommitted(res2.Token); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +297,7 @@ func latestCommitToken(t *testing.T, n int) {
 	sess.StopSession()
 	s.Close()
 	raw[len(raw)-1] ^= 0x01
-	if err := storage.WriteArtifact(ckpts, "cpr-manifest-"+res2.Token, raw); err != nil {
-		t.Fatal(err)
-	}
+	putRaw(t, ckpts, "cpr-manifest-"+res2.Token, raw)
 	cfg := shardedConfig(n)
 	cfg.Checkpoints = ckpts
 	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }

@@ -67,7 +67,7 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 		// must still hold when the result is published; a retry observes
 		// afresh.
 		for slot, entry := s.index.probe(h, 0); entry != 0; slot, entry = s.index.probe(h, 0) {
-			if liveAddr, ok := s.chainFirstMatch(entry, keyBuf); !ok || liveAddr != addr {
+			if liveAddr, _, err := s.firstMatch(entry, keyBuf, nil); err != nil || liveAddr != addr {
 				return true // a newer version supersedes this record
 			}
 			if rec.Tombstone() {
@@ -96,30 +96,4 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 	}
 	s.log.ShiftBegin(until)
 	return nil
-}
-
-// chainFirstMatch walks the chain behind the slot word entry and returns the
-// address of the first record matching key. Cold records are read
-// synchronously (compaction is a maintenance path).
-func (s *shard) chainFirstMatch(entry uint64, key []byte) (uint64, bool) {
-	addr := entryAddr(entry)
-	head := s.log.Head()
-	begin := s.log.Begin()
-	for addr >= begin && addr >= hlog.FirstAddress {
-		var rec hlog.RecordRef
-		if addr >= head {
-			rec = s.log.Record(addr)
-		} else {
-			r, err := s.log.ReadRecordSync(addr)
-			if err != nil {
-				return 0, false
-			}
-			rec = r
-		}
-		if !rec.Invalid() && rec.KeyEquals(key) {
-			return addr, true
-		}
-		addr = rec.Prev()
-	}
-	return 0, false
 }

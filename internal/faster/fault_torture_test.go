@@ -306,9 +306,7 @@ func TestRecoveryFallbackOnCorruptNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x10
-	if err := storage.WriteArtifact(ckpts, blobName("index", tokens[1], 0), raw); err != nil {
-		t.Fatal(err)
-	}
+	putRaw(t, ckpts, blobName("index", tokens[1], 0), raw)
 
 	r, report, err := RecoverWithReport(Config{IndexBuckets: 1 << 8, PageBits: 13,
 		MemPages: 8, Device: dev, Checkpoints: ckpts})
@@ -396,9 +394,7 @@ func TestRecoveryFallbackOnCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[len(raw)-1] ^= 0x01
-	if err := storage.WriteArtifact(ckpts, "cpr-manifest-"+tokens[1], raw); err != nil {
-		t.Fatal(err)
-	}
+	putRaw(t, ckpts, "cpr-manifest-"+tokens[1], raw)
 
 	rcfg := Config{Shards: 2, IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16,
 		Checkpoints:   ckpts,

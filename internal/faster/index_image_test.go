@@ -409,7 +409,7 @@ func TestRecoveryFallbackOnUndecodableIndex(t *testing.T) {
 			}
 			stop()
 			s.Close()
-			if err := storage.WriteArtifact(ckpts, blobName("index", tokens[1], 0), storage.EncodeArtifact(bad)); err != nil {
+			if err := storage.WriteArtifactChecked(ckpts, blobName("index", tokens[1], 0), bad); err != nil {
 				t.Fatal(err)
 			}
 			r, report, err := RecoverWithReport(cfg)

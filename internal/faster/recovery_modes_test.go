@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -215,7 +216,9 @@ type recoveredState struct {
 
 func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recoveredState {
 	t.Helper()
-	st := recoveredState{points: s.RecoveredPoints()}
+	s.mu.Lock()
+	st := recoveredState{points: maps.Clone(s.recoveredSerials)}
+	s.mu.Unlock()
 	var err error
 	if st.record, err = storage.ReadArtifact(cfg.Checkpoints, storage.RecordName(img.token)); err != nil {
 		t.Fatal(err)

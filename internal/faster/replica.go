@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -29,6 +30,23 @@ import (
 // not opened with Config.Replica.
 var ErrNotReplica = fmt.Errorf("faster: store is not a replica (Config.Replica unset)")
 
+// ErrSnapshotCommit is how CommitShipInfo and ApplyCommitted refuse a snapshot
+// commit: a replica is only ever at a fold-over commit. A snapshot commit leaves
+// its captured region open to in-place updates, so the bytes later flushed there
+// and shipped ahead hold values of the next version under records of this one,
+// which no install can tell apart. The next fold-over commit subsumes it.
+var ErrSnapshotCommit = errors.New("faster: a snapshot commit; a replica installs fold-over commits only")
+
+// foldOver refuses a record with a snapshot section (ErrSnapshotCommit).
+func (rec *commitRecord) foldOver() error {
+	for i := range rec.Shards {
+		if rec.Shards[i].Snapshot != "" {
+			return fmt.Errorf("%w: %s", ErrSnapshotCommit, rec.Token)
+		}
+	}
+	return nil
+}
+
 // Checkpoints exposes the store's checkpoint artifact store (the replication
 // shipper reads commit artifacts through it).
 func (s *Store) Checkpoints() storage.CheckpointStore { return s.cfg.Checkpoints }
@@ -40,18 +58,6 @@ func (s *Store) RecoveredPoint(id string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recoveredSerials[id]
-}
-
-// RecoveredPoints returns a copy of every known session's recovered CPR
-// point.
-func (s *Store) RecoveredPoints() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.recoveredSerials))
-	for id, pt := range s.recoveredSerials {
-		out[id] = pt
-	}
-	return out
 }
 
 // OnCommit registers fn to run (from the commit's finishing goroutine) after
@@ -90,13 +96,12 @@ func (s *Store) LatestCommitVersion() uint32 {
 	return s.latestVer
 }
 
-// ShipInfo describes what a replica needs to install one completed commit:
-// the artifact names to copy and, per shard, how much of the log must be on
-// the replica's device first.
+// ShipInfo describes what a replica needs to install one completed fold-over
+// commit: the artifact names to copy and, per shard, how much of the log must
+// be on the replica's device first.
 type ShipInfo struct {
 	Token   string
 	Version uint32
-	Kind    CommitKind
 	// Artifacts are checkpoint-store names: the blobs the commit record names,
 	// then the record, last. A blob's contents do not change once written; the
 	// record's do — a recovery of the commit, or a Promote at it, drops the
@@ -105,32 +110,25 @@ type ShipInfo struct {
 	// new connection, after the range ResyncFrom names, and the replica's copy
 	// follows its device.
 	Artifacts []string
-	// ShardEnds is, per shard, the log address the install covers (the
-	// replica's log tail after installing).
+	// ShardEnds is, per shard, the log address the install covers: the
+	// replica's device must hold the log up to it, and its log tail is there
+	// after installing.
 	ShardEnds []uint64
-	// ShardFloors is, per shard, the device coverage the replica needs from
-	// the log stream before installing: equal to ShardEnds for fold-over
-	// commits; the snapshot start for snapshot commits (the rest comes from
-	// the snapshot artifact).
-	ShardFloors []uint64
 }
 
 // CommitShipInfo assembles the ShipInfo for a completed commit from its
-// record.
+// record. A snapshot commit is ErrSnapshotCommit: a shipper skips it.
 func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 	rec, err := loadRecord(s.cfg.Checkpoints, token)
+	if err == nil {
+		err = rec.foldOver()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("faster: ship info: %w", err)
 	}
 	info := &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), storage.RecordName(token))}
 	for i := range rec.Shards {
-		sec := &rec.Shards[i]
-		floor := sec.logEnd()
-		if sec.Snapshot != "" {
-			info.Kind, floor = Snapshot, sec.SnapshotStart
-		}
-		info.ShardEnds = append(info.ShardEnds, sec.logEnd())
-		info.ShardFloors = append(info.ShardFloors, floor)
+		info.ShardEnds = append(info.ShardEnds, rec.Shards[i].logEnd())
 	}
 	return info, nil
 }
@@ -143,9 +141,11 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 func (s *Store) ResyncFrom(i int) uint64 { return s.shards[i].recoveredScanStart }
 
 // ApplyCommitted advances a replica store's visible state to the completed
-// commit identified by token. The commit's artifacts must already be in the
-// store's checkpoint store and each shard's device must hold the streamed
-// log prefix the commit covers (ShardFloors of the primary's ShipInfo).
+// fold-over commit identified by token. The commit's artifacts must already be
+// in the store's checkpoint store and each shard's device must hold the
+// streamed log prefix the commit covers (ShardEnds of the primary's ShipInfo).
+// The record came from the peer, so a snapshot commit is refused here too
+// (ErrSnapshotCommit).
 //
 // The caller must serialize ApplyCommitted against ReadCommitted and any
 // sessions — the replication applier holds a write lock across installs.
@@ -154,6 +154,9 @@ func (s *Store) ApplyCommitted(token string) error {
 		return ErrNotReplica
 	}
 	rec, err := loadRecord(s.cfg.Checkpoints, token)
+	if err == nil {
+		err = rec.foldOver()
+	}
 	if err != nil {
 		return fmt.Errorf("faster: install: %w", err)
 	}
@@ -241,9 +244,6 @@ func (s *Store) Promote() error {
 	return nil
 }
 
-// IsReplica reports whether the store is (still) a replica target.
-func (s *Store) IsReplica() bool { return s.cfg.Replica }
-
 // ReadCommitted performs a sessionless point read of the store's current
 // visible state. On a replica this is the last installed commit — a
 // committed CPR prefix of the primary — which is what the replica read path
@@ -255,33 +255,38 @@ func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 	g := s.epochs.Acquire()
 	defer g.Release()
 	_, entry := sh.index.probe(h, 0)
-	if entry == 0 {
-		return nil, false, nil
+	addr, rec, err := sh.firstMatch(entry, key, sh.replicaDead)
+	if addr == 0 || rec.Tombstone() {
+		return nil, false, err
 	}
-	begin := sh.log.Begin()
-	head := sh.log.Head()
-	addr := entryAddr(entry)
-	for addr >= begin && addr >= hlog.FirstAddress {
+	return rec.Value(nil), true, nil
+}
+
+// firstMatch walks the chain behind the slot word entry, synchronously, and
+// returns the first record matching key and its address, or address 0 when
+// none does. A resident record is read in its frame, a cold one with
+// ReadRecordSync. Invalid records and the addresses in dead (a replica's
+// neutralised records) are skipped; an unwritten header (below a shipped
+// prefix) ends the walk.
+func (sh *shard) firstMatch(entry uint64, key []byte, dead map[uint64]bool) (uint64, hlog.RecordRef, error) {
+	begin, head := sh.log.Begin(), sh.log.Head()
+	for addr := entryAddr(entry); addr >= begin && addr >= hlog.FirstAddress; {
 		var rec hlog.RecordRef
 		if addr >= head {
 			rec = sh.log.Record(addr)
 		} else {
 			var err error
-			rec, err = sh.log.ReadRecordSync(addr)
-			if err != nil {
-				return nil, false, err
+			if rec, err = sh.log.ReadRecordSync(addr); err != nil {
+				return 0, rec, err
 			}
 		}
 		if rec.Header() == 0 {
-			return nil, false, nil // unwritten region (below a shipped prefix)
+			break
 		}
-		if !rec.Invalid() && !sh.replicaDead[addr] && rec.KeyEquals(key) {
-			if rec.Tombstone() {
-				return nil, false, nil
-			}
-			return rec.Value(nil), true, nil
+		if !rec.Invalid() && !dead[addr] && rec.KeyEquals(key) {
+			return addr, rec, nil
 		}
 		addr = rec.Prev()
 	}
-	return nil, false, nil
+	return 0, hlog.RecordRef{}, nil
 }

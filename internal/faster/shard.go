@@ -67,7 +67,6 @@ func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics, reco
 		MutableFraction: cfg.MutableFraction,
 		Device:          cfg.Device,
 		Epochs:          em,
-		IOWorkers:       cfg.IOWorkers,
 		Metrics:         cfg.Metrics,
 		VerifyReads:     cfg.VerifyReads,
 		Flight:          cfg.Flight,

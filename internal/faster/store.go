@@ -156,8 +156,6 @@ type Config struct {
 	Kind CommitKind
 	// Transfer selects fine- or coarse-grained version transfer.
 	Transfer VersionTransfer
-	// IOWorkers sizes the async I/O pool (per shard).
-	IOWorkers int
 	// VerifyReads makes cold-record reads fetch and verify the record's whole
 	// log page against its recorded checksum (when known), healing read-path
 	// bit flips by retrying instead of returning corrupt data.

@@ -24,6 +24,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // for a mutable region, a fuzzy region and at least one flushing frame.
 const MinMemPages = 4
 
+// ioWorkers sizes the log's async I/O pool.
+const ioWorkers = 4
+
 // Config parameterizes a HybridLog.
 type Config struct {
 	// PageBits sets the page size to 1<<PageBits bytes (default 20 = 1 MiB).
@@ -37,8 +40,6 @@ type Config struct {
 	Device storage.Device
 	// Epochs is the epoch manager, shared by every log of a store. Required.
 	Epochs *epoch.Manager
-	// IOWorkers sizes the async I/O pool (default 4).
-	IOWorkers int
 	// Metrics, when non-nil, receives the log's instrumentation (region
 	// offsets, flush volume/latency, async reads) and the I/O pool's.
 	Metrics *obs.Registry
@@ -76,9 +77,6 @@ func (c *Config) fill() error {
 	}
 	if c.Epochs == nil {
 		return fmt.Errorf("hlog: Epochs is required")
-	}
-	if c.IOWorkers == 0 {
-		c.IOWorkers = 4
 	}
 	return nil
 }
@@ -178,7 +176,7 @@ func New(cfg Config) (*Log, error) {
 	l.durableCond = sync.NewCond(&l.durableMu)
 	l.pageCRCs = make(map[uint64]uint32)
 	l.crcNext = FirstAddress
-	l.pool = storage.NewPool(cfg.IOWorkers, 256)
+	l.pool = storage.NewPool(ioWorkers, 256)
 	l.instrument(cfg.Metrics)
 	return l, nil
 }

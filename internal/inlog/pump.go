@@ -23,15 +23,16 @@ type PumpConfig struct {
 	// Session is the FASTER session ID the pump applies under (default
 	// DefaultPumpSession). No other client may issue operations on it.
 	Session string
-	// IdleInterval is how long the pump sleeps between polls when the log
-	// has no durable records to drain (default 200µs). While idle it keeps
-	// refreshing its session so CPR commits never stall on the pump.
-	IdleInterval time.Duration
 	// Metrics receives inlog_applied / inlog_replayed (default nop).
 	Metrics *obs.Registry
 	// Flight receives inlog-apply/watermark/replay events (nil-safe).
 	Flight *obs.FlightRecorder
 }
+
+// pumpIdle is how long the pump sleeps between polls when the log has no
+// durable records to drain. While idle it keeps refreshing its session so CPR
+// commits never stall on the pump.
+const pumpIdle = 200 * time.Microsecond
 
 // Pump drains durable ingestion-log records into a FASTER session, exactly
 // once across crashes:
@@ -52,8 +53,7 @@ type Pump struct {
 	sess   *faster.Session
 	sessID string
 	anchor Watermark // serial<->offset anchor (Token empty for the origin)
-	idle   time.Duration
-	buf    []byte // group read buffer, owned by the apply loop
+	buf    []byte    // group read buffer, owned by the apply loop
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -89,9 +89,6 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 	if cfg.Session == "" {
 		cfg.Session = DefaultPumpSession
 	}
-	if cfg.IdleInterval <= 0 {
-		cfg.IdleInterval = 200 * time.Microsecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewNop()
 	}
@@ -99,7 +96,6 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 		log:      cfg.Log,
 		store:    cfg.Store,
 		sessID:   cfg.Session,
-		idle:     cfg.IdleInterval,
 		stopped:  make(chan struct{}),
 		applies:  cfg.Metrics.Counter("inlog_applied"),
 		replays:  cfg.Metrics.Counter("inlog_replayed"),
@@ -238,7 +234,7 @@ func (p *Pump) loop() {
 		d := p.log.Durable()
 		if d <= cursor {
 			p.sess.Refresh()
-			time.Sleep(p.idle)
+			time.Sleep(pumpIdle)
 			continue
 		}
 		from := cursor

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/faster"
+	"repro/internal/storage"
 )
 
 // TestShipApplyAllocFree: shipping a megabyte of durable log as opChunk frames
@@ -38,18 +39,18 @@ func TestShipApplyAllocFree(t *testing.T) {
 	}
 
 	srv := NewServer(primary)
-	rep, _ := idleReplica(t)
+	rep := idleReplica(t, storage.NewMemCheckpointStore())
 	conn := &shipConn{Conn: &pipeConn{}}
 	var rbuf []byte
 	sent := make([]uint64, 1)
 	var bad error
 	allocs := testing.AllocsPerRun(10, func() {
 		sent[0] = 64
-		if _, err := srv.shipTail(conn, sent, 0); err != nil {
+		if err := srv.shipTail(conn, sent); err != nil {
 			bad = err
 		}
 		for i := 0; i < chunks; i++ {
-			if err := rep.applyNext(conn, &rbuf, nil); err != nil {
+			if err := rep.applyNext(conn, &rbuf); err != nil {
 				bad = err
 			}
 		}

@@ -96,23 +96,25 @@ func TestGoldenPrimaryBytes(t *testing.T) {
 		uint64(64), uint64(64), durable))
 	// opChunk: shard, offset, the log's bytes.
 	expectBytes(t, conn, "chunk", golden(uint32(1+4+8+len(raw)), 3, 0, 0, 0, 0, uint64(64), raw))
-	// opArtifact: name, total size, offset of this piece, the piece.
+	// opArtifact: name, then the payload's bytes (one piece each here, they
+	// are small), then name alone: the end, sent once the envelope verified.
 	for _, name := range info.Artifacts {
-		data, err := storage.ReadArtifact(primary.Checkpoints(), name)
+		data, err := storage.ReadArtifactChecked(primary.Checkpoints(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		expectBytes(t, conn, "artifact "+name, golden(uint32(1+2+len(name)+4+4+len(data)), 4,
-			len(name), 0, name, uint32(len(data)), uint32(0), data))
+		expectBytes(t, conn, "artifact "+name, golden(uint32(1+2+len(name)+len(data)), 4, len(name), 0, name, data))
+		expectBytes(t, conn, "end of "+name, golden(uint32(1+2+len(name)), 4, len(name), 0, name))
 	}
-	// opCommit: token, version, kind, shards, then end | floor per shard.
-	expectBytes(t, conn, "commit", golden(uint32(1+2+len(res.Token)+4+1+4+16), 5,
-		len(res.Token), 0, res.Token, info.Version, int(info.Kind), 1, 0, 0, 0,
-		info.ShardEnds[0], info.ShardFloors[0]))
+	// opCommit: token, version, shards, then each shard's end.
+	expectBytes(t, conn, "commit", golden(uint32(1+2+len(res.Token)+4+4+8), 5,
+		len(res.Token), 0, res.Token, info.Version, 1, 0, 0, 0, info.ShardEnds[0]))
 }
 
 // TestGoldenReplicaBytes: a fresh replica sends the spelled-out hello, and
-// reads a spelled-out opError frame for what it says.
+// reads a spelled-out opError frame for what it says. On its next connection
+// it takes a spelled-out welcome, stores an artifact shipped in two pieces and
+// an end, and reads the end a commit announces for its shard.
 func TestGoldenReplicaBytes(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,7 +123,7 @@ func TestGoldenReplicaBytes(t *testing.T) {
 	defer ln.Close()
 	logged := make(logLines, 1)
 	rep, err := NewReplica(Config{Upstream: ln.Addr().String(), StoreConfig: testConfig(1),
-		ReconnectEvery: time.Hour, Logger: log.New(logged, "", 0)})
+		ReconnectEvery: time.Millisecond, Logger: log.New(logged, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +139,47 @@ func TestGoldenReplicaBytes(t *testing.T) {
 	if _, err := conn.Write(golden(10, 0, 0, 0, 7, 7, 0, "refused")); err != nil {
 		t.Fatal(err)
 	}
+	expectLogged(t, logged, "primary rejected: refused")
+	conn.Close()
+
+	conn, err = ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	expectBytes(t, conn, "replica hello", goldReplicaHello)
+	for _, frame := range [][]byte{
+		// opWelcome: client address c:1, version 0, one shard at begin 64,
+		// start 64, durable 64.
+		golden(38, 0, 0, 0, 2, 3, 0, "c:1", uint32(0), 1, 0, 0, 0, uint64(64), uint64(64), uint64(64)),
+		golden(10, 0, 0, 0, 4, 1, 0, "x", "hello,"),
+		golden(10, 0, 0, 0, 4, 1, 0, "x", " world"),
+		golden(4, 0, 0, 0, 4, 1, 0, "x"),
+		// opCommit: token t1, version 1, one shard ending at 65: a byte past
+		// what the replica has staged.
+		golden(21, 0, 0, 0, 5, 2, 0, "t1", uint32(1), 1, 0, 0, 0, uint64(65)),
+	} {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectLogged(t, logged, "commit t1 needs shard 0 bytes to 65, staged 64")
+	if got, err := storage.ReadArtifactChecked(rep.Store().Checkpoints(), "x"); err != nil || string(got) != "hello, world" {
+		t.Fatalf("artifact x holds %q (err=%v)", got, err)
+	}
+}
+
+// expectLogged waits for the replica's next log line and checks it says want.
+func expectLogged(t *testing.T, logged logLines, want string) {
+	t.Helper()
 	select {
 	case line := <-logged:
-		if !strings.Contains(line, "primary rejected: refused") {
-			t.Fatalf("replica logged %q, want the primary's reason", line)
+		if !strings.Contains(line, want) {
+			t.Fatalf("replica logged %q, want %q", line, want)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the replica never reported the refusal")
+		t.Fatalf("the replica never logged %q", want)
 	}
 }
 

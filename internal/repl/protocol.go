@@ -12,6 +12,8 @@
 // The replica speaks first (opHello), the primary answers with opWelcome and
 // from then on the stream is one-directional: log chunks and artifacts are
 // staging data, opCommit makes a prefix visible, opTail carries lag info.
+// Only fold-over commits are announced (faster.ErrSnapshotCommit), so a
+// replica is only ever at a fold-over commit.
 package repl
 
 // Opcodes.
@@ -27,13 +29,16 @@ const (
 	opWelcome byte = 2
 	// opChunk (primary→replica): u32 shard | u64 offset | raw log bytes.
 	opChunk byte = 3
-	// opArtifact (primary→replica): string name | u32 total | u32 offset |
-	// bytes. Artifacts arrive in ≤ artifactChunk pieces; the replica
-	// persists the artifact when the last piece lands.
+	// opArtifact (primary→replica): string name | bytes. An artifact is its
+	// payload in consecutive frames of at most chunkSize bytes, then one frame
+	// with no bytes, sent once the primary's read of the artifact verified its
+	// envelope. No other frame comes between them. The replica writes the
+	// bytes as they arrive through storage.WriteArtifactStream, so its copy
+	// has the primary's envelope, and publishes it at the empty frame only.
 	opArtifact byte = 4
-	// opCommit (primary→replica): string token | u32 version | u8 kind |
-	// u32 shards | shards × (u64 end | u64 floor). Every artifact and every
-	// log byte the commit needs precedes this frame on the stream.
+	// opCommit (primary→replica): string token | u32 version | u32 shards |
+	// shards × u64 end. Every artifact and every log byte the commit needs
+	// precedes this frame on the stream: each shard's log up to its end.
 	opCommit byte = 5
 	// opTail (primary→replica): u32 latestVersion | u32 shards |
 	// shards × u64 durable. Heartbeat + lag accounting.
@@ -42,8 +47,6 @@ const (
 	opError byte = 7
 )
 
-// chunkSize is how much of the log tail one opChunk carries.
+// chunkSize is how much of the log tail one opChunk carries, and how much of
+// an artifact one opArtifact carries: the most either side holds of either.
 const chunkSize = 256 << 10
-
-// artifactChunk is how much of an artifact one opArtifact carries.
-const artifactChunk = 1 << 20

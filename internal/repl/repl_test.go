@@ -75,7 +75,13 @@ func startServer(t *testing.T, srv *Server) string {
 // commitWait runs a commit to completion, driving phases via sess.
 func commitWait(t *testing.T, s *faster.Store, sess *faster.Session) faster.CommitResult {
 	t.Helper()
-	token, err := s.Commit(faster.CommitOptions{})
+	return commitWith(t, s, sess, faster.CommitOptions{})
+}
+
+// commitWith runs a commit with opts to completion, driving phases via sess.
+func commitWith(t *testing.T, s *faster.Store, sess *faster.Session, opts faster.CommitOptions) faster.CommitResult {
+	t.Helper()
+	token, err := s.Commit(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -113,7 +114,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	r.store = store
-	r.applied.Store(installedVersion(store))
+	r.applied.Store(store.LatestCommitVersion())
 	r.have = make([]uint64, store.NumShards())
 	r.primaryDurable = make([]atomic.Uint64, store.NumShards())
 	for i := range r.have {
@@ -137,17 +138,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		"HybridLog bytes the replica trails the primary's durable frontier by.")
 	go r.run()
 	return r, nil
-}
-
-// installedVersion is the version of the last installed commit: the store's
-// current version minus one (a store at Rest in version v+1 has v committed),
-// or 0 for a fresh store.
-func installedVersion(s *faster.Store) uint32 {
-	v := s.Version()
-	if v <= 1 {
-		return 0
-	}
-	return v - 1
 }
 
 // Store exposes the underlying replica store.
@@ -313,9 +303,8 @@ func (r *Replica) pull() error {
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
 
-	staging := make(map[string]*artifactBuf)
 	for {
-		if err := r.applyNext(conn, &rbuf, staging); err != nil {
+		if err := r.applyNext(conn, &rbuf); err != nil {
 			select {
 			case <-r.stop:
 				return nil
@@ -326,12 +315,17 @@ func (r *Replica) pull() error {
 	}
 }
 
-// applyNext reads the stream's next frame into *rbuf and applies it.
-func (r *Replica) applyNext(conn net.Conn, rbuf *[]byte, staging map[string]*artifactBuf) error {
-	// The primary heartbeats every ~100ms; a minute of silence means the
-	// connection is dead even if TCP has not noticed.
+// readFrame reads the stream's next frame into *rbuf. The primary heartbeats
+// every ~100ms; a minute of silence means the connection is dead even if TCP
+// has not noticed.
+func readFrame(conn net.Conn, rbuf *[]byte) (byte, []byte, error) {
 	conn.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck
-	op, payload, err := wire.Read(conn, rbuf)
+	return wire.Read(conn, rbuf)
+}
+
+// applyNext reads the stream's next frame into *rbuf and applies it.
+func (r *Replica) applyNext(conn net.Conn, rbuf *[]byte) error {
+	op, payload, err := readFrame(conn, rbuf)
 	if err != nil {
 		return err
 	}
@@ -339,7 +333,7 @@ func (r *Replica) applyNext(conn net.Conn, rbuf *[]byte, staging map[string]*art
 	case opChunk:
 		return r.applyChunk(payload)
 	case opArtifact:
-		return r.applyArtifact(payload, staging)
+		return r.applyArtifact(conn, rbuf, payload)
 	case opCommit:
 		return r.applyCommit(payload)
 	case opTail:
@@ -441,48 +435,47 @@ func (r *Replica) applyChunk(payload []byte) error {
 	return nil
 }
 
-type artifactBuf struct {
-	data []byte
-	got  int
-}
+// errRestarted refuses a retry of an artifact write: the frames the failed
+// attempt consumed are gone from the stream.
+var errRestarted = errors.New("the write failed after part of the artifact was received")
 
-// applyArtifact assembles a chunked artifact and persists it when complete.
-func (r *Replica) applyArtifact(payload []byte, staging map[string]*artifactBuf) error {
-	nameB, rest, err := wire.TakeString(payload)
+// applyArtifact writes the artifact whose first frame carried payload through
+// storage.WriteArtifactStream, reading its next frames off conn as it goes,
+// and publishes it at the empty frame that ends it. Any other frame in the
+// middle, the end of the connection, or a failed write publishes nothing: the
+// name keeps what it held, and the connection fails.
+func (r *Replica) applyArtifact(conn net.Conn, rbuf *[]byte, payload []byte) error {
+	nameB, data, err := wire.TakeString(payload)
 	if err != nil {
 		return err
 	}
 	name := string(nameB)
-	total, rest, err := wire.TakeU32(rest)
-	if err != nil {
-		return err
-	}
-	off, data, err := wire.TakeU32(rest)
-	if err != nil {
-		return err
-	}
-	buf := staging[name]
-	if buf == nil {
-		buf = &artifactBuf{data: make([]byte, total)}
-		staging[name] = buf
-	}
-	if int(off)+len(data) > len(buf.data) {
-		return fmt.Errorf("artifact %s overflows (%d+%d > %d)", name, off, len(data), len(buf.data))
-	}
-	copy(buf.data[off:], data)
-	buf.got += len(data)
-	if buf.got < len(buf.data) {
+	began := false
+	_, err = storage.WriteArtifactStream(r.store.Checkpoints(), name, func(w io.Writer) error {
+		if began {
+			return errRestarted
+		}
+		began = true
+		for len(data) > 0 {
+			if _, err := w.Write(data); err != nil {
+				return err
+			}
+			op, next, err := readFrame(conn, rbuf)
+			if err != nil {
+				return err
+			}
+			nextName, rest, err := wire.TakeString(next)
+			if op != opArtifact || err != nil || string(nextName) != name {
+				return fmt.Errorf("interrupted by a frame of opcode %d", op)
+			}
+			data = rest
+		}
 		return nil
+	}, nil, -1, 0)
+	if err != nil {
+		return fmt.Errorf("artifact %s: %w", name, err)
 	}
-	delete(staging, name)
-	if name == "latest" || name == "cpr-latest" {
-		// The pointer artifacts of older layouts. No current primary ships
-		// them and nothing reads one as a pointer, but the name is input from
-		// outside: a stored "latest" in a directory that has no manifest yet
-		// would make local recovery refuse it as a pre-manifest layout.
-		return nil
-	}
-	return storage.WriteArtifact(r.store.Checkpoints(), name, buf.data)
+	return nil
 }
 
 // applyCommit installs a fully-shipped commit, making its prefix visible.
@@ -496,10 +489,6 @@ func (r *Replica) applyCommit(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(rest) < 1 {
-		return fmt.Errorf("commit %s: truncated kind", token)
-	}
-	rest = rest[1:] // kind: informational here
 	shards, rest, err := wire.TakeU32(rest)
 	if err != nil {
 		return err
@@ -507,18 +496,11 @@ func (r *Replica) applyCommit(payload []byte) error {
 	if int(shards) != r.store.NumShards() {
 		return fmt.Errorf("commit %s shard count %d, local %d", token, shards, r.store.NumShards())
 	}
-	ends := make([]uint64, shards)
 	r.mu.RLock()
-	for i := range ends {
-		var floor uint64
-		if ends[i], rest, err = wire.TakeU64(rest); err != nil {
-			break
-		}
-		if floor, rest, err = wire.TakeU64(rest); err != nil {
-			break
-		}
-		if err == nil && r.have[i] < floor {
-			err = fmt.Errorf("commit %s needs shard %d bytes to %d, staged %d", token, i, floor, r.have[i])
+	for i := 0; i < int(shards) && err == nil; i++ {
+		var end uint64
+		if end, rest, err = wire.TakeU64(rest); err == nil && r.have[i] < end {
+			err = fmt.Errorf("commit %s needs shard %d bytes to %d, staged %d", token, i, end, r.have[i])
 		}
 	}
 	r.mu.RUnlock()
@@ -530,17 +512,6 @@ func (r *Replica) applyCommit(payload []byte) error {
 	}
 	r.mu.Lock()
 	err = r.store.ApplyCommitted(token)
-	if err == nil {
-		for i := range ends {
-			// Snapshot restores extend the device past the shipped range.
-			if t := r.store.ShardLog(i).Tail(); t > r.have[i] {
-				r.have[i] = t
-			}
-			if ends[i] > r.have[i] {
-				r.have[i] = ends[i]
-			}
-		}
-	}
 	r.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("install %s: %w", token, err)

@@ -1,7 +1,9 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -268,18 +270,14 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 	shipped := make(map[string]bool) // artifacts this connection already sent
 	announcedTok := ""
 	// Catch the replica up to the newest completed commit immediately.
-	pending := ""
-	if tok, ok := s.store.LatestCommitToken(); ok {
-		pending = tok
-	}
+	pending, _ := s.store.LatestCommitToken()
 	heartbeat := time.NewTicker(100 * time.Millisecond)
 	defer heartbeat.Stop()
 	poll := time.NewTicker(2 * time.Millisecond)
 	defer poll.Stop()
 
 	for {
-		progress, err := s.shipTail(conn, sent, 0)
-		if err != nil {
+		if err := s.shipTail(conn, sent); err != nil {
 			return err
 		}
 		if pending != "" && pending != announcedTok {
@@ -298,79 +296,58 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 			if err := s.sendTail(conn); err != nil {
 				return err
 			}
-		case <-poll.C:
-			if !progress {
-				// Nothing new; blocking a little keeps idle streams cheap.
-				select {
-				case <-readerDone:
-					return nil
-				case tok := <-notify:
-					pending = tok
-				case <-heartbeat.C:
-					if err := s.sendTail(conn); err != nil {
-						return err
-					}
-				case <-poll.C:
-				}
-			}
+		case <-poll.C: // the log's durable frontier has no notification of its own
 		}
 	}
 }
 
-// shipTail streams every shard's durable log bytes past the sent watermarks,
-// up to upTo when nonzero (else everything durable).
-func (s *Server) shipTail(conn *shipConn, sent []uint64, upTo uint64) (bool, error) {
-	progress := false
+// shipTail streams every shard's durable log bytes past the sent watermarks.
+func (s *Server) shipTail(conn *shipConn, sent []uint64) error {
 	for i := range sent {
 		lg := s.store.ShardLog(i)
-		limit := lg.Durable()
-		if upTo != 0 && upTo < limit {
-			limit = upTo
-		}
-		for sent[i] < limit {
+		for limit := lg.Durable(); sent[i] < limit; {
 			n := min(limit-sent[i], chunkSize)
 			// The log's bytes are read straight into the frame, behind its header.
 			frame := wire.AppendU64(wire.AppendU32(conn.open(opChunk), uint32(i)), sent[i])
 			body := len(frame)
 			frame = slices.Grow(frame, int(n))[:body+int(n)]
 			if err := lg.ReadRaw(sent[i], frame[body:]); err != nil {
-				return progress, fmt.Errorf("read log shard %d @%d: %w", i, sent[i], err)
+				return fmt.Errorf("read log shard %d @%d: %w", i, sent[i], err)
 			}
 			if err := conn.send(frame); err != nil {
-				return progress, err
+				return err
 			}
 			sent[i] += n
 			s.shippedBytes.Add(n)
-			progress = true
 		}
 	}
-	return progress, nil
+	return nil
 }
 
-// shipCommit ships everything commit token depends on — log coverage to each
-// shard's end, then the commit's artifacts — and finally announces it.
+// shipCommit ships everything commit token depends on — each shard's log to
+// its end, then the commit's artifacts — and finally announces it. A snapshot
+// commit is skipped, unannounced (faster.ErrSnapshotCommit): the next fold-over
+// commit subsumes it, and every byte shipped meanwhile lies above the installed
+// end, since a capture starts at or above the previous commit's end.
 func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped map[string]bool) error {
 	tShip0 := time.Now().UnixNano()
 	info, err := s.store.CommitShipInfo(token)
+	if errors.Is(err, faster.ErrSnapshotCommit) {
+		s.Logger.Printf("not shipping %s: %v", token, err)
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("ship info %s: %w", token, err)
 	}
-	if info.Kind == faster.Snapshot {
-		// Snapshot commits reopen the captured region for in-place updates;
-		// later flushes of that region are not version-consistent, so a
-		// replica applying them would leave the committed prefix. Fold-over
-		// (the default) has no such window. See DESIGN.md.
-		s.Logger.Printf("warning: shipping snapshot commit %s; replica prefix consistency requires fold-over commits", token)
-	}
 	// A completed commit's range is durable, so shipping everything durable
-	// necessarily covers every shard's floor.
-	if _, err := s.shipTail(conn, sent, 0); err != nil {
+	// necessarily covers every shard's end.
+	if err := s.shipTail(conn, sent); err != nil {
 		return err
 	}
 	for i := range sent {
-		if sent[i] < info.ShardFloors[i] {
+		if sent[i] < info.ShardEnds[i] {
 			return fmt.Errorf("commit %s needs shard %d coverage to %d, durable stops at %d",
-				token, i, info.ShardFloors[i], sent[i])
+				token, i, info.ShardEnds[i], sent[i])
 		}
 	}
 	var artifactBytes uint64
@@ -378,33 +355,13 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 		if shipped[name] {
 			continue
 		}
-		data, err := storage.ReadArtifact(s.store.Checkpoints(), name)
+		n, err := s.shipArtifact(conn, name)
 		if err != nil {
 			return fmt.Errorf("artifact %s: %w", name, err)
 		}
-		// Verify the checksum envelope before shipping: a locally corrupted
-		// artifact must fail the ship (the commit is never announced and the
-		// replica stays at the previous prefix) rather than propagate garbage.
-		// The framed bytes themselves go on the wire verbatim, so the replica
-		// re-verifies on its own restart.
-		if _, verr := storage.DecodeArtifact(data); verr != nil {
-			s.verifyFails.Inc()
-			return fmt.Errorf("artifact %s failed verification, not shipping: %w", name, verr)
-		}
-		for off := 0; off == 0 || off < len(data); off += artifactChunk {
-			end := off + artifactChunk
-			if end > len(data) {
-				end = len(data)
-			}
-			frame := wire.AppendString(conn.open(opArtifact), []byte(name))
-			frame = wire.AppendU32(wire.AppendU32(frame, uint32(len(data))), uint32(off))
-			if err := conn.send(append(frame, data[off:end]...)); err != nil {
-				return err
-			}
-		}
 		shipped[name] = true
 		s.shippedArts.Inc()
-		artifactBytes += uint64(len(data))
+		artifactBytes += uint64(n)
 	}
 	tShipped := time.Now().UnixNano()
 	// The ship and announce events are also a trace dump's global spans
@@ -414,11 +371,9 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 		artifactBytes, uint64(tShipped-tShip0))
 	ann := wire.AppendString(conn.open(opCommit), []byte(token))
 	ann = wire.AppendU32(ann, info.Version)
-	ann = append(ann, byte(info.Kind))
 	ann = wire.AppendU32(ann, uint32(len(info.ShardEnds)))
-	for i := range info.ShardEnds {
-		ann = wire.AppendU64(ann, info.ShardEnds[i])
-		ann = wire.AppendU64(ann, info.ShardFloors[i])
+	for _, end := range info.ShardEnds {
+		ann = wire.AppendU64(ann, end)
 	}
 	if err := conn.send(ann); err != nil {
 		return err
@@ -428,6 +383,50 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 	s.store.Flight().Emit(obs.FlightCommitAnnounced, -1, uint64(info.Version), token, "", 0, 0)
 	s.replwaitNs.ObserveValue(uint64(tAnn - tShip0))
 	return nil
+}
+
+// errResend refuses a retry of an artifact read that already put bytes on the
+// wire: the retry would send them again.
+var errResend = errors.New("the read failed after part of the artifact was sent")
+
+// shipArtifact streams the named artifact's payload as opArtifact frames, each
+// read straight into its frame, and ends it with the empty frame once the read
+// has verified the envelope (a locally corrupted artifact therefore never
+// completes on a replica). It returns the payload's length. On an error the
+// connection fails, and the replica publishes nothing of the artifact.
+func (s *Server) shipArtifact(conn *shipConn, name string) (int64, error) {
+	var n int64
+	onWire := false
+	err := storage.ReadArtifactStream(s.store.Checkpoints(), name, func(r io.Reader, _ int64) error {
+		if onWire {
+			return errResend
+		}
+		for {
+			frame := wire.AppendString(conn.open(opArtifact), []byte(name))
+			body := len(frame)
+			frame = slices.Grow(frame, chunkSize)
+			k, err := io.ReadFull(r, frame[body:body+chunkSize])
+			verified := err == io.EOF || err == io.ErrUnexpectedEOF // the reader's io.EOF: the trailer agreed
+			if err != nil && !verified {
+				return err
+			}
+			if k > 0 {
+				onWire = true
+				if err := conn.send(frame[:body+k]); err != nil {
+					return err
+				}
+				n += int64(k)
+			}
+			if verified {
+				onWire = true
+				return conn.send(wire.AppendString(conn.open(opArtifact), []byte(name)))
+			}
+		}
+	})
+	if errors.Is(err, storage.ErrCorruptArtifact) {
+		s.verifyFails.Inc()
+	}
+	return n, err
 }
 
 // sendTail sends the heartbeat/lag frame.

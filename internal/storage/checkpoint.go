@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -27,7 +28,9 @@ type CheckpointStore interface {
 	Remove(name string) error
 }
 
-// ReadArtifact reads a whole named artifact into memory.
+// ReadArtifact reads a whole named artifact, envelope included, into memory.
+// Nothing in the program reads an artifact whole (ReadArtifactStream hands
+// the payload out as it verifies it); tests read raw bytes with it.
 func ReadArtifact(cs CheckpointStore, name string) ([]byte, error) {
 	r, err := cs.Open(name)
 	if err != nil {
@@ -37,17 +40,15 @@ func ReadArtifact(cs CheckpointStore, name string) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// WriteArtifact persists one named artifact in a single call.
-func WriteArtifact(cs CheckpointStore, name string, data []byte) error {
-	w, err := cs.Create(name)
-	if err != nil {
-		return err
+// abandon ends a write that failed with err. The stores here publish nothing
+// for it (CloseWithError), so the previous artifact of the name stays; any
+// other writer is closed.
+func abandon(w io.WriteCloser, err error) {
+	if a, ok := w.(interface{ CloseWithError(error) error }); ok {
+		a.CloseWithError(err) //nolint:errcheck // err is the one to report
+		return
 	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	w.Close() //nolint:errcheck // err is the one to report
 }
 
 // MemCheckpointStore keeps artifacts in process memory. It is the default
@@ -81,6 +82,9 @@ func (w *memWriter) Close() error {
 	w.store.mu.Unlock()
 	return nil
 }
+
+// CloseWithError drops the write: the store keeps what it held under the name.
+func (*memWriter) CloseWithError(error) error { return nil }
 
 // Create implements CheckpointStore.
 func (s *MemCheckpointStore) Create(name string) (io.WriteCloser, error) {
@@ -150,9 +154,19 @@ func (s *MemCheckpointStore) Clone() *MemCheckpointStore {
 }
 
 // DirCheckpointStore persists artifacts as files under a directory. Artifact
-// names may contain '/' which map to subdirectories.
+// names may contain '/' which map to subdirectories; a name that would leave
+// the directory (absolute, or climbing out with "..") is refused.
 type DirCheckpointStore struct {
 	dir string
+}
+
+// path is the file that holds the named artifact.
+func (s *DirCheckpointStore) path(name string) (string, error) {
+	p := filepath.FromSlash(name)
+	if !filepath.IsLocal(p) {
+		return "", fmt.Errorf("storage: artifact name %q leaves the checkpoint directory: %w", name, fs.ErrInvalid)
+	}
+	return filepath.Join(s.dir, p), nil
 }
 
 // NewDirCheckpointStore creates (if needed) and wraps a directory.
@@ -168,7 +182,10 @@ func NewDirCheckpointStore(dir string) (*DirCheckpointStore, error) {
 // mid-write can never leave a half-written artifact under its final name:
 // readers see either the previous complete artifact or the new complete one.
 func (s *DirCheckpointStore) Create(name string) (io.WriteCloser, error) {
-	path := filepath.Join(s.dir, filepath.FromSlash(name))
+	path, err := s.path(name)
+	if err != nil {
+		return nil, err
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -181,7 +198,7 @@ func (s *DirCheckpointStore) Create(name string) (io.WriteCloser, error) {
 }
 
 // atomicFileWriter stages writes in a temp file; Close makes them visible
-// atomically under the final name.
+// atomically under the final name, CloseWithError removes them.
 type atomicFileWriter struct {
 	f     *os.File
 	dir   string
@@ -219,6 +236,11 @@ func (w *atomicFileWriter) Close() error {
 	return syncDir(w.dir)
 }
 
+func (w *atomicFileWriter) CloseWithError(error) error {
+	w.f.Close()
+	return os.Remove(w.f.Name())
+}
+
 // syncDir fsyncs a directory so a completed rename survives power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -234,7 +256,11 @@ func syncDir(dir string) error {
 
 // Open implements CheckpointStore.
 func (s *DirCheckpointStore) Open(name string) (io.ReadCloser, error) {
-	return os.Open(filepath.Join(s.dir, filepath.FromSlash(name)))
+	path, err := s.path(name)
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(path)
 }
 
 // List implements CheckpointStore.
@@ -261,5 +287,9 @@ func (s *DirCheckpointStore) List() ([]string, error) {
 
 // Remove implements CheckpointStore.
 func (s *DirCheckpointStore) Remove(name string) error {
-	return os.Remove(filepath.Join(s.dir, filepath.FromSlash(name)))
+	path, err := s.path(name)
+	if err != nil {
+		return err
+	}
+	return os.Remove(path)
 }

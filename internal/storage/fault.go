@@ -378,8 +378,19 @@ func (w *faultWriter) Close() error {
 	return nil
 }
 
+// CloseWithError drops the buffered write: nothing reaches the inner store.
+func (*faultWriter) CloseWithError(error) error { return nil }
+
 func (w *faultWriter) writeInner(data []byte) error {
-	return WriteArtifact(w.store.inner, w.name, data)
+	f, err := w.store.inner.Create(w.name)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		abandon(f, err)
+		return err
+	}
+	return f.Close()
 }
 
 // Create implements CheckpointStore.

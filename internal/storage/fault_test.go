@@ -48,7 +48,7 @@ func TestTornArtifactWriteNeverSilent(t *testing.T) {
 	cs := NewFaultCheckpointStore(inner, inj)
 
 	payload := bytes.Repeat([]byte("data"), 64)
-	err := WriteArtifact(cs, "a", payload)
+	err := putRaw(cs, "a", payload)
 	if err == nil {
 		t.Fatal("torn write reported success")
 	}

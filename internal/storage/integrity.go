@@ -112,9 +112,10 @@ func Payload(p []byte) func(w io.Writer) error {
 
 // WriteArtifactStream persists under name, in the checksum envelope, what
 // produce writes: each write goes to the store as it comes (so produce writes
-// large pieces), and the payload is never whole in memory. Transient store
-// errors rewrite the artifact whole, produce included; others are returned, for
-// the caller to abort its commit. fr gets an artifact-retry event per retried
+// large pieces), and the payload is never whole in memory. A write that fails
+// publishes nothing: the name keeps the artifact it had. Transient store errors
+// rewrite the artifact whole, produce included; others are returned, for the
+// caller to abort its commit. fr gets an artifact-retry event per retried
 // failure and an artifact-write on success, named by the artifact (so a
 // commit's token matches its artifacts). It returns the payload's length.
 func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writer) error, fr *obs.FlightRecorder, shard int, version uint64) (int64, error) {
@@ -133,7 +134,12 @@ func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writ
 		if err == nil {
 			_, err = f.Write(appendTrailer(nil, a.crc, a.n))
 		}
-		if err = cmp.Or(err, f.Close()); IsTransient(err) && attempt < DefaultRetry.Attempts {
+		if err != nil {
+			abandon(f, err)
+		} else {
+			err = f.Close()
+		}
+		if IsTransient(err) && attempt < DefaultRetry.Attempts {
 			fr.Emit(obs.FlightArtifactRetry, shard, version, name, "", uint64(attempt), 0)
 		}
 		return err

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,6 +59,19 @@ func TestArtifactEnvelopeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// putRaw stores data under name as it is, with no envelope around it.
+func putRaw(cs CheckpointStore, name string, data []byte) error {
+	w, err := cs.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		abandon(w, err)
+		return err
+	}
+	return w.Close()
+}
+
 func TestWriteReadArtifactChecked(t *testing.T) {
 	cs := NewMemCheckpointStore()
 	payload := []byte("framed artifact")
@@ -83,7 +98,7 @@ func TestWriteReadArtifactChecked(t *testing.T) {
 	// Corrupting the stored bytes must surface ErrCorruptArtifact, and the
 	// read must NOT be retried into success (corruption is not transient).
 	raw[len(raw)-1] ^= 1
-	if err := WriteArtifact(cs, "a", raw); err != nil {
+	if err := putRaw(cs, "a", raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadArtifactChecked(cs, "a"); !errors.Is(err, ErrCorruptArtifact) {
@@ -101,7 +116,7 @@ func TestWriteReadArtifactChecked(t *testing.T) {
 // ReadArtifactStream what it says of the envelope.
 func streamed(data []byte) (got []byte, consumerErr, err error) {
 	cs := NewMemCheckpointStore()
-	if err := WriteArtifact(cs, "a", data); err != nil {
+	if err := putRaw(cs, "a", data); err != nil {
 		return nil, nil, err
 	}
 	consumerErr = errors.New("never started")
@@ -169,4 +184,81 @@ func FuzzArtifactEnvelope(f *testing.F) {
 		DecodeArtifact(payload) //nolint:errcheck // must not panic
 		streamed(payload)       //nolint:errcheck
 	})
+}
+
+// TestFailedWriteKeepsPreviousArtifact: a write whose producer fails publishes
+// nothing, in every store here, so the name keeps the artifact it had rather
+// than a torn one (the in-memory store used to publish what had been written).
+func TestFailedWriteKeepsPreviousArtifact(t *testing.T) {
+	dir, err := NewDirCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cs := range map[string]CheckpointStore{
+		"mem":   NewMemCheckpointStore(),
+		"dir":   dir,
+		"fault": NewFaultCheckpointStore(NewMemCheckpointStore(), NewInjector(FaultConfig{Seed: 1})),
+	} {
+		t.Run(name, func(t *testing.T) {
+			good := []byte("the good artifact")
+			if err := WriteArtifactChecked(cs, "a", good); err != nil {
+				t.Fatal(err)
+			}
+			failed := errors.New("the producer failed")
+			_, err := WriteArtifactStream(cs, "a", func(w io.Writer) error {
+				w.Write([]byte("tor")) //nolint:errcheck // the failure below is the point
+				return failed
+			}, nil, -1, 0)
+			if !errors.Is(err, failed) {
+				t.Fatalf("failed write returned %v", err)
+			}
+			if got, err := ReadArtifactChecked(cs, "a"); err != nil || !bytes.Equal(got, good) {
+				t.Fatalf("after a failed write the artifact reads %q (err=%v), want %q", got, err, good)
+			}
+			if _, err := WriteArtifactStream(cs, "b", func(io.Writer) error { return failed }, nil, -1, 0); !errors.Is(err, failed) {
+				t.Fatalf("failed write returned %v", err)
+			}
+			if names, _ := cs.List(); len(names) != 1 || names[0] != "a" {
+				t.Fatalf("a failed first write left artifacts %v", names)
+			}
+		})
+	}
+}
+
+// TestArtifactNameStaysInDirectory: a directory store refuses a name that
+// would leave its directory, for Create, Open and Remove alike; a name with
+// '/' still maps to a subdirectory.
+func TestArtifactNameStaysInDirectory(t *testing.T) {
+	root := t.TempDir()
+	cs, err := NewDirCheckpointStore(filepath.Join(root, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "outside"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../escaped", "a/../../escaped", "/tmp/escaped", "", ".."} {
+		if err := WriteArtifactChecked(cs, name, []byte("payload")); err == nil {
+			t.Errorf("Create(%q) succeeded", name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped")); !os.IsNotExist(err) {
+		t.Fatalf("an artifact was written outside the directory (stat: %v)", err)
+	}
+	if r, err := cs.Open("../outside"); err == nil {
+		r.Close()
+		t.Error(`Open("../outside") succeeded`)
+	}
+	if err := cs.Remove("../outside"); err == nil {
+		t.Error(`Remove("../outside") succeeded`)
+	}
+	if _, err := os.Stat(filepath.Join(root, "outside")); err != nil {
+		t.Fatalf("the file beside the directory is gone: %v", err)
+	}
+	if err := WriteArtifactChecked(cs, "sub/a", []byte("payload")); err != nil {
+		t.Fatalf("a name with a subdirectory: %v", err)
+	}
+	if got, err := ReadArtifactChecked(cs, "sub/a"); err != nil || string(got) != "payload" {
+		t.Fatalf("sub/a reads %q (err=%v)", got, err)
+	}
 }

@@ -188,7 +188,7 @@ func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
 }
 
 // TestMemStoreHoldsExactlyTheArtifact: the in-memory store keeps a copy of each
-// write. An artifact handed over in one Write (WriteArtifact) is one exact copy;
+// write. An artifact handed over in one Write is one exact copy;
 // a streamed one (WriteArtifactStream) is its chunks: the store's copy is the
 // artifact plus allocator rounding, not the doubled array a regrown buffer
 // leaves behind.
@@ -196,7 +196,7 @@ func TestMemStoreHoldsExactlyTheArtifact(t *testing.T) {
 	s := NewMemCheckpointStore()
 	data := make([]byte, 3<<20+17)
 	data[len(data)-1] = 9
-	if err := WriteArtifact(s, "big", data); err != nil {
+	if err := putRaw(s, "big", data); err != nil {
 		t.Fatal(err)
 	}
 	data[0] = 1 // the store copied: the caller may reuse its buffer

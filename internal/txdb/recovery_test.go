@@ -133,7 +133,12 @@ func TestRecoverFallsBackPastDamagedCommit(t *testing.T) {
 		damage func(cs storage.CheckpointStore, blob string) error
 	}{
 		{"torn capture", func(cs storage.CheckpointStore, blob string) error {
-			return storage.WriteArtifact(cs, blob, []byte("CPR2garbage"))
+			w, err := cs.Create(blob)
+			if err != nil {
+				return err
+			}
+			w.Write([]byte("CPR2garbage")) //nolint:errcheck // in-memory
+			return w.Close()
 		}},
 		{"capture gone", func(cs storage.CheckpointStore, blob string) error { return cs.Remove(blob) }},
 	} {

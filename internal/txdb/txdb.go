@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/obs"
@@ -131,8 +130,6 @@ type Config struct {
 	// WALDevice backs the write-ahead log in EngineWAL mode (default
 	// in-memory device).
 	WALDevice storage.Device
-	// WALFlushEvery is the group-commit interval (default 1ms).
-	WALFlushEvery time.Duration
 	// Instrument enables sampled per-section timing for the breakdown
 	// analysis experiments (Fig. 10e); it adds a small overhead.
 	Instrument bool
@@ -286,7 +283,7 @@ func Open(cfg Config) (*DB, error) {
 		db.calcLog = make([]uint64, 1<<20)
 	}
 	if cfg.Engine == EngineWAL {
-		db.wal = wal.New(cfg.WALDevice, cfg.WALFlushEvery)
+		db.wal = wal.New(cfg.WALDevice)
 	}
 	db.state.Store(packState(Rest, 1))
 	return db, nil

@@ -34,18 +34,20 @@ type Log struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
+	// flushMu runs one flush at a time: a flush of a later buffer that
+	// finished first would report the bytes of an earlier one durable.
+	flushMu sync.Mutex
 	flushed atomic.Uint64 // LSN up to which the device is durable
 }
 
-// New creates a WAL over dev and starts a group-commit flusher with the
-// given interval (default 1ms).
-func New(dev storage.Device, flushEvery time.Duration) *Log {
-	if flushEvery <= 0 {
-		flushEvery = time.Millisecond
-	}
+// flushEvery is the group-commit interval.
+const flushEvery = time.Millisecond
+
+// New creates a WAL over dev and starts its group-commit flusher.
+func New(dev storage.Device) *Log {
 	l := &Log{dev: dev, stop: make(chan struct{})}
 	l.wg.Add(1)
-	go l.flusher(flushEvery)
+	go l.flusher()
 	return l
 }
 
@@ -108,9 +110,9 @@ func (l *Log) Flushed() uint64 { return l.flushed.Load() }
 // Flush forces an immediate group commit and blocks until durable.
 func (l *Log) Flush() error { return l.flushOnce() }
 
-func (l *Log) flusher(every time.Duration) {
+func (l *Log) flusher() {
 	defer l.wg.Done()
-	t := time.NewTicker(every)
+	t := time.NewTicker(flushEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -126,6 +128,8 @@ func (l *Log) flusher(every time.Duration) {
 // flushOnce swaps the buffer out under the lock (double buffering) and
 // writes it behind the lock, so appenders only contend with the swap.
 func (l *Log) flushOnce() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	buf := l.buf
 	off := l.off
@@ -142,12 +146,7 @@ func (l *Log) flushOnce() error {
 	if err := l.dev.Sync(); err != nil {
 		return err
 	}
-	for {
-		cur := l.flushed.Load()
-		if end <= cur || l.flushed.CompareAndSwap(cur, end) {
-			break
-		}
-	}
+	l.flushed.Store(end)
 	return nil
 }
 

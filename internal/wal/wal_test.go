@@ -15,7 +15,7 @@ func rec(key uint64, val string) Record {
 
 func TestAppendFlushReplay(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Hour) // no automatic flush; we force it
+	l := New(dev)
 	l.Append([]Record{rec(1, "aaaa"), rec(2, "bb")})
 	l.Append([]Record{rec(3, "cccccccc")})
 	if err := l.Flush(); err != nil {
@@ -43,7 +43,7 @@ func TestAppendFlushReplay(t *testing.T) {
 
 func TestLSNMonotonic(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Hour)
+	l := New(dev)
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 100; i++ {
@@ -60,7 +60,7 @@ func TestLSNMonotonic(t *testing.T) {
 
 func TestGroupCommitFlusher(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Millisecond)
+	l := New(dev)
 	l.Append([]Record{rec(1, "v")})
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Flushed() == 0 {
@@ -74,7 +74,7 @@ func TestGroupCommitFlusher(t *testing.T) {
 
 func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Millisecond)
+	l := New(dev)
 	const threads, per = 8, 500
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -105,7 +105,7 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 
 func TestReplayTornTail(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Hour)
+	l := New(dev)
 	l.Append([]Record{rec(1, "first")})
 	l.Append([]Record{rec(2, "second")})
 	if err := l.Flush(); err != nil {
@@ -125,7 +125,7 @@ func TestReplayTornTail(t *testing.T) {
 
 func TestAppendMeasuredMatchesAppend(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Hour)
+	l := New(dev)
 	defer l.Close()
 	lsn1 := l.Append([]Record{rec(1, "abc")})
 	lsn2, lockNs, copyNs := l.AppendMeasured([]Record{rec(2, "def")})
@@ -149,7 +149,7 @@ func TestAppendMeasuredMatchesAppend(t *testing.T) {
 
 func BenchmarkAppend1Key(b *testing.B) {
 	dev := storage.NewMemDevice()
-	l := New(dev, time.Millisecond)
+	l := New(dev)
 	defer l.Close()
 	var v [8]byte
 	recs := []Record{{Key: 1, Value: v[:]}}
