@@ -52,7 +52,7 @@ func main() {
 		dir        = flag.String("dir", "", "database directory (empty = in-memory)")
 		shards     = flag.Int("shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
 		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
-		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (fasterctl why shows warm-up progress)")
+		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: accept connections on the last commit's index, serve ops once a pass over the log suffix is done, and warm hash buckets on demand (fasterctl why shows warm-up progress)")
 		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
 		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics.prom and /debug/pprof (empty = off; everything else is on the wire: fasterctl why)")
 		replAddr   = flag.String("repl", "", "replication listen address; replicas connect here (empty = off)")
@@ -68,9 +68,6 @@ func main() {
 
 		healthIvl = flag.Duration("health-interval", time.Second, "health engine sampling interval; detectors fire after ~3 bad samples (0 = off)")
 		sloDurLag = flag.Duration("slo-durlag", 0, "durability-lag SLO objective: windowed p99 session lag above this burns the SLO and degrades health (0 = off)")
-
-		coalesceBytes = flag.Int("coalesce-bytes", kvserver.DefaultCoalesceBytes, "per-connection reply coalescing: flush past this many buffered bytes")
-		coalesceOps   = flag.Int("coalesce-ops", kvserver.DefaultCoalesceOps, "per-connection reply coalescing: flush past this many buffered replies")
 
 		inlogAddr     = flag.String("inlog-addr", "", "ingestion-log listen address; enables the durable ingest pipeline (empty = off)")
 		inlogFsync    = flag.String("inlog-fsync", "batch", "ingest fsync policy: always | batch | manual")
@@ -156,7 +153,7 @@ func main() {
 
 	if *replicaOf != "" {
 		runReplica(cfg, *replicaOf, *addr, *replAddr, *autocommit, *debugAddr,
-			*coalesceBytes, *coalesceOps, *healthIvl, *sloDurLag)
+			*healthIvl, *sloDurLag)
 		return
 	}
 
@@ -217,8 +214,6 @@ func main() {
 	}
 	srv.AutoCommit = *autocommit
 	srv.IdleTimeout = *idleTO
-	srv.CoalesceBytes = *coalesceBytes
-	srv.CoalesceOps = *coalesceOps
 	if *replAddr != "" {
 		rsrv := repl.NewServer(store)
 		rsrv.ClientAddr = *addr
@@ -304,7 +299,7 @@ func dumpFlightOnPanic(store *faster.Store) {
 
 // runReplica serves prefix-consistent reads from a replica of upstream,
 // promoting to primary on SIGHUP.
-func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit time.Duration, debugAddr string, coalesceBytes, coalesceOps int, healthIvl, sloDurLag time.Duration) {
+func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit time.Duration, debugAddr string, healthIvl, sloDurLag time.Duration) {
 	rep, err := repl.NewReplica(repl.Config{Upstream: upstream, StoreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
@@ -323,8 +318,6 @@ func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit t
 		srv.Health = eng.Verdict
 	}
 	srv.AutoCommit = autocommit // takes effect after promotion
-	srv.CoalesceBytes = coalesceBytes
-	srv.CoalesceOps = coalesceOps
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGHUP)

@@ -247,3 +247,37 @@ func (m *Manager) Registered() int {
 	}
 	return n
 }
+
+// Site names one of the seven places in the store where a race between
+// sessions once lived. A test may set a scheduling hook there (SetYieldHook) to
+// reorder the threads; unset, a site costs one load and one branch.
+type Site uint8
+
+const (
+	SiteRefresh    Site = iota // a session syncs its view of the CPR state machine
+	SiteDispatch               // an operation picks its CPR path
+	SiteInstall                // between an update's decision and its compare-and-swap
+	SitePark                   // an operation leaves the session's working record
+	SiteLatch                  // a bucket latch is about to be taken
+	SiteRecordLock             // a record's in-place latch is about to be taken
+	SiteFrameReuse             // a log frame is cleared for its next page
+	NumSites
+)
+
+var yieldHook atomic.Pointer[func(Site)]
+
+// YieldAt runs the scheduling hook, if one is set.
+func YieldAt(site Site) {
+	if h := yieldHook.Load(); h != nil {
+		(*h)(site)
+	}
+}
+
+// SetYieldHook sets the scheduling hook, nil for none. Only tests call it.
+func SetYieldHook(fn func(Site)) {
+	p := &fn
+	if fn == nil {
+		p = nil
+	}
+	yieldHook.Store(p)
+}

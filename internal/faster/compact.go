@@ -52,9 +52,12 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 		return nil
 	}
 
+	// Begin moves to a word of padding or the end of the last record scanned,
+	// never inside a record.
 	var keyBuf, valBuf []byte
-	count := 0
+	count, end := 0, until&^7
 	err := s.log.Scan(begin, until, func(addr uint64, rec hlog.RecordRef) bool {
+		end = max(end, addr+uint64(rec.Size()))
 		if count++; count%64 == 0 {
 			sess.owner.guard.Refresh()
 		}
@@ -94,6 +97,6 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 	if err != nil {
 		return fmt.Errorf("faster: compact scan: %w", err)
 	}
-	s.log.ShiftBegin(until)
+	s.log.ShiftBegin(end)
 	return nil
 }

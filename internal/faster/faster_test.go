@@ -585,24 +585,6 @@ func TestCommitWhileCommitInProgress(t *testing.T) {
 	}
 }
 
-func TestSessionSerialsMonotonic(t *testing.T) {
-	s, err := Open(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sess := s.StartSession()
-	defer sess.StopSession()
-	last := sess.Serial()
-	for i := uint64(0); i < 100; i++ {
-		sess.Upsert(key(i), u64(i))
-		if sess.Serial() != last+1 {
-			t.Fatalf("serial jumped from %d to %d", last, sess.Serial())
-		}
-		last = sess.Serial()
-	}
-}
-
 func TestIndexFindOrCreateConcurrent(t *testing.T) {
 	idx, err := newIndex(1 << 4)
 	if err != nil {

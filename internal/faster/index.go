@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/epoch"
 	"repro/internal/hlog"
 )
 
@@ -212,6 +213,7 @@ func (idx *index) claim(hash uint64, free *atomic.Uint64, entry uint64) bool {
 // trySharedLatch increments the main bucket's shared-latch count unless the
 // exclusive latch is held.
 func (idx *index) trySharedLatch(hash uint64) bool {
+	epoch.YieldAt(epoch.SiteLatch)
 	b := idx.mainBucket(hash)
 	for {
 		m := b.meta.Load()
@@ -243,6 +245,7 @@ func (idx *index) releaseSharedLatch(hash uint64) {
 
 // tryExclusiveLatch succeeds only when no shared or exclusive latch is held.
 func (idx *index) tryExclusiveLatch(hash uint64) bool {
+	epoch.YieldAt(epoch.SiteLatch)
 	b := idx.mainBucket(hash)
 	m := b.meta.Load()
 	if m&(metaSharedMask|metaExclusive) != 0 {

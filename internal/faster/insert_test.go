@@ -2,12 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
@@ -146,170 +141,6 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 	for k, want := range map[string]uint64{string(a): 11, string(b): 20} {
 		if v, st := sess.Read([]byte(k), nil); st != Ok || binary.LittleEndian.Uint64(v) != want {
 			t.Fatalf("read of %x: %v %v, want %d", k, v, st, want)
-		}
-	}
-}
-
-// TestSameTagInsertRace: keys that share a bucket and a tag share one index
-// entry, and two sessions inserting such keys at once race to create it. Four
-// sessions upsert, RMW and delete keys of such groups — each key owned by one
-// session, each group spread over two — from a fresh store in every round,
-// while fold-over commits run. Afterwards no chain holds two committed entries
-// of one tag, no entry is still tentative, and every key reads what its owner
-// last had acknowledged. FASTER_TEST_SHARDS sets the shard count.
-func TestSameTagInsertRace(t *testing.T) {
-	const (
-		buckets  = 1 << 10
-		groups   = 48
-		sessions = 4
-		rounds   = 6
-		runFor   = 60 * time.Millisecond
-	)
-	// Colliding pairs by the birthday bound: 2^16 keys over 2^24 (bucket, tag)
-	// cells give some 128.
-	cells := map[uint64][]uint64{}
-	var order []uint64
-	for k := uint64(0); k < 1<<16; k++ {
-		h := hashfn.Hash64(key(k))
-		c := h&(buckets-1) | tagOf(h)
-		if cells[c] = append(cells[c], k); len(cells[c]) == 2 {
-			order = append(order, c)
-		}
-	}
-	if len(order) < groups {
-		t.Fatalf("%d colliding groups, want %d", len(order), groups)
-	}
-	owned := make([][]uint64, sessions)
-	for g, c := range order[:groups] {
-		for j, k := range cells[c] {
-			owned[(g+j)%sessions] = append(owned[(g+j)%sessions], k)
-		}
-	}
-
-	for _, transfer := range []VersionTransfer{FineGrained, CoarseGrained} {
-		t.Run(fmt.Sprint(transfer), func(t *testing.T) {
-			for round := 0; round < rounds; round++ {
-				sameTagRound(t, Config{Shards: testShardCount(1), IndexBuckets: buckets, PageBits: 12,
-					MemPages: 16 * testShardCount(1), Transfer: transfer}, owned, int64(round), runFor)
-			}
-		})
-	}
-}
-
-func sameTagRound(t *testing.T, cfg Config, owned [][]uint64, seed int64, runFor time.Duration) {
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// want[k] is key k's last acknowledged value; absent after a delete.
-	want := make([]map[uint64]uint64, len(owned))
-	start := make(chan struct{})
-	var stop atomic.Bool
-	var workers sync.WaitGroup
-	for w := range owned {
-		sess := s.StartSession()
-		want[w] = map[uint64]uint64{}
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
-			defer sess.StopSession()
-			rng := rand.New(rand.NewSource(seed*int64(len(owned)) + int64(w)))
-			<-start
-			for n := 0; n == 0 || !stop.Load(); n++ {
-				// Every key first by an upsert, all sessions at once: the
-				// inserts race for the group's entry.
-				k := owned[w][n%len(owned[w])]
-				var st Status
-				switch op := rng.Intn(4); {
-				case n < len(owned[w]) || op == 0:
-					v := rng.Uint64()
-					if st = sess.Upsert(key(k), u64(v)); st != Error {
-						want[w][k] = v
-					}
-				case op == 1:
-					if st = sess.Delete(key(k)); st != Error {
-						delete(want[w], k)
-					}
-				default:
-					if st = sess.RMW(key(k), u64(1)); st != Error {
-						want[w][k]++
-					}
-				}
-				if st == Pending && sess.CompletePending(true) > 0 || st == Error {
-					t.Errorf("op on key %d failed", k)
-					return
-				}
-			}
-		}(w)
-	}
-
-	stopCommits := make(chan struct{})
-	commitsDone := make(chan struct{})
-	go func() {
-		defer close(commitsDone)
-		for {
-			select {
-			case <-stopCommits:
-				return
-			case <-time.After(3 * time.Millisecond):
-			}
-			token, err := s.Commit(CommitOptions{})
-			if err != nil {
-				t.Errorf("commit: %v", err)
-				return
-			}
-			if res := s.WaitForCommit(token); res.Err != nil {
-				t.Errorf("commit %s: %v", token, res.Err)
-				return
-			}
-		}
-	}()
-	close(start)
-	time.Sleep(runFor)
-	close(stopCommits)
-	<-commitsDone
-	stop.Store(true)
-	workers.Wait()
-
-	for i, sh := range s.shards {
-		checkEntries(t, i, sh.index)
-	}
-	reader := s.StartSession()
-	defer reader.StopSession()
-	for w, keys := range owned {
-		for _, k := range keys {
-			v, found := readVal(t, reader, k)
-			if wv, ok := want[w][k]; found != ok || found && binary.LittleEndian.Uint64(v) != wv {
-				t.Fatalf("key %d reads %x (found %v), its last acknowledged value is %d (present %v)", k, v, found, wv, ok)
-			}
-		}
-	}
-}
-
-// checkEntries fails t if a chain of idx holds two committed entries of one
-// tag or any tentative entry.
-func checkEntries(t *testing.T, shard int, idx *index) {
-	t.Helper()
-	for m := range idx.buckets {
-		seen := map[uint64]bool{}
-		for b := &idx.buckets[m]; ; {
-			for i := range b.entries {
-				switch e := b.entries[i].Load(); {
-				case e&entryTentative != 0:
-					t.Fatalf("shard %d bucket %d: tentative entry %#x after quiescence", shard, m, e)
-				case e != 0 && seen[e&entryTagMask]:
-					t.Fatalf("shard %d bucket %d: two committed entries of tag %#x", shard, m, e&entryTagMask>>entryTagShift)
-				case e != 0:
-					seen[e&entryTagMask] = true
-				}
-			}
-			next := b.meta.Load() & metaOverflowMask
-			if next == 0 {
-				break
-			}
-			b = idx.overflowBucket(next)
 		}
 	}
 }

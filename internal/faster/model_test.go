@@ -10,81 +10,6 @@ import (
 	"repro/internal/ycsb"
 )
 
-// TestModelRandomOps runs a long random workload against a map oracle:
-// after every operation the store and the model must agree. Exercises
-// upsert/RMW/delete/read across in-place updates, RCU, chains, and async
-// I/O (tiny memory forces spills).
-func TestModelRandomOps(t *testing.T) {
-	cfg := Config{IndexBuckets: 1 << 6, PageBits: 12, MemPages: 4}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sess := s.StartSession()
-	defer sess.StopSession()
-
-	model := map[uint64]uint64{}
-	rng := ycsb.NewRNG(12345)
-	const ops = 30000
-	const keys = 200
-
-	readBack := func(k uint64) (uint64, bool) {
-		var got uint64
-		var found, done bool
-		_, st := sess.Read(key(k), func(v []byte, s2 Status) {
-			done = true
-			if s2 == Ok {
-				got, found = binary.LittleEndian.Uint64(v), true
-			}
-		})
-		if st == Pending {
-			sess.CompletePending(true)
-		}
-		if !done {
-			t.Fatalf("read callback never fired for key %d", k)
-		}
-		return got, found
-	}
-
-	for i := 0; i < ops; i++ {
-		k := rng.Intn(keys)
-		switch rng.Intn(4) {
-		case 0: // upsert
-			v := rng.Next()
-			if st := sess.Upsert(key(k), u64(v)); st == Pending {
-				sess.CompletePending(true)
-			}
-			model[k] = v
-		case 1: // rmw +delta
-			d := rng.Intn(100)
-			if st := sess.RMW(key(k), u64(d)); st == Pending {
-				sess.CompletePending(true)
-			}
-			model[k] += d // AddUint64.Initial copies the input
-		case 2: // delete
-			if st := sess.Delete(key(k)); st == Pending {
-				sess.CompletePending(true)
-			}
-			delete(model, k)
-		case 3: // read + verify
-			got, found := readBack(k)
-			want, exists := model[k]
-			if found != exists || (found && got != want) {
-				t.Fatalf("op %d key %d: store=(%d,%v) model=(%d,%v)", i, k, got, found, want, exists)
-			}
-		}
-	}
-	// Final full verification.
-	for k := uint64(0); k < keys; k++ {
-		got, found := readBack(k)
-		want, exists := model[k]
-		if found != exists || (found && got != want) {
-			t.Fatalf("final key %d: store=(%d,%v) model=(%d,%v)", k, got, found, want, exists)
-		}
-	}
-}
-
 // TestModelWithCommitsAndRecovery interleaves random ops with commits and a
 // final crash/recover, comparing against the model state captured at the
 // session's CPR point.
@@ -184,55 +109,6 @@ func TestModelWithCommitsAndRecovery(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChainInvariant checks the structural invariant of the hash chains:
-// addresses strictly decrease along every chain, and every in-memory record
-// reachable from a slot parses correctly.
-func TestChainInvariant(t *testing.T) {
-	cfg := Config{IndexBuckets: 1 << 4, PageBits: 14, MemPages: 8}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sess := s.StartSession()
-	defer sess.StopSession()
-	for i := uint64(0); i < 2000; i++ {
-		sess.Upsert(key(i%97), u64(i))
-	}
-	head := s.shards[0].log.Head()
-	checkChain := func(b *bucket) {
-		for e := range b.entries {
-			entry := b.entries[e].Load()
-			if entry == 0 {
-				continue
-			}
-			addr := entryAddr(entry)
-			steps := 0
-			for addr != 0 && addr >= head {
-				rec := s.shards[0].log.Record(addr)
-				prev := rec.Prev()
-				if prev != 0 && prev >= addr {
-					t.Fatalf("chain not decreasing: %d -> %d", addr, prev)
-				}
-				if n := len(rec.Key(nil)); n == 0 || n > 8 {
-					t.Fatalf("record at %d has key length %d", addr, n)
-				}
-				addr = prev
-				if steps++; steps > 10000 {
-					t.Fatal("chain cycle detected")
-				}
-			}
-		}
-	}
-	for i := range s.shards[0].index.buckets {
-		checkChain(&s.shards[0].index.buckets[i])
-	}
-	used := s.shards[0].index.overflowNext.Load() - 1
-	for n := uint64(1); n <= used; n++ {
-		checkChain(s.shards[0].index.overflowBucket(n))
 	}
 }
 

@@ -1,5 +1,7 @@
 package faster
 
+import "repro/internal/epoch"
+
 // This file implements the per-operation CPR logic of Algs. 4 and 5 (App. B)
 // plus the coarse-grained variant of App. C, executed against one shard via
 // the session's per-shard context:
@@ -57,6 +59,7 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 // op's shared latch (fine-grained) is released by finish() when it leaves the
 // pending list.
 func (sess *shardSession) dispatch(op *pendingOp) Status {
+	epoch.YieldAt(epoch.SiteDispatch)
 	own := sess.owner
 	if op.version < own.version {
 		// The commit this op belonged to has fully completed (its pending
@@ -136,10 +139,12 @@ func (sess *shardSession) update(op *pendingOp, r findResult) Status {
 			return NotFound
 		}
 	case regMutable:
-		if sess.tryInPlace(op, r) {
+		// Only an op of the record's version updates it in place: a session still
+		// in the last commit may be copying an older record over such an update.
+		if r.rec.Version() == recVersion(op.version) && sess.tryInPlace(op, r) {
 			return Ok
 		}
-		// Capacity exceeded or tombstoned: read-copy-update.
+		// Capacity exceeded, tombstoned or an older version: read-copy-update.
 	case regFuzzy:
 		return Pending
 	case regDisk:
@@ -285,11 +290,11 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 		// WaitFlush, or a stale view after the commit completed.
 		return sess.rcu(op, r)
 	}
-	// Coarse-grained (App. C): copy only records already below the
-	// safe-read-only marker; for cold records, wait until no pending v
-	// operation can exist (wait-flush or later). A mutable or fuzzy v record
-	// waits.
-	if r.reg == regSafeRO || r.reg == regDisk && phase >= WaitFlush {
+	// Coarse-grained (App. C): copy only records below the safe-read-only
+	// marker, and only once no pending v operation can exist (wait-flush or
+	// later) — one parked on a record in the fuzzy region would otherwise
+	// complete after the copy, over it. A mutable or fuzzy v record waits.
+	if (r.reg == regSafeRO || r.reg == regDisk) && phase >= WaitFlush {
 		return sess.rcu(op, r)
 	}
 	return Pending

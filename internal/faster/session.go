@@ -286,6 +286,7 @@ func (sess *Session) StopSession() {
 // pending requests on prepare entry and demarcating the CPR point on
 // in-progress entry.
 func (sess *Session) Refresh() {
+	epoch.YieldAt(epoch.SiteRefresh)
 	gp, gv := unpackState(sess.store.state.Load())
 	if gv != sess.version {
 		// The previous commit completed since our last refresh (and a new
@@ -375,6 +376,7 @@ func (sess *Session) maybeRefresh() {
 // freelist record that owns copies of its key and input, so the caller may
 // reuse its buffers once the call returns, and queues its cold read, if any.
 func (sess *shardSession) park(op *pendingOp) {
+	epoch.YieldAt(epoch.SitePark)
 	own := sess.owner
 	var p *pendingOp
 	if n := len(own.opFree); n > 0 {
@@ -720,6 +722,7 @@ func (sess *shardSession) queueRead(op *pendingOp) {
 // the appended record's entry is created there: an entry of the tag created
 // meanwhile fails it the same way.
 func (sess *shardSession) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
+	epoch.YieldAt(epoch.SiteInstall)
 	index := sess.store.index
 	addr, rec := sess.store.log.Append(sess.owner.guard, entryAddr(expected), recVersion(version), key, value,
 		max(len(value), 8)) // keep small values in-place updatable

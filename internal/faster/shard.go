@@ -68,7 +68,6 @@ func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics, reco
 		Device:          cfg.Device,
 		Epochs:          em,
 		Metrics:         cfg.Metrics,
-		VerifyReads:     cfg.VerifyReads,
 		Flight:          cfg.Flight,
 		FlightShard:     id,
 	})

@@ -156,10 +156,6 @@ type Config struct {
 	Kind CommitKind
 	// Transfer selects fine- or coarse-grained version transfer.
 	Transfer VersionTransfer
-	// VerifyReads makes cold-record reads fetch and verify the record's whole
-	// log page against its recorded checksum (when known), healing read-path
-	// bit flips by retrying instead of returning corrupt data.
-	VerifyReads bool
 	// Metrics receives the store's instrumentation (and the log's, epoch
 	// manager's and I/O pool's). Defaults to a fresh enabled registry; pass
 	// obs.NewNop() to disable collection. Every name is registered once at any
@@ -183,13 +179,14 @@ type Config struct {
 	// commit makes them live) and ApplyCommitted may advance the visible
 	// state. See internal/repl and Store.Promote.
 	Replica bool
-	// InstantRestore makes Recover serve traffic before the log suffix is
-	// replayed: the store comes up on the recovered commit's index with every
-	// hash bucket cold, a background pass analyzes the suffix once
-	// (page-granular, invalidating post-prefix records), and each bucket's
-	// records are re-linked lazily on first touch or by a background sweeper.
-	// Time-to-first-served-op becomes independent of the log-suffix size;
-	// operations on cold buckets pay a bounded one-time warm-up, and Commit/
+	// InstantRestore makes Recover return before the log suffix is relinked:
+	// the store comes up on the recovered commit's index with every hash
+	// bucket cold, a background pass analyzes the suffix once (page-granular,
+	// invalidating post-prefix records), and each bucket's records are
+	// re-linked lazily on first touch or by a background sweeper. An operation
+	// still waits until that pass has scanned the whole suffix, so
+	// time-to-first-served-op grows with the suffix; what it skips is the
+	// relinking. Operations on cold buckets then pay a one-time warm-up, and Commit/
 	// CompactLog return ErrRestoring until the store is warm (WaitRestored).
 	// Ignored for replicas (their staged-suffix replay is not lazy-safe) and
 	// by Open (nothing to restore). See DESIGN "Instant restore".

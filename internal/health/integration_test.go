@@ -204,7 +204,10 @@ func TestIntegrationCommitStuckIncident(t *testing.T) {
 // TestHealthySoakNoFalsePositives runs a live store through ops and commits
 // with every built-in detector plus the SLO armed and asserts the engine
 // stays silent — the detectors' demand-present/progress-absent shape must
-// not fire on a slow-but-progressing node.
+// not fire on a slow-but-progressing node. The soak loop takes a sample after
+// each round of ops and its commit, on a clock that moves 5 ms a sample: a
+// sampler on a wall-clock ticker could land three samples in a row while a
+// loaded host kept the session off the CPU, and epoch-drain-stuck fired.
 func TestHealthySoakNoFalsePositives(t *testing.T) {
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(1024)
@@ -229,7 +232,8 @@ func TestHealthySoakNoFalsePositives(t *testing.T) {
 		Bundles:   storage.NewMemCheckpointStore(),
 		Flight:    fr,
 	})
-	eng.Start()
+	clock := time.Now().UnixNano()
+	eng.now = func() int64 { return clock }
 
 	var key uint64
 	soakEnd := time.Now().Add(time.Second)
@@ -251,8 +255,9 @@ func TestHealthySoakNoFalsePositives(t *testing.T) {
 			}
 			pump(sess, 8)
 		}
+		clock += int64(5 * time.Millisecond)
+		eng.Tick()
 	}
-	eng.Stop()
 
 	snap := reg.Snapshot()
 	if n := snap.Counters["faster_health_incidents_total"]; n != 0 {

@@ -18,6 +18,8 @@ package hlog
 import (
 	"encoding/binary"
 	"sync/atomic"
+
+	"repro/internal/epoch"
 )
 
 // FirstAddress is the smallest valid logical address. Addresses below it
@@ -228,6 +230,7 @@ func (r RecordRef) LatchedValue(dst []byte) []byte {
 	if hw, k, v, c := shape(r.Header(), &r.words[1]); v <= 8 {
 		return appendWordsAsBytes(dst, r.valueWords(hw, k, c), v)
 	}
+	epoch.YieldAt(epoch.SiteRecordLock)
 	r.Lock()
 	dst = r.Value(dst)
 	r.Unlock()
@@ -251,6 +254,7 @@ func (r RecordRef) SetValue(val []byte) bool {
 		atomic.StoreUint64(&vw[0], binary.LittleEndian.Uint64(val))
 		return true
 	}
+	epoch.YieldAt(epoch.SiteRecordLock)
 	r.Lock()
 	storeBytesAsWords(vw, val)
 	if hw == 2 {
@@ -267,6 +271,7 @@ func (r RecordRef) SetValue(val []byte) bool {
 // on a short-form record, has another length (caller must then fall back to
 // read-copy-update).
 func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool {
+	epoch.YieldAt(epoch.SiteRecordLock)
 	r.Lock()
 	hw, k, v, c := shape(r.Header(), &r.words[1])
 	vw := r.valueWords(hw, k, c)

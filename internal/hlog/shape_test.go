@@ -418,80 +418,75 @@ func TestOldLayoutStillReads(t *testing.T) {
 // TestShortRecordsAtPageTails: 24-byte records leave page tails no 32-byte
 // record did — none (the record ends with the page), 16 bytes, and 8 bytes,
 // less than a lens word's worth of header. The scan, a cold read with a hint
-// shorter than the record or a device that returns the header word alone, and
-// a verified read all find the record before the tail and the one after it.
+// shorter than the record or a device that returns the header word alone all
+// find the record before the tail and the one after it.
 func TestShortRecordsAtPageTails(t *testing.T) {
-	for _, verify := range []bool{false, true} {
-		em := epoch.New()
-		dev := &readCountDevice{Device: storage.NewMemDevice()}
-		l, err := New(Config{PageBits: 12, MemPages: 8, Device: dev, Epochs: em, VerifyReads: verify, Metrics: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
+	em := epoch.New()
+	dev := &readCountDevice{Device: storage.NewMemDevice()}
+	l, err := New(Config{PageBits: 12, MemPages: 8, Device: dev, Epochs: em, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g := em.Acquire()
+	defer g.Release()
+	type placed struct {
+		addr uint64
+		val  []byte
+	}
+	var recs []placed
+	put := func(n int) {
+		val := bytes.Repeat([]byte{byte(len(recs))}, n)
+		rec := mustAppend(t, l, g, uint64(len(recs)), val, n)
+		recs = append(recs, placed{l.Tail() - uint64(rec.Size()), val})
+	}
+	small := uint64(RecordSize(8, 8))
+	tails := map[uint64]uint64{} // page -> bytes left unused at its end
+	for page := uint64(0); page < 3; page++ {
+		if page == 2 {
+			put(16) // one record a word longer shifts the page's tail from 16 bytes to 8
 		}
-		defer l.Close()
-		g := em.Acquire()
-		defer g.Release()
-		type placed struct {
-			addr uint64
-			val  []byte
+		for l.offset(l.Tail())+small <= l.pageSize && l.offset(l.Tail()) != 0 {
+			put(8)
 		}
-		var recs []placed
-		put := func(n int) {
-			val := bytes.Repeat([]byte{byte(len(recs))}, n)
-			rec := mustAppend(t, l, g, uint64(len(recs)), val, n)
-			recs = append(recs, placed{l.Tail() - uint64(rec.Size()), val})
-		}
-		small := uint64(RecordSize(8, 8))
-		tails := map[uint64]uint64{} // page -> bytes left unused at its end
-		for page := uint64(0); page < 3; page++ {
-			if page == 2 {
-				put(16) // one record a word longer shifts the page's tail from 16 bytes to 8
-			}
-			for l.offset(l.Tail())+small <= l.pageSize && l.offset(l.Tail()) != 0 {
-				put(8)
-			}
-			tails[page] = (l.pageSize - l.offset(l.Tail())) % l.pageSize
-			put(8) // the first record of the next page
-		}
-		if tails[0] != 0 || tails[1] != 16 || tails[2] != 8 {
-			t.Fatalf("page tails %v, want 0, 16 and 8 bytes", tails)
-		}
-		l.ShiftReadOnlyTo(l.Tail())
-		g.Refresh()
-		l.WaitDurable(l.Tail())
+		tails[page] = (l.pageSize - l.offset(l.Tail())) % l.pageSize
+		put(8) // the first record of the next page
+	}
+	if tails[0] != 0 || tails[1] != 16 || tails[2] != 8 {
+		t.Fatalf("page tails %v, want 0, 16 and 8 bytes", tails)
+	}
+	l.ShiftReadOnlyTo(l.Tail())
+	g.Refresh()
+	l.WaitDurable(l.Tail())
 
-		i := 0
-		if err := l.Scan(FirstAddress, l.Tail(), func(addr uint64, rec RecordRef) bool {
-			if addr != recs[i].addr || !rec.KeyEquals(key64(uint64(i))) || !bytes.Equal(rec.Value(nil), recs[i].val) {
-				t.Fatalf("verify %v: scan delivered #%d at %d (key %x), written at %d", verify, i, addr, rec.Key(nil), recs[i].addr)
-			}
-			i++
-			return true
-		}); err != nil || i != len(recs) {
-			t.Fatalf("verify %v: scan delivered %d of %d records, err %v", verify, i, len(recs), err)
+	i := 0
+	if err := l.Scan(FirstAddress, l.Tail(), func(addr uint64, rec RecordRef) bool {
+		if addr != recs[i].addr || !rec.KeyEquals(key64(uint64(i))) || !bytes.Equal(rec.Value(nil), recs[i].val) {
+			t.Fatalf("scan delivered #%d at %d (key %x), written at %d", i, addr, rec.Key(nil), recs[i].addr)
 		}
+		i++
+		return true
+	}); err != nil || i != len(recs) {
+		t.Fatalf("scan delivered %d of %d records, err %v", i, len(recs), err)
+	}
 
-		cr := new(ColdRead)
-		for i, r := range recs {
-			atTail := i+1 < len(recs) && l.page(recs[i+1].addr) != l.page(r.addr)
-			if !atTail && i > 0 && l.page(recs[i-1].addr) == l.page(r.addr) {
-				continue // only the records on either side of a page boundary
-			}
-			for _, short := range []int64{0, 8, 16} {
-				l.readHint.Store(uint32(short)) // at most the header and one more word
-				dev.shortAt.Store(short)
-				key, val, reads := fetch(t, l, dev, cr, r.addr)
-				if key != uint64(i) || !bytes.Equal(val, r.val) {
-					t.Fatalf("verify %v: cold read at %d (hint and device cut %d) gave key %d value %x", verify, r.addr, short, key, val)
-				}
-				if want := int64(2); !verify && reads != want {
-					t.Fatalf("cold read at %d with a %d-byte hint took %d device reads, want %d", r.addr, short, reads, want)
-				}
-			}
-			dev.shortAt.Store(0)
+	cr := new(ColdRead)
+	for i, r := range recs {
+		atTail := i+1 < len(recs) && l.page(recs[i+1].addr) != l.page(r.addr)
+		if !atTail && i > 0 && l.page(recs[i-1].addr) == l.page(r.addr) {
+			continue // only the records on either side of a page boundary
 		}
-		if verify && l.verifiedReads.Value() == 0 {
-			t.Fatal("no read was served from a verified page")
+		for _, short := range []int64{0, 8, 16} {
+			l.readHint.Store(uint32(short)) // at most the header and one more word
+			dev.shortAt.Store(short)
+			key, val, reads := fetch(t, l, dev, cr, r.addr)
+			if key != uint64(i) || !bytes.Equal(val, r.val) {
+				t.Fatalf("cold read at %d (hint and device cut %d) gave key %d value %x", r.addr, short, key, val)
+			}
+			if want := int64(2); reads != want {
+				t.Fatalf("cold read at %d with a %d-byte hint took %d device reads, want %d", r.addr, short, reads, want)
+			}
 		}
+		dev.shortAt.Store(0)
 	}
 }

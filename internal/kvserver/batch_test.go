@@ -105,7 +105,7 @@ func TestBatchRoundTrip(t *testing.T) {
 // them transparently and in order.
 func TestBatchReplySplit(t *testing.T) {
 	_, addr, _ := startServerTuned(t, smallCfg(), func(s *Server) {
-		s.CoalesceBytes = 64 // a few reply entries per frame
+		s.replyBytes = 64 // a few reply entries per frame
 	})
 	c, err := Dial(addr, "")
 	if err != nil {

@@ -43,7 +43,7 @@ type replayConn struct {
 
 func newReplayConn(srv *Server, sess *faster.Session, raw []byte, frames int) *replayConn {
 	rd := bytes.NewReader(raw)
-	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
+	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.replyBytes)}
 	cs.br = bufio.NewReaderSize(rd, 32<<10)
 	cs.store, cs.om, _ = srv.backend() // what a Hello binds
 	cs.readCB = func(v []byte, st faster.Status) {

@@ -78,7 +78,7 @@ var (
 // TestGoldenServerBytes: a real server, spoken to in spelled-out bytes,
 // answers in spelled-out bytes.
 func TestGoldenServerBytes(t *testing.T) {
-	_, addr, _ := startServerTuned(t, smallCfg(), func(s *Server) { s.CoalesceBytes = 40 })
+	_, addr, _ := startServerTuned(t, smallCfg(), func(s *Server) { s.replyBytes = 40 })
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -63,38 +63,22 @@ type Server struct {
 	// -health-interval is on). Set before Serve.
 	Health func() *health.Verdict
 
-	// CoalesceBytes / CoalesceOps bound per-connection write coalescing (the
-	// MaxSyncLag idiom applied to reply frames): buffered replies are flushed
-	// to the socket when either the byte or reply-count cap is exceeded, and
-	// always before the connection blocks waiting for more requests — so a
-	// reply's lag behind its request is bounded by the pipeline the client
-	// itself keeps in flight. Zero means the defaults. Set before Serve.
-	CoalesceBytes int
-	CoalesceOps   int
+	// replyBytes is the reply buffer's byte cap, DefaultCoalesceBytes; tests
+	// shrink it to split a batch's replies over several frames.
+	replyBytes int
 
 	stopAuto chan struct{}
 }
 
-// Write-coalescing defaults: flush the reply buffer beyond 64KiB or 128
-// reply frames, whichever trips first.
+// Per-connection write coalescing (the MaxSyncLag idiom applied to reply
+// frames): buffered replies are flushed to the socket beyond 64 KiB or 128
+// reply frames, whichever trips first, and always before the connection blocks
+// waiting for more requests — so a reply's lag behind its request is bounded by
+// the pipeline the client itself keeps in flight.
 const (
 	DefaultCoalesceBytes = 64 << 10
 	DefaultCoalesceOps   = 128
 )
-
-func (s *Server) coalesceBytes() int {
-	if s.CoalesceBytes > 0 {
-		return s.CoalesceBytes
-	}
-	return DefaultCoalesceBytes
-}
-
-func (s *Server) coalesceOps() int {
-	if s.CoalesceOps > 0 {
-		return s.CoalesceOps
-	}
-	return DefaultCoalesceOps
-}
 
 // ReplicaBackend is the read-only view a replica-mode server serves from
 // (implemented by repl.Replica). Its methods must be internally synchronized
@@ -116,11 +100,12 @@ type ReplicaBackend interface {
 // NewServer wraps an open store.
 func NewServer(store *faster.Store) *Server {
 	return &Server{
-		store:    store,
-		conns:    make(map[net.Conn]bool),
-		om:       resolveOpMetrics(store.Metrics()),
-		Logger:   log.New(os.Stderr, "kvserver: ", log.LstdFlags),
-		stopAuto: make(chan struct{}),
+		store:      store,
+		conns:      make(map[net.Conn]bool),
+		om:         resolveOpMetrics(store.Metrics()),
+		Logger:     log.New(os.Stderr, "kvserver: ", log.LstdFlags),
+		stopAuto:   make(chan struct{}),
+		replyBytes: DefaultCoalesceBytes,
 	}
 }
 
@@ -364,7 +349,7 @@ func (s *Server) handle(conn net.Conn) {
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 32<<10),
 	}
-	cs.bw = bufio.NewWriterSize(conn, s.coalesceBytes())
+	cs.bw = bufio.NewWriterSize(conn, s.replyBytes)
 	cs.readCB = func(v []byte, st faster.Status) {
 		cs.pendVal = append(cs.pendVal[:0], v...)
 		cs.pendSt = st
@@ -416,7 +401,7 @@ func (s *Server) handle(conn net.Conn) {
 	var at obs.ActiveTrace // per-connection scratch; armed per request by Begin
 	for {
 		// Coalescing invariant: replies may lag their requests by at most
-		// CoalesceOps frames / CoalesceBytes bytes while more requests are
+		// DefaultCoalesceOps frames / replyBytes bytes while more requests are
 		// already buffered (a pipelining client), and never lag past a quiet
 		// boundary — the buffer is always flushed before blocking for input.
 		if cs.br.Buffered() == 0 {
@@ -436,7 +421,7 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				return
 			}
-		} else if cs.unflushed >= s.coalesceOps() || cs.bw.Buffered() >= s.coalesceBytes() {
+		} else if cs.unflushed >= DefaultCoalesceOps || cs.bw.Buffered() >= s.replyBytes {
 			if err := s.flushConn(cs); err != nil {
 				return
 			}
@@ -686,7 +671,7 @@ func (s *Server) execBatch(cs *connState, sess *faster.Session, payload []byte, 
 	start := time.Now()
 	tBatch := start.UnixNano()
 	at.Span(obs.SpanDecode, tRecv, tBatch, uint64(r.count), 0, "")
-	byteCap := s.coalesceBytes()
+	byteCap := s.replyBytes
 	reply := openBatchReply(cs.reply)
 	count := 0 // entries in the current reply run
 	sent := 0  // reply frames already emitted (split batches)

@@ -158,7 +158,7 @@ func TestFailedCallSticksUntilReconnect(t *testing.T) {
 // later single-op calls, and is overwritten only by that pipeline's next Flush.
 func TestBatchValuesOutliveSplitReply(t *testing.T) {
 	_, addr, _ := startServerTuned(t, smallCfg(), func(s *Server) {
-		s.CoalesceBytes = 256 // a dozen reply entries per frame
+		s.replyBytes = 256 // a dozen reply entries per frame
 	})
 	c, err := Dial(addr, "")
 	if err != nil {
