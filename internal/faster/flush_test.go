@@ -373,91 +373,3 @@ func TestEnterPrepareRefreshesWhileLatched(t *testing.T) {
 		}
 	}
 }
-
-// TestReadsWhilePagesAreEvicted: one writer upserts fresh keys k with value k
-// while four readers read keys whose records lie 6–8 pages behind the tail, on
-// 4 KiB pages and 8 frames — the pages whose frames the writer takes next. A
-// read of a written key must find it, with its value, wherever the record is:
-// in its frame or, through a cold read, on the device. A head that passes the
-// durable offset sends cold reads to bytes the flush has not written yet; a
-// frame reused before every session that may still read it has refreshed hands
-// a reader the records of another page.
-func TestReadsWhilePagesAreEvicted(t *testing.T) {
-	const (
-		readers = 4
-		runFor  = 3 * time.Second
-		perPage = 4096 / 24 // 24-byte records: an 8-byte key and an 8-byte value
-	)
-	n := testShardCount(1)
-	devs := make([]*storage.MemDevice, n)
-	for i := range devs {
-		devs[i] = storage.NewMemDevice()
-	}
-	s, err := Open(Config{Shards: n, IndexBuckets: 1 << 16, PageBits: 12, MemPages: 8 * n,
-		Checkpoints:   storage.NewMemCheckpointStore(),
-		DeviceFactory: func(i int) (storage.Device, error) { return devs[i], nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var written atomic.Uint64 // keys [0, written) are in the store
-	var stop atomic.Bool
-	var notFound, wrongHot, wrongCold atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sess := s.StartSession()
-		defer sess.StopSession()
-		var kb [8]byte
-		for k := uint64(0); !stop.Load(); k++ {
-			binary.LittleEndian.PutUint64(kb[:], k)
-			if st := sess.Upsert(kb[:], kb[:]); st == Pending {
-				sess.CompletePending(true)
-			}
-			written.Store(k + 1)
-		}
-	}()
-	from, to := uint64(8*perPage*n), uint64(6*perPage*n) // behind the newest key
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			sess := s.StartSession()
-			defer sess.StopSession()
-			var kb [8]byte
-			for i := uint64(r); !stop.Load(); i++ {
-				w := written.Load()
-				if w < from {
-					sess.Refresh() // the writer's page turns wait for every session's epoch
-					runtime.Gosched()
-					continue
-				}
-				k := w - from + i*7919%(from-to)
-				binary.LittleEndian.PutUint64(kb[:], k)
-				v, st := sess.Read(kb[:], func(v []byte, st Status) {
-					if st != Ok || len(v) != 8 || binary.LittleEndian.Uint64(v) != k {
-						wrongCold.Add(1)
-					}
-				})
-				switch {
-				case st == NotFound:
-					notFound.Add(1)
-				case st == Ok && (len(v) != 8 || binary.LittleEndian.Uint64(v) != k):
-					wrongHot.Add(1)
-				}
-				if i%32 == 0 {
-					sess.CompletePending(false)
-				}
-			}
-			sess.CompletePending(true)
-		}(r)
-	}
-	time.Sleep(runFor)
-	stop.Store(true)
-	wg.Wait()
-	if a, b, c := notFound.Load(), wrongHot.Load(), wrongCold.Load(); a+b+c != 0 {
-		t.Fatalf("%d keys written: %d reads of a written key found nothing, %d read a wrong value in memory, %d through a cold read",
-			written.Load(), a, b, c)
-	}
-}
