@@ -159,10 +159,3 @@ func (c *Coordinator[P]) Points() map[P]uint64 {
 	}
 	return out
 }
-
-// Participants returns the current participant count.
-func (c *Coordinator[P]) Participants() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.participants)
-}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/hashfn"
 	"repro/internal/obs"
 )
 
@@ -110,4 +112,52 @@ func all(bs []bool) bool {
 		}
 	}
 	return true
+}
+
+// TestPrepareOpUnderLaggingLatch: in prepare, an op's shared latch can fail
+// against an exclusive latch a session still in the previous commit holds.
+// That is no CPR shift — the store has not reached in-progress — so the op
+// stays in v, and so do the ones after it: the point the session demarcates
+// covers them all.
+func TestPrepareOpUnderLaggingLatch(t *testing.T) {
+	s, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, b := s.StartSession(), s.StartSession()
+	defer a.StopSession()
+	defer b.StopSession()
+	idx := s.shards[0].index
+	h := hashfn.Hash64(key(7))
+	if !idx.tryExclusiveLatch(h) {
+		t.Fatal("exclusive latch taken")
+	}
+	token, err := s.Commit(CommitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Refresh() // a acknowledges prepare; b has not, so the store stays there
+	if a.phase != Prepare || s.Phase() != Prepare {
+		t.Fatalf("a in %v, store in %v", a.phase, s.Phase())
+	}
+	time.AfterFunc(5*time.Millisecond, func() { idx.releaseExclusiveLatch(h) })
+	for k := uint64(7); k < 10; k++ {
+		if st := a.Upsert(key(k), u64(k)); st != Ok {
+			t.Fatalf("upsert %d: %v", k, st)
+		}
+	}
+	for turn := 0; ; turn++ {
+		if res, ok := s.TryResult(token); ok {
+			if got := res.Serials[a.ID()]; res.Err != nil || got != 3 {
+				t.Fatalf("a's point %d (%v), want 3: its ops in prepare belong to the commit", got, res.Err)
+			}
+			return
+		}
+		if turn > 1_000_000 {
+			t.Fatalf("commit stuck in %v", s.Phase())
+		}
+		a.Refresh()
+		b.Refresh()
+	}
 }

@@ -241,14 +241,18 @@ func (sess *shardSession) markCounted(op *pendingOp) {
 
 // shiftDetected implements the CPR_SHIFT_DETECTED path of Alg. 4: release
 // any latch, remember that this serial belongs to v+1, refresh (entering
-// in-progress), and retry the op as a v+1 operation.
+// in-progress), and retry the op as a v+1 operation. A refresh that leaves the
+// session in prepare found no shift — the exclusive latch is a session's still
+// in the previous commit — and the op retries in v.
 func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 	if op.latched {
 		sess.store.index.releaseSharedLatch(op.hash)
 		op.latched = false
 	}
 	sess.owner.abortedSerial = op.serial
-	sess.owner.Refresh()
+	if sess.owner.Refresh(); sess.owner.phase < InProgress {
+		sess.owner.abortedSerial = 0
+	}
 	op.version = sess.owner.targetVersion()
 	return statusRetry
 }

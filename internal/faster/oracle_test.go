@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,16 +25,18 @@ import (
 	"repro/internal/storage"
 )
 
-// The oracle checks the live half of the CPR contract (DESIGN "Checking the
-// contract"): a seed draws sessions, a committer, a compactor between device
-// read outages and each hook decision; every operation's invocation and
-// acknowledgement is a tick of one clock, and the history is checked against a
-// model written from the definitions — even keys counters (RMW only), odd keys
-// last-write registers. The threads are real: a rerun of a seed explores the
-// neighbourhood of an interleaving rather than replaying it.
+// The oracle checks the CPR contract (DESIGN "Checking the contract"): a seed
+// draws sessions, a committer, a compactor between device read outages and
+// each hook decision; every operation's invocation and acknowledgement is a
+// tick of one clock, and the history is checked against a model written from
+// the definitions — even keys counters (RMW only), odd keys last-write
+// registers. That is the live half; the crash half recovers images of the run
+// and checks them against the model cut at each session's recovered point.
+// The threads are real: a rerun of a seed explores the neighbourhood of an
+// interleaving rather than replaying it.
 
-// pinnedSeeds fail, 10 runs of 10, with a race this store had put back
-// (EXPERIMENTS "The seeded oracle").
+// pinnedSeeds fail, 10 runs of 10, with a bug this store had put back
+// (EXPERIMENTS "The seeded oracle" and "The oracle's crash half").
 var pinnedSeeds = []struct {
 	bug  string
 	seed int64
@@ -42,12 +45,17 @@ var pinnedSeeds = []struct {
 	{"eviction-edge-read", 103},
 	{"dropped-parked-write", 14},
 	{"begin-inside-a-record", 13},
+	{"invalid-record-relinked", 33},
+	{"record-before-durable", 17},
+	{"damaged-newest-fails-recovery", 22},
+	{"recovered-token-reused", 9},
+	{"no-whole-commit-error", 10},
 }
 
-// sweepLen seeds run after the pinned ones; each run of TestOracle takes the
-// next block, so -count=n sweeps n blocks. A seed named in -run
-// (TestOracle/seed=N) runs alone, whatever block it is in.
-const sweepLen = 4
+// sweepLen seeds, from sweepFrom on, run after the pinned ones; each run of
+// TestOracle takes the next block, so -count=n sweeps n blocks. A seed named
+// in -run (TestOracle/seed=N) runs alone, whatever block it is in.
+const sweepFrom, sweepLen = 5, 4
 
 var (
 	sweepBlock int
@@ -58,7 +66,7 @@ func TestOracle(t *testing.T) {
 	for _, p := range pinnedSeeds {
 		t.Run(p.bug, func(t *testing.T) { runOracle(t, p.seed, p.bug) })
 	}
-	first := int64(len(pinnedSeeds) + sweepBlock*sweepLen + 1)
+	first := int64(sweepFrom + sweepBlock*sweepLen)
 	last := first + sweepLen - 1
 	sweepBlock++
 	if m := seedInRun.FindStringSubmatch(flag.Lookup("test.run").Value.String()); m != nil {
@@ -116,24 +124,34 @@ func drawOracleRun(seed int64) oracleRun {
 
 // oracleEvent is one operation of a session's history: for a counter, val is
 // an RMW's delta or a read's sum; for a register, a write's id or a read's, 0
-// meaning absent. inv and ack are ticks of the run's clock.
+// meaning absent. inv and ack are ticks of the run's clock; serial is the
+// op's serial in its session.
 type oracleEvent struct {
 	kind     opKind
 	st       Status
 	key, val uint64
 	inv, ack uint64
+	serial   uint64
 }
 
 // scheduler is the hook the sites call. Step n hashes (seed, n) to carry on,
-// yield once, or step aside until the others have taken up to 64 steps.
+// yield once, or step aside until the others have taken up to 64 steps; at a
+// step of crashAt it calls crash first.
 type scheduler struct {
-	seed  uint64
-	rate  [epoch.NumSites]uint64
-	steps atomic.Uint64
+	seed    uint64
+	rate    [epoch.NumSites]uint64
+	steps   atomic.Uint64
+	crashAt []uint64
+	crash   func(step uint64)
 }
 
 func (s *scheduler) at(site epoch.Site) {
 	n := s.steps.Add(1)
+	for _, c := range s.crashAt {
+		if c == n {
+			s.crash(n)
+		}
+	}
 	r := rand.NewPCG(s.seed, n).Uint64()
 	if r%1000 >= s.rate[site] {
 		return
@@ -231,6 +249,7 @@ func (c *oracleSession) read(k uint64) {
 			c.fail("key %d reads a torn or foreign value %x", k, v)
 		}
 	})
+	c.hist[pos].serial = c.sess.Serial()
 	if parked = st == Pending; parked {
 		if c.parked++; c.parked >= c.o.maxParked && c.complete() != 0 {
 			c.fail("session %d: CompletePending reported failures beyond its parked reads'", c.w)
@@ -248,6 +267,7 @@ func (c *oracleSession) write(kind opKind, k, val uint64, value []byte) {
 	default:
 		ev.st = c.sess.Delete(key(k))
 	}
+	ev.serial = c.sess.Serial()
 	if ev.st == Pending {
 		// A parked write has no callback: complete it now, so CompletePending's
 		// count names it. A delete's Ok or NotFound leaves the key absent.
@@ -286,18 +306,59 @@ func decode(k uint64, v []byte) (val uint64, ok bool) {
 func runOracle(t *testing.T, seed int64, name string) {
 	o := drawOracleRun(seed)
 	o.shards = testShardCount(1)
-	var down, done atomic.Bool
+	cd := drawCrash(seed, o)
+	var down, done, release atomic.Bool
 	var faults atomic.Int64
 	fr := obs.NewFlightRecorder(1 << 12)
-	sched := &scheduler{seed: uint64(seed), rate: o.yieldPerMille}
+
+	// The crash half's images: the checkpoint store, then the devices, cloned
+	// at the drawn hook steps and at the drawn artifact boundary.
+	memCk, memDevs := storage.NewMemCheckpointStore(), make([]*storage.MemDevice, o.shards)
+	fc := storage.FaultConfig{Seed: uint64(seed)}
+	if cd.faults {
+		fc.ReadErrorRate, fc.WriteErrorRate, fc.TornWriteRate = 0.002, 0.002, 0.001
+	}
+	inj := storage.NewInjector(fc)
+	var imgMu sync.Mutex
+	var images []crashImage
+	imaging, stepTaken := true, map[uint64]bool{}
+	image := func(step uint64, at, torn string) {
+		imgMu.Lock()
+		defer imgMu.Unlock()
+		if imaging && !stepTaken[step] {
+			images = append(images, takeImage(at, torn, memCk, memDevs))
+		}
+		if step != 0 {
+			stepTaken[step] = true
+		}
+	}
+	var boundaryTaken atomic.Bool
+	for c := cd.commit; c < cd.commit+8; c++ {
+		tok := fmt.Sprintf("ckpt-%06d", c)
+		art := storage.RecordName(tok)
+		if cd.artifact != "record" {
+			art = blobName(cd.artifact, tok, cd.shard)
+		}
+		torn, point := "", cd.boundary+":"+art
+		if cd.boundary == "torn" {
+			torn = art
+		}
+		inj.Arm(point, func() {
+			if boundaryTaken.CompareAndSwap(false, true) {
+				image(0, point, torn)
+			}
+		})
+	}
+
+	sched := &scheduler{seed: uint64(seed), rate: o.yieldPerMille, crashAt: cd.steps,
+		crash: func(n uint64) { image(n, fmt.Sprintf("hook step %d", n), "") }}
 	epoch.SetYieldHook(sched.at)
 	defer epoch.SetYieldHook(nil)
-	s, err := Open(Config{Shards: o.shards, IndexBuckets: o.buckets * o.shards, PageBits: 12, MemPages: o.memPages * o.shards,
-		Transfer: o.transfer, Flight: fr, DeviceFactory: func(int) (storage.Device, error) {
-			dev := storage.NewMemDevice()
-			dev.WriteBandwidth = o.writeBW
-			return outageDevice{dev, &down, &faults}, nil
-		}})
+	s, err := Open(o.config(fr, storage.NewFaultCheckpointStore(memCk, inj), func(i int) storage.Device {
+		memDevs[i] = storage.NewMemDevice()
+		memDevs[i].WriteBandwidth = o.writeBW
+		return outageDevice{storage.NewFaultDevice(memDevs[i], inj), &down, &faults}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,20 +372,29 @@ func runOracle(t *testing.T, seed int64, name string) {
 		mu.Unlock()
 	}
 	var clock atomic.Uint64
-	var sessions, others sync.WaitGroup
+	var ran, sessions, others sync.WaitGroup
 	clients := make([]*oracleSession, o.sessions)
 	for w := range clients {
 		c := &oracleSession{o: &o, sess: s.StartSession(), w: w, clock: &clock, fail: fail,
 			rng: rand.New(rand.NewPCG(uint64(seed), uint64(w)+1))}
 		clients[w] = c
+		ran.Add(1)
 		sessions.Add(1)
 		go func() {
 			defer sessions.Done()
 			c.run()
+			ran.Done()
+			// A stopped session leaves the commits that follow: it stays until
+			// the last image is taken, so every image has every session's point.
+			for !release.Load() {
+				c.sess.Refresh()
+				time.Sleep(20 * time.Microsecond)
+			}
 			c.sess.StopSession()
 		}()
 	}
 	commits, compactions := 0, 0
+	committed := map[string]map[string]uint64{} // by token, the points the committer saw
 	others.Add(2)
 	go func() { // the committer
 		defer others.Done()
@@ -345,10 +415,12 @@ func runOracle(t *testing.T, seed int64, name string) {
 					}
 					points[id] = p
 				}
-				err = res.Err
+				if err = res.Err; err == nil {
+					committed[token] = res.Serials
+				}
 				commits++
 			}
-			if err != nil && !errors.Is(err, ErrCommitInProgress) && !errors.Is(err, errOutage) {
+			if err != nil && !errors.Is(err, ErrCommitInProgress) && !errors.Is(err, errOutage) && !storage.IsTransient(err) {
 				fail("commit: %v", err) // a capture may read the device, and fail in an outage
 			}
 			time.Sleep(time.Duration(r.Int64N(int64(o.commitGap) + 1)))
@@ -376,6 +448,17 @@ func runOracle(t *testing.T, seed int64, name string) {
 			c.StopSession()
 		}
 	}()
+	ran.Wait()
+	imgMu.Lock()
+	for _, n := range cd.steps { // a step the run did not reach crashes now
+		if !stepTaken[n] {
+			images = append(images, takeImage(fmt.Sprintf("hook step %d, after the last op", n), "", memCk, memDevs))
+			stepTaken[n] = true
+		}
+	}
+	imaging = false
+	imgMu.Unlock()
+	release.Store(true)
 	sessions.Wait()
 	done.Store(true)
 	others.Wait()
@@ -396,16 +479,31 @@ func runOracle(t *testing.T, seed int64, name string) {
 		problems = append(problems, checkIndex(sh)...)
 	}
 	var hist []oracleEvent
+	x := &crashCheck{t: t, o: &o, seed: seed, fr: fr, committed: committed}
 	errs := 0
 	for _, c := range clients {
 		hist, errs = append(hist, c.hist...), errs+c.errs
+		x.ids, x.hist = append(x.ids, c.sess.ID()), append(x.hist, c.hist)
 	}
 	if errs > 0 && faults.Load() == 0 {
 		fail("%d operations ended in Error, and the device failed none of its reads", errs)
 	}
 	problems = append(problems, checkHistory(hist, final)...)
+	// A write that fails publishes nothing: every artifact is whole.
+	names, _ := memCk.List()
+	for _, n := range names {
+		if err := storage.ReadArtifactStream(memCk, n, nil); err != nil {
+			fail("artifact %s: %v", n, err)
+		}
+	}
 
-	t.Logf("%d ops, %d commits, %d compactions, %d device faults, %d hook steps", len(hist), commits, compactions, faults.Load(), sched.steps.Load())
+	for i, img := range images {
+		for _, p := range x.check(i, img) {
+			fail("image %d (%s): %s", i, img.at, p)
+		}
+	}
+
+	t.Logf("%d ops, %d commits, %d compactions, %d device faults, %d hook steps, %d crash images", len(hist), commits, compactions, faults.Load(), sched.steps.Load(), len(images))
 	if len(problems) == 0 {
 		return
 	}
@@ -414,8 +512,15 @@ func runOracle(t *testing.T, seed int64, name string) {
 	for _, e := range evs[max(len(evs)-40, 0):] {
 		fmt.Fprintf(&b, "\n  %s", e.Describe())
 	}
-	t.Errorf("%d problems, the first:\n  %s\ndraw: %+v\nreplay: FASTER_TEST_SHARDS=%d go test -run 'TestOracle/%s$' ./internal/faster/\nthe flight recorder's last events:%s",
-		len(problems), strings.Join(problems[:min(len(problems), 12)], "\n  "), o, o.shards, name, b.String())
+	t.Errorf("%d problems, the first:\n  %s\ndraw: %+v\ncrash draw: %+v\nreplay: FASTER_TEST_SHARDS=%d go test -run 'TestOracle/%s$' ./internal/faster/\nthe flight recorder's last events:%s",
+		len(problems), strings.Join(problems[:min(len(problems), 12)], "\n  "), o, cd, o.shards, name, b.String())
+}
+
+// config is the run's store over ckpts and the devices device makes.
+func (o *oracleRun) config(fr *obs.FlightRecorder, ckpts storage.CheckpointStore, device func(int) storage.Device) Config {
+	return Config{Shards: o.shards, IndexBuckets: o.buckets * o.shards, PageBits: 12, MemPages: o.memPages * o.shards,
+		Transfer: o.transfer, Flight: fr, Checkpoints: ckpts,
+		DeviceFactory: func(i int) (storage.Device, error) { return device(i), nil }}
 }
 
 // checkHistory checks every read and final value against the model: a
@@ -501,6 +606,340 @@ func checkIndex(sh *shard) (bad []string) {
 			} else {
 				b = nil
 			}
+		}
+	}
+	return bad
+}
+
+// crashDraw is a seed's crash half. It comes from a stream of its own, so the
+// live draw of a seed does not depend on it.
+type crashDraw struct {
+	steps              []uint64 // hook steps at which an image is taken
+	boundary, artifact string   // before, torn or after; record, index or snapshot ...
+	commit, shard      int      // ... of the first of commits [commit, commit+8) to write one
+	faults             bool     // transient errors and torn writes on the devices and the checkpoint store
+}
+
+func drawCrash(seed int64, o oracleRun) crashDraw {
+	r := rand.New(rand.NewPCG(uint64(seed), 1<<34))
+	d := crashDraw{
+		boundary: []string{"before", "torn", "after"}[r.IntN(3)],
+		artifact: []string{"record", "record", "index", "snapshot"}[r.IntN(4)],
+		commit:   1 + r.IntN(12),
+		shard:    r.IntN(o.shards),
+		faults:   r.IntN(2) == 0,
+	}
+	for range 1 + r.IntN(3) {
+		d.steps = append(d.steps, 1+r.Uint64N(uint64(2*o.sessions*o.ops)))
+	}
+	return d
+}
+
+// crashImage is what a killed process leaves: the checkpoint store cloned
+// before the devices, so a record in it has its log data beside it.
+type crashImage struct {
+	at    string // the hook step or crash point
+	torn  string // the artifact the crash point tore, if any
+	ckpts *storage.MemCheckpointStore
+	devs  []*storage.MemDevice
+}
+
+func takeImage(at, torn string, ckpts *storage.MemCheckpointStore, devs []*storage.MemDevice) crashImage {
+	ck := ckpts.Clone() // first
+	return crashImage{at: at, torn: torn, ckpts: ck, devs: cloneDevs(devs)}
+}
+
+// crashCheck holds what every image of a run is checked against.
+type crashCheck struct {
+	t         *testing.T
+	o         *oracleRun
+	seed      int64
+	fr        *obs.FlightRecorder
+	ids       []string                     // by session
+	hist      [][]oracleEvent              // by session
+	committed map[string]map[string]uint64 // by token, the points the committer saw
+}
+
+// recover recovers a private copy of img in the given mode; arm, if set, arms
+// a crash point on the copy's checkpoint store.
+func (x *crashCheck) recover(img crashImage, instant bool, arm func(*storage.Injector, crashImage)) (*Store, *RecoveryReport, crashImage, error) {
+	cp := crashImage{ckpts: img.ckpts.Clone(), devs: cloneDevs(img.devs)}
+	inj := storage.NewInjector(storage.FaultConfig{})
+	if arm != nil {
+		arm(inj, cp)
+	}
+	cfg := x.o.config(x.fr, storage.NewFaultCheckpointStore(cp.ckpts, inj), func(i int) storage.Device { return cp.devs[i] })
+	cfg.InstantRestore = instant
+	s, rep, err := RecoverWithReport(cfg)
+	if err == nil && (rep.Instant != instant || s.RecoveryReport() != rep) {
+		err = fmt.Errorf("report %+v (instant: %v), the store's %+v", rep, instant, s.RecoveryReport())
+		s.Close()
+	}
+	return s, rep, cp, err
+}
+
+// damage damages img as r draws and says what recovering it must give: want,
+// the newest commit the image holds whole ("" if none), over skip, the damaged
+// newer ones, and whether an error carries the damage.
+func (x *crashCheck) damage(img crashImage, r *rand.Rand) (tokens []string, want string, skip, damaged []string, faultIn func(error) bool) {
+	names, _ := img.ckpts.List()
+	tokens, _ = storage.RecordTokens(names) // newest first
+	named := map[string][]string{}          // by token, the record and the blobs it names
+	for _, tok := range tokens {
+		named[tok] = []string{storage.RecordName(tok)}
+		if rec, err := loadRecord(img.ckpts, tok); err == nil {
+			named[tok] = append(named[tok], rec.blobs()...)
+		}
+	}
+	hit := map[string]bool{}
+	if img.torn != "" {
+		hit[img.torn] = true
+	}
+	faultIn = func(err error) bool { return errors.Is(err, storage.ErrCorruptArtifact) }
+	if len(tokens) > 0 && !hit[named[tokens[0]][0]] {
+		switch arts := named[tokens[0]]; r.IntN(4) {
+		case 2: // one bit of the newest record or of a blob it names
+			n := arts[r.IntN(len(arts))]
+			raw, _ := storage.ReadArtifact(img.ckpts, n)
+			raw[r.IntN(len(raw))] ^= 1 << r.IntN(8)
+			putRaw(x.t, img.ckpts, n, raw)
+			hit[n] = true
+		case 3: // an index image that verifies and does not decode
+			if n := arts[r.IntN(len(arts))]; strings.HasPrefix(n, "index-") {
+				bad := badImages(goldenIndex(x.t))
+				kinds := sortedKeys(bad)
+				if err := storage.WriteArtifactChecked(img.ckpts, n, bad[kinds[r.IntN(len(kinds))]]); err != nil {
+					x.t.Fatal(err)
+				}
+				hit[n] = true
+				// The index decoder has no sentinel error; the store names the artifact.
+				faultIn = func(err error) bool { return strings.Contains(fmt.Sprint(err), n) }
+			}
+		}
+	}
+	for _, tok := range tokens {
+		if !slices.ContainsFunc(named[tok], func(n string) bool { return hit[n] }) {
+			return tokens, tok, skip, sortedKeys(hit), faultIn
+		}
+		skip = append(skip, tok)
+	}
+	return tokens, "", skip, sortedKeys(hit), faultIn
+}
+
+// check damages img as the seed draws, recovers it, checks the recovered
+// store against the history cut at each session's recovered point, crashes it
+// again before any commit and recovers that image in every mode.
+func (x *crashCheck) check(i int, img crashImage) (bad []string) {
+	r := rand.New(rand.NewPCG(uint64(x.seed), 1<<35+uint64(i)))
+	tokens, want, skip, damaged, faultIn := x.damage(img, r)
+	instant := r.IntN(2) == 0
+	var secondMu sync.Mutex
+	var second *crashImage
+	take := func(at string, cp crashImage) {
+		secondMu.Lock()
+		if second == nil {
+			im := takeImage(at, "", cp.ckpts, cp.devs)
+			second = &im
+		}
+		secondMu.Unlock()
+	}
+	var arm func(*storage.Injector, crashImage)
+	if amend := []string{"", "before:", "after:"}[r.IntN(3)]; amend != "" && want != "" {
+		// The recovery amends its record before it writes invalid bits.
+		arm = func(inj *storage.Injector, cp crashImage) {
+			point := amend + storage.RecordName(want)
+			inj.Arm(point, func() { take(point, cp) })
+		}
+	}
+	s, rep, cp, err := x.recover(img, instant, arm)
+	switch {
+	case len(tokens) == 0 || want == "":
+		if err == nil {
+			s.Close()
+		}
+		if len(tokens) == 0 && !errors.Is(err, ErrNoCheckpoint) {
+			bad = append(bad, fmt.Sprintf("no commit record in the image, and recovery says %v", err))
+		} else if len(tokens) > 0 && (err == nil || !faultIn(err)) {
+			bad = append(bad, fmt.Sprintf("damaged %v, no whole commit left, and recovery says %v", damaged, err))
+		}
+		return bad
+	case err != nil:
+		return append(bad, fmt.Sprintf("recovery (instant: %v): %v; want %s, damaged %v", instant, err, want, damaged))
+	}
+	if rep.Token != want || !slices.Equal(skippedTokens(rep), skip) {
+		bad = append(bad, fmt.Sprintf("recovered %s skipping %v; the image's newest whole commit is %s over %v (damaged %v)", rep.Token, skippedTokens(rep), want, skip, damaged))
+	}
+	sessions, points := make([]*Session, len(x.ids)), make([]uint64, len(x.ids))
+	for w, id := range x.ids {
+		sessions[w], points[w] = s.ContinueSession(id)
+		if last := x.hist[w][len(x.hist[w])-1].serial; points[w] > last {
+			bad = append(bad, fmt.Sprintf("session %d recovers point %d past its last serial %d", w, points[w], last))
+		}
+		for _, tok := range tokens[len(skip):] {
+			if p := x.committed[tok][id]; points[w] < p {
+				bad = append(bad, fmt.Sprintf("session %d recovers point %d; commit %s, whose record is in the image, had %d", w, points[w], tok, p))
+			}
+		}
+	}
+	// A few ops the second crash must lose, then that crash.
+	var extra []oracleEvent
+	for w, sess := range sessions {
+		for j := range 4 {
+			e := oracleEvent{kind: opRMW, key: uint64(r.IntN(x.o.hot)), val: 1, st: Ok, inv: math.MaxUint64/2 + uint64(len(extra))*2}
+			if e.key%2 == 0 {
+				e.st = sess.RMW(key(e.key), u64(1))
+			} else {
+				e.kind, e.val = opUpsert, 1<<63|uint64(w)<<8|uint64(j)
+				e.st = sess.Upsert(key(e.key), registerValue(e.val, 8))
+			}
+			if e.st == Pending {
+				e.st = Ok
+				if sess.CompletePending(true) != 0 {
+					e.st = Error
+				}
+			}
+			e.ack = e.inv + 1
+			extra = append(extra, e)
+		}
+	}
+	take("after a few ops through ContinueSession", cp)
+	bad = append(bad, x.checkStore(s, points, instant, extra)...)
+	// A fresh commit's token is past every token in the image.
+	if res := driveCommit(x.t, s, sessions, CommitOptions{}); res.Token <= tokens[0] {
+		bad = append(bad, fmt.Sprintf("a commit after recovery takes token %s, not past %s", res.Token, tokens[0]))
+	}
+	for _, sess := range sessions {
+		sess.StopSession()
+	}
+	s.Close()
+
+	// The second crash lands on the same commit, skipping the same damaged
+	// ones, in the other mode and in this one; two instant restores of it
+	// count the same records.
+	secondMu.Lock()
+	img2 := *second
+	secondMu.Unlock()
+	var counts []string
+	for _, inst := range []bool{!instant, instant, true} {
+		s2, rep2, _, err := x.recover(img2, inst, nil)
+		if err != nil || rep2.Token != want || !slices.Equal(skippedTokens(rep2), skip) {
+			return append(bad, fmt.Sprintf("second crash (%s), instant %v: recovered %+v: %v; the first recovery %+v", img2.at, inst, rep2, err, rep))
+		}
+		for w, id := range x.ids {
+			sess, p := s2.ContinueSession(id)
+			if p != points[w] {
+				bad = append(bad, fmt.Sprintf("second crash, instant %v: session %d recovers point %d, the first recovery %d", inst, w, p, points[w]))
+			}
+			sess.StopSession()
+		}
+		bad = append(bad, x.checkStore(s2, points, inst, nil)...)
+		if inst {
+			counts = append(counts, fmt.Sprint(restoreCounts(s2)))
+		}
+		s2.Close()
+	}
+	if counts[0] != counts[1] {
+		bad = append(bad, fmt.Sprintf("second crash: two instant restores count %s and %s", counts[0], counts[1]))
+	}
+	return bad
+}
+
+// skippedTokens is the tokens rep skipped, newest first.
+func skippedTokens(rep *RecoveryReport) (tokens []string) {
+	for _, sk := range rep.Skipped {
+		tokens = append(tokens, sk.Token)
+	}
+	return tokens
+}
+
+// sortedKeys is m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// checkStore reads every key of a recovered store and checks it against the
+// history cut at points, followed by extra; then, once an instant restore is
+// warm, its counters and the index.
+func (x *crashCheck) checkStore(s *Store, points []uint64, instant bool, extra []oracleEvent) (bad []string) {
+	reader := s.StartSession()
+	final := make([]uint64, x.o.keys)
+	var got Status
+	var ok bool
+	for k := range final {
+		_, st := reader.Read(key(uint64(k)), func(v []byte, st Status) {
+			if got = st; st == Ok {
+				final[k], ok = decode(uint64(k), v)
+			}
+		})
+		if st == Pending {
+			reader.CompletePending(true)
+		}
+		if got == Ok && !ok || got != Ok && got != NotFound {
+			bad = append(bad, fmt.Sprintf("key %d recovers a torn or foreign value, or reads %v", k, got))
+		}
+	}
+	reader.StopSession()
+	bad = append(bad, checkCut(x.hist, points, final, extra)...)
+	if err := s.WaitRestored(); err != nil {
+		return append(bad, fmt.Sprintf("instant restore: %v", err))
+	}
+	if st := s.RestoreStatus(); instant != (st != nil) || instant && (st.Restoring || len(st.Shards) != x.o.shards) {
+		bad = append(bad, fmt.Sprintf("warm (instant: %v), and the restore status is %+v", instant, st))
+	} else if instant {
+		for _, sh := range st.Shards {
+			if sh.ReplayedRecords != sh.SuffixRecords || sh.ColdBuckets != 0 || sh.PendingRecords != 0 {
+				bad = append(bad, fmt.Sprintf("shard %d warm with %+v", sh.Shard, sh))
+			}
+		}
+	}
+	for _, sh := range s.shards {
+		bad = append(bad, checkIndex(sh)...)
+	}
+	return bad
+}
+
+// checkCut checks recovered values against the model at each session's
+// recovered point: of session w's operations, exactly those with serial <=
+// points[w] survive. A counter holds the sum of those RMWs' deltas that did
+// not end in Error; a register, the value of one of those writes (absent: a
+// delete, or none of them) that no other of them was invoked after it was
+// acknowledged — the live window rule, with the history cut there. The
+// writes of extra, issued after recovery, follow the cut.
+func checkCut(hist [][]oracleEvent, points []uint64, final []uint64, extra []oracleEvent) (bad []string) {
+	byKey := make([][]oracleEvent, len(final))
+	add := func(e oracleEvent) {
+		if e.kind != opRead && e.st != Error {
+			byKey[e.key] = append(byKey[e.key], e)
+		}
+	}
+	for w, evs := range hist {
+		for _, e := range evs {
+			if e.serial <= points[w] {
+				add(e)
+			}
+		}
+	}
+	for _, e := range extra {
+		add(e)
+	}
+	for k, writes := range byKey {
+		var sum, lastInv uint64
+		for _, e := range writes {
+			sum, lastInv = sum+e.val, max(lastInv, e.inv)
+		}
+		ok := len(writes) == 0 && final[k] == 0
+		for _, e := range writes {
+			ok = ok || lastInv < e.ack && (e.kind == opUpsert && e.val == final[k] || e.kind == opDelete && final[k] == 0)
+		}
+		if k%2 == 0 && final[k] != sum {
+			bad = append(bad, fmt.Sprintf("counter %d recovers %d; its RMWs up to the recovered points sum to %d", k, final[k], sum))
+		} else if k%2 == 1 && !ok {
+			bad = append(bad, fmt.Sprintf("register %d recovers %#x, which no last write up to the recovered points wrote", k, final[k]))
 		}
 	}
 	return bad

@@ -258,8 +258,8 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 }
 
 // replaySuffix is Alg. 3 (Sec. 6.4), the one copy of it: a single scan of
-// [start, end) in log order. A record of version <= v belongs to the commit
-// and goes to committed with its key's hash: full recovery and a replica
+// [start, end) in log order. A valid record of version <= v belongs to the
+// commit and goes to committed with its key's hash: full recovery and a replica
 // install re-point the key's index slot there and then (relink); instant
 // restore files the pair under its bucket and relinks when the bucket warms.
 // committed returning false stops the scan. A record of version v+1 (isFuture,
@@ -274,7 +274,8 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, add
 		keyBuf = rec.Key(keyBuf[:0])
 		h := hashfn.Hash64(keyBuf)
 		if !sh.isFuture(rec.Version(), addr, v) {
-			return committed(h, addr)
+			// An invalid record lost its install's CAS or is neutralised.
+			return rec.Invalid() || committed(h, addr)
 		}
 		dead = append(dead, addr)
 		if slot, entry := sh.index.probe(h, 0); entryAddr(entry) >= addr {

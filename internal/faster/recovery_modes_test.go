@@ -255,8 +255,9 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 // TestRecoveryModesEquivalent: full replay, instant restore once warm, and a
 // replica's install followed by Promote run one Alg. 3 with different sinks, so
 // on one image they must leave byte-identical index images, device contents
-// and commit records, the same recovered points and the same serving
-// state — and instant restore's counters must say what the image holds.
+// and commit records and the same recovered points; instant restore's counters
+// must say what the image holds, and the promoted replica serves the commit.
+// (What each mode recovers, key by key, is TestOracle's crash half.)
 func TestRecoveryModesEquivalent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -272,37 +273,29 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 			}
 
 			fcfg := img.config()
-			full, freport, err := RecoverWithReport(fcfg)
+			full, err := Recover(fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer full.Close()
-			if freport.Token != img.token || len(freport.Skipped) != 0 || freport.Instant || full.RestoreStatus() != nil {
-				t.Fatalf("full recovery: report %+v, restore status %+v", freport, full.RestoreStatus())
-			}
 
 			icfg := img.config()
 			icfg.InstantRestore = true
-			inst, ireport, err := RecoverWithReport(icfg)
+			inst, err := Recover(icfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer inst.Close()
-			if ireport.Token != img.token || ireport.Version != freport.Version || len(ireport.Skipped) != 0 || !ireport.Instant {
-				t.Fatalf("instant recovery: report %+v", ireport)
-			}
 			if err := inst.WaitRestored(); err != nil {
 				t.Fatal(err)
 			}
-			status := inst.RestoreStatus()
-			if status == nil || status.Restoring || len(status.Shards) != shards {
-				t.Fatalf("RestoreStatus = %+v", status)
+			counts := restoreCounts(inst)
+			if len(counts) != shards {
+				t.Fatalf("restore counters of %d shards, want %d", len(counts), shards)
 			}
-			for i, sh := range status.Shards {
-				got := restoreCounters{sh.SuffixRecords, sh.ReplayedRecords, sh.InvalidatedRecords}
-				want := restoreCounters{uint64(committed[i]), uint64(committed[i]), uint64(img.fuzzy[i])}
-				if got != want || sh.ColdBuckets != 0 || sh.PendingRecords != 0 {
-					t.Fatalf("shard %d restore counters %+v, want %+v; status %+v", i, got, want, sh)
+			for i, got := range counts {
+				if want := (restoreCounters{uint64(committed[i]), uint64(committed[i]), uint64(img.fuzzy[i])}); got != want {
+					t.Fatalf("shard %d restore counters %+v, want %+v", i, got, want)
 				}
 			}
 
@@ -336,11 +329,25 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 					t.Fatalf("session %s has no recovered point: %v", id, fstate.points)
 				}
 			}
-			for label, s := range map[string]*Store{"full": full, "instant": inst, "promoted replica": rep} {
-				checkFuzzyImage(t, label, s, img)
-			}
+			checkFuzzyImage(t, "promoted replica", rep, img)
 		})
 	}
+}
+
+// restoreCounters is the deterministic part of a warm shard's restore status.
+type restoreCounters struct {
+	suffix, replayed, invalidated uint64
+}
+
+// restoreCounts is each shard's restoreCounters, once warm; nil if the store
+// was not instant-restored.
+func restoreCounts(s *Store) (out []restoreCounters) {
+	if st := s.RestoreStatus(); st != nil {
+		for _, sh := range st.Shards {
+			out = append(out, restoreCounters{sh.SuffixRecords, sh.ReplayedRecords, sh.InvalidatedRecords})
+		}
+	}
+	return out
 }
 
 // checkFuzzyImage reads every key of the image through a session: the
@@ -363,7 +370,9 @@ func checkFuzzyImage(t *testing.T, label string, s *Store, img *fuzzyImage) {
 // second crash before the next commit sent a full recovery back to an older
 // commit than clients had been told was durable ("page N checksum mismatch").
 // Recover, close without committing, recover again: same commit, nothing
-// skipped, whichever mode ran first and whichever runs second.
+// skipped, whichever mode ran first and whichever runs second. TestOracle's
+// second crash checks the same, but its images hold v+1 records on
+// checksummed pages only now and then; this one always does.
 func TestSecondCrashKeepsCommit(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		img := buildFuzzyImage(t, shards)

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/hashfn"
@@ -56,6 +57,13 @@ var updateOutcomes = map[string][6][3]string{
 		regionDiskCopy: {"ok+rec", "ok+rec", "ok+rec"},
 		regionDiskCold: {"ok+rec", "pending+io", "ok+rec"},
 	},
+	// Single cells. A rest op of v+1 on a mutable record of v copies it: a
+	// session still in the last commit may be copying that record too. A
+	// coarse-grained v+1 op hands a safe-read-only v record off only once no v
+	// op can be pending.
+	"rest-older":                 {regionMutable: {"ok+rec", "ok+rec", "ok+rec"}},
+	"coarse-handoff-in-progress": {regionSafeRO: {"pending", "pending", "pending"}},
+	"coarse-handoff-wait-flush":  {regionSafeRO: {"ok+rec", "ok+rec", "ok+rec"}},
 }
 
 const (
@@ -74,9 +82,12 @@ var (
 )
 
 func TestUpdateByRegion(t *testing.T) {
-	for _, path := range []string{"rest", "prepare", "v-completion", "future"} {
+	for _, path := range sortedKeys(updateOutcomes) {
 		for region, byKind := range updateOutcomes[path] {
 			for k, outcome := range byKind {
+				if outcome == "" {
+					continue
+				}
 				t.Run(path+"/"+updateRegionNames[region]+"/"+updateKindNames[k], func(t *testing.T) {
 					updateByRegionCell(t, path, region, updateKinds[k], outcome)
 				})
@@ -91,7 +102,11 @@ func TestUpdateByRegion(t *testing.T) {
 // an operation does given a view, not about how the view came to be.
 func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outcome string) {
 	const oldVal, input = 40, 2
-	s, err := Open(smallConfig())
+	cfg := smallConfig()
+	if strings.HasPrefix(path, "coarse") {
+		cfg.Transfer = CoarseGrained
+	}
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +175,15 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	case "future":
 		a.phase = InProgress
 		a.version-- // what the store holds is now one version ahead of the view
+	case "rest-older":
+		a.version++ // the record is now one version behind the view
+		op.version = a.version
+	case "coarse-handoff-in-progress", "coarse-handoff-wait-flush":
+		a.phase = InProgress
+		if path == "coarse-handoff-wait-flush" {
+			a.phase = WaitFlush
+		}
+		op.version = a.version + 1
 	}
 
 	_, before := sh.index.probe(h, 0)

@@ -101,8 +101,9 @@ func Refuse(err error) error { return refused{err} }
 // candidate that does not verify is skipped — skipped gets it, fr a
 // recover-fallback event — for the next older one. ErrForeignLayout, a Refuse
 // or a store without records (ErrNoCheckpoint) ends the walk with that error:
-// only an empty store lets the caller start fresh. Once a candidate is
-// accepted, seq moves past every token in the store (ResumeTokens).
+// only an empty store lets the caller start fresh; when every candidate is
+// skipped, the error wraps the newest one's. Once a candidate is accepted, seq
+// moves past every token in the store (ResumeTokens).
 func RecoverNewest(cs CheckpointStore, seq *atomic.Uint64, fr *obs.FlightRecorder, try func(token string) error) (skipped []SkippedCommit, err error) {
 	names, err := cs.List()
 	if err != nil {
@@ -112,6 +113,7 @@ func RecoverNewest(cs CheckpointStore, seq *atomic.Uint64, fr *obs.FlightRecorde
 	if err == nil && len(tokens) == 0 {
 		err = fmt.Errorf("%w: no commit record found", ErrNoCheckpoint)
 	}
+	var newest error
 	for _, tok := range tokens {
 		if err = try(tok); err == nil {
 			ResumeTokens(seq, names...)
@@ -120,11 +122,12 @@ func RecoverNewest(cs CheckpointStore, seq *atomic.Uint64, fr *obs.FlightRecorde
 		if errors.Is(err, ErrForeignLayout) || errors.As(err, new(refused)) {
 			return skipped, err
 		}
+		newest = cmp.Or(newest, err)
 		skipped = append(skipped, SkippedCommit{Token: tok, Reason: err.Error()})
 		fr.Emit(obs.FlightRecoverFallback, -1, 0, tok, "", 0, 0)
 	}
 	if len(skipped) > 0 {
-		err = fmt.Errorf("no verifiable commit among %d candidate(s); newest (%s): %s", len(tokens), skipped[0].Token, skipped[0].Reason)
+		err = fmt.Errorf("no verifiable commit among %d candidate(s); newest (%s): %w", len(tokens), skipped[0].Token, newest)
 	}
 	return skipped, err
 }

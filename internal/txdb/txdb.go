@@ -330,9 +330,6 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// NumRecords returns the key-space size.
-func (db *DB) NumRecords() int { return db.cfg.Records }
-
 // ReadValue copies the committed live value of key into dst (diagnostics and
 // tests; not transactional).
 func (db *DB) ReadValue(key uint64, dst []byte) []byte {
