@@ -52,7 +52,6 @@ func main() {
 		dir        = flag.String("dir", "", "database directory (empty = in-memory)")
 		shards     = flag.Int("shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
 		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
-		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: accept connections on the last commit's index, serve ops once a pass over the log suffix is done, and warm hash buckets on demand (fasterctl why shows warm-up progress)")
 		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
 		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics.prom and /debug/pprof (empty = off; everything else is on the wire: fasterctl why)")
 		replAddr   = flag.String("repl", "", "replication listen address; replicas connect here (empty = off)")
@@ -113,8 +112,7 @@ func main() {
 		return cpr.NewFaultDevice(d, injector)
 	}
 
-	cfg := faster.Config{Shards: *shards, Metrics: metrics, Flight: flight,
-		InstantRestore: *instant}
+	cfg := faster.Config{Shards: *shards, Metrics: metrics, Flight: flight}
 	if *traceCap > 0 {
 		cfg.ReqTrace = obs.NewRequestTracer(*traceCap)
 	}
@@ -174,16 +172,8 @@ func main() {
 		for _, sk := range report.Skipped {
 			log.Printf("recovery skipped unverifiable commit %s: %v", sk.Token, sk.Reason)
 		}
-		mode := "full replay"
-		if report.Instant {
-			mode = "instant restore"
-		}
-		log.Printf("recovered store at version %d (commit %s): %s, time-to-serving %v",
-			store.Version(), report.Token, mode, time.Since(t0))
-		if rst := store.RestoreStatus(); rst != nil && rst.Restoring {
-			log.Printf("instant restore warming %d cold buckets in the background (fasterctl why tracks progress)",
-				rst.ColdBuckets())
-		}
+		log.Printf("recovered store at version %d (commit %s): full replay, time-to-serving %v",
+			store.Version(), report.Token, time.Since(t0))
 	}
 	defer store.Close()
 
@@ -219,13 +209,6 @@ func main() {
 		rsrv.ClientAddr = *addr
 		srv.ReplStats = rsrv.ReplStats
 		go func() {
-			// Replication ships from commits, and commits are refused until
-			// the store is warm — hold the listener until then so a replica
-			// never connects to a primary that cannot ship yet.
-			if err := store.WaitRestored(); err != nil {
-				log.Printf("replication listener not started: %v", err)
-				return
-			}
 			log.Printf("shipping to replicas on %s", *replAddr)
 			if err := rsrv.Serve(*replAddr); err != nil {
 				log.Printf("replication listener: %v", err)

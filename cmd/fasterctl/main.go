@@ -19,8 +19,8 @@
 // Every mutating invocation recovers the store from -dir (if a commit
 // exists), applies the operation, and takes a fresh CPR commit before
 // exiting. why is the one live view: health, the commit in flight, durability
-// lag, log offsets, replication, instant restore and the slowest requests of a
-// running server, over one connection.
+// lag, log offsets, replication and the slowest requests of a running
+// server, over one connection.
 package main
 
 import (

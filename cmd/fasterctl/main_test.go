@@ -98,7 +98,7 @@ func TestWhy(t *testing.T) {
 	}
 	text, at := out.String(), 0
 	for _, section := range []string{"health:   healthy", "commit:", "wait-flush", "durability lag:",
-		"log offsets: 2 shard(s)", "shard 1: begin", "replication: standalone", "restore: none", "slowest traces:"} {
+		"log offsets: 2 shard(s)", "shard 1: begin", "replication: standalone", "slowest traces:"} {
 		i := strings.Index(text[at:], section)
 		if i < 0 {
 			t.Fatalf("section %q missing or out of order:\n%s", section, text)

@@ -19,8 +19,8 @@ import (
 // view: on one connection it sends one FLIGHT, one TRACE and one STATS and
 // prints, in order, the health verdict, the running (or last) commit's phase
 // spans, the sessions furthest from durable, each shard's log offsets,
-// replication, instant restore and the three slowest traces. -json prints
-// the three documents as one.
+// replication and the three slowest traces. -json prints the three documents
+// as one.
 //
 // The exit code is a liveness probe's: 0 healthy, 1 degraded or unhealthy, 2
 // on a transport error or when the server runs no health engine. STATS goes
@@ -72,7 +72,6 @@ func whyCmd(args []string, w io.Writer) int {
 		printLags(w, snap.SessionLags)
 		printShards(w, snap.Shards)
 		printRepl(w, snap.Repl)
-		printRestore(w, snap.Restore)
 		if traceErr != nil {
 			fmt.Fprintf(w, "\nslowest traces: none (%v)\n", traceErr)
 		} else {
@@ -187,29 +186,6 @@ func printRepl(w io.Writer, r *kvserver.ReplStats) {
 	}
 	fmt.Fprintf(w, "\n  applied version %d, %d version(s) and %d byte(s) behind\n",
 		r.AppliedVersion, r.VersionsBehind, r.BytesBehind)
-}
-
-// printRestore prints instant-restore progress: warm and cold buckets, and per
-// shard the suffix replay, the warm split and, once warm, the time to warm.
-func printRestore(w io.Writer, r *faster.RestoreStatus) {
-	if r == nil {
-		fmt.Fprintln(w, "\nrestore: none (opened fresh or fully replayed)")
-		return
-	}
-	state := "warm (restore complete)"
-	if r.Restoring {
-		state = "restoring (buckets warming)"
-	}
-	fmt.Fprintf(w, "\nrestore: %s, %s; buckets %d warm / %d cold\n", r.Mode, state, r.WarmBuckets(), r.ColdBuckets())
-	for _, sh := range r.Shards {
-		fmt.Fprintf(w, "  shard %d: analyzed %v (suffix scan %v), %d/%d buckets warm (%d on-demand, %d swept)\n",
-			sh.Shard, sh.Analyzed, time.Duration(sh.AnalysisNanos), sh.WarmBuckets, sh.TotalBuckets, sh.OnDemandWarms, sh.SweepWarms)
-		fmt.Fprintf(w, "    records %d suffix, %d replayed, %d pending, %d invalidated; %d blocked ops; time-to-warm %v\n",
-			sh.SuffixRecords, sh.ReplayedRecords, sh.PendingRecords, sh.InvalidatedRecords, sh.BlockedOps, time.Duration(sh.TimeToWarmNanos))
-		if sh.Failed != "" {
-			fmt.Fprintf(w, "    FAILED: %s\n", sh.Failed)
-		}
-	}
 }
 
 // printTraceDump prints each retained trace as an indented span tree with

@@ -107,11 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer recovered.Close()
-	mode := "full replay"
-	if rst := recovered.RestoreStatus(); rst != nil {
-		mode = "instant restore" // StoreConfig.InstantRestore was set
-	}
-	fmt.Printf("recovery mode %s: serving after %v\n", mode, time.Since(t0))
+	fmt.Printf("recovered by full replay: serving after %v\n", time.Since(t0))
 	refeed, err := inlog.Open(inlog.Config{Segments: segments})
 	if err != nil {
 		log.Fatal(err)

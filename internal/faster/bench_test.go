@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/hlog"
 	"repro/internal/storage"
@@ -360,8 +359,8 @@ func (c *discardStore) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkDecodeIndex is the index half of recovery (all of instant restore's
-// time to serving): the image, read from a reader, back into buckets.
+// BenchmarkDecodeIndex is the index half of recovery: the image, read from a
+// reader, back into buckets.
 func BenchmarkDecodeIndex(b *testing.B) {
 	idx, dense := benchIndex(b)
 	image := imageOf(idx)
@@ -375,7 +374,7 @@ func BenchmarkDecodeIndex(b *testing.B) {
 	}
 }
 
-// replayBenchShard is the recovered shard the replay benchmarks run on: a
+// replayBenchShard is the recovered shard BenchmarkReplaySuffix runs on: a
 // file-backed store of 64 KiB pages, an index commit over 32 Ki keys, a suffix
 // of 64 Ki records (2 MiB) under a log-only commit, recovered in full with
 // memPages frames — 64 keep the whole suffix resident, 4 leave nearly all of
@@ -466,40 +465,11 @@ func BenchmarkReplaySuffix(b *testing.B) {
 	}{{"resident", 64}, {"device", 4}} {
 		b.Run(c.name, func(b *testing.B) {
 			sh, start, end, v := replayBenchShard(b, c.memPages)
-			records := 0
 			perRecord(b, 1<<16, func() {
-				records = 0
-				_, err := sh.replaySuffix(start, end, v, func(h, addr uint64) bool {
-					sh.relink(h, addr)
-					records++
-					return true
-				})
-				if err != nil || records != 1<<16 {
-					b.Fatalf("replayed %d records: %v", records, err)
+				if dead, err := sh.replaySuffix(start, end, v); err != nil || len(dead) != 0 {
+					b.Fatalf("replay found %d v+1 records: %v", len(dead), err)
 				}
 			})
 		})
 	}
-}
-
-// BenchmarkWarmBucket is the other half of an instant restore's replay, with
-// the suffix on the device: the directory the scan filed is relinked bucket by
-// bucket. One op warms every bucket once.
-func BenchmarkWarmBucket(b *testing.B) {
-	sh, start, end, v := replayBenchShard(b, 4)
-	rs := newRestoreState(sh, "bench", v, start, end)
-	if _, err := sh.replaySuffix(start, end, v, rs.file); err != nil {
-		b.Fatal(err)
-	}
-	records, dirBytes := int(rs.suffixRecords.Load()), 0
-	for _, recs := range rs.pending {
-		dirBytes += cap(recs) * int(unsafe.Sizeof(suffixRecord{}))
-	}
-	perRecord(b, records, func() {
-		for _, recs := range rs.pending {
-			rs.replayBucket(recs)
-		}
-	})
-	// What the directory holds until its buckets warm (the map itself apart).
-	b.ReportMetric(float64(dirBytes)/float64(records), "dir-B/record")
 }

@@ -96,12 +96,6 @@ var ErrCommitInProgress = fmt.Errorf("faster: a CPR commit is already in progres
 // every shard; the commit completes — record written, OnDone fired — once
 // every shard's capture is durable. Use WaitForCommit to block.
 func (s *Store) Commit(opts CommitOptions) (string, error) {
-	// An instant restore must finish warming first: a checkpoint taken over
-	// cold buckets would capture an index missing their suffix records, and
-	// recovering from it would lose them.
-	if s.Restoring() {
-		return "", ErrRestoring
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The machine returns to rest before the record is written, so s.active —

@@ -24,11 +24,6 @@ import (
 // epoch entry: the scan refreshes it continuously, keeping global progress
 // (offset shifts, flushes) alive even when this is the only session.
 func (sess *Session) CompactLog(until uint64) error {
-	if sess.store.Restoring() {
-		// Cold buckets still point into the prefix being compacted; copying
-		// records around them would race the warm-up replay.
-		return ErrRestoring
-	}
 	phase, version := unpackState(sess.store.state.Load())
 	if phase != Rest {
 		return ErrCommitInProgress

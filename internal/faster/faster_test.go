@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -47,6 +48,48 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 		}
 		if i > 1_000_000 {
 			t.Fatalf("commit %s stuck in phase %v", token, s.Phase())
+		}
+	}
+}
+
+// readVal drives one read to completion and reports (value, found).
+func readVal(t *testing.T, sess *Session, k uint64) ([]byte, bool) {
+	t.Helper()
+	var got []byte
+	var found, done bool
+	_, st := sess.Read(key(k), func(v []byte, s2 Status) {
+		done = true
+		if s2 == Ok {
+			got, found = append([]byte(nil), v...), true
+		} else if s2 != NotFound {
+			t.Fatalf("read key %d: status %v", k, s2)
+		}
+	})
+	if st == Pending {
+		sess.CompletePending(true)
+	}
+	if !done {
+		t.Fatalf("read key %d never completed", k)
+	}
+	return got, found
+}
+
+// checkImage asserts the store serves exactly the expected post-recovery
+// values: every live key its newest committed value, every tombstoned key
+// absent.
+func checkImage(t *testing.T, label string, s *Store, want map[uint64]uint64, gone map[uint64]bool) {
+	t.Helper()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	for k, v := range want {
+		got, found := readVal(t, sess, k)
+		if !found || !bytes.Equal(got, u64(v)) {
+			t.Fatalf("%s: key %d: got (%x,%v), want %d", label, k, got, found, v)
+		}
+	}
+	for k := range gone {
+		if got, found := readVal(t, sess, k); found {
+			t.Fatalf("%s: tombstoned key %d resurrected with %x", label, k, got)
 		}
 	}
 }

@@ -129,31 +129,27 @@ func (img *oldLayoutImage) config() Config {
 }
 
 // TestOldLayoutStillReads: a checkpoint directory and devices in the old layout
-// recover in full and by instant restore — the replay re-points the index at
-// old-layout records, unwinds the version-2 ones and sets their invalid bits on
-// the device — serve reads from memory and from the device, take updates (new
-// short-form records chained to old-layout ones), commit, and recover again
+// recover — the replay re-points the index at old-layout records, unwinds the
+// version-2 ones and sets their invalid bits on the device — serve reads from
+// memory and from the device, take updates (new short-form records chained to
+// old-layout ones), commit, log-only or with an index image, and recover again
 // from the mixed log.
 func TestOldLayoutStillReads(t *testing.T) {
 	img := buildOldLayoutImage(t, testShardCount(1))
-	for _, instant := range []bool{false, true} {
+	for _, withIndex := range []bool{false, true} {
 		cfg := img.config()
-		cfg.InstantRestore = instant
 		s, report, err := RecoverWithReport(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if report.Token != "ckpt-000001" || len(report.Skipped) != 0 {
-			t.Fatalf("instant %v: recovered %q, skipped %v", instant, report.Token, report.Skipped)
+			t.Fatalf("recovered %q, skipped %v", report.Token, report.Skipped)
 		}
 		if got := s.RecoveredPoint(oldLayoutSession); got != 4242 {
-			t.Fatalf("instant %v: session recovered to serial %d, want 4242", instant, got)
+			t.Fatalf("session recovered to serial %d, want 4242", got)
 		}
 		checkImage(t, "recovered", s, img.want, img.gone)
 		sess := s.StartSession()
-		for s.Restoring() { // commits wait for the last bucket to warm
-			sess.Refresh()
-		}
 
 		// Updates: every live key's counter goes up by one through RMW — a copy
 		// to the tail, the recovered log being read-only — then again, in
@@ -178,7 +174,7 @@ func TestOldLayoutStillReads(t *testing.T) {
 		// One short-form copy per key and a few bytes of page padding: less
 		// than copies with a lens word would take.
 		if grew, n, size := tails()-before, uint64(len(want)), uint64(hlog.RecordSize(8, 8)); grew < n*size || grew >= n*(size+8) {
-			t.Fatalf("instant %v: %d RMW pairs grew the logs by %d bytes, want one %d-byte copy each", instant, n, grew, size)
+			t.Fatalf("%d RMW pairs grew the logs by %d bytes, want one %d-byte copy each", n, grew, size)
 		}
 		for k := range img.gone {
 			if st := sess.Upsert(key(k), u64(9000+k)); st == Pending {
@@ -194,14 +190,13 @@ func TestOldLayoutStillReads(t *testing.T) {
 			gone[k] = true
 		}
 		checkImage(t, "updated", s, want, gone)
-		driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: instant})
+		driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: withIndex})
 		sess.StopSession()
 		s.Close()
 
-		cfg.InstantRestore = false
 		s, err = Recover(cfg)
 		if err != nil {
-			t.Fatalf("instant %v: second recovery, over old and new records: %v", instant, err)
+			t.Fatalf("with index %v: second recovery, over old and new records: %v", withIndex, err)
 		}
 		checkImage(t, "recovered again", s, want, gone)
 		s.Close()

@@ -660,19 +660,18 @@ type crashCheck struct {
 	committed map[string]map[string]uint64 // by token, the points the committer saw
 }
 
-// recover recovers a private copy of img in the given mode; arm, if set, arms
-// a crash point on the copy's checkpoint store.
-func (x *crashCheck) recover(img crashImage, instant bool, arm func(*storage.Injector, crashImage)) (*Store, *RecoveryReport, crashImage, error) {
+// recover recovers a private copy of img; arm, if set, arms a crash point on
+// the copy's checkpoint store.
+func (x *crashCheck) recover(img crashImage, arm func(*storage.Injector, crashImage)) (*Store, *RecoveryReport, crashImage, error) {
 	cp := crashImage{ckpts: img.ckpts.Clone(), devs: cloneDevs(img.devs)}
 	inj := storage.NewInjector(storage.FaultConfig{})
 	if arm != nil {
 		arm(inj, cp)
 	}
 	cfg := x.o.config(x.fr, storage.NewFaultCheckpointStore(cp.ckpts, inj), func(i int) storage.Device { return cp.devs[i] })
-	cfg.InstantRestore = instant
 	s, rep, err := RecoverWithReport(cfg)
-	if err == nil && (rep.Instant != instant || s.RecoveryReport() != rep) {
-		err = fmt.Errorf("report %+v (instant: %v), the store's %+v", rep, instant, s.RecoveryReport())
+	if err == nil && s.RecoveryReport() != rep {
+		err = fmt.Errorf("report %+v, the store's %+v", rep, s.RecoveryReport())
 		s.Close()
 	}
 	return s, rep, cp, err
@@ -728,11 +727,11 @@ func (x *crashCheck) damage(img crashImage, r *rand.Rand) (tokens []string, want
 
 // check damages img as the seed draws, recovers it, checks the recovered
 // store against the history cut at each session's recovered point, crashes it
-// again before any commit and recovers that image in every mode.
+// again before any commit and recovers that image twice.
 func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 	r := rand.New(rand.NewPCG(uint64(x.seed), 1<<35+uint64(i)))
 	tokens, want, skip, damaged, faultIn := x.damage(img, r)
-	instant := r.IntN(2) == 0
+	_ = r.IntN(2) // once the recovery mode; still drawn, so that every seed keeps its later draws
 	var secondMu sync.Mutex
 	var second *crashImage
 	take := func(at string, cp crashImage) {
@@ -751,7 +750,7 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 			inj.Arm(point, func() { take(point, cp) })
 		}
 	}
-	s, rep, cp, err := x.recover(img, instant, arm)
+	s, rep, cp, err := x.recover(img, arm)
 	switch {
 	case len(tokens) == 0 || want == "":
 		if err == nil {
@@ -764,7 +763,7 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 		}
 		return bad
 	case err != nil:
-		return append(bad, fmt.Sprintf("recovery (instant: %v): %v; want %s, damaged %v", instant, err, want, damaged))
+		return append(bad, fmt.Sprintf("recovery: %v; want %s, damaged %v", err, want, damaged))
 	}
 	if rep.Token != want || !slices.Equal(skippedTokens(rep), skip) {
 		bad = append(bad, fmt.Sprintf("recovered %s skipping %v; the image's newest whole commit is %s over %v (damaged %v)", rep.Token, skippedTokens(rep), want, skip, damaged))
@@ -803,7 +802,7 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 		}
 	}
 	take("after a few ops through ContinueSession", cp)
-	bad = append(bad, x.checkStore(s, points, instant, extra)...)
+	bad = append(bad, x.checkStore(s, points, extra)...)
 	// A fresh commit's token is past every token in the image.
 	if res := driveCommit(x.t, s, sessions, CommitOptions{}); res.Token <= tokens[0] {
 		bad = append(bad, fmt.Sprintf("a commit after recovery takes token %s, not past %s", res.Token, tokens[0]))
@@ -814,34 +813,54 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 	s.Close()
 
 	// The second crash lands on the same commit, skipping the same damaged
-	// ones, in the other mode and in this one; two instant restores of it
-	// count the same records.
+	// ones; two recoveries of it replay and neutralise the same records.
 	secondMu.Lock()
 	img2 := *second
 	secondMu.Unlock()
 	var counts []string
-	for _, inst := range []bool{!instant, instant, true} {
-		s2, rep2, _, err := x.recover(img2, inst, nil)
+	for range 2 {
+		s2, rep2, _, err := x.recover(img2, nil)
 		if err != nil || rep2.Token != want || !slices.Equal(skippedTokens(rep2), skip) {
-			return append(bad, fmt.Sprintf("second crash (%s), instant %v: recovered %+v: %v; the first recovery %+v", img2.at, inst, rep2, err, rep))
+			return append(bad, fmt.Sprintf("second crash (%s): recovered %+v: %v; the first recovery %+v", img2.at, rep2, err, rep))
 		}
 		for w, id := range x.ids {
 			sess, p := s2.ContinueSession(id)
 			if p != points[w] {
-				bad = append(bad, fmt.Sprintf("second crash, instant %v: session %d recovers point %d, the first recovery %d", inst, w, p, points[w]))
+				bad = append(bad, fmt.Sprintf("second crash: session %d recovers point %d, the first recovery %d", w, p, points[w]))
 			}
 			sess.StopSession()
 		}
-		bad = append(bad, x.checkStore(s2, points, inst, nil)...)
-		if inst {
-			counts = append(counts, fmt.Sprint(restoreCounts(s2)))
+		bad = append(bad, x.checkStore(s2, points, nil)...)
+		c, err := replayCounts(s2)
+		if err != nil {
+			bad = append(bad, fmt.Sprintf("second crash: scanning the replayed range: %v", err))
 		}
+		counts = append(counts, fmt.Sprint(c))
 		s2.Close()
 	}
 	if counts[0] != counts[1] {
-		bad = append(bad, fmt.Sprintf("second crash: two instant restores count %s and %s", counts[0], counts[1]))
+		bad = append(bad, fmt.Sprintf("second crash: two recoveries count %s and %s", counts[0], counts[1]))
 	}
 	return bad
+}
+
+// replayCounts is, per shard, the valid and the invalid records in the range
+// the shard's recovery replayed: what it relinked, and the v+1 records it
+// neutralised along with the installs that had lost their compare-and-swap.
+func replayCounts(s *Store) (out [][2]int, err error) {
+	for _, sh := range s.shards {
+		var n [2]int
+		err = errors.Join(err, sh.log.Scan(sh.recoveredScanStart, sh.log.Tail(), func(_ uint64, r hlog.RecordRef) bool {
+			if r.Invalid() {
+				n[1]++
+			} else {
+				n[0]++
+			}
+			return true
+		}))
+		out = append(out, n)
+	}
+	return out, err
 }
 
 // skippedTokens is the tokens rep skipped, newest first.
@@ -863,9 +882,8 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // checkStore reads every key of a recovered store and checks it against the
-// history cut at points, followed by extra; then, once an instant restore is
-// warm, its counters and the index.
-func (x *crashCheck) checkStore(s *Store, points []uint64, instant bool, extra []oracleEvent) (bad []string) {
+// history cut at points, followed by extra; then the index.
+func (x *crashCheck) checkStore(s *Store, points []uint64, extra []oracleEvent) (bad []string) {
 	reader := s.StartSession()
 	final := make([]uint64, x.o.keys)
 	var got Status
@@ -885,18 +903,6 @@ func (x *crashCheck) checkStore(s *Store, points []uint64, instant bool, extra [
 	}
 	reader.StopSession()
 	bad = append(bad, checkCut(x.hist, points, final, extra)...)
-	if err := s.WaitRestored(); err != nil {
-		return append(bad, fmt.Sprintf("instant restore: %v", err))
-	}
-	if st := s.RestoreStatus(); instant != (st != nil) || instant && (st.Restoring || len(st.Shards) != x.o.shards) {
-		bad = append(bad, fmt.Sprintf("warm (instant: %v), and the restore status is %+v", instant, st))
-	} else if instant {
-		for _, sh := range st.Shards {
-			if sh.ReplayedRecords != sh.SuffixRecords || sh.ColdBuckets != 0 || sh.PendingRecords != 0 {
-				bad = append(bad, fmt.Sprintf("shard %d warm with %+v", sh.Shard, sh))
-			}
-		}
-	}
 	for _, sh := range s.shards {
 		bad = append(bad, checkIndex(sh)...)
 	}

@@ -122,12 +122,9 @@ func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error)
 
 // amendRecord drops the page checksums of shard i's touched pages from the
 // record of commit token — one read-modify-write of the record, atomic as
-// every artifact write, under the store-wide lock every writer of invalid
-// bits reaches it through (the restore goroutines of an instant restore, full
-// recovery, Promote).
+// every artifact write. Its callers, recovery and Promote, visit the shards
+// one at a time, so no two amends of a record overlap.
 func (sh *shard) amendRecord(token string, touched map[uint64]bool) error {
-	sh.recordMu.Lock()
-	defer sh.recordMu.Unlock()
 	rec, err := loadRecord(sh.cfg.Checkpoints, token)
 	if err != nil {
 		return err

@@ -30,10 +30,6 @@ type RecoveryReport struct {
 	Token   string          `json:"token"`
 	Version uint32          `json:"version"`
 	Skipped []SkippedCommit `json:"skipped,omitempty"`
-	// Instant reports that the store came up in instant-restore mode
-	// (Config.InstantRestore): serving began before the log suffix was
-	// replayed, with buckets warming lazily. See Store.RestoreStatus.
-	Instant bool `json:"instant,omitempty"`
 }
 
 // Recover rebuilds a Store from its most recent fully-verifiable CPR commit
@@ -108,21 +104,12 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	return s, report, nil
 }
 
-// finishRecovery publishes the report and starts what the recovered store runs.
+// finishRecovery publishes the report and the recovered store's gauges.
 func (s *Store) finishRecovery(report *RecoveryReport) {
 	s.latestToken, s.latestVer = report.Token, report.Version
 	s.report = report
 	s.registerStoreGauges()
 	s.registerLagGauges()
-	// Instant restore: only now — with every shard of the accepted candidate
-	// open for good (rejected candidates' shards were closed) — start each
-	// shard's analysis + sweep goroutine.
-	for _, sh := range s.shards {
-		if rs := sh.restore.Load(); rs != nil {
-			report.Instant = true
-			rs.start()
-		}
-	}
 	// arg1 = number of skipped newer commits: zero means the newest commit on
 	// disk verified end to end.
 	s.cfg.Flight.Emit(obs.FlightRecoverVerdict, -1, uint64(report.Version), report.Token, "",
@@ -133,7 +120,7 @@ func (s *Store) finishRecovery(report *RecoveryReport) {
 func (s *Store) closeShards(n int) {
 	for j := 0; j < n; j++ {
 		if s.shards[j] != nil {
-			s.shards[j].close()
+			s.shards[j].log.Close()
 		}
 	}
 }
@@ -144,7 +131,7 @@ func (s *Store) closeShards(n int) {
 // openShard. Any verification failure returns an error; the caller falls back
 // to an older commit.
 func recoverShard(cfg Config, id int, s *Store, rec *commitRecord) (*shard, error) {
-	sh, err := openShard(cfg, id, s.epochs, s.metrics, &s.recordMu)
+	sh, err := openShard(cfg, id, s.epochs, s.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -162,20 +149,17 @@ func recoverShard(cfg Config, id int, s *Store, rec *commitRecord) (*shard, erro
 	}
 	if err == nil {
 		neutralise := func(dead []uint64) error { return sh.persistInvalid(rec.Token, dead) }
-		switch {
-		case cfg.Replica:
+		if cfg.Replica {
 			// A replica must not rewrite shipped log bytes: records ahead of the
 			// recovered commit go live at the next installed one.
 			neutralise = sh.markReplicaDead
-		case cfg.InstantRestore:
-			neutralise = nil
 		}
 		// Recovery trusts nothing on the device before the commit's page
 		// checksums have covered it.
 		err = sh.install(rec, sec.scanStart(), sec.PageCRCs, neutralise)
 	}
 	if err != nil {
-		sh.close()
+		sh.log.Close()
 		return nil, err
 	}
 	if !cfg.Replica {
@@ -193,15 +177,6 @@ func recoverShard(cfg Config, id int, s *Store, rec *commitRecord) (*shard, erro
 // replica's install: the log's own table still covers what the replica's last
 // restart verified and no shipped bytes have overwritten since); Alg. 3 replays
 // [start, end) and neutralise gets the v+1 records it found.
-//
-// A nil neutralise is instant restore: the replay is left to the restore
-// goroutine (finishRecovery starts it; restoreState.run neutralises and clamps
-// as here) and the shard serves meanwhile on the recovered index with every
-// bucket cold. The reading of the suffix pages goes with the replay, so crcs is
-// only seeded and that scan checks each page as it reads it: the startup cost
-// stays independent of the log's size, and the price is that a damaged page is
-// found when the store is already serving this commit — the restore fails and
-// operations return Error.
 func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
 	sec := &rec.Shards[sh.id]
 	end := sec.logEnd()
@@ -233,49 +208,41 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 	if err := sh.log.RecoverTo(end); err != nil {
 		return err
 	}
-	if neutralise == nil {
-		sh.log.SeedPageCRCs(crcs, end)
-		sh.restore.Store(newRestoreState(sh, rec.Token, rec.Version, start, end))
-	} else {
-		if err := sh.log.VerifyPages(crcs, end); err != nil {
-			return fmt.Errorf("faster: log page verification: %w", err)
-		}
-		dead, err := sh.replaySuffix(start, end, rec.Version, func(h, addr uint64) bool {
-			sh.relink(h, addr)
-			return true
-		})
-		if err == nil {
-			err = neutralise(dead)
-		}
-		if err != nil {
-			return err
-		}
-		// The v+1 unwind conditions are evaluated against the unclamped index.
-		sh.clampIndex(end)
+	if err := sh.log.VerifyPages(crcs, end); err != nil {
+		return fmt.Errorf("faster: log page verification: %w", err)
 	}
+	dead, err := sh.replaySuffix(start, end, rec.Version)
+	if err == nil {
+		err = neutralise(dead)
+	}
+	if err != nil {
+		return err
+	}
+	// The v+1 unwind conditions are evaluated against the unclamped index.
+	sh.clampIndex(end)
 	sh.lastIndex, sh.lastLis, sh.lastLie = sec.Index, sec.Lis, sec.Lie
 	return nil
 }
 
 // replaySuffix is Alg. 3 (Sec. 6.4), the one copy of it: a single scan of
 // [start, end) in log order. A valid record of version <= v belongs to the
-// commit and goes to committed with its key's hash: full recovery and a replica
-// install re-point the key's index slot there and then (relink); instant
-// restore files the pair under its bucket and relinks when the bucket warms.
-// committed returning false stops the scan. A record of version v+1 (isFuture,
-// against the log_start install set) is past the CPR point: if the index
-// reaches it — the key's slot holds its address or a later one — the slot is
-// unwound to the record's predecessor, and its address is returned in dead, in
-// log order, for the caller to neutralise (persistInvalid; markReplicaDead on a
-// replica).
-func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, addr uint64) bool) (dead []uint64, err error) {
+// commit: the key's index slot is re-pointed there (relink). A record of
+// version v+1 (isFuture, against the log_start install set) is past the CPR
+// point: if the index reaches it — the key's slot holds its address or a later
+// one — the slot is unwound to the record's predecessor, and its address is
+// returned in dead, in log order, for the caller to neutralise
+// (persistInvalid; markReplicaDead on a replica).
+func (sh *shard) replaySuffix(start, end uint64, v uint32) (dead []uint64, err error) {
 	var keyBuf []byte
 	err = sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
 		keyBuf = rec.Key(keyBuf[:0])
 		h := hashfn.Hash64(keyBuf)
 		if !sh.isFuture(rec.Version(), addr, v) {
 			// An invalid record lost its install's CAS or is neutralised.
-			return rec.Invalid() || committed(h, addr)
+			if !rec.Invalid() {
+				sh.relink(h, addr)
+			}
+			return true
 		}
 		dead = append(dead, addr)
 		if slot, entry := sh.index.probe(h, 0); entryAddr(entry) >= addr {
@@ -293,9 +260,9 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32, committed func(h, add
 // relink points the index slot of the key hashing to h at the committed record
 // at addr. It is the one writer of a slot that does not go through
 // shardSession.install's compare-and-swap, and needs none: nothing else runs in
-// the key's bucket yet — recovery is single-threaded, and operations on a cold
-// bucket wait for its warm-up — so there is no observation for a plain store to
-// invalidate.
+// the index yet — recovery is single-threaded and serves no op before it
+// returns, and a replica's applier holds off its readers while it installs —
+// so there is no observation for a plain store to invalidate.
 func (sh *shard) relink(h, addr uint64) {
 	entry := tagOf(h) | addr
 	if slot, e := sh.index.probe(h, entry); e != entry {

@@ -3,11 +3,8 @@ package faster
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"maps"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/hashfn"
@@ -16,10 +13,10 @@ import (
 )
 
 // One crash image, built so that the recovered commit has a fuzzy window full
-// of v+1 records on pages its own page checksums cover, and the three ways of
-// arriving at a commit — full recovery, instant restore, a replica's install
-// followed by promotion — checked against each other on it, and full and
-// instant recovery checked against a second crash.
+// of v+1 records on pages its own page checksums cover, and the two ways of
+// arriving at a commit — recovery, a replica's install followed by promotion —
+// checked against each other on it, and recovery checked against a second
+// crash.
 
 // fuzzyImage is that crash image: what the devices and the checkpoint store
 // held at the crash, and what the newest commit must recover to.
@@ -163,9 +160,9 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 
 // fuzzyOnCoveredPages reads shard i's part of an image without recovering it:
 // how many records of version v+1 the newest commit's log holds from its scan
-// start on, how many of them on pages the commit's page checksums cover (and
-// which pages those are), and how many records of the commit itself.
-func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered, committed int, touched map[uint64]bool) {
+// start on, and how many of them on pages the commit's page checksums cover
+// (and which pages those are).
+func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered int, touched map[uint64]bool) {
 	t.Helper()
 	rec, err := loadRecord(img.ckpts, img.token)
 	if err != nil {
@@ -188,22 +185,19 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered,
 	bound := new(shard)
 	bound.futureFrom[rec.Version&1].Store(meta.Lhs)
 	err = l.Scan(meta.scanStart(), meta.logEnd(), func(addr uint64, r hlog.RecordRef) bool {
-		switch {
-		case !bound.isFuture(r.Version(), addr, rec.Version):
-			committed++
-		case onPage[addr>>12]:
-			covered++
-			touched[addr>>12] = true
-			fallthrough
-		default:
+		if bound.isFuture(r.Version(), addr, rec.Version) {
 			fuzzy++
+			if onPage[addr>>12] {
+				covered++
+				touched[addr>>12] = true
+			}
 		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fuzzy, covered, committed, touched
+	return fuzzy, covered, touched
 }
 
 // recoveredState is everything two recoveries of one image must agree on.
@@ -252,20 +246,24 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 	}
 }
 
-// TestRecoveryModesEquivalent: full replay, instant restore once warm, and a
-// replica's install followed by Promote run one Alg. 3 with different sinks, so
-// on one image they must leave byte-identical index images, device contents
-// and commit records and the same recovered points; instant restore's counters
-// must say what the image holds, and the promoted replica serves the commit.
-// (What each mode recovers, key by key, is TestOracle's crash half.)
+// TestRecoveryModesEquivalent: recovery and a replica's install followed by
+// Promote run one Alg. 3 with different neutralisers, so on one image they must
+// leave byte-identical index images, device contents and commit records and
+// the same recovered points; the record loses exactly the checksums of the
+// pages its v+1 records lie on, and the promoted replica serves the commit.
+// (What recovery recovers, key by key, is TestOracle's crash half.)
 func TestRecoveryModesEquivalent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			img := buildFuzzyImage(t, shards)
-			committed := make([]int, shards)
-			for i := range committed {
+			before, err := loadRecord(img.ckpts, img.token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touched := make([]map[uint64]bool, shards)
+			for i := range touched {
 				var fuzzy, covered int
-				fuzzy, covered, committed[i], _ = img.fuzzyOnCoveredPages(t, i)
+				fuzzy, covered, touched[i] = img.fuzzyOnCoveredPages(t, i)
 				if fuzzy != img.fuzzy[i] || covered == 0 {
 					t.Fatalf("shard %d: %d v+1 records in the commit's log, %d on checksummed pages; %d were written",
 						i, fuzzy, covered, img.fuzzy[i])
@@ -278,25 +276,24 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer full.Close()
-
-			icfg := img.config()
-			icfg.InstantRestore = true
-			inst, err := Recover(icfg)
+			after, err := loadRecord(fcfg.Checkpoints, img.token)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer inst.Close()
-			if err := inst.WaitRestored(); err != nil {
-				t.Fatal(err)
-			}
-			counts := restoreCounts(inst)
-			if len(counts) != shards {
-				t.Fatalf("restore counters of %d shards, want %d", len(counts), shards)
-			}
-			for i, got := range counts {
-				if want := (restoreCounters{uint64(committed[i]), uint64(committed[i]), uint64(img.fuzzy[i])}); got != want {
-					t.Fatalf("shard %d restore counters %+v, want %+v", i, got, want)
+			for i := range touched {
+				var want []hlog.PageCRC
+				for _, pc := range before.Shards[i].PageCRCs {
+					if !touched[i][pc.Page] {
+						want = append(want, pc)
+					}
 				}
+				if got := after.Shards[i].PageCRCs; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("shard %d: page checksums after recovery %v, want %v (touched %v)", i, got, want, touched[i])
+				}
+				after.Shards[i].PageCRCs = before.Shards[i].PageCRCs
+			}
+			if a, b := fmt.Sprintf("%+v", *after), fmt.Sprintf("%+v", *before); a != b {
+				t.Fatalf("recovery changed more of the record than page checksums:\n%s\n%s", a, b)
 			}
 
 			// The replica has the primary's log bytes (they stream ahead of
@@ -322,8 +319,7 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 			}
 
 			fstate := captureState(t, img, full, fcfg)
-			fstate.mustEqual(t, "full and instant", captureState(t, img, inst, icfg))
-			fstate.mustEqual(t, "full and promoted replica", captureState(t, img, rep, rcfg))
+			fstate.mustEqual(t, "recovered and promoted replica", captureState(t, img, rep, rcfg))
 			for _, id := range img.ids {
 				if fstate.points[id] == 0 {
 					t.Fatalf("session %s has no recovered point: %v", id, fstate.points)
@@ -332,22 +328,6 @@ func TestRecoveryModesEquivalent(t *testing.T) {
 			checkFuzzyImage(t, "promoted replica", rep, img)
 		})
 	}
-}
-
-// restoreCounters is the deterministic part of a warm shard's restore status.
-type restoreCounters struct {
-	suffix, replayed, invalidated uint64
-}
-
-// restoreCounts is each shard's restoreCounters, once warm; nil if the store
-// was not instant-restored.
-func restoreCounts(s *Store) (out []restoreCounters) {
-	if st := s.RestoreStatus(); st != nil {
-		for _, sh := range st.Shards {
-			out = append(out, restoreCounters{sh.SuffixRecords, sh.ReplayedRecords, sh.InvalidatedRecords})
-		}
-	}
-	return out
 }
 
 // checkFuzzyImage reads every key of the image through a session: the
@@ -367,115 +347,39 @@ func checkFuzzyImage(t *testing.T, label string, s *Store, img *fuzzyImage) {
 // TestSecondCrashKeepsCommit is the regression test for a recovery that broke
 // the page checksums of the commit it recovered: the invalid bits it writes
 // into the v+1 records change pages the commit's page checksums cover, so a
-// second crash before the next commit sent a full recovery back to an older
-// commit than clients had been told was durable ("page N checksum mismatch").
-// Recover, close without committing, recover again: same commit, nothing
-// skipped, whichever mode ran first and whichever runs second. TestOracle's
-// second crash checks the same, but its images hold v+1 records on
-// checksummed pages only now and then; this one always does.
+// second crash before the next commit sent recovery back to an older commit
+// than clients had been told was durable ("page N checksum mismatch"). Recover,
+// close without committing, recover again: same commit, nothing skipped.
+// TestOracle's second crash checks the same, but its images hold v+1 records
+// on checksummed pages only now and then; this one always does.
 func TestSecondCrashKeepsCommit(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		img := buildFuzzyImage(t, shards)
 		for i := 0; i < shards; i++ {
-			if _, covered, _, _ := img.fuzzyOnCoveredPages(t, i); covered == 0 {
+			if _, covered, _ := img.fuzzyOnCoveredPages(t, i); covered == 0 {
 				t.Fatalf("shards=%d: no v+1 record of shard %d lies on a page the commit's checksums cover", shards, i)
 			}
 		}
-		for _, first := range []bool{false, true} {
-			devs, ckpts := cloneDevs(img.devs), img.ckpts.Clone()
-			recoverSame(t, fmt.Sprintf("shards=%d first (instant=%v)", shards, first), img, devs, ckpts, first).Close()
-			for _, second := range []bool{false, true} {
-				label := fmt.Sprintf("shards=%d first (instant=%v) second (instant=%v)", shards, first, second)
-				r := recoverSame(t, label, img, cloneDevs(devs), ckpts.Clone(), second)
-				checkFuzzyImage(t, label, r, img)
-				r.Close()
-			}
-		}
+		devs, ckpts := cloneDevs(img.devs), img.ckpts.Clone()
+		recoverSame(t, fmt.Sprintf("shards=%d first", shards), img, devs, ckpts).Close()
+		label := fmt.Sprintf("shards=%d second", shards)
+		r := recoverSame(t, label, img, devs, ckpts)
+		checkFuzzyImage(t, label, r, img)
+		r.Close()
 	}
 }
 
 // recoverSame recovers the image's newest commit from devs and ckpts — in
 // place, as a restarted process does — and fails unless it is that commit
 // with nothing skipped.
-func recoverSame(t *testing.T, label string, img *fuzzyImage, devs []*storage.MemDevice, ckpts *storage.MemCheckpointStore, instant bool) *Store {
+func recoverSame(t *testing.T, label string, img *fuzzyImage, devs []*storage.MemDevice, ckpts *storage.MemCheckpointStore) *Store {
 	t.Helper()
-	cfg := configOver(img.shards, devs, ckpts)
-	cfg.InstantRestore = instant
-	r, report, err := RecoverWithReport(cfg)
+	r, report, err := RecoverWithReport(configOver(img.shards, devs, ckpts))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
-	}
-	if err := r.WaitRestored(); err != nil {
-		t.Fatalf("%s: WaitRestored: %v", label, err)
 	}
 	if report.Token != img.token || len(report.Skipped) != 0 {
 		t.Fatalf("%s: recovered %s skipping %+v, want %s and nothing skipped", label, report.Token, report.Skipped, img.token)
 	}
 	return r
-}
-
-// lingeringStore holds every reader of a commit record for a moment between its
-// read and its return, so that read-modify-writes of one record overlap unless
-// something serialises them.
-type lingeringStore struct{ *storage.MemCheckpointStore }
-
-func (s lingeringStore) Open(name string) (io.ReadCloser, error) {
-	r, err := s.MemCheckpointStore.Open(name)
-	if strings.HasPrefix(name, "cpr-manifest-") {
-		time.Sleep(time.Millisecond)
-	}
-	return r, err
-}
-
-// TestRestoreAmendsOneRecord: the restore goroutines of a four-shard instant
-// restore each find v+1 records on checksummed pages and amend the commit's one
-// record at the same time. Once warm, the record has lost exactly those pages'
-// checksums, on every shard, and nothing else; and a second recovery of the
-// same devices and checkpoint store takes the same commit with nothing
-// skipped.
-func TestRestoreAmendsOneRecord(t *testing.T) {
-	const shards = 4
-	img := buildFuzzyImage(t, shards)
-	before, err := loadRecord(img.ckpts, img.token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs, ckpts := cloneDevs(img.devs), img.ckpts.Clone()
-	cfg := configOver(shards, devs, ckpts)
-	cfg.Checkpoints = lingeringStore{ckpts}
-	cfg.InstantRestore = true
-	first, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := first.WaitRestored(); err != nil {
-		t.Fatal(err)
-	}
-	first.Close()
-	after, err := loadRecord(ckpts, img.token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < shards; i++ {
-		_, _, _, touched := img.fuzzyOnCoveredPages(t, i)
-		if len(touched) == 0 {
-			t.Fatalf("shard %d: no v+1 record on a checksummed page", i)
-		}
-		var want []hlog.PageCRC
-		for _, pc := range before.Shards[i].PageCRCs {
-			if !touched[pc.Page] {
-				want = append(want, pc)
-			}
-		}
-		if got := after.Shards[i].PageCRCs; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("shard %d: page checksums after the restore %v, want %v (touched %v)", i, got, want, touched)
-		}
-		after.Shards[i].PageCRCs = before.Shards[i].PageCRCs
-	}
-	if a, b := fmt.Sprintf("%+v", *after), fmt.Sprintf("%+v", *before); a != b {
-		t.Fatalf("the amend changed more than page checksums:\n%s\n%s", a, b)
-	}
-	r := recoverSame(t, "second (full)", img, devs, ckpts, false)
-	checkFuzzyImage(t, "second (full)", r, img)
-	r.Close()
 }

@@ -432,19 +432,6 @@ func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Statu
 		}
 		return nil, Error
 	}
-	// Instant restore: a cold bucket must be warmed before any operation in
-	// it executes. One nil pointer load on the post-restore hot path; while
-	// restoring, one atomic bitmap load for warm buckets. The slow path
-	// BLOCKS the session goroutine (never parks the op as Pending): a later
-	// same-session op completing first would break session ordering. Parked
-	// ops retried by completeOnce bypass this gate safely — they passed it
-	// when first issued, and warm is sticky.
-	if rs := ctx.store.restore.Load(); rs != nil && rs.ensureWarm(op.hash) != nil {
-		if cb != nil {
-			cb(nil, Error)
-		}
-		return nil, Error
-	}
 	if len(ctx.pending) >= maxPendingSoft {
 		ctx.completeOnce()
 	}

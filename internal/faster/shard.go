@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/epoch"
@@ -32,9 +31,6 @@ type shard struct {
 	lastIndex        string
 	lastLis, lastLie uint64
 
-	// recordMu is the store's lock around amending a commit record.
-	recordMu *sync.Mutex
-
 	// recoveredScanStart is the address from which this shard's own recovery
 	// (or promotion) rewrote log state on the device — see Store.ResyncFrom.
 	// Zero when the shard was opened fresh. Written single-threaded at
@@ -46,13 +42,6 @@ type shard struct {
 	// access externally.
 	replicaDead map[uint64]bool
 
-	// restore is non-nil while an instant restore is warming this shard's
-	// buckets (Config.InstantRestore); the operation path checks it with a
-	// single pointer load. restoreStats keeps the final restore statistics
-	// after the shard is fully warm (RestoreStatus survives completion).
-	restore      atomic.Pointer[restoreState]
-	restoreStats atomic.Pointer[RestoreShardStatus]
-
 	metrics storeMetrics        // shared across shards: store-wide operation counts
 	flight  *obs.FlightRecorder // nil-safe; events tagged with sh.id
 }
@@ -60,7 +49,7 @@ type shard struct {
 // openShard creates one empty shard whose log is registered with em. cfg must
 // already be the shard's private configuration (own device, prefixed metrics
 // view — see Store.shardConfig).
-func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics, recordMu *sync.Mutex) (*shard, error) {
+func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics) (*shard, error) {
 	l, err := hlog.New(hlog.Config{
 		PageBits:        cfg.PageBits,
 		MemPages:        cfg.MemPages,
@@ -80,29 +69,13 @@ func openShard(cfg Config, id int, em *epoch.Manager, metrics storeMetrics, reco
 		return nil, err
 	}
 	return &shard{
-		id:       id,
-		cfg:      cfg,
-		log:      l,
-		index:    idx,
-		metrics:  metrics,
-		flight:   cfg.Flight,
-		recordMu: recordMu,
+		id:      id,
+		cfg:     cfg,
+		log:     l,
+		index:   idx,
+		metrics: metrics,
+		flight:  cfg.Flight,
 	}, nil
-}
-
-// close shuts down the shard's background I/O, cancelling any in-flight
-// instant restore first (blocked operations wake with an error; the restore
-// goroutine exits on its next abort check or when the closed log fails its
-// reads).
-func (sh *shard) close() {
-	rs := sh.restore.Load()
-	if rs != nil {
-		rs.abort()
-	}
-	sh.log.Close()
-	if rs != nil && rs.started {
-		<-rs.finished
-	}
 }
 
 // isFuture reports whether a record of on-record version recVer at addr belongs

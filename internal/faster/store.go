@@ -179,19 +179,28 @@ type Config struct {
 	// commit makes them live) and ApplyCommitted may advance the visible
 	// state. See internal/repl and Store.Promote.
 	Replica bool
-	// InstantRestore makes Recover return before the log suffix is relinked:
-	// the store comes up on the recovered commit's index with every hash
-	// bucket cold, a background pass analyzes the suffix once (page-granular,
-	// invalidating post-prefix records), and each bucket's records are
-	// re-linked lazily on first touch or by a background sweeper. An operation
-	// still waits until that pass has scanned the whole suffix, so
-	// time-to-first-served-op grows with the suffix; what it skips is the
-	// relinking. Operations on cold buckets then pay a one-time warm-up, and Commit/
-	// CompactLog return ErrRestoring until the store is warm (WaitRestored).
-	// Ignored for replicas (their staged-suffix replay is not lazy-safe) and
-	// by Open (nothing to restore). See DESIGN "Instant restore".
+	// Deprecated: ignored. Recover has one mode, the full replay; this field,
+	// Store.WaitRestored, Store.RestoreStatus and RestoreStatus stay only
+	// until the benchmark module stops naming them.
 	InstantRestore bool
 }
+
+// RestoreStatus is what Store.RestoreStatus returned for an instant restore.
+//
+// Deprecated: nothing fills it; Store.RestoreStatus returns nil.
+type RestoreStatus struct {
+	Shards []struct{ OnDemandWarms, BlockedOps, ReplayedRecords uint64 }
+}
+
+// RestoreStatus returns nil: no store is instant-restored.
+//
+// Deprecated: recovery replays the whole suffix before Recover returns.
+func (s *Store) RestoreStatus() *RestoreStatus { return nil }
+
+// WaitRestored returns nil: a recovered store is warm when Recover returns.
+//
+// Deprecated: there is nothing to wait for.
+func (s *Store) WaitRestored() error { return nil }
 
 func (c *Config) fill() error {
 	if c.Shards == 0 {
@@ -238,13 +247,6 @@ type storeMetrics struct {
 	recoverySkips                 *obs.Counter // commits skipped as unverifiable
 	lagOps                        *obs.Histogram
 	lagNs                         *obs.Histogram
-
-	// Instant-restore progress (store-wide; per-shard state lives in gauges).
-	restoreOndemandWarms *obs.Counter // buckets warmed by a blocked operation
-	restoreSweepWarms    *obs.Counter // buckets warmed by the background sweeper
-	restoreReplayed      *obs.Counter // suffix records re-linked into warm buckets
-	restoreInvalidated   *obs.Counter // post-prefix records invalidated by analysis
-	restoreBlockedOps    *obs.Counter // operations that waited on a cold bucket
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
@@ -266,12 +268,6 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 		// demarcated.
 		lagOps: reg.Histogram("faster_session_lag_ops"),
 		lagNs:  reg.Histogram("faster_session_lag_ns"),
-
-		restoreOndemandWarms: reg.Counter("faster_restore_ondemand_warms_total"),
-		restoreSweepWarms:    reg.Counter("faster_restore_sweep_warms_total"),
-		restoreReplayed:      reg.Counter("faster_restore_replayed_records_total"),
-		restoreInvalidated:   reg.Counter("faster_restore_invalidated_records_total"),
-		restoreBlockedOps:    reg.Counter("faster_restore_blocked_ops_total"),
 	}
 }
 
@@ -305,10 +301,6 @@ type Store struct {
 	latestToken string        // newest commit completed, recovered or installed here ("" if none)
 	latestVer   uint32        // and its version
 	commitSeq   atomic.Uint64 // token counter
-
-	// recordMu serialises the read-modify-write of a commit record after the
-	// commit (shard.amendRecord); every shard holds a pointer to it.
-	recordMu sync.Mutex
 
 	// hookMu guards commitHooks (see OnCommit; fired after every completed
 	// commit, used by the replication shipper) and artifactHooks (see
@@ -387,7 +379,7 @@ func Open(cfg Config) (*Store, error) {
 		sc, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, s.epochs, s.metrics, &s.recordMu)
+			sh, err = openShard(sc, i, s.epochs, s.metrics)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -401,8 +393,8 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// registerStoreGauges exposes the state machine, the session count, the
-// shards' I/O queues and instant-restore progress, each once per store.
+// registerStoreGauges exposes the state machine, the session count and
+// the shards' I/O queues, each once per store.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
@@ -419,45 +411,12 @@ func (s *Store) registerStoreGauges() {
 	}
 	reg.GaugeFunc("storage_io_inflight", sum(func(sh *shard) int64 { return sh.log.IOPool().InFlight() }))
 	reg.GaugeFunc("storage_io_queue_depth", sum(func(sh *shard) int64 { return sh.log.IOPool().QueueDepth() }))
-
-	// Instant restore over every shard: 1 while any shard warms, the cold
-	// buckets and pending suffix records summed, the slowest shard's time to
-	// warm; 0 on a store that never instant-restored.
-	restore := func(f func(*RestoreStatus) int64) func() int64 {
-		return func() int64 {
-			if st := s.RestoreStatus(); st != nil {
-				return f(st)
-			}
-			return 0
-		}
-	}
-	reg.GaugeFunc("faster_restore_active", restore(func(st *RestoreStatus) int64 {
-		if st.Restoring {
-			return 1
-		}
-		return 0
-	}))
-	reg.GaugeFunc("faster_restore_cold_buckets", restore(func(st *RestoreStatus) int64 { return int64(st.ColdBuckets()) }))
-	reg.SetHelp("faster_restore_cold_buckets",
-		"Hash buckets still cold during instant restore; cold buckets with no warms progressing is the health engine's restore-sweeper-stalled signal.")
-	reg.GaugeFunc("faster_restore_pending_records", restore(func(st *RestoreStatus) (n int64) {
-		for _, sh := range st.Shards {
-			n += int64(sh.PendingRecords)
-		}
-		return n
-	}))
-	reg.GaugeFunc("faster_restore_time_to_warm_ns", restore(func(st *RestoreStatus) (n int64) {
-		for _, sh := range st.Shards {
-			n = max(n, sh.TimeToWarmNanos)
-		}
-		return n
-	}))
 }
 
 // Close shuts down background I/O. Outstanding sessions become invalid.
 func (s *Store) Close() {
 	for _, sh := range s.shards {
-		sh.close()
+		sh.log.Close()
 	}
 }
 

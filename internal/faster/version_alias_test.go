@@ -2,7 +2,6 @@ package faster
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/storage"
@@ -75,8 +74,8 @@ func TestVersionAliasPendingRead(t *testing.T) {
 
 // TestVersionAliasRecovery: commit 8193 is log-only and carries commit 1's
 // index image forward, so its replay starts below every record of version 2 —
-// the version its v+1 aliases. Full recovery and instant restore must take
-// those records as committed, not unwind them.
+// the version its v+1 aliases. Recovery must take those records as
+// committed, not unwind them.
 func TestVersionAliasRecovery(t *testing.T) {
 	n := testShardCount(1)
 	devs, ckpts := newDevs(n), storage.NewMemCheckpointStore()
@@ -106,14 +105,10 @@ func TestVersionAliasRecovery(t *testing.T) {
 	}
 	sess.StopSession()
 	s.Close()
-	for _, instant := range []bool{false, true} {
-		cfg := configOver(n, cloneDevs(devs), ckpts.Clone())
-		cfg.InstantRestore = instant
-		r, err := Recover(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkImage(t, fmt.Sprintf("instant %v: recovered commit 8193", instant), r, want, nil)
-		r.Close()
+	r, err := Recover(configOver(n, devs, ckpts))
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkImage(t, "recovered commit 8193", r, want, nil)
+	r.Close()
 }

@@ -9,7 +9,7 @@ import (
 // The built-in detectors share one shape: demand present in both samples,
 // progress absent between them. Stalls are never inferred from an idle
 // system — every check requires queued work (epoch lag, unsynced appends, a
-// non-Rest phase, cold buckets) before the missing progress counts against
+// non-Rest phase, a replica behind) before the missing progress counts against
 // the node. cpr-commit-stuck alone remembers more than one pair: how long a
 // commit has been in its phase is what separates a parked commit from a busy
 // commit loop caught in the same phase twice.
@@ -55,11 +55,6 @@ func builtinDetectors() []Detector {
 			Name:        "repl-lag-growing",
 			Description: "Replication lag is growing: a replica falls further behind, or a primary commits without announcing to its replicas.",
 			Check:       checkReplLagGrowing,
-		},
-		{
-			Name:        "restore-sweeper-stalled",
-			Description: "Instant restore is active with cold buckets remaining and no bucket warmed this window.",
-			Check:       checkRestoreSweeperStalled,
 		},
 		{
 			Name:        "flush-starvation",
@@ -164,22 +159,6 @@ func rising(prev, cur Sample, name string) (now, before int64, ok bool) {
 	before, had := prev.Snap.Gauges[name]
 	now = cur.Snap.Gauges[name]
 	return now, before, had && now > before && now > 0
-}
-
-// checkRestoreSweeperStalled: demand = restore active with cold buckets
-// remaining, unchanged across the window; progress = any bucket warmed
-// (on-demand or by the sweeper).
-func checkRestoreSweeperStalled(prev, cur Sample) (bool, string) {
-	g, pg := cur.Snap.Gauges, prev.Snap.Gauges
-	c, pc := cur.Snap.Counters, prev.Snap.Counters
-	warmed := c["faster_restore_ondemand_warms_total"] - pc["faster_restore_ondemand_warms_total"] +
-		c["faster_restore_sweep_warms_total"] - pc["faster_restore_sweep_warms_total"]
-	cold := g["faster_restore_cold_buckets"]
-	if g["faster_restore_active"] != 1 || pg["faster_restore_active"] != 1 || cold == 0 ||
-		cold != pg["faster_restore_cold_buckets"] || warmed != 0 {
-		return false, ""
-	}
-	return true, fmt.Sprintf("restore active, %d cold bucket(s) and none warmed this window", cold)
 }
 
 // checkFlushStarvation: demand = operations executed this window; progress =

@@ -222,43 +222,6 @@ func TestReplLagGrowing(t *testing.T) {
 	}
 }
 
-func TestRestoreSweeperStalled(t *testing.T) {
-	bad, detail := pair(t, checkRestoreSweeperStalled,
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 40},
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 40},
-		nil, nil)
-	if !bad {
-		t.Fatal("frozen cold-bucket count during restore not detected")
-	}
-	if !strings.Contains(detail, "40 cold bucket") {
-		t.Fatalf("detail %q lacks the cold count", detail)
-	}
-
-	// Healthy: sweeper warming buckets (count dropping).
-	if bad, _ := pair(t, checkRestoreSweeperStalled,
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 40},
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 25},
-		nil, nil); bad {
-		t.Fatal("progressing sweeper flagged as stalled")
-	}
-	// Healthy: count frozen but on-demand warms landed this window (the
-	// store-level counters prove progress even if the gauge snapshot tied).
-	if bad, _ := pair(t, checkRestoreSweeperStalled,
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 40},
-		map[string]int64{"faster_restore_active": 1, "faster_restore_cold_buckets": 40},
-		map[string]uint64{"faster_restore_ondemand_warms_total": 3},
-		map[string]uint64{"faster_restore_ondemand_warms_total": 9}); bad {
-		t.Fatal("window with on-demand warms flagged as stalled")
-	}
-	// Healthy: restore finished.
-	if bad, _ := pair(t, checkRestoreSweeperStalled,
-		map[string]int64{"faster_restore_active": 0, "faster_restore_cold_buckets": 0},
-		map[string]int64{"faster_restore_active": 0, "faster_restore_cold_buckets": 0},
-		nil, nil); bad {
-		t.Fatal("finished restore flagged as stalled")
-	}
-}
-
 func TestFlushStarvation(t *testing.T) {
 	hist := func(count uint64) obs.Snapshot {
 		return obs.Snapshot{

@@ -320,7 +320,6 @@ func TestBuiltinSuiteRegistersMetrics(t *testing.T) {
 		"faster_health_firing_cpr_commit_stuck",
 		"faster_health_firing_inlog_fsync_stalled",
 		"faster_health_firing_repl_lag_growing",
-		"faster_health_firing_restore_sweeper_stalled",
 		"faster_health_firing_flush_starvation",
 		"faster_health_firing_slo_durlag_burn",
 		"faster_health_state",

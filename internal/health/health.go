@@ -8,7 +8,7 @@
 //
 // The CPR design makes the interesting failure mode a *silent stall*, not a
 // crash: a commit stuck in PREPARE, an fsync frontier that stops advancing,
-// a restore sweeper that never finishes. Every built-in detector is a pure
+// a replica that falls further behind. Every built-in detector is a pure
 // function over two registry snapshots (demand present, progress absent), so
 // each is unit-testable against a synthesized registry with no running
 // store.

@@ -582,12 +582,13 @@ func (l *Log) invalidatePageCRCs(from, to uint64) {
 	l.durableMu.Unlock()
 }
 
-// SeedPageCRCs loads recorded page checksums into the log's checksum table
-// without touching the device, for every page that lies fully below end. A
-// seeded page is verified whenever it is read from the device: instant
-// restore stops here, so its startup cost is independent of the log's size and
-// the suffix pages are checked lazily, as the replay scan reads them.
-func (l *Log) SeedPageCRCs(crcs []PageCRC, end uint64) {
+// VerifyPages loads recorded page checksums into the log's checksum table, for
+// every page that lies fully below end, and then checks the device contents of
+// every such page, eagerly: a page that still mismatches after
+// readDevicePage's retries fails recovery of this commit (the caller falls
+// back to an older one). A loaded page is verified again whenever it is read
+// from the device.
+func (l *Log) VerifyPages(crcs []PageCRC, end uint64) error {
 	l.durableMu.Lock()
 	for _, pc := range crcs {
 		if (pc.Page+1)<<l.cfg.PageBits > end {
@@ -596,14 +597,6 @@ func (l *Log) SeedPageCRCs(crcs []PageCRC, end uint64) {
 		l.pageCRCs[pc.Page] = pc.CRC
 	}
 	l.durableMu.Unlock()
-}
-
-// VerifyPages seeds the checksum table like SeedPageCRCs and then checks the
-// device contents of every seeded page, eagerly: a page that still mismatches
-// after readDevicePage's retries fails recovery of this commit (the caller falls
-// back to an older one).
-func (l *Log) VerifyPages(crcs []PageCRC, end uint64) error {
-	l.SeedPageCRCs(crcs, end)
 	buf := make([]byte, l.pageSize)
 	for _, pc := range crcs {
 		start, stop, _, ok := l.pageCRCFor(pc.Page << l.cfg.PageBits)

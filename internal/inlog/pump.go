@@ -263,12 +263,8 @@ func (p *Pump) loop() {
 // pump before it is given one, so the serial<->offset anchor never shears.
 // The group's parked operations complete before it returns, so it is published
 // as applied only if every record of it is; a failed one stops the pump.
-//
-// Under an instant restore (faster.Config.InstantRestore) these session ops
-// self-gate per key: each blocks until its hash bucket is warm, so the pump
-// resumes from the converted watermark only as fast as its buckets come warm
-// and never applies a record over pre-prefix state. No pump-side coordination
-// is needed.
+// A recovered store has replayed its whole log suffix before Recover returns,
+// so the pump never applies a record over pre-prefix state.
 func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 	g, buf, err := p.log.ReadGroup(offset, p.buf)
 	p.buf = buf

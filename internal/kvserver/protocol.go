@@ -97,12 +97,6 @@ type StatsSnapshot struct {
 	// issued serial runs ahead of its committed CPR point t_i, and for how
 	// long (absent when no sessions exist).
 	SessionLags []faster.SessionLag `json:"session_lags,omitempty"`
-	// Restore carries instant-restore progress after a Config.InstantRestore
-	// recovery: warm/cold bucket counts, sweeper progress and per-shard
-	// time-to-warm. Absent when the store was never instant-restored. Final
-	// statistics remain available after the store is fully warm
-	// (Restoring=false).
-	Restore *faster.RestoreStatus `json:"restore,omitempty"`
 	// Health carries the health engine's verdict when one is wired (absent
 	// otherwise).
 	Health *health.Verdict `json:"health,omitempty"`

@@ -791,7 +791,6 @@ func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
 		snap.Health = s.Health()
 	}
 	snap.SessionLags = store.SessionLags()
-	snap.Restore = store.RestoreStatus()
 	return replyJSON(w, OpStats, snap, "")
 }
 

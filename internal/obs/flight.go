@@ -120,17 +120,11 @@ const (
 	// recovered watermark. Arg1 is the replay start offset, Arg2 the records
 	// replayed.
 	FlightInlogReplay
-	// FlightWarmBucket: instant restore warmed one cold hash bucket — its
-	// log-suffix records are re-linked and operations on it may proceed. The
-	// event is emitted BEFORE any blocked operation resumes, so "a request
-	// touched bucket B" ordered after "warm-bucket B" proves the request
-	// never observed pre-prefix state. Arg1 is the bucket number, Arg2 the
-	// suffix records replayed into it.
-	FlightWarmBucket
-	// FlightSweep: instant-restore sweeper progress. Arg1 is the cold
-	// buckets remaining, Arg2 the suffix records still pending; a final
-	// event with Arg1 == 0 marks the shard fully warm.
-	FlightSweep
+	// Two numbers stay reserved for kinds that are gone (instant restore's
+	// warm-bucket and sweep): numbering the kinds after them anew would make
+	// a dump written before decode those kinds' numbers as others.
+	_
+	_
 	// FlightHealthFire: a health-engine detector crossed its hysteresis bound
 	// and started firing. Token is the detector name, Arg1 the consecutive
 	// bad samples, Arg2 the incident bundle sequence (0 = no bundle written).
@@ -172,8 +166,6 @@ var flightKindNames = [numFlightKinds]string{
 	FlightInlogWatermark:  "inlog-watermark",
 	FlightInlogTrim:       "inlog-trim",
 	FlightInlogReplay:     "inlog-replay",
-	FlightWarmBucket:      "warm-bucket",
-	FlightSweep:           "sweep",
 	FlightHealthFire:      "health-fire",
 	FlightHealthClear:     "health-clear",
 }
@@ -181,14 +173,16 @@ var flightKindNames = [numFlightKinds]string{
 var flightKindByName = func() map[string]FlightKind {
 	m := make(map[string]FlightKind, numFlightKinds)
 	for k, n := range flightKindNames {
-		m[n] = FlightKind(k)
+		if n != "" {
+			m[n] = FlightKind(k)
+		}
 	}
 	return m
 }()
 
 // String implements fmt.Stringer.
 func (k FlightKind) String() string {
-	if int(k) < len(flightKindNames) {
+	if int(k) < len(flightKindNames) && flightKindNames[k] != "" {
 		return flightKindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))

@@ -47,6 +47,67 @@ func TestFlightEmitAndEvents(t *testing.T) {
 	}
 }
 
+// TestFlightKindNumbers pins every kind's number and name: both are written
+// into dumps, so a kind that moves makes an older dump decode as other kinds.
+// The two numbers of deleted kinds stay reserved and have no name.
+func TestFlightKindNumbers(t *testing.T) {
+	kinds := []struct {
+		kind obs.FlightKind
+		name string
+	}{
+		{obs.FlightNone, "none"},
+		{obs.FlightEpochBump, "epoch-bump"},
+		{obs.FlightEpochDrain, "epoch-drain"},
+		{obs.FlightPhase, "phase"},
+		{obs.FlightAckPrepare, "ack-prepare"},
+		{obs.FlightDemarcate, "demarcate"},
+		{obs.FlightDrop, "drop"},
+		{obs.FlightCommitStart, "commit-start"},
+		{obs.FlightPersistDone, "persist-done"},
+		{obs.FlightCommitDone, "commit-done"},
+		{obs.FlightCommitFail, "commit-fail"},
+		{obs.FlightCommitAnnounced, "commit-announced"},
+		{obs.FlightFlush, "flush"},
+		{obs.FlightPageCRC, "page-crc"},
+		{obs.FlightArtifactWrite, "artifact-write"},
+		{obs.FlightArtifactRetry, "artifact-retry"},
+		{obs.FlightFaultInjected, "fault-injected"},
+		{obs.FlightCrashPoint, "crash-point"},
+		{obs.FlightReplShip, "repl-ship"},
+		{obs.FlightReplInstall, "repl-install"},
+		{obs.FlightReplPromote, "repl-promote"},
+		{obs.FlightRecoverVerdict, "recover-verdict"},
+		{obs.FlightRecoverFallback, "recover-fallback"},
+		{obs.FlightInlogAppend, "inlog-append"},
+		{obs.FlightInlogFsync, "inlog-fsync"},
+		{obs.FlightInlogApply, "inlog-apply"},
+		{obs.FlightInlogWatermark, "inlog-watermark"},
+		{obs.FlightInlogTrim, "inlog-trim"},
+		{obs.FlightInlogReplay, "inlog-replay"},
+		{29, "kind(29)"}, // reserved: warm-bucket
+		{30, "kind(30)"}, // reserved: sweep
+		{obs.FlightHealthFire, "health-fire"},
+		{obs.FlightHealthClear, "health-clear"},
+		{33, "kind(33)"}, // past the last kind
+	}
+	for n, c := range kinds {
+		if int(c.kind) != n || c.kind.String() != c.name {
+			t.Errorf("kind %q is number %d, named %q; want number %d", c.name, c.kind, c.kind.String(), n)
+		}
+		b, err := json.Marshal(c.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back obs.FlightKind
+		err = json.Unmarshal(b, &back)
+		if named := c.name != fmt.Sprintf("kind(%d)", n); named && (err != nil || back != c.kind) {
+			t.Errorf("kind %q decodes as %v, %v", c.name, back, err)
+		} else if !named && err == nil {
+			t.Errorf("name %s decodes as kind %d", b, back)
+		}
+	}
+}
+
 func TestFlightNilSafety(t *testing.T) {
 	var f *obs.FlightRecorder
 	f.Emit(obs.FlightFlush, 0, 1, "tok", "sess", 1, 2) // must not panic
