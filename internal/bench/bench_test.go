@@ -2,10 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faster"
 	"repro/internal/txdb"
@@ -15,7 +16,7 @@ import (
 // tinyCfg is a smoke-test configuration: every experiment must run end to
 // end in well under a second of measured time.
 func tinyCfg() Config {
-	return Config{Threads: 2, Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
+	return Config{Threads: 2, Seconds: 0.05, Scale: 0.005, TimePoints: 0.05}
 }
 
 // designIndexIDs parses the ID column of DESIGN.md's "Experiment index" table,
@@ -75,31 +76,46 @@ func TestRegistryMatchesDesignIndex(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsSmoke runs every registered experiment end to end at
+// tiny scale. The runs are bounded by the wall clock, not by work, so they
+// run eight at a time; each experiment's subtest reports its error. Shapes
+// are not read here — a 4 000-key run beside seven others has none — but
+// on the committed default-scale artifacts (shape_test.go).
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke-running every experiment is slow; run without -short")
 	}
-	cfg := tinyCfg()
-	for _, e := range All() {
-		e := e
+	t.Parallel()
+	exps := All()
+	errs := make([]error, len(exps))
+	sem := make(chan struct{}, 8)
+	var wg sync.WaitGroup
+	for i, e := range exps {
+		wg.Add(1)
+		go func(i int, e Experiment) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = e.Run(tinyCfg(), io.Discard)
+		}(i, e)
+	}
+	wg.Wait()
+	for i, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(cfg, &buf); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
 		})
 	}
 }
 
 func TestRunTxdbBasics(t *testing.T) {
+	t.Parallel()
 	spec := ycsb.TxnSpec{Keys: 1000, TxnSize: 1, ReadFraction: 0.5, Theta: 0.1}
 	res, err := RunTxdb(TxdbParams{
 		Engine: txdb.EngineCPR, Threads: 2, ValueSize: 8, Seconds: 0.1,
 		Records: 1000,
-		Source:  func(w int) TxnSource { return newYCSBSource(spec, 8, uint64(w)+1) },
+		Source:  func(w int) func() *txdb.Txn { return ycsbTxns(spec, 8, uint64(w)+1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,14 +128,14 @@ func TestRunTxdbBasics(t *testing.T) {
 	}
 }
 
-func TestRunTxdbWithCommitsAndSeries(t *testing.T) {
+func TestRunTxdbWithCommits(t *testing.T) {
+	t.Parallel()
 	spec := ycsb.TxnSpec{Keys: 1000, TxnSize: 1, ReadFraction: 0.5, Theta: 0.1}
 	res, err := RunTxdb(TxdbParams{
 		Engine: txdb.EngineCPR, Threads: 2, ValueSize: 8, Seconds: 1.0,
-		Records:     1000,
-		CommitAt:    []float64{0.2, 0.7},
-		SampleEvery: 50 * time.Millisecond,
-		Source:      func(w int) TxnSource { return newYCSBSource(spec, 8, uint64(w)+1) },
+		Records:  1000,
+		CommitAt: []float64{0.2, 0.7},
+		Source:   func(w int) func() *txdb.Txn { return ycsbTxns(spec, 8, uint64(w)+1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,16 +145,17 @@ func TestRunTxdbWithCommitsAndSeries(t *testing.T) {
 	if res.CommitCount < 1 {
 		t.Fatalf("commits = %d, want >= 1", res.CommitCount)
 	}
-	if len(res.Series) < 3 {
-		t.Fatalf("series too short: %d", len(res.Series))
+	// The database's flight recorder gives the ruler its commit spans.
+	if len(res.Dip.Commits) != res.CommitCount || res.Dip.Inside.Sec <= 0 {
+		t.Fatalf("%d commits, ruler read %d spans over %.3fs", res.CommitCount, len(res.Dip.Commits), res.Dip.Inside.Sec)
 	}
 }
 
 func TestRunFasterBasics(t *testing.T) {
+	t.Parallel()
 	sum, err := RunFaster(FasterParams{
-		Threads: 2, Keys: 2000, ValueSize: 8, ReadFrac: 0.5,
+		Threads: 2, Keys: 2000, ReadFrac: 0.5,
 		Seconds: 0.2, CommitAt: []float64{0.1}, WithIndex: true,
-		SampleEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,21 +166,26 @@ func TestRunFasterBasics(t *testing.T) {
 	if len(sum.Commits) != 1 {
 		t.Fatalf("commits completed = %d, want 1", len(sum.Commits))
 	}
-	if len(sum.Series) == 0 {
+	if len(sum.Series.T) == 0 {
 		t.Fatal("no time series")
 	}
-	// The runner's store has a flight recorder, so the commit's phases are timed.
+	// The runner's store has a flight recorder, so the ruler sees the
+	// commit's span and its phases.
+	if len(sum.Dip.Commits) != 1 {
+		t.Fatalf("ruler read %d commit spans, want 1", len(sum.Dip.Commits))
+	}
 	for _, phase := range []string{"prepare", "in-progress", "wait-flush"} {
-		if sum.PhaseNanos[phase] <= 0 {
-			t.Fatalf("PhaseNanos = %v, want time in %s", sum.PhaseNanos, phase)
+		if _, ok := sum.Dip.Phases[phase]; !ok {
+			t.Fatalf("phases = %v, want a %s span", sum.Dip.Phases, phase)
 		}
 	}
 }
 
 func TestRunFasterRMWAndTransfers(t *testing.T) {
+	t.Parallel()
 	for _, tr := range []faster.VersionTransfer{faster.FineGrained, faster.CoarseGrained} {
 		sum, err := RunFaster(FasterParams{
-			Threads: 2, Keys: 1000, ValueSize: 8, ReadFrac: 0, RMW: true,
+			Threads: 2, Keys: 1000, ReadFrac: 0, RMW: true,
 			Zipf: true, Transfer: tr, Seconds: 0.2, CommitAt: []float64{0.1},
 		})
 		if err != nil {
@@ -179,6 +201,7 @@ func TestRunFasterRMWAndTransfers(t *testing.T) {
 }
 
 func TestEndToEndRunner(t *testing.T) {
+	t.Parallel()
 	cfg := tinyCfg()
 	mops, _, err := runEndToEnd(cfg, 31, true)
 	if err != nil {
@@ -206,6 +229,7 @@ func TestThreadSweep(t *testing.T) {
 }
 
 func TestExperimentOutputShape(t *testing.T) {
+	t.Parallel()
 	// fig11e must produce one row per transaction size.
 	e, _ := Lookup("fig11e")
 	var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -34,40 +33,21 @@ func init() {
 				if err != nil {
 					return err
 				}
+				// Round 0 takes a full commit (index baseline), then three
+				// more rounds of updates take log-only commits; a final
+				// commit optionally refreshes the index.
 				sess := s.StartSession()
-				var kb, vb [8]byte
-				load := func(round uint64) {
-					for i := uint64(0); i < keys; i++ {
-						binary.LittleEndian.PutUint64(kb[:], i)
-						binary.LittleEndian.PutUint64(vb[:], i+round)
-						if st := sess.Upsert(kb[:], vb[:]); st == faster.Pending {
-							sess.CompletePending(true)
-						}
-					}
-				}
-				commit := func(idx bool) {
-					token, err := s.Commit(faster.CommitOptions{WithIndex: idx})
-					if err != nil {
-						return
-					}
-					for {
-						if _, ok := s.TryResult(token); ok {
-							return
-						}
-						sess.Refresh()
-					}
-				}
-				// Round 0 always takes a full commit (index baseline), then
-				// three more rounds of updates with log-only commits; the
-				// final commit optionally refreshes the index.
-				load(0)
-				commit(true)
-				for r := uint64(1); r <= 3; r++ {
-					load(r)
-					commit(false)
-				}
+				indexed := []bool{true, false, false, false}
 				if withIndex {
-					commit(true)
+					indexed = append(indexed, true)
+				}
+				for round, idx := range indexed {
+					if round < 4 {
+						upsertKeys(sess, 0, keys, uint64(round))
+					}
+					if _, err := commitWait(s, sess, faster.CommitOptions{WithIndex: idx}); err != nil {
+						return err
+					}
 				}
 				scanBytes := s.Log().Tail()
 				sess.StopSession()

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // ArtifactSchemaV is the BENCH_<exp>.json schema version; bump on any
@@ -127,70 +125,13 @@ func (r *Recorder) WriteFile(dir string) (string, error) {
 func (c Config) Record(row Row) { c.Rec.AddRow(row) }
 
 // summaryRow flattens a FasterSummary into artifact fields: throughput,
-// latency, commit shape, and the interesting metric deltas (histograms as
-// percentile sub-maps, counters verbatim).
+// latency, the series and the ruler's reading.
 func summaryRow(sum FasterSummary) Row {
-	row := Row{
+	return Row{
 		"mops":           sum.Mops,
 		"avg_latency_us": sum.AvgLatencyUs,
 		"commits":        len(sum.Commits),
+		"series":         sum.Series,
+		"dip":            sum.Dip,
 	}
-	if sum.CommitIntervalSec > 0 {
-		row["commit_interval_sec"] = sum.CommitIntervalSec
-	}
-	if len(sum.Metrics.Counters) > 0 {
-		counters := make(map[string]uint64, len(sum.Metrics.Counters))
-		for k, v := range sum.Metrics.Counters {
-			if v != 0 {
-				counters[k] = v
-			}
-		}
-		if len(counters) > 0 {
-			row["counter_deltas"] = counters
-		}
-	}
-	if len(sum.Metrics.Histograms) > 0 {
-		hists := make(map[string]Row, len(sum.Metrics.Histograms))
-		for k, h := range sum.Metrics.Histograms {
-			if h.Count == 0 {
-				continue
-			}
-			hists[k] = histRow(h)
-		}
-		if len(hists) > 0 {
-			row["histogram_deltas"] = hists
-		}
-	}
-	if len(sum.PhaseNanos) > 0 {
-		row["phase_ns"] = sum.PhaseNanos
-	}
-	return row
-}
-
-// histRow flattens a histogram snapshot to its latency percentiles.
-func histRow(h obs.HistogramSnapshot) Row {
-	return Row{
-		"count":   h.Count,
-		"mean_ns": h.MeanNanos,
-		"p50_ns":  h.P50Nanos,
-		"p90_ns":  h.P90Nanos,
-		"p99_ns":  h.P99Nanos,
-		"p999_ns": h.P999Nanos,
-		"max_ns":  h.MaxNanos,
-	}
-}
-
-// seriesRow flattens a time series into parallel arrays (one Row).
-func seriesRow(series []FasterSample) Row {
-	t := make([]float64, len(series))
-	mops := make([]float64, len(series))
-	latUs := make([]float64, len(series))
-	logMiB := make([]float64, len(series))
-	for i, sm := range series {
-		t[i] = sm.T
-		mops[i] = sm.Mops
-		latUs[i] = sm.LatencyUs
-		logMiB[i] = float64(sm.LogBytes) / (1 << 20)
-	}
-	return Row{"t_sec": t, "mops": mops, "latency_us": latUs, "log_mib": logMiB}
 }

@@ -8,6 +8,7 @@ import (
 )
 
 func TestRecorderArtifactRoundTrip(t *testing.T) {
+	t.Parallel()
 	e, ok := Lookup("ablate-flush")
 	if !ok {
 		t.Fatal("ablate-flush not registered")
@@ -56,6 +57,7 @@ func TestRecorderArtifactRoundTrip(t *testing.T) {
 // TestRecorderNilSafe checks experiments run identically with no recorder
 // attached (cprbench -outdir ” and every pre-existing caller).
 func TestRecorderNilSafe(t *testing.T) {
+	t.Parallel()
 	cfg := tinyCfg() // cfg.Rec == nil
 	cfg.Record(Row{"x": 1})
 	e, _ := Lookup("ablate-recovery")
