@@ -31,7 +31,6 @@ func main() {
 		seconds = flag.Float64("seconds", 1.0, "measured seconds per data point")
 		scale   = flag.Float64("scale", 1.0, "key-space scale factor")
 		tp      = flag.Float64("timepoints", 1.0, "time-series compression (1.0 = 4s runs)")
-		shards  = flag.Int("shards", 1, "store partitions for FASTER experiments")
 		outdir  = flag.String("outdir", ".", "directory for BENCH_<id>.json artifacts ('' disables)")
 	)
 	flag.Parse()
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Threads: *threads, Seconds: *seconds, Scale: *scale, TimePoints: *tp, Shards: *shards}
+	cfg := bench.Config{Threads: *threads, Seconds: *seconds, Scale: *scale, TimePoints: *tp}
 	var ids []string
 	if *exp == "all" {
 		for _, e := range bench.All() {

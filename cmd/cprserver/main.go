@@ -28,13 +28,11 @@ package main
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -50,7 +48,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
 		dir        = flag.String("dir", "", "database directory (empty = in-memory)")
-		shards     = flag.Int("shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
 		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
 		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
 		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics.prom and /debug/pprof (empty = off; everything else is on the wire: fasterctl why)")
@@ -81,7 +78,7 @@ func main() {
 	// writes and optional latency spikes exercise the retry and
 	// verified-recovery paths under an otherwise normal workload.
 	metrics := obs.NewRegistry()
-	obs.RegisterBuildInfo(metrics, map[string]string{"shards": strconv.Itoa(*shards)})
+	obs.RegisterBuildInfo(metrics)
 	obs.RegisterRuntimeMetrics(metrics)
 	var flight *obs.FlightRecorder
 	if *flightCap > 0 {
@@ -112,29 +109,16 @@ func main() {
 		return cpr.NewFaultDevice(d, injector)
 	}
 
-	cfg := faster.Config{Shards: *shards, Metrics: metrics, Flight: flight}
+	cfg := faster.Config{Metrics: metrics, Flight: flight}
 	if *traceCap > 0 {
 		cfg.ReqTrace = obs.NewRequestTracer(*traceCap)
 	}
 	if *dir != "" {
-		if *shards > 1 {
-			// One log file per shard; checkpoints share the directory store
-			// (a blob's name carries its shard).
-			base := *dir
-			cfg.DeviceFactory = func(i int) (cpr.Device, error) {
-				d, err := cpr.OpenFileDevice(filepath.Join(base, fmt.Sprintf("hybridlog-shard%d.dat", i)))
-				if err != nil {
-					return nil, err
-				}
-				return wrapDevice(d), nil
-			}
-		} else {
-			device, err := cpr.OpenFileDevice(filepath.Join(*dir, "hybridlog.dat"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Device = wrapDevice(device)
+		device, err := cpr.OpenFileDevice(filepath.Join(*dir, "hybridlog.dat"))
+		if err != nil {
+			log.Fatal(err)
 		}
+		cfg.Device = wrapDevice(device)
 		checkpoints, err := cpr.NewDirCheckpointStore(filepath.Join(*dir, "checkpoints"))
 		if err != nil {
 			log.Fatal(err)
@@ -159,8 +143,8 @@ func main() {
 	store, report, err := faster.RecoverWithReport(cfg)
 	if err != nil {
 		if !errors.Is(err, faster.ErrNoCheckpoint) {
-			// Shard-count mismatch, corrupt artifact, ...: starting fresh
-			// would shadow the existing data.
+			// A layout it cannot read, a corrupt artifact, ...: starting
+			// fresh would shadow the existing data.
 			log.Fatal(err)
 		}
 		log.Printf("no previous commit (%v); starting fresh", err)

@@ -39,9 +39,9 @@ func printEvents(evs []obs.FlightEvent, max int) {
 		evs = evs[len(evs)-max:]
 	}
 	for _, e := range evs {
-		lane := "store  "
+		lane := "store"
 		if e.Shard >= 0 {
-			lane = fmt.Sprintf("shard %d", e.Shard)
+			lane = "log  "
 		}
 		fmt.Printf("%14s  %s  %s\n", time.Duration(e.AtNanos), lane, e.Describe())
 	}

@@ -46,7 +46,6 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "database directory (required)")
-	shards := flag.Int("shards", 1, "store partitions; must match the directory's existing layout")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -74,7 +73,7 @@ func main() {
 		}
 	}
 	if *dir == "" || args[0] == "" || args[0] == "verify" {
-		fmt.Fprintln(os.Stderr, "usage: fasterctl -dir <dir> [-shards n] <set|get|del|rmw|bulkload|stats|metrics [hist]|verify> [args]")
+		fmt.Fprintln(os.Stderr, "usage: fasterctl -dir <dir> <set|get|del|rmw|bulkload|stats|metrics [hist]|verify> [args]")
 		fmt.Fprintln(os.Stderr, "       fasterctl verify <checkpoint-dir>")
 		fmt.Fprintln(os.Stderr, "       fasterctl why -addr <server-addr> [-json]")
 		fmt.Fprintln(os.Stderr, "       fasterctl pipeload -addr <server-addr> [-n ops] [-depth d]")
@@ -83,14 +82,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "       fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")
 		os.Exit(2)
 	}
-	if err := storeCmd(*dir, *shards, args, os.Stdout); err != nil {
+	if err := storeCmd(*dir, args, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // storeCmd runs one store command against the file-backed store in dir:
 // recover (or open fresh), apply, and commit what it changed.
-func storeCmd(dir string, shards int, args []string, w io.Writer) error {
+func storeCmd(dir string, args []string, w io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -99,13 +98,8 @@ func storeCmd(dir string, shards int, args []string, w io.Writer) error {
 		return err
 	}
 	// The recorder is what `metrics` reads its phase timeline from.
-	cfg := cpr.StoreConfig{Shards: shards, Checkpoints: checkpoints,
-		Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
-	if shards > 1 {
-		cfg.DeviceFactory = func(i int) (cpr.Device, error) {
-			return cpr.OpenFileDevice(filepath.Join(dir, fmt.Sprintf("hybridlog-shard%d.dat", i)))
-		}
-	} else if cfg.Device, err = cpr.OpenFileDevice(filepath.Join(dir, "hybridlog.dat")); err != nil {
+	cfg := cpr.StoreConfig{Checkpoints: checkpoints, Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
+	if cfg.Device, err = cpr.OpenFileDevice(filepath.Join(dir, "hybridlog.dat")); err != nil {
 		return err
 	}
 
@@ -114,8 +108,8 @@ func storeCmd(dir string, shards int, args []string, w io.Writer) error {
 		store, err = cpr.OpenStore(cfg) // no commit yet: fresh store
 	}
 	if err != nil {
-		// Shard-count mismatch, corrupt artifact, ...: starting fresh would
-		// shadow the existing data.
+		// A layout it cannot read, a corrupt artifact, ...: starting fresh
+		// would shadow the existing data.
 		return err
 	}
 	defer store.Close()
@@ -175,12 +169,9 @@ func storeCmd(dir string, shards int, args []string, w io.Writer) error {
 	case "stats":
 		fmt.Fprintf(w, "version:       %d\n", store.Version())
 		fmt.Fprintf(w, "phase:         %v\n", store.Phase())
-		fmt.Fprintf(w, "shards:        %d\n", store.NumShards())
-		for i := 0; i < store.NumShards(); i++ {
-			lg := store.ShardLog(i)
-			fmt.Fprintf(w, "shard %d: tail %d durable %d in-memory [%d, %d)\n",
-				i, lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
-		}
+		lg := store.Log()
+		fmt.Fprintf(w, "log:           tail %d durable %d in-memory [%d, %d)\n",
+			lg.Tail(), lg.Durable(), lg.Head(), lg.Tail())
 		return nil
 	case "metrics":
 		// Drive one log-only commit so the output includes a live phase

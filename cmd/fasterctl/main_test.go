@@ -13,7 +13,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/kvserver"
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
 // TestGetColdRecord: a key whose record was evicted to the device reads back
@@ -23,7 +22,7 @@ func TestGetColdRecord(t *testing.T) {
 	dir := t.TempDir()
 	// 400 000 records of 48 bytes outgrow the default 16 MiB of log memory,
 	// so the first keys lie on the device once the store is recovered.
-	if err := storeCmd(dir, 1, []string{"bulkload", "400000"}, io.Discard); err != nil {
+	if err := storeCmd(dir, []string{"bulkload", "400000"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]string{
@@ -32,7 +31,7 @@ func TestGetColdRecord(t *testing.T) {
 		"k1":           "(not found)\n",
 	} {
 		var out bytes.Buffer
-		if err := storeCmd(dir, 1, []string{"get", key}, &out); err != nil {
+		if err := storeCmd(dir, []string{"get", key}, &out); err != nil {
 			t.Fatalf("get %s: %v", key, err)
 		}
 		if out.String() != want {
@@ -41,13 +40,12 @@ func TestGetColdRecord(t *testing.T) {
 	}
 }
 
-// whyServer serves a 2-shard store with a flight recorder and a request
-// tracer after one commit, and a health engine when withHealth is set.
+// whyServer serves a store with a flight recorder and a request tracer after
+// one commit, and a health engine when withHealth is set.
 func whyServer(t *testing.T, withHealth bool) string {
 	t.Helper()
-	store, err := faster.Open(faster.Config{Shards: 2, IndexBuckets: 1 << 10, PageBits: 14, MemPages: 16,
-		DeviceFactory: func(int) (storage.Device, error) { return storage.NewMemDevice(), nil },
-		Flight:        obs.NewFlightRecorder(1024), ReqTrace: obs.NewRequestTracer(16)})
+	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 14, MemPages: 16,
+		Flight: obs.NewFlightRecorder(1024), ReqTrace: obs.NewRequestTracer(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +96,7 @@ func TestWhy(t *testing.T) {
 	}
 	text, at := out.String(), 0
 	for _, section := range []string{"health:   healthy", "commit:", "wait-flush", "durability lag:",
-		"log offsets: 2 shard(s)", "shard 1: begin", "replication: standalone", "slowest traces:"} {
+		"log offsets: begin", "replication: standalone", "slowest traces:"} {
 		i := strings.Index(text[at:], section)
 		if i < 0 {
 			t.Fatalf("section %q missing or out of order:\n%s", section, text)
@@ -118,8 +116,8 @@ func TestWhy(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Stats.Health == nil || len(doc.Stats.Shards) != 2 || doc.Flight == nil || len(doc.Flight.Events) == 0 || doc.Trace == nil {
-		t.Fatalf("why -json: health %v, %d shards, flight %v, trace %v", doc.Stats.Health, len(doc.Stats.Shards), doc.Flight, doc.Trace)
+	if doc.Stats.Health == nil || doc.Stats.Log.Tail == 0 || doc.Flight == nil || len(doc.Flight.Events) == 0 || doc.Trace == nil {
+		t.Fatalf("why -json: health %v, log %+v, flight %v, trace %v", doc.Stats.Health, doc.Stats.Log, doc.Flight, doc.Trace)
 	}
 
 	if code := whyCmd([]string{"-addr", whyServer(t, false)}, io.Discard); code != 2 {

@@ -18,7 +18,7 @@ import (
 // whyCmd implements `fasterctl why -addr <server> [-json]`, the one live
 // view: on one connection it sends one FLIGHT, one TRACE and one STATS and
 // prints, in order, the health verdict, the running (or last) commit's phase
-// spans, the sessions furthest from durable, each shard's log offsets,
+// spans, the sessions furthest from durable, the log's offsets,
 // replication and the three slowest traces. -json prints the three documents
 // as one.
 //
@@ -70,7 +70,7 @@ func whyCmd(args []string, w io.Writer) int {
 		printVerdict(w, snap.Health)
 		printCommit(w, snap, doc.Flight, flightErr)
 		printLags(w, snap.SessionLags)
-		printShards(w, snap.Shards)
+		printLog(w, snap.Log)
 		printRepl(w, snap.Repl)
 		if traceErr != nil {
 			fmt.Fprintf(w, "\nslowest traces: none (%v)\n", traceErr)
@@ -161,13 +161,10 @@ func printLags(w io.Writer, lags []faster.SessionLag) {
 	}
 }
 
-// printShards prints each shard's HybridLog offsets in region order.
-func printShards(w io.Writer, shards []kvserver.ShardStats) {
-	fmt.Fprintf(w, "\nlog offsets: %d shard(s)\n", len(shards))
-	for i, s := range shards {
-		fmt.Fprintf(w, "  shard %d: begin %d head %d safe-read-only %d read-only %d durable %d tail %d\n",
-			i, s.Begin, s.Head, s.SafeReadOnly, s.ReadOnly, s.Durable, s.Tail)
-	}
+// printLog prints the HybridLog's offsets in region order.
+func printLog(w io.Writer, s kvserver.LogStats) {
+	fmt.Fprintf(w, "\nlog offsets: begin %d head %d safe-read-only %d read-only %d durable %d tail %d\n",
+		s.Begin, s.Head, s.SafeReadOnly, s.ReadOnly, s.Durable, s.Tail)
 }
 
 // printRepl prints the server's replication role and, on a replica, how far
@@ -273,7 +270,9 @@ func printTraceDump(w io.Writer, dump obs.TraceDump) {
 func spanNote(sp obs.Span) string {
 	switch sp.Kind {
 	case obs.SpanDecode:
-		return fmt.Sprintf("  shard=%d", sp.Arg1)
+		if sp.Arg1 > 0 {
+			return fmt.Sprintf("  ops=%d", sp.Arg1)
+		}
 	case obs.SpanExec:
 		return fmt.Sprintf("  serial=%d", sp.Arg1)
 	case obs.SpanDurWait:

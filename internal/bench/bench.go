@@ -24,9 +24,6 @@ type Config struct {
 	// TimePoints compresses the paper's long time-series runs: a paper
 	// minute becomes this many seconds (default 1.0).
 	TimePoints float64
-	// Shards partitions the store in every FASTER experiment (default 1 =
-	// the unpartitioned store).
-	Shards int
 	// Rec, when non-nil, collects the experiment's structured rows for the
 	// BENCH_<exp>.json artifact (see record.go). Nil drops them.
 	Rec *Recorder
@@ -44,9 +41,6 @@ func (c *Config) fill() {
 	}
 	if c.TimePoints <= 0 {
 		c.TimePoints = 1.0
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 }
 

@@ -19,7 +19,6 @@ func fasterBase(cfg Config, readFrac float64, zipf bool, kind faster.CommitKind)
 	dur := 4 * cfg.TimePoints
 	return FasterParams{
 		Threads:   cfg.Threads,
-		Shards:    cfg.Shards,
 		Keys:      uint64(scaled(200_000, cfg.Scale*4)),
 		ReadFrac:  readFrac,
 		Zipf:      zipf,
@@ -201,33 +200,38 @@ func transferShape(rows []Row) error {
 	return nil
 }
 
-// logGrowthShape is fig12d's and fig18d's: when the run ends the snapshot log
-// is smaller than the fold-over log under either distribution, and under
-// fold-over the uniform log is larger than the zipf log. (Under snapshot the
-// log grows only by what is copied while a capture is open, a few MiB whose
-// uniform-to-zipf ratio follows the capture's duration: 1.02-1.3x on a 2-core
-// host, so it is not asserted.)
+// logGrowthShape is fig12d's and fig18d's: over the run the snapshot log
+// grows by at most half of what the fold-over log grows under either
+// distribution (a snapshot commit's records are updated in place again once
+// it has settled; fold-over copies every record touched after each commit),
+// and under fold-over the uniform log grows more than the zipf log. (Under
+// snapshot the log grows only by what is copied while a capture is open, a
+// few MiB whose uniform-to-zipf ratio follows the capture's duration: 1.02-1.3x
+// on a 2-core host, so it is not asserted.)
 func logGrowthShape(rows []Row) error {
-	final := map[string]float64{}
+	growth := map[string]float64{}
 	for _, r := range rows {
 		series, _ := r["series"].(Row)
 		mib, _ := series["log_mib"].([]any)
 		if len(mib) == 0 {
 			return fmt.Errorf("%v %v: no log_mib series", r["kind"], r["dist"])
 		}
-		final[fmt.Sprint(r["kind"], " ", r["dist"])] = mib[len(mib)-1].(float64)
+		growth[fmt.Sprint(r["kind"], " ", r["dist"])] = mib[len(mib)-1].(float64) - mib[0].(float64)
 	}
-	for _, c := range [][2]string{
-		{"snapshot zipf", "fold-over zipf"}, {"snapshot uniform", "fold-over uniform"},
-		{"fold-over zipf", "fold-over uniform"},
+	for _, c := range []struct {
+		lo, hi string
+		frac   float64
+	}{
+		{"snapshot zipf", "fold-over zipf", 0.5}, {"snapshot uniform", "fold-over uniform", 0.5},
+		{"fold-over zipf", "fold-over uniform", 1},
 	} {
-		lo, okLo := final[c[0]]
-		hi, okHi := final[c[1]]
+		lo, okLo := growth[c.lo]
+		hi, okHi := growth[c.hi]
 		if !okLo || !okHi {
-			return fmt.Errorf("no row for %s or %s", c[0], c[1])
+			return fmt.Errorf("no row for %s or %s", c.lo, c.hi)
 		}
-		if lo >= hi {
-			return fmt.Errorf("final log of %s is %.2f MiB, not below %s at %.2f MiB", c[0], lo, c[1], hi)
+		if lo >= c.frac*hi {
+			return fmt.Errorf("%s grew %.2f MiB, not below %g of %s's %.2f MiB", c.lo, lo, c.frac, c.hi, hi)
 		}
 	}
 	return nil

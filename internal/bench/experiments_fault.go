@@ -51,7 +51,7 @@ func runFaultPoint(cfg Config, w io.Writer, rate float64, keys uint64, threads i
 	dev := storage.NewFaultDevice(storage.NewMemDevice(), inj)
 	cs := storage.NewFaultCheckpointStore(storage.NewMemCheckpointStore(), inj)
 
-	sc := storeConfig(keys, 1)
+	sc := storeConfig(keys)
 	sc.PageBits, sc.MemPages = 16, 64
 	sc.Device, sc.Checkpoints, sc.Metrics = dev, cs, reg
 	s, err := faster.Open(sc)

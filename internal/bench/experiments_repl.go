@@ -32,8 +32,8 @@ func runReplLag(cfg Config, w io.Writer) error {
 	threads := min(cfg.Threads, 4) // past a few writers the bottleneck is the loopback, not the store
 
 	mkConfig := func() faster.Config {
-		c := storeConfig(keys, cfg.Shards)
-		c.DeviceFactory = func(int) (storage.Device, error) { return storage.NewMemDevice(), nil }
+		c := storeConfig(keys)
+		c.Device = storage.NewMemDevice()
 		return c
 	}
 

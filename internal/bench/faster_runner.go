@@ -19,8 +19,6 @@ import (
 type FasterParams struct {
 	Threads int
 	Keys    uint64
-	// Shards partitions the store (default 1 = the unpartitioned store).
-	Shards int
 	// ReadFrac is the fraction of reads; the rest are blind updates, or
 	// read-modify-writes when RMW is set (the paper's "0:100 RMW").
 	ReadFrac float64
@@ -50,23 +48,20 @@ type FasterSummary struct {
 
 // storeConfig sizes a store for keys records: an index of about two keys
 // per bucket, and memory for about twice the loaded data in 256 KiB pages.
-// MemPages is a store-wide budget split across shards, so each shard gets
-// the fixed headroom it would have had alone.
-func storeConfig(keys uint64, shards int) faster.Config {
+func storeConfig(keys uint64) faster.Config {
 	buckets := 1
 	for uint64(buckets) < keys/2 {
 		buckets <<= 1
 	}
-	shards = max(1, shards)
-	return faster.Config{Shards: shards, IndexBuckets: buckets, PageBits: 18,
-		MemPages: int(2*keys*uint64(hlog.RecordSize(8, 8))>>18) + 4*shards}
+	return faster.Config{IndexBuckets: buckets, PageBits: 18,
+		MemPages: int(2*keys*uint64(hlog.RecordSize(8, 8))>>18) + 4}
 }
 
 // OpenLoadedStore opens a store sized for p and pre-loads all keys, as the
 // paper does before each experiment ("Threads first load the key-value store
 // with data").
 func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
-	cfg := storeConfig(p.Keys, p.Shards)
+	cfg := storeConfig(p.Keys)
 	cfg.Kind, cfg.Transfer = p.Kind, p.Transfer
 	// The ruler reads the commit spans from the flight recorder.
 	cfg.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)

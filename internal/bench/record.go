@@ -52,7 +52,6 @@ func NewRecorder(e Experiment, cfg Config) *Recorder {
 			"seconds":    cfg.Seconds,
 			"scale":      cfg.Scale,
 			"timepoints": cfg.TimePoints,
-			"shards":     cfg.Shards,
 		},
 	}}
 }

@@ -92,9 +92,10 @@ func TestShapePredicates(t *testing.T) {
 		{"ablate-recovery", "fresh index slower", `[{"with_index":true,"recover_ms":60.1},{"with_index":false,"recover_ms":57.7}]`, "60.1 ms with a fresh index"},
 		{"ablate-recovery", "one row", `[{"with_index":true,"recover_ms":18.3}]`, "need a with_index and a log-only row"},
 		{"fig12d", "recorded", logRows("38.49", "59.81", "21.47", "26.56"), ""},
-		{"fig12d", "snapshot log above fold-over", logRows("38.49", "59.81", "40.00", "41.00"), "snapshot zipf is 40.00 MiB, not below fold-over zipf"},
+		{"fig12d", "snapshot log above fold-over", logRows("38.49", "59.81", "40.00", "41.00"), "snapshot zipf grew 21.69 MiB, not below 0.5 of fold-over zipf's 20.18 MiB"},
+		{"fig12d", "snapshot log grows like fold-over", logRows("38.49", "59.81", "36.10", "58.00"), "snapshot zipf grew 17.79 MiB, not below 0.5 of fold-over zipf's 20.18 MiB"},
 		{"fig18d", "recorded", logRows("47.34", "90.46", "23.34", "27.75"), ""},
-		{"fig18d", "zipf log above uniform", logRows("47.34", "45.00", "23.34", "27.75"), "fold-over zipf is 47.34 MiB, not below fold-over uniform"},
+		{"fig18d", "zipf log above uniform", logRows("47.34", "45.00", "23.34", "27.75"), "fold-over zipf grew 29.03 MiB, not below 1 of fold-over uniform's 26.69 MiB"},
 		{"fig18d", "a series missing", `[{"kind":"fold-over","dist":"zipf","series":{}}]`, "no log_mib series"},
 		{"fig12b", "recorded", fasterDips(2.38, 2.02, 1.98, 1.94), ""},
 		{"fig12b", "stop-the-world commit", fasterDips(2.38, 2.02, 0.31, 1.94), "snapshot zipf: 0.310 inside the commit spans, below half of 2.580"},

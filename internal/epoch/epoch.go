@@ -52,12 +52,11 @@ type Manager struct {
 
 	// Observability (set once by Instrument/InstrumentFlight before
 	// concurrent use; nil-safe).
-	bumps       *obs.Counter
-	drains      *obs.Counter
-	scans       *obs.Counter
-	drainNs     *obs.Histogram
-	flight      *obs.FlightRecorder
-	flightShard int
+	bumps   *obs.Counter
+	drains  *obs.Counter
+	scans   *obs.Counter
+	drainNs *obs.Histogram
+	flight  *obs.FlightRecorder
 }
 
 // Instrument registers the manager's metrics with reg:
@@ -89,13 +88,10 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 }
 
 // InstrumentFlight attaches a flight recorder: every epoch bump emits an
-// epoch-bump event and every drained trigger an epoch-drain event, tagged
-// with shard. Call it once, before the manager is shared across goroutines.
-// A nil recorder is a no-op.
-func (m *Manager) InstrumentFlight(fr *obs.FlightRecorder, shard int) {
-	m.flight = fr
-	m.flightShard = shard
-}
+// epoch-bump event and every drained trigger an epoch-drain event, on the
+// store lane (-1). Call it once, before the manager is shared across
+// goroutines. A nil recorder is a no-op.
+func (m *Manager) InstrumentFlight(fr *obs.FlightRecorder) { m.flight = fr }
 
 // New returns a Manager with the current epoch initialized to 1 so that a
 // zero local-epoch value can mean "slot free".
@@ -184,7 +180,7 @@ func (m *Manager) Safe() uint64 {
 func (m *Manager) BumpEpoch(fn func()) {
 	prev := m.current.Add(1) - 1
 	m.bumps.Inc()
-	m.flight.Emit(obs.FlightEpochBump, m.flightShard, 0, "", "", prev, 0)
+	m.flight.Emit(obs.FlightEpochBump, -1, 0, "", "", prev, 0)
 	if fn == nil {
 		return
 	}
@@ -195,7 +191,7 @@ func (m *Manager) BumpEpoch(fn func()) {
 			d := time.Since(t0)
 			m.drains.Inc()
 			m.drainNs.Observe(d)
-			m.flight.Emit(obs.FlightEpochDrain, m.flightShard, 0, "", "", prev, uint64(d.Nanoseconds()))
+			m.flight.Emit(obs.FlightEpochDrain, -1, 0, "", "", prev, uint64(d.Nanoseconds()))
 			inner()
 		}
 	}

@@ -379,7 +379,7 @@ func BenchmarkDecodeIndex(b *testing.B) {
 // of 64 Ki records (2 MiB) under a log-only commit, recovered in full with
 // memPages frames — 64 keep the whole suffix resident, 4 leave nearly all of
 // it on the device. It returns the suffix's bounds and the commit's version.
-func replayBenchShard(b *testing.B, memPages int) (sh *shard, start, end uint64, v uint32) {
+func replayBenchShard(b *testing.B, memPages int) (sh *Store, start, end uint64, v uint32) {
 	const suffix = 1 << 16
 	path := filepath.Join(b.TempDir(), "log.dat")
 	ckpts := storage.NewMemCheckpointStore()
@@ -428,7 +428,7 @@ func replayBenchShard(b *testing.B, memPages int) (sh *shard, start, end uint64,
 	s.Close()
 
 	r := open(memPages, true)
-	sh = r.shards[0]
+	sh = r
 	start, end, v = sh.recoveredScanStart, sh.log.Tail(), r.Version()-1
 	records := 0
 	if err := sh.log.Scan(start, end, func(uint64, hlog.RecordRef) bool { records++; return true }); err != nil {

@@ -30,11 +30,10 @@ type CommitResult struct {
 	Version uint32
 	Kind    CommitKind
 	// Serials maps each participating session ID to its CPR point: every
-	// operation with serial <= Serials[id] is durable, none after, on every
-	// shard.
+	// operation with serial <= Serials[id] is durable, none after.
 	Serials map[string]uint64
-	// Bytes is the volume written for this commit (log + snapshot + index,
-	// summed across shards).
+	// Bytes is the volume this commit made durable: the log it flushed (or
+	// the snapshot blob), the index image and the record.
 	Bytes int64
 	Err   error
 }
@@ -64,7 +63,7 @@ func (r *commitResults) put(res CommitResult) {
 }
 
 // checkpointCtx is the running CPR commit: the store's one state machine
-// walking Fig. 9a for version v over every shard.
+// walking Fig. 9a for version v.
 type checkpointCtx struct {
 	store     *Store
 	token     string
@@ -92,9 +91,8 @@ type checkpointCtx struct {
 var ErrCommitInProgress = fmt.Errorf("faster: a CPR commit is already in progress")
 
 // Commit starts an asynchronous CPR commit (Sec. 6.2) and returns its token
-// immediately. One token, one version and one run of the state machine cover
-// every shard; the commit completes — record written, OnDone fired — once
-// every shard's capture is durable. Use WaitForCommit to block.
+// immediately; the commit completes — record written, OnDone fired — once its
+// capture is durable. Use WaitForCommit to block.
 func (s *Store) Commit(opts CommitOptions) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,9 +118,7 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 	for _, sess := range s.sessions {
 		ck.coord.Add(sess)
 	}
-	for _, sh := range s.shards {
-		sh.futureFrom[ck.version&1].Store(sh.log.Tail())
-	}
+	s.futureFrom[ck.version&1].Store(s.log.Tail())
 	s.active.Store(ck)
 	// Publish the prepare phase; sessions observe it on refresh.
 	s.state.Store(packState(Prepare, ck.version))
@@ -232,20 +228,20 @@ func (ck *checkpointCtx) checkPendingDone() {
 }
 
 // waitFlush is transition 5 of Fig. 9a and the end of the commit: it captures
-// version v of every shard durably, returns the machine to rest at v+1 and —
-// only if every capture is durable and every attachment hook answered —
-// writes the commit record, the one artifact that makes the commit
-// recoverable. Everything that announces a commit happens here, once, in this
-// order: session watermarks, metrics and the commit-done flight event, then
-// the result (TryResult, WaitForCommit, Phase() == Rest) — so whoever sees the
-// commit done also sees CommittedSerial cover it and the whole timeline
-// recorded — then OnDone and the commit hooks.
+// version v durably, returns the machine to rest at v+1 and — only if the
+// capture is durable and every attachment hook answered — writes the commit
+// record, the one artifact that makes the commit recoverable. Everything that
+// announces a commit happens here, once, in this order: session watermarks,
+// metrics and the commit-done flight event, then the result (TryResult,
+// WaitForCommit, Phase() == Rest) — so whoever sees the commit done also sees
+// CommittedSerial cover it and the whole timeline recorded — then OnDone and
+// the commit hooks.
 func (ck *checkpointCtx) waitFlush() {
 	s := ck.store
 	rec := commitRecord{Format: recordFormat, Token: ck.token, Version: ck.version, Kind: ck.kind.String(),
-		Serials: ck.serialsByID(), Shards: make([]shardSection, len(s.shards))}
+		Serials: ck.serialsByID(), Sections: make([]section, 1)}
 	res := CommitResult{Token: ck.token, Version: ck.version, Kind: ck.kind, Serials: rec.Serials}
-	res.Bytes, res.Err = ck.capture(rec.Shards)
+	res.Bytes, res.Err = ck.capture(rec.sec())
 	// The transition is recorded first: whoever sees the commit done finds all
 	// five transitions on the timeline.
 	ck.emitPhase(WaitFlush, Rest)
@@ -287,88 +283,72 @@ func (ck *checkpointCtx) waitFlush() {
 	}
 }
 
-// capture makes version v of every shard durable, one shard after another,
-// and fills in each shard's section of the record — offsets, blob names, page
-// checksums. Fold-over shifts every log's read-only offset to its tail and
-// waits for each flush; snapshot writes each log's volatile region to a blob.
-// Nothing it writes counts until the record does.
-func (ck *checkpointCtx) capture(secs []shardSection) (written int64, err error) {
+// capture makes version v durable and fills in the record's section —
+// offsets, blob names, page checksums. Fold-over shifts the log's read-only
+// offset to its tail and waits for the flush; snapshot writes the log's
+// volatile region to a blob. Nothing it writes counts until the record does.
+func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 	s, v := ck.store, uint64(ck.version)
-	shardBytes := make([]int64, len(s.shards))
-	// Record each log's end, then take its fuzzy index checkpoint (if
+	flushed := s.log.Durable() // a fold-over commit makes the log past it durable
+	// Record the log's end, then take the fuzzy index checkpoint (if
 	// requested) before capturing the log: the capture is extended to cover
 	// [Lhe, Lie) so that recovery's Alg. 3 scan range max(Lie, Lhe) is fully
 	// on the device and v+1 records referenced by fuzzy index entries can be
 	// invalidated and chased back to their committed predecessors.
-	for i, sh := range s.shards {
-		sec := &secs[i]
-		sec.Lhs = sh.futureFrom[ck.version&1].Load()
-		sec.Lhe = sh.log.Tail()
-		if !ck.withIndex {
-			// Carry the most recent index checkpoint forward so log-only
-			// commits can recover by replaying from it (Sec. 6.3).
-			sec.Index, sec.Lis, sec.Lie = sh.lastIndex, sh.lastLis, sh.lastLie
-			continue
-		}
-		sec.Lis = sh.log.Tail()
-		sec.Index = blobName("index", ck.token, sh.id)
-		if shardBytes[i], err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, sh.index.writeImage, s.cfg.Flight, sh.id, v); err != nil {
+	sec.Lhs = s.futureFrom[ck.version&1].Load()
+	sec.Lhe = s.log.Tail()
+	if ck.withIndex {
+		sec.Lis = s.log.Tail()
+		sec.Index = blobName("index", ck.token)
+		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, 0, v); err != nil {
 			return 0, err
 		}
-		sec.Lie = sh.log.Tail()
+		sec.Lie = s.log.Tail()
+	} else {
+		// Carry the most recent index checkpoint forward so log-only commits
+		// can recover by replaying from it (Sec. 6.3).
+		sec.Index, sec.Lis, sec.Lie = s.lastIndex, s.lastLis, s.lastLie
 	}
 
+	end := sec.logEnd()
 	switch ck.kind {
 	case FoldOver:
-		// The last session to refresh past a shift issues that log's flush; the
-		// I/O completion that stores durable >= the capture's end wakes this
+		// The last session to refresh past the shift issues the flush; the I/O
+		// completion that stores durable >= the capture's end wakes this
 		// goroutine. So does a permanent flush failure (transient errors are
 		// retried inside the I/O pool), which aborts the commit cleanly: the
 		// record is never written, the commit is never announced, and the
 		// store keeps serving at v+1 so the next commit attempt proceeds.
-		for i, sh := range s.shards {
-			sh.log.ShiftReadOnlyTo(secs[i].logEnd())
+		s.log.ShiftReadOnlyTo(end)
+		s.log.WaitDurable(end)
+		if ferr := s.log.FlushErr(); ferr != nil && s.log.Durable() < end {
+			return 0, fmt.Errorf("faster: commit %s: %w", ck.token, ferr)
 		}
-		for i, sh := range s.shards {
-			end := secs[i].logEnd()
-			sh.log.WaitDurable(end)
-			if ferr := sh.log.FlushErr(); ferr != nil && sh.log.Durable() < end {
-				return 0, fmt.Errorf("faster: commit %s: shard %d: %w", ck.token, sh.id, ferr)
-			}
-			shardBytes[i] += int64(end - secs[i].Lhs)
-		}
+		written += int64(end - min(flushed, end))
 	case Snapshot:
-		for i, sh := range s.shards {
-			secs[i].SnapshotStart = sh.log.Durable()
-			secs[i].Snapshot = blobName("snapshot", ck.token, sh.id)
-		}
-		// Once every session has refreshed, the records below each capture's
+		sec.SnapshotStart = s.log.Durable()
+		sec.Snapshot = blobName("snapshot", ck.token)
+		// Once every session has refreshed, the records below the capture's
 		// end are whole: a v+1 one half written would end its page, hiding v
 		// records.
 		drained := make(chan struct{})
 		s.epochs.BumpEpoch(func() { close(drained) })
 		<-drained
-		for i, sh := range s.shards {
-			sec := &secs[i]
-			if _, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Snapshot, func(w io.Writer) error {
-				return sh.log.WriteRange(w, sec.SnapshotStart, sec.logEnd())
-			}, s.cfg.Flight, sh.id, v); err != nil {
-				return 0, err
-			}
-			shardBytes[i] += int64(sec.logEnd() - sec.SnapshotStart)
+		if _, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Snapshot, func(w io.Writer) error {
+			return s.log.WriteRange(w, sec.SnapshotStart, end)
+		}, s.cfg.Flight, 0, v); err != nil {
+			return 0, err
 		}
+		written += int64(end - sec.SnapshotStart)
 	}
 
-	for i, sh := range s.shards {
-		// The log's per-page checksum table lets recovery verify the device it
-		// is about to trust (covers every page fully flushed under this Log's
-		// watch; see hlog.PageChecksums).
-		secs[i].PageCRCs = sh.log.PageChecksums()
-		if ck.withIndex {
-			sh.lastIndex, sh.lastLis, sh.lastLie = secs[i].Index, secs[i].Lis, secs[i].Lie
-		}
-		sh.flight.Emit(obs.FlightPersistDone, sh.id, v, ck.token, "", uint64(shardBytes[i]), 0)
-		written += shardBytes[i]
+	// The log's per-page checksum table lets recovery verify the device it is
+	// about to trust (covers every page fully flushed under this Log's watch;
+	// see hlog.PageChecksums).
+	sec.PageCRCs = s.log.PageChecksums()
+	if ck.withIndex {
+		s.lastIndex, s.lastLis, s.lastLie = sec.Index, sec.Lis, sec.Lie
 	}
+	s.cfg.Flight.Emit(obs.FlightPersistDone, 0, v, ck.token, "", uint64(written), 0)
 	return written, nil
 }

@@ -17,7 +17,7 @@ import (
 
 // Tests of the one commit path and the one recovery walk: what a commit
 // writes, what counts as the commit record, and what the store reports as its
-// latest commit, at one shard and at several.
+// latest commit.
 
 // countingStore counts the artifacts created through it.
 type countingStore struct {
@@ -41,17 +41,13 @@ func (c *countingStore) take() []string {
 	return out
 }
 
-// commitPathStore opens an n-shard store over mem devices and ckpts, with one
-// session that has written keys 1..100.
-func commitPathStore(t *testing.T, n int, ckpts storage.CheckpointStore) (*Store, *Session, []*storage.MemDevice) {
+// commitPathStore opens a store over a mem device and ckpts, with one session
+// that has written keys 1..100.
+func commitPathStore(t *testing.T, ckpts storage.CheckpointStore) (*Store, *Session, *storage.MemDevice) {
 	t.Helper()
-	devs := make([]*storage.MemDevice, n)
-	for i := range devs {
-		devs[i] = storage.NewMemDevice()
-	}
-	cfg := shardedConfig(n)
-	cfg.Checkpoints = ckpts
-	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+	dev := storage.NewMemDevice()
+	cfg := smallConfig()
+	cfg.Checkpoints, cfg.Device = ckpts, dev
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +58,7 @@ func commitPathStore(t *testing.T, n int, ckpts storage.CheckpointStore) (*Store
 			sess.CompletePending(true)
 		}
 	}
-	return s, sess, devs
+	return s, sess, dev
 }
 
 // putRaw stores data under name as it is: a copied or a damaged artifact.
@@ -80,51 +76,46 @@ func putRaw(t *testing.T, cs storage.CheckpointStore, name string, data []byte) 
 	}
 }
 
-// TestArtifactsPerCommit pins what a commit writes, at every shard count: a
-// log-only commit its record and nothing else, attachment or not; a commit
-// with the index one blob per shard besides; a snapshot commit one more per
-// shard. The record is the last artifact of every commit, and no pointer
-// artifact is written.
+// TestArtifactsPerCommit pins what a commit writes: a log-only commit its
+// record and nothing else, attachment or not; a commit with the index one blob
+// besides; a snapshot commit one more. The record is the last artifact of every
+// commit, and no pointer artifact is written.
 func TestArtifactsPerCommit(t *testing.T) {
-	for _, n := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			cs := &countingStore{CheckpointStore: storage.NewMemCheckpointStore()}
-			s, sess, _ := commitPathStore(t, n, cs)
-			defer s.Close()
-			defer sess.StopSession()
-			snapshot := Snapshot
-			commit := func(what string, opts CommitOptions, want int) {
-				t.Helper()
-				sess.Upsert(key(7), u64(7))
-				res := driveCommit(t, s, []*Session{sess}, opts)
-				got := cs.take()
-				if len(got) != want {
-					t.Fatalf("%s commit %s wrote %d artifacts %v, want %d", what, res.Token, len(got), got, want)
-				}
-				if last := got[len(got)-1]; last != "cpr-manifest-"+res.Token {
-					t.Fatalf("last artifact of %s is %s, want the record", res.Token, last)
-				}
-			}
-			commit("with-index", CommitOptions{WithIndex: true}, 1+n)
-			commit("log-only", CommitOptions{}, 1)
-			commit("snapshot", CommitOptions{Kind: &snapshot}, 1+n)
-			commit("snapshot with-index", CommitOptions{Kind: &snapshot, WithIndex: true}, 1+2*n)
-			s.OnCommitArtifact(func(res CommitResult) (string, []byte, error) {
-				return "note", []byte(res.Token), nil
-			})
-			for c := 0; c < 3; c++ {
-				commit("log-only with an attachment", CommitOptions{}, 1)
-			}
-			names, err := cs.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range names {
-				if name == "latest" || name == "cpr-latest" {
-					t.Fatalf("pointer artifact %q written; store holds %v", name, names)
-				}
-			}
-		})
+	cs := &countingStore{CheckpointStore: storage.NewMemCheckpointStore()}
+	s, sess, _ := commitPathStore(t, cs)
+	defer s.Close()
+	defer sess.StopSession()
+	snapshot := Snapshot
+	commit := func(what string, opts CommitOptions, want int) {
+		t.Helper()
+		sess.Upsert(key(7), u64(7))
+		res := driveCommit(t, s, []*Session{sess}, opts)
+		got := cs.take()
+		if len(got) != want {
+			t.Fatalf("%s commit %s wrote %d artifacts %v, want %d", what, res.Token, len(got), got, want)
+		}
+		if last := got[len(got)-1]; last != "cpr-manifest-"+res.Token {
+			t.Fatalf("last artifact of %s is %s, want the record", res.Token, last)
+		}
+	}
+	commit("with-index", CommitOptions{WithIndex: true}, 2)
+	commit("log-only", CommitOptions{}, 1)
+	commit("snapshot", CommitOptions{Kind: &snapshot}, 2)
+	commit("snapshot with-index", CommitOptions{Kind: &snapshot, WithIndex: true}, 3)
+	s.OnCommitArtifact(func(res CommitResult) (string, []byte, error) {
+		return "note", []byte(res.Token), nil
+	})
+	for c := 0; c < 3; c++ {
+		commit("log-only with an attachment", CommitOptions{}, 1)
+	}
+	names, err := cs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if name == "latest" || name == "cpr-latest" {
+			t.Fatalf("pointer artifact %q written; store holds %v", name, names)
+		}
 	}
 }
 
@@ -133,7 +124,7 @@ func TestArtifactsPerCommit(t *testing.T) {
 // so does ApplyCommitted, since the record it installs came from the peer.
 func TestReplicationRefusesSnapshotCommits(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
-	s, sess, devs := commitPathStore(t, 2, ckpts)
+	s, sess, dev := commitPathStore(t, ckpts)
 	defer s.Close()
 	defer sess.StopSession()
 	snapshot := Snapshot
@@ -141,11 +132,8 @@ func TestReplicationRefusesSnapshotCommits(t *testing.T) {
 	if _, err := s.CommitShipInfo(res.Token); !errors.Is(err, ErrSnapshotCommit) {
 		t.Fatalf("ship info of a snapshot commit: err = %v, want ErrSnapshotCommit", err)
 	}
-	rcfg := shardedConfig(2)
-	rcfg.Replica = true
-	rcfg.Checkpoints = ckpts.Clone()
-	rdevs := cloneDevs(devs)
-	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return rdevs[i], nil }
+	rcfg := smallConfig()
+	rcfg.Replica, rcfg.Checkpoints, rcfg.Device = true, ckpts.Clone(), dev.Clone()
 	rep, err := Open(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,32 +176,28 @@ func (w *failingWriter) CloseWithError(err error) error {
 }
 
 // TestFailedSnapshotCaptureLeavesNoBlob: a snapshot commit whose capture fails
-// midway fails, and leaves nothing in the store, at one shard and at two: no
-// record, and no torn blob under the capture's name.
+// midway fails, and leaves nothing in the store: no record, and no torn blob
+// under the capture's name.
 func TestFailedSnapshotCaptureLeavesNoBlob(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			mem := storage.NewMemCheckpointStore()
-			s, sess, _ := commitPathStore(t, n, failingCapture{mem})
-			defer s.Close()
-			defer sess.StopSession()
-			snapshot := Snapshot
-			token, err := s.Commit(CommitOptions{Kind: &snapshot})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var res CommitResult
-			for ok := false; !ok; res, ok = s.TryResult(token) {
-				sess.Refresh()
-				sess.CompletePending(false)
-			}
-			if res.Err == nil {
-				t.Fatal("a snapshot commit whose capture failed succeeded")
-			}
-			if names, _ := mem.List(); len(names) != 0 {
-				t.Fatalf("a failed snapshot commit left %v", names)
-			}
-		})
+	mem := storage.NewMemCheckpointStore()
+	s, sess, _ := commitPathStore(t, failingCapture{mem})
+	defer s.Close()
+	defer sess.StopSession()
+	snapshot := Snapshot
+	token, err := s.Commit(CommitOptions{Kind: &snapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res CommitResult
+	for ok := false; !ok; res, ok = s.TryResult(token) {
+		sess.Refresh()
+		sess.CompletePending(false)
+	}
+	if res.Err == nil {
+		t.Fatal("a snapshot commit whose capture failed succeeded")
+	}
+	if names, _ := mem.List(); len(names) != 0 {
+		t.Fatalf("a failed snapshot commit left %v", names)
 	}
 }
 
@@ -222,12 +206,6 @@ func TestFailedSnapshotCaptureLeavesNoBlob(t *testing.T) {
 // recovered commit, not the newer skipped one), an install on a replica, and
 // promotion.
 func TestLatestCommitToken(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { latestCommitToken(t, n) })
-	}
-}
-
-func latestCommitToken(t *testing.T, n int) {
 	want := func(s *Store, what, token string) {
 		t.Helper()
 		if got, ok := s.LatestCommitToken(); got != token || ok != (token != "") {
@@ -235,7 +213,7 @@ func latestCommitToken(t *testing.T, n int) {
 		}
 	}
 	ckpts := storage.NewMemCheckpointStore()
-	s, sess, devs := commitPathStore(t, n, ckpts)
+	s, sess, dev := commitPathStore(t, ckpts)
 	want(s, "after Open", "")
 	res1 := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 	want(s, "after commit 1", res1.Token)
@@ -243,7 +221,7 @@ func latestCommitToken(t *testing.T, n int) {
 	res2 := driveCommit(t, s, []*Session{sess}, CommitOptions{})
 	want(s, "after commit 2", res2.Token)
 
-	// A replica of the primary as it is now: its devices' bytes and the
+	// A replica of the primary as it is now: its device's bytes and the
 	// artifacts CommitShipInfo names, installed with ApplyCommitted.
 	info, err := s.CommitShipInfo(res2.Token)
 	if err != nil {
@@ -252,14 +230,8 @@ func latestCommitToken(t *testing.T, n int) {
 	if last := info.Artifacts[len(info.Artifacts)-1]; last != "cpr-manifest-"+res2.Token {
 		t.Fatalf("ship info ends with %s, want the manifest; all: %v", last, info.Artifacts)
 	}
-	rcfg := shardedConfig(n)
-	rcfg.Replica = true
-	rcfg.Checkpoints = storage.NewMemCheckpointStore()
-	rdevs := make([]*storage.MemDevice, n)
-	for i := range rdevs {
-		rdevs[i] = devs[i].Clone()
-	}
-	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return rdevs[i], nil }
+	rcfg := smallConfig()
+	rcfg.Replica, rcfg.Checkpoints, rcfg.Device = true, storage.NewMemCheckpointStore(), dev.Clone()
 	rep, err := Open(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,9 +270,8 @@ func latestCommitToken(t *testing.T, n int) {
 	s.Close()
 	raw[len(raw)-1] ^= 0x01
 	putRaw(t, ckpts, "cpr-manifest-"+res2.Token, raw)
-	cfg := shardedConfig(n)
-	cfg.Checkpoints = ckpts
-	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+	cfg := smallConfig()
+	cfg.Checkpoints, cfg.Device = ckpts, dev
 	r, report, err := RecoverWithReport(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -319,18 +290,14 @@ func latestCommitToken(t *testing.T, n int) {
 // lands on the previous commit, or finds none. The next commit, with the
 // attachment healthy again, goes through and carries it.
 func TestAttachmentFailureFailsCommit(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		for _, earlier := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d earlier=%v", n, earlier), func(t *testing.T) {
-				attachmentFailure(t, n, earlier)
-			})
-		}
+	for _, earlier := range []bool{false, true} {
+		t.Run(fmt.Sprintf("earlier=%v", earlier), func(t *testing.T) { attachmentFailure(t, earlier) })
 	}
 }
 
-func attachmentFailure(t *testing.T, n int, earlier bool) {
+func attachmentFailure(t *testing.T, earlier bool) {
 	ckpts := storage.NewMemCheckpointStore()
-	s, sess, devs := commitPathStore(t, n, ckpts)
+	s, sess, dev := commitPathStore(t, ckpts)
 	defer s.Close()
 	defer sess.StopSession()
 	var before CommitResult
@@ -372,10 +339,8 @@ func attachmentFailure(t *testing.T, n int, earlier bool) {
 	}
 	// A crash right here: the commit reported failed is not the one recovery
 	// chooses.
-	rcfg := shardedConfig(n)
-	rcfg.Checkpoints = ckpts.Clone()
-	rdevs := cloneDevs(devs)
-	rcfg.DeviceFactory = func(i int) (storage.Device, error) { return rdevs[i], nil }
+	rcfg := smallConfig()
+	rcfg.Checkpoints, rcfg.Device = ckpts.Clone(), dev.Clone()
 	r, report, err := RecoverWithReport(rcfg)
 	switch {
 	case !earlier:
@@ -404,24 +369,54 @@ func attachmentFailure(t *testing.T, n int, earlier bool) {
 	}
 }
 
-// TestRecoverShardCountMismatch: the manifest records the shard count, and a
-// store opened with any other is a hard error in both directions — never
-// ErrNoCheckpoint, on which callers start a fresh store.
+// TestRecoverShardCountMismatch: a store is one index and one log, so a
+// commit record is one section. A store configured with the deprecated Shards
+// ignores it and recovers a one-section record (1to2); a record with two
+// sections — the partitioned layout — is refused by name, never taken for
+// ErrNoCheckpoint, on which callers start a fresh store: by Recover (2to1) and
+// by a replica's install (2to4).
 func TestRecoverShardCountMismatch(t *testing.T) {
 	for _, c := range []struct{ wrote, opens int }{{1, 2}, {2, 1}, {2, 4}} {
 		t.Run(fmt.Sprintf("%dto%d", c.wrote, c.opens), func(t *testing.T) {
 			ckpts := storage.NewMemCheckpointStore()
-			s, sess, _ := commitPathStore(t, c.wrote, ckpts)
-			driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+			s, sess, dev := commitPathStore(t, ckpts)
+			res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 			sess.StopSession()
 			s.Close()
+			if c.wrote > 1 {
+				rec, err := loadRecord(ckpts, res.Token)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.Sections = append(rec.Sections, rec.Sections[0])
+				if _, err := storage.WriteRecord(ckpts, rec.Token, uint64(rec.Version), rec, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			cfg := shardedConfig(c.opens)
-			cfg.Checkpoints = ckpts
-			_, err := Recover(cfg)
-			want := fmt.Sprintf("manifest has %d shards, config has %d", c.wrote, c.opens)
-			if err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("Recover = %v, want a hard error saying %q", err, want)
+			cfg := smallConfig()
+			cfg.Shards, cfg.Checkpoints, cfg.Device = c.opens, ckpts, dev
+			var err error
+			if c.opens == 4 {
+				cfg.Replica = true
+				var rep *Store
+				if rep, err = Open(cfg); err != nil {
+					t.Fatal(err)
+				}
+				defer rep.Close()
+				err = rep.ApplyCommitted(res.Token)
+			} else {
+				var r *Store
+				if r, err = Recover(cfg); err == nil {
+					r.Close()
+				}
+			}
+			const want = "partitioned layout (2 shard sections"
+			switch {
+			case c.wrote == 1 && err != nil:
+				t.Fatalf("Recover of a one-section record with Shards %d = %v", c.opens, err)
+			case c.wrote > 1 && (err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), want)):
+				t.Fatalf("a two-section record: err = %v, want a hard error saying %q", err, want)
 			}
 		})
 	}
@@ -435,76 +430,60 @@ func TestRecoverShardCountMismatch(t *testing.T) {
 // caller start a fresh store over them.
 func TestRecoverWithoutManifest(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
-	s, sess, devs := commitPathStore(t, 1, ckpts)
+	s, sess, dev := commitPathStore(t, ckpts)
 	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 	sess.StopSession()
 	s.Close()
 	if err := ckpts.Remove("cpr-manifest-" + res.Token); err != nil {
 		t.Fatal(err)
 	}
-	cfg := shardedConfig(1)
-	cfg.Checkpoints = ckpts
-	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+	cfg := smallConfig()
+	cfg.Checkpoints, cfg.Device = ckpts, dev
 	if _, err := Recover(cfg); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("stray index blob, no record, no pointer: Recover = %v, want ErrNoCheckpoint", err)
 	}
 	if err := storage.WriteArtifactChecked(ckpts, "latest", []byte(res.Token)); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2} {
-		cfg.Shards = n
-		_, err := Recover(cfg)
-		if err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "pre-manifest") {
-			t.Fatalf("pre-manifest layout opened with %d shards: Recover = %v, want a hard error naming it", n, err)
-		}
+	if _, err := Recover(cfg); err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "pre-manifest") {
+		t.Fatalf("pre-manifest layout: Recover = %v, want a hard error naming it", err)
 	}
 }
 
 // TestRecoverParentLayout: a checkpoint store written before the commit record
-// — per shard a meta-<token> and a pagecrc-<token> (under shard<i>/ past one
-// shard), and a manifest that holds only the token, version, shard count and
-// kind — holds commits this version cannot read. Recover says so, naming the
-// layout: never ErrNoCheckpoint, on which callers start a fresh store over
-// them, and never a fall-back to whatever older record does read.
+// — a meta-<token> and a pagecrc-<token>, and a manifest that holds only the
+// token, version, shard count and kind — holds commits this version cannot
+// read. Recover says so, naming the layout: never ErrNoCheckpoint, on which
+// callers start a fresh store over them, and never a fall-back to whatever
+// older record does read.
 func TestRecoverParentLayout(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ckpts := storage.NewMemCheckpointStore()
-			s, sess, devs := commitPathStore(t, n, ckpts)
-			res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
-			sess.StopSession()
-			s.Close()
+	ckpts := storage.NewMemCheckpointStore()
+	s, sess, dev := commitPathStore(t, ckpts)
+	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+	sess.StopSession()
+	s.Close()
 
-			artifact := func(name string, v any) {
-				buf, err := json.Marshal(v)
-				if err == nil {
-					err = storage.WriteArtifactChecked(ckpts, name, buf)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			const token = "ckpt-000002" // newer than the commit that does read
-			for i := 0; i < n; i++ {
-				prefix := ""
-				if n > 1 {
-					prefix = fmt.Sprintf("shard%d/", i)
-				}
-				artifact(prefix+"pagecrc-"+token, []hlog.PageCRC{})
-				artifact(prefix+"meta-"+token, map[string]any{"token": token, "version": 2, "kind": "fold-over",
-					"log_start": 64, "log_end": 4096, "has_index": false, "index_token": "", "serials": map[string]uint64{"s": 1}})
-			}
-			artifact("cpr-manifest-"+token, map[string]any{"token": token, "version": 2, "shards": n, "kind": "fold-over"})
+	artifact := func(name string, v any) {
+		buf, err := json.Marshal(v)
+		if err == nil {
+			err = storage.WriteArtifactChecked(ckpts, name, buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const token = "ckpt-000002" // newer than the commit that does read
+	artifact("pagecrc-"+token, []hlog.PageCRC{})
+	artifact("meta-"+token, map[string]any{"token": token, "version": 2, "kind": "fold-over",
+		"log_start": 64, "log_end": 4096, "has_index": false, "index_token": "", "serials": map[string]uint64{"s": 1}})
+	artifact("cpr-manifest-"+token, map[string]any{"token": token, "version": 2, "shards": 1, "kind": "fold-over"})
 
-			cfg := shardedConfig(n)
-			cfg.Checkpoints = ckpts
-			cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
-			_, err := Recover(cfg)
-			if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, storage.ErrForeignLayout) ||
-				!strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), token) {
-				t.Fatalf("Recover over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
-			}
-		})
+	cfg := smallConfig()
+	cfg.Checkpoints, cfg.Device = ckpts, dev
+	_, err := Recover(cfg)
+	if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, storage.ErrForeignLayout) ||
+		!strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), token) {
+		t.Fatalf("Recover over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
 	}
 }
 
@@ -513,7 +492,7 @@ func TestRecoverParentLayout(t *testing.T) {
 // fall back past it to an older commit.
 func TestRecoverRecordFormat1(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
-	s, sess, devs := commitPathStore(t, 1, ckpts)
+	s, sess, dev := commitPathStore(t, ckpts)
 	driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 	sess.Upsert(key(1), u64(1))
 	res := driveCommit(t, s, []*Session{sess}, CommitOptions{})
@@ -527,8 +506,8 @@ func TestRecoverRecordFormat1(t *testing.T) {
 	if _, err := storage.WriteRecord(ckpts, rec.Token, uint64(rec.Version), rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := shardedConfig(1)
-	cfg.Checkpoints, cfg.Device = ckpts, devs[0]
+	cfg := smallConfig()
+	cfg.Checkpoints, cfg.Device = ckpts, dev
 	if _, err := Recover(cfg); err == nil || !errors.Is(err, storage.ErrForeignLayout) ||
 		!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), res.Token) {
 		t.Fatalf("Recover over a format-1 record = %v, want a hard error naming the format and %s", err, res.Token)
@@ -541,47 +520,43 @@ func TestRecoverRecordFormat1(t *testing.T) {
 // after (which took their own index) are not, and what no record names is an
 // orphan, not a failure.
 func TestVerifyCommits(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ckpts := storage.NewMemCheckpointStore()
-			s, sess, _ := commitPathStore(t, n, ckpts)
-			defer s.Close()
-			defer sess.StopSession()
-			var tokens []string
-			for _, withIndex := range []bool{true, true, false, false, true, false} {
-				sess.Upsert(key(7), u64(7))
-				tokens = append(tokens, driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: withIndex}).Token)
-			}
-			if err := storage.WriteArtifactChecked(ckpts, "flight-probe", []byte("{}")); err != nil {
-				t.Fatal(err)
-			}
-			check := func(what string, bad ...string) {
-				t.Helper()
-				commits, orphans, err := VerifyCommits(ckpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var gotTokens, gotBad []string
-				for _, c := range commits {
-					gotTokens = append(gotTokens, c.Token)
-					if len(c.Problems) > 0 {
-						gotBad = append(gotBad, c.Token)
-					}
-				}
-				if fmt.Sprint(gotTokens) != fmt.Sprint(tokens) || fmt.Sprint(gotBad) != fmt.Sprint(bad) {
-					t.Fatalf("%s: commits %v, bad %v; want %v, bad %v (%+v)", what, gotTokens, gotBad, tokens, bad, commits)
-				}
-				if fmt.Sprint(orphans) != "[flight-probe]" {
-					t.Fatalf("%s: orphans %v, want the flight dump alone", what, orphans)
-				}
-			}
-			check("intact")
-			if err := ckpts.Remove(blobName("index", tokens[1], n-1)); err != nil {
-				t.Fatal(err)
-			}
-			check("index blob of commit 2 removed", tokens[1], tokens[2], tokens[3])
-		})
+	ckpts := storage.NewMemCheckpointStore()
+	s, sess, _ := commitPathStore(t, ckpts)
+	defer s.Close()
+	defer sess.StopSession()
+	var tokens []string
+	for _, withIndex := range []bool{true, true, false, false, true, false} {
+		sess.Upsert(key(7), u64(7))
+		tokens = append(tokens, driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: withIndex}).Token)
 	}
+	if err := storage.WriteArtifactChecked(ckpts, "flight-probe", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, bad ...string) {
+		t.Helper()
+		commits, orphans, err := VerifyCommits(ckpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotTokens, gotBad []string
+		for _, c := range commits {
+			gotTokens = append(gotTokens, c.Token)
+			if len(c.Problems) > 0 {
+				gotBad = append(gotBad, c.Token)
+			}
+		}
+		if fmt.Sprint(gotTokens) != fmt.Sprint(tokens) || fmt.Sprint(gotBad) != fmt.Sprint(bad) {
+			t.Fatalf("%s: commits %v, bad %v; want %v, bad %v (%+v)", what, gotTokens, gotBad, tokens, bad, commits)
+		}
+		if fmt.Sprint(orphans) != "[flight-probe]" {
+			t.Fatalf("%s: orphans %v, want the flight dump alone", what, orphans)
+		}
+	}
+	check("intact")
+	if err := ckpts.Remove(blobName("index", tokens[1])); err != nil {
+		t.Fatal(err)
+	}
+	check("index blob of commit 2 removed", tokens[1], tokens[2], tokens[3])
 }
 
 // TestSnapshotCommitMemory: a snapshot commit of a volatile region of more
@@ -655,7 +630,7 @@ func TestSnapshotCommitMemory(t *testing.T) {
 		}
 	})
 	defer r.Close()
-	idx, lg := r.shards[0].index, r.Log()
+	idx, lg := r.index, r.Log()
 	frames := (lg.Tail()-1)>>pageBits - lg.Head()>>pageBits + 2 // the resident pages and New's page 0
 	held := frames<<pageBits + uint64(64*len(idx.buckets))
 	for i := range idx.overflowChunks {
@@ -671,5 +646,33 @@ func TestSnapshotCommitMemory(t *testing.T) {
 	}
 	if v, ok := readVal(t, r.StartSession(), keys-1); !ok || len(v) != len(val) {
 		t.Fatalf("the last key of the capture reads %d bytes (found %v)", len(v), ok)
+	}
+}
+
+// TestFoldOverCommitBytes: a fold-over commit's Bytes count what it made
+// durable — every record not yet flushed when it began — not only what was
+// appended after it began.
+func TestFoldOverCommitBytes(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MemPages = 64 // 1 MiB of frames: nothing below is flushed for want of room
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	const n = 10_000
+	for k := uint64(0); k < n; k++ {
+		if st := sess.Upsert(key(k), u64(k)); st != Ok {
+			t.Fatalf("upsert %d: %v", k, st)
+		}
+	}
+	if d := s.Log().Durable(); d > hlog.FirstAddress {
+		t.Fatalf("%d bytes durable before the commit", d)
+	}
+	res := driveCommit(t, s, []*Session{sess}, CommitOptions{})
+	if want := int64(n * hlog.RecordSize(8, 8)); res.Bytes < want {
+		t.Fatalf("the commit of %d never-flushed records reports %d bytes, want at least %d", n, res.Bytes, want)
 	}
 }

@@ -18,8 +18,7 @@ import (
 // commit: it must be called in the rest phase and fails with
 // ErrCommitInProgress otherwise (copied records would straddle the version
 // shift). until is clamped to the safe-read-only offset — only the immutable
-// region compacts. On a partitioned store each shard compacts its own log
-// prefix up to min(until, shard safe-read-only).
+// region compacts.
 // CompactLog runs on a session so the compaction work shares the session's
 // epoch entry: the scan refreshes it continuously, keeping global progress
 // (offset shifts, flushes) alive even when this is the only session.
@@ -28,16 +27,6 @@ func (sess *Session) CompactLog(until uint64) error {
 	if phase != Rest {
 		return ErrCommitInProgress
 	}
-	for _, ctx := range sess.ctxs {
-		if err := ctx.compactLog(until, version); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compactLog compacts one shard's log prefix (see Session.CompactLog).
-func (sess *shardSession) compactLog(until uint64, version uint32) error {
 	s := sess.store
 	if sro := s.log.SafeReadOnly(); until > sro {
 		until = sro
@@ -54,7 +43,7 @@ func (sess *shardSession) compactLog(until uint64, version uint32) error {
 	err := s.log.Scan(begin, until, func(addr uint64, rec hlog.RecordRef) bool {
 		end = max(end, addr+uint64(rec.Size()))
 		if count++; count%64 == 0 {
-			sess.owner.guard.Refresh()
+			sess.guard.Refresh()
 		}
 		if rec.Invalid() {
 			return true

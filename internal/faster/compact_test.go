@@ -34,16 +34,16 @@ func TestCompactLogReclaimsDeadVersions(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sess.Refresh()
 	}
-	until := s.shards[0].log.SafeReadOnly()
-	if until <= s.shards[0].log.Begin() {
+	until := s.log.SafeReadOnly()
+	if until <= s.log.Begin() {
 		t.Fatalf("safe read-only offset never advanced (sro=%d begin=%d tail=%d)",
-			until, s.shards[0].log.Begin(), s.shards[0].log.Tail())
+			until, s.log.Begin(), s.log.Tail())
 	}
 	if err := sess.CompactLog(until); err != nil {
 		t.Fatal(err)
 	}
-	if s.shards[0].log.Begin() != until {
-		t.Fatalf("begin = %d, want %d", s.shards[0].log.Begin(), until)
+	if s.log.Begin() != until {
+		t.Fatalf("begin = %d, want %d", s.log.Begin(), until)
 	}
 
 	// Every surviving key reads its final value; deleted keys stay dead.
@@ -88,7 +88,7 @@ func TestCompactLogRejectedDuringCommit(t *testing.T) {
 	if _, err := s.Commit(CommitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.CompactLog(s.shards[0].log.Tail()); err != ErrCommitInProgress {
+	if err := sess.CompactLog(s.log.Tail()); err != ErrCommitInProgress {
 		t.Fatalf("compaction during commit: err = %v, want ErrCommitInProgress", err)
 	}
 	for s.Phase() != Rest {
@@ -115,7 +115,7 @@ func TestCompactThenCommitAndRecover(t *testing.T) {
 		}
 	}
 	sess.CompletePending(true)
-	if err := sess.CompactLog(s.shards[0].log.SafeReadOnly()); err != nil {
+	if err := sess.CompactLog(s.log.SafeReadOnly()); err != nil {
 		t.Fatal(err)
 	}
 	driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})

@@ -125,7 +125,7 @@ func TestPendingReadAcrossCommit(t *testing.T) {
 		sess.Upsert(key(i), u64(i+1))
 	}
 	sess.CompletePending(true)
-	if s.shards[0].log.InMemory(64) {
+	if s.log.InMemory(64) {
 		t.Skip("data unexpectedly fits in memory")
 	}
 	// Issue a cold read, then immediately a commit.

@@ -28,7 +28,9 @@ func smallConfig() Config {
 }
 
 // driveCommit runs a commit to completion while keeping every session in
-// sessions refreshing (the paper's model: threads continuously process).
+// sessions refreshing (the paper's model: threads continuously process), and
+// refreshes each once more, so that none still has the commit in its view: an
+// op at rest waits for that before it updates a record of the commit in place.
 func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions) CommitResult {
 	t.Helper()
 	token, err := s.Commit(opts)
@@ -39,6 +41,9 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 		if res, ok := s.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatalf("commit failed: %v", res.Err)
+			}
+			for _, sess := range sessions {
+				sess.Refresh()
 			}
 			return res
 		}
@@ -257,7 +262,7 @@ func TestRMWOnColdRecord(t *testing.T) {
 	for i := uint64(100); i < 3100; i++ {
 		sess.Upsert(key(i), u64(i))
 	}
-	if s.shards[0].log.InMemory(64) {
+	if s.log.InMemory(64) {
 		t.Skip("first record unexpectedly still in memory")
 	}
 	st := sess.RMW(key(1), u64(5))
@@ -383,9 +388,9 @@ func TestRecoveryDropsUncommittedSuffix(t *testing.T) {
 	sess.Upsert(key(2), u64(30))
 	// Force the uncommitted records onto the device via a log flush (as if
 	// pages were evicted before the crash).
-	s.shards[0].log.ShiftReadOnlyTo(s.shards[0].log.Tail())
+	s.log.ShiftReadOnlyTo(s.log.Tail())
 	sess.Refresh()
-	s.shards[0].log.WaitDurable(s.shards[0].log.Tail())
+	s.log.WaitDurable(s.log.Tail())
 	sess.StopSession()
 	s.Close()
 
@@ -747,7 +752,7 @@ func TestPhaseStrings(t *testing.T) {
 }
 
 func TestVersionHelpers(t *testing.T) {
-	sh := new(shard)
+	sh := new(Store)
 	sh.futureFrom[1].Store(4096) // commit 1's log_start
 	sh.futureFrom[0].Store(8192) // commit 8192's
 	for _, c := range []struct {

@@ -3,7 +3,6 @@ package faster
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,24 +11,15 @@ import (
 	"repro/internal/storage"
 )
 
-// flightShardCounts are the shard counts the flight tests run at: the event
-// sequence of a commit is the same for one shard as for several.
-var flightShardCounts = []int{1, 4}
-
 // TestFlightCommitTimeline checks the recorder captures a commit's causal
 // chain end to end: commit-start and the phase transitions on the store lane
-// (shard -1), persist-done on every shard, then — on the store lane again —
+// (shard -1), persist-done on the log's lane (0), then — on the store lane
+// again —
 // the one artifact-write of a log-only commit, its record, and commit-done, in
 // that causal order.
 func TestFlightCommitTimeline(t *testing.T) {
-	for _, shards := range flightShardCounts {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCommitTimeline(t, shards) })
-	}
-}
-
-func flightCommitTimeline(t *testing.T, shards int) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	s, err := Open(Config{Shards: shards, IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16, Flight: fr})
+	s, err := Open(Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16, Flight: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +68,12 @@ func flightCommitTimeline(t *testing.T, shards int) {
 	if n := len(obs.FilterFlightEvents(evs, "cpr-manifest-")); n != 1 {
 		t.Fatalf("%d artifact events for one commit record, want 1", n)
 	}
-	for sh := 0; sh < shards; sh++ {
-		pd := idx(obs.FlightPersistDone, sh)
-		if pd < 0 {
-			t.Fatalf("shard %d has no persist-done event", sh)
-		}
-		if pd > manifest {
-			t.Fatalf("shard %d persist-done (#%d) after the record's artifact-write (#%d): causality violated",
-				sh, pd, manifest)
-		}
+	pd := idx(obs.FlightPersistDone, 0)
+	if pd < 0 {
+		t.Fatal("no persist-done event")
+	}
+	if pd > manifest {
+		t.Fatalf("persist-done (#%d) after the record's artifact-write (#%d): causality violated", pd, manifest)
 	}
 	if idx(obs.FlightPhase, -1) < 0 {
 		t.Fatal("no phase transition events on the store lane")
@@ -94,26 +81,18 @@ func flightCommitTimeline(t *testing.T, shards int) {
 }
 
 // TestFlightCrashDump arms a crash point just before the record of the first
-// commit is persisted, dumps the flight recorder from inside the callback
-// (what a real crash handler does), and asserts causal consistency from the
-// decoded dump alone: every shard had reported persist-done, and the commit
-// had NOT been announced — no artifact-write (a log-only commit's only one is
-// its record), commit-done or commit-announced event exists. If
-// FLIGHT_DUMP_DIR is set, the framed dump artifact of the last shard count is
-// also written there for `fasterctl flight -dump` (the CI crash-dump job
-// decodes it and greps the ordering).
+// commit is persisted, dumps the flight recorder from inside the callback (what
+// a real crash handler does), and asserts causal consistency from the decoded
+// dump alone: the capture had reported persist-done, and the commit had NOT
+// been announced — no artifact-write (a log-only commit's only one is its
+// record), commit-done or commit-announced event exists. If FLIGHT_DUMP_DIR is
+// set, the framed dump artifact is also written there for `fasterctl flight
+// -dump` (the CI crash-dump job decodes it and greps the ordering).
 func TestFlightCrashDump(t *testing.T) {
-	for _, shards := range flightShardCounts {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { flightCrashDump(t, shards) })
-	}
-}
-
-func flightCrashDump(t *testing.T, shards int) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 7, Flight: fr})
 	ckpts := storage.NewFaultCheckpointStore(storage.NewMemCheckpointStore(), inj)
-	s, err := Open(Config{Shards: shards, IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16,
-		Flight: fr, Checkpoints: ckpts})
+	s, err := Open(Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16, Flight: fr, Checkpoints: ckpts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,21 +143,19 @@ func flightCrashDump(t *testing.T, shards int) {
 		t.Fatal("dump holds no events for the crashed commit")
 	}
 
-	persisted := map[int]bool{}
+	persisted := false
 	for _, e := range evs {
 		switch e.Kind {
 		case obs.FlightPersistDone:
-			persisted[e.Shard] = true
+			persisted = true
 		case obs.FlightArtifactWrite, obs.FlightCommitDone, obs.FlightCommitAnnounced:
 			// The dump was taken before the record became durable: the
 			// commit must not look complete (or announced) in the dump.
 			t.Fatalf("dump taken before the record was durable contains %v", e.Kind)
 		}
 	}
-	for sh := 0; sh < shards; sh++ {
-		if !persisted[sh] {
-			t.Fatalf("shard %d has no persist-done in the crash dump", sh)
-		}
+	if !persisted {
+		t.Fatal("no persist-done in the crash dump")
 	}
 	// The dump itself records its trigger.
 	if i := func() int {

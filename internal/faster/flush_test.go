@@ -39,16 +39,13 @@ func (d *gatedDevice) WriteAt(p []byte, off int64) (int, error) {
 	return d.Device.WriteAt(p, off)
 }
 
-// gatedStore is commitPathStore over gated devices.
-func gatedStore(t *testing.T, n int) (*Store, *Session, []*gatedDevice) {
+// gatedStore is commitPathStore over a gated device.
+func gatedStore(t *testing.T) (*Store, *Session, *gatedDevice) {
 	t.Helper()
-	devs := make([]*gatedDevice, n)
-	for i := range devs {
-		// One page write per shard and commit here; the buffer is slack.
-		devs[i] = &gatedDevice{Device: storage.NewMemDevice(), blocked: make(chan struct{}, 16)}
-	}
-	cfg := shardedConfig(n)
-	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+	// One page write per commit here; the buffer is slack.
+	dev := &gatedDevice{Device: storage.NewMemDevice(), blocked: make(chan struct{}, 16)}
+	cfg := smallConfig()
+	cfg.Device = dev
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,89 +56,83 @@ func gatedStore(t *testing.T, n int) (*Store, *Session, []*gatedDevice) {
 			sess.CompletePending(true)
 		}
 	}
-	return s, sess, devs
+	return s, sess, dev
 }
 
-// TestCommitLegWakesOnDurable: what ends a fold-over commit's wait-flush is
-// the device write that makes its capture durable — nothing polls for it and
-// no session has to refresh for it. Every shard's page write is held at the
-// device: the commit is not done; the session has refreshed for the last time;
-// the writes are let go: the commit completes. And a write that fails for good
-// wakes the leg just the same, the commit aborts with the flush error, and the
-// store goes on serving.
+// TestCommitLegWakesOnDurable: what ends a fold-over commit's wait-flush is the
+// device write that makes its capture durable — nothing polls for it and no
+// session has to refresh for it. The page write is held at the device: the
+// commit is not done; the session has refreshed for the last time; the writes
+// are let go: the commit completes. And a write that fails for good wakes the
+// leg just the same, the commit aborts with the flush error, and the store goes
+// on serving.
 func TestCommitLegWakesOnDurable(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d/held", n), func(t *testing.T) {
-			s, sess, devs := gatedStore(t, n)
-			defer s.Close()
-			defer sess.StopSession()
-			gate := make(chan struct{})
-			for _, d := range devs {
-				d.gate.Store(&gate)
-			}
-			token, err := s.Commit(CommitOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range devs { // refresh until every shard's flush is at its device
-				for held := false; !held; {
-					select {
-					case <-d.blocked:
-						held = true
-					default:
-						sess.Refresh()
-					}
-				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			if res, ok := s.TryResult(token); ok {
-				t.Fatalf("commit done (%+v) while its page writes are held at the device", res)
-			}
-			close(gate) // from here on nothing refreshes
-			done := make(chan CommitResult, 1)
-			go func() { done <- s.WaitForCommit(token) }()
+	t.Run("held", func(t *testing.T) {
+		s, sess, dev := gatedStore(t)
+		defer s.Close()
+		defer sess.StopSession()
+		gate := make(chan struct{})
+		dev.gate.Store(&gate)
+		token, err := s.Commit(CommitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for held := false; !held; { // refresh until the flush is at the device
 			select {
-			case res := <-done:
-				if res.Err != nil {
-					t.Fatal(res.Err)
-				}
-				if got := res.Serials[sess.ID()]; got != 100 {
-					t.Fatalf("commit point %d, want 100", got)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("commit still in %v after its writes completed: the leg waits for something else", s.Phase())
-			}
-		})
-		t.Run(fmt.Sprintf("shards=%d/failed", n), func(t *testing.T) {
-			s, sess, devs := gatedStore(t, n)
-			defer s.Close()
-			defer sess.StopSession()
-			devs[n-1].dead.Store(true)
-			token, err := s.Commit(CommitOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var res CommitResult
-			for ok := false; !ok; res, ok = s.TryResult(token) {
+			case <-dev.blocked:
+				held = true
+			default:
 				sess.Refresh()
 			}
-			if !errors.Is(res.Err, errPlatter) || !strings.Contains(res.Err.Error(), "flush") {
-				t.Fatalf("commit over a dead device: err = %v, want the flush failure", res.Err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if res, ok := s.TryResult(token); ok {
+			t.Fatalf("commit done (%+v) while its page writes are held at the device", res)
+		}
+		close(gate) // from here on nothing refreshes
+		done := make(chan CommitResult, 1)
+		go func() { done <- s.WaitForCommit(token) }()
+		select {
+		case res := <-done:
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
-			if got, _ := s.LatestCommitToken(); got == token {
-				t.Fatalf("failed commit %s is the store's latest", token)
+			if got := res.Serials[sess.ID()]; got != 100 {
+				t.Fatalf("commit point %d, want 100", got)
 			}
-			for s.Phase() != Rest {
-				sess.Refresh()
-			}
-			if st := sess.Upsert(key(1), u64(2)); st != Ok {
-				t.Fatalf("upsert after the aborted commit: %v", st)
-			}
-			if v, ok := readVal(t, sess, 1); !ok || binary.LittleEndian.Uint64(v) != 2 {
-				t.Fatalf("key 1 reads %x (found %v) after the aborted commit", v, ok)
-			}
-		})
-	}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("commit still in %v after its writes completed: the leg waits for something else", s.Phase())
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		s, sess, dev := gatedStore(t)
+		defer s.Close()
+		defer sess.StopSession()
+		dev.dead.Store(true)
+		token, err := s.Commit(CommitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res CommitResult
+		for ok := false; !ok; res, ok = s.TryResult(token) {
+			sess.Refresh()
+		}
+		if !errors.Is(res.Err, errPlatter) || !strings.Contains(res.Err.Error(), "flush") {
+			t.Fatalf("commit over a dead device: err = %v, want the flush failure", res.Err)
+		}
+		if got, _ := s.LatestCommitToken(); got == token {
+			t.Fatalf("failed commit %s is the store's latest", token)
+		}
+		for s.Phase() != Rest {
+			sess.Refresh()
+		}
+		if st := sess.Upsert(key(1), u64(2)); st != Ok {
+			t.Fatalf("upsert after the aborted commit: %v", st)
+		}
+		if v, ok := readVal(t, sess, 1); !ok || binary.LittleEndian.Uint64(v) != 2 {
+			t.Fatalf("key 1 reads %x (found %v) after the aborted commit", v, ok)
+		}
+	})
 }
 
 // longValue is a 40-byte value whose five words are all its generation: a copy
@@ -168,14 +159,8 @@ func TestLongValueReadsWhilePagesFlush(t *testing.T) {
 		sessions = 3
 		runFor   = 500 * time.Millisecond
 	)
-	n := testShardCount(1)
-	cfg := Config{Shards: n, IndexBuckets: 1 << 8, PageBits: 12, MemPages: 8 * n,
-		Checkpoints: storage.NewMemCheckpointStore()}
-	devs := make([]*storage.MemDevice, n)
-	for i := range devs {
-		devs[i] = storage.NewMemDevice()
-	}
-	cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
+	cfg := Config{IndexBuckets: 1 << 8, PageBits: 12, MemPages: 8,
+		Checkpoints: storage.NewMemCheckpointStore(), Device: storage.NewMemDevice()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -264,17 +249,16 @@ func TestReadByRegion(t *testing.T) {
 						hold.Refresh()
 					}
 				}
-				ctx := a.ctxs[0]
 				op := &pendingOp{kind: opRead, key: k, hash: hashfn.Hash64(k)}
 				op.serial, op.version = a.serial.Add(1), a.version
-				if r := ctx.find(op, false); int(r.reg) != region {
+				if r := a.find(op, false); int(r.reg) != region {
 					t.Fatalf("record found in region %d, want %d", r.reg, region)
 				}
 				want := Ok
 				if region == regionFuzzy && len(val) > 8 {
 					want = Pending
 				}
-				if st := ctx.dispatch(op); st != want || want == Ok && !bytes.Equal(op.val, val) {
+				if st := a.dispatch(op); st != want || want == Ok && !bytes.Equal(op.val, val) {
 					t.Fatalf("dispatch: %v with value %x, want %v", st, op.val, want)
 				}
 				var got []byte
@@ -323,7 +307,7 @@ func TestEnterPrepareRefreshesWhileLatched(t *testing.T) {
 	if st := a.Upsert(k, longValue(2)); st != Pending {
 		t.Fatalf("upsert of a record in the fuzzy region: %v, want Pending", st)
 	}
-	sh, h := a.ctxs[0].store, hashfn.Hash64(k)
+	sh, h := s, hashfn.Hash64(k)
 	if !sh.index.tryExclusiveLatch(h) { // the lagging session's latch
 		t.Fatal("bucket already latched")
 	}

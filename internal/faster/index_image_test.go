@@ -294,11 +294,11 @@ func TestIndexArtifactBytes(t *testing.T) {
 	}
 	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
 	sess.StopSession()
-	got, err := storage.ReadArtifact(cs, blobName("index", res.Token, 0))
+	got, err := storage.ReadArtifact(cs, blobName("index", res.Token))
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := s.shards[0].index // quiescent: no session is running
+	idx := s.index // quiescent: no session is running
 	words := len(indexWords(idx, true))
 	nBuckets := buckets + int(idx.overflowNext.Load()) - 1
 	const envelope = 16
@@ -409,7 +409,7 @@ func TestRecoveryFallbackOnUndecodableIndex(t *testing.T) {
 			}
 			sess.StopSession()
 			s.Close()
-			if err := storage.WriteArtifactChecked(ckpts, blobName("index", tokens[1], 0), bad); err != nil {
+			if err := storage.WriteArtifactChecked(ckpts, blobName("index", tokens[1]), bad); err != nil {
 				t.Fatal(err)
 			}
 			r, report, err := RecoverWithReport(cfg)

@@ -59,7 +59,7 @@ func TestDeleteOfMissingKeyLeavesNoEntry(t *testing.T) {
 	defer s.Close()
 	sess := s.StartSession()
 	defer sess.StopSession()
-	sh := s.shards[0]
+	sh := s
 	tail := sh.log.Tail()
 	for k := uint64(0); k < 100_000; k++ {
 		if st := sess.Delete(key(k)); st != NotFound {
@@ -93,8 +93,7 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 	defer s.Close()
 	sess := s.StartSession()
 	defer sess.StopSession()
-	ctx := sess.ctxs[0]
-	idx := ctx.store.index
+	idx := s.index
 
 	a := key(1)
 	ha := hashfn.Hash64(a)
@@ -108,7 +107,7 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 		t.Fatal(st)
 	}
 	op := &pendingOp{kind: opUpsert, key: a, input: u64(11), hash: ha, version: sess.version}
-	r := ctx.find(op, false)
+	r := sess.find(op, false)
 	if r.entry&entryTagMask != tagOf(ha) || r.reg != regMutable {
 		t.Fatalf("find of a: slot %p, entry %#x, region %d", r.slot, r.entry, r.reg)
 	}
@@ -122,20 +121,20 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 	}
 	bEntry := r.slot.Load() // ... and reclaimed for b
 
-	if st := ctx.rcu(op, r); st != statusRetry {
+	if st := sess.rcu(op, r); st != statusRetry {
 		t.Fatalf("install against the reclaimed slot: %v, want a retry", st)
 	}
 	if got := r.slot.Load(); got != bEntry {
 		t.Fatalf("b's slot went %#x -> %#x", bEntry, got)
 	}
-	if st := ctx.doOp(op); st != Ok {
+	if st := sess.doOp(op); st != Ok {
 		t.Fatalf("retried upsert: %v", st)
 	}
 	slot, entry := idx.probe(ha, 0)
 	if entry == 0 || slot == r.slot || entry&entryTagMask != tagOf(ha) {
 		t.Fatalf("a's entry after the retry: slot %p (b's is %p), entry %#x", slot, r.slot, entry)
 	}
-	if rec := ctx.store.log.Record(entryAddr(entry)); !rec.KeyEquals(a) || rec.Prev() != 0 {
+	if rec := s.log.Record(entryAddr(entry)); !rec.KeyEquals(a) || rec.Prev() != 0 {
 		t.Fatalf("a's chain head is key %x with prev %d", rec.Key(nil), rec.Prev())
 	}
 	for k, want := range map[string]uint64{string(a): 11, string(b): 20} {

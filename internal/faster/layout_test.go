@@ -31,19 +31,18 @@ func oldLayoutRecord(prev uint64, version uint16, tombstone bool, key, val []byt
 }
 
 // oldLayoutImage is what a store of PR 23 left behind after one log-only
-// commit (version 1, token ckpt-000001) and a crash: per shard a device of
-// 4 KiB pages in the old layout and the commit's meta- and pagecrc- artifacts,
-// and the manifest — every byte of the log put there by this test. The commit's
+// commit (version 1, token ckpt-000001) and a crash: a device of 4 KiB pages in
+// the old layout and the commit's record — every byte of the log put there by
+// this test. The commit's
 // log holds, per key k < keys: a first record (value k), for every third key
 // an update chained to it (value 1000+k), for every seventh a tombstone, and —
 // below the commit's log end, as a fuzzy window leaves them — version-2 records
 // for every fifth key, which recovery must unwind and neutralise.
 type oldLayoutImage struct {
-	shards int
-	devs   []*storage.MemDevice
-	ckpts  *storage.MemCheckpointStore
-	want   map[uint64]uint64 // live keys and their committed values
-	gone   map[uint64]bool   // keys the commit deleted
+	dev   *storage.MemDevice
+	ckpts *storage.MemCheckpointStore
+	want  map[uint64]uint64 // live keys and their committed values
+	gone  map[uint64]bool   // keys the commit deleted
 }
 
 const (
@@ -51,37 +50,25 @@ const (
 	oldLayoutSession = "old-layout-session"
 )
 
-func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
+func buildOldLayoutImage(t *testing.T) *oldLayoutImage {
 	t.Helper()
-	img := &oldLayoutImage{shards: shards, ckpts: storage.NewMemCheckpointStore(), want: map[uint64]uint64{}, gone: map[uint64]bool{}}
-	// A store of the same shape routes the keys and lends its (empty) indexes
-	// to link each record to its slot's previous one; nothing is written to it.
-	fresh := make([]*storage.MemDevice, shards)
-	for i := range fresh {
-		fresh[i] = storage.NewMemDevice()
-	}
-	router, err := Open(configOver(shards, fresh, storage.NewMemCheckpointStore()))
+	img := &oldLayoutImage{ckpts: storage.NewMemCheckpointStore(), want: map[uint64]uint64{}, gone: map[uint64]bool{}}
+	// An empty index links each record to its slot's previous one.
+	chains, err := newIndex(1 << 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close()
 	const pageSize = 1 << 12
-	logs := make([][]byte, shards) // the log from address 0 on; the first 64 bytes hold no record
-	chains := make([]*index, shards)
-	for i := range logs {
-		logs[i] = make([]byte, hlog.FirstAddress)
-		chains[i] = router.shards[i].index
-	}
+	log := make([]byte, hlog.FirstAddress) // the log from address 0 on; the first 64 bytes hold no record
 	put := func(k uint64, version uint16, tombstone bool, val []byte) {
-		i := router.ShardOfKey(key(k))
 		h := hashfn.Hash64(key(k))
-		slot, entry := chains[i].probe(h, tagOf(h))
+		slot, entry := chains.probe(h, tagOf(h))
 		rec := oldLayoutRecord(entryAddr(entry), version, tombstone, key(k), val, 8)
-		if room := pageSize - len(logs[i])%pageSize; room < len(rec) {
-			logs[i] = append(logs[i], make([]byte, room)...)
+		if room := pageSize - len(log)%pageSize; room < len(rec) {
+			log = append(log, make([]byte, room)...)
 		}
-		slot.Store(tagOf(h) | uint64(len(logs[i])))
-		logs[i] = append(logs[i], rec...)
+		slot.Store(tagOf(h) | uint64(len(log)))
+		log = append(log, rec...)
 	}
 	for k := uint64(0); k < oldLayoutKeys; k++ {
 		put(k, 1, false, u64(k))
@@ -103,21 +90,18 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	rec := commitRecord{Format: recordFormat, Token: "ckpt-000001", Version: 1, Kind: FoldOver.String(),
 		Serials: map[string]uint64{oldLayoutSession: 4242}}
-	for i, log := range logs {
-		if len(log) < 2*pageSize {
-			t.Fatalf("shard %d: the old-layout log is %d bytes, want whole pages under checksums", i, len(log))
-		}
-		dev := storage.NewMemDevice()
-		if _, err := dev.WriteAt(log[hlog.FirstAddress:], hlog.FirstAddress); err != nil {
-			t.Fatal(err)
-		}
-		img.devs = append(img.devs, dev)
-		sec := shardSection{Lhs: hlog.FirstAddress, Lhe: uint64(len(log))}
-		for p := 0; (p+1)*pageSize <= len(log); p++ {
-			sec.PageCRCs = append(sec.PageCRCs, hlog.PageCRC{Page: uint64(p), CRC: crc32.Checksum(log[max(p*pageSize, hlog.FirstAddress):(p+1)*pageSize], castagnoli)})
-		}
-		rec.Shards = append(rec.Shards, sec)
+	if len(log) < 2*pageSize {
+		t.Fatalf("the old-layout log is %d bytes, want whole pages under checksums", len(log))
 	}
+	img.dev = storage.NewMemDevice()
+	if _, err := img.dev.WriteAt(log[hlog.FirstAddress:], hlog.FirstAddress); err != nil {
+		t.Fatal(err)
+	}
+	sec := section{Lhs: hlog.FirstAddress, Lhe: uint64(len(log))}
+	for p := 0; (p+1)*pageSize <= len(log); p++ {
+		sec.PageCRCs = append(sec.PageCRCs, hlog.PageCRC{Page: uint64(p), CRC: crc32.Checksum(log[max(p*pageSize, hlog.FirstAddress):(p+1)*pageSize], castagnoli)})
+	}
+	rec.Sections = []section{sec}
 	if _, err := storage.WriteRecord(img.ckpts, rec.Token, uint64(rec.Version), &rec, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +109,7 @@ func buildOldLayoutImage(t *testing.T, shards int) *oldLayoutImage {
 }
 
 func (img *oldLayoutImage) config() Config {
-	return configOver(img.shards, cloneDevs(img.devs), img.ckpts.Clone())
+	return configOver(img.dev.Clone(), img.ckpts.Clone())
 }
 
 // TestOldLayoutStillReads: a checkpoint directory and devices in the old layout
@@ -135,7 +119,7 @@ func (img *oldLayoutImage) config() Config {
 // old-layout ones), commit, log-only or with an index image, and recover again
 // from the mixed log.
 func TestOldLayoutStillReads(t *testing.T) {
-	img := buildOldLayoutImage(t, testShardCount(1))
+	img := buildOldLayoutImage(t)
 	for _, withIndex := range []bool{false, true} {
 		cfg := img.config()
 		s, report, err := RecoverWithReport(cfg)
@@ -156,13 +140,7 @@ func TestOldLayoutStillReads(t *testing.T) {
 		// place on the new short-form record; deleted keys come back; every
 		// eleventh key goes.
 		want, gone := map[uint64]uint64{}, map[uint64]bool{}
-		tails := func() (sum uint64) {
-			for i := 0; i < s.NumShards(); i++ {
-				sum += s.ShardLog(i).Tail()
-			}
-			return sum
-		}
-		before := tails()
+		before := s.Log().Tail()
 		for k, v := range img.want {
 			for range 2 {
 				if st := sess.RMW(key(k), u64(1)); st == Pending {
@@ -173,8 +151,8 @@ func TestOldLayoutStillReads(t *testing.T) {
 		}
 		// One short-form copy per key and a few bytes of page padding: less
 		// than copies with a lens word would take.
-		if grew, n, size := tails()-before, uint64(len(want)), uint64(hlog.RecordSize(8, 8)); grew < n*size || grew >= n*(size+8) {
-			t.Fatalf("%d RMW pairs grew the logs by %d bytes, want one %d-byte copy each", n, grew, size)
+		if grew, n, size := s.Log().Tail()-before, uint64(len(want)), uint64(hlog.RecordSize(8, 8)); grew < n*size || grew >= n*(size+8) {
+			t.Fatalf("%d RMW pairs grew the log by %d bytes, want one %d-byte copy each", n, grew, size)
 		}
 		for k := range img.gone {
 			if st := sess.Upsert(key(k), u64(9000+k)); st == Pending {
@@ -216,7 +194,7 @@ func TestInPlaceRuleFallsBackToRCU(t *testing.T) {
 	defer s.Close()
 	sess := s.StartSession()
 	defer sess.StopSession()
-	log := s.ShardLog(0)
+	log := s.Log()
 	short, long := uint64(hlog.RecordSize(8, 8)), uint64(hlog.RecordSize(8, 8))+8
 	for _, step := range []struct {
 		val  string

@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,21 +9,15 @@ import (
 	"repro/internal/obs"
 )
 
-// TestOneMachinePerStore pins that a store runs one CPR state machine however
-// many shards partition it: a commit walks the five phases once, every session
+// TestOneMachinePerStore pins that a store runs one CPR state machine: a
+// commit walks the five phases once, every session
 // acknowledges prepare once and demarcates once, each session holds one entry
 // in one epoch table, and the point a commit reports for a session is the
 // serial the session demarcated at.
 func TestOneMachinePerStore(t *testing.T) {
-	for _, n := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { oneMachinePerStore(t, n) })
-	}
-}
-
-func oneMachinePerStore(t *testing.T, n int) {
 	const sessions = 3
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	cfg := shardedConfig(n)
+	cfg := smallConfig()
 	cfg.Flight, cfg.Metrics = fr, obs.NewRegistry()
 	s, err := Open(cfg)
 	if err != nil {
@@ -41,12 +34,8 @@ func oneMachinePerStore(t *testing.T, n int) {
 			sess.StopSession()
 		}
 	}()
-	// Every session writes to every shard.
-	touched := make([][]bool, sessions)
 	for i, sess := range ss {
-		touched[i] = make([]bool, n)
-		for k := uint64(i) << 32; !all(touched[i]); k++ {
-			touched[i][s.ShardOfKey(key(k))] = true
+		for k := uint64(i) << 32; k < uint64(i)<<32+64; k++ {
 			if st := sess.Upsert(key(k), u64(k)); st == Pending {
 				sess.CompletePending(true)
 			}
@@ -105,15 +94,6 @@ func oneMachinePerStore(t *testing.T, n int) {
 	}
 }
 
-func all(bs []bool) bool {
-	for _, b := range bs {
-		if !b {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPrepareOpUnderLaggingLatch: in prepare, an op's shared latch can fail
 // against an exclusive latch a session still in the previous commit holds.
 // That is no CPR shift — the store has not reached in-progress — so the op
@@ -128,7 +108,7 @@ func TestPrepareOpUnderLaggingLatch(t *testing.T) {
 	a, b := s.StartSession(), s.StartSession()
 	defer a.StopSession()
 	defer b.StopSession()
-	idx := s.shards[0].index
+	idx := s.index
 	h := hashfn.Hash64(key(7))
 	if !idx.tryExclusiveLatch(h) {
 		t.Fatal("exclusive latch taken")

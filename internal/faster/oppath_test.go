@@ -2,7 +2,6 @@ package faster
 
 import (
 	"encoding/binary"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -42,93 +41,89 @@ func coldStore(t testing.TB, n uint64) (*Store, *Session) {
 // read returns, or hands to its callback, is the session's own buffer — right
 // when handed over and untouched until that session's next call (for a
 // callback: until it returns), whatever other sessions and the I/O workers do
-// meanwhile. Hot, read-only and cold records, on 1 and 4 shards; a second
-// session reads the same keys throughout, so under -race a buffer shared
-// across sessions or still written by a worker is a reported race.
+// meanwhile. Hot, read-only and cold records; a second session reads the same
+// keys throughout, so under -race a buffer shared across sessions or still
+// written by a worker is a reported race.
 func TestReadValueValidUntilNextOp(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := Open(shardedConfig(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			sess := s.StartSession()
-			defer sess.StopSession()
-			n := uint64(20000 * shards) // 128 KiB of frames per shard hold 4096 of these
-			for k := uint64(0); k < n; k++ {
-				if st := sess.Upsert(key(k), u64(k)); st == Pending {
-					sess.CompletePending(true)
-				}
-			}
-			driveCommit(t, s, []*Session{sess}, CommitOptions{}) // fold-over: what is in memory is read-only
-			hot := n
-			sess.Upsert(key(hot), u64(hot))
+	s, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	n := uint64(20000) // 128 KiB of frames hold 4096 of these
+	for k := uint64(0); k < n; k++ {
+		if st := sess.Upsert(key(k), u64(k)); st == Pending {
+			sess.CompletePending(true)
+		}
+	}
+	driveCommit(t, s, []*Session{sess}, CommitOptions{}) // fold-over: what is in memory is read-only
+	hot := n
+	sess.Upsert(key(hot), u64(hot))
 
-			stop := make(chan struct{})
-			var other sync.WaitGroup
-			other.Add(1)
-			go func() {
-				defer other.Done()
-				o := s.StartSession()
-				defer o.StopSession()
-				for i := uint64(0); ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					o.Read(key(hot-i%8), nil)
-					o.Read(key(i%512), nil)
-					if i%16 == 15 {
-						o.CompletePending(true)
-					}
-				}
-			}()
-			defer other.Wait()
-			defer close(stop)
+	stop := make(chan struct{})
+	var other sync.WaitGroup
+	other.Add(1)
+	go func() {
+		defer other.Done()
+		o := s.StartSession()
+		defer o.StopSession()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o.Read(key(hot-i%8), nil)
+			o.Read(key(i%512), nil)
+			if i%16 == 15 {
+				o.CompletePending(true)
+			}
+		}
+	}()
+	defer other.Wait()
+	defer close(stop)
 
-			check := func(what string, k uint64, v []byte) {
-				t.Helper()
-				if len(v) != 8 || binary.LittleEndian.Uint64(v) != k {
-					t.Errorf("%s, key %d: value %x", what, k, v)
+	check := func(what string, k uint64, v []byte) {
+		t.Helper()
+		if len(v) != 8 || binary.LittleEndian.Uint64(v) != k {
+			t.Errorf("%s, key %d: value %x", what, k, v)
+		}
+	}
+	for round := uint64(0); round < 200 && !t.Failed(); round++ {
+		for _, c := range []struct {
+			region string
+			k      uint64
+			cold   bool
+		}{{"hot", hot, false}, {"read-only", n - 1 - round, false}, {"cold", 3 + round, true}} {
+			delivered := 0
+			v, st := sess.Read(key(c.k), func(v []byte, st Status) {
+				delivered++
+				if st != Ok {
+					t.Errorf("%s read of key %d: callback status %v", c.region, c.k, st)
 				}
-			}
-			for round := uint64(0); round < 200 && !t.Failed(); round++ {
-				for _, c := range []struct {
-					region string
-					k      uint64
-					cold   bool
-				}{{"hot", hot, false}, {"read-only", n - 1 - round, false}, {"cold", 3 + round, true}} {
-					delivered := 0
-					v, st := sess.Read(key(c.k), func(v []byte, st Status) {
-						delivered++
-						if st != Ok {
-							t.Errorf("%s read of key %d: callback status %v", c.region, c.k, st)
-						}
-						check(c.region+" callback value", c.k, v)
-						runtime.Gosched() // let the other session and the workers run
-						check(c.region+" callback value before returning", c.k, v)
-					})
-					if c.cold {
-						if st != Pending {
-							t.Fatalf("read of evicted key %d: %v, want pending", c.k, st)
-						}
-						sess.CompletePending(true)
-					} else {
-						if st != Ok {
-							t.Fatalf("%s read of key %d: %v", c.region, c.k, st)
-						}
-						check(c.region+" returned value", c.k, v)
-						runtime.Gosched()
-						check(c.region+" returned value before the next call", c.k, v)
-					}
-					if delivered != 1 {
-						t.Fatalf("%s read of key %d: callback ran %d times", c.region, c.k, delivered)
-					}
+				check(c.region+" callback value", c.k, v)
+				runtime.Gosched() // let the other session and the workers run
+				check(c.region+" callback value before returning", c.k, v)
+			})
+			if c.cold {
+				if st != Pending {
+					t.Fatalf("read of evicted key %d: %v, want pending", c.k, st)
 				}
+				sess.CompletePending(true)
+			} else {
+				if st != Ok {
+					t.Fatalf("%s read of key %d: %v", c.region, c.k, st)
+				}
+				check(c.region+" returned value", c.k, v)
+				runtime.Gosched()
+				check(c.region+" returned value before the next call", c.k, v)
 			}
-		})
+			if delivered != 1 {
+				t.Fatalf("%s read of key %d: callback ran %d times", c.region, c.k, delivered)
+			}
+		}
 	}
 }
 
@@ -153,7 +148,7 @@ func TestColdReadsInOneCompletePending(t *testing.T) {
 			t.Fatalf("read of evicted key %d: %v, want pending", k, st)
 		}
 	}
-	if q := len(sess.ctxs[0].ioQueue); q != reads%storage.RunLen {
+	if q := len(sess.ioQueue); q != reads%storage.RunLen {
 		t.Fatalf("%d cold reads still queued after %d issued, want %d (the rest went in runs of %d)", q, reads, reads%storage.RunLen, storage.RunLen)
 	}
 	sess.CompletePending(true)
@@ -170,67 +165,66 @@ func TestColdReadsInOneCompletePending(t *testing.T) {
 // CommittedToken cover it. One goroutine owns the session and runs
 // back-to-back commits; the other hammers TryResult.
 func TestWatermarkNeverBehindVisibleResult(t *testing.T) {
-	for _, shards := range []int{1, testShardCount(2)} {
-		s, err := Open(Config{Shards: shards, IndexBuckets: 1 << 10, PageBits: 14, MemPages: 8 * shards,
-			Metrics: obs.NewNop()})
+	cfg := smallConfig()
+	cfg.Metrics = obs.NewNop()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.StartSession()
+	check := func(who string, res CommitResult) {
+		if res.Err != nil {
+			t.Errorf("commit %s: %v", res.Token, res.Err)
+			return
+		}
+		if got, want := sess.CommittedSerial(), res.Serials[sess.ID()]; got < want {
+			t.Errorf("%s sees %s done at serial %d, but CommittedSerial is still %d", who, res.Token, want, got)
+		}
+		if got := sess.CommittedToken(); got < res.Token { // tokens sort by commit order
+			t.Errorf("%s sees %s done, but CommittedToken is still %q", who, res.Token, got)
+		}
+	}
+	var current atomic.Pointer[string]
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if tok := current.Load(); tok != nil {
+				if res, ok := s.TryResult(*tok); ok {
+					check("poller", res)
+				}
+			}
+		}
+	}()
+	for i := uint64(0); i < 100 && !t.Failed(); i++ {
+		for k := uint64(0); k < 8; k++ {
+			sess.Upsert(key(i*8+k), u64(i))
+		}
+		token, err := s.Commit(CommitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := s.StartSession()
-		check := func(who string, res CommitResult) {
-			if res.Err != nil {
-				t.Errorf("commit %s: %v", res.Token, res.Err)
-				return
+		current.Store(&token)
+		for {
+			if res, ok := s.TryResult(token); ok {
+				check("owner", res)
+				break
 			}
-			if got, want := sess.CommittedSerial(), res.Serials[sess.ID()]; got < want {
-				t.Errorf("%s sees %s done at serial %d, but CommittedSerial is still %d", who, res.Token, want, got)
-			}
-			if got := sess.CommittedToken(); got < res.Token { // tokens sort by commit order
-				t.Errorf("%s sees %s done, but CommittedToken is still %q", who, res.Token, got)
-			}
+			sess.Refresh()
+			sess.CompletePending(false)
 		}
-		var current atomic.Pointer[string]
-		stop := make(chan struct{})
-		var poller sync.WaitGroup
-		poller.Add(1)
-		go func() {
-			defer poller.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if tok := current.Load(); tok != nil {
-					if res, ok := s.TryResult(*tok); ok {
-						check("poller", res)
-					}
-				}
-			}
-		}()
-		for i := uint64(0); i < 100 && !t.Failed(); i++ {
-			for k := uint64(0); k < 8; k++ {
-				sess.Upsert(key(i*8+k), u64(i))
-			}
-			token, err := s.Commit(CommitOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			current.Store(&token)
-			for {
-				if res, ok := s.TryResult(token); ok {
-					check("owner", res)
-					break
-				}
-				sess.Refresh()
-				sess.CompletePending(false)
-			}
-		}
-		close(stop)
-		poller.Wait()
-		sess.StopSession()
-		s.Close()
 	}
+	close(stop)
+	poller.Wait()
+	sess.StopSession()
+	s.Close()
 }
 
 // TestHookRegistrationRacesCommits registers commit hooks and attachments

@@ -3,8 +3,7 @@ package faster
 import "repro/internal/epoch"
 
 // This file implements the per-operation CPR logic of Algs. 4 and 5 (App. B)
-// plus the coarse-grained variant of App. C, executed against one shard via
-// the session's per-shard context:
+// plus the coarse-grained variant of App. C, executed in a session:
 //
 //   - rest:        normal FASTER processing, records carry the rest version.
 //   - prepare:     operations belong to commit version v; encountering a
@@ -29,7 +28,7 @@ const statusRetry Status = 255
 
 // doOp drives one operation to a terminal status or Pending. A terminal one
 // releases its CPR resources and hands a read's result to its callback.
-func (sess *shardSession) doOp(op *pendingOp) Status {
+func (sess *Session) doOp(op *pendingOp) Status {
 	st := Error // its cold read failed
 	if op.ioErr == nil {
 		for st = sess.dispatch(op); st == statusRetry; st = sess.dispatch(op) {
@@ -58,21 +57,20 @@ func (sess *shardSession) doOp(op *pendingOp) Status {
 // skips v+1 records — they are not part of this op's commit. A completing
 // op's shared latch (fine-grained) is released by finish() when it leaves the
 // pending list.
-func (sess *shardSession) dispatch(op *pendingOp) Status {
+func (sess *Session) dispatch(op *pendingOp) Status {
 	epoch.YieldAt(epoch.SiteDispatch)
-	own := sess.owner
-	if op.version < own.version {
+	if op.version < sess.version {
 		// The commit this op belonged to has fully completed (its pending
 		// work drained before wait-flush); treat it as current-version work.
-		op.version = own.version
+		op.version = sess.version
 	}
 	switch {
-	case op.version > own.version:
+	case op.version > sess.version:
 		return sess.processFuture(op)
-	case own.phase == Prepare && !op.counted:
+	case sess.phase == Prepare && !op.counted:
 		return sess.processPrepare(op)
 	}
-	r := sess.find(op, own.phase != Rest)
+	r := sess.find(op, sess.phase != Rest)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
@@ -80,7 +78,7 @@ func (sess *shardSession) dispatch(op *pendingOp) Status {
 }
 
 // initialValue computes the value a missing-key update writes.
-func (sess *shardSession) initialValue(op *pendingOp) []byte {
+func (sess *Session) initialValue(op *pendingOp) []byte {
 	if op.kind == opRMW {
 		return sess.store.cfg.RMW.Initial(op.input)
 	}
@@ -96,21 +94,20 @@ func (sess *shardSession) initialValue(op *pendingOp) []byte {
 // begin at any moment, so only a one-word value can be read — else ok is false
 // and the op parks (Pending), as an update in that region does (DESIGN "Pages
 // are flushed from their frames").
-func (sess *shardSession) value(r findResult) (val []byte, ok bool) {
-	own := sess.owner
+func (sess *Session) value(r findResult) (val []byte, ok bool) {
 	if r.reg == regMutable {
-		own.scratch = r.rec.LatchedValue(own.scratch[:0])
-		return own.scratch, true
+		sess.scratch = r.rec.LatchedValue(sess.scratch[:0])
+		return sess.scratch, true
 	}
-	own.scratch = r.rec.Value(own.scratch[:0])
-	if r.reg == regFuzzy && len(own.scratch) > 8 {
+	sess.scratch = r.rec.Value(sess.scratch[:0])
+	if r.reg == regFuzzy && len(sess.scratch) > 8 {
 		return nil, false // several loads, possibly torn
 	}
-	return own.scratch, true
+	return sess.scratch, true
 }
 
 // updatedValue computes the RCU value from an existing record; ok as for value.
-func (sess *shardSession) updatedValue(op *pendingOp, r findResult) (val []byte, ok bool) {
+func (sess *Session) updatedValue(op *pendingOp, r findResult) (val []byte, ok bool) {
 	if op.kind == opUpsert {
 		return op.input, true
 	}
@@ -132,19 +129,24 @@ func (sess *shardSession) updatedValue(op *pendingOp, r findResult) (val []byte,
 // place: fine-grained, its shared latch excludes v+1 copies on the bucket;
 // coarse-grained, v+1 copies happen only below the safe-read-only offset and a
 // mutable record is above it.
-func (sess *shardSession) update(op *pendingOp, r findResult) Status {
+func (sess *Session) update(op *pendingOp, r findResult) Status {
 	switch r.reg {
 	case regNone:
 		if op.kind == opDelete {
 			return NotFound
 		}
 	case regMutable:
-		// Only an op of the record's version updates it in place: a session still
-		// in the last commit may be copying an older record over such an update.
-		if r.rec.Version() == recVersion(op.version) && sess.tryInPlace(op, r) {
+		// An older record is updated in place too, but only once no session's
+		// view is of the version before the op's: until then a session still in
+		// that commit may be copying it over the update, so the op waits. (A
+		// copy here instead could race an update in place that came after.)
+		if r.rec.Version() != recVersion(op.version) && sess.store.views[(op.version-1)&1].Load() != 0 {
+			return Pending
+		}
+		if sess.tryInPlace(op, r) {
 			return Ok
 		}
-		// Capacity exceeded, tombstoned or an older version: read-copy-update.
+		// Capacity exceeded or tombstoned: read-copy-update.
 	case regFuzzy:
 		return Pending
 	case regDisk:
@@ -157,7 +159,7 @@ func (sess *shardSession) update(op *pendingOp, r findResult) Status {
 
 // tryInPlace performs an in-place mutable-region update; false means the caller
 // must fall back to read-copy-update.
-func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) bool {
+func (sess *Session) tryInPlace(op *pendingOp, r findResult) bool {
 	switch {
 	case op.kind == opDelete:
 		r.rec.SetTombstone()
@@ -168,14 +170,14 @@ func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) bool {
 		return r.rec.SetValue(op.input)
 	}
 	rmw := sess.store.cfg.RMW
-	return r.rec.UpdateValue(&sess.owner.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) })
+	return r.rec.UpdateValue(&sess.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) })
 }
 
 // rcu performs a read-copy-update: a new record at the tail whose value derives
 // from the found record (the initial value for a tombstone, a blind update or a
 // missing key), installed against the slot word find walked from — so a record
 // another session published since fails the install and the op re-runs.
-func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
+func (sess *Session) rcu(op *pendingOp, r findResult) Status {
 	var val []byte
 	tombstone := op.kind == opDelete
 	switch {
@@ -201,7 +203,7 @@ func (sess *shardSession) rcu(op *pendingOp, r findResult) Status {
 // (Alg. 4). Fine-grained transfer takes a shared bucket latch around the
 // whole operation; detecting the shift (latch failure or a v+1 record)
 // aborts the op to v+1 and refreshes immediately.
-func (sess *shardSession) processPrepare(op *pendingOp) Status {
+func (sess *Session) processPrepare(op *pendingOp) Status {
 	st := sess.store
 	if st.cfg.Transfer == FineGrained && !op.latched {
 		if !st.index.trySharedLatch(op.hash) {
@@ -210,7 +212,7 @@ func (sess *shardSession) processPrepare(op *pendingOp) Status {
 		op.latched = true
 	}
 	r := sess.find(op, false)
-	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.owner.version) {
+	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
 		return sess.shiftDetected(op)
 	}
 	var s Status
@@ -227,11 +229,11 @@ func (sess *shardSession) processPrepare(op *pendingOp) Status {
 
 // markCounted registers op in the active commit's pending-v tally; such
 // operations must complete before the commit's wait-flush phase.
-func (sess *shardSession) markCounted(op *pendingOp) {
+func (sess *Session) markCounted(op *pendingOp) {
 	if op.counted {
 		return
 	}
-	ck := sess.owner.store.active.Load()
+	ck := sess.store.active.Load()
 	if ck == nil || ck.version != op.version {
 		return
 	}
@@ -244,16 +246,16 @@ func (sess *shardSession) markCounted(op *pendingOp) {
 // in-progress), and retry the op as a v+1 operation. A refresh that leaves the
 // session in prepare found no shift — the exclusive latch is a session's still
 // in the previous commit — and the op retries in v.
-func (sess *shardSession) shiftDetected(op *pendingOp) Status {
+func (sess *Session) shiftDetected(op *pendingOp) Status {
 	if op.latched {
 		sess.store.index.releaseSharedLatch(op.hash)
 		op.latched = false
 	}
-	sess.owner.abortedSerial = op.serial
-	if sess.owner.Refresh(); sess.owner.phase < InProgress {
-		sess.owner.abortedSerial = 0
+	sess.abortedSerial = op.serial
+	if sess.Refresh(); sess.phase < InProgress {
+		sess.abortedSerial = 0
 	}
-	op.version = sess.owner.targetVersion()
+	op.version = sess.targetVersion()
 	return statusRetry
 }
 
@@ -262,13 +264,13 @@ func (sess *shardSession) shiftDetected(op *pendingOp) Status {
 // read-copy-update, guarded by the exclusive bucket latch (fine-grained) or
 // the safe-read-only marker (coarse-grained) so no v+1 record is installed
 // while a pending v operation on the bucket could still complete.
-func (sess *shardSession) processFuture(op *pendingOp) Status {
-	st, phase := sess.store, sess.owner.phase
+func (sess *Session) processFuture(op *pendingOp) Status {
+	st, phase := sess.store, sess.phase
 	r := sess.find(op, false)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
-	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.owner.version) {
+	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
 		// No record, or already a v+1 record: nothing to hand off.
 		return sess.update(op, r)
 	}
@@ -308,7 +310,7 @@ func (sess *shardSession) processFuture(op *pendingOp) Status {
 // op.val (doOp passes it to the registered callback, issue returns it): a copy
 // in the session's scratch buffer, overwritten by the session's next read or
 // RMW.
-func (sess *shardSession) finishRead(op *pendingOp, r findResult) Status {
+func (sess *Session) finishRead(op *pendingOp, r findResult) Status {
 	switch r.reg {
 	case regNone:
 		return NotFound

@@ -89,8 +89,8 @@ type oracleRun struct {
 	pSnapshot                     int           // % of commits that are snapshots (the rest fold over)
 	pWithIndex                    int           // % of commits that take an index image
 	commitGap, compactGap, outage time.Duration // outage: device reads fail this long between compactions
-	buckets, memPages, shards     int           // the first two per shard
-	writeBW                       int64         // device write bytes/s; 0: unthrottled
+	buckets, memPages             int
+	writeBW                       int64 // device write bytes/s; 0: unthrottled
 	yieldPerMille                 [epoch.NumSites]uint64
 }
 
@@ -305,15 +305,15 @@ func decode(k uint64, v []byte) (val uint64, ok bool) {
 
 func runOracle(t *testing.T, seed int64, name string) {
 	o := drawOracleRun(seed)
-	o.shards = testShardCount(1)
 	cd := drawCrash(seed, o)
 	var down, done, release atomic.Bool
 	var faults atomic.Int64
 	fr := obs.NewFlightRecorder(1 << 12)
 
-	// The crash half's images: the checkpoint store, then the devices, cloned
+	// The crash half's images: the checkpoint store, then the device, cloned
 	// at the drawn hook steps and at the drawn artifact boundary.
-	memCk, memDevs := storage.NewMemCheckpointStore(), make([]*storage.MemDevice, o.shards)
+	memCk, memDev := storage.NewMemCheckpointStore(), storage.NewMemDevice()
+	memDev.WriteBandwidth = o.writeBW
 	fc := storage.FaultConfig{Seed: uint64(seed)}
 	if cd.faults {
 		fc.ReadErrorRate, fc.WriteErrorRate, fc.TornWriteRate = 0.002, 0.002, 0.001
@@ -326,7 +326,7 @@ func runOracle(t *testing.T, seed int64, name string) {
 		imgMu.Lock()
 		defer imgMu.Unlock()
 		if imaging && !stepTaken[step] {
-			images = append(images, takeImage(at, torn, memCk, memDevs))
+			images = append(images, takeImage(at, torn, memCk, memDev))
 		}
 		if step != 0 {
 			stepTaken[step] = true
@@ -337,7 +337,7 @@ func runOracle(t *testing.T, seed int64, name string) {
 		tok := fmt.Sprintf("ckpt-%06d", c)
 		art := storage.RecordName(tok)
 		if cd.artifact != "record" {
-			art = blobName(cd.artifact, tok, cd.shard)
+			art = blobName(cd.artifact, tok)
 		}
 		torn, point := "", cd.boundary+":"+art
 		if cd.boundary == "torn" {
@@ -354,11 +354,8 @@ func runOracle(t *testing.T, seed int64, name string) {
 		crash: func(n uint64) { image(n, fmt.Sprintf("hook step %d", n), "") }}
 	epoch.SetYieldHook(sched.at)
 	defer epoch.SetYieldHook(nil)
-	s, err := Open(o.config(fr, storage.NewFaultCheckpointStore(memCk, inj), func(i int) storage.Device {
-		memDevs[i] = storage.NewMemDevice()
-		memDevs[i].WriteBandwidth = o.writeBW
-		return outageDevice{storage.NewFaultDevice(memDevs[i], inj), &down, &faults}
-	}))
+	s, err := Open(o.config(fr, storage.NewFaultCheckpointStore(memCk, inj),
+		outageDevice{storage.NewFaultDevice(memDev, inj), &down, &faults}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +449,7 @@ func runOracle(t *testing.T, seed int64, name string) {
 	imgMu.Lock()
 	for _, n := range cd.steps { // a step the run did not reach crashes now
 		if !stepTaken[n] {
-			images = append(images, takeImage(fmt.Sprintf("hook step %d, after the last op", n), "", memCk, memDevs))
+			images = append(images, takeImage(fmt.Sprintf("hook step %d, after the last op", n), "", memCk, memDev))
 			stepTaken[n] = true
 		}
 	}
@@ -475,9 +472,7 @@ func runOracle(t *testing.T, seed int64, name string) {
 		}
 	}
 	reader.StopSession()
-	for _, sh := range s.shards {
-		problems = append(problems, checkIndex(sh)...)
-	}
+	problems = append(problems, checkIndex(s)...)
 	var hist []oracleEvent
 	x := &crashCheck{t: t, o: &o, seed: seed, fr: fr, committed: committed}
 	errs := 0
@@ -512,15 +507,14 @@ func runOracle(t *testing.T, seed int64, name string) {
 	for _, e := range evs[max(len(evs)-40, 0):] {
 		fmt.Fprintf(&b, "\n  %s", e.Describe())
 	}
-	t.Errorf("%d problems, the first:\n  %s\ndraw: %+v\ncrash draw: %+v\nreplay: FASTER_TEST_SHARDS=%d go test -run 'TestOracle/%s$' ./internal/faster/\nthe flight recorder's last events:%s",
-		len(problems), strings.Join(problems[:min(len(problems), 12)], "\n  "), o, cd, o.shards, name, b.String())
+	t.Errorf("%d problems, the first:\n  %s\ndraw: %+v\ncrash draw: %+v\nreplay: go test -run 'TestOracle/%s$' ./internal/faster/\nthe flight recorder's last events:%s",
+		len(problems), strings.Join(problems[:min(len(problems), 12)], "\n  "), o, cd, name, b.String())
 }
 
-// config is the run's store over ckpts and the devices device makes.
-func (o *oracleRun) config(fr *obs.FlightRecorder, ckpts storage.CheckpointStore, device func(int) storage.Device) Config {
-	return Config{Shards: o.shards, IndexBuckets: o.buckets * o.shards, PageBits: 12, MemPages: o.memPages * o.shards,
-		Transfer: o.transfer, Flight: fr, Checkpoints: ckpts,
-		DeviceFactory: func(i int) (storage.Device, error) { return device(i), nil }}
+// config is the run's store over ckpts and dev.
+func (o *oracleRun) config(fr *obs.FlightRecorder, ckpts storage.CheckpointStore, dev storage.Device) Config {
+	return Config{IndexBuckets: o.buckets, PageBits: 12, MemPages: o.memPages,
+		Transfer: o.transfer, Flight: fr, Checkpoints: ckpts, Device: dev}
 }
 
 // checkHistory checks every read and final value against the model: a
@@ -580,7 +574,7 @@ func checkHistory(hist []oracleEvent, final []uint64) (bad []string) {
 
 // checkIndex reports chains that do not descend or hold a record of another
 // bucket or tag than their entry's, and tentative or duplicate entries.
-func checkIndex(sh *shard) (bad []string) {
+func checkIndex(sh *Store) (bad []string) {
 	idx, low := sh.index, max(sh.log.Head(), sh.log.Begin(), hlog.FirstAddress)
 	for m := range idx.buckets {
 		seen := map[uint64]bool{}
@@ -588,14 +582,14 @@ func checkIndex(sh *shard) (bad []string) {
 			for i := range b.entries {
 				entry := b.entries[i].Load()
 				if entry&entryTentative != 0 || entry != 0 && seen[entry&entryTagMask] {
-					bad = append(bad, fmt.Sprintf("shard %d bucket %d: entry %#x tentative or of a tag seen before", sh.id, m, entry))
+					bad = append(bad, fmt.Sprintf("bucket %d: entry %#x tentative or of a tag seen before", m, entry))
 				}
 				seen[entry&entryTagMask] = entry != 0
 				for addr, steps := entryAddr(entry), 0; addr >= low; steps++ {
 					rec := sh.log.Record(addr)
 					k, prev := rec.Key(nil), rec.Prev()
 					if h := hashfn.Hash64(k); len(k) != 8 || h&idx.mask != uint64(m) || tagOf(h) != entry&entryTagMask || prev >= addr || steps > 1<<16 {
-						bad = append(bad, fmt.Sprintf("shard %d bucket %d: record at %d (key %x, prev %d) under entry %#x", sh.id, m, addr, k, prev, entry))
+						bad = append(bad, fmt.Sprintf("bucket %d: record at %d (key %x, prev %d) under entry %#x", m, addr, k, prev, entry))
 						break
 					}
 					addr = prev
@@ -616,7 +610,7 @@ func checkIndex(sh *shard) (bad []string) {
 type crashDraw struct {
 	steps              []uint64 // hook steps at which an image is taken
 	boundary, artifact string   // before, torn or after; record, index or snapshot ...
-	commit, shard      int      // ... of the first of commits [commit, commit+8) to write one
+	commit             int      // ... of the first of commits [commit, commit+8) to write one
 	faults             bool     // transient errors and torn writes on the devices and the checkpoint store
 }
 
@@ -626,9 +620,9 @@ func drawCrash(seed int64, o oracleRun) crashDraw {
 		boundary: []string{"before", "torn", "after"}[r.IntN(3)],
 		artifact: []string{"record", "record", "index", "snapshot"}[r.IntN(4)],
 		commit:   1 + r.IntN(12),
-		shard:    r.IntN(o.shards),
-		faults:   r.IntN(2) == 0,
 	}
+	r.IntN(1) // the draw of a shard, gone with the shards: later draws stay the seeds' own
+	d.faults = r.IntN(2) == 0
 	for range 1 + r.IntN(3) {
 		d.steps = append(d.steps, 1+r.Uint64N(uint64(2*o.sessions*o.ops)))
 	}
@@ -636,17 +630,17 @@ func drawCrash(seed int64, o oracleRun) crashDraw {
 }
 
 // crashImage is what a killed process leaves: the checkpoint store cloned
-// before the devices, so a record in it has its log data beside it.
+// before the device, so a record in it has its log data beside it.
 type crashImage struct {
 	at    string // the hook step or crash point
 	torn  string // the artifact the crash point tore, if any
 	ckpts *storage.MemCheckpointStore
-	devs  []*storage.MemDevice
+	dev   *storage.MemDevice
 }
 
-func takeImage(at, torn string, ckpts *storage.MemCheckpointStore, devs []*storage.MemDevice) crashImage {
+func takeImage(at, torn string, ckpts *storage.MemCheckpointStore, dev *storage.MemDevice) crashImage {
 	ck := ckpts.Clone() // first
-	return crashImage{at: at, torn: torn, ckpts: ck, devs: cloneDevs(devs)}
+	return crashImage{at: at, torn: torn, ckpts: ck, dev: dev.Clone()}
 }
 
 // crashCheck holds what every image of a run is checked against.
@@ -663,12 +657,12 @@ type crashCheck struct {
 // recover recovers a private copy of img; arm, if set, arms a crash point on
 // the copy's checkpoint store.
 func (x *crashCheck) recover(img crashImage, arm func(*storage.Injector, crashImage)) (*Store, *RecoveryReport, crashImage, error) {
-	cp := crashImage{ckpts: img.ckpts.Clone(), devs: cloneDevs(img.devs)}
+	cp := crashImage{ckpts: img.ckpts.Clone(), dev: img.dev.Clone()}
 	inj := storage.NewInjector(storage.FaultConfig{})
 	if arm != nil {
 		arm(inj, cp)
 	}
-	cfg := x.o.config(x.fr, storage.NewFaultCheckpointStore(cp.ckpts, inj), func(i int) storage.Device { return cp.devs[i] })
+	cfg := x.o.config(x.fr, storage.NewFaultCheckpointStore(cp.ckpts, inj), cp.dev)
 	s, rep, err := RecoverWithReport(cfg)
 	if err == nil && s.RecoveryReport() != rep {
 		err = fmt.Errorf("report %+v, the store's %+v", rep, s.RecoveryReport())
@@ -737,7 +731,7 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 	take := func(at string, cp crashImage) {
 		secondMu.Lock()
 		if second == nil {
-			im := takeImage(at, "", cp.ckpts, cp.devs)
+			im := takeImage(at, "", cp.ckpts, cp.dev)
 			second = &im
 		}
 		secondMu.Unlock()
@@ -844,23 +838,19 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 	return bad
 }
 
-// replayCounts is, per shard, the valid and the invalid records in the range
-// the shard's recovery replayed: what it relinked, and the v+1 records it
-// neutralised along with the installs that had lost their compare-and-swap.
-func replayCounts(s *Store) (out [][2]int, err error) {
-	for _, sh := range s.shards {
-		var n [2]int
-		err = errors.Join(err, sh.log.Scan(sh.recoveredScanStart, sh.log.Tail(), func(_ uint64, r hlog.RecordRef) bool {
-			if r.Invalid() {
-				n[1]++
-			} else {
-				n[0]++
-			}
-			return true
-		}))
-		out = append(out, n)
-	}
-	return out, err
+// replayCounts is the valid and the invalid records in the range the
+// recovery replayed: what it relinked, and the v+1 records it neutralised
+// along with the installs that had lost their compare-and-swap.
+func replayCounts(s *Store) (n [2]int, err error) {
+	err = s.log.Scan(s.recoveredScanStart, s.log.Tail(), func(_ uint64, r hlog.RecordRef) bool {
+		if r.Invalid() {
+			n[1]++
+		} else {
+			n[0]++
+		}
+		return true
+	})
+	return n, err
 }
 
 // skippedTokens is the tokens rep skipped, newest first.
@@ -903,9 +893,7 @@ func (x *crashCheck) checkStore(s *Store, points []uint64, extra []oracleEvent) 
 	}
 	reader.StopSession()
 	bad = append(bad, checkCut(x.hist, points, final, extra)...)
-	for _, sh := range s.shards {
-		bad = append(bad, checkIndex(sh)...)
-	}
+	bad = append(bad, checkIndex(s)...)
 	return bad
 }
 

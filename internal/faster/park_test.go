@@ -2,7 +2,6 @@ package faster
 
 import (
 	"encoding/binary"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -15,15 +14,13 @@ import (
 // TestParkedOpOwnsBuffers: a synchronous operation runs on the caller's key and
 // input, and one that parks keeps copies of its own — so a caller that
 // overwrites both buffers the moment the call returns Pending changes nothing
-// the operation does. Two ways to park, at 1 and 4 shards: a cold record on a
-// file device (RMW, and Read with a callback), and the fuzzy region of a
-// fold-over commit (Upsert, RMW, Delete), held open by a session that has not
-// refreshed since the commit shifted the read-only offsets.
+// the operation does. Two ways to park: a cold record on a file device (RMW,
+// and Read with a callback), and the fuzzy region of a fold-over commit
+// (Upsert, RMW, Delete), held open by a session that has not refreshed since
+// the commit shifted the read-only offsets.
 func TestParkedOpOwnsBuffers(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d/cold", shards), func(t *testing.T) { parkCold(t, shards) })
-		t.Run(fmt.Sprintf("shards=%d/fuzzy", shards), func(t *testing.T) { parkFuzzy(t, shards) })
-	}
+	t.Run("cold", parkCold)
+	t.Run("fuzzy", parkFuzzy)
 }
 
 // wantValue reads key k through sess and fails the test unless it holds want.
@@ -34,15 +31,13 @@ func wantValue(t *testing.T, sess *Session, k, want uint64) {
 	}
 }
 
-func parkCold(t *testing.T, shards int) {
-	dir := t.TempDir()
-	var devs []storage.Device
-	cfg := shardedConfig(shards)
-	cfg.DeviceFactory = func(i int) (storage.Device, error) {
-		dev, err := storage.OpenFileDevice(filepath.Join(dir, fmt.Sprintf("log-%d.dat", i)))
-		devs = append(devs, dev)
-		return dev, err
+func parkCold(t *testing.T) {
+	dev, err := storage.OpenFileDevice(filepath.Join(t.TempDir(), "log.dat"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := smallConfig()
+	cfg.Device = dev
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,11 +46,9 @@ func parkCold(t *testing.T, shards int) {
 	t.Cleanup(func() {
 		sess.StopSession()
 		s.Close()
-		for _, dev := range devs {
-			dev.Close()
-		}
+		dev.Close()
 	})
-	n := uint64(20000 * shards) // several times what 128 KiB of frames per shard hold
+	n := uint64(20000) // several times what 128 KiB of frames hold
 	for k := uint64(0); k < n; k++ {
 		if st := sess.Upsert(key(k), u64(k)); st == Pending {
 			sess.CompletePending(true)
@@ -88,8 +81,8 @@ func parkCold(t *testing.T, shards int) {
 	wantValue(t, sess, 5, 5)
 }
 
-func parkFuzzy(t *testing.T, shards int) {
-	s, err := Open(shardedConfig(shards))
+func parkFuzzy(t *testing.T) {
+	s, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +96,7 @@ func parkFuzzy(t *testing.T, shards int) {
 
 	// hold demarcates first and writes records of v+1 for keys 1–3; a
 	// demarcates last, which takes the commit to wait-flush, whose fold-over
-	// shifts every read-only offset past those records. hold's epoch predates
+	// shifts the read-only offset past those records. hold's epoch predates
 	// the shift and it refreshes no more until a's ops have parked, so the
 	// records stay in the fuzzy region.
 	token, err := s.Commit(CommitOptions{})
@@ -125,17 +118,16 @@ func parkFuzzy(t *testing.T, shards int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for k := uint64(1); k <= 3; k++ {
 		h := hashfn.Hash64(key(k))
-		sh := s.shards[s.shardOf(h)]
-		_, entry := sh.index.probe(h, 0)
+		_, entry := s.index.probe(h, 0)
 		addr := entryAddr(entry)
-		for sh.log.ReadOnly() <= addr {
+		for s.log.ReadOnly() <= addr {
 			if time.Now().After(deadline) {
 				t.Fatalf("the commit never shifted the read-only offset past key %d", k)
 			}
 			a.Refresh()
 			runtime.Gosched()
 		}
-		if sro := sh.log.SafeReadOnly(); sro > addr {
+		if sro := s.log.SafeReadOnly(); sro > addr {
 			t.Fatalf("key %d at %d is below safe-read-only %d, not in the fuzzy region", k, addr, sro)
 		}
 	}

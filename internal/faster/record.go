@@ -14,12 +14,11 @@ import (
 // (VerifyCommits). The record's name, the token order and its write and
 // verified read are storage's (record.go there), shared with txdb.
 
-// commitRecord is the commit record, the artifact cpr-manifest-<token>: the
-// one write whose presence means "committed" and everything recovery, a
-// replica's install and the shipper need to know about the commit. It is
-// written once every shard's capture is durable and every attachment hook has
-// answered. The only other artifacts a commit owns are the blobs the record
-// names.
+// commitRecord is the commit record, the artifact cpr-manifest-<token>: the one
+// write whose presence means "committed" and everything recovery, a replica's
+// install and the shipper need to know about the commit. It is written once the
+// capture is durable and every attachment hook has answered. The only other
+// artifacts a commit owns are the blobs the record names.
 type commitRecord struct {
 	Format  int    `json:"format"`
 	Token   string `json:"token"`
@@ -27,7 +26,9 @@ type commitRecord struct {
 	Kind    string `json:"kind"`
 	// Serials maps each participating session to its CPR point t_i.
 	Serials map[string]uint64 `json:"serials"`
-	Shards  []shardSection    `json:"shards"`
+	// Sections holds the log's offsets, blobs and page checksums: exactly one
+	// section (loadRecord refuses the partitioned layout's several).
+	Sections []section `json:"shards"`
 	// Attachments are the payloads of the Store.OnCommitArtifact hooks, by
 	// the name each hook gave.
 	Attachments map[string][]byte `json:"attachments,omitempty"`
@@ -35,8 +36,8 @@ type commitRecord struct {
 	Engine string `json:"engine,omitempty"`
 }
 
-// shardSection is one shard's part of a commit record.
-type shardSection struct {
+// section is what a commit record says of the log and the index.
+type section struct {
 	Lhs           uint64 `json:"log_start"`
 	Lhe           uint64 `json:"log_end"`
 	Lis           uint64 `json:"index_start"`
@@ -49,44 +50,43 @@ type shardSection struct {
 	Snapshot string `json:"snapshot,omitempty"`
 	// PageCRCs is the log's page checksum table at the commit; recovery
 	// verifies the device against it before trusting it. A recovery that
-	// invalidates v+1 records drops the pages it rewrites (shard.amendRecord).
+	// invalidates v+1 records drops the pages it rewrites (Store.amendRecord).
 	PageCRCs []hlog.PageCRC `json:"page_crcs"`
 }
 
 // recordFormat is the Format of the records this version writes and reads.
 // Format 1 named CPRIDX2 index images and read each log_start as its shard's
-// leg began, not before the first one did (shard.isFuture needs the latter).
+// leg began, not before the first one did (Store.isFuture needs the latter).
 const recordFormat = 2
 
-// blobName names a blob of shard i's leg of commit token ("index" or
-// "snapshot"); the shard is in the name at every shard count.
-func blobName(kind, token string, shard int) string {
-	return fmt.Sprintf("%s-%s-s%d", kind, token, shard)
-}
+// blobName names a blob of commit token ("index" or "snapshot"). The "-s0"
+// suffix is the name every existing directory's blobs have.
+func blobName(kind, token string) string { return kind + "-" + token + "-s0" }
 
-// logEnd is the address the shard's log reaches at the commit, where recovery
+// sec is the record's one section.
+func (rec *commitRecord) sec() *section { return &rec.Sections[0] }
+
+// logEnd is the address the log reaches at the commit, where recovery
 // and a replica's install cut it. The checkpoint extended the log capture over
 // the fuzzy index window, so Lie is on the device when this commit took the
 // index; a carried-forward index lies below Lhe entirely.
-func (sec *shardSection) logEnd() uint64 { return max(sec.Lie, sec.Lhe) }
+func (sec *section) logEnd() uint64 { return max(sec.Lie, sec.Lhe) }
 
 // scanStart is where Alg. 3's replay of the commit begins: the whole log
 // without an index image.
-func (sec *shardSection) scanStart() uint64 {
+func (sec *section) scanStart() uint64 {
 	if sec.Index == "" {
 		return hlog.FirstAddress
 	}
 	return min(sec.Lis, sec.Lhs)
 }
 
-// blobs lists the artifacts the record names, in shard order.
+// blobs lists the artifacts the record names.
 func (rec *commitRecord) blobs() []string {
 	var names []string
-	for i := range rec.Shards {
-		for _, name := range []string{rec.Shards[i].Index, rec.Shards[i].Snapshot} {
-			if name != "" {
-				names = append(names, name)
-			}
+	for _, name := range []string{rec.sec().Index, rec.sec().Snapshot} {
+		if name != "" {
+			names = append(names, name)
 		}
 	}
 	return names
@@ -117,25 +117,28 @@ func loadRecord(cs storage.CheckpointStore, token string) (*commitRecord, error)
 	if rec.Format != recordFormat || rec.Token != token {
 		return nil, fmt.Errorf("commit record %s: format %d, token %q", token, rec.Format, rec.Token)
 	}
+	if len(rec.Sections) != 1 {
+		return nil, fmt.Errorf("commit record %s: checkpoint store has the partitioned layout (%d shard sections in a commit record, one log file per shard); %w", token, len(rec.Sections), storage.ErrForeignLayout)
+	}
 	return rec, nil
 }
 
-// amendRecord drops the page checksums of shard i's touched pages from the
-// record of commit token — one read-modify-write of the record, atomic as
-// every artifact write. Its callers, recovery and Promote, visit the shards
-// one at a time, so no two amends of a record overlap.
-func (sh *shard) amendRecord(token string, touched map[uint64]bool) error {
-	rec, err := loadRecord(sh.cfg.Checkpoints, token)
+// amendRecord drops the page checksums of the touched pages from the record of
+// commit token — one read-modify-write of the record, atomic as every artifact
+// write. Its callers, recovery and Promote, run once each, so no two amends of
+// a record overlap.
+func (s *Store) amendRecord(token string, touched map[uint64]bool) error {
+	rec, err := loadRecord(s.cfg.Checkpoints, token)
 	if err != nil {
 		return err
 	}
-	sec := &rec.Shards[sh.id]
+	sec := rec.sec()
 	kept := slices.DeleteFunc(sec.PageCRCs, func(pc hlog.PageCRC) bool { return touched[pc.Page] })
 	if len(kept) == len(sec.PageCRCs) {
 		return nil
 	}
 	sec.PageCRCs = kept
-	_, err = storage.WriteRecord(sh.cfg.Checkpoints, token, uint64(rec.Version), rec, sh.flight)
+	_, err = storage.WriteRecord(s.cfg.Checkpoints, token, uint64(rec.Version), rec, s.cfg.Flight)
 	return err
 }
 

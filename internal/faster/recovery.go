@@ -14,7 +14,7 @@ import (
 // ErrNoCheckpoint is wrapped by Recover when the checkpoint store holds no
 // commit to recover from. Callers that fall back to a fresh store on this
 // error (errors.Is) still fail hard on real recovery problems — a corrupt
-// store with no surviving commit or a shard-count mismatch must never
+// store with no surviving commit or a layout it cannot read must never
 // silently discard data.
 var ErrNoCheckpoint = storage.ErrNoCheckpoint
 
@@ -46,13 +46,11 @@ type RecoveryReport struct {
 // recent commit that verifies end to end (an older commit is still a valid
 // CPR prefix) and notes the skips in the store's RecoveryReport.
 //
-// A commit is its record (cpr-manifest-<token>), for every shard count: it
-// counts only if every shard's capture became durable and the record was
-// written before the crash, so shards that finished a newer commit
-// individually roll back to the record's version and the recovered prefix —
-// the sessions' CPR points, each shard's offsets and page checksums, the
-// attachments — comes from one artifact. A candidate is accepted or skipped
-// after one record read plus the blobs it names.
+// A commit is its record (cpr-manifest-<token>): it counts only if its capture
+// became durable and the record was written before the crash, and the
+// recovered prefix — the sessions' CPR points, the log's offsets and page
+// checksums, the attachments — comes from that one artifact. A candidate is
+// accepted or skipped after one record read plus the blobs it names.
 func Recover(cfg Config) (*Store, error) {
 	s, _, err := RecoverWithReport(cfg)
 	return s, err
@@ -65,7 +63,6 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	s := newStore(cfg)
-	s.shards = make([]*shard, cfg.Shards)
 
 	report := &RecoveryReport{}
 	skipped, err := storage.RecoverNewest(cfg.Checkpoints, &s.commitSeq, cfg.Flight, func(tok string) error {
@@ -73,22 +70,12 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 		if err != nil {
 			return err
 		}
-		if len(rec.Shards) != cfg.Shards {
-			// Configuration error, not corruption: no older record can fix a
-			// store opened with the wrong shard count.
-			return storage.Refuse(fmt.Errorf("manifest has %d shards, config has %d", len(rec.Shards), cfg.Shards))
+		if err := s.openData(); err != nil {
+			return storage.Refuse(err)
 		}
-		for i := range s.shards {
-			sc, err := s.shardConfig(i)
-			if err != nil {
-				s.closeShards(i)
-				return storage.Refuse(err)
-			}
-			if s.shards[i], err = recoverShard(sc, i, s, rec); err != nil {
-				s.closeShards(i)
-				clear(s.shards[:i])
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
+		if err := s.recoverFrom(rec); err != nil {
+			s.log.Close()
+			return err
 		}
 		maps.Copy(s.recoveredSerials, rec.Serials)
 		s.state.Store(packState(Rest, rec.Version+1))
@@ -116,85 +103,66 @@ func (s *Store) finishRecovery(report *RecoveryReport) {
 		uint64(len(report.Skipped)), 0)
 }
 
-// closeShards closes the shards recovered so far ([0, n)).
-func (s *Store) closeShards(n int) {
-	for j := 0; j < n; j++ {
-		if s.shards[j] != nil {
-			s.shards[j].log.Close()
-		}
-	}
-}
-
-// recoverShard rebuilds shard id from its section of the commit record rec,
-// verifying every blob it reads and the log pages the section's checksum table
-// covers. cfg must be the shard's private configuration, exactly as for
-// openShard. Any verification failure returns an error; the caller falls back
-// to an older commit.
-func recoverShard(cfg Config, id int, s *Store, rec *commitRecord) (*shard, error) {
-	sh, err := openShard(cfg, id, s.epochs, s.metrics)
-	if err != nil {
-		return nil, err
-	}
+// recoverFrom rebuilds the freshly opened index and log from the commit record
+// rec, verifying every blob it reads and the log pages the record's checksum
+// table covers. Any verification failure returns an error; the caller falls
+// back to an older commit.
+func (s *Store) recoverFrom(rec *commitRecord) error {
 	// Load the most recent fuzzy index checkpoint, or start empty and
 	// replay the whole log.
-	sec := &rec.Shards[id]
+	sec := rec.sec()
 	if sec.Index != "" {
-		var idx *index
-		if err = storage.ReadArtifactStream(cfg.Checkpoints, sec.Index, func(r io.Reader, n int64) (err error) {
-			idx, err = decodeIndex(r, n)
+		if err := storage.ReadArtifactStream(s.cfg.Checkpoints, sec.Index, func(r io.Reader, n int64) (err error) {
+			s.index, err = decodeIndex(r, n)
 			return err
-		}); err == nil {
-			sh.index = idx
+		}); err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		neutralise := func(dead []uint64) error { return sh.persistInvalid(rec.Token, dead) }
-		if cfg.Replica {
-			// A replica must not rewrite shipped log bytes: records ahead of the
-			// recovered commit go live at the next installed one.
-			neutralise = sh.markReplicaDead
-		}
-		// Recovery trusts nothing on the device before the commit's page
-		// checksums have covered it.
-		err = sh.install(rec, sec.scanStart(), sec.PageCRCs, neutralise)
+	neutralise := func(dead []uint64) error { return s.persistInvalid(rec.Token, dead) }
+	if s.cfg.Replica {
+		// A replica must not rewrite shipped log bytes: records ahead of the
+		// recovered commit go live at the next installed one.
+		neutralise = s.markReplicaDead
 	}
-	if err != nil {
-		sh.log.Close()
-		return nil, err
+	// Recovery trusts nothing on the device before the commit's page
+	// checksums have covered it.
+	if err := s.install(rec, sec.scanStart(), sec.PageCRCs, neutralise); err != nil {
+		return err
 	}
-	if !cfg.Replica {
-		sh.recoveredScanStart = sec.scanStart() // the device is rewritten from here on
+	if !s.cfg.Replica {
+		s.recoveredScanStart = sec.scanStart() // the device is rewritten from here on
 	}
-	return sh, nil
+	return nil
 }
 
-// install moves the shard's log and index to the commit rec describes — what
-// a recovery does once and a replica at every commit the primary announces;
-// the caller then puts the store at rest in version v+1. The snapshot capture, if
+// install moves the log and index to the commit rec describes — what a
+// recovery does once and a replica at every commit the primary announces; the
+// caller then puts the store at rest in version v+1. The snapshot capture, if
 // the commit has one, slots back into the log's address space (App. D); the
 // log reloads up to the commit's end; every page crcs covers is checked on the
 // device, so that a damaged one sends the caller to an older commit (nil on a
 // replica's install: the log's own table still covers what the replica's last
 // restart verified and no shipped bytes have overwritten since); Alg. 3 replays
 // [start, end) and neutralise gets the v+1 records it found.
-func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
-	sec := &rec.Shards[sh.id]
+func (s *Store) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, neutralise func(dead []uint64) error) error {
+	sec := rec.sec()
 	end := sec.logEnd()
-	sh.futureFrom[rec.Version&1].Store(sec.Lhs)
+	s.futureFrom[rec.Version&1].Store(sec.Lhs)
 	if sec.Snapshot != "" {
 		// One pass verifies the artifact, the next writes it to the device a
 		// page at a time: nothing of a capture that does not verify gets there.
-		cs := sh.cfg.Checkpoints
+		cs := s.cfg.Checkpoints
 		err := storage.ReadArtifactStream(cs, sec.Snapshot, nil)
 		if err == nil {
 			err = storage.ReadArtifactStream(cs, sec.Snapshot, func(r io.Reader, n int64) error {
-				buf := make([]byte, min(sh.log.PageSize(), uint64(n)))
+				buf := make([]byte, min(s.log.PageSize(), uint64(n)))
 				for at, end := sec.SnapshotStart, sec.SnapshotStart+uint64(n); at < end; at += uint64(len(buf)) {
 					buf = buf[:min(uint64(len(buf)), end-at)]
 					if _, err := io.ReadFull(r, buf); err != nil {
 						return err
 					}
-					if err := sh.log.RestoreRange(at, buf); err != nil {
+					if err := s.log.RestoreRange(at, buf); err != nil {
 						return err
 					}
 				}
@@ -205,13 +173,13 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 			return fmt.Errorf("faster: snapshot: %w", err)
 		}
 	}
-	if err := sh.log.RecoverTo(end); err != nil {
+	if err := s.log.RecoverTo(end); err != nil {
 		return err
 	}
-	if err := sh.log.VerifyPages(crcs, end); err != nil {
+	if err := s.log.VerifyPages(crcs, end); err != nil {
 		return fmt.Errorf("faster: log page verification: %w", err)
 	}
-	dead, err := sh.replaySuffix(start, end, rec.Version)
+	dead, err := s.replaySuffix(start, end, rec.Version)
 	if err == nil {
 		err = neutralise(dead)
 	}
@@ -219,8 +187,8 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 		return err
 	}
 	// The v+1 unwind conditions are evaluated against the unclamped index.
-	sh.clampIndex(end)
-	sh.lastIndex, sh.lastLis, sh.lastLie = sec.Index, sec.Lis, sec.Lie
+	s.clampIndex(end)
+	s.lastIndex, s.lastLis, s.lastLie = sec.Index, sec.Lis, sec.Lie
 	return nil
 }
 
@@ -232,20 +200,20 @@ func (sh *shard) install(rec *commitRecord, start uint64, crcs []hlog.PageCRC, n
 // one — the slot is unwound to the record's predecessor, and its address is
 // returned in dead, in log order, for the caller to neutralise
 // (persistInvalid; markReplicaDead on a replica).
-func (sh *shard) replaySuffix(start, end uint64, v uint32) (dead []uint64, err error) {
+func (s *Store) replaySuffix(start, end uint64, v uint32) (dead []uint64, err error) {
 	var keyBuf []byte
-	err = sh.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
+	err = s.log.Scan(start, end, func(addr uint64, rec hlog.RecordRef) bool {
 		keyBuf = rec.Key(keyBuf[:0])
 		h := hashfn.Hash64(keyBuf)
-		if !sh.isFuture(rec.Version(), addr, v) {
+		if !s.isFuture(rec.Version(), addr, v) {
 			// An invalid record lost its install's CAS or is neutralised.
 			if !rec.Invalid() {
-				sh.relink(h, addr)
+				s.relink(h, addr)
 			}
 			return true
 		}
 		dead = append(dead, addr)
-		if slot, entry := sh.index.probe(h, 0); entryAddr(entry) >= addr {
+		if slot, entry := s.index.probe(h, 0); entryAddr(entry) >= addr {
 			if prev := rec.Prev(); prev >= hlog.FirstAddress {
 				slot.Store(tagOf(h) | prev)
 			} else {
@@ -259,13 +227,13 @@ func (sh *shard) replaySuffix(start, end uint64, v uint32) (dead []uint64, err e
 
 // relink points the index slot of the key hashing to h at the committed record
 // at addr. It is the one writer of a slot that does not go through
-// shardSession.install's compare-and-swap, and needs none: nothing else runs in
+// Session.install's compare-and-swap, and needs none: nothing else runs in
 // the index yet — recovery is single-threaded and serves no op before it
 // returns, and a replica's applier holds off its readers while it installs —
 // so there is no observation for a plain store to invalidate.
-func (sh *shard) relink(h, addr uint64) {
+func (s *Store) relink(h, addr uint64) {
 	entry := tagOf(h) | addr
-	if slot, e := sh.index.probe(h, entry); e != entry {
+	if slot, e := s.index.probe(h, entry); e != entry {
 		slot.Store(entry)
 	}
 }
@@ -278,19 +246,19 @@ func (sh *shard) relink(h, addr uint64) {
 // A crash in between leaves pages no checksum covers; the other order would
 // leave an acknowledged commit that fails its own verification and sends the
 // next recovery back to an older one.
-func (sh *shard) persistInvalid(token string, dead []uint64) error {
+func (s *Store) persistInvalid(token string, dead []uint64) error {
 	if len(dead) == 0 {
 		return nil
 	}
 	touched := make(map[uint64]bool, len(dead))
 	for _, addr := range dead {
-		touched[addr/sh.log.PageSize()] = true
+		touched[addr/s.log.PageSize()] = true
 	}
-	if err := sh.amendRecord(token, touched); err != nil {
+	if err := s.amendRecord(token, touched); err != nil {
 		return fmt.Errorf("faster: rewrite page checksums of %s: %w", token, err)
 	}
 	for _, addr := range dead {
-		if err := sh.log.PersistInvalid(addr); err != nil {
+		if err := s.log.PersistInvalid(addr); err != nil {
 			return fmt.Errorf("faster: invalidate %d: %w", addr, err)
 		}
 	}
@@ -299,8 +267,8 @@ func (sh *shard) persistInvalid(token string, dead []uint64) error {
 
 // clampIndex clears index entries that reference addresses at or beyond the
 // recovered log end (unreachable records lost in the crash).
-func (sh *shard) clampIndex(end uint64) {
-	sh.index.eachBucket(sh.index.overflowNext.Load(), func(b *bucket) {
+func (s *Store) clampIndex(end uint64) {
+	s.index.eachBucket(s.index.overflowNext.Load(), func(b *bucket) {
 		for j := range b.entries {
 			if e := b.entries[j].Load(); e != 0 && entryAddr(e) >= end {
 				b.entries[j].Store(0)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/epoch"
-	"repro/internal/hashfn"
 	"repro/internal/hlog"
 	"repro/internal/storage"
 )
@@ -18,36 +17,25 @@ import (
 // checked against each other on it, and recovery checked against a second
 // crash.
 
-// fuzzyImage is that crash image: what the devices and the checkpoint store
+// fuzzyImage is that crash image: what the device and the checkpoint store
 // held at the crash, and what the newest commit must recover to.
 type fuzzyImage struct {
-	shards int
-	devs   []*storage.MemDevice
-	ckpts  *storage.MemCheckpointStore
-	token  string // the newest commit: log-only, v+1 records below its log end
-	ids    []string
-	want   map[uint64][]byte // every live key's committed value
-	gone   map[uint64]bool   // keys the committed suffix deleted
-	fuzzy  []int             // per shard, v+1 records inside the commit's log
+	dev   *storage.MemDevice
+	ckpts *storage.MemCheckpointStore
+	token string // the newest commit: log-only, v+1 records below its log end
+	ids   []string
+	want  map[uint64][]byte // every live key's committed value
+	gone  map[uint64]bool   // keys the committed suffix deleted
+	fuzzy int               // v+1 records inside the commit's log
 }
 
 // config is a Config over a private copy of the image.
 func (img *fuzzyImage) config() Config {
-	return configOver(img.shards, cloneDevs(img.devs), img.ckpts.Clone())
+	return configOver(img.dev.Clone(), img.ckpts.Clone())
 }
 
-func configOver(shards int, devs []*storage.MemDevice, ckpts *storage.MemCheckpointStore) Config {
-	return Config{Shards: shards, IndexBuckets: shards << 9, PageBits: 12, MemPages: 8 * shards,
-		Checkpoints:   ckpts,
-		DeviceFactory: func(i int) (storage.Device, error) { return devs[i], nil }}
-}
-
-func cloneDevs(devs []*storage.MemDevice) []*storage.MemDevice {
-	out := make([]*storage.MemDevice, len(devs))
-	for i, d := range devs {
-		out[i] = d.Clone()
-	}
-	return out
+func configOver(dev *storage.MemDevice, ckpts *storage.MemCheckpointStore) Config {
+	return Config{IndexBuckets: 1 << 9, PageBits: 12, MemPages: 8, Checkpoints: ckpts, Device: dev}
 }
 
 func fuzzyValue(k, gen uint64) []byte {
@@ -59,24 +47,21 @@ func fuzzyValue(k, gen uint64) []byte {
 
 // buildFuzzyImage runs two sessions over a store of 4 KiB pages: an index
 // commit over the base keys, a suffix of overwrites, new keys and deletes, and
-// then a log-only commit during which session B holds every shard in the
+// then a log-only commit during which session B holds the store in the
 // in-progress phase — it has acknowledged prepare and does not refresh — while
-// session A, already in v+1, writes several pages of records per shard. Those
+// session A, already in v+1, writes several pages of records. Those
 // lie below the commit's log end, on pages that are flushed whole before the
 // commit's page checksums are taken. One goroutine does all of it, so the
 // image is the same every time.
-func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
+func buildFuzzyImage(t *testing.T) *fuzzyImage {
 	t.Helper()
-	img := &fuzzyImage{shards: shards, ckpts: storage.NewMemCheckpointStore(),
-		want: map[uint64][]byte{}, gone: map[uint64]bool{}, fuzzy: make([]int, shards)}
-	for i := 0; i < shards; i++ {
-		img.devs = append(img.devs, storage.NewMemDevice())
-	}
+	img := &fuzzyImage{dev: storage.NewMemDevice(), ckpts: storage.NewMemCheckpointStore(),
+		want: map[uint64][]byte{}, gone: map[uint64]bool{}}
 	// Every page stays resident while the image is built: with B not
 	// refreshing, A could not wait for a frame to be evicted. (Recoveries of
-	// the image run with 8 frames a shard and find most of the log evicted.)
-	cfg := configOver(shards, img.devs, img.ckpts)
-	cfg.MemPages = 64 * shards
+	// the image run with 8 frames and find most of the log evicted.)
+	cfg := configOver(img.dev, img.ckpts)
+	cfg.MemPages = 64
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +77,7 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 			delete(img.gone, k)
 		}
 	}
-	nBase := uint64(256 * shards)
+	const nBase = 256
 	for k := uint64(0); k < nBase; k++ {
 		put(a, k, 1, true)
 	}
@@ -129,13 +114,13 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 	if a.phase != InProgress || b.phase != Prepare || s.Phase() != InProgress {
 		t.Fatalf("A in %v, B in %v, store in %v", a.phase, b.phase, s.Phase())
 	}
-	for i := uint64(0); i < uint64(160*shards); i++ {
+	for i := uint64(0); i < 160; i++ {
 		k := i * 3 % (2 * nBase) // live keys, deleted keys and keys that never existed
 		if i%2 == 1 {
 			k = 3*nBase + i
 		}
 		put(a, k, 3, false)
-		img.fuzzy[s.shardOf(hashfn.Hash64(key(k)))]++
+		img.fuzzy++
 	}
 	for turn := 0; ; turn++ {
 		if res, ok := s.TryResult(img.token); ok {
@@ -151,29 +136,29 @@ func buildFuzzyImage(t *testing.T, shards int) *fuzzyImage {
 		b.Refresh()
 	}
 	put(a, 5, 4, false) // and the crash loses what came after the commit
-	img.devs, img.ckpts = cloneDevs(img.devs), img.ckpts.Clone()
+	img.dev, img.ckpts = img.dev.Clone(), img.ckpts.Clone()
 	a.StopSession()
 	b.StopSession()
 	s.Close()
 	return img
 }
 
-// fuzzyOnCoveredPages reads shard i's part of an image without recovering it:
+// fuzzyOnCoveredPages reads an image without recovering it:
 // how many records of version v+1 the newest commit's log holds from its scan
 // start on, and how many of them on pages the commit's page checksums cover
 // (and which pages those are).
-func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered int, touched map[uint64]bool) {
+func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T) (fuzzy, covered int, touched map[uint64]bool) {
 	t.Helper()
 	rec, err := loadRecord(img.ckpts, img.token)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &rec.Shards[i]
+	meta := rec.sec()
 	onPage := map[uint64]bool{}
 	for _, pc := range meta.PageCRCs {
 		onPage[pc.Page] = true
 	}
-	l, err := hlog.New(hlog.Config{PageBits: 12, MemPages: 8, Device: img.devs[i].Clone(), Epochs: epoch.New()})
+	l, err := hlog.New(hlog.Config{PageBits: 12, MemPages: 8, Device: img.dev.Clone(), Epochs: epoch.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +167,7 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered 
 		t.Fatal(err)
 	}
 	touched = map[uint64]bool{}
-	bound := new(shard)
+	bound := new(Store)
 	bound.futureFrom[rec.Version&1].Store(meta.Lhs)
 	err = l.Scan(meta.scanStart(), meta.logEnd(), func(addr uint64, r hlog.RecordRef) bool {
 		if bound.isFuture(r.Version(), addr, rec.Version) {
@@ -202,10 +187,10 @@ func (img *fuzzyImage) fuzzyOnCoveredPages(t *testing.T, i int) (fuzzy, covered 
 
 // recoveredState is everything two recoveries of one image must agree on.
 type recoveredState struct {
-	indexes [][]byte // per shard, the index image
-	devices [][]byte // per shard, the device's bytes
-	record  []byte   // the commit's record, page checksums and all
-	points  map[string]uint64
+	index  []byte // the index image
+	device []byte // the device's bytes
+	record []byte // the commit's record, page checksums and all
+	points map[string]uint64
 }
 
 func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recoveredState {
@@ -217,26 +202,21 @@ func captureState(t *testing.T, img *fuzzyImage, s *Store, cfg Config) recovered
 	if st.record, err = storage.ReadArtifact(cfg.Checkpoints, storage.RecordName(img.token)); err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range s.shards {
-		st.indexes = append(st.indexes, imageOf(sh.index))
-		dev := make([]byte, sh.cfg.Device.Size())
-		if _, err := sh.cfg.Device.ReadAt(dev, 0); err != nil {
-			t.Fatal(err)
-		}
-		st.devices = append(st.devices, dev)
+	st.index = imageOf(s.index)
+	st.device = make([]byte, s.cfg.Device.Size())
+	if _, err := s.cfg.Device.ReadAt(st.device, 0); err != nil {
+		t.Fatal(err)
 	}
 	return st
 }
 
 func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredState) {
 	t.Helper()
-	for i := range st.indexes {
-		if !bytes.Equal(st.indexes[i], other.indexes[i]) {
-			t.Fatalf("%s: shard %d index images differ (%d and %d bytes)", label, i, len(st.indexes[i]), len(other.indexes[i]))
-		}
-		if !bytes.Equal(st.devices[i], other.devices[i]) {
-			t.Fatalf("%s: shard %d device contents differ (%d and %d bytes)", label, i, len(st.devices[i]), len(other.devices[i]))
-		}
+	if !bytes.Equal(st.index, other.index) {
+		t.Fatalf("%s: index images differ (%d and %d bytes)", label, len(st.index), len(other.index))
+	}
+	if !bytes.Equal(st.device, other.device) {
+		t.Fatalf("%s: device contents differ (%d and %d bytes)", label, len(st.device), len(other.device))
 	}
 	if !bytes.Equal(st.record, other.record) {
 		t.Fatalf("%s: commit records differ:\n%s\n%s", label, st.record, other.record)
@@ -253,81 +233,71 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 // pages its v+1 records lie on, and the promoted replica serves the commit.
 // (What recovery recovers, key by key, is TestOracle's crash half.)
 func TestRecoveryModesEquivalent(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			img := buildFuzzyImage(t, shards)
-			before, err := loadRecord(img.ckpts, img.token)
-			if err != nil {
-				t.Fatal(err)
-			}
-			touched := make([]map[uint64]bool, shards)
-			for i := range touched {
-				var fuzzy, covered int
-				fuzzy, covered, touched[i] = img.fuzzyOnCoveredPages(t, i)
-				if fuzzy != img.fuzzy[i] || covered == 0 {
-					t.Fatalf("shard %d: %d v+1 records in the commit's log, %d on checksummed pages; %d were written",
-						i, fuzzy, covered, img.fuzzy[i])
-				}
-			}
-
-			fcfg := img.config()
-			full, err := Recover(fcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer full.Close()
-			after, err := loadRecord(fcfg.Checkpoints, img.token)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range touched {
-				var want []hlog.PageCRC
-				for _, pc := range before.Shards[i].PageCRCs {
-					if !touched[i][pc.Page] {
-						want = append(want, pc)
-					}
-				}
-				if got := after.Shards[i].PageCRCs; fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("shard %d: page checksums after recovery %v, want %v (touched %v)", i, got, want, touched[i])
-				}
-				after.Shards[i].PageCRCs = before.Shards[i].PageCRCs
-			}
-			if a, b := fmt.Sprintf("%+v", *after), fmt.Sprintf("%+v", *before); a != b {
-				t.Fatalf("recovery changed more of the record than page checksums:\n%s\n%s", a, b)
-			}
-
-			// The replica has the primary's log bytes (they stream ahead of
-			// commits) and the commit's artifacts, and installs from nothing.
-			rcfg := img.config()
-			rcfg.Replica = true
-			rep, err := Open(rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rep.Close()
-			if err := rep.ApplyCommitted(img.token); err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []uint64{0, 5, 3} { // overwritten in the window, and not
-				got, found, err := rep.ReadCommitted(key(k))
-				if err != nil || found != (img.want[k] != nil) || !bytes.Equal(got, img.want[k]) {
-					t.Fatalf("replica read of key %d before promotion: (%x, %v, %v), want %x", k, got, found, err, img.want[k])
-				}
-			}
-			if err := rep.Promote(); err != nil {
-				t.Fatal(err)
-			}
-
-			fstate := captureState(t, img, full, fcfg)
-			fstate.mustEqual(t, "recovered and promoted replica", captureState(t, img, rep, rcfg))
-			for _, id := range img.ids {
-				if fstate.points[id] == 0 {
-					t.Fatalf("session %s has no recovered point: %v", id, fstate.points)
-				}
-			}
-			checkFuzzyImage(t, "promoted replica", rep, img)
-		})
+	img := buildFuzzyImage(t)
+	before, err := loadRecord(img.ckpts, img.token)
+	if err != nil {
+		t.Fatal(err)
 	}
+	fuzzy, covered, touched := img.fuzzyOnCoveredPages(t)
+	if fuzzy != img.fuzzy || covered == 0 {
+		t.Fatalf("%d v+1 records in the commit's log, %d on checksummed pages; %d were written",
+			fuzzy, covered, img.fuzzy)
+	}
+
+	fcfg := img.config()
+	full, err := Recover(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	after, err := loadRecord(fcfg.Checkpoints, img.token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []hlog.PageCRC
+	for _, pc := range before.sec().PageCRCs {
+		if !touched[pc.Page] {
+			want = append(want, pc)
+		}
+	}
+	if got := after.sec().PageCRCs; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("page checksums after recovery %v, want %v (touched %v)", got, want, touched)
+	}
+	after.sec().PageCRCs = before.sec().PageCRCs
+	if a, b := fmt.Sprintf("%+v", *after), fmt.Sprintf("%+v", *before); a != b {
+		t.Fatalf("recovery changed more of the record than page checksums:\n%s\n%s", a, b)
+	}
+
+	// The replica has the primary's log bytes (they stream ahead of
+	// commits) and the commit's artifacts, and installs from nothing.
+	rcfg := img.config()
+	rcfg.Replica = true
+	rep, err := Open(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := rep.ApplyCommitted(img.token); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{0, 5, 3} { // overwritten in the window, and not
+		got, found, err := rep.ReadCommitted(key(k))
+		if err != nil || found != (img.want[k] != nil) || !bytes.Equal(got, img.want[k]) {
+			t.Fatalf("replica read of key %d before promotion: (%x, %v, %v), want %x", k, got, found, err, img.want[k])
+		}
+	}
+	if err := rep.Promote(); err != nil {
+		t.Fatal(err)
+	}
+
+	fstate := captureState(t, img, full, fcfg)
+	fstate.mustEqual(t, "recovered and promoted replica", captureState(t, img, rep, rcfg))
+	for _, id := range img.ids {
+		if fstate.points[id] == 0 {
+			t.Fatalf("session %s has no recovered point: %v", id, fstate.points)
+		}
+	}
+	checkFuzzyImage(t, "promoted replica", rep, img)
 }
 
 // checkFuzzyImage reads every key of the image through a session: the
@@ -336,7 +306,7 @@ func checkFuzzyImage(t *testing.T, label string, s *Store, img *fuzzyImage) {
 	t.Helper()
 	sess := s.StartSession()
 	defer sess.StopSession()
-	for k := uint64(0); k < uint64(4*256*img.shards); k++ {
+	for k := uint64(0); k < 4*256; k++ {
 		got, found := readVal(t, sess, k)
 		if want := img.want[k]; found != (want != nil) || !bytes.Equal(got, want) {
 			t.Fatalf("%s: key %d: got (%x,%v), want %x (deleted: %v)", label, k, got, found, want, img.gone[k])
@@ -353,28 +323,23 @@ func checkFuzzyImage(t *testing.T, label string, s *Store, img *fuzzyImage) {
 // TestOracle's second crash checks the same, but its images hold v+1 records
 // on checksummed pages only now and then; this one always does.
 func TestSecondCrashKeepsCommit(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		img := buildFuzzyImage(t, shards)
-		for i := 0; i < shards; i++ {
-			if _, covered, _ := img.fuzzyOnCoveredPages(t, i); covered == 0 {
-				t.Fatalf("shards=%d: no v+1 record of shard %d lies on a page the commit's checksums cover", shards, i)
-			}
-		}
-		devs, ckpts := cloneDevs(img.devs), img.ckpts.Clone()
-		recoverSame(t, fmt.Sprintf("shards=%d first", shards), img, devs, ckpts).Close()
-		label := fmt.Sprintf("shards=%d second", shards)
-		r := recoverSame(t, label, img, devs, ckpts)
-		checkFuzzyImage(t, label, r, img)
-		r.Close()
+	img := buildFuzzyImage(t)
+	if _, covered, _ := img.fuzzyOnCoveredPages(t); covered == 0 {
+		t.Fatal("no v+1 record lies on a page the commit's checksums cover")
 	}
+	dev, ckpts := img.dev.Clone(), img.ckpts.Clone()
+	recoverSame(t, "first", img, dev, ckpts).Close()
+	r := recoverSame(t, "second", img, dev, ckpts)
+	checkFuzzyImage(t, "second", r, img)
+	r.Close()
 }
 
-// recoverSame recovers the image's newest commit from devs and ckpts — in
+// recoverSame recovers the image's newest commit from dev and ckpts — in
 // place, as a restarted process does — and fails unless it is that commit
 // with nothing skipped.
-func recoverSame(t *testing.T, label string, img *fuzzyImage, devs []*storage.MemDevice, ckpts *storage.MemCheckpointStore) *Store {
+func recoverSame(t *testing.T, label string, img *fuzzyImage, dev *storage.MemDevice, ckpts *storage.MemCheckpointStore) *Store {
 	t.Helper()
-	r, report, err := RecoverWithReport(configOver(img.shards, devs, ckpts))
+	r, report, err := RecoverWithReport(configOver(dev, ckpts))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

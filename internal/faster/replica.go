@@ -37,12 +37,10 @@ var ErrNotReplica = fmt.Errorf("faster: store is not a replica (Config.Replica u
 // which no install can tell apart. The next fold-over commit subsumes it.
 var ErrSnapshotCommit = errors.New("faster: a snapshot commit; a replica installs fold-over commits only")
 
-// foldOver refuses a record with a snapshot section (ErrSnapshotCommit).
+// foldOver refuses the record of a snapshot commit (ErrSnapshotCommit).
 func (rec *commitRecord) foldOver() error {
-	for i := range rec.Shards {
-		if rec.Shards[i].Snapshot != "" {
-			return fmt.Errorf("%w: %s", ErrSnapshotCommit, rec.Token)
-		}
+	if rec.sec().Snapshot != "" {
+		return fmt.Errorf("%w: %s", ErrSnapshotCommit, rec.Token)
 	}
 	return nil
 }
@@ -97,8 +95,8 @@ func (s *Store) LatestCommitVersion() uint32 {
 }
 
 // ShipInfo describes what a replica needs to install one completed fold-over
-// commit: the artifact names to copy and, per shard, how much of the log must
-// be on the replica's device first.
+// commit: the artifact names to copy and how much of the log must be on the
+// replica's device first.
 type ShipInfo struct {
 	Token   string
 	Version uint32
@@ -107,13 +105,12 @@ type ShipInfo struct {
 	// record's do — a recovery of the commit, or a Promote at it, drops the
 	// checksums of the pages it then writes invalid bits into (persistInvalid).
 	// A shipper therefore sends the newest commit's artifacts again on every
-	// new connection, after the range ResyncFrom names, and the replica's copy
+	// new connection, after the range RewrittenFrom names, and the replica's copy
 	// follows its device.
 	Artifacts []string
-	// ShardEnds is, per shard, the log address the install covers: the
-	// replica's device must hold the log up to it, and its log tail is there
-	// after installing.
-	ShardEnds []uint64
+	// End is the log address the install covers: the replica's device must
+	// hold the log up to it, and its log tail is there after installing.
+	End uint64
 }
 
 // CommitShipInfo assembles the ShipInfo for a completed commit from its
@@ -126,24 +123,33 @@ func (s *Store) CommitShipInfo(token string) (*ShipInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faster: ship info: %w", err)
 	}
-	info := &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), storage.RecordName(token))}
-	for i := range rec.Shards {
-		info.ShardEnds = append(info.ShardEnds, rec.Shards[i].logEnd())
-	}
-	return info, nil
+	return &ShipInfo{Token: token, Version: rec.Version, Artifacts: append(rec.blobs(), storage.RecordName(token)),
+		End: rec.sec().logEnd()}, nil
 }
 
-// ResyncFrom reports, per shard, the address from which this store's own
-// recovery rewrote log state (invalidating uncommitted records on the
+// RewrittenFrom reports the address from which this store's own recovery (or
+// promotion) rewrote log state (invalidating uncommitted records on the
 // device). A replica that replicated from the pre-crash instance must
 // re-stream from here so its device copy matches post-recovery reality. Zero
 // for stores opened fresh (nothing was rewritten).
-func (s *Store) ResyncFrom(i int) uint64 { return s.shards[i].recoveredScanStart }
+func (s *Store) RewrittenFrom() uint64 { return s.recoveredScanStart }
+
+// ResyncFrom is RewrittenFrom for i == 0 and the log's tail otherwise, so that
+// a sum of Tail() - ResyncFrom(i) over several i counts the one log once.
+//
+// Deprecated: use RewrittenFrom; it stays only until the benchmark module
+// stops naming it.
+func (s *Store) ResyncFrom(i int) uint64 {
+	if i > 0 {
+		return s.log.Tail()
+	}
+	return s.recoveredScanStart
+}
 
 // ApplyCommitted advances a replica store's visible state to the completed
 // fold-over commit identified by token. The commit's artifacts must already be
-// in the store's checkpoint store and each shard's device must hold the
-// streamed log prefix the commit covers (ShardEnds of the primary's ShipInfo).
+// in the store's checkpoint store and its device must hold the streamed log
+// prefix the commit covers (End of the primary's ShipInfo).
 // The record came from the peer, so a snapshot commit is refused here too
 // (ErrSnapshotCommit).
 //
@@ -160,14 +166,16 @@ func (s *Store) ApplyCommitted(token string) error {
 	if err != nil {
 		return fmt.Errorf("faster: install: %w", err)
 	}
-	if len(rec.Shards) != s.cfg.Shards {
-		return fmt.Errorf("faster: manifest has %d shards, replica has %d", len(rec.Shards), s.cfg.Shards)
-	}
 	if rec.Version >= s.Version() { // else a stale announcement: already past this commit
-		for i, sh := range s.shards {
-			if err := sh.applyCommitted(rec); err != nil {
-				return fmt.Errorf("faster: install shard %d: %w", i, err)
-			}
+		// The replay covers the log past the previous install, and with it the
+		// records that install left dead — this commit covers them, or they
+		// are still of version v+1 where they stand.
+		start := s.log.Tail()
+		for addr := range s.replicaDead {
+			start = min(start, addr)
+		}
+		if err := s.install(rec, start, nil, s.markReplicaDead); err != nil {
+			return fmt.Errorf("faster: install: %w", err)
 		}
 		s.state.Store(packState(Rest, rec.Version+1))
 	}
@@ -181,18 +189,6 @@ func (s *Store) ApplyCommitted(token string) error {
 	return nil
 }
 
-// applyCommitted installs one commit on one shard (see shard.install): the
-// replay covers the log past the previous install, and with it the records
-// that install left dead — this commit covers them, or they are still of
-// version v+1 where they stand.
-func (sh *shard) applyCommitted(rec *commitRecord) error {
-	start := sh.log.Tail()
-	for addr := range sh.replicaDead {
-		start = min(start, addr)
-	}
-	return sh.install(rec, start, nil, sh.markReplicaDead)
-}
-
 // markReplicaDead is how a replica neutralises the v+1 records a replay
 // found: without touching the device — the in-memory invalid bit when the
 // record is resident, the dead-address set for ReadCommitted otherwise —
@@ -201,13 +197,13 @@ func (sh *shard) applyCommitted(rec *commitRecord) error {
 // over them. dead replaces the set: every replay starts at or below the
 // lowest address in it. Nothing is written, so it cannot fail; the error is
 // install's neutraliser signature.
-func (sh *shard) markReplicaDead(dead []uint64) error {
-	sh.replicaDead = make(map[uint64]bool, len(dead))
-	head := sh.log.Head()
+func (s *Store) markReplicaDead(dead []uint64) error {
+	s.replicaDead = make(map[uint64]bool, len(dead))
+	head := s.log.Head()
 	for _, addr := range dead {
-		sh.replicaDead[addr] = true
+		s.replicaDead[addr] = true
 		if addr >= head {
-			sh.log.Record(addr).SetInvalid()
+			s.log.Record(addr).SetInvalid()
 		}
 	}
 	return nil
@@ -224,22 +220,19 @@ func (s *Store) Promote() error {
 		return ErrNotReplica
 	}
 	token, _ := s.LatestCommitToken()
-	for _, sh := range s.shards {
-		dead := make([]uint64, 0, len(sh.replicaDead))
-		for addr := range sh.replicaDead {
-			dead = append(dead, addr)
-		}
-		if err := sh.persistInvalid(token, dead); err != nil {
-			return fmt.Errorf("faster: promote shard %d: %w", sh.id, err)
-		}
-		if len(dead) > 0 {
-			// Promotion rewrote device state from here on; replicas of this
-			// newly promoted primary must re-stream the range (ResyncFrom).
-			sh.recoveredScanStart = slices.Min(dead)
-		}
-		sh.replicaDead = nil
-		sh.cfg.Replica = false
+	dead := make([]uint64, 0, len(s.replicaDead))
+	for addr := range s.replicaDead {
+		dead = append(dead, addr)
 	}
+	if err := s.persistInvalid(token, dead); err != nil {
+		return fmt.Errorf("faster: promote: %w", err)
+	}
+	if len(dead) > 0 {
+		// Promotion rewrote device state from here on; replicas of this newly
+		// promoted primary must re-stream the range (RewrittenFrom).
+		s.recoveredScanStart = slices.Min(dead)
+	}
+	s.replicaDead = nil
 	s.cfg.Replica = false
 	return nil
 }
@@ -251,11 +244,10 @@ func (s *Store) Promote() error {
 // replication applier's read lock).
 func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 	h := hashfn.Hash64(key)
-	sh := s.shards[s.shardOf(h)]
 	g := s.epochs.Acquire()
 	defer g.Release()
-	_, entry := sh.index.probe(h, 0)
-	addr, rec, err := sh.firstMatch(entry, key, sh.replicaDead)
+	_, entry := s.index.probe(h, 0)
+	addr, rec, err := s.firstMatch(entry, key, s.replicaDead)
 	if addr == 0 || rec.Tombstone() {
 		return nil, false, err
 	}
@@ -268,15 +260,15 @@ func (s *Store) ReadCommitted(key []byte) ([]byte, bool, error) {
 // ReadRecordSync. Invalid records and the addresses in dead (a replica's
 // neutralised records) are skipped; an unwritten header (below a shipped
 // prefix) ends the walk.
-func (sh *shard) firstMatch(entry uint64, key []byte, dead map[uint64]bool) (uint64, hlog.RecordRef, error) {
-	begin, head := sh.log.Begin(), sh.log.Head()
+func (s *Store) firstMatch(entry uint64, key []byte, dead map[uint64]bool) (uint64, hlog.RecordRef, error) {
+	begin, head := s.log.Begin(), s.log.Head()
 	for addr := entryAddr(entry); addr >= begin && addr >= hlog.FirstAddress; {
 		var rec hlog.RecordRef
 		if addr >= head {
-			rec = sh.log.Record(addr)
+			rec = s.log.Record(addr)
 		} else {
 			var err error
-			if rec, err = sh.log.ReadRecordSync(addr); err != nil {
+			if rec, err = s.log.ReadRecordSync(addr); err != nil {
 				return 0, rec, err
 			}
 		}

@@ -74,7 +74,7 @@ type pendingOp struct {
 	ioRec      hlog.RecordRef // a view over io's buffer
 	ioErr      error
 	// io is the record's cold-read state, created by its first queueRead; its
-	// completion goes to the context the record is parked on.
+	// completion goes to the session the record is parked on.
 	io *hlog.ColdRead
 	// diskResume, when non-zero, is the next unexamined chain address on
 	// storage: everything above it on this key's chain has already been
@@ -88,8 +88,8 @@ type pendingOp struct {
 // Session is a client session (Sec. 5.2): a single-goroutine handle issuing
 // operations with strictly increasing serial numbers. It is one participant of
 // the store's CPR protocol — one epoch entry, one view of the state machine,
-// one commit point per commit — and holds one context per shard for the
-// operations it routes there by key hash.
+// one commit point per commit — and holds its parked operations and their
+// cold reads.
 type Session struct {
 	store *Store
 	id    string
@@ -102,7 +102,6 @@ type Session struct {
 	// the durability-lag scans (Store.SessionLags, commit completion) can read
 	// it from other goroutines; the owning goroutine is still the only writer.
 	serial atomic.Uint64
-	ctxs   []*shardSession
 
 	// committedSerial/committedAtNanos track the session's durable prefix
 	// t_i: updated by Store.noteCommitted whenever a commit completes, read by
@@ -135,19 +134,8 @@ type Session struct {
 	opFree  []*pendingOp
 	scratch []byte
 	failed  int
-}
 
-// opFreeMax bounds the freelist so a burst of pending-heavy batches cannot
-// pin an unbounded set of retired op buffers.
-const opFreeMax = 64
-
-// shardSession is a session's context on one shard: the pending operations
-// routed there, their cold reads queued for the shard's I/O pool and the
-// completions the pool delivers.
-type shardSession struct {
-	store *shard
-	owner *Session
-
+	// pending holds the parked operations, retried by CompletePending.
 	pending []*pendingOp
 	// ioQueue holds the first device reads of cold fetches issued but not yet
 	// handed to the I/O pool; flushIO hands them over as one run.
@@ -164,6 +152,10 @@ type shardSession struct {
 	// until there is something to take.
 	ready atomic.Int32
 }
+
+// opFreeMax bounds the freelist so a burst of pending-heavy batches cannot
+// pin an unbounded set of retired op buffers.
+const opFreeMax = 64
 
 // refreshInterval is how many operations a session performs between epoch
 // refreshes (the paper's "k times" in Alg. 1).
@@ -215,16 +207,13 @@ func (s *Store) tryStartSession(id string, serial uint64) (*Session, bool) {
 	if phase != Rest {
 		return nil, false
 	}
-	sess := &Session{store: s, id: id, guard: s.epochs.Acquire(), phase: phase, version: version,
-		ctxs: make([]*shardSession, len(s.shards))}
+	sess := &Session{store: s, id: id, guard: s.epochs.Acquire(), phase: phase, version: version}
 	sess.serial.Store(serial)
 	// Everything issued so far (the recovered prefix) is durable by
 	// definition; the lag clock starts now.
 	sess.committedSerial.Store(serial)
 	sess.committedAtNanos.Store(nowNanos())
-	for i, sh := range s.shards {
-		sess.ctxs[i] = &shardSession{store: sh, owner: sess}
-	}
+	s.views[version&1].Add(1)
 	s.sessions[id] = sess
 	return sess, true
 }
@@ -273,6 +262,7 @@ func (sess *Session) StopSession() {
 	st := sess.store
 	st.mu.Lock()
 	delete(st.sessions, sess.id)
+	st.views[sess.version&1].Add(-1)
 	st.mu.Unlock()
 	if ck := st.active.Load(); ck != nil {
 		ck.dropParticipant(sess)
@@ -293,6 +283,8 @@ func (sess *Session) Refresh() {
 		// one may already be active): reset to rest of the new version, then
 		// process any phase entries of the active commit below — skipping
 		// them would lose this session's acknowledgments.
+		sess.store.views[gv&1].Add(1)
+		sess.store.views[sess.version&1].Add(-1)
 		sess.version = gv
 		sess.phase = Rest
 	}
@@ -310,9 +302,8 @@ func (sess *Session) Refresh() {
 }
 
 // enterPrepare performs prepare-entry work: every outstanding pending
-// request of the commit version, on every shard, acquires a shared latch on
-// its bucket (fine-grained transfer) and is counted toward the commit's
-// pending tally.
+// request of the commit version acquires a shared latch on its bucket
+// (fine-grained transfer) and is counted toward the commit's pending tally.
 func (sess *Session) enterPrepare() {
 	ck := sess.store.active.Load()
 	if ck == nil || ck.version != sess.version {
@@ -320,26 +311,24 @@ func (sess *Session) enterPrepare() {
 		return
 	}
 	fine := sess.store.cfg.Transfer == FineGrained
-	for _, ctx := range sess.ctxs {
-		for _, op := range ctx.pending {
-			if op.version != sess.version || op.counted {
-				continue
-			}
-			if fine && !op.latched {
-				// No exclusive latch of this commit can exist yet (they appear
-				// only in in-progress, which requires every session to have
-				// passed prepare), but one of the previous commit can: its
-				// holder's view lags, and it may be waiting inside the log for
-				// a page — for this session's epoch among others. So refresh
-				// while waiting (a parked op holds no reference into the log).
-				for !ctx.store.index.trySharedLatch(op.hash) {
-					sess.guard.Refresh()
-				}
-				op.latched = true
-			}
-			op.counted = true
-			ck.pendingV.Add(1)
+	for _, op := range sess.pending {
+		if op.version != sess.version || op.counted {
+			continue
 		}
+		if fine && !op.latched {
+			// No exclusive latch of this commit can exist yet (they appear
+			// only in in-progress, which requires every session to have
+			// passed prepare), but one of the previous commit can: its
+			// holder's view lags, and it may be waiting inside the log for a
+			// page — for this session's epoch among others. So refresh while
+			// waiting (a parked op holds no reference into the log).
+			for !sess.store.index.trySharedLatch(op.hash) {
+				sess.guard.Refresh()
+			}
+			op.latched = true
+		}
+		op.counted = true
+		ck.pendingV.Add(1)
 	}
 	sess.phase = Prepare
 	sess.store.cfg.Flight.Emit(obs.FlightAckPrepare, -1, uint64(ck.version), ck.token, sess.id, sess.serial.Load(), 0)
@@ -375,12 +364,11 @@ func (sess *Session) maybeRefresh() {
 // park moves the operation in the session's working record, left Pending, to a
 // freelist record that owns copies of its key and input, so the caller may
 // reuse its buffers once the call returns, and queues its cold read, if any.
-func (sess *shardSession) park(op *pendingOp) {
+func (sess *Session) park(op *pendingOp) {
 	epoch.YieldAt(epoch.SitePark)
-	own := sess.owner
 	var p *pendingOp
-	if n := len(own.opFree); n > 0 {
-		p, own.opFree[n-1], own.opFree = own.opFree[n-1], nil, own.opFree[:n-1]
+	if n := len(sess.opFree); n > 0 {
+		p, sess.opFree[n-1], sess.opFree = sess.opFree[n-1], nil, sess.opFree[:n-1]
 	} else {
 		p = new(pendingOp)
 	}
@@ -402,12 +390,6 @@ func (sess *Session) targetVersion() uint32 {
 	return sess.version
 }
 
-// ctx returns the shard context an operation with the given key hash routes
-// to.
-func (sess *Session) ctx(hash uint64) *shardSession {
-	return sess.ctxs[sess.store.shardOf(hash)]
-}
-
 // --- public operations ---
 
 // maxPendingSoft is the pending-list size beyond which issue drains
@@ -416,29 +398,28 @@ func (sess *Session) ctx(hash uint64) *shardSession {
 const maxPendingSoft = 4096
 
 // issue runs a fresh operation in the session's working record (fields reset
-// one by one, key and input aliasing the caller's) under the next serial, on
-// its key's shard context, parking it if needed; a read's value comes back.
+// one by one, key and input aliasing the caller's) under the next serial,
+// parking it if needed; a read's value comes back.
 func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Status)) ([]byte, Status) {
 	sess.maybeRefresh()
 	op := &sess.cur
 	op.kind, op.key, op.input, op.hash, op.readCB, op.val = kind, key, input, hashfn.Hash64(key), cb, nil
 	op.latched, op.counted, op.awaitingIO = false, false, false
-	ctx := sess.ctx(op.hash)
 	op.serial, op.version = sess.serial.Add(1), sess.targetVersion()
-	if !ctx.store.log.Fits(len(key), max(len(input), 8)) {
+	if !sess.store.log.Fits(len(key), max(len(input), 8)) {
 		// A key of 0 or over 65 535 bytes, or a value no page holds.
 		if cb != nil {
 			cb(nil, Error)
 		}
 		return nil, Error
 	}
-	if len(ctx.pending) >= maxPendingSoft {
-		ctx.completeOnce()
+	if len(sess.pending) >= maxPendingSoft {
+		sess.completeOnce()
 	}
-	st := ctx.doOp(op)
+	st := sess.doOp(op)
 	if st == Pending {
 		sess.store.metrics.pendings.Inc()
-		ctx.park(op)
+		sess.park(op)
 		return nil, Pending
 	}
 	return op.val, st
@@ -479,19 +460,16 @@ func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, S
 }
 
 // CompletePending drains async I/O completions and retries parked
-// operations on every shard. With wait=true it loops until no operation
+// operations. With wait=true it loops until no operation
 // remains pending (refreshing epochs while waiting so global progress
 // continues, and yielding the processor to the I/O workers after a pass that
 // completed nothing). It returns how many parked operations have ended in
 // Error since the previous call: a failed write has no callback to say so.
 func (sess *Session) CompletePending(wait bool) int {
-	last := sess.PendingCount()
+	last := len(sess.pending)
 	for {
-		remaining := 0
-		for _, ctx := range sess.ctxs {
-			ctx.completeOnce()
-			remaining += len(ctx.pending)
-		}
+		sess.completeOnce()
+		remaining := len(sess.pending)
 		if !wait || remaining == 0 {
 			failed := sess.failed
 			sess.failed = 0
@@ -507,16 +485,16 @@ func (sess *Session) CompletePending(wait bool) int {
 
 // flushIO hands the queued cold reads to the I/O pool: one locked append and
 // one worker wake-up for the run.
-func (sess *shardSession) flushIO() {
+func (sess *Session) flushIO() {
 	sess.store.log.SubmitReads(sess.ioQueue)
 	clear(sess.ioQueue)
 	sess.ioQueue = sess.ioQueue[:0]
 }
 
-// completeOnce performs one drain-and-retry pass over the shard context's
-// pending operations. Cold reads queued before the pass are handed over on
+// completeOnce performs one drain-and-retry pass over the session's pending
+// operations. Cold reads queued before the pass are handed over on
 // entry, the ones its retries queue (the next record of a chain) on exit.
-func (sess *shardSession) completeOnce() {
+func (sess *Session) completeOnce() {
 	sess.flushIO()
 	// Drain I/O completions, handing the pool workers the other buffer.
 	if sess.ready.Load() > 0 {
@@ -533,7 +511,7 @@ func (sess *shardSession) completeOnce() {
 	}
 	// Retry every parked op that is not awaiting I/O; a finished one (its
 	// callback, if any, has run) is retired to the freelist.
-	own, kept := sess.owner, sess.pending[:0]
+	kept := sess.pending[:0]
 	for _, op := range sess.pending {
 		if op.awaitingIO {
 			kept = append(kept, op)
@@ -545,11 +523,11 @@ func (sess *shardSession) completeOnce() {
 			continue
 		}
 		if st == Error {
-			own.failed++
+			sess.failed++
 		}
-		if len(own.opFree) < opFreeMax {
+		if len(sess.opFree) < opFreeMax {
 			op.readCB, op.val = nil, nil
-			own.opFree = append(own.opFree, op)
+			sess.opFree = append(sess.opFree, op)
 		}
 	}
 	// Zero dropped slots so finished ops are not pinned here.
@@ -561,24 +539,17 @@ func (sess *shardSession) completeOnce() {
 }
 
 // PendingCount reports the number of parked operations (diagnostics).
-func (sess *Session) PendingCount() int {
-	n := 0
-	for _, ctx := range sess.ctxs {
-		n += len(ctx.pending)
-	}
-	return n
-}
+func (sess *Session) PendingCount() int { return len(sess.pending) }
 
 // finish releases the CPR resources (latch, tally) a completed op holds.
-func (sess *shardSession) finish(op *pendingOp) {
-	sh := sess.store
+func (sess *Session) finish(op *pendingOp) {
 	if op.latched {
-		sh.index.releaseSharedLatch(op.hash)
+		sess.store.index.releaseSharedLatch(op.hash)
 		op.latched = false
 	}
 	if op.counted {
 		op.counted = false
-		if ck := sess.owner.store.active.Load(); ck != nil && ck.pendingV.Add(-1) == 0 {
+		if ck := sess.store.active.Load(); ck != nil && ck.pendingV.Add(-1) == 0 {
 			ck.checkPendingDone()
 		}
 	}
@@ -615,7 +586,7 @@ type findResult struct {
 // otherwise the caller must issue I/O for result.addr. An entry without an
 // address — no entry at all, for a fresh key — is regNone before any log
 // offset is loaded.
-func (sess *shardSession) find(op *pendingOp, skipFuture bool) findResult {
+func (sess *Session) find(op *pendingOp, skipFuture bool) findResult {
 	sh := sess.store
 	slot, entry := sh.index.probe(op.hash, 0)
 	addr := entryAddr(entry)
@@ -668,10 +639,10 @@ func (sess *shardSession) find(op *pendingOp, skipFuture bool) findResult {
 // issueIO asks for an async read of the record at addr and goes Pending. The
 // read is queued from a parked record — at once for a retry, by park for the
 // op being issued — so its completion lands there.
-func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
+func (sess *Session) issueIO(op *pendingOp, addr uint64) Status {
 	sess.store.metrics.ioReads.Inc()
 	op.awaitingIO, op.ioAddr = true, addr
-	if op != &sess.owner.cur {
+	if op != &sess.cur {
 		sess.queueRead(op)
 	}
 	return Pending
@@ -681,16 +652,14 @@ func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
 // pool every storage.RunLen reads and whenever completeOnce runs. The op's
 // cold-read state is not touched again until completeOnce has drained this
 // read's completion.
-func (sess *shardSession) queueRead(op *pendingOp) {
+func (sess *Session) queueRead(op *pendingOp) {
 	if op.io == nil {
-		own := sess.owner
 		op.io = &hlog.ColdRead{Done: func(rec hlog.RecordRef, err error) {
 			op.ioRec, op.ioErr = rec, err
-			ctx := own.ctx(op.hash)
-			ctx.compMu.Lock()
-			ctx.completed = append(ctx.completed, op)
-			ctx.ready.Add(1)
-			ctx.compMu.Unlock()
+			sess.compMu.Lock()
+			sess.completed = append(sess.completed, op)
+			sess.ready.Add(1)
+			sess.compMu.Unlock()
 		}}
 	}
 	sess.ioQueue = sess.store.log.QueueRead(sess.ioQueue, op.ioAddr, op.io)
@@ -708,10 +677,10 @@ func (sess *shardSession) queueRead(op *pendingOp) {
 // entry of the key's tag (expected 0, slot the free slot it passed, if any),
 // the appended record's entry is created there: an entry of the tag created
 // meanwhile fails it the same way.
-func (sess *shardSession) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
+func (sess *Session) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
 	epoch.YieldAt(epoch.SiteInstall)
 	index := sess.store.index
-	addr, rec := sess.store.log.Append(sess.owner.guard, entryAddr(expected), recVersion(version), key, value,
+	addr, rec := sess.store.log.Append(sess.guard, entryAddr(expected), recVersion(version), key, value,
 		max(len(value), 8)) // keep small values in-place updatable
 	if tombstone {
 		rec.SetTombstone()

@@ -4,14 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
-	"repro/internal/hashfn"
 	"repro/internal/hlog"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -126,27 +124,14 @@ func (AddUint64) Update(cur, input []byte) []byte {
 
 // Config parameterizes a Store.
 type Config struct {
-	// Shards partitions the store's data — each shard with its own hash
-	// index, HybridLog, device and I/O pool — routed by key-hash high bits
-	// (default 1). The CPR protocol is not partitioned: one epoch manager and
-	// one state machine commit every shard under one token, so a session
-	// demarcates a single commit point whatever the shard count.
-	Shards int
-	// IndexBuckets is the number of main hash buckets (power of two), split
-	// across shards. The paper's default is #keys/2 with 7 entries per bucket.
+	// IndexBuckets is the number of main hash buckets (power of two). The
+	// paper's default is #keys/2 with 7 entries per bucket.
 	IndexBuckets int
-	// PageBits, MemPages, MutableFraction configure the HybridLog. MemPages
-	// is a store-wide budget: a multi-shard store divides it across shards.
-	PageBits        uint
-	MemPages        int
-	MutableFraction float64
+	// PageBits and MemPages configure the HybridLog.
+	PageBits uint
+	MemPages int
 	// Device backs the HybridLog. Defaults to an in-memory device.
-	// Only valid for a single-shard store; use DeviceFactory otherwise.
 	Device storage.Device
-	// DeviceFactory supplies one device per shard (required if a multi-shard
-	// store should not default to per-shard in-memory devices). Mutually
-	// exclusive with Device.
-	DeviceFactory func(shard int) (storage.Device, error)
 	// Checkpoints stores commit artifacts: one commit record per commit and
 	// the index and snapshot blobs it names. Defaults to an in-memory store.
 	Checkpoints storage.CheckpointStore
@@ -158,14 +143,12 @@ type Config struct {
 	Transfer VersionTransfer
 	// Metrics receives the store's instrumentation (and the log's, epoch
 	// manager's and I/O pool's). Defaults to a fresh enabled registry; pass
-	// obs.NewNop() to disable collection. Every name is registered once at any
-	// shard count: the shards' logs and I/O pools count into the same counters
-	// and histograms, and each gauge is the store's (summed over the shards).
+	// obs.NewNop() to disable collection.
 	Metrics *obs.Registry
 	// Flight, when non-nil, records the causal commit-lifecycle event stream
-	// (epoch bumps, phase transitions, artifact writes, log flushes, ...) for
-	// every shard. Nil disables the flight recorder at zero hot-path cost; the
-	// phase timeline (Store.Tracer) is computed from it and is then empty.
+	// (epoch bumps, phase transitions, artifact writes, log flushes, ...).
+	// Nil disables the flight recorder at zero hot-path cost; the phase
+	// timeline (Store.Tracer) is computed from it and is then empty.
 	Flight *obs.FlightRecorder
 	// ReqTrace, when non-nil, is the request tracer shared by the layers
 	// serving this store (kvserver request hops, repl ship/announce spans).
@@ -183,6 +166,12 @@ type Config struct {
 	// Store.WaitRestored, Store.RestoreStatus and RestoreStatus stay only
 	// until the benchmark module stops naming them.
 	InstantRestore bool
+	// Deprecated: ignored; a store is one index and one log. It stays, with
+	// DeviceFactory, Store.ShardLog and Store.ResyncFrom, only until the
+	// benchmark module stops naming it.
+	Shards int
+	// Deprecated: the store opens DeviceFactory(0) when Device is nil.
+	DeviceFactory func(shard int) (storage.Device, error)
 }
 
 // RestoreStatus is what Store.RestoreStatus returned for an instant restore.
@@ -203,17 +192,15 @@ func (s *Store) RestoreStatus() *RestoreStatus { return nil }
 func (s *Store) WaitRestored() error { return nil }
 
 func (c *Config) fill() error {
-	if c.Shards == 0 {
-		c.Shards = 1
+	if c.Device == nil && c.DeviceFactory != nil {
+		d, err := c.DeviceFactory(0)
+		if err != nil {
+			return fmt.Errorf("faster: device: %w", err)
+		}
+		c.Device = d
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("faster: Shards %d must be positive", c.Shards)
-	}
-	if c.Device != nil && c.DeviceFactory != nil {
-		return fmt.Errorf("faster: Device and DeviceFactory are mutually exclusive")
-	}
-	if c.Shards > 1 && c.Device != nil {
-		return fmt.Errorf("faster: Shards > 1 needs one device per shard; set DeviceFactory instead of Device")
+	if c.Device == nil {
+		c.Device = storage.NewMemDevice()
 	}
 	if c.IndexBuckets == 0 {
 		c.IndexBuckets = 1 << 16
@@ -234,8 +221,7 @@ func (c *Config) fill() error {
 }
 
 // storeMetrics holds the store's hot-path metric handles, resolved once at
-// Open so operations never touch the registry. All shards share one set: a
-// partitioned store reports store-wide operation counts.
+// Open so operations never touch the registry.
 type storeMetrics struct {
 	reads, upserts, rmws, deletes *obs.Counter
 	pendings                      *obs.Counter // operations that went pending
@@ -271,21 +257,28 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	}
 }
 
-// Store is a FASTER instance with CPR durability, its data partitioned into
-// one or more shards. All operations happen through Sessions (Sec. 5.2), which
-// route by key hash; Commit triggers an asynchronous CPR checkpoint of every
-// shard; Recover rebuilds a store from its latest commit. One epoch framework
-// and one five-phase state machine drive the protocol for every shard count.
+// Store is a FASTER instance with CPR durability: one latch-free hash index
+// and one HybridLog. All operations happen through Sessions (Sec. 5.2);
+// Commit triggers an asynchronous CPR checkpoint; Recover rebuilds a store
+// from its latest commit. One epoch framework and one five-phase state machine
+// drive the protocol.
 type Store struct {
-	cfg        Config
-	shards     []*shard
-	shardShift uint // 64 - log2(Shards) when Shards is a power of two
+	cfg   Config
+	log   *hlog.Log
+	index *index
 
 	// epochs is the store's epoch table: one entry per session, bumped by the
-	// state machine and by every shard's log.
+	// state machine and by the log.
 	epochs *epoch.Manager
 	// state packs the CPR phase (bits 32 and up) and version (low 32 bits).
 	state atomic.Uint64
+	// futureFrom[v&1] is commit v's log_start: the tail before the commit
+	// published prepare (see isFuture).
+	futureFrom [2]atomic.Uint64
+	// views[v&1] counts the sessions whose view is of version v: none of
+	// version v-1 means no session can still be in commit v-1, copying a
+	// record of it (see update). Sessions two versions apart never coexist.
+	views [2]atomic.Int64
 
 	// mu guards the session registry and serializes session registration
 	// against commit admission (lock order: mu, then ckptMu).
@@ -301,6 +294,24 @@ type Store struct {
 	latestToken string        // newest commit completed, recovered or installed here ("" if none)
 	latestVer   uint32        // and its version
 	commitSeq   atomic.Uint64 // token counter
+
+	// lastIndex/lastLis/lastLie identify the most recent fuzzy index
+	// checkpoint (its blob's name), carried into a log-only commit's record
+	// (Sec. 6.3). Written only by the one running commit, recovery and a
+	// replica's install.
+	lastIndex        string
+	lastLis, lastLie uint64
+
+	// recoveredScanStart is the address from which this store's own recovery
+	// (or promotion) rewrote log state on the device — see RewrittenFrom. Zero
+	// when the store was opened fresh. Written single-threaded at
+	// recovery/promotion time.
+	recoveredScanStart uint64
+
+	// replicaDead tracks records shipped ahead of their commit (replica mode
+	// only; see markReplicaDead). The replication applier serializes every
+	// access externally.
+	replicaDead map[uint64]bool
 
 	// hookMu guards commitHooks (see OnCommit; fired after every completed
 	// commit, used by the replication shipper) and artifactHooks (see
@@ -332,42 +343,32 @@ func newStore(cfg Config) *Store {
 		metrics:          newStoreMetrics(cfg.Metrics),
 	}
 	s.epochs.Instrument(cfg.Metrics)
-	s.epochs.InstrumentFlight(cfg.Flight, -1)
+	s.epochs.InstrumentFlight(cfg.Flight)
 	s.state.Store(packState(Rest, 1))
-	if n := cfg.Shards; n&(n-1) == 0 {
-		s.shardShift = 64 - uint(bits.Len(uint(n))-1)
-	}
 	return s
 }
 
-// shardConfig derives shard i's private configuration — its own device and a
-// 1/N share of the index and log-memory budgets. The metrics registry and the
-// checkpoint store are shared: blobName puts the shard in a blob's name.
-func (s *Store) shardConfig(i int) (Config, error) {
-	sc := s.cfg
-	sc.DeviceFactory = nil
-	if s.cfg.DeviceFactory != nil {
-		d, err := s.cfg.DeviceFactory(i)
-		if err != nil {
-			return Config{}, fmt.Errorf("faster: shard %d device: %w", i, err)
-		}
-		sc.Device = d
+// openData creates the store's empty log, registered with its epoch manager,
+// and its empty index.
+func (s *Store) openData() error {
+	l, err := hlog.New(hlog.Config{
+		PageBits: s.cfg.PageBits,
+		MemPages: s.cfg.MemPages,
+		Device:   s.cfg.Device,
+		Epochs:   s.epochs,
+		Metrics:  s.cfg.Metrics,
+		Flight:   s.cfg.Flight,
+	})
+	if err != nil {
+		return err
 	}
-	if sc.Device == nil {
-		sc.Device = storage.NewMemDevice()
+	if s.index, err = newIndex(s.cfg.IndexBuckets); err != nil {
+		l.Close()
+		return err
 	}
-	n := s.cfg.Shards
-	sc.IndexBuckets = shardShare(s.cfg.IndexBuckets, n, 64)
-	if sc.IndexBuckets&(sc.IndexBuckets-1) != 0 {
-		sc.IndexBuckets = 1 << bits.Len(uint(sc.IndexBuckets)) // non-power-of-two shard count: round up
-	}
-	sc.MemPages = shardShare(s.cfg.MemPages, n, hlog.MinMemPages)
-	return sc, nil
+	s.log = l
+	return nil
 }
-
-// shardShare is one shard's share of a store-wide budget split n ways: never
-// below floor, unless the whole budget is.
-func shardShare(total, n, floor int) int { return max(total/n, min(total, floor)) }
 
 // Open creates a Store ready for use at version 1.
 func Open(cfg Config) (*Store, error) {
@@ -375,17 +376,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := newStore(cfg)
-	for i := 0; i < cfg.Shards; i++ {
-		sc, err := s.shardConfig(i)
-		if err == nil {
-			var sh *shard
-			sh, err = openShard(sc, i, s.epochs, s.metrics)
-			if err == nil {
-				s.shards = append(s.shards, sh)
-				continue
-			}
-		}
-		s.Close()
+	if err := s.openData(); err != nil {
 		return nil, err
 	}
 	s.registerStoreGauges()
@@ -393,43 +384,26 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// registerStoreGauges exposes the state machine, the session count and
-// the shards' I/O queues, each once per store.
+// registerStoreGauges exposes the state machine, the session count and the
+// log's I/O queue.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
-	reg.GaugeFunc("faster_shards", func() int64 { return int64(len(s.shards)) })
 	reg.GaugeFunc("faster_version", func() int64 { return int64(s.Version()) })
 	reg.GaugeFunc("faster_phase", func() int64 { return int64(s.Phase()) })
 	reg.GaugeFunc("faster_sessions", func() int64 { return int64(s.SessionCount()) })
-	sum := func(f func(*shard) int64) func() int64 {
-		return func() (n int64) {
-			for _, sh := range s.shards {
-				n += f(sh)
-			}
-			return n
-		}
-	}
-	reg.GaugeFunc("storage_io_inflight", sum(func(sh *shard) int64 { return sh.log.IOPool().InFlight() }))
-	reg.GaugeFunc("storage_io_queue_depth", sum(func(sh *shard) int64 { return sh.log.IOPool().QueueDepth() }))
+	reg.GaugeFunc("storage_io_inflight", func() int64 { return s.log.IOPool().InFlight() })
+	reg.GaugeFunc("storage_io_queue_depth", func() int64 { return s.log.IOPool().QueueDepth() })
 }
 
 // Close shuts down background I/O. Outstanding sessions become invalid.
-func (s *Store) Close() {
-	for _, sh := range s.shards {
-		sh.log.Close()
-	}
-}
+func (s *Store) Close() { s.log.Close() }
 
-// shardOf routes a key hash to its shard. High bits are used so the
-// per-shard index distribution stays uniform (buckets select on low bits).
-func (s *Store) shardOf(hash uint64) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	if s.shardShift != 0 {
-		return int(hash >> s.shardShift)
-	}
-	return int((hash >> 32) % uint64(len(s.shards)))
+// isFuture reports whether a record of on-record version recVer at addr belongs
+// to v+1 relative to commit v. The 13-bit version alone says so of a record
+// written 8192·k commits earlier too; but a v+1 record is written only after
+// commit v began, so it lies at or above the commit's log_start.
+func (s *Store) isFuture(recVer uint16, addr uint64, v uint32) bool {
+	return recVer == recVersion(v+1) && addr >= s.futureFrom[v&1].Load()
 }
 
 // Phase returns the CPR phase. While a commit is writing its record (the
@@ -446,24 +420,18 @@ func (s *Store) Phase() Phase {
 // Version returns the current CPR version.
 func (s *Store) Version() uint32 { _, v := unpackState(s.state.Load()); return v }
 
-// NumShards reports the store's shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
+// Log exposes the store's HybridLog: its offsets for STATS, its durable bytes
+// for the replication shipper, diagnostics and experiments.
+func (s *Store) Log() *hlog.Log { return s.log }
 
-// Log exposes shard 0's HybridLog (diagnostics and experiments; the only
-// log of a single-shard store). See ShardLog for the others.
-func (s *Store) Log() *hlog.Log { return s.shards[0].log }
+// ShardLog returns the store's one log, for every i.
+//
+// Deprecated: use Log; it stays only until the benchmark module stops naming
+// it.
+func (s *Store) ShardLog(int) *hlog.Log { return s.log }
 
-// ShardLog exposes shard i's HybridLog.
-func (s *Store) ShardLog(i int) *hlog.Log { return s.shards[i].log }
-
-// LogBytes reports the total live log volume ([Begin, Tail)) across shards.
-func (s *Store) LogBytes() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += int64(sh.log.Tail() - sh.log.Begin())
-	}
-	return n
-}
+// LogBytes reports the live log volume ([Begin, Tail)).
+func (s *Store) LogBytes() int64 { return int64(s.log.Tail() - s.log.Begin()) }
 
 // Metrics returns the store's metrics registry (never nil after Open, though
 // it may be the nop registry).
@@ -478,11 +446,6 @@ func (s *Store) Flight() *obs.FlightRecorder { return s.cfg.Flight }
 
 // RequestTracer returns the store's request tracer (nil when not configured).
 func (s *Store) RequestTracer() *obs.RequestTracer { return s.cfg.ReqTrace }
-
-// ShardOfKey reports which shard serves key — the same route its operations
-// take. Surfaced so serving layers can annotate dispatch spans without
-// re-deriving the hash split.
-func (s *Store) ShardOfKey(key []byte) int { return s.shardOf(hashfn.Hash64(key)) }
 
 // DumpFlight snapshots the flight recorder and writes it — the JSON
 // obs.FlightDump, CRC-framed — as the artifact "flight-<reason>" in the
@@ -570,9 +533,7 @@ func (s *Store) noteCommitted(res CommitResult) {
 	s.mu.Unlock()
 }
 
-// registerLagGauges exposes the worst-case live durability lag. Registered at
-// store level for every shard count (the lag is a session property, not a
-// shard property).
+// registerLagGauges exposes the worst-case live durability lag.
 func (s *Store) registerLagGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_session_lag_ops_max", func() int64 {
@@ -586,7 +547,7 @@ func (s *Store) registerLagGauges() {
 }
 
 // OnCommitArtifact registers fn as a commit attachment: at every commit, once
-// every shard's capture is durable and before the commit record is written, fn is
+// the capture is durable and before the commit record is written, fn is
 // invoked with the commit's result and returns a name and a payload, which
 // become a section of the record (Attachment reads it back). An empty name
 // attaches nothing. An error from fn fails the commit with nothing on disk
@@ -600,7 +561,7 @@ func (s *Store) OnCommitArtifact(fn func(CommitResult) (name string, payload []b
 }
 
 // commitAttachments runs the registered attachment hooks for a commit whose
-// every shard's capture is durable and collects what they return.
+// capture is durable and collects what they return.
 func (s *Store) commitAttachments(res CommitResult) (map[string][]byte, error) {
 	s.hookMu.Lock()
 	hooks := s.artifactHooks

@@ -45,28 +45,3 @@ func TestCommittedTokenTracksCoveringCommit(t *testing.T) {
 			sess.CommittedSerial(), sess.Serial())
 	}
 }
-
-// TestShardOfKeyMatchesRouting: ShardOfKey agrees with the store's shard
-// count bounds and is stable per key.
-func TestShardOfKeyMatchesRouting(t *testing.T) {
-	store, err := Open(Config{Shards: 4, Metrics: obs.NewNop()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	seen := map[int]bool{}
-	for i := 0; i < 256; i++ {
-		key := []byte{byte(i), byte(i >> 4), 'k'}
-		sh := store.ShardOfKey(key)
-		if sh < 0 || sh >= store.NumShards() {
-			t.Fatalf("ShardOfKey(%v) = %d out of range", key, sh)
-		}
-		if again := store.ShardOfKey(key); again != sh {
-			t.Fatalf("ShardOfKey not stable: %d then %d", sh, again)
-		}
-		seen[sh] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("256 keys landed on %d shard(s); routing looks degenerate", len(seen))
-	}
-}

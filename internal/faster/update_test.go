@@ -57,11 +57,13 @@ var updateOutcomes = map[string][6][3]string{
 		regionDiskCopy: {"ok+rec", "ok+rec", "ok+rec"},
 		regionDiskCold: {"ok+rec", "pending+io", "ok+rec"},
 	},
-	// Single cells. A rest op of v+1 on a mutable record of v copies it: a
-	// session still in the last commit may be copying that record too. A
-	// coarse-grained v+1 op hands a safe-read-only v record off only once no v
-	// op can be pending.
-	"rest-older":                 {regionMutable: {"ok+rec", "ok+rec", "ok+rec"}},
+	// Single cells. A rest op of v+1 on a mutable record of v waits while
+	// another session's view is still of v — that session may be copying the
+	// record — and updates it in place once none is (settled). A coarse-grained
+	// v+1 op hands a safe-read-only v record off only once no v op can be
+	// pending.
+	"rest-older":                 {regionMutable: {"pending", "pending", "pending"}},
+	"rest-older-settled":         {regionMutable: {"ok", "ok", "ok"}},
 	"coarse-handoff-in-progress": {regionSafeRO: {"pending", "pending", "pending"}},
 	"coarse-handoff-wait-flush":  {regionSafeRO: {"ok+rec", "ok+rec", "ok+rec"}},
 }
@@ -113,8 +115,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	defer s.Close()
 	a := s.StartSession()
 	defer a.StopSession()
-	ctx := a.ctxs[0]
-	sh := ctx.store
+	sh := s
 	k := key(7)
 	h := hashfn.Hash64(k)
 
@@ -175,9 +176,15 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	case "future":
 		a.phase = InProgress
 		a.version-- // what the store holds is now one version ahead of the view
-	case "rest-older":
+	case "rest-older", "rest-older-settled":
 		a.version++ // the record is now one version behind the view
 		op.version = a.version
+		s.views[op.version&1].Add(1) // a's view, counted where it now is
+		s.views[(op.version-1)&1].Add(-1)
+		if path == "rest-older" {
+			lag := s.StartSession() // at rest in v: its view has not moved on
+			defer lag.StopSession()
+		}
 	case "coarse-handoff-in-progress", "coarse-handoff-wait-flush":
 		a.phase = InProgress
 		if path == "coarse-handoff-wait-flush" {
@@ -188,7 +195,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 
 	_, before := sh.index.probe(h, 0)
 	tail := sh.log.Tail()
-	st := ctx.dispatch(op)
+	st := a.dispatch(op)
 
 	// Undo the hand-set view before anything can fail the cell: the deferred
 	// StopSession and Close run against a store at rest.
@@ -199,10 +206,14 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	if ck != nil {
 		s.active.Store(nil)
 	}
+	if strings.HasPrefix(path, "rest-older") {
+		s.views[op.version&1].Add(-1)
+		s.views[(op.version-1)&1].Add(1)
+	}
 	a.phase, a.version = unpackState(s.state.Load())
 	if op.awaitingIO {
-		ctx.flushIO()
-		for ctx.ready.Load() == 0 { // the read was queued: its completion arrives
+		a.flushIO()
+		for a.ready.Load() == 0 { // the read was queued: its completion arrives
 			a.Refresh()
 		}
 	}

@@ -18,28 +18,19 @@ func skipVersions(s *Store, n uint32) {
 	s.state.Store(packState(Rest, s.Version()+n))
 }
 
-func newDevs(n int) []*storage.MemDevice {
-	devs := make([]*storage.MemDevice, n)
-	for i := range devs {
-		devs[i] = storage.NewMemDevice()
-	}
-	return devs
-}
-
 // TestVersionAliasPendingRead: during commit 8192 a read and an RMW of cold keys
 // last written at version 1 go pending in prepare and complete past it, where
 // the walk skips v+1 records. They must find the version-1 records: the read
 // its value, not NotFound, and the RMW the counter, not a fresh one.
 func TestVersionAliasPendingRead(t *testing.T) {
-	n := testShardCount(1)
-	s, err := Open(configOver(n, newDevs(n), storage.NewMemCheckpointStore()))
+	s, err := Open(configOver(storage.NewMemDevice(), storage.NewMemCheckpointStore()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	sess := s.StartSession()
 	defer sess.StopSession()
-	for k := uint64(0); k < 4000*uint64(n); k++ { // 96 KiB of records per shard, 32 KiB of frames
+	for k := uint64(0); k < 4000; k++ { // 96 KiB of records, 32 KiB of frames
 		if st := sess.Upsert(key(k), u64(k+1)); st == Pending {
 			sess.CompletePending(true)
 		}
@@ -77,9 +68,8 @@ func TestVersionAliasPendingRead(t *testing.T) {
 // the version its v+1 aliases. Recovery must take those records as
 // committed, not unwind them.
 func TestVersionAliasRecovery(t *testing.T) {
-	n := testShardCount(1)
-	devs, ckpts := newDevs(n), storage.NewMemCheckpointStore()
-	s, err := Open(configOver(n, devs, ckpts))
+	dev, ckpts := storage.NewMemDevice(), storage.NewMemCheckpointStore()
+	s, err := Open(configOver(dev, ckpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +95,7 @@ func TestVersionAliasRecovery(t *testing.T) {
 	}
 	sess.StopSession()
 	s.Close()
-	r, err := Recover(configOver(n, devs, ckpts))
+	r, err := Recover(configOver(dev, ckpts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,8 @@ import (
 // commit has been in its phase is what separates a parked commit from a busy
 // commit loop caught in the same phase twice.
 //
-// Each detector reads its inputs by name. A store registers every name once
-// at any shard count — one epoch table, one state machine, and store-level
-// gauges summed over the shards — so one name is one signal.
+// Each detector reads its inputs by name. A store registers every name once —
+// one epoch table, one state machine, one log — so one name is one signal.
 
 // cprPhaseNames mirrors the faster package's phase encoding for detail
 // strings (health must not import faster: faster is free to import health's

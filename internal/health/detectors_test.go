@@ -63,8 +63,8 @@ func TestEpochDrainStuck(t *testing.T) {
 	// The epoch table is the store's, whatever its shard count: a 4-shard
 	// store's stall reads the same names.
 	if bad, _ := pair(t, checkEpochDrainStuck,
-		map[string]int64{"faster_shards": 4, "epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
-		map[string]int64{"faster_shards": 4, "epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
+		map[string]int64{"epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
+		map[string]int64{"epoch_pending_drains": 1, "epoch_current": 9, "epoch_safe": 3},
 		nil, nil); !bad {
 		t.Fatal("stall of a sharded store not detected")
 	}
@@ -136,8 +136,8 @@ func TestCommitStuck(t *testing.T) {
 
 	// A partitioned store commits every shard under one state machine: one
 	// faster_phase gauge, parked as a whole.
-	prev := mkSample(0, map[string]int64{"faster_shards": 2, "faster_phase": 4, "faster_version": 2}, nil)
-	cur := mkSample(1000*ms, map[string]int64{"faster_shards": 2, "faster_phase": 4, "faster_version": 2}, nil)
+	prev := mkSample(0, map[string]int64{"faster_phase": 4, "faster_version": 2}, nil)
+	cur := mkSample(1000*ms, map[string]int64{"faster_phase": 4, "faster_version": 2}, nil)
 	if bad, detail := newCommitStuckCheck()(prev, cur); !bad || !strings.Contains(detail, "wait-flush") {
 		t.Fatalf("parked 2-shard store: bad = %v, detail %q", bad, detail)
 	}

@@ -24,6 +24,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // for a mutable region, a fuzzy region and at least one flushing frame.
 const MinMemPages = 4
 
+// mutableFraction is the share of in-memory pages kept mutable, as in the
+// paper's setup.
+const mutableFraction = 0.9
+
 // ioWorkers sizes the log's async I/O pool.
 const ioWorkers = 4
 
@@ -33,9 +37,6 @@ type Config struct {
 	PageBits uint
 	// MemPages is the number of in-memory page frames (default 16).
 	MemPages int
-	// MutableFraction is the fraction of in-memory pages kept mutable
-	// (default 0.9, as in the paper's setup).
-	MutableFraction float64
 	// Device stores flushed/evicted pages. Required.
 	Device storage.Device
 	// Epochs is the epoch manager, shared by every log of a store. Required.
@@ -43,10 +44,9 @@ type Config struct {
 	// Metrics, when non-nil, receives the log's instrumentation (region
 	// offsets, flush volume/latency, async reads) and the I/O pool's.
 	Metrics *obs.Registry
-	// Flight, when non-nil, receives flush and page-CRC flight events tagged
-	// with FlightShard (the store partition the log belongs to).
-	Flight      *obs.FlightRecorder
-	FlightShard int
+	// Flight, when non-nil, receives flush and page-CRC flight events (on
+	// lane 0, the log's).
+	Flight *obs.FlightRecorder
 }
 
 func (c *Config) fill() error {
@@ -61,12 +61,6 @@ func (c *Config) fill() error {
 	}
 	if c.MemPages < MinMemPages {
 		return fmt.Errorf("hlog: MemPages %d too small (min %d)", c.MemPages, MinMemPages)
-	}
-	if c.MutableFraction == 0 {
-		c.MutableFraction = 0.9
-	}
-	if c.MutableFraction <= 0 || c.MutableFraction >= 1 {
-		return fmt.Errorf("hlog: MutableFraction %v out of (0,1)", c.MutableFraction)
 	}
 	if c.Device == nil {
 		return fmt.Errorf("hlog: Device is required")
@@ -151,7 +145,7 @@ func New(cfg Config) (*Log, error) {
 		pageMask: 1<<cfg.PageBits - 1,
 	}
 	l.begin.Store(FirstAddress)
-	mutablePages := int(float64(cfg.MemPages) * cfg.MutableFraction)
+	mutablePages := int(float64(cfg.MemPages) * mutableFraction)
 	if mutablePages < 1 {
 		mutablePages = 1
 	}
@@ -495,7 +489,7 @@ func (l *Log) completeSegment(seg *flushSegment) {
 	if l.flushNs != nil {
 		l.flushNs.Observe(lat)
 	}
-	l.cfg.Flight.Emit(obs.FlightFlush, l.cfg.FlightShard, 0, "", "",
+	l.cfg.Flight.Emit(obs.FlightFlush, 0, 0, "", "",
 		seg.to-seg.from, uint64(lat.Nanoseconds()))
 	l.durableMu.Lock()
 	seg.done = true
@@ -538,7 +532,7 @@ func (l *Log) absorbSegment(seg *flushSegment) {
 		if l.crcNext == pageEnd {
 			if !l.crcTainted {
 				l.pageCRCs[l.page(pageEnd-1)] = l.crcRun
-				l.cfg.Flight.Emit(obs.FlightPageCRC, l.cfg.FlightShard, 0, "", "",
+				l.cfg.Flight.Emit(obs.FlightPageCRC, 0, 0, "", "",
 					l.page(pageEnd-1), uint64(l.crcRun))
 			}
 			l.crcRun = 0
@@ -555,8 +549,8 @@ type PageCRC struct {
 }
 
 // PageChecksums returns the checksums of every fully-flushed page this Log
-// has observed, sorted by page number. A commit persists them in its shard's
-// section of the commit record; recovery verifies the device against them.
+// has observed, sorted by page number. A commit persists them in its commit
+// record; recovery verifies the device against them.
 func (l *Log) PageChecksums() []PageCRC {
 	l.durableMu.Lock()
 	out := make([]PageCRC, 0, len(l.pageCRCs))

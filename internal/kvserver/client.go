@@ -365,8 +365,8 @@ func (c *Client) Trace(n int) (obs.TraceDump, error) {
 	return dump, err
 }
 
-// Stats fetches the server's introspection snapshot: store state, each
-// shard's HybridLog offsets, the full metrics registry and, when the server
+// Stats fetches the server's introspection snapshot: store state, the
+// HybridLog's offsets, the full metrics registry and, when the server
 // runs a health engine, its verdict.
 func (c *Client) Stats() (StatsSnapshot, error) {
 	var snap StatsSnapshot

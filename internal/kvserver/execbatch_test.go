@@ -182,22 +182,18 @@ func TestBatchExecClock(t *testing.T) {
 func TestFailedParkedWriteRepliesError(t *testing.T) {
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 1})
 	cfg := smallCfg()
-	cfg.DeviceFactory = func(int) (storage.Device, error) {
-		return storage.NewFaultDevice(storage.NewMemDevice(), inj), nil
-	}
+	cfg.Device = storage.NewFaultDevice(storage.NewMemDevice(), inj)
 	_, addr, store := startServer(t, cfg)
 	sess := store.StartSession()
-	n := uint64(20000 * store.NumShards()) // several times what one shard's frames hold
+	n := uint64(20000) // several times what the frames hold
 	for k := uint64(0); k < n; k++ {
 		if st := sess.Upsert(u64(k), u64(k)); st == faster.Pending {
 			sess.CompletePending(true)
 		}
 	}
 	sess.StopSession()
-	for i := 0; i < store.NumShards(); i++ {
-		log := store.ShardLog(i)
-		log.WaitDurable(log.SafeReadOnly()) // no flush in flight when the device dies
-	}
+	log := store.Log()
+	log.WaitDurable(log.SafeReadOnly()) // no flush in flight when the device dies
 	c, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package kvserver
 
 import (
 	"encoding/binary"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -51,17 +49,9 @@ func serveAsync(srv *Server, addr string) (struct{}, error) {
 	return struct{}{}, nil
 }
 
-// smallCfg honors FASTER_TEST_SHARDS (CI's sharded job) so the whole server
-// suite also runs against a partitioned store.
+// smallCfg is the store the server suite runs against.
 func smallCfg() faster.Config {
-	cfg := faster.Config{IndexBuckets: 1 << 8, PageBits: 14, MemPages: 8}
-	if v := os.Getenv("FASTER_TEST_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			cfg.Shards = n
-			cfg.MemPages = 8 * n
-		}
-	}
-	return cfg
+	return faster.Config{IndexBuckets: 1 << 8, PageBits: 14, MemPages: 8}
 }
 
 func u64(v uint64) []byte {
@@ -203,20 +193,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestServerRestartResumeSession(t *testing.T) {
 	cfg := smallCfg()
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	devs := make([]*storage.MemDevice, shards)
-	for i := range devs {
-		devs[i] = storage.NewMemDevice()
-	}
-	if cfg.Shards > 1 {
-		cfg.DeviceFactory = func(i int) (storage.Device, error) { return devs[i], nil }
-	} else {
-		cfg.Device = devs[0]
-	}
-	cfg.Checkpoints = storage.NewMemCheckpointStore()
+	cfg.Device, cfg.Checkpoints = storage.NewMemDevice(), storage.NewMemCheckpointStore()
 
 	srv, addr, store := startServer(t, cfg)
 	c, err := Dial(addr, "")
@@ -324,23 +301,15 @@ func TestStats(t *testing.T) {
 	if got := stats.Metrics.Counters["faster_upserts_total"]; got != 1 {
 		t.Fatalf("faster_upserts_total = %d, want 1", got)
 	}
-	// One entry per shard at every shard count, each the offsets of its log
-	// in region order.
-	if len(stats.Shards) != store.NumShards() {
-		t.Fatalf("snapshot has %d shard entries, want %d", len(stats.Shards), store.NumShards())
+	// The log's offsets, in region order.
+	ls, lg := stats.Log, store.Log()
+	if ls.Tail != lg.Tail() || ls.Head != lg.Head() || ls.Begin != lg.Begin() {
+		t.Fatalf("log offsets %+v, want tail %d head %d begin %d", ls, lg.Tail(), lg.Head(), lg.Begin())
 	}
-	var tails uint64
-	for i, ss := range stats.Shards {
-		lg := store.ShardLog(i)
-		if ss.Tail != lg.Tail() || ss.Head != lg.Head() || ss.Begin != lg.Begin() {
-			t.Fatalf("shard %d: %+v, want tail %d head %d begin %d", i, ss, lg.Tail(), lg.Head(), lg.Begin())
-		}
-		if !(ss.Begin <= ss.Head && ss.Head <= ss.SafeReadOnly && ss.SafeReadOnly <= ss.ReadOnly && ss.ReadOnly <= ss.Tail) {
-			t.Fatalf("shard %d offsets out of region order: %+v", i, ss)
-		}
-		tails += ss.Tail - ss.Begin
+	if !(ls.Begin <= ls.Head && ls.Head <= ls.SafeReadOnly && ls.SafeReadOnly <= ls.ReadOnly && ls.ReadOnly <= ls.Tail) {
+		t.Fatalf("log offsets out of region order: %+v", ls)
 	}
-	if tails == 0 {
-		t.Fatal("no shard's log holds the write")
+	if ls.Tail == ls.Begin {
+		t.Fatal("the log does not hold the write")
 	}
 }

@@ -72,14 +72,14 @@ const (
 
 // StatsVersion is the current StatsSnapshot schema version; bump on any
 // incompatible change so clients can reject snapshots they do not understand.
-// Version 2 dropped ShardStats' version and phase: a store has one state
-// machine, so they always equal the top-level ones. Version 3 carries log
-// offsets only in Shards, one entry per shard at every shard count, with all
-// six of a HybridLog's offsets.
-const StatsVersion = 3
+// Version 2 dropped the shard entries' version and phase: a store has one
+// state machine, so they always equal the top-level ones. Version 3 carried log
+// offsets only in a "shards" array, one entry per shard. Version 4 carries
+// them in "log": a store has one log.
+const StatsVersion = 4
 
 // StatsSnapshot is the OpStats response payload: a versioned JSON document
-// carrying store state, each shard's HybridLog offsets, and the full metrics
+// carrying store state, the HybridLog's offsets, and the full metrics
 // registry — with FLIGHT and TRACE, everything `fasterctl why` shows.
 type StatsSnapshot struct {
 	V        uint32       `json:"v"`
@@ -87,9 +87,8 @@ type StatsSnapshot struct {
 	Phase    string       `json:"phase"`
 	Sessions int          `json:"sessions"`
 	Metrics  obs.Snapshot `json:"metrics"`
-	// Shards carries each shard's log offsets, in shard order (one entry on
-	// an unsharded store).
-	Shards []ShardStats `json:"shards"`
+	// Log carries the HybridLog's offsets.
+	Log LogStats `json:"log"`
 	// Repl carries replication state when the server participates in
 	// replication (absent otherwise).
 	Repl *ReplStats `json:"repl,omitempty"`
@@ -114,15 +113,15 @@ type ReplStats struct {
 	// VersionsBehind is the primary's latest committed version minus
 	// AppliedVersion (0 on a primary).
 	VersionsBehind uint32 `json:"versions_behind"`
-	// BytesBehind is the log volume (across shards) the primary has made
+	// BytesBehind is the log volume the primary has made
 	// durable but the replica has not yet received.
 	BytesBehind uint64 `json:"bytes_behind"`
 }
 
-// ShardStats is one shard's slice of a StatsSnapshot: its HybridLog's
-// offsets, from the log's begin to its tail (Sec. 5.1's regions: on the
-// device below head, read-only up to read_only, mutable above it).
-type ShardStats struct {
+// LogStats is the StatsSnapshot "log" block: the HybridLog's offsets, from
+// its begin to its tail (Sec. 5.1's regions: on the device below head,
+// read-only up to read_only, mutable above it).
+type LogStats struct {
 	Begin        uint64 `json:"begin"`
 	Head         uint64 `json:"head"`
 	SafeReadOnly uint64 `json:"safe_read_only"`

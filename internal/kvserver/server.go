@@ -513,7 +513,7 @@ func (s *Server) dispatchOp(cs *connState, sess *faster.Session, op byte, payloa
 			}
 		}
 		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
+		at.Span(obs.SpanDecode, tRecv, tDec, 0, 0, "")
 		out, status := s.execData(cs, sess, op, key, val)
 		frame := cs.openReply(op, status)
 		if op == OpGet {
@@ -651,9 +651,9 @@ func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val
 }
 
 // execBatch serves one BATCH frame: ops are decoded arena-style from the
-// frame buffer, scattered to shards through the session's hash router in
-// issue order, and their replies gathered in the same order into the reused
-// reply buffer; the in-memory steady state allocates nothing per op. The clock
+// frame buffer, issued in order, and their replies gathered in the same order
+// into the reused reply buffer; the in-memory steady state allocates nothing
+// per op. The clock
 // is read once before the ops and once after them (faster_op_exec_ns takes the
 // ops at their mean in one update), between them only for exec spans while the
 // trace has room; a read after the first is one vDSO call (time.Since), not
@@ -777,13 +777,10 @@ func (s *Server) writeStats(w io.Writer, store *faster.Store) error {
 		Phase:    store.Phase().String(),
 		Sessions: store.SessionCount(),
 		Metrics:  store.Metrics().Snapshot(),
-		Shards:   make([]ShardStats, store.NumShards()),
 	}
-	for i := range snap.Shards {
-		lg := store.ShardLog(i)
-		snap.Shards[i] = ShardStats{Begin: lg.Begin(), Head: lg.Head(), SafeReadOnly: lg.SafeReadOnly(),
-			ReadOnly: lg.ReadOnly(), Durable: lg.Durable(), Tail: lg.Tail()}
-	}
+	lg := store.Log()
+	snap.Log = LogStats{Begin: lg.Begin(), Head: lg.Head(), SafeReadOnly: lg.SafeReadOnly(),
+		ReadOnly: lg.ReadOnly(), Durable: lg.Durable(), Tail: lg.Tail()}
 	if s.ReplStats != nil {
 		snap.Repl = s.ReplStats()
 	}

@@ -35,9 +35,8 @@ func buildRevision() string {
 // RegisterBuildInfo registers the faster_build_info info metric: a constant
 // gauge of value 1 whose labels identify the running binary — version (the
 // linker-stamped BuildVersion, falling back to the VCS revision), the Go
-// toolchain, and any caller-supplied extras (e.g. shards). Call it once per
-// process at startup.
-func RegisterBuildInfo(r *Registry, extra map[string]string) {
+// toolchain. Call it once per process at startup.
+func RegisterBuildInfo(r *Registry) {
 	if r == nil {
 		return
 	}
@@ -48,9 +47,6 @@ func RegisterBuildInfo(r *Registry, extra map[string]string) {
 	labels := map[string]string{
 		"version": version,
 		"go":      runtime.Version(),
-	}
-	for k, v := range extra {
-		labels[k] = v
 	}
 	r.Info("faster_build_info", labels)
 	r.SetHelp("faster_build_info", "Build and runtime identity of this process (constant 1).")

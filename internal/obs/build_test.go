@@ -45,18 +45,15 @@ func TestInfoPrometheusRendering(t *testing.T) {
 
 func TestRegisterBuildInfo(t *testing.T) {
 	r := NewRegistry()
-	RegisterBuildInfo(r, map[string]string{"shards": "4"})
+	RegisterBuildInfo(r)
 	labels := r.Snapshot().Infos["faster_build_info"]
 	if labels == nil {
 		t.Fatal("faster_build_info not registered")
 	}
-	for _, k := range []string{"version", "go", "shards"} {
+	for _, k := range []string{"version", "go"} {
 		if labels[k] == "" {
 			t.Errorf("label %q empty: %v", k, labels)
 		}
-	}
-	if labels["shards"] != "4" {
-		t.Errorf("extra label not merged: %v", labels)
 	}
 }
 

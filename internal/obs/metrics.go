@@ -1,6 +1,6 @@
 // Package obs is the repository's unified observability layer: a
 // dependency-free (stdlib-only) metrics registry with one flat namespace (a
-// store registers each name once, whatever its shard count), the flight
+// store registers each name once), the flight
 // recorder that is the one writer of commit-lifecycle events (flight.go) with
 // the CPR phase timeline computed from it (tracer.go), the request tracer's
 // tail-sampled span trees (reqtrace.go) and the Prometheus exposition with

@@ -13,8 +13,8 @@ import (
 // Request tracing is the third leg of the observability layer, next to the
 // metrics registry (aggregates) and the flight recorder (causal commit
 // timeline): a request-scoped span API that decomposes one client operation's
-// latency into the hops of its life — client issue, frame decode/queue, shard
-// dispatch, FASTER execute, durability wait, replication wait, response
+// latency into the hops of its life — client issue, frame decode/queue,
+// FASTER execute, durability wait, replication wait, response
 // write. Spans carry a trace ID propagated over the kvserver wire protocol
 // (a frame's optional trace field), so the client's round-trip and the
 // server's hop decomposition join into one tree.
@@ -50,8 +50,8 @@ const (
 	// plus server accept/read queueing. Requires the client's issue timestamp
 	// from the frame's trace field.
 	SpanQueue
-	// SpanDecode covers payload decode plus shard-route computation. Arg1 is
-	// the target shard.
+	// SpanDecode covers payload decode. Arg1 is a BATCH's op count (0 for a
+	// single op).
 	SpanDecode
 	// SpanExec covers the FASTER operation, including pending completion.
 	// Arg1 is the operation serial.

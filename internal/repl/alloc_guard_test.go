@@ -18,21 +18,21 @@ import (
 // twice the chunk per frame (a read buffer, then the payload copied from it)
 // and the replica a buffer per frame.
 func TestShipApplyAllocFree(t *testing.T) {
-	primary, err := faster.Open(testConfig(1))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	sess := primary.StartSession()
 	val := make([]byte, 96)
-	for i := uint64(0); primary.ShardLog(0).Tail() < 64+4*chunkSize; i++ {
+	for i := uint64(0); primary.Log().Tail() < 64+4*chunkSize; i++ {
 		if st := sess.Upsert(key(i), val); st != faster.Ok {
 			t.Fatalf("upsert %d: %v", i, st)
 		}
 	}
 	commitWait(t, primary, sess)
 	sess.StopSession()
-	durable := primary.ShardLog(0).Durable()
+	durable := primary.Log().Durable()
 	chunks := int((durable - 64 + chunkSize - 1) / chunkSize)
 	if chunks < 4 {
 		t.Fatalf("only %d bytes durable: %d chunks", durable, chunks)
@@ -42,11 +42,11 @@ func TestShipApplyAllocFree(t *testing.T) {
 	rep := idleReplica(t, storage.NewMemCheckpointStore())
 	conn := &shipConn{Conn: &pipeConn{}}
 	var rbuf []byte
-	sent := make([]uint64, 1)
+	var sent uint64
 	var bad error
 	allocs := testing.AllocsPerRun(10, func() {
-		sent[0] = 64
-		if err := srv.shipTail(conn, sent); err != nil {
+		sent = 64
+		if err := srv.shipTail(conn, &sent); err != nil {
 			bad = err
 		}
 		for i := 0; i < chunks; i++ {
@@ -58,8 +58,8 @@ func TestShipApplyAllocFree(t *testing.T) {
 	if bad != nil {
 		t.Fatalf("ship/apply failed inside guard loop: %v", bad)
 	}
-	if sent[0] != durable || rep.have[0] != durable {
-		t.Fatalf("shipped to %d, staged to %d, durable %d", sent[0], rep.have[0], durable)
+	if sent != durable || rep.have != durable {
+		t.Fatalf("shipped to %d, staged to %d, durable %d", sent, rep.have, durable)
 	}
 	if allocs != 0 {
 		t.Fatalf("ship + apply of %d chunks: %.1f allocs, want 0 per chunk", chunks, allocs)

@@ -35,8 +35,7 @@ func startKV(t *testing.T, srv *kvserver.Server) string {
 // dies, the replica is promoted, and the client reconnects with its session
 // ID — learning a prefix-consistent CPR point and resuming writes.
 func TestFailoverEndToEnd(t *testing.T) {
-	shards := testShards()
-	primary, err := faster.Open(testConfig(shards))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	rsrv.ClientAddr = kvAddr
 	replAddr := startServer(t, rsrv)
 
-	rep, err := NewReplica(Config{Upstream: replAddr, StoreConfig: testConfig(shards)})
+	rep, err := NewReplica(Config{Upstream: replAddr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,8 @@ import (
 // replica must install the fold-over commits only, and every read must equal
 // the value at the commit it installed.
 func TestReplicaSkipsSnapshotCommits(t *testing.T) {
-	shards := testShards()
-	pcfg, rcfg := testConfig(shards), testConfig(shards)
-	pcfg.MemPages = 64 * shards
+	pcfg, rcfg := testConfig(), testConfig()
+	pcfg.MemPages = 64
 	pcfg.IndexBuckets, rcfg.IndexBuckets = 1<<14, 1<<14
 	primary, err := faster.Open(pcfg)
 	if err != nil {
@@ -103,26 +102,16 @@ func TestReplicaSkipsSnapshotCommits(t *testing.T) {
 		}
 		res := commitWith(t, primary, sess, faster.CommitOptions{Kind: &snapshot})
 		committed[res.Version] = slices.Clone(cur)
-		ends := make([]uint64, shards)
-		for i := range ends {
-			ends[i] = primary.ShardLog(i).Tail()
-		}
+		end := primary.Log().Tail()
 		writeAll(uint64(round)<<32 | 1<<31) // in place, in the captured region
-		for i := 0; i < shards; i++ {
-			for primary.ShardLog(i).Durable() < ends[i] {
-				upsert(filler, fill)
-				filler++
-			}
+		for primary.Log().Durable() < end {
+			upsert(filler, fill)
+			filler++
 		}
 		shipped := func() bool {
 			rep.mu.RLock()
 			defer rep.mu.RUnlock()
-			for i := range ends {
-				if rep.have[i] < ends[i] {
-					return false
-				}
-			}
-			return true
+			return rep.have >= end
 		}
 		for deadline := time.Now().Add(30 * time.Second); !shipped(); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -156,7 +145,7 @@ func TestArtifactStreamMemory(t *testing.T) {
 		}
 		return cs
 	}
-	pcfg := testConfig(1)
+	pcfg := testConfig()
 	pcfg.Checkpoints = dirStore("primary")
 	primary, err := faster.Open(pcfg)
 	if err != nil {
@@ -193,7 +182,7 @@ func TestArtifactStreamMemory(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	rcfg := testConfig(1)
+	rcfg := testConfig()
 	rcfg.Checkpoints = dirStore("replica")
 	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: rcfg, ReconnectEvery: 5 * time.Millisecond,
 		Logger: log.New(io.Discard, "", 0)})

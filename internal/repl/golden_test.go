@@ -46,15 +46,15 @@ func expectBytes(t *testing.T, r io.Reader, what string, want []byte) {
 	}
 }
 
-// goldReplicaHello is what a fresh one-shard replica opens with: applied
-// version 0, one shard, device coverage up to the log's first address.
-var goldReplicaHello = golden(17, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0)
+// goldReplicaHello is what a fresh replica opens with: applied version 0,
+// device coverage up to the log's first address.
+var goldReplicaHello = golden(13, 0, 0, 0, 1, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0)
 
 // TestGoldenPrimaryBytes: a primary holding one commit answers a spelled-out
 // hello with welcome, one chunk, the commit's artifacts and the announcement,
 // every frame u32 length | u8 opcode | payload, little-endian, in that order.
 func TestGoldenPrimaryBytes(t *testing.T) {
-	primary, err := faster.Open(testConfig(1))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGoldenPrimaryBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := primary.ShardLog(0)
+	lg := primary.Log()
 	durable := lg.Durable()
 	raw := make([]byte, durable-64)
 	if err := lg.ReadRaw(64, raw); err != nil {
@@ -90,12 +90,11 @@ func TestGoldenPrimaryBytes(t *testing.T) {
 	if _, err := conn.Write(goldReplicaHello); err != nil {
 		t.Fatal(err)
 	}
-	// opWelcome: client address, latest version, shards, then begin | start |
-	// durable per shard.
-	expectBytes(t, conn, "welcome", golden(38, 0, 0, 0, 2, 3, 0, "c:1", info.Version, 1, 0, 0, 0,
+	// opWelcome: client address, latest version, then begin | start | durable.
+	expectBytes(t, conn, "welcome", golden(34, 0, 0, 0, 2, 3, 0, "c:1", info.Version,
 		uint64(64), uint64(64), durable))
-	// opChunk: shard, offset, the log's bytes.
-	expectBytes(t, conn, "chunk", golden(uint32(1+4+8+len(raw)), 3, 0, 0, 0, 0, uint64(64), raw))
+	// opChunk: offset, the log's bytes.
+	expectBytes(t, conn, "chunk", golden(uint32(1+8+len(raw)), 3, uint64(64), raw))
 	// opArtifact: name, then the payload's bytes (one piece each here, they
 	// are small), then name alone: the end, sent once the envelope verified.
 	for _, name := range info.Artifacts {
@@ -106,15 +105,15 @@ func TestGoldenPrimaryBytes(t *testing.T) {
 		expectBytes(t, conn, "artifact "+name, golden(uint32(1+2+len(name)+len(data)), 4, len(name), 0, name, data))
 		expectBytes(t, conn, "end of "+name, golden(uint32(1+2+len(name)), 4, len(name), 0, name))
 	}
-	// opCommit: token, version, shards, then each shard's end.
-	expectBytes(t, conn, "commit", golden(uint32(1+2+len(res.Token)+4+4+8), 5,
-		len(res.Token), 0, res.Token, info.Version, 1, 0, 0, 0, info.ShardEnds[0]))
+	// opCommit: token, version, end.
+	expectBytes(t, conn, "commit", golden(uint32(1+2+len(res.Token)+4+8), 5,
+		len(res.Token), 0, res.Token, info.Version, info.End))
 }
 
 // TestGoldenReplicaBytes: a fresh replica sends the spelled-out hello, and
 // reads a spelled-out opError frame for what it says. On its next connection
 // it takes a spelled-out welcome, stores an artifact shipped in two pieces and
-// an end, and reads the end a commit announces for its shard.
+// an end, and reads the end a commit announces.
 func TestGoldenReplicaBytes(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -122,7 +121,7 @@ func TestGoldenReplicaBytes(t *testing.T) {
 	}
 	defer ln.Close()
 	logged := make(logLines, 1)
-	rep, err := NewReplica(Config{Upstream: ln.Addr().String(), StoreConfig: testConfig(1),
+	rep, err := NewReplica(Config{Upstream: ln.Addr().String(), StoreConfig: testConfig(),
 		ReconnectEvery: time.Millisecond, Logger: log.New(logged, "", 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -150,21 +149,21 @@ func TestGoldenReplicaBytes(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	expectBytes(t, conn, "replica hello", goldReplicaHello)
 	for _, frame := range [][]byte{
-		// opWelcome: client address c:1, version 0, one shard at begin 64,
-		// start 64, durable 64.
-		golden(38, 0, 0, 0, 2, 3, 0, "c:1", uint32(0), 1, 0, 0, 0, uint64(64), uint64(64), uint64(64)),
+		// opWelcome: client address c:1, version 0, begin 64, start 64,
+		// durable 64.
+		golden(34, 0, 0, 0, 2, 3, 0, "c:1", uint32(0), uint64(64), uint64(64), uint64(64)),
 		golden(10, 0, 0, 0, 4, 1, 0, "x", "hello,"),
 		golden(10, 0, 0, 0, 4, 1, 0, "x", " world"),
 		golden(4, 0, 0, 0, 4, 1, 0, "x"),
-		// opCommit: token t1, version 1, one shard ending at 65: a byte past
-		// what the replica has staged.
-		golden(21, 0, 0, 0, 5, 2, 0, "t1", uint32(1), 1, 0, 0, 0, uint64(65)),
+		// opCommit: token t1, version 1, ending at 65: a byte past what the
+		// replica has staged.
+		golden(17, 0, 0, 0, 5, 2, 0, "t1", uint32(1), uint64(65)),
 	} {
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expectLogged(t, logged, "commit t1 needs shard 0 bytes to 65, staged 64")
+	expectLogged(t, logged, "commit t1 needs bytes to 65, staged 64")
 	if got, err := storage.ReadArtifactChecked(rep.Store().Checkpoints(), "x"); err != nil || string(got) != "hello, world" {
 		t.Fatalf("artifact x holds %q (err=%v)", got, err)
 	}

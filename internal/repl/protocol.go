@@ -18,16 +18,16 @@ package repl
 
 // Opcodes.
 const (
-	// opHello (replica→primary): u32 appliedVersion | u32 shards |
-	// shards × u64 have (per-shard device coverage watermark).
+	// opHello (replica→primary): u32 appliedVersion | u64 have (the
+	// replica's device coverage watermark).
 	opHello byte = 1
 	// opWelcome (primary→replica): string clientAddr | u32 latestVersion |
-	// u32 shards | shards × (u64 begin | u64 start | u64 durable). start is
+	// u64 begin | u64 start | u64 durable. start is
 	// the offset the primary will stream from; a replica with a larger
 	// watermark rewinds (the primary re-ships state its own recovery
 	// rewrote).
 	opWelcome byte = 2
-	// opChunk (primary→replica): u32 shard | u64 offset | raw log bytes.
+	// opChunk (primary→replica): u64 offset | raw log bytes.
 	opChunk byte = 3
 	// opArtifact (primary→replica): string name | bytes. An artifact is its
 	// payload in consecutive frames of at most chunkSize bytes, then one frame
@@ -36,12 +36,12 @@ const (
 	// bytes as they arrive through storage.WriteArtifactStream, so its copy
 	// has the primary's envelope, and publishes it at the empty frame only.
 	opArtifact byte = 4
-	// opCommit (primary→replica): string token | u32 version | u32 shards |
-	// shards × u64 end. Every artifact and every log byte the commit needs
-	// precedes this frame on the stream: each shard's log up to its end.
+	// opCommit (primary→replica): string token | u32 version | u64 end. Every
+	// artifact and every log byte the commit needs precedes this frame on the
+	// stream: the log up to its end.
 	opCommit byte = 5
-	// opTail (primary→replica): u32 latestVersion | u32 shards |
-	// shards × u64 durable. Heartbeat + lag accounting.
+	// opTail (primary→replica): u32 latestVersion | u64 durable. Heartbeat +
+	// lag accounting.
 	opTail byte = 6
 	// opError (either direction): string message. The connection closes.
 	opError byte = 7

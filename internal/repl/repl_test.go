@@ -3,8 +3,6 @@ package repl
 import (
 	"encoding/binary"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,26 +14,14 @@ import (
 	"repro/internal/wire"
 )
 
-// testShards honors FASTER_TEST_SHARDS like the faster package's tests, so CI
-// exercises replication of both the unsharded and the partitioned store.
-func testShards() int {
-	if v := os.Getenv("FASTER_TEST_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-func testConfig(shards int) faster.Config {
+// testConfig is a store of eight 16 KiB pages, two of them read-only.
+func testConfig() faster.Config {
 	return faster.Config{
-		Shards:          shards,
-		IndexBuckets:    1 << 10,
-		PageBits:        14,
-		MemPages:        8 * shards,
-		MutableFraction: 0.5,
-		DeviceFactory:   func(int) (storage.Device, error) { return storage.NewMemDevice(), nil },
-		Checkpoints:     storage.NewMemCheckpointStore(),
+		IndexBuckets: 1 << 10,
+		PageBits:     14,
+		MemPages:     8,
+		Device:       storage.NewMemDevice(),
+		Checkpoints:  storage.NewMemCheckpointStore(),
 	}
 }
 
@@ -116,7 +102,7 @@ func waitApplied(t *testing.T, r *Replica, v uint32) {
 // TestReplicationBasic: committed writes become readable on the replica;
 // uncommitted writes never do.
 func TestReplicationBasic(t *testing.T) {
-	primary, err := faster.Open(testConfig(testShards()))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +111,7 @@ func TestReplicationBasic(t *testing.T) {
 	addr := startServer(t, srv)
 	defer srv.Close()
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(testShards())})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +166,7 @@ func TestReplicationBasic(t *testing.T) {
 // CPR point — i.e. the replica's state is exactly a committed prefix of each
 // session's operation sequence, never a torn middle.
 func TestReplicaPrefixConsistency(t *testing.T) {
-	shards := testShards()
-	primary, err := faster.Open(testConfig(shards))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +175,7 @@ func TestReplicaPrefixConsistency(t *testing.T) {
 	addr := startServer(t, srv)
 	defer srv.Close()
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(shards)})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +310,8 @@ func TestReplicaPrefixConsistency(t *testing.T) {
 // a commit's artifacts are mid-flight. The replica must stay at the last
 // fully-shipped commit — a half-received commit never becomes visible.
 func TestReplicaPrimaryDiesMidShip(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	slow := storage.NewMemDevice()
-	cfg.DeviceFactory = nil
 	cfg.Device = slow
 	primary, err := faster.Open(cfg)
 	if err != nil {
@@ -337,7 +321,7 @@ func TestReplicaPrimaryDiesMidShip(t *testing.T) {
 	srv := NewServer(primary)
 	addr := startServer(t, srv)
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(1), ReconnectEvery: 20 * time.Millisecond})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(), ReconnectEvery: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +385,7 @@ func TestReplicaPrimaryDiesMidShip(t *testing.T) {
 // checkpoint store: it recovers its installed prefix locally, reconnects,
 // and catches up.
 func TestReplicaRestartResumes(t *testing.T) {
-	primary, err := faster.Open(testConfig(1))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,10 +395,9 @@ func TestReplicaRestartResumes(t *testing.T) {
 	defer srv.Close()
 
 	// The replica's device and checkpoint store survive the "restart".
-	repCfg := testConfig(1)
+	repCfg := testConfig()
 	dev := storage.NewMemDevice()
 	cps := storage.NewMemCheckpointStore()
-	repCfg.DeviceFactory = nil
 	repCfg.Device = dev
 	repCfg.Checkpoints = cps
 
@@ -462,7 +445,7 @@ func TestReplicaRestartResumes(t *testing.T) {
 // TestReplicaPromote promotes a replica and verifies it is writable with the
 // committed prefix intact, including session CPR points.
 func TestReplicaPromote(t *testing.T) {
-	primary, err := faster.Open(testConfig(testShards()))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +454,7 @@ func TestReplicaPromote(t *testing.T) {
 	addr := startServer(t, srv)
 	defer srv.Close()
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(testShards())})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +512,7 @@ func TestReplicaPromote(t *testing.T) {
 // TestReplicaLagObservable: bytes/versions-behind move while a replica
 // trails a throttled primary.
 func TestReplicaLagObservable(t *testing.T) {
-	primary, err := faster.Open(testConfig(1))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +521,7 @@ func TestReplicaLagObservable(t *testing.T) {
 	addr := startServer(t, srv)
 	defer srv.Close()
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(1)})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,10 +551,10 @@ func TestReplicaLagObservable(t *testing.T) {
 	}
 }
 
-// TestServerShardMismatch: a replica with the wrong shard count is rejected
-// cleanly instead of receiving garbage.
+// TestServerShardMismatch: a replica of the partitioned store — its hello
+// carries a shard count — is rejected cleanly instead of receiving garbage.
 func TestServerShardMismatch(t *testing.T) {
-	primary, err := faster.Open(testConfig(2))
+	primary, err := faster.Open(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +569,7 @@ func TestServerShardMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := wire.AppendU32(wire.Open(nil, opHello), 0)
-	hello = wire.AppendU32(hello, 1) // wrong shard count
+	hello = wire.AppendU32(hello, 1) // a shard count
 	hello = wire.AppendU64(hello, 64)
 	if _, err := conn.Write(wire.Seal(hello)); err != nil {
 		t.Fatal(err)
@@ -610,7 +593,7 @@ func TestServerShardMismatch(t *testing.T) {
 // shows as repl-ship and repl-announce global spans keyed by the commit token;
 // and the replwait decomposition histogram fills in.
 func TestReplShipGlobalSpans(t *testing.T) {
-	cfg := testConfig(testShards())
+	cfg := testConfig()
 	cfg.ReqTrace = obs.NewRequestTracer(16)
 	cfg.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	primary, err := faster.Open(cfg)
@@ -622,7 +605,7 @@ func TestReplShipGlobalSpans(t *testing.T) {
 	addr := startServer(t, srv)
 	defer srv.Close()
 
-	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig(testShards())})
+	rep, err := NewReplica(Config{Upstream: addr, StoreConfig: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 type Config struct {
 	// Upstream is the primary's replication listen address.
 	Upstream string
-	// StoreConfig configures the local store. Device/DeviceFactory and
+	// StoreConfig configures the local store. Device and
 	// Checkpoints select where shipped state lands; Replica is forced on.
 	StoreConfig faster.Config
 	// ReconnectEvery is the retry interval after a lost primary connection.
@@ -49,14 +49,14 @@ type Replica struct {
 	// mutates the index and log offsets, so readers hold RLock.
 	mu sync.RWMutex
 
-	// have[i] is shard i's staged-coverage watermark: every device byte
-	// below it has been received. Guarded by mu (written only by the
-	// applier goroutine; read by ReplStats).
-	have []uint64
+	// have is the staged-coverage watermark: every device byte below it has
+	// been received. Guarded by mu (written only by the applier goroutine;
+	// read by ReplStats).
+	have uint64
 
 	applied        atomic.Uint32 // CPR version of the installed commit
 	primaryVersion atomic.Uint32 // primary's latest committed version (opTail)
-	primaryDurable []atomic.Uint64
+	primaryDurable atomic.Uint64
 	upstreamClient atomic.Pointer[string] // primary's kvserver address, from opWelcome
 
 	receivedBytes *obs.Counter
@@ -85,26 +85,11 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 	sc := cfg.StoreConfig
 	sc.Replica = true
-	if sc.Device != nil && sc.Shards > 1 {
-		return nil, fmt.Errorf("repl: Shards > 1 needs DeviceFactory, not Device")
-	}
 	r := &Replica{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	// Resolve the per-shard devices once: Recover may open a shard per
-	// candidate commit, and Open after it, and all must see one device.
+	// Resolve the device once: Open after a Recover that found no commit must
+	// see the same one.
 	if sc.Device == nil {
-		devices := make([]storage.Device, max(sc.Shards, 1))
-		for i := range devices {
-			if sc.DeviceFactory == nil {
-				devices[i] = storage.NewMemDevice()
-				continue
-			}
-			dev, err := sc.DeviceFactory(i)
-			if err != nil {
-				return nil, err
-			}
-			devices[i] = dev
-		}
-		sc.DeviceFactory = func(i int) (storage.Device, error) { return devices[i], nil }
+		sc.Device = storage.NewMemDevice()
 	}
 	store, err := faster.Recover(sc)
 	if errors.Is(err, faster.ErrNoCheckpoint) {
@@ -115,15 +100,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 	r.store = store
 	r.applied.Store(store.LatestCommitVersion())
-	r.have = make([]uint64, store.NumShards())
-	r.primaryDurable = make([]atomic.Uint64, store.NumShards())
-	for i := range r.have {
-		d := store.ShardLog(i).Durable()
-		if d < hlog.FirstAddress {
-			d = hlog.FirstAddress
-		}
-		r.have[i] = d
-	}
+	r.have = max(store.Log().Durable(), hlog.FirstAddress)
 	empty := ""
 	r.upstreamClient.Store(&empty)
 	reg := store.Metrics()
@@ -186,13 +163,7 @@ func (r *Replica) versionsBehind() uint32 {
 func (r *Replica) bytesBehind() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var total uint64
-	for i := range r.have {
-		if d := r.primaryDurable[i].Load(); d > r.have[i] {
-			total += d - r.have[i]
-		}
-	}
-	return total
+	return r.primaryDurable.Load() - min(r.have, r.primaryDurable.Load())
 }
 
 // Promote stops replication and converts the store into a primary: the
@@ -272,13 +243,9 @@ func (r *Replica) pull() error {
 		}
 	}()
 
-	n := r.store.NumShards()
 	hello := wire.AppendU32(wire.Open(nil, opHello), r.applied.Load())
-	hello = wire.AppendU32(hello, uint32(n))
 	r.mu.RLock()
-	for i := 0; i < n; i++ {
-		hello = wire.AppendU64(hello, r.have[i])
-	}
+	hello = wire.AppendU64(hello, r.have)
 	r.mu.RUnlock()
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	if _, err := conn.Write(wire.Seal(hello)); err != nil {
@@ -345,8 +312,8 @@ func (r *Replica) applyNext(conn net.Conn, rbuf *[]byte) error {
 	return fmt.Errorf("unknown opcode %d", op)
 }
 
-// applyWelcome records the primary's client address and rewinds watermarks
-// to the primary's chosen stream starts (a primary that itself recovered
+// applyWelcome records the primary's client address and rewinds the watermark
+// to the primary's chosen stream start (a primary that itself recovered
 // re-ships the range its recovery rewrote).
 func (r *Replica) applyWelcome(payload []byte) error {
 	addrB, rest, err := wire.TakeString(payload)
@@ -360,61 +327,41 @@ func (r *Replica) applyWelcome(payload []byte) error {
 		return err
 	}
 	r.primaryVersion.Store(latest)
-	shards, rest, err := wire.TakeU32(rest)
-	if err != nil {
+	var begin, start, durable uint64
+	if begin, rest, err = wire.TakeU64(rest); err != nil {
 		return err
 	}
-	if int(shards) != r.store.NumShards() {
-		return fmt.Errorf("welcome shard count %d, local %d", shards, r.store.NumShards())
+	if start, rest, err = wire.TakeU64(rest); err != nil {
+		return err
+	}
+	if durable, _, err = wire.TakeU64(rest); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 0; i < int(shards); i++ {
-		var begin, start, durable uint64
-		if begin, rest, err = wire.TakeU64(rest); err != nil {
-			return err
-		}
-		if start, rest, err = wire.TakeU64(rest); err != nil {
-			return err
-		}
-		if durable, rest, err = wire.TakeU64(rest); err != nil {
-			return err
-		}
-		if start < r.have[i] {
-			r.have[i] = start
-		}
-		r.primaryDurable[i].Store(durable)
-		lg := r.store.ShardLog(i)
-		if begin > lg.Begin() {
-			lg.ShiftBegin(begin)
-		}
+	r.have = min(r.have, start)
+	r.primaryDurable.Store(durable)
+	if lg := r.store.Log(); begin > lg.Begin() {
+		lg.ShiftBegin(begin)
 	}
 	return nil
 }
 
-// applyChunk writes shipped log bytes to the shard's device, through the log:
+// applyChunk writes shipped log bytes to the device, through the log:
 // it keeps checksums of pages it has verified, and a page written here is no
 // longer the page it checked. Below the visible tail this overlaps state the
 // store may read concurrently — that only happens on the resync path after a
 // primary recovery, where the re-shipped range differs — so those writes take
 // the install lock.
 func (r *Replica) applyChunk(payload []byte) error {
-	shard32, rest, err := wire.TakeU32(payload)
+	off, data, err := wire.TakeU64(payload)
 	if err != nil {
 		return err
-	}
-	off, data, err := wire.TakeU64(rest)
-	if err != nil {
-		return err
-	}
-	i := int(shard32)
-	if i < 0 || i >= r.store.NumShards() {
-		return fmt.Errorf("chunk for shard %d of %d", i, r.store.NumShards())
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	lg := r.store.ShardLog(i)
+	lg := r.store.Log()
 	locked := off < lg.Tail()
 	if locked {
 		r.mu.Lock()
@@ -424,13 +371,11 @@ func (r *Replica) applyChunk(payload []byte) error {
 		r.mu.Unlock()
 	}
 	if werr != nil {
-		return fmt.Errorf("stage shard %d @%d: %w", i, off, werr)
+		return fmt.Errorf("stage @%d: %w", off, werr)
 	}
 	r.receivedBytes.Add(uint64(len(data)))
 	r.mu.Lock()
-	if end := off + uint64(len(data)); end > r.have[i] {
-		r.have[i] = end
-	}
+	r.have = max(r.have, off+uint64(len(data)))
 	r.mu.Unlock()
 	return nil
 }
@@ -489,23 +434,15 @@ func (r *Replica) applyCommit(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	shards, rest, err := wire.TakeU32(rest)
+	end, _, err := wire.TakeU64(rest)
 	if err != nil {
 		return err
-	}
-	if int(shards) != r.store.NumShards() {
-		return fmt.Errorf("commit %s shard count %d, local %d", token, shards, r.store.NumShards())
 	}
 	r.mu.RLock()
-	for i := 0; i < int(shards) && err == nil; i++ {
-		var end uint64
-		if end, rest, err = wire.TakeU64(rest); err == nil && r.have[i] < end {
-			err = fmt.Errorf("commit %s needs shard %d bytes to %d, staged %d", token, i, end, r.have[i])
-		}
-	}
+	have := r.have
 	r.mu.RUnlock()
-	if err != nil {
-		return err
+	if have < end {
+		return fmt.Errorf("commit %s needs bytes to %d, staged %d", token, end, have)
 	}
 	if version <= r.applied.Load() {
 		return nil // already installed (reconnect replay)
@@ -534,19 +471,10 @@ func (r *Replica) applyTailInfo(payload []byte) error {
 	if latest > r.primaryVersion.Load() {
 		r.primaryVersion.Store(latest)
 	}
-	shards, rest, err := wire.TakeU32(rest)
+	d, _, err := wire.TakeU64(rest)
 	if err != nil {
 		return err
 	}
-	if int(shards) != len(r.primaryDurable) {
-		return fmt.Errorf("tail shard count %d, local %d", shards, len(r.primaryDurable))
-	}
-	for i := 0; i < int(shards); i++ {
-		var d uint64
-		if d, rest, err = wire.TakeU64(rest); err != nil {
-			return err
-		}
-		r.primaryDurable[i].Store(d)
-	}
+	r.primaryDurable.Store(d)
 	return nil
 }

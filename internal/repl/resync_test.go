@@ -12,7 +12,7 @@ import (
 	"repro/internal/storage"
 )
 
-// pageCRCs decodes the page checksums in the record of a one-shard commit.
+// pageCRCs decodes the page checksums in a commit's record (its one section).
 func pageCRCs(t *testing.T, cs storage.CheckpointStore, token string) []hlog.PageCRC {
 	t.Helper()
 	buf, err := storage.ReadArtifactChecked(cs, "cpr-manifest-"+token)
@@ -20,14 +20,14 @@ func pageCRCs(t *testing.T, cs storage.CheckpointStore, token string) []hlog.Pag
 		t.Fatal(err)
 	}
 	var rec struct {
-		Shards []struct {
+		Sections []struct {
 			PageCRCs []hlog.PageCRC `json:"page_crcs"`
 		} `json:"shards"`
 	}
-	if err := json.Unmarshal(buf, &rec); err != nil || len(rec.Shards) != 1 {
-		t.Fatalf("record of %s: %d shard sections, %v", token, len(rec.Shards), err)
+	if err := json.Unmarshal(buf, &rec); err != nil || len(rec.Sections) != 1 {
+		t.Fatalf("record of %s: %d sections, %v", token, len(rec.Sections), err)
 	}
-	return rec.Shards[0].PageCRCs
+	return rec.Sections[0].PageCRCs
 }
 
 // TestReplicaResyncAfterPrimaryRecovery: a replica that restarted holds page
@@ -38,9 +38,8 @@ func pageCRCs(t *testing.T, cs storage.CheckpointStore, token string) []hlog.Pag
 // next install — and the restart after it — fail their own verification.
 func TestReplicaResyncAfterPrimaryRecovery(t *testing.T) {
 	over := func(dev storage.Device, cps storage.CheckpointStore) faster.Config {
-		cfg := testConfig(1)
+		cfg := testConfig()
 		cfg.PageBits = 12
-		cfg.DeviceFactory = nil
 		cfg.Device, cfg.Checkpoints = dev, cps
 		return cfg
 	}

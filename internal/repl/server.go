@@ -20,8 +20,8 @@ import (
 )
 
 // Server is the primary-side replication endpoint: it accepts replica
-// connections and, per connection, streams the durable HybridLog tail of
-// every shard plus each completed commit's checkpoint artifacts, announcing
+// connections and, per connection, streams the durable HybridLog tail plus
+// each completed commit's checkpoint artifacts, announcing
 // the commit only after everything it depends on has been shipped. Replicas
 // therefore install commits whose inputs are fully local — a half-received
 // commit is simply never announced, which is what makes a primary crash
@@ -211,48 +211,29 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 	if err != nil {
 		return err
 	}
-	shards, rest, err := wire.TakeU32(rest)
+	have, extra, err := wire.TakeU64(rest)
+	if err == nil && len(extra) > 0 {
+		err = fmt.Errorf("a hello %d bytes longer than this protocol's (a replica of a partitioned store?)", len(extra))
+		conn.send(wire.AppendString(conn.open(opError), []byte(err.Error()))) //nolint:errcheck // hanging up either way
+	}
 	if err != nil {
 		return err
 	}
-	if int(shards) != s.store.NumShards() {
-		err := fmt.Errorf("shard count mismatch: replica %d, primary %d", shards, s.store.NumShards())
-		conn.send(wire.AppendString(conn.open(opError), []byte(err.Error()))) //nolint:errcheck // hanging up either way
-		return err
+	lg := s.store.Log()
+	sent := have
+	// If this primary's own recovery (or promotion) rewrote log state, the
+	// replica must re-receive that range: its pre-crash copy lacks the
+	// invalidation of records the recovery rolled back.
+	if rs := s.store.RewrittenFrom(); rs != 0 {
+		sent = min(sent, rs)
 	}
-	n := s.store.NumShards()
-	sent := make([]uint64, n)
+	sent = min(sent, lg.Durable()) // replica claims bytes we never made durable: re-ship
+	sent = max(sent, lg.Begin(), hlog.FirstAddress)
 	welcome := wire.AppendString(conn.open(opWelcome), []byte(s.ClientAddr))
 	welcome = wire.AppendU32(welcome, s.store.LatestCommitVersion())
-	welcome = wire.AppendU32(welcome, uint32(n))
-	for i := 0; i < n; i++ {
-		have, r2, err := wire.TakeU64(rest)
-		if err != nil {
-			return err
-		}
-		rest = r2
-		lg := s.store.ShardLog(i)
-		start := have
-		// If this primary's own recovery (or promotion) rewrote log state,
-		// the replica must re-receive that range: its pre-crash copy lacks
-		// the invalidation of records the recovery rolled back.
-		if rs := s.store.ResyncFrom(i); rs != 0 && rs < start {
-			start = rs
-		}
-		if d := lg.Durable(); start > d {
-			start = d // replica claims bytes we never made durable: re-ship
-		}
-		if b := lg.Begin(); start < b {
-			start = b
-		}
-		if start < hlog.FirstAddress {
-			start = hlog.FirstAddress
-		}
-		sent[i] = start
-		welcome = wire.AppendU64(welcome, lg.Begin())
-		welcome = wire.AppendU64(welcome, start)
-		welcome = wire.AppendU64(welcome, lg.Durable())
-	}
+	welcome = wire.AppendU64(welcome, lg.Begin())
+	welcome = wire.AppendU64(welcome, sent)
+	welcome = wire.AppendU64(welcome, lg.Durable())
 	if err := conn.send(welcome); err != nil {
 		return err
 	}
@@ -277,11 +258,11 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 	defer poll.Stop()
 
 	for {
-		if err := s.shipTail(conn, sent); err != nil {
+		if err := s.shipTail(conn, &sent); err != nil {
 			return err
 		}
 		if pending != "" && pending != announcedTok {
-			if err := s.shipCommit(conn, pending, sent, shipped); err != nil {
+			if err := s.shipCommit(conn, pending, &sent, shipped); err != nil {
 				return err
 			}
 			announcedTok = pending
@@ -301,35 +282,33 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 	}
 }
 
-// shipTail streams every shard's durable log bytes past the sent watermarks.
-func (s *Server) shipTail(conn *shipConn, sent []uint64) error {
-	for i := range sent {
-		lg := s.store.ShardLog(i)
-		for limit := lg.Durable(); sent[i] < limit; {
-			n := min(limit-sent[i], chunkSize)
-			// The log's bytes are read straight into the frame, behind its header.
-			frame := wire.AppendU64(wire.AppendU32(conn.open(opChunk), uint32(i)), sent[i])
-			body := len(frame)
-			frame = slices.Grow(frame, int(n))[:body+int(n)]
-			if err := lg.ReadRaw(sent[i], frame[body:]); err != nil {
-				return fmt.Errorf("read log shard %d @%d: %w", i, sent[i], err)
-			}
-			if err := conn.send(frame); err != nil {
-				return err
-			}
-			sent[i] += n
-			s.shippedBytes.Add(n)
+// shipTail streams the durable log bytes past the sent watermark.
+func (s *Server) shipTail(conn *shipConn, sent *uint64) error {
+	lg := s.store.Log()
+	for limit := lg.Durable(); *sent < limit; {
+		n := min(limit-*sent, chunkSize)
+		// The log's bytes are read straight into the frame, behind its header.
+		frame := wire.AppendU64(conn.open(opChunk), *sent)
+		body := len(frame)
+		frame = slices.Grow(frame, int(n))[:body+int(n)]
+		if err := lg.ReadRaw(*sent, frame[body:]); err != nil {
+			return fmt.Errorf("read log @%d: %w", *sent, err)
 		}
+		if err := conn.send(frame); err != nil {
+			return err
+		}
+		*sent += n
+		s.shippedBytes.Add(n)
 	}
 	return nil
 }
 
-// shipCommit ships everything commit token depends on — each shard's log to
-// its end, then the commit's artifacts — and finally announces it. A snapshot
+// shipCommit ships everything commit token depends on — the log to its end,
+// then the commit's artifacts — and finally announces it. A snapshot
 // commit is skipped, unannounced (faster.ErrSnapshotCommit): the next fold-over
 // commit subsumes it, and every byte shipped meanwhile lies above the installed
 // end, since a capture starts at or above the previous commit's end.
-func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped map[string]bool) error {
+func (s *Server) shipCommit(conn *shipConn, token string, sent *uint64, shipped map[string]bool) error {
 	tShip0 := time.Now().UnixNano()
 	info, err := s.store.CommitShipInfo(token)
 	if errors.Is(err, faster.ErrSnapshotCommit) {
@@ -340,15 +319,12 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 		return fmt.Errorf("ship info %s: %w", token, err)
 	}
 	// A completed commit's range is durable, so shipping everything durable
-	// necessarily covers every shard's end.
+	// necessarily covers its end.
 	if err := s.shipTail(conn, sent); err != nil {
 		return err
 	}
-	for i := range sent {
-		if sent[i] < info.ShardEnds[i] {
-			return fmt.Errorf("commit %s needs shard %d coverage to %d, durable stops at %d",
-				token, i, info.ShardEnds[i], sent[i])
-		}
+	if *sent < info.End {
+		return fmt.Errorf("commit %s needs coverage to %d, durable stops at %d", token, info.End, *sent)
 	}
 	var artifactBytes uint64
 	for _, name := range info.Artifacts {
@@ -371,10 +347,7 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent []uint64, shipped
 		artifactBytes, uint64(tShipped-tShip0))
 	ann := wire.AppendString(conn.open(opCommit), []byte(token))
 	ann = wire.AppendU32(ann, info.Version)
-	ann = wire.AppendU32(ann, uint32(len(info.ShardEnds)))
-	for _, end := range info.ShardEnds {
-		ann = wire.AppendU64(ann, end)
-	}
+	ann = wire.AppendU64(ann, info.End)
 	if err := conn.send(ann); err != nil {
 		return err
 	}
@@ -431,11 +404,6 @@ func (s *Server) shipArtifact(conn *shipConn, name string) (int64, error) {
 
 // sendTail sends the heartbeat/lag frame.
 func (s *Server) sendTail(conn *shipConn) error {
-	n := s.store.NumShards()
 	frame := wire.AppendU32(conn.open(opTail), s.store.LatestCommitVersion())
-	frame = wire.AppendU32(frame, uint32(n))
-	for i := 0; i < n; i++ {
-		frame = wire.AppendU64(frame, s.store.ShardLog(i).Durable())
-	}
-	return conn.send(frame)
+	return conn.send(wire.AppendU64(frame, s.store.Log().Durable()))
 }

@@ -25,7 +25,7 @@ func (*pipeConn) SetDeadline(time.Time) error      { return nil }
 func (*pipeConn) SetReadDeadline(time.Time) error  { return nil }
 func (*pipeConn) SetWriteDeadline(time.Time) error { return nil }
 
-// idleReplica opens a one-shard replica over the checkpoint store cs whose
+// idleReplica opens a replica over the checkpoint store cs whose
 // upstream refuses connections and whose next dial is an hour away: its apply
 // methods are the test's to drive.
 func idleReplica(t *testing.T, cs storage.CheckpointStore) *Replica {
@@ -36,7 +36,7 @@ func idleReplica(t *testing.T, cs storage.CheckpointStore) *Replica {
 	}
 	ln.Close()
 	refused := make(chan struct{}, 1)
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.Checkpoints = cs
 	rep, err := NewReplica(Config{Upstream: ln.Addr().String(), StoreConfig: cfg, ReconnectEvery: time.Hour,
 		Logger: log.New(writerFunc(func(p []byte) (int, error) { refused <- struct{}{}; return len(p), nil }), "", 0)})

@@ -62,10 +62,9 @@ type Pool struct {
 //	storage_io_read_ns / storage_io_write_ns            device latency (of the
 //	                                                    first request of each worker run)
 //
-// Pools that share reg (a store's shards) count into the same metrics. The
-// live queue state is InFlight and QueueDepth, which the pool's owner sums
-// into its gauges. Call it before submitting work (hlog does so at
-// construction).
+// Pools that share reg count into the same metrics. The live queue state is
+// InFlight and QueueDepth, which the pool's owner reads into its gauges. Call
+// it before submitting work (hlog does so at construction).
 func (p *Pool) Instrument(reg *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

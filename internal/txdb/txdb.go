@@ -19,6 +19,7 @@ package txdb
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -257,7 +258,7 @@ func Open(cfg Config) (*DB, error) {
 		metrics: newDBMetrics(cfg.Metrics),
 	}
 	db.epochs.Instrument(cfg.Metrics)
-	db.epochs.InstrumentFlight(cfg.Flight, -1)
+	db.epochs.InstrumentFlight(cfg.Flight)
 	cfg.Metrics.GaugeFunc("txdb_version", func() int64 { return int64(db.Version()) })
 	cfg.Metrics.GaugeFunc("txdb_phase", func() int64 { return int64(db.Phase()) })
 	cfg.Metrics.GaugeFunc("txdb_workers", func() int64 {
@@ -280,7 +281,8 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	if cfg.Engine == EngineCALC {
-		db.calcLog = make([]uint64, 1<<20)
+		// A ring of one slot per record (the next power of two), up to 8 MiB.
+		db.calcLog = make([]uint64, min(1<<bits.Len(uint(cfg.Records-1)), 1<<20))
 	}
 	if cfg.Engine == EngineWAL {
 		db.wal = wal.New(cfg.WALDevice)

@@ -23,7 +23,7 @@ import (
 	"repro/internal/txdb"
 )
 
-// stack is every layer that registers metrics, opened together: a 2-shard
+// stack is every layer that registers metrics, opened together: a
 // store served by kvserver, an ingestion log with its pump and ingest server,
 // a replication primary and a replica, a health engine with an SLO, the fault
 // injector, build and runtime info (all on the store's registry), and a txdb
@@ -60,15 +60,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func openStack(t *testing.T) *stack {
 	t.Helper()
 	st := &stack{reg: obs.NewRegistry(), repReg: obs.NewRegistry(), dbReg: obs.NewRegistry()}
-	obs.RegisterBuildInfo(st.reg, map[string]string{"shards": "2"})
+	obs.RegisterBuildInfo(st.reg)
 	obs.RegisterRuntimeMetrics(st.reg)
 	injector := storage.NewInjector(storage.FaultConfig{Seed: 1, Metrics: st.reg})
 	storeCfg := func(reg *obs.Registry) faster.Config {
-		return faster.Config{Shards: 2, IndexBuckets: 1 << 10, PageBits: 14, MemPages: 16, Metrics: reg,
+		return faster.Config{IndexBuckets: 1 << 10, PageBits: 14, MemPages: 16, Metrics: reg,
 			Checkpoints: storage.NewMemCheckpointStore(),
-			DeviceFactory: func(int) (storage.Device, error) {
-				return storage.NewFaultDevice(storage.NewMemDevice(), injector), nil
-			}}
+			Device:      storage.NewFaultDevice(storage.NewMemDevice(), injector)}
 	}
 	var err error
 	if st.store, err = faster.Open(storeCfg(st.reg)); err != nil {
