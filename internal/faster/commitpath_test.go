@@ -80,7 +80,9 @@ func putRaw(t *testing.T, cs storage.CheckpointStore, name string, data []byte) 
 // record and nothing else, attachment or not; a commit with the index one blob
 // besides; a snapshot commit one more. The record is the last artifact of every
 // commit, and no pointer artifact is written.
-func TestArtifactsPerCommit(t *testing.T) {
+func TestArtifactsPerCommit(t *testing.T) { onePartition(t, artifactsPerCommit) }
+
+func artifactsPerCommit(t *testing.T) {
 	cs := &countingStore{CheckpointStore: storage.NewMemCheckpointStore()}
 	s, sess, _ := commitPathStore(t, cs)
 	defer s.Close()
@@ -179,6 +181,10 @@ func (w *failingWriter) CloseWithError(err error) error {
 // midway fails, and leaves nothing in the store: no record, and no torn blob
 // under the capture's name.
 func TestFailedSnapshotCaptureLeavesNoBlob(t *testing.T) {
+	onePartition(t, failedSnapshotCaptureLeavesNoBlob)
+}
+
+func failedSnapshotCaptureLeavesNoBlob(t *testing.T) {
 	mem := storage.NewMemCheckpointStore()
 	s, sess, _ := commitPathStore(t, failingCapture{mem})
 	defer s.Close()
@@ -205,7 +211,9 @@ func TestFailedSnapshotCaptureLeavesNoBlob(t *testing.T) {
 // sets it: nothing after Open, a commit, a recovery that fell back (the
 // recovered commit, not the newer skipped one), an install on a replica, and
 // promotion.
-func TestLatestCommitToken(t *testing.T) {
+func TestLatestCommitToken(t *testing.T) { onePartition(t, latestCommitToken) }
+
+func latestCommitToken(t *testing.T) {
 	want := func(s *Store, what, token string) {
 		t.Helper()
 		if got, ok := s.LatestCommitToken(); got != token || ok != (token != "") {
@@ -456,7 +464,9 @@ func TestRecoverWithoutManifest(t *testing.T) {
 // read. Recover says so, naming the layout: never ErrNoCheckpoint, on which
 // callers start a fresh store over them, and never a fall-back to whatever
 // older record does read.
-func TestRecoverParentLayout(t *testing.T) {
+func TestRecoverParentLayout(t *testing.T) { onePartition(t, recoverParentLayout) }
+
+func recoverParentLayout(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
 	s, sess, dev := commitPathStore(t, ckpts)
 	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
@@ -519,7 +529,9 @@ func TestRecoverRecordFormat1(t *testing.T) {
 // commit that carries the index forward are reported, the commits before and
 // after (which took their own index) are not, and what no record names is an
 // orphan, not a failure.
-func TestVerifyCommits(t *testing.T) {
+func TestVerifyCommits(t *testing.T) { onePartition(t, verifyCommits) }
+
+func verifyCommits(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
 	s, sess, _ := commitPathStore(t, ckpts)
 	defer s.Close()

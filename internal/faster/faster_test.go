@@ -19,6 +19,11 @@ func u64(v uint64) []byte {
 
 func key(k uint64) []byte { return u64(k) }
 
+// onePartition runs f as the subtest "shards=1". Tests that ran once per
+// partition count when the store was partitioned keep the name of the run
+// that is left: a store is one index and one log.
+func onePartition(t *testing.T, f func(*testing.T)) { t.Run("shards=1", f) }
+
 func smallConfig() Config {
 	return Config{
 		IndexBuckets: 1 << 10,

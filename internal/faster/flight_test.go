@@ -17,7 +17,9 @@ import (
 // again —
 // the one artifact-write of a log-only commit, its record, and commit-done, in
 // that causal order.
-func TestFlightCommitTimeline(t *testing.T) {
+func TestFlightCommitTimeline(t *testing.T) { onePartition(t, flightCommitTimeline) }
+
+func flightCommitTimeline(t *testing.T) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	s, err := Open(Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 16, Flight: fr})
 	if err != nil {
@@ -88,7 +90,9 @@ func TestFlightCommitTimeline(t *testing.T) {
 // record), commit-done or commit-announced event exists. If FLIGHT_DUMP_DIR is
 // set, the framed dump artifact is also written there for `fasterctl flight
 // -dump` (the CI crash-dump job decodes it and greps the ordering).
-func TestFlightCrashDump(t *testing.T) {
+func TestFlightCrashDump(t *testing.T) { onePartition(t, flightCrashDump) }
+
+func flightCrashDump(t *testing.T) {
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 7, Flight: fr})
 	ckpts := storage.NewFaultCheckpointStore(storage.NewMemCheckpointStore(), inj)

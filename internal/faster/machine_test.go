@@ -14,7 +14,9 @@ import (
 // acknowledges prepare once and demarcates once, each session holds one entry
 // in one epoch table, and the point a commit reports for a session is the
 // serial the session demarcated at.
-func TestOneMachinePerStore(t *testing.T) {
+func TestOneMachinePerStore(t *testing.T) { onePartition(t, oneMachinePerStore) }
+
+func oneMachinePerStore(t *testing.T) {
 	const sessions = 3
 	fr := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	cfg := smallConfig()

@@ -44,7 +44,9 @@ func coldStore(t testing.TB, n uint64) (*Store, *Session) {
 // meanwhile. Hot, read-only and cold records; a second session reads the same
 // keys throughout, so under -race a buffer shared across sessions or still
 // written by a worker is a reported race.
-func TestReadValueValidUntilNextOp(t *testing.T) {
+func TestReadValueValidUntilNextOp(t *testing.T) { onePartition(t, readValueValidUntilNextOp) }
+
+func readValueValidUntilNextOp(t *testing.T) {
 	s, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -70,14 +70,17 @@ func TestShardedCommitAndRecover(t *testing.T) {
 	rs.StopSession()
 }
 
-// TestCrashBeforeRecord is the crash-before-the-record test: the real
+// TestShardedPartialCommitCrash is the crash-before-the-record test (named for
+// the partitioned store, where k of N captures were durable): the real
 // Store.Commit "crashes" once its capture is durable — its snapshot and index
 // blobs written — and before its record is. Recovery must land on the last
 // commit that has a record, ContinueSession must return that commit's serial,
 // the session's watermark and LatestCommitToken must never have covered the
 // crashed commit, and the recovered store must not hand the crashed commit's
 // token out again.
-func TestCrashBeforeRecord(t *testing.T) {
+func TestShardedPartialCommitCrash(t *testing.T) { onePartition(t, crashBeforeRecord) }
+
+func crashBeforeRecord(t *testing.T) {
 	dev, ckpts := storage.NewMemDevice(), storage.NewMemCheckpointStore()
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 1})
 	cfg := smallConfig()

@@ -232,7 +232,9 @@ func (st recoveredState) mustEqual(t *testing.T, label string, other recoveredSt
 // the same recovered points; the record loses exactly the checksums of the
 // pages its v+1 records lie on, and the promoted replica serves the commit.
 // (What recovery recovers, key by key, is TestOracle's crash half.)
-func TestRecoveryModesEquivalent(t *testing.T) {
+func TestRecoveryModesEquivalent(t *testing.T) { onePartition(t, recoveryModesEquivalent) }
+
+func recoveryModesEquivalent(t *testing.T) {
 	img := buildFuzzyImage(t)
 	before, err := loadRecord(img.ckpts, img.token)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 // the life of the process. After 1000 commits only the newest maxResults are
 // held, in the store's one ring; those still resolve through TryResult and
 // WaitForCommit, an older token is an unknown commit.
-func TestCommitResultsBounded(t *testing.T) {
+func TestCommitResultsBounded(t *testing.T) { onePartition(t, commitResultsBounded) }
+
+func commitResultsBounded(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Metrics = obs.NewNop()
 	s, err := Open(cfg)

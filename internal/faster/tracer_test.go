@@ -113,7 +113,9 @@ func TestCheckpointPhaseTimeline(t *testing.T) {
 // closed spans prepare, in-progress, wait-pending
 // and wait-flush, contiguous, each ending at its next transition, and an open
 // rest span.
-func TestTimelineSpansPerMachine(t *testing.T) {
+func TestTimelineSpansPerMachine(t *testing.T) { onePartition(t, timelineSpansPerMachine) }
+
+func timelineSpansPerMachine(t *testing.T) {
 	s, sess := timelineStore(t, 1)
 	driveCommit(t, s, []*Session{sess}, CommitOptions{})
 
