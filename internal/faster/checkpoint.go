@@ -171,6 +171,15 @@ func (ck *checkpointCtx) emitPhase(from, to Phase) {
 // publication took to reach every registered thread.
 func (ck *checkpointCtx) bumpEpoch() { ck.store.epochs.BumpEpoch(func() {}) }
 
+// drainEpoch bumps the store's epoch and waits until every registered thread
+// has refreshed past it: what any thread was doing between two refreshes when
+// it was called is over.
+func (s *Store) drainEpoch() {
+	drained := make(chan struct{})
+	s.epochs.BumpEpoch(func() { close(drained) })
+	<-drained
+}
+
 // advanceToInProgress is transition 2 of Fig. 9a, fired by the last session
 // to acknowledge prepare.
 func (ck *checkpointCtx) advanceToInProgress() {
@@ -246,7 +255,7 @@ func (ck *checkpointCtx) waitFlush() {
 	// five transitions on the timeline.
 	ck.emitPhase(WaitFlush, Rest)
 	s.state.Store(packState(Rest, ck.version+1))
-	ck.bumpEpoch()
+	s.epochs.BumpEpoch(func() { s.settled.Store(ck.version + 1) })
 
 	if res.Err == nil {
 		rec.Attachments, res.Err = s.commitAttachments(res)
@@ -298,7 +307,12 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 	sec.Lhs = s.futureFrom[ck.version&1].Load()
 	sec.Lhe = s.log.Tail()
 	if ck.withIndex {
+		// Recovery replays the log from Lis over the image, so every record
+		// below it must be in the index before the image is taken: a record
+		// appended but not yet swapped in is the work of a thread that has not
+		// refreshed since, so a drain waits for it.
 		sec.Lis = s.log.Tail()
+		s.drainEpoch()
 		sec.Index = blobName("index", ck.token)
 		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, 0, v); err != nil {
 			return 0, err
@@ -331,9 +345,7 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 		// Once every session has refreshed, the records below the capture's
 		// end are whole: a v+1 one half written would end its page, hiding v
 		// records.
-		drained := make(chan struct{})
-		s.epochs.BumpEpoch(func() { close(drained) })
-		<-drained
+		s.drainEpoch()
 		if _, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Snapshot, func(w io.Writer) error {
 			return s.log.WriteRange(w, sec.SnapshotStart, end)
 		}, s.cfg.Flight, 0, v); err != nil {

@@ -72,7 +72,7 @@ func (sess *Session) CompactLog(until uint64) error {
 			// concurrent update that moved the chain head fails the install;
 			// re-check liveness (the update may have superseded this record).
 			valBuf = rec.Value(valBuf[:0])
-			if sess.install(h, slot, entry, version, keyBuf, valBuf, false) {
+			if sess.install(h, slot, entry, version, keyBuf, valBuf, false, nil) {
 				return true
 			}
 		}

@@ -33,9 +33,7 @@ func smallConfig() Config {
 }
 
 // driveCommit runs a commit to completion while keeping every session in
-// sessions refreshing (the paper's model: threads continuously process), and
-// refreshes each once more, so that none still has the commit in its view: an
-// op at rest waits for that before it updates a record of the commit in place.
+// sessions refreshing (the paper's model: threads continuously process).
 func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions) CommitResult {
 	t.Helper()
 	token, err := s.Commit(opts)
@@ -46,9 +44,6 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 		if res, ok := s.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatalf("commit failed: %v", res.Err)
-			}
-			for _, sess := range sessions {
-				sess.Refresh()
 			}
 			return res
 		}

@@ -106,20 +106,6 @@ func (sess *Session) value(r findResult) (val []byte, ok bool) {
 	return sess.scratch, true
 }
 
-// updatedValue computes the RCU value from an existing record; ok as for value.
-func (sess *Session) updatedValue(op *pendingOp, r findResult) (val []byte, ok bool) {
-	if op.kind == opUpsert {
-		return op.input, true
-	}
-	if r.rec.Tombstone() {
-		return sess.initialValue(op), true
-	}
-	if val, ok = sess.value(r); ok {
-		val = sess.store.cfg.RMW.Update(val, op.input)
-	}
-	return val, ok
-}
-
 // update is the one FASTER update (Sec. 5.1) every CPR path ends in, switched
 // on the region the key's record was found in: nothing to update — write the
 // initial value; mutable — in place; below the safe-read-only offset —
@@ -136,17 +122,30 @@ func (sess *Session) update(op *pendingOp, r findResult) Status {
 			return NotFound
 		}
 	case regMutable:
-		// An older record is updated in place too, but only once no session's
-		// view is of the version before the op's: until then a session still in
-		// that commit may be copying it over the update, so the op waits. (A
-		// copy here instead could race an update in place that came after.)
-		if r.rec.Version() != recVersion(op.version) && sess.store.views[(op.version-1)&1].Load() != 0 {
-			return Pending
+		if r.rec.Version() == recVersion(op.version) {
+			if sess.tryInPlace(op, r, false) {
+				return Ok
+			}
+		} else if op.version <= sess.store.settled.Load() {
+			// An older record once the store has settled. A copy of it decided
+			// before may still be in flight, and it swaps itself in only under
+			// the record latch and while the value it copied is unchanged
+			// (install); so the update happens under the latch too, and only
+			// while no copy has been swapped in since find.
+			epoch.YieldAt(epoch.SiteRecordLock)
+			r.rec.Lock()
+			moved := entryAddr(r.slot.Load()) != entryAddr(r.entry)
+			ok := !moved && sess.tryInPlace(op, r, true)
+			r.rec.Unlock()
+			switch {
+			case moved:
+				return statusRetry
+			case ok:
+				return Ok
+			}
 		}
-		if sess.tryInPlace(op, r) {
-			return Ok
-		}
-		// Capacity exceeded or tombstoned: read-copy-update.
+		// Capacity exceeded, tombstoned or an older version before the store
+		// settled: read-copy-update.
 	case regFuzzy:
 		return Pending
 	case regDisk:
@@ -157,20 +156,30 @@ func (sess *Session) update(op *pendingOp, r findResult) Status {
 	return sess.rcu(op, r)
 }
 
-// tryInPlace performs an in-place mutable-region update; false means the caller
-// must fall back to read-copy-update.
-func (sess *Session) tryInPlace(op *pendingOp, r findResult) bool {
+// tryInPlace performs an in-place mutable-region update, latched when the
+// caller holds the record latch; false means the caller must fall back to
+// read-copy-update.
+func (sess *Session) tryInPlace(op *pendingOp, r findResult, latched bool) bool {
 	switch {
 	case op.kind == opDelete:
 		r.rec.SetTombstone()
 		return true
 	case r.rec.Tombstone():
 		return false
-	case op.kind == opUpsert:
+	case op.kind == opUpsert && !latched:
 		return r.rec.SetValue(op.input)
 	}
 	rmw := sess.store.cfg.RMW
-	return r.rec.UpdateValue(&sess.scratch, func(cur []byte) []byte { return rmw.Update(cur, op.input) })
+	fn := func(cur []byte) []byte {
+		if op.kind == opUpsert {
+			return op.input
+		}
+		return rmw.Update(cur, op.input)
+	}
+	if latched {
+		return r.rec.UpdateValueLatched(&sess.scratch, fn)
+	}
+	return r.rec.UpdateValue(&sess.scratch, fn)
 }
 
 // rcu performs a read-copy-update: a new record at the tail whose value derives
@@ -179,21 +188,32 @@ func (sess *Session) tryInPlace(op *pendingOp, r findResult) bool {
 // another session published since fails the install and the op re-runs.
 func (sess *Session) rcu(op *pendingOp, r findResult) Status {
 	var val []byte
-	tombstone := op.kind == opDelete
+	// from is the mutable record an RMW's value derives from: an update in
+	// place may still change it, so install swaps the copy in only while it
+	// holds what was read (kept in sess.seen). In the fuzzy region such an
+	// update may be in flight too, and the record cannot be latched there: the
+	// op waits for it to turn safe-read-only.
+	var from *findResult
 	switch {
-	case tombstone:
-	case r.rec.Valid():
-		var ok bool
-		if val, ok = sess.updatedValue(op, r); !ok {
+	case op.kind == opDelete:
+	case op.kind == opUpsert || !r.rec.Valid() || r.rec.Tombstone():
+		val = sess.initialValue(op)
+	case r.reg == regFuzzy:
+		return Pending
+	default:
+		cur, ok := sess.value(r)
+		if !ok {
 			return Pending
 		}
-	default:
-		val = sess.initialValue(op)
+		if r.reg == regMutable {
+			from, sess.seen = &r, append(sess.seen[:0], cur...)
+		}
+		val = sess.store.cfg.RMW.Update(cur, op.input)
 	}
 	if op.kind == opRMW && !sess.store.log.Fits(len(op.key), max(len(val), 8)) {
 		return Error // issue checked every other value
 	}
-	if !sess.install(op.hash, r.slot, r.entry, op.version, op.key, val, tombstone) {
+	if !sess.install(op.hash, r.slot, r.entry, op.version, op.key, val, op.kind == opDelete, from) {
 		return statusRetry
 	}
 	return Ok

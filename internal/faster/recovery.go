@@ -79,6 +79,7 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 		}
 		maps.Copy(s.recoveredSerials, rec.Serials)
 		s.state.Store(packState(Rest, rec.Version+1))
+		s.settled.Store(rec.Version + 1) // no session is older
 		report.Token, report.Version = rec.Token, rec.Version
 		return nil
 	})

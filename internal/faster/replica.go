@@ -178,6 +178,7 @@ func (s *Store) ApplyCommitted(token string) error {
 			return fmt.Errorf("faster: install: %w", err)
 		}
 		s.state.Store(packState(Rest, rec.Version+1))
+		s.settled.Store(rec.Version + 1) // no session is older
 	}
 	s.mu.Lock()
 	maps.Copy(s.recoveredSerials, rec.Serials)

@@ -127,12 +127,14 @@ type Session struct {
 
 	// cur is the operation being issued and opFree recycles parked ones, so
 	// neither allocates; scratch holds the current-value copy an RMW works on
-	// and the value a read hands out; failed counts parked ops that ended in
-	// Error until CompletePending reports them. Session ops are
-	// single-goroutine by contract, so none of these needs locking.
+	// and the value a read hands out; seen, the value a read-copy-update copied
+	// (see rcu); failed counts parked ops that ended in Error until
+	// CompletePending reports them. Session ops are single-goroutine by
+	// contract, so none of these needs locking.
 	cur     pendingOp
 	opFree  []*pendingOp
 	scratch []byte
+	seen    []byte
 	failed  int
 
 	// pending holds the parked operations, retried by CompletePending.
@@ -213,7 +215,6 @@ func (s *Store) tryStartSession(id string, serial uint64) (*Session, bool) {
 	// definition; the lag clock starts now.
 	sess.committedSerial.Store(serial)
 	sess.committedAtNanos.Store(nowNanos())
-	s.views[version&1].Add(1)
 	s.sessions[id] = sess
 	return sess, true
 }
@@ -262,7 +263,6 @@ func (sess *Session) StopSession() {
 	st := sess.store
 	st.mu.Lock()
 	delete(st.sessions, sess.id)
-	st.views[sess.version&1].Add(-1)
 	st.mu.Unlock()
 	if ck := st.active.Load(); ck != nil {
 		ck.dropParticipant(sess)
@@ -283,8 +283,6 @@ func (sess *Session) Refresh() {
 		// one may already be active): reset to rest of the new version, then
 		// process any phase entries of the active commit below — skipping
 		// them would lose this session's acknowledgments.
-		sess.store.views[gv&1].Add(1)
-		sess.store.views[sess.version&1].Add(-1)
 		sess.version = gv
 		sess.phase = Rest
 	}
@@ -676,8 +674,9 @@ func (sess *Session) queueRead(op *pendingOp) {
 // is orphaned (invalid) and the caller decides again. When the probe found no
 // entry of the key's tag (expected 0, slot the free slot it passed, if any),
 // the appended record's entry is created there: an entry of the tag created
-// meanwhile fails it the same way.
-func (sess *Session) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool) bool {
+// meanwhile fails it the same way. from, when set, is the mutable record the
+// value was computed from.
+func (sess *Session) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool, from *findResult) bool {
 	epoch.YieldAt(epoch.SiteInstall)
 	index := sess.store.index
 	addr, rec := sess.store.log.Append(sess.guard, entryAddr(expected), recVersion(version), key, value,
@@ -687,6 +686,18 @@ func (sess *Session) install(hash uint64, slot *atomic.Uint64, expected uint64, 
 	}
 	var ok bool
 	switch entry := tagOf(hash) | addr; {
+	case from != nil:
+		// A copy of a record an update in place may still change: swapped in
+		// under its latch, and only while it holds the value copied (see
+		// update). Append may have refreshed this thread: if the record is no
+		// longer mutable, a flush may be reading it, and the op re-runs.
+		if from.addr < sess.store.log.ReadOnly() {
+			break
+		}
+		epoch.YieldAt(epoch.SiteRecordLock)
+		from.rec.Lock()
+		ok = from.rec.HoldsValue(sess.seen) && slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
+		from.rec.Unlock()
 	case expected != 0:
 		ok = slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
 	case slot != nil:

@@ -275,10 +275,11 @@ type Store struct {
 	// futureFrom[v&1] is commit v's log_start: the tail before the commit
 	// published prepare (see isFuture).
 	futureFrom [2]atomic.Uint64
-	// views[v&1] counts the sessions whose view is of version v: none of
-	// version v-1 means no session can still be in commit v-1, copying a
-	// record of it (see update). Sessions two versions apart never coexist.
-	views [2]atomic.Int64
+	// settled is the newest version v whose return to rest every thread has
+	// seen (the trigger of that epoch bump raises it): an op of version v or
+	// older updates a record older than itself in place, a newer one copies it
+	// (see update).
+	settled atomic.Uint32
 
 	// mu guards the session registry and serializes session registration
 	// against commit admission (lock order: mu, then ckptMu).

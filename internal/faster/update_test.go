@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/hashfn"
 )
 
@@ -57,12 +58,12 @@ var updateOutcomes = map[string][6][3]string{
 		regionDiskCopy: {"ok+rec", "ok+rec", "ok+rec"},
 		regionDiskCold: {"ok+rec", "pending+io", "ok+rec"},
 	},
-	// Single cells. A rest op of v+1 on a mutable record of v waits while
-	// another session's view is still of v — that session may be copying the
-	// record — and updates it in place once none is (settled). A coarse-grained
-	// v+1 op hands a safe-read-only v record off only once no v op can be
-	// pending.
-	"rest-older":                 {regionMutable: {"pending", "pending", "pending"}},
+	// Single cells. A rest op of v+1 on a mutable record of v copies it until
+	// every thread has seen commit v end — a session still in it may be copying
+	// the record — and updates it in place once the store has settled at v+1.
+	// A coarse-grained v+1 op hands a safe-read-only v record off only once no
+	// v op can be pending.
+	"rest-older":                 {regionMutable: {"ok+rec", "ok+rec", "ok+rec"}},
 	"rest-older-settled":         {regionMutable: {"ok", "ok", "ok"}},
 	"coarse-handoff-in-progress": {regionSafeRO: {"pending", "pending", "pending"}},
 	"coarse-handoff-wait-flush":  {regionSafeRO: {"ok+rec", "ok+rec", "ok+rec"}},
@@ -179,11 +180,8 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	case "rest-older", "rest-older-settled":
 		a.version++ // the record is now one version behind the view
 		op.version = a.version
-		s.views[op.version&1].Add(1) // a's view, counted where it now is
-		s.views[(op.version-1)&1].Add(-1)
-		if path == "rest-older" {
-			lag := s.StartSession() // at rest in v: its view has not moved on
-			defer lag.StopSession()
+		if path == "rest-older-settled" {
+			s.settled.Store(op.version)
 		}
 	case "coarse-handoff-in-progress", "coarse-handoff-wait-flush":
 		a.phase = InProgress
@@ -206,10 +204,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	if ck != nil {
 		s.active.Store(nil)
 	}
-	if strings.HasPrefix(path, "rest-older") {
-		s.views[op.version&1].Add(-1)
-		s.views[(op.version-1)&1].Add(1)
-	}
+	s.settled.Store(0)
 	a.phase, a.version = unpackState(s.state.Load())
 	if op.awaitingIO {
 		a.flushIO()
@@ -285,5 +280,67 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		if got := binary.LittleEndian.Uint64(rec.Value(nil)); got != wantVal {
 			t.Fatalf("value %d, want %d", got, wantVal)
 		}
+	}
+}
+
+// TestSettledInPlaceMeetsCopy interleaves the two updates a record older than
+// the ops can get at once: a copy by a session still in the record's commit (a
+// fine-grained v+1 hand-off from wait-flush) and an update in place by a
+// session at rest in v+1 once the store has settled. One runs whole inside the
+// other, just before the other takes the record latch; neither increment may be
+// lost. Without install's value check the copy swaps in over the update in
+// place; without update's slot check the update goes to the superseded record.
+func TestSettledInPlaceMeetsCopy(t *testing.T) {
+	for _, outer := range []string{"copy", "in-place"} {
+		t.Run("inside-"+outer, func(t *testing.T) {
+			s, err := Open(smallConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			copier, updater := s.StartSession(), s.StartSession()
+			defer copier.StopSession()
+			defer updater.StopSession()
+			k := key(7)
+			if st := copier.Upsert(k, u64(40)); st != Ok {
+				t.Fatalf("seed upsert: %v", st)
+			}
+			v := copier.version
+			copier.phase = WaitFlush // its view is still of commit v
+			updater.version = v + 1  // at rest in v+1, settled
+			s.settled.Store(v + 1)
+			run := func(sess *Session) {
+				op := &pendingOp{kind: opRMW, key: k, hash: hashfn.Hash64(k), input: u64(1), version: v + 1}
+				st := sess.dispatch(op)
+				for st == statusRetry {
+					st = sess.dispatch(op)
+				}
+				if st != Ok {
+					t.Errorf("rmw: %v", st)
+				}
+			}
+			first, second := copier, updater
+			if outer == "in-place" {
+				first, second = updater, copier
+			}
+			interleaved := false
+			epoch.SetYieldHook(func(site epoch.Site) {
+				if site == epoch.SiteRecordLock && !interleaved {
+					interleaved = true
+					run(second)
+				}
+			})
+			run(first)
+			epoch.SetYieldHook(nil)
+			copier.phase, copier.version = unpackState(s.state.Load())
+			updater.phase, updater.version = unpackState(s.state.Load())
+			s.settled.Store(0)
+			if !interleaved {
+				t.Fatal("the record latch was never reached")
+			}
+			if val, _ := readVal(t, copier, 7); binary.LittleEndian.Uint64(val) != 42 {
+				t.Fatalf("value %d, want 42", binary.LittleEndian.Uint64(val))
+			}
+		})
 	}
 }

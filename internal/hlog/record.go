@@ -273,20 +273,32 @@ func (r RecordRef) SetValue(val []byte) bool {
 func (r RecordRef) UpdateValue(scratch *[]byte, fn func(cur []byte) []byte) bool {
 	epoch.YieldAt(epoch.SiteRecordLock)
 	r.Lock()
+	ok := r.UpdateValueLatched(scratch, fn)
+	r.Unlock()
+	return ok
+}
+
+// UpdateValueLatched is UpdateValue for a caller that holds the record latch.
+func (r RecordRef) UpdateValueLatched(scratch *[]byte, fn func(cur []byte) []byte) bool {
 	hw, k, v, c := shape(r.Header(), &r.words[1])
 	vw := r.valueWords(hw, k, c)
 	*scratch = appendWordsAsBytes((*scratch)[:0], vw, v)
 	next := fn(*scratch)
 	if len(next) > c || hw == 1 && len(next) != v {
-		r.Unlock()
 		return false
 	}
 	storeBytesAsWords(vw, next)
 	if hw == 2 {
 		atomic.StoreUint64(&r.words[1], makeLens(k, len(next), c))
 	}
-	r.Unlock()
 	return true
+}
+
+// HoldsValue reports whether the record is live and its value is val. It takes
+// no latch: the caller holds it, or nothing updates the record in place.
+func (r RecordRef) HoldsValue(val []byte) bool {
+	hw, k, v, c := shape(r.Header(), &r.words[1])
+	return !r.Tombstone() && v == len(val) && wordsEqualBytes(r.valueWords(hw, k, c), val)
 }
 
 // initRecord fills a freshly allocated record region, which is zero, in the

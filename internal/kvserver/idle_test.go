@@ -2,6 +2,8 @@ package kvserver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,5 +71,56 @@ func TestIdleSessionReaped(t *testing.T) {
 	}
 	if val, found, err := c2.Get([]byte("k")); err != nil || !found || !bytes.Equal(val, []byte("v1")) {
 		t.Fatalf("resumed session read: %q %v %v", val, found, err)
+	}
+}
+
+// TestIdleConnectionDoesNotStallWrites: an idle connection's session refreshes
+// only every idlePoll, so for most of that time after a snapshot commit its
+// view is still of the commit. Another connection's updates of the commit's
+// records must not wait for it: right after each commit, an RMW of a hot key
+// answers well inside idlePoll, and every increment is kept.
+func TestIdleConnectionDoesNotStallWrites(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Kind = faster.Snapshot
+	_, addr, _ := startServer(t, cfg)
+	idle, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := idle.Set([]byte("idle"), u64(1)); err != nil { // its session, then quiet
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hot := []byte("hot")
+	const commits = 9
+	var after []time.Duration
+	for range commits {
+		if _, err := c.RMW(hot, u64(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Commit(false); err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		if _, err := c.RMW(hot, u64(1)); err != nil {
+			t.Fatal(err)
+		}
+		after = append(after, time.Since(t0))
+	}
+	slices.Sort(after)
+	if med := after[commits/2]; med > idlePoll/4 {
+		t.Errorf("median RMW right after a commit took %v (idle poll %v): it waited for the idle connection", med, idlePoll)
+	}
+	val, found, err := c.Get(hot)
+	if err != nil || !found {
+		t.Fatalf("get: found=%v err=%v", found, err)
+	}
+	if got := binary.LittleEndian.Uint64(val); got != 2*commits {
+		t.Fatalf("counter = %d, want %d", got, 2*commits)
 	}
 }
