@@ -267,7 +267,7 @@ func pipeloadCmd(args []string) {
 	fs := flag.NewFlagSet("pipeload", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "server address")
 	n := fs.Int("n", 100_000, "total blind writes to send")
-	depth := fs.Int("depth", 64, "pipeline depth (ops per BATCH frame; 1 = synchronous)")
+	depth := fs.Int("depth", 64, "pipeline depth (ops per BATCH frame; 1 = one round trip per op)")
 	fs.Parse(args) //nolint:errcheck
 	if *depth < 1 {
 		*depth = 1
@@ -290,18 +290,10 @@ func pipeloadCmd(args []string) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			binary.LittleEndian.PutUint64(kb[:], rng)
 			binary.LittleEndian.PutUint64(vb[:], ^rng)
-			if *depth == 1 {
-				if _, err := c.Set(kb[:], vb[:]); err != nil {
-					log.Fatal(err)
-				}
-			} else {
-				p.Set(kb[:], vb[:])
-			}
+			p.Set(kb[:], vb[:])
 		}
-		if *depth > 1 {
-			if _, err := p.Flush(); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := p.Flush(); err != nil {
+			log.Fatal(err)
 		}
 		sent += batch
 	}

@@ -338,7 +338,7 @@ func BenchmarkIndexImage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.n = 0
-		if _, err := storage.WriteArtifactStream(cs, "index", idx.writeImage, nil, -1, 0); err != nil {
+		if _, err := storage.WriteArtifactStream(cs, "index", idx.writeImage, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

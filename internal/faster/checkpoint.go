@@ -314,7 +314,7 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 		sec.Lis = s.log.Tail()
 		s.drainEpoch()
 		sec.Index = blobName("index", ck.token)
-		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, 0, v); err != nil {
+		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, v); err != nil {
 			return 0, err
 		}
 		sec.Lie = s.log.Tail()
@@ -348,7 +348,7 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 		s.drainEpoch()
 		if _, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Snapshot, func(w io.Writer) error {
 			return s.log.WriteRange(w, sec.SnapshotStart, end)
-		}, s.cfg.Flight, 0, v); err != nil {
+		}, s.cfg.Flight, v); err != nil {
 			return 0, err
 		}
 		written += int64(end - sec.SnapshotStart)
@@ -361,6 +361,6 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 	if ck.withIndex {
 		s.lastIndex, s.lastLis, s.lastLie = sec.Index, sec.Lis, sec.Lie
 	}
-	s.cfg.Flight.Emit(obs.FlightPersistDone, 0, v, ck.token, "", uint64(written), 0)
+	s.cfg.Flight.Emit(obs.FlightPersistDone, -1, v, ck.token, "", uint64(written), 0)
 	return written, nil
 }

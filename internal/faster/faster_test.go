@@ -712,7 +712,7 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 		idx.probe(h, tagOf(h)|uint64(64+i*32))
 	}
 	store := storage.NewMemCheckpointStore()
-	if _, err := storage.WriteArtifactStream(store, "idx", idx.writeImage, nil, -1, 0); err != nil {
+	if _, err := storage.WriteArtifactStream(store, "idx", idx.writeImage, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	var idx2 *index

@@ -12,11 +12,10 @@ import (
 )
 
 // TestFlightCommitTimeline checks the recorder captures a commit's causal
-// chain end to end: commit-start and the phase transitions on the store lane
-// (shard -1), persist-done on the log's lane (0), then — on the store lane
-// again —
-// the one artifact-write of a log-only commit, its record, and commit-done, in
-// that causal order.
+// chain end to end, all on the store lane (-1; the log's lane, 0, holds only
+// its flushes and page checksums): commit-start and the phase transitions,
+// persist-done, then the one artifact-write of a log-only commit, its record,
+// and commit-done, in that causal order.
 func TestFlightCommitTimeline(t *testing.T) { onePartition(t, flightCommitTimeline) }
 
 func flightCommitTimeline(t *testing.T) {
@@ -63,14 +62,14 @@ func flightCommitTimeline(t *testing.T) {
 		if e.Kind == obs.FlightArtifactWrite && (e.Token != "cpr-manifest-"+res.Token || e.Shard != -1) {
 			t.Fatalf("artifact-write of %s at shard %d: a log-only commit writes its record, on the store lane", e.Token, e.Shard)
 		}
-		if (e.Kind == obs.FlightCommitDone || e.Kind == obs.FlightPhase) && e.Shard != -1 {
+		if (e.Kind == obs.FlightCommitDone || e.Kind == obs.FlightPhase || e.Kind == obs.FlightPersistDone) && e.Shard != -1 {
 			t.Fatalf("%v recorded at shard %d, want the store lane (-1)", e.Kind, e.Shard)
 		}
 	}
 	if n := len(obs.FilterFlightEvents(evs, "cpr-manifest-")); n != 1 {
 		t.Fatalf("%d artifact events for one commit record, want 1", n)
 	}
-	pd := idx(obs.FlightPersistDone, 0)
+	pd := idx(obs.FlightPersistDone, -1)
 	if pd < 0 {
 		t.Fatal("no persist-done event")
 	}

@@ -1,6 +1,6 @@
 //go:build !race
 
-// Allocation guards for the v3 serving path. testing.AllocsPerRun is
+// Allocation guards for the serving path. testing.AllocsPerRun is
 // meaningless under the race detector's instrumented allocator, so this file
 // is excluded there (mirroring internal/obs's race-gated guards).
 
@@ -110,16 +110,19 @@ func TestServingLoopAllocFree(t *testing.T) {
 	guardServingLoop(t, srv, sess, fb.Bytes(), 1)
 }
 
-// TestSingleOpServingLoopAllocFree: the single-op arms — one traced GET frame
-// and one plain SET frame per pass, each answered in its own reply frame.
+// TestSingleOpServingLoopAllocFree: one-op BATCH frames, what a Client's
+// Get and Set send — one traced GET and one plain SET per pass, each answered
+// in its own reply frame.
 func TestSingleOpServingLoopAllocFree(t *testing.T) {
 	srv, sess, keys := servedStore(t, 1, nil)
 	var fb bytes.Buffer
 	tc := obs.TraceContext{TraceID: 9, ParentSpan: 1, IssuedUnixNanos: 1}
-	if err := writeFrameTr(&fb, OpGet, tc, wire.AppendString(nil, keys[0])); err != nil {
+	get := appendBatchOp(wire.AppendU32(nil, 1), OpGet, 1, keys[0], nil)
+	if err := writeFrameTr(&fb, OpBatch, tc, get); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&fb, OpSet, wire.AppendValue(wire.AppendString(nil, keys[0]), u64(1))); err != nil {
+	set := appendBatchOp(wire.AppendU32(nil, 1), OpSet, 2, keys[0], u64(1))
+	if err := writeFrame(&fb, OpBatch, set); err != nil {
 		t.Fatal(err)
 	}
 	guardServingLoop(t, srv, sess, fb.Bytes(), 2)

@@ -9,12 +9,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Batch codec (protocol v3). An OpBatch request carries N pipelined data ops
-// with client-assigned sequence numbers; the reply carries one entry per op,
-// in the same order. Both directions are built as append-style encoders over
-// caller-owned buffers so the steady-state path encodes and decodes without
-// allocating: the server parses ops as sub-slices of the (reused) frame
-// buffer and gathers replies into a per-connection (reused) reply buffer.
+// Batch codec. An OpBatch request, the one frame that carries data ops,
+// carries N of them with client-assigned sequence numbers; the reply carries
+// one entry per op, in the same order. Both directions are built as
+// append-style encoders over caller-owned buffers so the steady-state path
+// encodes and decodes without allocating: the server parses ops as sub-slices
+// of the (reused) frame buffer and gathers replies into a per-connection
+// (reused) reply buffer.
 //
 //	request payload  := u32 count | count * (u8 opcode | u64 seq | key string [| value])
 //	reply payload    := u8 status | u32 count | count * (u64 seq | u8 status | result)

@@ -76,7 +76,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("get-after-delete result: %+v", res[5])
 	}
 
-	// Batch effects are visible to plain single-op calls on the same session.
+	// Batch effects are visible to Get, a batch of one, on the same session.
 	if _, found, err := c.Get([]byte("bk2")); err != nil || !found {
 		t.Fatalf("bk2 after batch: found=%v err=%v", found, err)
 	}
@@ -133,47 +133,16 @@ func TestBatchReplySplit(t *testing.T) {
 		last = r.Serial
 	}
 	// And read them all back through one split-reply GET batch.
-	vals, found, err := c.GetN(func() [][]byte {
-		ks := make([][]byte, n)
-		for i := range ks {
-			ks[i] = u64(uint64(i))
-		}
-		return ks
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < n; i++ {
-		if !found[i] || string(vals[i]) != string(u64(uint64(i*7))) {
-			t.Fatalf("GetN[%d]: found=%v val=%x", i, found[i], vals[i])
+		p.Get(u64(uint64(i)))
+	}
+	if res, err = p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Status != StatusOK || string(r.Value) != string(u64(uint64(i*7))) {
+			t.Fatalf("get %d: %+v", i, r)
 		}
-	}
-}
-
-// TestGetNSetN exercises the convenience wrappers end to end.
-func TestGetNSetN(t *testing.T) {
-	_, addr, _ := startServer(t, smallCfg())
-	c, err := Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	keys := [][]byte{[]byte("na"), []byte("nb"), []byte("nc")}
-	vals := [][]byte{[]byte("va"), []byte("vb"), []byte("vc")}
-	serials, err := c.SetN(keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serials) != 3 || serials[2] <= serials[0] {
-		t.Fatalf("serials: %v", serials)
-	}
-	got, found, err := c.GetN([][]byte{keys[1], []byte("absent"), keys[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found[0] || string(got[0]) != "vb" || found[1] || !found[2] || string(got[2]) != "va" {
-		t.Fatalf("GetN: vals=%q found=%v", got, found)
 	}
 }
 
@@ -243,8 +212,9 @@ func TestGracefulCloseDrainsWaitDurable(t *testing.T) {
 	}
 }
 
-// TestBatchRedirectOnReplica: a replica serves read-only batches from its
-// installed prefix and redirects any batch containing a write, whole.
+// TestBatchRedirectOnReplica: a replica serves read-only batches — a Get's
+// one-op batch among them — from its installed prefix and redirects any batch
+// containing a write, whole, so a Set gets a RedirectError.
 func TestBatchRedirectOnReplica(t *testing.T) {
 	store, err := faster.Open(smallCfg())
 	if err != nil {
@@ -264,19 +234,27 @@ func TestBatchRedirectOnReplica(t *testing.T) {
 	}
 	defer c.Close()
 
-	vals, found, err := c.GetN([][]byte{[]byte("rk"), []byte("absent")})
+	p := c.Pipeline()
+	p.Get([]byte("rk"))
+	p.Get([]byte("absent"))
+	res, err := p.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found[0] || string(vals[0]) != "rv" || found[1] {
-		t.Fatalf("replica GetN: vals=%q found=%v", vals, found)
+	if res[0].Status != StatusOK || string(res[0].Value) != "rv" || res[1].Status != StatusNotFound {
+		t.Fatalf("replica read-only batch: %+v", res)
+	}
+	if v, found, err := c.Get([]byte("rk")); err != nil || !found || string(v) != "rv" {
+		t.Fatalf("replica Get: %q found=%v err=%v", v, found, err)
+	}
+	var re *RedirectError
+	if _, err := c.Set([]byte("rk"), []byte("nope")); !errors.As(err, &re) || re.Addr != "primary.example:9" {
+		t.Fatalf("Set on replica: %v, want RedirectError to the primary", err)
 	}
 
-	p := c.Pipeline()
 	p.Get([]byte("rk"))
 	p.Set([]byte("rk"), []byte("nope"))
 	_, err = p.Flush()
-	var re *RedirectError
 	if !errors.As(err, &re) || re.Addr != "primary.example:9" {
 		t.Fatalf("mixed batch on replica: %v, want RedirectError to the primary", err)
 	}

@@ -31,16 +31,17 @@ func (e *RedirectError) Error() string {
 // goroutine, as the paper opens one session per thread.
 //
 // The connection owns one grow-only buffer per direction: a request frame is
-// built in place in wbuf and leaves in one Write, a reply is read through br
-// into rbuf, and reply bodies (Get's value among them) alias rbuf until the
-// next call — so a steady-state round trip allocates nothing.
+// built in place in wbuf and leaves in one Write, and a reply is read through
+// br into rbuf, its body aliasing rbuf until the next call. Get, Set, RMW and
+// Delete are one-op flushes of the client's own Pipeline (Get's value is that
+// pipeline's arena) — so a steady-state round trip allocates nothing.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	wbuf []byte
 	rbuf []byte
 	tc   obs.TraceContext // the request in flight (zero when untraced)
-	pipe *Pipeline        // GetN/SetN's pipeline, made on first use
+	pipe *Pipeline        // Get/Set/RMW/Delete's pipeline, made on first use
 	// err is sticky: after a timeout or a protocol error the late reply may
 	// still arrive, and the next call would take it for its own. Every call
 	// fails with err until Reconnect.
@@ -86,7 +87,7 @@ func Dial(addr, clientID string) (*Client, error) {
 // untraced frame; the reply is the session's CPR point, its ID and the version
 // byte again, or an error status with the server's reason for refusing.
 func (c *Client) hello(clientID string) (id string, point uint64, err error) {
-	frame := append(wire.AppendString(wire.Open(c.wbuf, OpHello), []byte(clientID)), ProtoV3)
+	frame := append(wire.AppendString(wire.Open(c.wbuf, OpHello), []byte(clientID)), ProtoV4)
 	status, resp, err := c.call(frame)
 	if err != nil {
 		return "", 0, fmt.Errorf("kvserver: handshake failed: %w", err)
@@ -103,7 +104,7 @@ func (c *Client) hello(clientID string) (id string, point uint64, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if len(rest) != 1 || rest[0] != ProtoV3 {
+	if len(rest) != 1 || rest[0] != ProtoV4 {
 		return "", 0, fmt.Errorf("%w (its hello reply ends in % x)", ErrProtoVersion, rest)
 	}
 	return string(sid), point, nil
@@ -229,21 +230,33 @@ func (c *Client) call(frame []byte) (byte, []byte, error) {
 	return status, resp, nil
 }
 
+// one runs a single data op as a one-op flush of the client's own pipeline:
+// a BATCH frame is the only frame that carries data ops.
+func (c *Client) one(op byte, key, val []byte) (BatchResult, error) {
+	if c.pipe == nil {
+		c.pipe = c.Pipeline()
+	}
+	c.pipe.add(op, key, val)
+	res, err := c.pipe.Flush()
+	if err != nil {
+		return BatchResult{}, err
+	}
+	return res[0], nil
+}
+
 // Get reads key. found is false when the key does not exist. val is the
 // client's buffer, valid until this client's next call: copy it to keep it.
 func (c *Client) Get(key []byte) (val []byte, found bool, err error) {
-	status, resp, err := c.call(wire.AppendString(c.open(OpGet), key))
-	if err != nil {
+	r, err := c.one(OpGet, key, nil)
+	switch {
+	case err != nil:
 		return nil, false, err
-	}
-	switch status {
-	case StatusNotFound:
+	case r.Status == StatusNotFound:
 		return nil, false, nil
-	case StatusOK:
-		val, _, err = wire.TakeValue(resp)
-		return val, err == nil, err
+	case r.Status != StatusOK:
+		return nil, false, fmt.Errorf("kvserver: get failed")
 	}
-	return nil, false, fmt.Errorf("kvserver: get failed")
+	return r.Value, true, nil
 }
 
 // Set blindly writes key=val and returns the operation's serial number.
@@ -257,24 +270,23 @@ func (c *Client) RMW(key, input []byte) (uint64, error) {
 }
 
 func (c *Client) mutate(op byte, key, val []byte) (uint64, error) {
-	status, resp, err := c.call(wire.AppendValue(wire.AppendString(c.open(op), key), val))
+	r, err := c.one(op, key, val)
 	if err != nil {
 		return 0, err
 	}
-	if status != StatusOK {
-		return 0, fmt.Errorf("kvserver: op %d failed (status %d)", op, status)
+	if r.Status != StatusOK {
+		return 0, fmt.Errorf("kvserver: op %d failed (status %d)", op, r.Status)
 	}
-	serial, _, err := wire.TakeU64(resp)
-	return serial, err
+	return r.Serial, nil
 }
 
 // Delete removes key. found is false when the key did not exist.
 func (c *Client) Delete(key []byte) (found bool, err error) {
-	status, _, err := c.call(wire.AppendString(c.open(OpDelete), key))
+	r, err := c.one(OpDelete, key, nil)
 	if err != nil {
 		return false, err
 	}
-	switch status {
+	switch r.Status {
 	case StatusOK:
 		return true, nil
 	case StatusNotFound:
@@ -284,21 +296,16 @@ func (c *Client) Delete(key []byte) (found bool, err error) {
 }
 
 // Commit requests a CPR commit (withIndex takes a full checkpoint) and
-// blocks until it is durable, returning this session's CPR point: all of
-// this client's operations with serial <= point survived.
+// blocks until this session's operations so far are durable, returning its
+// CPR point: all of this client's operations with serial <= point survived.
+// The server starts a commit, or joins the one in flight, and starts more
+// until one covers the session.
 func (c *Client) Commit(withIndex bool) (uint64, error) {
 	var flags byte
 	if withIndex {
 		flags = 1
 	}
-	status, resp, err := c.call(append(c.open(OpCommit), flags))
-	if err != nil {
-		return 0, err
-	}
-	if status != StatusOK {
-		return 0, fmt.Errorf("kvserver: commit failed")
-	}
-	point, _, err := wire.TakeU64(resp)
+	point, _, err := c.awaitDurable(append(c.open(OpCommit), flags), "commit failed")
 	return point, err
 }
 
@@ -308,7 +315,14 @@ func (c *Client) Commit(withIndex bool) (uint64, error) {
 // commit's token — the cross-link into flight-recorder events and trace
 // durwait spans. On a replica it returns a RedirectError.
 func (c *Client) WaitDurable() (uint64, string, error) {
-	status, resp, err := c.call(c.open(OpWaitDurable))
+	return c.awaitDurable(c.open(OpWaitDurable), "wait-durable timed out")
+}
+
+// awaitDurable runs a COMMIT or WAITDUR exchange; both are answered with the
+// session's committed serial and the covering commit's token. failed words
+// the error of a reply under an error status.
+func (c *Client) awaitDurable(frame []byte, failed string) (uint64, string, error) {
+	status, resp, err := c.call(frame)
 	if err != nil {
 		return 0, "", err
 	}
@@ -321,7 +335,7 @@ func (c *Client) WaitDurable() (uint64, string, error) {
 		return 0, "", err
 	}
 	if status != StatusOK {
-		return serial, "", fmt.Errorf("kvserver: wait-durable timed out at serial %d", serial)
+		return serial, "", fmt.Errorf("kvserver: %s at serial %d", failed, serial)
 	}
 	return serial, string(token), nil
 }

@@ -177,8 +177,8 @@ func TestBatchExecClock(t *testing.T) {
 }
 
 // TestFailedParkedWriteRepliesError: a write that parks on a cold record and
-// fails there — the device refuses the read — is answered StatusError, over
-// the single-op path and in a BATCH, and the record is untouched.
+// fails there — the device refuses the read — is answered StatusError, to a
+// Client's RMW and to one queued on a Pipeline, and the record is untouched.
 func TestFailedParkedWriteRepliesError(t *testing.T) {
 	inj := storage.NewInjector(storage.FaultConfig{Seed: 1})
 	cfg := smallCfg()

@@ -45,34 +45,52 @@ func expectBytes(t *testing.T, r io.Reader, what string, want []byte) {
 
 // The conversation both golden tests speak, byte by byte. All integers are
 // little-endian; a frame is u32 length | u8 opcode | payload, a reply's first
-// payload byte is its status.
+// payload byte is its status. Data ops travel only in BATCH frames (opcode 11):
+// a Client's Get or Set is a batch of one.
 var (
-	// HELLO: client ID "golden", version byte 3 -> status OK, CPR point 0, the
+	// HELLO: client ID "golden", version byte 4 -> status OK, CPR point 0, the
 	// session ID, the version byte.
-	goldHello   = golden(10, 0, 0, 0, 1, 6, 0, "golden", 3)
-	goldHelloOK = golden(19, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, "golden", 3)
-	// GET "k", a plain frame -> NotFound with an empty value.
-	goldGet      = golden(4, 0, 0, 0, 2, 1, 0, "k")
-	goldGetNone  = golden(6, 0, 0, 0, 2, 1, 0, 0, 0, 0)
-	goldGetFound = golden(8, 0, 0, 0, 2, 0, 2, 0, 0, 0, "v1")
-	// SET "k"="v1" with the trace flag on the opcode and the 24-byte trace
-	// field before the payload -> OK, the op's serial (the GET was serial 1).
-	goldSetTraced = golden(34, 0, 0, 0, 3|0x80,
-		0x11, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x22, 0, 0, 0, 0, 0, 0, 0,
-		1, 0, "k", 2, 0, 0, 0, "v1")
-	goldSetOK = golden(10, 0, 0, 0, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0)
-	// BATCH of three: SET "k2"="v2" (seq 1), GET "k" (seq 2), DELETE "k"
-	// (seq 3). The reply comes in two frames at a 40-byte coalescing cap: two
+	goldHello   = golden(10, 0, 0, 0, 1, 6, 0, "golden", 4)
+	goldHelloOK = golden(19, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, "golden", 4)
+	// A batch of one: GET "k" (seq 1) -> NotFound, no value; OK, "v1".
+	goldGet = golden(17, 0, 0, 0, 11, 1, 0, 0, 0,
+		2, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k")
+	goldGetMissing = golden(15, 0, 0, 0, 11, 0, 1, 0, 0, 0,
+		1, 0, 0, 0, 0, 0, 0, 0, 1)
+	goldGetFound = golden(21, 0, 0, 0, 11, 0, 1, 0, 0, 0,
+		1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, "v1")
+	// A batch of one: SET "k"="v1" (seq 2) -> OK, the op's serial (the GET was
+	// serial 1). The server is sent it with the trace flag on the opcode and
+	// the 24-byte trace field before the payload.
+	goldSetBody = golden(1, 0, 0, 0,
+		3, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k", 2, 0, 0, 0, "v1")
+	goldSet       = append(golden(len(goldSetBody)+1, 0, 0, 0, 11), goldSetBody...)
+	goldSetTraced = append(golden(len(goldSetBody)+1+traceFieldLen, 0, 0, 0, 11|0x80,
+		0x11, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x22, 0, 0, 0, 0, 0, 0, 0), goldSetBody...)
+	goldSetOK = golden(23, 0, 0, 0, 11, 0, 1, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0)
+	// BATCH of three: SET "k2"="v2" (seq 3), GET "k" (seq 4), DELETE "k"
+	// (seq 5). The reply comes in two frames at a 40-byte coalescing cap: two
 	// entries (serial 4; the value), then one (serial 6).
 	goldBatchOps = golden(3, 0, 0, 0,
-		3, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, "k2", 2, 0, 0, 0, "v2",
-		2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k",
-		5, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k")
+		3, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, "k2", 2, 0, 0, 0, "v2",
+		2, 4, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k",
+		5, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, "k")
+	goldBatch       = append(golden(len(goldBatchOps)+1, 0, 0, 0, 11), goldBatchOps...)
 	goldBatchReplyA = golden(38, 0, 0, 0, 11, 0, 2, 0, 0, 0,
-		1, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
-		2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, "v1")
+		3, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, "v1")
 	goldBatchReplyB = golden(23, 0, 0, 0, 11, 0, 1, 0, 0, 0,
-		3, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0)
+		5, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0)
+	// COMMIT, log-only -> OK, the session's committed serial (6, every op so
+	// far) and the covering commit's token; then WAITDUR, already covered ->
+	// the same two.
+	goldCommit   = golden(2, 0, 0, 0, 6, 0)
+	goldCommitOK = golden(23, 0, 0, 0, 6, 0,
+		6, 0, 0, 0, 0, 0, 0, 0, 11, 0, "ckpt-000001")
+	goldWaitDur   = golden(1, 0, 0, 0, 10)
+	goldWaitDurOK = golden(23, 0, 0, 0, 10, 0,
+		6, 0, 0, 0, 0, 0, 0, 0, 11, 0, "ckpt-000001")
 )
 
 // TestGoldenServerBytes: a real server, spoken to in spelled-out bytes,
@@ -95,10 +113,12 @@ func TestGoldenServerBytes(t *testing.T) {
 		}
 	}
 	say("hello", goldHello, goldHelloOK)
-	say("get of a missing key", goldGet, goldGetNone)
+	say("get of a missing key", goldGet, goldGetMissing)
 	say("traced set", goldSetTraced, goldSetOK)
 	say("get", goldGet, goldGetFound)
-	say("batch", append(golden(len(goldBatchOps)+1, 0, 0, 0, 11), goldBatchOps...), goldBatchReplyA, goldBatchReplyB)
+	say("batch", goldBatch, goldBatchReplyA, goldBatchReplyB)
+	say("commit", goldCommit, goldCommitOK)
+	say("wait-durable", goldWaitDur, goldWaitDurOK)
 }
 
 // TestGoldenClientBytes: a Client, against a peer that compares what it sends
@@ -131,9 +151,10 @@ func TestGoldenClientBytes(t *testing.T) {
 		}{
 			{"client hello", goldHello, [][]byte{goldHelloOK}},
 			{"client get", traced(goldGet), [][]byte{goldGetFound}},
-			{"client set", traced(golden(10, 0, 0, 0, 3, 1, 0, "k", 2, 0, 0, 0, "v1")), [][]byte{goldSetOK}},
-			{"client batch", traced(append(golden(len(goldBatchOps)+1, 0, 0, 0, 11), goldBatchOps...)),
-				[][]byte{goldBatchReplyA, goldBatchReplyB}},
+			{"client set", traced(goldSet), [][]byte{goldSetOK}},
+			{"client batch", traced(goldBatch), [][]byte{goldBatchReplyA, goldBatchReplyB}},
+			{"client commit", traced(goldCommit), [][]byte{goldCommitOK}},
+			{"client wait-durable", traced(goldWaitDur), [][]byte{goldWaitDurOK}},
 		} {
 			expectBytes(t, conn, ex.what, ex.want)
 			for _, r := range ex.replies {
@@ -166,6 +187,12 @@ func TestGoldenClientBytes(t *testing.T) {
 	}
 	if res[0].Serial != 4 || string(res[1].Value) != "v1" || res[2].Serial != 6 || res[2].Status != StatusOK {
 		t.Fatalf("flush results: %+v", res)
+	}
+	if point, err := c.Commit(false); err != nil || point != 6 {
+		t.Fatalf("commit: point %d err=%v", point, err)
+	}
+	if serial, token, err := c.WaitDurable(); err != nil || serial != 6 || token != "ckpt-000001" {
+		t.Fatalf("wait-durable: serial %d token %q err=%v", serial, token, err)
 	}
 	<-peerDone
 }

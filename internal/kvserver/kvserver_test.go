@@ -154,6 +154,161 @@ func TestCommitReturnsCPRPoint(t *testing.T) {
 	}
 }
 
+// waitPhase polls until the store's machine is in phase p.
+func waitPhase(t *testing.T, store *faster.Store, p faster.Phase) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); store.Phase() != p; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("store stuck in phase %v, waiting for %v", store.Phase(), p)
+		}
+	}
+}
+
+// TestCommitJoiningUncoveringCommit: a COMMIT that joins a commit in flight in
+// which its session already demarcated — at serial 1, before its ops 2 and 3 —
+// is not covered by that commit. Its reply never names a point above the
+// session's committed serial, nor above the point recovery hands the session
+// back: a client trims its replay buffer at that point.
+func TestCommitJoiningUncoveringCommit(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Device, cfg.Checkpoints = storage.NewMemDevice(), storage.NewMemCheckpointStore()
+	srv, addr, store := startServer(t, cfg)
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Set([]byte("k1"), u64(1)); err != nil {
+		t.Fatal(err)
+	}
+	// A session of the test's own holds the commit open between its refreshes.
+	blocker := store.StartSession()
+	if _, err := store.Commit(faster.CommitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	blocker.Refresh()
+	waitPhase(t, store, faster.InProgress) // the connection's idle poll acknowledged prepare too
+	// A BATCH refreshes its session before its ops: the connection's session
+	// demarcates at serial 1, then issues ops 2 and 3.
+	p := c.Pipeline()
+	p.Set([]byte("k2"), u64(1))
+	p.Set([]byte("k3"), u64(1))
+	if res, err := p.Flush(); err != nil || res[1].Serial != 3 {
+		t.Fatalf("flush: %+v, %v", res, err)
+	}
+	type reply struct {
+		point uint64
+		err   error
+	}
+	// Every frame a Client sends is traced, so the server records each
+	// request's queue time as it takes the request up.
+	taken := func() uint64 { return store.Metrics().Snapshot().Histograms["faster_op_queue_ns"].Count }
+	before := taken()
+	replied := make(chan reply, 1)
+	go func() {
+		point, err := c.Commit(false)
+		replied <- reply{point, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); taken() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never took the COMMIT up")
+		}
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				blocker.StopSession()
+				return
+			default:
+				blocker.Refresh()
+				blocker.CompletePending(false)
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	var r reply
+	select {
+	case r = <-replied:
+	case <-time.After(20 * time.Second):
+		t.Fatal("no COMMIT reply")
+	}
+	close(stop)
+	<-stopped
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	var committed uint64
+	for _, l := range store.SessionLags() {
+		if l.ID == c.ID() {
+			committed = l.CommittedSerial
+		}
+	}
+	if r.point > committed {
+		t.Fatalf("COMMIT replied point %d, above the session's committed serial %d", r.point, committed)
+	}
+	waitPhase(t, store, faster.Rest)
+	c.Close()
+	srv.Close()
+	store.Close()
+	store2, err := faster.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	sess, recovered := store2.ContinueSession(c.ID())
+	defer sess.StopSession()
+	if r.point > recovered {
+		t.Fatalf("COMMIT replied point %d, above the %d recovery hands the session back", r.point, recovered)
+	}
+}
+
+// TestCloseEndsCommitWait: Close returns promptly while a COMMIT waits on a
+// commit that a session which never refreshes holds in prepare, and the
+// COMMIT gets a whole error reply.
+func TestCloseEndsCommitWait(t *testing.T) {
+	srv, addr, store := startServer(t, smallCfg())
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Set([]byte("k"), u64(1)); err != nil {
+		t.Fatal(err)
+	}
+	blocker := store.StartSession() // a participant of every commit from here on
+	replied := make(chan error, 1)
+	go func() {
+		_, err := c.Commit(false)
+		replied <- err
+	}()
+	waitPhase(t, store, faster.Prepare) // the COMMIT started its commit
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		blocker.StopSession() // let the commit through, so that Close can return
+		<-closed
+		t.Fatal("Close did not return within 2 s while a COMMIT waited on a held commit")
+	}
+	blocker.StopSession()
+	select {
+	case err := <-replied:
+		if err == nil {
+			t.Fatal("COMMIT replied OK for a commit that never finished")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no COMMIT reply")
+	}
+	waitPhase(t, store, faster.Rest)
+}
+
 func TestConcurrentClients(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
 	const clients = 4

@@ -14,7 +14,7 @@ type opMetrics struct {
 	durwaitNs  *obs.Histogram
 	replwaitNs *obs.Histogram
 
-	// Protocol v3 pipelining counters: how deep BATCH frames run, and how
+	// Data-request counters: how deep BATCH frames run, and how
 	// well per-connection write coalescing amortizes flush syscalls
 	// (replies-per-flush = coalescedReplies / coalescedFlushes).
 	batchDepth       *obs.Histogram
@@ -39,9 +39,9 @@ func resolveOpMetrics(reg *obs.Registry) opMetrics {
 	reg.SetHelp("faster_op_replwait_ns",
 		"Per-commit wait from local durability to replica commit-announce.")
 	reg.SetHelp("faster_batch_depth",
-		"Ops per BATCH frame (protocol v3 pipelining depth as observed by the server).")
+		"Ops per BATCH frame, the one frame that carries data ops (a Client's Get/Set/RMW/Delete is a batch of one).")
 	reg.SetHelp("faster_net_batches_total",
-		"BATCH frames served (protocol v3).")
+		"BATCH frames served: every data request, single ops included.")
 	reg.SetHelp("faster_net_coalesced_flushes_total",
 		"Per-connection reply-buffer flushes (write syscalls after coalescing), summed across connections.")
 	reg.SetHelp("faster_net_coalesced_replies_total",
@@ -67,14 +67,6 @@ func opName(op byte) string {
 	switch op {
 	case OpHello:
 		return "HELLO"
-	case OpGet:
-		return "GET"
-	case OpSet:
-		return "SET"
-	case OpRMW:
-		return "RMW"
-	case OpDelete:
-		return "DEL"
 	case OpCommit:
 		return "COMMIT"
 	case OpStats:

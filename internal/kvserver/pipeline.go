@@ -17,8 +17,8 @@ type BatchResult struct {
 	Serial uint64 // session serial for SET/RMW/DELETE
 }
 
-// Pipeline accumulates data ops and sends them as one BATCH frame (protocol
-// v3), amortizing the network round-trip — and, server-side, the epoch
+// Pipeline accumulates data ops and sends them as one BATCH frame,
+// amortizing the network round-trip — and, server-side, the epoch
 // protection — across the whole run. Replies come back per op, matched in
 // issue order by sequence number.
 //
@@ -174,65 +174,4 @@ func (p *Pipeline) readBatch() error {
 		}
 	}
 	return nil
-}
-
-// batch returns the client's own pipeline, the one GetN and SetN reuse.
-func (c *Client) batch() *Pipeline {
-	if c.pipe == nil {
-		c.pipe = c.Pipeline()
-	}
-	return c.pipe
-}
-
-// GetN reads keys in one pipelined batch. found[i] reports whether keys[i]
-// existed; vals[i] is nil when it did not. The values are the caller's: they
-// survive later calls on the client.
-func (c *Client) GetN(keys [][]byte) (vals [][]byte, found []bool, err error) {
-	p := c.batch()
-	for _, k := range keys {
-		p.Get(k)
-	}
-	res, err := p.Flush()
-	if err != nil {
-		return nil, nil, err
-	}
-	vals = make([][]byte, len(res))
-	found = make([]bool, len(res))
-	// One copy for every value handed out: they sit in the arena in order.
-	keep := append([]byte(nil), p.arena...)
-	for i, r := range res {
-		switch r.Status {
-		case StatusOK:
-			n := len(r.Value)
-			vals[i], found[i], keep = keep[:n:n], true, keep[n:]
-		case StatusNotFound:
-		default:
-			return nil, nil, fmt.Errorf("kvserver: get %d in batch failed (status %d)", i, r.Status)
-		}
-	}
-	return vals, found, nil
-}
-
-// SetN blindly writes keys[i]=vals[i] in one pipelined batch and returns the
-// per-op serials.
-func (c *Client) SetN(keys, vals [][]byte) ([]uint64, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("kvserver: SetN: %d keys, %d vals", len(keys), len(vals))
-	}
-	p := c.batch()
-	for i := range keys {
-		p.Set(keys[i], vals[i])
-	}
-	res, err := p.Flush()
-	if err != nil {
-		return nil, err
-	}
-	serials := make([]uint64, len(res))
-	for i, r := range res {
-		if r.Status != StatusOK {
-			return nil, fmt.Errorf("kvserver: set %d in batch failed (status %d)", i, r.Status)
-		}
-		serials[i] = r.Serial
-	}
-	return serials, nil
 }

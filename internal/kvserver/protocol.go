@@ -25,42 +25,49 @@ import (
 // Opcodes. Opcode values stay below 0x80: the high bit of the frame's opcode
 // byte is the trace flag (see frameFlagTrace).
 const (
-	OpHello  byte = 1 // payload: clientID string, u8 ProtoV3 -> resp: u64 CPR point, id string, u8 ProtoV3; refused: StatusError, reason string
-	OpGet    byte = 2 // payload: key string       -> resp: value
-	OpSet    byte = 3 // payload: key string, value -> resp: u64 serial
-	OpRMW    byte = 4 // payload: key string, value -> resp: u64 serial
-	OpDelete byte = 5 // payload: key string       -> resp: u64 serial
-	OpCommit byte = 6 // payload: u8 withIndex     -> resp: u64 CPR point
-	OpStats  byte = 7 // payload: none             -> resp: StatsSnapshot JSON
-	OpFlight byte = 8 // payload: token string (may be empty) -> resp: obs.FlightDump JSON
+	OpHello byte = 1 // payload: clientID string, u8 ProtoV4 -> resp: u64 CPR point, id string, u8 ProtoV4; refused: StatusError, reason string
+	// The data ops travel only inside an OpBatch frame, one entry each; a
+	// frame with one of them as its opcode closes the connection.
+	OpGet    byte = 2 // entry: key string        -> result: value
+	OpSet    byte = 3 // entry: key string, value -> result: u64 serial
+	OpRMW    byte = 4 // entry: key string, value -> result: u64 serial
+	OpDelete byte = 5 // entry: key string        -> result: u64 serial
+	// OpCommit and OpWaitDurable block until the session's committed point
+	// t_i covers every op issued on this connection before them, and reply
+	// with the committed serial and the token of the covering commit.
+	// OpWaitDurable rides whatever commit (auto-committer or another
+	// session's) gets there; OpCommit starts one (a full checkpoint if
+	// withIndex) on arrival and whenever none is running while the session is
+	// not covered, and waits for the last one it started to end.
+	OpCommit      byte = 6  // payload: u8 withIndex -> resp: u64 committed serial, token string
+	OpWaitDurable byte = 10 // payload: none         -> resp: u64 committed serial, token string
+	OpStats       byte = 7  // payload: none         -> resp: StatsSnapshot JSON
+	OpFlight      byte = 8  // payload: token string (may be empty) -> resp: obs.FlightDump JSON
 	// OpTrace fetches the server's retained slow-request span trees.
 	OpTrace byte = 9 // payload: u16 maxTraces -> resp: obs.TraceDump JSON
-	// OpWaitDurable blocks until the session's committed point t_i covers
-	// every operation issued on this connection so far, piggybacking on
-	// whatever commit (auto-committer or another session's) gets there first.
-	// The response names the covering commit.
-	OpWaitDurable byte = 10 // payload: none -> resp: u64 committed serial, token string
-	// OpBatch carries N pipelined data ops in one frame. Request payload:
-	// u32 count, then per op: u8 opcode | u64 seq | key string [| value]
-	// (value present for OpSet/OpRMW only). Response payload: u8 status; on
-	// StatusOK a u32 count and per op u64 seq | u8 status | result (value for
-	// GET on StatusOK, u64 serial for SET/RMW/DELETE); on StatusRedirect the
-	// primary's address string. A server may split one request's replies
-	// across several OpBatch frames (each self-contained with its own count);
-	// the client reads frames until every seq is answered, in issue order.
+	// OpBatch carries N pipelined data ops in one frame, and is the only
+	// frame that carries any. Request payload: u32 count, then per op: u8
+	// opcode | u64 seq | key string [| value] (value present for OpSet/OpRMW
+	// only). Response payload: u8 status; on StatusOK a u32 count and per op
+	// u64 seq | u8 status | result (value for GET on StatusOK, u64 serial for
+	// SET/RMW/DELETE); on StatusRedirect the primary's address string. A
+	// server may split one request's replies across several OpBatch frames
+	// (each self-contained with its own count); the client reads frames until
+	// every seq is answered, in issue order.
 	OpBatch byte = 11
 )
 
-// ProtoV3 is the one protocol version: single-op frames with the optional
-// trace field, and OpBatch. A Hello carries it as its last byte and the reply
-// echoes it; nothing is negotiated — a server refuses a Hello that omits the
-// byte or offers another with a StatusError reply, and Dial refuses a reply
+// ProtoV4 is the one protocol version: data ops only in OpBatch frames,
+// COMMIT and WAITDUR answered alike, the optional trace field on any frame. A
+// Hello carries it as its last byte and the reply echoes it; nothing is
+// negotiated — a server refuses a Hello that omits the byte or offers another
+// (a v3 peer's 3 among them) with a StatusError reply, and Dial refuses a reply
 // that does not echo it (ErrProtoVersion).
-const ProtoV3 byte = 3
+const ProtoV4 byte = 4
 
 // ErrProtoVersion is returned (wrapped) by Dial when the server's Hello reply
-// carries no version byte or one other than ProtoV3. Match with errors.Is.
-var ErrProtoVersion = errors.New("kvserver: server does not speak protocol v3")
+// carries no version byte or one other than ProtoV4. Match with errors.Is.
+var ErrProtoVersion = errors.New("kvserver: server does not speak protocol v4")
 
 // frameFlagTrace, set on the frame's opcode byte, means a 24-byte trace
 // field — trace ID u64, parent span u64, issued-at unix nanos u64 — sits
@@ -140,7 +147,7 @@ const (
 	StatusRedirect byte = 3
 )
 
-// Every frame — client request, single-op reply, batch reply — is built in
+// Every frame — client request, reply, batch reply — is built in
 // place in a buffer its connection owns and leaves in one Write; the layout of
 // a frame and of the scalars in it belongs to internal/wire. What this package
 // adds is the trace field: openFrame is wire.Open with the 24-byte field behind

@@ -15,7 +15,7 @@ import (
 )
 
 // rawHello dials addr and sends a Hello whose payload is the empty client ID
-// followed by tail — ProtoV3 for a well-formed one.
+// followed by tail — ProtoV4 for a well-formed one.
 func rawHello(t *testing.T, addr string, tail ...byte) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -31,7 +31,8 @@ func rawHello(t *testing.T, addr string, tail ...byte) net.Conn {
 }
 
 // TestOldHelloRefused: one version is spoken. A Hello without the version
-// byte (what a v1 client sent), or offering 1, 2 or 4, gets an error frame
+// byte (what a v1 client sent), or offering 1, 2, 3 (a v3 client, which would
+// send single-op data frames) or 5, gets an error frame
 // that says why and a closed connection, and never a session — from a primary
 // and from a replica alike.
 func TestOldHelloRefused(t *testing.T) {
@@ -43,14 +44,14 @@ func TestOldHelloRefused(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, addr := range []string{addr, replica.Addr().String()} {
-		for _, tail := range [][]byte{nil, {1}, {2}, {4}, {ProtoV3, 0}} {
+		for _, tail := range [][]byte{nil, {1}, {2}, {3}, {5}, {ProtoV4, 0}} {
 			before := store.SessionCount()
 			conn := rawHello(t, addr, tail...)
 			op, resp, err := readFrame(conn)
 			if err != nil || op != OpHello || len(resp) < 1 || resp[0] != StatusError {
 				t.Fatalf("hello ending in % x: op=%d resp=% x err=%v, want an error frame", tail, op, resp, err)
 			}
-			if reason, _, err := wire.TakeString(resp[1:]); err != nil || !strings.Contains(string(reason), "v3") {
+			if reason, _, err := wire.TakeString(resp[1:]); err != nil || !strings.Contains(string(reason), "v4") {
 				t.Fatalf("hello ending in % x: reason %q err=%v, want one naming the version spoken", tail, reason, err)
 			}
 			if _, _, err := readFrame(conn); err == nil {
@@ -95,10 +96,10 @@ func TestDialReportsRefusal(t *testing.T) {
 }
 
 // TestDialRejectsOtherVersion: a reply that echoes no version byte (a v1
-// server), or another one, is ErrProtoVersion.
+// server), or another one (a v3 server among them), is ErrProtoVersion.
 func TestDialRejectsOtherVersion(t *testing.T) {
 	ok := wire.AppendString(wire.AppendU64([]byte{StatusOK}, 0), []byte("sess"))
-	for _, tail := range [][]byte{nil, {2}, {4}} {
+	for _, tail := range [][]byte{nil, {3}, {5}} {
 		_, err := Dial(helloPeer(t, append(ok[:len(ok):len(ok)], tail...)), "")
 		if !errors.Is(err, ErrProtoVersion) {
 			t.Fatalf("hello reply ending in % x: Dial returned %v, want ErrProtoVersion", tail, err)
@@ -110,7 +111,7 @@ func TestDialRejectsOtherVersion(t *testing.T) {
 // than wire.MaxFrame bytes instead of allocating for it.
 func TestOversizedFrameRejected(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
-	conn := rawHello(t, addr, ProtoV3)
+	conn := rawHello(t, addr, ProtoV4)
 	if _, _, err := readFrame(conn); err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +127,21 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 // TestUnknownOpcodeClosesConnection: an unrecognized opcode after a valid
-// handshake terminates the connection instead of wedging the session.
+// handshake terminates the connection instead of wedging the session — a data
+// op sent as a frame of its own too, since only BATCH frames carry them.
 func TestUnknownOpcodeClosesConnection(t *testing.T) {
 	_, addr, _ := startServer(t, smallCfg())
-	conn := rawHello(t, addr, ProtoV3)
-	if _, _, err := readFrame(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, 0x6E, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readFrame(conn); err == nil {
-		t.Fatal("server answered an unknown opcode")
+	for _, op := range []byte{0x6E, OpGet, OpSet, OpRMW, OpDelete} {
+		conn := rawHello(t, addr, ProtoV4)
+		if _, _, err := readFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, op, wire.AppendValue(wire.AppendString(nil, []byte("k")), []byte("v"))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readFrame(conn); err == nil {
+			t.Fatalf("server answered a frame with opcode %d", op)
+		}
 	}
 }
 
@@ -160,15 +164,17 @@ func TestTraceFlaggedFrameTooShort(t *testing.T) {
 // buffer, and an arbitrary payload taken as a BATCH body must decode within
 // its bounds or fail cleanly.
 func FuzzTraceAndBatch(f *testing.F) {
-	f.Add(byte(OpSet), []byte("hello"))
-	f.Add(byte(0), []byte{})
-	f.Add(byte(255), bytes.Repeat([]byte{0xAA}, 1024))
-	// Batch codec seeds: a well-formed two-op batch, a count overclaiming its
-	// body, and a batch whose op list is truncated mid-entry.
+	// BATCH frames only, the one frame that carries data ops: an empty
+	// payload, noise, a well-formed two-op batch, a one-op batch (what a
+	// Client's Get sends), a count overclaiming its body, and a batch whose op
+	// list is truncated mid-entry.
 	wellFormed := wire.AppendU32(nil, 2)
 	wellFormed = appendBatchOp(wellFormed, OpSet, 1, []byte("bk"), []byte("bv"))
 	wellFormed = appendBatchOp(wellFormed, OpGet, 2, []byte("bk"), nil)
+	f.Add(byte(OpBatch), []byte{})
+	f.Add(byte(OpBatch), bytes.Repeat([]byte{0xAA}, 1024))
 	f.Add(byte(OpBatch), wellFormed)
+	f.Add(byte(OpBatch), appendBatchOp(wire.AppendU32(nil, 1), OpGet, 1, []byte("k"), nil))
 	f.Add(byte(OpBatch), wire.AppendU32(nil, 1000))
 	f.Add(byte(OpBatch), wellFormed[:len(wellFormed)-3])
 	f.Fuzz(func(t *testing.T, opcode byte, payload []byte) {

@@ -277,8 +277,7 @@ type connState struct {
 	unflushed int
 
 	// Pending cold-read completion scratch: readCB (created once per
-	// connection) copies the value here, execBatch and the single-op GET
-	// path consume it.
+	// connection) copies the value here, execData consumes it.
 	pendVal  []byte
 	pendSt   faster.Status
 	pendDone bool
@@ -372,8 +371,8 @@ func (s *Server) handle(conn net.Conn) {
 	// One version is spoken; the byte is an input check, not a negotiation. A
 	// peer that omits it or offers another learns why and is hung up on before
 	// any session exists.
-	if len(rest) != 1 || rest[0] != ProtoV3 {
-		why := fmt.Sprintf("this server speaks protocol v%d only; the hello offered % x", ProtoV3, rest)
+	if len(rest) != 1 || rest[0] != ProtoV4 {
+		why := fmt.Sprintf("this server speaks protocol v%d only; the hello offered % x", ProtoV4, rest)
 		writeFrame(conn, OpHello, wire.AppendString([]byte{StatusError}, []byte(why))) //nolint:errcheck // hanging up either way
 		return
 	}
@@ -440,7 +439,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // helloReply is the payload of an accepted Hello's reply.
 func helloReply(cprPoint uint64, sessionID string) []byte {
-	return append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, cprPoint), []byte(sessionID)), ProtoV3)
+	return append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, cprPoint), []byte(sessionID)), ProtoV4)
 }
 
 // dispatch wraps one request in a trace: the root span opens at frame receipt
@@ -464,158 +463,103 @@ func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.T
 	return err
 }
 
-// openReply begins op's reply frame in the connection's reply buffer, status
-// byte included; the caller appends the body and hands the frame to respond.
-func (cs *connState) openReply(op, status byte) []byte {
-	return append(openFrame(cs.reply, op, obs.TraceContext{}), status)
-}
-
-// respond seals a reply frame and writes it into the coalescing buffer,
-// recording it as a resp-write span.
-func (s *Server) respond(cs *connState, at *obs.ActiveTrace, frame []byte) error {
-	return s.respondFrom(cs, at, frame, time.Now().UnixNano())
-}
-
-// respondFrom is respond with the span's start stamp supplied by the caller.
-func (s *Server) respondFrom(cs *connState, at *obs.ActiveTrace, frame []byte, t0 int64) error {
-	cs.reply = frame[:0]
-	_, err := cs.bw.Write(wire.Seal(frame))
-	cs.unflushed++
-	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(frame)-wire.Hdr), 0, "")
-	return err
-}
-
-// respondExec closes a single op's exec span, opened at tDec, and writes its
-// response: one clock read is the end of exec and the start of resp-write.
-func (s *Server) respondExec(cs *connState, at *obs.ActiveTrace, sess *faster.Session, frame []byte, tDec int64) error {
-	tExec := time.Now().UnixNano()
-	at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-	cs.om.execNs.ObserveValue(uint64(tExec - tDec))
-	return s.respondFrom(cs, at, frame, tExec)
-}
-
 func (s *Server) dispatchOp(cs *connState, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	cs.conn.SetWriteDeadline(time.Unix(0, tRecv).Add(30 * time.Second)) //nolint:errcheck
-	store, om := cs.store, &cs.om
 	switch op {
 	case OpBatch:
 		return s.execBatch(cs, sess, payload, at, tRecv)
-
-	case OpGet, OpSet, OpRMW, OpDelete:
-		key, rest, err := wire.TakeString(payload)
-		if err != nil {
-			return err
-		}
-		var val []byte
-		if op == OpSet || op == OpRMW {
-			if val, _, err = wire.TakeValue(rest); err != nil {
-				return err
-			}
-		}
-		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, 0, 0, "")
-		out, status := s.execData(cs, sess, op, key, val)
-		frame := cs.openReply(op, status)
-		if op == OpGet {
-			frame = wire.AppendValue(frame, out)
-		} else {
-			frame = wire.AppendU64(frame, sess.Serial())
-		}
-		return s.respondExec(cs, at, sess, frame, tDec)
-
 	case OpCommit:
 		if len(payload) < 1 {
 			return fmt.Errorf("commit: missing flags")
 		}
-		// Push earlier pipelined replies out before a potentially long wait.
-		if err := s.flushConn(cs); err != nil {
-			return err
-		}
-		withIndex := payload[0] != 0
-		token, err := store.Commit(faster.CommitOptions{WithIndex: withIndex})
-		if err == faster.ErrCommitInProgress {
-			// Piggyback on the commit already in flight.
-			token = ""
-		} else if err != nil {
-			return s.respond(cs, at, wire.AppendU64(cs.openReply(OpCommit, StatusError), 0))
-		}
-		// Drive until some commit completes and this session is at rest.
-		tWait := time.Now().UnixNano()
-		var status byte = StatusOK
-		var point uint64
-	commitWait:
-		for {
-			if token != "" {
-				if res, ok := store.TryResult(token); ok {
-					point = res.Serials[sess.ID()]
-					if res.Err != nil {
-						status = StatusError
-					}
-					break commitWait
-				}
-			} else if store.Phase() == faster.Rest {
-				point = sess.Serial()
-				break commitWait
-			}
-			sess.Refresh()
-			sess.CompletePending(false)
-		}
-		tDone := time.Now().UnixNano()
-		if token == "" {
-			token = sess.CommittedToken() // piggybacked: name the covering commit
-		}
-		at.Span(obs.SpanDurWait, tWait, tDone, point, sess.CommittedSerial(), token)
-		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		return s.respond(cs, at, wire.AppendU64(cs.openReply(OpCommit, status), point))
-
+		return s.awaitDurable(cs, sess, op, payload[0] != 0, at)
 	case OpWaitDurable:
-		// Block until the session's committed point t_i covers everything this
-		// connection has issued, riding whatever commit (auto-committer or a
-		// peer's explicit commit) gets there first. This is the durability
-		// handshake a traced client uses to expose durwait as a distinct hop.
-		if err := s.flushConn(cs); err != nil {
-			return err
-		}
-		target := sess.Serial()
-		tWait := time.Now().UnixNano()
-		deadline := time.Now().Add(25 * time.Second)
-		for sess.CommittedSerial() < target {
-			if time.Now().After(deadline) || s.isClosed() {
-				// Timed out — or the server is shutting down and the covering
-				// commit may never arrive. Either way the client gets a
-				// complete, well-formed error frame, never a torn one.
-				return s.respond(cs, at,
-					wire.AppendString(wire.AppendU64(cs.openReply(OpWaitDurable, StatusError), sess.CommittedSerial()), nil))
-			}
-			sess.Refresh()
-			sess.CompletePending(false)
-			time.Sleep(100 * time.Microsecond)
-		}
-		tDone := time.Now().UnixNano()
-		token := sess.CommittedToken()
-		at.Span(obs.SpanDurWait, tWait, tDone, target, sess.CommittedSerial(), token)
-		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		resp := wire.AppendU64(cs.openReply(OpWaitDurable, StatusOK), sess.CommittedSerial())
-		return s.respond(cs, at, wire.AppendString(resp, []byte(token)))
-
+		return s.awaitDurable(cs, sess, op, false, at)
 	case OpTrace:
-		return s.writeTraceDump(cs.bw, store, payload)
-
+		return s.writeTraceDump(cs.bw, cs.store, payload)
 	case OpStats:
-		return s.writeStats(cs.bw, store)
-
+		return s.writeStats(cs.bw, cs.store)
 	case OpFlight:
-		return s.writeFlight(cs.bw, store, payload)
+		return s.writeFlight(cs.bw, cs.store, payload)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
 }
 
-// execData runs one data op on the connection's session and maps what the
-// store said to a wire status, for the single-op and the batch path alike. A
-// Pending op is driven to completion first; a cold read's value arrives
-// through the connection's persistent callback scratch, so the steady-state
-// path allocates nothing; CompletePending counts a write that fails there. out
-// is the value a GET found (nil otherwise), valid until the session's next op.
+// durableWaitCap bounds a COMMIT or WAITDUR: past it the request is answered
+// StatusError.
+const durableWaitCap = 25 * time.Second
+
+// awaitDurable serves COMMIT and WAITDUR: it blocks until the session's
+// committed point t_i covers every op the connection issued before the
+// request, refreshing the session and completing its pending ops on each pass
+// so the covering commit can advance. WAITDUR rides whatever commit gets there
+// (the auto-committer's, another session's). COMMIT starts one, asked
+// withIndex, on arrival and again whenever none is running while the session
+// is not covered — so a COMMIT that joined a commit in which its session had
+// already demarcated starts the next one — and also waits for the last commit
+// it started to end. The reply is the committed serial and the covering
+// commit's token, under StatusError when the server closes, the wait passes
+// durableWaitCap, or a commit this request started fails: always a whole
+// frame, never a torn one.
+func (s *Server) awaitDurable(cs *connState, sess *faster.Session, op byte, withIndex bool, at *obs.ActiveTrace) error {
+	// Push earlier pipelined replies out before a potentially long wait.
+	if err := s.flushConn(cs); err != nil {
+		return err
+	}
+	target := sess.Serial()
+	start := time.Now()
+	status := StatusOK
+	started := "" // the commit this request started, until it ends
+	for pass := 0; ; pass++ {
+		if started != "" {
+			if res, done := cs.store.TryResult(started); done {
+				if res.Err != nil {
+					status = StatusError
+					break
+				}
+				started = ""
+			}
+		}
+		covered := sess.CommittedSerial() >= target
+		if op == OpCommit && started == "" && (pass == 0 || !covered) {
+			token, err := cs.store.Commit(faster.CommitOptions{WithIndex: withIndex})
+			if err == nil {
+				started = token
+			} else if err != faster.ErrCommitInProgress {
+				status = StatusError
+				break
+			}
+		}
+		if started == "" && covered {
+			break
+		}
+		if s.isClosed() || time.Since(start) > durableWaitCap {
+			status = StatusError
+			break
+		}
+		sess.Refresh()
+		sess.CompletePending(false)
+		time.Sleep(100 * time.Microsecond)
+	}
+	tWait, tDone := start.UnixNano(), time.Now().UnixNano()
+	committed, token := sess.CommittedSerial(), sess.CommittedToken()
+	at.Span(obs.SpanDurWait, tWait, tDone, target, committed, token)
+	cs.om.durwaitNs.ObserveValue(uint64(tDone - tWait))
+	frame := append(openFrame(cs.reply, op, obs.TraceContext{}), status)
+	frame = wire.AppendString(wire.AppendU64(frame, committed), []byte(token))
+	cs.reply = frame[:0]
+	_, err := cs.bw.Write(wire.Seal(frame))
+	cs.unflushed++
+	at.Span(obs.SpanRespWrite, tDone, time.Now().UnixNano(), uint64(len(frame)-wire.Hdr), 0, "")
+	return err
+}
+
+// execData runs one data op of a BATCH on the connection's session and maps
+// what the store said to a wire status. A Pending op is driven to completion
+// first; a cold read's value arrives through the connection's persistent
+// callback scratch, so the steady-state path allocates nothing;
+// CompletePending counts a write that fails there. out is the value a GET
+// found (nil otherwise), valid until the session's next op.
 func (s *Server) execData(cs *connState, sess *faster.Session, op byte, key, val []byte) (out []byte, status byte) {
 	var st faster.Status
 	switch op {
@@ -826,18 +770,10 @@ func (s *Server) handleReplica(cs *connState, rb ReplicaBackend, clientID string
 func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payload []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	switch op {
-	case OpGet:
-		key, _, err := wire.TakeString(payload)
-		if err != nil {
-			return err
-		}
-		val, status := replicaRead(rb, key)
-		return writeFrame(conn, OpGet, wire.AppendValue([]byte{status}, val))
 	case OpBatch:
 		return s.replicaBatch(conn, rb, payload)
-	case OpSet, OpRMW, OpDelete, OpCommit, OpWaitDurable:
-		// Writes (and durability waits on them) belong on the primary; tell
-		// the client where to go.
+	case OpCommit, OpWaitDurable:
+		// Durability waits belong on the primary; tell the client where to go.
 		return writeFrame(conn, op, wire.AppendString([]byte{StatusRedirect}, []byte(rb.Upstream())))
 	case OpStats:
 		return s.writeStats(conn, rb.Store())
@@ -847,17 +783,6 @@ func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payl
 		return s.writeTraceDump(conn, rb.Store(), payload)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
-}
-
-// replicaRead serves one GET from the replica's installed prefix.
-func replicaRead(rb ReplicaBackend, key []byte) ([]byte, byte) {
-	val, found, err := rb.Read(key)
-	if err != nil {
-		return nil, StatusError
-	} else if !found {
-		return nil, StatusNotFound
-	}
-	return val, StatusOK
 }
 
 // replicaBatch serves a BATCH frame in replica mode: a read-only batch is
@@ -889,7 +814,13 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 		if err != nil {
 			return err
 		}
-		val, status := replicaRead(rb, key)
+		status := StatusOK
+		val, found, err := rb.Read(key)
+		if err != nil {
+			status = StatusError
+		} else if !found {
+			status = StatusNotFound
+		}
 		frame = appendBatchValueResult(frame, seq, status, val)
 	}
 	_, err = conn.Write(sealBatchReply(frame, r.count))

@@ -12,8 +12,8 @@ import (
 	"repro/internal/wire"
 )
 
-// lateServer is a hand-rolled v3 peer that answers GETs (single or batched)
-// with "v-"+key, and holds the reply to the very first request until the test
+// lateServer is a hand-rolled peer that answers batched GETs (a Client's Get
+// among them) with "v-"+key, and holds the reply to the very first request until the test
 // releases it — after the client's Timeout has passed.
 type lateServer struct {
 	ln      net.Listener
@@ -52,7 +52,7 @@ func (s *lateServer) serve(conn net.Conn, hold bool) error {
 	if err != nil || op != OpHello {
 		return fmt.Errorf("hello: op=%d err=%v", op, err)
 	}
-	hello := append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, 0), []byte("late-sess")), ProtoV3)
+	hello := append(wire.AppendString(wire.AppendU64([]byte{StatusOK}, 0), []byte("late-sess")), ProtoV4)
 	if err := writeFrame(conn, OpHello, hello); err != nil {
 		return err
 	}
@@ -61,33 +61,22 @@ func (s *lateServer) serve(conn net.Conn, hold bool) error {
 		if err != nil {
 			return nil // client closed or reconnected
 		}
-		var reply []byte
-		switch op {
-		case OpGet:
-			key, _, err := wire.TakeString(payload)
-			if err != nil {
-				return err
-			}
-			var fb bytes.Buffer
-			writeFrame(&fb, OpGet, wire.AppendValue([]byte{StatusOK}, append([]byte("v-"), key...))) //nolint:errcheck // a bytes.Buffer
-			reply = fb.Bytes()
-		case OpBatch:
-			r, err := newBatchReader(payload)
-			if err != nil {
-				return err
-			}
-			reply = openBatchReply(nil)
-			for i := 0; i < r.count; i++ {
-				_, seq, key, _, err := r.next()
-				if err != nil {
-					return err
-				}
-				reply = appendBatchValueResult(reply, seq, StatusOK, append([]byte("v-"), key...))
-			}
-			sealBatchReply(reply, r.count)
-		default:
+		if op != OpBatch {
 			return fmt.Errorf("late server got opcode %d", op)
 		}
+		r, err := newBatchReader(payload)
+		if err != nil {
+			return err
+		}
+		reply := openBatchReply(nil)
+		for i := 0; i < r.count; i++ {
+			_, seq, key, _, err := r.next()
+			if err != nil {
+				return err
+			}
+			reply = appendBatchValueResult(reply, seq, StatusOK, append([]byte("v-"), key...))
+		}
+		sealBatchReply(reply, r.count)
 		if hold {
 			<-s.release
 		}
@@ -104,9 +93,10 @@ func (s *lateServer) serve(conn net.Conn, hold bool) error {
 // TestFailedCallSticksUntilReconnect: after a call times out, its late reply
 // is still on its way; the next call must not take it for its own. A Get of
 // another key (and a Flush) must fail until Reconnect — never return the
-// previous key's value as success.
+// previous key's value as success — whether the call that timed out was a Get
+// (a flush of the client's own pipeline) or a Pipeline's Flush.
 func TestFailedCallSticksUntilReconnect(t *testing.T) {
-	for _, batched := range []bool{false, true} {
+	for _, pipelined := range []bool{false, true} {
 		srv := startLateServer(t)
 		c, err := Dial(srv.ln.Addr().String(), "")
 		if err != nil {
@@ -116,7 +106,7 @@ func TestFailedCallSticksUntilReconnect(t *testing.T) {
 		c.Timeout = 50 * time.Millisecond
 		p := c.Pipeline()
 
-		if batched {
+		if pipelined {
 			p.Get([]byte("k1"))
 			_, err = p.Flush()
 		} else {
@@ -124,26 +114,26 @@ func TestFailedCallSticksUntilReconnect(t *testing.T) {
 		}
 		var ne net.Error
 		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("batched=%v: held reply: err=%v, want a timeout", batched, err)
+			t.Fatalf("pipelined=%v: held reply: err=%v, want a timeout", pipelined, err)
 		}
 		close(srv.release)
 		<-srv.sent // the stale reply to k1 now sits in the client's socket
 
 		if v, found, err := c.Get([]byte("k2")); err == nil {
-			t.Fatalf("batched=%v: Get(k2) after a timed-out call returned %q found=%v: the stale reply was taken for this call's", batched, v, found)
+			t.Fatalf("pipelined=%v: Get(k2) after a timed-out call returned %q found=%v: the stale reply was taken for this call's", pipelined, v, found)
 		} else if !strings.Contains(err.Error(), "Reconnect") {
-			t.Fatalf("batched=%v: Get(k2) after a timed-out call: %v, want the sticky error", batched, err)
+			t.Fatalf("pipelined=%v: Get(k2) after a timed-out call: %v, want the sticky error", pipelined, err)
 		}
 		p.Get([]byte("k2"))
 		if res, err := p.Flush(); err == nil {
-			t.Fatalf("batched=%v: Flush after a timed-out call returned %+v", batched, res)
+			t.Fatalf("pipelined=%v: Flush after a timed-out call returned %+v", pipelined, res)
 		}
 
 		if err := c.Reconnect(""); err != nil {
 			t.Fatal(err)
 		}
 		if v, found, err := c.Get([]byte("k2")); err != nil || !found || string(v) != "v-k2" {
-			t.Fatalf("batched=%v: Get(k2) after Reconnect: %q found=%v err=%v", batched, v, found, err)
+			t.Fatalf("pipelined=%v: Get(k2) after Reconnect: %q found=%v err=%v", pipelined, v, found, err)
 		}
 		select {
 		case err := <-srv.errs:
@@ -155,7 +145,7 @@ func TestFailedCallSticksUntilReconnect(t *testing.T) {
 
 // TestBatchValuesOutliveSplitReply: every Value of a 512-GET flush whose reply
 // arrived in many frames is correct once Flush returns, stays correct through
-// later single-op calls, and is overwritten only by that pipeline's next Flush.
+// later Get and Set calls, and is overwritten only by that pipeline's next Flush.
 func TestBatchValuesOutliveSplitReply(t *testing.T) {
 	_, addr, _ := startServerTuned(t, smallCfg(), func(s *Server) {
 		s.replyBytes = 256 // a dozen reply entries per frame
@@ -207,7 +197,7 @@ func TestBatchValuesOutliveSplitReply(t *testing.T) {
 		t.Fatalf("a %d-byte reply was read through a %d-byte frame buffer: not split", total, cap(c.rbuf))
 	}
 
-	// Single-op calls reuse the client's frame buffer, not the arena.
+	// Get and Set flush the client's own pipeline, not this one's arena.
 	for i := 0; i < 8; i++ {
 		if _, err := c.Set([]byte("other"), bytes.Repeat([]byte{0xEE}, 64)); err != nil {
 			t.Fatal(err)
@@ -216,7 +206,7 @@ func TestBatchValuesOutliveSplitReply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check(res, 1, "after later single-op calls")
+	check(res, 1, "after later Get and Set calls")
 
 	// The next Flush refills the arena: the old results now hold round 2.
 	old := append([]BatchResult(nil), res...)
@@ -234,8 +224,10 @@ func TestGetValueValidUntilNextCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.SetN([][]byte{[]byte("ga"), []byte("gb")}, [][]byte{[]byte("value-a"), []byte("value-b")}); err != nil {
-		t.Fatal(err)
+	for _, kv := range [][2]string{{"ga", "value-a"}, {"gb", "value-b"}} {
+		if _, err := c.Set([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	va, found, err := c.Get([]byte("ga"))
 	if err != nil || !found || string(va) != "value-a" {
@@ -254,40 +246,5 @@ func TestGetValueValidUntilNextCall(t *testing.T) {
 	}
 	if string(va) != "value-b" {
 		t.Fatalf("the next Get did not reuse the client's buffer: first value reads %q", va)
-	}
-}
-
-// TestGetNValuesSurviveLaterCalls: GetN hands out copies.
-func TestGetNValuesSurviveLaterCalls(t *testing.T) {
-	_, addr, _ := startServer(t, smallCfg())
-	c, err := Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	keys := [][]byte{[]byte("na"), []byte("nb"), []byte("nc")}
-	if _, err := c.SetN(keys, [][]byte{[]byte("1-a"), []byte("1-b"), []byte("1-c")}); err != nil {
-		t.Fatal(err)
-	}
-	vals, found, err := c.GetN([][]byte{keys[0], []byte("absent"), keys[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SetN(keys, [][]byte{[]byte("2-a"), []byte("2-b"), []byte("2-c")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.GetN(keys); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(keys[1]); err != nil {
-		t.Fatal(err)
-	}
-	if !found[0] || found[1] || !found[2] || string(vals[0]) != "1-a" || vals[1] != nil || string(vals[2]) != "1-c" {
-		t.Fatalf("GetN values after later calls: %q found=%v", vals, found)
-	}
-	// Appending to one handed-out value must not reach its neighbour.
-	_ = append(vals[0], "XXXX"...)
-	if string(vals[2]) != "1-c" {
-		t.Fatalf("append to vals[0] overwrote vals[2]: %q", vals[2])
 	}
 }

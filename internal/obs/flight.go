@@ -12,11 +12,11 @@ import (
 
 // The flight recorder is the causal counterpart to the metrics registry: a
 // lock-free, fixed-size set of ring buffers of structured binary events
-// covering the full lifecycle of a CPR commit — epoch bumps, per-shard phase
+// covering the full lifecycle of a CPR commit — epoch bumps, phase
 // transitions, HybridLog flushes and page-CRC records, artifact writes and
 // retries, fault injections, replication ship/install/promote, recovery
-// verdicts. Every event is stamped with the commit token, CPR version, shard
-// and session it belongs to, so one commit's end-to-end timeline can be
+// verdicts. Every event is stamped with the commit token, CPR version, lane
+// (the store, -1, or its log, 0) and session it belongs to, so one commit's end-to-end timeline can be
 // reassembled across all layers (`fasterctl flight <token>`). It is the only
 // place such an event is written: the phase timeline (tracer.go) and the
 // replication spans of a trace dump (reqtrace.go) are computed from it.
@@ -51,10 +51,10 @@ const (
 	FlightDemarcate
 	// FlightDrop: a session left an active commit. Arg1 is its serial.
 	FlightDrop
-	// FlightCommitStart: a shard's commit state machine left rest.
+	// FlightCommitStart: the store's commit state machine left rest.
 	FlightCommitStart
-	// FlightPersistDone: this shard's capture (log, index and snapshot blobs)
-	// is durable; the commit is not — that is the artifact-write of its
+	// FlightPersistDone: the commit's capture (log, index and snapshot
+	// blobs) is durable; the commit is not — that is the artifact-write of its
 	// record, cpr-manifest-<token>, on the store lane. Arg1 is the bytes
 	// written.
 	FlightPersistDone
@@ -282,8 +282,8 @@ type flightRing struct {
 // per epoch bump, page, fsync group, pump drain, bucket or injected fault —
 // cannot evict; and since causally ordered lifecycle events then carry tickets
 // of one ring, those with equal timestamps merge in causal order. A commit of
-// an ingest server with one shard and one session leaves 13 events there (a
-// further shard nine more, a further session two per shard), so the ring
+// an ingest server with one session leaves 13 events there (a further
+// session two more), so the ring
 // holds its last 315 commits, whatever else the process records.
 const (
 	flightLifecycleKinds = uint64(1)<<FlightPhase | 1<<FlightAckPrepare | 1<<FlightDemarcate | 1<<FlightDrop |
@@ -332,21 +332,22 @@ func (f *FlightRecorder) WallStart() int64 {
 	return f.wallStart
 }
 
-// packFlightMeta packs kind, shard and the string lengths into one word.
-// Shard is stored +1 in 16 bits so shard -1 (store-level events) round-trips.
-func packFlightMeta(kind FlightKind, shard, tlen, slen int) uint64 {
-	return uint64(kind) | uint64(uint16(shard+1))<<8 | uint64(tlen)<<24 | uint64(slen)<<32
+// packFlightMeta packs kind, lane and the string lengths into one word. The
+// lane is stored +1 in 16 bits so lane -1 (the store's events) round-trips.
+func packFlightMeta(kind FlightKind, lane, tlen, slen int) uint64 {
+	return uint64(kind) | uint64(uint16(lane+1))<<8 | uint64(tlen)<<24 | uint64(slen)<<32
 }
 
 // Emit records one event. It is allocation-free and safe on a nil receiver.
-// shard is the CPR domain the event belongs to (-1 for store-level events);
-// token and session are truncated to FlightTokenBytes / FlightSessionBytes.
+// lane is -1 for the store's events (its state machine, sessions, commits,
+// artifacts, replication, ingestion, health) and 0 for its log's own
+// (flushes, page checksums); token and session are truncated to FlightTokenBytes / FlightSessionBytes.
 //
 // The timestamp is read before the ticket is claimed, so events ordered by
 // happens-before carry non-decreasing timestamps; the reader's merge sort by
 // (AtNanos, ring, ticket) therefore respects causality across goroutines, and
 // between two events of one ring also when the clock did not advance.
-func (f *FlightRecorder) Emit(kind FlightKind, shard int, version uint64, token, session string, arg1, arg2 uint64) {
+func (f *FlightRecorder) Emit(kind FlightKind, lane int, version uint64, token, session string, arg1, arg2 uint64) {
 	if f == nil {
 		return
 	}
@@ -372,7 +373,7 @@ func (f *FlightRecorder) Emit(kind FlightKind, shard int, version uint64, token,
 	}
 	s.w[0].Store(ticket)
 	s.w[1].Store(at)
-	s.w[2].Store(packFlightMeta(kind, shard, len(token), len(session)))
+	s.w[2].Store(packFlightMeta(kind, lane, len(token), len(session)))
 	s.w[3].Store(version)
 	s.w[4].Store(arg1)
 	s.w[5].Store(arg2)
@@ -411,7 +412,8 @@ type FlightEvent struct {
 	// AtNanos is monotonic nanoseconds since the recorder started.
 	AtNanos int64      `json:"at_ns"`
 	Kind    FlightKind `json:"kind"`
-	// Shard is the CPR domain (-1 = store-level / cross-shard).
+	// Shard is the event's lane: -1 the store, 0 its log (see Emit). Its
+	// JSON name is kept so that dumps written before decode.
 	Shard   int    `json:"shard"`
 	Version uint64 `json:"version,omitempty"`
 	Arg1    uint64 `json:"arg1,omitempty"`
@@ -548,7 +550,7 @@ func (f *FlightRecorder) Dump() FlightDump {
 }
 
 // Describe renders an event's payload for human consumption (one line,
-// without the timestamp/shard columns — callers lay those out).
+// without the timestamp/lane columns — callers lay those out).
 func (e FlightEvent) Describe() string {
 	var b strings.Builder
 	b.WriteString(e.Kind.String())
@@ -562,7 +564,7 @@ func (e FlightEvent) Describe() string {
 	case FlightAckPrepare, FlightDemarcate, FlightDrop:
 		fmt.Fprintf(&b, " serial=%d", e.Arg1)
 	case FlightPersistDone:
-		fmt.Fprintf(&b, " shard capture durable, bytes=%d", e.Arg1)
+		fmt.Fprintf(&b, " capture durable, bytes=%d", e.Arg1)
 	case FlightCommitDone, FlightArtifactWrite:
 		fmt.Fprintf(&b, " bytes=%d", e.Arg1)
 	case FlightReplShip:

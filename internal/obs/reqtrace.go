@@ -51,7 +51,7 @@ const (
 	// from the frame's trace field.
 	SpanQueue
 	// SpanDecode covers payload decode. Arg1 is a BATCH's op count (0 for a
-	// single op).
+	// frame that carries no data ops).
 	SpanDecode
 	// SpanExec covers the FASTER operation, including pending completion.
 	// Arg1 is the operation serial.
@@ -70,8 +70,9 @@ const (
 	// SpanReplAnnounce (global) covers local commit completion to the
 	// commit-announce reaching a replica.
 	SpanReplAnnounce
-	// SpanBatch covers the execution window of one pipelined BATCH frame
-	// (kvserver protocol v3). Arg1 is the op count, Arg2 the reply bytes.
+	// SpanBatch covers the execution window of one BATCH frame, the one
+	// kvserver frame that carries data ops. Arg1 is the op count, Arg2 the
+	// reply bytes.
 	// Per-op hops inside the window appear as SpanExec children while the
 	// trace has room (see ActiveTrace.Remaining).
 	SpanBatch

@@ -38,19 +38,17 @@ type Event struct {
 	DurationNanos int64 `json:"duration_ns,omitempty"`
 }
 
-// PhaseSpan is one computed phase occupancy interval of one state machine:
-// from the transition into Phase to that machine's next transition.
+// PhaseSpan is one computed phase occupancy interval of the state machine:
+// from the transition into Phase to its next transition.
 type PhaseSpan struct {
 	Phase string `json:"phase"`
-	// Token is the commit token; Shard the lane the machine's events carry
-	// (-1, the store lane, for FASTER's and txdb's machines).
+	// Token is the commit token.
 	Token         string `json:"token,omitempty"`
-	Shard         int    `json:"shard"`
 	Version       uint64 `json:"version,omitempty"`
 	StartNanos    int64  `json:"start_ns"`
 	EndNanos      int64  `json:"end_ns"`
 	DurationNanos int64  `json:"duration_ns"`
-	// Open marks a machine's most recent phase, still running at snapshot
+	// Open marks the machine's most recent phase, still running at snapshot
 	// time; EndNanos is then the snapshot instant.
 	Open bool `json:"open,omitempty"`
 }
@@ -85,63 +83,52 @@ func (t *Tracer) Timeline() Timeline {
 
 // BuildTimeline computes the phase timeline from flight events in Events
 // order. Phase, ack-prepare/demarcate/drop and epoch-drain events become
-// timeline events, everything else is skipped. A state machine is the lane its
-// events carry (the store lane, -1, for a store's one machine): each of its
-// phase events closes the span its previous one opened, and the span left open
-// is closed at now and marked Open.
+// timeline events, everything else is skipped. The phase events are one state
+// machine's (a store's, or a txdb database's, on the store lane): each closes
+// the span its previous one opened, and the span left open is closed at now
+// and marked Open.
 //
-// An epoch-drain event carries its lane, not a transition: the logs bump the
-// same epochs for their own shifts. But any epoch of the lane bumped after a
-// transition was recorded shows, once drained, that every registered thread
-// has observed the transition — and the machine bumps right after most. So a
-// drain whose bump (AtNanos - Arg2) follows a phase event of its lane that has
-// no drain yet is that transition's drain; the others are left out.
+// An epoch-drain event carries no transition: the log bumps the same epochs
+// for its own shifts. But any epoch bumped after a transition was recorded
+// shows, once drained, that every registered thread has observed the
+// transition — and the machine bumps right after most. So a drain whose bump
+// (AtNanos - Arg2) follows a phase event that has no drain yet is that
+// transition's drain; the others are left out.
 func BuildTimeline(evs []FlightEvent, now int64) Timeline {
-	type machine struct {
-		span      PhaseSpan
-		undrained []int // its phase events still without a drain, as indexes into tl.Events
-	}
 	var tl Timeline
-	var machines []*machine // in order of first appearance
-	byShard := make(map[int]*machine)
+	var span PhaseSpan  // the span the latest phase event opened
+	var undrained []int // phase events still without a drain, as indexes into tl.Events
 	for _, fe := range evs {
 		e := Event{Seq: uint64(len(tl.Events)), AtNanos: fe.AtNanos, Version: fe.Version}
-		m := byShard[fe.Shard]
 		switch fe.Kind {
 		case FlightPhase:
 			e.Kind, e.Token, e.From, e.Phase = KindPhase, fe.Token, FlightPhaseName(fe.Arg1), FlightPhaseName(fe.Arg2)
-			if m == nil {
-				m = &machine{}
-				machines, byShard[fe.Shard] = append(machines, m), m
-			} else {
-				tl.Spans = append(tl.Spans, m.span.closedAt(fe.AtNanos))
+			if span.Phase != "" {
+				tl.Spans = append(tl.Spans, span.closedAt(fe.AtNanos))
 			}
-			m.span = PhaseSpan{Phase: e.Phase, Token: fe.Token, Shard: fe.Shard, Version: fe.Version, StartNanos: fe.AtNanos}
-			m.undrained = append(m.undrained, len(tl.Events))
+			span = PhaseSpan{Phase: e.Phase, Token: fe.Token, Version: fe.Version, StartNanos: fe.AtNanos}
+			undrained = append(undrained, len(tl.Events))
 		case FlightAckPrepare, FlightDemarcate, FlightDrop:
 			e.Kind, e.Token, e.Event, e.Session, e.Serial = KindSession, fe.Token, fe.Kind.String(), fe.Session, fe.Arg1
 		case FlightEpochDrain:
-			if m == nil {
-				continue
-			}
 			bumped := fe.AtNanos - int64(fe.Arg2)
-			i := len(m.undrained) - 1
-			for i >= 0 && tl.Events[m.undrained[i]].AtNanos > bumped {
+			i := len(undrained) - 1
+			for i >= 0 && tl.Events[undrained[i]].AtNanos > bumped {
 				i--
 			}
 			if i < 0 {
 				continue
 			}
-			p := tl.Events[m.undrained[i]]
-			m.undrained = m.undrained[i+1:] // epochs drain in order: an older transition's drain is gone
+			p := tl.Events[undrained[i]]
+			undrained = undrained[i+1:] // epochs drain in order: an older transition's drain is gone
 			e.Kind, e.Token, e.Version, e.Phase, e.DurationNanos = KindDrain, p.Token, p.Version, p.Phase, int64(fe.Arg2)
 		default:
 			continue
 		}
 		tl.Events = append(tl.Events, e)
 	}
-	for _, m := range machines {
-		sp := m.span.closedAt(now)
+	if span.Phase != "" {
+		sp := span.closedAt(now)
 		sp.Open = true
 		tl.Spans = append(tl.Spans, sp)
 	}

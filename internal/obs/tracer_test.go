@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// phaseEv is a hand-built phase event of the lifecycle ring.
-func phaseEv(seq uint64, at int64, shard int, token string, from, to uint64) FlightEvent {
-	return FlightEvent{Ring: 1, Seq: seq, AtNanos: at, Kind: FlightPhase, Shard: shard,
+// phaseEv is a hand-built phase event of the lifecycle ring, on the store
+// lane.
+func phaseEv(seq uint64, at int64, token string, from, to uint64) FlightEvent {
+	return FlightEvent{Ring: 1, Seq: seq, AtNanos: at, Kind: FlightPhase, Shard: -1,
 		Version: 3, Token: token, Arg1: from, Arg2: to}
 }
 
@@ -18,14 +19,13 @@ func TestBuildTimelineEvents(t *testing.T) {
 	evs := []FlightEvent{
 		{AtNanos: 5, Kind: FlightEpochDrain, Shard: -1, Arg1: 1, Arg2: 2}, // before any transition: nobody's
 		{AtNanos: 10, Kind: FlightCommitStart, Shard: -1, Version: 3, Token: "tok"},
-		phaseEv(1, 10, -1, "tok", 0, 1),
+		phaseEv(1, 10, "tok", 0, 1),
 		{AtNanos: 11, Kind: FlightEpochBump, Shard: -1, Arg1: 7},
 		{AtNanos: 20, Kind: FlightAckPrepare, Shard: -1, Version: 3, Token: "tok", Session: "s1", Arg1: 10},
-		phaseEv(2, 21, -1, "tok", 1, 2),
+		phaseEv(2, 21, "tok", 1, 2),
 		{AtNanos: 25, Kind: FlightEpochDrain, Shard: -1, Arg1: 7, Arg2: 14}, // bumped at 11: prepare's
 		{AtNanos: 26, Kind: FlightEpochDrain, Shard: -1, Arg1: 8, Arg2: 4},  // bumped at 22: in-progress's
 		{AtNanos: 27, Kind: FlightEpochDrain, Shard: -1, Arg1: 9, Arg2: 1},  // in-progress has its drain
-		{AtNanos: 28, Kind: FlightEpochDrain, Shard: 0, Arg1: 9, Arg2: 1},   // another machine's epochs
 		{AtNanos: 30, Kind: FlightDemarcate, Shard: -1, Version: 3, Token: "tok", Session: "s1", Arg1: 12},
 		{AtNanos: 31, Kind: FlightDrop, Shard: -1, Version: 3, Token: "tok", Session: "s2", Arg1: 4},
 		{AtNanos: 40, Kind: FlightPersistDone, Shard: -1, Version: 3, Token: "tok", Arg1: 4096},
@@ -44,32 +44,28 @@ func TestBuildTimelineEvents(t *testing.T) {
 	}
 }
 
-// TestBuildTimelineSpans: spans are paired per machine — two lanes walking
-// one commit interleaved, two transitions of one machine at the same instant —
-// and only a machine's last span is open. Tokens are the bare commit token.
+// TestBuildTimelineSpans: each phase event closes the span the previous one
+// opened — two transitions at the same instant included — and only the last
+// span is open. Tokens are the bare commit token.
 func TestBuildTimelineSpans(t *testing.T) {
 	evs := []FlightEvent{
-		phaseEv(1, 100, 0, "tok", 0, 1),
-		phaseEv(2, 110, 1, "tok", 0, 1),
-		phaseEv(3, 150, 0, "tok", 1, 2),
-		phaseEv(4, 150, 0, "tok", 2, 3), // same instant, later ticket
-		phaseEv(5, 400, 1, "tok", 1, 2),
-		phaseEv(6, 900, 0, "tok", 3, 0),
-		phaseEv(7, 950, 0, "tok2", 0, 1), // the rest span ends where the next commit starts
+		phaseEv(1, 100, "tok", 0, 1),
+		phaseEv(2, 150, "tok", 1, 2),
+		phaseEv(3, 150, "tok", 2, 3), // same instant, later ticket
+		phaseEv(4, 900, "tok", 3, 0),
+		phaseEv(5, 950, "tok2", 0, 1), // the rest span ends where the next commit starts
 	}
 	tl := BuildTimeline(evs, 1000)
-	span := func(phase, token string, shard int, start, end int64, open bool) PhaseSpan {
-		return PhaseSpan{Phase: phase, Token: token, Shard: shard, Version: 3,
+	span := func(phase, token string, start, end int64, open bool) PhaseSpan {
+		return PhaseSpan{Phase: phase, Token: token, Version: 3,
 			StartNanos: start, EndNanos: end, DurationNanos: end - start, Open: open}
 	}
 	want := []PhaseSpan{
-		span("prepare", "tok", 0, 100, 150, false),
-		span("in-progress", "tok", 0, 150, 150, false),
-		span("prepare", "tok", 1, 110, 400, false),
-		span("wait-pending", "tok", 0, 150, 900, false),
-		span("rest", "tok", 0, 900, 950, false),
-		span("prepare", "tok2", 0, 950, 1000, true),
-		span("in-progress", "tok", 1, 400, 1000, true),
+		span("prepare", "tok", 100, 150, false),
+		span("in-progress", "tok", 150, 150, false),
+		span("wait-pending", "tok", 150, 900, false),
+		span("rest", "tok", 900, 950, false),
+		span("prepare", "tok2", 950, 1000, true),
 	}
 	if !reflect.DeepEqual(tl.Spans, want) {
 		t.Fatalf("spans:\n got %+v\nwant %+v", tl.Spans, want)

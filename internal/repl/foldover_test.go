@@ -170,7 +170,7 @@ func TestArtifactStreamMemory(t *testing.T) {
 			}
 		}
 		return nil
-	}, nil, -1, 0); err != nil {
+	}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 

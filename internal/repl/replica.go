@@ -416,7 +416,7 @@ func (r *Replica) applyArtifact(conn net.Conn, rbuf *[]byte, payload []byte) err
 			data = rest
 		}
 		return nil
-	}, nil, -1, 0)
+	}, nil, 0)
 	if err != nil {
 		return fmt.Errorf("artifact %s: %w", name, err)
 	}

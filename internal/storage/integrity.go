@@ -98,7 +98,7 @@ func checkTrailer(t []byte, crc uint32, n int64) error {
 // WriteArtifactChecked persists payload under name inside the checksum
 // envelope: WriteArtifactStream without flight events.
 func WriteArtifactChecked(cs CheckpointStore, name string, payload []byte) error {
-	_, err := WriteArtifactStream(cs, name, Payload(payload), nil, -1, 0)
+	_, err := WriteArtifactStream(cs, name, Payload(payload), nil, 0)
 	return err
 }
 
@@ -116,9 +116,10 @@ func Payload(p []byte) func(w io.Writer) error {
 // publishes nothing: the name keeps the artifact it had. Transient store errors
 // rewrite the artifact whole, produce included; others are returned, for the
 // caller to abort its commit. fr gets an artifact-retry event per retried
-// failure and an artifact-write on success, named by the artifact (so a
-// commit's token matches its artifacts). It returns the payload's length.
-func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writer) error, fr *obs.FlightRecorder, shard int, version uint64) (int64, error) {
+// failure and an artifact-write on success, on the store lane (-1) and named
+// by the artifact (so a commit's token matches its artifacts). It returns the
+// payload's length.
+func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writer) error, fr *obs.FlightRecorder, version uint64) (int64, error) {
 	a := &artifactWriter{}
 	attempt := 0
 	err := DefaultRetry.Do(func() error {
@@ -140,12 +141,12 @@ func WriteArtifactStream(cs CheckpointStore, name string, produce func(w io.Writ
 			err = f.Close()
 		}
 		if IsTransient(err) && attempt < DefaultRetry.Attempts {
-			fr.Emit(obs.FlightArtifactRetry, shard, version, name, "", uint64(attempt), 0)
+			fr.Emit(obs.FlightArtifactRetry, -1, version, name, "", uint64(attempt), 0)
 		}
 		return err
 	})
 	if err == nil {
-		fr.Emit(obs.FlightArtifactWrite, shard, version, name, "", uint64(a.n), 0)
+		fr.Emit(obs.FlightArtifactWrite, -1, version, name, "", uint64(a.n), 0)
 	}
 	return a.n, err
 }

@@ -208,14 +208,14 @@ func TestFailedWriteKeepsPreviousArtifact(t *testing.T) {
 			_, err := WriteArtifactStream(cs, "a", func(w io.Writer) error {
 				w.Write([]byte("tor")) //nolint:errcheck // the failure below is the point
 				return failed
-			}, nil, -1, 0)
+			}, nil, 0)
 			if !errors.Is(err, failed) {
 				t.Fatalf("failed write returned %v", err)
 			}
 			if got, err := ReadArtifactChecked(cs, "a"); err != nil || !bytes.Equal(got, good) {
 				t.Fatalf("after a failed write the artifact reads %q (err=%v), want %q", got, err, good)
 			}
-			if _, err := WriteArtifactStream(cs, "b", func(io.Writer) error { return failed }, nil, -1, 0); !errors.Is(err, failed) {
+			if _, err := WriteArtifactStream(cs, "b", func(io.Writer) error { return failed }, nil, 0); !errors.Is(err, failed) {
 				t.Fatalf("failed write returned %v", err)
 			}
 			if names, _ := cs.List(); len(names) != 1 || names[0] != "a" {

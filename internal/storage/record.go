@@ -139,7 +139,7 @@ func WriteRecord(cs CheckpointStore, token string, version uint64, rec any, fr *
 	if err != nil {
 		return 0, err
 	}
-	return WriteArtifactStream(cs, RecordName(token), Payload(buf), fr, -1, version)
+	return WriteArtifactStream(cs, RecordName(token), Payload(buf), fr, version)
 }
 
 // ReadRecord returns the JSON of commit token's record once it has verified.

@@ -210,7 +210,7 @@ func TestMemStoreHoldsExactlyTheArtifact(t *testing.T) {
 			}
 		}
 		return nil
-	}, nil, -1, 0)
+	}, nil, 0)
 	if err != nil || n != int64(len(data)) {
 		t.Fatalf("streamed %d bytes: %v", n, err)
 	}

@@ -248,7 +248,7 @@ func (ck *commitCtx) persist(capture []byte, delta bool) error {
 		chain = append(slices.Clip(db.chain), name)
 	}
 	db.chain = nil
-	if _, err := storage.WriteArtifactStream(cs, name, storage.Payload(capture), fr, -1, ck.version); err != nil {
+	if _, err := storage.WriteArtifactStream(cs, name, storage.Payload(capture), fr, ck.version); err != nil {
 		return err
 	}
 	fr.Emit(obs.FlightPersistDone, -1, ck.version, ck.token, "", uint64(len(capture)), 0)
