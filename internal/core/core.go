@@ -1,5 +1,6 @@
-// Package core implements the heart of the CPR commit protocol: the
-// collaborative construction of per-participant commit points (Sec. 2).
+// Package core implements the CPR commit protocol once, for both CPR systems
+// in this repository: the transactional database of Sec. 4 (Alg. 2, Fig. 4)
+// and FASTER (Sec. 6.2, Fig. 9a).
 //
 // A CPR commit cannot use client-chosen commit points without blocking
 // (Sec. 2's impossibility argument), so the roles are flipped: the system
@@ -13,9 +14,13 @@
 //
 // Coordinator tracks those acknowledgments and fires each transition
 // callback exactly once when the last participant arrives, including when
-// participants leave mid-commit. Both CPR systems in this repository —
-// FASTER's five-phase checkpoint (Sec. 6.2) and the transactional
-// database's Alg. 2 — drive their global state machines through it.
+// participants leave mid-commit. Machine is the state machine around it:
+// the phase and version word every participant reads on refresh, the
+// participant's refresh walk, registration at rest, admission of one commit
+// at a time, the publication of each phase, the return to rest and the
+// results of the newest commits by token. An engine adds its participants'
+// entry work, the phases between in-progress and wait-flush, and the flush
+// itself (Hooks).
 package core
 
 import "sync"

@@ -3,7 +3,6 @@ package faster
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -38,96 +37,25 @@ type CommitResult struct {
 	Err   error
 }
 
-// maxResults is how many completed commits stay retrievable by token.
-const maxResults = 64
-
-// commitResults retains the results of the newest maxResults commits by token
-// (each holds a per-session map, and an autocommitting server completes a
-// commit every few hundred milliseconds for as long as it runs). An older
-// token is an unknown commit. The zero value is ready to use.
-type commitResults struct {
-	byToken map[string]CommitResult
-	ring    [maxResults]string // tokens retained; slot n%maxResults is the oldest
-	n       int
-}
-
-func (r *commitResults) put(res CommitResult) {
-	if r.byToken == nil {
-		r.byToken = make(map[string]CommitResult, maxResults)
-	}
-	slot := &r.ring[r.n%maxResults]
-	delete(r.byToken, *slot)
-	*slot = res.Token
-	r.n++
-	r.byToken[res.Token] = res
-}
-
-// checkpointCtx is the running CPR commit: the store's one state machine
-// walking Fig. 9a for version v.
-type checkpointCtx struct {
-	store     *Store
-	token     string
-	version   uint32
-	kind      CommitKind
-	withIndex bool
-	onDone    func(CommitResult)
-	started   time.Time
-
-	// coord collects the per-session acknowledgments that drive the first
-	// two transitions of Fig. 9a and the sessions' CPR points.
-	coord *core.Coordinator[*Session]
-
-	pendingV atomic.Int64
-	flushing atomic.Bool
-
-	// done is closed once the commit's result is published; res is final
-	// from then on.
-	done chan struct{}
-	res  CommitResult
-}
+// commit is the store's running CPR commit.
+type commit = core.Commit[*Session, CommitResult]
 
 // ErrCommitInProgress is returned when Commit is called while another commit
 // has not yet completed.
-var ErrCommitInProgress = fmt.Errorf("faster: a CPR commit is already in progress")
+var ErrCommitInProgress = core.ErrCommitInProgress
 
 // Commit starts an asynchronous CPR commit (Sec. 6.2) and returns its token
 // immediately; the commit completes — record written, OnDone fired — once its
 // capture is durable. Use WaitForCommit to block.
 func (s *Store) Commit(opts CommitOptions) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The machine returns to rest before the record is written, so s.active —
-	// not the phase — is what says a commit is still running.
-	if s.active.Load() != nil {
-		return "", ErrCommitInProgress
-	}
-	ck := &checkpointCtx{
-		store:     s,
-		token:     storage.NextToken(&s.commitSeq),
-		version:   s.Version(),
-		kind:      s.cfg.Kind,
-		withIndex: opts.WithIndex,
-		onDone:    opts.OnDone,
-		started:   time.Now(),
-		done:      make(chan struct{}),
-	}
+	kind := s.cfg.Kind
 	if opts.Kind != nil {
-		ck.kind = *opts.Kind
+		kind = *opts.Kind
 	}
-	ck.coord = core.NewCoordinator[*Session](ck.advanceToInProgress, ck.advanceToWaitPending)
-	for _, sess := range s.sessions {
-		ck.coord.Add(sess)
-	}
-	s.futureFrom[ck.version&1].Store(s.log.Tail())
-	s.active.Store(ck)
-	// Publish the prepare phase; sessions observe it on refresh.
-	s.state.Store(packState(Prepare, ck.version))
-	s.cfg.Flight.Emit(obs.FlightCommitStart, -1, uint64(ck.version), ck.token, "", 0, 0)
-	ck.emitPhase(Rest, Prepare)
-	ck.bumpEpoch()
-	// With zero participants the seal completes both transitions at once.
-	ck.coord.Seal()
-	return ck.token, nil
+	return s.machine.Begin(opts.OnDone, func(c *commit) {
+		s.kind, s.withIndex = kind, opts.WithIndex
+		s.futureFrom[c.Version&1].Store(s.log.Tail())
+	})
 }
 
 // WaitForCommit blocks until the commit identified by token completes and
@@ -135,41 +63,15 @@ func (s *Store) Commit(opts CommitOptions) (string, error) {
 // unless other sessions keep refreshing (the commit needs every session to
 // acknowledge the version shift).
 func (s *Store) WaitForCommit(token string) CommitResult {
-	s.ckptMu.Lock()
-	ck := s.active.Load()
-	if ck == nil || ck.token != token {
-		res, ok := s.results.byToken[token]
-		s.ckptMu.Unlock()
-		if ok {
-			return res
-		}
-		return CommitResult{Token: token, Err: fmt.Errorf("faster: unknown commit %q", token)}
+	if res, ok := s.machine.WaitForCommit(token); ok {
+		return res
 	}
-	s.ckptMu.Unlock()
-	<-ck.done
-	return ck.res
+	return CommitResult{Token: token, Err: fmt.Errorf("faster: unknown commit %q", token)}
 }
 
 // TryResult returns the result of a completed commit without blocking. ok is
 // false while the commit is still in flight (or the token is unknown).
-func (s *Store) TryResult(token string) (CommitResult, bool) {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	res, ok := s.results.byToken[token]
-	return res, ok
-}
-
-// emitPhase records a state-machine transition in the flight recorder (phase
-// codes match the Phase constants; obs.FlightPhaseName renders them).
-func (ck *checkpointCtx) emitPhase(from, to Phase) {
-	ck.store.cfg.Flight.Emit(obs.FlightPhase, -1, uint64(ck.version), ck.token, "", uint64(from), uint64(to))
-}
-
-// bumpEpoch bumps the store's epoch after a publication. Nothing waits on the
-// drain (the sessions' acknowledgments drive the machine): the action is empty,
-// and there so that the epoch manager measures and records how long the
-// publication took to reach every registered thread.
-func (ck *checkpointCtx) bumpEpoch() { ck.store.epochs.BumpEpoch(func() {}) }
+func (s *Store) TryResult(token string) (CommitResult, bool) { return s.machine.TryResult(token) }
 
 // drainEpoch bumps the store's epoch and waits until every registered thread
 // has refreshed past it: what any thread was doing between two refreshes when
@@ -180,63 +82,22 @@ func (s *Store) drainEpoch() {
 	<-drained
 }
 
-// advanceToInProgress is transition 2 of Fig. 9a, fired by the last session
-// to acknowledge prepare.
-func (ck *checkpointCtx) advanceToInProgress() {
-	ck.store.state.Store(packState(InProgress, ck.version))
-	ck.emitPhase(Prepare, InProgress)
-	ck.bumpEpoch()
-}
-
-// advanceToWaitPending is transition 3, fired by the last session to
+// demarcated is transition 3 of Fig. 9a, run by the last session to
 // demarcate its CPR point.
-func (ck *checkpointCtx) advanceToWaitPending() {
-	ck.store.state.Store(packState(WaitPending, ck.version))
-	ck.emitPhase(InProgress, WaitPending)
-	ck.checkPendingDone()
+func (s *Store) demarcated(*commit) {
+	s.machine.Advance(InProgress, WaitPending)
+	s.pendingDone()
 }
 
-// dropParticipant removes a stopping session from the commit; a session that
-// leaves before demarcating contributes everything it issued (it can issue
-// nothing further).
-func (ck *checkpointCtx) dropParticipant(sess *Session) {
-	sameVersion := sess.version == ck.version
-	ck.store.cfg.Flight.Emit(obs.FlightDrop, -1, uint64(ck.version), ck.token, sess.id, sess.Serial(), 0)
-	ck.coord.Drop(sess,
-		sameVersion && sess.phase >= Prepare,
-		sameVersion && sess.phase >= InProgress,
-		sess.Serial())
+// pendingDone advances wait-pending → wait-flush once every pending version-v
+// request has completed (transition 4 of Fig. 9a).
+func (s *Store) pendingDone() {
+	if s.pendingV.Load() == 0 {
+		s.machine.Flush(WaitPending)
+	}
 }
 
-// serialsByID converts the coordinator's per-session commit points to the
-// session-ID keyed map the commit record persists.
-func (ck *checkpointCtx) serialsByID() map[string]uint64 {
-	points := ck.coord.Points()
-	out := make(map[string]uint64, len(points))
-	for sess, pt := range points {
-		out[sess.id] = pt
-	}
-	return out
-}
-
-// checkPendingDone advances wait-pending → wait-flush once every pending
-// version-v request has completed (transition 4 of Fig. 9a).
-func (ck *checkpointCtx) checkPendingDone() {
-	if p, _ := unpackState(ck.store.state.Load()); p != WaitPending {
-		return
-	}
-	if ck.pendingV.Load() != 0 {
-		return
-	}
-	if ck.flushing.Swap(true) {
-		return
-	}
-	ck.store.state.Store(packState(WaitFlush, ck.version))
-	ck.emitPhase(WaitPending, WaitFlush)
-	go ck.waitFlush()
-}
-
-// waitFlush is transition 5 of Fig. 9a and the end of the commit: it captures
+// flush is transition 5 of Fig. 9a and the end of the commit: it captures
 // version v durably, returns the machine to rest at v+1 and — only if the
 // capture is durable and every attachment hook answered — writes the commit
 // record, the one artifact that makes the commit recoverable. Everything that
@@ -245,48 +106,38 @@ func (ck *checkpointCtx) checkPendingDone() {
 // WaitForCommit, Phase() == Rest) — so whoever sees the commit done also sees
 // CommittedSerial cover it and the whole timeline recorded — then OnDone and
 // the commit hooks.
-func (ck *checkpointCtx) waitFlush() {
-	s := ck.store
-	rec := commitRecord{Format: recordFormat, Token: ck.token, Version: ck.version, Kind: ck.kind.String(),
-		Serials: ck.serialsByID(), Sections: make([]section, 1)}
-	res := CommitResult{Token: ck.token, Version: ck.version, Kind: ck.kind, Serials: rec.Serials}
-	res.Bytes, res.Err = ck.capture(rec.sec())
-	// The transition is recorded first: whoever sees the commit done finds all
-	// five transitions on the timeline.
-	ck.emitPhase(WaitFlush, Rest)
-	s.state.Store(packState(Rest, ck.version+1))
-	s.epochs.BumpEpoch(func() { s.settled.Store(ck.version + 1) })
+func (s *Store) flush(c *commit) {
+	points := c.Points()
+	serials := make(map[string]uint64, len(points))
+	for sess, pt := range points {
+		serials[sess.id] = pt
+	}
+	rec := commitRecord{Format: recordFormat, Token: c.Token, Version: c.Version, Kind: s.kind.String(),
+		Serials: serials, Sections: make([]section, 1)}
+	res := CommitResult{Token: c.Token, Version: c.Version, Kind: s.kind, Serials: serials}
+	res.Bytes, res.Err = s.capture(c, rec.sec())
+	s.machine.Rest(c, func() { s.settled.Store(c.Version + 1) })
 
 	if res.Err == nil {
 		rec.Attachments, res.Err = s.commitAttachments(res)
 	}
 	if res.Err == nil {
 		var n int64
-		n, res.Err = storage.WriteRecord(s.cfg.Checkpoints, ck.token, uint64(ck.version), &rec, s.cfg.Flight)
+		n, res.Err = storage.WriteRecord(s.cfg.Checkpoints, c.Token, uint64(c.Version), &rec, s.cfg.Flight)
 		res.Bytes += n
 	}
 	if res.Err == nil {
-		s.noteCommitted(res)
+		s.noteCommitted(points, c.Token)
 		s.metrics.commits.Inc()
 		s.metrics.commitBytes.Add(uint64(res.Bytes))
-		s.metrics.commitNs.Observe(time.Since(ck.started))
-		s.cfg.Flight.Emit(obs.FlightCommitDone, -1, uint64(ck.version), ck.token, "", uint64(res.Bytes), 0)
+		s.metrics.commitNs.Observe(time.Since(c.Started))
+		s.mu.Lock()
+		s.latestToken, s.latestVer = c.Token, c.Version
+		s.mu.Unlock()
 	} else {
 		s.metrics.commitFailures.Inc()
-		s.cfg.Flight.Emit(obs.FlightCommitFail, -1, uint64(ck.version), ck.token, "", 0, 0)
 	}
-	ck.res = res
-	s.ckptMu.Lock()
-	s.results.put(res)
-	if res.Err == nil {
-		s.latestToken, s.latestVer = ck.token, ck.version
-	}
-	s.active.Store(nil)
-	s.ckptMu.Unlock()
-	close(ck.done)
-	if ck.onDone != nil {
-		ck.onDone(res)
-	}
+	s.machine.Done(c, res, res.Err, uint64(res.Bytes))
 	if res.Err == nil {
 		s.fireCommitHooks(res)
 	}
@@ -296,24 +147,24 @@ func (ck *checkpointCtx) waitFlush() {
 // offsets, blob names, page checksums. Fold-over shifts the log's read-only
 // offset to its tail and waits for the flush; snapshot writes the log's
 // volatile region to a blob. Nothing it writes counts until the record does.
-func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
-	s, v := ck.store, uint64(ck.version)
+func (s *Store) capture(c *commit, sec *section) (written int64, err error) {
+	v := uint64(c.Version)
 	flushed := s.log.Durable() // a fold-over commit makes the log past it durable
 	// Record the log's end, then take the fuzzy index checkpoint (if
 	// requested) before capturing the log: the capture is extended to cover
 	// [Lhe, Lie) so that recovery's Alg. 3 scan range max(Lie, Lhe) is fully
 	// on the device and v+1 records referenced by fuzzy index entries can be
 	// invalidated and chased back to their committed predecessors.
-	sec.Lhs = s.futureFrom[ck.version&1].Load()
+	sec.Lhs = s.futureFrom[c.Version&1].Load()
 	sec.Lhe = s.log.Tail()
-	if ck.withIndex {
+	if s.withIndex {
 		// Recovery replays the log from Lis over the image, so every record
 		// below it must be in the index before the image is taken: a record
 		// appended but not yet swapped in is the work of a thread that has not
 		// refreshed since, so a drain waits for it.
 		sec.Lis = s.log.Tail()
 		s.drainEpoch()
-		sec.Index = blobName("index", ck.token)
+		sec.Index = blobName("index", c.Token)
 		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, v); err != nil {
 			return 0, err
 		}
@@ -325,7 +176,7 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 	}
 
 	end := sec.logEnd()
-	switch ck.kind {
+	switch s.kind {
 	case FoldOver:
 		// The last session to refresh past the shift issues the flush; the I/O
 		// completion that stores durable >= the capture's end wakes this
@@ -336,12 +187,12 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 		s.log.ShiftReadOnlyTo(end)
 		s.log.WaitDurable(end)
 		if ferr := s.log.FlushErr(); ferr != nil && s.log.Durable() < end {
-			return 0, fmt.Errorf("faster: commit %s: %w", ck.token, ferr)
+			return 0, fmt.Errorf("faster: commit %s: %w", c.Token, ferr)
 		}
 		written += int64(end - min(flushed, end))
 	case Snapshot:
 		sec.SnapshotStart = s.log.Durable()
-		sec.Snapshot = blobName("snapshot", ck.token)
+		sec.Snapshot = blobName("snapshot", c.Token)
 		// Once every session has refreshed, the records below the capture's
 		// end are whole: a v+1 one half written would end its page, hiding v
 		// records.
@@ -358,9 +209,9 @@ func (ck *checkpointCtx) capture(sec *section) (written int64, err error) {
 	// about to trust (covers every page fully flushed under this Log's watch;
 	// see hlog.PageChecksums).
 	sec.PageCRCs = s.log.PageChecksums()
-	if ck.withIndex {
+	if s.withIndex {
 		s.lastIndex, s.lastLis, s.lastLie = sec.Index, sec.Lis, sec.Lie
 	}
-	s.cfg.Flight.Emit(obs.FlightPersistDone, -1, v, ck.token, "", uint64(written), 0)
+	s.cfg.Flight.Emit(obs.FlightPersistDone, -1, v, c.Token, "", uint64(written), 0)
 	return written, nil
 }

@@ -23,7 +23,7 @@ import (
 // epoch entry: the scan refreshes it continuously, keeping global progress
 // (offset shifts, flushes) alive even when this is the only session.
 func (sess *Session) CompactLog(until uint64) error {
-	phase, version := unpackState(sess.store.state.Load())
+	phase, version := sess.store.machine.State()
 	if phase != Rest {
 		return ErrCommitInProgress
 	}

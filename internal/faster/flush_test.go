@@ -250,7 +250,7 @@ func TestReadByRegion(t *testing.T) {
 					}
 				}
 				op := &pendingOp{kind: opRead, key: k, hash: hashfn.Hash64(k)}
-				op.serial, op.version = a.serial.Add(1), a.version
+				op.serial, op.version = a.serial.Add(1), a.view.Version
 				if r := a.find(op, false); int(r.reg) != region {
 					t.Fatalf("record found in region %d, want %d", r.reg, region)
 				}

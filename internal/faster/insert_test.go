@@ -106,7 +106,7 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 	if st := sess.Upsert(a, u64(10)); st != Ok {
 		t.Fatal(st)
 	}
-	op := &pendingOp{kind: opUpsert, key: a, input: u64(11), hash: ha, version: sess.version}
+	op := &pendingOp{kind: opUpsert, key: a, input: u64(11), hash: ha, version: sess.view.Version}
 	r := sess.find(op, false)
 	if r.entry&entryTagMask != tagOf(ha) || r.reg != regMutable {
 		t.Fatalf("find of a: slot %p, entry %#x, region %d", r.slot, r.entry, r.reg)

@@ -120,8 +120,8 @@ func TestPrepareOpUnderLaggingLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Refresh() // a acknowledges prepare; b has not, so the store stays there
-	if a.phase != Prepare || s.Phase() != Prepare {
-		t.Fatalf("a in %v, store in %v", a.phase, s.Phase())
+	if a.view.Phase != Prepare || s.Phase() != Prepare {
+		t.Fatalf("a in %v, store in %v", a.view.Phase, s.Phase())
 	}
 	time.AfterFunc(5*time.Millisecond, func() { idx.releaseExclusiveLatch(h) })
 	for k := uint64(7); k < 10; k++ {

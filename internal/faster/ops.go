@@ -59,18 +59,18 @@ func (sess *Session) doOp(op *pendingOp) Status {
 // pending list.
 func (sess *Session) dispatch(op *pendingOp) Status {
 	epoch.YieldAt(epoch.SiteDispatch)
-	if op.version < sess.version {
+	if op.version < sess.view.Version {
 		// The commit this op belonged to has fully completed (its pending
 		// work drained before wait-flush); treat it as current-version work.
-		op.version = sess.version
+		op.version = sess.view.Version
 	}
 	switch {
-	case op.version > sess.version:
+	case op.version > sess.view.Version:
 		return sess.processFuture(op)
-	case sess.phase == Prepare && !op.counted:
+	case sess.view.Phase == Prepare && !op.counted:
 		return sess.processPrepare(op)
 	}
-	r := sess.find(op, sess.phase != Rest)
+	r := sess.find(op, sess.view.Phase != Rest)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
@@ -232,7 +232,7 @@ func (sess *Session) processPrepare(op *pendingOp) Status {
 		op.latched = true
 	}
 	r := sess.find(op, false)
-	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
+	if r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.view.Version) {
 		return sess.shiftDetected(op)
 	}
 	var s Status
@@ -250,15 +250,11 @@ func (sess *Session) processPrepare(op *pendingOp) Status {
 // markCounted registers op in the active commit's pending-v tally; such
 // operations must complete before the commit's wait-flush phase.
 func (sess *Session) markCounted(op *pendingOp) {
-	if op.counted {
-		return
-	}
-	ck := sess.store.active.Load()
-	if ck == nil || ck.version != op.version {
+	if op.counted || !sess.store.machine.Running(op.version) {
 		return
 	}
 	op.counted = true
-	ck.pendingV.Add(1)
+	sess.store.pendingV.Add(1)
 }
 
 // shiftDetected implements the CPR_SHIFT_DETECTED path of Alg. 4: release
@@ -272,7 +268,7 @@ func (sess *Session) shiftDetected(op *pendingOp) Status {
 		op.latched = false
 	}
 	sess.abortedSerial = op.serial
-	if sess.Refresh(); sess.phase < InProgress {
+	if sess.Refresh(); sess.view.Phase < InProgress {
 		sess.abortedSerial = 0
 	}
 	op.version = sess.targetVersion()
@@ -285,12 +281,12 @@ func (sess *Session) shiftDetected(op *pendingOp) Status {
 // the safe-read-only marker (coarse-grained) so no v+1 record is installed
 // while a pending v operation on the bucket could still complete.
 func (sess *Session) processFuture(op *pendingOp) Status {
-	st, phase := sess.store, sess.phase
+	st, phase := sess.store, sess.view.Phase
 	r := sess.find(op, false)
 	if op.kind == opRead {
 		return sess.finishRead(op, r)
 	}
-	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.version) {
+	if r.reg == regNone || r.rec.Valid() && st.isFuture(r.rec.Version(), r.addr, sess.view.Version) {
 		// No record, or already a v+1 record: nothing to hand off.
 		return sess.update(op, r)
 	}

@@ -106,8 +106,8 @@ func parkFuzzy(t *testing.T) {
 	a.Refresh()    // acknowledges prepare
 	hold.Refresh() // acknowledges prepare, the last to: in-progress
 	hold.Refresh() // demarcates
-	if a.phase != Prepare || hold.phase != InProgress {
-		t.Fatalf("phases %v and %v, want prepare and in-progress", a.phase, hold.phase)
+	if a.view.Phase != Prepare || hold.view.Phase != InProgress {
+		t.Fatalf("phases %v and %v, want prepare and in-progress", a.view.Phase, hold.view.Phase)
 	}
 	for k := uint64(1); k <= 3; k++ {
 		if st := hold.Upsert(key(k), u64(10*k)); st != Ok {

@@ -115,7 +115,7 @@ func crashBeforeRecord(t *testing.T) {
 	// point the write of its record. The crash image is the checkpoint store
 	// first, then the device (matching write ordering — metadata follows its
 	// data).
-	token2 := fmt.Sprintf("ckpt-%06d", s.commitSeq.Load()+1)
+	token2 := fmt.Sprintf("ckpt-%06d", s.machine.Seq.Load()+1)
 	point := "before:" + storage.RecordName(token2)
 	var snapCkpts *storage.MemCheckpointStore
 	var snapDev *storage.MemDevice

@@ -65,7 +65,7 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 	s := newStore(cfg)
 
 	report := &RecoveryReport{}
-	skipped, err := storage.RecoverNewest(cfg.Checkpoints, &s.commitSeq, cfg.Flight, func(tok string) error {
+	skipped, err := storage.RecoverNewest(cfg.Checkpoints, &s.machine.Seq, cfg.Flight, func(tok string) error {
 		rec, err := loadRecord(cfg.Checkpoints, tok)
 		if err != nil {
 			return err
@@ -78,7 +78,7 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 			return err
 		}
 		maps.Copy(s.recoveredSerials, rec.Serials)
-		s.state.Store(packState(Rest, rec.Version+1))
+		s.machine.Reset(rec.Version + 1)
 		s.settled.Store(rec.Version + 1) // no session is older
 		report.Token, report.Version = rec.Token, rec.Version
 		return nil

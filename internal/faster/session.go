@@ -8,10 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/hashfn"
 	"repro/internal/hlog"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -95,8 +95,7 @@ type Session struct {
 	id    string
 	guard *epoch.Guard
 
-	phase   Phase  // local view of the store's phase
-	version uint32 // local view of the store's version
+	view core.View // the session's view of the store's CPR state machine
 
 	// serial is the serial of the most recently issued operation. Atomic so
 	// the durability-lag scans (Store.SessionLags, commit completion) can read
@@ -119,7 +118,7 @@ type Session struct {
 
 	// abortedSerial, when non-zero, is the serial of an operation that
 	// detected the CPR shift mid-execution and therefore belongs to v+1.
-	// Consumed by enterInProgress.
+	// Consumed by point.
 	abortedSerial uint64
 
 	opsSinceRefresh int
@@ -188,35 +187,18 @@ func (s *Store) ContinueSession(id string) (*Session, uint64) {
 	return s.startSession(id, serial), serial
 }
 
+// startSession registers the session once the store is at rest, so a running
+// commit's participant set stays fixed.
 func (s *Store) startSession(id string, serial uint64) *Session {
-	for {
-		if sess, ok := s.tryStartSession(id, serial); ok {
-			return sess
-		}
-		// A commit is running; its participant set was snapshotted. Spin
-		// until it finishes (commits are short relative to session setup).
-		s.waitForRest()
-	}
-}
-
-// tryStartSession registers the session while the store is at rest. Commit
-// admission holds s.mu too, so a commit's participant set is the registry as
-// it was.
-func (s *Store) tryStartSession(id string, serial uint64) (*Session, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	phase, version := unpackState(s.state.Load())
-	if phase != Rest {
-		return nil, false
-	}
-	sess := &Session{store: s, id: id, guard: s.epochs.Acquire(), phase: phase, version: version}
-	sess.serial.Store(serial)
-	// Everything issued so far (the recovered prefix) is durable by
-	// definition; the lag clock starts now.
-	sess.committedSerial.Store(serial)
-	sess.committedAtNanos.Store(nowNanos())
-	s.sessions[id] = sess
-	return sess, true
+	return s.machine.Register(func(v core.View) *Session {
+		sess := &Session{store: s, id: id, guard: s.epochs.Acquire(), view: v}
+		sess.serial.Store(serial)
+		// Everything issued so far (the recovered prefix) is durable by
+		// definition; the lag clock starts now.
+		sess.committedSerial.Store(serial)
+		sess.committedAtNanos.Store(nowNanos())
+		return sess
+	})
 }
 
 // ID returns the session's GUID.
@@ -240,11 +222,11 @@ func (sess *Session) CommittedToken() string {
 }
 
 // lag computes the session's durability lag at wall-clock instant now (a
-// nowNanos value). Callers hold store.mu (the session registry lock).
-func (sess *Session) lag(id string, now int64) SessionLag {
+// nowNanos value).
+func (sess *Session) lag(now int64) SessionLag {
 	issued := sess.serial.Load()
 	committed := sess.committedSerial.Load()
-	l := SessionLag{ID: id, IssuedSerial: issued, CommittedSerial: committed}
+	l := SessionLag{ID: sess.id, IssuedSerial: issued, CommittedSerial: committed}
 	if issued > committed {
 		l.LagOps = issued - committed
 		if at := sess.committedAtNanos.Load(); at != 0 && now > at {
@@ -260,13 +242,7 @@ func (sess *Session) StopSession() {
 		return
 	}
 	sess.CompletePending(true)
-	st := sess.store
-	st.mu.Lock()
-	delete(st.sessions, sess.id)
-	st.mu.Unlock()
-	if ck := st.active.Load(); ck != nil {
-		ck.dropParticipant(sess)
-	}
+	sess.store.machine.Leave(sess, sess.view)
 	sess.guard.Release()
 	sess.closed = true
 }
@@ -277,24 +253,7 @@ func (sess *Session) StopSession() {
 // in-progress entry.
 func (sess *Session) Refresh() {
 	epoch.YieldAt(epoch.SiteRefresh)
-	gp, gv := unpackState(sess.store.state.Load())
-	if gv != sess.version {
-		// The previous commit completed since our last refresh (and a new
-		// one may already be active): reset to rest of the new version, then
-		// process any phase entries of the active commit below — skipping
-		// them would lose this session's acknowledgments.
-		sess.version = gv
-		sess.phase = Rest
-	}
-	if sess.phase == Rest && gp >= Prepare {
-		sess.enterPrepare()
-	}
-	if sess.phase == Prepare && gp >= InProgress {
-		sess.enterInProgress()
-	}
-	if gp > sess.phase {
-		sess.phase = gp
-	}
+	sess.store.machine.Refresh(sess, &sess.view)
 	sess.guard.Refresh()
 	sess.opsSinceRefresh = 0
 }
@@ -303,14 +262,9 @@ func (sess *Session) Refresh() {
 // request of the commit version acquires a shared latch on its bucket
 // (fine-grained transfer) and is counted toward the commit's pending tally.
 func (sess *Session) enterPrepare() {
-	ck := sess.store.active.Load()
-	if ck == nil || ck.version != sess.version {
-		sess.phase = Prepare
-		return
-	}
 	fine := sess.store.cfg.Transfer == FineGrained
 	for _, op := range sess.pending {
-		if op.version != sess.version || op.counted {
+		if op.version != sess.view.Version || op.counted {
 			continue
 		}
 		if fine && !op.latched {
@@ -326,21 +280,14 @@ func (sess *Session) enterPrepare() {
 			op.latched = true
 		}
 		op.counted = true
-		ck.pendingV.Add(1)
+		sess.store.pendingV.Add(1)
 	}
-	sess.phase = Prepare
-	sess.store.cfg.Flight.Emit(obs.FlightAckPrepare, -1, uint64(ck.version), ck.token, sess.id, sess.serial.Load(), 0)
-	ck.coord.AckPrepare(sess)
 }
 
-// enterInProgress demarcates the session's CPR point: all operations with
-// serial <= the recorded value are part of the commit, none after.
-func (sess *Session) enterInProgress() {
-	ck := sess.store.active.Load()
-	sess.phase = InProgress
-	if ck == nil || ck.version != sess.version {
-		return
-	}
+// point demarcates the session's CPR point as it enters in-progress: all
+// operations with serial <= the value returned are part of the commit, none
+// after.
+func (sess *Session) point() uint64 {
 	cpr := sess.serial.Load()
 	if sess.abortedSerial != 0 && sess.abortedSerial <= cpr {
 		// The operation that detected the shift belongs to v+1.
@@ -348,8 +295,7 @@ func (sess *Session) enterInProgress() {
 	}
 	sess.abortedSerial = 0
 	sess.demarcAtNanos.Store(nowNanos())
-	sess.store.cfg.Flight.Emit(obs.FlightDemarcate, -1, uint64(ck.version), ck.token, sess.id, cpr, 0)
-	ck.coord.Demarcate(sess, cpr)
+	return cpr
 }
 
 func (sess *Session) maybeRefresh() {
@@ -382,10 +328,10 @@ func (sess *Session) park(op *pendingOp) {
 // targetVersion returns the CPR version new work belongs to: v+1 once the
 // session has demarcated its commit point for v.
 func (sess *Session) targetVersion() uint32 {
-	if sess.phase >= InProgress {
-		return sess.version + 1
+	if sess.view.Phase >= InProgress {
+		return sess.view.Version + 1
 	}
-	return sess.version
+	return sess.view.Version
 }
 
 // --- public operations ---
@@ -547,8 +493,8 @@ func (sess *Session) finish(op *pendingOp) {
 	}
 	if op.counted {
 		op.counted = false
-		if ck := sess.store.active.Load(); ck != nil && ck.pendingV.Add(-1) == 0 {
-			ck.checkPendingDone()
+		if sess.store.pendingV.Add(-1) == 0 {
+			sess.store.pendingDone()
 		}
 	}
 }

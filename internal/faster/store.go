@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/hlog"
 	"repro/internal/obs"
@@ -19,33 +20,16 @@ import (
 func nowNanos() int64 { return time.Now().UnixNano() }
 
 // Phase is a state of the CPR commit state machine (Fig. 9a).
-type Phase uint8
+type Phase = core.Phase
 
 // The five phases of a FASTER CPR commit.
 const (
-	Rest Phase = iota
-	Prepare
-	InProgress
-	WaitPending
-	WaitFlush
+	Rest        = core.Rest
+	Prepare     = core.Prepare
+	InProgress  = core.InProgress
+	WaitPending = core.WaitPending
+	WaitFlush   = core.WaitFlush
 )
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case Rest:
-		return "rest"
-	case Prepare:
-		return "prepare"
-	case InProgress:
-		return "in-progress"
-	case WaitPending:
-		return "wait-pending"
-	case WaitFlush:
-		return "wait-flush"
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
 
 // CommitKind selects how a checkpoint captures volatile records (App. D).
 type CommitKind uint8
@@ -270,8 +254,15 @@ type Store struct {
 	// epochs is the store's epoch table: one entry per session, bumped by the
 	// state machine and by the log.
 	epochs *epoch.Manager
-	// state packs the CPR phase (bits 32 and up) and version (low 32 bits).
-	state atomic.Uint64
+	// machine is the store's CPR state machine: its phase and version, the
+	// sessions, admission and the results of the newest commits.
+	machine *core.Machine[*Session, CommitResult]
+	// pendingV counts the running commit's pending version-v operations; the
+	// commit leaves wait-pending when it reaches zero.
+	pendingV atomic.Int64
+	// kind and withIndex are the running commit's, set at its admission.
+	kind      CommitKind
+	withIndex bool
 	// futureFrom[v&1] is commit v's log_start: the tail before the commit
 	// published prepare (see isFuture).
 	futureFrom [2]atomic.Uint64
@@ -281,20 +272,11 @@ type Store struct {
 	// (see update).
 	settled atomic.Uint32
 
-	// mu guards the session registry and serializes session registration
-	// against commit admission (lock order: mu, then ckptMu).
+	// mu guards the recovered serials and the latest commit.
 	mu               sync.Mutex
-	sessions         map[string]*Session
 	recoveredSerials map[string]uint64
-
-	// active is the running commit, from Commit until its result is
-	// published; ckptMu orders its clearing with the results.
-	active      atomic.Pointer[checkpointCtx]
-	ckptMu      sync.Mutex
-	results     commitResults
-	latestToken string        // newest commit completed, recovered or installed here ("" if none)
-	latestVer   uint32        // and its version
-	commitSeq   atomic.Uint64 // token counter
+	latestToken      string // newest commit completed, recovered or installed here ("" if none)
+	latestVer        uint32 // and its version
 
 	// lastIndex/lastLis/lastLie identify the most recent fuzzy index
 	// checkpoint (its blob's name), carried into a log-only commit's record
@@ -332,20 +314,23 @@ type Store struct {
 // It is nil for a store created with Open.
 func (s *Store) RecoveryReport() *RecoveryReport { return s.report }
 
-func packState(p Phase, v uint32) uint64   { return uint64(p)<<32 | uint64(v) }
-func unpackState(s uint64) (Phase, uint32) { return Phase(s >> 32), uint32(s) }
-
 func newStore(cfg Config) *Store {
 	s := &Store{
 		cfg:              cfg,
 		epochs:           epoch.New(),
-		sessions:         make(map[string]*Session),
 		recoveredSerials: make(map[string]uint64),
 		metrics:          newStoreMetrics(cfg.Metrics),
 	}
 	s.epochs.Instrument(cfg.Metrics)
 	s.epochs.InstrumentFlight(cfg.Flight)
-	s.state.Store(packState(Rest, 1))
+	s.machine = core.NewMachine(s.epochs, cfg.Flight, core.Hooks[*Session, CommitResult]{
+		Name:       (*Session).ID,
+		Serial:     (*Session).Serial,
+		Prepare:    (*Session).enterPrepare,
+		Point:      (*Session).point,
+		Demarcated: s.demarcated,
+		Flush:      s.flush,
+	})
 	return s
 }
 
@@ -410,16 +395,10 @@ func (s *Store) isFuture(recVer uint16, addr uint64, v uint32) bool {
 // Phase returns the CPR phase. While a commit is writing its record (the
 // machine back at rest in v+1, the record not yet durable) it reports
 // wait-flush, so polling Phase() == Rest observes completed commits only.
-func (s *Store) Phase() Phase {
-	p, v := unpackState(s.state.Load())
-	if ck := s.active.Load(); p == Rest && ck != nil && ck.version != v {
-		return WaitFlush
-	}
-	return p
-}
+func (s *Store) Phase() Phase { return s.machine.Phase() }
 
 // Version returns the current CPR version.
-func (s *Store) Version() uint32 { _, v := unpackState(s.state.Load()); return v }
+func (s *Store) Version() uint32 { return s.machine.Version() }
 
 // Log exposes the store's HybridLog: its offsets for STATS, its durable bytes
 // for the replication shipper, diagnostics and experiments.
@@ -483,12 +462,8 @@ type SessionLag struct {
 // session ID.
 func (s *Store) SessionLags() []SessionLag {
 	now := nowNanos()
-	s.mu.Lock()
-	out := make([]SessionLag, 0, len(s.sessions))
-	for id, sess := range s.sessions {
-		out = append(out, sess.lag(id, now))
-	}
-	s.mu.Unlock()
+	var out []SessionLag
+	s.machine.Each(func(sess *Session) { out = append(out, sess.lag(now)) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -497,31 +472,22 @@ func (s *Store) SessionLags() []SessionLag {
 // faster_session_lag_*_max gauges.
 func (s *Store) maxSessionLag() (ops uint64, ns int64) {
 	now := nowNanos()
-	s.mu.Lock()
-	for id, sess := range s.sessions {
-		l := sess.lag(id, now)
-		if l.LagOps > ops {
-			ops = l.LagOps
-		}
-		if l.LagNanos > ns {
-			ns = l.LagNanos
-		}
-	}
-	s.mu.Unlock()
+	s.machine.Each(func(sess *Session) {
+		l := sess.lag(now)
+		ops, ns = max(ops, l.LagOps), max(ns, l.LagNanos)
+	})
 	return ops, ns
 }
 
-// noteCommitted records a completed commit's session points in the
-// durability-lag metrics and advances each session's committed watermark
-// (finishCommit calls it before the result becomes visible).
-func (s *Store) noteCommitted(res CommitResult) {
+// noteCommitted records a completed commit's points of the sessions still
+// registered in the durability-lag metrics and advances each one's committed
+// watermark (flush calls it before the result becomes visible).
+func (s *Store) noteCommitted(points map[*Session]uint64, token string) {
 	now := nowNanos()
-	token := res.Token // one shared cell for every session's covering token
-	s.mu.Lock()
-	for id, pt := range res.Serials {
-		sess, ok := s.sessions[id]
+	s.machine.Each(func(sess *Session) {
+		pt, ok := points[sess]
 		if !ok {
-			continue
+			return
 		}
 		s.metrics.lagOps.ObserveValue(sess.serial.Load() - pt)
 		if d := sess.demarcAtNanos.Load(); d != 0 && now > d {
@@ -529,9 +495,8 @@ func (s *Store) noteCommitted(res CommitResult) {
 		}
 		sess.committedSerial.Store(pt)
 		sess.committedAtNanos.Store(now)
-		sess.committedToken.Store(&token)
-	}
-	s.mu.Unlock()
+		sess.committedToken.Store(&token) // one shared cell for every session
+	})
 }
 
 // registerLagGauges exposes the worst-case live durability lag.
@@ -581,24 +546,7 @@ func (s *Store) commitAttachments(res CommitResult) (map[string][]byte, error) {
 }
 
 // SessionCount reports the number of live sessions.
-func (s *Store) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
-// waitForRest spins until the store is at rest, driving epoch progress so an
-// in-flight commit can advance even when all sessions are idle.
-func (s *Store) waitForRest() {
-	for {
-		if p, _ := unpackState(s.state.Load()); p == Rest {
-			return
-		}
-		g := s.epochs.Acquire()
-		g.Refresh()
-		g.Release()
-	}
-}
+func (s *Store) SessionCount() int { return s.machine.Count() }
 
 // recVersion returns the 13-bit on-record version for store version v.
 func recVersion(v uint32) uint16 { return uint16(v) & hlog.MaxVersion }

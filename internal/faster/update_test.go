@@ -128,10 +128,11 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		_, entry := sh.index.probe(h, 0)
 		addr = entryAddr(entry)
 	}
+	var hold *Session
 	switch region {
 	case regionFuzzy:
 		// A session that does not refresh keeps the shift from becoming safe.
-		hold := s.StartSession()
+		hold = s.StartSession()
 		defer hold.StopSession()
 		sh.log.ShiftReadOnlyTo(sh.log.Tail())
 		a.Refresh()
@@ -158,7 +159,7 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		op.input = append(op.input, u64(input)...)
 	}
 	op.serial = a.serial.Add(1)
-	op.version = a.version
+	op.version = a.view.Version
 	if region == regionDiskCopy {
 		rec, err := sh.log.ReadRecordSync(addr)
 		if err != nil {
@@ -166,29 +167,31 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		}
 		op.ioRec, op.ioAddr = rec, addr
 	}
-	var ck *checkpointCtx
+	var token string
 	switch path {
 	case "prepare":
-		ck = &checkpointCtx{store: s, version: a.version}
-		s.active.Store(ck)
-		a.phase = Prepare
+		// A commit of the view's version runs, and a is in its prepare.
+		if token, err = s.Commit(CommitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		a.view.Phase = Prepare
 	case "v-completion":
-		a.phase = InProgress
+		a.view.Phase = InProgress
 	case "future":
-		a.phase = InProgress
-		a.version-- // what the store holds is now one version ahead of the view
+		a.view.Phase = InProgress
+		a.view.Version-- // what the store holds is now one version ahead of the view
 	case "rest-older", "rest-older-settled":
-		a.version++ // the record is now one version behind the view
-		op.version = a.version
+		a.view.Version++ // the record is now one version behind the view
+		op.version = a.view.Version
 		if path == "rest-older-settled" {
 			s.settled.Store(op.version)
 		}
 	case "coarse-handoff-in-progress", "coarse-handoff-wait-flush":
-		a.phase = InProgress
+		a.view.Phase = InProgress
 		if path == "coarse-handoff-wait-flush" {
-			a.phase = WaitFlush
+			a.view.Phase = WaitFlush
 		}
-		op.version = a.version + 1
+		op.version = a.view.Version + 1
 	}
 
 	_, before := sh.index.probe(h, 0)
@@ -197,15 +200,24 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 
 	// Undo the hand-set view before anything can fail the cell: the deferred
 	// StopSession and Close run against a store at rest.
-	latched, counted := op.latched, op.counted
+	latched, counted, tally := op.latched, op.counted, s.pendingV.Load()
 	if latched {
 		sh.index.releaseSharedLatch(h)
 	}
-	if ck != nil {
-		s.active.Store(nil)
+	if token != "" {
+		// The op is no parked one, so nothing else takes it off the tally. The
+		// sessions then walk the commit from prepare entry to its end.
+		s.pendingV.Store(0)
+		a.view.Phase = Rest
+		for _, ok := s.TryResult(token); !ok; _, ok = s.TryResult(token) {
+			a.Refresh()
+			if hold != nil {
+				hold.Refresh()
+			}
+		}
 	}
 	s.settled.Store(0)
-	a.phase, a.version = unpackState(s.state.Load())
+	a.view.Phase, a.view.Version = s.machine.State()
 	if op.awaitingIO {
 		a.flushIO()
 		for a.ready.Load() == 0 { // the read was queued: its completion arrives
@@ -231,8 +243,8 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 	if counted != want.counted || op.awaitingIO != want.awaitingIO {
 		t.Fatalf("counted %v awaitingIO %v, want %v %v", counted, op.awaitingIO, want.counted, want.awaitingIO)
 	}
-	if counted && ck.pendingV.Load() != 1 {
-		t.Fatalf("counted op, commit's pending-v tally %d", ck.pendingV.Load())
+	if counted && tally != 1 {
+		t.Fatalf("counted op, commit's pending-v tally %d", tally)
 	}
 	if latched != (path == "prepare") {
 		t.Fatalf("shared latch held: %v", latched)
@@ -305,9 +317,9 @@ func TestSettledInPlaceMeetsCopy(t *testing.T) {
 			if st := copier.Upsert(k, u64(40)); st != Ok {
 				t.Fatalf("seed upsert: %v", st)
 			}
-			v := copier.version
-			copier.phase = WaitFlush // its view is still of commit v
-			updater.version = v + 1  // at rest in v+1, settled
+			v := copier.view.Version
+			copier.view.Phase = WaitFlush // its view is still of commit v
+			updater.view.Version = v + 1  // at rest in v+1, settled
 			s.settled.Store(v + 1)
 			run := func(sess *Session) {
 				op := &pendingOp{kind: opRMW, key: k, hash: hashfn.Hash64(k), input: u64(1), version: v + 1}
@@ -332,8 +344,8 @@ func TestSettledInPlaceMeetsCopy(t *testing.T) {
 			})
 			run(first)
 			epoch.SetYieldHook(nil)
-			copier.phase, copier.version = unpackState(s.state.Load())
-			updater.phase, updater.version = unpackState(s.state.Load())
+			copier.view.Phase, copier.view.Version = s.machine.State()
+			updater.view.Phase, updater.view.Version = s.machine.State()
 			s.settled.Store(0)
 			if !interleaved {
 				t.Fatal("the record latch was never reached")

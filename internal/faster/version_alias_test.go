@@ -15,7 +15,7 @@ import (
 // skipVersions moves a store with no commit running n versions on, as n
 // commits that capture nothing would, without running them.
 func skipVersions(s *Store, n uint32) {
-	s.state.Store(packState(Rest, s.Version()+n))
+	s.machine.Reset(s.Version() + n)
 }
 
 // TestVersionAliasPendingRead: during commit 8192 a read and an RMW of cold keys

@@ -165,7 +165,7 @@ func New(cfg Config) (*Log, error) {
 	l.durableCond = sync.NewCond(&l.durableMu)
 	l.pageCRCs = make(map[uint64]uint32)
 	l.crcNext = FirstAddress
-	l.pool = storage.NewPool(ioWorkers, 256)
+	l.pool = storage.NewPool(ioWorkers)
 	l.instrument(cfg.Metrics)
 	return l, nil
 }

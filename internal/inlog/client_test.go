@@ -252,3 +252,44 @@ func TestIngestWriteCount(t *testing.T) {
 		t.Fatalf("%d sends took %d writes, want at most %d", msgs, n, msgs/perWrite+3)
 	}
 }
+
+// TestIngestCloseEndsConnections: Close ends the connections the server
+// accepted, and does not wait for an ack that needs a sync (under FsyncManual
+// none may ever come): a client connected before it gets nothing more acked,
+// even once the log syncs.
+func TestIngestCloseEndsConnections(t *testing.T) {
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	defer l.Close() //nolint:errcheck // nothing is read from the log after this
+	srv := NewIngestServer(l, nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+	c, err := DialIngest(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck // the server has closed the connection
+	if err := c.Send(benchMsg(0)); err != nil {
+		t.Fatal(err)
+	}
+	for l.Tail() == 0 { // appended: the connection is being served
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waits for an ack that needs a sync")
+	}
+	if err := c.Send(benchMsg(1)); err == nil {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if off, err := c.Ack(); err == nil {
+			t.Fatalf("offset %d acked after Close", off)
+		}
+	}
+}

@@ -29,6 +29,7 @@ type IngestServer struct {
 
 	mu       sync.Mutex
 	listener net.Listener
+	open     map[net.Conn]struct{} // the connections being served
 	closed   bool
 }
 
@@ -42,6 +43,7 @@ func NewIngestServer(log *Log, metrics *obs.Registry, flight *obs.FlightRecorder
 		flight: flight,
 		msgs:   metrics.Counter("inlog_ingest_msgs"),
 		conns:  metrics.Counter("inlog_ingest_conns"),
+		open:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -65,19 +67,30 @@ func (s *IngestServer) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.conns.Inc()
-		go s.serveConn(conn)
+		s.mu.Lock()
+		if s.closed {
+			conn.Close()
+		} else {
+			s.open[conn] = struct{}{}
+			s.conns.Inc()
+			go s.serveConn(conn)
+		}
+		s.mu.Unlock()
 	}
 }
 
-// Close stops accepting; in-flight connections finish their current acks.
+// Close stops accepting and closes the connections it accepted, so a
+// client's further Sends and Acks fail. It does not wait for the acks still
+// owed, which may need a sync that never comes (FsyncManual).
 func (s *IngestServer) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	ln := s.listener
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if s.listener != nil {
+		s.listener.Close()
+	}
+	for conn := range s.open {
+		conn.Close()
 	}
 }
 
@@ -91,7 +104,12 @@ const ackQueue = 1024
 // One group commit makes many queued offsets durable at once, and the ack
 // loop writes all of them with one conn.Write.
 func (s *IngestServer) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.open, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	acks := make(chan uint64, ackQueue)
 	done := make(chan struct{})
 	go func() {

@@ -85,10 +85,9 @@ func (p *Pool) QueueDepth() int64 {
 	return int64(len(p.queue) - p.head)
 }
 
-// NewPool starts a pool with the given number of workers (minimum 1). The
-// depth argument is retained for call-site compatibility and ignored (the
-// queue is unbounded; see the type comment).
-func NewPool(workers, depth int) *Pool {
+// NewPool starts a pool with the given number of workers (minimum 1). Its
+// queue is unbounded (see the type comment).
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}

@@ -60,7 +60,7 @@ func TestPoolRunOrderAndErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			p := NewPool(workers, 0)
+			p := NewPool(workers)
 			p.Instrument(reg)
 			p.Retry = RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: 10 * time.Microsecond}
 
@@ -148,7 +148,7 @@ func TestPoolRunOrderAndErrors(t *testing.T) {
 // its last error reaches Done.
 func TestPoolRetryExhausted(t *testing.T) {
 	d := &scriptDevice{MemDevice: NewMemDevice(), fail: map[int64]int{0: 100}, attempts: map[int64]int{}}
-	p := NewPool(1, 0)
+	p := NewPool(1)
 	p.Retry = RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: 10 * time.Microsecond}
 	done := make(chan error, 1)
 	var b [1]byte
@@ -177,7 +177,7 @@ func BenchmarkPoolRead(b *testing.B) {
 			if _, err := d.WriteAt(make([]byte, 64*run), 0); err != nil {
 				b.Fatal(err)
 			}
-			p := NewPool(4, 0)
+			p := NewPool(4)
 			p.Instrument(obs.NewRegistry())
 			defer p.Close()
 			var left atomic.Int32

@@ -102,7 +102,7 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 func TestPoolWriteThenRead(t *testing.T) {
 	d := NewMemDevice()
 	defer d.Close()
-	p := NewPool(4, 16)
+	p := NewPool(4)
 	defer p.Close()
 
 	done := make(chan error, 1)
@@ -125,7 +125,7 @@ func TestPoolWriteThenRead(t *testing.T) {
 func TestPoolCloseDrains(t *testing.T) {
 	d := NewMemDevice()
 	defer d.Close()
-	p := NewPool(2, 128)
+	p := NewPool(2)
 	var mu sync.Mutex
 	completed := 0
 	for i := 0; i < 100; i++ {
@@ -162,7 +162,7 @@ func TestPoolQueueBoundedUnderBacklog(t *testing.T) {
 	if _, err := d.WriteAt([]byte{0}, 0); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(1, 0)
+	p := NewPool(1)
 	served := make(chan int, total)
 	var buf [1]byte
 	for i := 0; i < total; i++ {

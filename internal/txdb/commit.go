@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,24 +27,8 @@ type CommitResult struct {
 	Err   error
 }
 
-// commitCtx tracks one in-flight CPR/CALC checkpoint (Alg. 2).
-type commitCtx struct {
-	db      *DB
-	version uint64
-	token   string
-
-	// coord collects per-worker acknowledgments (Fig. 4's transitions) and
-	// the workers' CPR points.
-	coord *core.Coordinator[*Worker]
-
-	flushing atomic.Bool
-	started  time.Time
-
-	done chan struct{}
-	res  CommitResult
-
-	onDone func(CommitResult)
-}
+// commit is the database's running CPR/CALC checkpoint (Alg. 2).
+type commit = core.Commit[*Worker, CommitResult]
 
 // dbRecord is a CPR/CALC commit's record (storage.RecordName): written after
 // the capture it names, so a commit is its capture blob plus this one artifact.
@@ -62,199 +45,81 @@ type dbRecord struct {
 
 const engineName = "txdb"
 
-// ErrCommitInProgress mirrors faster.ErrCommitInProgress for the database.
-var ErrCommitInProgress = fmt.Errorf("txdb: a commit is already in progress")
+// ErrCommitInProgress is returned when Commit is called while another commit
+// has not yet completed.
+var ErrCommitInProgress = core.ErrCommitInProgress
 
 // Commit starts a commit appropriate to the engine: an asynchronous CPR/CALC
 // checkpoint (Alg. 2), or a forced WAL group commit (synchronous). onDone,
 // if non-nil, fires when the commit is durable.
 func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
-	if db.cfg.Engine == EngineWAL {
-		token := fmt.Sprintf("wal-%06d", db.commitSeq.Add(1))
-		t0 := time.Now()
-		err := db.wal.Flush()
-		if err == nil {
-			db.metrics.commits.Inc()
-			db.metrics.commitNs.Observe(time.Since(t0))
-		}
-		res := CommitResult{Token: token, Err: err}
-		db.ckptMu.Lock()
-		db.results[token] = res
-		db.ckptMu.Unlock()
-		if onDone != nil {
-			onDone(res)
-		}
-		return token, err
+	if db.cfg.Engine != EngineWAL {
+		return db.machine.Begin(onDone, nil)
 	}
-
-	db.workerMu.Lock()
-	db.ckptMu.Lock()
-	if db.ckpt != nil {
-		db.ckptMu.Unlock()
-		db.workerMu.Unlock()
-		return "", ErrCommitInProgress
+	token := fmt.Sprintf("wal-%06d", db.machine.Seq.Add(1))
+	t0 := time.Now()
+	err := db.wal.Flush()
+	if err == nil {
+		db.metrics.commits.Inc()
+		db.metrics.commitNs.Observe(time.Since(t0))
 	}
-	if p, _ := unpackState(db.state.Load()); p != Rest {
-		db.ckptMu.Unlock()
-		db.workerMu.Unlock()
-		return "", ErrCommitInProgress
+	res := CommitResult{Token: token, Err: err}
+	db.machine.Record(token, res)
+	if onDone != nil {
+		onDone(res)
 	}
-	ck := &commitCtx{
-		db:      db,
-		version: db.Version(),
-		token:   storage.NextToken(&db.commitSeq),
-		started: time.Now(),
-		done:    make(chan struct{}),
-		onDone:  onDone,
-	}
-	ck.coord = core.NewCoordinator[*Worker](ck.advanceToInProgress, ck.maybeStartWaitFlush)
-	for w := range db.workers {
-		ck.coord.Add(w)
-	}
-	db.ckpt = ck
-	db.state.Store(packState(Prepare, ck.version))
-	db.cfg.Flight.Emit(obs.FlightCommitStart, -1, ck.version, ck.token, "", 0, 0)
-	ck.emitPhase(Rest, Prepare)
-	ck.bumpEpoch()
-	db.ckptMu.Unlock()
-	db.workerMu.Unlock()
-	ck.coord.Seal()
-	return ck.token, nil
+	return token, err
 }
 
 // TryResult returns a completed commit's result without blocking.
-func (db *DB) TryResult(token string) (CommitResult, bool) {
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	res, ok := db.results[token]
-	return res, ok
-}
+func (db *DB) TryResult(token string) (CommitResult, bool) { return db.machine.TryResult(token) }
 
 // WaitForCommit blocks until the commit completes. Other workers must keep
 // executing (or refreshing) for the state machine to advance.
 func (db *DB) WaitForCommit(token string) CommitResult {
-	db.ckptMu.Lock()
-	ck := db.ckpt
-	if ck == nil || ck.token != token {
-		res, ok := db.results[token]
-		db.ckptMu.Unlock()
-		if ok {
-			return res
-		}
-		return CommitResult{Token: token, Err: fmt.Errorf("txdb: unknown commit %q", token)}
+	if res, ok := db.machine.WaitForCommit(token); ok {
+		return res
 	}
-	db.ckptMu.Unlock()
-	<-ck.done
-	return ck.res
+	return CommitResult{Token: token, Err: fmt.Errorf("txdb: unknown commit %q", token)}
 }
 
-func (ck *commitCtx) ackPrepare(w *Worker) {
-	ck.db.cfg.Flight.Emit(obs.FlightAckPrepare, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), w.seq, 0)
-	ck.coord.AckPrepare(w)
-}
-
-// emitPhase records a phase transition in the flight recorder; arg1/arg2 are
-// the raw phase codes (decode with obs.FlightPhaseName).
-func (ck *commitCtx) emitPhase(from, to Phase) {
-	ck.db.cfg.Flight.Emit(obs.FlightPhase, -1, ck.version, ck.token, "",
-		uint64(from), uint64(to))
-}
-
-// bumpEpoch bumps the epoch after a publication. Nothing waits on the drain
-// (the workers' acknowledgments drive the machine): the action is empty, and
-// there so that the epoch manager measures and records how long the
-// publication took to reach every registered thread.
-func (ck *commitCtx) bumpEpoch() { ck.db.epochs.BumpEpoch(func() {}) }
-
-func (ck *commitCtx) advanceToInProgress() {
-	ck.db.state.Store(packState(InProgress, ck.version))
-	ck.emitPhase(Prepare, InProgress)
-	ck.bumpEpoch()
-}
-
-func (ck *commitCtx) ackInProgress(w *Worker, seq uint64) {
-	ck.db.cfg.Flight.Emit(obs.FlightDemarcate, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), seq, 0)
-	ck.coord.Demarcate(w, seq)
-}
-
-func (ck *commitCtx) maybeStartWaitFlush() {
-	if p, _ := unpackState(ck.db.state.Load()); p != InProgress {
-		return
-	}
-	if ck.flushing.Swap(true) {
-		return
-	}
-	ck.db.state.Store(packState(WaitFlush, ck.version))
-	ck.emitPhase(InProgress, WaitFlush)
-	go ck.waitFlush()
-}
-
-func (ck *commitCtx) dropParticipant(w *Worker) {
-	sameVersion := w.version == ck.version
-	ck.db.cfg.Flight.Emit(obs.FlightDrop, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), w.seq, 0)
-	ck.coord.Drop(w,
-		sameVersion && w.phase >= Prepare,
-		sameVersion && w.phase >= InProgress,
-		w.seq)
-}
-
-// waitFlush implements InProgToWaitFlush of Alg. 2: capture version v of the
+// flush implements InProgToWaitFlush of Alg. 2: capture version v of the
 // database (stable value for shifted records, live otherwise), persist it,
 // and return to rest at v+1.
-func (ck *commitCtx) waitFlush() {
-	db := ck.db
+func (db *DB) flush(c *commit) {
 	delta := db.cfg.Incremental && len(db.chain) > 0 && len(db.chain) < db.cfg.FullEvery
-	buf := ck.capture(delta)
-	err := ck.persist(buf, delta)
-	ck.res = CommitResult{Token: ck.token, Version: ck.version, Seqs: ck.coord.Points(),
-		Bytes: int64(len(buf)), Delta: delta, Err: err}
-	// The transition is recorded first: whoever sees the commit done finds all
-	// four transitions on the timeline.
-	ck.emitPhase(WaitFlush, Rest)
-	db.ckptMu.Lock()
-	db.ckpt = nil
-	db.results[ck.token] = ck.res
-	db.state.Store(packState(Rest, ck.version+1))
-	db.ckptMu.Unlock()
-	ck.bumpEpoch()
-	if err != nil {
-		db.cfg.Flight.Emit(obs.FlightCommitFail, -1, ck.version, ck.token, "", 0, 0)
-	} else {
-		db.cfg.Flight.Emit(obs.FlightCommitDone, -1, ck.version, ck.token, "",
-			uint64(len(buf)), 0)
+	buf := db.capture(uint64(c.Version), delta)
+	err := db.persist(c, buf, delta)
+	db.machine.Rest(c, nil)
+	if err == nil {
 		db.metrics.commits.Inc()
 		db.metrics.commitBytes.Add(uint64(len(buf)))
 		if delta {
 			db.metrics.deltaCommits.Inc()
 		}
-		db.metrics.commitNs.Observe(time.Since(ck.started))
+		db.metrics.commitNs.Observe(time.Since(c.Started))
 	}
-	close(ck.done)
-	if ck.onDone != nil {
-		ck.onDone(ck.res)
-	}
+	db.machine.Done(c, CommitResult{Token: c.Token, Version: uint64(c.Version), Seqs: c.Points(),
+		Bytes: int64(len(buf)), Delta: delta, Err: err}, err, uint64(len(buf)))
 }
 
 // persist writes the commit: its capture, then its record. A failed commit
 // leaves its version's writes in no capture, so the next commit is a full one.
-func (ck *commitCtx) persist(capture []byte, delta bool) error {
-	db, name := ck.db, "data-"+ck.token
+func (db *DB) persist(c *commit, capture []byte, delta bool) error {
+	name, v := "data-"+c.Token, uint64(c.Version)
 	cs, fr := db.cfg.Checkpoints, db.cfg.Flight
 	chain := []string{name}
 	if delta {
 		chain = append(slices.Clip(db.chain), name)
 	}
 	db.chain = nil
-	if _, err := storage.WriteArtifactStream(cs, name, storage.Payload(capture), fr, ck.version); err != nil {
+	if _, err := storage.WriteArtifactStream(cs, name, storage.Payload(capture), fr, v); err != nil {
 		return err
 	}
-	fr.Emit(obs.FlightPersistDone, -1, ck.version, ck.token, "", uint64(len(capture)), 0)
-	rec := dbRecord{Engine: engineName, Token: ck.token, Version: ck.version,
+	fr.Emit(obs.FlightPersistDone, -1, v, c.Token, "", uint64(len(capture)), 0)
+	rec := dbRecord{Engine: engineName, Token: c.Token, Version: v,
 		Records: db.cfg.Records, ValueSize: db.cfg.ValueSize, Captures: chain}
-	if _, err := storage.WriteRecord(cs, ck.token, ck.version, rec, fr); err != nil {
+	if _, err := storage.WriteRecord(cs, c.Token, v, rec, fr); err != nil {
 		return err
 	}
 	db.chain = chain
@@ -279,7 +144,7 @@ func Recover(cfg Config) (*DB, error) {
 			}
 		})
 	} else {
-		_, err = storage.RecoverNewest(cfg.Checkpoints, &db.commitSeq, cfg.Flight, db.recoverCommit)
+		_, err = storage.RecoverNewest(cfg.Checkpoints, &db.machine.Seq, cfg.Flight, db.recoverCommit)
 	}
 	if err != nil {
 		db.Close()
@@ -326,7 +191,7 @@ func (db *DB) recoverCommit(token string) error {
 			return err
 		}
 	}
-	db.state.Store(packState(Rest, rec.Version+1))
+	db.machine.Reset(uint32(rec.Version + 1))
 	db.chain = rec.Captures
 	return nil
 }

@@ -22,8 +22,7 @@ import (
 // for a delta, the records written during v as u64 count | count × (u64 key |
 // value). A record shifted to v+1 holds v's value, and the version that wrote
 // it, in stable; any other in live.
-func (ck *commitCtx) capture(delta bool) []byte {
-	db := ck.db
+func (db *DB) capture(v uint64, delta bool) []byte {
 	buf := make([]byte, 8, 4096) // the count, then the entries
 	if !delta {
 		buf = make([]byte, 0, db.cfg.Records*db.cfg.ValueSize)
@@ -35,13 +34,13 @@ func (ck *commitCtx) capture(delta bool) []byte {
 		for !r.tryLock(false) {
 		}
 		val, wrote := r.live, r.lastWrite
-		if r.version == ck.version+1 {
+		if r.version == v+1 {
 			val, wrote = r.stable, r.stableWrite
 		}
 		switch {
 		case !delta:
 			buf = append(buf, val...)
-		case wrote >= ck.version:
+		case wrote >= v:
 			buf = append(binary.LittleEndian.AppendUint64(buf, uint64(i)), val...)
 			count++
 		}

@@ -20,9 +20,9 @@ package txdb
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -53,31 +53,16 @@ func (e EngineKind) String() string {
 }
 
 // Phase is a state of the CPR commit state machine for the database (Fig. 4).
-type Phase uint8
+type Phase = core.Phase
 
-// CPR commit phases (Sec. 4.1). WAL-mode databases stay in Rest forever.
+// CPR commit phases (Sec. 4.1); wait-pending is FASTER's alone. WAL-mode
+// databases stay in Rest forever.
 const (
-	Rest Phase = iota
-	Prepare
-	InProgress
-	_ // wait-pending is FASTER's alone; the codes are the flight recorder's (obs.FlightPhaseName)
-	WaitFlush
+	Rest       = core.Rest
+	Prepare    = core.Prepare
+	InProgress = core.InProgress
+	WaitFlush  = core.WaitFlush
 )
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case Rest:
-		return "rest"
-	case Prepare:
-		return "prepare"
-	case InProgress:
-		return "in-progress"
-	case WaitFlush:
-		return "wait-flush"
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
 
 // record is one database record: a lock word for strict 2PL, a CPR version,
 // and live/stable values (stable is unused in WAL mode).
@@ -213,14 +198,9 @@ type DB struct {
 	values  []byte // backing storage for all live+stable values
 	epochs  *epoch.Manager
 
-	// state packs phase (high 8 bits) and version (low 56 bits).
-	state atomic.Uint64
-
-	ckptMu sync.Mutex
-	ckpt   *commitCtx
-
-	workerMu sync.Mutex
-	workers  map[*Worker]bool
+	// machine is the database's CPR state machine (Alg. 2): its phase and
+	// version, the workers, admission and the results of the newest commits.
+	machine *core.Machine[*Worker, CommitResult]
 
 	// CALC: the atomic commit log — a shared fetch-add counter plus a slot
 	// store per committed transaction. The counter is the serial bottleneck.
@@ -230,9 +210,6 @@ type DB struct {
 	// WAL engine.
 	wal *wal.Log
 
-	commitSeq atomic.Uint64
-	results   map[string]CommitResult
-
 	// chain names the captures the latest commit's record names (dbRecord),
 	// which the next delta commit extends; written only by the single active
 	// checkpoint goroutine and by Recover.
@@ -240,9 +217,6 @@ type DB struct {
 
 	metrics dbMetrics
 }
-
-func packState(p Phase, v uint64) uint64   { return uint64(p)<<56 | v }
-func unpackState(s uint64) (Phase, uint64) { return Phase(s >> 56), s & (1<<56 - 1) }
 
 // Open creates a database with all values zeroed, at version 1.
 func Open(cfg Config) (*DB, error) {
@@ -253,19 +227,20 @@ func Open(cfg Config) (*DB, error) {
 		cfg:     cfg,
 		records: make([]record, cfg.Records),
 		epochs:  epoch.New(),
-		workers: make(map[*Worker]bool),
-		results: make(map[string]CommitResult),
 		metrics: newDBMetrics(cfg.Metrics),
 	}
+	db.machine = core.NewMachine(db.epochs, cfg.Flight, core.Hooks[*Worker, CommitResult]{
+		Name:       func(w *Worker) string { return fmt.Sprintf("worker-%p", w) },
+		Serial:     (*Worker).Seq,
+		Point:      (*Worker).Seq, // t_T: transactions 1..seq are in the commit
+		Demarcated: func(*commit) { db.machine.Flush(InProgress) },
+		Flush:      db.flush,
+	})
 	db.epochs.Instrument(cfg.Metrics)
 	db.epochs.InstrumentFlight(cfg.Flight)
 	cfg.Metrics.GaugeFunc("txdb_version", func() int64 { return int64(db.Version()) })
 	cfg.Metrics.GaugeFunc("txdb_phase", func() int64 { return int64(db.Phase()) })
-	cfg.Metrics.GaugeFunc("txdb_workers", func() int64 {
-		db.workerMu.Lock()
-		defer db.workerMu.Unlock()
-		return int64(len(db.workers))
-	})
+	cfg.Metrics.GaugeFunc("txdb_workers", func() int64 { return int64(db.machine.Count()) })
 	// One backing array halves allocator pressure and keeps values dense.
 	per := cfg.ValueSize
 	if cfg.Engine == EngineWAL {
@@ -287,7 +262,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Engine == EngineWAL {
 		db.wal = wal.New(cfg.WALDevice)
 	}
-	db.state.Store(packState(Rest, 1))
 	return db, nil
 }
 
@@ -299,10 +273,10 @@ func (db *DB) Close() {
 }
 
 // Phase returns the database's current commit phase.
-func (db *DB) Phase() Phase { p, _ := unpackState(db.state.Load()); return p }
+func (db *DB) Phase() Phase { return db.machine.Phase() }
 
 // Version returns the database's current CPR version.
-func (db *DB) Version() uint64 { _, v := unpackState(db.state.Load()); return v }
+func (db *DB) Version() uint64 { return uint64(db.machine.Version()) }
 
 // Engine returns the configured durability engine.
 func (db *DB) Engine() EngineKind { return db.cfg.Engine }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/wal"
 )
@@ -87,9 +88,8 @@ type Worker struct {
 	db    *DB
 	guard *epoch.Guard
 
-	phase   Phase
-	version uint64
-	seq     uint64 // committed-transaction count == last committed sequence
+	view core.View // the worker's view of the database's state machine
+	seq  uint64    // committed-transaction count == last committed sequence
 
 	txnsSinceRefresh int
 	// cprAborted marks that the in-flight transaction aborted due to the
@@ -115,32 +115,9 @@ const workerRefreshInterval = 64
 // registration waits out any in-flight commit so the participant set of a
 // commit stays fixed.
 func (db *DB) NewWorker() *Worker {
-	for {
-		db.workerMu.Lock()
-		db.ckptMu.Lock()
-		if db.ckpt == nil {
-			w := &Worker{db: db, guard: db.epochs.Acquire()}
-			w.phase, w.version = unpackState(db.state.Load())
-			db.workers[w] = true
-			db.ckptMu.Unlock()
-			db.workerMu.Unlock()
-			return w
-		}
-		db.ckptMu.Unlock()
-		db.workerMu.Unlock()
-		db.driveToRest()
-	}
-}
-
-func (db *DB) driveToRest() {
-	for {
-		if p, _ := unpackState(db.state.Load()); p == Rest {
-			return
-		}
-		g := db.epochs.Acquire()
-		g.Refresh()
-		g.Release()
-	}
+	return db.machine.Register(func(v core.View) *Worker {
+		return &Worker{db: db, guard: db.epochs.Acquire(), view: v}
+	})
 }
 
 // Close unregisters the worker.
@@ -148,15 +125,7 @@ func (w *Worker) Close() {
 	if w.closed {
 		return
 	}
-	w.db.workerMu.Lock()
-	delete(w.db.workers, w)
-	w.db.workerMu.Unlock()
-	w.db.ckptMu.Lock()
-	ck := w.db.ckpt
-	w.db.ckptMu.Unlock()
-	if ck != nil {
-		ck.dropParticipant(w)
-	}
+	w.db.machine.Leave(w, w.view)
 	w.flushStats()
 	w.guard.Release()
 	w.closed = true
@@ -188,42 +157,10 @@ func (w *Worker) Stats() Stats { return w.stats }
 // Refresh synchronizes the worker's epoch entry and its local view of the
 // commit state machine, acknowledging phase entries (Alg. 2 coordination).
 func (w *Worker) Refresh() {
-	db := w.db
-	gp, gv := unpackState(db.state.Load())
-	if gv != w.version {
-		// The previous commit completed since our last refresh (a new one
-		// may already be active): reset to rest of the new version, then
-		// process the active commit's phase entries below so no
-		// acknowledgment is lost.
-		w.version = gv
-		w.phase = Rest
-	}
-	if w.phase == Rest && gp >= Prepare {
-		w.phase = Prepare
-		if ck := db.currentCkpt(); ck != nil && ck.version == w.version {
-			ck.ackPrepare(w)
-		}
-	}
-	if w.phase == Prepare && gp >= InProgress {
-		w.phase = InProgress
-		if ck := db.currentCkpt(); ck != nil && ck.version == w.version {
-			// CPR point t_T: transactions 1..seq are in the commit.
-			ck.ackInProgress(w, w.seq)
-		}
-	}
-	if gp > w.phase {
-		w.phase = gp
-	}
+	w.db.machine.Refresh(w, &w.view)
 	w.guard.Refresh()
 	w.txnsSinceRefresh = 0
 	w.flushStats()
-}
-
-func (db *DB) currentCkpt() *commitCtx {
-	db.ckptMu.Lock()
-	ck := db.ckpt
-	db.ckptMu.Unlock()
-	return ck
 }
 
 // Execute runs one transaction under strict 2PL with NO-WAIT (Alg. 1).
@@ -265,6 +202,7 @@ func (w *Worker) Execute(txn *Txn) Result {
 
 func (w *Worker) execute(txn *Txn) Result {
 	db := w.db
+	phase, version := w.view.Phase, uint64(w.view.Version)
 	w.lockedIdx = w.lockedIdx[:0]
 	// Growing phase: acquire all locks; NO-WAIT aborts on failure.
 	for i, op := range txn.Ops {
@@ -274,9 +212,9 @@ func (w *Worker) execute(txn *Txn) Result {
 			return AbortedConflict
 		}
 		w.lockedIdx = append(w.lockedIdx, i)
-		switch w.phase {
+		switch phase {
 		case Prepare:
-			if r.version > w.version {
+			if r.version > version {
 				w.releaseLocks(txn)
 				return AbortedCPR
 			}
@@ -285,17 +223,17 @@ func (w *Worker) execute(txn *Txn) Result {
 			// preserving the version-v value in stable (Alg. 1). Reads need
 			// no shift (they produce no v+1 effects), which also keeps this
 			// mutation under an exclusive lock only.
-			if op.Write && db.cfg.Engine != EngineWAL && r.version < w.version+1 {
+			if op.Write && db.cfg.Engine != EngineWAL && r.version < version+1 {
 				copy(r.stable, r.live)
 				r.stableWrite = r.lastWrite
-				r.version = w.version + 1
+				r.version = version + 1
 			}
 		}
 	}
 	// Execute on live values.
-	writeVersion := w.version
-	if w.phase >= InProgress {
-		writeVersion = w.version + 1
+	writeVersion := version
+	if phase >= InProgress {
+		writeVersion = version + 1
 	}
 	for _, op := range txn.Ops {
 		r := &db.records[op.Key]
