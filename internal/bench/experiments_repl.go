@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
 	"repro/internal/faster"
@@ -44,17 +43,18 @@ func runReplLag(cfg Config, w io.Writer) error {
 	defer primary.Close()
 
 	srv := repl.NewServer(primary)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	go srv.Serve(addr) //nolint:errcheck
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
 	defer srv.Close()
 	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+		select {
+		case err := <-served:
+			return err
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
+	addr := srv.Addr().String()
 
 	rep, err := repl.NewReplica(repl.Config{Upstream: addr, StoreConfig: mkConfig()})
 	if err != nil {

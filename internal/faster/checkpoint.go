@@ -18,8 +18,8 @@ type CommitOptions struct {
 	WithIndex bool
 	// Kind overrides the store's default commit kind when non-nil.
 	Kind *CommitKind
-	// OnDone, if set, is invoked (from the checkpoint goroutine) when the
-	// commit becomes durable, with the per-session CPR points.
+	// OnDone, if set, is invoked (from the goroutine core.Machine.Flush
+	// starts) when the commit becomes durable, with the per-session CPR points.
 	OnDone func(res CommitResult)
 }
 

@@ -2,8 +2,10 @@ package faster
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -219,7 +221,11 @@ func TestStopSessionMidCommitUnblocksStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle.StopSession() // drops out of the participant set
-	for i := 0; ; i++ {
+	// Bounded by wall time, not by a pass count: each pass yields, so the
+	// goroutine Machine.Flush starts and the I/O workers it waits on run even
+	// on one processor.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		if res, ok := s.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatal(res.Err)
@@ -227,9 +233,10 @@ func TestStopSessionMidCommitUnblocksStateMachine(t *testing.T) {
 			break
 		}
 		active.Refresh()
-		if i > 1_000_000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("commit stuck in %v after participant left", s.Phase())
 		}
+		runtime.Gosched()
 	}
 	active.StopSession()
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -40,7 +42,11 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
+	// Bounded by wall time, not by a pass count: each pass yields, so the
+	// goroutine Machine.Flush starts and the I/O workers it waits on run even
+	// on one processor.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		if res, ok := s.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatalf("commit failed: %v", res.Err)
@@ -51,9 +57,10 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 			sess.Refresh()
 			sess.CompletePending(false)
 		}
-		if i > 1_000_000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("commit %s stuck in phase %v", token, s.Phase())
 		}
+		runtime.Gosched()
 	}
 }
 

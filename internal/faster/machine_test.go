@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -129,17 +130,22 @@ func TestPrepareOpUnderLaggingLatch(t *testing.T) {
 			t.Fatalf("upsert %d: %v", k, st)
 		}
 	}
-	for turn := 0; ; turn++ {
+	// Bounded by wall time, not by a pass count: each pass yields, so the
+	// goroutine Machine.Flush starts and the I/O workers it waits on run even
+	// on one processor.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		if res, ok := s.TryResult(token); ok {
 			if got := res.Serials[a.ID()]; res.Err != nil || got != 3 {
 				t.Fatalf("a's point %d (%v), want 3: its ops in prepare belong to the commit", got, res.Err)
 			}
 			return
 		}
-		if turn > 1_000_000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("commit stuck in %v", s.Phase())
 		}
 		a.Refresh()
 		b.Refresh()
+		runtime.Gosched()
 	}
 }

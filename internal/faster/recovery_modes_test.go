@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/hlog"
@@ -122,18 +124,23 @@ func buildFuzzyImage(t *testing.T) *fuzzyImage {
 		put(a, k, 3, false)
 		img.fuzzy++
 	}
-	for turn := 0; ; turn++ {
+	// Bounded by wall time, not by a pass count: each pass yields, so the
+	// goroutine Machine.Flush starts and the I/O workers it waits on run even
+	// on one processor.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		if res, ok := s.TryResult(img.token); ok {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
 			break
 		}
-		if turn > 1_000_000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("commit %s stuck in %v", img.token, s.Phase())
 		}
 		a.Refresh()
 		b.Refresh()
+		runtime.Gosched()
 	}
 	put(a, 5, 4, false) // and the crash loses what came after the commit
 	img.dev, img.ckpts = img.dev.Clone(), img.ckpts.Clone()

@@ -253,6 +253,69 @@ func TestIngestWriteCount(t *testing.T) {
 	}
 }
 
+// TestIngestCloseWithFullAckQueue: Close returns while a connection's read
+// loop waits for room in a full ack queue whose ack loop waits for a sync that
+// never comes (FsyncManual).
+func TestIngestCloseWithFullAckQueue(t *testing.T) {
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	defer l.Close() //nolint:errcheck // nothing is read from the log after this
+	srv := NewIngestServer(l, nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // returns nil on Close
+	c, err := DialIngest(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck // the server has closed the connection
+	// One offset the ack loop waits on, a full queue, and one the read loop
+	// holds waiting for room.
+	const n = ackQueue + 2
+	for i := 0; i < n; i++ {
+		if err := c.Send(benchMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l.Tail() < n {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		l.Sync() //nolint:errcheck // let the ack loop through, so that Close can return
+		<-closed
+		t.Fatal("Close waits for a read loop blocked on a full ack queue")
+	}
+}
+
+// TestIngestServeAfterClose: Serve on a closed server returns an error at once
+// instead of accepting on ln.
+func TestIngestServeAfterClose(t *testing.T) {
+	l := mustOpen(t, Config{Segments: NewMemSegmentStore(), Fsync: FsyncManual})
+	defer l.Close() //nolint:errcheck // nothing is read from the log after this
+	srv := NewIngestServer(l, nil, nil)
+	srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("Serve after Close returned nil")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Close still accepting after 2 s")
+	}
+}
+
 // TestIngestCloseEndsConnections: Close ends the connections the server
 // accepted, and does not wait for an ack that needs a sync (under FsyncManual
 // none may ever come): a client connected before it gets nothing more acked,

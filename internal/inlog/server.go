@@ -27,10 +27,8 @@ type IngestServer struct {
 	msgs   *obs.Counter
 	conns  *obs.Counter
 
-	mu       sync.Mutex
-	listener net.Listener
-	open     map[net.Conn]struct{} // the connections being served
-	closed   bool
+	// open accepts and tracks the connections; its Close closes them.
+	open *wire.Conns
 }
 
 // NewIngestServer returns a server appending into log. metrics may be nil.
@@ -43,56 +41,18 @@ func NewIngestServer(log *Log, metrics *obs.Registry, flight *obs.FlightRecorder
 		flight: flight,
 		msgs:   metrics.Counter("inlog_ingest_msgs"),
 		conns:  metrics.Counter("inlog_ingest_conns"),
-		open:   make(map[net.Conn]struct{}),
+		open:   wire.NewConns(wire.CloseConn),
 	}
 }
 
-// Serve accepts connections on ln until Close (or the listener fails).
-func (s *IngestServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			conn.Close()
-		} else {
-			s.open[conn] = struct{}{}
-			s.conns.Inc()
-			go s.serveConn(conn)
-		}
-		s.mu.Unlock()
-	}
-}
+// Serve accepts connections on ln until Close (or the listener fails). After
+// Close it closes ln and returns net.ErrClosed.
+func (s *IngestServer) Serve(ln net.Listener) error { return s.open.Serve(ln, s.serveConn) }
 
 // Close stops accepting and closes the connections it accepted, so a
-// client's further Sends and Acks fail. It does not wait for the acks still
-// owed, which may need a sync that never comes (FsyncManual).
-func (s *IngestServer) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for conn := range s.open {
-		conn.Close()
-	}
-}
+// client's further Sends and Acks fail. It waits for their read loops, not for
+// the acks still owed, which may need a sync that never comes (FsyncManual).
+func (s *IngestServer) Close() { s.open.Close() }
 
 // ackQueue is how many appended-but-unacked offsets one connection may have
 // in flight before its read loop stops reading: the bound on what a client
@@ -102,18 +62,19 @@ const ackQueue = 1024
 // serveConn pipelines one connection: the read loop appends records and
 // queues their offsets; the ack loop waits for durability in offset order.
 // One group commit makes many queued offsets durable at once, and the ack
-// loop writes all of them with one conn.Write.
+// loop writes all of them with one conn.Write. serveConn returns when the read
+// loop ends; the ack loop owns the connection from then on and closes it once
+// it has acked what was queued, or when the log closes or a write fails.
 func (s *IngestServer) serveConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.open, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+	s.conns.Inc()
 	acks := make(chan uint64, ackQueue)
-	done := make(chan struct{})
+	defer close(acks)
 	go func() {
-		defer close(done)
+		defer func() {
+			conn.Close()     // ends the read loop, if it still runs
+			for range acks { // which must never block on a full queue
+			}
+		}()
 		out := make([]byte, 0, 8*ackQueue)
 		flush := func() bool {
 			if len(out) == 0 {
@@ -148,23 +109,25 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 	for {
 		_, body, err := wire.Read(br, &frame)
 		if err != nil {
-			break
+			return
 		}
 		// wire.Read leaves the opcode in frame right before the payload, and on
 		// this wire it is the message's op: the two together are the message.
 		msg := frame[:1+len(body)]
 		if _, err := DecodeMessage(msg); err != nil {
-			break // malformed payloads are rejected before they reach the log
+			return // malformed payloads are rejected before they reach the log
 		}
 		off, err := s.log.Append(msg)
 		if err != nil {
-			break
+			return
 		}
 		s.msgs.Inc()
-		acks <- off
+		select {
+		case acks <- off:
+		case <-s.open.Done(): // the ack loop may wait for a sync that never comes
+			return
+		}
 	}
-	close(acks)
-	<-done
 }
 
 // sendBound is how many bytes Send may queue ahead of the socket: the server's

@@ -2,6 +2,8 @@ package kvserver
 
 import (
 	"encoding/binary"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -262,6 +264,28 @@ func TestCommitJoiningUncoveringCommit(t *testing.T) {
 	defer sess.StopSession()
 	if r.point > recovered {
 		t.Fatalf("COMMIT replied point %d, above the %d recovery hands the session back", r.point, recovered)
+	}
+}
+
+// TestServeAfterClose: Serve on a closed server returns net.ErrClosed at once
+// instead of binding a port and accepting on it.
+func TestServeAfterClose(t *testing.T) {
+	store, err := faster.Open(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := NewServer(store)
+	srv.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve after Close: %v, want net.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Close still accepting after 2 s")
 	}
 }
 

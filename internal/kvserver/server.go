@@ -30,14 +30,13 @@ import (
 // in its own working record and serves read values from its own buffer,
 // and replies are gathered into a reusable buffer behind a coalescing writer.
 type Server struct {
-	ln net.Listener
+	// conns accepts and tracks the connections; its Close expires their reads,
+	// so a handler hangs up at a frame boundary.
+	conns *wire.Conns
 
 	mu      sync.Mutex
 	store   *faster.Store
 	replica ReplicaBackend // non-nil while serving in replica mode
-	conns   map[net.Conn]bool
-	closed  bool
-	wg      sync.WaitGroup
 
 	// om holds the per-op latency-decomposition histogram handles, resolved
 	// from the served store's registry (re-resolved on Promote). A connection
@@ -66,8 +65,6 @@ type Server struct {
 	// replyBytes is the reply buffer's byte cap, DefaultCoalesceBytes; tests
 	// shrink it to split a batch's replies over several frames.
 	replyBytes int
-
-	stopAuto chan struct{}
 }
 
 // Per-connection write coalescing (the MaxSyncLag idiom applied to reply
@@ -101,10 +98,9 @@ type ReplicaBackend interface {
 func NewServer(store *faster.Store) *Server {
 	return &Server{
 		store:      store,
-		conns:      make(map[net.Conn]bool),
+		conns:      wire.NewConns(wire.ExpireRead),
 		om:         resolveOpMetrics(store.Metrics()),
 		Logger:     log.New(os.Stderr, "kvserver: ", log.LstdFlags),
-		stopAuto:   make(chan struct{}),
 		replyBytes: DefaultCoalesceBytes,
 	}
 }
@@ -130,19 +126,11 @@ func (s *Server) Promote(store *faster.Store) {
 	s.store = store
 	s.om = resolveOpMetrics(store.Metrics())
 	s.replica = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	closed := s.closed
 	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	if wasReplica && s.AutoCommit > 0 {
+		s.conns.Go(s.autoCommitter)
 	}
-	if wasReplica && !closed && s.AutoCommit > 0 {
-		s.wg.Add(1)
-		go s.autoCommitter()
-	}
+	s.conns.Each(wire.CloseConn)
 }
 
 // backend returns what is served now: the store, its op metrics and, in
@@ -154,12 +142,6 @@ func (s *Server) backend() (*faster.Store, opMetrics, ReplicaBackend) {
 	return s.store, s.om, s.replica
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Serve listens on addr (e.g. "127.0.0.1:0") and blocks accepting
 // connections until Close. It returns the bound address via Addr.
 func (s *Server) Serve(addr string) error {
@@ -167,76 +149,30 @@ func (s *Server) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.ln = ln
-	replica := s.replica != nil
-	s.mu.Unlock()
-	if s.AutoCommit > 0 && !replica {
+	if _, _, rb := s.backend(); rb == nil && s.AutoCommit > 0 {
 		// A replica never commits on its own; Promote starts the committer.
-		s.wg.Add(1)
-		go s.autoCommitter()
+		s.conns.Go(s.autoCommitter)
 	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
+	return s.conns.Serve(ln, s.handle)
 }
 
 // Addr returns the bound listen address (after Serve started).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.conns.Addr() }
 
 // Close stops the listener and waits for every in-flight handler to drain:
 // handlers notice the closed flag at their next frame boundary, flush any
 // coalesced replies, and close their own connections — a reply frame is
 // never torn mid-write by shutdown. Reads blocked mid-frame are woken via an
 // expired read deadline (tearing a *read* is safe; nothing was promised to
-// the peer yet).
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	now := time.Now()
-	for c := range s.conns {
-		c.SetReadDeadline(now) //nolint:errcheck
-	}
-	s.mu.Unlock()
-	close(s.stopAuto)
-	s.wg.Wait()
-}
+// the peer yet). The auto-committer stops with them.
+func (s *Server) Close() { s.conns.Close() }
 
 func (s *Server) autoCommitter() {
-	defer s.wg.Done()
 	t := time.NewTicker(s.AutoCommit)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopAuto:
+		case <-s.conns.Done():
 			return
 		case <-t.C:
 			// Log-only fold-over commits at the configured cadence; skipped
@@ -313,7 +249,7 @@ func (s *Server) waitReadable(cs *connState, sess *faster.Session, cap time.Dura
 		deadline = time.Now().Add(cap)
 	}
 	for {
-		if s.isClosed() || (stop != nil && stop()) {
+		if s.conns.Closed() || (stop != nil && stop()) {
 			return net.ErrClosed
 		}
 		cs.conn.SetReadDeadline(time.Now().Add(idlePoll)) //nolint:errcheck
@@ -336,13 +272,7 @@ func (s *Server) waitReadable(cs *connState, sess *faster.Session, cap time.Dura
 }
 
 func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+	defer conn.Close()
 
 	cs := &connState{
 		conn: conn,
@@ -409,7 +339,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			if err := s.waitReadable(cs, sess, s.IdleTimeout, nil); err != nil {
 				var ne net.Error
-				if s.IdleTimeout > 0 && errors.As(err, &ne) && ne.Timeout() && !s.isClosed() {
+				if s.IdleTimeout > 0 && errors.As(err, &ne) && ne.Timeout() && !s.conns.Closed() {
 					// Idle past the cap: reap the connection. The deferred
 					// close + StopSession release the socket and the session's
 					// epoch entry; the client's session state survives for a
@@ -533,7 +463,7 @@ func (s *Server) awaitDurable(cs *connState, sess *faster.Session, op byte, with
 		if started == "" && covered {
 			break
 		}
-		if s.isClosed() || time.Since(start) > durableWaitCap {
+		if s.conns.Closed() || time.Since(start) > durableWaitCap {
 			status = StatusError
 			break
 		}

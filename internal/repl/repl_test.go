@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,25 +38,47 @@ func u64(v uint64) []byte {
 	return b
 }
 
-// startServer serves a repl.Server on a loopback port and returns its
-// address.
+// startServer serves a repl.Server on a loopback port of the system's choosing
+// and returns its address.
 func startServer(t *testing.T, srv *Server) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	go srv.Serve(addr) //nolint:errcheck
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == nil {
+		select {
+		case err := <-served:
+			t.Fatalf("repl server did not start: %v", err)
+		default:
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("repl server did not start")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return addr
+	return srv.Addr().String()
+}
+
+// TestServeAfterClose: Serve on a closed server returns net.ErrClosed at once
+// instead of binding a port and accepting on it.
+func TestServeAfterClose(t *testing.T) {
+	primary, err := faster.Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	srv := NewServer(primary)
+	srv.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve after Close: %v, want net.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Close still accepting after 2 s")
+	}
 }
 
 // commitWait runs a commit to completion, driving phases via sess.

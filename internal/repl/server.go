@@ -35,13 +35,12 @@ type Server struct {
 	// Logger receives connection errors; defaults to the standard logger.
 	Logger *log.Logger
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]chan string // per-conn completed-commit notifications
-	closed bool
-	wg     sync.WaitGroup
+	// conns accepts and tracks the replica connections; its Close closes them.
+	conns *wire.Conns
 
-	replicas     *obs.Gauge
+	mu        sync.Mutex
+	committed chan struct{} // closed and replaced when a commit completes
+
 	shippedBytes *obs.Counter
 	shippedArts  *obs.Counter
 	announced    *obs.Counter
@@ -57,8 +56,8 @@ func NewServer(store *faster.Store) *Server {
 	s := &Server{
 		store:        store,
 		Logger:       log.New(os.Stderr, "repl: ", log.LstdFlags),
-		conns:        make(map[net.Conn]chan string),
-		replicas:     reg.Gauge("repl_replicas"),
+		conns:        wire.NewConns(wire.CloseConn),
+		committed:    make(chan struct{}),
 		shippedBytes: reg.Counter("repl_shipped_log_bytes_total"),
 		shippedArts:  reg.Counter("repl_shipped_artifacts_total"),
 		announced:    reg.Counter("repl_commits_announced_total"),
@@ -67,25 +66,24 @@ func NewServer(store *faster.Store) *Server {
 		// durable commit waited to be announced to a replica.
 		replwaitNs: reg.Histogram("faster_op_replwait_ns"),
 	}
+	reg.GaugeFunc("repl_replicas", func() int64 { return int64(s.Replicas()) })
 	reg.SetHelp("repl_replicas", "Replica connections currently attached to this primary.")
 	reg.SetHelp("repl_commits_announced_total",
 		"Commit announcements shipped to replicas; commits completing without announcements fires the health engine's repl-lag-growing detector.")
-	store.OnCommit(func(res faster.CommitResult) { s.broadcast(res.Token) })
+	store.OnCommit(func(faster.CommitResult) {
+		s.mu.Lock()
+		close(s.committed)
+		s.committed = make(chan struct{})
+		s.mu.Unlock()
+	})
 	return s
 }
 
-// broadcast queues a completed commit token on every connection. A full
-// queue is fine to drop into: the streamer falls back to LatestCommitToken,
-// and installing the newest commit subsumes skipped intermediates.
-func (s *Server) broadcast(token string) {
+// commits returns the channel the next completed commit closes.
+func (s *Server) commits() <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ch := range s.conns {
-		select {
-		case ch <- token:
-		default:
-		}
-	}
+	return s.committed
 }
 
 // Serve listens on addr and blocks accepting replica connections until
@@ -95,46 +93,14 @@ func (s *Server) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		ch := make(chan string, 64)
-		s.mu.Lock()
-		s.conns[conn] = ch
-		s.mu.Unlock()
-		s.replicas.Set(int64(s.Replicas()))
-		s.wg.Add(1)
-		go s.handle(conn, ch)
-	}
+	return s.conns.Serve(ln, s.handle)
 }
 
 // Addr returns the bound listen address (after Serve started).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.conns.Addr() }
 
 // Replicas reports the number of connected replicas.
-func (s *Server) Replicas() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
+func (s *Server) Replicas() int { return s.conns.Len() }
 
 // ReplStats describes this primary for a kvserver stats snapshot.
 func (s *Server) ReplStats() *kvserver.ReplStats {
@@ -147,34 +113,12 @@ func (s *Server) ReplStats() *kvserver.ReplStats {
 
 // Close stops accepting, closes replica connections, and waits for
 // streamers.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.conns.Close() }
 
 // handle runs one replica connection: welcome, then the ship loop.
-func (s *Server) handle(conn net.Conn, notify chan string) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.replicas.Set(int64(s.Replicas()))
-		conn.Close()
-	}()
-	if err := s.stream(conn, notify); err != nil {
+func (s *Server) handle(conn net.Conn) {
+	defer conn.Close()
+	if err := s.stream(conn); err != nil {
 		s.Logger.Printf("replica %v: %v", conn.RemoteAddr(), err)
 	}
 }
@@ -199,7 +143,7 @@ func (c *shipConn) send(frame []byte) error {
 	return err
 }
 
-func (s *Server) stream(nc net.Conn, notify chan string) error {
+func (s *Server) stream(nc net.Conn) error {
 	conn := &shipConn{Conn: nc}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	var hello []byte
@@ -250,29 +194,29 @@ func (s *Server) stream(nc net.Conn, notify chan string) error {
 
 	shipped := make(map[string]bool) // artifacts this connection already sent
 	announcedTok := ""
-	// Catch the replica up to the newest completed commit immediately.
-	pending, _ := s.store.LatestCommitToken()
 	heartbeat := time.NewTicker(100 * time.Millisecond)
 	defer heartbeat.Stop()
 	poll := time.NewTicker(2 * time.Millisecond)
 	defer poll.Stop()
 
 	for {
+		// The channel is taken before the token is read, so a commit that
+		// completes after the read wakes this loop. Only the newest commit is
+		// shipped: installing it subsumes the commits it skipped.
+		committed := s.commits()
 		if err := s.shipTail(conn, &sent); err != nil {
 			return err
 		}
-		if pending != "" && pending != announcedTok {
-			if err := s.shipCommit(conn, pending, &sent, shipped); err != nil {
+		if tok, _ := s.store.LatestCommitToken(); tok != "" && tok != announcedTok {
+			if err := s.shipCommit(conn, tok, &sent, shipped); err != nil {
 				return err
 			}
-			announcedTok = pending
-			pending = ""
+			announcedTok = tok
 		}
 		select {
 		case <-readerDone:
 			return nil // replica hung up
-		case tok := <-notify:
-			pending = tok
+		case <-committed:
 		case <-heartbeat.C:
 			if err := s.sendTail(conn); err != nil {
 				return err

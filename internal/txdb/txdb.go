@@ -211,8 +211,8 @@ type DB struct {
 	wal *wal.Log
 
 	// chain names the captures the latest commit's record names (dbRecord),
-	// which the next delta commit extends; written only by the single active
-	// checkpoint goroutine and by Recover.
+	// which the next delta commit extends; written only by the running
+	// commit's flush (the goroutine core.Machine.Flush starts) and by Recover.
 	chain []string
 
 	metrics dbMetrics

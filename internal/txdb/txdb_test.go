@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -32,7 +33,11 @@ func driveCommit(t *testing.T, db *DB, workers []*Worker) CommitResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
+	// Bounded by wall time, not by a pass count: each pass yields, so the
+	// goroutine Machine.Flush starts and the I/O workers it waits on run even
+	// on one processor.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		if res, ok := db.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatalf("commit: %v", res.Err)
@@ -42,9 +47,10 @@ func driveCommit(t *testing.T, db *DB, workers []*Worker) CommitResult {
 		for _, w := range workers {
 			w.Refresh()
 		}
-		if i > 1_000_000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("commit stuck in %v", db.Phase())
 		}
+		runtime.Gosched()
 	}
 }
 

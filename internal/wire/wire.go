@@ -1,8 +1,10 @@
 // Package wire owns the byte layout of a frame, the unit every TCP protocol in
 // this tree speaks — kvserver's client protocol, repl's replication stream and
 // inlog's ingest protocol — and the scalar encodings their payloads are built
-// from. Standard library only: what an opcode means, and anything a protocol
-// layers on the opcode byte (kvserver's trace flag), is the caller's business.
+// from; and Conns, the skeleton the three servers accept, track and close their
+// connections through. Standard library only: what an opcode means, and
+// anything a protocol layers on the opcode byte (kvserver's trace flag), is the
+// caller's business.
 //
 //	frame  := u32 length | u8 opcode | payload    (length counts opcode + payload)
 //	string := u16 len | bytes
