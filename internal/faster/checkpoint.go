@@ -147,6 +147,9 @@ func (s *Store) flush(c *commit) {
 // offsets, blob names, page checksums. Fold-over shifts the log's read-only
 // offset to its tail and waits for the flush; snapshot writes the log's
 // volatile region to a blob. Nothing it writes counts until the record does.
+// A fold-over commit with the index shifts read-only to Lis right after the
+// drain, so the I/O pool flushes the log below it while this goroutine streams
+// the image, then shifts to the capture's end and waits.
 func (s *Store) capture(c *commit, sec *section) (written int64, err error) {
 	v := uint64(c.Version)
 	flushed := s.log.Durable() // a fold-over commit makes the log past it durable
@@ -164,6 +167,11 @@ func (s *Store) capture(c *commit, sec *section) (written int64, err error) {
 		// refreshed since, so a drain waits for it.
 		sec.Lis = s.log.Tail()
 		s.drainEpoch()
+		if s.kind == FoldOver {
+			// Flush the log below Lis while the image streams; its records only
+			// turn read-only sooner (DESIGN "Fuzzy index checkpoint").
+			s.log.ShiftReadOnlyTo(sec.Lis)
+		}
 		sec.Index = blobName("index", c.Token)
 		if written, err = storage.WriteArtifactStream(s.cfg.Checkpoints, sec.Index, s.index.writeImage, s.cfg.Flight, v); err != nil {
 			return 0, err

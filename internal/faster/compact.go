@@ -72,7 +72,8 @@ func (sess *Session) CompactLog(until uint64) error {
 			// concurrent update that moved the chain head fails the install;
 			// re-check liveness (the update may have superseded this record).
 			valBuf = rec.Value(valBuf[:0])
-			if sess.install(h, slot, entry, version, keyBuf, valBuf, false, nil) {
+			op := pendingOp{kind: opUpsert, key: keyBuf, input: valBuf, hash: h, version: version}
+			if sess.install(&op, &findResult{slot: slot, entry: entry}) == Ok {
 				return true
 			}
 		}

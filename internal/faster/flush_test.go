@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -133,6 +134,77 @@ func TestCommitLegWakesOnDurable(t *testing.T) {
 			t.Fatalf("key 1 reads %x (found %v) after the aborted commit", v, ok)
 		}
 	})
+}
+
+// imageGateStore is a checkpoint store whose index images wait at their first
+// Write until durable() reaches target, for at most five seconds, and note
+// where it stood when they went on.
+type imageGateStore struct {
+	storage.CheckpointStore
+	durable func() uint64
+	target  uint64
+	seen    atomic.Uint64
+}
+
+func (c *imageGateStore) Create(name string) (io.WriteCloser, error) {
+	w, err := c.CheckpointStore.Create(name)
+	if err != nil || !strings.HasPrefix(name, "index-") {
+		return w, err
+	}
+	return &gatedImage{WriteCloser: w, store: c}, nil
+}
+
+type gatedImage struct {
+	io.WriteCloser
+	store  *imageGateStore
+	waited bool
+}
+
+func (w *gatedImage) Write(p []byte) (int, error) {
+	if !w.waited {
+		w.waited = true
+		c := w.store
+		for deadline := time.Now().Add(5 * time.Second); c.durable() < c.target && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		c.seen.Store(c.durable())
+	}
+	return w.WriteCloser.Write(p)
+}
+
+// TestIndexImageOverlapsLogFlush: a fold-over commit with the index flushes the
+// log below Lis while it writes the image, not after. The image's first write
+// waits until the log is durable to the tail read before the commit; a capture
+// that starts the flush only after the image never gets there, and the wait
+// gives up after five seconds.
+func TestIndexImageOverlapsLogFlush(t *testing.T) {
+	cs := &imageGateStore{CheckpointStore: storage.NewMemCheckpointStore()}
+	cfg := smallConfig()
+	cfg.Checkpoints = cs
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.StopSession()
+	for k := uint64(1); k <= 100; k++ {
+		if st := sess.Upsert(key(k), u64(k)); st != Ok {
+			t.Fatalf("upsert %d: %v", k, st)
+		}
+	}
+	tail := s.Log().Tail()
+	if d := s.Log().Durable(); d >= tail {
+		t.Fatalf("durable %d already at the tail %d: nothing for the commit to flush", d, tail)
+	}
+	cs.durable, cs.target = s.Log().Durable, tail
+	res := driveCommit(t, s, []*Session{sess}, CommitOptions{WithIndex: true})
+	if seen := cs.seen.Load(); seen < tail {
+		t.Fatalf("the index image began with the log durable to %d of %d: the flush waited for the image", seen, tail)
+	}
+	if got := res.Serials[sess.ID()]; got != 100 {
+		t.Fatalf("commit point %d, want 100", got)
+	}
 }
 
 // longValue is a 40-byte value whose five words are all its generation: a copy

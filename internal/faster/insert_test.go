@@ -107,7 +107,7 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 		t.Fatal(st)
 	}
 	op := &pendingOp{kind: opUpsert, key: a, input: u64(11), hash: ha, version: sess.view.Version}
-	r := sess.find(op, false)
+	r := *sess.find(op, false)
 	if r.entry&entryTagMask != tagOf(ha) || r.reg != regMutable {
 		t.Fatalf("find of a: slot %p, entry %#x, region %d", r.slot, r.entry, r.reg)
 	}
@@ -121,13 +121,13 @@ func TestInstallFailsOnReusedSlot(t *testing.T) {
 	}
 	bEntry := r.slot.Load() // ... and reclaimed for b
 
-	if st := sess.rcu(op, r); st != statusRetry {
+	if st := sess.install(op, &r); st != statusRetry {
 		t.Fatalf("install against the reclaimed slot: %v, want a retry", st)
 	}
 	if got := r.slot.Load(); got != bEntry {
 		t.Fatalf("b's slot went %#x -> %#x", bEntry, got)
 	}
-	if st := sess.doOp(op); st != Ok {
+	if st := sess.dispatch(op); st != Ok {
 		t.Fatalf("retried upsert: %v", st)
 	}
 	slot, entry := idx.probe(ha, 0)

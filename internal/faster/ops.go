@@ -23,58 +23,40 @@ import "repro/internal/epoch"
 // region of the key's record — is one routine, update, and a record it writes
 // reaches the index through one routine, install (session.go).
 
-// statusRetry is an internal sentinel: re-run the dispatch loop.
+// statusRetry is an internal sentinel: dispatch runs the op again.
 const statusRetry Status = 255
 
-// doOp drives one operation to a terminal status or Pending. A terminal one
-// releases its CPR resources and hands a read's result to its callback.
-func (sess *Session) doOp(op *pendingOp) Status {
-	st := Error // its cold read failed
-	if op.ioErr == nil {
-		for st = sess.dispatch(op); st == statusRetry; st = sess.dispatch(op) {
-		}
-		if st == Pending {
-			return Pending
-		}
-	}
-	if op.latched || op.counted {
-		sess.finish(op)
-	}
-	if op.readCB != nil {
-		if st != Ok {
-			op.val = nil
-		}
-		op.readCB(op.val, st)
-	}
-	return st
-}
-
-// dispatch routes op by the session's view of the phase and the op's
-// version. The default route is a current-version operation outside the
-// prepare gate: at rest, or a version-v operation completing once the commit
-// is past prepare (a counted op retried during prepare included; wait-pending
-// semantics, Sec. 6.2.3). The two differ in one thing: past rest the walk
-// skips v+1 records — they are not part of this op's commit. A completing
-// op's shared latch (fine-grained) is released by finish() when it leaves the
-// pending list.
+// dispatch drives op to a terminal status or Pending by the session's view of
+// the phase and the op's version, running it again while a path answers
+// statusRetry; what a terminal op holds is released by finish. The default
+// route is a current-version operation outside the prepare gate: at rest, or a
+// version-v operation completing once the commit is past prepare (a counted op
+// retried during prepare included; wait-pending semantics, Sec. 6.2.3). The
+// two differ in one thing: past rest the walk skips v+1 records — they are not
+// part of this op's commit.
 func (sess *Session) dispatch(op *pendingOp) Status {
-	epoch.YieldAt(epoch.SiteDispatch)
-	if op.version < sess.view.Version {
-		// The commit this op belonged to has fully completed (its pending
-		// work drained before wait-flush); treat it as current-version work.
-		op.version = sess.view.Version
+	for {
+		epoch.YieldAt(epoch.SiteDispatch)
+		if op.version < sess.view.Version {
+			// The commit this op belonged to has fully completed (its pending
+			// work drained before wait-flush); treat it as current-version work.
+			op.version = sess.view.Version
+		}
+		var st Status
+		switch {
+		case op.version > sess.view.Version:
+			st = sess.processFuture(op)
+		case sess.view.Phase == Prepare && !op.counted:
+			st = sess.processPrepare(op)
+		case op.kind == opRead:
+			st = sess.finishRead(op, sess.find(op, sess.view.Phase != Rest))
+		default:
+			st = sess.update(op, sess.find(op, sess.view.Phase != Rest))
+		}
+		if st != statusRetry {
+			return st
+		}
 	}
-	switch {
-	case op.version > sess.view.Version:
-		return sess.processFuture(op)
-	case sess.view.Phase == Prepare && !op.counted:
-		return sess.processPrepare(op)
-	}
-	r := sess.find(op, sess.view.Phase != Rest)
-	if op.kind == opRead {
-		return sess.finishRead(op, r)
-	}
-	return sess.update(op, r)
 }
 
 // initialValue computes the value a missing-key update writes.
@@ -94,7 +76,7 @@ func (sess *Session) initialValue(op *pendingOp) []byte {
 // begin at any moment, so only a one-word value can be read — else ok is false
 // and the op parks (Pending), as an update in that region does (DESIGN "Pages
 // are flushed from their frames").
-func (sess *Session) value(r findResult) (val []byte, ok bool) {
+func (sess *Session) value(r *findResult) (val []byte, ok bool) {
 	if r.reg == regMutable {
 		sess.scratch = r.rec.LatchedValue(sess.scratch[:0])
 		return sess.scratch, true
@@ -115,7 +97,7 @@ func (sess *Session) value(r findResult) (val []byte, ok bool) {
 // place: fine-grained, its shared latch excludes v+1 copies on the bucket;
 // coarse-grained, v+1 copies happen only below the safe-read-only offset and a
 // mutable record is above it.
-func (sess *Session) update(op *pendingOp, r findResult) Status {
+func (sess *Session) update(op *pendingOp, r *findResult) Status {
 	switch r.reg {
 	case regNone:
 		if op.kind == opDelete {
@@ -153,13 +135,13 @@ func (sess *Session) update(op *pendingOp, r findResult) Status {
 			return sess.issueIO(op, r.addr)
 		}
 	}
-	return sess.rcu(op, r)
+	return sess.install(op, r)
 }
 
 // tryInPlace performs an in-place mutable-region update, latched when the
 // caller holds the record latch; false means the caller must fall back to
 // read-copy-update.
-func (sess *Session) tryInPlace(op *pendingOp, r findResult, latched bool) bool {
+func (sess *Session) tryInPlace(op *pendingOp, r *findResult, latched bool) bool {
 	switch {
 	case op.kind == opDelete:
 		r.rec.SetTombstone()
@@ -180,43 +162,6 @@ func (sess *Session) tryInPlace(op *pendingOp, r findResult, latched bool) bool 
 		return r.rec.UpdateValueLatched(&sess.scratch, fn)
 	}
 	return r.rec.UpdateValue(&sess.scratch, fn)
-}
-
-// rcu performs a read-copy-update: a new record at the tail whose value derives
-// from the found record (the initial value for a tombstone, a blind update or a
-// missing key), installed against the slot word find walked from — so a record
-// another session published since fails the install and the op re-runs.
-func (sess *Session) rcu(op *pendingOp, r findResult) Status {
-	var val []byte
-	// from is the mutable record an RMW's value derives from: an update in
-	// place may still change it, so install swaps the copy in only while it
-	// holds what was read (kept in sess.seen). In the fuzzy region such an
-	// update may be in flight too, and the record cannot be latched there: the
-	// op waits for it to turn safe-read-only.
-	var from *findResult
-	switch {
-	case op.kind == opDelete:
-	case op.kind == opUpsert || !r.rec.Valid() || r.rec.Tombstone():
-		val = sess.initialValue(op)
-	case r.reg == regFuzzy:
-		return Pending
-	default:
-		cur, ok := sess.value(r)
-		if !ok {
-			return Pending
-		}
-		if r.reg == regMutable {
-			from, sess.seen = &r, append(sess.seen[:0], cur...)
-		}
-		val = sess.store.cfg.RMW.Update(cur, op.input)
-	}
-	if op.kind == opRMW && !sess.store.log.Fits(len(op.key), max(len(val), 8)) {
-		return Error // issue checked every other value
-	}
-	if !sess.install(op.hash, r.slot, r.entry, op.version, op.key, val, op.kind == opDelete, from) {
-		return statusRetry
-	}
-	return Ok
 }
 
 // processPrepare handles a fresh version-v operation in the prepare phase
@@ -301,7 +246,7 @@ func (sess *Session) processFuture(op *pendingOp) Status {
 			if !st.index.tryExclusiveLatch(op.hash) {
 				return Pending
 			}
-			s := sess.rcu(op, r)
+			s := sess.install(op, r)
 			st.index.releaseExclusiveLatch(op.hash)
 			return s
 		case WaitPending:
@@ -310,23 +255,23 @@ func (sess *Session) processFuture(op *pendingOp) Status {
 			}
 		}
 		// WaitFlush, or a stale view after the commit completed.
-		return sess.rcu(op, r)
+		return sess.install(op, r)
 	}
 	// Coarse-grained (App. C): copy only records below the safe-read-only
 	// marker, and only once no pending v operation can exist (wait-flush or
 	// later) — one parked on a record in the fuzzy region would otherwise
 	// complete after the copy, over it. A mutable or fuzzy v record waits.
 	if (r.reg == regSafeRO || r.reg == regDisk) && phase >= WaitFlush {
-		return sess.rcu(op, r)
+		return sess.install(op, r)
 	}
 	return Pending
 }
 
 // finishRead resolves a read against a find result, delivering the value via
-// op.val (doOp passes it to the registered callback, issue returns it): a copy
+// op.val (finish passes it to the registered callback, issue returns it): a copy
 // in the session's scratch buffer, overwritten by the session's next read or
 // RMW.
-func (sess *Session) finishRead(op *pendingOp, r findResult) Status {
+func (sess *Session) finishRead(op *pendingOp, r *findResult) Status {
 	switch r.reg {
 	case regNone:
 		return NotFound

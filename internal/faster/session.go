@@ -125,12 +125,13 @@ type Session struct {
 	closed          bool
 
 	// cur is the operation being issued and opFree recycles parked ones, so
-	// neither allocates; scratch holds the current-value copy an RMW works on
-	// and the value a read hands out; seen, the value a read-copy-update copied
-	// (see rcu); failed counts parked ops that ended in Error until
-	// CompletePending reports them. Session ops are single-goroutine by
-	// contract, so none of these needs locking.
+	// neither allocates; found is what the last find walked to; scratch holds
+	// the current-value copy an RMW works on and the value a read hands out;
+	// seen, the value a read-copy-update copied (see install); failed counts
+	// parked ops that ended in Error until CompletePending reports them.
+	// Session ops are single-goroutine by contract, so none needs locking.
 	cur     pendingOp
+	found   findResult
 	opFree  []*pendingOp
 	scratch []byte
 	seen    []byte
@@ -345,6 +346,7 @@ const maxPendingSoft = 4096
 // one by one, key and input aliasing the caller's) under the next serial,
 // parking it if needed; a read's value comes back.
 func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Status)) ([]byte, Status) {
+	sess.store.metrics.ops[kind].Inc()
 	sess.maybeRefresh()
 	op := &sess.cur
 	op.kind, op.key, op.input, op.hash, op.readCB, op.val = kind, key, input, hashfn.Hash64(key), cb, nil
@@ -360,32 +362,32 @@ func (sess *Session) issue(kind opKind, key, input []byte, cb func([]byte, Statu
 	if len(sess.pending) >= maxPendingSoft {
 		sess.completeOnce()
 	}
-	st := sess.doOp(op)
-	if st == Pending {
+	st := sess.dispatch(op)
+	switch {
+	case st == Pending:
 		sess.store.metrics.pendings.Inc()
 		sess.park(op)
 		return nil, Pending
+	case op.latched || op.counted || cb != nil:
+		sess.finish(op, st)
 	}
 	return op.val, st
 }
 
 // Upsert blindly writes value for key.
 func (sess *Session) Upsert(key, value []byte) Status {
-	sess.store.metrics.upserts.Inc()
 	_, st := sess.issue(opUpsert, key, value, nil)
 	return st
 }
 
 // RMW applies the store's RMWOps with input to key's value.
 func (sess *Session) RMW(key, input []byte) Status {
-	sess.store.metrics.rmws.Inc()
 	_, st := sess.issue(opRMW, key, input, nil)
 	return st
 }
 
 // Delete removes key (writes a tombstone).
 func (sess *Session) Delete(key []byte) Status {
-	sess.store.metrics.deletes.Inc()
 	_, st := sess.issue(opDelete, key, nil, nil)
 	return st
 }
@@ -399,7 +401,6 @@ func (sess *Session) Delete(key []byte) Status {
 // the same way; a fresh slice per read was half the memory of a read-heavy
 // process.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
-	sess.store.metrics.reads.Inc()
 	return sess.issue(opRead, key, nil, cb)
 }
 
@@ -461,7 +462,10 @@ func (sess *Session) completeOnce() {
 			kept = append(kept, op)
 			continue
 		}
-		st := sess.doOp(op)
+		st := Error // its cold read failed
+		if op.ioErr == nil {
+			st = sess.dispatch(op)
+		}
 		if st == Pending {
 			kept = append(kept, op)
 			continue
@@ -469,6 +473,7 @@ func (sess *Session) completeOnce() {
 		if st == Error {
 			sess.failed++
 		}
+		sess.finish(op, st)
 		if len(sess.opFree) < opFreeMax {
 			op.readCB, op.val = nil, nil
 			sess.opFree = append(sess.opFree, op)
@@ -485,8 +490,10 @@ func (sess *Session) completeOnce() {
 // PendingCount reports the number of parked operations (diagnostics).
 func (sess *Session) PendingCount() int { return len(sess.pending) }
 
-// finish releases the CPR resources (latch, tally) a completed op holds.
-func (sess *Session) finish(op *pendingOp) {
+// finish ends an op that dispatch left terminal (st): it releases the CPR
+// resources (latch, tally) the op holds and hands a read's result to its
+// callback.
+func (sess *Session) finish(op *pendingOp, st Status) {
 	if op.latched {
 		sess.store.index.releaseSharedLatch(op.hash)
 		op.latched = false
@@ -496,6 +503,12 @@ func (sess *Session) finish(op *pendingOp) {
 		if sess.store.pendingV.Add(-1) == 0 {
 			sess.store.pendingDone()
 		}
+	}
+	if op.readCB != nil {
+		if st != Ok {
+			op.val = nil
+		}
+		op.readCB(op.val, st)
 	}
 }
 
@@ -529,13 +542,15 @@ type findResult struct {
 // if the op already fetched that exact address, its private copy is attached;
 // otherwise the caller must issue I/O for result.addr. An entry without an
 // address — no entry at all, for a fresh key — is regNone before any log
-// offset is loaded.
-func (sess *Session) find(op *pendingOp, skipFuture bool) findResult {
-	sh := sess.store
+// offset is loaded. The result is the session's own, read in place until its
+// next find.
+func (sess *Session) find(op *pendingOp, skipFuture bool) *findResult {
+	sh, r := sess.store, &sess.found
 	slot, entry := sh.index.probe(op.hash, 0)
 	addr := entryAddr(entry)
 	if addr < hlog.FirstAddress {
-		return findResult{slot: slot, entry: entry, reg: regNone}
+		*r = findResult{slot: slot, entry: entry, reg: regNone}
+		return r
 	}
 	head := sh.log.Head()
 	ro := sh.log.ReadOnly()
@@ -548,7 +563,8 @@ func (sess *Session) find(op *pendingOp, skipFuture bool) findResult {
 				if !rec.Invalid() &&
 					!(skipFuture && sh.isFuture(rec.Version(), addr, op.version)) &&
 					rec.KeyEquals(op.key) {
-					return findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: regDisk}
+					*r = findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: regDisk}
+					return r
 				}
 				addr = rec.Prev()
 				op.ioRec = hlog.RecordRef{}
@@ -560,7 +576,8 @@ func (sess *Session) find(op *pendingOp, skipFuture bool) findResult {
 				addr = op.diskResume
 				continue
 			}
-			return findResult{slot: slot, entry: entry, addr: addr, reg: regDisk}
+			*r = findResult{slot: slot, entry: entry, addr: addr, reg: regDisk}
+			return r
 		}
 		rec := sh.log.Record(addr)
 		if !rec.Invalid() &&
@@ -573,11 +590,13 @@ func (sess *Session) find(op *pendingOp, skipFuture bool) findResult {
 			case addr >= sro:
 				reg = regFuzzy
 			}
-			return findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: reg}
+			*r = findResult{slot: slot, entry: entry, rec: rec, addr: addr, reg: reg}
+			return r
 		}
 		addr = rec.Prev()
 	}
-	return findResult{slot: slot, entry: entry, reg: regNone}
+	*r = findResult{slot: slot, entry: entry, reg: regNone}
+	return r
 }
 
 // issueIO asks for an async read of the record at addr and goes Pending. The
@@ -612,48 +631,72 @@ func (sess *Session) queueRead(op *pendingOp) {
 	}
 }
 
-// install is the one way a record reaches the index: append it at the log tail
-// with the chain behind expected as its Prev, then swing slot from expected to
-// it. expected is the slot word the caller's decision — the value, that the
-// record is still live — was made on; the slot is never re-read, so a record
-// published since that observation fails the compare-and-swap: the new record
-// is orphaned (invalid) and the caller decides again. When the probe found no
-// entry of the key's tag (expected 0, slot the free slot it passed, if any),
-// the appended record's entry is created there: an entry of the tag created
-// meanwhile fails it the same way. from, when set, is the mutable record the
-// value was computed from.
-func (sess *Session) install(hash uint64, slot *atomic.Uint64, expected uint64, version uint32, key, value []byte, tombstone bool, from *findResult) bool {
+// install is the one read-copy-update and the one way a record reaches the
+// index: the value derived from the found record (the initial value for a
+// tombstone, a blind update or a missing key) is appended at the tail with the
+// chain behind r.entry as its Prev, then r.slot swings from r.entry to it.
+// r.entry is the slot word the decision was made on and the slot is never
+// re-read, so a record published since fails the compare-and-swap: the new
+// record is orphaned (invalid) and install answers statusRetry. With no entry
+// of the key's tag (r.entry 0, r.slot the free slot the probe passed, if any)
+// the entry is created there, and one of the tag created meanwhile fails it.
+func (sess *Session) install(op *pendingOp, r *findResult) Status {
+	// guarded: the value derives from a mutable record, which an update in
+	// place may still change, so the copy swaps in only while the record holds
+	// what was read (sess.seen). In the fuzzy region the record cannot be
+	// latched: the op waits for it to turn safe-read-only.
+	var val []byte
+	guarded := false
+	switch {
+	case op.kind == opDelete:
+	case op.kind == opUpsert || !r.rec.Valid() || r.rec.Tombstone():
+		val = sess.initialValue(op)
+	case r.reg == regFuzzy:
+		return Pending
+	default:
+		cur, ok := sess.value(r)
+		if !ok {
+			return Pending
+		}
+		if r.reg == regMutable {
+			guarded, sess.seen = true, append(sess.seen[:0], cur...)
+		}
+		val = sess.store.cfg.RMW.Update(cur, op.input)
+	}
+	if op.kind == opRMW && !sess.store.log.Fits(len(op.key), max(len(val), 8)) {
+		return Error // issue checked every other value
+	}
 	epoch.YieldAt(epoch.SiteInstall)
-	index := sess.store.index
-	addr, rec := sess.store.log.Append(sess.guard, entryAddr(expected), recVersion(version), key, value,
-		max(len(value), 8)) // keep small values in-place updatable
-	if tombstone {
+	log, expected := sess.store.log, r.entry
+	addr, rec := log.Append(sess.guard, entryAddr(expected), recVersion(op.version), op.key, val,
+		max(len(val), 8)) // keep small values in-place updatable
+	if op.kind == opDelete {
 		rec.SetTombstone()
 	}
 	var ok bool
-	switch entry := tagOf(hash) | addr; {
-	case from != nil:
-		// A copy of a record an update in place may still change: swapped in
-		// under its latch, and only while it holds the value copied (see
-		// update). Append may have refreshed this thread: if the record is no
-		// longer mutable, a flush may be reading it, and the op re-runs.
-		if from.addr < sess.store.log.ReadOnly() {
+	switch entry := tagOf(op.hash) | addr; {
+	case guarded:
+		// Under the source record's latch (see update). Append may have
+		// refreshed this thread: if the record is no longer mutable, a flush
+		// may be reading it, and the op re-runs.
+		if r.addr < log.ReadOnly() {
 			break
 		}
 		epoch.YieldAt(epoch.SiteRecordLock)
-		from.rec.Lock()
-		ok = from.rec.HoldsValue(sess.seen) && slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
-		from.rec.Unlock()
+		r.rec.Lock()
+		ok = r.rec.HoldsValue(sess.seen) && r.slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
+		r.rec.Unlock()
 	case expected != 0:
-		ok = slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
-	case slot != nil:
-		ok = index.claim(hash, slot, entry)
+		ok = r.slot.CompareAndSwap(expected, expected&^entryAddrMask|addr)
+	case r.slot != nil:
+		ok = sess.store.index.claim(op.hash, r.slot, entry)
 	default: // no free slot in the chain: extend it
-		_, e := index.probe(hash, entry)
+		_, e := sess.store.index.probe(op.hash, entry)
 		ok = e == entry
 	}
 	if !ok {
 		rec.SetInvalid()
+		return statusRetry
 	}
-	return ok
+	return Ok
 }

@@ -207,24 +207,22 @@ func (c *Config) fill() error {
 // storeMetrics holds the store's hot-path metric handles, resolved once at
 // Open so operations never touch the registry.
 type storeMetrics struct {
-	reads, upserts, rmws, deletes *obs.Counter
-	pendings                      *obs.Counter // operations that went pending
-	ioReads                       *obs.Counter // cold-record fetches issued
-	commits                       *obs.Counter
-	commitBytes                   *obs.Counter
-	commitNs                      *obs.Histogram
-	commitFailures                *obs.Counter // commits aborted by I/O failure
-	recoverySkips                 *obs.Counter // commits skipped as unverifiable
-	lagOps                        *obs.Histogram
-	lagNs                         *obs.Histogram
+	ops            [4]*obs.Counter // issued operations, by opKind
+	pendings       *obs.Counter    // operations that went pending
+	ioReads        *obs.Counter    // cold-record fetches issued
+	commits        *obs.Counter
+	commitBytes    *obs.Counter
+	commitNs       *obs.Histogram
+	commitFailures *obs.Counter // commits aborted by I/O failure
+	recoverySkips  *obs.Counter // commits skipped as unverifiable
+	lagOps         *obs.Histogram
+	lagNs          *obs.Histogram
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	return storeMetrics{
-		reads:          reg.Counter("faster_reads_total"),
-		upserts:        reg.Counter("faster_upserts_total"),
-		rmws:           reg.Counter("faster_rmws_total"),
-		deletes:        reg.Counter("faster_deletes_total"),
+		ops: [...]*obs.Counter{opRead: reg.Counter("faster_reads_total"), opUpsert: reg.Counter("faster_upserts_total"),
+			opRMW: reg.Counter("faster_rmws_total"), opDelete: reg.Counter("faster_deletes_total")},
 		pendings:       reg.Counter("faster_pending_ops_total"),
 		ioReads:        reg.Counter("faster_io_reads_total"),
 		commits:        reg.Counter("faster_commits_total"),

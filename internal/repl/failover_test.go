@@ -3,7 +3,6 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -11,23 +10,25 @@ import (
 	"repro/internal/kvserver"
 )
 
+// startKV serves srv on a port the system picks and returns its address once
+// bound, so no other listener on the host can take the port in between.
 func startKV(t *testing.T, srv *kvserver.Server) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	go srv.Serve(addr) //nolint:errcheck
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == nil {
+		select {
+		case err := <-served:
+			t.Fatalf("kv server did not start: %v", err)
+		default:
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("kv server did not start")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return addr
+	return srv.Addr().String()
 }
 
 // TestFailoverEndToEnd is the full story over the network: a client writes
