@@ -2,13 +2,37 @@ package cpr
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func u64(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, v)
 	return b
+}
+
+// awaitCommit calls refresh until done reports the commit complete, and fails
+// the test if it completed with an error. Bounded by wall time, not by a pass
+// count: each pass yields, so the goroutine that flushes the commit runs even
+// on one processor.
+func awaitCommit(t *testing.T, done func() (bool, error), refresh func()) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if ok, err := done(); ok {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("commit did not finish in 30 s")
+		}
+		refresh()
+		runtime.Gosched()
+	}
 }
 
 // TestPublicStoreRoundTrip exercises the public Store API end to end:
@@ -31,15 +55,7 @@ func TestPublicStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if res, ok := store.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			break
-		}
-		sess.Refresh()
-	}
+	awaitCommit(t, func() (bool, error) { res, ok := store.TryResult(token); return ok, res.Err }, sess.Refresh)
 	sess.Upsert(u64(0), u64(4242)) // lost in the crash
 	store.Close()
 
@@ -75,15 +91,7 @@ func TestPublicDBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if res, ok := db.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			break
-		}
-		w.Refresh()
-	}
+	awaitCommit(t, func() (bool, error) { res, ok := db.TryResult(token); return ok, res.Err }, w.Refresh)
 	w.Close()
 	db.Close()
 

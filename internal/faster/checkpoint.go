@@ -134,8 +134,6 @@ func (s *Store) flush(c *commit) {
 		s.mu.Lock()
 		s.latestToken, s.latestVer = c.Token, c.Version
 		s.mu.Unlock()
-	} else {
-		s.metrics.commitFailures.Inc()
 	}
 	s.machine.Done(c, res, res.Err, uint64(res.Bytes))
 	if res.Err == nil {

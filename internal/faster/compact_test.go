@@ -91,9 +91,7 @@ func TestCompactLogRejectedDuringCommit(t *testing.T) {
 	if err := sess.CompactLog(s.log.Tail()); err != ErrCommitInProgress {
 		t.Fatalf("compaction during commit: err = %v, want ErrCommitInProgress", err)
 	}
-	for s.Phase() != Rest {
-		sess.Refresh()
-	}
+	awaitRest(t, s, sess)
 }
 
 func TestCompactThenCommitAndRecover(t *testing.T) {

@@ -89,12 +89,7 @@ func TestStartSessionDuringCommit(t *testing.T) {
 		defer wg.Done()
 		late = s.StartSession() // must block until the commit finishes
 	}()
-	for {
-		if _, ok := s.TryResult(token); ok {
-			break
-		}
-		sess.Refresh()
-	}
+	awaitCommit(t, s, token, sess)
 	wg.Wait()
 	if late == nil {
 		t.Fatal("late session never started")

@@ -42,9 +42,16 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bounded by wall time, not by a pass count: each pass yields, so the
-	// goroutine Machine.Flush starts and the I/O workers it waits on run even
-	// on one processor.
+	return awaitCommit(t, s, token, sessions...)
+}
+
+// awaitCommit waits for the commit token to complete while every session in
+// sessions refreshes and completes its parked operations, and fails the test
+// if it completed with an error. Bounded by wall time, not by a pass count:
+// each pass yields, so the goroutine Machine.Flush starts and the I/O workers
+// it waits on run even on one processor.
+func awaitCommit(t *testing.T, s *Store, token string, sessions ...*Session) CommitResult {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if res, ok := s.TryResult(token); ok {
@@ -61,6 +68,18 @@ func driveCommit(t *testing.T, s *Store, sessions []*Session, opts CommitOptions
 			t.Fatalf("commit %s stuck in phase %v", token, s.Phase())
 		}
 		runtime.Gosched()
+	}
+}
+
+// awaitRest refreshes sess until the store is back at rest, bounded like
+// awaitCommit.
+func awaitRest(t *testing.T, s *Store, sess *Session) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); s.Phase() != Rest; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("store stuck in phase %v", s.Phase())
+		}
+		sess.Refresh()
 	}
 }
 
@@ -461,12 +480,16 @@ func TestConcurrentSessionsCPRPrefix(t *testing.T) {
 					// state machine can advance past our session.
 					tok := <-tokenCh
 					tokenCh <- tok
+					// A pass yields, so the flush runs on one processor; t.Fatal
+					// cannot end the test from this goroutine, so the test
+					// binary's timeout bounds the wait.
 					for {
 						if _, ok := s.TryResult(tok); ok {
 							break
 						}
 						sess.Refresh()
 						sess.CompletePending(false)
+						runtime.Gosched()
 					}
 					sess.StopSession()
 				}()
@@ -632,12 +655,7 @@ func TestCommitWhileCommitInProgress(t *testing.T) {
 	if _, err := s.Commit(CommitOptions{}); err != ErrCommitInProgress {
 		t.Fatalf("second commit err = %v, want ErrCommitInProgress", err)
 	}
-	for {
-		if _, ok := s.TryResult(token); ok {
-			break
-		}
-		sess.Refresh()
-	}
+	awaitCommit(t, s, token, sess)
 }
 
 func TestIndexFindOrCreateConcurrent(t *testing.T) {
@@ -802,10 +820,13 @@ func TestStateMachinePhasesObserved(t *testing.T) {
 		t.Fatalf("phase after Commit = %v, want prepare", s.Phase())
 	}
 	seen := map[Phase]bool{}
-	for {
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() { // bounded like awaitCommit
 		seen[s.Phase()] = true
 		if _, ok := s.TryResult(token); ok {
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("commit %s stuck in phase %v", token, s.Phase())
 		}
 		sess.Refresh()
 	}

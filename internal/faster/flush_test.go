@@ -124,9 +124,7 @@ func TestCommitLegWakesOnDurable(t *testing.T) {
 		if got, _ := s.LatestCommitToken(); got == token {
 			t.Fatalf("failed commit %s is the store's latest", token)
 		}
-		for s.Phase() != Rest {
-			sess.Refresh()
-		}
+		awaitRest(t, s, sess) // the failed commit's flush returns to rest
 		if st := sess.Upsert(key(1), u64(2)); st != Ok {
 			t.Fatalf("upsert after the aborted commit: %v", st)
 		}
@@ -416,16 +414,5 @@ func TestEnterPrepareRefreshesWhileLatched(t *testing.T) {
 	}
 	sh.index.releaseExclusiveLatch(h)
 	<-entered
-	for {
-		if res, ok := s.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			return
-		}
-		for _, sess := range []*Session{a, hold} {
-			sess.Refresh()
-			sess.CompletePending(false)
-		}
-	}
+	awaitCommit(t, s, token, a, hold)
 }

@@ -462,9 +462,13 @@ func TestIndexImageConcurrentWriters(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
+			// A pass yields, so the flush runs on one processor; t.Fatal
+			// cannot end the test from this goroutine, so the test binary's
+			// timeout bounds the wait.
 			for s.Phase() != Rest {
 				sess.Refresh()
 				sess.CompletePending(false)
+				runtime.Gosched()
 			}
 			sess.StopSession()
 		}()

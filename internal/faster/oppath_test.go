@@ -214,6 +214,9 @@ func TestWatermarkNeverBehindVisibleResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		current.Store(&token)
+		// A pass yields, so the flush runs on one processor. The test binary's
+		// timeout bounds the wait: a t.Fatal here would leave the poller
+		// running.
 		for {
 			if res, ok := s.TryResult(token); ok {
 				check("owner", res)
@@ -221,6 +224,7 @@ func TestWatermarkNeverBehindVisibleResult(t *testing.T) {
 			}
 			sess.Refresh()
 			sess.CompletePending(false)
+			runtime.Gosched()
 		}
 	}
 	close(stop)

@@ -84,7 +84,6 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 		return nil
 	})
 	report.Skipped = skipped
-	s.metrics.recoverySkips.Add(uint64(len(skipped)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("faster: %w", err)
 	}

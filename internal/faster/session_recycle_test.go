@@ -107,18 +107,9 @@ func TestSessionRecyclesOpRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		sess.Refresh()
-		sess.CompletePending(false)
-		if res, ok := store.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if got := res.Serials[sess.ID()]; got != sess.Serial() {
-				t.Fatalf("commit point %d, want session serial %d", got, sess.Serial())
-			}
-			break
-		}
+	res := awaitCommit(t, store, token, sess)
+	if got := res.Serials[sess.ID()]; got != sess.Serial() {
+		t.Fatalf("commit point %d, want session serial %d", got, sess.Serial())
 	}
 }
 

@@ -207,29 +207,25 @@ func (c *Config) fill() error {
 // storeMetrics holds the store's hot-path metric handles, resolved once at
 // Open so operations never touch the registry.
 type storeMetrics struct {
-	ops            [4]*obs.Counter // issued operations, by opKind
-	pendings       *obs.Counter    // operations that went pending
-	ioReads        *obs.Counter    // cold-record fetches issued
-	commits        *obs.Counter
-	commitBytes    *obs.Counter
-	commitNs       *obs.Histogram
-	commitFailures *obs.Counter // commits aborted by I/O failure
-	recoverySkips  *obs.Counter // commits skipped as unverifiable
-	lagOps         *obs.Histogram
-	lagNs          *obs.Histogram
+	ops         [4]*obs.Counter // issued operations, by opKind
+	pendings    *obs.Counter    // operations that went pending
+	ioReads     *obs.Counter    // cold-record fetches issued
+	commits     *obs.Counter
+	commitBytes *obs.Counter
+	commitNs    *obs.Histogram
+	lagOps      *obs.Histogram
+	lagNs       *obs.Histogram
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	return storeMetrics{
 		ops: [...]*obs.Counter{opRead: reg.Counter("faster_reads_total"), opUpsert: reg.Counter("faster_upserts_total"),
 			opRMW: reg.Counter("faster_rmws_total"), opDelete: reg.Counter("faster_deletes_total")},
-		pendings:       reg.Counter("faster_pending_ops_total"),
-		ioReads:        reg.Counter("faster_io_reads_total"),
-		commits:        reg.Counter("faster_commits_total"),
-		commitBytes:    reg.Counter("faster_commit_bytes_total"),
-		commitNs:       reg.Histogram("faster_commit_ns"),
-		commitFailures: reg.Counter("faster_commit_failures_total"),
-		recoverySkips:  reg.Counter("faster_recovery_skipped_commits_total"),
+		pendings:    reg.Counter("faster_pending_ops_total"),
+		ioReads:     reg.Counter("faster_io_reads_total"),
+		commits:     reg.Counter("faster_commits_total"),
+		commitBytes: reg.Counter("faster_commit_bytes_total"),
+		commitNs:    reg.Histogram("faster_commit_ns"),
 		// Durability lag, observed per session at every completed commit:
 		// how far the session's issued operations ran ahead of its committed
 		// point t_i, in operations and in wall time since its commit point was
@@ -368,14 +364,11 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// registerStoreGauges exposes the state machine, the session count and the
-// log's I/O queue.
+// registerStoreGauges exposes the state machine and the log's I/O queue.
 func (s *Store) registerStoreGauges() {
 	reg := s.cfg.Metrics
 	reg.GaugeFunc("faster_version", func() int64 { return int64(s.Version()) })
 	reg.GaugeFunc("faster_phase", func() int64 { return int64(s.Phase()) })
-	reg.GaugeFunc("faster_sessions", func() int64 { return int64(s.SessionCount()) })
-	reg.GaugeFunc("storage_io_inflight", func() int64 { return s.log.IOPool().InFlight() })
 	reg.GaugeFunc("storage_io_queue_depth", func() int64 { return s.log.IOPool().QueueDepth() })
 }
 

@@ -28,15 +28,7 @@ func TestCommittedTokenTracksCoveringCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if res, ok := store.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			break
-		}
-		sess.Refresh()
-	}
+	awaitCommit(t, store, token, sess)
 	if got := sess.CommittedToken(); got != token {
 		t.Fatalf("covering token = %q, want %q", got, token)
 	}

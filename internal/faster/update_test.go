@@ -2,8 +2,10 @@ package faster
 
 import (
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/hashfn"
@@ -209,18 +211,27 @@ func updateByRegionCell(t *testing.T, path string, region int, kind opKind, outc
 		// sessions then walk the commit from prepare entry to its end.
 		s.pendingV.Store(0)
 		a.view.Phase = Rest
+		deadline := time.Now().Add(30 * time.Second) // bounded like awaitCommit
 		for _, ok := s.TryResult(token); !ok; _, ok = s.TryResult(token) {
+			if time.Now().After(deadline) {
+				t.Fatalf("commit %s stuck in phase %v", token, s.Phase())
+			}
 			a.Refresh()
 			if hold != nil {
 				hold.Refresh()
 			}
+			runtime.Gosched()
 		}
 	}
 	s.settled.Store(0)
 	a.view.Phase, a.view.Version = s.machine.State()
 	if op.awaitingIO {
 		a.flushIO()
-		for a.ready.Load() == 0 { // the read was queued: its completion arrives
+		// The read was queued: its completion arrives. Bounded like awaitCommit.
+		for deadline := time.Now().Add(30 * time.Second); a.ready.Load() == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the queued read never completed")
+			}
 			a.Refresh()
 		}
 	}

@@ -50,10 +50,7 @@ func TestVersionAliasPendingRead(t *testing.T) {
 	if st := sess.RMW(key(1), u64(10)); st != Pending {
 		t.Fatalf("RMW of a cold key during prepare: %v, want pending", st)
 	}
-	for _, ok := s.TryResult(token); !ok; _, ok = s.TryResult(token) {
-		sess.Refresh()
-		sess.CompletePending(false)
-	}
+	awaitCommit(t, s, token, sess)
 	sess.CompletePending(true)
 	if readSt != Ok || !bytes.Equal(read, u64(1)) {
 		t.Fatalf("pending read of a version-1 record during commit 8192: %v %x, want Ok %x", readSt, read, u64(1))

@@ -31,12 +31,9 @@ func newTestEngine(t *testing.T, mutate func(*Config)) *testEngine {
 	}
 	te.clock.Store(1_000_000_000)
 	cfg := Config{
-		Registry:          te.reg,
-		FireAfter:         3,
-		ClearAfter:        2,
-		Bundles:           te.store,
-		Flight:            te.fr,
-		MinBundleInterval: time.Minute,
+		Registry: te.reg,
+		Bundles:  te.store,
+		Flight:   te.fr,
 		Detectors: []Detector{
 			{
 				Name:        "test-stall",
@@ -96,7 +93,7 @@ func TestHysteresisFireAndClear(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		te.tick()
 		if te.status("test-stall").Firing {
-			t.Fatalf("fired after %d bad sample(s); FireAfter is 3", i)
+			t.Fatalf("fired after %d bad sample(s); fireAfter is 3", i)
 		}
 	}
 	te.tick() // third consecutive bad sample
@@ -111,11 +108,11 @@ func TestHysteresisFireAndClear(t *testing.T) {
 		t.Fatalf("state = %q, want degraded:test-stall", got)
 	}
 
-	// One good sample must not clear (ClearAfter is 2)...
+	// One good sample must not clear (clearAfter is 2)...
 	te.bad.Store(false)
 	te.tick()
 	if !te.status("test-stall").Firing {
-		t.Fatal("cleared after a single good sample; ClearAfter is 2")
+		t.Fatal("cleared after a single good sample; clearAfter is 2")
 	}
 	// ...and a relapse resets the good streak.
 	te.bad.Store(true)
@@ -242,7 +239,7 @@ func TestIncidentBundleCaptureAndRateLimit(t *testing.T) {
 		t.Fatalf("fire event %+v, want Arg2=1", fires)
 	}
 
-	// A second detector firing 3s later is inside MinBundleInterval: the
+	// A second detector firing 3s later is inside minBundleInterval: the
 	// detector fires but capture is rate-limited (no new artifact).
 	te.badCrt.Store(true)
 	for i := 0; i < 3; i++ {

@@ -51,6 +51,19 @@ type Detector struct {
 	Check func(prev, cur Sample) (bad bool, detail string)
 }
 
+// The engine's hysteresis and bundle rate limit.
+const (
+	// fireAfter is how many consecutive bad samples a detector needs before
+	// it fires.
+	fireAfter = 3
+	// clearAfter is how many consecutive good samples a firing detector
+	// needs before it clears.
+	clearAfter = 2
+	// minBundleInterval rate-limits bundle capture across all detectors (a
+	// stalled system often trips several at once).
+	minBundleInterval = time.Minute
+)
+
 // Config configures an Engine. The zero value of every field except Registry
 // is usable; Registry is required.
 type Config struct {
@@ -58,12 +71,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Interval between samples for Start. Default 1s.
 	Interval time.Duration
-	// FireAfter is how many consecutive bad samples a detector needs before
-	// it fires. Default 3.
-	FireAfter int
-	// ClearAfter is how many consecutive good samples a firing detector
-	// needs before it clears. Default 2.
-	ClearAfter int
 	// SLODurLag is the durability-lag objective: the windowed p99 of
 	// faster_session_lag_ns above this fires the slo-durlag-burn detector.
 	// Zero disables the SLO detector.
@@ -77,9 +84,6 @@ type Config struct {
 	Flight *obs.FlightRecorder
 	// Traces, when set, contributes the slowest trace span trees to bundles.
 	Traces *obs.RequestTracer
-	// MinBundleInterval rate-limits bundle capture across all detectors
-	// (a stalled system often trips several at once). Default 1m.
-	MinBundleInterval time.Duration
 	// OnIncident, when set, is called (from the sampling goroutine, after
 	// the bundle is written) for every captured incident.
 	OnIncident func(*Bundle)
@@ -169,15 +173,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.FireAfter <= 0 {
-		cfg.FireAfter = 3
-	}
-	if cfg.ClearAfter <= 0 {
-		cfg.ClearAfter = 2
-	}
-	if cfg.MinBundleInterval <= 0 {
-		cfg.MinBundleInterval = time.Minute
 	}
 	e := &Engine{
 		cfg: cfg,
@@ -284,7 +279,7 @@ func (e *Engine) Tick() {
 			if detail != "" {
 				ds.detail = detail
 			}
-			if !ds.firing && ds.badStreak >= e.cfg.FireAfter {
+			if !ds.firing && ds.badStreak >= fireAfter {
 				ds.firing = true
 				ds.sinceNanos = cur.At
 				ds.firedSamples = 0
@@ -294,7 +289,7 @@ func (e *Engine) Tick() {
 		} else {
 			ds.goodStreak++
 			ds.badStreak = 0
-			if ds.firing && ds.goodStreak >= e.cfg.ClearAfter {
+			if ds.firing && ds.goodStreak >= clearAfter {
 				ds.firing = false
 				ds.gauge.Set(0)
 				cleared = append(cleared, ds)
@@ -392,7 +387,7 @@ func (e *Engine) captureLocked(ds *detState, cur Sample) uint64 {
 	if e.cfg.Bundles == nil {
 		return 0
 	}
-	if e.lastBundle != 0 && cur.At-e.lastBundle < e.cfg.MinBundleInterval.Nanoseconds() {
+	if e.lastBundle != 0 && cur.At-e.lastBundle < minBundleInterval.Nanoseconds() {
 		return 0
 	}
 	e.incidentSeq++

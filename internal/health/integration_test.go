@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func pump(sess *faster.Session, n int) {
 }
 
 // TestIntegrationCommitStuckIncident seeds a real stall on a real store and
-// walks the whole tentpole path: detector fires after FireAfter bad samples,
+// walks the whole incident path: detector fires after fireAfter bad samples,
 // an incident bundle lands in the bundle store under a decodable name with
 // flight + metrics + profiles inside, and the detector clears once the
 // commit completes. With HEALTH_DUMP_DIR set the bundle is written to that
@@ -119,7 +120,7 @@ func TestIntegrationCommitStuckIncident(t *testing.T) {
 		}
 	}
 
-	// Baseline + FireAfter bad samples; the session keeps refreshing in
+	// Baseline + fireAfter bad samples; the session keeps refreshing in
 	// between (a stuck artifact write does not stop request threads).
 	for i := 0; i < 4; i++ {
 		pump(sess, 64)
@@ -158,7 +159,7 @@ func TestIntegrationCommitStuckIncident(t *testing.T) {
 	}
 
 	// Unblock the store: the commit completes and the detector clears after
-	// ClearAfter good samples.
+	// clearAfter good samples.
 	gate.gated.Store(false)
 	close(gate.release)
 	for {
@@ -246,12 +247,17 @@ func TestHealthySoakNoFalsePositives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
+		// Bounded by wall time, not by a pass count: each pass yields, so the
+		// commit's flush runs even on one processor.
+		for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
 			if res, ok := s.TryResult(token); ok {
 				if res.Err != nil {
 					t.Fatalf("commit: %v", res.Err)
 				}
 				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("commit %s did not finish in 30 s", token)
 			}
 			pump(sess, 8)
 		}

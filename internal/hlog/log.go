@@ -125,11 +125,10 @@ type Log struct {
 	crcTainted bool
 
 	// Observability (registered at construction; metrics are nil-safe).
-	flushBytes  *obs.Counter
-	flushSegs   *obs.Counter
-	flushNs     *obs.Histogram
-	asyncReads  *obs.Counter
-	verifyFails *obs.Counter
+	flushBytes *obs.Counter
+	flushSegs  *obs.Counter
+	flushNs    *obs.Histogram
+	asyncReads *obs.Counter
 
 	closed atomic.Bool
 }
@@ -181,12 +180,11 @@ func (l *Log) instrument(reg *obs.Registry) {
 	l.flushSegs = reg.Counter("hlog_flush_segments_total")
 	l.flushNs = reg.Histogram("hlog_flush_ns")
 	l.asyncReads = reg.Counter("hlog_async_reads_total")
-	l.verifyFails = reg.Counter("hlog_page_verify_failures_total")
 	l.pool.Instrument(reg)
 }
 
-// IOPool returns the log's I/O pool (its live queue state feeds the owner's
-// storage_io_* gauges).
+// IOPool returns the log's I/O pool (its queue depth feeds the owner's
+// storage_io_queue_depth gauge).
 func (l *Log) IOPool() *storage.Pool { return l.pool }
 
 // Close drains outstanding I/O. The log must not be used afterwards.
@@ -852,7 +850,6 @@ func (l *Log) readDevicePage(from, to uint64, out []byte) error {
 		if got == want {
 			return nil
 		}
-		l.verifyFails.Inc()
 		err = fmt.Errorf("hlog: page %d checksum mismatch (stored %08x, device %08x)", l.page(from), want, got)
 	}
 	return err

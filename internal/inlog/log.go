@@ -169,11 +169,7 @@ type Log struct {
 	wg   sync.WaitGroup
 
 	appends      *obs.Counter
-	appendBytes  *obs.Counter
-	writeBytes   *obs.Counter
 	fsyncs       *obs.Counter
-	fsyncNs      *obs.Histogram
-	trims        *obs.Counter
 	trimmedBytes *obs.Counter
 	flight       *obs.FlightRecorder
 }
@@ -194,11 +190,7 @@ func Open(cfg Config) (*Log, error) {
 	l := &Log{
 		cfg:          cfg,
 		appends:      cfg.Metrics.Counter("inlog_appends"),
-		appendBytes:  cfg.Metrics.Counter("inlog_append_bytes"),
-		writeBytes:   cfg.Metrics.Counter("inlog_write_bytes"),
 		fsyncs:       cfg.Metrics.Counter("inlog_fsyncs"),
-		fsyncNs:      cfg.Metrics.Histogram("inlog_fsync_ns"),
-		trims:        cfg.Metrics.Counter("inlog_trims"),
 		trimmedBytes: cfg.Metrics.Counter("inlog_trimmed_bytes"),
 		flight:       cfg.Flight,
 	}
@@ -245,12 +237,6 @@ func Open(cfg Config) (*Log, error) {
 	cfg.Metrics.GaugeFunc("inlog_durable", func() int64 { return int64(l.Durable()) })
 	cfg.Metrics.SetHelp("inlog_durable",
 		"Ingestion log fsync frontier (record offset): every record below it survives a crash.")
-	cfg.Metrics.GaugeFunc("inlog_start", func() int64 { return int64(l.Start()) })
-	cfg.Metrics.GaugeFunc("inlog_segments", func() int64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return int64(len(l.segs))
-	})
 
 	if cfg.Fsync != FsyncManual {
 		l.kick = make(chan struct{}, 1)
@@ -320,7 +306,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	g.count++
 	l.next = offset + 1
 	l.appends.Inc()
-	l.appendBytes.Add(uint64(len(payload)))
 	// Wake the committer on the append that makes a commit due; it re-checks
 	// under mu after every step, so later appends need not repeat the signal.
 	if (l.cfg.Fsync == FsyncAlways && g.count == 1) ||
@@ -430,9 +415,7 @@ func (l *Log) commitLocked() error {
 	seg.size = pos + int64(len(g.frame))
 	seg.end = g.base + uint64(g.count)
 	l.durable = seg.end
-	l.writeBytes.Add(uint64(len(g.frame)))
 	l.fsyncs.Inc()
-	l.fsyncNs.Observe(d)
 	l.flight.Emit(obs.FlightInlogAppend, -1, 0, "", "", g.base, uint64(g.count))
 	l.flight.Emit(obs.FlightInlogFsync, -1, 0, "", "", l.durable, uint64(d.Nanoseconds()))
 	g.count = 0
@@ -585,7 +568,6 @@ func (l *Log) Trim(before uint64) (int64, error) {
 		l.segs = l.segs[1:]
 	}
 	if removed > 0 {
-		l.trims.Inc()
 		l.trimmedBytes.Add(uint64(removed))
 		l.flight.Emit(obs.FlightInlogTrim, -1, 0, "", "", before, uint64(removed))
 	}

@@ -23,7 +23,7 @@ type PumpConfig struct {
 	// Session is the FASTER session ID the pump applies under (default
 	// DefaultPumpSession). No other client may issue operations on it.
 	Session string
-	// Metrics receives inlog_applied / inlog_replayed (default nop).
+	// Metrics receives inlog_replayed and inlog_apply_lag (default nop).
 	Metrics *obs.Registry
 	// Flight receives inlog-apply/watermark/replay events (nil-safe).
 	Flight *obs.FlightRecorder
@@ -62,10 +62,8 @@ type Pump struct {
 	closed  bool
 	stopped chan struct{}
 
-	applies  *obs.Counter
-	replays  *obs.Counter
-	applyErr *obs.Counter
-	flight   *obs.FlightRecorder
+	replays *obs.Counter
+	flight  *obs.FlightRecorder
 }
 
 // StartPump recovers the pump's position and starts the apply loop. Call it
@@ -93,14 +91,12 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 		cfg.Metrics = obs.NewNop()
 	}
 	p := &Pump{
-		log:      cfg.Log,
-		store:    cfg.Store,
-		sessID:   cfg.Session,
-		stopped:  make(chan struct{}),
-		applies:  cfg.Metrics.Counter("inlog_applied"),
-		replays:  cfg.Metrics.Counter("inlog_replayed"),
-		applyErr: cfg.Metrics.Counter("inlog_apply_errors"),
-		flight:   cfg.Flight,
+		log:     cfg.Log,
+		store:   cfg.Store,
+		sessID:  cfg.Session,
+		stopped: make(chan struct{}),
+		replays: cfg.Metrics.Counter("inlog_replayed"),
+		flight:  cfg.Flight,
 	}
 	p.cond = sync.NewCond(&p.mu)
 
@@ -244,7 +240,6 @@ func (p *Pump) loop() {
 				p.fail(err)
 				return
 			}
-			p.applies.Add(next - cursor)
 			cursor = next
 			p.mu.Lock()
 			p.applied = cursor
@@ -277,14 +272,12 @@ func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 		payload, ok := g.Next()
 		if !ok {
 			if failed := p.sess.CompletePending(true); failed > 0 {
-				p.applyErr.Add(uint64(failed))
 				return offset, fmt.Errorf("inlog: pump group ending at offset %d: %d parked operations failed", offset, failed)
 			}
 			return offset, nil
 		}
 		msg, err := DecodeMessage(payload)
 		if err != nil {
-			p.applyErr.Inc()
 			return offset, fmt.Errorf("inlog: pump offset %d: %w", offset, err)
 		}
 		var st faster.Status
@@ -297,7 +290,6 @@ func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 			st = p.sess.Delete(msg.Key)
 		}
 		if st == faster.Error {
-			p.applyErr.Inc()
 			return offset, fmt.Errorf("inlog: pump offset %d: %s failed", offset, msg.Op)
 		}
 	}

@@ -24,25 +24,16 @@ import (
 type IngestServer struct {
 	log    *Log
 	flight *obs.FlightRecorder
-	msgs   *obs.Counter
-	conns  *obs.Counter
 
 	// open accepts and tracks the connections; its Close closes them.
 	open *wire.Conns
 }
 
-// NewIngestServer returns a server appending into log. metrics may be nil.
-func NewIngestServer(log *Log, metrics *obs.Registry, flight *obs.FlightRecorder) *IngestServer {
-	if metrics == nil {
-		metrics = obs.NewNop()
-	}
-	return &IngestServer{
-		log:    log,
-		flight: flight,
-		msgs:   metrics.Counter("inlog_ingest_msgs"),
-		conns:  metrics.Counter("inlog_ingest_conns"),
-		open:   wire.NewConns(wire.CloseConn),
-	}
+// NewIngestServer returns a server appending into log. The server registers
+// no metric of its own (the log counts its appends), so the registry argument
+// is ignored; it stays for the callers that pass one.
+func NewIngestServer(log *Log, _ *obs.Registry, flight *obs.FlightRecorder) *IngestServer {
+	return &IngestServer{log: log, flight: flight, open: wire.NewConns(wire.CloseConn)}
 }
 
 // Serve accepts connections on ln until Close (or the listener fails). After
@@ -66,7 +57,6 @@ const ackQueue = 1024
 // loop ends; the ack loop owns the connection from then on and closes it once
 // it has acked what was queued, or when the log closes or a write fails.
 func (s *IngestServer) serveConn(conn net.Conn) {
-	s.conns.Inc()
 	acks := make(chan uint64, ackQueue)
 	defer close(acks)
 	go func() {
@@ -121,7 +111,6 @@ func (s *IngestServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		s.msgs.Inc()
 		select {
 		case acks <- off:
 		case <-s.open.Done(): // the ack loop may wait for a sync that never comes

@@ -4,15 +4,12 @@ import "repro/internal/obs"
 
 // opMetrics holds the per-op latency-decomposition histograms: where a
 // request's wall-clock time went, split into queue (client issue to server
-// decode), exec (FASTER operation), durwait (waiting for a covering commit)
-// and replwait (commit durable to replica commit-announce; observed by the
-// repl package into the same registry). Together with the request tracer's
-// span trees these attribute tail latency to a specific hop.
+// decode) and exec (FASTER operation). A durability wait is the request
+// tracer's durwait span. Together with the span trees these attribute tail
+// latency to a specific hop.
 type opMetrics struct {
-	queueNs    *obs.Histogram
-	execNs     *obs.Histogram
-	durwaitNs  *obs.Histogram
-	replwaitNs *obs.Histogram
+	queueNs *obs.Histogram
+	execNs  *obs.Histogram
 
 	// Data-request counters: how deep BATCH frames run, and how
 	// well per-connection write coalescing amortizes flush syscalls
@@ -34,10 +31,6 @@ func resolveOpMetrics(reg *obs.Registry) opMetrics {
 		"Per-request client-issue to server-decode latency (network + accept queueing; requires a traced client).")
 	reg.SetHelp("faster_op_exec_ns",
 		"Per-request FASTER operation execution latency, including pending completion.")
-	reg.SetHelp("faster_op_durwait_ns",
-		"Per-request durability wait: time spent blocked for a covering commit (COMMIT / WAITDUR ops).")
-	reg.SetHelp("faster_op_replwait_ns",
-		"Per-commit wait from local durability to replica commit-announce.")
 	reg.SetHelp("faster_batch_depth",
 		"Ops per BATCH frame, the one frame that carries data ops (a Client's Get/Set/RMW/Delete is a batch of one).")
 	reg.SetHelp("faster_net_batches_total",
@@ -51,8 +44,6 @@ func resolveOpMetrics(reg *obs.Registry) opMetrics {
 	return opMetrics{
 		queueNs:          reg.Histogram("faster_op_queue_ns"),
 		execNs:           reg.Histogram("faster_op_exec_ns"),
-		durwaitNs:        reg.Histogram("faster_op_durwait_ns"),
-		replwaitNs:       reg.Histogram("faster_op_replwait_ns"),
 		batchDepth:       reg.Histogram("faster_batch_depth"),
 		batches:          reg.Counter("faster_net_batches_total"),
 		coalescedFlushes: reg.Counter("faster_net_coalesced_flushes_total"),

@@ -474,7 +474,6 @@ func (s *Server) awaitDurable(cs *connState, sess *faster.Session, op byte, with
 	tWait, tDone := start.UnixNano(), time.Now().UnixNano()
 	committed, token := sess.CommittedSerial(), sess.CommittedToken()
 	at.Span(obs.SpanDurWait, tWait, tDone, target, committed, token)
-	cs.om.durwaitNs.ObserveValue(uint64(tDone - tWait))
 	frame := append(openFrame(cs.reply, op, obs.TraceContext{}), status)
 	frame = wire.AppendString(wire.AppendU64(frame, committed), []byte(token))
 	cs.reply = frame[:0]

@@ -44,8 +44,6 @@ const (
 	SpanNone SpanKind = iota
 	// SpanRequest is the root: the server handling one request frame.
 	SpanRequest
-	// SpanClientIssue is the client-side round trip (issue to response).
-	SpanClientIssue
 	// SpanQueue covers client issue to server frame decode: network transit
 	// plus server accept/read queueing. Requires the client's issue timestamp
 	// from the frame's trace field.
@@ -60,8 +58,6 @@ const (
 	// serial. Token is the covering commit token; Arg1 the awaited serial,
 	// Arg2 the committed serial reached.
 	SpanDurWait
-	// SpanReplWait covers waiting on replication progress inside a request.
-	SpanReplWait
 	// SpanRespWrite covers response serialization and the write syscall.
 	SpanRespWrite
 	// SpanReplShip (global) covers the primary shipping one commit's log
@@ -83,12 +79,10 @@ const (
 var spanKindNames = [numSpanKinds]string{
 	SpanNone:         "none",
 	SpanRequest:      "request",
-	SpanClientIssue:  "client-issue",
 	SpanQueue:        "queue",
 	SpanDecode:       "decode",
 	SpanExec:         "exec",
 	SpanDurWait:      "durwait",
-	SpanReplWait:     "replwait",
 	SpanRespWrite:    "resp-write",
 	SpanReplShip:     "repl-ship",
 	SpanReplAnnounce: "repl-announce",
@@ -114,21 +108,18 @@ func (k SpanKind) String() string {
 // MarshalJSON encodes the kind as its stable name.
 func (k SpanKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON decodes either the stable name or a bare number.
+// UnmarshalJSON decodes the stable name. A kind's number is not part of the
+// interface (it shifts when a kind goes), so a bare number is refused.
 func (k *SpanKind) UnmarshalJSON(b []byte) error {
 	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		if v, ok := spanKindByName[s]; ok {
-			*k = v
-			return nil
-		}
-		return fmt.Errorf("obs: unknown span kind %q", s)
-	}
-	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	*k = SpanKind(n)
+	v, ok := spanKindByName[s]
+	if !ok {
+		return fmt.Errorf("obs: unknown span kind %q", s)
+	}
+	*k = v
 	return nil
 }
 

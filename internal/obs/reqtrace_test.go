@@ -201,6 +201,9 @@ func TestTraceDumpJSONRoundTrip(t *testing.T) {
 	if err := k.UnmarshalJSON([]byte(`"bogus"`)); err == nil {
 		t.Fatal("unknown span kind name accepted")
 	}
+	if err := k.UnmarshalJSON([]byte(`5`)); err == nil {
+		t.Fatal("a span kind's number accepted in place of its name")
+	}
 }
 
 // TestRequestTracerConcurrent exercises the lock-free reservoir from many

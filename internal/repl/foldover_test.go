@@ -104,9 +104,17 @@ func TestReplicaSkipsSnapshotCommits(t *testing.T) {
 		committed[res.Version] = slices.Clone(cur)
 		end := primary.Log().Tail()
 		writeAll(uint64(round)<<32 | 1<<31) // in place, in the captured region
+		// Bounded by wall time, not by a pass count: each pass appends a
+		// filler record and yields, so the I/O workers that flush the log run
+		// even on one processor.
+		deadline := time.Now().Add(30 * time.Second)
 		for primary.Log().Durable() < end {
 			upsert(filler, fill)
 			filler++
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: log durable to %d of %d after 30 s", round, primary.Log().Durable(), end)
+			}
+			runtime.Gosched()
 		}
 		shipped := func() bool {
 			rep.mu.RLock()

@@ -60,7 +60,6 @@ type Replica struct {
 	upstreamClient atomic.Pointer[string] // primary's kvserver address, from opWelcome
 
 	receivedBytes *obs.Counter
-	installs      *obs.Counter
 
 	startOnce   sync.Once
 	promoteOnce sync.Once
@@ -105,8 +104,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r.upstreamClient.Store(&empty)
 	reg := store.Metrics()
 	r.receivedBytes = reg.Counter("repl_received_log_bytes_total")
-	r.installs = reg.Counter("repl_installs_total")
-	reg.GaugeFunc("repl_applied_version", func() int64 { return int64(r.applied.Load()) })
 	reg.GaugeFunc("repl_versions_behind", func() int64 { return int64(r.versionsBehind()) })
 	reg.SetHelp("repl_versions_behind",
 		"Committed CPR versions the replica trails its primary by; sustained growth fires the health engine's repl-lag-growing detector.")
@@ -457,7 +454,6 @@ func (r *Replica) applyCommit(payload []byte) error {
 	if pv := r.primaryVersion.Load(); version > pv {
 		r.primaryVersion.Store(version)
 	}
-	r.installs.Inc()
 	r.store.Flight().Emit(obs.FlightReplInstall, -1, uint64(version), token, "", 0, 0)
 	return nil
 }

@@ -41,11 +41,8 @@ type Server struct {
 	mu        sync.Mutex
 	committed chan struct{} // closed and replaced when a commit completes
 
-	shippedBytes *obs.Counter
-	shippedArts  *obs.Counter
-	announced    *obs.Counter
-	verifyFails  *obs.Counter
-	replwaitNs   *obs.Histogram
+	announced  *obs.Counter
+	replwaitNs *obs.Histogram
 }
 
 // NewServer wraps an open (primary) store. Commits completed from here on
@@ -54,18 +51,15 @@ type Server struct {
 func NewServer(store *faster.Store) *Server {
 	reg := store.Metrics()
 	s := &Server{
-		store:        store,
-		Logger:       log.New(os.Stderr, "repl: ", log.LstdFlags),
-		conns:        wire.NewConns(wire.CloseConn),
-		committed:    make(chan struct{}),
-		shippedBytes: reg.Counter("repl_shipped_log_bytes_total"),
-		shippedArts:  reg.Counter("repl_shipped_artifacts_total"),
-		announced:    reg.Counter("repl_commits_announced_total"),
-		verifyFails:  reg.Counter("repl_artifact_verify_failures_total"),
-		// Shared with kvserver's decomposition family: how long a locally
-		// durable commit waited to be announced to a replica.
+		store:      store,
+		Logger:     log.New(os.Stderr, "repl: ", log.LstdFlags),
+		conns:      wire.NewConns(wire.CloseConn),
+		committed:  make(chan struct{}),
+		announced:  reg.Counter("repl_commits_announced_total"),
 		replwaitNs: reg.Histogram("faster_op_replwait_ns"),
 	}
+	reg.SetHelp("faster_op_replwait_ns",
+		"Per-commit wait from the start of its shipping to its commit-announce reaching a replica.")
 	reg.GaugeFunc("repl_replicas", func() int64 { return int64(s.Replicas()) })
 	reg.SetHelp("repl_replicas", "Replica connections currently attached to this primary.")
 	reg.SetHelp("repl_commits_announced_total",
@@ -242,7 +236,6 @@ func (s *Server) shipTail(conn *shipConn, sent *uint64) error {
 			return err
 		}
 		*sent += n
-		s.shippedBytes.Add(n)
 	}
 	return nil
 }
@@ -280,7 +273,6 @@ func (s *Server) shipCommit(conn *shipConn, token string, sent *uint64, shipped 
 			return fmt.Errorf("artifact %s: %w", name, err)
 		}
 		shipped[name] = true
-		s.shippedArts.Inc()
 		artifactBytes += uint64(n)
 	}
 	tShipped := time.Now().UnixNano()
@@ -340,9 +332,6 @@ func (s *Server) shipArtifact(conn *shipConn, name string) (int64, error) {
 			}
 		}
 	})
-	if errors.Is(err, storage.ErrCorruptArtifact) {
-		s.verifyFails.Inc()
-	}
 	return n, err
 }
 

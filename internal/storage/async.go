@@ -29,6 +29,9 @@ type IORequest struct {
 // deadlock freedom — completion callbacks run on pool workers and may chain
 // further Submits; a bounded queue would let workers block on themselves.
 // Callers bound their own in-flight work (sessions cap their pending lists).
+//
+// A worker retries an operation that fails with a transient error (IsTransient)
+// in place under DefaultRetry before the error reaches Done.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -41,39 +44,30 @@ type Pool struct {
 	wg       sync.WaitGroup
 	inFlight atomic.Int64
 
-	// Retry governs transient-error handling in workers (self-healing I/O):
-	// a failed operation classified by IsTransient is retried in place with
-	// bounded exponential backoff before its error reaches Done. Set before
-	// submitting work; defaults to DefaultRetry.
-	Retry RetryPolicy
-
 	// Observability (set under mu by Instrument; metrics are nil-safe).
-	reads, writes         *obs.Counter
-	readBytes, writeBytes *obs.Counter
-	readNs, writeNs       *obs.Histogram
-	retries               *obs.Counter
-	timed                 bool
+	reads      *obs.Counter
+	readNs     *obs.Histogram
+	writeBytes *obs.Counter
+	retries    *obs.Counter
+	timed      bool
 }
 
 // Instrument registers the pool's metrics with reg:
 //
-//	storage_io_reads_total / storage_io_writes_total    completed operations
-//	storage_io_read_bytes_total / storage_io_write_bytes_total
-//	storage_io_read_ns / storage_io_write_ns            device latency (of the
-//	                                                    first request of each worker run)
+//	storage_io_reads_total        completed reads
+//	storage_io_read_ns            read latency (of a read that begins a worker run)
+//	storage_io_write_bytes_total  bytes written
+//	storage_io_retries_total      retried attempts of transient failures
 //
-// Pools that share reg count into the same metrics. The live queue state is
-// InFlight and QueueDepth, which the pool's owner reads into its gauges. Call
-// it before submitting work (hlog does so at construction).
+// Pools that share reg count into the same metrics. The queue length is
+// QueueDepth, which the pool's owner reads into its gauge. Call it before
+// submitting work (hlog does so at construction).
 func (p *Pool) Instrument(reg *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.reads = reg.Counter("storage_io_reads_total")
-	p.writes = reg.Counter("storage_io_writes_total")
-	p.readBytes = reg.Counter("storage_io_read_bytes_total")
-	p.writeBytes = reg.Counter("storage_io_write_bytes_total")
 	p.readNs = reg.Histogram("storage_io_read_ns")
-	p.writeNs = reg.Histogram("storage_io_write_ns")
+	p.writeBytes = reg.Counter("storage_io_write_bytes_total")
 	p.retries = reg.Counter("storage_io_retries_total")
 	p.timed = p.readNs != nil
 }
@@ -127,24 +121,23 @@ func (p *Pool) worker() {
 
 		for i := range run[:took] {
 			req := &run[i]
-			// The latency histograms sample the first request of each run: on
-			// a 1 µs read the two clock reads cost a tenth of the read itself.
+			// The latency histogram samples a read that begins a run: on a
+			// 1 µs read the two clock reads cost a tenth of the read itself.
 			var t0 time.Time
-			if p.timed && i == 0 {
+			if p.timed && i == 0 && !req.Write {
 				t0 = time.Now()
 			}
 			n, err := req.do()
 			if err != nil && IsTransient(err) {
 				n, err = p.retry(req, n, err)
 			}
-			ops, bytes, ns := p.reads, p.readBytes, p.readNs
 			if req.Write {
-				ops, bytes, ns = p.writes, p.writeBytes, p.writeNs
-			}
-			ops.Inc()
-			bytes.Add(uint64(n))
-			if !t0.IsZero() {
-				ns.Observe(time.Since(t0))
+				p.writeBytes.Add(uint64(n))
+			} else {
+				p.reads.Inc()
+				if !t0.IsZero() {
+					p.readNs.Observe(time.Since(t0))
+				}
 			}
 			if req.Done != nil {
 				req.Done(n, err)
@@ -164,16 +157,12 @@ func (r *IORequest) do() (int, error) {
 }
 
 // retry is the slow path of a request whose first attempt failed with a
-// transient error: the remaining attempts of the pool's policy, with backoff.
+// transient error: the remaining attempts of DefaultRetry, with backoff.
 // Do's first call is handed the failure already made, so attempts and sleeps
 // are those of a request that ran under Do from the start.
 func (p *Pool) retry(req *IORequest, n int, err error) (int, error) {
-	policy := p.Retry
-	if policy.Attempts == 0 {
-		policy = DefaultRetry
-	}
 	first := true
-	return n, policy.Do(func() error {
+	return n, DefaultRetry.Do(func() error {
 		if first {
 			first = false
 			return err

@@ -58,7 +58,9 @@ type FaultConfig struct {
 	// LatencyRate stalls an operation for Latency.
 	LatencyRate float64
 	Latency     time.Duration
-	// Metrics, when non-nil, receives fault_injected_* counters.
+	// Metrics, when non-nil, counts the injected transient errors and torn
+	// writes (fault_injected_{transient,torn}_total); Flight records every
+	// class.
 	Metrics *obs.Registry
 	// Flight, when non-nil, receives fault-injected and crash-point flight
 	// events (shard -1: the injector wraps a whole medium, not one domain).
@@ -86,7 +88,7 @@ type Injector struct {
 	crashPoints map[string]func()
 	writeCrash  map[uint64]func()
 
-	transient, torn, flips, stalls *obs.Counter
+	transient, torn *obs.Counter
 }
 
 // NewInjector returns an injector with the given schedule.
@@ -99,8 +101,6 @@ func NewInjector(cfg FaultConfig) *Injector {
 	if cfg.Metrics != nil {
 		in.transient = cfg.Metrics.Counter("fault_injected_transient_total")
 		in.torn = cfg.Metrics.Counter("fault_injected_torn_total")
-		in.flips = cfg.Metrics.Counter("fault_injected_bitflip_total")
-		in.stalls = cfg.Metrics.Counter("fault_injected_latency_total")
 	}
 	return in
 }
@@ -217,7 +217,6 @@ func (in *Injector) next() uint64 { return in.ops.Add(1) }
 // maybeStall applies a latency spike for op if scheduled.
 func (in *Injector) maybeStall(op uint64) {
 	if in.decide(op, streamLatency, in.cfg.LatencyRate) && in.cfg.Latency > 0 {
-		in.stalls.Inc()
 		in.emitFault(faultClassLatency, "")
 		time.Sleep(in.cfg.Latency)
 	}
@@ -252,7 +251,6 @@ func (d *FaultDevice) ReadAt(p []byte, off int64) (int, error) {
 	if err == nil && n > 0 && in.decide(op, streamBitFlip, in.cfg.BitFlipRate) {
 		idx, bit := in.rollBit(op, n)
 		p[idx] ^= 1 << bit
-		in.flips.Inc()
 		in.emitFault(faultClassBitFlip, "")
 	}
 	return n, err
@@ -427,7 +425,6 @@ func (s *FaultCheckpointStore) Open(name string) (io.ReadCloser, error) {
 	if len(data) > 0 {
 		idx, bit := in.rollBit(op, len(data))
 		data[idx] ^= 1 << bit
-		in.flips.Inc()
 		in.emitFault(faultClassBitFlip, name)
 	}
 	return newChunkReader(data), nil

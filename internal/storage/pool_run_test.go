@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -62,7 +61,6 @@ func TestPoolRunOrderAndErrors(t *testing.T) {
 			reg := obs.NewRegistry()
 			p := NewPool(workers)
 			p.Instrument(reg)
-			p.Retry = RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: 10 * time.Microsecond}
 
 			var mu sync.Mutex
 			var order []int
@@ -144,12 +142,11 @@ func TestPoolRunOrderAndErrors(t *testing.T) {
 }
 
 // TestPoolRetryExhausted: a request that keeps failing transiently is tried
-// exactly Attempts times — the first try outside RetryPolicy.Do included — and
-// its last error reaches Done.
+// exactly DefaultRetry.Attempts times — the first try outside RetryPolicy.Do
+// included — and its last error reaches Done.
 func TestPoolRetryExhausted(t *testing.T) {
 	d := &scriptDevice{MemDevice: NewMemDevice(), fail: map[int64]int{0: 100}, attempts: map[int64]int{}}
 	p := NewPool(1)
-	p.Retry = RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: 10 * time.Microsecond}
 	done := make(chan error, 1)
 	var b [1]byte
 	p.Submit(IORequest{Dev: d, Buf: b[:], Done: func(_ int, err error) { done <- err }})
@@ -157,8 +154,8 @@ func TestPoolRetryExhausted(t *testing.T) {
 		t.Fatalf("error after exhausted retries: %v", err)
 	}
 	p.Close()
-	if d.attempts[0] != 4 {
-		t.Fatalf("%d attempts under a 4-attempt policy", d.attempts[0])
+	if d.attempts[0] != DefaultRetry.Attempts {
+		t.Fatalf("%d attempts under a %d-attempt policy", d.attempts[0], DefaultRetry.Attempts)
 	}
 }
 

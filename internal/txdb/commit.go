@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -57,12 +56,7 @@ func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
 		return db.machine.Begin(onDone, nil)
 	}
 	token := fmt.Sprintf("wal-%06d", db.machine.Seq.Add(1))
-	t0 := time.Now()
 	err := db.wal.Flush()
-	if err == nil {
-		db.metrics.commits.Inc()
-		db.metrics.commitNs.Observe(time.Since(t0))
-	}
 	res := CommitResult{Token: token, Err: err}
 	db.machine.Record(token, res)
 	if onDone != nil {
@@ -91,14 +85,6 @@ func (db *DB) flush(c *commit) {
 	buf := db.capture(uint64(c.Version), delta)
 	err := db.persist(c, buf, delta)
 	db.machine.Rest(c, nil)
-	if err == nil {
-		db.metrics.commits.Inc()
-		db.metrics.commitBytes.Add(uint64(len(buf)))
-		if delta {
-			db.metrics.deltaCommits.Inc()
-		}
-		db.metrics.commitNs.Observe(time.Since(c.Started))
-	}
 	db.machine.Done(c, CommitResult{Token: c.Token, Version: uint64(c.Version), Seqs: c.Points(),
 		Bytes: int64(len(buf)), Delta: delta, Err: err}, err, uint64(len(buf)))
 }

@@ -7,23 +7,6 @@ import (
 	"repro/internal/storage"
 )
 
-func commitAndWait(t *testing.T, db *DB, w *Worker) CommitResult {
-	t.Helper()
-	token, err := db.Commit(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if res, ok := db.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			return res
-		}
-		w.Refresh()
-	}
-}
-
 func TestIncrementalDeltaSmallerThanFull(t *testing.T) {
 	const records = 10000
 	ckpts := storage.NewMemCheckpointStore()
@@ -40,7 +23,7 @@ func TestIncrementalDeltaSmallerThanFull(t *testing.T) {
 		for w.Execute(&Txn{Ops: []Op{{Key: k, Write: true}}, WriteValue: val}) != Committed {
 		}
 	}
-	res1 := commitAndWait(t, db, w)
+	res1 := driveCommit(t, db, []*Worker{w})
 	if res1.Delta {
 		t.Fatal("first commit must be a full capture")
 	}
@@ -54,7 +37,7 @@ func TestIncrementalDeltaSmallerThanFull(t *testing.T) {
 		for w.Execute(&Txn{Ops: []Op{{Key: k, Write: true}}, WriteValue: val}) != Committed {
 		}
 	}
-	res2 := commitAndWait(t, db, w)
+	res2 := driveCommit(t, db, []*Worker{w})
 	if !res2.Delta {
 		t.Fatal("second commit should be a delta")
 	}
@@ -103,7 +86,7 @@ func TestIncrementalChainAcrossManyCommits(t *testing.T) {
 			}
 			model[k] = v
 		}
-		res := commitAndWait(t, db, w)
+		res := driveCommit(t, db, []*Worker{w})
 		if res.Delta {
 			sawDelta++
 		} else {
@@ -143,7 +126,7 @@ func TestIncrementalDeltaCapturesShiftedRecords(t *testing.T) {
 	binary.LittleEndian.PutUint64(val, 1)
 	for w.Execute(&Txn{Ops: []Op{{Key: 0, Write: true}}, WriteValue: val}) != Committed {
 	}
-	commitAndWait(t, db, w)
+	driveCommit(t, db, []*Worker{w})
 
 	// Version 2: write key 0 = 2; then start a commit and — while the
 	// worker is in in-progress — write key 0 = 3 (a v+1 write that shifts
@@ -160,17 +143,8 @@ func TestIncrementalDeltaCapturesShiftedRecords(t *testing.T) {
 	binary.LittleEndian.PutUint64(val, 3)
 	for w.Execute(&Txn{Ops: []Op{{Key: 0, Write: true}}, WriteValue: val}) != Committed {
 	}
-	for {
-		if res, ok := db.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if !res.Delta {
-				t.Fatal("expected delta commit")
-			}
-			break
-		}
-		w.Refresh()
+	if res := awaitCommit(t, db, token, []*Worker{w}); !res.Delta {
+		t.Fatal("expected delta commit")
 	}
 	w.Close()
 	db.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -89,7 +90,7 @@ func TestRecoverCommitRecover(t *testing.T) {
 			for k := uint64(0); k < 3; k++ {
 				writeKey(t, w, k, 100+k)
 				want[k] = 100 + k
-				commitAndWait(t, db, w)
+				driveCommit(t, db, []*Worker{w})
 			}
 			w.Close()
 			db.Close()
@@ -103,7 +104,7 @@ func TestRecoverCommitRecover(t *testing.T) {
 			w = db.NewWorker()
 			writeKey(t, w, 10, 1010)
 			want[10] = 1010
-			res := commitAndWait(t, db, w)
+			res := driveCommit(t, db, []*Worker{w})
 			for _, n := range names {
 				if tok := tokenIn(n); tok != "" && res.Token <= tok {
 					t.Errorf("second life's commit took %s, not after %s (artifact %s)", res.Token, tok, n)
@@ -152,9 +153,9 @@ func TestRecoverFallsBackPastDamagedCommit(t *testing.T) {
 				}
 				w := db.NewWorker()
 				writeKey(t, w, 1, 11)
-				first := commitAndWait(t, db, w)
+				first := driveCommit(t, db, []*Worker{w})
 				writeKey(t, w, 1, 22)
-				second := commitAndWait(t, db, w)
+				second := driveCommit(t, db, []*Worker{w})
 				w.Close()
 				db.Close()
 				if err := c.damage(cs, "data-"+second.Token); err != nil {
@@ -239,7 +240,7 @@ func TestArtifactsPerDBCommit(t *testing.T) {
 			defer w.Close()
 			for i, wantDelta := range []bool{false, true, false, true} {
 				writeKey(t, w, uint64(i), uint64(i))
-				res := commitAndWait(t, db, w)
+				res := driveCommit(t, db, []*Worker{w})
 				got := cs.take()
 				if res.Delta != wantDelta {
 					t.Fatalf("commit %s: delta %v, want %v", res.Token, res.Delta, wantDelta)
@@ -272,7 +273,7 @@ func TestEnginesRefuseEachOther(t *testing.T) {
 	}
 	w := db.NewWorker()
 	writeKey(t, w, 1, 1)
-	commitAndWait(t, db, w)
+	driveCommit(t, db, []*Worker{w})
 	w.Close()
 	db.Close()
 
@@ -288,12 +289,15 @@ func TestEnginesRefuseEachOther(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() { // bounded like awaitCommit
 		if res, ok := s.TryResult(token); ok {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("commit %s did not finish in 30 s", token)
 		}
 		sess.Refresh()
 	}

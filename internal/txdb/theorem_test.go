@@ -119,19 +119,7 @@ func TestModelSingleWorker(t *testing.T) {
 			}
 		}
 	}
-	token, err := db.Commit(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if res, ok := db.TryResult(token); ok {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			break
-		}
-		w.Refresh()
-	}
+	driveCommit(t, db, []*Worker{w})
 	w.Close()
 	db.Close()
 
@@ -162,18 +150,8 @@ func TestSequentialCommitsVersions(t *testing.T) {
 		txn := &Txn{Ops: []Op{{Key: 0, Write: true}}, WriteValue: val}
 		for w.Execute(txn) != Committed {
 		}
-		token, err := db.Commit(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			if res, ok := db.TryResult(token); ok {
-				if res.Version != c {
-					t.Fatalf("commit %d at version %d", c, res.Version)
-				}
-				break
-			}
-			w.Refresh()
+		if res := driveCommit(t, db, []*Worker{w}); res.Version != c {
+			t.Fatalf("commit %d at version %d", c, res.Version)
 		}
 	}
 	w.Close()

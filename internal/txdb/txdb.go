@@ -168,24 +168,18 @@ type dbMetrics struct {
 	committed, conflicts, cprAborts     *obs.Counter
 	execNs, tailNs, logWriteNs, abortNs *obs.Counter
 	samples                             *obs.Counter
-	commits, commitBytes, deltaCommits  *obs.Counter
-	commitNs                            *obs.Histogram
 }
 
 func newDBMetrics(reg *obs.Registry) dbMetrics {
 	return dbMetrics{
-		committed:    reg.Counter("txdb_txns_committed_total"),
-		conflicts:    reg.Counter("txdb_txns_conflict_aborts_total"),
-		cprAborts:    reg.Counter("txdb_txns_cpr_aborts_total"),
-		execNs:       reg.Counter("txdb_exec_ns_total"),
-		tailNs:       reg.Counter("txdb_tail_ns_total"),
-		logWriteNs:   reg.Counter("txdb_log_write_ns_total"),
-		abortNs:      reg.Counter("txdb_abort_ns_total"),
-		samples:      reg.Counter("txdb_instr_samples_total"),
-		commits:      reg.Counter("txdb_commits_total"),
-		commitBytes:  reg.Counter("txdb_commit_bytes_total"),
-		deltaCommits: reg.Counter("txdb_delta_commits_total"),
-		commitNs:     reg.Histogram("txdb_commit_ns"),
+		committed:  reg.Counter("txdb_txns_committed_total"),
+		conflicts:  reg.Counter("txdb_txns_conflict_aborts_total"),
+		cprAborts:  reg.Counter("txdb_txns_cpr_aborts_total"),
+		execNs:     reg.Counter("txdb_exec_ns_total"),
+		tailNs:     reg.Counter("txdb_tail_ns_total"),
+		logWriteNs: reg.Counter("txdb_log_write_ns_total"),
+		abortNs:    reg.Counter("txdb_abort_ns_total"),
+		samples:    reg.Counter("txdb_instr_samples_total"),
 	}
 }
 
@@ -238,9 +232,6 @@ func Open(cfg Config) (*DB, error) {
 	})
 	db.epochs.Instrument(cfg.Metrics)
 	db.epochs.InstrumentFlight(cfg.Flight)
-	cfg.Metrics.GaugeFunc("txdb_version", func() int64 { return int64(db.Version()) })
-	cfg.Metrics.GaugeFunc("txdb_phase", func() int64 { return int64(db.Phase()) })
-	cfg.Metrics.GaugeFunc("txdb_workers", func() int64 { return int64(db.machine.Count()) })
 	// One backing array halves allocator pressure and keeps values dense.
 	per := cfg.ValueSize
 	if cfg.Engine == EngineWAL {

@@ -33,9 +33,16 @@ func driveCommit(t *testing.T, db *DB, workers []*Worker) CommitResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bounded by wall time, not by a pass count: each pass yields, so the
-	// goroutine Machine.Flush starts and the I/O workers it waits on run even
-	// on one processor.
+	return awaitCommit(t, db, token, workers)
+}
+
+// awaitCommit waits for the commit token to complete while keeping workers
+// refreshing, and fails the test if it completed with an error. Bounded by
+// wall time, not by a pass count: each pass yields, so the goroutine
+// Machine.Flush starts and the I/O workers it waits on run even on one
+// processor.
+func awaitCommit(t *testing.T, db *DB, token string, workers []*Worker) CommitResult {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if res, ok := db.TryResult(token); ok {

@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"net"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,14 +177,11 @@ func TestDetectorInputsRegistered(t *testing.T) {
 	}
 	metricName := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
 	var read []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if s, err := strconv.Unquote(lit.Value); err == nil && metricName.MatchString(s) {
-				read = append(read, s)
-			}
+	for _, s := range stringLits(f) {
+		if metricName.MatchString(s) {
+			read = append(read, s)
 		}
-		return true
-	})
+	}
 	if len(read) < 15 {
 		t.Fatalf("found only %d metric names in detectors.go: %v", len(read), read)
 	}
@@ -248,6 +248,134 @@ func TestMetricCatalogue(t *testing.T) {
 	}
 	if stale := diff(documented, registered); len(stale) > 0 {
 		t.Errorf("in README's catalogue but registered by nothing: %v", stale)
+	}
+}
+
+// readByAPI are the registered names whose reader is not a name in another
+// file but an API that returns their handles' values.
+var readByAPI = map[string]string{
+	"txdb_txns_committed_total":       "txdb.DB.Stats",
+	"txdb_txns_conflict_aborts_total": "txdb.DB.Stats",
+	"txdb_txns_cpr_aborts_total":      "txdb.DB.Stats",
+	"txdb_exec_ns_total":              "txdb.DB.Stats",
+	"txdb_tail_ns_total":              "txdb.DB.Stats",
+	"txdb_log_write_ns_total":         "txdb.DB.Stats",
+	"txdb_abort_ns_total":             "txdb.DB.Stats",
+	"txdb_instr_samples_total":        "txdb.DB.Stats",
+}
+
+// goFiles parses every .go file under the repository root that keep selects,
+// skipping dot directories (build caches).
+func goFiles(t *testing.T, keep func(path string) bool) map[string]*ast.File {
+	t.Helper()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || !keep(path) {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files[path] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// stringLits returns the values of every string literal in f.
+func stringLits(f *ast.File) []string {
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				out = append(out, s)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestEveryMetricHasAReader: every metric name the program registers — the
+// first argument of a Counter, Gauge, Histogram, GaugeFunc or Info call in
+// non-test Go — is named by some other Go file: a health detector, the
+// benchmark, a runner under internal/bench, a command, another package or a
+// test. A registration whose name is a literal prefix plus a computed part
+// (a family, such as faster_health_firing_<detector>) is read when another
+// file names any member. An instrument without a consumer is not kept.
+func TestEveryMetricHasAReader(t *testing.T) {
+	metricName := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+_?$`)
+	registers := map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "GaugeFunc": true, "Info": true}
+	program := goFiles(t, func(path string) bool {
+		return !strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "benchmark"+string(filepath.Separator))
+	})
+	type registration struct{ file, name string }
+	var regs []registration
+	families := map[string]bool{}
+	for path, f := range program {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !registers[sel.Sel.Name] {
+				return true
+			}
+			arg := call.Args[0]
+			family := false
+			if bin, ok := arg.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
+				arg, family = bin.X, true
+			}
+			lit, ok := arg.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			if s, err := strconv.Unquote(lit.Value); err == nil && metricName.MatchString(s) {
+				regs = append(regs, registration{path, s})
+				families[s] = family
+			}
+			return true
+		})
+	}
+	if len(regs) < 50 {
+		t.Fatalf("found only %d metric registrations", len(regs))
+	}
+	lits := map[string][]string{}
+	// This file names the exempt names; it reads none.
+	for path, f := range goFiles(t, func(path string) bool { return path != "observability_test.go" }) {
+		lits[path] = stringLits(f)
+	}
+	var unread []string
+	for _, r := range regs {
+		if readByAPI[r.name] != "" {
+			continue
+		}
+		names := func(s string) bool { return s == r.name || families[r.name] && strings.HasPrefix(s, r.name) }
+		read := false
+		for path, ss := range lits {
+			read = read || path != r.file && slices.ContainsFunc(ss, names)
+		}
+		if !read {
+			unread = append(unread, r.name+" ("+filepath.ToSlash(r.file)+")")
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d registered metric names are named by no other Go file: %v", len(unread), unread)
 	}
 }
 
