@@ -159,7 +159,7 @@ const (
 func OpenDB(cfg DBConfig) (*DB, error) { return txdb.Open(cfg) }
 
 // RecoverDB loads a database from its most recent commit that verifies (or,
-// for EngineWAL, replays the durable log prefix).
+// for EngineWAL, replays the log's whole transactions).
 func RecoverDB(cfg DBConfig) (*DB, error) { return txdb.Recover(cfg) }
 
 // ---- Observability (internal/obs) ----

@@ -191,6 +191,7 @@ func commitWait(s *faster.Store, sess *faster.Session, opts faster.CommitOptions
 			return res, res.Err
 		}
 		sess.Refresh()
+		runtime.Gosched() // the commit's own goroutines need the CPU more
 	}
 }
 

@@ -127,6 +127,7 @@ func BenchmarkCommitLogOnly(b *testing.B) {
 						break
 					}
 					sess.Refresh()
+					runtime.Gosched() // the commit's own goroutines need the CPU more
 				}
 				took[i] = time.Since(t0)
 				// Touch a few keys so the next commit has fresh work.
@@ -168,6 +169,7 @@ func benchRegions(b *testing.B, op func(sess *Session, k, v []byte)) {
 				s.Log().ShiftReadOnlyTo(s.Log().Tail())
 				for s.Log().SafeReadOnly() < s.Log().ReadOnly() {
 					sess.Refresh()
+					runtime.Gosched()
 				}
 			}
 			binary.LittleEndian.PutUint64(kb[:], uint64(i%keys))
@@ -451,6 +453,7 @@ func replayBenchShard(b *testing.B, memPages int) (sh *Store, start, end uint64,
 				return
 			}
 			sess.Refresh()
+			runtime.Gosched()
 		}
 	}
 	for pass, keys := range []uint64{suffix / 2, suffix} {

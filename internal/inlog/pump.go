@@ -10,19 +10,16 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultPumpSession is the session ID the apply pump runs under when the
-// config names none. The session is owned exclusively by the pump: its
-// serial stream must mirror the log's offset stream one-to-one, which is
-// the invariant every watermark anchor depends on.
+// DefaultPumpSession is the session ID the apply pump runs under. The session
+// is owned exclusively by the pump: its serial stream must mirror the log's
+// offset stream one-to-one, which is the invariant every watermark anchor
+// depends on.
 const DefaultPumpSession = "inlog-pump"
 
 // PumpConfig configures an apply pump.
 type PumpConfig struct {
 	Log   *Log
 	Store *faster.Store
-	// Session is the FASTER session ID the pump applies under (default
-	// DefaultPumpSession). No other client may issue operations on it.
-	Session string
 	// Metrics receives inlog_replayed and inlog_apply_lag (default nop).
 	Metrics *obs.Registry
 	// Flight receives inlog-apply/watermark/replay events (nil-safe).
@@ -51,7 +48,6 @@ type Pump struct {
 	log    *Log
 	store  *faster.Store
 	sess   *faster.Session
-	sessID string
 	anchor Watermark // serial<->offset anchor (Token empty for the origin)
 	buf    []byte    // group read buffer, owned by the apply loop
 
@@ -84,16 +80,12 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 	if cfg.Log == nil || cfg.Store == nil {
 		return nil, fmt.Errorf("inlog: PumpConfig.Log and Store are required")
 	}
-	if cfg.Session == "" {
-		cfg.Session = DefaultPumpSession
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewNop()
 	}
 	p := &Pump{
 		log:     cfg.Log,
 		store:   cfg.Store,
-		sessID:  cfg.Session,
 		stopped: make(chan struct{}),
 		replays: cfg.Metrics.Counter("inlog_replayed"),
 		flight:  cfg.Flight,
@@ -104,16 +96,16 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ok && anchor.Session != p.sessID {
+	if ok && anchor.Session != DefaultPumpSession {
 		return nil, fmt.Errorf("inlog: watermark %s anchors session %q, pump runs %q",
-			anchor.Token, anchor.Session, p.sessID)
+			anchor.Token, anchor.Session, DefaultPumpSession)
 	}
-	sess, point := cfg.Store.ContinueSession(p.sessID)
+	sess, point := cfg.Store.ContinueSession(DefaultPumpSession)
 	if !ok {
 		// No commit has ever covered the pump: the session starts at its
 		// recovered point (0 on a fresh store) aligned with the oldest
 		// retained record.
-		anchor = Watermark{Session: p.sessID, Serial: point, Offset: cfg.Log.Start()}
+		anchor = Watermark{Session: DefaultPumpSession, Serial: point, Offset: cfg.Log.Start()}
 	}
 	p.sess = sess
 	p.anchor = anchor
@@ -129,7 +121,7 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 		// The suffix above the recovered watermark replays through the
 		// normal apply loop; announce its extent up front.
 		p.replays.Add(d - start)
-		p.flight.Emit(obs.FlightInlogReplay, -1, 0, anchor.Token, p.sessID, start, d-start)
+		p.flight.Emit(obs.FlightInlogReplay, -1, 0, anchor.Token, DefaultPumpSession, start, d-start)
 	}
 
 	cfg.Metrics.GaugeFunc("inlog_apply_lag", func() int64 {
@@ -141,7 +133,7 @@ func newPump(cfg PumpConfig) (*Pump, error) {
 }
 
 // Session returns the pump's FASTER session ID.
-func (p *Pump) Session() string { return p.sessID }
+func (p *Pump) Session() string { return DefaultPumpSession }
 
 // Applied returns the next offset to apply: every record below it has been
 // applied to the store.
@@ -185,13 +177,13 @@ func (p *Pump) OffsetForSerial(serial uint64) uint64 {
 // pump-session CPR point to its log offset, as a section of the commit's
 // record.
 func (p *Pump) commitWatermark(res faster.CommitResult) (string, []byte, error) {
-	serial, ok := res.Serials[p.sessID]
+	serial, ok := res.Serials[DefaultPumpSession]
 	if !ok {
 		return "", nil, nil // pump session not registered at commit time
 	}
 	w := Watermark{
 		Token:   res.Token,
-		Session: p.sessID,
+		Session: DefaultPumpSession,
 		Serial:  serial,
 		Offset:  p.anchor.OffsetForSerial(serial),
 	}
@@ -199,7 +191,7 @@ func (p *Pump) commitWatermark(res faster.CommitResult) (string, []byte, error) 
 	if err != nil {
 		return "", nil, err
 	}
-	p.flight.Emit(obs.FlightInlogWatermark, -1, uint64(res.Version), res.Token, p.sessID, w.Offset, serial)
+	p.flight.Emit(obs.FlightInlogWatermark, -1, uint64(res.Version), res.Token, DefaultPumpSession, w.Offset, serial)
 	return watermarkSection, buf, nil
 }
 
@@ -208,7 +200,7 @@ func (p *Pump) commitWatermark(res faster.CommitResult) (string, []byte, error) 
 // deleted. Trim failure is non-fatal — the commit stands, the space is
 // reclaimed by a later trim.
 func (p *Pump) trimCommitted(res faster.CommitResult) {
-	serial, ok := res.Serials[p.sessID]
+	serial, ok := res.Serials[DefaultPumpSession]
 	if !ok {
 		return
 	}
@@ -247,7 +239,7 @@ func (p *Pump) loop() {
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		}
-		p.flight.Emit(obs.FlightInlogApply, -1, 0, "", p.sessID, cursor, cursor-from)
+		p.flight.Emit(obs.FlightInlogApply, -1, 0, "", DefaultPumpSession, cursor, cursor-from)
 	}
 }
 

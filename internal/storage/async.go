@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -41,8 +40,7 @@ type Pool struct {
 
 	drained bool
 
-	wg       sync.WaitGroup
-	inFlight atomic.Int64
+	wg sync.WaitGroup
 
 	// Observability (set under mu by Instrument; metrics are nil-safe).
 	reads      *obs.Counter
@@ -143,7 +141,6 @@ func (p *Pool) worker() {
 				req.Done(n, err)
 			}
 			*req = IORequest{}
-			p.inFlight.Add(-1)
 		}
 	}
 }
@@ -191,7 +188,6 @@ func (p *Pool) SubmitRun(reqs []IORequest) {
 		}
 		return
 	}
-	p.inFlight.Add(int64(len(reqs)))
 	if len(p.queue)+len(reqs) > cap(p.queue) && p.head > len(p.queue)/2 {
 		// Full, but mostly of served slots: slide the waiting requests down
 		// rather than grow without bound under a backlog that never drains.
@@ -203,9 +199,6 @@ func (p *Pool) SubmitRun(reqs []IORequest) {
 	p.mu.Unlock()
 	p.cond.Signal()
 }
-
-// InFlight reports the number of submitted-but-incomplete requests.
-func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
 
 // Close stops accepting new external requests and waits until the queue —
 // including requests chained by completion callbacks — drains.

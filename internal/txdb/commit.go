@@ -117,14 +117,16 @@ func (db *DB) persist(c *commit, capture []byte, delta bool) error {
 // consistent), by FASTER's rule (storage.RecoverNewest): records newest first,
 // falling back past one whose record or capture does not verify; a record of
 // another shape, FASTER's records or an older layout are a hard error. For
-// EngineWAL it instead replays the durable prefix of the log.
+// EngineWAL it instead replays the log's whole transactions, and the
+// recovered database logs after them.
 func Recover(cfg Config) (*DB, error) {
 	db, err := Open(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg = db.cfg; cfg.Engine == EngineWAL {
-		err = wal.Replay(cfg.WALDevice, uint64(cfg.WALDevice.Size()), func(rec wal.Record) {
+		db.wal.Close() // Open's log starts empty; the recovered one appends after the replayed prefix
+		db.wal, err = wal.Open(cfg.WALDevice, func(rec wal.Record) {
 			if rec.Key < uint64(cfg.Records) {
 				copy(db.records[rec.Key].live, rec.Value)
 			}
@@ -181,7 +183,3 @@ func (db *DB) recoverCommit(token string) error {
 	db.chain = rec.Captures
 	return nil
 }
-
-// CalcLogLen reports how many entries the CALC commit log has absorbed
-// (diagnostics for the bottleneck experiments).
-func (db *DB) CalcLogLen() uint64 { return db.calcNext.Load() }

@@ -16,10 +16,7 @@ import (
 func TestCommitResultsBounded(t *testing.T) {
 	for _, eng := range []EngineKind{EngineCPR, EngineWAL} {
 		t.Run(eng.String(), func(t *testing.T) {
-			db, err := Open(Config{Records: 16, Engine: eng, Metrics: obs.NewNop()})
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := mustOpen(t, Config{Records: 16, Engine: eng, Metrics: obs.NewNop()})
 			defer db.Close()
 			const commits = 1000
 			tokens := make([]string, commits)
@@ -28,12 +25,12 @@ func TestCommitResultsBounded(t *testing.T) {
 				if res := w.Execute(write1(uint64(i%16), uint64(i))); res != Committed {
 					t.Fatalf("txn %d: %v", i, res)
 				}
-				if eng == EngineWAL {
-					if tokens[i], err = db.Commit(nil); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					tokens[i] = driveCommit(t, db, []*Worker{w}).Token
+				token, err := db.Commit(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tokens[i] = token; eng != EngineWAL {
+					awaitCommit(t, db, token, []*Worker{w})
 				}
 				w.Close()
 			}

@@ -8,6 +8,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,7 @@ type Record struct {
 type Log struct {
 	mu   sync.Mutex
 	buf  []byte
-	lsn  uint64 // next LSN == total bytes ever appended
+	lsn  uint64 // next LSN: the device offset of the next byte appended
 	dev  storage.Device
 	off  int64 // device offset of buf[0]
 	stop chan struct{}
@@ -43,9 +44,24 @@ type Log struct {
 // flushEvery is the group-commit interval.
 const flushEvery = time.Millisecond
 
-// New creates a WAL over dev and starts its group-commit flusher.
-func New(dev storage.Device) *Log {
-	l := &Log{dev: dev, stop: make(chan struct{})}
+// New creates an empty WAL over dev and starts its group-commit flusher.
+func New(dev storage.Device) *Log { return start(dev, 0) }
+
+// Open replays the log on dev (replay) and returns a WAL that appends after
+// its last whole transaction, over the torn tail if there is one: what the
+// tail leaves behind a shorter group fails its checksum.
+func Open(dev storage.Device, fn func(rec Record)) (*Log, error) {
+	end, err := replay(dev, uint64(dev.Size()), fn)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: %w", err)
+	}
+	return start(dev, end), nil
+}
+
+// start returns a WAL whose next LSN is at, the device offset it appends at.
+func start(dev storage.Device, at uint64) *Log {
+	l := &Log{dev: dev, lsn: at, off: int64(at), stop: make(chan struct{})}
+	l.flushed.Store(at)
 	l.wg.Add(1)
 	go l.flusher()
 	return l
@@ -82,9 +98,10 @@ func (l *Log) AppendMeasured(recs []Record) (lsn uint64, lockWaitNs, copyNs int6
 }
 
 // encode lays out a transaction's redo records as the log stores them:
-// u32 count | count × (u64 key | u32 value length | value).
+// u32 count | count × (u64 key | u32 value length | value) | u32 CRC-32C of
+// the bytes before it.
 func encode(recs []Record) []byte {
-	need := 4
+	need := 8
 	for _, r := range recs {
 		need += 12 + len(r.Value)
 	}
@@ -94,15 +111,10 @@ func encode(recs []Record) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Value)))
 		buf = append(buf, r.Value...)
 	}
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// LSN returns the next LSN to be allocated.
-func (l *Log) LSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsn
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Flushed returns the LSN up to which the log is durable.
 func (l *Log) Flushed() uint64 { return l.flushed.Load() }
@@ -126,25 +138,28 @@ func (l *Log) flusher() {
 }
 
 // flushOnce swaps the buffer out under the lock (double buffering) and
-// writes it behind the lock, so appenders only contend with the swap.
+// writes it behind the lock, so appenders only contend with the swap. A group
+// whose write or sync fails is owed: it keeps its offset, the next flush
+// writes it ahead of what was appended since, and flushed does not pass it.
 func (l *Log) flushOnce() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	buf := l.buf
-	off := l.off
-	end := l.lsn
-	l.buf = nil
-	l.off = int64(end)
+	buf, off, end := l.buf, l.off, l.lsn
+	l.buf, l.off = nil, int64(end)
 	l.mu.Unlock()
 	if len(buf) == 0 {
 		return nil
 	}
-	if _, err := l.dev.WriteAt(buf, off); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	_, err := l.dev.WriteAt(buf, off)
+	if err == nil {
+		err = l.dev.Sync()
 	}
-	if err := l.dev.Sync(); err != nil {
-		return err
+	if err != nil {
+		l.mu.Lock()
+		l.buf, l.off = append(buf, l.buf...), off
+		l.mu.Unlock()
+		return fmt.Errorf("wal: flush: %w", err)
 	}
 	l.flushed.Store(end)
 	return nil
@@ -156,34 +171,31 @@ func (l *Log) Close() {
 	l.wg.Wait()
 }
 
-// Replay reads the log from the device and invokes fn for every record of
-// every transaction whose records were fully flushed, in LSN order. It is
-// the redo pass of recovery.
-func Replay(dev storage.Device, durableLSN uint64, fn func(rec Record)) error {
-	if durableLSN == 0 {
-		return nil
+// replay reads the first size bytes of the log on dev and calls fn for each
+// record of each whole transaction, in LSN order — the redo pass of recovery.
+// A transaction's records are applied only once its last record and its
+// checksum have read whole, so a torn tail restores no part of the
+// transaction it cuts. It returns the end of the last whole transaction.
+func replay(dev storage.Device, size uint64, fn func(rec Record)) (end uint64, err error) {
+	if size == 0 {
+		return 0, nil
 	}
-	data := make([]byte, durableLSN)
+	data := make([]byte, size)
 	if _, err := dev.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("wal: replay read: %w", err)
+		return 0, fmt.Errorf("replay read: %w", err)
 	}
-	pos := uint64(0)
-	for pos+4 <= durableLSN {
-		n := binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
-		for i := uint32(0); i < n; i++ {
-			if pos+12 > durableLSN {
-				return nil // torn tail; stop
-			}
-			key := binary.LittleEndian.Uint64(data[pos:])
-			vlen := binary.LittleEndian.Uint32(data[pos+8:])
-			pos += 12
-			if pos+uint64(vlen) > durableLSN {
-				return nil
-			}
-			fn(Record{Key: key, Value: data[pos : pos+uint64(vlen)]})
-			pos += uint64(vlen)
+	for b := data; len(b) >= 8; b = data[end:] {
+		n, at := binary.LittleEndian.Uint32(b), uint64(4)
+		for ; n > 0 && at+12 <= uint64(len(b)); n-- {
+			at += 12 + uint64(binary.LittleEndian.Uint32(b[at+8:]))
 		}
+		if n > 0 || at+4 > uint64(len(b)) || binary.LittleEndian.Uint32(b[at:]) != crc32.Checksum(b[:at], castagnoli) {
+			break
+		}
+		for r := b[4:at]; len(r) > 0; r = r[12+binary.LittleEndian.Uint32(r[8:]):] {
+			fn(Record{Key: binary.LittleEndian.Uint64(r), Value: r[12 : 12+binary.LittleEndian.Uint32(r[8:])]})
+		}
+		end += at + 4
 	}
-	return nil
+	return end, nil
 }

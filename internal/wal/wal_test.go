@@ -24,11 +24,11 @@ func TestAppendFlushReplay(t *testing.T) {
 	l.Close()
 
 	var got []Record
-	err := Replay(dev, l.Flushed(), func(r Record) {
+	end, err := replay(dev, l.Flushed(), func(r Record) {
 		got = append(got, Record{Key: r.Key, Value: append([]byte(nil), r.Value...)})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || end != l.Flushed() {
+		t.Fatalf("replay to %d: %v; the log flushed %d", end, err, l.Flushed())
 	}
 	if len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(got))
@@ -53,7 +53,10 @@ func TestLSNMonotonic(t *testing.T) {
 		}
 		last = lsn
 	}
-	if l.LSN() <= last {
+	l.mu.Lock()
+	next := l.lsn
+	l.mu.Unlock()
+	if next <= last {
 		t.Fatal("next LSN must exceed last appended")
 	}
 }
@@ -95,7 +98,7 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	}
 	l.Close()
 	count := 0
-	if err := Replay(dev, l.Flushed(), func(Record) { count++ }); err != nil {
+	if _, err := replay(dev, l.Flushed(), func(Record) { count++ }); err != nil {
 		t.Fatal(err)
 	}
 	if count != threads*per {
@@ -103,23 +106,82 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	}
 }
 
+// TestReplayTornTail: replay keeps the whole transactions before a torn tail
+// and applies no record of the one it cuts — whether the cut falls in its
+// last record or between two of its records.
 func TestReplayTornTail(t *testing.T) {
 	dev := storage.NewMemDevice()
 	l := New(dev)
 	l.Append([]Record{rec(1, "first")})
-	l.Append([]Record{rec(2, "second")})
+	l.Append([]Record{rec(2, "second"), rec(3, "third"), rec(4, "fourth")})
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	// Claim fewer durable bytes than written: replay must stop cleanly at
-	// the torn boundary, keeping the intact prefix.
-	count := 0
-	if err := Replay(dev, l.Flushed()-3, func(Record) { count++ }); err != nil {
+	first := uint64(len(encode([]Record{rec(1, "first")})))
+	for _, size := range []uint64{l.Flushed() - 3, first + 4 + 12 + 6 + 12 + 5} {
+		var keys []uint64
+		end, err := replay(dev, size, func(r Record) { keys = append(keys, r.Key) })
+		if err != nil || end != first || len(keys) != 1 || keys[0] != 1 {
+			t.Fatalf("replay of %d bytes: keys %v to %d (%v), want key 1 to %d", size, keys, end, err, first)
+		}
+	}
+}
+
+// TestFailedGroupIsOwed: a group whose background write fails is written by
+// the next flush, ahead of what was appended since; until then Flushed stays
+// behind it, and a Flush reports the failure.
+func TestFailedGroupIsOwed(t *testing.T) {
+	inj := storage.NewInjector(storage.FaultConfig{})
+	dev := storage.NewMemDevice()
+	l := New(storage.NewFaultDevice(dev, inj))
+	defer l.Close()
+	inj.FailPermanently()
+	l.Append([]Record{rec(1, "early")})
+	time.Sleep(5 * flushEvery) // the flusher fails the group
+	if err := l.Flush(); err == nil || l.Flushed() != 0 {
+		t.Fatalf("Flush during the failure = %v, flushed %d", err, l.Flushed())
+	}
+	inj.Heal()
+	l.Append([]Record{rec(2, "later")})
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if count != 1 {
-		t.Fatalf("torn replay got %d records, want 1", count)
+	var keys []uint64
+	if _, err := replay(dev, uint64(dev.Size()), func(r Record) { keys = append(keys, r.Key) }); err != nil || len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
+		t.Fatalf("replayed keys %v (%v), want 1 then 2", keys, err)
+	}
+}
+
+// TestOpenResumesAfterWholePrefix: a log reopened over a torn tail appends
+// after its last whole transaction, and what is left of the torn one behind a
+// shorter group is not replayed.
+func TestOpenResumesAfterWholePrefix(t *testing.T) {
+	dev := storage.NewMemDevice()
+	l := New(dev)
+	l.Append([]Record{rec(1, "one")})
+	l.Append([]Record{rec(2, "two"), rec(3, "three")})
+	l.Append([]Record{rec(4, "four, the torn one")})
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	torn := dev.Clone()
+	torn.WriteAt([]byte{0xff}, torn.Size()-1) //nolint:errcheck // in-memory
+
+	var keys []uint64
+	l, err := Open(torn, func(r Record) { keys = append(keys, r.Key) })
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("Open replayed %v (%v), want keys 1, 2 and 3", keys, err)
+	}
+	l.Append([]Record{rec(5, "5")})
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	keys = nil
+	if _, err := replay(torn, uint64(torn.Size()), func(r Record) { keys = append(keys, r.Key) }); err != nil || len(keys) != 4 || keys[3] != 5 {
+		t.Fatalf("second replay %v (%v), want keys 1, 2, 3 and 5", keys, err)
 	}
 }
 
@@ -139,7 +201,7 @@ func TestAppendMeasuredMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := Replay(dev, l.Flushed(), func(Record) { count++ }); err != nil {
+	if _, err := replay(dev, l.Flushed(), func(Record) { count++ }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 2 {
