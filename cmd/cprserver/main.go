@@ -26,7 +26,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -140,18 +139,12 @@ func main() {
 	}
 
 	t0 := time.Now()
-	store, report, err := faster.RecoverWithReport(cfg)
+	store, err := faster.Open(cfg)
 	if err != nil {
-		if !errors.Is(err, faster.ErrNoCheckpoint) {
-			// A layout it cannot read, a corrupt artifact, ...: starting
-			// fresh would shadow the existing data.
-			log.Fatal(err)
-		}
-		log.Printf("no previous commit (%v); starting fresh", err)
-		store, err = faster.Open(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+		log.Fatal(err)
+	}
+	if report := store.RecoveryReport(); report == nil {
+		log.Printf("no previous commit; starting fresh")
 	} else {
 		for _, sk := range report.Skipped {
 			log.Printf("recovery skipped unverifiable commit %s: %v", sk.Token, sk.Reason)

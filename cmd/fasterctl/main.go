@@ -88,7 +88,8 @@ func main() {
 }
 
 // storeCmd runs one store command against the file-backed store in dir:
-// recover (or open fresh), apply, and commit what it changed.
+// open (which recovers the previous commit), apply, and commit what it
+// changed.
 func storeCmd(dir string, args []string, w io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -103,13 +104,8 @@ func storeCmd(dir string, args []string, w io.Writer) error {
 		return err
 	}
 
-	store, err := cpr.RecoverStore(cfg)
-	if errors.Is(err, cpr.ErrNoCheckpoint) {
-		store, err = cpr.OpenStore(cfg) // no commit yet: fresh store
-	}
+	store, err := cpr.OpenStore(cfg)
 	if err != nil {
-		// A layout it cannot read, a corrupt artifact, ...: starting fresh
-		// would shadow the existing data.
 		return err
 	}
 	defer store.Close()

@@ -13,10 +13,13 @@
 //
 //   - Store: FASTER, a larger-than-memory concurrent hash key-value store
 //     (latch-free index + HybridLog record store) with CPR commits, sessions
-//     and recovery. See OpenStore, RecoverStore.
+//     and recovery. See OpenStore.
 //   - DB: an in-memory transactional database (strict 2PL, NO-WAIT) with
 //     pluggable durability engines — CPR, and the CALC and WAL baselines the
-//     paper compares against. See OpenDB, RecoverDB.
+//     paper compares against. See OpenDB.
+//
+// Opening is recovery: OpenStore and OpenDB recover the newest verifiable
+// commit their storage holds, else start empty.
 //
 // Quickstart:
 //
@@ -95,20 +98,11 @@ type RMWOps = faster.RMWOps
 // place and allocates nothing.
 type AddUint64 = faster.AddUint64
 
-// OpenStore creates an empty Store.
+// OpenStore recovers the newest verifiable commit in cfg's checkpoint store,
+// else starts an empty Store; any other recovery failure is an error, never
+// an empty store over existing data. Sessions re-establish with
+// Store.ContinueSession, and Store.RecoveryReport says what was recovered.
 func OpenStore(cfg StoreConfig) (*Store, error) { return faster.Open(cfg) }
-
-// RecoverStore rebuilds a Store from its most recent CPR commit. The config
-// must reference the same device contents and checkpoint store the failed
-// instance used; sessions re-establish with Store.ContinueSession.
-func RecoverStore(cfg StoreConfig) (*Store, error) { return faster.Recover(cfg) }
-
-// RecoverStoreWithReport is RecoverStore plus a RecoveryReport describing
-// which commit was recovered and which newer commits (if any) were skipped as
-// unverifiable.
-func RecoverStoreWithReport(cfg StoreConfig) (*Store, *RecoveryReport, error) {
-	return faster.RecoverWithReport(cfg)
-}
 
 // RecoveryReport describes the outcome of a Store recovery: the commit
 // recovered and any newer commits skipped because their artifacts failed
@@ -117,12 +111,6 @@ type RecoveryReport = faster.RecoveryReport
 
 // SkippedCommit is one unrecoverable commit noted in a RecoveryReport.
 type SkippedCommit = faster.SkippedCommit
-
-// ErrNoCheckpoint is wrapped by RecoverStore when the checkpoint store holds
-// no commit at all. Fall back to OpenStore only on this error (errors.Is);
-// any other recovery error indicates existing data that must not be shadowed
-// by a fresh store.
-var ErrNoCheckpoint = faster.ErrNoCheckpoint
 
 // ---- In-memory transactional database (Sec. 4) ----
 
@@ -155,12 +143,10 @@ const (
 	AbortedCPR      = txdb.AbortedCPR
 )
 
-// OpenDB creates a zeroed database.
+// OpenDB recovers the newest verifiable commit in cfg's checkpoint store, else
+// starts a zeroed database; for EngineWAL it replays the log's whole
+// transactions instead.
 func OpenDB(cfg DBConfig) (*DB, error) { return txdb.Open(cfg) }
-
-// RecoverDB loads a database from its most recent commit that verifies (or,
-// for EngineWAL, replays the log's whole transactions).
-func RecoverDB(cfg DBConfig) (*DB, error) { return txdb.Recover(cfg) }
 
 // ---- Observability (internal/obs) ----
 

@@ -59,7 +59,7 @@ func TestPublicStoreRoundTrip(t *testing.T) {
 	sess.Upsert(u64(0), u64(4242)) // lost in the crash
 	store.Close()
 
-	recovered, err := RecoverStore(StoreConfig{Device: device, Checkpoints: checkpoints})
+	recovered, err := OpenStore(StoreConfig{Device: device, Checkpoints: checkpoints})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPublicDBRoundTrip(t *testing.T) {
 	w.Close()
 	db.Close()
 
-	rdb, err := RecoverDB(DBConfig{Records: 64, Checkpoints: checkpoints})
+	rdb, err := OpenDB(DBConfig{Records: 64, Checkpoints: checkpoints})
 	if err != nil {
 		t.Fatal(err)
 	}

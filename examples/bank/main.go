@@ -126,7 +126,7 @@ func main() {
 
 	// Crash + recover: balances must sum to the initial total, within the
 	// per-worker in-flight slack explained above.
-	rdb, err := cpr.RecoverDB(cpr.DBConfig{Records: accounts, Checkpoints: checkpoints})
+	rdb, err := cpr.OpenDB(cpr.DBConfig{Records: accounts, Checkpoints: checkpoints})
 	if err != nil {
 		log.Fatal(err)
 	}

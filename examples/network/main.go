@@ -22,14 +22,10 @@ func u64(v uint64) []byte {
 	return b
 }
 
-func serve(cfg faster.Config, recover bool) (*kvserver.Server, *faster.Store, string) {
-	var store *faster.Store
-	var err error
-	if recover {
-		store, err = faster.Recover(cfg)
-	} else {
-		store, err = faster.Open(cfg)
-	}
+// serve opens the store over cfg, recovering its last commit if it has one,
+// and serves it.
+func serve(cfg faster.Config) (*kvserver.Server, *faster.Store, string) {
+	store, err := faster.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +46,7 @@ func main() {
 	checkpoints := cpr.NewMemCheckpointStore()
 	cfg := faster.Config{Device: device, Checkpoints: checkpoints}
 
-	srv, store, addr := serve(cfg, false)
+	srv, store, addr := serve(cfg)
 	fmt.Println("server listening on", addr)
 
 	// Three clients write disjoint key ranges concurrently.
@@ -89,7 +85,7 @@ func main() {
 	store.Close()
 	fmt.Println("server crashed; restarting from checkpoints")
 
-	srv2, store2, addr2 := serve(cfg, true)
+	srv2, store2, addr2 := serve(cfg)
 	defer func() { srv2.Close(); store2.Close() }()
 
 	for i := 0; i < clients; i++ {

@@ -59,8 +59,8 @@ func main() {
 	// Crash: drop the store without another commit.
 	store.Close()
 
-	// Recover from the same device + checkpoint store.
-	recovered, err := cpr.RecoverStore(cpr.StoreConfig{Device: device, Checkpoints: checkpoints})
+	// Reopen the same device + checkpoint store: opening recovers.
+	recovered, err := cpr.OpenStore(cpr.StoreConfig{Device: device, Checkpoints: checkpoints})
 	if err != nil {
 		log.Fatal(err)
 	}

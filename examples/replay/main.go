@@ -97,12 +97,12 @@ func main() {
 	pump.Close()
 	store.Close() // crash: the store's in-memory suffix is gone
 
-	// Recover: the store restores the committed prefix; reopening the feed
+	// Reopen: the store recovers the committed prefix; reopening the feed
 	// and restarting the pump replays the suffix above the recovered
 	// watermark. The replay extent is derived, not guessed: recovered CPR
 	// point -> watermark anchor -> feed offset.
 	t0 := time.Now()
-	recovered, err := cpr.RecoverStore(cpr.StoreConfig{Device: device, Checkpoints: checkpoints})
+	recovered, err := cpr.OpenStore(cpr.StoreConfig{Device: device, Checkpoints: checkpoints})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func init() {
 				s.Close()
 
 				start := time.Now()
-				r, err := faster.Recover(open)
+				r, err := faster.Open(open)
 				if err != nil {
 					return err
 				}

@@ -340,12 +340,15 @@ func (m *Machine[P, R]) Record(token string, res R) {
 	m.resMu.Unlock()
 }
 
-// put keeps res under token, dropping the oldest of MaxResults.
+// put keeps res under token, dropping the oldest of MaxResults. A token kept
+// already (a WAL commit that made nothing new durable) keeps its one slot.
 func (m *Machine[P, R]) put(token string, res R) {
-	slot := &m.ring[m.n%MaxResults]
-	delete(m.results, *slot)
-	*slot = token
-	m.n++
+	if _, ok := m.results[token]; !ok {
+		slot := &m.ring[m.n%MaxResults]
+		delete(m.results, *slot)
+		*slot = token
+		m.n++
+	}
 	m.results[token] = res
 }
 

@@ -84,7 +84,8 @@ func TestMachineWalk(t *testing.T) {
 }
 
 // TestMachineResultsBounded: the ring keeps the newest MaxResults results,
-// whether the machine ran the commits or an engine recorded them.
+// whether the machine ran the commits or an engine recorded them, and a token
+// recorded twice once.
 func TestMachineResultsBounded(t *testing.T) {
 	m := newTestMachine(func(m *Machine[*part, map[*part]uint64]) { m.Flush(InProgress) })
 	const commits = 3 * MaxResults
@@ -106,6 +107,13 @@ func TestMachineResultsBounded(t *testing.T) {
 		_, ok := m.TryResult(tok)
 		if _, waited := m.WaitForCommit(tok); ok != (i >= commits-MaxResults) || waited != ok {
 			t.Fatalf("result %d of %d: retained %v, waited %v", i, commits, ok, waited)
+		}
+	}
+	// A token recorded again takes no second slot: every other result stays.
+	m.Record(tokens[commits-1], nil)
+	for _, tok := range tokens[commits-MaxResults:] {
+		if _, ok := m.TryResult(tok); !ok {
+			t.Fatalf("result %s dropped when %s was recorded again", tok, tokens[commits-1])
 		}
 	}
 }

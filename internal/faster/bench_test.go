@@ -430,7 +430,7 @@ func replayBenchShard(b *testing.B, memPages int) (sh *Store, start, end uint64,
 		cfg := Config{IndexBuckets: 1 << 15, PageBits: 16, MemPages: memPages, Device: dev, Checkpoints: ckpts}
 		s, err := Open(cfg)
 		if recover {
-			s, err = Recover(cfg)
+			s, err = Open(cfg)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -61,6 +61,23 @@ func commitPathStore(t *testing.T, ckpts storage.CheckpointStore) (*Store, *Sess
 	return s, sess, dev
 }
 
+// ship copies every artifact of from into a replica's store to, as the
+// replica receives its primary's commits.
+func ship(t *testing.T, from, to storage.CheckpointStore) {
+	t.Helper()
+	names, err := from.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		raw, err := storage.ReadArtifact(from, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putRaw(t, to, n, raw)
+	}
+}
+
 // putRaw stores data under name as it is: a copied or a damaged artifact.
 func putRaw(t *testing.T, cs storage.CheckpointStore, name string, data []byte) {
 	t.Helper()
@@ -135,12 +152,14 @@ func TestReplicationRefusesSnapshotCommits(t *testing.T) {
 		t.Fatalf("ship info of a snapshot commit: err = %v, want ErrSnapshotCommit", err)
 	}
 	rcfg := smallConfig()
-	rcfg.Replica, rcfg.Checkpoints, rcfg.Device = true, ckpts.Clone(), dev.Clone()
+	rcps := storage.NewMemCheckpointStore()
+	rcfg.Replica, rcfg.Checkpoints, rcfg.Device = true, rcps, dev.Clone()
 	rep, err := Open(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
+	ship(t, ckpts, rcps)
 	if err := rep.ApplyCommitted(res.Token); !errors.Is(err, ErrSnapshotCommit) {
 		t.Fatalf("install of a snapshot commit: err = %v, want ErrSnapshotCommit", err)
 	}
@@ -280,13 +299,13 @@ func latestCommitToken(t *testing.T) {
 	putRaw(t, ckpts, "cpr-manifest-"+res2.Token, raw)
 	cfg := smallConfig()
 	cfg.Checkpoints, cfg.Device = ckpts, dev
-	r, report, err := RecoverWithReport(cfg)
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if report.Token != res1.Token || len(report.Skipped) != 1 || report.Skipped[0].Token != res2.Token {
-		t.Fatalf("recovered %s skipping %v, want %s skipping %s", report.Token, report.Skipped, res1.Token, res2.Token)
+	if report := r.RecoveryReport(); report == nil || report.Token != res1.Token || len(report.Skipped) != 1 || report.Skipped[0].Token != res2.Token {
+		t.Fatalf("recovered %+v, want %s skipping %s", report, res1.Token, res2.Token)
 	}
 	want(r, "after fallback recovery", res1.Token)
 }
@@ -349,20 +368,17 @@ func attachmentFailure(t *testing.T, earlier bool) {
 	// chooses.
 	rcfg := smallConfig()
 	rcfg.Checkpoints, rcfg.Device = ckpts.Clone(), dev.Clone()
-	r, report, err := RecoverWithReport(rcfg)
-	switch {
-	case !earlier:
-		if !errors.Is(err, ErrNoCheckpoint) {
-			t.Fatalf("recovery after a failed first commit = %v, want ErrNoCheckpoint", err)
-		}
-	case err != nil:
+	r, err := Open(rcfg)
+	if err != nil {
 		t.Fatal(err)
-	default:
-		if report.Token != before.Token || len(report.Skipped) != 0 {
-			t.Fatalf("recovered %s skipping %v, want %s and nothing skipped", report.Token, report.Skipped, before.Token)
-		}
-		r.Close()
 	}
+	switch report := r.RecoveryReport(); {
+	case !earlier && report != nil:
+		t.Fatalf("Open after a failed first commit recovered %+v, want an empty store", report)
+	case earlier && (report == nil || report.Token != before.Token || len(report.Skipped) != 0):
+		t.Fatalf("recovered %+v, want %s and nothing skipped", report, before.Token)
+	}
+	r.Close()
 
 	failing = false
 	res = driveCommit(t, s, []*Session{sess}, CommitOptions{})
@@ -380,8 +396,8 @@ func attachmentFailure(t *testing.T, earlier bool) {
 // TestRecoverShardCountMismatch: a store is one index and one log, so a
 // commit record is one section. A store configured with the deprecated Shards
 // ignores it and recovers a one-section record (1to2); a record with two
-// sections — the partitioned layout — is refused by name, never taken for
-// ErrNoCheckpoint, on which callers start a fresh store: by Recover (2to1) and
+// sections — the partitioned layout — is refused by name, never taken for a
+// store without commits, over which Open starts a fresh one: by Open (2to1) and
 // by a replica's install (2to4).
 func TestRecoverShardCountMismatch(t *testing.T) {
 	for _, c := range []struct{ wrote, opens int }{{1, 2}, {2, 1}, {2, 4}} {
@@ -406,24 +422,25 @@ func TestRecoverShardCountMismatch(t *testing.T) {
 			cfg.Shards, cfg.Checkpoints, cfg.Device = c.opens, ckpts, dev
 			var err error
 			if c.opens == 4 {
-				cfg.Replica = true
+				cfg.Replica, cfg.Checkpoints = true, storage.NewMemCheckpointStore()
 				var rep *Store
 				if rep, err = Open(cfg); err != nil {
 					t.Fatal(err)
 				}
 				defer rep.Close()
+				ship(t, ckpts, cfg.Checkpoints)
 				err = rep.ApplyCommitted(res.Token)
 			} else {
 				var r *Store
-				if r, err = Recover(cfg); err == nil {
+				if r, err = Open(cfg); err == nil {
 					r.Close()
 				}
 			}
 			const want = "partitioned layout (2 shard sections"
 			switch {
 			case c.wrote == 1 && err != nil:
-				t.Fatalf("Recover of a one-section record with Shards %d = %v", c.opens, err)
-			case c.wrote > 1 && (err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), want)):
+				t.Fatalf("Open of a one-section record with Shards %d = %v", c.opens, err)
+			case c.wrote > 1 && (err == nil || !strings.Contains(err.Error(), want)):
 				t.Fatalf("a two-section record: err = %v, want a hard error saying %q", err, want)
 			}
 		})
@@ -432,10 +449,10 @@ func TestRecoverShardCountMismatch(t *testing.T) {
 
 // TestRecoverWithoutManifest tells the two record-less stores apart. Stray
 // blobs alone are a crash inside the very first commit: nothing was ever
-// committed, ErrNoCheckpoint. A top-level "latest" pointer is a store
-// written before the manifest was the single-shard commit record: it holds
-// commits this version cannot read, and saying "no checkpoint" would let the
-// caller start a fresh store over them.
+// committed, and Open starts an empty store whose tokens pass the blobs'. A
+// top-level "latest" pointer is a store written before the manifest was the
+// single-shard commit record: it holds commits this version cannot read, and
+// starting a fresh store over them would lose them.
 func TestRecoverWithoutManifest(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
 	s, sess, dev := commitPathStore(t, ckpts)
@@ -447,23 +464,36 @@ func TestRecoverWithoutManifest(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Checkpoints, cfg.Device = ckpts, dev
-	if _, err := Recover(cfg); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("stray index blob, no record, no pointer: Recover = %v, want ErrNoCheckpoint", err)
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("stray index blob, no record, no pointer: Open = %v, want an empty store", err)
+	}
+	if r.RecoveryReport() != nil || r.Version() != 1 {
+		t.Fatalf("stray index blob, no record, no pointer: recovered %+v at version %d, want an empty store", r.RecoveryReport(), r.Version())
+	}
+	rs := r.StartSession()
+	next := driveCommit(t, r, []*Session{rs}, CommitOptions{})
+	if next.Token <= res.Token {
+		t.Fatalf("the empty store committed %s; the stray blobs carry %s", next.Token, res.Token)
+	}
+	rs.StopSession()
+	r.Close()
+	if err := ckpts.Remove("cpr-manifest-" + next.Token); err != nil {
+		t.Fatal(err)
 	}
 	if err := storage.WriteArtifactChecked(ckpts, "latest", []byte(res.Token)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(cfg); err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "pre-manifest") {
-		t.Fatalf("pre-manifest layout: Recover = %v, want a hard error naming it", err)
+	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "pre-manifest") {
+		t.Fatalf("pre-manifest layout: Open = %v, want a hard error naming it", err)
 	}
 }
 
 // TestRecoverParentLayout: a checkpoint store written before the commit record
 // — a meta-<token> and a pagecrc-<token>, and a manifest that holds only the
 // token, version, shard count and kind — holds commits this version cannot
-// read. Recover says so, naming the layout: never ErrNoCheckpoint, on which
-// callers start a fresh store over them, and never a fall-back to whatever
-// older record does read.
+// read. Open says so, naming the layout: never a fresh store over them, and
+// never a fall-back to whatever older record does read.
 func TestRecoverParentLayout(t *testing.T) { onePartition(t, recoverParentLayout) }
 
 func recoverParentLayout(t *testing.T) {
@@ -490,15 +520,15 @@ func recoverParentLayout(t *testing.T) {
 
 	cfg := smallConfig()
 	cfg.Checkpoints, cfg.Device = ckpts, dev
-	_, err := Recover(cfg)
-	if err == nil || errors.Is(err, ErrNoCheckpoint) || !errors.Is(err, storage.ErrForeignLayout) ||
+	_, err := Open(cfg)
+	if err == nil || !errors.Is(err, storage.ErrForeignLayout) ||
 		!strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), token) {
-		t.Fatalf("Recover over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
+		t.Fatalf("Open over the parent's layout = %v, want a hard error naming the layout and %s (not a fall-back to %s)", err, token, res.Token)
 	}
 }
 
 // TestRecoverRecordFormat1: a record of format 1 names CPRIDX2 index images and
-// a log_start that bounds no v+1 record; Recover refuses it by name rather than
+// a log_start that bounds no v+1 record; Open refuses it by name rather than
 // fall back past it to an older commit.
 func TestRecoverRecordFormat1(t *testing.T) {
 	ckpts := storage.NewMemCheckpointStore()
@@ -518,9 +548,9 @@ func TestRecoverRecordFormat1(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Checkpoints, cfg.Device = ckpts, dev
-	if _, err := Recover(cfg); err == nil || !errors.Is(err, storage.ErrForeignLayout) ||
+	if _, err := Open(cfg); err == nil || !errors.Is(err, storage.ErrForeignLayout) ||
 		!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), res.Token) {
-		t.Fatalf("Recover over a format-1 record = %v, want a hard error naming the format and %s", err, res.Token)
+		t.Fatalf("Open over a format-1 record = %v, want a hard error naming the format and %s", err, res.Token)
 	}
 }
 
@@ -637,7 +667,7 @@ func TestSnapshotCommitMemory(t *testing.T) {
 	cfg = open()
 	var r *Store
 	grew := heap(func() {
-		if r, err = Recover(cfg); err != nil {
+		if r, err = Open(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -120,7 +120,7 @@ func TestCompactThenCommitAndRecover(t *testing.T) {
 	sess.StopSession()
 	s.Close()
 
-	r, err := Recover(cfg)
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestTombstoneSurvivesRecovery(t *testing.T) {
 	sess.StopSession()
 	s.Close()
 
-	r, err := Recover(cfg)
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

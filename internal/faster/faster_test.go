@@ -364,7 +364,7 @@ func testCommitAndRecover(t *testing.T, kind CommitKind, transfer VersionTransfe
 	cfg2.Checkpoints = ckpts
 	cfg2.Kind = kind
 	cfg2.Transfer = transfer
-	r, err := Recover(cfg2)
+	r, err := Open(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestRecoveryDropsUncommittedSuffix(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.Device = dev
 	cfg2.Checkpoints = ckpts
-	r, err := Recover(cfg2)
+	r, err := Open(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestConcurrentSessionsCPRPrefix(t *testing.T) {
 			s.Close()
 
 			// Recover and check exact prefix semantics per session.
-			r, err := Recover(Config{IndexBuckets: 1 << 12, PageBits: 16, MemPages: 16,
+			r, err := Open(Config{IndexBuckets: 1 << 12, PageBits: 16, MemPages: 16,
 				Device: dev, Checkpoints: ckpts, Transfer: transfer})
 			if err != nil {
 				t.Fatal(err)
@@ -587,7 +587,7 @@ func TestLogOnlyCommitRecovery(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.Device = dev
 	cfg2.Checkpoints = ckpts
-	r, err := Recover(cfg2)
+	r, err := Open(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

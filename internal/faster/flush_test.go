@@ -280,7 +280,7 @@ func TestLongValueReadsWhilePagesFlush(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	r, err := Recover(cfg)
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("recovery after %d commits: %v", commits, err)
 	}

@@ -412,13 +412,13 @@ func TestRecoveryFallbackOnUndecodableIndex(t *testing.T) {
 			if err := storage.WriteArtifactChecked(ckpts, blobName("index", tokens[1]), bad); err != nil {
 				t.Fatal(err)
 			}
-			r, report, err := RecoverWithReport(cfg)
+			r, err := Open(cfg)
 			if err != nil {
 				t.Fatalf("recovery must demote, not fail: %v", err)
 			}
 			defer r.Close()
-			if report.Token != tokens[0] || len(report.Skipped) != 1 || report.Skipped[0].Token != tokens[1] {
-				t.Fatalf("recovered %s skipping %v, want %s skipping %s", report.Token, report.Skipped, tokens[0], tokens[1])
+			if report := r.RecoveryReport(); report == nil || report.Token != tokens[0] || len(report.Skipped) != 1 || report.Skipped[0].Token != tokens[1] {
+				t.Fatalf("recovered %+v, want %s skipping %s", report, tokens[0], tokens[1])
 			}
 			reader := r.StartSession()
 			defer reader.StopSession()
@@ -498,12 +498,12 @@ func TestIndexImageConcurrentWriters(t *testing.T) {
 	for _, c := range crashes {
 		rcfg := cfg
 		rcfg.Device, rcfg.Checkpoints = c.dev, c.ckpts
-		r, report, err := RecoverWithReport(rcfg)
+		r, err := Open(rcfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.token, err)
 		}
-		if report.Token != c.token || len(report.Skipped) != 0 {
-			t.Fatalf("recovered %s skipping %v, want %s", report.Token, report.Skipped, c.token)
+		if report := r.RecoveryReport(); report == nil || report.Token != c.token || len(report.Skipped) != 0 {
+			t.Fatalf("recovered %+v, want %s", report, c.token)
 		}
 		for i, id := range ids {
 			rs, point := r.ContinueSession(id)

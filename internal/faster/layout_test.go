@@ -122,12 +122,12 @@ func TestOldLayoutStillReads(t *testing.T) {
 	img := buildOldLayoutImage(t)
 	for _, withIndex := range []bool{false, true} {
 		cfg := img.config()
-		s, report, err := RecoverWithReport(cfg)
+		s, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if report.Token != "ckpt-000001" || len(report.Skipped) != 0 {
-			t.Fatalf("recovered %q, skipped %v", report.Token, report.Skipped)
+		if report := s.RecoveryReport(); report == nil || report.Token != "ckpt-000001" || len(report.Skipped) != 0 {
+			t.Fatalf("recovered %+v, want ckpt-000001 and nothing skipped", report)
 		}
 		if got := s.RecoveredPoint(oldLayoutSession); got != 4242 {
 			t.Fatalf("session recovered to serial %d, want 4242", got)
@@ -172,7 +172,7 @@ func TestOldLayoutStillReads(t *testing.T) {
 		sess.StopSession()
 		s.Close()
 
-		s, err = Recover(cfg)
+		s, err = Open(cfg)
 		if err != nil {
 			t.Fatalf("with index %v: second recovery, over old and new records: %v", withIndex, err)
 		}

@@ -72,7 +72,7 @@ func TestModelWithCommitsAndRecovery(t *testing.T) {
 			sess.StopSession()
 			s.Close()
 
-			r2, err := Recover(Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 6,
+			r2, err := Open(Config{IndexBuckets: 1 << 8, PageBits: 13, MemPages: 6,
 				Device: dev, Checkpoints: ckpts, Kind: kind})
 			if err != nil {
 				t.Fatal(err)
@@ -142,12 +142,12 @@ func TestRecoveryIdempotent(t *testing.T) {
 		return append([]byte(nil), v...), st
 	}
 	c1 := cfg
-	r1, err := Recover(c1)
+	r1, err := Open(c1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := cfg
-	r2, err := Recover(c2)
+	r2, err := Open(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCrashRecoverCycles(t *testing.T) {
 		if cycle == 0 {
 			s, err = Open(base)
 		} else {
-			s, err = Recover(base)
+			s, err = Open(base)
 		}
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
@@ -205,7 +205,7 @@ func TestCrashRecoverCycles(t *testing.T) {
 		s.Close() // crash
 	}
 
-	final, err := Recover(base)
+	final, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}

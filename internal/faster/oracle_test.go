@@ -663,12 +663,11 @@ func (x *crashCheck) recover(img crashImage, arm func(*storage.Injector, crashIm
 		arm(inj, cp)
 	}
 	cfg := x.o.config(x.fr, storage.NewFaultCheckpointStore(cp.ckpts, inj), cp.dev)
-	s, rep, err := RecoverWithReport(cfg)
-	if err == nil && s.RecoveryReport() != rep {
-		err = fmt.Errorf("report %+v, the store's %+v", rep, s.RecoveryReport())
-		s.Close()
+	s, err := Open(cfg)
+	if err != nil {
+		return nil, nil, cp, err
 	}
-	return s, rep, cp, err
+	return s, s.RecoveryReport(), cp, nil
 }
 
 // damage damages img as r draws and says what recovering it must give: want,
@@ -750,8 +749,8 @@ func (x *crashCheck) check(i int, img crashImage) (bad []string) {
 		if err == nil {
 			s.Close()
 		}
-		if len(tokens) == 0 && !errors.Is(err, ErrNoCheckpoint) {
-			bad = append(bad, fmt.Sprintf("no commit record in the image, and recovery says %v", err))
+		if len(tokens) == 0 && (err != nil || rep != nil) {
+			bad = append(bad, fmt.Sprintf("no commit record in the image, and Open says %v, recovering %+v", err, rep))
 		} else if len(tokens) > 0 && (err == nil || !faultIn(err)) {
 			bad = append(bad, fmt.Sprintf("damaged %v, no whole commit left, and recovery says %v", damaged, err))
 		}

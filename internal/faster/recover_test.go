@@ -47,7 +47,7 @@ func TestShardedCommitAndRecover(t *testing.T) {
 		t.Fatalf("the second device holds %d bytes; the store opens DeviceFactory(0) only", n)
 	}
 
-	r, err := Recover(cfg)
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func crashBeforeRecord(t *testing.T) {
 
 	rcfg := smallConfig()
 	rcfg.Checkpoints, rcfg.Device = snapCkpts, snapDev
-	r, report, err := RecoverWithReport(rcfg)
+	r, err := Open(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func crashBeforeRecord(t *testing.T) {
 	// The record for the partial commit was never written, so it is not a
 	// commit at all — not even a skipped one — and recovery lands on commit 1,
 	// past the durable capture of the crashed one.
-	if report.Token != res1.Token || len(report.Skipped) != 0 {
-		t.Fatalf("recovered %s with skips %v, want %s and none", report.Token, report.Skipped, res1.Token)
+	if report := r.RecoveryReport(); report == nil || report.Token != res1.Token || len(report.Skipped) != 0 {
+		t.Fatalf("recovered %+v, want %s and no skips", report, res1.Token)
 	}
 	if r.Version() != res1.Version+1 {
 		t.Fatalf("recovered at version %d, want %d (commit 1)", r.Version(), res1.Version+1)

@@ -11,17 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrNoCheckpoint is wrapped by Recover when the checkpoint store holds no
-// commit to recover from. Callers that fall back to a fresh store on this
-// error (errors.Is) still fail hard on real recovery problems — a corrupt
-// store with no surviving commit or a layout it cannot read must never
-// silently discard data.
-var ErrNoCheckpoint = storage.ErrNoCheckpoint
-
 // SkippedCommit records one commit that recovery examined and rejected.
 type SkippedCommit = storage.SkippedCommit
 
-// RecoveryReport describes what Recover did: which commit it landed on and
+// RecoveryReport describes what Open recovered: which commit it landed on and
 // which newer commits it had to skip because an artifact was torn, corrupt,
 // or unreadable. A non-empty Skipped list means the newest commit on disk was
 // not fully verifiable and the store fell back to an older — still valid —
@@ -32,12 +25,17 @@ type RecoveryReport struct {
 	Skipped []SkippedCommit `json:"skipped,omitempty"`
 }
 
-// Recover rebuilds a Store from its most recent fully-verifiable CPR commit
-// (Sec. 6.4). The Config must reference the same Device contents and
-// CheckpointStore the failed instance used. The recovered store is
-// CPR-consistent: for every session, exactly the operations up to its
-// recovered CPR point are present; clients learn those points via
-// ContinueSession.
+// Open starts a Store over cfg's Device and CheckpointStore. A restart is
+// recovery (Sec. 6.4): Open rebuilds the store from the most recent
+// fully-verifiable CPR commit the CheckpointStore holds, and the recovered
+// store is CPR-consistent — for every session, exactly the operations up to
+// its recovered CPR point are present; clients learn those points via
+// ContinueSession. Only a CheckpointStore with no commit record at all opens
+// an empty store at version 1, whose tokens start past every token an artifact
+// there carries; it writes its log over whatever the Device holds, which no
+// commit covers. Any other failure — a foreign layout, a configuration the
+// store was not written with, no commit that verifies — is an error, never a
+// fresh store over existing data.
 //
 // Every artifact read during recovery is verified against its checksum
 // envelope, and log pages are verified against the commit's per-page
@@ -51,19 +49,11 @@ type RecoveryReport struct {
 // recovered prefix — the sessions' CPR points, the log's offsets and page
 // checksums, the attachments — comes from that one artifact. A candidate is
 // accepted or skipped after one record read plus the blobs it names.
-func Recover(cfg Config) (*Store, error) {
-	s, _, err := RecoverWithReport(cfg)
-	return s, err
-}
-
-// RecoverWithReport is Recover, also returning the recovery report (which
-// commit was chosen and which newer ones were skipped as unverifiable).
-func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
+func Open(cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := newStore(cfg)
-
 	report := &RecoveryReport{}
 	skipped, err := storage.RecoverNewest(cfg.Checkpoints, &s.machine.Seq, cfg.Flight, func(tok string) error {
 		rec, err := loadRecord(cfg.Checkpoints, tok)
@@ -84,24 +74,31 @@ func RecoverWithReport(cfg Config) (*Store, *RecoveryReport, error) {
 		return nil
 	})
 	report.Skipped = skipped
-	if err != nil {
-		return nil, nil, fmt.Errorf("faster: %w", err)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("faster: %w", err)
+	case report.Token == "": // no commit record: an empty store
+		if err := s.openData(); err != nil {
+			return nil, err
+		}
+	default:
+		s.latestToken, s.latestVer = report.Token, report.Version
+		s.report = report
+		// arg1 = number of skipped newer commits: zero means the newest
+		// commit on disk verified end to end.
+		cfg.Flight.Emit(obs.FlightRecoverVerdict, -1, uint64(report.Version), report.Token, "",
+			uint64(len(report.Skipped)), 0)
 	}
-	s.finishRecovery(report)
-	return s, report, nil
-}
-
-// finishRecovery publishes the report and the recovered store's gauges.
-func (s *Store) finishRecovery(report *RecoveryReport) {
-	s.latestToken, s.latestVer = report.Token, report.Version
-	s.report = report
 	s.registerStoreGauges()
 	s.registerLagGauges()
-	// arg1 = number of skipped newer commits: zero means the newest commit on
-	// disk verified end to end.
-	s.cfg.Flight.Emit(obs.FlightRecoverVerdict, -1, uint64(report.Version), report.Token, "",
-		uint64(len(report.Skipped)), 0)
+	return s, nil
 }
+
+// Recover is Open.
+//
+// Deprecated: use Open; Recover stays only until the benchmark module stops
+// naming it.
+func Recover(cfg Config) (*Store, error) { return Open(cfg) }
 
 // recoverFrom rebuilds the freshly opened index and log from the commit record
 // rec, verifying every blob it reads and the log pages the record's checksum

@@ -254,7 +254,7 @@ func recoveryModesEquivalent(t *testing.T) {
 	}
 
 	fcfg := img.config()
-	full, err := Recover(fcfg)
+	full, err := Open(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +348,12 @@ func TestSecondCrashKeepsCommit(t *testing.T) {
 // with nothing skipped.
 func recoverSame(t *testing.T, label string, img *fuzzyImage, dev *storage.MemDevice, ckpts *storage.MemCheckpointStore) *Store {
 	t.Helper()
-	r, report, err := RecoverWithReport(configOver(dev, ckpts))
+	r, err := Open(configOver(dev, ckpts))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if report.Token != img.token || len(report.Skipped) != 0 {
-		t.Fatalf("%s: recovered %s skipping %+v, want %s and nothing skipped", label, report.Token, report.Skipped, img.token)
+	if report := r.RecoveryReport(); report == nil || report.Token != img.token || len(report.Skipped) != 0 {
+		t.Fatalf("%s: recovered %+v, want %s and nothing skipped", label, report, img.token)
 	}
 	return r
 }

@@ -146,9 +146,9 @@ type Config struct {
 	// commit makes them live) and ApplyCommitted may advance the visible
 	// state. See internal/repl and Store.Promote.
 	Replica bool
-	// Deprecated: ignored. Recover has one mode, the full replay; this field,
-	// Store.WaitRestored, Store.RestoreStatus and RestoreStatus stay only
-	// until the benchmark module stops naming them.
+	// Deprecated: ignored. Open has one recovery mode, the full replay; this
+	// field, Store.WaitRestored, Store.RestoreStatus and RestoreStatus stay
+	// only until the benchmark module stops naming them.
 	InstantRestore bool
 	// Deprecated: ignored; a store is one index and one log. It stays, with
 	// DeviceFactory, Store.ShardLog and Store.ResyncFrom, only until the
@@ -167,10 +167,10 @@ type RestoreStatus struct {
 
 // RestoreStatus returns nil: no store is instant-restored.
 //
-// Deprecated: recovery replays the whole suffix before Recover returns.
+// Deprecated: recovery replays the whole suffix before Open returns.
 func (s *Store) RestoreStatus() *RestoreStatus { return nil }
 
-// WaitRestored returns nil: a recovered store is warm when Recover returns.
+// WaitRestored returns nil: a recovered store is warm when Open returns.
 //
 // Deprecated: there is nothing to wait for.
 func (s *Store) WaitRestored() error { return nil }
@@ -237,7 +237,7 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 
 // Store is a FASTER instance with CPR durability: one latch-free hash index
 // and one HybridLog. All operations happen through Sessions (Sec. 5.2);
-// Commit triggers an asynchronous CPR checkpoint; Recover rebuilds a store
+// Commit triggers an asynchronous CPR checkpoint; Open rebuilds a store
 // from its latest commit. One epoch framework and one five-phase state machine
 // drive the protocol.
 type Store struct {
@@ -299,13 +299,13 @@ type Store struct {
 
 	metrics storeMetrics
 
-	// report describes how the store was recovered (nil when opened fresh).
+	// report describes how the store was recovered (nil when opened empty).
 	report *RecoveryReport
 }
 
-// RecoveryReport returns the report from the Recover call that produced this
-// store: the commit recovered and any newer commits skipped as unverifiable.
-// It is nil for a store created with Open.
+// RecoveryReport returns what Open recovered: the commit and any newer
+// commits skipped as unverifiable. It is nil only when Open found no commit
+// and started the store empty.
 func (s *Store) RecoveryReport() *RecoveryReport { return s.report }
 
 func newStore(cfg Config) *Store {
@@ -348,20 +348,6 @@ func (s *Store) openData() error {
 	}
 	s.log = l
 	return nil
-}
-
-// Open creates a Store ready for use at version 1.
-func Open(cfg Config) (*Store, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	s := newStore(cfg)
-	if err := s.openData(); err != nil {
-		return nil, err
-	}
-	s.registerStoreGauges()
-	s.registerLagGauges()
-	return s, nil
 }
 
 // registerStoreGauges exposes the state machine and the log's I/O queue.

@@ -92,7 +92,7 @@ func TestVersionAliasRecovery(t *testing.T) {
 	}
 	sess.StopSession()
 	s.Close()
-	r, err := Recover(configOver(dev, ckpts))
+	r, err := Open(configOver(dev, ckpts))
 	if err != nil {
 		t.Fatal(err)
 	}

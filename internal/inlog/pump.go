@@ -250,7 +250,7 @@ func (p *Pump) loop() {
 // pump before it is given one, so the serial<->offset anchor never shears.
 // The group's parked operations complete before it returns, so it is published
 // as applied only if every record of it is; a failed one stops the pump.
-// A recovered store has replayed its whole log suffix before Recover returns,
+// A recovered store has replayed its whole log suffix before Open returns,
 // so the pump never applies a record over pre-prefix state.
 func (p *Pump) applyGroup(offset uint64) (uint64, error) {
 	g, buf, err := p.log.ReadGroup(offset, p.buf)

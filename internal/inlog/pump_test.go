@@ -183,7 +183,7 @@ func TestPumpRecoveryReplaysSuffixExactlyOnce(t *testing.T) {
 	segCrash := segs.Clone()
 
 	// Recover: the store restores the committed prefix (phase A only) ...
-	r, err := faster.Recover(storeConfig(devCrash, ckCrash))
+	r, err := faster.Open(storeConfig(devCrash, ckCrash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPumpResumesMidGroup(t *testing.T) {
 	}
 	regrouped.Close()
 
-	r, err := faster.Recover(storeConfig(devCrash, ckCrash))
+	r, err := faster.Open(storeConfig(devCrash, ckCrash))
 	if err != nil {
 		t.Fatal(err)
 	}

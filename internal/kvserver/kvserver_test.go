@@ -255,7 +255,7 @@ func TestCommitJoiningUncoveringCommit(t *testing.T) {
 	c.Close()
 	srv.Close()
 	store.Close()
-	store2, err := faster.Recover(cfg)
+	store2, err := faster.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestServerRestartResumeSession(t *testing.T) {
 	store.Close()
 
 	// Restart: recover the store, serve again, reconnect with the same ID.
-	store2, err := faster.Recover(cfg)
+	store2, err := faster.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,11 @@ type Replica struct {
 	promoted    atomic.Bool
 }
 
-// NewReplica opens (or recovers) the local replica store and starts pulling
-// from the primary. The store is immediately readable: a fresh replica is
-// empty until the first commit installs, a restarted one serves its last
-// installed prefix while it catches up.
+// NewReplica opens the local replica store, which recovers its last installed
+// commit if it has one, and starts pulling from the primary. The store is
+// immediately readable: a fresh replica is empty until the first commit
+// installs, a restarted one serves its last installed prefix while it catches
+// up.
 func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("repl: Upstream required")
@@ -85,15 +86,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	sc := cfg.StoreConfig
 	sc.Replica = true
 	r := &Replica{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	// Resolve the device once: Open after a Recover that found no commit must
-	// see the same one.
-	if sc.Device == nil {
-		sc.Device = storage.NewMemDevice()
-	}
-	store, err := faster.Recover(sc)
-	if errors.Is(err, faster.ErrNoCheckpoint) {
-		store, err = faster.Open(sc)
-	}
+	store, err := faster.Open(sc)
 	if err != nil {
 		return nil, err
 	}

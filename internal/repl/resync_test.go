@@ -130,13 +130,13 @@ func TestReplicaResyncAfterPrimaryRecovery(t *testing.T) {
 	before := pageCRCs(t, rcps, token)
 
 	// The primary recovers the same commit.
-	recovered, report, err := faster.RecoverWithReport(over(crashDev, crashCps))
+	recovered, err := faster.Open(over(crashDev, crashCps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	if report.Token != token || len(report.Skipped) != 0 {
-		t.Fatalf("primary recovered %s (skipped %v), want %s", report.Token, report.Skipped, token)
+	if report := recovered.RecoveryReport(); report == nil || report.Token != token || len(report.Skipped) != 0 {
+		t.Fatalf("primary recovered %+v, want %s", report, token)
 	}
 	after := pageCRCs(t, crashCps, token)
 	if len(after) >= len(before) {
@@ -158,13 +158,13 @@ func TestReplicaResyncAfterPrimaryRecovery(t *testing.T) {
 	}
 	imgCfg := over(rdev.Clone(), rcps.Clone())
 	imgCfg.Replica = true
-	img, report, err := faster.RecoverWithReport(imgCfg)
+	img, err := faster.Open(imgCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	img.Close()
-	if report.Token != token || len(report.Skipped) != 0 {
-		t.Fatalf("resynced replica image recovered %s (skipped %v), want %s", report.Token, report.Skipped, token)
+	if report := img.RecoveryReport(); report == nil || report.Token != token || len(report.Skipped) != 0 {
+		t.Fatalf("resynced replica image recovered %+v, want %s", report, token)
 	}
 
 	// The next commit installs over the re-received pages.

@@ -28,10 +28,6 @@ const (
 // fresh over, nor fall back past: an older layout, or the other engine's.
 var ErrForeignLayout = errors.New("this engine and version cannot read it")
 
-// ErrNoCheckpoint is wrapped by RecoverNewest when the store holds no commit
-// record: the one recovery error on which a caller may start a fresh store.
-var ErrNoCheckpoint = errors.New("no checkpoint to recover from")
-
 // RecordName is the artifact name of commit token's record.
 func RecordName(token string) string { return recordPrefix + token }
 
@@ -99,24 +95,23 @@ func Refuse(err error) error { return refused{err} }
 // RecoverNewest is the one rule FASTER and txdb recover by: it tries the
 // commit records in cs newest first until try accepts one (returns nil). A
 // candidate that does not verify is skipped — skipped gets it, fr a
-// recover-fallback event — for the next older one. ErrForeignLayout, a Refuse
-// or a store without records (ErrNoCheckpoint) ends the walk with that error:
-// only an empty store lets the caller start fresh; when every candidate is
-// skipped, the error wraps the newest one's. Once a candidate is accepted, seq
-// moves past every token in the store (ResumeTokens).
+// recover-fallback event — for the next older one. ErrForeignLayout or a
+// Refuse ends the walk with that error; when every candidate is skipped, the
+// error wraps the newest one's. A store without records holds no commit:
+// RecoverNewest returns nil without calling try, and the caller starts empty.
+// Before the walk, seq moves past every token in the store (ResumeTokens), so
+// that a store started empty over the blobs of a first commit that crashed
+// before its record does not hand their token out again.
 func RecoverNewest(cs CheckpointStore, seq *atomic.Uint64, fr *obs.FlightRecorder, try func(token string) error) (skipped []SkippedCommit, err error) {
 	names, err := cs.List()
 	if err != nil {
 		return nil, err
 	}
+	ResumeTokens(seq, names...)
 	tokens, err := RecordTokens(names)
-	if err == nil && len(tokens) == 0 {
-		err = fmt.Errorf("%w: no commit record found", ErrNoCheckpoint)
-	}
 	var newest error
 	for _, tok := range tokens {
 		if err = try(tok); err == nil {
-			ResumeTokens(seq, names...)
 			return skipped, nil
 		}
 		if errors.Is(err, ErrForeignLayout) || errors.As(err, new(refused)) {

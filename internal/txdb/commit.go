@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // CommitResult describes a completed database commit.
@@ -55,8 +54,11 @@ func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
 	if db.cfg.Engine != EngineWAL {
 		return db.machine.Begin(onDone, nil)
 	}
-	token := fmt.Sprintf("wal-%06d", db.machine.Seq.Add(1))
-	err := db.wal.Flush()
+	// The token is the log's durable end, the prefix the commit covers. A
+	// recovered log appends after its last whole transaction, so a token
+	// repeats, in one life or across lives, only for the same prefix.
+	lsn, err := db.wal.Flush()
+	token := fmt.Sprintf("wal-%012d", lsn)
 	res := CommitResult{Token: token, Err: err}
 	db.machine.Record(token, res)
 	if onDone != nil {
@@ -110,35 +112,6 @@ func (db *DB) persist(c *commit, capture []byte, delta bool) error {
 	}
 	db.chain = chain
 	return nil
-}
-
-// Recover loads a database from its most recent commit that verifies (Sec.
-// 4.4: no UNDO processing needed — captured values are transactionally
-// consistent), by FASTER's rule (storage.RecoverNewest): records newest first,
-// falling back past one whose record or capture does not verify; a record of
-// another shape, FASTER's records or an older layout are a hard error. For
-// EngineWAL it instead replays the log's whole transactions, and the
-// recovered database logs after them.
-func Recover(cfg Config) (*DB, error) {
-	db, err := Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg = db.cfg; cfg.Engine == EngineWAL {
-		db.wal.Close() // Open's log starts empty; the recovered one appends after the replayed prefix
-		db.wal, err = wal.Open(cfg.WALDevice, func(rec wal.Record) {
-			if rec.Key < uint64(cfg.Records) {
-				copy(db.records[rec.Key].live, rec.Value)
-			}
-		})
-	} else {
-		_, err = storage.RecoverNewest(cfg.Checkpoints, &db.machine.Seq, cfg.Flight, db.recoverCommit)
-	}
-	if err != nil {
-		db.Close()
-		return nil, fmt.Errorf("txdb: %w", err)
-	}
-	return db, nil
 }
 
 // recoverCommit loads commit token: its record, then the capture chain the

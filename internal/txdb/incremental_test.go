@@ -33,7 +33,7 @@ func TestIncrementalDeltaSmallerThanFull(t *testing.T) {
 	db.Close()
 
 	// Recovery applies full + delta.
-	r := mustRecover(t, Config{Records: records, Checkpoints: ckpts, Incremental: true, FullEvery: 100})
+	r := mustOpen(t, Config{Records: records, Checkpoints: ckpts, Incremental: true, FullEvery: 100})
 	defer r.Close()
 	for k := uint64(0); k < records; k++ {
 		want := k
@@ -74,7 +74,7 @@ func TestIncrementalChainAcrossManyCommits(t *testing.T) {
 	w.Close()
 	db.Close()
 
-	r := mustRecover(t, cfg)
+	r := mustOpen(t, cfg)
 	defer r.Close()
 	for k := uint64(0); k < records; k++ {
 		if got := readKey(r, k); got != model[k] {
@@ -111,7 +111,7 @@ func TestIncrementalDeltaCapturesShiftedRecords(t *testing.T) {
 	w.Close()
 	db.Close()
 
-	r := mustRecover(t, Config{Records: 8, Checkpoints: ckpts, Incremental: true, FullEvery: 100})
+	r := mustOpen(t, Config{Records: 8, Checkpoints: ckpts, Incremental: true, FullEvery: 100})
 	defer r.Close()
 	if got := readKey(r, 0); got != 2 {
 		t.Fatalf("recovered key 0 = %d, want 2 (the committed-version value)", got)

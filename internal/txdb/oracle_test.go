@@ -1,9 +1,9 @@
 package txdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -209,18 +209,20 @@ func (ow *oracleWorker) run() {
 }
 
 // crashImage is what a killed process leaves: the checkpoint store cloned
-// before the log's device. bound is, for WAL, each worker's transactions that
-// a Commit which returned before the crash covered.
+// before the log's device. For WAL, bound is each worker's transactions that
+// a Commit which returned before the crash covered, and tokens are those
+// Commits' tokens.
 type crashImage struct {
-	at    string
-	ckpts *storage.MemCheckpointStore
-	dev   *storage.MemDevice
-	bound []uint64
+	at     string
+	ckpts  *storage.MemCheckpointStore
+	dev    *storage.MemDevice
+	bound  []uint64
+	tokens []string
 }
 
-func takeImage(at string, ckpts *storage.MemCheckpointStore, dev *storage.MemDevice, bound []uint64) crashImage {
+func takeImage(at string, ckpts *storage.MemCheckpointStore, dev *storage.MemDevice, bound []uint64, tokens []string) crashImage {
 	ck := ckpts.Clone() // first
-	return crashImage{at: at, ckpts: ck, dev: dev.Clone(), bound: slices.Clone(bound)}
+	return crashImage{at: at, ckpts: ck, dev: dev.Clone(), bound: slices.Clone(bound), tokens: slices.Clone(tokens)}
 }
 
 func runTxdbOracle(t *testing.T, seed int64, name string) {
@@ -233,12 +235,13 @@ func runTxdbOracle(t *testing.T, seed int64, name string) {
 	inj := storage.NewInjector(fc)
 	var imgMu sync.Mutex
 	var images []crashImage
-	var bound []uint64 // under imgMu
+	var bound []uint64     // under imgMu
+	var walTokens []string // under imgMu
 	imaging := true
 	image := func(at string) {
 		imgMu.Lock()
 		if imaging {
-			images = append(images, takeImage(at, memCk, memDev, bound))
+			images = append(images, takeImage(at, memCk, memDev, bound, walTokens))
 		}
 		imgMu.Unlock()
 	}
@@ -304,6 +307,7 @@ func runTxdbOracle(t *testing.T, seed int64, name string) {
 		if err == nil && o.engine == EngineWAL {
 			imgMu.Lock()
 			bound = snap
+			walTokens = append(walTokens, token)
 			imgMu.Unlock()
 			whole.Add(1)
 			if outage {
@@ -423,7 +427,7 @@ func (x *oracleCheck) recover(img crashImage, committed map[string]CommitResult,
 	tokens, want, _ := newestWhole(img.ckpts)
 	cp = crashImage{ckpts: img.ckpts.Clone(), dev: img.dev.Clone()}
 	fr := obs.NewFlightRecorder(1 << 10)
-	db, err := Recover(x.o.config(cp.ckpts, cp.dev, fr))
+	db, err := Open(x.o.config(cp.ckpts, cp.dev, fr))
 	if x.o.engine == EngineWAL && err == nil {
 		// The points are read off the values: each worker's newest
 		// transaction a key holds (a value no worker wrote fails check).
@@ -440,20 +444,28 @@ func (x *oracleCheck) recover(img crashImage, committed map[string]CommitResult,
 		}
 		return db, cp, cut, bad
 	}
+	// Only a store without a record starts fresh.
 	res, ok := committed[want]
+	fresh := len(tokens) == 0
 	switch {
-	case err != nil && (want != "" || x.o.engine == EngineWAL):
-		bad = append(bad, fmt.Sprintf("recovery: %v; want %s", err, want))
-	case want == "" && (err == nil || len(tokens) == 0 && !errors.Is(err, storage.ErrNoCheckpoint)):
-		bad = append(bad, fmt.Sprintf("no whole commit among %v, and recovery says %v", tokens, err))
+	case err != nil && (want != "" || fresh || x.o.engine == EngineWAL):
+		bad = append(bad, fmt.Sprintf("recovery: %v; want %s", err, cmp.Or(want, "a fresh start")))
+	case err == nil && want == "" && !fresh:
+		bad = append(bad, fmt.Sprintf("no whole commit among %v, and Open started fresh", tokens))
 	case want != "" && !ok:
 		bad = append(bad, fmt.Sprintf("the image's newest whole commit %s is no commit the committer saw succeed", want))
 	}
-	if err == nil && !ok {
+	if err == nil && !ok && !fresh {
 		db.Close()
 	}
-	if err != nil || !ok {
+	if err != nil || !ok && !fresh {
 		return nil, cp, nil, bad
+	}
+	if fresh {
+		if db.Version() != 1 {
+			bad = append(bad, fmt.Sprintf("started fresh at version %d", db.Version()))
+		}
+		return db, cp, make([]uint64, len(workers)), bad
 	}
 	if db.Version() != res.Version+1 {
 		bad = append(bad, fmt.Sprintf("recovered at version %d; the newest whole commit %s is version %d", db.Version(), want, res.Version))
@@ -515,6 +527,9 @@ func (x *oracleCheck) check(i int, img crashImage) (bad []string) {
 		return append(bad, fmt.Sprintf("second life: commit: %v", err))
 	}
 	committed := maps.Clone(x.committed)
+	if x.o.engine == EngineWAL && slices.Contains(img.tokens, token) {
+		bad = append(bad, fmt.Sprintf("second life: its commit takes token %s, which a commit of the first life returned before the crash", token))
+	}
 	if x.o.engine != EngineWAL {
 		res := awaitCommit(x.t, db, token, live)
 		committed[token] = res
@@ -522,7 +537,7 @@ func (x *oracleCheck) check(i int, img crashImage) (bad []string) {
 		if storage.ResumeTokens(&seq, names...); token != storage.NextToken(&seq) {
 			bad = append(bad, fmt.Sprintf("second life: its commit takes token %s, not the one after every token the image holds", token))
 		}
-		if delta := len(chain) < x.o.fullEvery; res.Delta != delta {
+		if delta := len(chain) > 0 && len(chain) < x.o.fullEvery; res.Delta != delta {
 			bad = append(bad, fmt.Sprintf("second life: commit %s over a chain of %d captures is a delta: %v, want %v", token, len(chain), res.Delta, delta))
 		}
 		for j, w := range live {
@@ -537,7 +552,7 @@ func (x *oracleCheck) check(i int, img crashImage) (bad []string) {
 		ow.run() // past the commit
 		ow.w.Close()
 	}
-	img2 := takeImage("second life", cp.ckpts, cp.dev, bound)
+	img2 := takeImage("second life", cp.ckpts, cp.dev, bound, nil)
 	db.Close()
 
 	// The second crash: the first life's workers keep their recovered points.

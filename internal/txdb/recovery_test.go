@@ -20,7 +20,7 @@ import (
 // verify, a recovered database never hands out a token the store holds, and a
 // store of another layout is refused by name.
 
-// recoverWithin runs Recover under a deadline: a record chain that loops must
+// recoverWithin runs Open under a deadline: a record chain that loops must
 // fail the test, not hang it.
 func recoverWithin(t *testing.T, cfg Config, d time.Duration) *DB {
 	t.Helper()
@@ -30,7 +30,7 @@ func recoverWithin(t *testing.T, cfg Config, d time.Duration) *DB {
 	}
 	done := make(chan result, 1)
 	go func() {
-		db, err := Recover(cfg)
+		db, err := Open(cfg)
 		done <- result{db, err}
 	}()
 	select {
@@ -40,7 +40,7 @@ func recoverWithin(t *testing.T, cfg Config, d time.Duration) *DB {
 		}
 		return r.db
 	case <-time.After(d):
-		t.Fatalf("Recover did not return within %v", d)
+		t.Fatalf("Open did not return within %v", d)
 		return nil
 	}
 }
@@ -120,7 +120,7 @@ func TestRecoverCommitRecover(t *testing.T) {
 }
 
 // TestRecoverFallsBackPastDamagedCommit: with the newest commit's capture
-// damaged or gone, Recover lands on the commit before it and reports the skip
+// damaged or gone, Open lands on the commit before it and reports the skip
 // as a recover-fallback flight event, as FASTER's does. A store of the layout
 // before the record (latest + meta- + data-) is refused by name.
 func TestRecoverFallsBackPastDamagedCommit(t *testing.T) {
@@ -189,9 +189,9 @@ func TestRecoverFallsBackPastDamagedCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := Recover(Config{Records: 16, Checkpoints: cs})
+		_, err := Open(Config{Records: 16, Checkpoints: cs})
 		if err == nil || !errors.Is(err, storage.ErrForeignLayout) || !strings.Contains(err.Error(), "txdb's latest + meta-<token> + data-<token>") {
-			t.Fatalf("Recover over latest + meta- + data- = %v, want a hard error naming that layout", err)
+			t.Fatalf("Open over latest + meta- + data- = %v, want a hard error naming that layout", err)
 		}
 	})
 }
@@ -251,8 +251,8 @@ func TestArtifactsPerDBCommit(t *testing.T) {
 }
 
 // TestEnginesRefuseEachOther: txdb and FASTER write records under the same
-// name, and each refuses the other's by name — a hard error, never a fall-back
-// or a fresh start.
+// name, and each one's Open refuses the other's by name — a hard error, never
+// a fall-back or a fresh start that would write over them.
 func TestEnginesRefuseEachOther(t *testing.T) {
 	txCkpts := storage.NewMemCheckpointStore()
 	db := mustOpen(t, Config{Records: 16, Checkpoints: txCkpts})
@@ -263,7 +263,8 @@ func TestEnginesRefuseEachOther(t *testing.T) {
 	db.Close()
 
 	fCkpts := storage.NewMemCheckpointStore()
-	fcfg := faster.Config{IndexBuckets: 1 << 8, PageBits: 12, MemPages: 8, Device: storage.NewMemDevice(), Checkpoints: fCkpts}
+	dev := storage.NewMemDevice()
+	fcfg := faster.Config{IndexBuckets: 1 << 8, PageBits: 12, MemPages: 8, Device: dev, Checkpoints: fCkpts}
 	s, err := faster.Open(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +291,83 @@ func TestEnginesRefuseEachOther(t *testing.T) {
 	s.Close()
 
 	fcfg.Checkpoints, fcfg.Device = txCkpts, storage.NewMemDevice()
-	if _, err := faster.Recover(fcfg); err == nil || errors.Is(err, faster.ErrNoCheckpoint) ||
+	if _, err := faster.Open(fcfg); err == nil ||
 		!errors.Is(err, storage.ErrForeignLayout) || !strings.Contains(err.Error(), "txdb commit records") {
-		t.Fatalf("FASTER over txdb's store: Recover = %v, want a hard error naming txdb's records", err)
+		t.Fatalf("FASTER over txdb's store: Open = %v, want a hard error naming txdb's records", err)
 	}
-	if _, err := Recover(Config{Records: 16, Checkpoints: fCkpts}); err == nil ||
-		!errors.Is(err, storage.ErrForeignLayout) || !strings.Contains(err.Error(), "FASTER commit records") {
-		t.Fatalf("txdb over FASTER's store: Recover = %v, want a hard error naming FASTER's records", err)
+	for _, eng := range []EngineKind{EngineCPR, EngineCALC} {
+		if _, err := Open(Config{Records: 16, Engine: eng, Checkpoints: fCkpts}); err == nil ||
+			!errors.Is(err, storage.ErrForeignLayout) || !strings.Contains(err.Error(), "FASTER commit records") {
+			t.Fatalf("%v over FASTER's store: Open = %v, want a hard error naming FASTER's records", eng, err)
+		}
+	}
+	// Neither Open wrote over the other's store: each still recovers its own.
+	fcfg.Checkpoints = fCkpts
+	fcfg.Device = dev
+	s, err = faster.Open(fcfg)
+	if err != nil || s.RecoveryReport() == nil || s.RecoveryReport().Token != token {
+		t.Fatalf("FASTER reopened over its own store: %v, report %+v, want commit %s", err, s.RecoveryReport(), token)
+	}
+	s.Close()
+	db = mustOpen(t, Config{Records: 16, Checkpoints: txCkpts})
+	if got := readKey(db, 1); got != 1 {
+		t.Fatalf("txdb reopened over its own store: key 1 = %d, want 1", got)
+	}
+	db.Close()
+}
+
+// TestReopenKeepsEveryLife: opening a database is recovering it. A first life
+// commits and closes; a second Open over the same storage rewrites part of it,
+// commits, writes past its commit and crashes; a third Open finds both lives'
+// committed prefixes, and no commit token was handed out twice.
+func TestReopenKeepsEveryLife(t *testing.T) {
+	for _, eng := range []EngineKind{EngineCPR, EngineCALC, EngineWAL} {
+		t.Run(eng.String(), func(t *testing.T) {
+			ckpts, dev := storage.NewMemCheckpointStore(), storage.NewMemDevice()
+			cfg := Config{Records: 64, Engine: eng, Checkpoints: ckpts, WALDevice: dev}
+			write := func(w *Worker, from, to, life uint64) {
+				for k := from; k < to; k++ {
+					writeKey(t, w, k, life<<32|k)
+				}
+			}
+			db := mustOpen(t, cfg)
+			w := db.NewWorker()
+			write(w, 0, 32, 1)
+			tok1 := driveCommit(t, db, []*Worker{w}).Token
+			w.Close()
+			db.Close()
+
+			db = mustOpen(t, cfg)
+			w = db.NewWorker()
+			write(w, 16, 48, 2)
+			tok2 := driveCommit(t, db, []*Worker{w}).Token
+			write(w, 48, 64, 3) // past the commit
+			img := cfg
+			img.Checkpoints, img.WALDevice = ckpts.Clone(), dev.Clone()
+			w.Close()
+			db.Close()
+
+			r := mustOpen(t, img)
+			defer r.Close()
+			for k := uint64(0); k < 48; k++ {
+				if got, want := readKey(r, k), min(k/16+1, 2)<<32|k; got != want {
+					t.Fatalf("key %d = %#x, want %#x", k, got, want)
+				}
+			}
+			if eng != EngineWAL { // the WAL's group commit may have logged the suffix
+				for k := uint64(48); k < 64; k++ {
+					if got := readKey(r, k); got != 0 {
+						t.Fatalf("key %d = %#x, written past the commit", k, got)
+					}
+				}
+			}
+			rw := r.NewWorker()
+			defer rw.Close()
+			write(rw, 0, 1, 4)
+			tok3 := driveCommit(t, r, []*Worker{rw}).Token
+			if tok1 == tok2 || tok2 == tok3 || tok1 == tok3 {
+				t.Fatalf("the three lives committed %s, %s and %s: a token repeated", tok1, tok2, tok3)
+			}
+		})
 	}
 }

@@ -68,7 +68,7 @@ func TestTheorem1TransactionalConsistency(t *testing.T) {
 	wg.Wait()
 	db.Close()
 
-	r, err := Recover(Config{Records: pairs * 2, Checkpoints: ckpts})
+	r, err := Open(Config{Records: pairs * 2, Checkpoints: ckpts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestModelSingleWorker(t *testing.T) {
 	w.Close()
 	db.Close()
 
-	r, err := Recover(Config{Records: keys, Checkpoints: ckpts})
+	r, err := Open(Config{Records: keys, Checkpoints: ckpts})
 	if err != nil {
 		t.Fatal(err)
 	}

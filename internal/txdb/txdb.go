@@ -206,13 +206,22 @@ type DB struct {
 
 	// chain names the captures the latest commit's record names (dbRecord),
 	// which the next delta commit extends; written only by the running
-	// commit's flush (the goroutine core.Machine.Flush starts) and by Recover.
+	// commit's flush (the goroutine core.Machine.Flush starts) and by Open.
 	chain []string
 
 	metrics dbMetrics
 }
 
-// Open creates a database with all values zeroed, at version 1.
+// Open starts a database over cfg's Checkpoints (CPR, CALC) or WALDevice
+// (WAL). A restart is recovery: for CPR and CALC, Open loads the most recent
+// commit that verifies (Sec. 4.4: no UNDO processing needed — captured values
+// are transactionally consistent), by FASTER's rule (storage.RecoverNewest):
+// records newest first, falling back past one whose record or capture does not
+// verify; a record of another shape, FASTER's records or an older layout are a
+// hard error. Only a store with no record starts with all values zeroed at
+// version 1, its tokens past every token an artifact there carries. For WAL,
+// Open replays the log's whole transactions (none on an empty device), and
+// the database logs after them.
 func Open(cfg Config) (*DB, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -250,8 +259,19 @@ func Open(cfg Config) (*DB, error) {
 		// A ring of one slot per record (the next power of two), up to 8 MiB.
 		db.calcLog = make([]uint64, min(1<<bits.Len(uint(cfg.Records-1)), 1<<20))
 	}
+	var err error
 	if cfg.Engine == EngineWAL {
-		db.wal = wal.New(cfg.WALDevice)
+		db.wal, err = wal.Open(cfg.WALDevice, func(rec wal.Record) {
+			if rec.Key < uint64(cfg.Records) {
+				copy(db.records[rec.Key].live, rec.Value)
+			}
+		})
+	} else {
+		_, err = storage.RecoverNewest(cfg.Checkpoints, &db.machine.Seq, cfg.Flight, db.recoverCommit)
+	}
+	if err != nil {
+		db.Close()
+		return nil, fmt.Errorf("txdb: %w", err)
 	}
 	return db, nil
 }

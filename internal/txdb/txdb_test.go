@@ -27,19 +27,10 @@ func writeKey(t *testing.T, w *Worker, key, v uint64) {
 
 func readKey(db *DB, key uint64) uint64 { return binary.LittleEndian.Uint64(db.ReadValue(key, nil)) }
 
-// mustOpen and mustRecover are Open and Recover, failing the test on an error.
+// mustOpen is Open, failing the test on an error.
 func mustOpen(t *testing.T, cfg Config) *DB {
 	t.Helper()
 	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
-func mustRecover(t *testing.T, cfg Config) *DB {
-	t.Helper()
-	db, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +316,7 @@ func TestSequentialCommitsVersions(t *testing.T) {
 	}
 	w.Close()
 	db.Close()
-	r := mustRecover(t, Config{Records: 16, Checkpoints: ckpts})
+	r := mustOpen(t, Config{Records: 16, Checkpoints: ckpts})
 	defer r.Close()
 	if r.Version() != 6 || readKey(r, 0) != 5 {
 		t.Fatalf("recovered version %d, key 0 = %d; want 6 and 5", r.Version(), readKey(r, 0))
@@ -358,7 +349,7 @@ func TestCPRCommitAndRecover(t *testing.T) {
 			w.Close()
 			db.Close()
 
-			r, err := Recover(Config{Records: 100, Engine: eng, Checkpoints: ckpts})
+			r, err := Open(Config{Records: 100, Engine: eng, Checkpoints: ckpts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +385,7 @@ func TestWALRecovery(t *testing.T) {
 	w.Close()
 	db.Close()
 
-	r, err := Recover(Config{Records: 50, Engine: EngineWAL, WALDevice: dev})
+	r, err := Open(Config{Records: 50, Engine: EngineWAL, WALDevice: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +450,7 @@ func TestCommitPrefixSemantics(t *testing.T) {
 	}
 	db.Close()
 
-	r, err := Recover(Config{Records: workers * keysPer, Checkpoints: ckpts})
+	r, err := Open(Config{Records: workers * keysPer, Checkpoints: ckpts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,27 +44,20 @@ type Log struct {
 // flushEvery is the group-commit interval.
 const flushEvery = time.Millisecond
 
-// New creates an empty WAL over dev and starts its group-commit flusher.
-func New(dev storage.Device) *Log { return start(dev, 0) }
-
-// Open replays the log on dev (replay) and returns a WAL that appends after
-// its last whole transaction, over the torn tail if there is one: what the
-// tail leaves behind a shorter group fails its checksum.
+// Open replays the log on dev (replay; an empty device holds none) and
+// returns a WAL that appends after its last whole transaction, over the torn
+// tail if there is one: what the tail leaves behind a shorter group fails its
+// checksum. It starts the group-commit flusher.
 func Open(dev storage.Device, fn func(rec Record)) (*Log, error) {
-	end, err := replay(dev, uint64(dev.Size()), fn)
+	at, err := replay(dev, uint64(dev.Size()), fn)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	return start(dev, end), nil
-}
-
-// start returns a WAL whose next LSN is at, the device offset it appends at.
-func start(dev storage.Device, at uint64) *Log {
 	l := &Log{dev: dev, lsn: at, off: int64(at), stop: make(chan struct{})}
 	l.flushed.Store(at)
 	l.wg.Add(1)
 	go l.flusher()
-	return l
+	return l, nil
 }
 
 // Append writes a transaction's redo records to the log and returns the
@@ -119,8 +112,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Flushed returns the LSN up to which the log is durable.
 func (l *Log) Flushed() uint64 { return l.flushed.Load() }
 
-// Flush forces an immediate group commit and blocks until durable.
-func (l *Log) Flush() error { return l.flushOnce() }
+// Flush forces an immediate group commit and blocks until durable. It
+// returns the LSN up to which the log is then durable: every transaction
+// appended before the call ends at or below it.
+func (l *Log) Flush() (uint64, error) { return l.flushOnce() }
 
 func (l *Log) flusher() {
 	defer l.wg.Done()
@@ -141,7 +136,8 @@ func (l *Log) flusher() {
 // writes it behind the lock, so appenders only contend with the swap. A group
 // whose write or sync fails is owed: it keeps its offset, the next flush
 // writes it ahead of what was appended since, and flushed does not pass it.
-func (l *Log) flushOnce() error {
+// It returns the end of the group: durable unless err is set.
+func (l *Log) flushOnce() (end uint64, err error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
@@ -149,9 +145,9 @@ func (l *Log) flushOnce() error {
 	l.buf, l.off = nil, int64(end)
 	l.mu.Unlock()
 	if len(buf) == 0 {
-		return nil
+		return end, nil
 	}
-	_, err := l.dev.WriteAt(buf, off)
+	_, err = l.dev.WriteAt(buf, off)
 	if err == nil {
 		err = l.dev.Sync()
 	}
@@ -159,10 +155,10 @@ func (l *Log) flushOnce() error {
 		l.mu.Lock()
 		l.buf, l.off = append(buf, l.buf...), off
 		l.mu.Unlock()
-		return fmt.Errorf("wal: flush: %w", err)
+		return end, fmt.Errorf("wal: flush: %w", err)
 	}
 	l.flushed.Store(end)
-	return nil
+	return end, nil
 }
 
 // Close stops the flusher after a final flush.

@@ -13,13 +13,23 @@ func rec(key uint64, val string) Record {
 	return Record{Key: key, Value: []byte(val)}
 }
 
+// openEmpty opens the log on dev, which must hold none.
+func openEmpty(tb testing.TB, dev storage.Device) *Log {
+	tb.Helper()
+	l, err := Open(dev, func(Record) { tb.Fatal("replayed a record of an empty device") })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return l
+}
+
 func TestAppendFlushReplay(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	l.Append([]Record{rec(1, "aaaa"), rec(2, "bb")})
 	l.Append([]Record{rec(3, "cccccccc")})
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
+	if end, err := l.Flush(); err != nil || end != l.Flushed() || end != uint64(dev.Size()) {
+		t.Fatalf("Flush = %d, %v; the log flushed %d of a %d-byte device", end, err, l.Flushed(), dev.Size())
 	}
 	l.Close()
 
@@ -43,7 +53,7 @@ func TestAppendFlushReplay(t *testing.T) {
 
 func TestLSNMonotonic(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 100; i++ {
@@ -63,7 +73,7 @@ func TestLSNMonotonic(t *testing.T) {
 
 func TestGroupCommitFlusher(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	l.Append([]Record{rec(1, "v")})
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Flushed() == 0 {
@@ -77,7 +87,7 @@ func TestGroupCommitFlusher(t *testing.T) {
 
 func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	const threads, per = 8, 500
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -93,7 +103,7 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -111,10 +121,10 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 // last record or between two of its records.
 func TestReplayTornTail(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	l.Append([]Record{rec(1, "first")})
 	l.Append([]Record{rec(2, "second"), rec(3, "third"), rec(4, "fourth")})
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -134,17 +144,17 @@ func TestReplayTornTail(t *testing.T) {
 func TestFailedGroupIsOwed(t *testing.T) {
 	inj := storage.NewInjector(storage.FaultConfig{})
 	dev := storage.NewMemDevice()
-	l := New(storage.NewFaultDevice(dev, inj))
+	l := openEmpty(t, storage.NewFaultDevice(dev, inj))
 	defer l.Close()
 	inj.FailPermanently()
 	l.Append([]Record{rec(1, "early")})
 	time.Sleep(5 * flushEvery) // the flusher fails the group
-	if err := l.Flush(); err == nil || l.Flushed() != 0 {
+	if _, err := l.Flush(); err == nil || l.Flushed() != 0 {
 		t.Fatalf("Flush during the failure = %v, flushed %d", err, l.Flushed())
 	}
 	inj.Heal()
 	l.Append([]Record{rec(2, "later")})
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var keys []uint64
@@ -158,11 +168,11 @@ func TestFailedGroupIsOwed(t *testing.T) {
 // shorter group is not replayed.
 func TestOpenResumesAfterWholePrefix(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	l.Append([]Record{rec(1, "one")})
 	l.Append([]Record{rec(2, "two"), rec(3, "three")})
 	l.Append([]Record{rec(4, "four, the torn one")})
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -175,7 +185,7 @@ func TestOpenResumesAfterWholePrefix(t *testing.T) {
 		t.Fatalf("Open replayed %v (%v), want keys 1, 2 and 3", keys, err)
 	}
 	l.Append([]Record{rec(5, "5")})
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -187,7 +197,7 @@ func TestOpenResumesAfterWholePrefix(t *testing.T) {
 
 func TestAppendMeasuredMatchesAppend(t *testing.T) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(t, dev)
 	defer l.Close()
 	lsn1 := l.Append([]Record{rec(1, "abc")})
 	lsn2, lockNs, copyNs := l.AppendMeasured([]Record{rec(2, "def")})
@@ -197,7 +207,7 @@ func TestAppendMeasuredMatchesAppend(t *testing.T) {
 	if lockNs < 0 || copyNs < 0 {
 		t.Fatal("negative timings")
 	}
-	if err := l.Flush(); err != nil {
+	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -211,7 +221,7 @@ func TestAppendMeasuredMatchesAppend(t *testing.T) {
 
 func BenchmarkAppend1Key(b *testing.B) {
 	dev := storage.NewMemDevice()
-	l := New(dev)
+	l := openEmpty(b, dev)
 	defer l.Close()
 	var v [8]byte
 	recs := []Record{{Key: 1, Value: v[:]}}
